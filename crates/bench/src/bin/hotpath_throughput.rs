@@ -71,7 +71,8 @@ use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore, StoreObs};
 use dynasore_topology::{Topology, TrafficAccount};
 use dynasore_types::{
-    MemoryBudget, Message, NetworkModel, PlacementEngine, SimTime, TrafficSink, UserId, HOUR_SECS,
+    CountingSink, MemoryBudget, Message, NetworkModel, PlacementEngine, SimTime, TrafficSink,
+    UserId, HOUR_SECS,
 };
 
 /// Payload size of the durable phase. 64 bytes (80 per framed record) keeps
@@ -81,12 +82,6 @@ use dynasore_types::{
 /// tweet-sized 140-byte payloads of the simulator (`SIM_EVENT_BYTES`) are
 /// bandwidth-bound at that rate on ~100 MB/s disks.
 const DURABLE_EVENT_BYTES: usize = 64;
-
-/// Pre-refactor numbers (commit eec0658, `--users 100000 --seed 42` on the
-/// development reference machine), kept so the JSON always records the
-/// trajectory. Updated only when a PR intentionally re-baselines.
-const BASELINE_READS_PER_SEC: f64 = 1_620.0;
-const BASELINE_WRITES_PER_SEC: f64 = 1_070_785.0;
 
 struct Options {
     users: usize,
@@ -221,20 +216,6 @@ impl TrafficSink for AccountedSink<'_> {
 /// tick-bounded flushes.
 const PARALLEL_BATCH: usize = 65_536;
 
-/// Counts messages — the per-worker sink of the parallel write phase. It
-/// owns no references, so it is `Send` and hands the engine one independent
-/// sink per worker thread.
-#[derive(Default)]
-struct CountingSink {
-    messages: u64,
-}
-
-impl TrafficSink for CountingSink {
-    fn record(&mut self, _message: Message) {
-        self.messages += 1;
-    }
-}
-
 fn main() {
     let mut opts = Options::from_args();
     let setup_start = Instant::now();
@@ -303,6 +284,12 @@ fn main() {
     let mut accounted_engine = engine.clone();
 
     // Measured read phase.
+    // Both read phases replay these requests, so they touch the same number
+    // of views: a read fans out to every followee, and the engine's read
+    // cost is per view touched, not per request.
+    let read_views: u64 = (0..opts.iters)
+        .map(|k| graph.followees(user_at(k)).len() as u64)
+        .sum();
     let read_start = Instant::now();
     let mut read_messages = 0u64;
     for k in 0..opts.iters {
@@ -419,6 +406,7 @@ fn main() {
     let accounted_messages = accounted.messages;
 
     let reads_per_sec = opts.iters as f64 / read_secs;
+    let read_ns_per_view = read_secs * 1e9 / read_views as f64;
     let writes_per_sec = write_iters as f64 / write_secs;
     let accounted_reads_per_sec = opts.iters as f64 / accounted_secs;
 
@@ -543,6 +531,8 @@ fn main() {
             "  \"warmup_secs\": {warmup:.3},\n",
             "  \"read\": {{\n",
             "    \"reqs_per_sec\": {rps:.0},\n",
+            "    \"views_per_sec\": {rvps:.0},\n",
+            "    \"ns_per_view\": {rnspv:.0},\n",
             "    \"elapsed_secs\": {rsecs:.3},\n",
             "    \"messages\": {rmsgs}\n",
             "  }},\n",
@@ -555,6 +545,8 @@ fn main() {
             "{parallel_block}",
             "  \"read_accounted\": {{\n",
             "    \"reqs_per_sec\": {aps:.0},\n",
+            "    \"views_per_sec\": {avps:.0},\n",
+            "    \"ns_per_view\": {anspv:.0},\n",
             "    \"elapsed_secs\": {asecs:.3},\n",
             "    \"messages\": {amsgs}\n",
             "  }},\n",
@@ -570,14 +562,7 @@ fn main() {
             "    \"iters\": {siters},\n",
             "    \"elapsed_secs\": {ssecs:.3}\n",
             "  }},\n",
-            "  \"durable_speedup_vs_single_sync\": {dspeed:.1},\n",
-            "  \"baseline_pre_refactor\": {{\n",
-            "    \"commit\": \"eec0658\",\n",
-            "    \"read_reqs_per_sec\": {brps:.0},\n",
-            "    \"write_reqs_per_sec\": {bwps:.0}\n",
-            "  }},\n",
-            "  \"read_speedup_vs_baseline\": {rspeed:.2},\n",
-            "  \"write_speedup_vs_baseline\": {wspeed:.2}\n",
+            "  \"durable_speedup_vs_single_sync\": {dspeed:.1}\n",
             "}}\n"
         ),
         users = opts.users,
@@ -588,6 +573,8 @@ fn main() {
         setup = setup_secs,
         warmup = warmup_secs,
         rps = reads_per_sec,
+        rvps = read_views as f64 / read_secs,
+        rnspv = read_ns_per_view,
         rsecs = read_secs,
         rmsgs = read_messages,
         wps = writes_per_sec,
@@ -595,6 +582,8 @@ fn main() {
         wsecs = write_secs,
         wmsgs = write_messages,
         aps = accounted_reads_per_sec,
+        avps = read_views as f64 / accounted_secs,
+        anspv = accounted_secs * 1e9 / read_views as f64,
         asecs = accounted_secs,
         amsgs = accounted_messages,
         dps = durable_per_sec,
@@ -606,10 +595,6 @@ fn main() {
         siters = single_iters,
         ssecs = single_secs,
         dspeed = durable_speedup,
-        brps = BASELINE_READS_PER_SEC,
-        bwps = BASELINE_WRITES_PER_SEC,
-        rspeed = reads_per_sec / BASELINE_READS_PER_SEC,
-        wspeed = writes_per_sec / BASELINE_WRITES_PER_SEC,
     );
     std::fs::write(&opts.out, &json).expect("write BENCH_hotpath.json");
     let parallel_note = match &parallel {
@@ -622,11 +607,13 @@ fn main() {
         None => String::new(),
     };
     eprintln!(
-        "# hotpath_throughput: {} users, {} iters — reads {:.0}/s, writes {:.0}/s{}, \
-         accounted reads {:.0}/s, durable writes {:.0}/s ({:.0}x single-sync) → {}",
+        "# hotpath_throughput: {} users, {} iters — reads {:.0}/s ({:.0} ns/view), \
+         writes {:.0}/s{}, accounted reads {:.0}/s, durable writes {:.0}/s \
+         ({:.0}x single-sync) → {}",
         opts.users,
         opts.iters,
         reads_per_sec,
+        read_ns_per_view,
         writes_per_sec,
         parallel_note,
         accounted_reads_per_sec,

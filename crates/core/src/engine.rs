@@ -18,10 +18,12 @@ use dynasore_types::{
 use dynasore_workload::GraphMutation;
 
 use crate::config::{DynaSoReConfig, InitialPlacement};
+use crate::evaluation::OriginCosts;
 use crate::placement::initial_assignment;
 use crate::routing::{optimal_proxy_broker, TransferTally};
 use crate::server::{admission_threshold_from_utilities, ServerState};
-use crate::utility::{estimate_creation_profit, estimate_profit, replica_utility};
+use crate::stats::ReplicaStats;
+use crate::utility::replica_utility;
 
 /// Per-user routing state: the brokers hosting the user's proxies and the
 /// servers holding replicas of her view.
@@ -72,6 +74,11 @@ pub struct DynaSoReEngine {
     /// Views whose last replica was lost to a failure and re-created from
     /// the persistent tier.
     recovered_views: u64,
+    /// Evaluate replicas with the per-candidate reference path the linear
+    /// evaluation replaced (`engine/evaluation_tests.rs`), so tests can
+    /// compare whole runs of the two.
+    #[cfg(test)]
+    reference_evaluation: bool,
 }
 
 /// Cached per-subtree minima of the servers' admission thresholds.
@@ -344,6 +351,29 @@ struct Scratch {
     views: Vec<UserId>,
     /// Origins whose read history moves to a newly created replica.
     origins: Vec<SubtreeId>,
+    /// Per-origin sums of the replica under evaluation.
+    costs: OriginCosts,
+    /// The candidate positions of the replica under evaluation.
+    candidates: Vec<Candidate>,
+}
+
+/// One position Algorithms 2 and 3 consider for the replica under
+/// evaluation: the least-loaded server under one of its read origins.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Candidate {
+    /// Dense index of the candidate server.
+    server: usize,
+    /// Admission threshold of the origin that proposed it.
+    threshold: f64,
+    /// Algorithm 2: profit of *adding* a replica there
+    /// ([`estimate_creation_profit`](crate::estimate_creation_profit) minus
+    /// the congestion penalty).
+    creation_profit: i64,
+    /// Algorithm 3: profit of serving the recorded readers from there
+    /// instead of from the nearest other replica
+    /// ([`estimate_profit`](crate::estimate_profit) minus the congestion
+    /// penalty).
+    position_profit: i64,
 }
 
 /// Builder for [`DynaSoReEngine`].
@@ -481,14 +511,7 @@ impl DynaSoReEngineBuilder {
         let mut servers: Vec<ServerState> = topology
             .servers()
             .iter()
-            .map(|s| {
-                ServerState::new(
-                    s.machine(),
-                    capacity,
-                    config.counter_slots,
-                    graph.user_count(),
-                )
-            })
+            .map(|s| ServerState::new(s.machine(), capacity, config.counter_slots))
             .collect();
 
         let mut users = Vec::with_capacity(graph.user_count());
@@ -520,6 +543,8 @@ impl DynaSoReEngineBuilder {
             utilities: Vec::new(),
             views: Vec::new(),
             origins: Vec::new(),
+            costs: OriginCosts::new(&topology),
+            candidates: Vec::new(),
         };
         // All thresholds start at zero, so every cached minimum does too.
         let thresholds = ThresholdCache {
@@ -543,6 +568,8 @@ impl DynaSoReEngineBuilder {
             loads,
             unreachable_reads: 0,
             recovered_views: 0,
+            #[cfg(test)]
+            reference_evaluation: false,
         };
         engine.rebuild_load_cache();
         Ok(engine)
@@ -612,6 +639,19 @@ impl DynaSoReEngine {
             .unwrap_or(0)
     }
 
+    /// The machine holding the replica of `user`'s view that a broker on
+    /// `from` reads (LCA routing policy, ties by machine id — the policy of
+    /// [`routing::closest_replica`](crate::routing::closest_replica)), or
+    /// `None` for unknown users and views without a live replica.
+    /// Allocation-free, unlike [`DynaSoReEngine::replica_servers`].
+    pub fn closest_replica(&self, user: UserId, from: MachineId) -> Option<MachineId> {
+        if user.as_usize() >= self.users.len() {
+            return None;
+        }
+        self.closest_replica_of(user, from)
+            .map(|(_, machine)| machine)
+    }
+
     /// The replica of `view` closest to `from` (LCA routing policy, ties by
     /// machine id), as `(engine index, machine)`. Allocation-free.
     fn closest_replica_of(&self, view: UserId, from: MachineId) -> Option<(usize, MachineId)> {
@@ -643,13 +683,9 @@ impl DynaSoReEngine {
         best.map(|(_, machine)| MachineId::new(machine))
     }
 
-    /// Utility of the replica of `view` stored on server `sidx` (infinite
-    /// for sole replicas).
-    fn utility_of(&self, view: UserId, sidx: usize) -> f64 {
-        let stats = match self.servers[sidx].stats(view) {
-            Some(s) => s,
-            None => return 0.0,
-        };
+    /// Utility of the replica of `view` stored on server `sidx`, whose
+    /// statistics are `stats` (infinite for sole replicas).
+    fn utility_of(&self, view: UserId, stats: &ReplicaStats, sidx: usize) -> f64 {
         replica_utility(
             &self.topology,
             stats,
@@ -861,11 +897,11 @@ impl DynaSoReEngine {
     /// choice is independent of slab slot layout).
     fn eviction_victim(&self, sidx: usize) -> Option<UserId> {
         let mut victim: Option<(f64, UserId)> = None;
-        for (view, _) in self.servers[sidx].views() {
+        for (view, stats) in self.servers[sidx].views() {
             if self.users[view.as_usize()].replicas.len() <= 1 {
                 continue;
             }
-            let utility = self.utility_of(view, sidx);
+            let utility = self.utility_of(view, stats, sidx);
             if !utility.is_finite() {
                 continue;
             }
@@ -1015,6 +1051,63 @@ impl DynaSoReEngine {
         (delay.as_secs_f64() * self.config.congestion_penalty_per_sec) as i64
     }
 
+    /// Gathers everything Algorithms 2 and 3 need to know about the replica
+    /// of `view` on server `sidx`, in time linear in its `k` read origins:
+    /// the per-origin sums into `costs`, then one [`Candidate`] per origin
+    /// that has an eligible server into `candidates` (origin order), each
+    /// priced in `O(1)` from the sums. Returns the profit of keeping the
+    /// replica where it is (against the nearest other replica, or against
+    /// itself for a sole replica), or `None` if the replica is not stored
+    /// here. Mutates nothing but the two scratch buffers, which a failed
+    /// `create_replica` leaves valid: both algorithms share one gather.
+    fn gather_candidates(
+        &self,
+        view: UserId,
+        sidx: usize,
+        out: &dyn TrafficSink,
+        costs: &mut OriginCosts,
+        candidates: &mut Vec<Candidate>,
+    ) -> Option<i64> {
+        let stats = self.servers[sidx].stats(view)?;
+        let server_machine = self.servers[sidx].machine();
+        let write_proxy = costs.machine_path(self.users[view.as_usize()].write_proxy.machine());
+        let writes = stats.total_writes() as i64;
+
+        costs.begin(server_machine);
+        for (origin, reads) in stats.reads() {
+            costs.push(origin, reads);
+        }
+        let nearest = self
+            .nearest_other_replica(view, sidx)
+            .unwrap_or(server_machine);
+        let nearest_read_cost = costs.read_cost(&costs.machine_path(nearest));
+
+        let replicas = &self.users[view.as_usize()].replicas;
+        for (origin, _reads) in stats.reads() {
+            let Some(candidate) = self.least_loaded_server_in(origin, replicas) else {
+                continue;
+            };
+            let machine = self.servers[candidate].machine();
+            let path = costs.machine_path(machine);
+            // What the position costs whichever algorithm picks it: keeping
+            // it up to date on writes, and queueing at a congested rack.
+            let overhead = writes * costs.distance(&write_proxy, &path)
+                + self.rack_congestion_penalty(out, machine);
+            candidates.push(Candidate {
+                server: candidate,
+                threshold: self.admission_threshold_of(origin),
+                creation_profit: costs.creation_gain(&path) - overhead,
+                position_profit: nearest_read_cost - costs.read_cost(&path) - overhead,
+            });
+        }
+        let server_path = costs.machine_path(server_machine);
+        Some(
+            nearest_read_cost
+                - costs.read_cost(&server_path)
+                - writes * costs.distance(&write_proxy, &server_path),
+        )
+    }
+
     /// Algorithm 2 (*Evaluate Creation of Replica*) followed, when no
     /// replica is created, by Algorithm 3 (*Compute Optimal Position of
     /// Replica*), run by server `sidx` after serving a read of `view`.
@@ -1023,43 +1116,43 @@ impl DynaSoReEngine {
     /// is reduced by [`DynaSoReEngine::rack_congestion_penalty`], so under a
     /// time-aware network model replicas steer away from racks whose switch
     /// queues are backed up instead of piling further load onto them.
+    ///
+    /// Linear in the number of read origins and allocation-free: see
+    /// [`DynaSoReEngine::gather_candidates`].
     fn evaluate_replica(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) {
-        let server_machine = self.servers[sidx].machine();
-        let write_proxy = self.users[view.as_usize()].write_proxy.machine();
+        let mut costs = std::mem::take(&mut self.scratch.costs);
+        let mut candidates = std::mem::take(&mut self.scratch.candidates);
+        if let Some(keep_profit) =
+            self.gather_candidates(view, sidx, out, &mut costs, &mut candidates)
+        {
+            self.decide_replica(view, sidx, keep_profit, &candidates, out);
+        }
+        costs.clear();
+        candidates.clear();
+        self.scratch.costs = costs;
+        self.scratch.candidates = candidates;
+    }
 
+    /// Applies Algorithms 2 and 3 to the gathered `candidates`.
+    fn decide_replica(
+        &mut self,
+        view: UserId,
+        sidx: usize,
+        keep_profit: i64,
+        candidates: &[Candidate],
+        out: &mut dyn TrafficSink,
+    ) {
         // --- Algorithm 2: try to create a replica near one of the origins.
         // The profit of adding a replica only counts the readers the routing
         // policy would redirect to it (§3.2, "simulating its addition").
-        // Decisions are computed over borrowed state (no statistics clone);
-        // mutations are deferred until the borrows end.
-        let new_replica = {
-            let Some(stats) = self.servers[sidx].stats(view) else {
-                return;
-            };
-            let replicas = &self.users[view.as_usize()].replicas;
-            let mut best_profit = 0i64;
-            let mut new_replica: Option<usize> = None;
-            for (origin, _reads) in stats.reads() {
-                let candidate = match self.least_loaded_server_in(origin, replicas) {
-                    Some(c) => c,
-                    None => continue,
-                };
-                let candidate_machine = self.servers[candidate].machine();
-                let profit = estimate_creation_profit(
-                    &self.topology,
-                    stats,
-                    candidate_machine,
-                    server_machine,
-                    write_proxy,
-                ) - self.rack_congestion_penalty(out, candidate_machine);
-                let threshold = self.admission_threshold_of(origin);
-                if (profit as f64) > threshold && profit > best_profit {
-                    best_profit = profit;
-                    new_replica = Some(candidate);
-                }
+        let mut best_profit = 0i64;
+        let mut new_replica: Option<usize> = None;
+        for c in candidates {
+            if (c.creation_profit as f64) > c.threshold && c.creation_profit > best_profit {
+                best_profit = c.creation_profit;
+                new_replica = Some(c.server);
             }
-            new_replica
-        };
+        }
         if let Some(target) = new_replica {
             if self.create_replica(view, sidx, target, out) {
                 out.trace(TraceEventKind::ReplicaCreated {
@@ -1071,83 +1164,44 @@ impl DynaSoReEngine {
             }
             // The chosen server had no space it could free: fall through to
             // the migration logic, as the paper does when no replica can be
-            // created. (A failed creation mutates nothing, so the state the
-            // migration decision sees is unchanged.)
+            // created. (A failed creation mutates nothing, so the gathered
+            // candidates still describe the state the migration decision
+            // sees.)
         }
 
         // --- Algorithm 3: no replica can be created; consider migrating (or
         // dropping) this replica.
-        enum Decision {
-            Keep,
-            Drop,
-            Migrate(usize),
+        let server_machine = self.servers[sidx].machine();
+        let mut best_profit = keep_profit;
+        let mut best_position: Option<usize> = None;
+        for c in candidates {
+            if c.position_profit > best_profit && (c.position_profit as f64) > c.threshold {
+                best_profit = c.position_profit;
+                best_position = Some(c.server);
+            }
         }
-        let decision = {
-            let Some(stats) = self.servers[sidx].stats(view) else {
-                return;
-            };
-            let replicas = &self.users[view.as_usize()].replicas;
-            let nearest = self
-                .nearest_other_replica(view, sidx)
-                .unwrap_or(server_machine);
-            let has_other_replicas = replicas.len() > 1;
-            let mut best_profit =
-                estimate_profit(&self.topology, stats, server_machine, nearest, write_proxy);
-            let mut best_position: Option<usize> = None;
-            for (origin, _reads) in stats.reads() {
-                let candidate = match self.least_loaded_server_in(origin, replicas) {
-                    Some(c) => c,
-                    None => continue,
-                };
-                let candidate_machine = self.servers[candidate].machine();
-                let profit = estimate_profit(
-                    &self.topology,
-                    stats,
-                    candidate_machine,
-                    nearest,
-                    write_proxy,
-                ) - self.rack_congestion_penalty(out, candidate_machine);
-                let threshold = self.admission_threshold_of(origin);
-                if profit > best_profit && (profit as f64) > threshold {
-                    best_profit = profit;
-                    best_position = Some(candidate);
-                }
-            }
-            if best_profit < 0 && has_other_replicas {
-                Decision::Drop
-            } else if let Some(target) = best_position {
-                Decision::Migrate(target)
-            } else {
-                Decision::Keep
-            }
-        };
-        match decision {
+        if best_profit < 0 && self.users[view.as_usize()].replicas.len() > 1 {
             // This replica costs more than it saves: drop it.
-            Decision::Drop => {
-                if self.remove_replica(view, sidx, out) {
-                    out.trace(TraceEventKind::ReplicaDropped {
-                        user: view,
-                        server: server_machine,
-                        reason: ReplicaChangeReason::Placement,
-                    });
-                }
+            if self.remove_replica(view, sidx, out) {
+                out.trace(TraceEventKind::ReplicaDropped {
+                    user: view,
+                    server: server_machine,
+                    reason: ReplicaChangeReason::Placement,
+                });
             }
+        } else if let Some(target) = best_position {
             // Migrate: create the replica at the better position, then
             // remove the local copy (the view keeps at least one replica
             // because the new one was just created).
-            Decision::Migrate(target) => {
-                if self.create_replica(view, sidx, target, out)
-                    && self.remove_replica(view, sidx, out)
-                {
-                    out.trace(TraceEventKind::ReplicaMoved {
-                        user: view,
-                        from: server_machine,
-                        to: self.servers[target].machine(),
-                        reason: ReplicaChangeReason::Placement,
-                    });
-                }
+            if self.create_replica(view, sidx, target, out) && self.remove_replica(view, sidx, out)
+            {
+                out.trace(TraceEventKind::ReplicaMoved {
+                    user: view,
+                    from: server_machine,
+                    to: self.servers[target].machine(),
+                    reason: ReplicaChangeReason::Placement,
+                });
             }
-            Decision::Keep => {}
         }
     }
 
@@ -1636,10 +1690,10 @@ impl DynaSoReEngine {
                 server.machine(),
                 capacity,
                 self.config.counter_slots,
-                self.users.len(),
             ));
         }
         self.scratch.tally = TransferTally::new(&self.topology);
+        self.scratch.costs = OriginCosts::new(&self.topology);
         self.thresholds
             .rack
             .resize(self.topology.rack_count(), f64::INFINITY);
@@ -1676,8 +1730,10 @@ impl DynaSoReEngine {
         // ascending-UserId storage iteration.
         let mut negative = std::mem::take(&mut self.scratch.views);
         negative.clear();
-        for (view, _) in self.servers[sidx].views() {
-            if self.users[view.as_usize()].replicas.len() > 1 && self.utility_of(view, sidx) < 0.0 {
+        for (view, stats) in self.servers[sidx].views() {
+            if self.users[view.as_usize()].replicas.len() > 1
+                && self.utility_of(view, stats, sidx) < 0.0
+            {
                 negative.push(view);
             }
         }
@@ -1818,6 +1874,11 @@ impl PlacementEngine for DynaSoReEngine {
             // "Upon receiving a request for a view, a server updates its
             // access statistics and evaluates the possibility of replicating
             // it" (§3.2).
+            #[cfg(test)]
+            if self.reference_evaluation {
+                self.evaluate_replica_reference(target, sidx, out);
+                continue;
+            }
             self.evaluate_replica(target, sidx, out);
         }
 
@@ -1927,11 +1988,8 @@ impl PlacementEngine for DynaSoReEngine {
                 continue;
             }
             utilities.clear();
-            for slot in 0..self.servers[sidx].slot_count() {
-                let Some(view) = self.servers[sidx].view_at(slot) else {
-                    continue;
-                };
-                utilities.push(self.utility_of(view, sidx));
+            for (view, stats) in self.servers[sidx].views() {
+                utilities.push(self.utility_of(view, stats, sidx));
             }
             let capacity = self.servers[sidx].capacity();
             let threshold =
@@ -2024,6 +2082,9 @@ impl PlacementEngine for DynaSoReEngine {
         }
     }
 }
+
+#[cfg(test)]
+mod evaluation_tests;
 
 #[cfg(test)]
 mod tests {

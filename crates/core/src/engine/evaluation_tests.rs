@@ -1,0 +1,432 @@
+//! The evaluation the linear path replaced, kept as test-only reference
+//! code, and the tests that pin the linear path to it and to the
+//! specification in `utility.rs`.
+
+use super::*;
+use crate::evaluation::tests::origin_from_pick;
+use crate::utility::{estimate_creation_profit, estimate_profit};
+use dynasore_graph::GraphPreset;
+use proptest::prelude::*;
+
+impl DynaSoReEngine {
+    /// Algorithms 2 and 3 exactly as they ran before the linear evaluation:
+    /// every candidate of every origin priced by a full
+    /// `estimate_creation_profit` / `estimate_profit` sum, candidates looked
+    /// up once per algorithm.
+    pub(super) fn evaluate_replica_reference(
+        &mut self,
+        view: UserId,
+        sidx: usize,
+        out: &mut dyn TrafficSink,
+    ) {
+        let server_machine = self.servers[sidx].machine();
+        let write_proxy = self.users[view.as_usize()].write_proxy.machine();
+
+        // --- Algorithm 2: try to create a replica near one of the origins.
+        // The profit of adding a replica only counts the readers the routing
+        // policy would redirect to it (§3.2, "simulating its addition").
+        // Decisions are computed over borrowed state (no statistics clone);
+        // mutations are deferred until the borrows end.
+        let new_replica = {
+            let Some(stats) = self.servers[sidx].stats(view) else {
+                return;
+            };
+            let replicas = &self.users[view.as_usize()].replicas;
+            let mut best_profit = 0i64;
+            let mut new_replica: Option<usize> = None;
+            for (origin, _reads) in stats.reads() {
+                let candidate = match self.least_loaded_server_in(origin, replicas) {
+                    Some(c) => c,
+                    None => continue,
+                };
+                let candidate_machine = self.servers[candidate].machine();
+                let profit = estimate_creation_profit(
+                    &self.topology,
+                    stats,
+                    candidate_machine,
+                    server_machine,
+                    write_proxy,
+                ) - self.rack_congestion_penalty(out, candidate_machine);
+                let threshold = self.admission_threshold_of(origin);
+                if (profit as f64) > threshold && profit > best_profit {
+                    best_profit = profit;
+                    new_replica = Some(candidate);
+                }
+            }
+            new_replica
+        };
+        if let Some(target) = new_replica {
+            if self.create_replica(view, sidx, target, out) {
+                out.trace(TraceEventKind::ReplicaCreated {
+                    user: view,
+                    server: self.servers[target].machine(),
+                    reason: ReplicaChangeReason::Placement,
+                });
+                return;
+            }
+            // The chosen server had no space it could free: fall through to
+            // the migration logic, as the paper does when no replica can be
+            // created. (A failed creation mutates nothing, so the state the
+            // migration decision sees is unchanged.)
+        }
+
+        // --- Algorithm 3: no replica can be created; consider migrating (or
+        // dropping) this replica.
+        enum Decision {
+            Keep,
+            Drop,
+            Migrate(usize),
+        }
+        let decision = {
+            let Some(stats) = self.servers[sidx].stats(view) else {
+                return;
+            };
+            let replicas = &self.users[view.as_usize()].replicas;
+            let nearest = self
+                .nearest_other_replica(view, sidx)
+                .unwrap_or(server_machine);
+            let has_other_replicas = replicas.len() > 1;
+            let mut best_profit =
+                estimate_profit(&self.topology, stats, server_machine, nearest, write_proxy);
+            let mut best_position: Option<usize> = None;
+            for (origin, _reads) in stats.reads() {
+                let candidate = match self.least_loaded_server_in(origin, replicas) {
+                    Some(c) => c,
+                    None => continue,
+                };
+                let candidate_machine = self.servers[candidate].machine();
+                let profit = estimate_profit(
+                    &self.topology,
+                    stats,
+                    candidate_machine,
+                    nearest,
+                    write_proxy,
+                ) - self.rack_congestion_penalty(out, candidate_machine);
+                let threshold = self.admission_threshold_of(origin);
+                if profit > best_profit && (profit as f64) > threshold {
+                    best_profit = profit;
+                    best_position = Some(candidate);
+                }
+            }
+            if best_profit < 0 && has_other_replicas {
+                Decision::Drop
+            } else if let Some(target) = best_position {
+                Decision::Migrate(target)
+            } else {
+                Decision::Keep
+            }
+        };
+        match decision {
+            // This replica costs more than it saves: drop it.
+            Decision::Drop => {
+                if self.remove_replica(view, sidx, out) {
+                    out.trace(TraceEventKind::ReplicaDropped {
+                        user: view,
+                        server: server_machine,
+                        reason: ReplicaChangeReason::Placement,
+                    });
+                }
+            }
+            // Migrate: create the replica at the better position, then
+            // remove the local copy (the view keeps at least one replica
+            // because the new one was just created).
+            Decision::Migrate(target) => {
+                if self.create_replica(view, sidx, target, out)
+                    && self.remove_replica(view, sidx, out)
+                {
+                    out.trace(TraceEventKind::ReplicaMoved {
+                        user: view,
+                        from: server_machine,
+                        to: self.servers[target].machine(),
+                        reason: ReplicaChangeReason::Placement,
+                    });
+                }
+            }
+            Decision::Keep => {}
+        }
+    }
+}
+
+/// Buffers messages and traces, and (when `congested`) reports a queueing
+/// delay that differs by rack, so congestion penalties are non-zero and
+/// unequal across candidates.
+#[derive(Default)]
+struct RecordingSink {
+    messages: Vec<Message>,
+    traces: Vec<TraceEventKind>,
+    congested: bool,
+}
+
+impl TrafficSink for RecordingSink {
+    fn record(&mut self, message: Message) {
+        self.messages.push(message);
+    }
+
+    fn congestion(&self, subtree: SubtreeId) -> Latency {
+        match subtree {
+            SubtreeId::Rack(r) if self.congested => Latency::from_millis(4 * (r as u64 % 3)),
+            _ => Latency::ZERO,
+        }
+    }
+
+    fn trace(&mut self, event: TraceEventKind) {
+        self.traces.push(event);
+    }
+}
+
+const USERS: usize = 160;
+
+/// A tree whose racks hold more servers (6) than a candidate set remembers
+/// (`LOAD_TOP_K`), so exclusion lists can exhaust a truncated set; or a flat
+/// cluster, where every origin is one machine.
+fn test_topology(flat: bool) -> Topology {
+    if flat {
+        Topology::flat(9).unwrap()
+    } else {
+        Topology::tree(2, 2, 7, 1).unwrap()
+    }
+}
+
+fn test_engine(graph: &SocialGraph, topology: &Topology, extra: u32) -> DynaSoReEngine {
+    DynaSoReEngine::builder()
+        .topology(topology.clone())
+        .budget(MemoryBudget::with_extra_percent(graph.user_count(), extra))
+        .initial_placement(InitialPlacement::Random { seed: 5 })
+        .build(graph)
+        .unwrap()
+}
+
+impl DynaSoReEngine {
+    /// What `gather_candidates` must produce, from the specification: the
+    /// exact least-loaded scan for the candidates, `utility.rs` for the
+    /// profits.
+    fn expected_candidates(
+        &self,
+        view: UserId,
+        sidx: usize,
+        out: &dyn TrafficSink,
+    ) -> Option<(i64, Vec<Candidate>)> {
+        let stats = self.servers[sidx].stats(view)?;
+        let topology = &self.topology;
+        let server = self.servers[sidx].machine();
+        let write_proxy = self.users[view.as_usize()].write_proxy.machine();
+        let replicas = &self.users[view.as_usize()].replicas;
+        let nearest = self.nearest_other_replica(view, sidx).unwrap_or(server);
+        let mut candidates = Vec::new();
+        for (origin, _) in stats.reads() {
+            let candidate = match origin {
+                SubtreeId::Machine(m) => topology
+                    .server_ordinal(MachineId::new(m))
+                    .filter(|i| topology.is_live(MachineId::new(m)) && !replicas.contains(i)),
+                _ => self.least_loaded_scan(origin, replicas),
+            };
+            let Some(candidate) = candidate else { continue };
+            let machine = self.servers[candidate].machine();
+            let penalty = self.rack_congestion_penalty(out, machine);
+            candidates.push(Candidate {
+                server: candidate,
+                threshold: self.admission_threshold_of(origin),
+                creation_profit: estimate_creation_profit(
+                    topology,
+                    stats,
+                    machine,
+                    server,
+                    write_proxy,
+                ) - penalty,
+                position_profit: estimate_profit(topology, stats, machine, nearest, write_proxy)
+                    - penalty,
+            });
+        }
+        let keep = estimate_profit(topology, stats, server, nearest, write_proxy);
+        Some((keep, candidates))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// (a) The gathered candidates and their profits equal the
+    /// specification for random statistics on tree and flat topologies,
+    /// with dead machines among the origins and candidates, and with
+    /// replica sets that exhaust a rack's candidate set.
+    #[test]
+    fn gathered_candidates_match_the_specification(
+        shape in (proptest::bool::ANY, 20u32..150),
+        fill in (0u32..6, 0usize..3),
+        replica_picks in proptest::collection::vec((0u32..10_000, 0u32..10_000), 0..40),
+        dead_picks in proptest::collection::vec(0u32..10_000, 0..4),
+        stat_picks in proptest::collection::vec((0u32..10_000, (0u32..10_000, 1u32..40)), 1..80),
+        flags in (proptest::bool::ANY, proptest::bool::ANY),
+    ) {
+        let (flat, extra) = shape;
+        let (congested, tick) = flags;
+        let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+        let topology = test_topology(flat);
+        let mut engine = test_engine(&graph, &topology, extra);
+        let mut out = RecordingSink { congested, ..RecordingSink::default() };
+        let servers = engine.servers.len();
+        // A few hot views collect most of the replicas and statistics.
+        let hot = |pick: u32| UserId::new(pick % 6);
+
+        // View 0 covers rack `fill.0` except its last `fill.1` servers: the
+        // rack's candidate set is exhausted (nothing eligible) or its
+        // truncated top-K list is (exact-scan fallback).
+        let rack_servers = topology.servers_in_rack_slice(RackId::new(fill.0)).len();
+        for server in topology
+            .servers_in_rack_slice(RackId::new(fill.0))
+            .iter()
+            .take(rack_servers.saturating_sub(fill.1))
+        {
+            let target = topology.server_ordinal(server.machine()).unwrap();
+            let source = engine.users[0].replicas[0];
+            engine.create_replica(UserId::new(0), source, target, &mut out);
+        }
+        for &(view, target) in &replica_picks {
+            let source = engine.users[hot(view).as_usize()].replicas[0];
+            engine.create_replica(hot(view), source, target as usize % servers, &mut out);
+        }
+        for &pick in &dead_picks {
+            let machine = MachineId::new(pick % topology.machine_count() as u32);
+            engine.on_cluster_change(ClusterEvent::MachineDown { machine }, SimTime::ZERO, &mut out);
+        }
+        for &(view, (pick, reads)) in &stat_picks {
+            let view = hot(view);
+            let replicas = &engine.users[view.as_usize()].replicas;
+            if replicas.is_empty() {
+                continue; // Lost to the failures and not recoverable.
+            }
+            let sidx = replicas[pick as usize % replicas.len()];
+            let origin = origin_from_pick(&topology, pick);
+            let stats = engine.servers[sidx].stats_mut(view).unwrap();
+            stats.record_reads(origin, reads as u64);
+            if pick % 3 == 0 {
+                stats.record_write();
+            }
+        }
+        if tick {
+            // Non-zero admission thresholds (and an eviction sweep).
+            engine.on_tick(SimTime::from_hours(1), &mut out);
+        }
+
+        let mut costs = OriginCosts::new(&topology);
+        let mut candidates = Vec::new();
+        let mut compared = 0;
+        for view in (0..6).map(UserId::new) {
+            for sidx in engine.users[view.as_usize()].replicas.clone() {
+                let keep = engine.gather_candidates(view, sidx, &out, &mut costs, &mut candidates);
+                let expected = engine.expected_candidates(view, sidx, &out);
+                prop_assert_eq!(
+                    keep.map(|keep| (keep, candidates.clone())),
+                    expected,
+                    "view {} on server {}", view, sidx
+                );
+                compared += candidates.len();
+                costs.clear();
+                candidates.clear();
+            }
+        }
+        prop_assert!(compared > 0 || engine.users[..6].iter().all(|u| u.replicas.is_empty()));
+    }
+}
+
+/// Drives `engine` through a seeded mix of feed reads, writes, hourly
+/// ticks, a machine failure and repair, (on a tree) elastic growth and a
+/// drain, and returns everything observable: the full message and trace
+/// streams and the final placement.
+fn seeded_run(
+    engine: &mut DynaSoReEngine,
+    graph: &SocialGraph,
+    congested: bool,
+) -> (
+    RecordingSink,
+    Vec<Vec<MachineId>>,
+    Vec<(BrokerId, BrokerId)>,
+) {
+    let mut out = RecordingSink {
+        congested,
+        ..RecordingSink::default()
+    };
+    let users = graph.user_count() as u32;
+    let victim = engine.servers[2].machine();
+    let drained = engine.servers[5].machine();
+    for step in 0..6_000u32 {
+        let user = UserId::new(step.wrapping_mul(7_919) % users);
+        let time = SimTime::from_secs(step as u64 * 30);
+        if step % 5 == 4 {
+            engine.handle_write(user, time, &mut out);
+        } else {
+            engine.handle_read(user, graph.followees(user), time, &mut out);
+        }
+        if step % 120 == 119 {
+            engine.on_tick(time, &mut out);
+        }
+        let event = match step {
+            1_500 => Some(ClusterEvent::MachineDown { machine: victim }),
+            2_500 => Some(ClusterEvent::MachineUp { machine: victim }),
+            // Growth before the drain: the drain deals sole replicas across
+            // all racks, so the new rack's servers get evaluated too.
+            3_500 => Some(ClusterEvent::AddRack),
+            4_500 => Some(ClusterEvent::DrainMachine { machine: drained }),
+            _ => None,
+        };
+        if let Some(event) = event {
+            engine.on_cluster_change(event, time, &mut out);
+        }
+    }
+    let placement = graph.users().map(|u| engine.replica_servers(u)).collect();
+    let proxies = graph
+        .users()
+        .map(|u| {
+            (
+                engine.read_proxy(u).unwrap(),
+                engine.write_proxy(u).unwrap(),
+            )
+        })
+        .collect();
+    (out, placement, proxies)
+}
+
+/// (c) Same seed, same requests: the linear evaluation and the reference
+/// path produce the same message stream, the same trace stream and the same
+/// final placement — on a tree and on a flat cluster, with memory tight
+/// enough that creations fail and fall through to Algorithm 3, with and
+/// without congestion penalties.
+#[test]
+fn linear_evaluation_replays_the_reference_run_exactly() {
+    let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+    for (flat, extra, congested) in [
+        (false, 10, false),
+        (false, 40, false),
+        (false, 40, true),
+        (true, 25, false),
+    ] {
+        let topology = test_topology(flat);
+        let mut linear = test_engine(&graph, &topology, extra);
+        let mut reference = linear.clone();
+        reference.reference_evaluation = true;
+        let (out, placement, proxies) = seeded_run(&mut linear, &graph, congested);
+        let (ref_out, ref_placement, ref_proxies) = seeded_run(&mut reference, &graph, congested);
+        let context = format!("flat={flat} extra={extra} congested={congested}");
+        assert!(
+            out.traces
+                .iter()
+                .any(|t| matches!(t, TraceEventKind::ReplicaCreated { .. })),
+            "{context}: the run made no placement decisions"
+        );
+        assert_eq!(out.messages.len(), ref_out.messages.len(), "{context}");
+        assert!(
+            out.messages == ref_out.messages,
+            "{context}: message streams differ"
+        );
+        assert!(
+            out.traces == ref_out.traces,
+            "{context}: trace streams differ"
+        );
+        assert_eq!(placement, ref_placement, "{context}");
+        assert_eq!(proxies, ref_proxies, "{context}");
+        assert_eq!(
+            linear.unreachable_reads, reference.unreachable_reads,
+            "{context}"
+        );
+    }
+}

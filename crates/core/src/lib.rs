@@ -65,6 +65,7 @@
 mod config;
 mod counters;
 mod engine;
+mod evaluation;
 pub mod placement;
 pub mod routing;
 mod server;

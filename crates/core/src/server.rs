@@ -10,8 +10,122 @@ use dynasore_types::{MachineId, UserId};
 
 use crate::stats::ReplicaStats;
 
-/// Sentinel for "user has no replica here" in the dense user → slot map.
-const NO_SLOT: u32 = u32::MAX;
+/// Marks an empty bucket of a [`SlotIndex`]. No view can use it as its id:
+/// user ids are dense indices into per-user tables.
+const EMPTY: u32 = u32::MAX;
+
+/// The user → slab-slot index of one server: a deterministic open-addressing
+/// `u32 → u32` hash map (multiplicative hashing, linear probing,
+/// backward-shift deletion — so no tombstones and no rehash-on-delete).
+///
+/// Sized from the server's capacity, not from the user population: a server
+/// holds a few dozen views out of millions of users, so a dense per-user
+/// array per server would dominate the engine's memory. The table keeps its
+/// load at or below one half and doubles when an insert would exceed that
+/// (servers over capacity, see [`ServerState::insert`]). Nothing iterates
+/// the table, so its bucket order never reaches a decision or a report.
+#[derive(Debug, Clone)]
+struct SlotIndex {
+    /// `(key, value)` buckets; the length is a power of two.
+    buckets: Vec<(u32, u32)>,
+    len: usize,
+}
+
+impl SlotIndex {
+    /// An empty index that holds `entries` keys without growing.
+    fn with_capacity(entries: usize) -> Self {
+        let buckets = (entries.max(1) * 2).next_power_of_two().max(8);
+        SlotIndex {
+            buckets: vec![(EMPTY, 0); buckets],
+            len: 0,
+        }
+    }
+
+    fn mask(&self) -> usize {
+        self.buckets.len() - 1
+    }
+
+    /// The bucket `key` hashes to (Fibonacci hashing: the high bits of the
+    /// product are well mixed even for the sequential ids users have).
+    fn home(&self, key: u32) -> usize {
+        let bits = self.buckets.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize
+    }
+
+    /// The bucket holding `key`, if present.
+    fn find(&self, key: u32) -> Option<usize> {
+        let mask = self.mask();
+        let mut i = self.home(key);
+        loop {
+            match self.buckets[i].0 {
+                EMPTY => return None,
+                k if k == key => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, key: u32) -> Option<u32> {
+        self.find(key).map(|i| self.buckets[i].1)
+    }
+
+    /// Maps `key`, which must be absent, to `value`.
+    fn insert(&mut self, key: u32, value: u32) {
+        assert_ne!(key, EMPTY, "u32::MAX is not a valid view id");
+        debug_assert!(self.find(key).is_none(), "key already present");
+        if (self.len + 1) * 2 > self.buckets.len() {
+            let doubled = vec![(EMPTY, 0); self.buckets.len() * 2];
+            let old = std::mem::replace(&mut self.buckets, doubled);
+            for (k, v) in old.into_iter().filter(|&(k, _)| k != EMPTY) {
+                self.place(k, v);
+            }
+        }
+        self.place(key, value);
+        self.len += 1;
+    }
+
+    /// Stores an absent key in the first free bucket of its probe sequence.
+    fn place(&mut self, key: u32, value: u32) {
+        let mask = self.mask();
+        let mut i = self.home(key);
+        while self.buckets[i].0 != EMPTY {
+            i = (i + 1) & mask;
+        }
+        self.buckets[i] = (key, value);
+    }
+
+    /// Removes `key`, returning its value. Entries that probed past the
+    /// freed bucket are shifted back so every probe sequence stays gap-free.
+    fn remove(&mut self, key: u32) -> Option<u32> {
+        let mut hole = self.find(key)?;
+        let value = self.buckets[hole].1;
+        let mask = self.mask();
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            let (k, v) = self.buckets[i];
+            if k == EMPTY {
+                break;
+            }
+            // `k` may move into the hole only if the hole lies on its probe
+            // path, i.e. cyclically within [home(k), i).
+            let home = self.home(k);
+            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
+                self.buckets[hole] = (k, v);
+                hole = i;
+            }
+        }
+        self.buckets[hole] = (EMPTY, 0);
+        self.len -= 1;
+        Some(value)
+    }
+
+    /// Forgets every key, keeping the table size.
+    fn clear(&mut self) {
+        self.buckets.fill((EMPTY, 0));
+        self.len = 0;
+    }
+}
 
 #[derive(Debug, Clone)]
 struct SlotEntry {
@@ -22,8 +136,8 @@ struct SlotEntry {
 /// The storage state of one view server.
 ///
 /// Views live in a dense slab: `slots` is indexed by a stable slot number,
-/// freed slots are recycled through a free list, and a dense user → slot
-/// map (`u32::MAX` = absent) makes `contains`/`stats` O(1) array lookups.
+/// freed slots are recycled through a free list, and a compact user → slot
+/// hash index sized from the capacity makes `contains`/`stats` O(1) lookups.
 /// Iteration is by slot order, which is fully determined by the (seeded,
 /// deterministic) sequence of inserts and removes — so every decision
 /// derived from a scan of the stored views is reproducible across runs,
@@ -40,29 +154,22 @@ pub struct ServerState {
     window_slots: usize,
     slots: Vec<Option<SlotEntry>>,
     free: Vec<u32>,
-    user_slot: Vec<u32>,
+    user_slot: SlotIndex,
     len: usize,
     admission_threshold: f64,
 }
 
 impl ServerState {
     /// Creates an empty server with room for `capacity` views, using
-    /// rotating statistics windows of `window_slots` periods. `user_count`
-    /// sizes the dense user → slot map (ids beyond it grow the map on
-    /// demand).
-    pub fn new(
-        machine: MachineId,
-        capacity: usize,
-        window_slots: usize,
-        user_count: usize,
-    ) -> Self {
+    /// rotating statistics windows of `window_slots` periods.
+    pub fn new(machine: MachineId, capacity: usize, window_slots: usize) -> Self {
         ServerState {
             machine,
             capacity,
             window_slots,
             slots: (0..capacity).map(|_| None).collect(),
             free: (0..capacity as u32).rev().collect(),
-            user_slot: vec![NO_SLOT; user_count],
+            user_slot: SlotIndex::with_capacity(capacity),
             len: 0,
             admission_threshold: 0.0,
         }
@@ -103,10 +210,7 @@ impl ServerState {
     }
 
     fn slot_of(&self, view: UserId) -> Option<usize> {
-        match self.user_slot.get(view.as_usize()) {
-            Some(&slot) if slot != NO_SLOT => Some(slot as usize),
-            _ => None,
-        }
+        self.user_slot.get(view.index()).map(|slot| slot as usize)
     }
 
     /// Whether a replica of `view` is stored here.
@@ -124,9 +228,6 @@ impl ServerState {
         if self.contains(view) {
             return false;
         }
-        if view.as_usize() >= self.user_slot.len() {
-            self.user_slot.resize(view.as_usize() + 1, NO_SLOT);
-        }
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
             None => {
@@ -138,19 +239,18 @@ impl ServerState {
             view,
             stats: ReplicaStats::new(self.window_slots),
         });
-        self.user_slot[view.as_usize()] = slot as u32;
+        self.user_slot.insert(view.index(), slot as u32);
         self.len += 1;
         true
     }
 
     /// Removes the replica of `view`. Returns `false` if it was not stored.
     pub fn remove(&mut self, view: UserId) -> bool {
-        let Some(slot) = self.slot_of(view) else {
+        let Some(slot) = self.user_slot.remove(view.index()) else {
             return false;
         };
-        self.slots[slot] = None;
-        self.free.push(slot as u32);
-        self.user_slot[view.as_usize()] = NO_SLOT;
+        self.slots[slot as usize] = None;
+        self.free.push(slot);
         self.len -= 1;
         true
     }
@@ -219,7 +319,7 @@ impl ServerState {
         let capacity = self.capacity;
         self.slots = (0..capacity).map(|_| None).collect();
         self.free = (0..capacity as u32).rev().collect();
-        self.user_slot.iter_mut().for_each(|s| *s = NO_SLOT);
+        self.user_slot.clear();
         self.len = 0;
         self.admission_threshold = 0.0;
     }
@@ -263,7 +363,57 @@ mod tests {
     use dynasore_types::SubtreeId;
 
     fn server(cap: usize) -> ServerState {
-        ServerState::new(MachineId::new(7), cap, 4, 16)
+        ServerState::new(MachineId::new(7), cap, 4)
+    }
+
+    /// Model test: the slot index agrees with `HashMap` under random
+    /// insert / re-insert / remove / clear sequences, across growth, with
+    /// keys drawn both densely (sequential ids, long probe runs) and from
+    /// the whole `u32` range.
+    #[test]
+    fn slot_index_matches_hash_map_model() {
+        use std::collections::HashMap;
+
+        // A fixed seed, so the op sequence repeats exactly.
+        let mut rng = proptest::TestRng::new(0xD15A_50F3);
+        let mut next = move || rng.next_u64();
+        for (capacity, key_space) in [(0usize, 40u64), (3, 64), (58, 300), (58, u32::MAX as u64)] {
+            let mut index = SlotIndex::with_capacity(capacity);
+            let mut model: HashMap<u32, u32> = HashMap::new();
+            let initial_buckets = index.buckets.len();
+            for step in 0..20_000 {
+                let key = (next() % key_space) as u32;
+                match next() % 100 {
+                    0..=49 => {
+                        let value = next() as u32;
+                        if model.insert(key, value).is_some() {
+                            index.remove(key);
+                        }
+                        index.insert(key, value);
+                    }
+                    50..=94 => {
+                        assert_eq!(index.remove(key), model.remove(&key), "step {step}");
+                    }
+                    95..=98 => assert_eq!(index.get(key), model.get(&key).copied()),
+                    _ => {
+                        index.clear();
+                        model.clear();
+                    }
+                }
+                assert_eq!(index.len, model.len(), "step {step}");
+                assert!(index.len * 2 <= index.buckets.len(), "load above one half");
+            }
+            for (&key, &value) in &model {
+                assert_eq!(index.get(key), Some(value));
+            }
+            let stored = index.buckets.iter().filter(|b| b.0 != EMPTY).count();
+            assert_eq!(stored, model.len());
+            assert_eq!(index.get(EMPTY), None);
+            // The small tables cannot hold their key space without growing.
+            if capacity < 4 {
+                assert!(index.buckets.len() > initial_buckets);
+            }
+        }
     }
 
     #[test]
@@ -305,7 +455,7 @@ mod tests {
     }
 
     #[test]
-    fn inserts_beyond_capacity_and_user_map_grow_on_demand() {
+    fn inserts_beyond_capacity_grow_the_slab_and_the_index() {
         let mut s = server(1);
         assert!(s.insert(UserId::new(0)));
         assert!(s.is_full());

@@ -9,21 +9,27 @@
 
 use dynasore_types::SubtreeId;
 
-use crate::counters::RotatingCounter;
-
-/// Access statistics of one replica of one view on one server.
+/// Access statistics of one replica of one view on one server: one rotating
+/// window of period counters (see
+/// [`RotatingCounter`](crate::RotatingCounter) for the semantics of a single
+/// ring) for the writes and one per read origin.
 ///
-/// Origins are kept in a `Vec` sorted by [`SubtreeId`] — a server observes
-/// at most a handful of coarse origins, so a sorted, contiguous array beats
-/// a tree map on every operation while iterating in exactly the same
-/// (deterministic) order. Recording a read from an already-seen origin
-/// touches existing memory only; a *new* origin (a state transition, not
-/// steady state) inserts into the array.
+/// All rings of a replica rotate together, so they share one `current`
+/// period and live in one contiguous buffer (`cells`: ring 0 counts writes,
+/// ring `1 + i` the reads of `origins[i]`) instead of one heap allocation
+/// per ring. The window totals sit next to the origin keys in `origins` — a
+/// `Vec` sorted by [`SubtreeId`], a server observes at most a handful of
+/// coarse origins — so the per-read evaluation iterates 16 bytes per origin
+/// and never touches the rings. Recording a read from an already-seen
+/// origin touches existing memory only; a *new* origin (a state transition,
+/// not steady state) inserts a ring.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStats {
     window_slots: usize,
-    reads_by_origin: Vec<(SubtreeId, RotatingCounter)>,
-    writes: RotatingCounter,
+    current: usize,
+    origins: Vec<(SubtreeId, u64)>,
+    write_total: u64,
+    cells: Vec<u64>,
 }
 
 impl ReplicaStats {
@@ -34,16 +40,30 @@ impl ReplicaStats {
     ///
     /// Panics if `window_slots` is zero.
     pub fn new(window_slots: usize) -> Self {
+        assert!(
+            window_slots > 0,
+            "a rotating counter needs at least one slot"
+        );
+        // Room for the first origin's ring too: a replica exists because it
+        // is read, so that ring follows at once and would reallocate.
+        let mut cells = Vec::with_capacity(2 * window_slots);
+        cells.resize(window_slots, 0);
         ReplicaStats {
             window_slots,
-            reads_by_origin: Vec::new(),
-            writes: RotatingCounter::new(window_slots),
+            current: 0,
+            origins: Vec::new(),
+            write_total: 0,
+            cells,
         }
     }
 
     fn origin_index(&self, origin: SubtreeId) -> Result<usize, usize> {
-        self.reads_by_origin
-            .binary_search_by_key(&origin, |&(o, _)| o)
+        self.origins.binary_search_by_key(&origin, |&(o, _)| o)
+    }
+
+    /// Where ring `ring` starts in `cells`.
+    fn ring_start(&self, ring: usize) -> usize {
+        ring * self.window_slots
     }
 
     /// Records one read arriving from `origin`.
@@ -58,14 +78,23 @@ impl ReplicaStats {
         if count == 0 {
             return;
         }
-        match self.origin_index(origin) {
-            Ok(i) => self.reads_by_origin[i].1.record(count),
+        let i = match self.origin_index(origin) {
+            Ok(i) => i,
             Err(i) => {
-                let mut counter = RotatingCounter::new(self.window_slots);
-                counter.record(count);
-                self.reads_by_origin.insert(i, (origin, counter));
+                self.origins.insert(i, (origin, 0));
+                // Open a zeroed ring at its sorted position: grow by one
+                // ring, shift the later rings up, clear the gap.
+                let (start, slots, end) =
+                    (self.ring_start(1 + i), self.window_slots, self.cells.len());
+                self.cells.resize(end + slots, 0);
+                self.cells.copy_within(start..end, start + slots);
+                self.cells[start..start + slots].fill(0);
+                i
             }
-        }
+        };
+        self.origins[i].1 += count;
+        let cell = self.ring_start(1 + i) + self.current;
+        self.cells[cell] += count;
     }
 
     /// Removes the read history of `origin` and returns how many reads it
@@ -74,52 +103,71 @@ impl ReplicaStats {
     /// it no longer serves.
     pub fn take_origin(&mut self, origin: SubtreeId) -> u64 {
         match self.origin_index(origin) {
-            Ok(i) => self.reads_by_origin.remove(i).1.total(),
+            Ok(i) => {
+                let start = self.ring_start(1 + i);
+                self.cells.drain(start..start + self.window_slots);
+                self.origins.remove(i).1
+            }
             Err(_) => 0,
         }
     }
 
     /// Records one write (replica update).
     pub fn record_write(&mut self) {
-        self.writes.record(1);
+        self.cells[self.current] += 1;
+        self.write_total += 1;
     }
 
     /// Rotates every counter to the next period.
     pub fn rotate(&mut self) {
-        for (_, counter) in &mut self.reads_by_origin {
-            counter.rotate();
+        let slots = self.window_slots;
+        self.current = (self.current + 1) % slots;
+        let current = self.current;
+        self.write_total -= std::mem::take(&mut self.cells[current]);
+        // Expire the oldest period of every origin and, in the same pass,
+        // drop origins that have gone completely quiet (compacting their
+        // rings away) to keep the list small.
+        let mut kept = 0;
+        for i in 0..self.origins.len() {
+            let start = self.ring_start(1 + i);
+            let (origin, total) = self.origins[i];
+            let total = total - std::mem::take(&mut self.cells[start + current]);
+            if total == 0 {
+                continue;
+            }
+            if kept != i {
+                let dest = self.ring_start(1 + kept);
+                self.cells.copy_within(start..start + slots, dest);
+            }
+            self.origins[kept] = (origin, total);
+            kept += 1;
         }
-        self.writes.rotate();
-        // Drop origins that have gone completely quiet to keep the list
-        // small.
-        self.reads_by_origin.retain(|(_, c)| !c.is_idle());
+        self.origins.truncate(kept);
+        self.cells.truncate(self.ring_start(1 + kept));
     }
 
     /// Iterates over `(origin, reads in window)` pairs with a non-zero
     /// count, in [`SubtreeId`] order.
     pub fn reads(&self) -> impl Iterator<Item = (SubtreeId, u64)> + '_ {
-        self.reads_by_origin
-            .iter()
-            .map(|(origin, counter)| (*origin, counter.total()))
-            .filter(|&(_, reads)| reads > 0)
+        self.origins.iter().copied().filter(|&(_, reads)| reads > 0)
     }
 
     /// Reads in the window coming from one specific origin.
     pub fn reads_from(&self, origin: SubtreeId) -> u64 {
         match self.origin_index(origin) {
-            Ok(i) => self.reads_by_origin[i].1.total(),
+            Ok(i) => self.origins[i].1,
             Err(_) => 0,
         }
     }
 
     /// Total reads in the window, over all origins.
     pub fn total_reads(&self) -> u64 {
-        self.reads_by_origin.iter().map(|(_, c)| c.total()).sum()
+        self.origins.iter().map(|&(_, reads)| reads).sum()
     }
 
     /// Total writes (replica updates) in the window.
     pub fn total_writes(&self) -> u64 {
-        self.writes.total()
+        self.write_total
     }
 
     /// Whether the replica saw no traffic at all during the window.
@@ -182,6 +230,68 @@ mod tests {
         // Bulk-recording zero reads is a no-op.
         s.record_reads(SubtreeId::Rack(9), 0);
         assert_eq!(s.reads_from(SubtreeId::Rack(9)), 0);
+    }
+
+    /// The flat layout must behave exactly like the representation it
+    /// replaced: one independent [`RotatingCounter`] for the writes and one
+    /// per origin, idle origins pruned on rotation.
+    #[test]
+    fn flat_rings_match_one_rotating_counter_per_origin() {
+        use crate::counters::RotatingCounter;
+        use std::collections::BTreeMap;
+
+        let window = 5;
+        let origins = [
+            SubtreeId::Root,
+            SubtreeId::Intermediate(1),
+            SubtreeId::Rack(0),
+            SubtreeId::Rack(7),
+            SubtreeId::Machine(3),
+        ];
+        let mut stats = ReplicaStats::new(window);
+        let mut reads: BTreeMap<SubtreeId, RotatingCounter> = BTreeMap::new();
+        let mut writes = RotatingCounter::new(window);
+        // A fixed seed, so the op sequence repeats exactly.
+        let mut rng = proptest::TestRng::new(0x5EED);
+        let mut next = move || rng.next_u64();
+        for step in 0..4_000 {
+            let origin = origins[(next() % origins.len() as u64) as usize];
+            match next() % 10 {
+                0..=4 => {
+                    let count = next() % 4;
+                    stats.record_reads(origin, count);
+                    if count > 0 {
+                        reads
+                            .entry(origin)
+                            .or_insert_with(|| RotatingCounter::new(window))
+                            .record(count);
+                    }
+                }
+                5 | 6 => {
+                    stats.record_write();
+                    writes.record(1);
+                }
+                7 => {
+                    let expected = reads.remove(&origin).map_or(0, |c| c.total());
+                    assert_eq!(stats.take_origin(origin), expected, "step {step}");
+                }
+                _ => {
+                    stats.rotate();
+                    writes.rotate();
+                    reads.values_mut().for_each(RotatingCounter::rotate);
+                    reads.retain(|_, c| !c.is_idle());
+                }
+            }
+            let expected: Vec<(SubtreeId, u64)> =
+                reads.iter().map(|(&o, c)| (o, c.total())).collect();
+            assert_eq!(stats.reads().collect::<Vec<_>>(), expected, "step {step}");
+            assert_eq!(stats.total_writes(), writes.total(), "step {step}");
+            assert_eq!(
+                stats.reads_from(origin),
+                reads.get(&origin).map_or(0, |c| c.total())
+            );
+            assert_eq!(stats.cells.len(), (1 + stats.origins.len()) * window);
+        }
     }
 
     #[test]

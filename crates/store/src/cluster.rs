@@ -7,15 +7,15 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dynasore_core::{routing::closest_replica, DynaSoReEngine, InitialPlacement};
+use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 // `PlacementEngine` lives in `dynasore-types` (layer 0); import it from
 // there, not through the `dynasore_sim` re-export two layers up — the store
 // needs the trait, not the simulator.
 use dynasore_types::{
-    ClusterEvent, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine, Result, SimTime,
-    SubtreeId, TraceEventKind, UserId, View,
+    ClusterEvent, CountingSink, Error, Event, MachineId, MemoryBudget, PlacementEngine, Result,
+    SimTime, SubtreeId, TraceEventKind, UserId, View,
 };
 
 use crate::obs::StoreObs;
@@ -215,8 +215,7 @@ impl Cluster {
         //    new version to every replica (§3.3).
         let replicas = {
             let mut engine = self.engine.lock();
-            let mut messages = Vec::new();
-            engine.handle_write(user, self.now(), &mut messages);
+            engine.handle_write(user, self.now(), &mut CountingSink::default());
             engine.replica_servers(user)
         };
         for machine in replicas.iter() {
@@ -250,8 +249,8 @@ impl Cluster {
         // decisions while holding the engine lock.
         let routed: Vec<(UserId, Option<MachineId>)> = {
             let mut engine = self.engine.lock();
-            let mut messages = Vec::new();
-            engine.handle_read(user, targets, self.now(), &mut messages);
+            engine.handle_read(user, targets, self.now(), &mut CountingSink::default());
+            // Route from where the read left the proxy and the replicas.
             let proxy = engine
                 .read_proxy(user)
                 .map(|b| b.machine())
@@ -259,10 +258,7 @@ impl Cluster {
             targets
                 .iter()
                 .filter(|t| self.graph.contains_user(**t))
-                .map(|&t| {
-                    let replicas = engine.replica_servers(t);
-                    (t, closest_replica(&self.topology, proxy, &replicas))
-                })
+                .map(|&t| (t, engine.closest_replica(t, proxy)))
                 .collect()
         };
 
@@ -300,10 +296,7 @@ impl Cluster {
         self.check_user(user)?;
         let targets = self.graph.followees(user).to_vec();
         let views = self.read(user, &targets)?;
-        let mut events: Vec<Event> = views
-            .into_iter()
-            .flat_map(|v| v.iter().cloned().collect::<Vec<_>>())
-            .collect();
+        let mut events: Vec<Event> = views.iter().flat_map(|v| v.iter().cloned()).collect();
         events.sort_by_key(|e| std::cmp::Reverse(e.timestamp()));
         Ok(events)
     }
@@ -385,7 +378,7 @@ impl Cluster {
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
         }
-        let mut out: Vec<Message> = Vec::new();
+        let mut out = CountingSink::default();
         self.engine
             .get_mut()
             .on_cluster_change(event, time, &mut out);
@@ -429,12 +422,11 @@ impl Cluster {
                 }
             }
         }
-        let recovery = out.iter().filter(|m| m.involves_persistent()).count() as u64;
         self.recovery_messages
-            .fetch_add(recovery, Ordering::Relaxed);
+            .fetch_add(out.persistent_messages, Ordering::Relaxed);
         Ok(ClusterChangeReport {
-            messages: out.len() as u64,
-            recovery_messages: recovery,
+            messages: out.messages,
+            recovery_messages: out.persistent_messages,
         })
     }
 

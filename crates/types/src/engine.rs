@@ -234,6 +234,27 @@ impl TrafficSink for Vec<Message> {
     }
 }
 
+/// A sink that only counts: how many messages it was handed, and how many
+/// of them were exchanged with the persistent tier (recovery refills).
+/// Drivers that need the totals but not the messages — the live store, the
+/// throughput benches — use it instead of buffering a `Vec<Message>` per
+/// request. Owns no references, so it is `Send`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct CountingSink {
+    /// All messages recorded.
+    pub messages: u64,
+    /// The subset with the persistent tier as one endpoint.
+    pub persistent_messages: u64,
+}
+
+impl TrafficSink for CountingSink {
+    #[inline]
+    fn record(&mut self, message: Message) {
+        self.messages += 1;
+        self.persistent_messages += u64::from(message.involves_persistent());
+    }
+}
+
 /// A view-placement strategy driven by the simulator.
 ///
 /// Implementations decide, for every request, which broker executes it and
@@ -417,6 +438,18 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0], Message::application(a, b));
         assert_eq!(out[1], Message::protocol(b, a));
+    }
+
+    #[test]
+    fn counting_sink_counts_all_and_persistent_messages() {
+        let a = MachineId::new(1);
+        let b = MachineId::new(2);
+        let mut sink = CountingSink::default();
+        sink.record(Message::application(a, b));
+        sink.record(Message::persistent_fetch(b));
+        sink.record(Message::protocol(b, a));
+        assert_eq!(sink.messages, 3);
+        assert_eq!(sink.persistent_messages, 1);
     }
 
     #[test]

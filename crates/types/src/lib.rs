@@ -51,8 +51,8 @@ mod traffic;
 pub use budget::MemoryBudget;
 pub use durable::{crc32, DurableRecord, MAX_RECORD_BYTES, RECORD_HEADER_BYTES};
 pub use engine::{
-    ClusterEvent, GraphMutation, MemoryUsage, Message, PlacementEngine, TimedClusterEvent,
-    TrafficSink,
+    ClusterEvent, CountingSink, GraphMutation, MemoryUsage, Message, PlacementEngine,
+    TimedClusterEvent, TrafficSink,
 };
 pub use error::{Error, Result};
 pub use event::{Event, View};
