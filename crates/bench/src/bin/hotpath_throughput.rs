@@ -55,6 +55,14 @@
 //! so the guard also proves the time-aware accounting does not regress the
 //! hot path.
 //!
+//! Both read rows also report the memory policy the reads exercise: the
+//! replicas evicted during the phase to admit new ones (`evictions`), the
+//! phase's wall time per eviction (`ns_per_eviction` — a ceiling on what
+//! one costs, and the number that falls when victim selection gets
+//! cheaper), and the wall time of one maintenance tick on a copy of the
+//! engine as the phase left it (`tick_ms`: counter rotation, threshold
+//! refresh and eviction sweep over every server).
+//!
 //! The `durable` phase writes small fixed-size payloads through a
 //! [`ShardedLogStore`] (group commit plus the pipelined background flusher,
 //! default shard count) in a scratch directory (`--data-dir`, default under
@@ -71,8 +79,8 @@ use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore, StoreObs};
 use dynasore_topology::{Topology, TrafficAccount};
 use dynasore_types::{
-    CountingSink, MemoryBudget, Message, NetworkModel, PlacementEngine, SimTime, TrafficSink,
-    UserId, HOUR_SECS,
+    CountingSink, MemoryBudget, Message, NetworkModel, PlacementEngine, ReplicaChangeReason,
+    SimTime, TraceEventKind, TrafficSink, UserId, HOUR_SECS,
 };
 
 /// Payload size of the durable phase. 64 bytes (80 per framed record) keeps
@@ -186,6 +194,44 @@ impl Options {
     }
 }
 
+/// Whether a trace event is a replica evicted to make room.
+fn is_eviction(event: &TraceEventKind) -> bool {
+    matches!(
+        event,
+        TraceEventKind::ReplicaDropped {
+            reason: ReplicaChangeReason::Eviction,
+            ..
+        }
+    )
+}
+
+/// Wall time in milliseconds of one maintenance tick on a copy of `engine`,
+/// so the phases that follow start from the state the reads left.
+fn tick_ms(engine: &DynaSoReEngine) -> f64 {
+    let mut copy = engine.clone();
+    let start = Instant::now();
+    copy.on_tick(SimTime::from_secs(HOUR_SECS), &mut CountingSink::default());
+    start.elapsed().as_secs_f64() * 1e3
+}
+
+/// Buffers one request's messages, as the `Vec<Message>` sink of the other
+/// phases does, and counts the evictions the engine traces.
+#[derive(Default)]
+struct ReadSink {
+    messages: Vec<Message>,
+    evictions: u64,
+}
+
+impl TrafficSink for ReadSink {
+    fn record(&mut self, message: Message) {
+        self.messages.push(message);
+    }
+
+    fn trace(&mut self, event: TraceEventKind) {
+        self.evictions += u64::from(is_eviction(&event));
+    }
+}
+
 /// Counts messages while charging each non-local one to a queue-tracking
 /// account — the same work the simulator's accounting sink performs per
 /// message under a time-aware network model.
@@ -193,6 +239,7 @@ struct AccountedSink<'a> {
     topology: &'a Topology,
     account: TrafficAccount,
     messages: u64,
+    evictions: u64,
 }
 
 impl TrafficSink for AccountedSink<'_> {
@@ -208,6 +255,10 @@ impl TrafficSink for AccountedSink<'_> {
             SimTime::from_secs(4),
             &mut self.account,
         );
+    }
+
+    fn trace(&mut self, event: TraceEventKind) {
+        self.evictions += u64::from(is_eviction(&event));
     }
 }
 
@@ -290,15 +341,23 @@ fn main() {
     let read_views: u64 = (0..opts.iters)
         .map(|k| graph.followees(user_at(k)).len() as u64)
         .sum();
+    let mut read_sink = ReadSink::default();
     let read_start = Instant::now();
     let mut read_messages = 0u64;
     for k in 0..opts.iters {
         let user = user_at(k);
-        out.clear();
-        engine.handle_read(user, graph.followees(user), SimTime::from_secs(2), &mut out);
-        read_messages += out.len() as u64;
+        read_sink.messages.clear();
+        engine.handle_read(
+            user,
+            graph.followees(user),
+            SimTime::from_secs(2),
+            &mut read_sink,
+        );
+        read_messages += read_sink.messages.len() as u64;
     }
     let read_secs = read_start.elapsed().as_secs_f64();
+    let read_evictions = read_sink.evictions;
+    let read_tick_ms = tick_ms(&engine);
 
     // Snapshot for the parallel phase below: the same writes as the serial
     // write phase, from the same starting state, so the two rates — and
@@ -391,6 +450,7 @@ fn main() {
         topology: &topology,
         account: TrafficAccount::with_model(HOUR_SECS, NetworkModel::datacenter()),
         messages: 0,
+        evictions: 0,
     };
     let accounted_start = Instant::now();
     for k in 0..opts.iters {
@@ -404,6 +464,13 @@ fn main() {
     }
     let accounted_secs = accounted_start.elapsed().as_secs_f64();
     let accounted_messages = accounted.messages;
+    let accounted_evictions = accounted.evictions;
+    let accounted_tick_ms = tick_ms(&accounted_engine);
+    // Phase wall time per eviction; 0 when the phase evicted nothing.
+    let ns_per_eviction = |secs: f64, evictions: u64| match evictions {
+        0 => 0.0,
+        n => secs * 1e9 / n as f64,
+    };
 
     let reads_per_sec = opts.iters as f64 / read_secs;
     let read_ns_per_view = read_secs * 1e9 / read_views as f64;
@@ -533,6 +600,9 @@ fn main() {
             "    \"reqs_per_sec\": {rps:.0},\n",
             "    \"views_per_sec\": {rvps:.0},\n",
             "    \"ns_per_view\": {rnspv:.0},\n",
+            "    \"evictions\": {revict},\n",
+            "    \"ns_per_eviction\": {rnspe:.0},\n",
+            "    \"tick_ms\": {rtick:.3},\n",
             "    \"elapsed_secs\": {rsecs:.3},\n",
             "    \"messages\": {rmsgs}\n",
             "  }},\n",
@@ -547,6 +617,9 @@ fn main() {
             "    \"reqs_per_sec\": {aps:.0},\n",
             "    \"views_per_sec\": {avps:.0},\n",
             "    \"ns_per_view\": {anspv:.0},\n",
+            "    \"evictions\": {aevict},\n",
+            "    \"ns_per_eviction\": {anspe:.0},\n",
+            "    \"tick_ms\": {atick:.3},\n",
             "    \"elapsed_secs\": {asecs:.3},\n",
             "    \"messages\": {amsgs}\n",
             "  }},\n",
@@ -575,6 +648,9 @@ fn main() {
         rps = reads_per_sec,
         rvps = read_views as f64 / read_secs,
         rnspv = read_ns_per_view,
+        revict = read_evictions,
+        rnspe = ns_per_eviction(read_secs, read_evictions),
+        rtick = read_tick_ms,
         rsecs = read_secs,
         rmsgs = read_messages,
         wps = writes_per_sec,
@@ -584,6 +660,9 @@ fn main() {
         aps = accounted_reads_per_sec,
         avps = read_views as f64 / accounted_secs,
         anspv = accounted_secs * 1e9 / read_views as f64,
+        aevict = accounted_evictions,
+        anspe = ns_per_eviction(accounted_secs, accounted_evictions),
+        atick = accounted_tick_ms,
         asecs = accounted_secs,
         amsgs = accounted_messages,
         dps = durable_per_sec,

@@ -18,12 +18,14 @@ use dynasore_types::{
 use dynasore_workload::GraphMutation;
 
 use crate::config::{DynaSoReConfig, InitialPlacement};
-use crate::evaluation::OriginCosts;
+use crate::evaluation::{OriginCosts, PathTable};
 use crate::placement::initial_assignment;
 use crate::routing::{optimal_proxy_broker, TransferTally};
-use crate::server::{admission_threshold_from_utilities, ServerState};
-use crate::stats::ReplicaStats;
-use crate::utility::replica_utility;
+use crate::server::ServerState;
+
+mod eviction;
+
+use eviction::ThresholdCache;
 
 /// Per-user routing state: the brokers hosting the user's proxies and the
 /// servers holding replicas of her view.
@@ -64,6 +66,9 @@ pub struct DynaSoReEngine {
     config: DynaSoReConfig,
     servers: Vec<ServerState>,
     users: Vec<UserState>,
+    /// Every machine's and origin's position in the tree: the distances of
+    /// routing, evaluation and utilities come from here.
+    paths: PathTable,
     scratch: Scratch,
     thresholds: ThresholdCache,
     loads: LoadCache,
@@ -75,24 +80,12 @@ pub struct DynaSoReEngine {
     /// the persistent tier.
     recovered_views: u64,
     /// Evaluate replicas with the per-candidate reference path the linear
-    /// evaluation replaced (`engine/evaluation_tests.rs`), so tests can
-    /// compare whole runs of the two.
+    /// evaluation replaced (`engine/evaluation_tests.rs`) and pick eviction
+    /// victims, sweep and set thresholds by rescanning every stored view
+    /// with `replica_utility` (`engine/eviction_tests.rs`), so tests can
+    /// compare whole runs against the specification.
     #[cfg(test)]
     reference_evaluation: bool,
-}
-
-/// Cached per-subtree minima of the servers' admission thresholds.
-///
-/// Thresholds only change during the maintenance tick (the paper
-/// disseminates them by piggybacking, i.e. they are stale between periods
-/// anyway), so the per-origin minimum the hot path needs is refreshed once
-/// per tick and read in O(1) instead of scanning the origin's servers on
-/// every request.
-#[derive(Debug, Clone)]
-struct ThresholdCache {
-    rack: Vec<f64>,
-    inter: Vec<f64>,
-    root: f64,
 }
 
 /// How many least-loaded servers each subtree candidate set remembers.
@@ -538,20 +531,16 @@ impl DynaSoReEngineBuilder {
             .name
             .unwrap_or_else(|| format!("dynasore-from-{}", self.initial_placement.label()));
 
+        let paths = PathTable::new(&topology);
         let scratch = Scratch {
             tally: TransferTally::new(&topology),
             utilities: Vec::new(),
             views: Vec::new(),
             origins: Vec::new(),
-            costs: OriginCosts::new(&topology),
+            costs: OriginCosts::new(&paths),
             candidates: Vec::new(),
         };
-        // All thresholds start at zero, so every cached minimum does too.
-        let thresholds = ThresholdCache {
-            rack: vec![0.0; topology.rack_count()],
-            inter: vec![0.0; topology.intermediate_count()],
-            root: 0.0,
-        };
+        let thresholds = ThresholdCache::new(&topology);
         let loads = LoadCache {
             rack: vec![CandidateSet::default(); topology.rack_count()],
             inter: vec![CandidateSet::default(); topology.intermediate_count()],
@@ -563,6 +552,7 @@ impl DynaSoReEngineBuilder {
             config,
             servers,
             users,
+            paths,
             scratch,
             thresholds,
             loads,
@@ -645,7 +635,7 @@ impl DynaSoReEngine {
     /// `None` for unknown users and views without a live replica.
     /// Allocation-free, unlike [`DynaSoReEngine::replica_servers`].
     pub fn closest_replica(&self, user: UserId, from: MachineId) -> Option<MachineId> {
-        if user.as_usize() >= self.users.len() {
+        if user.as_usize() >= self.users.len() || !self.topology.contains(from) {
             return None;
         }
         self.closest_replica_of(user, from)
@@ -655,10 +645,14 @@ impl DynaSoReEngine {
     /// The replica of `view` closest to `from` (LCA routing policy, ties by
     /// machine id), as `(engine index, machine)`. Allocation-free.
     fn closest_replica_of(&self, view: UserId, from: MachineId) -> Option<(usize, MachineId)> {
-        let mut best: Option<(u32, u32, usize)> = None;
+        let from = self.paths.machine_path(from);
+        let mut best: Option<(i64, u32, usize)> = None;
         for &i in &self.users[view.as_usize()].replicas {
             let machine = self.servers[i].machine();
-            let key = (self.topology.distance(from, machine), machine.index(), i);
+            let distance = self
+                .paths
+                .distance(&from, &self.paths.machine_path(machine));
+            let key = (distance, machine.index(), i);
             if best.map_or(true, |b| (key.0, key.1) < (b.0, b.1)) {
                 best = Some(key);
             }
@@ -668,31 +662,20 @@ impl DynaSoReEngine {
 
     /// The closest other replica of `view` as seen from `sidx`, if any.
     fn nearest_other_replica(&self, view: UserId, sidx: usize) -> Option<MachineId> {
-        let machine = self.servers[sidx].machine();
-        let mut best: Option<(u32, u32)> = None;
+        let from = self.paths.machine_path(self.servers[sidx].machine());
+        let mut best: Option<(i64, u32)> = None;
         for &i in &self.users[view.as_usize()].replicas {
             if i == sidx {
                 continue;
             }
             let other = self.servers[i].machine();
-            let key = (self.topology.distance(machine, other), other.index());
+            let distance = self.paths.distance(&from, &self.paths.machine_path(other));
+            let key = (distance, other.index());
             if best.map_or(true, |b| key < b) {
                 best = Some(key);
             }
         }
         best.map(|(_, machine)| MachineId::new(machine))
-    }
-
-    /// Utility of the replica of `view` stored on server `sidx`, whose
-    /// statistics are `stats` (infinite for sole replicas).
-    fn utility_of(&self, view: UserId, stats: &ReplicaStats, sidx: usize) -> f64 {
-        replica_utility(
-            &self.topology,
-            stats,
-            self.servers[sidx].machine(),
-            self.nearest_other_replica(view, sidx),
-            self.users[view.as_usize()].write_proxy.machine(),
-        )
     }
 
     /// The least-loaded server under `origin` that does not already hold a
@@ -831,113 +814,6 @@ impl DynaSoReEngine {
         }
     }
 
-    /// The lowest admission threshold among the servers under `origin`
-    /// (disseminated by piggybacking in the paper; served from the
-    /// per-subtree cache here — thresholds only move during the tick).
-    fn admission_threshold_of(&self, origin: SubtreeId) -> f64 {
-        match origin {
-            SubtreeId::Root => self.thresholds.root,
-            SubtreeId::Intermediate(i) => self
-                .thresholds
-                .inter
-                .get(i as usize)
-                .copied()
-                .unwrap_or(f64::INFINITY),
-            SubtreeId::Rack(r) => self
-                .thresholds
-                .rack
-                .get(r as usize)
-                .copied()
-                .unwrap_or(f64::INFINITY),
-            SubtreeId::Machine(m) => {
-                let machine = MachineId::new(m);
-                if !self.topology.is_live(machine) {
-                    return f64::INFINITY;
-                }
-                self.topology
-                    .server_ordinal(machine)
-                    .map(|i| self.servers[i].admission_threshold())
-                    .unwrap_or(f64::INFINITY)
-            }
-        }
-    }
-
-    /// Rebuilds the per-subtree threshold minima from the current server
-    /// thresholds. Called once per maintenance tick, right after the
-    /// thresholds themselves are refreshed.
-    fn refresh_threshold_cache(&mut self) {
-        self.thresholds
-            .rack
-            .iter_mut()
-            .for_each(|t| *t = f64::INFINITY);
-        self.thresholds
-            .inter
-            .iter_mut()
-            .for_each(|t| *t = f64::INFINITY);
-        self.thresholds.root = f64::INFINITY;
-        for server in &self.servers {
-            let machine = server.machine();
-            if !self.topology.is_live(machine) {
-                continue;
-            }
-            let t = server.admission_threshold();
-            if let Ok(rack) = self.topology.rack_of(machine) {
-                let r = rack.as_usize();
-                self.thresholds.rack[r] = self.thresholds.rack[r].min(t);
-                let i = self.topology.intermediate_of_rack(rack) as usize;
-                self.thresholds.inter[i] = self.thresholds.inter[i].min(t);
-            }
-            self.thresholds.root = self.thresholds.root.min(t);
-        }
-    }
-
-    /// The lowest-utility evictable view on server `sidx`: more than one
-    /// replica, finite utility, ties broken by [`UserId`] (matching the
-    /// ascending-id iteration of the former `BTreeMap` storage, so victim
-    /// choice is independent of slab slot layout).
-    fn eviction_victim(&self, sidx: usize) -> Option<UserId> {
-        let mut victim: Option<(f64, UserId)> = None;
-        for (view, stats) in self.servers[sidx].views() {
-            if self.users[view.as_usize()].replicas.len() <= 1 {
-                continue;
-            }
-            let utility = self.utility_of(view, stats, sidx);
-            if !utility.is_finite() {
-                continue;
-            }
-            let better = match victim {
-                None => true,
-                Some((best, best_view)) => utility < best || (utility == best && view < best_view),
-            };
-            if better {
-                victim = Some((utility, view));
-            }
-        }
-        victim.map(|(_, view)| view)
-    }
-
-    /// Frees one slot on `target` if it is full, by evicting its
-    /// lowest-utility replica that has copies elsewhere. Returns `true` if
-    /// the server has room afterwards.
-    fn ensure_space(&mut self, target: usize, out: &mut dyn TrafficSink) -> bool {
-        if !self.servers[target].is_full() {
-            return true;
-        }
-        match self.eviction_victim(target) {
-            Some(view) => {
-                if self.remove_replica(view, target, out) {
-                    out.trace(TraceEventKind::ReplicaDropped {
-                        user: view,
-                        server: self.servers[target].machine(),
-                        reason: ReplicaChangeReason::Eviction,
-                    });
-                }
-                !self.servers[target].is_full()
-            }
-            None => false,
-        }
-    }
-
     /// Creates a replica of `view` on server `target`, copying its data from
     /// the replica on `source`. Statistics for the origins the new replica
     /// will serve are transferred from the source replica.
@@ -951,6 +827,11 @@ impl DynaSoReEngine {
         if self.servers[target].contains(view) || source == target {
             return false;
         }
+        // Admitting to a full server swaps one view for another: its load,
+        // and with it every candidate set, ends where it started, so the
+        // eviction leaves the load cache alone and the one update below
+        // compares against the load before it.
+        let old_len = self.servers[target].len();
         if !self.ensure_space(target, out) {
             return false;
         }
@@ -974,11 +855,9 @@ impl DynaSoReEngine {
             }
         }
 
-        let old_len = self.servers[target].len();
         self.servers[target].insert(view);
         self.update_load_cache(target, old_len);
-        self.users[view.as_usize()].replicas.push(target);
-        self.users[view.as_usize()].replicas.sort_unstable();
+        self.link_replica(view, target);
 
         // Hand over the read history of the origins the new replica is now
         // closest to, so the source stops proposing replicas for readers it
@@ -988,9 +867,12 @@ impl DynaSoReEngine {
         if let Some(stats) = self.servers[source].stats(view) {
             origins.extend(stats.reads().map(|(origin, _)| origin));
         }
+        let source_path = self.paths.machine_path(source_machine);
+        let target_path = self.paths.machine_path(target_machine);
         for origin in origins.drain(..) {
-            if self.topology.origin_distance(target_machine, origin)
-                < self.topology.origin_distance(source_machine, origin)
+            let origin_path = self.paths.origin_path(origin);
+            if self.paths.distance(&target_path, &origin_path)
+                < self.paths.distance(&source_path, &origin_path)
             {
                 let moved = self.servers[source]
                     .stats_mut(view)
@@ -1008,6 +890,18 @@ impl DynaSoReEngine {
     /// Removes the replica of `view` stored on server `sidx`. Never removes
     /// the last replica.
     fn remove_replica(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) -> bool {
+        let old_len = self.servers[sidx].len();
+        let removed = self.detach_replica(view, sidx, out);
+        if removed {
+            self.update_load_cache(sidx, old_len);
+        }
+        removed
+    }
+
+    /// [`DynaSoReEngine::remove_replica`] without the load-cache update: for
+    /// a caller that changes the server's load again before anything reads
+    /// the candidate sets, and then reports the net change itself.
+    fn detach_replica(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) -> bool {
         if self.users[view.as_usize()].replicas.len() <= 1 {
             return false;
         }
@@ -1025,11 +919,31 @@ impl DynaSoReEngine {
                 out.record(Message::protocol(write_proxy, broker.machine()));
             }
         }
-        let old_len = self.servers[sidx].len();
         self.servers[sidx].remove(view);
-        self.update_load_cache(sidx, old_len);
-        self.users[view.as_usize()].replicas.retain(|&i| i != sidx);
+        self.unlink_replica(view, sidx);
         true
+    }
+
+    /// Records that server `sidx` now holds a replica of `view`. Every
+    /// replica's nearest other replica may have moved.
+    fn link_replica(&mut self, view: UserId, sidx: usize) {
+        let replicas = &mut self.users[view.as_usize()].replicas;
+        replicas.push(sidx);
+        replicas.sort_unstable();
+        self.invalidate_view(view);
+    }
+
+    /// Records that server `sidx` no longer holds a replica of `view`.
+    fn unlink_replica(&mut self, view: UserId, sidx: usize) {
+        self.users[view.as_usize()].replicas.retain(|&i| i != sidx);
+        self.invalidate_view(view);
+    }
+
+    /// Moves `user`'s write proxy to `broker`; the utility of every replica
+    /// of her view counts the distance to it.
+    fn set_write_proxy(&mut self, user: UserId, broker: BrokerId) {
+        self.users[user.as_usize()].write_proxy = broker;
+        self.invalidate_view(user);
     }
 
     /// Profit penalty for placing a replica on `machine`, derived from the
@@ -1069,18 +983,19 @@ impl DynaSoReEngine {
         candidates: &mut Vec<Candidate>,
     ) -> Option<i64> {
         let stats = self.servers[sidx].stats(view)?;
+        let paths = &self.paths;
         let server_machine = self.servers[sidx].machine();
-        let write_proxy = costs.machine_path(self.users[view.as_usize()].write_proxy.machine());
+        let write_proxy = paths.machine_path(self.users[view.as_usize()].write_proxy.machine());
         let writes = stats.total_writes() as i64;
 
-        costs.begin(server_machine);
+        costs.begin(paths, server_machine);
         for (origin, reads) in stats.reads() {
-            costs.push(origin, reads);
+            costs.push(paths, origin, reads);
         }
         let nearest = self
             .nearest_other_replica(view, sidx)
             .unwrap_or(server_machine);
-        let nearest_read_cost = costs.read_cost(&costs.machine_path(nearest));
+        let nearest_read_cost = costs.read_cost(&paths.machine_path(nearest));
 
         let replicas = &self.users[view.as_usize()].replicas;
         for (origin, _reads) in stats.reads() {
@@ -1088,10 +1003,10 @@ impl DynaSoReEngine {
                 continue;
             };
             let machine = self.servers[candidate].machine();
-            let path = costs.machine_path(machine);
+            let path = paths.machine_path(machine);
             // What the position costs whichever algorithm picks it: keeping
             // it up to date on writes, and queueing at a congested rack.
-            let overhead = writes * costs.distance(&write_proxy, &path)
+            let overhead = writes * paths.distance(&write_proxy, &path)
                 + self.rack_congestion_penalty(out, machine);
             candidates.push(Candidate {
                 server: candidate,
@@ -1100,11 +1015,11 @@ impl DynaSoReEngine {
                 position_profit: nearest_read_cost - costs.read_cost(&path) - overhead,
             });
         }
-        let server_path = costs.machine_path(server_machine);
+        let server_path = paths.machine_path(server_machine);
         Some(
             nearest_read_cost
                 - costs.read_cost(&server_path)
-                - writes * costs.distance(&write_proxy, &server_path),
+                - writes * paths.distance(&write_proxy, &server_path),
         )
     }
 
@@ -1220,7 +1135,7 @@ impl DynaSoReEngine {
         let uidx = user.as_usize();
         if is_write_proxy {
             if self.users[uidx].write_proxy != best {
-                self.users[uidx].write_proxy = best;
+                self.set_write_proxy(user, best);
                 // The write proxy's location is stored by every replica, so
                 // they must be notified of the move (iterate by index — the
                 // replica list is not mutated here).
@@ -1339,7 +1254,7 @@ impl DynaSoReEngine {
                 self.users[uidx].read_proxy = new_broker;
             }
             if self.users[uidx].write_proxy.machine() == broker {
-                self.users[uidx].write_proxy = new_broker;
+                self.set_write_proxy(UserId::new(uidx as u32), new_broker);
                 for k in 0..self.users[uidx].replicas.len() {
                     let ridx = self.users[uidx].replicas[k];
                     out.record(Message::protocol(
@@ -1396,7 +1311,12 @@ impl DynaSoReEngine {
     /// evicting a redundant replica if the server is full. Charges the
     /// persistent-tier transfer on success.
     fn place_recovered(&mut self, view: UserId, target: usize, out: &mut dyn TrafficSink) -> bool {
-        if self.servers[target].contains(view) || !self.ensure_space(target, out) {
+        if self.servers[target].contains(view) {
+            return false;
+        }
+        // As in `create_replica`: one load-cache update for the swap.
+        let old_len = self.servers[target].len();
+        if !self.ensure_space(target, out) {
             return false;
         }
         let write_proxy = self.users[view.as_usize()].write_proxy.machine();
@@ -1407,9 +1327,8 @@ impl DynaSoReEngine {
         for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
             out.record(Message::persistent_fetch(target_machine));
         }
-        let old_len = self.servers[target].len();
         self.servers[target].insert(view);
-        self.users[view.as_usize()].replicas.push(target);
+        self.link_replica(view, target);
         self.update_load_cache(target, old_len);
         self.recovered_views += 1;
         out.trace(TraceEventKind::ReplicaCreated {
@@ -1453,9 +1372,8 @@ impl DynaSoReEngine {
             views.extend(self.servers[sidx].views().map(|(view, _)| view));
             self.servers[sidx].clear();
             for &view in &views {
-                let replicas = &mut self.users[view.as_usize()].replicas;
-                replicas.retain(|&i| i != sidx);
-                if replicas.is_empty() {
+                self.unlink_replica(view, sidx);
+                if self.users[view.as_usize()].replicas.is_empty() {
                     lost.push(view);
                 }
             }
@@ -1617,7 +1535,7 @@ impl DynaSoReEngine {
                     // as a crash would (a later MachineUp/RackUp recovers it
                     // from the persistent tier).
                     self.servers[sidx].remove(view);
-                    self.users[view.as_usize()].replicas.retain(|&i| i != sidx);
+                    self.unlink_replica(view, sidx);
                     out.trace(TraceEventKind::ReplicaDropped {
                         user: view,
                         server: evac_machine,
@@ -1693,13 +1611,15 @@ impl DynaSoReEngine {
             ));
         }
         self.scratch.tally = TransferTally::new(&self.topology);
-        self.scratch.costs = OriginCosts::new(&self.topology);
-        self.thresholds
-            .rack
-            .resize(self.topology.rack_count(), f64::INFINITY);
-        self.thresholds
-            .inter
-            .resize(self.topology.intermediate_count(), f64::INFINITY);
+        // The tree grew: a new position table, and utilities computed from
+        // the old one are not trusted (an origin id past the old table's end
+        // was far from everything and may now name a real subtree).
+        self.paths = PathTable::new(&self.topology);
+        self.scratch.costs = OriginCosts::new(&self.paths);
+        self.servers
+            .iter_mut()
+            .for_each(ServerState::mark_all_stale);
+        self.thresholds.grow(&self.topology);
         self.loads
             .rack
             .resize(self.topology.rack_count(), CandidateSet::default());
@@ -1716,60 +1636,6 @@ impl DynaSoReEngine {
                 if broker.machine() != new_broker.machine() {
                     out.record(Message::protocol(new_broker.machine(), broker.machine()));
                 }
-            }
-        }
-    }
-
-    /// Background eviction sweep for one server (§3.2, *Eviction of views*):
-    /// first drop replicas with negative utility, then, if occupancy still
-    /// exceeds the threshold, evict the least useful evictable replicas
-    /// until the target occupancy is reached.
-    fn eviction_sweep(&mut self, sidx: usize, out: &mut dyn TrafficSink) {
-        // Drop negative-utility replicas. The victim list reuses a scratch
-        // buffer and is sorted by id so removal order matches the former
-        // ascending-UserId storage iteration.
-        let mut negative = std::mem::take(&mut self.scratch.views);
-        negative.clear();
-        for (view, stats) in self.servers[sidx].views() {
-            if self.users[view.as_usize()].replicas.len() > 1
-                && self.utility_of(view, stats, sidx) < 0.0
-            {
-                negative.push(view);
-            }
-        }
-        negative.sort_unstable();
-        for &view in &negative {
-            if self.remove_replica(view, sidx, out) {
-                out.trace(TraceEventKind::ReplicaDropped {
-                    user: view,
-                    server: self.servers[sidx].machine(),
-                    reason: ReplicaChangeReason::Eviction,
-                });
-            }
-        }
-        negative.clear();
-        self.scratch.views = negative;
-
-        if self.servers[sidx].occupancy() <= self.config.eviction_threshold {
-            return;
-        }
-        // Evict lowest-utility replicas until the target occupancy.
-        loop {
-            if self.servers[sidx].occupancy() <= self.config.eviction_target {
-                break;
-            }
-            match self.eviction_victim(sidx) {
-                Some(view) => {
-                    if !self.remove_replica(view, sidx, out) {
-                        break;
-                    }
-                    out.trace(TraceEventKind::ReplicaDropped {
-                        user: view,
-                        server: self.servers[sidx].machine(),
-                        reason: ReplicaChangeReason::Eviction,
-                    });
-                }
-                None => break,
             }
         }
     }
@@ -1963,7 +1829,7 @@ impl PlacementEngine for DynaSoReEngine {
         // worker-count-independent (each user's migrations live in exactly
         // one worker's list, in batch order).
         for (uidx, broker) in migrations.into_iter().flatten() {
-            self.users[uidx as usize].write_proxy = broker;
+            self.set_write_proxy(UserId::new(uidx), broker);
         }
         for &(user, time) in &leftover {
             sinks[0].set_time(time);
@@ -1977,34 +1843,8 @@ impl PlacementEngine for DynaSoReEngine {
         for server in &mut self.servers {
             server.rotate_counters();
         }
-        // 2. Refresh admission thresholds: one pass over each server's slab
-        // into a reused scratch buffer, then a select on that buffer. Dead
-        // servers are empty and excluded from the threshold caches; skip
-        // them.
-        let fill_target = self.config.admission_fill_target;
-        let mut utilities = std::mem::take(&mut self.scratch.utilities);
-        for sidx in 0..self.servers.len() {
-            if !self.topology.is_live(self.servers[sidx].machine()) {
-                continue;
-            }
-            utilities.clear();
-            for (view, stats) in self.servers[sidx].views() {
-                utilities.push(self.utility_of(view, stats, sidx));
-            }
-            let capacity = self.servers[sidx].capacity();
-            let threshold =
-                admission_threshold_from_utilities(&mut utilities, capacity, fill_target);
-            self.servers[sidx].set_admission_threshold(threshold);
-        }
-        self.scratch.utilities = utilities;
-        self.refresh_threshold_cache();
-        // 3. Background eviction.
-        for sidx in 0..self.servers.len() {
-            if !self.topology.is_live(self.servers[sidx].machine()) {
-                continue;
-            }
-            self.eviction_sweep(sidx, out);
-        }
+        // 2. Refresh the admission thresholds, 3. sweep for evictions.
+        self.run_memory_policy(out);
     }
 
     fn on_graph_change(
@@ -2085,6 +1925,8 @@ impl PlacementEngine for DynaSoReEngine {
 
 #[cfg(test)]
 mod evaluation_tests;
+#[cfg(test)]
+mod eviction_tests;
 
 #[cfg(test)]
 mod tests {

@@ -151,7 +151,7 @@ impl DynaSoReEngine {
 /// delay that differs by rack, so congestion penalties are non-zero and
 /// unequal across candidates.
 #[derive(Default)]
-struct RecordingSink {
+pub(super) struct RecordingSink {
     messages: Vec<Message>,
     traces: Vec<TraceEventKind>,
     congested: bool,
@@ -174,12 +174,12 @@ impl TrafficSink for RecordingSink {
     }
 }
 
-const USERS: usize = 160;
+pub(super) const USERS: usize = 160;
 
 /// A tree whose racks hold more servers (6) than a candidate set remembers
 /// (`LOAD_TOP_K`), so exclusion lists can exhaust a truncated set; or a flat
 /// cluster, where every origin is one machine.
-fn test_topology(flat: bool) -> Topology {
+pub(super) fn test_topology(flat: bool) -> Topology {
     if flat {
         Topology::flat(9).unwrap()
     } else {
@@ -308,7 +308,7 @@ proptest! {
             engine.on_tick(SimTime::from_hours(1), &mut out);
         }
 
-        let mut costs = OriginCosts::new(&topology);
+        let mut costs = OriginCosts::new(&engine.paths);
         let mut candidates = Vec::new();
         let mut compared = 0;
         for view in (0..6).map(UserId::new) {

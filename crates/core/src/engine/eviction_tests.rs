@@ -1,0 +1,205 @@
+//! The rescan the cached utilities replaced, kept as test-only oracle code,
+//! and the property test that pins the cache to it.
+
+use super::evaluation_tests::{test_topology, RecordingSink, USERS};
+use super::*;
+use crate::stats::ReplicaStats;
+use crate::utility::replica_utility;
+use dynasore_graph::GraphPreset;
+use proptest::prelude::*;
+
+impl DynaSoReEngine {
+    /// The closest other replica of `view` as seen from `sidx`, by the
+    /// topology's own distances.
+    fn rescan_nearest_other(&self, view: UserId, sidx: usize) -> Option<MachineId> {
+        let machine = self.servers[sidx].machine();
+        self.users[view.as_usize()]
+            .replicas
+            .iter()
+            .filter(|&&i| i != sidx)
+            .map(|&i| self.servers[i].machine())
+            .min_by_key(|&other| (self.topology.distance(machine, other), other.index()))
+    }
+
+    /// The utility of a stored replica straight from the specification.
+    fn rescan_utility(&self, view: UserId, stats: &ReplicaStats, sidx: usize) -> f64 {
+        replica_utility(
+            &self.topology,
+            stats,
+            self.servers[sidx].machine(),
+            self.rescan_nearest_other(view, sidx),
+            self.users[view.as_usize()].write_proxy.machine(),
+        )
+    }
+
+    /// Victim selection exactly as it ran before utilities were cached: the
+    /// utility of every stored view recomputed, the lowest finite one of a
+    /// view with other replicas wins, ties by [`UserId`].
+    pub(super) fn rescan_victim(&self, sidx: usize) -> Option<UserId> {
+        let mut victim: Option<(f64, UserId)> = None;
+        for (view, stats) in self.servers[sidx].views() {
+            if self.users[view.as_usize()].replicas.len() <= 1 {
+                continue;
+            }
+            let utility = self.rescan_utility(view, stats, sidx);
+            if !utility.is_finite() {
+                continue;
+            }
+            let better = match victim {
+                None => true,
+                Some((best, best_view)) => utility < best || (utility == best && view < best_view),
+            };
+            if better {
+                victim = Some((utility, view));
+            }
+        }
+        victim.map(|(_, view)| view)
+    }
+
+    /// Recomputes every utility of server `sidx` from the specification,
+    /// whatever the stale marks say.
+    pub(super) fn rescan_utilities(&mut self, sidx: usize) {
+        self.servers[sidx].mark_all_stale();
+        while let Some(slot) = self.servers[sidx].next_stale_slot() {
+            let (view, stats) = self.servers[sidx].replica_at(slot);
+            let utility = self.rescan_utility(view, stats, sidx);
+            self.servers[sidx].store_utility(slot, utility);
+        }
+    }
+}
+
+/// After refreshing only the slots marked stale, every cached utility must
+/// equal the specification and the cached victim the rescan victim, on
+/// every server.
+fn assert_cache_matches_rescan(
+    engine: &mut DynaSoReEngine,
+    context: &str,
+) -> Result<(), TestCaseError> {
+    for sidx in 0..engine.servers.len() {
+        engine.refresh_utilities(sidx);
+        let server = &engine.servers[sidx];
+        for (view, cached) in server.cached_utilities() {
+            let stats = server.stats(view).expect("listed views are stored");
+            let expected = engine.rescan_utility(view, stats, sidx);
+            prop_assert!(
+                cached == expected,
+                "{}: view {} on server {}: cached {} but rescan {}",
+                context,
+                view,
+                sidx,
+                cached,
+                expected
+            );
+        }
+        prop_assert_eq!(
+            engine.eviction_victim(sidx),
+            engine.rescan_victim(sidx),
+            "{}: victim of server {}",
+            context,
+            sidx
+        );
+    }
+    Ok(())
+}
+
+/// Applies step `(kind, (a, b))` of a random run to `engine`.
+fn apply_step(
+    engine: &mut DynaSoReEngine,
+    graph: &SocialGraph,
+    out: &mut RecordingSink,
+    time: SimTime,
+    (kind, (a, b)): (u32, (u32, u32)),
+) -> String {
+    let user = UserId::new(a % USERS as u32);
+    let machine = MachineId::new(a % engine.topology.machine_count() as u32);
+    let rack = RackId::new(a % engine.topology.rack_count() as u32);
+    let event = match kind {
+        0..=39 => {
+            engine.handle_read(user, graph.followees(user), time, out);
+            return format!("read by {user}");
+        }
+        40..=57 => {
+            // Enough writes that replicas outweigh the proxy's own rack and
+            // the write proxy migrates.
+            engine.handle_write(user, time, out);
+            return format!("write by {user}");
+        }
+        58..=65 => {
+            engine.on_tick(time, out);
+            return "tick".to_string();
+        }
+        66..=75 => {
+            let writes: Vec<(UserId, SimTime)> = (0..40)
+                .map(|k| (UserId::new((a + k * (1 + b % 7)) % USERS as u32), time))
+                .collect();
+            let mut shards = [
+                RecordingSink::default(),
+                RecordingSink::default(),
+                RecordingSink::default(),
+            ];
+            let sharded = {
+                let mut sinks: Vec<&mut (dyn TrafficSink + Send)> = shards
+                    .iter_mut()
+                    .map(|s| s as &mut (dyn TrafficSink + Send))
+                    .collect();
+                engine.handle_write_batch(&writes, &mut sinks)
+            };
+            if !sharded {
+                for &(user, time) in &writes {
+                    engine.handle_write(user, time, out);
+                }
+            }
+            return format!("write batch from {user} (sharded: {sharded})");
+        }
+        76..=80 => ClusterEvent::MachineDown { machine },
+        81..=85 => ClusterEvent::MachineUp { machine },
+        86..=89 => ClusterEvent::DrainMachine { machine },
+        90..=92 => ClusterEvent::AddRack,
+        93..=95 => ClusterEvent::RemoveRack { rack },
+        96..=97 => ClusterEvent::RackDown { rack },
+        _ => ClusterEvent::RackUp { rack },
+    };
+    engine.on_cluster_change(event, time, out);
+    format!("{event:?}")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// The cache is equivalent to the rescan under churn: reads, writes,
+    /// ticks, write-proxy migrations (write-heavy users, failed brokers),
+    /// sharded write batches, machine and rack failures and repairs, drains,
+    /// elastic growth and shrink, on a tree and on a flat cluster, with
+    /// memory tight enough that admissions evict. Checked after every step,
+    /// or — so stale marks also pile up across steps — after every few.
+    #[test]
+    fn cached_utilities_are_equivalent_to_rescan_under_churn(
+        shape in (proptest::bool::ANY, 5u32..150),
+        pacing in (1usize..4, 2usize..6),
+        steps in proptest::collection::vec((0u32..100, (0u32..10_000, 0u32..10_000)), 40..140),
+    ) {
+        // Little extra memory makes admissions evict; a lot lets views grow
+        // third replicas, whose nearest other replica a creation moves. A
+        // short statistics window makes the ticks of a run expire counters.
+        let (flat, extra) = shape;
+        let (check_every, counter_slots) = pacing;
+        let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+        let mut engine = DynaSoReEngine::builder()
+            .topology(test_topology(flat))
+            .budget(MemoryBudget::with_extra_percent(USERS, extra))
+            .initial_placement(InitialPlacement::Random { seed: 5 })
+            .counter_slots(counter_slots)
+            .build(&graph)
+            .unwrap();
+        let mut out = RecordingSink::default();
+        assert_cache_matches_rescan(&mut engine, "initial")?;
+        for (n, &step) in steps.iter().enumerate() {
+            let time = SimTime::from_secs(n as u64 * 600);
+            let what = apply_step(&mut engine, &graph, &mut out, time, step);
+            if n % check_every == 0 {
+                assert_cache_matches_rescan(&mut engine, &format!("step {n}, after {what}"))?;
+            }
+        }
+        assert_cache_matches_rescan(&mut engine, "final")?;
+    }
+}

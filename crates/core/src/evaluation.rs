@@ -19,6 +19,10 @@
 //! how much creation gain a candidate collects by agreeing with those
 //! origins one level deeper (for Algorithm 2, where only origins that get
 //! strictly closer than they are to the current server count).
+//!
+//! The positions themselves live in a [`PathTable`], which also serves
+//! every other distance the engine asks for per request (routing, nearest
+//! replica, cached utilities) from one small array.
 
 use dynasore_topology::{Topology, TopologyKind};
 use dynasore_types::{MachineId, RackId, SubtreeId};
@@ -31,7 +35,7 @@ const NONE: u32 = u32::MAX;
 const LEVEL_SAVING: [i64; 3] = [2, 2, 1];
 
 /// The tree nodes above (and including) a machine or an origin, as indices
-/// into [`OriginCosts`]'s node tables: intermediate, rack, machine.
+/// into a [`PathTable`]: intermediate, rack, machine.
 pub(crate) type Path = [u32; 3];
 
 /// What the origins at or below one tree node add up to.
@@ -45,31 +49,22 @@ struct NodeSum {
     creation_gain: i64,
 }
 
-/// Per-evaluation sums over the origins of one replica, over a table of the
-/// topology's tree nodes (intermediates, then racks, then machines). Built
-/// once per topology shape — machines never change rack, so only
-/// [`Topology::add_rack`] calls for a new one — and reused across
-/// evaluations: [`OriginCosts::begin`] and [`OriginCosts::clear`] bracket
-/// one, and clearing only visits the nodes the evaluation touched, so a
-/// steady-state evaluation neither allocates, nor scales with the cluster,
-/// nor calls into the topology.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct OriginCosts {
+/// The topology's tree nodes (intermediates, then racks, then machines) and
+/// the path from the root to each: every distance the engine needs, without
+/// calling into the topology. Built once per topology shape — machines never
+/// change rack, so only [`Topology::add_rack`] calls for a new one.
+#[derive(Debug, Clone)]
+pub(crate) struct PathTable {
     far: i64,
     /// Node index of the first rack and of the first machine.
     first_rack: u32,
     first_machine: u32,
     /// The path from the root to every node, itself included.
     paths: Vec<Path>,
-    sums: Vec<NodeSum>,
-    server: Path,
-    total_reads: i64,
-    /// The path of every pushed origin, to undo it in `clear`.
-    touched: Vec<Path>,
 }
 
-impl OriginCosts {
-    /// Lays out the node tables of `topology`.
+impl PathTable {
+    /// Lays out the node table of `topology`.
     pub(crate) fn new(topology: &Topology) -> Self {
         let inters = topology.intermediate_count() as u32;
         let racks = topology.rack_count() as u32;
@@ -96,19 +91,15 @@ impl OriginCosts {
             let [inter, rack_node, _] = paths[(inters + rack.index()) as usize];
             paths.push([inter, rack_node, inters + racks + m]);
         }
-        OriginCosts {
+        PathTable {
             far,
             first_rack: inters,
             first_machine: inters + racks,
-            sums: vec![NodeSum::default(); paths.len()],
             paths,
-            server: [NONE; 3],
-            total_reads: 0,
-            touched: Vec::new(),
         }
     }
 
-    /// The path of a machine of the topology the tables were built for;
+    /// The path of a machine of the topology the table was built for;
     /// panics on any other (a table that missed a cluster growth must not
     /// quietly price the new machines as far from everything).
     pub(crate) fn machine_path(&self, machine: MachineId) -> Path {
@@ -117,7 +108,7 @@ impl OriginCosts {
 
     /// The path of a read origin. Origins the topology does not have are
     /// far from everything, as [`Topology::origin_distance`] treats them.
-    fn origin_path(&self, origin: SubtreeId) -> Path {
+    pub(crate) fn origin_path(&self, origin: SubtreeId) -> Path {
         let (first, end, index) = match origin {
             SubtreeId::Root => return [NONE; 3],
             SubtreeId::Intermediate(i) => (0, self.first_rack, i),
@@ -139,20 +130,48 @@ impl OriginCosts {
             .sum();
         self.far - agreed
     }
+}
+
+/// Per-evaluation sums over the origins of one replica, one per node of a
+/// [`PathTable`]. Reused across evaluations: [`OriginCosts::begin`] and
+/// [`OriginCosts::clear`] bracket one, and clearing only visits the nodes
+/// the evaluation touched, so a steady-state evaluation neither allocates,
+/// nor scales with the cluster, nor calls into the topology.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct OriginCosts {
+    far: i64,
+    sums: Vec<NodeSum>,
+    server: Path,
+    total_reads: i64,
+    /// The path of every pushed origin, to undo it in `clear`.
+    touched: Vec<Path>,
+}
+
+impl OriginCosts {
+    /// Zeroed sums for every node of `table`.
+    pub(crate) fn new(table: &PathTable) -> Self {
+        OriginCosts {
+            far: table.far,
+            sums: vec![NodeSum::default(); table.paths.len()],
+            server: [NONE; 3],
+            total_reads: 0,
+            touched: Vec::new(),
+        }
+    }
 
     /// Starts an evaluation of a replica stored on `server`. The previous
     /// evaluation must have been [`clear`](OriginCosts::clear)ed.
-    pub(crate) fn begin(&mut self, server: MachineId) {
+    pub(crate) fn begin(&mut self, table: &PathTable, server: MachineId) {
         debug_assert!(self.touched.is_empty(), "evaluation not cleared");
         self.total_reads = 0;
-        self.server = self.machine_path(server);
+        self.server = table.machine_path(server);
     }
 
     /// Adds `reads` recorded from `origin`.
-    pub(crate) fn push(&mut self, origin: SubtreeId, reads: u64) {
+    pub(crate) fn push(&mut self, table: &PathTable, origin: SubtreeId, reads: u64) {
         let reads = reads as i64;
-        let path = self.origin_path(origin);
-        let from_server = self.distance(&self.server, &path);
+        let path = table.origin_path(origin);
+        let from_server = table.distance(&self.server, &path);
         self.total_reads += reads;
         // Walk down the origin's path: a machine that agrees with it up to
         // `level` sees it at distance `below`, one level less at `above`.
@@ -242,20 +261,26 @@ pub(crate) mod tests {
         server: MachineId,
         nearest: MachineId,
         write_proxy: MachineId,
+        table: &PathTable,
         costs: &mut OriginCosts,
     ) -> Result<(), TestCaseError> {
-        costs.begin(server);
+        costs.begin(table, server);
         for (origin, reads) in stats.reads() {
-            costs.push(origin, reads);
+            costs.push(table, origin, reads);
+            prop_assert_eq!(
+                table.distance(&table.machine_path(server), &table.origin_path(origin)),
+                topology.origin_distance(server, origin) as i64
+            );
         }
-        let nearest_cost = costs.read_cost(&costs.machine_path(nearest));
+        let nearest_cost = costs.read_cost(&table.machine_path(nearest));
         let writes = stats.total_writes() as i64;
         for m in 0..topology.machine_count() as u32 {
             let candidate = MachineId::new(m);
-            let path = costs.machine_path(candidate);
-            let write_cost = writes * costs.distance(&costs.machine_path(write_proxy), &path);
+            let path = table.machine_path(candidate);
+            let proxy_distance = table.distance(&table.machine_path(write_proxy), &path);
+            let write_cost = writes * proxy_distance;
             prop_assert_eq!(
-                costs.distance(&costs.machine_path(write_proxy), &path),
+                proxy_distance,
                 topology.distance(write_proxy, candidate) as i64
             );
             prop_assert_eq!(
@@ -303,7 +328,8 @@ pub(crate) mod tests {
             let stats = random_stats(&topology, &picks, writes);
             let (server, (nearest, proxy)) = machine_picks;
             // One scratch across two evaluations: `clear` must leave nothing.
-            let mut costs = OriginCosts::new(&topology);
+            let table = PathTable::new(&topology);
+            let mut costs = OriginCosts::new(&table);
             for shift in 0..2 {
                 assert_matches_specification(
                     &topology,
@@ -311,6 +337,7 @@ pub(crate) mod tests {
                     MachineId::new((server + shift) % n),
                     MachineId::new(nearest % n),
                     MachineId::new(proxy % n),
+                    &table,
                     &mut costs,
                 )?;
             }
@@ -327,13 +354,15 @@ pub(crate) mod tests {
             let n = machines as u32;
             let stats = random_stats(&topology, &picks, writes);
             let (server, (nearest, proxy)) = machine_picks;
+            let table = PathTable::new(&topology);
             assert_matches_specification(
                 &topology,
                 &stats,
                 MachineId::new(server % n),
                 MachineId::new(nearest % n),
                 MachineId::new(proxy % n),
-                &mut OriginCosts::new(&topology),
+                &table,
+                &mut OriginCosts::new(&table),
             )?;
         }
     }

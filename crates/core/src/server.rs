@@ -130,7 +130,16 @@ impl SlotIndex {
 #[derive(Debug, Clone)]
 struct SlotEntry {
     view: UserId,
+    /// The utility cached for this slot is out of date. (Fits the padding
+    /// after `view`: the entry stays 80 bytes.)
+    stale: bool,
     stats: ReplicaStats,
+}
+
+/// The smallest shift that folds `slots` slab slots into at most 64 groups
+/// of `1 << shift` consecutive slots.
+fn group_shift(slots: usize) -> u32 {
+    slots.div_ceil(64).next_power_of_two().trailing_zeros()
 }
 
 /// The storage state of one view server.
@@ -147,12 +156,31 @@ struct SlotEntry {
 ///
 /// Steady-state operations (`contains`, `stats`, `stats_mut`, `insert` into
 /// a recycled slot, `remove`) perform no heap allocation.
+///
+/// Next to each slot the slab keeps the replica's utility as the engine
+/// last computed it, and each entry a mark saying that value is out of date.
+/// The server knows when its own statistics move (`stats_mut`,
+/// `rotate_counters`, `insert`); the engine marks the rest (the view's
+/// replica set or write proxy changed) through [`ServerState::mark_stale`]
+/// and is the only one that can recompute a utility, so it refreshes the
+/// stale slots before it reads the cache (`engine/eviction.rs`). Every read
+/// and write marks, so a mark touches nothing the request does not touch
+/// anyway: the entry itself, and one bit per group of slots in the server
+/// struct, which tells the refresh where to look without visiting every
+/// entry.
 #[derive(Debug, Clone)]
 pub struct ServerState {
     machine: MachineId,
     capacity: usize,
     window_slots: usize,
     slots: Vec<Option<SlotEntry>>,
+    /// The cached utility of the replica in each slot; `INFINITY` (never a
+    /// victim) for free slots.
+    utilities: Vec<f64>,
+    /// Bit `g`: an entry among slots `g << stale_shift .. (g + 1) <<
+    /// stale_shift` may be marked stale. (A clear bit means none is.)
+    stale_groups: u64,
+    stale_shift: u32,
     free: Vec<u32>,
     user_slot: SlotIndex,
     len: usize,
@@ -168,6 +196,9 @@ impl ServerState {
             capacity,
             window_slots,
             slots: (0..capacity).map(|_| None).collect(),
+            utilities: vec![f64::INFINITY; capacity],
+            stale_groups: 0,
+            stale_shift: group_shift(capacity),
             free: (0..capacity as u32).rev().collect(),
             user_slot: SlotIndex::with_capacity(capacity),
             len: 0,
@@ -209,6 +240,11 @@ impl ServerState {
         }
     }
 
+    /// The bit of `stale_groups` that covers `slot`.
+    fn group_bit(&self, slot: usize) -> u64 {
+        1 << (slot >> self.stale_shift)
+    }
+
     fn slot_of(&self, view: UserId) -> Option<usize> {
         self.user_slot.get(view.index()).map(|slot| slot as usize)
     }
@@ -232,13 +268,22 @@ impl ServerState {
             Some(slot) => slot as usize,
             None => {
                 self.slots.push(None);
+                self.utilities.push(f64::INFINITY);
+                let shift = group_shift(self.slots.len());
+                if shift != self.stale_shift {
+                    // Wider groups: any of them may hold a marked entry.
+                    self.stale_shift = shift;
+                    self.stale_groups = u64::MAX;
+                }
                 self.slots.len() - 1
             }
         };
         self.slots[slot] = Some(SlotEntry {
             view,
+            stale: true,
             stats: ReplicaStats::new(self.window_slots),
         });
+        self.stale_groups |= self.group_bit(slot);
         self.user_slot.insert(view.index(), slot as u32);
         self.len += 1;
         true
@@ -249,8 +294,10 @@ impl ServerState {
         let Some(slot) = self.user_slot.remove(view.index()) else {
             return false;
         };
-        self.slots[slot as usize] = None;
-        self.free.push(slot);
+        let slot = slot as usize;
+        self.slots[slot] = None;
+        self.utilities[slot] = f64::INFINITY;
+        self.free.push(slot as u32);
         self.len -= 1;
         true
     }
@@ -262,10 +309,111 @@ impl ServerState {
             .map(|entry| &entry.stats)
     }
 
-    /// Mutable statistics of the replica of `view`, if stored here.
+    /// Mutable statistics of the replica of `view`, if stored here. The
+    /// replica's cached utility goes stale: the caller is about to change
+    /// what it was computed from.
     pub fn stats_mut(&mut self, view: UserId) -> Option<&mut ReplicaStats> {
         let slot = self.slot_of(view)?;
-        self.slots[slot].as_mut().map(|entry| &mut entry.stats)
+        self.stale_groups |= self.group_bit(slot);
+        let entry = self.slots[slot].as_mut()?;
+        entry.stale = true;
+        Some(&mut entry.stats)
+    }
+
+    /// Marks the cached utility of the replica of `view` (if stored here)
+    /// out of date: something outside this server that it depends on moved —
+    /// the view's replica set or its write proxy.
+    pub(crate) fn mark_stale(&mut self, view: UserId) {
+        self.stats_mut(view);
+    }
+
+    /// Marks every cached utility out of date.
+    pub(crate) fn mark_all_stale(&mut self) {
+        for entry in self.slots.iter_mut().flatten() {
+            entry.stale = true;
+        }
+        self.stale_groups = u64::MAX;
+    }
+
+    /// A slab slot whose cached utility is out of date, if any is left.
+    pub(crate) fn next_stale_slot(&mut self) -> Option<usize> {
+        while self.stale_groups != 0 {
+            let group = self.stale_groups.trailing_zeros() as usize;
+            let start = (group << self.stale_shift).min(self.slots.len());
+            let end = (start + (1 << self.stale_shift)).min(self.slots.len());
+            let marked = |entry: &Option<SlotEntry>| entry.as_ref().is_some_and(|e| e.stale);
+            if let Some(offset) = self.slots[start..end].iter().position(marked) {
+                return Some(start + offset);
+            }
+            self.stale_groups &= !(1 << group);
+        }
+        None
+    }
+
+    /// The view stored in slab slot `slot` and its statistics.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free (free slots are never marked stale and
+    /// cache an infinite utility, so no scan of the cache leads to one).
+    pub(crate) fn replica_at(&self, slot: usize) -> (UserId, &ReplicaStats) {
+        let entry = self.slots[slot].as_ref().expect("an occupied slot");
+        (entry.view, &entry.stats)
+    }
+
+    /// Stores the freshly computed utility of the replica in `slot`.
+    pub(crate) fn store_utility(&mut self, slot: usize, utility: f64) {
+        self.slots[slot].as_mut().expect("an occupied slot").stale = false;
+        self.utilities[slot] = utility;
+    }
+
+    fn has_stale_utilities(&self) -> bool {
+        self.slots.iter().flatten().any(|entry| entry.stale)
+    }
+
+    /// The stored views and their cached utilities, in slot order. Every
+    /// utility must have been refreshed.
+    pub(crate) fn cached_utilities(&self) -> impl Iterator<Item = (UserId, f64)> + '_ {
+        debug_assert!(!self.has_stale_utilities(), "stale utilities read");
+        self.slots
+            .iter()
+            .zip(&self.utilities)
+            .filter_map(|(entry, &utility)| entry.as_ref().map(|e| (e.view, utility)))
+    }
+
+    /// The stored views whose cached utility is below `limit`, in slot
+    /// order. Every utility must have been refreshed.
+    pub(crate) fn views_with_utility_below(&self, limit: f64) -> impl Iterator<Item = UserId> + '_ {
+        debug_assert!(!self.has_stale_utilities(), "stale utilities read");
+        // Only the (contiguous) utilities are scanned; a slot's entry is
+        // touched when it matches. Free slots are infinitely useful.
+        self.utilities
+            .iter()
+            .enumerate()
+            .filter(move |&(_, &utility)| utility < limit)
+            .map(|(slot, _)| self.replica_at(slot).0)
+    }
+
+    /// The stored view of the lowest finite cached utility (sole replicas
+    /// are infinitely useful), ties broken by [`UserId`] so the choice is
+    /// independent of slot layout. Every utility must have been refreshed.
+    pub(crate) fn lowest_utility_view(&self) -> Option<UserId> {
+        debug_assert!(!self.has_stale_utilities(), "stale utilities read");
+        let mut lowest = f64::INFINITY;
+        for &utility in &self.utilities {
+            if utility < lowest {
+                lowest = utility;
+            }
+        }
+        if lowest == f64::INFINITY {
+            return None;
+        }
+        self.utilities
+            .iter()
+            .enumerate()
+            .filter(|&(_, &utility)| utility == lowest)
+            .map(|(slot, _)| self.replica_at(slot).0)
+            .min()
     }
 
     /// Iterates over the stored views and their statistics, in slot order.
@@ -291,10 +439,16 @@ impl ServerState {
         self.views().map(|(view, _)| view).collect()
     }
 
-    /// Rotates the access counters of every stored replica.
+    /// Rotates the access counters of every stored replica. The cached
+    /// utility of a replica goes stale if a period with traffic expired.
     pub fn rotate_counters(&mut self) {
-        for entry in self.slots.iter_mut().flatten() {
-            entry.stats.rotate();
+        for (slot, entry) in self.slots.iter_mut().enumerate() {
+            if let Some(entry) = entry {
+                if entry.stats.rotate() {
+                    entry.stale = true;
+                    self.stale_groups |= 1 << (slot >> self.stale_shift);
+                }
+            }
         }
     }
 
@@ -318,19 +472,13 @@ impl ServerState {
     pub fn clear(&mut self) {
         let capacity = self.capacity;
         self.slots = (0..capacity).map(|_| None).collect();
+        self.utilities = vec![f64::INFINITY; capacity];
+        self.stale_groups = 0;
+        self.stale_shift = group_shift(capacity);
         self.free = (0..capacity as u32).rev().collect();
         self.user_slot.clear();
         self.len = 0;
         self.admission_threshold = 0.0;
-    }
-
-    /// Updates the admission threshold from the utilities of the views
-    /// currently stored: the threshold is chosen so that `fill_target` of
-    /// the memory is occupied by views whose utility is above it, and 0 if
-    /// less memory than that is used.
-    pub fn update_admission_threshold(&mut self, mut utilities: Vec<f64>, fill_target: f64) {
-        self.admission_threshold =
-            admission_threshold_from_utilities(&mut utilities, self.capacity, fill_target);
     }
 }
 
@@ -517,35 +665,147 @@ mod tests {
 
     #[test]
     fn admission_threshold_protects_the_fill_target() {
-        let mut s = server(10);
-        // 9 views stored with utilities 1..=9; fill target 0.9 → protect 9
+        // 9 utilities 1..=9 on a 10-slot server; fill target 0.9 → protect 9
         // views → threshold = 9th highest utility = 1.
-        let utilities: Vec<f64> = (1..=9).map(|v| v as f64).collect();
-        for i in 0..9 {
-            s.insert(UserId::new(i));
-        }
-        s.update_admission_threshold(utilities, 0.9);
-        assert!((s.admission_threshold() - 1.0).abs() < 1e-12);
-
-        // With fewer views than the protected amount the threshold is 0.
-        s.update_admission_threshold(vec![5.0, 6.0], 0.9);
-        assert_eq!(s.admission_threshold(), 0.0);
-
-        // Infinite utilities (sole replicas) never become the threshold.
-        s.update_admission_threshold(vec![f64::INFINITY; 9], 0.9);
-        assert_eq!(s.admission_threshold(), 0.0);
-
-        // Negative thresholds are clamped to zero.
-        s.update_admission_threshold(vec![-5.0; 9], 0.9);
-        assert_eq!(s.admission_threshold(), 0.0);
-
-        // The scratch-buffer form matches the owned form.
-        let mut scratch = vec![3.0, 1.0, 2.0, 9.0, 4.0, 5.0, 6.0, 7.0, 8.0];
+        let mut utilities = vec![3.0, 1.0, 2.0, 9.0, 4.0, 5.0, 6.0, 7.0, 8.0];
         assert_eq!(
-            admission_threshold_from_utilities(&mut scratch, 10, 0.9),
+            admission_threshold_from_utilities(&mut utilities, 10, 0.9),
             1.0
         );
+        // With fewer views than the protected amount the threshold is 0.
+        assert_eq!(
+            admission_threshold_from_utilities(&mut [5.0, 6.0], 10, 0.9),
+            0.0
+        );
+        // Infinite utilities (sole replicas) never become the threshold.
+        assert_eq!(
+            admission_threshold_from_utilities(&mut [f64::INFINITY; 9], 10, 0.9),
+            0.0
+        );
+        // Negative thresholds are clamped to zero.
+        assert_eq!(
+            admission_threshold_from_utilities(&mut [-5.0; 9], 10, 0.9),
+            0.0
+        );
+        let mut s = server(10);
         s.set_admission_threshold(2.5);
         assert_eq!(s.admission_threshold(), 2.5);
+    }
+
+    /// Refreshes every stale slot with `utility(view)`, as the engine does.
+    fn refresh(s: &mut ServerState, utility: impl Fn(UserId) -> f64) -> Vec<UserId> {
+        let mut refreshed = Vec::new();
+        while let Some(slot) = s.next_stale_slot() {
+            let view = s.replica_at(slot).0;
+            s.store_utility(slot, utility(view));
+            refreshed.push(view);
+        }
+        assert!(!s.has_stale_utilities());
+        refreshed
+    }
+
+    #[test]
+    fn cached_utilities_go_stale_exactly_when_their_inputs_move() {
+        let id = UserId::new;
+        let mut s = server(4);
+        for v in [5, 6, 7] {
+            s.insert(id(v));
+        }
+        // New replicas start stale.
+        assert!(s.has_stale_utilities());
+        assert_eq!(
+            refresh(&mut s, |v| v.index() as f64),
+            vec![id(5), id(6), id(7)]
+        );
+        assert_eq!(
+            s.cached_utilities().collect::<Vec<_>>(),
+            vec![(id(5), 5.0), (id(6), 6.0), (id(7), 7.0)]
+        );
+        // Reading statistics keeps the cache; touching them does not.
+        assert!(s.stats(id(6)).is_some());
+        assert!(!s.has_stale_utilities());
+        s.stats_mut(id(6)).unwrap().record_write();
+        s.stats_mut(id(6)).unwrap().record_write();
+        s.mark_stale(id(7));
+        s.mark_stale(id(99));
+        assert_eq!(refresh(&mut s, |_| 1.5), vec![id(6), id(7)]);
+        // Removing a stale replica takes its mark along; the freed slot is
+        // never a victim and its next tenant starts stale.
+        s.mark_stale(id(5));
+        s.remove(id(5));
+        assert!(!s.has_stale_utilities());
+        assert_eq!(s.cached_utilities().count(), 2);
+        s.insert(id(8));
+        assert_eq!(refresh(&mut s, |_| 0.5), vec![id(8)]);
+        // A rotation reaches the replicas that lose traffic with it (view
+        // 6's writes leave the 4-period window on the fourth), the engine's
+        // wholesale mark every replica.
+        for _ in 0..3 {
+            s.rotate_counters();
+            assert!(!s.has_stale_utilities());
+        }
+        s.rotate_counters();
+        assert_eq!(refresh(&mut s, |_| 2.0), vec![id(6)]);
+        s.mark_all_stale();
+        assert_eq!(refresh(&mut s, |_| 2.0).len(), 3);
+        // Slab growth and a crash keep the cache in step with the slots.
+        s.insert(id(1));
+        s.insert(id(2));
+        assert_eq!(refresh(&mut s, |_| 3.0), vec![id(1), id(2)]);
+        s.mark_stale(id(2));
+        s.clear();
+        assert!(!s.has_stale_utilities());
+        assert_eq!(s.lowest_utility_view(), None);
+    }
+
+    #[test]
+    fn stale_marks_are_found_in_slabs_of_any_size() {
+        let id = |v: usize| UserId::new(v as u32);
+        // One slot per group, several, and slabs that outgrow their groups.
+        for capacity in [1usize, 64, 65, 130, 1000] {
+            let mut s = server(capacity);
+            let views = capacity + 70;
+            for v in 0..views {
+                s.insert(id(v));
+            }
+            assert_eq!(refresh(&mut s, |_| 1.0).len(), views);
+            let marked: Vec<UserId> = (0..views).step_by(7).map(id).collect();
+            for &v in &marked {
+                s.mark_stale(v);
+            }
+            // A marked replica that leaves takes its mark along.
+            s.remove(marked[1]);
+            let mut expected = marked.clone();
+            expected.remove(1);
+            let mut found = refresh(&mut s, |_| 2.0);
+            found.sort_unstable();
+            assert_eq!(found, expected, "capacity {capacity}");
+            assert_eq!(s.next_stale_slot(), None);
+        }
+    }
+
+    #[test]
+    fn lowest_utility_view_skips_infinite_and_breaks_ties_by_id() {
+        let id = UserId::new;
+        let mut s = server(6);
+        for v in [40, 10, 30, 20, 50] {
+            s.insert(id(v));
+        }
+        s.remove(id(50));
+        refresh(&mut s, |v| match v.index() {
+            40 => -2.0,
+            10 => f64::INFINITY,
+            30 => -2.0,
+            _ => 7.0,
+        });
+        // 40 sits in the earlier slot; the tie goes to the smaller id.
+        assert_eq!(s.lowest_utility_view(), Some(id(30)));
+        s.remove(id(30));
+        assert_eq!(s.lowest_utility_view(), Some(id(40)));
+        s.remove(id(40));
+        assert_eq!(s.lowest_utility_view(), Some(id(20)));
+        s.remove(id(20));
+        // Only a sole replica is left: nothing to evict.
+        assert_eq!(s.lowest_utility_view(), None);
     }
 }

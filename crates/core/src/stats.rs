@@ -118,12 +118,17 @@ impl ReplicaStats {
         self.write_total += 1;
     }
 
-    /// Rotates every counter to the next period.
-    pub fn rotate(&mut self) {
+    /// Rotates every counter to the next period. Returns whether the
+    /// expired period held any traffic, i.e. whether a window total — and
+    /// with it anything computed from [`reads`](ReplicaStats::reads) and
+    /// [`total_writes`](ReplicaStats::total_writes) — changed.
+    pub fn rotate(&mut self) -> bool {
         let slots = self.window_slots;
         self.current = (self.current + 1) % slots;
         let current = self.current;
-        self.write_total -= std::mem::take(&mut self.cells[current]);
+        let expired_writes = std::mem::take(&mut self.cells[current]);
+        self.write_total -= expired_writes;
+        let mut changed = expired_writes > 0;
         // Expire the oldest period of every origin and, in the same pass,
         // drop origins that have gone completely quiet (compacting their
         // rings away) to keep the list small.
@@ -131,7 +136,9 @@ impl ReplicaStats {
         for i in 0..self.origins.len() {
             let start = self.ring_start(1 + i);
             let (origin, total) = self.origins[i];
-            let total = total - std::mem::take(&mut self.cells[start + current]);
+            let expired = std::mem::take(&mut self.cells[start + current]);
+            changed |= expired > 0;
+            let total = total - expired;
             if total == 0 {
                 continue;
             }
@@ -144,6 +151,7 @@ impl ReplicaStats {
         }
         self.origins.truncate(kept);
         self.cells.truncate(self.ring_start(1 + kept));
+        changed
     }
 
     /// Iterates over `(origin, reads in window)` pairs with a non-zero
@@ -276,7 +284,10 @@ mod tests {
                     assert_eq!(stats.take_origin(origin), expected, "step {step}");
                 }
                 _ => {
-                    stats.rotate();
+                    let before = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
+                    let changed = stats.rotate();
+                    let after = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
+                    assert_eq!(changed, before != after, "step {step}");
                     writes.rotate();
                     reads.values_mut().for_each(RotatingCounter::rotate);
                     reads.retain(|_, c| !c.is_idle());
