@@ -45,7 +45,8 @@
 //! measuring, the binary reads the committed snapshot at `PATH` and exits
 //! nonzero if `read.reqs_per_sec`, `write.reqs_per_sec` or
 //! `read_accounted.reqs_per_sec` dropped more than `--tolerance` (default
-//! 0.30, i.e. 30%) below it. CI runs `--quick --check-against
+//! 0.30, i.e. 30%) below it, or if `stats_bytes_per_replica` rose more than
+//! that above it. CI runs `--quick --check-against
 //! BENCH_hotpath_quick.json` (the quick-scale snapshot, so the comparison
 //! is same-scale) so hot-path regressions fail the pipeline.
 //!
@@ -62,6 +63,13 @@
 //! cheaper), and the wall time of one maintenance tick on a copy of the
 //! engine as the phase left it (`tick_ms`: counter rotation, threshold
 //! refresh and eviction sweep over every server).
+//!
+//! `stats_bytes_per_replica` is the heap the engine's access statistics
+//! hold per replica when the read phase ends
+//! ([`DynaSoReEngine::stats_heap_bytes`]; a count, identical on every run
+//! of one build), `peak_rss_mb` the process's peak resident set (`VmHWM`)
+//! after the engine phases — four engines at that point: the measured one
+//! and the copies the other phases start from.
 //!
 //! The `durable` phase writes small fixed-size payloads through a
 //! [`ShardedLogStore`] (group commit plus the pipelined background flusher,
@@ -214,6 +222,26 @@ fn tick_ms(engine: &DynaSoReEngine) -> f64 {
     start.elapsed().as_secs_f64() * 1e3
 }
 
+/// Heap bytes of access statistics per replica `engine` holds.
+fn stats_bytes_per_replica(engine: &DynaSoReEngine, graph: &SocialGraph) -> f64 {
+    let replicas: usize = graph
+        .users()
+        .map(|user| engine.replica_servers(user).len())
+        .sum();
+    engine.stats_heap_bytes() as f64 / replicas.max(1) as f64
+}
+
+/// The process's peak resident set in MiB (`VmHWM`), 0 where `/proc` does
+/// not report it.
+fn peak_rss_mb() -> f64 {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok());
+    kb.unwrap_or(0.0) / 1024.0
+}
+
 /// Buffers one request's messages, as the `Vec<Message>` sink of the other
 /// phases does, and counts the evictions the engine traces.
 #[derive(Default)]
@@ -358,6 +386,7 @@ fn main() {
     let read_secs = read_start.elapsed().as_secs_f64();
     let read_evictions = read_sink.evictions;
     let read_tick_ms = tick_ms(&engine);
+    let stats_bytes = stats_bytes_per_replica(&engine, &graph);
 
     // Snapshot for the parallel phase below: the same writes as the serial
     // write phase, from the same starting state, so the two rates — and
@@ -466,6 +495,7 @@ fn main() {
     let accounted_messages = accounted.messages;
     let accounted_evictions = accounted.evictions;
     let accounted_tick_ms = tick_ms(&accounted_engine);
+    let peak_rss = peak_rss_mb();
     // Phase wall time per eviction; 0 when the phase evicted nothing.
     let ns_per_eviction = |secs: f64, evictions: u64| match evictions {
         0 => 0.0,
@@ -596,6 +626,8 @@ fn main() {
             "  \"quick\": {quick},\n",
             "  \"setup_secs\": {setup:.3},\n",
             "  \"warmup_secs\": {warmup:.3},\n",
+            "  \"stats_bytes_per_replica\": {stats_bytes:.1},\n",
+            "  \"peak_rss_mb\": {peak_rss:.1},\n",
             "  \"read\": {{\n",
             "    \"reqs_per_sec\": {rps:.0},\n",
             "    \"views_per_sec\": {rvps:.0},\n",
@@ -645,6 +677,8 @@ fn main() {
         parallel_block = parallel_block,
         setup = setup_secs,
         warmup = warmup_secs,
+        stats_bytes = stats_bytes,
+        peak_rss = peak_rss,
         rps = reads_per_sec,
         rvps = read_views as f64 / read_secs,
         rnspv = read_ns_per_view,
@@ -710,6 +744,7 @@ fn main() {
             accounted_reads_per_sec,
             durable_per_sec,
             parallel.as_ref().map(|(pps, _, _, _)| *pps),
+            stats_bytes,
             opts.tolerance,
         );
     }
@@ -769,9 +804,13 @@ fn parallel_json_block(
 
 fn snapshot_reqs_per_sec(json: &str, section: &str) -> Option<f64> {
     let start = json.find(&format!("\"{section}\""))?;
-    let rest = &json[start..];
-    let key = rest.find("\"reqs_per_sec\"")?;
-    let after = &rest[key + "\"reqs_per_sec\"".len()..];
+    snapshot_number(&json[start..], "reqs_per_sec")
+}
+
+/// The number that follows the first `"key":` in `json`.
+fn snapshot_number(json: &str, key: &str) -> Option<f64> {
+    let quoted = format!("\"{key}\"");
+    let after = &json[json.find(&quoted)? + quoted.len()..];
     let colon = after.find(':')?;
     let value = after[colon + 1..]
         .trim_start()
@@ -782,8 +821,10 @@ fn snapshot_reqs_per_sec(json: &str, section: &str) -> Option<f64> {
 }
 
 /// The regression guard: fails the process when any measured rate drops
-/// more than `tolerance` below the committed snapshot. The accounted-read
-/// check is skipped for snapshots predating that section.
+/// more than `tolerance` below the committed snapshot, or the statistics'
+/// heap per replica rises more than `tolerance` above it. A check is
+/// skipped for snapshots predating its field.
+#[allow(clippy::too_many_arguments)]
 fn check_against_snapshot(
     path: &str,
     reads_per_sec: f64,
@@ -791,6 +832,7 @@ fn check_against_snapshot(
     accounted_reads_per_sec: f64,
     durable_per_sec: f64,
     parallel_per_sec: Option<f64>,
+    stats_bytes_per_replica: f64,
     tolerance: f64,
 ) {
     let snapshot = match std::fs::read_to_string(path) {
@@ -807,12 +849,16 @@ fn check_against_snapshot(
         eprintln!("# regression guard: snapshot {path} has no reqs_per_sec fields");
         std::process::exit(2);
     };
+    // `(name, measured, snapshot, what may not be crossed)`: a rate has a
+    // floor below its snapshot, the statistics' memory a ceiling above it.
+    let (floor, ceiling) = (1.0 - tolerance, 1.0 + tolerance);
     let mut checks = vec![
-        ("read", reads_per_sec, snap_read),
-        ("write", writes_per_sec, snap_write),
+        ("read/s", reads_per_sec, snap_read, floor),
+        ("write/s", writes_per_sec, snap_write, floor),
     ];
     if let Some(snap_accounted) = snapshot_reqs_per_sec(&snapshot, "read_accounted") {
-        checks.push(("read_accounted", accounted_reads_per_sec, snap_accounted));
+        let measured = accounted_reads_per_sec;
+        checks.push(("read_accounted/s", measured, snap_accounted, floor));
     } else {
         eprintln!("# regression guard: snapshot {path} predates read_accounted; skipping it");
     }
@@ -820,7 +866,7 @@ fn check_against_snapshot(
     // "durable_single_sync" section. The single-sync phase itself is not
     // guarded: a few thousand fsyncs is too noisy a sample.
     if let Some(snap_durable) = snapshot_reqs_per_sec(&snapshot, "durable") {
-        checks.push(("durable", durable_per_sec, snap_durable));
+        checks.push(("durable/s", durable_per_sec, snap_durable, floor));
     } else {
         eprintln!("# regression guard: snapshot {path} predates durable; skipping it");
     }
@@ -830,30 +876,36 @@ fn check_against_snapshot(
         parallel_per_sec,
         snapshot_reqs_per_sec(&snapshot, "parallel"),
     ) {
-        (Some(measured), Some(snap)) => checks.push(("parallel", measured, snap)),
+        (Some(measured), Some(snap)) => checks.push(("parallel/s", measured, snap, floor)),
         (Some(_), None) => {
             eprintln!("# regression guard: snapshot {path} predates parallel; skipping it");
         }
         (None, _) => {}
     }
-    let floor = 1.0 - tolerance;
+    let name = "stats_bytes_per_replica";
+    if let Some(snap) = snapshot_number(&snapshot, name) {
+        checks.push((name, stats_bytes_per_replica, snap, ceiling));
+    } else {
+        eprintln!("# regression guard: snapshot {path} predates {name}; skipping it");
+    }
     let mut failed = false;
-    for (name, measured, snap) in checks {
+    for (name, measured, snap, limit) in checks {
         let ratio = if snap > 0.0 { measured / snap } else { 1.0 };
-        let verdict = if ratio < floor {
-            failed = true;
-            "FAIL"
+        let crossed = if limit < 1.0 {
+            ratio < limit
         } else {
-            "ok"
+            ratio > limit
         };
+        failed |= crossed;
+        let verdict = if crossed { "FAIL" } else { "ok" };
         eprintln!(
-            "# regression guard [{verdict}]: {name} {measured:.0}/s vs snapshot {snap:.0}/s \
-             (ratio {ratio:.2}, floor {floor:.2})"
+            "# regression guard [{verdict}]: {name} {measured:.0} vs snapshot {snap:.0} \
+             (ratio {ratio:.2}, limit {limit:.2})"
         );
     }
     if failed {
         eprintln!(
-            "# regression guard: hot-path throughput regressed more than {:.0}% below {path}",
+            "# regression guard: the hot path regressed more than {:.0}% against {path}",
             tolerance * 100.0
         );
         std::process::exit(1);
@@ -874,6 +926,20 @@ mod tests {
         assert_eq!(effective_threads(4, 1_000, 1_000), 1);
         // Degenerate empty phase keeps the requested count.
         assert_eq!(effective_threads(4, 0, 0), 4);
+    }
+
+    #[test]
+    fn snapshot_fields_are_found_by_section_and_by_key() {
+        let json = "{\n  \"stats_bytes_per_replica\": 301.5,\n  \"read\": {\n    \
+                    \"reqs_per_sec\": 10,\n    \"messages\": 3\n  },\n  \"write\": {\n    \
+                    \"reqs_per_sec\": 20\n  }\n}\n";
+        assert_eq!(
+            snapshot_number(json, "stats_bytes_per_replica"),
+            Some(301.5)
+        );
+        assert_eq!(snapshot_reqs_per_sec(json, "read"), Some(10.0));
+        assert_eq!(snapshot_reqs_per_sec(json, "write"), Some(20.0));
+        assert_eq!(snapshot_number(json, "peak_rss_mb"), None);
     }
 
     #[test]

@@ -2,6 +2,8 @@
 
 use dynasore_types::{Error, MemoryBudget, Result};
 
+use crate::stats::MAX_WINDOW_SLOTS;
+
 /// How the views are laid out before DynaSoRe starts reacting to traffic
 /// (§4.4, *Initial data placement*).
 ///
@@ -52,7 +54,7 @@ pub struct DynaSoReConfig {
     /// Cluster-wide memory budget (number of views plus *x%* extra memory).
     pub budget: MemoryBudget,
     /// Number of periods in the rotating access-statistics window
-    /// (24 one-hour slots in §4.3).
+    /// (24 one-hour slots in §4.3), at most [`MAX_WINDOW_SLOTS`].
     pub counter_slots: usize,
     /// Fraction of a server's memory that should be occupied by views whose
     /// utility exceeds the admission threshold (0.9 in §3.2, *Replication of
@@ -95,10 +97,12 @@ impl DynaSoReConfig {
     ///
     /// Returns [`Error::InvalidConfig`] if any fraction is outside `(0, 1]`,
     /// the eviction target is not below the eviction threshold, or the
-    /// counter window is empty.
+    /// counter window is empty or longer than the statistics can keep apart.
     pub fn validate(&self) -> Result<()> {
-        if self.counter_slots == 0 {
-            return Err(Error::invalid_config("counter_slots must be positive"));
+        if !(1..=MAX_WINDOW_SLOTS).contains(&self.counter_slots) {
+            return Err(Error::invalid_config(format!(
+                "counter_slots must be in 1..={MAX_WINDOW_SLOTS}"
+            )));
         }
         for (name, value) in [
             ("admission_fill_target", self.admission_fill_target),
@@ -141,6 +145,12 @@ mod tests {
         let budget = MemoryBudget::exact(10);
         let mut c = DynaSoReConfig::new(budget);
         c.counter_slots = 0;
+        assert!(c.validate().is_err());
+        // One period label per slot: the limit passes, one past it would
+        // make periods alias.
+        c.counter_slots = MAX_WINDOW_SLOTS;
+        assert!(c.validate().is_ok());
+        c.counter_slots = MAX_WINDOW_SLOTS + 1;
         assert!(c.validate().is_err());
 
         let mut c = DynaSoReConfig::new(budget);

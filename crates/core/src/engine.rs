@@ -613,6 +613,16 @@ impl DynaSoReEngine {
         self.servers.first().map(ServerState::capacity).unwrap_or(0)
     }
 
+    /// Bytes of heap held by the access statistics of all replicas
+    /// (allocated capacity; the fixed per-slot part is not included).
+    pub fn stats_heap_bytes(&self) -> usize {
+        self.servers
+            .iter()
+            .flat_map(ServerState::views)
+            .map(|(_, stats)| stats.heap_bytes())
+            .sum()
+    }
+
     /// Total reads recorded in the current statistics window across all
     /// replicas of `user`'s view. Used by the flash-event experiment to
     /// report reads per replica.

@@ -430,3 +430,36 @@ fn linear_evaluation_replays_the_reference_run_exactly() {
         );
     }
 }
+
+/// The statistics' heap follows the traffic in the window — origin keys and
+/// non-zero period counters — and not window × origins, which a dense ring
+/// per origin would cost.
+#[test]
+fn statistics_heap_is_proportional_to_the_traffic_in_the_window() {
+    let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+    let mut engine = test_engine(&graph, &test_topology(false), 40);
+    let mut out = seeded_run(&mut engine, &graph, false).0;
+    // Quiet hours: most of the busy run leaves the window, a few reads per
+    // period enter it.
+    for hour in 0..20u32 {
+        for user in (0..8).map(|i| UserId::new((hour * 8 + i) % USERS as u32)) {
+            engine.handle_read(user, graph.followees(user), SimTime::ZERO, &mut out);
+        }
+        engine.on_tick(SimTime::ZERO, &mut out);
+    }
+    let (mut replicas, mut origins, mut cells) = (0, 0, 0);
+    for (_, stats) in engine.servers.iter().flat_map(ServerState::views) {
+        replicas += 1;
+        origins += stats.reads().count();
+        cells += stats.cell_count();
+    }
+    assert!(origins > 0 && cells > origins, "the run left no statistics");
+    // `slack` is the capacity the vectors may hold beyond their length.
+    let slack = 4;
+    let bound = slack * (16 * origins + 8 * cells);
+    assert!(engine.stats_heap_bytes() <= bound);
+    // A ring of period counters for the writes and for each origin of every
+    // replica would not pass.
+    let dense = 8 * engine.config.counter_slots * (replicas + origins);
+    assert!(bound < dense, "{bound} bounds nothing: rings cost {dense}");
+}

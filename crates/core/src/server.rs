@@ -131,7 +131,8 @@ impl SlotIndex {
 struct SlotEntry {
     view: UserId,
     /// The utility cached for this slot is out of date. (Fits the padding
-    /// after `view`: the entry stays 80 bytes.)
+    /// after `view`: the entry is 80 bytes, 72 of them the statistics'
+    /// header; period counters live on the heap, only where traffic is.)
     stale: bool,
     stats: ReplicaStats,
 }

@@ -9,51 +9,103 @@
 
 use dynasore_types::SubtreeId;
 
-/// Access statistics of one replica of one view on one server: one rotating
-/// window of period counters (see
-/// [`RotatingCounter`](crate::RotatingCounter) for the semantics of a single
-/// ring) for the writes and one per read origin.
+/// The longest statistics window, in periods, that a replica can keep apart:
+/// every [`Cell`] labels its period in one byte.
+pub const MAX_WINDOW_SLOTS: usize = 1 << u8::BITS;
+
+/// The `kind` of a cell that counts writes; read cells carry the kind of
+/// their origin (see [`source_of`]).
+const WRITES: u8 = 0;
+
+/// What a read cell of `origin` carries as `(kind, index)`.
+fn source_of(origin: SubtreeId) -> (u8, u32) {
+    match origin {
+        SubtreeId::Root => (1, 0),
+        SubtreeId::Intermediate(i) => (2, i),
+        SubtreeId::Rack(r) => (3, r),
+        SubtreeId::Machine(m) => (4, m),
+    }
+}
+
+/// One non-zero period counter: what `(kind, index)` names — the writes or
+/// one read origin — was counted `count` times during the period labelled
+/// `period`. Eight bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Cell {
+    index: u32,
+    kind: u8,
+    period: u8,
+    count: u16,
+}
+
+impl Cell {
+    fn counts(&self, source: (u8, u32)) -> bool {
+        (self.kind, self.index) == source
+    }
+}
+
+/// Gives back the capacity a burst left behind, so that the heap of a
+/// replica follows the traffic in its window: at most four times its
+/// length (or the four elements a `Vec` starts with), nothing once empty.
+fn release_slack<T>(list: &mut Vec<T>) {
+    if list.capacity() > 4 * list.len() {
+        list.shrink_to(2 * list.len());
+    }
+}
+
+/// Access statistics of one replica of one view on one server: the writes
+/// and the reads of each origin over a rotating window of periods, every
+/// count behaving like its own [`RotatingCounter`](crate::RotatingCounter)
+/// (the specification of a single ring), quiet origins forgotten.
 ///
-/// All rings of a replica rotate together, so they share one `current`
-/// period and live in one contiguous buffer (`cells`: ring 0 counts writes,
-/// ring `1 + i` the reads of `origins[i]`) instead of one heap allocation
-/// per ring. The window totals sit next to the origin keys in `origins` — a
-/// `Vec` sorted by [`SubtreeId`], a server observes at most a handful of
-/// coarse origins — so the per-read evaluation iterates 16 bytes per origin
-/// and never touches the rings. Recording a read from an already-seen
-/// origin touches existing memory only; a *new* origin (a state transition,
-/// not steady state) inserts a ring.
+/// The window is stored sparsely, sized by the traffic in it instead of by
+/// periods × origins. The window totals sit next to the origin keys in
+/// `origins` — a `Vec` sorted by [`SubtreeId`], a server observes at most a
+/// handful of coarse origins — so the per-read evaluation iterates 16 bytes
+/// per origin and touches nothing else. Only the *non-zero* period counters
+/// exist, as [`Cell`]s in `cells`, oldest period first: all counters of a
+/// replica rotate together and cells are only ever appended for the current
+/// period, so the current period's cells are the tail (where a read finds
+/// its own among at most one per origin) and an expiring period is a
+/// prefix. A count that outgrows a cell continues in a further cell of the
+/// same origin and period, so totals are exact. The current period's writes
+/// are counted in `current_writes` and become cells when the period ends: a
+/// write never searches.
+///
+/// Recording traffic that the current period has already seen touches
+/// existing memory only; the first read of an origin in a period appends a
+/// cell, a *new* origin also inserts its 16-byte key, and statistics
+/// without traffic own no heap at all.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplicaStats {
-    window_slots: usize,
-    current: usize,
     origins: Vec<(SubtreeId, u64)>,
+    cells: Vec<Cell>,
     write_total: u64,
-    cells: Vec<u64>,
+    current_writes: u64,
+    window_slots: u16,
+    /// The label of the current period, in `0..window_slots`.
+    current: u8,
 }
 
 impl ReplicaStats {
     /// Creates empty statistics using a rotating window of `window_slots`
-    /// periods.
+    /// periods. Allocates nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `window_slots` is zero.
+    /// Panics if `window_slots` is zero or exceeds [`MAX_WINDOW_SLOTS`].
     pub fn new(window_slots: usize) -> Self {
         assert!(
-            window_slots > 0,
-            "a rotating counter needs at least one slot"
+            (1..=MAX_WINDOW_SLOTS).contains(&window_slots),
+            "a statistics window has 1 to {MAX_WINDOW_SLOTS} periods, not {window_slots}"
         );
-        // Room for the first origin's ring too: a replica exists because it
-        // is read, so that ring follows at once and would reallocate.
-        let mut cells = Vec::with_capacity(2 * window_slots);
-        cells.resize(window_slots, 0);
         ReplicaStats {
-            window_slots,
-            current: 0,
             origins: Vec::new(),
+            cells: Vec::new(),
             write_total: 0,
-            cells,
+            current_writes: 0,
+            window_slots: window_slots as u16,
+            current: 0,
         }
     }
 
@@ -61,9 +113,19 @@ impl ReplicaStats {
         self.origins.binary_search_by_key(&origin, |&(o, _)| o)
     }
 
-    /// Where ring `ring` starts in `cells`.
-    fn ring_start(&self, ring: usize) -> usize {
-        ring * self.window_slots
+    /// Appends `count` of `source` to the current period, in as many cells
+    /// as it takes.
+    fn push_cells(&mut self, (kind, index): (u8, u32), mut count: u64) {
+        while count > 0 {
+            let part = count.min(u64::from(u16::MAX));
+            self.cells.push(Cell {
+                index,
+                kind,
+                period: self.current,
+                count: part as u16,
+            });
+            count -= part;
+        }
     }
 
     /// Records one read arriving from `origin`.
@@ -74,7 +136,7 @@ impl ReplicaStats {
     /// Records `count` reads arriving from `origin` in one go. Used when a
     /// newly created replica inherits the read history of the origins it
     /// takes over from the source replica.
-    pub fn record_reads(&mut self, origin: SubtreeId, count: u64) {
+    pub fn record_reads(&mut self, origin: SubtreeId, mut count: u64) {
         if count == 0 {
             return;
         }
@@ -82,19 +144,24 @@ impl ReplicaStats {
             Ok(i) => i,
             Err(i) => {
                 self.origins.insert(i, (origin, 0));
-                // Open a zeroed ring at its sorted position: grow by one
-                // ring, shift the later rings up, clear the gap.
-                let (start, slots, end) =
-                    (self.ring_start(1 + i), self.window_slots, self.cells.len());
-                self.cells.resize(end + slots, 0);
-                self.cells.copy_within(start..end, start + slots);
-                self.cells[start..start + slots].fill(0);
                 i
             }
         };
         self.origins[i].1 += count;
-        let cell = self.ring_start(1 + i) + self.current;
-        self.cells[cell] += count;
+        let source = source_of(origin);
+        let period = self.current;
+        let open = self
+            .cells
+            .iter_mut()
+            .rev()
+            .take_while(|cell| cell.period == period)
+            .find(|cell| cell.counts(source) && cell.count < u16::MAX);
+        if let Some(cell) = open {
+            let part = count.min(u64::from(u16::MAX - cell.count));
+            cell.count += part as u16;
+            count -= part;
+        }
+        self.push_cells(source, count);
     }
 
     /// Removes the read history of `origin` and returns how many reads it
@@ -102,19 +169,20 @@ impl ReplicaStats {
     /// the source replica does not keep proposing new replicas for readers
     /// it no longer serves.
     pub fn take_origin(&mut self, origin: SubtreeId) -> u64 {
-        match self.origin_index(origin) {
-            Ok(i) => {
-                let start = self.ring_start(1 + i);
-                self.cells.drain(start..start + self.window_slots);
-                self.origins.remove(i).1
-            }
-            Err(_) => 0,
-        }
+        let Ok(i) = self.origin_index(origin) else {
+            return 0;
+        };
+        let source = source_of(origin);
+        self.cells.retain(|cell| !cell.counts(source));
+        release_slack(&mut self.cells);
+        let (_, reads) = self.origins.remove(i);
+        release_slack(&mut self.origins);
+        reads
     }
 
     /// Records one write (replica update).
     pub fn record_write(&mut self) {
-        self.cells[self.current] += 1;
+        self.current_writes += 1;
         self.write_total += 1;
     }
 
@@ -123,35 +191,40 @@ impl ReplicaStats {
     /// with it anything computed from [`reads`](ReplicaStats::reads) and
     /// [`total_writes`](ReplicaStats::total_writes) — changed.
     pub fn rotate(&mut self) -> bool {
-        let slots = self.window_slots;
-        self.current = (self.current + 1) % slots;
+        let writes = std::mem::take(&mut self.current_writes);
+        self.push_cells((WRITES, 0), writes);
+        self.current = ((usize::from(self.current) + 1) % usize::from(self.window_slots)) as u8;
+        // The new period reuses the label of the window's oldest one.
         let current = self.current;
-        let expired_writes = std::mem::take(&mut self.cells[current]);
-        self.write_total -= expired_writes;
-        let mut changed = expired_writes > 0;
-        // Expire the oldest period of every origin and, in the same pass,
-        // drop origins that have gone completely quiet (compacting their
-        // rings away) to keep the list small.
-        let mut kept = 0;
-        for i in 0..self.origins.len() {
-            let start = self.ring_start(1 + i);
-            let (origin, total) = self.origins[i];
-            let expired = std::mem::take(&mut self.cells[start + current]);
-            changed |= expired > 0;
-            let total = total - expired;
-            if total == 0 {
+        let expired = self
+            .cells
+            .iter()
+            .take_while(|cell| cell.period == current)
+            .count();
+        if expired == 0 {
+            return false;
+        }
+        for cell in self.cells.drain(..expired) {
+            let count = u64::from(cell.count);
+            if cell.kind == WRITES {
+                self.write_total -= count;
                 continue;
             }
-            if kept != i {
-                let dest = self.ring_start(1 + kept);
-                self.cells.copy_within(start..start + slots, dest);
+            let i = self
+                .origins
+                .iter()
+                .position(|&(origin, _)| cell.counts(source_of(origin)))
+                .expect("the origin of a cell is listed");
+            self.origins[i].1 -= count;
+            // An origin that has gone completely quiet is dropped, to keep
+            // the list small.
+            if self.origins[i].1 == 0 {
+                self.origins.remove(i);
             }
-            self.origins[kept] = (origin, total);
-            kept += 1;
         }
-        self.origins.truncate(kept);
-        self.cells.truncate(self.ring_start(1 + kept));
-        changed
+        release_slack(&mut self.cells);
+        release_slack(&mut self.origins);
+        true
     }
 
     /// Iterates over `(origin, reads in window)` pairs with a non-zero
@@ -181,6 +254,50 @@ impl ReplicaStats {
     /// Whether the replica saw no traffic at all during the window.
     pub fn is_idle(&self) -> bool {
         self.total_reads() == 0 && self.total_writes() == 0
+    }
+
+    /// Bytes of heap the statistics hold (capacity, not length).
+    pub fn heap_bytes(&self) -> usize {
+        self.origins.capacity() * std::mem::size_of::<(SubtreeId, u64)>()
+            + self.cells.capacity() * std::mem::size_of::<Cell>()
+    }
+}
+
+#[cfg(test)]
+impl ReplicaStats {
+    /// Number of stored period counters.
+    pub(crate) fn cell_count(&self) -> usize {
+        self.cells.len()
+    }
+
+    /// Panics unless the layout is what every method relies on: no empty
+    /// cell, cells ordered oldest period first, each total the sum of its
+    /// cells, and no capacity beyond what [`release_slack`] leaves.
+    fn assert_well_formed(&self) {
+        let window = usize::from(self.window_slots);
+        let age =
+            |cell: &Cell| (usize::from(self.current) + window - usize::from(cell.period)) % window;
+        assert!(self.cells.iter().all(|cell| cell.count > 0));
+        assert!(self
+            .cells
+            .iter()
+            .all(|cell| usize::from(cell.period) < window));
+        assert!(self
+            .cells
+            .windows(2)
+            .all(|pair| age(&pair[0]) >= age(&pair[1])));
+        let sum = |source| -> u64 {
+            let cells = self.cells.iter().filter(|cell| cell.counts(source));
+            cells.map(|cell| u64::from(cell.count)).sum()
+        };
+        assert_eq!(self.write_total, sum((WRITES, 0)) + self.current_writes);
+        for &(origin, reads) in &self.origins {
+            assert!(reads > 0);
+            assert_eq!(reads, sum(source_of(origin)), "{origin}");
+        }
+        assert!(self.origins.windows(2).all(|pair| pair[0].0 < pair[1].0));
+        assert!(self.cells.capacity() <= (4 * self.cells.len()).max(4));
+        assert!(self.origins.capacity() <= (4 * self.origins.len()).max(4));
     }
 }
 
@@ -240,76 +357,124 @@ mod tests {
         assert_eq!(s.reads_from(SubtreeId::Rack(9)), 0);
     }
 
-    /// The flat layout must behave exactly like the representation it
-    /// replaced: one independent [`RotatingCounter`] for the writes and one
-    /// per origin, idle origins pruned on rotation.
+    /// The sparse window must behave exactly like the representation it
+    /// stands for: one independent [`RotatingCounter`] for the writes and
+    /// one per origin, idle origins pruned on rotation.
     #[test]
-    fn flat_rings_match_one_rotating_counter_per_origin() {
+    fn sparse_window_matches_one_rotating_counter_per_origin() {
         use crate::counters::RotatingCounter;
         use std::collections::BTreeMap;
 
-        let window = 5;
         let origins = [
             SubtreeId::Root,
             SubtreeId::Intermediate(1),
             SubtreeId::Rack(0),
-            SubtreeId::Rack(7),
-            SubtreeId::Machine(3),
+            SubtreeId::Rack(1),
+            SubtreeId::Machine(0),
         ];
-        let mut stats = ReplicaStats::new(window);
-        let mut reads: BTreeMap<SubtreeId, RotatingCounter> = BTreeMap::new();
-        let mut writes = RotatingCounter::new(window);
         // A fixed seed, so the op sequence repeats exactly.
         let mut rng = proptest::TestRng::new(0x5EED);
         let mut next = move || rng.next_u64();
-        for step in 0..4_000 {
-            let origin = origins[(next() % origins.len() as u64) as usize];
-            match next() % 10 {
-                0..=4 => {
-                    let count = next() % 4;
-                    stats.record_reads(origin, count);
-                    if count > 0 {
-                        reads
-                            .entry(origin)
-                            .or_insert_with(|| RotatingCounter::new(window))
-                            .record(count);
+        for window in [1, 2, 5, 24] {
+            let mut stats = ReplicaStats::new(window);
+            let mut reads: BTreeMap<SubtreeId, RotatingCounter> = BTreeMap::new();
+            let mut writes = RotatingCounter::new(window);
+            for step in 0..4_000 {
+                let origin = origins[(next() % origins.len() as u64) as usize];
+                match next() % 10 {
+                    0..=4 => {
+                        // Mostly single digits; now and then more than one
+                        // cell holds.
+                        let count = match next() % 8 {
+                            0 => next() % (3 * u64::from(u16::MAX)),
+                            _ => next() % 4,
+                        };
+                        stats.record_reads(origin, count);
+                        if count > 0 {
+                            reads
+                                .entry(origin)
+                                .or_insert_with(|| RotatingCounter::new(window))
+                                .record(count);
+                        }
+                    }
+                    5 | 6 => {
+                        stats.record_write();
+                        writes.record(1);
+                    }
+                    7 => {
+                        let expected = reads.remove(&origin).map_or(0, |c| c.total());
+                        assert_eq!(stats.take_origin(origin), expected, "step {step}");
+                    }
+                    _ => {
+                        let before = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
+                        let changed = stats.rotate();
+                        let after = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
+                        assert_eq!(changed, before != after, "step {step}");
+                        writes.rotate();
+                        reads.values_mut().for_each(RotatingCounter::rotate);
+                        reads.retain(|_, c| !c.is_idle());
                     }
                 }
-                5 | 6 => {
-                    stats.record_write();
-                    writes.record(1);
-                }
-                7 => {
-                    let expected = reads.remove(&origin).map_or(0, |c| c.total());
-                    assert_eq!(stats.take_origin(origin), expected, "step {step}");
-                }
-                _ => {
-                    let before = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
-                    let changed = stats.rotate();
-                    let after = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
-                    assert_eq!(changed, before != after, "step {step}");
-                    writes.rotate();
-                    reads.values_mut().for_each(RotatingCounter::rotate);
-                    reads.retain(|_, c| !c.is_idle());
-                }
+                let expected: Vec<(SubtreeId, u64)> =
+                    reads.iter().map(|(&o, c)| (o, c.total())).collect();
+                assert_eq!(stats.reads().collect::<Vec<_>>(), expected, "step {step}");
+                assert_eq!(stats.total_writes(), writes.total(), "step {step}");
+                assert_eq!(
+                    stats.reads_from(origin),
+                    reads.get(&origin).map_or(0, |c| c.total())
+                );
+                stats.assert_well_formed();
             }
-            let expected: Vec<(SubtreeId, u64)> =
-                reads.iter().map(|(&o, c)| (o, c.total())).collect();
-            assert_eq!(stats.reads().collect::<Vec<_>>(), expected, "step {step}");
-            assert_eq!(stats.total_writes(), writes.total(), "step {step}");
-            assert_eq!(
-                stats.reads_from(origin),
-                reads.get(&origin).map_or(0, |c| c.total())
-            );
-            assert_eq!(stats.cells.len(), (1 + stats.origins.len()) * window);
         }
     }
 
+    /// A count wider than a cell continues in further cells: exact, and
+    /// expired as one.
     #[test]
-    fn new_stats_are_idle() {
+    fn counts_beyond_a_cell_spill_instead_of_wrapping() {
+        let cell_max = u64::from(u16::MAX);
+        let (near, far) = (SubtreeId::Rack(0), SubtreeId::Intermediate(1));
+        let mut s = ReplicaStats::new(2);
+        s.record_reads(near, 3 * cell_max + 5);
+        s.record_read(far);
+        assert_eq!(s.cell_count(), 5);
+        s.rotate();
+        // The next period tops up its own cell, not the full ones.
+        s.record_reads(near, cell_max - 1);
+        s.record_reads(near, 2);
+        assert_eq!(s.reads_from(near), 4 * cell_max + 6);
+        assert_eq!(s.total_reads(), 4 * cell_max + 7);
+        s.assert_well_formed();
+        assert!(s.rotate());
+        assert_eq!(s.reads().collect::<Vec<_>>(), vec![(near, cell_max + 1)]);
+        assert_eq!(s.cell_count(), 2);
+        assert!(s.rotate());
+        assert!(s.is_idle());
+        assert_eq!(s.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn new_stats_are_idle_and_own_no_heap() {
         let s = ReplicaStats::new(24);
         assert!(s.is_idle());
         assert_eq!(s.total_reads(), 0);
         assert_eq!(s.total_writes(), 0);
+        assert_eq!(s.heap_bytes(), 0);
+        assert_eq!(std::mem::size_of::<Cell>(), 8);
+        // The longest window still labels every period.
+        let mut s = ReplicaStats::new(MAX_WINDOW_SLOTS);
+        s.record_write();
+        for _ in 1..MAX_WINDOW_SLOTS {
+            assert!(!s.rotate());
+        }
+        assert_eq!(s.total_writes(), 1);
+        assert!(s.rotate());
+        assert!(s.is_idle());
+    }
+
+    #[test]
+    #[should_panic(expected = "1 to 256 periods")]
+    fn a_window_the_cells_cannot_label_is_refused() {
+        ReplicaStats::new(MAX_WINDOW_SLOTS + 1);
     }
 }

@@ -6,6 +6,8 @@
 //! size (e.g. 140-character tweets); heavy content lives in dedicated
 //! servers, not in the cache (§3.2, *Storage management*).
 
+use std::sync::Arc;
+
 use crate::{SimTime, UserId};
 
 /// Default maximum number of events retained per view.
@@ -19,12 +21,14 @@ pub const DEFAULT_VIEW_CAPACITY: usize = 128;
 /// picture reference, …).
 ///
 /// The format of the payload is application specific; DynaSoRe treats it as
-/// an opaque array of bytes.
+/// an opaque array of bytes. Events are immutable and their copies share
+/// the payload: cloning an event — or a [`View`], once per cache read,
+/// replica update and durable append — copies no payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Event {
     author: UserId,
     timestamp: SimTime,
-    payload: Vec<u8>,
+    payload: Arc<[u8]>,
 }
 
 impl Event {
@@ -33,7 +37,7 @@ impl Event {
         Event {
             author,
             timestamp,
-            payload,
+            payload: payload.into(),
         }
     }
 
@@ -208,6 +212,16 @@ mod tests {
         assert_eq!(e.timestamp(), SimTime::from_secs(5));
         assert_eq!(e.payload(), b"abc");
         assert_eq!(e.payload_len(), 3);
+    }
+
+    #[test]
+    fn copies_of_a_view_share_their_payloads() {
+        let mut view = View::new(UserId::new(1));
+        view.push(Event::new(UserId::new(1), SimTime::ZERO, vec![7; 140]));
+        let copy = view.clone();
+        assert_eq!(copy, view);
+        let payload = |v: &View| v.latest().unwrap().payload().as_ptr();
+        assert_eq!(payload(&copy), payload(&view));
     }
 
     #[test]
