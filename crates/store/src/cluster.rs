@@ -1,7 +1,6 @@
-//! The client-facing cluster: broker logic + placement engine + server
-//! threads + persistent store.
+//! The client-facing cluster: broker logic + placement engine + cache
+//! worker + persistent store.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -20,7 +19,7 @@ use dynasore_types::{
 
 use crate::obs::StoreObs;
 use crate::persistent::{MockPersistentStore, PersistentStore};
-use crate::server::ServerHandle;
+use crate::server::CacheWorker;
 
 /// Configuration of a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -73,12 +72,20 @@ pub struct ClusterChangeReport {
     pub recovery_messages: u64,
 }
 
-/// A running in-memory view store: one thread per cache server, routed by a
-/// DynaSoRe placement engine, backed by a durable tier — the in-memory
-/// [`MockPersistentStore`] by default ([`Cluster::spawn`]), or any
-/// [`PersistentStore`] such as the file-backed
+/// A running in-memory view store: every cache server is a shard of one
+/// cache worker thread, routed by a DynaSoRe placement engine, backed by a
+/// durable tier — the in-memory [`MockPersistentStore`] by default
+/// ([`Cluster::spawn`]), or any [`PersistentStore`] such as the file-backed
 /// [`LogStructuredStore`](crate::LogStructuredStore)
 /// ([`Cluster::spawn_with_store`]).
+///
+/// Clients talk to the worker over one FIFO channel, and a read ships all
+/// its lookups as one message. The channel orders each client's own
+/// commands across *all* shards: the `Put`s and `Evict`s of a write are
+/// applied before that client's next read looks anything up, so a client
+/// reads its own writes, and a stale `Put` (a demand-fill racing a write)
+/// never replaces a newer version. Commands of different clients interleave
+/// in arrival order; [`Cluster::apply_event`] excludes clients altogether.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug)]
@@ -86,8 +93,9 @@ pub struct Cluster {
     topology: Topology,
     graph: SocialGraph,
     engine: Mutex<DynaSoReEngine>,
-    servers: Vec<ServerHandle>,
-    server_index: HashMap<MachineId, usize>,
+    /// The cached views: shard `i` is the server at
+    /// `Topology::server_ordinal` `i`.
+    cache: CacheWorker,
     persistent: Arc<dyn PersistentStore>,
     clock: AtomicU64,
     hits: AtomicU64,
@@ -106,7 +114,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Spawns the cluster: builds the placement engine for `graph` over
-    /// `topology` and starts one thread per view server.
+    /// `topology` and starts the cache worker with one shard per view server.
     ///
     /// # Errors
     ///
@@ -123,7 +131,7 @@ impl Cluster {
 
     /// Spawns the cluster against an explicit durable tier. Passing a shared
     /// [`LogStructuredStore`](crate::LogStructuredStore) runs the cluster
-    /// over an on-disk log: killed-and-restarted server threads then recover
+    /// over an on-disk log: killed-and-restarted cache servers then recover
     /// views by demand-filling from state that was (or can be) re-read from
     /// real bytes, and a reopen of the same directory after
     /// [`Cluster::shutdown`] sees every acknowledged write.
@@ -147,23 +155,11 @@ impl Cluster {
             .initial_placement(config.placement.clone())
             .build(graph)?;
 
-        let servers: Vec<ServerHandle> = topology
-            .servers()
-            .iter()
-            .map(|s| ServerHandle::spawn(s.machine()))
-            .collect();
-        let server_index = servers
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.machine, i))
-            .collect();
-
         Ok(Cluster {
+            cache: CacheWorker::spawn(topology.server_count()),
             topology,
             graph: graph.clone(),
             engine: Mutex::new(engine),
-            servers,
-            server_index,
             persistent,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -218,17 +214,17 @@ impl Cluster {
             engine.handle_write(user, self.now(), &mut CountingSink::default());
             engine.replica_servers(user)
         };
-        for machine in replicas.iter() {
-            if let Some(&idx) = self.server_index.get(machine) {
-                self.servers[idx].put(user, view.clone());
+        for &machine in replicas.iter() {
+            if let Some(shard) = self.topology.server_ordinal(machine) {
+                self.cache.put(shard, user, view.clone());
             }
         }
         // Cached copies on servers the placement engine no longer lists as
         // replicas are stale replicas that were evicted or migrated away;
         // drop them so the cache mirrors the placement.
-        for server in &self.servers {
-            if !replicas.contains(&server.machine) && server.get(user).is_some() {
-                server.evict(user);
+        for (shard, server) in self.topology.servers().iter().enumerate() {
+            if !replicas.contains(&server.machine()) && self.cache.get(shard, user).is_some() {
+                self.cache.evict(shard, user);
             }
         }
         Ok(())
@@ -247,7 +243,7 @@ impl Cluster {
         self.check_user(user)?;
         // Update statistics and (possibly) placement, then capture routing
         // decisions while holding the engine lock.
-        let routed: Vec<(UserId, Option<MachineId>)> = {
+        let routed: Vec<(usize, UserId)> = {
             let mut engine = self.engine.lock();
             engine.handle_read(user, targets, self.now(), &mut CountingSink::default());
             // Route from where the read left the proxy and the replicas.
@@ -258,30 +254,40 @@ impl Cluster {
             targets
                 .iter()
                 .filter(|t| self.graph.contains_user(**t))
-                .map(|&t| (t, engine.closest_replica(t, proxy)))
+                .filter_map(|&t| {
+                    let machine = engine.closest_replica(t, proxy)?;
+                    Some((self.topology.server_ordinal(machine)?, t))
+                })
                 .collect()
         };
 
-        let mut views = Vec::with_capacity(routed.len());
-        for (target, server) in routed {
-            let Some(machine) = server else { continue };
-            let Some(&idx) = self.server_index.get(&machine) else {
-                continue;
+        // One hand-off for the whole read; every key yields one view.
+        let cached = self.cache.get_many(&routed);
+        let mut views: Vec<View> = Vec::with_capacity(routed.len());
+        let mut misses = 0;
+        for (i, cached) in cached.into_iter().enumerate() {
+            let view = match cached {
+                Some(view) => view,
+                // A key repeated inside one batch misses at every position:
+                // the first one fills, the others are served its copy and
+                // count as hits, so hits + misses is the views returned.
+                None => match routed[..i].iter().position(|key| *key == routed[i]) {
+                    Some(first) => views[first].clone(),
+                    None => {
+                        // Cache miss: demand-fill from the persistent store.
+                        misses += 1;
+                        let (shard, target) = routed[i];
+                        let view = self.persistent.fetch(target)?;
+                        self.cache.put(shard, target, view.clone());
+                        view
+                    }
+                },
             };
-            match self.servers[idx].get(target) {
-                Some(view) => {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    views.push(view);
-                }
-                None => {
-                    // Cache miss: demand-fill from the persistent store.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    let view = self.persistent.fetch(target)?;
-                    self.servers[idx].put(target, view.clone());
-                    views.push(view);
-                }
-            }
+            views.push(view);
         }
+        self.misses.fetch_add(misses, Ordering::Relaxed);
+        self.hits
+            .fetch_add(views.len() as u64 - misses, Ordering::Relaxed);
         Ok(views)
     }
 
@@ -324,14 +330,14 @@ impl Cluster {
             cache_misses: self.misses.load(Ordering::Relaxed),
             persistent_writes: self.persistent.write_count(),
             persistent_reads: self.persistent.read_count(),
-            cached_views: self.servers.iter().map(ServerHandle::len).sum(),
+            cached_views: self.cache.lens().iter().sum(),
             recovery_messages: self.recovery_messages.load(Ordering::Relaxed),
         }
     }
 
     /// Applies a [`ClusterEvent`] to the *live* store: machine/rack failures
-    /// kill the real server threads (their cached views die with them),
-    /// recoveries and added racks spawn fresh ones, and drains migrate state
+    /// stop the servers' cache shards (their cached views die with them),
+    /// recoveries and added racks start empty ones, and drains migrate state
     /// first. The placement engine reacts through its cluster-change hook —
     /// re-filling lost masters from the persistent tier — and subsequent
     /// reads transparently demand-fill the restarted caches from
@@ -351,10 +357,9 @@ impl Cluster {
         }
         let time = self.now();
         // Snapshot liveness before the event so revivals only touch machines
-        // that were actually down: restarting a running server thread would
-        // wipe its warm cache while the engine still counts it warm.
+        // that were actually down (the engine counts a running one warm).
         // Retired machines are excluded: a stale repair event for a
-        // decommissioned rack must not respawn its server threads.
+        // decommissioned rack must not start its shards again.
         let previously_dead: Vec<MachineId> = match event {
             ClusterEvent::MachineUp { machine }
                 if !self.topology.is_live(machine) && !self.topology.is_retired(machine) =>
@@ -374,6 +379,7 @@ impl Cluster {
         // Validate against (and sync) the store's own topology copy first,
         // then let the engine absorb the event. Both copies see the same
         // event stream, so they stay identical.
+        let servers_before = self.topology.server_count();
         self.topology.apply_cluster_event(event)?;
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
@@ -384,41 +390,32 @@ impl Cluster {
             .on_cluster_change(event, time, &mut out);
         match event {
             ClusterEvent::MachineDown { machine } | ClusterEvent::DrainMachine { machine } => {
-                self.stop_server_thread(machine);
+                self.stop_shard(machine);
             }
             ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => {
-                for machine in previously_dead {
-                    self.restart_server_thread(machine);
+                // A restarted server rejoins empty.
+                for shard in previously_dead
+                    .into_iter()
+                    .filter_map(|m| self.topology.server_ordinal(m))
+                {
+                    self.cache.start(shard);
                 }
             }
-            ClusterEvent::RackDown { rack } => {
+            // Elastic shrink stops a rack's shards like a failure does: the
+            // engine has already evacuated its views, and they stay stopped
+            // for good (the topology rejects revival of a retired rack).
+            ClusterEvent::RackDown { rack } | ClusterEvent::RemoveRack { rack } => {
                 for machine in self
                     .topology
                     .machines_in_subtree(SubtreeId::Rack(rack.index()))
                 {
-                    self.stop_server_thread(machine);
-                }
-            }
-            ClusterEvent::RemoveRack { rack } => {
-                // Elastic shrink: the engine has already evacuated the
-                // rack's views, so its server threads retire for good —
-                // joined here, never respawned (the topology rejects
-                // revival of a retired rack).
-                for machine in self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()))
-                {
-                    self.stop_server_thread(machine);
+                    self.stop_shard(machine);
                 }
             }
             ClusterEvent::AddRack => {
-                // The topology grew above; spawn threads for the new servers.
-                for server in self.topology.servers() {
-                    let machine = server.machine();
-                    if !self.server_index.contains_key(&machine) {
-                        self.server_index.insert(machine, self.servers.len());
-                        self.servers.push(ServerHandle::spawn(machine));
-                    }
+                // The topology grew above: new servers take the next ordinals.
+                for shard in servers_before..self.topology.server_count() {
+                    self.cache.start(shard);
                 }
             }
         }
@@ -430,43 +427,35 @@ impl Cluster {
         })
     }
 
-    /// Kills the cache-server thread of `machine` (no-op for brokers or
-    /// already-stopped servers). The thread's views are gone; the engine has
-    /// already rerouted around them.
-    fn stop_server_thread(&mut self, machine: MachineId) {
-        if let Some(&idx) = self.server_index.get(&machine) {
-            self.servers[idx].shutdown();
+    /// Stops the cache shard of `machine` (no-op for brokers or
+    /// already-stopped servers). Its views are gone; the engine has already
+    /// rerouted around them.
+    fn stop_shard(&self, machine: MachineId) {
+        if let Some(shard) = self.topology.server_ordinal(machine) {
+            self.cache.stop(shard);
         }
     }
 
-    /// Spawns a fresh (empty) cache-server thread for `machine`, replacing
-    /// the dead handle.
-    fn restart_server_thread(&mut self, machine: MachineId) {
-        if let Some(&idx) = self.server_index.get(&machine) {
-            self.servers[idx] = ServerHandle::spawn(machine);
-        }
-    }
-
-    /// Stops every server thread and rejects all further requests with
+    /// Stops the cache worker and rejects all further requests with
     /// [`Error::ClusterShutdown`]. The persistent tier is flushed and synced
-    /// *before* the server threads are joined, so every write acknowledged
-    /// before this call is crash-durable once it returns `Ok` — a reopen of
-    /// a file-backed tier's directory sees all of them. Idempotent once it
+    /// *before* the worker is joined, so every write acknowledged before
+    /// this call is crash-durable once it returns `Ok` — a reopen of a
+    /// file-backed tier's directory sees all of them. Idempotent once it
     /// has succeeded: further calls are no-ops. After an `Err`, calling it
-    /// again retries the flush and sync (the server threads are only joined
-    /// once). Dropping the cluster without calling this joins the threads
-    /// just the same; only a `shutdown` that returned `Ok` guarantees the
-    /// durable sync.
+    /// again retries the flush and sync (the worker is only joined once).
+    /// Dropping the cluster without calling this joins the worker just the
+    /// same; only a `shutdown` that returned `Ok` guarantees the durable
+    /// sync.
     ///
     /// # Errors
     ///
     /// Propagates I/O errors from flushing or syncing the persistent tier
-    /// (the server threads are still joined in that case).
+    /// (the worker is still joined in that case).
     pub fn shutdown(&mut self) -> Result<()> {
-        let first = !self.shut_down.swap(true, Ordering::AcqRel);
-        // Durability first: acknowledged writes must hit disk even if a
-        // server thread refuses to join promptly. Retried on every call
-        // until it succeeds, so an `Ok` from any call is the guarantee.
+        self.shut_down.store(true, Ordering::Release);
+        // Durability first: acknowledged writes must hit disk even if the
+        // worker refuses to join promptly. Retried on every call until it
+        // succeeds, so an `Ok` from any call is the guarantee.
         let synced = if self.synced.load(Ordering::Acquire) {
             Ok(())
         } else {
@@ -475,11 +464,7 @@ impl Cluster {
                 .and_then(|()| self.persistent.sync())
                 .map(|()| self.synced.store(true, Ordering::Release))
         };
-        if first {
-            for server in &mut self.servers {
-                server.shutdown();
-            }
-        }
+        self.cache.shutdown();
         synced
     }
 }
@@ -544,8 +529,10 @@ mod tests {
         cluster.write(user, b"must survive".to_vec()).unwrap();
 
         // First shutdown: sync fails, the error is surfaced, requests are
-        // rejected from now on.
+        // rejected from now on — and the worker is joined all the same.
+        assert!(cluster.cache.join.is_some());
         assert!(cluster.shutdown().is_err());
+        assert!(cluster.cache.join.is_none());
         assert!(matches!(
             cluster.write(user, vec![]),
             Err(Error::ClusterShutdown)
@@ -598,6 +585,36 @@ mod tests {
         assert!(after_second.cache_hits >= 1);
         assert_eq!(after_second.cache_misses, after_first.cache_misses);
         assert!(after_second.cached_views >= 1);
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
+    fn a_target_repeated_in_one_read_is_filled_once() {
+        let (mut cluster, graph) = cluster();
+        let author = graph
+            .users()
+            .find(|&u| !graph.followers(u).is_empty())
+            .unwrap();
+        let reader = graph.followers(author)[0];
+        cluster.write(author, b"once".to_vec()).unwrap();
+        // The write cached the view on its replicas; start from a miss.
+        for shard in 0..cluster.topology.server_count() {
+            cluster.cache.evict(shard, author);
+        }
+        let before = cluster.stats();
+        assert_eq!(before.cached_views, 0);
+
+        // Both positions miss inside the one batch; the view is fetched and
+        // cached once and served at both, as one miss and one hit.
+        let views = cluster.read(reader, &[author, author]).unwrap();
+        assert_eq!(views.len(), 2);
+        assert_eq!(views[0], views[1]);
+        assert_eq!(views[0].latest().unwrap().payload(), b"once");
+        let after = cluster.stats();
+        assert_eq!(after.cache_misses, before.cache_misses + 1);
+        assert_eq!(after.cache_hits, before.cache_hits + 1);
+        assert_eq!(after.persistent_reads, before.persistent_reads + 1);
+        assert_eq!(after.cached_views, 1);
         cluster.shutdown().unwrap();
     }
 
@@ -667,9 +684,9 @@ mod tests {
     }
 
     #[test]
-    fn dropping_without_shutdown_joins_all_threads() {
-        // The drop impls must neither hang nor leak: spawning and dropping
-        // repeatedly would deadlock here if a join were missed.
+    fn dropping_without_shutdown_joins_the_worker() {
+        // The drop impl must neither hang nor leak (`tests/worker_thread.rs`
+        // counts the process's threads around a drop).
         for seed in 0..3 {
             let graph = SocialGraph::generate(GraphPreset::TwitterLike, 60, seed).unwrap();
             let topology = Topology::tree(2, 2, 3, 1).unwrap();
@@ -729,6 +746,78 @@ mod tests {
     }
 
     #[test]
+    fn machine_down_empties_exactly_one_shard() {
+        let (mut cluster, graph) = cluster();
+        // Where a read of `author` on behalf of `reader` was just routed.
+        let route = |cluster: &Cluster, reader, author| {
+            let engine = cluster.engine.lock();
+            let proxy = engine.read_proxy(reader).unwrap().machine();
+            engine.closest_replica(author, proxy).unwrap()
+        };
+        // Warm the cache through reads, remembering each pair's server.
+        let pairs: Vec<(UserId, UserId)> = graph
+            .users()
+            .filter_map(|reader| Some((reader, *graph.followees(reader).first()?)))
+            .collect();
+        let mut routed = Vec::new();
+        for &(reader, author) in &pairs {
+            cluster.read(reader, &[author]).unwrap();
+            routed.push(route(&cluster, reader, author));
+        }
+
+        let before = cluster.cache.lens();
+        let victim_shard = (0..before.len()).max_by_key(|&s| before[s]).unwrap();
+        assert!(before[victim_shard] > 0);
+        let victim = cluster.topology.servers()[victim_shard].machine();
+        cluster
+            .apply_event(ClusterEvent::MachineDown { machine: victim })
+            .unwrap();
+        let mut expected = before.clone();
+        expected[victim_shard] = 0;
+        assert_eq!(cluster.cache.lens(), expected, "only the victim's shard");
+        assert_eq!(
+            cluster.stats().cached_views,
+            expected.iter().sum::<usize>(),
+            "a stopped shard counts nothing"
+        );
+
+        // Nothing was written, so whatever another machine had cached is
+        // still there: a read routed where it went before must hit.
+        let (mut still_hit, mut rerouted_off_victim) = (0, 0);
+        for (&(reader, author), &was) in pairs.iter().zip(&routed) {
+            let misses = cluster.stats().cache_misses;
+            cluster.read(reader, &[author]).unwrap();
+            let now = route(&cluster, reader, author);
+            assert_ne!(now, victim);
+            if was == victim {
+                rerouted_off_victim += 1;
+            } else if now == was {
+                assert_eq!(cluster.stats().cache_misses, misses, "{author} at {was}");
+                still_hit += 1;
+            }
+        }
+        assert!(still_hit > 0 && rerouted_off_victim > 0);
+
+        // While the machine is down its shard ignores `Put`s; `MachineUp`
+        // brings it back empty and caching again.
+        let user = pairs[0].1;
+        cluster.cache.put(victim_shard, user, View::new(user));
+        assert!(cluster.cache.get(victim_shard, user).is_none());
+        cluster
+            .apply_event(ClusterEvent::MachineUp { machine: victim })
+            .unwrap();
+        assert_eq!(cluster.cache.lens()[victim_shard], 0);
+        cluster.cache.put(victim_shard, user, View::new(user));
+        assert!(cluster.cache.get(victim_shard, user).is_some());
+        // A second `MachineUp` must not wipe the running shard.
+        cluster
+            .apply_event(ClusterEvent::MachineUp { machine: victim })
+            .unwrap();
+        assert_eq!(cluster.cache.lens()[victim_shard], 1);
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
     fn rack_failure_and_live_resize_keep_serving() {
         let (mut cluster, graph) = cluster();
         let author = graph
@@ -748,12 +837,15 @@ mod tests {
         assert_eq!(views.len(), 1);
         assert_eq!(views[0].latest().unwrap().payload(), b"survives the rack");
 
-        // Grow the cluster while it runs: new server threads spawn and the
-        // store keeps serving.
-        let servers_before = cluster.servers.len();
+        // Grow the cluster while it runs: shards start for the new servers
+        // and the store keeps serving.
+        let shards_before = cluster.cache.lens().len();
         cluster.apply_event(ClusterEvent::AddRack).unwrap();
-        assert!(cluster.servers.len() > servers_before);
-        assert_eq!(cluster.topology().server_count(), cluster.servers.len());
+        assert!(cluster.cache.lens().len() > shards_before);
+        assert_eq!(
+            cluster.topology().server_count(),
+            cluster.cache.lens().len()
+        );
         cluster.write(author, b"after resize".to_vec()).unwrap();
         let feed = cluster.read_feed(reader).unwrap();
         assert!(feed.iter().any(|e| e.payload() == b"after resize"));
@@ -761,7 +853,7 @@ mod tests {
     }
 
     #[test]
-    fn remove_rack_retires_server_threads_and_keeps_serving() {
+    fn remove_rack_retires_its_shards_and_keeps_serving() {
         let (mut cluster, graph) = cluster();
         let author = graph
             .users()
@@ -771,7 +863,7 @@ mod tests {
         cluster.write(author, b"before shrink".to_vec()).unwrap();
 
         // Decommission rack 0 while the store runs: the engine evacuates,
-        // the rack's server threads are joined for good.
+        // the rack's shards stop for good.
         let rack = dynasore_types::RackId::new(0);
         let rack_machines = cluster.topology.machines_in_subtree(SubtreeId::Rack(0));
         cluster
@@ -780,10 +872,14 @@ mod tests {
         assert!(cluster.topology().is_rack_retired(rack));
 
         // A stale repair event for the retired rack is a harmless no-op: no
-        // machine revives and no server thread respawns.
+        // machine revives and no shard starts — a `Put` to one is dropped.
         cluster.apply_event(ClusterEvent::RackUp { rack }).unwrap();
         for machine in rack_machines {
             assert!(!cluster.topology().is_live(machine));
+            if let Some(shard) = cluster.topology.server_ordinal(machine) {
+                cluster.cache.put(shard, author, View::new(author));
+                assert!(cluster.cache.get(shard, author).is_none());
+            }
         }
 
         // The acknowledged write survives the shrink and new writes land.

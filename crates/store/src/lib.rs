@@ -3,9 +3,10 @@
 //!
 //! The simulator in `dynasore-sim` reproduces the paper's *measurements*;
 //! this crate demonstrates the paper's *API* (§3.1) as an actual system you
-//! can embed: a [`Cluster`] spawns one thread per view server, connected by
-//! channels, backed by a durable tier (the store of §3.3) behind the
-//! [`PersistentStore`] trait, and routed by a
+//! can embed: a [`Cluster`] keeps every view server's cache as a shard of
+//! one cache worker thread, reached over a FIFO channel — a read ships all
+//! its lookups in one message — backed by a durable tier (the store of
+//! §3.3) behind the [`PersistentStore`] trait, and routed by a
 //! [`DynaSoReEngine`](dynasore_core::DynaSoReEngine) that replicates hot
 //! views close to their readers. Three durable tiers ship with the crate:
 //!

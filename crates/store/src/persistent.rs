@@ -23,7 +23,7 @@ use dynasore_types::{Event, Result, SimTime, UserId, View};
 /// [`flush`](PersistentStore::flush)/[`sync`](PersistentStore::sync) are the
 /// explicit durability points the cluster drives at shutdown.
 ///
-/// Implementations must be shareable across the cluster's server threads
+/// Implementations must be shareable across the cluster's client threads
 /// (`Send + Sync`).
 pub trait PersistentStore: Send + Sync + std::fmt::Debug {
     /// Appends an event with `payload` to `user`'s view and returns the new

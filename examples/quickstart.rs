@@ -20,7 +20,7 @@ fn main() -> Result<(), Error> {
         graph.edge_count()
     );
 
-    // ── 2. The live store: threads, channels, persistent backing ──────────
+    // ── 2. The live store: cache worker, channel, persistent backing ──────
     let topology = Topology::tree(2, 2, 5, 1)?;
     let mut cluster = Cluster::spawn(&graph, topology.clone(), StoreConfig::default())?;
 

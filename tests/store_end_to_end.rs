@@ -5,7 +5,8 @@
 use std::sync::Arc;
 
 use dynasore::prelude::*;
-use dynasore::types::ClusterEvent;
+use dynasore::store::MockPersistentStore;
+use dynasore::types::{ClusterEvent, RackId};
 
 fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dynasore-e2e-{tag}-{}", std::process::id()));
@@ -133,8 +134,115 @@ fn writes_remain_visible_after_heavy_mixed_traffic() {
     cluster.shutdown().unwrap();
 }
 
+/// Reads every user's followees in one `read` and holds the answer against
+/// the persistent tier: one view per target, in target order, each the
+/// tier's current version, and every one counted as a hit or a miss.
+fn assert_reads_mirror_the_tier(cluster: &Cluster, tier: &MockPersistentStore) {
+    let graph = cluster.graph().clone();
+    for reader in graph.users() {
+        let targets = graph.followees(reader);
+        let before = cluster.stats();
+        let views = cluster.read(reader, targets).unwrap();
+        let after = cluster.stats();
+        assert_eq!(views.len(), targets.len());
+        assert_eq!(
+            (after.cache_hits + after.cache_misses) - (before.cache_hits + before.cache_misses),
+            views.len() as u64
+        );
+        for (view, &target) in views.iter().zip(targets) {
+            let durable = tier.fetch(target);
+            assert_eq!(view.owner(), target, "views come back in target order");
+            assert_eq!(view.version(), durable.version(), "{target} is stale");
+            assert_eq!(
+                view.latest().map(Event::payload),
+                durable.latest().map(Event::payload)
+            );
+        }
+    }
+}
+
+#[test]
+fn batched_reads_mirror_the_persistent_tier_across_failures_and_growth() {
+    let graph = SocialGraph::generate(GraphPreset::TwitterLike, 200, 17).unwrap();
+    let tier = Arc::new(MockPersistentStore::new());
+    let mut cluster = Cluster::spawn_with_store(
+        &graph,
+        Topology::tree(2, 2, 4, 1).unwrap(),
+        // Room for every view on the 8 of 12 servers that survive below.
+        StoreConfig {
+            extra_memory_percent: 100,
+            ..StoreConfig::default()
+        },
+        tier.clone(),
+    )
+    .unwrap();
+    let write_round = |cluster: &Cluster, round: u32| {
+        for user in graph.users().filter(|u| u.index() % 3 == round % 3) {
+            let payload = format!("round {round} by {user}").into_bytes();
+            cluster.write(user, payload).unwrap();
+        }
+    };
+
+    write_round(&cluster, 0);
+    assert_reads_mirror_the_tier(&cluster, &tier);
+
+    let machine = cluster.topology().servers()[1].machine();
+    cluster
+        .apply_event(ClusterEvent::MachineDown { machine })
+        .unwrap();
+    write_round(&cluster, 1);
+    assert_reads_mirror_the_tier(&cluster, &tier);
+
+    let rack = RackId::new(1);
+    cluster
+        .apply_event(ClusterEvent::RackDown { rack })
+        .unwrap();
+    write_round(&cluster, 2);
+    assert_reads_mirror_the_tier(&cluster, &tier);
+    cluster.apply_event(ClusterEvent::RackUp { rack }).unwrap();
+    assert_reads_mirror_the_tier(&cluster, &tier);
+
+    cluster.apply_event(ClusterEvent::AddRack).unwrap();
+    write_round(&cluster, 3);
+    assert_reads_mirror_the_tier(&cluster, &tier);
+    cluster.shutdown().unwrap();
+}
+
+/// Each client's commands reach the cache in the order it sent them, on
+/// every shard: the `Put`s of its write are applied before its next read
+/// looks anything up, whatever the other clients are doing.
+#[test]
+fn concurrent_clients_read_their_own_latest_write() {
+    let (mut cluster, graph) = spawn_cluster(200, 5);
+    let authors: Vec<UserId> = graph
+        .users()
+        .filter(|&u| !graph.followers(u).is_empty())
+        .take(4)
+        .collect();
+    assert_eq!(authors.len(), 4);
+    let start = std::sync::Barrier::new(authors.len());
+    std::thread::scope(|scope| {
+        for &author in &authors {
+            let (cluster, graph, start) = (&cluster, &graph, &start);
+            scope.spawn(move || {
+                let reader = graph.followers(author)[0];
+                start.wait();
+                for i in 0..150u32 {
+                    let payload = format!("{author} #{i}").into_bytes();
+                    cluster.write(author, payload.clone()).unwrap();
+                    let views = cluster.read(reader, &[author]).unwrap();
+                    assert_eq!(views.len(), 1);
+                    assert_eq!(views[0].version(), u64::from(i) + 1);
+                    assert_eq!(views[0].latest().unwrap().payload(), payload);
+                }
+            });
+        }
+    });
+    cluster.shutdown().unwrap();
+}
+
 /// The file-backed variant of the kill/restart scenario from
-/// `tests/fault_tolerance.rs`: a server thread is killed mid-traffic and
+/// `tests/fault_tolerance.rs`: a cache server is killed mid-traffic and
 /// restarted against the on-disk tier. Reads keep returning the pre-crash
 /// values throughout (availability stays 100%), served by demand-filling the
 /// restarted cache from the log-structured store.
@@ -352,7 +460,7 @@ fn shutdown_flushes_every_shards_pending_batch() {
 }
 
 /// Regression test for the shutdown fix: `Cluster::shutdown` must flush and
-/// sync the persistent tier before joining the server threads, so a reopen
+/// sync the persistent tier before joining the cache worker, so a reopen
 /// of the same directory — while the original store object is still alive
 /// and holding its write buffers — sees every acknowledged write.
 #[test]
