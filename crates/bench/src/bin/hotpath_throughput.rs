@@ -8,8 +8,8 @@
 //! ```text
 //! cargo run --release -p dynasore-bench --bin hotpath_throughput \
 //!     [-- --users N --seed N --iters N --out PATH --quick \
-//!         --threads N --warmup-secs S --graph PATH \
-//!         --trace-out PATH --metrics-out PATH]
+//!         --check-against PATH --tolerance F --data-dir PATH \
+//!         --warmup-secs S --graph PATH --trace-out PATH --metrics-out PATH]
 //! ```
 //!
 //! `--graph PATH` replays a real dataset: the file is parsed as a
@@ -21,14 +21,6 @@
 //! `--warmup-secs S` caps the convergence warm-up by wall time (the full
 //! warm-up is sized for measurement runs and dominates dev iteration at
 //! quick scale).
-//!
-//! `--threads N` (default 4) measures the `parallel` phase: the same writes
-//! as the serial write phase, from the same converged engine state, driven
-//! through the rack-sharded `handle_write_batch` path with `N` worker
-//! sinks. The phase asserts the parallel message count equals the serial
-//! phase's — the byte-identity contract — and records throughput plus the
-//! speedup over the serial write phase in the JSON. `--threads 1` skips the
-//! phase.
 //!
 //! `--trace-out PATH` / `--metrics-out PATH` attach a flight-recorder
 //! observer to the durable phase's sharded store and dump its event
@@ -68,8 +60,9 @@
 //! hold per replica when the read phase ends
 //! ([`DynaSoReEngine::stats_heap_bytes`]; a count, identical on every run
 //! of one build), `peak_rss_mb` the process's peak resident set (`VmHWM`)
-//! after the engine phases — four engines at that point: the measured one
-//! and the copies the other phases start from.
+//! after the engine phases — up to three engines at that point: the measured
+//! one, the copy the accounted phase starts from and the copy a tick is
+//! timed on.
 //!
 //! The `durable` phase writes small fixed-size payloads through a
 //! [`ShardedLogStore`] (group commit plus the pipelined background flusher,
@@ -99,6 +92,7 @@ use dynasore_types::{
 /// bandwidth-bound at that rate on ~100 MB/s disks.
 const DURABLE_EVENT_BYTES: usize = 64;
 
+#[derive(Debug, PartialEq)]
 struct Options {
     users: usize,
     seed: u64,
@@ -110,16 +104,30 @@ struct Options {
     data_dir: Option<String>,
     trace_out: Option<String>,
     metrics_out: Option<String>,
-    /// Worker budget of the `parallel` write phase (1 skips the phase).
-    threads: usize,
     /// Wall-clock cap on the warm-up loop, if any.
     warmup_secs: Option<f64>,
     /// SNAP-style edge list to replay instead of the synthetic graph.
     graph: Option<String>,
 }
 
+/// The flags [`Options::parse`] accepts, printed when it rejects a command line.
+const USAGE: &str = "usage: hotpath_throughput [--users N] [--seed N] [--iters N] [--out PATH] \
+     [--quick] [--check-against PATH] [--tolerance F] [--data-dir PATH] [--warmup-secs S] \
+     [--graph PATH] [--trace-out PATH] [--metrics-out PATH]";
+
+/// Parses the value of `flag`.
+fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
+}
+
 impl Options {
-    fn from_args() -> Options {
+    /// Parses the command line (program name excluded). An unknown flag, a
+    /// flag without its value or a value that does not parse is an error: a
+    /// mistyped `--tolerance` must not leave the regression guard running at
+    /// the default.
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             users: 100_000,
             seed: 42,
@@ -131,66 +139,35 @@ impl Options {
             data_dir: None,
             trace_out: None,
             metrics_out: None,
-            threads: 4,
             warmup_secs: None,
             graph: None,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--users" if i + 1 < args.len() => {
-                    o.users = args[i + 1].parse().unwrap_or(o.users);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    o.seed = args[i + 1].parse().unwrap_or(o.seed);
-                    i += 1;
-                }
-                "--iters" if i + 1 < args.len() => {
-                    o.iters = args[i + 1].parse().unwrap_or(o.iters);
-                    i += 1;
-                }
-                "--out" if i + 1 < args.len() => {
-                    o.out = args[i + 1].clone();
-                    i += 1;
-                }
-                "--check-against" if i + 1 < args.len() => {
-                    o.check_against = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                "--tolerance" if i + 1 < args.len() => {
-                    o.tolerance = args[i + 1].parse().unwrap_or(o.tolerance);
-                    i += 1;
-                }
-                "--data-dir" if i + 1 < args.len() => {
-                    o.data_dir = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                "--trace-out" if i + 1 < args.len() => {
-                    o.trace_out = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                "--metrics-out" if i + 1 < args.len() => {
-                    o.metrics_out = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                "--threads" if i + 1 < args.len() => {
-                    o.threads = args[i + 1].parse().unwrap_or(o.threads).max(1);
-                    i += 1;
-                }
-                "--warmup-secs" if i + 1 < args.len() => {
-                    o.warmup_secs = args[i + 1].parse().ok();
-                    i += 1;
-                }
-                "--graph" if i + 1 < args.len() => {
-                    o.graph = Some(args[i + 1].clone());
-                    i += 1;
-                }
+        let mut args = args.iter();
+        while let Some(flag) = args.next() {
+            let mut value = || {
+                args.next()
+                    .cloned()
+                    .ok_or_else(|| format!("{flag} needs a value"))
+            };
+            match flag.as_str() {
+                "--users" => o.users = parsed(flag, &value()?)?,
+                "--seed" => o.seed = parsed(flag, &value()?)?,
+                "--iters" => o.iters = parsed(flag, &value()?)?,
+                "--out" => o.out = value()?,
+                "--check-against" => o.check_against = Some(value()?),
+                "--tolerance" => o.tolerance = parsed(flag, &value()?)?,
+                "--data-dir" => o.data_dir = Some(value()?),
+                "--trace-out" => o.trace_out = Some(value()?),
+                "--metrics-out" => o.metrics_out = Some(value()?),
+                "--warmup-secs" => o.warmup_secs = Some(parsed(flag, &value()?)?),
+                "--graph" => o.graph = Some(value()?),
                 "--quick" => o.quick = true,
-                _ => {}
+                _ => return Err(format!("unknown flag {flag}")),
             }
-            i += 1;
+        }
+        // NaN would make every comparison of the guard pass.
+        if !(0.0..f64::INFINITY).contains(&o.tolerance) {
+            return Err(format!("--tolerance: {} is not a fraction", o.tolerance));
         }
         if o.quick {
             o.users = o.users.min(2_000);
@@ -198,7 +175,7 @@ impl Options {
         if o.iters == 0 {
             o.iters = if o.quick { 20_000 } else { 200_000 };
         }
-        o
+        Ok(o)
     }
 }
 
@@ -290,13 +267,12 @@ impl TrafficSink for AccountedSink<'_> {
     }
 }
 
-/// Batch size of the parallel write phase: large enough to amortize the
-/// per-batch scope spawn/join, small enough to model the simulator's
-/// tick-bounded flushes.
-const PARALLEL_BATCH: usize = 65_536;
-
 fn main() {
-    let mut opts = Options::from_args();
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut opts = Options::parse(&args).unwrap_or_else(|err| {
+        eprintln!("# hotpath_throughput: {err}\n{USAGE}");
+        std::process::exit(2);
+    });
     let setup_start = Instant::now();
     let graph = match &opts.graph {
         Some(path) => {
@@ -388,11 +364,6 @@ fn main() {
     let read_tick_ms = tick_ms(&engine);
     let stats_bytes = stats_bytes_per_replica(&engine, &graph);
 
-    // Snapshot for the parallel phase below: the same writes as the serial
-    // write phase, from the same starting state, so the two rates — and
-    // their message counts, asserted equal — are directly comparable.
-    let mut parallel_engine = (opts.threads > 1).then(|| engine.clone());
-
     // Measured write phase. Writes are orders of magnitude faster than
     // reads, so the phase gets an iteration floor: measuring 20k quick-mode
     // writes takes ~1 ms and the resulting rate is noisy enough to trip the
@@ -407,68 +378,6 @@ fn main() {
         write_messages += out.len() as u64;
     }
     let write_secs = write_start.elapsed().as_secs_f64();
-
-    // Measured parallel write phase: the identical writes from the
-    // identical pre-write-phase engine state, batched through the
-    // rack-sharded `handle_write_batch` path with `--threads` worker sinks.
-    // Batches the engine declines (and its cross-shard leftovers) replay
-    // serially inside the hook, so the phase always completes every write.
-    let mut parallel = None;
-    if let Some(mut par_engine) = parallel_engine.take() {
-        let mut sinks: Vec<CountingSink> =
-            (0..opts.threads).map(|_| CountingSink::default()).collect();
-        let mut batch: Vec<(UserId, SimTime)> = Vec::with_capacity(PARALLEL_BATCH);
-        let mut declined = 0u64;
-        let parallel_start = Instant::now();
-        let mut done = 0u64;
-        while done < write_iters {
-            let n = (PARALLEL_BATCH as u64).min(write_iters - done);
-            batch.clear();
-            for k in done..done + n {
-                batch.push((user_at(k), SimTime::from_secs(3)));
-            }
-            let mut slots: Vec<&mut (dyn TrafficSink + Send)> = sinks
-                .iter_mut()
-                .map(|s| s as &mut (dyn TrafficSink + Send))
-                .collect();
-            if !par_engine.handle_write_batch(&batch, &mut slots) {
-                for &(user, time) in &batch {
-                    par_engine.handle_write(user, time, &mut sinks[0]);
-                }
-                declined += n;
-            }
-            done += n;
-        }
-        let parallel_secs = parallel_start.elapsed().as_secs_f64();
-        let parallel_messages: u64 = sinks.iter().map(|s| s.messages).sum();
-        drop(par_engine);
-        // Byte-identity smoke check: same writes, same starting state — the
-        // parallel path must produce exactly the serial phase's messages.
-        if parallel_messages != write_messages {
-            eprintln!(
-                "# hotpath_throughput: parallel write phase diverged — \
-                 {parallel_messages} messages vs serial {write_messages}"
-            );
-            std::process::exit(1);
-        }
-        if declined > 0 {
-            eprintln!(
-                "# hotpath_throughput: {declined} writes replayed serially (declined batches)"
-            );
-        }
-        if effective_threads(opts.threads, declined, write_iters) == 1 {
-            eprintln!(
-                "# hotpath_throughput: warning — the \"parallel\" phase never parallelized \
-                 (every batch was declined); threads_effective=1 in the JSON"
-            );
-        }
-        parallel = Some((
-            write_iters as f64 / parallel_secs,
-            parallel_secs,
-            parallel_messages,
-            declined,
-        ));
-    }
 
     // Measured accounted-read phase: the identical reads from the identical
     // pre-read-phase engine state, but every message is charged to the
@@ -601,21 +510,6 @@ fn main() {
     let single_sync_per_sec = single_iters as f64 / single_secs;
     let durable_speedup = durable_per_sec / single_sync_per_sec;
 
-    // The parallel section only exists when the phase ran (`--threads` > 1),
-    // so single-thread runs keep the historical snapshot shape.
-    let parallel_block = match &parallel {
-        Some((pps, psecs, pmsgs, declined)) => parallel_json_block(
-            *pps,
-            *psecs,
-            *pmsgs,
-            *declined,
-            opts.threads,
-            write_iters,
-            writes_per_sec,
-        ),
-        None => String::new(),
-    };
-
     let json = format!(
         concat!(
             "{{\n",
@@ -644,7 +538,6 @@ fn main() {
             "    \"elapsed_secs\": {wsecs:.3},\n",
             "    \"messages\": {wmsgs}\n",
             "  }},\n",
-            "{parallel_block}",
             "  \"read_accounted\": {{\n",
             "    \"reqs_per_sec\": {aps:.0},\n",
             "    \"views_per_sec\": {avps:.0},\n",
@@ -674,7 +567,6 @@ fn main() {
         seed = opts.seed,
         iters = opts.iters,
         quick = opts.quick,
-        parallel_block = parallel_block,
         setup = setup_secs,
         warmup = warmup_secs,
         stats_bytes = stats_bytes,
@@ -710,25 +602,15 @@ fn main() {
         dspeed = durable_speedup,
     );
     std::fs::write(&opts.out, &json).expect("write BENCH_hotpath.json");
-    let parallel_note = match &parallel {
-        Some((pps, _, _, _)) => format!(
-            ", parallel writes {:.0}/s x{} ({:.2}x serial)",
-            pps,
-            opts.threads,
-            pps / writes_per_sec
-        ),
-        None => String::new(),
-    };
     eprintln!(
         "# hotpath_throughput: {} users, {} iters — reads {:.0}/s ({:.0} ns/view), \
-         writes {:.0}/s{}, accounted reads {:.0}/s, durable writes {:.0}/s \
+         writes {:.0}/s, accounted reads {:.0}/s, durable writes {:.0}/s \
          ({:.0}x single-sync) → {}",
         opts.users,
         opts.iters,
         reads_per_sec,
         read_ns_per_view,
         writes_per_sec,
-        parallel_note,
         accounted_reads_per_sec,
         durable_per_sec,
         durable_speedup,
@@ -743,7 +625,6 @@ fn main() {
             writes_per_sec,
             accounted_reads_per_sec,
             durable_per_sec,
-            parallel.as_ref().map(|(pps, _, _, _)| *pps),
             stats_bytes,
             opts.tolerance,
         );
@@ -753,55 +634,6 @@ fn main() {
 /// Extracts `"reqs_per_sec"` from the named section (`"read"` / `"write"`)
 /// of a snapshot written by this binary. A hand-rolled scan keeps the guard
 /// dependency-free: the format is our own, fixed output above.
-/// Worker count the parallel phase actually exercised: the requested
-/// `threads` unless *every* write fell back to the serial replay path
-/// (each batch declined by the engine), in which case the phase ran on one
-/// thread no matter what was asked for — and the JSON must say so.
-fn effective_threads(threads: usize, declined: u64, total: u64) -> usize {
-    if total > 0 && declined >= total {
-        1
-    } else {
-        threads
-    }
-}
-
-/// Renders the `parallel` JSON section. `threads_effective` carries the
-/// degradation signal: a phase whose every batch was declined reports 1,
-/// not the requested worker count.
-#[allow(clippy::too_many_arguments)]
-fn parallel_json_block(
-    pps: f64,
-    psecs: f64,
-    pmsgs: u64,
-    declined: u64,
-    threads: usize,
-    write_iters: u64,
-    writes_per_sec: f64,
-) -> String {
-    format!(
-        concat!(
-            "  \"parallel\": {{\n",
-            "    \"reqs_per_sec\": {pps:.0},\n",
-            "    \"threads\": {threads},\n",
-            "    \"threads_effective\": {threads_effective},\n",
-            "    \"declined_writes\": {declined},\n",
-            "    \"iters\": {iters},\n",
-            "    \"elapsed_secs\": {psecs:.3},\n",
-            "    \"messages\": {pmsgs},\n",
-            "    \"speedup_vs_serial_write\": {pspeed:.2}\n",
-            "  }},\n",
-        ),
-        pps = pps,
-        threads = threads,
-        threads_effective = effective_threads(threads, declined, write_iters),
-        declined = declined,
-        iters = write_iters,
-        psecs = psecs,
-        pmsgs = pmsgs,
-        pspeed = pps / writes_per_sec,
-    )
-}
-
 fn snapshot_reqs_per_sec(json: &str, section: &str) -> Option<f64> {
     let start = json.find(&format!("\"{section}\""))?;
     snapshot_number(&json[start..], "reqs_per_sec")
@@ -831,7 +663,6 @@ fn check_against_snapshot(
     writes_per_sec: f64,
     accounted_reads_per_sec: f64,
     durable_per_sec: f64,
-    parallel_per_sec: Option<f64>,
     stats_bytes_per_replica: f64,
     tolerance: f64,
 ) {
@@ -870,18 +701,6 @@ fn check_against_snapshot(
     } else {
         eprintln!("# regression guard: snapshot {path} predates durable; skipping it");
     }
-    // Guarded only when the phase ran in *both* this run and the snapshot:
-    // `--threads 1` runs and pre-parallel snapshots skip it cleanly.
-    match (
-        parallel_per_sec,
-        snapshot_reqs_per_sec(&snapshot, "parallel"),
-    ) {
-        (Some(measured), Some(snap)) => checks.push(("parallel/s", measured, snap, floor)),
-        (Some(_), None) => {
-            eprintln!("# regression guard: snapshot {path} predates parallel; skipping it");
-        }
-        (None, _) => {}
-    }
     let name = "stats_bytes_per_replica";
     if let Some(snap) = snapshot_number(&snapshot, name) {
         checks.push((name, stats_bytes_per_replica, snap, ceiling));
@@ -917,18 +736,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn effective_threads_degrades_only_when_everything_declined() {
-        // Healthy phase: no declines, the requested count stands.
-        assert_eq!(effective_threads(4, 0, 1_000), 4);
-        // Partial declines still parallelized the rest.
-        assert_eq!(effective_threads(4, 999, 1_000), 4);
-        // Every write replayed serially: the phase never parallelized.
-        assert_eq!(effective_threads(4, 1_000, 1_000), 1);
-        // Degenerate empty phase keeps the requested count.
-        assert_eq!(effective_threads(4, 0, 0), 4);
-    }
-
-    #[test]
     fn snapshot_fields_are_found_by_section_and_by_key() {
         let json = "{\n  \"stats_bytes_per_replica\": 301.5,\n  \"read\": {\n    \
                     \"reqs_per_sec\": 10,\n    \"messages\": 3\n  },\n  \"write\": {\n    \
@@ -942,16 +749,53 @@ mod tests {
         assert_eq!(snapshot_number(json, "peak_rss_mb"), None);
     }
 
-    #[test]
-    fn parallel_json_reports_the_degradation() {
-        let healthy = parallel_json_block(1e6, 1.0, 500, 0, 4, 1_000, 5e5);
-        assert!(healthy.contains("\"threads\": 4"), "{healthy}");
-        assert!(healthy.contains("\"threads_effective\": 4"), "{healthy}");
-        assert!(healthy.contains("\"declined_writes\": 0"), "{healthy}");
+    fn parse(args: &[&str]) -> Result<Options, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        Options::parse(&args)
+    }
 
-        let degraded = parallel_json_block(1e6, 1.0, 500, 1_000, 4, 1_000, 5e5);
-        assert!(degraded.contains("\"threads\": 4"), "{degraded}");
-        assert!(degraded.contains("\"threads_effective\": 1"), "{degraded}");
-        assert!(degraded.contains("\"declined_writes\": 1000"), "{degraded}");
+    #[test]
+    fn every_documented_flag_round_trips() {
+        let defaults = parse(&[]).unwrap();
+        assert_eq!((defaults.users, defaults.iters), (100_000, 200_000));
+        assert_eq!(defaults.tolerance, 0.30);
+        let all = "--users 5000 --seed 7 --iters 300 --out o.json --check-against snap.json \
+                   --tolerance 0.05 --data-dir d --warmup-secs 1.5 --graph g.txt \
+                   --trace-out t.jsonl --metrics-out m.prom";
+        let args: Vec<&str> = all.split_whitespace().collect();
+        let expected = Options {
+            users: 5_000,
+            seed: 7,
+            iters: 300,
+            out: "o.json".to_string(),
+            quick: false,
+            check_against: Some("snap.json".to_string()),
+            tolerance: 0.05,
+            data_dir: Some("d".to_string()),
+            trace_out: Some("t.jsonl".to_string()),
+            metrics_out: Some("m.prom".to_string()),
+            warmup_secs: Some(1.5),
+            graph: Some("g.txt".to_string()),
+        };
+        assert_eq!(parse(&args), Ok(expected));
+        // `--quick` caps the graph and, with `--iters` unset, the iterations.
+        let quick = parse(&["--quick", "--users", "5000"]).unwrap();
+        assert!(quick.quick);
+        assert_eq!((quick.users, quick.iters), (2_000, 20_000));
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        for bad in [
+            &["--threads", "4"][..],
+            &["--tolerence", "0.05"],
+            &["--tolerance", "x"],
+            &["--tolerance", "0.3O"],
+            &["--tolerance", "NaN"],
+            &["--users", "-1"],
+            &["--quick", "--out"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} was accepted");
+        }
     }
 }

@@ -1162,83 +1162,6 @@ impl DynaSoReEngine {
         }
     }
 
-    // --- Parallel write batches --------------------------------------------
-
-    /// Smallest batch worth farming out to worker threads: below this the
-    /// scope spawn/join overhead outweighs the sharded work.
-    const MIN_PARALLEL_BATCH: usize = 32;
-
-    /// Rack-aligned shard boundaries over the dense server slab: a sorted
-    /// list of cut points `[0, …, servers.len()]` whose interior cuts all
-    /// fall on rack boundaries, balanced by server count into at most
-    /// `max_shards` shards. `None` when the cluster cannot yield two shards.
-    fn shard_plan(&self, max_shards: usize) -> Option<Vec<usize>> {
-        let total = self.servers.len();
-        if max_shards < 2 || total == 0 {
-            return None;
-        }
-        // Cumulative server count at each rack boundary. Machines are
-        // numbered rack by rack, so `servers[cuts[r-1]..cuts[r]]` is exactly
-        // rack r's slice of the slab.
-        let mut cuts: Vec<usize> = Vec::with_capacity(self.topology.rack_count());
-        let mut acc = 0usize;
-        for rack in 0..self.topology.rack_count() {
-            acc += self
-                .topology
-                .servers_in_rack_slice(RackId::new(rack as u32))
-                .len();
-            cuts.push(acc);
-        }
-        if cuts.last() != Some(&total) {
-            return None; // Slab out of step with the topology: stay serial.
-        }
-        let shards = max_shards.min(cuts.len());
-        if shards < 2 {
-            return None;
-        }
-        let mut plan = Vec::with_capacity(shards + 1);
-        plan.push(0usize);
-        for k in 1..shards {
-            // The rack boundary nearest the ideal equal-size cut point.
-            let ideal = total * k / shards;
-            let i = cuts.partition_point(|&c| c < ideal);
-            let cut = if i == 0 {
-                cuts[0]
-            } else if i >= cuts.len() {
-                cuts[cuts.len() - 1]
-            } else if ideal - cuts[i - 1] <= cuts[i] - ideal {
-                cuts[i - 1]
-            } else {
-                cuts[i]
-            };
-            if cut > *plan.last().unwrap() && cut < total {
-                plan.push(cut);
-            }
-        }
-        plan.push(total);
-        if plan.len() < 3 {
-            return None;
-        }
-        Some(plan)
-    }
-
-    /// The shard whose server range contains *every* replica of `user`, or
-    /// `None` when the replicas straddle a shard boundary (or the user is
-    /// unknown or replica-less) — those writes take the serialized slow
-    /// path. The replica list is a handful of entries, so the min/max scan
-    /// costs the same as the message loop that follows it.
-    fn shard_of_write(&self, user: UserId, plan: &[usize]) -> Option<usize> {
-        let state = self.users.get(user.as_usize())?;
-        let mut lo = *state.replicas.first()?;
-        let mut hi = lo;
-        for &ridx in &state.replicas[1..] {
-            lo = lo.min(ridx);
-            hi = hi.max(ridx);
-        }
-        let shard = plan.partition_point(|&b| b <= lo) - 1;
-        (hi < plan[shard + 1]).then_some(shard)
-    }
-
     // --- Cluster dynamics --------------------------------------------------
 
     /// The topology (including its liveness mask) as this engine sees it.
@@ -1651,62 +1574,6 @@ impl DynaSoReEngine {
     }
 }
 
-/// The per-worker loop of [`DynaSoReEngine::handle_write_batch`]: executes
-/// `writes` against one disjoint shard of the dense server slab (`servers`
-/// covers dense indices `base..base + servers.len()`), mirroring
-/// `handle_write` statement for statement. Workers cannot touch the shared
-/// user table, so write-proxy migrations are returned as
-/// `(user index, new broker)` decisions — applied by the caller after the
-/// join — and looked up locally (newest first) so later writes of the same
-/// user observe them, exactly as the serial path would.
-fn run_write_shard(
-    topology: &Topology,
-    users: &[UserState],
-    base: usize,
-    servers: &mut [ServerState],
-    writes: &[(UserId, SimTime)],
-    sink: &mut (dyn TrafficSink + Send),
-) -> Vec<(u32, BrokerId)> {
-    let mut tally = TransferTally::new(topology);
-    let mut migrations: Vec<(u32, BrokerId)> = Vec::new();
-    for &(user, time) in writes {
-        sink.set_time(time);
-        let state = &users[user.as_usize()];
-        let mut proxy = state.write_proxy;
-        // Proxy migrations are rare, so the newest-first scan for an
-        // earlier in-batch migration of this user is effectively O(1).
-        for &(uidx, broker) in migrations.iter().rev() {
-            if uidx as usize == user.as_usize() {
-                proxy = broker;
-                break;
-            }
-        }
-        let write_proxy = proxy.machine();
-        tally.clear();
-        for &ridx in &state.replicas {
-            let server = &mut servers[ridx - base];
-            let machine = server.machine();
-            sink.record(Message::application(write_proxy, machine));
-            tally.add(machine, 1);
-            if let Some(stats) = server.stats_mut(user) {
-                stats.record_write();
-            }
-        }
-        if let Some(best) = optimal_proxy_broker(topology, &mut tally) {
-            if best != proxy {
-                for &ridx in &state.replicas {
-                    sink.record(Message::protocol(
-                        best.machine(),
-                        servers[ridx - base].machine(),
-                    ));
-                }
-                migrations.push((user.index(), best));
-            }
-        }
-    }
-    migrations
-}
-
 impl PlacementEngine for DynaSoReEngine {
     fn name(&self) -> &str {
         &self.name
@@ -1779,73 +1646,6 @@ impl PlacementEngine for DynaSoReEngine {
             }
         }
         self.maybe_migrate_proxy(user, true, out);
-    }
-
-    /// Executes a write batch across rack-sharded worker threads. The dense
-    /// server slab is split at rack boundaries into one disjoint `&mut`
-    /// slice per worker (`split_at_mut` — no locks, no unsafe), each write
-    /// whose replicas all live inside one shard runs on that shard's worker,
-    /// and the rest replay serially after the join. Per-request proxy
-    /// placement uses a worker-local tally and the pure
-    /// [`optimal_proxy_broker`], so every decision — and therefore the
-    /// engine state and per-request message multiset — is byte-identical to
-    /// the serial path regardless of worker count.
-    fn handle_write_batch(
-        &mut self,
-        writes: &[(UserId, SimTime)],
-        sinks: &mut [&mut (dyn TrafficSink + Send)],
-    ) -> bool {
-        if writes.len() < Self::MIN_PARALLEL_BATCH || sinks.len() < 2 {
-            return false;
-        }
-        let Some(plan) = self.shard_plan(sinks.len()) else {
-            return false;
-        };
-        let shards = plan.len() - 1;
-        let mut assigned: Vec<Vec<(UserId, SimTime)>> = vec![Vec::new(); shards];
-        let mut leftover: Vec<(UserId, SimTime)> = Vec::new();
-        for &(user, time) in writes {
-            match self.shard_of_write(user, &plan) {
-                Some(s) => assigned[s].push((user, time)),
-                None => leftover.push((user, time)),
-            }
-        }
-        let topology = &self.topology;
-        let users = &self.users;
-        let mut migrations: Vec<Vec<(u32, BrokerId)>> = Vec::with_capacity(shards);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(shards);
-            let mut rest: &mut [ServerState] = &mut self.servers;
-            let mut offset = 0usize;
-            let mut sink_slots = sinks.iter_mut();
-            for (s, batch) in assigned.iter().enumerate() {
-                let (shard, tail) = rest.split_at_mut(plan[s + 1] - offset);
-                rest = tail;
-                let base = offset;
-                offset = plan[s + 1];
-                let sink = sink_slots.next().expect("one sink per shard");
-                if batch.is_empty() {
-                    continue;
-                }
-                handles.push(scope.spawn(move || {
-                    run_write_shard(topology, users, base, shard, batch, &mut **sink)
-                }));
-            }
-            for handle in handles {
-                migrations.push(handle.join().expect("write-shard worker panicked"));
-            }
-        });
-        // Worker order, which is shard order: deterministic and
-        // worker-count-independent (each user's migrations live in exactly
-        // one worker's list, in batch order).
-        for (uidx, broker) in migrations.into_iter().flatten() {
-            self.set_write_proxy(UserId::new(uidx), broker);
-        }
-        for &(user, time) in &leftover {
-            sinks[0].set_time(time);
-            self.handle_write(user, time, &mut *sinks[0]);
-        }
-        true
     }
 
     fn on_tick(&mut self, _time: SimTime, out: &mut dyn TrafficSink) {

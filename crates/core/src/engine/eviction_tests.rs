@@ -129,27 +129,13 @@ fn apply_step(
             return "tick".to_string();
         }
         66..=75 => {
-            let writes: Vec<(UserId, SimTime)> = (0..40)
-                .map(|k| (UserId::new((a + k * (1 + b % 7)) % USERS as u32), time))
-                .collect();
-            let mut shards = [
-                RecordingSink::default(),
-                RecordingSink::default(),
-                RecordingSink::default(),
-            ];
-            let sharded = {
-                let mut sinks: Vec<&mut (dyn TrafficSink + Send)> = shards
-                    .iter_mut()
-                    .map(|s| s as &mut (dyn TrafficSink + Send))
-                    .collect();
-                engine.handle_write_batch(&writes, &mut sinks)
-            };
-            if !sharded {
-                for &(user, time) in &writes {
-                    engine.handle_write(user, time, out);
-                }
+            // A write burst over many users, so proxy migrations pile up
+            // between two checks.
+            for k in 0..40 {
+                let writer = UserId::new((a + k * (1 + b % 7)) % USERS as u32);
+                engine.handle_write(writer, time, out);
             }
-            return format!("write batch from {user} (sharded: {sharded})");
+            return format!("write burst from {user}");
         }
         76..=80 => ClusterEvent::MachineDown { machine },
         81..=85 => ClusterEvent::MachineUp { machine },
@@ -168,7 +154,7 @@ proptest! {
 
     /// The cache is equivalent to the rescan under churn: reads, writes,
     /// ticks, write-proxy migrations (write-heavy users, failed brokers),
-    /// sharded write batches, machine and rack failures and repairs, drains,
+    /// write bursts, machine and rack failures and repairs, drains,
     /// elastic growth and shrink, on a tree and on a flat cluster, with
     /// memory tight enough that admissions evict. Checked after every step,
     /// or — so stale marks also pile up across steps — after every few.

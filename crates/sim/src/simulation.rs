@@ -4,7 +4,7 @@ use dynasore_graph::SocialGraph;
 use dynasore_topology::{Switch, Topology, TopologyKind, TrafficAccount};
 use dynasore_types::{
     Latency, LatencyHistogram, MachineId, MessageClass, NetworkModel, Result, SimTime, SubtreeId,
-    TimedClusterEvent, TraceEventKind, TrafficSink, UserId, HOUR_SECS, NANOS_PER_SEC,
+    TimedClusterEvent, TraceEventKind, TrafficSink, HOUR_SECS, NANOS_PER_SEC,
 };
 use dynasore_workload::{GraphMutation, Request, TimedMutation};
 
@@ -86,118 +86,6 @@ impl TrafficSink for AccountingSink<'_> {
     }
 }
 
-/// Per-worker accounting partial for the parallel write path: the same
-/// inline switch charging as [`AccountingSink`], but owning its
-/// [`TrafficAccount`] so worker threads need no synchronization at all.
-/// Partials merge into the run's account in worker order after the batch
-/// joins; the parallel path only runs under the infinite network model,
-/// where every merged quantity is a plain sum (or a max of zeros), so the
-/// merged result is byte-identical to serial accounting regardless of how
-/// the batch was split.
-struct WorkerSink<'a> {
-    topology: &'a Topology,
-    traffic: TrafficAccount,
-    time: SimTime,
-    app_messages: u64,
-    proto_messages: u64,
-    recovery_messages: u64,
-}
-
-impl TrafficSink for WorkerSink<'_> {
-    fn record(&mut self, message: Message) {
-        match message.class {
-            MessageClass::Application => self.app_messages += 1,
-            MessageClass::Protocol => self.proto_messages += 1,
-        }
-        if message.involves_persistent() {
-            self.recovery_messages += 1;
-        }
-        if message.is_local() {
-            return;
-        }
-        self.topology.record_path_timed(
-            message.from,
-            message.to,
-            message.class,
-            self.time,
-            &mut self.traffic,
-        );
-    }
-
-    fn set_time(&mut self, time: SimTime) {
-        self.time = time;
-    }
-}
-
-/// Flushes the parallel driver's queued write batch through
-/// [`PlacementEngine::handle_write_batch`], merging the per-worker
-/// accounting partials in worker order (deterministic and independent of
-/// thread scheduling). When the engine declines the batch — too few writes,
-/// too few racks, or an engine without a parallel path — it replays
-/// serially through `handle_write` in queue order, which *is* the serial
-/// execution.
-#[allow(clippy::too_many_arguments)]
-fn flush_write_batch<E: PlacementEngine>(
-    engine: &mut E,
-    topology: &Topology,
-    config: &SimulationConfig,
-    threads: usize,
-    pending: &mut Vec<(UserId, SimTime)>,
-    traffic: &mut TrafficAccount,
-    app_messages: &mut u64,
-    proto_messages: &mut u64,
-    recovery_messages: &mut u64,
-    write_latency: &mut LatencyHistogram,
-) {
-    if pending.is_empty() {
-        return;
-    }
-    let mut workers: Vec<WorkerSink<'_>> = (0..threads)
-        .map(|_| WorkerSink {
-            topology,
-            traffic: TrafficAccount::with_model(config.traffic_bucket_secs, config.network),
-            time: SimTime::ZERO,
-            app_messages: 0,
-            proto_messages: 0,
-            recovery_messages: 0,
-        })
-        .collect();
-    let mut slots: Vec<&mut (dyn TrafficSink + Send)> = workers
-        .iter_mut()
-        .map(|w| w as &mut (dyn TrafficSink + Send))
-        .collect();
-    if engine.handle_write_batch(pending, &mut slots) {
-        for worker in &workers {
-            traffic.merge(&worker.traffic);
-            *app_messages += worker.app_messages;
-            *proto_messages += worker.proto_messages;
-            *recovery_messages += worker.recovery_messages;
-        }
-        // The parallel path only runs under the infinite model, where a
-        // write's critical-path latency is exactly zero — the same sample
-        // the serial path records per write.
-        for _ in 0..pending.len() {
-            write_latency.record(Latency::ZERO);
-        }
-    } else {
-        for &(user, time) in pending.iter() {
-            let mut sink = AccountingSink {
-                topology,
-                traffic,
-                time,
-                app_messages,
-                proto_messages,
-                recovery_messages,
-                request_latency: Latency::ZERO,
-                obs: None,
-            };
-            engine.handle_write(user, time, &mut sink);
-            write_latency.record(sink.request_latency);
-        }
-    }
-    pending.clear();
-}
-
 /// Simulation timing parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimulationConfig {
@@ -246,12 +134,6 @@ pub struct Simulation<E> {
     config: SimulationConfig,
     durable: Option<Box<dyn DurableTier>>,
     obs: Option<SimObs>,
-    /// Worker budget for the parallel write path (1 = fully serial driver).
-    threads: usize,
-    /// Worker count the last run actually used: `threads` when the parallel
-    /// path engaged, 1 when the run fell back to the serial driver. `None`
-    /// before any run.
-    effective_threads: Option<usize>,
 }
 
 impl<E: PlacementEngine> Simulation<E> {
@@ -267,30 +149,7 @@ impl<E: PlacementEngine> Simulation<E> {
             config: SimulationConfig::default(),
             durable: None,
             obs: None,
-            threads: 1,
-            effective_threads: None,
         }
-    }
-
-    /// Sets the worker budget for the parallel write path. With more than
-    /// one thread the driver batches consecutive write requests and offers each
-    /// batch to [`PlacementEngine::handle_write_batch`], which shards the
-    /// work across that many threads; everything else (reads, ticks,
-    /// mutations, cluster events, probes, durable appends) stays serial and
-    /// acts as a batch boundary.
-    ///
-    /// The determinism contract: a run with any `threads` value produces a
-    /// [`SimReport`] byte-identical to `threads = 1`. Parallel batches are
-    /// only offered when the accounting is order-independent — the infinite
-    /// [`NetworkModel`] and no attached observer; a finite network model or
-    /// an observer falls back to the fully serial driver. The fallback is
-    /// surfaced: the run warns on stderr and
-    /// [`Simulation::effective_threads`] reports the worker count actually
-    /// used, so drivers (and their JSON output) cannot claim parallelism
-    /// that never happened.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads.max(1);
-        self
     }
 
     /// Schedules social-graph mutations to be applied during the run
@@ -361,18 +220,6 @@ impl<E: PlacementEngine> Simulation<E> {
     /// Detaches and returns the observer (with everything recorded so far).
     pub fn take_observer(&mut self) -> Option<SimObs> {
         self.obs.take()
-    }
-
-    /// Worker count the last run actually used: the configured
-    /// [`Simulation::with_threads`] value when the parallel write path
-    /// engaged, `1` when the run fell back to the serial driver (finite
-    /// network model or attached observer), `None` before any run.
-    ///
-    /// Deliberately *not* part of [`SimReport`]: the report is a pure
-    /// measurement with a byte-identity contract across thread counts, so
-    /// driver provenance lives here and in bench JSON instead.
-    pub fn effective_threads(&self) -> Option<usize> {
-        self.effective_threads
     }
 
     /// The engine being driven.
@@ -453,73 +300,8 @@ impl<E: PlacementEngine> Simulation<E> {
         };
         let mut now = SimTime::ZERO;
 
-        // The parallel write path only engages when its accounting is
-        // provably order-independent: unit counting under the infinite
-        // network model, with no observer expecting ordered trace events.
-        let parallel_writes =
-            self.threads > 1 && self.config.network.is_infinite() && self.obs.is_none();
-        self.effective_threads = Some(if parallel_writes { self.threads } else { 1 });
-        if self.threads > 1 && !parallel_writes {
-            let mut reasons = Vec::new();
-            if !self.config.network.is_infinite() {
-                reasons.push("the network model is finite");
-            }
-            if self.obs.is_some() {
-                reasons.push("an observer is attached");
-            }
-            eprintln!(
-                "# simulation: {} threads requested but {} — running the serial driver",
-                self.threads,
-                reasons.join(" and ")
-            );
-        }
-        let mut pending_writes: Vec<(UserId, SimTime)> = Vec::new();
-
         for request in trace {
             now = request.time;
-
-            // Batched parallel mode: queue consecutive writes while nothing
-            // else is due at or before this request (no mutation, cluster
-            // event, tick or probe), and flush the queue through the
-            // engine's batch hook the moment anything would interleave.
-            // Durable appends still happen here, at queue time, so the tier
-            // sees exactly the serial byte stream in trace order.
-            if parallel_writes {
-                let boundary = request.is_read()
-                    || self
-                        .mutations
-                        .get(mutation_idx)
-                        .map(|m| m.time <= request.time)
-                        .unwrap_or(false)
-                    || self
-                        .cluster_events
-                        .get(event_idx)
-                        .map(|e| e.time <= request.time)
-                        .unwrap_or(false)
-                    || next_tick <= request.time.as_secs()
-                    || next_probe <= request.time.as_secs();
-                if !boundary {
-                    writes += 1;
-                    if let Some(tier) = self.durable.as_mut() {
-                        tier.append(request.user, request.time)?;
-                        durable_io.appends += 1;
-                    }
-                    pending_writes.push((request.user, request.time));
-                    continue;
-                }
-                flush_write_batch(
-                    &mut self.engine,
-                    &self.topology,
-                    &self.config,
-                    self.threads,
-                    &mut pending_writes,
-                    &mut traffic,
-                    &mut app_messages,
-                    &mut proto_messages,
-                    &mut recovery_messages,
-                    &mut write_latency,
-                );
-            }
 
             // Apply pending graph mutations and cluster events, merged by
             // their due times (a mutation and an event due at the same
@@ -677,22 +459,6 @@ impl<E: PlacementEngine> Simulation<E> {
                     .handle_write(request.user, request.time, &mut sink);
                 write_latency.record(sink.request_latency);
             }
-        }
-
-        // Writes still queued when the trace ended.
-        if parallel_writes {
-            flush_write_batch(
-                &mut self.engine,
-                &self.topology,
-                &self.config,
-                self.threads,
-                &mut pending_writes,
-                &mut traffic,
-                &mut app_messages,
-                &mut proto_messages,
-                &mut recovery_messages,
-                &mut write_latency,
-            );
         }
 
         // Graceful shutdown: commit and fsync any batched durable appends,
@@ -1202,69 +968,6 @@ mod tests {
         assert_eq!(sim.topology().rack_count(), topology.rack_count() + 1);
         // The report's per-tier averages use the final switch counts.
         assert!(report.tier_average(Tier::Rack) >= 0.0);
-    }
-
-    #[test]
-    fn effective_threads_reports_the_serial_fallback() {
-        let (graph, topology) = small_setup();
-        let trace: Vec<Request> = SyntheticTraceGenerator::paper_defaults(&graph, 1, 2)
-            .unwrap()
-            .collect();
-
-        // Before any run there is nothing to report.
-        let sim = Simulation::new(
-            topology.clone(),
-            ModuloEngine::new(topology.clone()),
-            &graph,
-        )
-        .with_threads(4);
-        assert_eq!(sim.effective_threads(), None);
-
-        // Infinite network, no observer: the parallel path engages.
-        let mut sim = Simulation::new(
-            topology.clone(),
-            ModuloEngine::new(topology.clone()),
-            &graph,
-        )
-        .with_threads(4);
-        sim.run(trace.clone()).unwrap();
-        assert_eq!(sim.effective_threads(), Some(4));
-
-        // An attached observer forces the serial driver — and the run must
-        // say so instead of silently claiming 4 workers.
-        let mut sim = Simulation::new(
-            topology.clone(),
-            ModuloEngine::new(topology.clone()),
-            &graph,
-        )
-        .with_threads(4)
-        .with_observer(SimObs::new(64));
-        sim.run(trace.clone()).unwrap();
-        assert_eq!(sim.effective_threads(), Some(1));
-
-        // So does a finite network model.
-        use dynasore_types::Bandwidth;
-        let model = dynasore_types::NetworkModel {
-            top_service: Bandwidth::units_per_sec(1_000),
-            intermediate_service: Bandwidth::units_per_sec(1_000),
-            rack_service: Bandwidth::units_per_sec(1_000),
-            hop_latency: dynasore_types::Latency::from_micros(5),
-            collapse_threshold: dynasore_types::Latency::from_secs(1),
-        };
-        let mut sim = Simulation::new(
-            topology.clone(),
-            ModuloEngine::new(topology.clone()),
-            &graph,
-        )
-        .with_threads(4)
-        .with_network(model);
-        sim.run(trace.clone()).unwrap();
-        assert_eq!(sim.effective_threads(), Some(1));
-
-        // A single-thread run is trivially effective at 1.
-        let mut sim = Simulation::new(topology.clone(), ModuloEngine::new(topology), &graph);
-        sim.run(trace).unwrap();
-        assert_eq!(sim.effective_threads(), Some(1));
     }
 
     #[test]

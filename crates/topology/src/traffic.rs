@@ -318,69 +318,6 @@ impl TrafficAccount {
     pub fn grand_total(&self) -> TrafficUnits {
         self.tier_totals.iter().map(TierTraffic::total).sum()
     }
-
-    /// Merges another account (same bucket width and model) into this one.
-    /// Queue state merges conservatively: each switch keeps the later
-    /// busy-until instant, and the maxima keep the larger observation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bucket widths or network models differ.
-    pub fn merge(&mut self, other: &TrafficAccount) {
-        assert_eq!(
-            self.bucket_secs, other.bucket_secs,
-            "cannot merge accounts with different bucket widths"
-        );
-        assert_eq!(
-            self.model, other.model,
-            "cannot merge accounts with different network models"
-        );
-        for tier in 0..3 {
-            self.tier_totals[tier].application += other.tier_totals[tier].application;
-            self.tier_totals[tier].protocol += other.tier_totals[tier].protocol;
-        }
-        self.top_total += other.top_total;
-        if other.intermediate_totals.len() > self.intermediate_totals.len() {
-            self.intermediate_totals
-                .resize(other.intermediate_totals.len(), 0);
-        }
-        for (i, units) in other.intermediate_totals.iter().enumerate() {
-            self.intermediate_totals[i] += units;
-        }
-        if other.rack_totals.len() > self.rack_totals.len() {
-            self.rack_totals.resize(other.rack_totals.len(), 0);
-        }
-        for (r, units) in other.rack_totals.iter().enumerate() {
-            self.rack_totals[r] += units;
-        }
-        if other.series.len() > self.series.len() {
-            self.series
-                .resize(other.series.len(), [TierTraffic::default(); 3]);
-        }
-        for (bucket, tiers) in other.series.iter().enumerate() {
-            for (tier, units) in tiers.iter().enumerate() {
-                self.series[bucket][tier].application += units.application;
-                self.series[bucket][tier].protocol += units.protocol;
-            }
-        }
-        self.messages += other.messages;
-        self.top_busy_until = self.top_busy_until.max(other.top_busy_until);
-        if other.inter_busy_until.len() > self.inter_busy_until.len() {
-            self.inter_busy_until
-                .resize(other.inter_busy_until.len(), 0);
-        }
-        for (i, &busy) in other.inter_busy_until.iter().enumerate() {
-            self.inter_busy_until[i] = self.inter_busy_until[i].max(busy);
-        }
-        if other.rack_busy_until.len() > self.rack_busy_until.len() {
-            self.rack_busy_until.resize(other.rack_busy_until.len(), 0);
-        }
-        for (r, &busy) in other.rack_busy_until.iter().enumerate() {
-            self.rack_busy_until[r] = self.rack_busy_until[r].max(busy);
-        }
-        self.max_queue_delay_ns = self.max_queue_delay_ns.max(other.max_queue_delay_ns);
-        self.max_backlog_units = self.max_backlog_units.max(other.max_backlog_units);
-    }
 }
 
 impl Default for TrafficAccount {
@@ -475,41 +412,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_combines_everything() {
-        let mut a = TrafficAccount::new(60);
-        let mut b = TrafficAccount::new(60);
-        a.record(
-            &[Switch::Top],
-            MessageClass::Application,
-            SimTime::from_secs(10),
-        );
-        b.record(
-            &[Switch::Top],
-            MessageClass::Protocol,
-            SimTime::from_secs(70),
-        );
-        b.record(
-            &[Switch::Rack(1)],
-            MessageClass::Application,
-            SimTime::from_secs(70),
-        );
-        a.merge(&b);
-        assert_eq!(a.message_count(), 3);
-        assert_eq!(a.tier_total(Tier::Top).application, 10);
-        assert_eq!(a.tier_total(Tier::Top).protocol, 1);
-        assert_eq!(a.switch_total(Switch::Rack(1)), 10);
-        assert_eq!(a.top_switch_series().len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "different bucket widths")]
-    fn merge_rejects_mismatched_buckets() {
-        let mut a = TrafficAccount::new(60);
-        let b = TrafficAccount::new(120);
-        a.merge(&b);
-    }
-
-    #[test]
     fn infinite_model_keeps_unit_accounting_byte_identical() {
         let mut plain = TrafficAccount::hourly();
         let mut modelled = TrafficAccount::with_model(HOUR_SECS, NetworkModel::infinite());
@@ -596,45 +498,6 @@ mod tests {
         // reaches the top at t=2s — after the first cleared it: no top wait.
         assert_eq!(second, Latency::from_nanos(2 * NANOS_PER_SEC + 1_000));
         assert_eq!(acc.max_switch_backlog(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "different network models")]
-    fn merge_rejects_mismatched_models() {
-        let mut a = TrafficAccount::with_model(60, NetworkModel::datacenter());
-        let b = TrafficAccount::new(60);
-        a.merge(&b);
-    }
-
-    #[test]
-    fn merge_keeps_later_queue_state() {
-        let model = NetworkModel {
-            top_service: dynasore_types::Bandwidth::units_per_sec(1),
-            intermediate_service: dynasore_types::Bandwidth::INFINITE,
-            rack_service: dynasore_types::Bandwidth::INFINITE,
-            hop_latency: Latency::ZERO,
-            collapse_threshold: Latency::from_secs(1),
-        };
-        let mut a = TrafficAccount::with_model(60, model);
-        let mut b = TrafficAccount::with_model(60, model);
-        a.record_timed(&[Switch::Top], MessageClass::Protocol, SimTime::ZERO);
-        b.record_timed(
-            &[Switch::Top],
-            MessageClass::Protocol,
-            SimTime::from_secs(5),
-        );
-        b.record_timed(
-            &[Switch::Top],
-            MessageClass::Protocol,
-            SimTime::from_secs(5),
-        );
-        a.merge(&b);
-        // b's top queue extends to t=7s, later than a's 1s.
-        assert_eq!(
-            a.queued_delay(Switch::Top, SimTime::from_secs(5)),
-            Latency::from_secs(2)
-        );
-        assert_eq!(a.max_queue_delay(), b.max_queue_delay());
     }
 
     #[test]

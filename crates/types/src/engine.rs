@@ -190,9 +190,8 @@ impl MemoryUsage {
 /// Engines hand each message to the sink the moment it is generated, so the
 /// driver can account for it inline (charge switches, count classes) without
 /// the engine ever materializing a message buffer. `Vec<Message>` implements
-/// the trait by pushing, which keeps unit tests and ad-hoc drivers
-/// ergonomic: any call site that used to pass `&mut Vec<Message>` still
-/// compiles unchanged.
+/// the trait by pushing, for unit tests and drivers that want to inspect the
+/// messages themselves.
 pub trait TrafficSink {
     /// Accepts one message.
     fn record(&mut self, message: Message);
@@ -218,13 +217,6 @@ pub trait TrafficSink {
     /// every unit-count sink, `Vec<Message>` included — discards the event,
     /// which keeps the disabled-observability path zero-cost.
     fn trace(&mut self, _event: TraceEventKind) {}
-
-    /// Moves the sink's notion of "now" forward. Batched drivers reuse one
-    /// sink across many requests at different simulated times and call this
-    /// before each request so time-bucketed accounting (traffic series)
-    /// lands in the right bucket. Sinks built for a single instant — and
-    /// every unit-count sink, `Vec<Message>` included — ignore it.
-    fn set_time(&mut self, _time: SimTime) {}
 }
 
 impl TrafficSink for Vec<Message> {
@@ -280,30 +272,6 @@ pub trait PlacementEngine {
     /// Executes a write request issued by `user` at simulated time `time`,
     /// reporting every generated message to `out`.
     fn handle_write(&mut self, user: UserId, time: SimTime, out: &mut dyn TrafficSink);
-
-    /// Executes a batch of write requests, possibly in parallel, reporting
-    /// each request's messages to one of `sinks` (the sink count is the
-    /// driver's worker budget). Returns `true` when the engine executed the
-    /// whole batch, `false` when it declines — the driver then replays the
-    /// batch through [`handle_write`](Self::handle_write) one by one, so the
-    /// default keeps every existing engine correct with zero changes.
-    ///
-    /// The contract for engines that accept: the observable outcome (engine
-    /// state afterwards, and the multiset of messages across all sinks with
-    /// each message recorded at its request's time via
-    /// [`TrafficSink::set_time`]) must be byte-identical to calling
-    /// `handle_write` serially in batch order. The simulator only offers
-    /// batches whose accounting is order-independent (unit counting /
-    /// infinite network model), so engines are free to split the batch
-    /// across workers as long as per-request effects are preserved exactly.
-    fn handle_write_batch(
-        &mut self,
-        writes: &[(UserId, SimTime)],
-        sinks: &mut [&mut (dyn TrafficSink + Send)],
-    ) -> bool {
-        let _ = (writes, sinks);
-        false
-    }
 
     /// Periodic maintenance hook, called by the simulator at a fixed
     /// interval (hourly by default): rotate access counters, refresh
@@ -371,14 +339,6 @@ impl<T: PlacementEngine + ?Sized> PlacementEngine for Box<T> {
 
     fn handle_write(&mut self, user: UserId, time: SimTime, out: &mut dyn TrafficSink) {
         (**self).handle_write(user, time, out);
-    }
-
-    fn handle_write_batch(
-        &mut self,
-        writes: &[(UserId, SimTime)],
-        sinks: &mut [&mut (dyn TrafficSink + Send)],
-    ) -> bool {
-        (**self).handle_write_batch(writes, sinks)
     }
 
     fn on_tick(&mut self, time: SimTime, out: &mut dyn TrafficSink) {
