@@ -16,7 +16,7 @@ use rand::SeedableRng;
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 use dynasore_types::{
-    ClusterEvent, Error, MachineId, MemoryBudget, RackId, Result, SimTime, SubtreeId, UserId,
+    ClusterEvent, Error, MachineId, MemoryBudget, Result, SimTime, UserId,
     VIEW_TRANSFER_PROTOCOL_MESSAGES,
 };
 use dynasore_types::{MemoryUsage, Message, PlacementEngine, TrafficSink};
@@ -246,12 +246,12 @@ impl SparEngine {
     // comparison experiments should show.
 
     /// The live server with the fewest stored views (free space preferred,
-    /// ties by dense index), excluding `exclude`.
-    fn least_loaded_live_server(&self, exclude: Option<usize>) -> Option<usize> {
+    /// ties by dense index).
+    fn least_loaded_live_server(&self) -> Option<usize> {
         let mut best_any: Option<(usize, usize)> = None;
         let mut best_free: Option<(usize, usize)> = None;
         for (i, server) in self.servers.iter().enumerate() {
-            if Some(i) == exclude || !self.topology.is_live(server.machine) {
+            if !self.topology.is_live(server.machine) {
                 continue;
             }
             let key = (server.views.len(), i);
@@ -284,9 +284,12 @@ impl SparEngine {
         }
     }
 
-    /// Re-fills the lost view of `user` from the persistent tier.
-    fn recover_view(&mut self, user: usize, out: &mut dyn TrafficSink) {
-        let Some(target) = self.least_loaded_live_server(None) else {
+    /// Re-creates the view of `user`, who has no live copy left, on the least
+    /// loaded live server: transferred machine-to-machine from `source` (the
+    /// machine a drain or decommission is emptying), or re-filled from the
+    /// persistent tier when there is none.
+    fn recover_view(&mut self, user: usize, source: Option<MachineId>, out: &mut dyn TrafficSink) {
+        let Some(target) = self.least_loaded_live_server() else {
             return; // Every server is dead; the view stays lost.
         };
         let target_machine = self.servers[target].machine;
@@ -295,7 +298,10 @@ impl SparEngine {
         self.primary[user] = target;
         self.proxies[user] = self.proxy_near(target);
         for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-            out.record(Message::persistent_fetch(target_machine));
+            out.record(match source {
+                Some(source) => Message::protocol(source, target_machine),
+                None => Message::persistent_fetch(target_machine),
+            });
         }
     }
 
@@ -311,161 +317,51 @@ impl SparEngine {
         }
     }
 
-    /// Crash-fails a batch of machines.
-    fn take_down(&mut self, machines: &[MachineId], out: &mut dyn TrafficSink) {
-        let mut dead_servers: Vec<usize> = Vec::new();
-        let mut any = false;
-        for &machine in machines {
-            if self.topology.is_live(machine) && self.topology.set_live(machine, false).is_ok() {
-                any = true;
-                if let Some(sidx) = self.topology.server_ordinal(machine) {
-                    dead_servers.push(sidx);
-                }
-            }
-        }
-        if !any {
-            return;
-        }
-        for &sidx in &dead_servers {
+    /// Reacts to a batch of machines leaving (the topology already has all
+    /// of them dead, so nothing moves from one leaving machine to another):
+    /// their copies vanish, a surviving copy is promoted to primary, and a
+    /// view left without one is re-created — from the persistent tier after
+    /// a crash, machine-to-machine when the exit is `graceful` (a drained
+    /// machine, or a whole decommissioned rack).
+    fn take_down(&mut self, gone: &[MachineId], graceful: bool, out: &mut dyn TrafficSink) {
+        let ordinal = |&m| self.topology.server_ordinal(m);
+        let gone: Vec<usize> = gone.iter().filter_map(ordinal).collect();
+        for &sidx in &gone {
             self.servers[sidx].views.clear();
         }
         // Iterate users in id order (never the servers' hash sets) so the
         // recovery sequence — and therefore the message stream — is
         // deterministic.
         for user in 0..self.replicas.len() {
-            self.replicas[user].retain(|i| !dead_servers.contains(i));
-            if self.replicas[user].is_empty() {
-                self.recover_view(user, out);
-            } else if !self.replicas[user].contains(&self.primary[user]) {
-                self.promote_primary(user);
-            }
-        }
-        self.rehome_dead_proxies();
-    }
-
-    /// Revives a batch of machines (empty) and recovers any still-lost
-    /// views onto the returned capacity.
-    fn bring_up(&mut self, machines: &[MachineId], out: &mut dyn TrafficSink) {
-        let mut any = false;
-        for &machine in machines {
-            if self.topology.contains(machine)
-                && !self.topology.is_live(machine)
-                && !self.topology.is_retired(machine)
-            {
-                self.topology
-                    .set_live(machine, true)
-                    .expect("machine exists");
-                any = true;
-            }
-        }
-        if !any {
-            return;
-        }
-        for user in 0..self.replicas.len() {
-            if self.replicas[user].is_empty() {
-                self.recover_view(user, out);
-            }
-        }
-    }
-
-    /// Gracefully drains one machine, migrating sole replicas
-    /// machine-to-machine.
-    fn drain(&mut self, machine: MachineId, out: &mut dyn TrafficSink) {
-        if !self.topology.is_live(machine) {
-            return;
-        }
-        self.topology
-            .set_live(machine, false)
-            .expect("machine exists");
-        if let Some(sidx) = self.topology.server_ordinal(machine) {
-            for user in 0..self.replicas.len() {
-                if !self.replicas[user].contains(&sidx) {
-                    continue;
-                }
-                if self.replicas[user].len() > 1 {
-                    self.replicas[user].retain(|&i| i != sidx);
-                    if self.primary[user] == sidx {
-                        self.promote_primary(user);
-                    }
-                } else if let Some(target) = self.least_loaded_live_server(Some(sidx)) {
-                    let target_machine = self.servers[target].machine;
-                    self.servers[target].views.insert(UserId::new(user as u32));
-                    self.replicas[user] = vec![target];
-                    self.primary[user] = target;
-                    self.proxies[user] = self.proxy_near(target);
-                    for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-                        out.record(Message::protocol(machine, target_machine));
-                    }
-                } else {
-                    self.replicas[user].clear(); // No live capacity: lost.
-                }
-            }
-            self.servers[sidx].views.clear();
-        }
-        self.rehome_dead_proxies();
-    }
-
-    /// Decommissions a whole rack (elastic shrink): every machine of the
-    /// rack is marked dead up front, then each user's copies on the rack are
-    /// dropped (when other copies survive) or migrated machine-to-machine
-    /// (sole copies) — the same ladder as a drain, batched so nothing moves
-    /// from one dying machine to another. The rack is then retired for good.
-    fn retire_rack(&mut self, rack: RackId, out: &mut dyn TrafficSink) {
-        if self.topology.is_rack_retired(rack) || self.topology.active_rack_count() <= 1 {
-            return;
-        }
-        let machines = self
-            .topology
-            .machines_in_subtree(SubtreeId::Rack(rack.index()));
-        let mut dying: Vec<usize> = Vec::new();
-        for &machine in &machines {
-            let _ = self.topology.set_live(machine, false);
-            if let Some(sidx) = self.topology.server_ordinal(machine) {
-                dying.push(sidx);
-            }
-        }
-        if machines.is_empty() {
-            return;
-        }
-        // Users in id order so the migration message stream is deterministic.
-        for user in 0..self.replicas.len() {
-            if !self.replicas[user].iter().any(|i| dying.contains(i)) {
-                continue;
-            }
-            if self.replicas[user].iter().any(|i| !dying.contains(i)) {
-                // Copies survive elsewhere: drop the rack's copies.
-                self.replicas[user].retain(|i| !dying.contains(i));
+            // The copy a graceful exit transfers a view from.
+            let source = self.replicas[user].first().filter(|_| graceful);
+            let source = source.map(|&i| self.servers[i].machine);
+            self.replicas[user].retain(|i| !gone.contains(i));
+            if !self.replicas[user].is_empty() {
                 if !self.replicas[user].contains(&self.primary[user]) {
                     self.promote_primary(user);
                 }
-            } else if let Some(target) = self.least_loaded_live_server(None) {
-                // Every copy lives on the dying rack: migrate one off it.
-                let source = self.servers[self.replicas[user][0]].machine;
-                let target_machine = self.servers[target].machine;
-                self.servers[target].views.insert(UserId::new(user as u32));
-                self.replicas[user] = vec![target];
-                self.primary[user] = target;
-                self.proxies[user] = self.proxy_near(target);
-                for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-                    out.record(Message::protocol(source, target_machine));
-                }
-            } else {
-                self.replicas[user].clear(); // No live capacity: lost.
+            } else if !graceful || source.is_some() {
+                // A crash also retries the views that stayed lost earlier.
+                self.recover_view(user, source, out);
             }
         }
-        for &sidx in &dying {
-            self.servers[sidx].views.clear();
-        }
         self.rehome_dead_proxies();
-        let _ = self.topology.remove_rack(rack);
+    }
+
+    /// Reacts to machines coming back (empty): any still-lost views are
+    /// recovered onto the returned capacity.
+    fn bring_up(&mut self, out: &mut dyn TrafficSink) {
+        for user in 0..self.replicas.len() {
+            if self.replicas[user].is_empty() {
+                self.recover_view(user, None, out);
+            }
+        }
     }
 
     /// Mirrors a freshly added rack with empty SPAR servers.
     fn absorb_new_rack(&mut self) {
         let capacity = self.servers.first().map(|s| s.capacity).unwrap_or(0);
-        if self.topology.add_rack().is_err() {
-            return;
-        }
         for server in &self.topology.servers()[self.servers.len()..] {
             self.servers.push(SparServer {
                 machine: server.machine(),
@@ -473,6 +369,11 @@ impl SparEngine {
                 views: HashSet::new(),
             });
         }
+    }
+
+    /// The topology (including its liveness mask) as this engine sees it.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 }
 
@@ -557,24 +458,25 @@ impl PlacementEngine for SparEngine {
         _time: SimTime,
         out: &mut dyn TrafficSink,
     ) {
+        let Ok(change) = self.topology.apply_cluster_event(event) else {
+            return; // Refused by the topology: nothing moved.
+        };
+        // A stale event moved nothing and needs no reaction — except that a
+        // removed rack whose machines had all died earlier may still host
+        // stranded proxies.
+        let stale = change.down.is_empty() && change.up.is_empty();
+        if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
+            return;
+        }
         match event {
-            ClusterEvent::MachineDown { machine } => self.take_down(&[machine], out),
-            ClusterEvent::MachineUp { machine } => self.bring_up(&[machine], out),
-            ClusterEvent::RackDown { rack } => {
-                let machines = self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.take_down(&machines, out);
+            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
+                self.take_down(&change.down, false, out)
             }
-            ClusterEvent::RackUp { rack } => {
-                let machines = self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.bring_up(&machines, out);
+            ClusterEvent::DrainMachine { .. } | ClusterEvent::RemoveRack { .. } => {
+                self.take_down(&change.down, true, out)
             }
-            ClusterEvent::DrainMachine { machine } => self.drain(machine, out),
+            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
             ClusterEvent::AddRack => self.absorb_new_rack(),
-            ClusterEvent::RemoveRack { rack } => self.retire_rack(rack, out),
         }
     }
 

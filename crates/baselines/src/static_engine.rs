@@ -4,7 +4,7 @@ use dynasore_core::{placement::initial_assignment, InitialPlacement};
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 use dynasore_types::{
-    ClusterEvent, MachineId, Result, SimTime, SubtreeId, UserId, VIEW_TRANSFER_PROTOCOL_MESSAGES,
+    ClusterEvent, MachineId, Result, SimTime, UserId, VIEW_TRANSFER_PROTOCOL_MESSAGES,
 };
 use dynasore_types::{MemoryUsage, Message, PlacementEngine, TrafficSink};
 
@@ -210,43 +210,25 @@ impl StaticPlacement {
         }
     }
 
-    /// Crash-fails or drains a batch of machines.
-    fn take_down(&mut self, machines: &[MachineId], crash: bool, out: &mut dyn TrafficSink) {
-        let mut dead_servers: Vec<usize> = Vec::new();
-        let mut any = false;
-        for &machine in machines {
-            if self.topology.is_live(machine) && self.topology.set_live(machine, false).is_ok() {
-                any = true;
-                if let Some(sidx) = self.topology.server_ordinal(machine) {
-                    dead_servers.push(sidx);
-                }
-            }
-        }
-        if any {
-            self.reassign_views(&dead_servers, crash, out);
-        }
+    /// The topology (including its liveness mask) as this placement sees it.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
     }
 
-    /// Revives a batch of machines. The placement stays static — views that
-    /// were reassigned do not move back — but views stranded on servers that
-    /// died while *no* live target existed are re-filled from the persistent
-    /// tier now that capacity has returned.
-    fn bring_up(&mut self, machines: &[MachineId], out: &mut dyn TrafficSink) {
-        let mut any = false;
-        for &machine in machines {
-            if self.topology.contains(machine)
-                && !self.topology.is_live(machine)
-                && !self.topology.is_retired(machine)
-            {
-                self.topology
-                    .set_live(machine, true)
-                    .expect("machine exists");
-                any = true;
-            }
-        }
-        if !any {
-            return;
-        }
+    /// Reacts to a batch of machines leaving (the topology already has them
+    /// dead): their views are re-filled from the persistent tier (`crash`)
+    /// or transferred machine-to-machine (drain, decommission).
+    fn take_down(&mut self, newly_dead: &[MachineId], crash: bool, out: &mut dyn TrafficSink) {
+        let ordinal = |&m| self.topology.server_ordinal(m);
+        let dead_servers: Vec<usize> = newly_dead.iter().filter_map(ordinal).collect();
+        self.reassign_views(&dead_servers, crash, out);
+    }
+
+    /// Reacts to machines coming back. The placement stays static — views
+    /// that were reassigned do not move back — but views stranded on servers
+    /// that died while *no* live target existed are re-filled from the
+    /// persistent tier now that capacity has returned.
+    fn bring_up(&mut self, out: &mut dyn TrafficSink) {
         let stranded: Vec<usize> = (0..self.servers.len())
             .filter(|&i| !self.topology.is_live(self.servers[i]))
             .filter(|&i| self.assignment.iter().any(|&s| s as usize == i))
@@ -300,44 +282,29 @@ impl PlacementEngine for StaticPlacement {
         _time: SimTime,
         out: &mut dyn TrafficSink,
     ) {
+        let Ok(change) = self.topology.apply_cluster_event(event) else {
+            return; // Refused by the topology: nothing moved.
+        };
+        if change.down.is_empty() && change.up.is_empty() {
+            return; // A stale event: nothing moved.
+        }
         match event {
-            ClusterEvent::MachineDown { machine } => self.take_down(&[machine], true, out),
-            ClusterEvent::MachineUp { machine } => self.bring_up(&[machine], out),
-            ClusterEvent::RackDown { rack } => {
-                let machines = self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.take_down(&machines, true, out);
+            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
+                self.take_down(&change.down, true, out)
             }
-            ClusterEvent::RackUp { rack } => {
-                let machines = self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.bring_up(&machines, out);
+            // Drains and elastic shrink evacuate machine-to-machine, with no
+            // persistent refill.
+            ClusterEvent::DrainMachine { .. } | ClusterEvent::RemoveRack { .. } => {
+                self.take_down(&change.down, false, out)
             }
-            ClusterEvent::DrainMachine { machine } => self.take_down(&[machine], false, out),
+            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
             ClusterEvent::AddRack => {
-                if self.topology.add_rack().is_ok() {
-                    self.servers = self
-                        .topology
-                        .servers()
-                        .iter()
-                        .map(|s| s.machine())
-                        .collect();
-                }
-            }
-            ClusterEvent::RemoveRack { rack } => {
-                // Elastic shrink: evacuate the rack like a batch drain
-                // (machine-to-machine transfers, no persistent refill), then
-                // retire it so nothing can revive its machines.
-                if self.topology.is_rack_retired(rack) || self.topology.active_rack_count() <= 1 {
-                    return;
-                }
-                let machines = self
+                self.servers = self
                     .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.take_down(&machines, false, out);
-                let _ = self.topology.remove_rack(rack);
+                    .servers()
+                    .iter()
+                    .map(|s| s.machine())
+                    .collect();
             }
         }
     }
@@ -355,15 +322,6 @@ impl PlacementEngine for StaticPlacement {
             used_slots: self.assignment.len(),
             capacity_slots: self.assignment.len(),
         }
-    }
-}
-
-// `topology` is kept for parity with future extensions (e.g. rack-aware
-// reporting); reference it so the field is clearly intentional.
-impl StaticPlacement {
-    /// The topology this placement was computed for.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
     }
 }
 

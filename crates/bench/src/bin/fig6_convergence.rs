@@ -10,7 +10,8 @@
 
 use dynasore_baselines::StaticPlacement;
 use dynasore_bench::{
-    dataset, dynasore_engine, fmt_norm, paper_topology, print_row, ExperimentScale,
+    dataset, dynasore_engine, fmt_norm, paper_topology, parse_args_or_exit, print_row, Args,
+    ExperimentScale,
 };
 use dynasore_core::InitialPlacement;
 use dynasore_graph::{GraphPreset, SocialGraph};
@@ -18,12 +19,28 @@ use dynasore_sim::{PlacementEngine, SimReport, Simulation};
 use dynasore_topology::{TierTraffic, Topology};
 use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator, Request, SyntheticTraceGenerator};
 
-fn trace_kind() -> String {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1).cloned())
-        .unwrap_or_else(|| "synthetic".to_string())
+/// Parses the command line (program name excluded), strictly: `--trace`
+/// next to the [`ExperimentScale`] flags. Without `--days`, the diurnal
+/// trace runs 5 days and the synthetic one 2.
+fn parse(args: &[String]) -> Result<(String, ExperimentScale), String> {
+    let mut kind = "synthetic".to_string();
+    let mut scale = ExperimentScale {
+        users: 8_000,
+        days: 0,
+        extra_memory: 150,
+        ..ExperimentScale::default()
+    };
+    let mut args = Args::new(args);
+    while let Some(flag) = args.flag() {
+        match flag {
+            "--trace" => kind = args.one_of(&["synthetic", "diurnal"])?,
+            _ => scale.parse_flag(flag, &mut args)?,
+        }
+    }
+    if scale.days == 0 {
+        scale.days = if kind == "diurnal" { 5 } else { 2 };
+    }
+    Ok((kind, scale))
 }
 
 fn build_trace(
@@ -63,13 +80,11 @@ fn hourly(series: &[TierTraffic]) -> impl Iterator<Item = (usize, u64, u64)> + '
 }
 
 fn main() -> Result<(), dynasore_types::Error> {
-    let kind = trace_kind();
-    let scale = ExperimentScale::from_args(ExperimentScale {
-        users: 8_000,
-        days: if trace_kind() == "diurnal" { 5 } else { 2 },
-        extra_memory: 150,
-        ..ExperimentScale::default()
-    });
+    let usage = format!(
+        "usage: fig6_convergence [--trace synthetic|diurnal] {}",
+        ExperimentScale::FLAGS
+    );
+    let (kind, scale) = parse_args_or_exit(&usage, parse);
     let topology = paper_topology()?;
     let graph = dataset(GraphPreset::FacebookLike, &scale)?;
     let trace = build_trace(&kind, &graph, scale.days, scale.seed)?;

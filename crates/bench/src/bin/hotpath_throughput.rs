@@ -75,6 +75,7 @@
 
 use std::time::Instant;
 
+use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore, StoreObs};
@@ -115,18 +116,8 @@ const USAGE: &str = "usage: hotpath_throughput [--users N] [--seed N] [--iters N
      [--quick] [--check-against PATH] [--tolerance F] [--data-dir PATH] [--warmup-secs S] \
      [--graph PATH] [--trace-out PATH] [--metrics-out PATH]";
 
-/// Parses the value of `flag`.
-fn parsed<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, String> {
-    value
-        .parse()
-        .map_err(|_| format!("{flag}: cannot parse {value:?}"))
-}
-
 impl Options {
-    /// Parses the command line (program name excluded). An unknown flag, a
-    /// flag without its value or a value that does not parse is an error: a
-    /// mistyped `--tolerance` must not leave the regression guard running at
-    /// the default.
+    /// Parses the command line (program name excluded) with the strict [`Args`].
     fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             users: 100_000,
@@ -142,32 +133,23 @@ impl Options {
             warmup_secs: None,
             graph: None,
         };
-        let mut args = args.iter();
-        while let Some(flag) = args.next() {
-            let mut value = || {
-                args.next()
-                    .cloned()
-                    .ok_or_else(|| format!("{flag} needs a value"))
-            };
-            match flag.as_str() {
-                "--users" => o.users = parsed(flag, &value()?)?,
-                "--seed" => o.seed = parsed(flag, &value()?)?,
-                "--iters" => o.iters = parsed(flag, &value()?)?,
-                "--out" => o.out = value()?,
-                "--check-against" => o.check_against = Some(value()?),
-                "--tolerance" => o.tolerance = parsed(flag, &value()?)?,
-                "--data-dir" => o.data_dir = Some(value()?),
-                "--trace-out" => o.trace_out = Some(value()?),
-                "--metrics-out" => o.metrics_out = Some(value()?),
-                "--warmup-secs" => o.warmup_secs = Some(parsed(flag, &value()?)?),
-                "--graph" => o.graph = Some(value()?),
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--users" => o.users = args.parsed()?,
+                "--seed" => o.seed = args.parsed()?,
+                "--iters" => o.iters = args.parsed()?,
+                "--out" => o.out = args.value()?,
+                "--check-against" => o.check_against = Some(args.value()?),
+                "--tolerance" => o.tolerance = args.tolerance()?,
+                "--data-dir" => o.data_dir = Some(args.value()?),
+                "--trace-out" => o.trace_out = Some(args.value()?),
+                "--metrics-out" => o.metrics_out = Some(args.value()?),
+                "--warmup-secs" => o.warmup_secs = Some(args.parsed()?),
+                "--graph" => o.graph = Some(args.value()?),
                 "--quick" => o.quick = true,
-                _ => return Err(format!("unknown flag {flag}")),
+                _ => return args.unknown(),
             }
-        }
-        // NaN would make every comparison of the guard pass.
-        if !(0.0..f64::INFINITY).contains(&o.tolerance) {
-            return Err(format!("--tolerance: {} is not a fraction", o.tolerance));
         }
         if o.quick {
             o.users = o.users.min(2_000);
@@ -268,11 +250,7 @@ impl TrafficSink for AccountedSink<'_> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut opts = Options::parse(&args).unwrap_or_else(|err| {
-        eprintln!("# hotpath_throughput: {err}\n{USAGE}");
-        std::process::exit(2);
-    });
+    let mut opts = parse_args_or_exit(USAGE, Options::parse);
     let setup_start = Instant::now();
     let graph = match &opts.graph {
         Some(path) => {
@@ -631,27 +609,6 @@ fn main() {
     }
 }
 
-/// Extracts `"reqs_per_sec"` from the named section (`"read"` / `"write"`)
-/// of a snapshot written by this binary. A hand-rolled scan keeps the guard
-/// dependency-free: the format is our own, fixed output above.
-fn snapshot_reqs_per_sec(json: &str, section: &str) -> Option<f64> {
-    let start = json.find(&format!("\"{section}\""))?;
-    snapshot_number(&json[start..], "reqs_per_sec")
-}
-
-/// The number that follows the first `"key":` in `json`.
-fn snapshot_number(json: &str, key: &str) -> Option<f64> {
-    let quoted = format!("\"{key}\"");
-    let after = &json[json.find(&quoted)? + quoted.len()..];
-    let colon = after.find(':')?;
-    let value = after[colon + 1..]
-        .trim_start()
-        .split([',', '\n', '}'])
-        .next()?
-        .trim();
-    value.parse().ok()
-}
-
 /// The regression guard: fails the process when any measured rate drops
 /// more than `tolerance` below the committed snapshot, or the statistics'
 /// heap per replica rises more than `tolerance` above it. A check is
@@ -666,17 +623,9 @@ fn check_against_snapshot(
     stats_bytes_per_replica: f64,
     tolerance: f64,
 ) {
-    let snapshot = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("# regression guard: cannot read snapshot {path}: {err}");
-            std::process::exit(2);
-        }
-    };
-    let (Some(snap_read), Some(snap_write)) = (
-        snapshot_reqs_per_sec(&snapshot, "read"),
-        snapshot_reqs_per_sec(&snapshot, "write"),
-    ) else {
+    let snapshot = read_snapshot_or_exit(path);
+    let rate = |section| snapshot_field(&snapshot, Some(section), "reqs_per_sec");
+    let (Some(snap_read), Some(snap_write)) = (rate("read"), rate("write")) else {
         eprintln!("# regression guard: snapshot {path} has no reqs_per_sec fields");
         std::process::exit(2);
     };
@@ -687,7 +636,7 @@ fn check_against_snapshot(
         ("read/s", reads_per_sec, snap_read, floor),
         ("write/s", writes_per_sec, snap_write, floor),
     ];
-    if let Some(snap_accounted) = snapshot_reqs_per_sec(&snapshot, "read_accounted") {
+    if let Some(snap_accounted) = rate("read_accounted") {
         let measured = accounted_reads_per_sec;
         checks.push(("read_accounted/s", measured, snap_accounted, floor));
     } else {
@@ -696,13 +645,13 @@ fn check_against_snapshot(
     // `find` matches the quoted key, so "durable" cannot hit the
     // "durable_single_sync" section. The single-sync phase itself is not
     // guarded: a few thousand fsyncs is too noisy a sample.
-    if let Some(snap_durable) = snapshot_reqs_per_sec(&snapshot, "durable") {
+    if let Some(snap_durable) = rate("durable") {
         checks.push(("durable/s", durable_per_sec, snap_durable, floor));
     } else {
         eprintln!("# regression guard: snapshot {path} predates durable; skipping it");
     }
     let name = "stats_bytes_per_replica";
-    if let Some(snap) = snapshot_number(&snapshot, name) {
+    if let Some(snap) = snapshot_field(&snapshot, None, name) {
         checks.push((name, stats_bytes_per_replica, snap, ceiling));
     } else {
         eprintln!("# regression guard: snapshot {path} predates {name}; skipping it");
@@ -741,12 +690,14 @@ mod tests {
                     \"reqs_per_sec\": 10,\n    \"messages\": 3\n  },\n  \"write\": {\n    \
                     \"reqs_per_sec\": 20\n  }\n}\n";
         assert_eq!(
-            snapshot_number(json, "stats_bytes_per_replica"),
+            snapshot_field(json, None, "stats_bytes_per_replica"),
             Some(301.5)
         );
-        assert_eq!(snapshot_reqs_per_sec(json, "read"), Some(10.0));
-        assert_eq!(snapshot_reqs_per_sec(json, "write"), Some(20.0));
-        assert_eq!(snapshot_number(json, "peak_rss_mb"), None);
+        let rate = |section| snapshot_field(json, Some(section), "reqs_per_sec");
+        assert_eq!(rate("read"), Some(10.0));
+        assert_eq!(rate("write"), Some(20.0));
+        assert_eq!(rate("durable"), None);
+        assert_eq!(snapshot_field(json, None, "peak_rss_mb"), None);
     }
 
     fn parse(args: &[&str]) -> Result<Options, String> {
@@ -782,20 +733,7 @@ mod tests {
         let quick = parse(&["--quick", "--users", "5000"]).unwrap();
         assert!(quick.quick);
         assert_eq!((quick.users, quick.iters), (2_000, 20_000));
-    }
-
-    #[test]
-    fn bad_command_lines_are_errors() {
-        for bad in [
-            &["--threads", "4"][..],
-            &["--tolerence", "0.05"],
-            &["--tolerance", "x"],
-            &["--tolerance", "0.3O"],
-            &["--tolerance", "NaN"],
-            &["--users", "-1"],
-            &["--quick", "--out"],
-        ] {
-            assert!(parse(bad).is_err(), "{bad:?} was accepted");
-        }
+        // The parallel phase's flag went with it.
+        assert!(parse(&["--threads", "4"]).is_err());
     }
 }

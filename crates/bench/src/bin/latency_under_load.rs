@@ -26,6 +26,7 @@
 //! simulator's per-read histogram (log-scale, ≤12.5% bucket width).
 
 use dynasore_baselines::{SparEngine, StaticPlacement};
+use dynasore_bench::{parse_args_or_exit, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_sim::{PlacementEngine, SimReport, Simulation};
@@ -48,34 +49,29 @@ struct Options {
     quick: bool,
 }
 
+const USAGE: &str = "usage: latency_under_load [--users N] [--seed N] [--quick]";
+
 impl Options {
-    fn from_args() -> Options {
+    /// Parses the command line (program name excluded) with the strict [`Args`].
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             users: 20_000,
             seed: 42,
             quick: false,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--users" if i + 1 < args.len() => {
-                    o.users = args[i + 1].parse().unwrap_or(o.users);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    o.seed = args[i + 1].parse().unwrap_or(o.seed);
-                    i += 1;
-                }
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--users" => o.users = args.parsed()?,
+                "--seed" => o.seed = args.parsed()?,
                 "--quick" => o.quick = true,
-                _ => {}
+                _ => return args.unknown(),
             }
-            i += 1;
         }
         if o.quick {
             o.users = o.users.min(2_000);
         }
-        o
+        Ok(o)
     }
 }
 
@@ -147,7 +143,7 @@ struct Measurement {
 }
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = parse_args_or_exit(USAGE, Options::parse);
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, opts.users, opts.seed)
         .expect("graph generation");
     let topology = Topology::paper_tree().expect("paper tree");

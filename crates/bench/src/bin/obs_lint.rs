@@ -20,6 +20,7 @@
 
 use std::path::PathBuf;
 
+use dynasore_bench::{parse_args_or_exit, Args};
 use dynasore_types::{lint_prometheus, validate_jsonl};
 
 struct Options {
@@ -27,38 +28,33 @@ struct Options {
     metrics: Option<PathBuf>,
 }
 
+const USAGE: &str = "usage: obs_lint [--traces DIR] [--metrics FILE] (at least one)";
+
 impl Options {
-    fn from_args() -> Options {
+    /// Parses the command line (program name excluded), strictly: see
+    /// [`Args`]. Linting nothing is a configuration error, not a pass.
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             traces: None,
             metrics: None,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--traces" if i + 1 < args.len() => {
-                    o.traces = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--metrics" if i + 1 < args.len() => {
-                    o.metrics = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                _ => {}
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--traces" => o.traces = Some(args.value()?.into()),
+                "--metrics" => o.metrics = Some(args.value()?.into()),
+                _ => return args.unknown(),
             }
-            i += 1;
         }
-        o
+        if o.traces.is_none() && o.metrics.is_none() {
+            return Err("nothing to lint".to_string());
+        }
+        Ok(o)
     }
 }
 
 fn main() {
-    let opts = Options::from_args();
-    if opts.traces.is_none() && opts.metrics.is_none() {
-        eprintln!("usage: obs_lint [--traces DIR] [--metrics FILE] (at least one)");
-        std::process::exit(2);
-    }
+    let opts = parse_args_or_exit(USAGE, Options::parse);
     let mut failures = 0usize;
 
     if let Some(dir) = &opts.traces {

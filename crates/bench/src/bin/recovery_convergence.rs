@@ -46,7 +46,7 @@
 //! reported as `max_shard_bytes`), with per-shard byte counts alongside.
 //!
 //! `--trace-out PATH` / `--metrics-out PATH` attach a
-//! [`StoreObs`](dynasore_store::StoreObs) to the measured stores and dump
+//! [`StoreObs`] to the measured stores and dump
 //! the flight-recorder timeline (JSON Lines: group-commit fills, segment
 //! rotations, replay completions stamped with monotonic nanoseconds) and
 //! the metrics registry (Prometheus text format). Observation is passive:
@@ -57,6 +57,7 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
+use dynasore_bench::{parse_args_or_exit, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_store::StoreObs;
@@ -76,8 +77,12 @@ struct Options {
     metrics_out: Option<PathBuf>,
 }
 
+const USAGE: &str = "usage: recovery_convergence [--users N] [--seed N] [--quick] \
+     [--data-dir PATH] [--shards N] [--trace-out PATH] [--metrics-out PATH]";
+
 impl Options {
-    fn from_args() -> Options {
+    /// Parses the command line (program name excluded) with the strict [`Args`].
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             users: 50_000,
             seed: 42,
@@ -87,43 +92,23 @@ impl Options {
             trace_out: None,
             metrics_out: None,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--users" if i + 1 < args.len() => {
-                    o.users = args[i + 1].parse().unwrap_or(o.users);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    o.seed = args[i + 1].parse().unwrap_or(o.seed);
-                    i += 1;
-                }
-                "--data-dir" if i + 1 < args.len() => {
-                    o.data_dir = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--shards" if i + 1 < args.len() => {
-                    o.shards = args[i + 1].parse().unwrap_or(o.shards).max(1);
-                    i += 1;
-                }
-                "--trace-out" if i + 1 < args.len() => {
-                    o.trace_out = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
-                "--metrics-out" if i + 1 < args.len() => {
-                    o.metrics_out = Some(PathBuf::from(&args[i + 1]));
-                    i += 1;
-                }
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--users" => o.users = args.parsed()?,
+                "--seed" => o.seed = args.parsed()?,
+                "--data-dir" => o.data_dir = Some(args.value()?.into()),
+                "--shards" => o.shards = args.parsed::<usize>()?.max(1),
+                "--trace-out" => o.trace_out = Some(args.value()?.into()),
+                "--metrics-out" => o.metrics_out = Some(args.value()?.into()),
                 "--quick" => o.quick = true,
-                _ => {}
+                _ => return args.unknown(),
             }
-            i += 1;
         }
         if o.quick {
             o.users = o.users.min(2_000);
         }
-        o
+        Ok(o)
     }
 }
 
@@ -360,7 +345,7 @@ fn run_until_plateau(
 }
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = parse_args_or_exit(USAGE, Options::parse);
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, opts.users, opts.seed)
         .expect("graph generation");
     let topology = Topology::paper_tree().expect("paper tree");

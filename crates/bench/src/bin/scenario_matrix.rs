@@ -30,6 +30,7 @@
 //! (and the `--out` artifact) is byte-identical with or without the flags.
 
 use dynasore_baselines::{SparEngine, StaticPlacement};
+use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_sim::{
@@ -52,8 +53,12 @@ struct Options {
     metrics_out: Option<String>,
 }
 
+const USAGE: &str = "usage: scenario_matrix [--users N] [--seed N] [--days N] [--quick] \
+     [--out PATH] [--check-against PATH] [--tolerance F] [--trace-out DIR] [--metrics-out PATH]";
+
 impl Options {
-    fn from_args() -> Options {
+    /// Parses the command line (program name excluded) with the strict [`Args`].
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             users: 2_000,
             seed: 42,
@@ -65,46 +70,20 @@ impl Options {
             trace_out: None,
             metrics_out: None,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--users" if i + 1 < args.len() => {
-                    o.users = args[i + 1].parse().unwrap_or(o.users);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    o.seed = args[i + 1].parse().unwrap_or(o.seed);
-                    i += 1;
-                }
-                "--days" if i + 1 < args.len() => {
-                    o.days = args[i + 1].parse().unwrap_or(o.days);
-                    i += 1;
-                }
-                "--out" if i + 1 < args.len() => {
-                    o.out = args[i + 1].clone();
-                    i += 1;
-                }
-                "--check-against" if i + 1 < args.len() => {
-                    o.check_against = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                "--tolerance" if i + 1 < args.len() => {
-                    o.tolerance = args[i + 1].parse().unwrap_or(o.tolerance);
-                    i += 1;
-                }
-                "--trace-out" if i + 1 < args.len() => {
-                    o.trace_out = Some(args[i + 1].clone());
-                    i += 1;
-                }
-                "--metrics-out" if i + 1 < args.len() => {
-                    o.metrics_out = Some(args[i + 1].clone());
-                    i += 1;
-                }
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--users" => o.users = args.parsed()?,
+                "--seed" => o.seed = args.parsed()?,
+                "--days" => o.days = args.parsed()?,
+                "--out" => o.out = args.value()?,
+                "--check-against" => o.check_against = Some(args.value()?),
+                "--tolerance" => o.tolerance = args.tolerance()?,
+                "--trace-out" => o.trace_out = Some(args.value()?),
+                "--metrics-out" => o.metrics_out = Some(args.value()?),
                 "--quick" => o.quick = true,
-                _ => {}
+                _ => return args.unknown(),
             }
-            i += 1;
         }
         if o.quick {
             o.users = o.users.min(600);
@@ -113,7 +92,7 @@ impl Options {
                 o.out = "BENCH_scenarios_quick.json".to_string();
             }
         }
-        o
+        Ok(o)
     }
 }
 
@@ -147,7 +126,7 @@ fn build_engine(
 }
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = parse_args_or_exit(USAGE, Options::parse);
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, opts.users, opts.seed)
         .expect("graph generation");
     // The scaled-down paper cluster: 9 racks, 1 broker + 3 servers each.
@@ -322,39 +301,16 @@ fn main() {
     }
 }
 
-/// Extracts `"availability"` from the named `engine/scenario` section of a
-/// snapshot written by this binary. Hand-rolled scan, dependency-free; the
-/// output above prints `availability` first in each section, so the first
-/// match after the section key is the right field.
-fn snapshot_availability(json: &str, section: &str) -> Option<f64> {
-    let start = json.find(&format!("\"{section}\""))?;
-    let rest = &json[start..];
-    let key = rest.find("\"availability\"")?;
-    let after = &rest[key + "\"availability\"".len()..];
-    let colon = after.find(':')?;
-    let value = after[colon + 1..]
-        .trim_start()
-        .split([',', '\n', '}'])
-        .next()?
-        .trim();
-    value.parse().ok()
-}
-
 /// The regression guard: fails the process when any cell's availability
 /// drops more than `tolerance` (absolute) below the committed snapshot.
 fn check_against_snapshot(path: &str, cells: &[DegradationReport], tolerance: f64) {
-    let snapshot = match std::fs::read_to_string(path) {
-        Ok(s) => s,
-        Err(err) => {
-            eprintln!("# regression guard: cannot read snapshot {path}: {err}");
-            std::process::exit(2);
-        }
-    };
+    let snapshot = read_snapshot_or_exit(path);
     let mut failed = false;
     let mut checked = 0usize;
     for cell in cells {
         let section = format!("{}/{}", cell.engine, cell.scenario);
-        let Some(snap) = snapshot_availability(&snapshot, &section) else {
+        // The scorecard prints `availability` first in each section.
+        let Some(snap) = snapshot_field(&snapshot, Some(&section), "availability") else {
             eprintln!("# regression guard: snapshot {path} has no section {section}; skipping");
             continue;
         };

@@ -23,6 +23,7 @@
 //!
 //! Exits 0 on success, 1 with a diagnostic on the first violated check.
 
+use dynasore_bench::{parse_args_or_exit, Args};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_serve::{LoopbackServer, RequestEnvelope, ServeConfig};
 use dynasore_store::StoreConfig;
@@ -35,34 +36,26 @@ struct Options {
     requests: u64,
 }
 
+const USAGE: &str = "usage: serve_smoke [--users N] [--seed N] [--requests N]";
+
 impl Options {
-    fn from_args() -> Options {
+    /// Parses the command line (program name excluded) with the strict [`Args`].
+    fn parse(args: &[String]) -> Result<Options, String> {
         let mut o = Options {
             users: 300,
             seed: 42,
             requests: 50,
         };
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--users" if i + 1 < args.len() => {
-                    o.users = args[i + 1].parse().unwrap_or(o.users);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    o.seed = args[i + 1].parse().unwrap_or(o.seed);
-                    i += 1;
-                }
-                "--requests" if i + 1 < args.len() => {
-                    o.requests = args[i + 1].parse().unwrap_or(o.requests);
-                    i += 1;
-                }
-                _ => {}
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            match flag {
+                "--users" => o.users = args.parsed()?,
+                "--seed" => o.seed = args.parsed()?,
+                "--requests" => o.requests = args.parsed()?,
+                _ => return args.unknown(),
             }
-            i += 1;
         }
-        o
+        Ok(o)
     }
 }
 
@@ -72,7 +65,7 @@ fn fail(msg: &str) -> ! {
 }
 
 fn main() {
-    let opts = Options::from_args();
+    let opts = parse_args_or_exit(USAGE, Options::parse);
     let spammer = UserId::new(0);
     let spam_limit = 3u64;
 

@@ -2,9 +2,10 @@
 //! and figure of the DynaSoRe paper.
 //!
 //! Each binary in `src/bin/` reproduces one table or figure (see DESIGN.md
-//! for the full index and EXPERIMENTS.md for recorded results). All binaries
-//! accept `--users N`, `--days N` and `--seed N` overrides so the default
-//! quick runs can be scaled up towards the paper's dimensions.
+//! for the full index and EXPERIMENTS.md for recorded results). The table
+//! and figure binaries accept the [`ExperimentScale`] overrides so the
+//! default quick runs can be scaled up towards the paper's dimensions, and
+//! every binary parses its command line with the one strict cursor, [`Args`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -44,40 +45,152 @@ impl Default for ExperimentScale {
 }
 
 impl ExperimentScale {
-    /// Parses `--users N`, `--days N`, `--seed N`, `--extra-memory N` and
-    /// `--topology flat|tree` from the process arguments, starting from the
-    /// given defaults.
-    pub fn from_args(mut defaults: ExperimentScale) -> ExperimentScale {
-        let args: Vec<String> = std::env::args().collect();
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--users" if i + 1 < args.len() => {
-                    defaults.users = args[i + 1].parse().unwrap_or(defaults.users);
-                    i += 1;
-                }
-                "--days" if i + 1 < args.len() => {
-                    defaults.days = args[i + 1].parse().unwrap_or(defaults.days);
-                    i += 1;
-                }
-                "--seed" if i + 1 < args.len() => {
-                    defaults.seed = args[i + 1].parse().unwrap_or(defaults.seed);
-                    i += 1;
-                }
-                "--extra-memory" if i + 1 < args.len() => {
-                    defaults.extra_memory = args[i + 1].parse().unwrap_or(defaults.extra_memory);
-                    i += 1;
-                }
-                "--topology" if i + 1 < args.len() => {
-                    defaults.flat = args[i + 1] == "flat";
-                    i += 1;
-                }
-                _ => {}
-            }
-            i += 1;
+    /// The flags [`ExperimentScale::parse_flag`] accepts, for usage lines.
+    pub const FLAGS: &'static str =
+        "[--users N] [--days N] [--seed N] [--extra-memory N] [--topology flat|tree]";
+
+    /// Sets the field that `flag` (just taken from `args`) names; any flag
+    /// outside [`ExperimentScale::FLAGS`] is unknown.
+    pub fn parse_flag(&mut self, flag: &str, args: &mut Args<'_>) -> Result<(), String> {
+        match flag {
+            "--users" => self.users = args.parsed()?,
+            "--days" => self.days = args.parsed()?,
+            "--seed" => self.seed = args.parsed()?,
+            "--extra-memory" => self.extra_memory = args.parsed()?,
+            "--topology" => self.flat = args.one_of(&["flat", "tree"])? == "flat",
+            _ => return args.unknown(),
         }
-        defaults
+        Ok(())
     }
+
+    /// Parses a command line (program name excluded) of
+    /// [`ExperimentScale::FLAGS`], starting from these defaults.
+    pub fn parse(mut self, args: &[String]) -> Result<ExperimentScale, String> {
+        let mut args = Args::new(args);
+        while let Some(flag) = args.flag() {
+            self.parse_flag(flag, &mut args)?;
+        }
+        Ok(self)
+    }
+
+    /// [`ExperimentScale::parse`] over the process arguments; a rejected
+    /// command line prints the usage line and exits 2.
+    pub fn from_args(defaults: ExperimentScale) -> ExperimentScale {
+        let program = std::env::args().next().unwrap_or_default();
+        let usage = format!("usage: {program} {}", ExperimentScale::FLAGS);
+        parse_args_or_exit(&usage, |args| defaults.parse(args))
+    }
+}
+
+/// A strict cursor over a command line — the one argument parser of every
+/// `dynasore-bench` binary. An unknown flag, a flag without its value and a
+/// value that does not parse are errors, never ignored: a mistyped
+/// `--check-against` or `--tolerance` must not leave a regression guard
+/// switched off or running at its default.
+#[derive(Debug)]
+pub struct Args<'a> {
+    rest: std::slice::Iter<'a, String>,
+    flag: &'a str,
+}
+
+impl<'a> Args<'a> {
+    /// A cursor at the start of `args` (program name excluded).
+    pub fn new(args: &'a [String]) -> Self {
+        Args {
+            rest: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// Advances to the next flag; `None` at the end of the line.
+    pub fn flag(&mut self) -> Option<&'a str> {
+        self.flag = self.rest.next()?;
+        Some(self.flag)
+    }
+
+    /// The value of the current flag, as text.
+    pub fn value(&mut self) -> Result<String, String> {
+        self.rest
+            .next()
+            .cloned()
+            .ok_or_else(|| format!("{} needs a value", self.flag))
+    }
+
+    /// The value of the current flag, parsed.
+    pub fn parsed<T: std::str::FromStr>(&mut self) -> Result<T, String> {
+        let value = self.value()?;
+        value
+            .parse()
+            .map_err(|_| format!("{}: cannot parse {value:?}", self.flag))
+    }
+
+    /// The value of the current flag, which must be one of `choices`.
+    pub fn one_of(&mut self, choices: &[&str]) -> Result<String, String> {
+        let value = self.value()?;
+        if choices.contains(&value.as_str()) {
+            Ok(value)
+        } else {
+            let choices = choices.join("|");
+            Err(format!("{}: {value:?} is not {choices}", self.flag))
+        }
+    }
+
+    /// The value of the current flag as a regression guard's tolerance: a
+    /// finite, non-negative fraction (NaN would make every comparison of a
+    /// guard pass).
+    pub fn tolerance(&mut self) -> Result<f64, String> {
+        let tolerance: f64 = self.parsed()?;
+        if (0.0..f64::INFINITY).contains(&tolerance) {
+            Ok(tolerance)
+        } else {
+            Err(format!("{}: {tolerance} is not a fraction", self.flag))
+        }
+    }
+
+    /// The error for a current flag the binary does not know.
+    pub fn unknown<T>(&self) -> Result<T, String> {
+        Err(format!("unknown flag {}", self.flag))
+    }
+}
+
+/// Runs `parse` over the process arguments (program name excluded); if it
+/// rejects them, prints its error and `usage` and exits 2.
+pub fn parse_args_or_exit<T>(usage: &str, parse: impl FnOnce(&[String]) -> Result<T, String>) -> T {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    parse(&args).unwrap_or_else(|err| {
+        eprintln!("{err}\n{usage}");
+        std::process::exit(2);
+    })
+}
+
+/// The committed `BENCH_*.json` snapshot a regression guard compares
+/// against; exits 2 if it cannot be read.
+pub fn read_snapshot_or_exit(path: &str) -> String {
+    std::fs::read_to_string(path).unwrap_or_else(|err| {
+        eprintln!("# regression guard: cannot read snapshot {path}: {err}");
+        std::process::exit(2);
+    })
+}
+
+/// The number after the first `"key":` of a `BENCH_*.json` snapshot —
+/// searched from the first `"section"` on when one is given, so the
+/// binaries print the guarded key first in each section. A hand-rolled scan
+/// keeps the regression guards dependency-free: the format is the
+/// binaries' own, fixed output.
+pub fn snapshot_field(json: &str, section: Option<&str>, key: &str) -> Option<f64> {
+    let json = match section {
+        Some(section) => &json[json.find(&format!("\"{section}\""))?..],
+        None => json,
+    };
+    let quoted = format!("\"{key}\"");
+    let after = &json[json.find(&quoted)? + quoted.len()..];
+    let colon = after.find(':')?;
+    let value = after[colon + 1..]
+        .trim_start()
+        .split([',', '\n', '}'])
+        .next()?
+        .trim();
+    value.parse().ok()
 }
 
 /// The evaluation cluster of §4.3: 5 intermediate switches × 5 racks × 10
@@ -178,6 +291,59 @@ mod tests {
             ..scale
         };
         assert_eq!(topology_for(&flat).unwrap().server_count(), 250);
+    }
+
+    fn line(args: &str) -> Vec<String> {
+        args.split_whitespace().map(str::to_string).collect()
+    }
+
+    #[test]
+    fn every_documented_flag_round_trips() {
+        let defaults = ExperimentScale::default();
+        assert_eq!(defaults.parse(&[]), Ok(defaults));
+        let all = "--users 500 --days 3 --seed 7 --extra-memory 150 --topology flat";
+        let expected = ExperimentScale {
+            users: 500,
+            days: 3,
+            seed: 7,
+            extra_memory: 150,
+            flat: true,
+        };
+        assert_eq!(defaults.parse(&line(all)), Ok(expected));
+        assert_eq!(
+            expected.parse(&line("--topology tree")).map(|s| s.flat),
+            Ok(false)
+        );
+    }
+
+    /// `--tolerance <value>` as the regression guards read it.
+    fn tolerance(value: &str) -> Result<f64, String> {
+        let line = line(&format!("--tolerance {value}"));
+        let mut args = Args::new(&line);
+        args.flag();
+        args.tolerance()
+    }
+
+    #[test]
+    fn bad_command_lines_are_errors() {
+        assert_eq!(tolerance("0.05"), Ok(0.05));
+        // NaN would make every comparison of a guard pass.
+        for bad in ["nan", "NaN", "inf", "-0.1", "0.3O", ""] {
+            assert!(tolerance(bad).is_err(), "--tolerance {bad:?} was accepted");
+        }
+        for bad in [
+            // A typo must not switch a guard off, nor a removed flag linger.
+            "--check-agianst snap.json",
+            "--threads 4",
+            "--users",
+            "--users abc",
+            "--seed -1",
+            "--topology ring",
+            "extra",
+        ] {
+            let scale = ExperimentScale::default().parse(&line(bad));
+            assert!(scale.is_err(), "{bad:?} was accepted");
+        }
     }
 
     #[test]

@@ -9,8 +9,8 @@
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 use dynasore_types::{
-    BrokerId, ClusterEvent, Error, Latency, MachineId, MemoryBudget, RackId, Result, SimTime,
-    SubtreeId, UserId, VIEW_TRANSFER_PROTOCOL_MESSAGES,
+    BrokerId, ClusterEvent, Error, Latency, MachineId, MemoryBudget, Result, SimTime, SubtreeId,
+    UserId, VIEW_TRANSFER_PROTOCOL_MESSAGES,
 };
 use dynasore_types::{
     MemoryUsage, Message, PlacementEngine, ReplicaChangeReason, TraceEventKind, TrafficSink,
@@ -1272,29 +1272,20 @@ impl DynaSoReEngine {
         true
     }
 
-    /// Crash-fails a set of machines at once (one machine, or a whole rack
-    /// for correlated failures): marks them dead, re-homes proxies off dead
-    /// brokers, drops every replica they held, and re-creates lost masters
-    /// from the persistent tier. Handling the set as a batch means views
-    /// replicated only within a failing rack are recovered once, not moved
-    /// from dying machine to dying machine.
-    fn take_down(&mut self, machines: &[MachineId], out: &mut dyn TrafficSink) {
-        let mut newly_dead: Vec<MachineId> = Vec::new();
-        for &machine in machines {
-            if self.topology.is_live(machine) && self.topology.set_live(machine, false).is_ok() {
-                newly_dead.push(machine);
-            }
-        }
-        if newly_dead.is_empty() {
-            return;
-        }
-        for &machine in &newly_dead {
+    /// Reacts to a set of machines crash-failing at once (one machine, or a
+    /// whole rack for correlated failures; the topology already has them
+    /// dead): re-homes proxies off dead brokers, drops every replica they
+    /// held, and re-creates lost masters from the persistent tier. Handling
+    /// the set as a batch means views replicated only within a failing rack
+    /// are recovered once, not moved from dying machine to dying machine.
+    fn take_down(&mut self, newly_dead: &[MachineId], out: &mut dyn TrafficSink) {
+        for &machine in newly_dead {
             if self.topology.is_broker(machine) {
                 self.reassign_proxies(machine, out);
             }
         }
         let mut lost: Vec<UserId> = Vec::new();
-        for &machine in &newly_dead {
+        for &machine in newly_dead {
             let Some(sidx) = self.topology.server_ordinal(machine) else {
                 continue;
             };
@@ -1324,26 +1315,11 @@ impl DynaSoReEngine {
         }
     }
 
-    /// Brings a set of machines back (empty caches). The returning capacity
-    /// immediately becomes the least-loaded landing spot for new replicas,
-    /// and any view that stayed lost for lack of capacity is recovered now.
-    fn bring_up(&mut self, machines: &[MachineId], out: &mut dyn TrafficSink) {
-        let mut changed = false;
-        for &machine in machines {
-            if !self.topology.contains(machine)
-                || self.topology.is_live(machine)
-                || self.topology.is_retired(machine)
-            {
-                continue;
-            }
-            self.topology
-                .set_live(machine, true)
-                .expect("machine exists");
-            changed = true;
-        }
-        if !changed {
-            return;
-        }
+    /// Reacts to machines coming back (empty caches; the topology already
+    /// has them live). The returning capacity immediately becomes the
+    /// least-loaded landing spot for new replicas, and any view that stayed
+    /// lost for lack of capacity is recovered now.
+    fn bring_up(&mut self, out: &mut dyn TrafficSink) {
         self.rebuild_load_cache();
         self.refresh_threshold_cache();
         out.trace(TraceEventKind::CacheRebuilt);
@@ -1354,35 +1330,33 @@ impl DynaSoReEngine {
         }
     }
 
-    /// Gracefully empties `machine` before taking it out of service: extra
-    /// replicas are dropped, sole replicas are migrated machine-to-machine
-    /// (no persistent-tier traffic), proxies are re-homed — then the machine
-    /// is marked dead. If a sole replica cannot be placed anywhere (no live
-    /// capacity), it falls back to the crash path and is recovered from the
-    /// persistent tier when capacity returns.
-    fn drain_machine(&mut self, machine: MachineId, out: &mut dyn TrafficSink) {
-        if !self.topology.is_live(machine) {
-            return;
-        }
-        self.topology
-            .set_live(machine, false)
-            .expect("machine exists");
-        // Exclude the draining machine from every placement decision first.
+    /// Gracefully empties `subtree` — one drained machine, or a whole
+    /// decommissioned rack (elastic shrink) — which the topology has just
+    /// taken out of service. `leaving` are its machines that were still
+    /// live; all of them are already dead, so no evacuated view shuffles from
+    /// one leaving machine to another. Proxies on the sub-tree's brokers are
+    /// re-homed (also off brokers that died earlier and may host stranded
+    /// proxies), extra replicas are dropped and sole replicas migrate
+    /// machine-to-machine (no persistent-tier traffic in the happy path). A
+    /// sole replica that fits nowhere falls back to the crash path and is
+    /// recovered from the persistent tier when capacity returns.
+    fn evacuate(&mut self, subtree: SubtreeId, leaving: &[MachineId], out: &mut dyn TrafficSink) {
+        // Placement decisions below must already exclude the leaving machines.
         self.rebuild_load_cache();
         self.refresh_threshold_cache();
         out.trace(TraceEventKind::CacheRebuilt);
-        if self.topology.is_broker(machine) {
-            self.reassign_proxies(machine, out);
+        for broker in self.topology.brokers_in_subtree_slice(subtree).to_vec() {
+            self.reassign_proxies(broker.machine(), out);
         }
-        let Some(sidx) = self.topology.server_ordinal(machine) else {
+        let Some(rack) = leaving.first().and_then(|&m| self.topology.rack_of(m).ok()) else {
             return;
         };
-        let mut cursor = self
-            .topology
-            .rack_of(machine)
-            .map(|r| (r.as_usize() + 1) % self.topology.rack_count())
-            .unwrap_or(0);
-        self.evacuate_server(sidx, &mut cursor, out);
+        let mut cursor = (rack.as_usize() + 1) % self.topology.rack_count();
+        for &machine in leaving {
+            if let Some(sidx) = self.topology.server_ordinal(machine) {
+                self.evacuate_server(sidx, &mut cursor, out);
+            }
+        }
     }
 
     /// Evacuates every view stored on server `sidx` (its machine is already
@@ -1484,58 +1458,13 @@ impl DynaSoReEngine {
         self.servers[sidx].clear();
     }
 
-    /// Decommissions a whole rack under load (elastic shrink): every machine
-    /// of the rack is marked dead up front — so no evacuated view shuffles
-    /// from one dying machine to another — proxies are re-homed, and each
-    /// server's views are evacuated with the drain ladder (rack-spread sole
-    /// replicas, no persistent-tier traffic in the happy path). The rack is
-    /// then retired in the topology, which makes the shrink irreversible.
-    fn retire_rack(&mut self, rack: RackId, out: &mut dyn TrafficSink) {
-        if rack.as_usize() >= self.topology.rack_count()
-            || self.topology.is_rack_retired(rack)
-            || self.topology.active_rack_count() <= 1
-        {
-            return;
-        }
-        let machines = self
-            .topology
-            .machines_in_subtree(SubtreeId::Rack(rack.index()));
-        for &machine in &machines {
-            let _ = self.topology.set_live(machine, false);
-        }
-        // Placement decisions below must already exclude the dying rack.
-        self.rebuild_load_cache();
-        self.refresh_threshold_cache();
-        out.trace(TraceEventKind::CacheRebuilt);
-        for &machine in &machines {
-            if self.topology.is_broker(machine) {
-                self.reassign_proxies(machine, out);
-            }
-        }
-        let mut cursor = (rack.as_usize() + 1) % self.topology.rack_count();
-        for &machine in &machines {
-            // Machines already emptied by an earlier drain or crash hold no
-            // views; evacuating them is a no-op.
-            if let Some(sidx) = self.topology.server_ordinal(machine) {
-                self.evacuate_server(sidx, &mut cursor, out);
-            }
-        }
-        self.topology
-            .remove_rack(rack)
-            .expect("rack exists, is not retired, and is not the last one");
-    }
-
     /// Absorbs a freshly added rack: mirrors the new topology servers with
     /// empty [`ServerState`]s, grows the per-subtree caches and the
     /// transfer tally, and announces the new brokers to the old ones. The
     /// empty servers become the least-loaded candidates everywhere, so
     /// regular replication/migration traffic spreads load onto them.
-    fn absorb_new_rack(&mut self, out: &mut dyn TrafficSink) {
+    fn absorb_new_rack(&mut self, added: &[MachineId], out: &mut dyn TrafficSink) {
         let capacity = self.capacity_per_server();
-        let rack = match self.topology.add_rack() {
-            Ok(rack) => rack,
-            Err(_) => return, // Flat topologies cannot grow by racks.
-        };
         for server in &self.topology.servers()[self.servers.len()..] {
             self.servers.push(ServerState::new(
                 server.machine(),
@@ -1564,10 +1493,10 @@ impl DynaSoReEngine {
         out.trace(TraceEventKind::CacheRebuilt);
         // Routing-table propagation: the new rack's broker introduces itself
         // to every existing broker.
-        if let Some(new_broker) = self.topology.first_broker_in_rack(rack) {
+        if let Some(&new_broker) = added.iter().find(|&&m| self.topology.is_broker(m)) {
             for broker in self.topology.brokers() {
-                if broker.machine() != new_broker.machine() {
-                    out.record(Message::protocol(new_broker.machine(), broker.machine()));
+                if broker.machine() != new_broker {
+                    out.record(Message::protocol(new_broker, broker.machine()));
                 }
             }
         }
@@ -1668,12 +1597,15 @@ impl PlacementEngine for DynaSoReEngine {
         // new read targets simply start showing up in the access statistics.
     }
 
-    /// Threads one [`ClusterEvent`] through the engine: crash-failed
-    /// machines lose their replicas (masters are re-filled from the
-    /// persistent tier, charged to `out`), returning machines rejoin empty,
-    /// drained machines migrate their state first, and a new rack is
-    /// mirrored with empty server slabs. The per-subtree candidate and
-    /// threshold caches are rebuilt against the updated liveness mask.
+    /// Threads one [`ClusterEvent`] through the engine. The topology alone
+    /// decides what the event changes
+    /// ([`Topology::apply_cluster_event`]); the engine reacts to the
+    /// machines it reports: crash-failed machines lose their replicas
+    /// (masters are re-filled from the persistent tier, charged to `out`),
+    /// returning machines rejoin empty, drained and decommissioned machines
+    /// migrate their state away, and a new rack is mirrored with empty
+    /// server slabs. The per-subtree candidate and threshold caches are
+    /// rebuilt against the updated liveness mask.
     fn on_cluster_change(
         &mut self,
         event: ClusterEvent,
@@ -1681,24 +1613,28 @@ impl PlacementEngine for DynaSoReEngine {
         out: &mut dyn TrafficSink,
     ) {
         out.trace(TraceEventKind::ClusterChange { event });
+        let Ok(change) = self.topology.apply_cluster_event(event) else {
+            return; // Refused by the topology: nothing moved.
+        };
+        // A stale event moved nothing and needs no reaction — except that a
+        // removed rack whose machines had all died earlier may still host
+        // stranded proxies on its dead brokers.
+        let stale = change.down.is_empty() && change.up.is_empty();
+        if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
+            return;
+        }
         match event {
-            ClusterEvent::MachineDown { machine } => self.take_down(&[machine], out),
-            ClusterEvent::MachineUp { machine } => self.bring_up(&[machine], out),
-            ClusterEvent::RackDown { rack } => {
-                let machines = self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.take_down(&machines, out);
+            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
+                self.take_down(&change.down, out)
             }
-            ClusterEvent::RackUp { rack } => {
-                let machines = self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()));
-                self.bring_up(&machines, out);
+            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
+            ClusterEvent::DrainMachine { machine } => {
+                self.evacuate(SubtreeId::Machine(machine.index()), &change.down, out)
             }
-            ClusterEvent::DrainMachine { machine } => self.drain_machine(machine, out),
-            ClusterEvent::AddRack => self.absorb_new_rack(out),
-            ClusterEvent::RemoveRack { rack } => self.retire_rack(rack, out),
+            ClusterEvent::RemoveRack { rack } => {
+                self.evacuate(SubtreeId::Rack(rack.index()), &change.down, out)
+            }
+            ClusterEvent::AddRack => self.absorb_new_rack(&change.up, out),
         }
     }
 

@@ -6,6 +6,7 @@ use super::*;
 use crate::evaluation::tests::origin_from_pick;
 use crate::utility::{estimate_creation_profit, estimate_profit};
 use dynasore_graph::GraphPreset;
+use dynasore_types::RackId;
 use proptest::prelude::*;
 
 impl DynaSoReEngine {

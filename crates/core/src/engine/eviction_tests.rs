@@ -6,6 +6,7 @@ use super::*;
 use crate::stats::ReplicaStats;
 use crate::utility::replica_utility;
 use dynasore_graph::GraphPreset;
+use dynasore_types::RackId;
 use proptest::prelude::*;
 
 impl DynaSoReEngine {

@@ -52,7 +52,8 @@ struct NodeSum {
 /// The topology's tree nodes (intermediates, then racks, then machines) and
 /// the path from the root to each: every distance the engine needs, without
 /// calling into the topology. Built once per topology shape — machines never
-/// change rack, so only [`Topology::add_rack`] calls for a new one.
+/// change rack, so only [`dynasore_types::ClusterEvent::AddRack`] calls for a
+/// new one.
 #[derive(Debug, Clone)]
 pub(crate) struct PathTable {
     far: i64,
@@ -225,6 +226,7 @@ pub(crate) mod tests {
     use super::*;
     use crate::stats::ReplicaStats;
     use crate::utility::{estimate_creation_profit, estimate_profit};
+    use dynasore_types::ClusterEvent;
     use proptest::prelude::*;
 
     /// Turns a random number into an origin of any kind the topology can
@@ -322,7 +324,7 @@ pub(crate) mod tests {
             let mut topology = Topology::tree(shape.0, shape.1, machines, 1).unwrap();
             if grow {
                 // A partial last intermediate, as after elastic growth.
-                topology.add_rack().unwrap();
+                topology.apply_cluster_event(ClusterEvent::AddRack).unwrap();
             }
             let n = topology.machine_count() as u32;
             let stats = random_stats(&topology, &picks, writes);

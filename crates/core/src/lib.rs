@@ -24,7 +24,7 @@
 //! * **Proxies and routing** — each user has a read proxy and a write proxy
 //!   hosted on brokers; proxies migrate towards the data they access, and
 //!   reads are routed to the closest replica
-//!   ([`routing`](crate::routing)).
+//!   ([`routing`]).
 //!
 //! The engine implements
 //! [`PlacementEngine`](dynasore_types::PlacementEngine), so it can be driven

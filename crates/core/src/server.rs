@@ -162,7 +162,7 @@ fn group_shift(slots: usize) -> u32 {
 /// last computed it, and each entry a mark saying that value is out of date.
 /// The server knows when its own statistics move (`stats_mut`,
 /// `rotate_counters`, `insert`); the engine marks the rest (the view's
-/// replica set or write proxy changed) through [`ServerState::mark_stale`]
+/// replica set or write proxy changed) through `ServerState::mark_stale`
 /// and is the only one that can recompute a utility, so it refreshes the
 /// stale slots before it reads the cache (`engine/eviction.rs`). Every read
 /// and write marks, so a mark touches nothing the request does not touch

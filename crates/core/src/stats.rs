@@ -10,7 +10,7 @@
 use dynasore_types::SubtreeId;
 
 /// The longest statistics window, in periods, that a replica can keep apart:
-/// every [`Cell`] labels its period in one byte.
+/// every `Cell` labels its period in one byte.
 pub const MAX_WINDOW_SLOTS: usize = 1 << u8::BITS;
 
 /// The `kind` of a cell that counts writes; read cells carry the kind of
@@ -63,7 +63,7 @@ fn release_slack<T>(list: &mut Vec<T>) {
 /// `origins` — a `Vec` sorted by [`SubtreeId`], a server observes at most a
 /// handful of coarse origins — so the per-read evaluation iterates 16 bytes
 /// per origin and touches nothing else. Only the *non-zero* period counters
-/// exist, as [`Cell`]s in `cells`, oldest period first: all counters of a
+/// exist, as `Cell`s in `cells`, oldest period first: all counters of a
 /// replica rotate together and cells are only ever appended for the current
 /// period, so the current period's cells are the tail (where a read finds
 /// its own among at most one per origin) and an expiring period is a

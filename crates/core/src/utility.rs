@@ -45,7 +45,7 @@ pub fn estimate_profit(
 /// Estimates the profit of *adding* a new replica of the view on
 /// `candidate`, while the current replica on `current` stays in place.
 ///
-/// This "simulat[es] its addition on one of the servers" (§3.2): only the
+/// This "simulat\[es\] its addition on one of the servers" (§3.2): only the
 /// origins that the routing policy would redirect to the new replica — those
 /// strictly closer to `candidate` than to `current` — contribute read gains;
 /// all other readers keep using the existing replica. The cost of keeping

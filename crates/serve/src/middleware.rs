@@ -120,11 +120,6 @@ impl TokenAuth {
             tokens: tokens.into_iter().collect(),
         }
     }
-
-    /// Registers one token for `user`.
-    pub fn register(&mut self, token: impl Into<String>, user: UserId) {
-        self.tokens.insert(token.into(), user);
-    }
 }
 
 impl Middleware for TokenAuth {
@@ -160,12 +155,6 @@ pub trait LoadProbe: Send {
 impl LoadProbe for Arc<AtomicU64> {
     fn current_load(&self) -> u64 {
         self.load(Ordering::SeqCst)
-    }
-}
-
-impl<F: Fn() -> u64 + Send> LoadProbe for F {
-    fn current_load(&self) -> u64 {
-        self()
     }
 }
 
@@ -215,9 +204,9 @@ impl Middleware for AdmissionControl {
 /// backend is reached, so a spammy user's requests are rejected with
 /// [`StatusCode::Throttled`] and generate zero engine messages.
 ///
-/// Ledgers are monotone (`spent` join/max, `limit` meet/min) and the map is
-/// ordered, so replaying the same request sequence — or merging remote
-/// ledgers in any order — lands in the same state.
+/// Ledgers are monotone (`spent` only grows, `limit` only shrinks) and the
+/// map is ordered, so replaying the same request sequence lands in the same
+/// state.
 #[derive(Debug)]
 pub struct FlowBudgetStage {
     default_limit: u64,
@@ -237,11 +226,6 @@ impl FlowBudgetStage {
     /// Tightens one user's limit to at most `limit` (limits never loosen).
     pub fn restrict(&mut self, user: UserId, limit: u64) {
         self.ledger_mut(user).restrict(limit);
-    }
-
-    /// Merges a replica's ledger for `user` (min limit, max spent).
-    pub fn merge_remote(&mut self, user: UserId, remote: &FlowBudget) {
-        self.ledger_mut(user).merge(remote);
     }
 
     /// The user's current ledger (the untouched default if never charged).
@@ -372,8 +356,10 @@ mod tests {
 
     #[test]
     fn token_auth_accepts_only_the_bound_user() {
-        let mut auth = TokenAuth::new([("alice-token".to_string(), u(1))]);
-        auth.register("bob-token", u(2));
+        let mut auth = TokenAuth::new([
+            ("alice-token".to_string(), u(1)),
+            ("bob-token".to_string(), u(2)),
+        ]);
 
         let table: Vec<(RequestEnvelope, Option<StatusCode>)> = vec![
             // Right token, right user.
@@ -433,18 +419,18 @@ mod tests {
     }
 
     #[test]
-    fn flow_budget_stage_merges_and_restricts_monotonically() {
+    fn flow_budget_stage_restricts_monotonically() {
         let mut stage = FlowBudgetStage::new(100);
         let mut req = RequestEnvelope::write(u(1), vec![]);
-        assert!(stage.on_request(&mut req).is_ok());
-        // A remote replica already spent 60 under a 70 cap.
-        let mut remote = FlowBudget::new(70);
         for _ in 0..60 {
-            assert!(remote.charge(1));
+            assert!(stage.on_request(&mut req).is_ok());
         }
-        stage.merge_remote(u(1), &remote);
+        stage.restrict(u(1), 70);
         assert_eq!(stage.budget(u(1)).limit(), 70);
         assert_eq!(stage.budget(u(1)).spent(), 60);
+        // Limits never loosen, and one below `spent` exhausts the ledger.
+        stage.restrict(u(1), 90);
+        assert_eq!(stage.budget(u(1)).limit(), 70);
         stage.restrict(u(1), 55);
         assert!(stage.budget(u(1)).exhausted());
         assert_eq!(

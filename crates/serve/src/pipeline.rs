@@ -46,25 +46,10 @@ impl<B: Backend> PipelineExecutor<B> {
         self.stages.push(stage);
     }
 
-    /// Installed stage names, in incoming order.
-    #[must_use]
-    pub fn stage_names(&self) -> Vec<&'static str> {
-        self.stages.iter().map(|s| s.name()).collect()
-    }
-
     /// The backend behind the stages.
     #[must_use]
     pub fn backend(&self) -> &B {
         &self.backend
-    }
-
-    /// Mutable access to a stage by name (operator surface: tighten a flow
-    /// limit, rotate a token) — `None` if no stage has that name.
-    pub fn stage_mut(&mut self, name: &str) -> Option<&mut (dyn Middleware + 'static)> {
-        self.stages
-            .iter_mut()
-            .find(|s| s.name() == name)
-            .map(|s| &mut **s)
     }
 
     /// Executes one envelope end to end.
@@ -207,9 +192,6 @@ mod tests {
         let resp = pipeline.execute(RequestEnvelope::write(UserId::new(1), vec![]));
         assert!(resp.is_success());
         assert_eq!(calls.load(Ordering::SeqCst), 1);
-        assert_eq!(pipeline.stage_names(), vec!["flow-budget"]);
-        assert!(pipeline.stage_mut("flow-budget").is_some());
-        assert!(pipeline.stage_mut("nope").is_none());
     }
 
     /// Satellite: the backend error → status table.

@@ -30,11 +30,8 @@ use crate::report::{LatencyStats, ReliabilityStats, SimReport};
 /// queue state, closing the loop for congestion-aware replica placement.
 struct AccountingSink<'a> {
     topology: &'a Topology,
-    traffic: &'a mut TrafficAccount,
+    counters: &'a mut RunCounters,
     time: SimTime,
-    app_messages: &'a mut u64,
-    proto_messages: &'a mut u64,
-    recovery_messages: &'a mut u64,
     request_latency: Latency,
     /// Optional flight recorder for the engine's `trace` events. `None` —
     /// the default — makes `trace` a no-op, so unobserved runs do exactly
@@ -42,14 +39,41 @@ struct AccountingSink<'a> {
     obs: Option<&'a mut SimObs>,
 }
 
+/// What the sinks of one run accumulate: the traffic account and the
+/// message tallies of the report.
+struct RunCounters {
+    traffic: TrafficAccount,
+    app_messages: u64,
+    proto_messages: u64,
+    recovery_messages: u64,
+}
+
+impl RunCounters {
+    /// The sink for whatever the engine emits at `time`.
+    fn sink<'a>(
+        &'a mut self,
+        topology: &'a Topology,
+        obs: Option<&'a mut SimObs>,
+        time: SimTime,
+    ) -> AccountingSink<'a> {
+        AccountingSink {
+            topology,
+            counters: self,
+            time,
+            request_latency: Latency::ZERO,
+            obs,
+        }
+    }
+}
+
 impl TrafficSink for AccountingSink<'_> {
     fn record(&mut self, message: Message) {
         match message.class {
-            MessageClass::Application => *self.app_messages += 1,
-            MessageClass::Protocol => *self.proto_messages += 1,
+            MessageClass::Application => self.counters.app_messages += 1,
+            MessageClass::Protocol => self.counters.proto_messages += 1,
         }
         if message.involves_persistent() {
-            *self.recovery_messages += 1;
+            self.counters.recovery_messages += 1;
         }
         if message.is_local() {
             return;
@@ -59,7 +83,7 @@ impl TrafficSink for AccountingSink<'_> {
             message.to,
             message.class,
             self.time,
-            self.traffic,
+            &mut self.counters.traffic,
         );
         if message.class.is_application() && latency > self.request_latency {
             self.request_latency = latency;
@@ -76,7 +100,7 @@ impl TrafficSink for AccountingSink<'_> {
                 Err(_) => return Latency::ZERO,
             },
         };
-        self.traffic.queued_delay(switch, self.time)
+        self.counters.traffic.queued_delay(switch, self.time)
     }
 
     fn trace(&mut self, event: TraceEventKind) {
@@ -273,13 +297,15 @@ impl<E: PlacementEngine> Simulation<E> {
         I: IntoIterator<Item = Request>,
         F: FnMut(SimTime, &E, &SocialGraph),
     {
-        let mut traffic =
-            TrafficAccount::with_model(self.config.traffic_bucket_secs, self.config.network);
+        let bucket_secs = self.config.traffic_bucket_secs;
+        let mut counters = RunCounters {
+            traffic: TrafficAccount::with_model(bucket_secs, self.config.network),
+            app_messages: 0,
+            proto_messages: 0,
+            recovery_messages: 0,
+        };
         let mut reads = 0u64;
         let mut writes = 0u64;
-        let mut app_messages = 0u64;
-        let mut proto_messages = 0u64;
-        let mut recovery_messages = 0u64;
         let mut read_targets = 0u64;
         let mut read_latency = LatencyHistogram::new();
         let mut write_latency = LatencyHistogram::new();
@@ -338,37 +364,19 @@ impl<E: PlacementEngine> Simulation<E> {
                             self.graph.remove_edge(follower, followee);
                         }
                     }
-                    let mut sink = AccountingSink {
-                        topology: &self.topology,
-                        traffic: &mut traffic,
-                        time: m.time,
-                        app_messages: &mut app_messages,
-                        proto_messages: &mut proto_messages,
-                        recovery_messages: &mut recovery_messages,
-                        request_latency: Latency::ZERO,
-                        obs: self.obs.as_mut(),
-                    };
+                    let mut sink = counters.sink(&self.topology, self.obs.as_mut(), m.time);
                     self.engine.on_graph_change(m.mutation, m.time, &mut sink);
                     mutation_idx += 1;
                 } else {
                     let e = self.cluster_events[event_idx];
                     self.topology.apply_cluster_event(e.event)?;
-                    let recovery_before = recovery_messages;
-                    let mut sink = AccountingSink {
-                        topology: &self.topology,
-                        traffic: &mut traffic,
-                        time: e.time,
-                        app_messages: &mut app_messages,
-                        proto_messages: &mut proto_messages,
-                        recovery_messages: &mut recovery_messages,
-                        request_latency: Latency::ZERO,
-                        obs: self.obs.as_mut(),
-                    };
+                    let recovery_before = counters.recovery_messages;
+                    let mut sink = counters.sink(&self.topology, self.obs.as_mut(), e.time);
                     self.engine.on_cluster_change(e.event, e.time, &mut sink);
                     // The engine fetched lost views from the persistent
                     // tier: with a durable tier attached, that recovery
                     // re-reads real bytes.
-                    if recovery_messages > recovery_before {
+                    if counters.recovery_messages > recovery_before {
                         if let Some(tier) = self.durable.as_mut() {
                             tier.sync()?;
                             let replay = tier.replay()?;
@@ -394,16 +402,7 @@ impl<E: PlacementEngine> Simulation<E> {
             // Engine maintenance ticks.
             while next_tick <= request.time.as_secs() {
                 let tick_time = SimTime::from_secs(next_tick);
-                let mut sink = AccountingSink {
-                    topology: &self.topology,
-                    traffic: &mut traffic,
-                    time: tick_time,
-                    app_messages: &mut app_messages,
-                    proto_messages: &mut proto_messages,
-                    recovery_messages: &mut recovery_messages,
-                    request_latency: Latency::ZERO,
-                    obs: self.obs.as_mut(),
-                };
+                let mut sink = counters.sink(&self.topology, self.obs.as_mut(), tick_time);
                 self.engine.on_tick(tick_time, &mut sink);
                 // The per-tick observability sample rides the tick cadence,
                 // so its cost scales with simulated hours, not requests.
@@ -412,7 +411,7 @@ impl<E: PlacementEngine> Simulation<E> {
                         next_tick,
                         self.engine.unreachable_reads(),
                         &self.topology,
-                        &traffic,
+                        &counters.traffic,
                         self.durable.as_deref(),
                         &self.config.network,
                     );
@@ -429,16 +428,7 @@ impl<E: PlacementEngine> Simulation<E> {
 
             // Execute the request. Messages are accounted inline as the
             // engine emits them.
-            let mut sink = AccountingSink {
-                topology: &self.topology,
-                traffic: &mut traffic,
-                time: request.time,
-                app_messages: &mut app_messages,
-                proto_messages: &mut proto_messages,
-                recovery_messages: &mut recovery_messages,
-                request_latency: Latency::ZERO,
-                obs: self.obs.as_mut(),
-            };
+            let mut sink = counters.sink(&self.topology, self.obs.as_mut(), request.time);
             if request.is_read() {
                 reads += 1;
                 let targets = self.graph.followees(request.user);
@@ -477,9 +467,9 @@ impl<E: PlacementEngine> Simulation<E> {
         // registry (counters the per-message hot path deliberately skips).
         if let Some(obs) = self.obs.as_mut() {
             obs.finish_run(
-                app_messages,
-                proto_messages,
-                recovery_messages,
+                counters.app_messages,
+                counters.proto_messages,
+                counters.recovery_messages,
                 self.durable.as_ref().map(|_| &durable_io),
             );
         }
@@ -507,36 +497,27 @@ impl<E: PlacementEngine> Simulation<E> {
             }
         }
 
-        let switch_counts = match self.topology.kind() {
-            TopologyKind::Flat => [1, 0, 0],
-            TopologyKind::Tree => [
-                1,
-                self.topology.intermediate_count(),
-                self.topology.rack_count(),
-            ],
-        };
-
         let latency = LatencyStats {
             collapsed: !self.config.network.is_infinite()
-                && traffic.max_queue_delay() >= self.config.network.collapse_threshold,
-            max_queue_delay: traffic.max_queue_delay(),
-            max_switch_backlog: traffic.max_switch_backlog(),
+                && counters.traffic.max_queue_delay() >= self.config.network.collapse_threshold,
+            max_queue_delay: counters.traffic.max_queue_delay(),
+            max_switch_backlog: counters.traffic.max_switch_backlog(),
             read: read_latency,
             write: write_latency,
         };
 
         Ok(SimReport::new(
             self.engine.name().to_string(),
-            traffic,
+            counters.traffic,
             reads,
             writes,
-            app_messages,
-            proto_messages,
+            counters.app_messages,
+            counters.proto_messages,
             now,
             self.engine.memory_usage(),
-            switch_counts,
+            switch_counts(&self.topology),
             ReliabilityStats {
-                recovery_messages,
+                recovery_messages: counters.recovery_messages,
                 unreachable_reads: self.engine.unreachable_reads(),
                 read_targets,
                 worst_window_unreachable: worst.0,

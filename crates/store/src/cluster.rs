@@ -13,8 +13,8 @@ use dynasore_topology::Topology;
 // there, not through the `dynasore_sim` re-export two layers up — the store
 // needs the trait, not the simulator.
 use dynasore_types::{
-    ClusterEvent, CountingSink, Error, Event, MachineId, MemoryBudget, PlacementEngine, Result,
-    SimTime, SubtreeId, TraceEventKind, UserId, View,
+    ClusterEvent, CountingSink, Error, Event, MemoryBudget, PlacementEngine, Result, SimTime,
+    TraceEventKind, UserId, View,
 };
 
 use crate::obs::StoreObs;
@@ -356,31 +356,10 @@ impl Cluster {
             return Err(Error::ClusterShutdown);
         }
         let time = self.now();
-        // Snapshot liveness before the event so revivals only touch machines
-        // that were actually down (the engine counts a running one warm).
-        // Retired machines are excluded: a stale repair event for a
-        // decommissioned rack must not start its shards again.
-        let previously_dead: Vec<MachineId> = match event {
-            ClusterEvent::MachineUp { machine }
-                if !self.topology.is_live(machine) && !self.topology.is_retired(machine) =>
-            {
-                vec![machine]
-            }
-            ClusterEvent::RackUp { rack } => {
-                let topology = &self.topology;
-                topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()))
-                    .into_iter()
-                    .filter(|&m| !topology.is_live(m) && !topology.is_retired(m))
-                    .collect()
-            }
-            _ => Vec::new(),
-        };
-        // Validate against (and sync) the store's own topology copy first,
-        // then let the engine absorb the event. Both copies see the same
-        // event stream, so they stay identical.
-        let servers_before = self.topology.server_count();
-        self.topology.apply_cluster_event(event)?;
+        // The store's own topology copy validates the event and says which
+        // machines it moved; the engine then absorbs the same event into its
+        // copy, so the two stay identical.
+        let change = self.topology.apply_cluster_event(event)?;
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
         }
@@ -388,35 +367,19 @@ impl Cluster {
         self.engine
             .get_mut()
             .on_cluster_change(event, time, &mut out);
-        match event {
-            ClusterEvent::MachineDown { machine } | ClusterEvent::DrainMachine { machine } => {
-                self.stop_shard(machine);
+        // Crashed, drained and retired servers lose their shard — the engine
+        // has already rerouted around (or evacuated) their views — and
+        // revived and added ones start empty. Machines the event did not
+        // move are left alone: a stale repair must not restart the shards
+        // of a decommissioned rack.
+        for &machine in &change.down {
+            if let Some(shard) = self.topology.server_ordinal(machine) {
+                self.cache.stop(shard);
             }
-            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => {
-                // A restarted server rejoins empty.
-                for shard in previously_dead
-                    .into_iter()
-                    .filter_map(|m| self.topology.server_ordinal(m))
-                {
-                    self.cache.start(shard);
-                }
-            }
-            // Elastic shrink stops a rack's shards like a failure does: the
-            // engine has already evacuated its views, and they stay stopped
-            // for good (the topology rejects revival of a retired rack).
-            ClusterEvent::RackDown { rack } | ClusterEvent::RemoveRack { rack } => {
-                for machine in self
-                    .topology
-                    .machines_in_subtree(SubtreeId::Rack(rack.index()))
-                {
-                    self.stop_shard(machine);
-                }
-            }
-            ClusterEvent::AddRack => {
-                // The topology grew above: new servers take the next ordinals.
-                for shard in servers_before..self.topology.server_count() {
-                    self.cache.start(shard);
-                }
+        }
+        for &machine in &change.up {
+            if let Some(shard) = self.topology.server_ordinal(machine) {
+                self.cache.start(shard);
             }
         }
         self.recovery_messages
@@ -425,15 +388,6 @@ impl Cluster {
             messages: out.messages,
             recovery_messages: out.persistent_messages,
         })
-    }
-
-    /// Stops the cache shard of `machine` (no-op for brokers or
-    /// already-stopped servers). Its views are gone; the engine has already
-    /// rerouted around them.
-    fn stop_shard(&self, machine: MachineId) {
-        if let Some(shard) = self.topology.server_ordinal(machine) {
-            self.cache.stop(shard);
-        }
     }
 
     /// Stops the cache worker and rejects all further requests with
@@ -473,6 +427,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use dynasore_graph::GraphPreset;
+    use dynasore_types::{MachineId, RackId, SubtreeId};
 
     fn cluster() -> (Cluster, SocialGraph) {
         let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 3).unwrap();
@@ -830,7 +785,7 @@ mod tests {
             .unwrap();
         cluster
             .apply_event(ClusterEvent::RackDown {
-                rack: dynasore_types::RackId::new(0),
+                rack: RackId::new(0),
             })
             .unwrap();
         let views = cluster.read(reader, &[author]).unwrap();
@@ -864,7 +819,7 @@ mod tests {
 
         // Decommission rack 0 while the store runs: the engine evacuates,
         // the rack's shards stop for good.
-        let rack = dynasore_types::RackId::new(0);
+        let rack = RackId::new(0);
         let rack_machines = cluster.topology.machines_in_subtree(SubtreeId::Rack(0));
         cluster
             .apply_event(ClusterEvent::RemoveRack { rack })
@@ -895,6 +850,45 @@ mod tests {
             .apply_event(ClusterEvent::RemoveRack { rack })
             .is_err());
         cluster.shutdown().unwrap();
+    }
+
+    /// The cache/membership half of "cache contents == placement at
+    /// quiescence": whatever events arrive — stale, refused and past-the-end
+    /// ones included — a shard caches exactly when its machine is live.
+    #[test]
+    fn shards_run_exactly_on_the_live_servers() {
+        let user = UserId::new(0);
+        for seed in 0..6u32 {
+            let (mut cluster, _) = cluster();
+            for step in 0..20 {
+                // Knuth's multiplicative hash scatters the picks.
+                let pick = (seed * 20 + step).wrapping_mul(2_654_435_761) >> 8;
+                let machine = MachineId::new(pick % 24);
+                let rack = RackId::new(pick % 6);
+                let event = match pick / 24 % 7 {
+                    0 => ClusterEvent::MachineDown { machine },
+                    1 => ClusterEvent::MachineUp { machine },
+                    2 => ClusterEvent::DrainMachine { machine },
+                    3 => ClusterEvent::RackDown { rack },
+                    4 => ClusterEvent::RackUp { rack },
+                    5 => ClusterEvent::AddRack,
+                    _ => ClusterEvent::RemoveRack { rack },
+                };
+                let before = cluster.topology.clone();
+                if cluster.apply_event(event).is_err() {
+                    assert_eq!(cluster.topology, before, "refused {event}");
+                }
+                for (shard, server) in cluster.topology.servers().iter().enumerate() {
+                    cluster.cache.put(shard, user, View::new(user));
+                    assert_eq!(
+                        cluster.cache.get(shard, user).is_some(),
+                        cluster.topology.is_live(server.machine()),
+                        "seed {seed}: {server} after {event}"
+                    );
+                }
+            }
+            cluster.shutdown().unwrap();
+        }
     }
 
     #[test]

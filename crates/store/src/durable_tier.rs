@@ -2,30 +2,21 @@
 //!
 //! Bridges the simulator's optional durable-tier hook
 //! ([`dynasore_sim::Simulation::with_durable_tier`]) to the file-backed
-//! stores: every simulated write request appends a fixed-size,
+//! store: every simulated write request appends a fixed-size,
 //! deterministically filled payload to the on-disk log, and each recovery
-//! replays the log from real bytes. The backend is either a single
-//! [`LogStructuredStore`] ([`open`](SimDurableTier::open)) or a
-//! [`ShardedLogStore`] ([`open_sharded`](SimDurableTier::open_sharded)),
-//! whose per-shard replay stats feed the report's parallel-recovery
-//! critical path.
+//! replays the log from real bytes. The backend is a [`ShardedLogStore`] —
+//! of one shard for [`open`](SimDurableTier::open) — whose per-shard replay
+//! stats feed the report's parallel-recovery critical path.
 
 use dynasore_sim::{DurableTier, TierReplay};
 use dynasore_types::{Result, SimTime, UserId};
 
-use crate::log::{LogConfig, LogStructuredStore, RecoveryStats};
+use crate::log::{LogConfig, RecoveryStats};
 use crate::sharded::{ShardedConfig, ShardedLogStore};
 
 /// The payload size mirrored per simulated write: the paper's events are
 /// tweet-sized (§3.2), so 140 bytes.
 pub const SIM_EVENT_BYTES: usize = 140;
-
-/// The store a [`SimDurableTier`] writes through.
-#[derive(Debug)]
-enum TierBackend {
-    Single(LogStructuredStore),
-    Sharded(ShardedLogStore),
-}
 
 /// A file-backed store driven by a simulation through the [`DurableTier`]
 /// hook. Payloads are synthesized deterministically from the writing user
@@ -33,27 +24,29 @@ enum TierBackend {
 /// [`dynasore_sim::SimReport`]s — reproducible across runs.
 #[derive(Debug)]
 pub struct SimDurableTier {
-    backend: TierBackend,
-    /// Bytes appended per shard since open (one slot for a single log) —
-    /// tracked here, not read back from the store, so the per-tick lag
-    /// samples the observer takes stay deterministic across runs.
+    store: ShardedLogStore,
+    /// Bytes appended per shard since open — tracked here, not read back
+    /// from the store, so the per-tick lag samples the observer takes stay
+    /// deterministic across runs.
     appended_bytes: Vec<u64>,
     /// Bytes covered by the last [`sync`](DurableTier::sync), per shard.
     synced_bytes: Vec<u64>,
 }
 
 impl SimDurableTier {
-    /// Opens (or creates) a single-log backing store in `dir`.
+    /// Opens (or creates) a backing store of a single log, configured by
+    /// `config`, in `dir`.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`LogStructuredStore::open`].
+    /// Same conditions as [`ShardedLogStore::open`].
     pub fn open(dir: impl Into<std::path::PathBuf>, config: LogConfig) -> Result<Self> {
-        Ok(SimDurableTier {
-            backend: TierBackend::Single(LogStructuredStore::open(dir, config)?),
-            appended_bytes: vec![0],
-            synced_bytes: vec![0],
-        })
+        let config = ShardedConfig {
+            shards: 1,
+            log: config,
+            ..ShardedConfig::default()
+        };
+        SimDurableTier::open_sharded(dir, config)
     }
 
     /// Opens (or creates) a sharded backing store in `dir`. The
@@ -75,70 +68,39 @@ impl SimDurableTier {
         let store = ShardedLogStore::open(dir, config)?;
         let shards = store.shard_count();
         Ok(SimDurableTier {
-            backend: TierBackend::Sharded(store),
+            store,
             appended_bytes: vec![0; shards],
             synced_bytes: vec![0; shards],
         })
     }
 
-    /// The backing single-log store (for inspection: bytes on disk, segment
-    /// count…); `None` when the tier is sharded.
-    pub fn store(&self) -> Option<&LogStructuredStore> {
-        match &self.backend {
-            TierBackend::Single(store) => Some(store),
-            TierBackend::Sharded(_) => None,
-        }
+    /// The backing store (for inspection: bytes on disk, segment count…).
+    pub fn store(&self) -> &ShardedLogStore {
+        &self.store
     }
 
-    /// The backing sharded store; `None` when the tier is a single log.
-    pub fn sharded_store(&self) -> Option<&ShardedLogStore> {
-        match &self.backend {
-            TierBackend::Single(_) => None,
-            TierBackend::Sharded(store) => Some(store),
-        }
-    }
-
-    /// Total bytes on disk across the backend.
+    /// Total bytes on disk across the shards.
     pub fn bytes_on_disk(&self) -> u64 {
-        match &self.backend {
-            TierBackend::Single(store) => store.bytes_on_disk(),
-            TierBackend::Sharded(store) => store.bytes_on_disk(),
-        }
+        self.store.bytes_on_disk()
     }
 
-    /// What the last replay measured, aggregated across shards for a
-    /// sharded backend.
+    /// What the last replay measured, aggregated across shards.
     pub fn recovery_stats(&self) -> RecoveryStats {
-        match &self.backend {
-            TierBackend::Single(store) => store.recovery_stats(),
-            TierBackend::Sharded(store) => store.recovery_stats().total,
-        }
+        self.store.recovery_stats().total
     }
 }
 
 impl DurableTier for SimDurableTier {
     fn append(&mut self, user: UserId, time: SimTime) -> Result<()> {
         let fill = (user.index() as u8).wrapping_add(time.as_secs() as u8);
-        let payload = vec![fill; SIM_EVENT_BYTES];
-        let shard = match &self.backend {
-            TierBackend::Single(store) => {
-                store.append_version(user, payload)?;
-                0
-            }
-            TierBackend::Sharded(store) => {
-                store.append_version(user, payload)?;
-                store.shard_index_of(user)
-            }
-        };
-        self.appended_bytes[shard] += SIM_EVENT_BYTES as u64;
+        self.store
+            .append_version(user, vec![fill; SIM_EVENT_BYTES])?;
+        self.appended_bytes[self.store.shard_index_of(user)] += SIM_EVENT_BYTES as u64;
         Ok(())
     }
 
     fn sync(&mut self) -> Result<()> {
-        match &self.backend {
-            TierBackend::Single(store) => store.sync()?,
-            TierBackend::Sharded(store) => store.sync()?,
-        }
+        self.store.sync()?;
         self.synced_bytes.copy_from_slice(&self.appended_bytes);
         Ok(())
     }
@@ -157,24 +119,12 @@ impl DurableTier for SimDurableTier {
         // reread() commits and syncs before replaying, so afterwards no
         // appended byte is unsynced.
         self.synced_bytes.copy_from_slice(&self.appended_bytes);
-        match &self.backend {
-            TierBackend::Single(store) => {
-                let stats = store.reread()?;
-                Ok(TierReplay {
-                    bytes_replayed: stats.bytes_replayed,
-                    shards: 1,
-                    max_shard_bytes: stats.bytes_replayed,
-                })
-            }
-            TierBackend::Sharded(store) => {
-                let stats = store.reread()?;
-                Ok(TierReplay {
-                    bytes_replayed: stats.total.bytes_replayed,
-                    shards: stats.per_shard.len(),
-                    max_shard_bytes: stats.max_shard_bytes_replayed(),
-                })
-            }
-        }
+        let stats = self.store.reread()?;
+        Ok(TierReplay {
+            bytes_replayed: stats.total.bytes_replayed,
+            shards: stats.per_shard.len(),
+            max_shard_bytes: stats.max_shard_bytes_replayed(),
+        })
     }
 }
 
@@ -197,7 +147,7 @@ mod tests {
         assert_eq!(replay.shards, 1);
         assert_eq!(replay.max_shard_bytes, replay.bytes_replayed);
         assert_eq!(tier.recovery_stats().records_replayed, 20);
-        assert_eq!(tier.store().unwrap().user_count(), 4);
+        assert_eq!(tier.store().user_count(), 4);
         // Same call sequence in a fresh directory → identical bytes.
         let dir2 = dir.with_extension("b");
         let _ = std::fs::remove_dir_all(&dir2);

@@ -68,7 +68,7 @@ pub struct LogConfig {
     /// [`flush`]: LogStructuredStore::flush
     /// [`sync`]: LogStructuredStore::sync
     pub sync_on_append: bool,
-    /// Group commit (see the [module docs](self)): appends are acknowledged
+    /// Group commit (see the module docs of `log.rs`): appends are acknowledged
     /// into a bounded in-memory batch and committed as one
     /// [`DurableRecord::Batch`] frame when the batch fills or the owner
     /// forces a commit. Mutually exclusive with
@@ -87,7 +87,7 @@ impl Default for LogConfig {
     }
 }
 
-/// Tuning of the group-commit batch (see the [module docs](self)).
+/// Tuning of the group-commit batch (see the module docs of `log.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GroupCommitConfig {
     /// Acknowledged appends that force a commit once the pending batch holds
@@ -184,7 +184,7 @@ struct LogInner {
 /// Drop-in replacement for [`MockPersistentStore`] behind the
 /// [`PersistentStore`] trait: same append/fetch semantics, but every write
 /// lands in an on-disk segment log and recovery reads real bytes. See the
-/// [module documentation](self) for the format and crash semantics.
+/// module documentation of `log.rs` for the format and crash semantics.
 ///
 /// [`MockPersistentStore`]: crate::MockPersistentStore
 #[derive(Debug)]
@@ -440,24 +440,17 @@ impl LogStructuredStore {
         Ok((index, stats))
     }
 
-    /// Appends one event, shared by every public write path. `batched`
-    /// routes the record into the pending group-commit frame (always true
-    /// when [`LogConfig::group_commit`] is set; [`append_batch`] forces it
-    /// even without). The payload is encoded directly from a borrow —
-    /// exactly one copy, into the frame buffer — and then *moved* into the
-    /// in-memory index, so the durable write path never duplicates the
-    /// caller's bytes. Returns the view's new version.
-    ///
-    /// [`append_batch`]: LogStructuredStore::append_batch
-    fn append_one(
-        inner: &mut LogInner,
-        user: UserId,
-        payload: Vec<u8>,
-        batched: bool,
-    ) -> Result<u64> {
+    /// Appends one event, shared by every public write path: into the
+    /// pending group-commit frame when [`LogConfig::group_commit`] is set,
+    /// straight to the active segment otherwise. The payload is encoded
+    /// directly from a borrow — exactly one copy, into the frame buffer —
+    /// and then *moved* into the in-memory index, so the durable write path
+    /// never duplicates the caller's bytes. Returns the view's new version.
+    fn append_one(inner: &mut LogInner, user: UserId, payload: Vec<u8>) -> Result<u64> {
         let timestamp = SimTime::from_secs(inner.clock);
         inner.clock += 1;
-        if batched {
+        let group_commit = inner.config.group_commit;
+        if group_commit.is_some() {
             if inner.pending_records == 0 {
                 DurableRecord::batch_begin(&mut inner.pending);
             }
@@ -487,29 +480,28 @@ impl LogStructuredStore {
         let view = inner.index.entry(user).or_insert_with(|| View::new(user));
         view.push(Event::new(user, timestamp, payload));
         let version = view.version();
-        if batched {
-            if let Some(gc) = inner.config.group_commit {
+        match group_commit {
+            Some(gc) => {
                 if inner.pending_records >= gc.max_batch_records
                     || inner.pending.len() - RECORD_HEADER_BYTES >= gc.max_batch_bytes
                 {
                     Self::commit_pending_locked(inner)?;
                 }
             }
-        } else {
-            Self::maybe_rotate(inner)?;
+            None => Self::maybe_rotate(inner)?,
         }
         Ok(version)
     }
 
     /// Writes the pending batch — if any — as one [`DurableRecord::Batch`]
     /// frame and makes it as durable as the configuration promises (fsynced
-    /// under [`GroupCommitConfig::sync_on_commit`], OS-buffered otherwise;
-    /// [`append_batch`] without group commit inherits
-    /// [`LogConfig::sync_on_append`]). The frame buffer keeps its capacity
-    /// for the next batch.
-    ///
-    /// [`append_batch`]: LogStructuredStore::append_batch
+    /// under [`GroupCommitConfig::sync_on_commit`], OS-buffered otherwise).
+    /// The frame buffer keeps its capacity for the next batch.
     fn commit_pending_locked(inner: &mut LogInner) -> Result<()> {
+        // Only group commit ever leaves records pending.
+        let Some(gc) = inner.config.group_commit else {
+            return Ok(());
+        };
         if inner.pending_records == 0 {
             return Ok(());
         }
@@ -518,22 +510,13 @@ impl LogStructuredStore {
         let records = u64::from(inner.pending_records);
         inner.pending_records = 0;
         inner.pending.clear();
-        if inner
-            .config
-            .group_commit
-            .map_or(inner.config.sync_on_append, |gc| gc.sync_on_commit)
-        {
+        if gc.sync_on_commit {
             inner.active.sync()?;
         }
         if let Some(obs) = &inner.obs {
-            // Fill ratio against the configured fill trigger; a forced batch
-            // without group commit (append_batch) counts as a full frame.
-            let fill_percent = match inner.config.group_commit {
-                Some(gc) => {
-                    ((records * 100) / u64::from(gc.max_batch_records.max(1))).min(100) as u8
-                }
-                None => 100,
-            };
+            // Fill ratio against the configured fill trigger.
+            let fill_percent =
+                ((records * 100) / u64::from(gc.max_batch_records.max(1))).min(100) as u8;
             obs.trace(TraceEventKind::GroupCommitFill {
                 records,
                 fill_percent,
@@ -558,8 +541,7 @@ impl LogStructuredStore {
     pub fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let batched = inner.config.group_commit.is_some();
-        Self::append_one(inner, user, payload, batched)?;
+        Self::append_one(inner, user, payload)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(inner.index.get(&user).expect("view just appended").clone())
     }
@@ -576,36 +558,9 @@ impl LogStructuredStore {
     pub fn append_version(&self, user: UserId, payload: Vec<u8>) -> Result<u64> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        let batched = inner.config.group_commit.is_some();
-        let version = Self::append_one(inner, user, payload, batched)?;
+        let version = Self::append_one(inner, user, payload)?;
         self.writes.fetch_add(1, Ordering::Relaxed);
         Ok(version)
-    }
-
-    /// Appends many events under one lock acquisition, one batch frame and
-    /// (at most) one fsync — even without [`LogConfig::group_commit`], the
-    /// items share a [`DurableRecord::Batch`] and a single durability point
-    /// ([`sync_on_append`](LogConfig::sync_on_append) then syncs once per
-    /// *batch*, not per event). Returns the number of events appended.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the segment write; on error a prefix of the batch may
-    /// be acknowledged in memory, but the on-disk frame is all-or-nothing.
-    pub fn append_batch<I>(&self, items: I) -> Result<u64>
-    where
-        I: IntoIterator<Item = (UserId, Vec<u8>)>,
-    {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let mut count = 0u64;
-        for (user, payload) in items {
-            Self::append_one(inner, user, payload, true)?;
-            count += 1;
-        }
-        Self::commit_pending_locked(inner)?;
-        self.writes.fetch_add(count, Ordering::Relaxed);
-        Ok(count)
     }
 
     /// Commits the pending group-commit batch, if any — the hook the
@@ -1184,27 +1139,6 @@ mod tests {
         assert_eq!(v0.latest().unwrap().payload(), b"reborn");
         assert_eq!(reopened.fetch(UserId::new(1)).len(), 3);
         assert_eq!(reopened.fetch(UserId::new(2)).len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn append_batch_shares_one_frame_even_without_group_commit() {
-        let dir = temp_dir("append-batch");
-        let store = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
-        let items: Vec<(UserId, Vec<u8>)> = (0..6u32)
-            .map(|i| (UserId::new(i % 2), vec![i as u8; 12]))
-            .collect();
-        assert_eq!(store.append_batch(items).unwrap(), 6);
-        assert_eq!(store.pending_records(), 0, "append_batch always commits");
-        assert_eq!(store.write_count(), 6);
-        store.sync().unwrap();
-        let (index, stats) = LogStructuredStore::read_back(&dir).unwrap();
-        assert_eq!(index.get(&UserId::new(0)).unwrap().len(), 3);
-        assert_eq!(index.get(&UserId::new(1)).unwrap().len(), 3);
-        assert_eq!(
-            stats.records_replayed, 1,
-            "six events must share one batch record"
-        );
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -106,7 +106,7 @@ pub struct ShardedConfig {
     /// that has gone a full interval without committing on its own (busy
     /// shards, whose fill trigger commits faster, never get their batch
     /// split) and fsyncs shards on the pipelined cadence described in the
-    /// [module documentation](self) — at most `2 + sync_wake_bound`
+    /// module documentation of `sharded.rs` — at most `2 + sync_wake_bound`
     /// intervals from acknowledgement to machine durability. `None`
     /// disables the flusher: batches then commit only when they fill or on
     /// an explicit [`flush`]/[`sync`]/[`commit_pending`], and nothing
@@ -316,7 +316,7 @@ impl Drop for Flusher {
 
 /// A sharded, group-committed file-backed durable tier: `N` independent
 /// [`LogStructuredStore`] shards routed by a stable hash of the [`UserId`].
-/// See the [module documentation](self) for the layout and semantics.
+/// See the module documentation of `sharded.rs` for the layout and semantics.
 ///
 /// Implements [`PersistentStore`], so [`crate::Cluster::spawn_with_store`]
 /// accepts it unchanged.
@@ -516,7 +516,7 @@ impl ShardedLogStore {
     }
 
     /// The shard that owns `user`. Stable across restarts and part of the
-    /// on-disk format (see [`mix64`]).
+    /// on-disk format (see `mix64`).
     pub fn shard_index_of(&self, user: UserId) -> usize {
         (mix64(u64::from(user.index())) % self.shards.len() as u64) as usize
     }
@@ -528,7 +528,7 @@ impl ShardedLogStore {
     /// Appends one event to `user`'s shard and returns the updated view.
     /// The append is *acknowledged* (visible to [`fetch`]) immediately;
     /// durability follows the shard's group-commit contract (see
-    /// [`crate::log`]).
+    /// the module docs of `log.rs`).
     ///
     /// [`fetch`]: ShardedLogStore::fetch
     ///

@@ -2,13 +2,13 @@
 //!
 //! All per-request queries (`distance`, `access_origin`,
 //! `lowest_common_ancestor`, `local_broker`, the `*_in_subtree_slice`
-//! families and [`Topology::record_path`]) are answered from dense routing
+//! families and [`Topology::record_path_timed`]) are answered from dense routing
 //! tables precomputed at construction, so the request hot path performs only
 //! table lookups — no tree walks and no heap allocation.
 
 use dynasore_types::{
-    BrokerId, ClusterEvent, Error, MachineId, MachineKind, MessageClass, RackId, Result, ServerId,
-    SimTime, SubtreeId,
+    BrokerId, ClusterEvent, Error, MachineId, MessageClass, RackId, Result, ServerId, SimTime,
+    SubtreeId,
 };
 
 use crate::traffic::TrafficAccount;
@@ -228,23 +228,22 @@ pub struct Topology {
     brokers: Vec<BrokerId>,
     tables: RoutingTables,
     /// Liveness mask over the dense machine table. All machines start live;
-    /// [`Topology::set_live`] flips entries when the cluster-dynamics layer
-    /// kills or revives machines. Hot-path queries stay mask-free (engines
+    /// [`Topology::apply_cluster_event`] flips entries when the
+    /// cluster-dynamics layer kills or revives machines. Hot-path queries stay mask-free (engines
     /// maintain the invariant that replica lists only reference live
     /// machines); placement-decision paths consult [`Topology::is_live`] in
     /// O(1).
     live: Vec<bool>,
     live_machines: usize,
-    /// rack → its first *live* broker, kept in sync by [`Topology::set_live`]
-    /// so the per-request proxy-placement walk stays an O(1) table lookup
+    /// rack → its first *live* broker, kept in sync by `set_live` so the
+    /// per-request proxy-placement walk stays an O(1) table lookup
     /// even while machines are down. `None` when every broker of the rack is
     /// dead.
     rack_first_live_broker: Vec<Option<BrokerId>>,
-    /// rack → permanently decommissioned ([`Topology::remove_rack`]).
+    /// rack → permanently decommissioned ([`ClusterEvent::RemoveRack`]).
     /// Retired racks keep their dense indices — machine ids, server
     /// ordinals and table shapes never shift — but their machines are dead
-    /// forever: [`Topology::set_live`] refuses to revive them and
-    /// `RackUp`/`MachineUp` events targeting them are ignored.
+    /// forever: `RackUp`/`MachineUp` events targeting them are ignored.
     retired_racks: Vec<bool>,
 }
 
@@ -445,23 +444,6 @@ impl Topology {
             .ok_or(Error::UnknownMachine(machine))
     }
 
-    /// The roles of `machine` (a flat-topology machine is both).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownMachine`] for out-of-range ids.
-    pub fn kinds_of(&self, machine: MachineId) -> Result<Vec<MachineKind>> {
-        let info = self.info(machine)?;
-        let mut kinds = Vec::with_capacity(2);
-        if info.is_server {
-            kinds.push(MachineKind::Server);
-        }
-        if info.is_broker {
-            kinds.push(MachineKind::Broker);
-        }
-        Ok(kinds)
-    }
-
     /// Whether `machine` stores views.
     pub fn is_server(&self, machine: MachineId) -> bool {
         self.machines
@@ -506,22 +488,12 @@ impl Topology {
         Ok(self.tables.machine_intermediate[machine.as_usize()])
     }
 
-    /// The brokers located in `rack`, in machine order.
-    pub fn brokers_in_rack(&self, rack: RackId) -> Vec<BrokerId> {
-        self.brokers_in_rack_slice(rack).to_vec()
-    }
-
     /// The brokers located in `rack`, as a borrowed slice (machine order).
     pub fn brokers_in_rack_slice(&self, rack: RackId) -> &[BrokerId] {
         match self.tables.rack_brokers.get(rack.as_usize()) {
             Some(&(start, end)) => &self.brokers[start as usize..end as usize],
             None => &[],
         }
-    }
-
-    /// The servers located in `rack`, in machine order.
-    pub fn servers_in_rack(&self, rack: RackId) -> Vec<ServerId> {
-        self.servers_in_rack_slice(rack).to_vec()
     }
 
     /// The servers located in `rack`, as a borrowed slice (machine order).
@@ -653,7 +625,7 @@ impl Topology {
     /// The switches a message from `a` to `b` traverses, in path order.
     /// Empty when `a == b` (local delivery).
     ///
-    /// Hot paths should prefer [`Topology::record_path`], which charges a
+    /// Hot paths should prefer [`Topology::record_path_timed`], which charges a
     /// [`TrafficAccount`] directly without materializing this vector.
     ///
     /// # Panics
@@ -666,28 +638,12 @@ impl Topology {
     }
 
     /// Charges one message from `from` to `to` to every switch on its path,
-    /// without materializing the path. Local messages (`from == to`) cost
-    /// nothing and are not counted.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either machine is out of range.
-    pub fn record_path(
-        &self,
-        from: MachineId,
-        to: MachineId,
-        class: MessageClass,
-        time: SimTime,
-        account: &mut TrafficAccount,
-    ) {
-        self.record_path_timed(from, to, class, time, account);
-    }
-
-    /// Like [`Topology::record_path`], but returns the message's end-to-end
+    /// without materializing the path, and returns the message's end-to-end
     /// latency sample under the account's [`dynasore_types::NetworkModel`]:
     /// per hop, the model's forwarding latency plus the wait behind that
-    /// switch's queued work plus the transmission time. Local messages (and
-    /// every message under the infinite model) sample zero. Allocation-free.
+    /// switch's queued work plus the transmission time. Local messages
+    /// (`from == to`) cost nothing, are not counted and — like every message
+    /// under the infinite model — sample zero. Allocation-free.
     ///
     /// # Panics
     ///
@@ -734,11 +690,6 @@ impl Topology {
         }
     }
 
-    /// The sub-tree containing exactly `machine`.
-    pub fn machine_subtree(&self, machine: MachineId) -> SubtreeId {
-        SubtreeId::Machine(machine.index())
-    }
-
     /// Whether `machine` lies under `subtree`.
     pub fn subtree_contains(&self, subtree: SubtreeId, machine: MachineId) -> bool {
         if !self.contains(machine) {
@@ -773,47 +724,12 @@ impl Topology {
         }
     }
 
-    /// Child sub-trees of `subtree`, in index order. Machines have no
-    /// children.
-    pub fn children(&self, subtree: SubtreeId) -> Vec<SubtreeId> {
-        match (self.kind, subtree) {
-            (TopologyKind::Flat, SubtreeId::Root) => (0..self.machines.len() as u32)
-                .map(SubtreeId::Machine)
-                .collect(),
-            (TopologyKind::Flat, SubtreeId::Rack(_))
-            | (TopologyKind::Flat, SubtreeId::Intermediate(_)) => Vec::new(),
-            (TopologyKind::Tree, SubtreeId::Root) => (0..self.intermediate_count as u32)
-                .map(SubtreeId::Intermediate)
-                .collect(),
-            (TopologyKind::Tree, SubtreeId::Intermediate(i)) => {
-                // The last intermediate switch may hold fewer racks after
-                // elastic growth, so clamp to the actual rack count.
-                let first = i * self.racks_per_intermediate as u32;
-                let last = (first + self.racks_per_intermediate as u32).min(self.rack_count as u32);
-                (first..last).map(SubtreeId::Rack).collect()
-            }
-            (TopologyKind::Tree, SubtreeId::Rack(r)) => self
-                .machines
-                .iter()
-                .enumerate()
-                .filter(|(_, m)| m.rack == r)
-                .map(|(i, _)| SubtreeId::Machine(i as u32))
-                .collect(),
-            (_, SubtreeId::Machine(_)) => Vec::new(),
-        }
-    }
-
     /// All machines under a sub-tree.
     pub fn machines_in_subtree(&self, subtree: SubtreeId) -> Vec<MachineId> {
         (0..self.machines.len() as u32)
             .map(MachineId::new)
             .filter(|&m| self.subtree_contains(subtree, m))
             .collect()
-    }
-
-    /// All view servers under a sub-tree.
-    pub fn servers_in_subtree(&self, subtree: SubtreeId) -> Vec<ServerId> {
-        self.servers_in_subtree_slice(subtree).to_vec()
     }
 
     /// The view servers under a sub-tree, as a borrowed slice in machine
@@ -838,11 +754,6 @@ impl Topology {
                 None => &[],
             },
         }
-    }
-
-    /// All brokers under a sub-tree.
-    pub fn brokers_in_subtree(&self, subtree: SubtreeId) -> Vec<BrokerId> {
-        self.brokers_in_subtree_slice(subtree).to_vec()
     }
 
     /// The brokers under a sub-tree, as a borrowed slice in machine order.
@@ -884,33 +795,6 @@ impl Topology {
                 } else {
                     SubtreeId::Intermediate(ir)
                 }
-            }
-        }
-    }
-
-    /// All origins a server may observe, own rack first. Useful for
-    /// pre-sizing statistics tables.
-    pub fn possible_origins(&self, server: MachineId) -> Vec<SubtreeId> {
-        match self.kind {
-            TopologyKind::Flat => (0..self.machines.len() as u32)
-                .map(SubtreeId::Machine)
-                .collect(),
-            TopologyKind::Tree => {
-                let rs = self.machines[server.as_usize()].rack;
-                let is_ = rs / self.racks_per_intermediate as u32;
-                let mut origins = Vec::new();
-                let first_rack = is_ * self.racks_per_intermediate as u32;
-                let last_rack =
-                    (first_rack + self.racks_per_intermediate as u32).min(self.rack_count as u32);
-                for r in first_rack..last_rack {
-                    origins.push(SubtreeId::Rack(r));
-                }
-                for i in 0..self.intermediate_count as u32 {
-                    if i != is_ {
-                        origins.push(SubtreeId::Intermediate(i));
-                    }
-                }
-                origins
             }
         }
     }
@@ -993,41 +877,37 @@ impl Topology {
         self.live.get(machine.as_usize()).copied().unwrap_or(false)
     }
 
-    /// Marks `machine` live or dead, updating the derived first-live-broker
-    /// table. Setting the current state again is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::UnknownMachine`] for out-of-range ids and
-    /// [`Error::InvalidConfig`] when reviving a machine of a retired rack —
-    /// decommissioned capacity never comes back.
-    pub fn set_live(&mut self, machine: MachineId, live: bool) -> Result<()> {
-        let info = self.info(machine)?.clone();
-        if live && self.retired_racks[info.rack as usize] {
-            return Err(Error::invalid_config(format!(
-                "cannot revive {machine}: rack{} is retired",
-                info.rack
-            )));
+    /// Flips `machine` (which must exist) to `live`, keeping the live count
+    /// and the rack's first-live-broker entry in step. Returns whether the
+    /// state changed; callers refuse revivals of retired racks beforehand.
+    fn set_live(&mut self, machine: MachineId, live: bool) -> bool {
+        let idx = machine.as_usize();
+        if self.live[idx] == live {
+            return false;
         }
-        let entry = &mut self.live[machine.as_usize()];
-        if *entry == live {
-            return Ok(());
-        }
-        *entry = live;
+        self.live[idx] = live;
         if live {
             self.live_machines += 1;
         } else {
             self.live_machines -= 1;
         }
-        if info.is_broker {
-            let first_live = self
-                .brokers_in_rack_slice(RackId::new(info.rack))
+        if self.machines[idx].is_broker {
+            let rack = self.machines[idx].rack;
+            self.rack_first_live_broker[rack as usize] = self
+                .brokers_in_rack_slice(RackId::new(rack))
                 .iter()
                 .copied()
                 .find(|b| self.live[b.machine().as_usize()]);
-            self.rack_first_live_broker[info.rack as usize] = first_live;
         }
-        Ok(())
+        true
+    }
+
+    /// Flips every machine of `rack` to `live` and returns, in machine
+    /// order, the ones whose state changed.
+    fn set_rack_live(&mut self, rack: RackId, live: bool) -> Vec<MachineId> {
+        let mut machines = self.machines_in_subtree(SubtreeId::Rack(rack.index()));
+        machines.retain(|&m| self.set_live(m, live));
+        machines
     }
 
     /// Number of machines currently live.
@@ -1036,7 +916,7 @@ impl Topology {
     }
 
     /// Whether `rack` has been permanently decommissioned by
-    /// [`Topology::remove_rack`]. Unknown racks report `false`.
+    /// [`ClusterEvent::RemoveRack`]. Unknown racks report `false`.
     #[inline]
     pub fn is_rack_retired(&self, rack: RackId) -> bool {
         self.retired_racks
@@ -1104,23 +984,20 @@ impl Topology {
 
     /// Appends one rack of machines — same shape as the existing racks
     /// (`machines_per_rack` machines of which `brokers_per_rack` are
-    /// brokers) — to the tree, rebuilding the dense routing tables. The new
-    /// rack lands under the last intermediate switch if it has room,
-    /// otherwise a new intermediate switch is created. New machines start
-    /// live and get the highest machine ids, so existing ids, server
-    /// ordinals and rack indices are unchanged.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] on a flat topology, which has no
-    /// rack structure to extend.
-    pub fn add_rack(&mut self) -> Result<RackId> {
+    /// brokers) — to the tree, rebuilding the dense routing tables, and
+    /// returns the new machines. The new rack lands under the last
+    /// intermediate switch if it has room, otherwise a new intermediate
+    /// switch is created. New machines start live and get the highest
+    /// machine ids, so existing ids, server ordinals and rack indices are
+    /// unchanged.
+    fn add_rack(&mut self) -> Result<Vec<MachineId>> {
         if self.kind != TopologyKind::Tree {
             return Err(Error::invalid_config(
                 "only tree topologies can grow by racks",
             ));
         }
         let rack = self.rack_count as u32;
+        let first = self.machines.len() as u32;
         for slot in 0..self.machines_per_rack {
             let id = MachineId::new(self.machines.len() as u32);
             let is_broker = slot < self.brokers_per_rack;
@@ -1148,42 +1025,26 @@ impl Topology {
             self.racks_per_intermediate,
             self.intermediate_count,
         );
-        // Rebuild the live-broker table from scratch: the broker slices may
-        // have shifted and the new rack's brokers are all live.
-        self.rack_first_live_broker = (0..self.rack_count)
-            .map(|r| {
-                self.brokers_in_rack_slice(RackId::new(r as u32))
-                    .iter()
-                    .copied()
-                    .find(|b| self.live[b.machine().as_usize()])
-            })
-            .collect();
-        Ok(RackId::new(rack))
+        // The new rack's brokers are all live; no other rack's changed.
+        self.rack_first_live_broker
+            .push(self.tables.rack_first_broker.last().copied());
+        Ok((first..self.machines.len() as u32)
+            .map(MachineId::new)
+            .collect())
     }
 
-    /// Permanently decommissions `rack` — the reverse of
-    /// [`Topology::add_rack`]. The rack keeps its dense index (machine ids,
-    /// server ordinals and routing-table shapes never shift); its machines
-    /// are marked dead and the rack is flagged retired so nothing can revive
-    /// them. Callers that hold state (placement engines, the live store)
-    /// evacuate the rack's views *before* applying this.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] on a flat topology, for an unknown or
-    /// already-retired rack, and when `rack` is the last rack still in
-    /// service — a cluster cannot shrink to nothing.
-    pub fn remove_rack(&mut self, rack: RackId) -> Result<()> {
+    /// Permanently decommissions `rack` — the reverse of `add_rack` — and
+    /// returns the machines that were still live. The rack keeps its dense
+    /// index (machine ids, server ordinals and routing-table shapes never
+    /// shift); its machines are marked dead and the rack is flagged retired
+    /// so nothing can revive them.
+    fn remove_rack(&mut self, rack: RackId) -> Result<Vec<MachineId>> {
         if self.kind != TopologyKind::Tree {
             return Err(Error::invalid_config(
                 "only tree topologies can shrink by racks",
             ));
         }
-        if rack.as_usize() >= self.rack_count {
-            return Err(Error::invalid_config(format!(
-                "{rack} does not exist in this topology"
-            )));
-        }
+        self.check_rack(rack)?;
         if self.retired_racks[rack.as_usize()] {
             return Err(Error::invalid_config(format!("{rack} is already retired")));
         }
@@ -1192,60 +1053,82 @@ impl Topology {
                 "cannot remove the last rack in service",
             ));
         }
-        for i in 0..self.machines.len() {
-            if self.machines[i].rack == rack.index() {
-                self.set_live(MachineId::new(i as u32), false)?;
-            }
-        }
         self.retired_racks[rack.as_usize()] = true;
-        Ok(())
+        Ok(self.set_rack_live(rack, false))
     }
 
-    /// Applies a [`ClusterEvent`] to this topology's liveness mask and (for
-    /// [`ClusterEvent::AddRack`]) its shape. Engines and drivers each own a
-    /// topology clone; both apply the same event stream so their views stay
-    /// in sync. Draining a machine marks it dead here — the graceful part
-    /// (migrating state first) is the engine's job.
+    fn check_rack(&self, rack: RackId) -> Result<()> {
+        if rack.as_usize() < self.rack_count {
+            Ok(())
+        } else {
+            Err(Error::invalid_config(format!(
+                "{rack} does not exist in this topology"
+            )))
+        }
+    }
+
+    /// Applies a [`ClusterEvent`] to the liveness mask, the retired flags
+    /// and (for [`ClusterEvent::AddRack`]) the shape, and reports what it
+    /// moved. This is the only code that flips liveness, retires or grows:
+    /// a dead machine does not die twice, retired capacity never returns
+    /// (repairs scheduled before a decommission are stale, not errors) and
+    /// the last rack in service stays. Engines and drivers each own a
+    /// topology clone and apply the same event stream, so the clones stay
+    /// equal. Draining marks the machine dead here — the graceful part
+    /// (migrating its state away) is the engine's reaction to the change.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::UnknownMachine`] for events naming machines outside
-    /// the topology and [`Error::InvalidConfig`] for growth events the
-    /// topology kind does not support.
-    pub fn apply_cluster_event(&mut self, event: ClusterEvent) -> Result<()> {
+    /// Returns [`Error::UnknownMachine`] or [`Error::InvalidConfig`] — with
+    /// the topology untouched — for events naming machines or racks outside
+    /// the topology, growth or shrink of a flat layout, and removal of a
+    /// retired rack or of the last rack in service.
+    pub fn apply_cluster_event(&mut self, event: ClusterEvent) -> Result<MembershipChange> {
+        let mut change = MembershipChange::default();
         match event {
             ClusterEvent::MachineDown { machine } | ClusterEvent::DrainMachine { machine } => {
-                self.set_live(machine, false)
+                self.info(machine)?;
+                if self.set_live(machine, false) {
+                    change.down.push(machine);
+                }
             }
             ClusterEvent::MachineUp { machine } => {
-                // Repairs scheduled before a decommission may still name a
-                // retired machine; they are stale, not errors.
-                if self.is_retired(machine) {
-                    return Ok(());
+                self.info(machine)?;
+                if !self.is_retired(machine) && self.set_live(machine, true) {
+                    change.up.push(machine);
                 }
-                self.set_live(machine, true)
             }
-            ClusterEvent::RackDown { rack } | ClusterEvent::RackUp { rack } => {
-                let live = matches!(event, ClusterEvent::RackUp { .. });
-                if rack.as_usize() >= self.rack_count {
-                    return Err(Error::invalid_config(format!(
-                        "{rack} does not exist in this topology"
-                    )));
-                }
-                if live && self.retired_racks[rack.as_usize()] {
-                    return Ok(());
-                }
-                for i in 0..self.machines.len() {
-                    if self.machines[i].rack == rack.index() {
-                        self.set_live(MachineId::new(i as u32), live)?;
-                    }
-                }
-                Ok(())
+            ClusterEvent::RackDown { rack } => {
+                self.check_rack(rack)?;
+                change.down = self.set_rack_live(rack, false);
             }
-            ClusterEvent::AddRack => self.add_rack().map(|_| ()),
-            ClusterEvent::RemoveRack { rack } => self.remove_rack(rack),
+            ClusterEvent::RackUp { rack } => {
+                self.check_rack(rack)?;
+                if !self.retired_racks[rack.as_usize()] {
+                    change.up = self.set_rack_live(rack, true);
+                }
+            }
+            ClusterEvent::AddRack => change.up = self.add_rack()?,
+            ClusterEvent::RemoveRack { rack } => change.down = self.remove_rack(rack)?,
         }
+        Ok(change)
     }
+}
+
+/// What one [`ClusterEvent`] actually moved, as reported by
+/// [`Topology::apply_cluster_event`]. Both lists are in machine order and
+/// both are empty for a stale event (a crash of a dead machine, a repair of
+/// a live or retired one), which leaves the topology as it was — except
+/// that removing a rack whose machines had all died earlier still retires
+/// it.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct MembershipChange {
+    /// Machines that were live and are now dead: crashed, drained or
+    /// retired.
+    pub down: Vec<MachineId>,
+    /// Machines that are now live and were dead (revived) or did not exist
+    /// (added).
+    pub up: Vec<MachineId>,
 }
 
 #[cfg(test)]
@@ -1287,13 +1170,11 @@ mod tests {
         assert!(t.is_server(m(1)));
         assert!(t.is_server(m(2)));
         assert_eq!(t.rack_of(m(4)).unwrap(), RackId::new(1));
-        assert_eq!(t.brokers_in_rack(RackId::new(1)), vec![BrokerId::new(m(3))]);
-        assert_eq!(t.servers_in_rack(RackId::new(0)).len(), 2);
         assert_eq!(
-            t.kinds_of(m(0)).unwrap(),
-            vec![dynasore_types::MachineKind::Broker]
+            t.brokers_in_rack_slice(RackId::new(1)),
+            [BrokerId::new(m(3))]
         );
-        assert!(t.kinds_of(m(99)).is_err());
+        assert_eq!(t.servers_in_rack_slice(RackId::new(0)).len(), 2);
         assert!(t.rack_of(m(99)).is_err());
     }
 
@@ -1360,7 +1241,7 @@ mod tests {
     }
 
     #[test]
-    fn subtree_containment_and_children() {
+    fn subtree_containment() {
         let t = Topology::tree(2, 2, 3, 1).unwrap();
         assert!(t.subtree_contains(SubtreeId::Root, m(0)));
         assert!(t.subtree_contains(SubtreeId::Intermediate(0), m(5)));
@@ -1370,20 +1251,9 @@ mod tests {
         assert!(t.subtree_contains(SubtreeId::Machine(3), m(3)));
         assert!(!t.subtree_contains(SubtreeId::Machine(3), m(4)));
 
-        assert_eq!(
-            t.children(SubtreeId::Root),
-            vec![SubtreeId::Intermediate(0), SubtreeId::Intermediate(1)]
-        );
-        assert_eq!(
-            t.children(SubtreeId::Intermediate(1)),
-            vec![SubtreeId::Rack(2), SubtreeId::Rack(3)]
-        );
-        assert_eq!(t.children(SubtreeId::Rack(0)).len(), 3);
-        assert!(t.children(SubtreeId::Machine(0)).is_empty());
-
         assert_eq!(t.machines_in_subtree(SubtreeId::Intermediate(0)).len(), 6);
-        assert_eq!(t.servers_in_subtree(SubtreeId::Rack(0)).len(), 2);
-        assert_eq!(t.brokers_in_subtree(SubtreeId::Root).len(), 4);
+        assert_eq!(t.servers_in_subtree_slice(SubtreeId::Rack(0)).len(), 2);
+        assert_eq!(t.brokers_in_subtree_slice(SubtreeId::Root).len(), 4);
     }
 
     #[test]
@@ -1411,12 +1281,6 @@ mod tests {
             t.access_origin(server, far_broker),
             SubtreeId::Intermediate(1)
         );
-        let origins = t.possible_origins(server);
-        // 5 racks under its own intermediate + 4 sibling intermediates.
-        assert_eq!(origins.len(), 5 + 4);
-        assert!(origins.contains(&SubtreeId::Rack(0)));
-        assert!(origins.contains(&SubtreeId::Intermediate(4)));
-        assert!(!origins.contains(&SubtreeId::Intermediate(0)));
     }
 
     #[test]
@@ -1446,6 +1310,29 @@ mod tests {
         assert!(t.local_broker(m(9_999)).is_err());
     }
 
+    fn machine_down(i: u32) -> ClusterEvent {
+        ClusterEvent::MachineDown { machine: m(i) }
+    }
+
+    fn machine_up(i: u32) -> ClusterEvent {
+        ClusterEvent::MachineUp { machine: m(i) }
+    }
+
+    fn rack_down(r: u32) -> ClusterEvent {
+        let rack = RackId::new(r);
+        ClusterEvent::RackDown { rack }
+    }
+
+    fn rack_up(r: u32) -> ClusterEvent {
+        let rack = RackId::new(r);
+        ClusterEvent::RackUp { rack }
+    }
+
+    fn remove_rack(r: u32) -> ClusterEvent {
+        let rack = RackId::new(r);
+        ClusterEvent::RemoveRack { rack }
+    }
+
     #[test]
     fn liveness_mask_tracks_machines_and_brokers() {
         let mut t = Topology::tree(2, 2, 3, 1).unwrap();
@@ -1453,7 +1340,7 @@ mod tests {
         assert!(t.is_live(m(0)));
         assert!(!t.is_live(MachineId::PERSISTENT));
         // Killing a server changes nothing broker-wise.
-        t.set_live(m(1), false).unwrap();
+        t.apply_cluster_event(machine_down(1)).unwrap();
         assert!(!t.is_live(m(1)));
         assert_eq!(t.live_machine_count(), 11);
         assert_eq!(
@@ -1462,30 +1349,30 @@ mod tests {
         );
         // Killing rack 0's only broker empties its live-broker slot and
         // re-homes to the sibling rack under the same intermediate.
-        t.set_live(m(0), false).unwrap();
+        t.apply_cluster_event(machine_down(0)).unwrap();
         assert_eq!(t.first_live_broker_in_rack(RackId::new(0)), None);
         assert_eq!(t.closest_live_broker(m(2)), Some(BrokerId::new(m(3))));
         // Idempotent sets do not corrupt the counters.
-        t.set_live(m(0), false).unwrap();
+        t.apply_cluster_event(machine_down(0)).unwrap();
         assert_eq!(t.live_machine_count(), 10);
-        t.set_live(m(0), true).unwrap();
+        t.apply_cluster_event(machine_up(0)).unwrap();
         assert_eq!(
             t.first_live_broker_in_rack(RackId::new(0)),
             Some(BrokerId::new(m(0)))
         );
-        assert!(t.set_live(m(99), false).is_err());
+        assert!(t.apply_cluster_event(machine_down(99)).is_err());
     }
 
     #[test]
     fn closest_live_broker_escalates_to_remote_intermediates() {
         let mut t = Topology::tree(2, 2, 3, 1).unwrap();
         // Kill every broker under intermediate 0 (racks 0 and 1).
-        t.set_live(m(0), false).unwrap();
-        t.set_live(m(3), false).unwrap();
+        t.apply_cluster_event(machine_down(0)).unwrap();
+        t.apply_cluster_event(machine_down(3)).unwrap();
         assert_eq!(t.closest_live_broker(m(1)), Some(BrokerId::new(m(6))));
         // Kill the rest: no live broker anywhere.
-        t.set_live(m(6), false).unwrap();
-        t.set_live(m(9), false).unwrap();
+        t.apply_cluster_event(machine_down(6)).unwrap();
+        t.apply_cluster_event(machine_down(9)).unwrap();
         assert_eq!(t.closest_live_broker(m(1)), None);
         assert_eq!(t.closest_live_broker(m(999)), None);
     }
@@ -1494,7 +1381,7 @@ mod tests {
     fn flat_closest_live_broker_prefers_self() {
         let mut t = Topology::flat(4).unwrap();
         assert_eq!(t.closest_live_broker(m(2)), Some(BrokerId::new(m(2))));
-        t.set_live(m(2), false).unwrap();
+        t.apply_cluster_event(machine_down(2)).unwrap();
         assert_eq!(t.closest_live_broker(m(2)), Some(BrokerId::new(m(0))));
     }
 
@@ -1522,77 +1409,132 @@ mod tests {
     fn add_rack_grows_the_tree_without_renumbering() {
         let mut t = Topology::tree(2, 2, 3, 1).unwrap();
         let before_servers: Vec<_> = t.servers().to_vec();
+        t.apply_cluster_event(machine_down(0)).unwrap();
         // 4 racks over 2 intermediates: the next rack opens intermediate 2.
-        let rack = t.add_rack().unwrap();
-        assert_eq!(rack, RackId::new(4));
+        let change = t.apply_cluster_event(ClusterEvent::AddRack).unwrap();
+        assert_eq!(change.up, [m(12), m(13), m(14)]);
+        assert!(change.down.is_empty());
         assert_eq!(t.rack_count(), 5);
         assert_eq!(t.intermediate_count(), 3);
         assert_eq!(t.machine_count(), 15);
-        assert_eq!(t.live_machine_count(), 15);
+        assert_eq!(t.live_machine_count(), 14);
+        // Growth leaves the other racks' liveness as it was.
+        assert_eq!(t.first_live_broker_in_rack(RackId::new(0)), None);
         // Existing ids and ordinals are untouched; new machines append.
         assert_eq!(&t.servers()[..before_servers.len()], &before_servers[..]);
         assert_eq!(t.rack_of(m(12)).unwrap(), RackId::new(4));
         assert!(t.is_broker(m(12)));
         assert!(t.is_server(m(13)));
         assert_eq!(t.intermediate_of(m(13)).unwrap(), 2);
-        assert_eq!(t.servers_in_rack(RackId::new(4)).len(), 2);
+        assert_eq!(t.servers_in_rack_slice(RackId::new(4)).len(), 2);
         assert_eq!(
             t.first_live_broker_in_rack(RackId::new(4)),
             Some(BrokerId::new(m(12)))
         );
         // Partial intermediate 2 holds only the new rack.
         assert_eq!(
-            t.children(SubtreeId::Intermediate(2)),
-            vec![SubtreeId::Rack(4)]
+            t.servers_in_subtree_slice(SubtreeId::Intermediate(2)),
+            t.servers_in_rack_slice(RackId::new(4))
         );
-        assert_eq!(t.servers_in_subtree(SubtreeId::Intermediate(2)).len(), 2);
         // Distances to the new rack cross the core.
         assert_eq!(t.distance(m(1), m(13)), 5);
-        // Origins of a server in the partial intermediate stay consistent.
-        let origins = t.possible_origins(m(13));
-        assert!(origins.contains(&SubtreeId::Rack(4)));
-        assert!(!origins.contains(&SubtreeId::Rack(5)));
         // Flat topologies cannot grow by racks.
-        assert!(Topology::flat(3).unwrap().add_rack().is_err());
+        assert!(Topology::flat(3)
+            .unwrap()
+            .apply_cluster_event(ClusterEvent::AddRack)
+            .is_err());
     }
 
+    /// All seven events, each fresh (it moves something), stale (repeated,
+    /// or overtaken by a decommission) and refused: the reported change is
+    /// exactly what moved, the mask and the shape follow it, and an `Err` or
+    /// an empty change leaves the topology as it was.
     #[test]
     fn apply_cluster_event_updates_the_mask_and_shape() {
-        let mut t = Topology::tree(2, 2, 3, 1).unwrap();
-        t.apply_cluster_event(ClusterEvent::MachineDown { machine: m(1) })
-            .unwrap();
-        assert!(!t.is_live(m(1)));
-        t.apply_cluster_event(ClusterEvent::MachineUp { machine: m(1) })
-            .unwrap();
-        assert!(t.is_live(m(1)));
-        t.apply_cluster_event(ClusterEvent::RackDown {
-            rack: RackId::new(1),
-        })
-        .unwrap();
-        assert!((3..6).all(|i| !t.is_live(m(i))));
-        assert_eq!(t.live_machine_count(), 9);
-        t.apply_cluster_event(ClusterEvent::RackUp {
-            rack: RackId::new(1),
-        })
-        .unwrap();
-        assert_eq!(t.live_machine_count(), 12);
-        t.apply_cluster_event(ClusterEvent::DrainMachine { machine: m(4) })
-            .unwrap();
-        assert!(!t.is_live(m(4)));
-        t.apply_cluster_event(ClusterEvent::AddRack).unwrap();
-        assert_eq!(t.rack_count(), 5);
-        assert!(t
-            .apply_cluster_event(ClusterEvent::RackDown {
-                rack: RackId::new(99)
-            })
-            .is_err());
+        let drain = |i| ClusterEvent::DrainMachine { machine: m(i) };
+        let add_rack = ClusterEvent::AddRack;
+        // What a case expects: `(down, up)` machine indices, `None` = refused.
+        type Moved = Option<(&'static [u32], &'static [u32])>;
+        let down = |ids: &'static [u32]| -> Moved { Some((ids, &[])) };
+        let up = |ids: &'static [u32]| -> Moved { Some((&[], ids)) };
+        let nothing: Moved = Some((&[], &[]));
+        // (events applied first, the event under test, what it must report)
+        let cases: Vec<(Vec<ClusterEvent>, ClusterEvent, Moved)> = vec![
+            (vec![], machine_down(4), down(&[4])),
+            (vec![machine_down(4)], machine_down(4), nothing),
+            (vec![], machine_down(12), None),
+            (vec![machine_down(4)], machine_up(4), up(&[4])),
+            (vec![], machine_up(4), nothing),
+            (vec![remove_rack(1)], machine_up(4), nothing),
+            (vec![], machine_up(12), None),
+            (vec![], drain(3), down(&[3])),
+            (vec![machine_down(3)], drain(3), nothing),
+            (vec![], drain(12), None),
+            (vec![], rack_down(1), down(&[3, 4, 5])),
+            // Only the machines that were still live go down.
+            (vec![machine_down(4)], rack_down(1), down(&[3, 5])),
+            (vec![rack_down(1)], rack_down(1), nothing),
+            (vec![], rack_down(4), None),
+            (vec![rack_down(1)], rack_up(1), up(&[3, 4, 5])),
+            (vec![drain(5)], rack_up(1), up(&[5])),
+            (vec![], rack_up(1), nothing),
+            (vec![remove_rack(1)], rack_up(1), nothing),
+            (vec![], rack_up(4), None),
+            (vec![], add_rack, up(&[12, 13, 14])),
+            (vec![add_rack], add_rack, up(&[15, 16, 17])),
+            (vec![], remove_rack(1), down(&[3, 4, 5])),
+            (vec![machine_down(4)], remove_rack(1), down(&[3, 5])),
+            (vec![remove_rack(1)], remove_rack(1), None),
+            (vec![], remove_rack(4), None),
+            // Three of four racks gone: the last one in service stays.
+            (
+                vec![remove_rack(0), remove_rack(2), remove_rack(3)],
+                remove_rack(1),
+                None,
+            ),
+        ];
+        for (setup, event, expected) in cases {
+            let mut t = Topology::tree(2, 2, 3, 1).unwrap();
+            for e in &setup {
+                t.apply_cluster_event(*e).unwrap();
+            }
+            let before = t.clone();
+            let change = t.apply_cluster_event(event).ok();
+            let ids = |ids: &[u32]| ids.iter().copied().map(m).collect::<Vec<_>>();
+            let expected = expected.map(|(down, up)| MembershipChange {
+                down: ids(down),
+                up: ids(up),
+            });
+            assert_eq!(change, expected, "{event} after {setup:?}");
+            let change = change.unwrap_or_default();
+            assert!(change.down.iter().all(|&id| !t.is_live(id)));
+            assert!(change.up.iter().all(|&id| t.is_live(id)));
+            assert_eq!(
+                t.live_machine_count() + change.down.len(),
+                before.live_machine_count() + change.up.len()
+            );
+            assert_eq!(
+                t == before,
+                change == MembershipChange::default(),
+                "{event} after {setup:?}"
+            );
+        }
+        // A flat layout has no racks to add or remove, but its one rack
+        // fails as a whole.
+        let mut flat = Topology::flat(3).unwrap();
+        let before = flat.clone();
+        assert!(flat.apply_cluster_event(add_rack).is_err());
+        assert!(flat.apply_cluster_event(remove_rack(0)).is_err());
+        assert_eq!(flat, before);
+        let change = flat.apply_cluster_event(rack_down(0)).unwrap();
+        assert_eq!(change.down, [m(0), m(1), m(2)]);
     }
 
     #[test]
     fn remove_rack_retires_without_renumbering() {
         let mut t = Topology::tree(2, 2, 3, 1).unwrap();
         let servers_before: Vec<_> = t.servers().to_vec();
-        t.remove_rack(RackId::new(1)).unwrap();
+        t.apply_cluster_event(remove_rack(1)).unwrap();
         assert!(t.is_rack_retired(RackId::new(1)));
         assert!(!t.is_rack_retired(RackId::new(0)));
         assert_eq!(t.active_rack_count(), 3);
@@ -1606,34 +1548,35 @@ mod tests {
         assert_eq!(t.live_machine_count(), 9);
         assert_eq!(t.first_live_broker_in_rack(RackId::new(1)), None);
         // Retired capacity never comes back.
-        assert!(t.set_live(m(4), true).is_err());
-        t.apply_cluster_event(ClusterEvent::MachineUp { machine: m(4) })
-            .unwrap();
-        t.apply_cluster_event(ClusterEvent::RackUp {
-            rack: RackId::new(1),
-        })
-        .unwrap();
+        t.apply_cluster_event(machine_up(4)).unwrap();
+        t.apply_cluster_event(rack_up(1)).unwrap();
         assert!(!t.is_live(m(4)));
         // Double removal and unknown racks are rejected.
-        assert!(t.remove_rack(RackId::new(1)).is_err());
-        assert!(t.remove_rack(RackId::new(99)).is_err());
+        assert!(t.apply_cluster_event(remove_rack(1)).is_err());
+        assert!(t.apply_cluster_event(remove_rack(99)).is_err());
         // Growth after shrink appends a fresh rack with new ids.
-        let rack = t.add_rack().unwrap();
-        assert_eq!(rack, RackId::new(4));
-        assert!(!t.is_rack_retired(rack));
+        let change = t.apply_cluster_event(ClusterEvent::AddRack).unwrap();
+        assert_eq!(t.rack_of(change.up[0]).unwrap(), RackId::new(4));
+        assert!(!t.is_rack_retired(RackId::new(4)));
         assert_eq!(t.active_rack_count(), 4);
+        // A rack whose machines all died earlier still retires, although
+        // nothing goes down.
+        t.apply_cluster_event(rack_down(2)).unwrap();
+        let change = t.apply_cluster_event(remove_rack(2)).unwrap();
+        assert_eq!(change, MembershipChange::default());
+        assert!(t.is_rack_retired(RackId::new(2)));
     }
 
     #[test]
     fn remove_rack_rejects_the_last_rack_in_service() {
         let mut t = Topology::tree(1, 2, 3, 1).unwrap();
-        t.remove_rack(RackId::new(0)).unwrap();
-        let err = t.remove_rack(RackId::new(1)).unwrap_err();
+        t.apply_cluster_event(remove_rack(0)).unwrap();
+        let err = t.apply_cluster_event(remove_rack(1)).unwrap_err();
         assert!(err.to_string().contains("last rack"));
         // Flat topologies cannot shrink at all.
         assert!(Topology::flat(3)
             .unwrap()
-            .remove_rack(RackId::new(0))
+            .apply_cluster_event(remove_rack(0))
             .is_err());
     }
 

@@ -43,5 +43,5 @@
 mod layout;
 mod traffic;
 
-pub use layout::{Switch, Tier, Topology, TopologyKind};
+pub use layout::{MembershipChange, Switch, Tier, Topology, TopologyKind};
 pub use traffic::{TierTraffic, TrafficAccount};

@@ -180,7 +180,7 @@ proptest! {
         }
     }
 
-    /// `record_path` charges exactly the switches `path_switches` lists, and
+    /// `record_path_timed` charges exactly the switches `path_switches` lists, and
     /// the origin distance matches a switch count derived from the naive
     /// walk.
     #[test]
@@ -206,7 +206,7 @@ proptest! {
             SimTime::ZERO,
         );
         let mut by_record = TrafficAccount::hourly();
-        topo.record_path(a, b, MessageClass::Application, SimTime::ZERO, &mut by_record);
+        topo.record_path_timed(a, b, MessageClass::Application, SimTime::ZERO, &mut by_record);
         prop_assert_eq!(&by_path, &by_record);
         prop_assert_eq!(
             topo.path_switches(a, b).len() as u32,

@@ -33,7 +33,9 @@ pub enum StatusCode {
     Unauthorized,
     /// The requested user does not exist in the social graph.
     NotFound,
-    /// The caller's flow budget is exhausted; retry after the next epoch.
+    /// The caller's flow budget is exhausted. A [`FlowBudget`] is cumulative
+    /// and has no epoch: `spent` never rolls over, so the caller stays
+    /// throttled for good.
     Throttled,
     /// Admission control rejected the request: the cluster is over its
     /// configured load ceiling.

@@ -11,7 +11,7 @@ use dynasore::prelude::*;
 use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_sim::SimReport;
 use dynasore_topology::Tier;
-use dynasore_types::{MachineId, Message, MessageClass, RackId, TrafficSink};
+use dynasore_types::{MachineId, Message, MessageClass, RackId};
 
 const USERS: usize = 500;
 const SEED: u64 = 97;
@@ -224,19 +224,6 @@ fn failure_schedules_interleave_deterministically() {
     }
 }
 
-/// A sink that counts messages per class while buffering them, mimicking
-/// what the simulator's inline accounting observes.
-#[derive(Default)]
-struct BufferingSink {
-    messages: Vec<Message>,
-}
-
-impl TrafficSink for BufferingSink {
-    fn record(&mut self, message: Message) {
-        self.messages.push(message);
-    }
-}
-
 /// Inline sink accounting must measure exactly what the old protocol did:
 /// buffer every message in a `Vec`, then charge each non-local one to the
 /// switches on its path. Replays the same trace manually and compares every
@@ -263,16 +250,16 @@ fn inline_accounting_matches_buffered_replay() {
     let mut account = dynasore_topology::TrafficAccount::hourly();
     let mut app = 0u64;
     let mut proto = 0u64;
-    let mut sink = BufferingSink::default();
+    let mut sink: Vec<Message> = Vec::new();
     for request in &trace {
-        sink.messages.clear();
+        sink.clear();
         if request.is_read() {
             let targets = graph.followees(request.user).to_vec();
             engine.handle_read(request.user, &targets, request.time, &mut sink);
         } else {
             engine.handle_write(request.user, request.time, &mut sink);
         }
-        for message in &sink.messages {
+        for message in &sink {
             match message.class {
                 MessageClass::Application => app += 1,
                 MessageClass::Protocol => proto += 1,

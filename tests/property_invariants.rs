@@ -30,6 +30,64 @@ fn arbitrary_graph(users: usize, edges: &[(u32, u32)]) -> SocialGraph {
     g
 }
 
+/// Drives `engine` through `events` — `(id pick, event kind)` pairs over all
+/// seven [`ClusterEvent`]s, stale repeats and ids past the end included —
+/// with reads in between. Whatever order machines fail, recover, drain or
+/// racks come and go, the engine's topology equals a mirror fed the same
+/// events directly, and once every rack is revived no view stayed lost.
+fn survive<E: PlacementEngine>(
+    mut engine: E,
+    topology_of: fn(&E) -> &Topology,
+    graph: &SocialGraph,
+    events: &[(u32, usize)],
+) -> Result<E, TestCaseError> {
+    use dynasore::types::{MachineId, RackId};
+    let mut mirror = topology_of(&engine).clone();
+    let mut out = Vec::new();
+    let mut time = 0u64;
+    let mut apply = |engine: &mut E, event: ClusterEvent, time: u64| {
+        engine.on_cluster_change(event, SimTime::from_secs(time), &mut out);
+        out.clear();
+        // A refusal must leave both untouched, so its `Err` is not one here.
+        let _ = mirror.apply_cluster_event(event);
+        prop_assert_eq!(topology_of(engine), &mirror, "after {}", event);
+        // Interleave some traffic.
+        let user = UserId::new((time % graph.user_count() as u64) as u32);
+        engine.handle_read(
+            user,
+            graph.followees(user),
+            SimTime::from_secs(time),
+            &mut out,
+        );
+        out.clear();
+        Ok(())
+    };
+    for &(pick, kind) in events {
+        time += 600;
+        let machine = MachineId::new(pick);
+        let rack = RackId::new(pick % 6);
+        let event = match kind {
+            0 => ClusterEvent::MachineDown { machine },
+            1 => ClusterEvent::MachineUp { machine },
+            2 => ClusterEvent::DrainMachine { machine },
+            3 => ClusterEvent::RackDown { rack },
+            4 => ClusterEvent::RackUp { rack },
+            5 => ClusterEvent::AddRack,
+            _ => ClusterEvent::RemoveRack { rack },
+        };
+        apply(&mut engine, event, time)?;
+    }
+    // Revive everything: full availability must return.
+    for rack in 0..topology_of(&engine).rack_count() as u32 {
+        let rack = RackId::new(rack);
+        apply(&mut engine, ClusterEvent::RackUp { rack }, time + 600)?;
+    }
+    for u in graph.users() {
+        prop_assert!(engine.replica_count(u) >= 1, "view of {} lost", u);
+    }
+    Ok(engine)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -177,59 +235,29 @@ proptest! {
     #[test]
     fn dynasore_survives_arbitrary_failure_sequences(
         seed in 0u64..100,
-        events in proptest::collection::vec((0u32..12, 0usize..5), 1..12),
+        events in proptest::collection::vec((0u32..16, 0usize..7), 1..14),
     ) {
-        // Random walks over the event space: whatever order machines fail,
-        // recover, drain or racks get added, no view is ever lost for good
-        // as long as at least one server lives, and reads stay available.
+        // Random walks over the event space (see `survive`), through all
+        // three engines.
         let users = 80usize;
         let graph = SocialGraph::generate(GraphPreset::TwitterLike, users, seed).unwrap();
         let topology = Topology::tree(2, 2, 3, 1).unwrap(); // 8 servers
-        let mut engine = DynaSoReEngine::builder()
+        // One rack alone (2 servers) can hold every view, so shrinking to
+        // the last rack loses nothing.
+        let budget = MemoryBudget::with_extra_percent(users, 400);
+        let engine = DynaSoReEngine::builder()
             .topology(topology.clone())
-            .budget(MemoryBudget::with_extra_percent(users, 100))
+            .budget(budget)
             .initial_placement(InitialPlacement::Random { seed })
             .build(&graph)
             .unwrap();
-        let mut out = Vec::new();
-        let mut time = 0u64;
-        for &(machine_pick, kind) in &events {
-            time += 600;
-            let machine = dynasore::types::MachineId::new(machine_pick);
-            let event = match kind {
-                0 => ClusterEvent::MachineDown { machine },
-                1 => ClusterEvent::MachineUp { machine },
-                2 => ClusterEvent::DrainMachine { machine },
-                3 => ClusterEvent::RackDown {
-                    rack: dynasore::types::RackId::new(machine_pick % 4),
-                },
-                _ => ClusterEvent::RackUp {
-                    rack: dynasore::types::RackId::new(machine_pick % 4),
-                },
-            };
-            engine.on_cluster_change(event, SimTime::from_secs(time), &mut out);
-            out.clear();
-            // Interleave some traffic.
-            let user = UserId::new((time % users as u64) as u32);
-            let targets = graph.followees(user).to_vec();
-            engine.handle_read(user, &targets, SimTime::from_secs(time), &mut out);
-            out.clear();
-        }
-        // Revive everything: full availability must return.
-        for rack in 0..topology.rack_count() as u32 {
-            engine.on_cluster_change(
-                ClusterEvent::RackUp {
-                    rack: dynasore::types::RackId::new(rack),
-                },
-                SimTime::from_secs(time + 600),
-                &mut out,
-            );
-        }
-        for u in graph.users() {
-            prop_assert!(engine.replica_count(u) >= 1, "view of {} lost", u);
-        }
+        let engine = survive(engine, DynaSoReEngine::topology, &graph, &events)?;
         let usage = engine.memory_usage();
         prop_assert!(usage.used_slots <= usage.capacity_slots);
+        let spar = SparEngine::new(&graph, &topology, budget, seed).unwrap();
+        survive(spar, SparEngine::topology, &graph, &events)?;
+        let random = StaticPlacement::random(&graph, &topology, seed).unwrap();
+        survive(random, StaticPlacement::topology, &graph, &events)?;
     }
 
     #[test]
