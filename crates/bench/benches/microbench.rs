@@ -10,9 +10,9 @@ use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_core::{routing, DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_partition::Partitioner;
-use dynasore_sim::{PlacementEngine, Simulation};
+use dynasore_sim::Simulation;
 use dynasore_topology::Topology;
-use dynasore_types::{MemoryBudget, SimTime, UserId};
+use dynasore_types::{MemoryBudget, PlacementEngine, SimTime, UserId};
 use dynasore_workload::SyntheticTraceGenerator;
 
 const USERS: usize = 2_000;

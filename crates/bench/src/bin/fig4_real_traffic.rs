@@ -17,9 +17,9 @@ use dynasore_bench::{
 };
 use dynasore_core::InitialPlacement;
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{PlacementEngine, SimReport, Simulation};
+use dynasore_sim::{SimReport, Simulation};
 use dynasore_topology::Topology;
-use dynasore_types::MemoryBudget;
+use dynasore_types::{MemoryBudget, PlacementEngine};
 use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator};
 
 fn run_diurnal<E: PlacementEngine>(

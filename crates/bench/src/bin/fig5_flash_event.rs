@@ -14,8 +14,8 @@
 use dynasore_bench::{dataset, dynasore_engine, paper_topology, print_row, ExperimentScale};
 use dynasore_core::InitialPlacement;
 use dynasore_graph::GraphPreset;
-use dynasore_sim::{PlacementEngine, Simulation};
-use dynasore_types::{SimTime, UserId};
+use dynasore_sim::Simulation;
+use dynasore_types::{PlacementEngine, SimTime, UserId};
 use dynasore_workload::{FlashEventPlan, SyntheticTraceGenerator};
 
 const REPETITIONS: usize = 10;

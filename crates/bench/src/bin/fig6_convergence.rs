@@ -15,8 +15,9 @@ use dynasore_bench::{
 };
 use dynasore_core::InitialPlacement;
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{PlacementEngine, SimReport, Simulation};
+use dynasore_sim::{SimReport, Simulation};
 use dynasore_topology::{TierTraffic, Topology};
+use dynasore_types::PlacementEngine;
 use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator, Request, SyntheticTraceGenerator};
 
 /// Parses the command line (program name excluded), strictly: `--trace`

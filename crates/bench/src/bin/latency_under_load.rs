@@ -29,9 +29,11 @@ use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_bench::{parse_args_or_exit, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{PlacementEngine, SimReport, Simulation};
+use dynasore_sim::{SimReport, Simulation};
 use dynasore_topology::{Tier, Topology};
-use dynasore_types::{Bandwidth, Latency, MemoryBudget, NetworkModel, SimTime, DAY_SECS};
+use dynasore_types::{
+    Bandwidth, Latency, MemoryBudget, NetworkModel, PlacementEngine, SimTime, DAY_SECS,
+};
 use dynasore_workload::{Request, SyntheticTraceGenerator};
 
 /// Per-tier service capacity as a multiple of the probe run's average

@@ -34,12 +34,11 @@ use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, 
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_sim::{
-    DegradationReport, PlacementEngine, ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs,
-    SimulationConfig,
+    DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs, SimulationConfig,
 };
 use dynasore_store::{LogConfig, ShardedConfig, SimDurableTier};
 use dynasore_topology::Topology;
-use dynasore_types::{MemoryBudget, MetricsRegistry, NetworkModel};
+use dynasore_types::{MemoryBudget, MetricsRegistry, NetworkModel, PlacementEngine};
 
 struct Options {
     users: usize,

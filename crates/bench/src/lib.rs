@@ -12,9 +12,9 @@
 
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{PlacementEngine, SimReport, Simulation};
+use dynasore_sim::{SimReport, Simulation};
 use dynasore_topology::Topology;
-use dynasore_types::{MemoryBudget, Result};
+use dynasore_types::{MemoryBudget, PlacementEngine, Result};
 use dynasore_workload::SyntheticTraceGenerator;
 
 /// Command-line options shared by every experiment binary.

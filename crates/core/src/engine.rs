@@ -9,11 +9,9 @@
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 use dynasore_types::{
-    BrokerId, ClusterEvent, Error, Latency, MachineId, MemoryBudget, Result, SimTime, SubtreeId,
+    BrokerId, ClusterEvent, Error, Latency, MachineId, MemoryBudget, MemoryUsage, Message,
+    PlacementEngine, ReplicaChangeReason, Result, SimTime, SubtreeId, TraceEventKind, TrafficSink,
     UserId, VIEW_TRANSFER_PROTOCOL_MESSAGES,
-};
-use dynasore_types::{
-    MemoryUsage, Message, PlacementEngine, ReplicaChangeReason, TraceEventKind, TrafficSink,
 };
 use dynasore_workload::GraphMutation;
 
@@ -23,9 +21,12 @@ use crate::placement::initial_assignment;
 use crate::routing::{optimal_proxy_broker, TransferTally};
 use crate::server::ServerState;
 
+mod dynamics;
 mod eviction;
+mod load;
 
 use eviction::ThresholdCache;
+use load::LoadCache;
 
 /// Per-user routing state: the brokers hosting the user's proxies and the
 /// servers holding replicas of her view.
@@ -88,248 +89,6 @@ pub struct DynaSoReEngine {
     reference_evaluation: bool,
 }
 
-/// How many least-loaded servers each subtree candidate set remembers.
-/// Views rarely hold more replicas than this inside one subtree, so the
-/// exact fallback scan is almost never taken.
-const LOAD_TOP_K: usize = 4;
-
-/// The `(len, ordinal)` keys of the up-to-`LOAD_TOP_K` least-loaded servers
-/// of one subtree, ascending, split into "has free space" and "any" lists.
-///
-/// Server loads only change when a replica is created or evicted, so the
-/// engine rebuilds the affected sets on those (rare) events and the
-/// per-read candidate query becomes a couple of comparisons instead of a
-/// scan over the subtree's servers. `*_seen` counts every offered server;
-/// when it exceeds `LOAD_TOP_K` the list is a truncation, and a query whose
-/// exclusions swallow the whole list falls back to the exact scan.
-#[derive(Debug, Clone, Default)]
-struct CandidateSet {
-    free: [(u32, u32); LOAD_TOP_K],
-    free_count: u8,
-    free_seen: u32,
-    any: [(u32, u32); LOAD_TOP_K],
-    any_count: u8,
-    any_seen: u32,
-}
-
-/// Equality over the *live* list prefixes only: slots beyond `count` are
-/// never read, and incremental removals leave stale keys there that a fresh
-/// rebuild zero-fills.
-impl PartialEq for CandidateSet {
-    fn eq(&self, other: &Self) -> bool {
-        self.free_seen == other.free_seen
-            && self.any_seen == other.any_seen
-            && self.free[..self.free_count as usize] == other.free[..other.free_count as usize]
-            && self.any[..self.any_count as usize] == other.any[..other.any_count as usize]
-    }
-}
-
-impl Eq for CandidateSet {}
-
-impl CandidateSet {
-    fn offer_into(
-        list: &mut [(u32, u32); LOAD_TOP_K],
-        count: &mut u8,
-        seen: &mut u32,
-        key: (u32, u32),
-    ) {
-        *seen += 1;
-        Self::list_insert(list, count, key);
-    }
-
-    /// Inserts `key` into a sorted top-K list, dropping the largest entry
-    /// when the list is full and `key` beats it. Does not touch `seen` —
-    /// callers account for the population change themselves.
-    fn list_insert(list: &mut [(u32, u32); LOAD_TOP_K], count: &mut u8, key: (u32, u32)) {
-        let n = *count as usize;
-        let mut pos = n;
-        for (k, entry) in list.iter().enumerate().take(n) {
-            if key < *entry {
-                pos = k;
-                break;
-            }
-        }
-        if pos == n {
-            if n < LOAD_TOP_K {
-                list[n] = key;
-                *count += 1;
-            }
-            return;
-        }
-        let last = if n < LOAD_TOP_K { n } else { LOAD_TOP_K - 1 };
-        for k in (pos..last).rev() {
-            list[k + 1] = list[k];
-        }
-        list[pos] = key;
-        if n < LOAD_TOP_K {
-            *count += 1;
-        }
-    }
-
-    /// Applies one list's share of an incremental update: the tracked
-    /// server's key changed from `old` to `new`, where `None` means the
-    /// server was/is not part of this list's population (e.g. it gained or
-    /// lost its free slot for the `free` list).
-    ///
-    /// Returns `false` when the list can no longer prove it holds the K
-    /// smallest keys — removing a listed entry from a truncated list, or a
-    /// listed server whose key grew past the retained tail — and the caller
-    /// must rebuild from an exact scan. Every other transition is resolved
-    /// in O(K): the surviving entries are provably still the smallest, and
-    /// any unseen key is no smaller than the old full list's maximum.
-    fn list_update(
-        list: &mut [(u32, u32); LOAD_TOP_K],
-        count: &mut u8,
-        seen: &mut u32,
-        old: Option<(u32, u32)>,
-        new: Option<(u32, u32)>,
-    ) -> bool {
-        let n = *count as usize;
-        let pos = old.and_then(|key| list[..n].iter().position(|e| *e == key));
-        match (old, new) {
-            (None, None) => true,
-            (None, Some(key)) => {
-                *seen += 1;
-                Self::list_insert(list, count, key);
-                true
-            }
-            (Some(_), None) => match pos {
-                Some(p) => {
-                    if *seen > n as u32 {
-                        // Truncated: the successor that should take the
-                        // freed slot was never recorded.
-                        return false;
-                    }
-                    for k in p..n - 1 {
-                        list[k] = list[k + 1];
-                    }
-                    *count -= 1;
-                    *seen -= 1;
-                    true
-                }
-                None => {
-                    // The server sat beyond the truncated tail; the listed
-                    // entries are still the K smallest of what remains.
-                    debug_assert!(*seen > n as u32, "complete list missing a member");
-                    *seen = seen.saturating_sub(1);
-                    true
-                }
-            },
-            (Some(_), Some(key)) => match pos {
-                Some(p) => {
-                    // Every unseen key is ≥ the old K-th smallest (the list
-                    // maximum), so the new key can be re-inserted exactly as
-                    // long as it does not grow past that bound.
-                    let old_max = list[n - 1];
-                    for k in p..n - 1 {
-                        list[k] = list[k + 1];
-                    }
-                    *count -= 1;
-                    let truncated = *seen > n as u32;
-                    if truncated && key > old_max {
-                        // The key may have fallen behind an unseen one.
-                        return false;
-                    }
-                    Self::list_insert(list, count, key);
-                    true
-                }
-                None => {
-                    if n < LOAD_TOP_K {
-                        // A complete list contains its whole population; a
-                        // miss means the caller's bookkeeping drifted.
-                        debug_assert!(*seen > n as u32, "complete list missing a member");
-                        return false;
-                    }
-                    // Beyond the truncated tail: pulls into the top-K only
-                    // by beating the current largest listed key.
-                    if key < list[n - 1] {
-                        Self::list_insert(list, count, key);
-                    }
-                    true
-                }
-            },
-        }
-    }
-
-    /// Incrementally applies a load change of server `ord` (`old_len` →
-    /// `new_len` views, `old_space`/`new_space` = had/has a free slot) to
-    /// both top-K lists. Returns `false` when either list lost track of its
-    /// top-K and the whole set must be rebuilt with an exact scan.
-    fn update(
-        &mut self,
-        ord: u32,
-        old_len: u32,
-        new_len: u32,
-        old_space: bool,
-        new_space: bool,
-    ) -> bool {
-        let old_key = (old_len, ord);
-        let new_key = (new_len, ord);
-        let any_ok = Self::list_update(
-            &mut self.any,
-            &mut self.any_count,
-            &mut self.any_seen,
-            Some(old_key),
-            Some(new_key),
-        );
-        let free_ok = Self::list_update(
-            &mut self.free,
-            &mut self.free_count,
-            &mut self.free_seen,
-            old_space.then_some(old_key),
-            new_space.then_some(new_key),
-        );
-        any_ok && free_ok
-    }
-
-    fn offer(&mut self, key: (u32, u32), has_space: bool) {
-        Self::offer_into(&mut self.any, &mut self.any_count, &mut self.any_seen, key);
-        if has_space {
-            Self::offer_into(
-                &mut self.free,
-                &mut self.free_count,
-                &mut self.free_seen,
-                key,
-            );
-        }
-    }
-
-    /// `Some(answer)` when the cache can answer exactly (preferring servers
-    /// with free space, then any server, `(len, ordinal)` ascending, never
-    /// an excluded server); `None` when the exclusions exhaust a truncated
-    /// list and the caller must fall back to the exact scan.
-    fn query(&self, exclude: &[usize]) -> Option<Option<usize>> {
-        for k in 0..self.free_count as usize {
-            let ord = self.free[k].1 as usize;
-            if !exclude.contains(&ord) {
-                return Some(Some(ord));
-            }
-        }
-        if self.free_seen > LOAD_TOP_K as u32 {
-            return None;
-        }
-        for k in 0..self.any_count as usize {
-            let ord = self.any[k].1 as usize;
-            if !exclude.contains(&ord) {
-                return Some(Some(ord));
-            }
-        }
-        if self.any_seen > LOAD_TOP_K as u32 {
-            return None;
-        }
-        Some(None)
-    }
-}
-
-/// Per-subtree [`CandidateSet`]s: one per rack, one per intermediate
-/// switch, one for the whole cluster.
-#[derive(Debug, Clone)]
-struct LoadCache {
-    rack: Vec<CandidateSet>,
-    inter: Vec<CandidateSet>,
-    root: CandidateSet,
-}
-
 /// Reusable per-request buffers: allocated once at engine construction and
 /// recycled so that steady-state `handle_read`/`handle_write` perform zero
 /// heap allocations.
@@ -375,11 +134,9 @@ pub struct DynaSoReEngineBuilder {
     topology: Option<Topology>,
     budget: Option<MemoryBudget>,
     initial_placement: InitialPlacement,
-    counter_slots: usize,
-    admission_fill_target: f64,
-    eviction_threshold: f64,
-    eviction_target: f64,
-    congestion_penalty_per_sec: f64,
+    /// The paper's defaults ([`DynaSoReConfig::new`]) with the overrides so
+    /// far; `build` fills in the budget and validates the result.
+    config: DynaSoReConfig,
     name: Option<String>,
 }
 
@@ -389,11 +146,7 @@ impl Default for DynaSoReEngineBuilder {
             topology: None,
             budget: None,
             initial_placement: InitialPlacement::Random { seed: 0 },
-            counter_slots: 24,
-            admission_fill_target: 0.90,
-            eviction_threshold: 0.95,
-            eviction_target: 0.90,
-            congestion_penalty_per_sec: 500.0,
+            config: DynaSoReConfig::new(MemoryBudget::exact(0)),
             name: None,
         }
     }
@@ -420,26 +173,26 @@ impl DynaSoReEngineBuilder {
 
     /// Number of periods in the rotating statistics window (default 24).
     pub fn counter_slots(mut self, slots: usize) -> Self {
-        self.counter_slots = slots;
+        self.config.counter_slots = slots;
         self
     }
 
     /// Fraction of memory protected by the admission threshold (default
     /// 0.9).
     pub fn admission_fill_target(mut self, target: f64) -> Self {
-        self.admission_fill_target = target;
+        self.config.admission_fill_target = target;
         self
     }
 
     /// Occupancy that triggers the background eviction sweep (default 0.95).
     pub fn eviction_threshold(mut self, threshold: f64) -> Self {
-        self.eviction_threshold = threshold;
+        self.config.eviction_threshold = threshold;
         self
     }
 
     /// Occupancy the eviction sweep aims for (default 0.90).
     pub fn eviction_target(mut self, target: f64) -> Self {
-        self.eviction_target = target;
+        self.config.eviction_target = target;
         self
     }
 
@@ -448,7 +201,7 @@ impl DynaSoReEngineBuilder {
     /// congestion-aware placement). Only effective when the driving sink
     /// reports real congestion, i.e. under a time-aware network model.
     pub fn congestion_penalty_per_sec(mut self, per_sec: f64) -> Self {
-        self.congestion_penalty_per_sec = per_sec;
+        self.config.congestion_penalty_per_sec = per_sec;
         self
     }
 
@@ -479,12 +232,10 @@ impl DynaSoReEngineBuilder {
                 graph.user_count()
             )));
         }
-        let mut config = DynaSoReConfig::new(budget);
-        config.counter_slots = self.counter_slots;
-        config.admission_fill_target = self.admission_fill_target;
-        config.eviction_threshold = self.eviction_threshold;
-        config.eviction_target = self.eviction_target;
-        config.congestion_penalty_per_sec = self.congestion_penalty_per_sec;
+        let config = DynaSoReConfig {
+            budget,
+            ..self.config
+        };
         config.validate()?;
 
         let server_count = topology.server_count();
@@ -540,12 +291,6 @@ impl DynaSoReEngineBuilder {
             costs: OriginCosts::new(&paths),
             candidates: Vec::new(),
         };
-        let thresholds = ThresholdCache::new(&topology);
-        let loads = LoadCache {
-            rack: vec![CandidateSet::default(); topology.rack_count()],
-            inter: vec![CandidateSet::default(); topology.intermediate_count()],
-            root: CandidateSet::default(),
-        };
         let mut engine = DynaSoReEngine {
             name,
             topology,
@@ -554,14 +299,15 @@ impl DynaSoReEngineBuilder {
             users,
             paths,
             scratch,
-            thresholds,
-            loads,
+            thresholds: ThresholdCache::default(),
+            loads: LoadCache::default(),
             unreachable_reads: 0,
             recovered_views: 0,
             #[cfg(test)]
             reference_evaluation: false,
         };
         engine.rebuild_load_cache();
+        engine.refresh_threshold_cache();
         Ok(engine)
     }
 }
@@ -575,6 +321,17 @@ impl DynaSoReEngine {
     /// The engine configuration in effect.
     pub fn config(&self) -> &DynaSoReConfig {
         &self.config
+    }
+
+    /// The topology (including its liveness mask) as this engine sees it.
+    pub fn topology(&self) -> &Topology {
+        &self.topology
+    }
+
+    /// Views whose last replica was lost to a failure and re-created from
+    /// the persistent tier (cumulative).
+    pub fn recovered_views(&self) -> u64 {
+        self.recovered_views
     }
 
     /// The machines currently holding a replica of `user`'s view.
@@ -648,21 +405,24 @@ impl DynaSoReEngine {
         if user.as_usize() >= self.users.len() || !self.topology.contains(from) {
             return None;
         }
-        self.closest_replica_of(user, from)
-            .map(|(_, machine)| machine)
+        let replicas = self.users[user.as_usize()].replicas.iter().copied();
+        self.closest_of(from, replicas).map(|(_, machine)| machine)
     }
 
-    /// The replica of `view` closest to `from` (LCA routing policy, ties by
-    /// machine id), as `(engine index, machine)`. Allocation-free.
-    fn closest_replica_of(&self, view: UserId, from: MachineId) -> Option<(usize, MachineId)> {
+    /// The server among `replicas` closest to `from` (LCA routing policy,
+    /// ties by machine id), as `(engine index, machine)`. Allocation-free.
+    #[inline]
+    fn closest_of(
+        &self,
+        from: MachineId,
+        replicas: impl Iterator<Item = usize>,
+    ) -> Option<(usize, MachineId)> {
         let from = self.paths.machine_path(from);
         let mut best: Option<(i64, u32, usize)> = None;
-        for &i in &self.users[view.as_usize()].replicas {
+        for i in replicas {
             let machine = self.servers[i].machine();
-            let distance = self
-                .paths
-                .distance(&from, &self.paths.machine_path(machine));
-            let key = (distance, machine.index(), i);
+            let path = self.paths.machine_path(machine);
+            let key = (self.paths.distance(&from, &path), machine.index(), i);
             if best.map_or(true, |b| (key.0, key.1) < (b.0, b.1)) {
                 best = Some(key);
             }
@@ -672,156 +432,31 @@ impl DynaSoReEngine {
 
     /// The closest other replica of `view` as seen from `sidx`, if any.
     fn nearest_other_replica(&self, view: UserId, sidx: usize) -> Option<MachineId> {
-        let from = self.paths.machine_path(self.servers[sidx].machine());
-        let mut best: Option<(i64, u32)> = None;
-        for &i in &self.users[view.as_usize()].replicas {
-            if i == sidx {
-                continue;
-            }
-            let other = self.servers[i].machine();
-            let distance = self.paths.distance(&from, &self.paths.machine_path(other));
-            let key = (distance, other.index());
-            if best.map_or(true, |b| key < b) {
-                best = Some(key);
-            }
-        }
-        best.map(|(_, machine)| MachineId::new(machine))
+        let replicas = self.users[view.as_usize()].replicas.iter().copied();
+        let others = replicas.filter(|&i| i != sidx);
+        let nearest = self.closest_of(self.servers[sidx].machine(), others);
+        nearest.map(|(_, machine)| machine)
     }
 
-    /// The least-loaded server under `origin` that does not already hold a
-    /// replica of the view (`exclude`). Servers with free space are
-    /// preferred; a full server may be returned (the caller then evicts).
-    fn least_loaded_server_in(&self, origin: SubtreeId, exclude: &[usize]) -> Option<usize> {
-        if let SubtreeId::Machine(m) = origin {
-            let machine = MachineId::new(m);
-            if !self.topology.is_live(machine) {
-                return None;
-            }
-            let i = self.topology.server_ordinal(machine)?;
-            return if exclude.contains(&i) { None } else { Some(i) };
+    /// Stores a replica of `view` on server `target`, first evicting the
+    /// server's least useful replica if it is full. Returns `false`, with
+    /// nothing changed, if the view is already there or no room can be made.
+    fn admit(&mut self, view: UserId, target: usize, out: &mut dyn TrafficSink) -> bool {
+        if self.servers[target].contains(view) {
+            return false;
         }
-        let set = match origin {
-            SubtreeId::Root => Some(&self.loads.root),
-            SubtreeId::Intermediate(i) => self.loads.inter.get(i as usize),
-            SubtreeId::Rack(r) => self.loads.rack.get(r as usize),
-            SubtreeId::Machine(_) => unreachable!("handled above"),
-        }?;
-        match set.query(exclude) {
-            Some(answer) => answer,
-            None => self.least_loaded_scan(origin, exclude),
+        // Admitting to a full server swaps one view for another: its load,
+        // and with it every candidate set, ends where it started, so the
+        // eviction leaves the load cache alone and the one update below
+        // compares against the load before it.
+        let old_len = self.servers[target].len();
+        if !self.ensure_space(target, out) {
+            return false;
         }
-    }
-
-    /// The exact form of [`DynaSoReEngine::least_loaded_server_in`]: a scan
-    /// over the origin's servers. Used as the fallback when the view's
-    /// exclusions swallow a whole (truncated) candidate set.
-    fn least_loaded_scan(&self, origin: SubtreeId, exclude: &[usize]) -> Option<usize> {
-        // `servers_in_subtree_slice` is a contiguous range in machine order,
-        // so scanning it keeps the old "first least-loaded in machine order"
-        // tie-breaking without collecting candidates.
-        let mut best_any: Option<(usize, usize)> = None; // (len, index)
-        let mut best_free: Option<(usize, usize)> = None;
-        for server in self.topology.servers_in_subtree_slice(origin) {
-            if !self.topology.is_live(server.machine()) {
-                continue;
-            }
-            let Some(i) = self.topology.server_ordinal(server.machine()) else {
-                continue;
-            };
-            if exclude.contains(&i) {
-                continue;
-            }
-            let key = (self.servers[i].len(), i);
-            if best_any.map_or(true, |b| key < b) {
-                best_any = Some(key);
-            }
-            if !self.servers[i].is_full() && best_free.map_or(true, |b| key < b) {
-                best_free = Some(key);
-            }
-        }
-        best_free.or(best_any).map(|(_, i)| i)
-    }
-
-    /// Rebuilds the candidate set of one subtree from the current server
-    /// loads.
-    fn build_candidate_set(&self, subtree: SubtreeId) -> CandidateSet {
-        let mut set = CandidateSet::default();
-        for server in self.topology.servers_in_subtree_slice(subtree) {
-            // Dead servers never receive replicas: the liveness mask filters
-            // them out of the candidate sets here, so the per-request query
-            // path stays mask-free.
-            if !self.topology.is_live(server.machine()) {
-                continue;
-            }
-            let Some(i) = self.topology.server_ordinal(server.machine()) else {
-                continue;
-            };
-            let key = (self.servers[i].len() as u32, i as u32);
-            set.offer(key, !self.servers[i].is_full());
-        }
-        set
-    }
-
-    /// Rebuilds every candidate set (used once after construction).
-    fn rebuild_load_cache(&mut self) {
-        for r in 0..self.topology.rack_count() {
-            self.loads.rack[r] = self.build_candidate_set(SubtreeId::Rack(r as u32));
-        }
-        for i in 0..self.topology.intermediate_count() {
-            self.loads.inter[i] = self.build_candidate_set(SubtreeId::Intermediate(i as u32));
-        }
-        self.loads.root = self.build_candidate_set(SubtreeId::Root);
-    }
-
-    /// Refreshes the candidate sets containing server `sidx` after its load
-    /// changed from `old_len` views (a replica was created or evicted).
-    ///
-    /// The changed key moves by ±1, so each per-subtree top-K list is
-    /// patched in O(K) instead of rescanning its servers; only when a
-    /// truncated list can no longer prove its top-K (the changed server fell
-    /// past the retained tail) does that one set fall back to the exact
-    /// rebuild scan. This is what keeps replica churn cheap when the cluster
-    /// grows past the paper's 225 servers: the former full rescan of the
-    /// root set cost O(servers) per churn event.
-    fn update_load_cache(&mut self, sidx: usize, old_len: usize) {
-        let machine = self.servers[sidx].machine();
-        // Dead machines are filtered out of every candidate set when the
-        // liveness mask changes (bulk rebuild), so their load changes cannot
-        // move a top-K list.
-        if !self.topology.is_live(machine) {
-            return;
-        }
-        let new_len = self.servers[sidx].len();
-        if new_len == old_len {
-            return;
-        }
-        let capacity = self.servers[sidx].capacity();
-        let old_space = old_len < capacity;
-        let new_space = new_len < capacity;
-        let (ord, old_len, new_len) = (sidx as u32, old_len as u32, new_len as u32);
-        if let Ok(rack) = self.topology.rack_of(machine) {
-            if !self.loads.rack[rack.as_usize()].update(ord, old_len, new_len, old_space, new_space)
-            {
-                self.loads.rack[rack.as_usize()] =
-                    self.build_candidate_set(SubtreeId::Rack(rack.index()));
-            }
-            // Flat topologies have no intermediate tier: their (empty) inter
-            // sets track no servers, so there is nothing to patch.
-            if self.topology.kind() == dynasore_topology::TopologyKind::Tree {
-                let inter = self.topology.intermediate_of_rack(rack) as usize;
-                if !self.loads.inter[inter].update(ord, old_len, new_len, old_space, new_space) {
-                    self.loads.inter[inter] =
-                        self.build_candidate_set(SubtreeId::Intermediate(inter as u32));
-                }
-            }
-        }
-        if !self
-            .loads
-            .root
-            .update(ord, old_len, new_len, old_space, new_space)
-        {
-            self.loads.root = self.build_candidate_set(SubtreeId::Root);
-        }
+        self.servers[target].insert(view);
+        self.update_load_cache(target, old_len);
+        self.link_replica(view, target);
+        true
     }
 
     /// Creates a replica of `view` on server `target`, copying its data from
@@ -834,15 +469,7 @@ impl DynaSoReEngine {
         target: usize,
         out: &mut dyn TrafficSink,
     ) -> bool {
-        if self.servers[target].contains(view) || source == target {
-            return false;
-        }
-        // Admitting to a full server swaps one view for another: its load,
-        // and with it every candidate set, ends where it started, so the
-        // eviction leaves the load cache alone and the one update below
-        // compares against the load before it.
-        let old_len = self.servers[target].len();
-        if !self.ensure_space(target, out) {
+        if source == target || !self.admit(view, target, out) {
             return false;
         }
         let source_machine = self.servers[source].machine();
@@ -864,10 +491,6 @@ impl DynaSoReEngine {
                 out.record(Message::protocol(write_proxy, broker.machine()));
             }
         }
-
-        self.servers[target].insert(view);
-        self.update_load_cache(target, old_len);
-        self.link_replica(view, target);
 
         // Hand over the read history of the origins the new replica is now
         // closest to, so the source stops proposing replicas for readers it
@@ -934,6 +557,45 @@ impl DynaSoReEngine {
         true
     }
 
+    /// Traces that server `sidx` gave up its replica of `view`.
+    fn trace_dropped(
+        &self,
+        view: UserId,
+        sidx: usize,
+        reason: ReplicaChangeReason,
+        out: &mut dyn TrafficSink,
+    ) {
+        out.trace(TraceEventKind::ReplicaDropped {
+            user: view,
+            server: self.servers[sidx].machine(),
+            reason,
+        });
+    }
+
+    /// Migrates the replica of `view` on server `from` to server `to`:
+    /// created there, then removed here (the view keeps at least one replica
+    /// because the new one was just created).
+    fn move_replica(
+        &mut self,
+        view: UserId,
+        from: usize,
+        to: usize,
+        reason: ReplicaChangeReason,
+        out: &mut dyn TrafficSink,
+    ) -> bool {
+        let moved =
+            self.create_replica(view, from, to, out) && self.remove_replica(view, from, out);
+        if moved {
+            out.trace(TraceEventKind::ReplicaMoved {
+                user: view,
+                from: self.servers[from].machine(),
+                to: self.servers[to].machine(),
+                reason,
+            });
+        }
+        moved
+    }
+
     /// Records that server `sidx` now holds a replica of `view`. Every
     /// replica's nearest other replica may have moved.
     fn link_replica(&mut self, view: UserId, sidx: usize) {
@@ -949,11 +611,18 @@ impl DynaSoReEngine {
         self.invalidate_view(view);
     }
 
-    /// Moves `user`'s write proxy to `broker`; the utility of every replica
-    /// of her view counts the distance to it.
-    fn set_write_proxy(&mut self, user: UserId, broker: BrokerId) {
+    /// Moves `user`'s write proxy to `broker` and announces the move to
+    /// every replica of her view: each stores the proxy's location, and its
+    /// utility counts the distance to it.
+    fn set_write_proxy(&mut self, user: UserId, broker: BrokerId, out: &mut dyn TrafficSink) {
         self.users[user.as_usize()].write_proxy = broker;
         self.invalidate_view(user);
+        for &ridx in &self.users[user.as_usize()].replicas {
+            out.record(Message::protocol(
+                broker.machine(),
+                self.servers[ridx].machine(),
+            ));
+        }
     }
 
     /// Profit penalty for placing a replica on `machine`, derived from the
@@ -1096,7 +765,6 @@ impl DynaSoReEngine {
 
         // --- Algorithm 3: no replica can be created; consider migrating (or
         // dropping) this replica.
-        let server_machine = self.servers[sidx].machine();
         let mut best_profit = keep_profit;
         let mut best_position: Option<usize> = None;
         for c in candidates {
@@ -1108,25 +776,10 @@ impl DynaSoReEngine {
         if best_profit < 0 && self.users[view.as_usize()].replicas.len() > 1 {
             // This replica costs more than it saves: drop it.
             if self.remove_replica(view, sidx, out) {
-                out.trace(TraceEventKind::ReplicaDropped {
-                    user: view,
-                    server: server_machine,
-                    reason: ReplicaChangeReason::Placement,
-                });
+                self.trace_dropped(view, sidx, ReplicaChangeReason::Placement, out);
             }
         } else if let Some(target) = best_position {
-            // Migrate: create the replica at the better position, then
-            // remove the local copy (the view keeps at least one replica
-            // because the new one was just created).
-            if self.create_replica(view, sidx, target, out) && self.remove_replica(view, sidx, out)
-            {
-                out.trace(TraceEventKind::ReplicaMoved {
-                    user: view,
-                    from: server_machine,
-                    to: self.servers[target].machine(),
-                    reason: ReplicaChangeReason::Placement,
-                });
-            }
+            self.move_replica(view, sidx, target, ReplicaChangeReason::Placement, out);
         }
     }
 
@@ -1142,363 +795,11 @@ impl DynaSoReEngine {
         let Some(best) = optimal_proxy_broker(&self.topology, &mut self.scratch.tally) else {
             return;
         };
-        let uidx = user.as_usize();
-        if is_write_proxy {
-            if self.users[uidx].write_proxy != best {
-                self.set_write_proxy(user, best);
-                // The write proxy's location is stored by every replica, so
-                // they must be notified of the move (iterate by index — the
-                // replica list is not mutated here).
-                for k in 0..self.users[uidx].replicas.len() {
-                    let ridx = self.users[uidx].replicas[k];
-                    out.record(Message::protocol(
-                        best.machine(),
-                        self.servers[ridx].machine(),
-                    ));
-                }
-            }
-        } else if self.users[uidx].read_proxy != best {
-            self.users[uidx].read_proxy = best;
-        }
-    }
-
-    // --- Cluster dynamics --------------------------------------------------
-
-    /// The topology (including its liveness mask) as this engine sees it.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
-    /// Views whose last replica was lost to a failure and re-created from
-    /// the persistent tier (cumulative).
-    pub fn recovered_views(&self) -> u64 {
-        self.recovered_views
-    }
-
-    /// Re-homes every proxy hosted on the (dead or draining) broker machine
-    /// `broker` to the closest live broker. Write-proxy moves are announced
-    /// to the affected replicas, as in [`DynaSoReEngine::maybe_migrate_proxy`].
-    fn reassign_proxies(&mut self, broker: MachineId, out: &mut dyn TrafficSink) {
-        let Some(new_broker) = self.topology.closest_live_broker(broker) else {
-            return; // No live broker anywhere: proxies are unreachable anyway.
-        };
-        for uidx in 0..self.users.len() {
-            if self.users[uidx].read_proxy.machine() == broker {
-                self.users[uidx].read_proxy = new_broker;
-            }
-            if self.users[uidx].write_proxy.machine() == broker {
-                self.set_write_proxy(UserId::new(uidx as u32), new_broker);
-                for k in 0..self.users[uidx].replicas.len() {
-                    let ridx = self.users[uidx].replicas[k];
-                    out.record(Message::protocol(
-                        new_broker.machine(),
-                        self.servers[ridx].machine(),
-                    ));
-                }
-            }
-        }
-    }
-
-    /// Re-creates the (lost) sole replica of `view` from the persistent
-    /// tier. The view data travels from the durable store down through the
-    /// top switch — that is the recovery traffic the paper's §3.3 makes
-    /// possible by keeping cache servers disposable. Returns `false` when no
-    /// live server can take the view (it stays lost until capacity returns).
-    ///
-    /// Target order: the least-loaded live server of the write proxy's rack
-    /// (the recovered master lands near its writer), then the cluster-wide
-    /// least-loaded pick, then — because a converged cluster runs its
-    /// memory nearly full, so placement is about who can still *evict*, not
-    /// who has free slots — every live server in ordinal order until one
-    /// can make room.
-    fn recover_view(&mut self, view: UserId, out: &mut dyn TrafficSink) -> bool {
-        let write_proxy = self.users[view.as_usize()].write_proxy.machine();
-        let preferred = self
-            .topology
-            .rack_of(write_proxy)
-            .ok()
-            .and_then(|rack| self.least_loaded_server_in(SubtreeId::Rack(rack.index()), &[]))
-            .filter(|&i| !self.servers[i].is_full());
-        if let Some(target) = preferred {
-            if self.place_recovered(view, target, out) {
-                return true;
-            }
-        }
-        if let Some(target) = self.least_loaded_server_in(SubtreeId::Root, &[]) {
-            if self.place_recovered(view, target, out) {
-                return true;
-            }
-        }
-        for target in 0..self.servers.len() {
-            if !self.topology.is_live(self.servers[target].machine()) {
-                continue;
-            }
-            if self.place_recovered(view, target, out) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Tries to place the recovered master of `view` on server `target`,
-    /// evicting a redundant replica if the server is full. Charges the
-    /// persistent-tier transfer on success.
-    fn place_recovered(&mut self, view: UserId, target: usize, out: &mut dyn TrafficSink) -> bool {
-        if self.servers[target].contains(view) {
-            return false;
-        }
-        // As in `create_replica`: one load-cache update for the swap.
-        let old_len = self.servers[target].len();
-        if !self.ensure_space(target, out) {
-            return false;
-        }
-        let write_proxy = self.users[view.as_usize()].write_proxy.machine();
-        let target_machine = self.servers[target].machine();
-        // The write proxy orchestrates the refill; the view data streams
-        // from the persistent tier across the core switch.
-        out.record(Message::protocol(write_proxy, target_machine));
-        for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-            out.record(Message::persistent_fetch(target_machine));
-        }
-        self.servers[target].insert(view);
-        self.link_replica(view, target);
-        self.update_load_cache(target, old_len);
-        self.recovered_views += 1;
-        out.trace(TraceEventKind::ReplicaCreated {
-            user: view,
-            server: target_machine,
-            reason: ReplicaChangeReason::Recovery,
-        });
-        true
-    }
-
-    /// Reacts to a set of machines crash-failing at once (one machine, or a
-    /// whole rack for correlated failures; the topology already has them
-    /// dead): re-homes proxies off dead brokers, drops every replica they
-    /// held, and re-creates lost masters from the persistent tier. Handling
-    /// the set as a batch means views replicated only within a failing rack
-    /// are recovered once, not moved from dying machine to dying machine.
-    fn take_down(&mut self, newly_dead: &[MachineId], out: &mut dyn TrafficSink) {
-        for &machine in newly_dead {
-            if self.topology.is_broker(machine) {
-                self.reassign_proxies(machine, out);
-            }
-        }
-        let mut lost: Vec<UserId> = Vec::new();
-        for &machine in newly_dead {
-            let Some(sidx) = self.topology.server_ordinal(machine) else {
-                continue;
-            };
-            // The machine is dead: its replicas vanish without eviction
-            // protocol traffic.
-            let mut views = std::mem::take(&mut self.scratch.views);
-            views.clear();
-            views.extend(self.servers[sidx].views().map(|(view, _)| view));
-            self.servers[sidx].clear();
-            for &view in &views {
-                self.unlink_replica(view, sidx);
-                if self.users[view.as_usize()].replicas.is_empty() {
-                    lost.push(view);
-                }
-            }
-            views.clear();
-            self.scratch.views = views;
-        }
-        // Candidate and threshold caches must exclude the dead machines
-        // before recovery picks targets.
-        self.rebuild_load_cache();
-        self.refresh_threshold_cache();
-        out.trace(TraceEventKind::CacheRebuilt);
-        lost.sort_unstable();
-        for view in lost {
-            self.recover_view(view, out);
-        }
-    }
-
-    /// Reacts to machines coming back (empty caches; the topology already
-    /// has them live). The returning capacity immediately becomes the
-    /// least-loaded landing spot for new replicas, and any view that stayed
-    /// lost for lack of capacity is recovered now.
-    fn bring_up(&mut self, out: &mut dyn TrafficSink) {
-        self.rebuild_load_cache();
-        self.refresh_threshold_cache();
-        out.trace(TraceEventKind::CacheRebuilt);
-        for uidx in 0..self.users.len() {
-            if self.users[uidx].replicas.is_empty() {
-                self.recover_view(UserId::new(uidx as u32), out);
-            }
-        }
-    }
-
-    /// Gracefully empties `subtree` — one drained machine, or a whole
-    /// decommissioned rack (elastic shrink) — which the topology has just
-    /// taken out of service. `leaving` are its machines that were still
-    /// live; all of them are already dead, so no evacuated view shuffles from
-    /// one leaving machine to another. Proxies on the sub-tree's brokers are
-    /// re-homed (also off brokers that died earlier and may host stranded
-    /// proxies), extra replicas are dropped and sole replicas migrate
-    /// machine-to-machine (no persistent-tier traffic in the happy path). A
-    /// sole replica that fits nowhere falls back to the crash path and is
-    /// recovered from the persistent tier when capacity returns.
-    fn evacuate(&mut self, subtree: SubtreeId, leaving: &[MachineId], out: &mut dyn TrafficSink) {
-        // Placement decisions below must already exclude the leaving machines.
-        self.rebuild_load_cache();
-        self.refresh_threshold_cache();
-        out.trace(TraceEventKind::CacheRebuilt);
-        for broker in self.topology.brokers_in_subtree_slice(subtree).to_vec() {
-            self.reassign_proxies(broker.machine(), out);
-        }
-        let Some(rack) = leaving.first().and_then(|&m| self.topology.rack_of(m).ok()) else {
-            return;
-        };
-        let mut cursor = (rack.as_usize() + 1) % self.topology.rack_count();
-        for &machine in leaving {
-            if let Some(sidx) = self.topology.server_ordinal(machine) {
-                self.evacuate_server(sidx, &mut cursor, out);
-            }
-        }
-    }
-
-    /// Evacuates every view stored on server `sidx` (its machine is already
-    /// marked dead): redundant replicas are dropped, sole replicas migrate
-    /// machine-to-machine. A single cluster-wide least-loaded target would
-    /// absorb the whole machine and become the next hot spot, so sole
-    /// replicas are dealt round-robin across destination racks through
-    /// `rack_cursor` (least-loaded server *within* each rack), falling back
-    /// to the cluster-wide pick and then an ordinal eviction scan. Views
-    /// that fit nowhere fall back to the crash path. Clears the slab.
-    fn evacuate_server(&mut self, sidx: usize, rack_cursor: &mut usize, out: &mut dyn TrafficSink) {
-        let racks = self.topology.rack_count();
-        let evac_machine = self.servers[sidx].machine();
-        let mut views = std::mem::take(&mut self.scratch.views);
-        views.clear();
-        views.extend(self.servers[sidx].views().map(|(view, _)| view));
-        views.sort_unstable();
-        for &view in &views {
-            if self.users[view.as_usize()].replicas.len() > 1 {
-                if self.remove_replica(view, sidx, out) {
-                    out.trace(TraceEventKind::ReplicaDropped {
-                        user: view,
-                        server: evac_machine,
-                        reason: ReplicaChangeReason::Evacuation,
-                    });
-                }
-                continue;
-            }
-            // Sole replica: it must land somewhere before the machine goes.
-            let mut migrated_to: Option<usize> = None;
-            for step in 0..racks {
-                let r = (*rack_cursor + step) % racks;
-                let Some(target) = self.least_loaded_server_in(
-                    SubtreeId::Rack(r as u32),
-                    &self.users[view.as_usize()].replicas,
-                ) else {
-                    continue;
-                };
-                if self.create_replica(view, sidx, target, out)
-                    && self.remove_replica(view, sidx, out)
-                {
-                    migrated_to = Some(target);
-                    *rack_cursor = (r + 1) % racks;
-                    break;
-                }
-            }
-            if migrated_to.is_none() {
-                if let Some(target) = self
-                    .least_loaded_server_in(SubtreeId::Root, &self.users[view.as_usize()].replicas)
-                {
-                    if self.create_replica(view, sidx, target, out)
-                        && self.remove_replica(view, sidx, out)
-                    {
-                        migrated_to = Some(target);
-                    }
-                }
-            }
-            if migrated_to.is_none() {
-                // A draining rack can outsize any single server's evictable
-                // stock: walk every live server in ordinal order until one
-                // can make room.
-                for target in 0..self.servers.len() {
-                    if target == sidx || !self.topology.is_live(self.servers[target].machine()) {
-                        continue;
-                    }
-                    if self.create_replica(view, sidx, target, out) {
-                        if self.remove_replica(view, sidx, out) {
-                            migrated_to = Some(target);
-                        }
-                        break;
-                    }
-                }
-            }
-            match migrated_to {
-                Some(target) => out.trace(TraceEventKind::ReplicaMoved {
-                    user: view,
-                    from: evac_machine,
-                    to: self.servers[target].machine(),
-                    reason: ReplicaChangeReason::Evacuation,
-                }),
-                None => {
-                    // Genuinely no live capacity anywhere: lose the replica
-                    // as a crash would (a later MachineUp/RackUp recovers it
-                    // from the persistent tier).
-                    self.servers[sidx].remove(view);
-                    self.unlink_replica(view, sidx);
-                    out.trace(TraceEventKind::ReplicaDropped {
-                        user: view,
-                        server: evac_machine,
-                        reason: ReplicaChangeReason::Evacuation,
-                    });
-                }
-            }
-        }
-        views.clear();
-        self.scratch.views = views;
-        // The machine is already dead (and thus absent from every candidate
-        // set), so clearing its slab needs no cache update.
-        self.servers[sidx].clear();
-    }
-
-    /// Absorbs a freshly added rack: mirrors the new topology servers with
-    /// empty [`ServerState`]s, grows the per-subtree caches and the
-    /// transfer tally, and announces the new brokers to the old ones. The
-    /// empty servers become the least-loaded candidates everywhere, so
-    /// regular replication/migration traffic spreads load onto them.
-    fn absorb_new_rack(&mut self, added: &[MachineId], out: &mut dyn TrafficSink) {
-        let capacity = self.capacity_per_server();
-        for server in &self.topology.servers()[self.servers.len()..] {
-            self.servers.push(ServerState::new(
-                server.machine(),
-                capacity,
-                self.config.counter_slots,
-            ));
-        }
-        self.scratch.tally = TransferTally::new(&self.topology);
-        // The tree grew: a new position table, and utilities computed from
-        // the old one are not trusted (an origin id past the old table's end
-        // was far from everything and may now name a real subtree).
-        self.paths = PathTable::new(&self.topology);
-        self.scratch.costs = OriginCosts::new(&self.paths);
-        self.servers
-            .iter_mut()
-            .for_each(ServerState::mark_all_stale);
-        self.thresholds.grow(&self.topology);
-        self.loads
-            .rack
-            .resize(self.topology.rack_count(), CandidateSet::default());
-        self.loads
-            .inter
-            .resize(self.topology.intermediate_count(), CandidateSet::default());
-        self.rebuild_load_cache();
-        self.refresh_threshold_cache();
-        out.trace(TraceEventKind::CacheRebuilt);
-        // Routing-table propagation: the new rack's broker introduces itself
-        // to every existing broker.
-        if let Some(&new_broker) = added.iter().find(|&&m| self.topology.is_broker(m)) {
-            for broker in self.topology.brokers() {
-                if broker.machine() != new_broker {
-                    out.record(Message::protocol(new_broker, broker.machine()));
-                }
-            }
+        let state = &mut self.users[user.as_usize()];
+        if !is_write_proxy {
+            state.read_proxy = best;
+        } else if state.write_proxy != best {
+            self.set_write_proxy(user, best, out);
         }
     }
 }
@@ -1529,7 +830,8 @@ impl PlacementEngine for DynaSoReEngine {
             if target.as_usize() >= self.users.len() {
                 continue;
             }
-            let Some((sidx, server_machine)) = self.closest_replica_of(target, broker) else {
+            let replicas = self.users[target.as_usize()].replicas.iter().copied();
+            let Some((sidx, server_machine)) = self.closest_of(broker, replicas) else {
                 // Only possible while a lost master awaits recovery capacity.
                 self.unreachable_reads += 1;
                 continue;
@@ -1558,15 +860,14 @@ impl PlacementEngine for DynaSoReEngine {
     }
 
     /// Steady-state writes perform zero heap allocations: the replica list
-    /// is iterated by index and the transfer tally is reused.
+    /// is borrowed and the transfer tally is reused.
     fn handle_write(&mut self, user: UserId, _time: SimTime, out: &mut dyn TrafficSink) {
         if user.as_usize() >= self.users.len() {
             return;
         }
         let write_proxy = self.users[user.as_usize()].write_proxy.machine();
         self.scratch.tally.clear();
-        for k in 0..self.users[user.as_usize()].replicas.len() {
-            let ridx = self.users[user.as_usize()].replicas[k];
+        for &ridx in &self.users[user.as_usize()].replicas {
             let machine = self.servers[ridx].machine();
             out.record(Message::application(write_proxy, machine));
             self.scratch.tally.add(machine, 1);
@@ -1652,19 +953,14 @@ impl PlacementEngine for DynaSoReEngine {
     fn memory_usage(&self) -> MemoryUsage {
         // Dead servers contribute neither stored views (their slabs are
         // cleared on failure) nor capacity (their memory is unreachable).
+        let live = || {
+            self.servers
+                .iter()
+                .filter(|s| self.topology.is_live(s.machine()))
+        };
         MemoryUsage {
-            used_slots: self
-                .servers
-                .iter()
-                .filter(|s| self.topology.is_live(s.machine()))
-                .map(ServerState::len)
-                .sum(),
-            capacity_slots: self
-                .servers
-                .iter()
-                .filter(|s| self.topology.is_live(s.machine()))
-                .map(ServerState::capacity)
-                .sum(),
+            used_slots: live().map(ServerState::len).sum(),
+            capacity_slots: live().map(ServerState::capacity).sum(),
         }
     }
 }
@@ -1673,749 +969,7 @@ impl PlacementEngine for DynaSoReEngine {
 mod evaluation_tests;
 #[cfg(test)]
 mod eviction_tests;
-
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use dynasore_graph::GraphPreset;
-
-    fn small_world() -> (SocialGraph, Topology) {
-        let graph = SocialGraph::generate(GraphPreset::FacebookLike, 400, 11).unwrap();
-        let topology = Topology::tree(2, 2, 5, 1).unwrap(); // 16 servers, 4 brokers
-        (graph, topology)
-    }
-
-    fn engine_with_extra(extra: u32) -> (DynaSoReEngine, SocialGraph, Topology) {
-        let (graph, topology) = small_world();
-        let engine = DynaSoReEngine::builder()
-            .topology(topology.clone())
-            .budget(MemoryBudget::with_extra_percent(graph.user_count(), extra))
-            .initial_placement(InitialPlacement::Random { seed: 1 })
-            .build(&graph)
-            .unwrap();
-        (engine, graph, topology)
-    }
-
-    #[test]
-    fn builder_validates_inputs() {
-        let (graph, topology) = small_world();
-        // Missing topology.
-        assert!(DynaSoReEngine::builder().build(&graph).is_err());
-        // Budget view count mismatch.
-        assert!(DynaSoReEngine::builder()
-            .topology(topology.clone())
-            .budget(MemoryBudget::exact(10))
-            .build(&graph)
-            .is_err());
-        // Degenerate tuning parameter.
-        assert!(DynaSoReEngine::builder()
-            .topology(topology.clone())
-            .eviction_threshold(0.0)
-            .build(&graph)
-            .is_err());
-        // Cluster too small to hold one copy of every view.
-        let tiny = Topology::tree(1, 1, 2, 1).unwrap(); // a single server
-        let big_graph = SocialGraph::generate(GraphPreset::TwitterLike, 400, 1).unwrap();
-        let result = DynaSoReEngine::builder()
-            .topology(tiny)
-            .budget(MemoryBudget::exact(400))
-            .build(&big_graph);
-        assert!(result.is_ok() || result.is_err());
-    }
-
-    #[test]
-    fn initial_state_has_one_replica_per_view() {
-        let (engine, graph, _) = engine_with_extra(30);
-        for user in graph.users() {
-            assert_eq!(engine.replica_count(user), 1, "user {user}");
-            assert_eq!(engine.replica_servers(user).len(), 1);
-            // Proxies live in the rack of the view.
-            let server = engine.replica_servers(user)[0];
-            let proxy = engine.read_proxy(user).unwrap();
-            assert_eq!(
-                engine.topology.rack_of(server).unwrap(),
-                engine.topology.rack_of(proxy.machine()).unwrap()
-            );
-        }
-        let usage = engine.memory_usage();
-        assert_eq!(usage.used_slots, graph.user_count());
-        assert!(usage.capacity_slots >= usage.used_slots);
-        assert_eq!(engine.name(), "dynasore-from-random");
-        assert!(engine.capacity_per_server() > 0);
-    }
-
-    #[test]
-    fn remote_reads_trigger_replication_towards_the_readers() {
-        let (mut engine, _graph, topology) = engine_with_extra(100);
-        let mut out = Vec::new();
-
-        // Pick a view and a reader whose proxy is in a different
-        // intermediate sub-tree.
-        let view = UserId::new(0);
-        let view_server = engine.replica_servers(view)[0];
-        let view_inter = topology.intermediate_of(view_server).unwrap();
-        let reader = (0..400u32)
-            .map(UserId::new)
-            .find(|&u| {
-                let proxy = engine.read_proxy(u).unwrap().machine();
-                topology.intermediate_of(proxy).unwrap() != view_inter
-            })
-            .expect("some reader lives in another sub-tree");
-
-        assert_eq!(engine.replica_count(view), 1);
-        for i in 0..200 {
-            engine.handle_read(reader, &[view], SimTime::from_secs(i), &mut out);
-        }
-        assert!(
-            engine.replica_count(view) >= 2,
-            "expected a replica near the remote reader, got {}",
-            engine.replica_count(view)
-        );
-        // The new replica is in the reader's sub-tree.
-        let reader_proxy = engine.read_proxy(reader).unwrap().machine();
-        let reader_inter = topology.intermediate_of(reader_proxy).unwrap();
-        assert!(engine
-            .replica_servers(view)
-            .iter()
-            .any(|&m| topology.intermediate_of(m).unwrap() == reader_inter));
-        // Replication generated protocol traffic.
-        assert!(out
-            .iter()
-            .any(|m| m.class == dynasore_types::MessageClass::Protocol));
-    }
-
-    #[test]
-    fn write_heavy_views_are_not_replicated() {
-        let (mut engine, _graph, topology) = engine_with_extra(100);
-        let mut out = Vec::new();
-        let view = UserId::new(1);
-        let view_server = engine.replica_servers(view)[0];
-        let view_inter = topology.intermediate_of(view_server).unwrap();
-        let reader = (0..400u32)
-            .map(UserId::new)
-            .find(|&u| {
-                let proxy = engine.read_proxy(u).unwrap().machine();
-                topology.intermediate_of(proxy).unwrap() != view_inter
-            })
-            .unwrap();
-
-        // Interleave every remote read with many writes: the write cost of a
-        // second replica always exceeds the read gain.
-        for i in 0..100 {
-            engine.handle_read(reader, &[view], SimTime::from_secs(i * 10), &mut out);
-            for w in 0..8 {
-                engine.handle_write(view, SimTime::from_secs(i * 10 + w), &mut out);
-            }
-        }
-        assert_eq!(
-            engine.replica_count(view),
-            1,
-            "write-dominated view should keep a single replica"
-        );
-    }
-
-    #[test]
-    fn writes_update_every_replica() {
-        let (mut engine, _graph, topology) = engine_with_extra(100);
-        let mut out = Vec::new();
-        let view = UserId::new(2);
-        let view_server = engine.replica_servers(view)[0];
-        let view_inter = topology.intermediate_of(view_server).unwrap();
-        let reader = (0..400u32)
-            .map(UserId::new)
-            .find(|&u| {
-                let proxy = engine.read_proxy(u).unwrap().machine();
-                topology.intermediate_of(proxy).unwrap() != view_inter
-            })
-            .unwrap();
-        for i in 0..200 {
-            engine.handle_read(reader, &[view], SimTime::from_secs(i), &mut out);
-        }
-        let replicas = engine.replica_count(view);
-        assert!(replicas >= 2);
-        out.clear();
-        engine.handle_write(view, SimTime::from_secs(10_000), &mut out);
-        let app_messages = out
-            .iter()
-            .filter(|m| m.class == dynasore_types::MessageClass::Application)
-            .count();
-        assert_eq!(app_messages, replicas);
-    }
-
-    #[test]
-    fn capacity_is_never_exceeded_and_every_view_keeps_a_replica() {
-        let (mut engine, graph, _topology) = engine_with_extra(30);
-        let mut out = Vec::new();
-        // Hammer the engine with reads from many users and periodic ticks.
-        for round in 0..20u64 {
-            for u in (0..400u32).step_by(7) {
-                let user = UserId::new(u);
-                let targets: Vec<UserId> = graph.followees(user).to_vec();
-                engine.handle_read(
-                    user,
-                    &targets,
-                    SimTime::from_secs(round * 100 + u as u64),
-                    &mut out,
-                );
-            }
-            engine.on_tick(SimTime::from_hours(round + 1), &mut out);
-            out.clear();
-        }
-        for (machine, occupancy) in engine.server_occupancies() {
-            assert!(
-                occupancy <= 1.0 + 1e-9,
-                "server {machine} over capacity: {occupancy}"
-            );
-        }
-        for user in graph.users() {
-            assert!(engine.replica_count(user) >= 1, "view of {user} lost");
-        }
-        let usage = engine.memory_usage();
-        assert!(usage.used_slots <= usage.capacity_slots);
-    }
-
-    #[test]
-    fn idle_replicas_are_evicted_after_the_window_expires() {
-        let (mut engine, _graph, topology) = engine_with_extra(100);
-        let mut out = Vec::new();
-        let view = UserId::new(3);
-        let view_server = engine.replica_servers(view)[0];
-        let view_inter = topology.intermediate_of(view_server).unwrap();
-        let reader = (0..400u32)
-            .map(UserId::new)
-            .find(|&u| {
-                let proxy = engine.read_proxy(u).unwrap().machine();
-                topology.intermediate_of(proxy).unwrap() != view_inter
-            })
-            .unwrap();
-        for i in 0..200 {
-            engine.handle_read(reader, &[view], SimTime::from_secs(i), &mut out);
-        }
-        assert!(engine.replica_count(view) >= 2);
-
-        // Keep writing to the view (so extra replicas cost traffic) while
-        // nobody reads it any more; rotate the whole statistics window.
-        for hour in 0..30u64 {
-            engine.handle_write(view, SimTime::from_hours(hour), &mut out);
-            engine.on_tick(SimTime::from_hours(hour + 1), &mut out);
-        }
-        assert_eq!(
-            engine.replica_count(view),
-            1,
-            "useless replicas should have been evicted"
-        );
-    }
-
-    #[test]
-    fn read_proxy_migrates_towards_the_data() {
-        let (mut engine, _graph, topology) = engine_with_extra(0);
-        let mut out = Vec::new();
-        // Pick a reader and a target rack different from the reader's
-        // current one, then read only views whose single replica lives in
-        // that rack: the read proxy must migrate there.
-        let reader = UserId::new(4);
-        let before = engine.read_proxy(reader).unwrap();
-        let reader_rack = topology.rack_of(before.machine()).unwrap();
-        let target_rack = (0..topology.rack_count() as u32)
-            .map(dynasore_types::RackId::new)
-            .find(|&r| r != reader_rack)
-            .unwrap();
-        let targets: Vec<UserId> = (0..400u32)
-            .map(UserId::new)
-            .filter(|&u| u != reader)
-            .filter(|&u| {
-                let server = engine.replica_servers(u)[0];
-                topology.rack_of(server).unwrap() == target_rack
-            })
-            .take(10)
-            .collect();
-        assert!(!targets.is_empty(), "no views found in the target rack");
-        for i in 0..50 {
-            engine.handle_read(reader, &targets, SimTime::from_secs(i), &mut out);
-        }
-        let after = engine.read_proxy(reader).unwrap();
-        assert_eq!(
-            topology.rack_of(after.machine()).unwrap(),
-            target_rack,
-            "proxy (was {before}, now {after}) should sit in the rack holding the data"
-        );
-    }
-
-    #[test]
-    fn unknown_users_are_ignored_gracefully() {
-        let (mut engine, _graph, _topology) = engine_with_extra(30);
-        let mut out = Vec::new();
-        engine.handle_read(
-            UserId::new(9_999),
-            &[UserId::new(1)],
-            SimTime::ZERO,
-            &mut out,
-        );
-        engine.handle_write(UserId::new(9_999), SimTime::ZERO, &mut out);
-        engine.handle_read(
-            UserId::new(1),
-            &[UserId::new(9_999)],
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert_eq!(engine.replica_count(UserId::new(9_999)), 0);
-        // Only the valid read produced messages (none for unknown targets).
-        assert!(out.iter().all(|m| !m.is_local()));
-    }
-
-    #[test]
-    fn load_cache_matches_exact_scan_after_heavy_churn() {
-        // Hammer the engine so replicas are created, migrated and evicted,
-        // then check the cached least-loaded answers against the exact scan
-        // for every subtree and several realistic exclusion lists.
-        let (mut engine, graph, topology) = engine_with_extra(30);
-        let mut out = Vec::new();
-        for round in 0..10u64 {
-            for u in (0..400u32).step_by(5) {
-                let user = UserId::new(u);
-                let targets: Vec<UserId> = graph.followees(user).to_vec();
-                engine.handle_read(user, &targets, SimTime::from_secs(round * 60), &mut out);
-            }
-            engine.on_tick(SimTime::from_hours(round + 1), &mut out);
-            out.clear();
-        }
-        let mut origins: Vec<SubtreeId> = Vec::new();
-        for r in 0..topology.rack_count() as u32 {
-            origins.push(SubtreeId::Rack(r));
-        }
-        for i in 0..topology.intermediate_count() as u32 {
-            origins.push(SubtreeId::Intermediate(i));
-        }
-        origins.push(SubtreeId::Root);
-        let exclusions: Vec<Vec<usize>> = (0..40)
-            .map(|u| engine.users[u].replicas.clone())
-            .chain([vec![], vec![0, 1, 2, 3, 4, 5]])
-            .collect();
-        for &origin in &origins {
-            for exclude in &exclusions {
-                assert_eq!(
-                    engine.least_loaded_server_in(origin, exclude),
-                    engine.least_loaded_scan(origin, exclude),
-                    "origin {origin}, exclude {exclude:?}"
-                );
-            }
-        }
-    }
-
-    /// The incremental top-K update must leave every candidate set exactly
-    /// as an exact rescan would build it.
-    fn assert_cache_equals_rescan(engine: &DynaSoReEngine, context: &str) {
-        for r in 0..engine.topology.rack_count() {
-            assert_eq!(
-                engine.loads.rack[r],
-                engine.build_candidate_set(SubtreeId::Rack(r as u32)),
-                "{context}: rack {r} candidate set diverged from rescan"
-            );
-        }
-        for i in 0..engine.topology.intermediate_count() {
-            assert_eq!(
-                engine.loads.inter[i],
-                engine.build_candidate_set(SubtreeId::Intermediate(i as u32)),
-                "{context}: intermediate {i} candidate set diverged from rescan"
-            );
-        }
-        assert_eq!(
-            engine.loads.root,
-            engine.build_candidate_set(SubtreeId::Root),
-            "{context}: root candidate set diverged from rescan"
-        );
-    }
-
-    #[test]
-    fn incremental_load_cache_is_equivalent_to_rescan_under_churn() {
-        // Tight memory (10% extra) keeps servers near full so the truncated
-        // fallback paths, the free-list transitions (full ↔ has-space) and
-        // evictions are all exercised; checking after every single request
-        // pins each individual ±1 update, not just the end state.
-        let (mut engine, graph, _topology) = engine_with_extra(10);
-        let mut out = Vec::new();
-        assert_cache_equals_rescan(&engine, "initial");
-        for round in 0..6u64 {
-            for u in (0..400u32).step_by(11) {
-                let user = UserId::new(u);
-                let targets: Vec<UserId> = graph.followees(user).to_vec();
-                engine.handle_read(user, &targets, SimTime::from_secs(round * 60), &mut out);
-                assert_cache_equals_rescan(&engine, "after read");
-                engine.handle_write(user, SimTime::from_secs(round * 60), &mut out);
-            }
-            engine.on_tick(SimTime::from_hours(round + 1), &mut out);
-            assert_cache_equals_rescan(&engine, "after tick");
-            out.clear();
-        }
-        // Failures and recoveries interleave bulk rebuilds with incremental
-        // recovery placements; the invariant must survive the mix.
-        let victim = engine.replica_servers(UserId::new(0))[0];
-        engine.on_cluster_change(
-            ClusterEvent::MachineDown { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert_cache_equals_rescan(&engine, "after machine-down");
-        for u in (0..400u32).step_by(17) {
-            let user = UserId::new(u);
-            let targets: Vec<UserId> = graph.followees(user).to_vec();
-            engine.handle_read(user, &targets, SimTime::from_secs(9_000), &mut out);
-            assert_cache_equals_rescan(&engine, "degraded read");
-        }
-        engine.on_cluster_change(
-            ClusterEvent::MachineUp { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert_cache_equals_rescan(&engine, "after machine-up");
-    }
-
-    /// A sink that reports heavy congestion on every rack except one,
-    /// mimicking what the simulator's accounting sink exposes when switch
-    /// queues are backed up.
-    struct CongestedRacksSink {
-        messages: Vec<Message>,
-        clear_rack: u32,
-        delay: Latency,
-    }
-
-    impl TrafficSink for CongestedRacksSink {
-        fn record(&mut self, message: Message) {
-            self.messages.push(message);
-        }
-
-        fn congestion(&self, subtree: SubtreeId) -> Latency {
-            match subtree {
-                SubtreeId::Rack(r) if r == self.clear_rack => Latency::ZERO,
-                _ => self.delay,
-            }
-        }
-    }
-
-    #[test]
-    fn congestion_penalty_steers_replication_away_from_congested_racks() {
-        // Remote reads that would normally trigger replication towards the
-        // reader: with every rack congested the penalty outweighs any
-        // possible profit, so no replica is created at all.
-        let (mut engine, _graph, topology) = engine_with_extra(100);
-        let view = UserId::new(0);
-        let view_server = engine.replica_servers(view)[0];
-        let view_inter = topology.intermediate_of(view_server).unwrap();
-        let reader = (0..400u32)
-            .map(UserId::new)
-            .find(|&u| {
-                let proxy = engine.read_proxy(u).unwrap().machine();
-                topology.intermediate_of(proxy).unwrap() != view_inter
-            })
-            .expect("some reader lives in another sub-tree");
-        let mut congested = CongestedRacksSink {
-            messages: Vec::new(),
-            clear_rack: u32::MAX, // every rack congested
-            delay: Latency::from_secs(10),
-        };
-        for i in 0..200 {
-            engine.handle_read(reader, &[view], SimTime::from_secs(i), &mut congested);
-        }
-        assert_eq!(
-            engine.replica_count(view),
-            1,
-            "congestion everywhere must suppress replica creation"
-        );
-
-        // Control: the identical engine and workload over a congestion-free
-        // sink replicates towards the reader (same as the existing
-        // remote_reads_trigger_replication test).
-        let (mut control, _graph2, _) = engine_with_extra(100);
-        let mut out = Vec::new();
-        for i in 0..200 {
-            control.handle_read(reader, &[view], SimTime::from_secs(i), &mut out);
-        }
-        assert!(control.replica_count(view) >= 2);
-
-        // And with exactly one uncongested rack, creation lands there.
-        let (mut steered, _graph3, _) = engine_with_extra(100);
-        let reader_rack = topology
-            .rack_of(steered.read_proxy(reader).unwrap().machine())
-            .unwrap();
-        let mut one_clear = CongestedRacksSink {
-            messages: Vec::new(),
-            clear_rack: reader_rack.index(),
-            delay: Latency::from_secs(10),
-        };
-        for i in 0..200 {
-            steered.handle_read(reader, &[view], SimTime::from_secs(i), &mut one_clear);
-        }
-        assert!(steered.replica_count(view) >= 2);
-        for machine in steered.replica_servers(view) {
-            let rack = topology.rack_of(machine).unwrap();
-            assert!(
-                rack == reader_rack || machine == view_server,
-                "replica landed in congested rack {rack}"
-            );
-        }
-    }
-
-    #[test]
-    fn machine_failure_recovers_lost_masters_from_the_persistent_tier() {
-        let (mut engine, graph, _topology) = engine_with_extra(30);
-        let mut out = Vec::new();
-        let victim = engine.replica_servers(UserId::new(0))[0];
-        engine.on_cluster_change(
-            ClusterEvent::MachineDown { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert!(!engine.topology().is_live(victim));
-        for user in graph.users() {
-            assert!(engine.replica_count(user) >= 1, "view of {user} lost");
-            assert!(
-                !engine.replica_servers(user).contains(&victim),
-                "replica of {user} still on the dead machine"
-            );
-        }
-        assert!(engine.recovered_views() > 0);
-        assert!(
-            out.iter().any(|m| m.involves_persistent()),
-            "recovery must charge persistent-tier traffic"
-        );
-        for (machine, occupancy) in engine.server_occupancies() {
-            assert!(
-                occupancy <= 1.0 + 1e-9,
-                "server {machine} over capacity: {occupancy}"
-            );
-        }
-        // Reads keep working against the shrunken cluster.
-        out.clear();
-        let reader = UserId::new(1);
-        let targets: Vec<UserId> = graph.followees(reader).to_vec();
-        engine.handle_read(reader, &targets, SimTime::from_secs(1), &mut out);
-        assert_eq!(engine.unreachable_reads(), 0);
-
-        // The machine rejoins empty and becomes a replication target again.
-        out.clear();
-        engine.on_cluster_change(
-            ClusterEvent::MachineUp { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert!(engine.topology().is_live(victim));
-        let usage = engine.memory_usage();
-        assert!(usage.used_slots >= graph.user_count());
-    }
-
-    #[test]
-    fn broker_failure_rehomes_proxies() {
-        let (mut engine, graph, topology) = engine_with_extra(30);
-        let mut out = Vec::new();
-        // Machine 0 is the broker of rack 0 in the 2x2x5 tree.
-        let broker = dynasore_types::MachineId::new(0);
-        assert!(topology.is_broker(broker));
-        let affected: Vec<UserId> = graph
-            .users()
-            .filter(|&u| engine.read_proxy(u).unwrap().machine() == broker)
-            .collect();
-        assert!(!affected.is_empty());
-        engine.on_cluster_change(
-            ClusterEvent::MachineDown { machine: broker },
-            SimTime::ZERO,
-            &mut out,
-        );
-        for &user in &affected {
-            let new_proxy = engine.read_proxy(user).unwrap().machine();
-            assert_ne!(new_proxy, broker);
-            assert!(engine.topology().is_live(new_proxy));
-            assert!(topology.is_broker(new_proxy));
-        }
-        // Reads from an affected user still execute.
-        out.clear();
-        let reader = affected[0];
-        let targets: Vec<UserId> = graph.followees(reader).to_vec();
-        engine.handle_read(reader, &targets, SimTime::from_secs(1), &mut out);
-        assert_eq!(engine.unreachable_reads(), 0);
-    }
-
-    #[test]
-    fn rack_failure_is_survived_as_a_batch() {
-        let (mut engine, graph, _topology) = engine_with_extra(50);
-        let mut out = Vec::new();
-        let rack = dynasore_types::RackId::new(0);
-        engine.on_cluster_change(ClusterEvent::RackDown { rack }, SimTime::ZERO, &mut out);
-        for user in graph.users() {
-            assert!(engine.replica_count(user) >= 1, "view of {user} lost");
-            for machine in engine.replica_servers(user) {
-                assert!(engine.topology().is_live(machine));
-                assert_ne!(engine.topology().rack_of(machine).unwrap(), rack);
-            }
-        }
-        assert!(out.iter().any(|m| m.involves_persistent()));
-        out.clear();
-        engine.on_cluster_change(ClusterEvent::RackUp { rack }, SimTime::ZERO, &mut out);
-        assert!(engine.topology().is_live(dynasore_types::MachineId::new(0)));
-    }
-
-    #[test]
-    fn drain_migrates_without_touching_the_persistent_tier() {
-        let (mut engine, graph, _topology) = engine_with_extra(50);
-        let mut out = Vec::new();
-        let victim = engine.replica_servers(UserId::new(0))[0];
-        engine.on_cluster_change(
-            ClusterEvent::DrainMachine { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
-        assert!(!engine.topology().is_live(victim));
-        assert!(
-            out.iter().all(|m| !m.involves_persistent()),
-            "drain must move state machine-to-machine, not via the durable store"
-        );
-        assert!(
-            out.iter().any(|m| m.from == victim),
-            "drained state travels from the draining machine"
-        );
-        for user in graph.users() {
-            assert!(engine.replica_count(user) >= 1, "view of {user} lost");
-            assert!(!engine.replica_servers(user).contains(&victim));
-        }
-        assert_eq!(engine.recovered_views(), 0);
-    }
-
-    #[test]
-    fn drain_spreads_sole_replicas_across_destination_racks() {
-        let (mut engine, _graph, topology) = engine_with_extra(50);
-        let victim = engine.replica_servers(UserId::new(0))[0];
-        let sidx = topology.server_ordinal(victim).unwrap();
-        let on_victim: Vec<UserId> = engine.servers[sidx].views().map(|(v, _)| v).collect();
-        let sole: Vec<UserId> = on_victim
-            .into_iter()
-            .filter(|&v| engine.replica_count(v) == 1)
-            .collect();
-        assert!(sole.len() > 4, "victim must hold enough sole replicas");
-        let mut out = Vec::new();
-        engine.on_cluster_change(
-            ClusterEvent::DrainMachine { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
-        // The evacuated sole replicas land on several racks, not on one
-        // least-loaded dumping ground.
-        let mut dest_racks: Vec<_> = sole
-            .iter()
-            .map(|&v| {
-                let homes = engine.replica_servers(v);
-                assert_eq!(homes.len(), 1);
-                engine.topology().rack_of(homes[0]).unwrap()
-            })
-            .collect();
-        dest_racks.sort_unstable();
-        dest_racks.dedup();
-        assert!(
-            dest_racks.len() > 1,
-            "sole replicas all dumped on one rack: {dest_racks:?}"
-        );
-        // And no live server becomes a post-drain hot spot.
-        let loads: Vec<usize> = engine
-            .servers
-            .iter()
-            .filter(|s| engine.topology().is_live(s.machine()))
-            .map(ServerState::len)
-            .collect();
-        let max = *loads.iter().max().unwrap() as f64;
-        let mean = loads.iter().sum::<usize>() as f64 / loads.len() as f64;
-        assert!(
-            max <= 1.5 * mean + 1.0,
-            "post-drain hot spot: max load {max} vs mean {mean:.1}"
-        );
-    }
-
-    #[test]
-    fn remove_rack_evacuates_and_retires_under_the_engine() {
-        let (mut engine, graph, _topology) = engine_with_extra(50);
-        let mut out = Vec::new();
-        let rack = dynasore_types::RackId::new(0);
-        engine.on_cluster_change(ClusterEvent::RemoveRack { rack }, SimTime::ZERO, &mut out);
-        assert!(engine.topology().is_rack_retired(rack));
-        assert!(
-            out.iter().all(|m| !m.involves_persistent()),
-            "elastic shrink must move state machine-to-machine"
-        );
-        assert_eq!(engine.recovered_views(), 0);
-        for user in graph.users() {
-            assert!(engine.replica_count(user) >= 1, "view of {user} lost");
-            for machine in engine.replica_servers(user) {
-                assert!(engine.topology().is_live(machine));
-                assert_ne!(engine.topology().rack_of(machine).unwrap(), rack);
-            }
-            let proxy = engine.read_proxy(user).unwrap().machine();
-            assert!(engine.topology().is_live(proxy));
-        }
-        // The retired rack never comes back, even through a RackUp.
-        out.clear();
-        engine.on_cluster_change(ClusterEvent::RackUp { rack }, SimTime::ZERO, &mut out);
-        assert!(!engine.topology().is_live(dynasore_types::MachineId::new(0)));
-        // Traffic keeps flowing on the shrunken cluster.
-        for i in 0..20u32 {
-            let user = UserId::new(i);
-            let targets: Vec<UserId> = graph.followees(user).to_vec();
-            engine.handle_read(user, &targets, SimTime::from_secs(i as u64), &mut out);
-            engine.handle_write(user, SimTime::from_secs(i as u64), &mut out);
-        }
-        assert_eq!(engine.unreachable_reads(), 0);
-    }
-
-    #[test]
-    fn added_rack_grows_capacity_and_absorbs_replicas() {
-        let (mut engine, graph, _topology) = engine_with_extra(30);
-        let mut out = Vec::new();
-        let before = engine.memory_usage();
-        let old_rack_count = engine.topology().rack_count();
-        engine.on_cluster_change(ClusterEvent::AddRack, SimTime::ZERO, &mut out);
-        assert_eq!(engine.topology().rack_count(), old_rack_count + 1);
-        let after = engine.memory_usage();
-        assert!(after.capacity_slots > before.capacity_slots);
-        assert_eq!(after.used_slots, before.used_slots);
-        // The announcement reached the pre-existing brokers.
-        assert!(!out.is_empty());
-        // The cached least-loaded answers agree with the exact scan over the
-        // grown cluster, and the empty servers are the preferred targets.
-        let root_pick = engine.least_loaded_server_in(SubtreeId::Root, &[]).unwrap();
-        assert_eq!(
-            Some(root_pick),
-            engine.least_loaded_scan(SubtreeId::Root, &[])
-        );
-        assert_eq!(engine.servers[root_pick].len(), 0);
-        // Traffic keeps flowing after the resize (tally was re-sized too).
-        out.clear();
-        for i in 0..20u32 {
-            let user = UserId::new(i);
-            let targets: Vec<UserId> = graph.followees(user).to_vec();
-            engine.handle_read(user, &targets, SimTime::from_secs(i as u64), &mut out);
-            engine.handle_write(user, SimTime::from_secs(i as u64), &mut out);
-        }
-        engine.on_tick(SimTime::from_hours(1), &mut out);
-        for user in graph.users() {
-            assert!(engine.replica_count(user) >= 1);
-        }
-    }
-
-    #[test]
-    fn flat_topology_is_supported() {
-        let graph = SocialGraph::generate(GraphPreset::TwitterLike, 200, 3).unwrap();
-        let topology = Topology::flat(10).unwrap();
-        let mut engine = DynaSoReEngine::builder()
-            .topology(topology)
-            .budget(MemoryBudget::with_extra_percent(200, 50))
-            .initial_placement(InitialPlacement::Random { seed: 2 })
-            .build(&graph)
-            .unwrap();
-        let mut out = Vec::new();
-        for i in 0..50u32 {
-            let user = UserId::new(i % 200);
-            let targets = graph.followees(user).to_vec();
-            engine.handle_read(user, &targets, SimTime::from_secs(i as u64), &mut out);
-            engine.handle_write(user, SimTime::from_secs(i as u64), &mut out);
-        }
-        engine.on_tick(SimTime::from_hours(1), &mut out);
-        let usage = engine.memory_usage();
-        assert!(usage.used_slots >= 200);
-    }
-}
+mod load_tests;
+#[cfg(test)]
+mod tests;

@@ -22,47 +22,22 @@
 //! Distances between machines never change (a grown cluster gets a new
 //! [`PathTable`](crate::evaluation::PathTable) and a wholesale mark).
 
-use dynasore_topology::Topology;
-use dynasore_types::{
-    MachineId, ReplicaChangeReason, SubtreeId, TraceEventKind, TrafficSink, UserId,
-};
+use dynasore_types::{MachineId, ReplicaChangeReason, SubtreeId, TrafficSink, UserId};
 
+use super::load::{subtrees_above, PerSubtree};
 use super::DynaSoReEngine;
 use crate::server::admission_threshold_from_utilities;
 use crate::stats::ReplicaStats;
 
-/// Cached per-subtree minima of the servers' admission thresholds.
+/// Cached per-subtree minima of the servers' admission thresholds (all zero
+/// until the first tick, like the thresholds themselves).
 ///
 /// Thresholds only change during the maintenance tick (the paper
 /// disseminates them by piggybacking, i.e. they are stale between periods
 /// anyway), so the per-origin minimum the hot path needs is refreshed once
 /// per tick and read in O(1) instead of scanning the origin's servers on
 /// every request.
-#[derive(Debug, Clone)]
-pub(super) struct ThresholdCache {
-    rack: Vec<f64>,
-    inter: Vec<f64>,
-    root: f64,
-}
-
-impl ThresholdCache {
-    /// All thresholds start at zero, so every cached minimum does too.
-    pub(super) fn new(topology: &Topology) -> Self {
-        ThresholdCache {
-            rack: vec![0.0; topology.rack_count()],
-            inter: vec![0.0; topology.intermediate_count()],
-            root: 0.0,
-        }
-    }
-
-    /// Makes room for the subtrees a grown `topology` added; the caller
-    /// refreshes the minima.
-    pub(super) fn grow(&mut self, topology: &Topology) {
-        self.rack.resize(topology.rack_count(), f64::INFINITY);
-        self.inter
-            .resize(topology.intermediate_count(), f64::INFINITY);
-    }
-}
+pub(super) type ThresholdCache = PerSubtree<f64>;
 
 impl DynaSoReEngine {
     /// Utility of the replica of `view` stored on server `sidx`, whose
@@ -137,7 +112,7 @@ impl DynaSoReEngine {
             return false;
         };
         if self.detach_replica(view, target, out) {
-            self.trace_eviction(view, target, out);
+            self.trace_dropped(view, target, ReplicaChangeReason::Eviction, out);
         }
         !self.servers[target].is_full()
     }
@@ -146,17 +121,9 @@ impl DynaSoReEngine {
     fn evict(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) -> bool {
         let removed = self.remove_replica(view, sidx, out);
         if removed {
-            self.trace_eviction(view, sidx, out);
+            self.trace_dropped(view, sidx, ReplicaChangeReason::Eviction, out);
         }
         removed
-    }
-
-    fn trace_eviction(&self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) {
-        out.trace(TraceEventKind::ReplicaDropped {
-            user: view,
-            server: self.servers[sidx].machine(),
-            reason: ReplicaChangeReason::Eviction,
-        });
     }
 
     /// Background eviction sweep for one server (§3.2, *Eviction of views*):
@@ -228,60 +195,33 @@ impl DynaSoReEngine {
     /// (disseminated by piggybacking in the paper; served from the
     /// per-subtree cache here — thresholds only move during the tick).
     pub(super) fn admission_threshold_of(&self, origin: SubtreeId) -> f64 {
-        match origin {
-            SubtreeId::Root => self.thresholds.root,
-            SubtreeId::Intermediate(i) => self
-                .thresholds
-                .inter
-                .get(i as usize)
-                .copied()
-                .unwrap_or(f64::INFINITY),
-            SubtreeId::Rack(r) => self
-                .thresholds
-                .rack
-                .get(r as usize)
-                .copied()
-                .unwrap_or(f64::INFINITY),
+        let threshold = match origin {
             SubtreeId::Machine(m) => {
                 let machine = MachineId::new(m);
-                if !self.topology.is_live(machine) {
-                    return f64::INFINITY;
-                }
-                self.topology
-                    .server_ordinal(machine)
+                let server = self.topology.server_ordinal(machine);
+                server
+                    .filter(|_| self.topology.is_live(machine))
                     .map(|i| self.servers[i].admission_threshold())
-                    .unwrap_or(f64::INFINITY)
             }
-        }
+            _ => self.thresholds.get(origin).copied(),
+        };
+        threshold.unwrap_or(f64::INFINITY)
     }
 
     /// Rebuilds the per-subtree threshold minima from the current server
-    /// thresholds. Called once per maintenance tick, right after the
-    /// thresholds themselves are refreshed, and whenever the set of live
-    /// servers changes.
+    /// thresholds, sized for the current tree. Called once per maintenance
+    /// tick, right after the thresholds themselves are refreshed, and
+    /// whenever the set of live servers changes.
     pub(super) fn refresh_threshold_cache(&mut self) {
-        self.thresholds
-            .rack
-            .iter_mut()
-            .for_each(|t| *t = f64::INFINITY);
-        self.thresholds
-            .inter
-            .iter_mut()
-            .for_each(|t| *t = f64::INFINITY);
-        self.thresholds.root = f64::INFINITY;
+        self.thresholds.reset(&self.topology, f64::INFINITY);
         for server in &self.servers {
-            let machine = server.machine();
-            if !self.topology.is_live(machine) {
+            if !self.topology.is_live(server.machine()) {
                 continue;
             }
-            let t = server.admission_threshold();
-            if let Ok(rack) = self.topology.rack_of(machine) {
-                let r = rack.as_usize();
-                self.thresholds.rack[r] = self.thresholds.rack[r].min(t);
-                let i = self.topology.intermediate_of_rack(rack) as usize;
-                self.thresholds.inter[i] = self.thresholds.inter[i].min(t);
+            for subtree in subtrees_above(&self.topology, server.machine()) {
+                let min = self.thresholds.entry(subtree);
+                *min = min.min(server.admission_threshold());
             }
-            self.thresholds.root = self.thresholds.root.min(t);
         }
     }
 }

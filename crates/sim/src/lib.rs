@@ -5,11 +5,13 @@
 //! their message exchanges and measure them" (§4.3). This crate is that
 //! simulator:
 //!
-//! * [`PlacementEngine`] — the interface every view-placement strategy
-//!   implements (DynaSoRe itself and the Random/METIS/hMETIS/SPAR
-//!   baselines). For each read or write request the engine decides which
+//! * [`PlacementEngine`](dynasore_types::PlacementEngine) — the interface
+//!   every view-placement strategy implements (DynaSoRe itself and the
+//!   Random/METIS/hMETIS/SPAR baselines), defined with its message and
+//!   event types in `dynasore-types` so engines need not depend on the
+//!   simulator. For each read or write request the engine decides which
 //!   broker executes it and which servers are contacted, and reports the
-//!   resulting [`Message`]s.
+//!   resulting [`Message`](dynasore_types::Message)s.
 //! * [`Simulation`] — drives a request trace through an engine, applies
 //!   scheduled social-graph mutations (flash events), periodically ticks the
 //!   engine for maintenance (counter rotation, eviction sweeps), charges
@@ -19,10 +21,12 @@
 //! # Example
 //!
 //! ```
-//! use dynasore_sim::{Message, MemoryUsage, PlacementEngine, Simulation, TrafficSink};
+//! use dynasore_sim::Simulation;
 //! use dynasore_graph::{GraphPreset, SocialGraph};
 //! use dynasore_topology::Topology;
-//! use dynasore_types::{SimTime, UserId};
+//! use dynasore_types::{
+//!     MemoryUsage, Message, PlacementEngine, SimTime, TrafficSink, UserId,
+//! };
 //! use dynasore_workload::SyntheticTraceGenerator;
 //!
 //! /// A deliberately naive engine: every view lives on server 0 and every
@@ -76,7 +80,6 @@
 #![warn(missing_docs)]
 
 mod durable;
-mod engine;
 pub mod faults;
 mod obs;
 mod report;
@@ -84,9 +87,6 @@ pub mod scenario;
 mod simulation;
 
 pub use durable::{DurableIoStats, DurableTier, TierReplay};
-pub use engine::{
-    ClusterEvent, MemoryUsage, Message, PlacementEngine, TimedClusterEvent, TrafficSink,
-};
 pub use faults::{generate_failure_schedule, FaultInjectionConfig};
 pub use obs::{SimObs, DEFAULT_RECORDER_CAPACITY};
 pub use report::{LatencyStats, ReliabilityStats, SimReport};

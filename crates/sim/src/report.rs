@@ -1,10 +1,9 @@
 //! Simulation results.
 
 use dynasore_topology::{Tier, TierTraffic, TrafficAccount};
-use dynasore_types::{Latency, LatencyHistogram, SimTime, TrafficUnits};
+use dynasore_types::{Latency, LatencyHistogram, MemoryUsage, SimTime, TrafficUnits};
 
 use crate::durable::DurableIoStats;
-use crate::engine::MemoryUsage;
 
 /// Latency measurements of one run under the configured
 /// [`dynasore_types::NetworkModel`].

@@ -24,15 +24,14 @@ use rand::{Rng, SeedableRng};
 use dynasore_graph::SocialGraph;
 use dynasore_topology::{Topology, TopologyKind};
 use dynasore_types::{
-    ClusterEvent, Error, Latency, RackId, Result, SimTime, TimedClusterEvent, UserId, DAY_SECS,
-    HOUR_SECS,
+    ClusterEvent, Error, Latency, PlacementEngine, RackId, Result, SimTime, TimedClusterEvent,
+    UserId, DAY_SECS, HOUR_SECS,
 };
 use dynasore_workload::{
     FlashEventPlan, Request, SyntheticConfig, SyntheticTraceGenerator, TimedMutation,
 };
 
 use crate::durable::DurableTier;
-use crate::engine::PlacementEngine;
 use crate::faults::{generate_failure_schedule, FaultInjectionConfig};
 use crate::obs::SimObs;
 use crate::report::SimReport;

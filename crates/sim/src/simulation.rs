@@ -3,13 +3,13 @@
 use dynasore_graph::SocialGraph;
 use dynasore_topology::{Switch, Topology, TopologyKind, TrafficAccount};
 use dynasore_types::{
-    Latency, LatencyHistogram, MachineId, MessageClass, NetworkModel, Result, SimTime, SubtreeId,
-    TimedClusterEvent, TraceEventKind, TrafficSink, HOUR_SECS, NANOS_PER_SEC,
+    Latency, LatencyHistogram, MachineId, Message, MessageClass, NetworkModel, PlacementEngine,
+    Result, SimTime, SubtreeId, TimedClusterEvent, TraceEventKind, TrafficSink, HOUR_SECS,
+    NANOS_PER_SEC,
 };
 use dynasore_workload::{GraphMutation, Request, TimedMutation};
 
 use crate::durable::{DurableIoStats, DurableTier};
-use crate::engine::{Message, PlacementEngine};
 use crate::obs::SimObs;
 use crate::report::{LatencyStats, ReliabilityStats, SimReport};
 
@@ -541,10 +541,9 @@ pub fn switch_counts(topology: &Topology) -> [usize; 3] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MemoryUsage;
     use dynasore_graph::GraphPreset;
     use dynasore_topology::Tier;
-    use dynasore_types::{MachineId, UserId};
+    use dynasore_types::{MachineId, MemoryUsage, UserId};
     use dynasore_workload::{FlashEventPlan, SyntheticTraceGenerator};
 
     /// Test engine: view of user `u` lives on server `u % server_count`;

@@ -29,7 +29,9 @@ pub struct StoreConfig {
     pub extra_memory_percent: u32,
     /// Initial placement of views on servers.
     pub placement: InitialPlacement,
-    /// Seed for any randomised decisions.
+    /// Read by nothing in this crate: the store makes no randomised
+    /// decision of its own, and the initial placement carries its own seed
+    /// (`placement`). Kept because the `benchmark/` package sets it.
     pub seed: u64,
 }
 
@@ -340,8 +342,8 @@ impl Cluster {
     /// recoveries and added racks start empty ones, and drains migrate state
     /// first. The placement engine reacts through its cluster-change hook —
     /// re-filling lost masters from the persistent tier — and subsequent
-    /// reads transparently demand-fill the restarted caches from
-    /// [`MockPersistentStore`].
+    /// reads transparently demand-fill the restarted caches from the
+    /// persistent tier the cluster was spawned with.
     ///
     /// Takes `&mut self`: cluster reconfiguration is an administrative
     /// operation that excludes concurrent clients for its (short) duration.

@@ -5,10 +5,11 @@
 //! guarantee that they can be recovered in the presence of faulty DynaSoRe
 //! servers" (§2.2). The [`PersistentStore`] trait is that store's interface
 //! as the cluster consumes it: writes land here first, cache misses and
-//! recovery reads are served from here. Two implementations exist —
+//! recovery reads are served from here. Three implementations ship —
 //! [`MockPersistentStore`] (an in-memory map, the default for pure
-//! simulations) and [`crate::LogStructuredStore`] (the file-backed tier
-//! whose recovery reads real bytes).
+//! simulations), [`crate::LogStructuredStore`] (the file-backed tier whose
+//! recovery reads real bytes) and [`crate::ShardedLogStore`] (that log
+//! sharded by user, group-committed).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -77,9 +77,8 @@ pub mod prelude {
     };
     pub use dynasore_sim::{
         generate_failure_schedule, DegradationReport, DurableIoStats, DurableTier,
-        FaultInjectionConfig, LatencyStats, MemoryUsage, Message, PlacementEngine,
-        ReliabilityStats, ScenarioConfig, ScenarioKind, ScenarioRunner, ScenarioScript, SimReport,
-        Simulation, SimulationConfig, TierReplay,
+        FaultInjectionConfig, LatencyStats, ReliabilityStats, ScenarioConfig, ScenarioKind,
+        ScenarioRunner, ScenarioScript, SimReport, Simulation, SimulationConfig, TierReplay,
     };
     pub use dynasore_store::{
         Cluster, ClusterChangeReport, GroupCommitConfig, LogConfig, LogStructuredStore,
@@ -88,7 +87,8 @@ pub mod prelude {
     pub use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
     pub use dynasore_types::{
         Bandwidth, ClusterEvent, Error, Event, FlowBudget, Latency, LatencyHistogram, MemoryBudget,
-        NetworkModel, Operation, SimTime, StatusCode, TimedClusterEvent, UserId, View,
+        MemoryUsage, Message, NetworkModel, Operation, PlacementEngine, SimTime, StatusCode,
+        TimedClusterEvent, UserId, View,
     };
     pub use dynasore_workload::{
         DiurnalConfig, DiurnalTraceGenerator, FlashEventPlan, Request, SyntheticConfig,
