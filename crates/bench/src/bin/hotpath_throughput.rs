@@ -69,8 +69,9 @@
 //! default shard count) in a scratch directory (`--data-dir`, default under
 //! the system temp dir) and times them *including the final sync*, so the
 //! number is a true durable rate.
-//! A short `durable_single_sync` phase then measures the single-shard,
-//! fsync-per-append configuration — the pre-sharding durability baseline —
+//! A short `durable_single_sync` phase then measures the same store type at
+//! one shard with `max_batch_records: 1, sync_on_commit: true` and no
+//! flusher — one fsync per append, the pre-sharding durability baseline —
 //! and the JSON records the speedup between the two.
 
 use std::time::Instant;
@@ -78,7 +79,7 @@ use std::time::Instant;
 use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore, StoreObs};
+use dynasore_store::{LogConfig, ShardedConfig, ShardedLogStore, StoreObs};
 use dynasore_topology::{Topology, TrafficAccount};
 use dynasore_types::{
     CountingSink, MemoryBudget, Message, NetworkModel, PlacementEngine, ReplicaChangeReason,
@@ -461,16 +462,22 @@ fn main() {
         }
     }
 
-    // The pre-sharding durability baseline: one shard, one fsync per
-    // append. At ~4k appends/s this phase is time-boxed by a small
-    // iteration count rather than matched to the phase above.
+    // The pre-sharding durability baseline: one shard, batches of one
+    // record, one fsync per commit — i.e. per append. At ~4k appends/s this
+    // phase is time-boxed by a small iteration count rather than matched to
+    // the phase above.
     let single_iters = if opts.quick { 300 } else { 2_000 };
     let single_dir = data_dir.join("single-sync");
-    let single = LogStructuredStore::open(
+    let single = ShardedLogStore::open(
         &single_dir,
-        LogConfig {
-            sync_on_append: true,
-            ..LogConfig::default()
+        ShardedConfig {
+            shards: 1,
+            log: LogConfig {
+                max_batch_records: 1,
+                sync_on_commit: true,
+                ..LogConfig::default()
+            },
+            flush_interval: None,
         },
     )
     .expect("open single-sync store");

@@ -30,20 +30,18 @@
 //! give the time the refill transfer itself occupies the fabric.
 //!
 //! Finally, the bench *measures* recovery bandwidth from real bytes: it
-//! writes every user's view into a file-backed
-//! [`LogStructuredStore`](dynasore_store::LogStructuredStore) (140-byte
-//! tweet-sized events), syncs, then times a cold reopen — the replay that
-//! rebuilds the durable tier's index from disk. `bytes replayed ÷
-//! wall-clock` is printed next to the message-count estimate above.
-//! `--data-dir PATH` chooses where the throwaway segment files live
-//! (default: a per-process directory under the system temp dir); the
-//! directory is removed before the bench exits.
-//!
-//! `--shards N` (N ≥ 2) additionally measures the sharded tier: the same
-//! data volume split over N [`ShardedLogStore`] shards, replayed serially
-//! (shard after shard — the single-threaded bound) and in parallel (the
-//! tier's concurrent reopen, whose wall-clock is the largest shard's replay,
-//! reported as `max_shard_bytes`), with per-shard byte counts alongside.
+//! writes every user's view into the file-backed tier — a
+//! [`ShardedLogStore`] of `--shards N` shards (default 1), 140-byte
+//! tweet-sized events — syncs, then times a cold reopen: the replay that
+//! rebuilds the durable tier's index from disk, one thread per shard, so its
+//! wall-clock tracks the largest shard (`max_shard_bytes`). `bytes replayed
+//! ÷ wall-clock` is printed next to the message-count estimate above. With
+//! N ≥ 2 the same directory is first replayed serially (`read_back`, shard
+//! after shard — the single-threaded bound) and both timings are reported;
+//! at one shard the two coincide and are reported once. `--data-dir PATH`
+//! chooses where the throwaway segment files live (default: a per-process
+//! directory under the system temp dir); the directory is removed before
+//! the bench exits.
 //!
 //! `--trace-out PATH` / `--metrics-out PATH` attach a
 //! [`StoreObs`] to the measured stores and dump
@@ -119,25 +117,31 @@ struct MeasuredRecovery {
     log_bytes: u64,
     segments: usize,
     replayed_bytes: u64,
+    max_shard_bytes: u64,
+    per_shard_bytes: Vec<u64>,
+    /// The tier's own reopen: one replay thread per shard.
     replay_secs: f64,
-    bandwidth_bytes_per_sec: f64,
+    /// Shard-after-shard `read_back`; `None` at one shard, where it would
+    /// time the same replay again.
+    serial_replay_secs: Option<f64>,
 }
 
-/// Writes every user's view into a file-backed log store under `dir`, syncs,
-/// then times a cold reopen — the real recovery path: the index is rebuilt
-/// by reading the segment bytes back off disk. The directory is removed
-/// before returning. Because the bench deletes the directory when done, it
-/// refuses to run in one that already has contents: only files this run
-/// created are ever removed.
-fn measure_file_backed_recovery(
+/// Writes every user's view into a file-backed tier of `shards` shards under
+/// `dir`, syncs, then times a cold reopen — the real recovery path: the
+/// index is rebuilt by reading the segment bytes back off disk. The
+/// directory is removed before returning. Because the bench deletes the
+/// directory when done, it refuses to run in one that already has contents:
+/// only files this run created are ever removed.
+fn measure_recovery(
     dir: &PathBuf,
     users: usize,
+    shards: usize,
     obs: Option<&StoreObs>,
 ) -> MeasuredRecovery {
     // Event size shared with the simulator's durable tier (tweet-sized, as
     // the paper assumes), so the bench and `Simulation::with_durable_tier`
     // measure the same bytes-per-write calibration.
-    use dynasore_store::{LogConfig, LogStructuredStore, SIM_EVENT_BYTES};
+    use dynasore_store::{LogStructuredStore, ShardedConfig, ShardedLogStore, SIM_EVENT_BYTES};
 
     const EVENTS_PER_USER: u64 = 2;
 
@@ -153,86 +157,6 @@ fn measure_file_backed_recovery(
     }
 
     let result = (|| -> dynasore_types::Result<MeasuredRecovery> {
-        let store = LogStructuredStore::open(dir, LogConfig::default())?;
-        if let Some(obs) = obs {
-            store.set_observer(obs.clone());
-        }
-        for u in 0..users as u32 {
-            for k in 0..EVENTS_PER_USER {
-                store.append(UserId::new(u), vec![(u as u8) ^ (k as u8); SIM_EVENT_BYTES])?;
-            }
-        }
-        store.sync()?;
-        let log_bytes = store.bytes_on_disk();
-        let segments = store.segment_count();
-        drop(store);
-
-        let start = Instant::now();
-        let recovered = LogStructuredStore::open(dir, LogConfig::default())?;
-        let replay_secs = start.elapsed().as_secs_f64();
-        let stats = recovered.recovery_stats();
-        let views = recovered.user_count();
-        if let Some(obs) = obs {
-            obs.trace(TraceEventKind::ReplayCompleted {
-                bytes: stats.bytes_replayed,
-                shards: 1,
-            });
-        }
-        Ok(MeasuredRecovery {
-            views,
-            events: stats.records_replayed,
-            log_bytes,
-            segments,
-            replayed_bytes: stats.bytes_replayed,
-            replay_secs,
-            bandwidth_bytes_per_sec: stats.bytes_replayed as f64 / replay_secs.max(1e-9),
-        })
-    })();
-    let cleanup = std::fs::remove_dir_all(dir);
-    let measured = result.expect("file-backed recovery measurement");
-    cleanup.expect("remove file-backed store directory");
-    measured
-}
-
-/// Measured recovery of the *sharded* durable tier: the same data volume as
-/// the single-log measurement, split over N shards, replayed both serially
-/// (one shard after another) and in parallel (the tier's concurrent reopen,
-/// whose critical path is the largest shard).
-struct MeasuredShardedRecovery {
-    shards: usize,
-    log_bytes: u64,
-    replayed_bytes: u64,
-    max_shard_bytes: u64,
-    per_shard_bytes: Vec<u64>,
-    serial_replay_secs: f64,
-    parallel_replay_secs: f64,
-}
-
-/// Writes the same per-user events as [`measure_file_backed_recovery`] into
-/// a sharded store under `dir`, syncs, then times recovery twice: a serial
-/// shard-by-shard `read_back`, and the tier's own parallel reopen. The
-/// directory is removed before returning.
-fn measure_sharded_recovery(
-    dir: &PathBuf,
-    users: usize,
-    shards: usize,
-    obs: Option<&StoreObs>,
-) -> MeasuredShardedRecovery {
-    use dynasore_store::{LogStructuredStore, ShardedConfig, ShardedLogStore, SIM_EVENT_BYTES};
-
-    const EVENTS_PER_USER: u64 = 2;
-
-    if let Ok(mut entries) = std::fs::read_dir(dir) {
-        if entries.next().is_some() {
-            eprintln!(
-                "error: sharded data dir {} already exists and is not empty",
-                dir.display()
-            );
-            std::process::exit(2);
-        }
-    }
-
-    let result = (|| -> dynasore_types::Result<MeasuredShardedRecovery> {
         let config = ShardedConfig {
             shards,
             flush_interval: None,
@@ -249,22 +173,28 @@ fn measure_sharded_recovery(
             }
         }
         store.sync()?;
+        let events = store.write_count();
         let log_bytes = store.bytes_on_disk();
+        let segments = store.segment_count();
         drop(store);
 
         // Serial: replay one shard after another — the lower bound a
         // single-threaded recovery pays regardless of layout.
-        let serial_start = Instant::now();
-        for i in 0..shards {
-            LogStructuredStore::read_back(dir.join(format!("shard-{i:04}")))?;
-        }
-        let serial_replay_secs = serial_start.elapsed().as_secs_f64();
+        let serial_replay_secs = if shards > 1 {
+            let start = Instant::now();
+            for i in 0..shards {
+                LogStructuredStore::read_back(dir.join(format!("shard-{i:04}")))?;
+            }
+            Some(start.elapsed().as_secs_f64())
+        } else {
+            None
+        };
 
         // Parallel: the tier's own reopen, one replay thread per shard; the
         // wall-clock tracks the largest shard, not the sum.
-        let parallel_start = Instant::now();
+        let start = Instant::now();
         let recovered = ShardedLogStore::open(dir, config)?;
-        let parallel_replay_secs = parallel_start.elapsed().as_secs_f64();
+        let replay_secs = start.elapsed().as_secs_f64();
         let stats = recovered.recovery_stats();
         if let Some(obs) = obs {
             obs.trace(TraceEventKind::ReplayCompleted {
@@ -272,19 +202,21 @@ fn measure_sharded_recovery(
                 shards: shards as u32,
             });
         }
-        Ok(MeasuredShardedRecovery {
-            shards,
+        Ok(MeasuredRecovery {
+            views: recovered.user_count(),
+            events,
             log_bytes,
+            segments,
             replayed_bytes: stats.total.bytes_replayed,
             max_shard_bytes: stats.max_shard_bytes_replayed(),
             per_shard_bytes: stats.per_shard.iter().map(|s| s.bytes_replayed).collect(),
+            replay_secs,
             serial_replay_secs,
-            parallel_replay_secs,
         })
     })();
     let cleanup = std::fs::remove_dir_all(dir);
-    let measured = result.expect("sharded recovery measurement");
-    cleanup.expect("remove sharded store directory");
+    let measured = result.expect("file-backed recovery measurement");
+    cleanup.expect("remove file-backed store directory");
     measured
 }
 
@@ -415,26 +347,30 @@ fn main() {
 
     let unreachable = engine.unreachable_reads();
 
-    // Measured recovery bandwidth from real bytes: persist every view in a
-    // file-backed log store and time the cold reopen that replays it.
+    // Measured recovery bandwidth from real bytes: persist every view in
+    // the file-backed tier and time the cold reopen that replays it.
     let data_dir = opts.data_dir.clone().unwrap_or_else(|| {
         std::env::temp_dir().join(format!("dynasore-recovery-{}", std::process::id()))
     });
     let obs = (opts.trace_out.is_some() || opts.metrics_out.is_some()).then(StoreObs::default);
-    let measured = measure_file_backed_recovery(&data_dir, opts.users, obs.as_ref());
-
-    // With `--shards N`, repeat the measurement over the sharded tier and
-    // report parallel (max-shard) replay next to the serial bound.
-    let measured_sharded = (opts.shards > 1).then(|| {
-        let mut sharded_dir = data_dir.clone().into_os_string();
-        sharded_dir.push("-sharded");
-        measure_sharded_recovery(
-            &PathBuf::from(sharded_dir),
-            opts.users,
-            opts.shards,
-            obs.as_ref(),
-        )
-    });
+    let measured = measure_recovery(&data_dir, opts.users, opts.shards, obs.as_ref());
+    let bandwidth = |secs: f64| measured.replayed_bytes as f64 / secs.max(1e-9);
+    let per_shard_bytes = measured
+        .per_shard_bytes
+        .iter()
+        .map(|b| b.to_string())
+        .collect::<Vec<_>>()
+        .join(", ");
+    let serial_fields = measured
+        .serial_replay_secs
+        .map(|secs| {
+            format!(
+                "    \"serial_replay_secs\": {secs:.6},\n    \
+                 \"serial_bandwidth_bytes_per_sec\": {:.0},\n",
+                bandwidth(secs)
+            )
+        })
+        .unwrap_or_default();
 
     // Wall-clock estimates: the paper workload reads at 4 reads per user per
     // day, so a window of N reads spans N / (users × 4 / 86400) seconds of
@@ -476,15 +412,18 @@ fn main() {
             "    \"steady_messages_per_read\": {restored:.2}\n",
             "  }},\n",
             "  \"persistent_tier\": {{\n",
+            "    \"shards\": {pt_shards},\n",
             "    \"views_persisted\": {pt_views},\n",
-            "    \"events_replayed\": {pt_events},\n",
+            "    \"events_persisted\": {pt_events},\n",
             "    \"log_bytes\": {pt_log_bytes},\n",
             "    \"segments\": {pt_segments},\n",
             "    \"replayed_bytes\": {pt_replayed},\n",
+            "    \"max_shard_bytes\": {pt_max_shard},\n",
+            "    \"per_shard_replayed_bytes\": [{pt_per_shard}],\n",
+            "{pt_serial}",
             "    \"replay_secs\": {pt_secs:.6},\n",
             "    \"measured_recovery_bandwidth_bytes_per_sec\": {pt_bw:.0}\n",
             "  }},\n",
-            "{sharded_section}",
             "  \"unreachable_reads\": {unreachable}\n",
             "}}\n"
         ),
@@ -508,48 +447,17 @@ fn main() {
         reabsorb = windows_to_reabsorb,
         reabsorb_wallclock = reabsorb_wallclock_secs,
         restored = restored_steady,
+        pt_shards = opts.shards,
         pt_views = measured.views,
         pt_events = measured.events,
         pt_log_bytes = measured.log_bytes,
         pt_segments = measured.segments,
         pt_replayed = measured.replayed_bytes,
+        pt_max_shard = measured.max_shard_bytes,
+        pt_per_shard = per_shard_bytes,
+        pt_serial = serial_fields,
         pt_secs = measured.replay_secs,
-        pt_bw = measured.bandwidth_bytes_per_sec,
-        sharded_section = measured_sharded
-            .as_ref()
-            .map(|m| {
-                let per_shard = m
-                    .per_shard_bytes
-                    .iter()
-                    .map(|b| b.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    concat!(
-                        "  \"persistent_tier_sharded\": {{\n",
-                        "    \"shards\": {shards},\n",
-                        "    \"log_bytes\": {log_bytes},\n",
-                        "    \"replayed_bytes\": {replayed},\n",
-                        "    \"max_shard_bytes\": {max_shard},\n",
-                        "    \"per_shard_replayed_bytes\": [{per_shard}],\n",
-                        "    \"serial_replay_secs\": {serial:.6},\n",
-                        "    \"parallel_replay_secs\": {parallel:.6},\n",
-                        "    \"serial_bandwidth_bytes_per_sec\": {serial_bw:.0},\n",
-                        "    \"parallel_bandwidth_bytes_per_sec\": {parallel_bw:.0}\n",
-                        "  }},\n",
-                    ),
-                    shards = m.shards,
-                    log_bytes = m.log_bytes,
-                    replayed = m.replayed_bytes,
-                    max_shard = m.max_shard_bytes,
-                    per_shard = per_shard,
-                    serial = m.serial_replay_secs,
-                    parallel = m.parallel_replay_secs,
-                    serial_bw = m.replayed_bytes as f64 / m.serial_replay_secs.max(1e-9),
-                    parallel_bw = m.replayed_bytes as f64 / m.parallel_replay_secs.max(1e-9),
-                )
-            })
-            .unwrap_or_default(),
+        pt_bw = bandwidth(measured.replay_secs),
         unreachable = unreachable,
     );
     eprintln!(
@@ -560,22 +468,18 @@ fn main() {
          refill transfer {recovery_transfer_secs:.3}s on the core switch)"
     );
     eprintln!(
-        "# recovery_convergence: file-backed tier replayed {} views / {} bytes in {:.3}s \
-         = {:.1} MB/s measured recovery bandwidth",
+        "# recovery_convergence: file-backed tier ({} shards) replayed {} views / {} bytes in \
+         {:.3}s = {:.1} MB/s measured recovery bandwidth (critical path {} bytes = largest shard)",
+        opts.shards,
         measured.views,
         measured.replayed_bytes,
         measured.replay_secs,
-        measured.bandwidth_bytes_per_sec / 1e6,
+        bandwidth(measured.replay_secs) / 1e6,
+        measured.max_shard_bytes,
     );
-    if let Some(m) = &measured_sharded {
+    if let Some(serial) = measured.serial_replay_secs {
         eprintln!(
-            "# recovery_convergence: {} shards replayed {} bytes — serial {:.3}s, \
-             parallel {:.3}s (critical path {} bytes = largest shard)",
-            m.shards,
-            m.replayed_bytes,
-            m.serial_replay_secs,
-            m.parallel_replay_secs,
-            m.max_shard_bytes,
+            "# recovery_convergence: the same shards replayed one after another took {serial:.3}s"
         );
     }
     if let Some(obs) = &obs {

@@ -36,7 +36,7 @@ use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_sim::{
     DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs, SimulationConfig,
 };
-use dynasore_store::{LogConfig, ShardedConfig, SimDurableTier};
+use dynasore_store::{ShardedConfig, SimDurableTier};
 use dynasore_topology::Topology;
 use dynasore_types::{MemoryBudget, MetricsRegistry, NetworkModel, PlacementEngine};
 
@@ -174,14 +174,13 @@ fn main() {
             .expect("quiet baseline");
         for kind in ScenarioKind::ALL {
             let tier_dir = data_root.join(format!("{engine_name}-{}", kind.name()));
-            // Sharded tier (flush interval forced off inside open_sharded
-            // for determinism) so the observer's per-tick samples include
+            // Four shards (flush interval forced off inside open, for
+            // determinism) so the observer's per-tick samples include
             // per-shard durable lag, not one aggregate number.
-            let tier = SimDurableTier::open_sharded(
+            let tier = SimDurableTier::open(
                 &tier_dir,
                 ShardedConfig {
                     shards: 4,
-                    log: LogConfig::default(),
                     ..ShardedConfig::default()
                 },
             )

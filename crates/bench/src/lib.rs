@@ -1,8 +1,9 @@
 //! Shared harness for the experiment binaries that regenerate every table
 //! and figure of the DynaSoRe paper.
 //!
-//! Each binary in `src/bin/` reproduces one table or figure (see DESIGN.md
-//! for the full index and EXPERIMENTS.md for recorded results). The table
+//! Each binary in `src/bin/` reproduces one table or figure (README.md has
+//! the index under *Paper-figure binaries* and the recorded results under
+//! *Performance*). The table
 //! and figure binaries accept the [`ExperimentScale`] overrides so the
 //! default quick runs can be scaled up towards the paper's dimensions, and
 //! every binary parses its command line with the one strict cursor, [`Args`].

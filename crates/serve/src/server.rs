@@ -247,7 +247,7 @@ impl std::fmt::Debug for LoopbackServer {
 mod tests {
     use super::*;
     use dynasore_graph::GraphPreset;
-    use dynasore_types::lint_prometheus;
+    use dynasore_types::{lint_prometheus, validate_jsonl};
 
     fn u(i: u32) -> UserId {
         UserId::new(i)
@@ -319,6 +319,8 @@ mod tests {
             text.contains("dynasore_throttled_envelopes_total 1"),
             "{text}"
         );
+        // The trace timeline is well-formed JSONL: one event per envelope.
+        assert_eq!(validate_jsonl(&srv.trace_jsonl()), Ok(2));
         srv.shutdown().unwrap();
     }
 

@@ -47,13 +47,12 @@ pub struct ReliabilityStats {
     /// Total read targets attempted, the denominator of
     /// [`SimReport::availability`].
     pub read_targets: u64,
-    /// Unserved read targets inside the worst sliding window of
-    /// [`crate::SimulationConfig::availability_window_ticks`] engine ticks —
-    /// the window that maximises the unserved fraction. Stored as raw
+    /// Unserved read targets inside the worst single engine tick — the
+    /// tick that maximises the unserved fraction. Stored as raw
     /// counts (with [`ReliabilityStats::worst_window_read_targets`]) so the
     /// report stays integer-exact and byte-deterministic.
     pub worst_window_unreachable: u64,
-    /// Read targets attempted inside that same worst window.
+    /// Read targets attempted inside that same worst tick.
     pub worst_window_read_targets: u64,
 }
 
@@ -224,11 +223,9 @@ impl SimReport {
         1.0 - self.reliability.unreachable_reads as f64 / self.reliability.read_targets as f64
     }
 
-    /// Minimum availability over any sliding window of
-    /// [`crate::SimulationConfig::availability_window_ticks`] engine ticks —
-    /// the run-average [`SimReport::availability`] can hide a short total
-    /// blackout inside a long quiet run; this cannot. 1.0 when no window saw
-    /// read traffic.
+    /// Availability of the worst single engine tick — the run-average
+    /// [`SimReport::availability`] can hide a short total blackout inside a
+    /// long quiet run; this cannot. 1.0 when no tick saw read traffic.
     pub fn worst_window_availability(&self) -> f64 {
         if self.reliability.worst_window_read_targets == 0 {
             return 1.0;

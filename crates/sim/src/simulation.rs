@@ -117,27 +117,18 @@ pub struct SimulationConfig {
     /// threshold refresh, eviction sweeps). The paper rotates statistics
     /// hourly (§4.3), which is the default.
     pub tick_secs: u64,
-    /// Width of the traffic time-series buckets (default: one hour).
-    pub traffic_bucket_secs: u64,
     /// The time model the run charges switch queues under. The default is
     /// the degenerate [`NetworkModel::infinite`] model: no queueing, zero
     /// latency samples, and traffic accounting byte-identical to the
     /// historical unit-count behaviour.
     pub network: NetworkModel,
-    /// Width, in engine ticks, of the sliding window behind
-    /// [`crate::SimReport::worst_window_availability`]. The default of 1
-    /// reports the worst single tick; wider windows smooth over sub-tick
-    /// blips. A value of 0 is treated as 1.
-    pub availability_window_ticks: usize,
 }
 
 impl Default for SimulationConfig {
     fn default() -> Self {
         SimulationConfig {
             tick_secs: HOUR_SECS,
-            traffic_bucket_secs: HOUR_SECS,
             network: NetworkModel::infinite(),
-            availability_window_ticks: 1,
         }
     }
 }
@@ -297,9 +288,9 @@ impl<E: PlacementEngine> Simulation<E> {
         I: IntoIterator<Item = Request>,
         F: FnMut(SimTime, &E, &SocialGraph),
     {
-        let bucket_secs = self.config.traffic_bucket_secs;
+        // The traffic time series is bucketed by the hour.
         let mut counters = RunCounters {
-            traffic: TrafficAccount::with_model(bucket_secs, self.config.network),
+            traffic: TrafficAccount::with_model(HOUR_SECS, self.config.network),
             app_messages: 0,
             proto_messages: 0,
             recovery_messages: 0,
@@ -312,8 +303,9 @@ impl<E: PlacementEngine> Simulation<E> {
         let mut durable_io = DurableIoStats::default();
 
         // Cumulative (unreachable, read_targets) at each tick boundary; the
-        // worst sliding window over these snapshots feeds
-        // `worst_window_availability`. Starts with the implicit t=0 origin.
+        // worst adjacent pair of these snapshots — the worst single tick —
+        // feeds `worst_window_availability`. Starts with the implicit t=0
+        // origin.
         let mut window_snaps: Vec<(u64, u64)> = vec![(0, 0)];
 
         let mut mutation_idx = 0usize;
@@ -474,20 +466,16 @@ impl<E: PlacementEngine> Simulation<E> {
             );
         }
 
-        // Close the last (partial) availability window and find the sliding
-        // window with the highest unserved fraction. Ratios are compared by
-        // u128 cross-multiplication: no floats touch the report's integers.
+        // Close the last (partial) tick and find the tick with the highest
+        // unserved fraction. Ratios are compared by u128
+        // cross-multiplication: no floats touch the report's integers.
         let final_snap = (self.engine.unreachable_reads(), read_targets);
         if window_snaps.last() != Some(&final_snap) {
             window_snaps.push(final_snap);
         }
-        let window = self.config.availability_window_ticks.max(1);
         let mut worst: (u64, u64) = (0, 0);
-        for i in 1..window_snaps.len() {
-            let j = i.saturating_sub(window);
-            let (u0, t0) = window_snaps[j];
-            let (u1, t1) = window_snaps[i];
-            let delta = (u1 - u0, t1 - t0);
+        for pair in window_snaps.windows(2) {
+            let delta = (pair[1].0 - pair[0].0, pair[1].1 - pair[0].1);
             let is_worse = delta.1 > 0
                 && (worst.1 == 0
                     || u128::from(delta.0) * u128::from(worst.1)

@@ -78,7 +78,7 @@ pub struct ClusterChangeReport {
 /// cache worker thread, routed by a DynaSoRe placement engine, backed by a
 /// durable tier — the in-memory [`MockPersistentStore`] by default
 /// ([`Cluster::spawn`]), or any [`PersistentStore`] such as the file-backed
-/// [`LogStructuredStore`](crate::LogStructuredStore)
+/// [`ShardedLogStore`](crate::ShardedLogStore)
 /// ([`Cluster::spawn_with_store`]).
 ///
 /// Clients talk to the worker over one FIFO channel, and a read ships all
@@ -132,8 +132,8 @@ impl Cluster {
     }
 
     /// Spawns the cluster against an explicit durable tier. Passing a shared
-    /// [`LogStructuredStore`](crate::LogStructuredStore) runs the cluster
-    /// over an on-disk log: killed-and-restarted cache servers then recover
+    /// [`ShardedLogStore`](crate::ShardedLogStore) runs the cluster over
+    /// on-disk log shards: killed-and-restarted cache servers then recover
     /// views by demand-filling from state that was (or can be) re-read from
     /// real bytes, and a reopen of the same directory after
     /// [`Cluster::shutdown`] sees every acknowledged write.

@@ -4,14 +4,14 @@
 //! ([`dynasore_sim::Simulation::with_durable_tier`]) to the file-backed
 //! store: every simulated write request appends a fixed-size,
 //! deterministically filled payload to the on-disk log, and each recovery
-//! replays the log from real bytes. The backend is a [`ShardedLogStore`] —
-//! of one shard for [`open`](SimDurableTier::open) — whose per-shard replay
-//! stats feed the report's parallel-recovery critical path.
+//! replays the log from real bytes. The backend is a [`ShardedLogStore`]
+//! whose per-shard replay stats feed the report's parallel-recovery critical
+//! path.
 
 use dynasore_sim::{DurableTier, TierReplay};
 use dynasore_types::{Result, SimTime, UserId};
 
-use crate::log::{LogConfig, RecoveryStats};
+use crate::log::RecoveryStats;
 use crate::sharded::{ShardedConfig, ShardedLogStore};
 
 /// The payload size mirrored per simulated write: the paper's events are
@@ -34,22 +34,7 @@ pub struct SimDurableTier {
 }
 
 impl SimDurableTier {
-    /// Opens (or creates) a backing store of a single log, configured by
-    /// `config`, in `dir`.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`ShardedLogStore::open`].
-    pub fn open(dir: impl Into<std::path::PathBuf>, config: LogConfig) -> Result<Self> {
-        let config = ShardedConfig {
-            shards: 1,
-            log: config,
-            ..ShardedConfig::default()
-        };
-        SimDurableTier::open_sharded(dir, config)
-    }
-
-    /// Opens (or creates) a sharded backing store in `dir`. The
+    /// Opens (or creates) the backing store in `dir`. The
     /// [`flush_interval`](ShardedConfig::flush_interval) is forced to
     /// `None`: a wall-clock flusher would commit batches at
     /// timing-dependent points, splitting the same appends into different
@@ -60,7 +45,7 @@ impl SimDurableTier {
     /// # Errors
     ///
     /// Same conditions as [`ShardedLogStore::open`].
-    pub fn open_sharded(dir: impl Into<std::path::PathBuf>, config: ShardedConfig) -> Result<Self> {
+    pub fn open(dir: impl Into<std::path::PathBuf>, config: ShardedConfig) -> Result<Self> {
         let config = ShardedConfig {
             flush_interval: None,
             ..config
@@ -132,11 +117,18 @@ impl DurableTier for SimDurableTier {
 mod tests {
     use super::*;
 
+    fn one_shard() -> ShardedConfig {
+        ShardedConfig {
+            shards: 1,
+            ..ShardedConfig::default()
+        }
+    }
+
     #[test]
     fn appends_are_deterministic_and_replay_reads_bytes() {
         let dir = std::env::temp_dir().join(format!("dynasore-simtier-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let mut tier = SimDurableTier::open(&dir, LogConfig::default()).unwrap();
+        let mut tier = SimDurableTier::open(&dir, one_shard()).unwrap();
         for i in 0..20u32 {
             tier.append(UserId::new(i % 4), SimTime::from_secs(i as u64))
                 .unwrap();
@@ -146,12 +138,16 @@ mod tests {
         assert_eq!(replay.bytes_replayed, tier.bytes_on_disk());
         assert_eq!(replay.shards, 1);
         assert_eq!(replay.max_shard_bytes, replay.bytes_replayed);
-        assert_eq!(tier.recovery_stats().records_replayed, 20);
+        assert_eq!(
+            tier.recovery_stats().records_replayed,
+            1,
+            "the sync committed all 20 appends as one batch frame"
+        );
         assert_eq!(tier.store().user_count(), 4);
         // Same call sequence in a fresh directory → identical bytes.
         let dir2 = dir.with_extension("b");
         let _ = std::fs::remove_dir_all(&dir2);
-        let mut tier2 = SimDurableTier::open(&dir2, LogConfig::default()).unwrap();
+        let mut tier2 = SimDurableTier::open(&dir2, one_shard()).unwrap();
         for i in 0..20u32 {
             tier2
                 .append(UserId::new(i % 4), SimTime::from_secs(i as u64))
@@ -169,7 +165,7 @@ mod tests {
             std::env::temp_dir().join(format!("dynasore-simtier-sharded-{}", std::process::id()));
         let run = |dir: &std::path::Path| {
             let _ = std::fs::remove_dir_all(dir);
-            let mut tier = SimDurableTier::open_sharded(
+            let mut tier = SimDurableTier::open(
                 dir,
                 ShardedConfig {
                     shards: 4,

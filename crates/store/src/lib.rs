@@ -8,18 +8,18 @@
 //! its lookups in one message — backed by a durable tier (the store of
 //! §3.3) behind the [`PersistentStore`] trait, and routed by a
 //! [`DynaSoReEngine`](dynasore_core::DynaSoReEngine) that replicates hot
-//! views close to their readers. Three durable tiers ship with the crate:
+//! views close to their readers. Two durable tiers ship with the crate:
 //!
 //! * [`MockPersistentStore`] — an in-memory map, the default
 //!   ([`Cluster::spawn`]), right for pure simulations;
-//! * [`LogStructuredStore`] — a file-backed, append-only segment log with
-//!   checksummed records, replay-on-open recovery, rotation and compaction
-//!   ([`Cluster::spawn_with_store`]), so killed-and-restarted servers
-//!   recover views from real bytes;
-//! * [`ShardedLogStore`] — N independent log shards routed by a stable
-//!   hash of the user id, each running group commit, so the durable tier
-//!   keeps pace with the hot path (one fsync covers a whole batch) and
-//!   shards recover concurrently on reopen.
+//! * [`ShardedLogStore`] — the file-backed tier
+//!   ([`Cluster::spawn_with_store`]): N independent shards routed by a
+//!   stable hash of the user id (`shards: 1` is one log), each a
+//!   [`LogStructuredStore`] — an append-only segment log with checksummed
+//!   records, replay-on-open recovery, rotation and compaction — writing by
+//!   group commit, so killed-and-restarted servers recover views from real
+//!   bytes, the tier keeps pace with the hot path (one fsync covers a whole
+//!   batch) and shards recover concurrently on reopen.
 //!
 //! The API mirrors the paper's memcache-compatible interface:
 //!
@@ -70,7 +70,7 @@ mod sharded;
 
 pub use cluster::{Cluster, ClusterChangeReport, StoreConfig, StoreStats};
 pub use durable_tier::{SimDurableTier, SIM_EVENT_BYTES};
-pub use log::{CompactionStats, GroupCommitConfig, LogConfig, LogStructuredStore, RecoveryStats};
+pub use log::{CompactionStats, LogConfig, LogStructuredStore, RecoveryStats};
 pub use obs::{StoreObs, DEFAULT_STORE_RECORDER_CAPACITY};
 pub use persistent::{MockPersistentStore, PersistentStore};
 pub use sharded::{ShardedConfig, ShardedLogStore, ShardedRecoveryStats};

@@ -1,13 +1,17 @@
-//! The log-structured, file-backed persistent store.
+//! One shard of the file-backed durable tier: a log of segment files.
 //!
-//! [`LogStructuredStore`] is the durable tier made real: every write appends
-//! a framed, checksummed [`DurableRecord`] to the active segment file, an
-//! in-memory index of full views is rebuilt by *replaying the segments from
-//! disk* on open, the active segment rotates at a size threshold, and a
-//! compaction pass rewrites the live state as snapshot records, dropping
-//! superseded history. `flush` pushes buffered bytes to the operating
-//! system; `sync` additionally fsyncs, making everything appended so far
-//! crash-durable.
+//! [`LogStructuredStore`] is what a [`ShardedLogStore`] is made of (a
+//! one-shard store is how the rest of the workspace runs "one log over
+//! files"); it is public for [`ShardedLogStore::shard`], for the lock-free
+//! inspection of a directory through [`LogStructuredStore::read_back`], and
+//! for the crash-recovery harness, which truncates one shard's segment file
+//! at a time. Every write is a framed, checksummed [`DurableRecord`] in the
+//! active segment file, an in-memory index of full views is rebuilt by
+//! *replaying the segments from disk* on open, the active segment rotates at
+//! a size threshold, and a compaction pass rewrites the live state as
+//! snapshot records, dropping superseded history. `flush` pushes buffered
+//! bytes to the operating system; `sync` additionally fsyncs, making
+//! everything appended so far crash-durable.
 //!
 //! Crash semantics: a crash may truncate the log at any byte offset. On
 //! open, replay accepts every whole record and stops at the first torn
@@ -21,22 +25,34 @@
 //! segments are deleted, and replay applies segments in sequence order, so
 //! a crash at any point between those steps replays to the same state.
 //!
-//! # Group commit
+//! # Group commit — the one write path
 //!
-//! With [`LogConfig::group_commit`] set, appends are *acknowledged* into a
-//! bounded in-memory batch instead of being written individually: the event
-//! is encoded straight into a reusable [`DurableRecord::Batch`] frame (one
+//! An append is *acknowledged* into a bounded in-memory batch: the event is
+//! encoded straight into a reusable [`DurableRecord::Batch`] frame (one
 //! copy, no intermediate record value) and the in-memory index is updated
 //! immediately, so `fetch` sees the new version at once. The frame is
-//! written — and, with [`GroupCommitConfig::sync_on_commit`], fsynced — as
-//! **one** record when the batch fills, when the owner calls
-//! [`flush`]/[`sync`]/[`commit_pending`], or when a
-//! [`ShardedLogStore`](crate::ShardedLogStore) flush interval elapses. K
-//! writers therefore pay one fsync instead of K. The durability contract
-//! shifts accordingly: an acknowledged-but-uncommitted append can be lost
+//! written — and, with [`LogConfig::sync_on_commit`], fsynced — as **one**
+//! record when the batch holds [`LogConfig::max_batch_records`] events or
+//! `MAX_BATCH_BYTES` (1 MiB) of body, when the owner calls
+//! [`flush`]/[`sync`]/[`commit_pending`], or when the
+//! [`ShardedLogStore`] flush interval elapses. K writers therefore pay one
+//! fsync instead of K. An acknowledged-but-uncommitted append can be lost
 //! by a crash, and because the batch frame carries a single checksum it is
 //! lost *as a unit* — replay never serves a prefix of a batch.
 //!
+//! Fsync-per-append is the same path with a batch of one:
+//! `max_batch_records: 1, sync_on_commit: true` writes and fsyncs each
+//! record before its `append` returns.
+//!
+//! A writer emits `Batch`, `Tombstone` and (from compaction) `Snapshot`
+//! frames. Replay also accepts the single-event [`DurableRecord::Event`]
+//! frame that builds before group commit became the only path wrote per
+//! append, so their directories still open.
+//!
+//! [`ShardedLogStore`]: crate::ShardedLogStore
+//! [`ShardedLogStore::shard`]: crate::ShardedLogStore::shard
+//! [`flush`]: LogStructuredStore::flush
+//! [`sync`]: LogStructuredStore::sync
 //! [`commit_pending`]: LogStructuredStore::commit_pending
 
 use std::collections::BTreeMap;
@@ -46,69 +62,44 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use parking_lot::Mutex;
 
 use dynasore_types::{
-    DurableRecord, Error, Event, Result, SimTime, TraceEventKind, UserId, View, MAX_RECORD_BYTES,
-    RECORD_HEADER_BYTES,
+    DurableRecord, Error, Event, Result, SimTime, TraceEventKind, UserId, View, RECORD_HEADER_BYTES,
 };
 
 use crate::obs::StoreObs;
-use crate::persistent::PersistentStore;
 use crate::segment::{list_segments, replay_segment, Segment};
 
-/// Configuration of a [`LogStructuredStore`].
+/// Encoded batch-body bytes that force a commit, whatever the record count:
+/// a batch of large payloads is written out in ~megabyte frames, far below
+/// the [`dynasore_types::MAX_RECORD_BYTES`] cap at which a frame could no
+/// longer be replayed.
+const MAX_BATCH_BYTES: usize = 1 << 20;
+
+/// Configuration of a [`LogStructuredStore`] (one shard of a
+/// [`ShardedLogStore`](crate::ShardedLogStore)).
 #[derive(Debug, Clone, Copy)]
 pub struct LogConfig {
     /// Size threshold (bytes) at which the active segment is sealed and a
     /// fresh one started. Small values exercise rotation; the default is
     /// 4 MiB.
     pub segment_max_bytes: u64,
-    /// Whether every append is individually fsynced. Durable but slow; the
-    /// default (`false`) buffers appends until an explicit [`flush`]/[`sync`]
-    /// (or segment rotation, which always syncs the sealed file).
-    ///
-    /// [`flush`]: LogStructuredStore::flush
-    /// [`sync`]: LogStructuredStore::sync
-    pub sync_on_append: bool,
-    /// Group commit (see the module docs of `log.rs`): appends are acknowledged
-    /// into a bounded in-memory batch and committed as one
-    /// [`DurableRecord::Batch`] frame when the batch fills or the owner
-    /// forces a commit. Mutually exclusive with
-    /// [`sync_on_append`](LogConfig::sync_on_append); `None` (the default)
-    /// keeps the write-per-append behaviour.
-    pub group_commit: Option<GroupCommitConfig>,
+    /// Acknowledged appends that force a commit once the pending batch holds
+    /// this many (see the module docs of `log.rs`). `1` writes every record
+    /// before its append returns. Default 4096.
+    pub max_batch_records: u32,
+    /// Whether every commit fsyncs — the group durability point: one fsync
+    /// covers the whole batch. When `false` (the default), commits only
+    /// reach the OS page cache and [`sync`](LogStructuredStore::sync) — or
+    /// the sharded store's flusher thread — is the machine-crash boundary
+    /// (segment rotation always syncs the sealed file).
+    pub sync_on_commit: bool,
 }
 
 impl Default for LogConfig {
     fn default() -> Self {
         LogConfig {
             segment_max_bytes: 4 << 20,
-            sync_on_append: false,
-            group_commit: None,
-        }
-    }
-}
-
-/// Tuning of the group-commit batch (see the module docs of `log.rs`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GroupCommitConfig {
-    /// Acknowledged appends that force a commit once the pending batch holds
-    /// this many. Default 4096.
-    pub max_batch_records: u32,
-    /// Encoded batch-body bytes that force a commit; capped by the
-    /// [`MAX_RECORD_BYTES`] frame limit. Default 1 MiB.
-    pub max_batch_bytes: usize,
-    /// Whether every commit fsyncs — the group durability point: one fsync
-    /// covers the whole batch. When `false`, commits only reach the OS page
-    /// cache and [`sync`](LogStructuredStore::sync) remains the
-    /// machine-crash boundary. Default `true`.
-    pub sync_on_commit: bool,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
             max_batch_records: 4096,
-            max_batch_bytes: 1 << 20,
-            sync_on_commit: true,
+            sync_on_commit: false,
         }
     }
 }
@@ -165,7 +156,7 @@ struct LogInner {
     next_seq: u64,
     recovery: RecoveryStats,
     scratch: Vec<u8>,
-    /// The reusable group-commit frame: an open [`DurableRecord::Batch`]
+    /// The reusable commit frame: an open [`DurableRecord::Batch`]
     /// holding every acknowledged-but-uncommitted append. Empty whenever
     /// `pending_records` is 0; its capacity is retained across commits so
     /// the steady state allocates nothing.
@@ -179,14 +170,10 @@ struct LogInner {
     obs: Option<StoreObs>,
 }
 
-/// A log-structured, file-backed implementation of the durable tier.
-///
-/// Drop-in replacement for [`MockPersistentStore`] behind the
-/// [`PersistentStore`] trait: same append/fetch semantics, but every write
-/// lands in an on-disk segment log and recovery reads real bytes. See the
+/// One log of segment files: the shard type of
+/// [`ShardedLogStore`](crate::ShardedLogStore), which is the
+/// [`PersistentStore`](crate::PersistentStore) to hand a cluster. See the
 /// module documentation of `log.rs` for the format and crash semantics.
-///
-/// [`MockPersistentStore`]: crate::MockPersistentStore
 #[derive(Debug)]
 pub struct LogStructuredStore {
     inner: Mutex<LogInner>,
@@ -353,25 +340,10 @@ impl LogStructuredStore {
     /// segments, files that are not segments).
     pub fn open(dir: impl Into<PathBuf>, config: LogConfig) -> Result<Self> {
         let dir = dir.into();
-        if let Some(gc) = config.group_commit {
-            if config.sync_on_append {
-                return Err(Error::invalid_config(
-                    "sync_on_append and group_commit are mutually exclusive: syncing every \
-                     append defeats the one-fsync-per-batch point of group commit",
-                ));
-            }
-            if gc.max_batch_records == 0 {
-                return Err(Error::invalid_config(
-                    "group_commit.max_batch_records must be at least 1",
-                ));
-            }
-            if gc.max_batch_bytes == 0 || gc.max_batch_bytes > MAX_RECORD_BYTES {
-                return Err(Error::invalid_config(format!(
-                    "group_commit.max_batch_bytes must be in 1..={MAX_RECORD_BYTES} \
-                     (the frame cap), got {}",
-                    gc.max_batch_bytes
-                )));
-            }
+        if config.max_batch_records == 0 {
+            return Err(Error::invalid_config(
+                "max_batch_records must be at least 1",
+            ));
         }
         std::fs::create_dir_all(&dir)?;
         let lock_path = acquire_dir_lock(&dir)?;
@@ -440,68 +412,48 @@ impl LogStructuredStore {
         Ok((index, stats))
     }
 
-    /// Appends one event, shared by every public write path: into the
-    /// pending group-commit frame when [`LogConfig::group_commit`] is set,
-    /// straight to the active segment otherwise. The payload is encoded
-    /// directly from a borrow — exactly one copy, into the frame buffer —
-    /// and then *moved* into the in-memory index, so the durable write path
-    /// never duplicates the caller's bytes. Returns the view's new version.
+    /// Acknowledges one event into the pending batch frame — the step every
+    /// public write path shares — and commits the frame once it is full. The
+    /// payload is encoded directly from a borrow — exactly one copy, into the
+    /// frame buffer — and then *moved* into the in-memory index, so the
+    /// durable write path never duplicates the caller's bytes. Returns the
+    /// view's new version.
     fn append_one(inner: &mut LogInner, user: UserId, payload: Vec<u8>) -> Result<u64> {
         let timestamp = SimTime::from_secs(inner.clock);
         inner.clock += 1;
-        let group_commit = inner.config.group_commit;
-        if group_commit.is_some() {
-            if inner.pending_records == 0 {
-                DurableRecord::batch_begin(&mut inner.pending);
-            }
-            if let Err(first) =
-                DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)
-            {
-                // The open batch has no room left for this entry: commit it
-                // and retry in a fresh frame. A second failure means the
-                // entry alone can never fit and is rejected like any
-                // oversized record — with the frame (and index) untouched.
-                if inner.pending_records == 0 {
-                    return Err(first);
-                }
-                Self::commit_pending_locked(inner)?;
-                DurableRecord::batch_begin(&mut inner.pending);
-                DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)?;
-            }
-            inner.pending_records += 1;
-        } else {
-            inner.scratch.clear();
-            DurableRecord::encode_event_into(&mut inner.scratch, user, timestamp, &payload)?;
-            inner.active.append(&inner.scratch)?;
-            if inner.config.sync_on_append {
-                inner.active.sync()?;
-            }
+        if inner.pending_records == 0 {
+            DurableRecord::batch_begin(&mut inner.pending);
         }
+        if let Err(first) = DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)
+        {
+            // The open batch has no room left for this entry: commit it
+            // and retry in a fresh frame. A second failure means the
+            // entry alone can never fit and is rejected like any
+            // oversized record — with the frame (and index) untouched.
+            if inner.pending_records == 0 {
+                return Err(first);
+            }
+            Self::commit_pending_locked(inner)?;
+            DurableRecord::batch_begin(&mut inner.pending);
+            DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)?;
+        }
+        inner.pending_records += 1;
         let view = inner.index.entry(user).or_insert_with(|| View::new(user));
         view.push(Event::new(user, timestamp, payload));
         let version = view.version();
-        match group_commit {
-            Some(gc) => {
-                if inner.pending_records >= gc.max_batch_records
-                    || inner.pending.len() - RECORD_HEADER_BYTES >= gc.max_batch_bytes
-                {
-                    Self::commit_pending_locked(inner)?;
-                }
-            }
-            None => Self::maybe_rotate(inner)?,
+        if inner.pending_records >= inner.config.max_batch_records
+            || inner.pending.len() - RECORD_HEADER_BYTES >= MAX_BATCH_BYTES
+        {
+            Self::commit_pending_locked(inner)?;
         }
         Ok(version)
     }
 
     /// Writes the pending batch — if any — as one [`DurableRecord::Batch`]
     /// frame and makes it as durable as the configuration promises (fsynced
-    /// under [`GroupCommitConfig::sync_on_commit`], OS-buffered otherwise).
-    /// The frame buffer keeps its capacity for the next batch.
+    /// under [`LogConfig::sync_on_commit`], OS-buffered otherwise). The
+    /// frame buffer keeps its capacity for the next batch.
     fn commit_pending_locked(inner: &mut LogInner) -> Result<()> {
-        // Only group commit ever leaves records pending.
-        let Some(gc) = inner.config.group_commit else {
-            return Ok(());
-        };
         if inner.pending_records == 0 {
             return Ok(());
         }
@@ -510,13 +462,13 @@ impl LogStructuredStore {
         let records = u64::from(inner.pending_records);
         inner.pending_records = 0;
         inner.pending.clear();
-        if gc.sync_on_commit {
+        if inner.config.sync_on_commit {
             inner.active.sync()?;
         }
         if let Some(obs) = &inner.obs {
             // Fill ratio against the configured fill trigger.
             let fill_percent =
-                ((records * 100) / u64::from(gc.max_batch_records.max(1))).min(100) as u8;
+                ((records * 100) / u64::from(inner.config.max_batch_records)).min(100) as u8;
             obs.trace(TraceEventKind::GroupCommitFill {
                 records,
                 fill_percent,
@@ -526,18 +478,15 @@ impl LogStructuredStore {
     }
 
     /// Appends an event with `payload` to `user`'s view and returns the new
-    /// version of the view. Without group commit the record is written to
-    /// the active segment before the index is updated (and fsynced under
-    /// [`sync_on_append`](LogConfig::sync_on_append)); with
-    /// [`group_commit`](LogConfig::group_commit) it is *acknowledged* into
-    /// the pending batch — immediately visible to [`fetch`], durable at the
-    /// next commit.
+    /// version of the view. The event is *acknowledged* into the pending
+    /// batch — immediately visible to [`fetch`], durable at the next commit.
     ///
     /// [`fetch`]: LogStructuredStore::fetch
     ///
     /// # Errors
     ///
-    /// I/O errors from the segment write.
+    /// I/O errors from a commit the append forces, and
+    /// [`Error::InvalidConfig`] for a payload over the frame cap.
     pub fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -554,7 +503,7 @@ impl LogStructuredStore {
     ///
     /// # Errors
     ///
-    /// I/O errors from the segment write.
+    /// Same conditions as [`append`](LogStructuredStore::append).
     pub fn append_version(&self, user: UserId, payload: Vec<u8>) -> Result<u64> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
@@ -563,10 +512,10 @@ impl LogStructuredStore {
         Ok(version)
     }
 
-    /// Commits the pending group-commit batch, if any — the hook the
-    /// sharded store's flush-interval thread drives so an acknowledged
-    /// append never waits longer than the interval for durability. Returns
-    /// whether a batch was written.
+    /// Commits the pending batch, if any — the hook the sharded store's
+    /// flush-interval thread drives so an acknowledged append never waits
+    /// longer than the interval for durability. Returns whether a batch was
+    /// written.
     ///
     /// # Errors
     ///
@@ -616,7 +565,7 @@ impl LogStructuredStore {
         inner.scratch.clear();
         DurableRecord::Tombstone { user }.encode_into(&mut inner.scratch)?;
         inner.active.append(&inner.scratch)?;
-        if inner.config.sync_on_append {
+        if inner.config.sync_on_commit {
             inner.active.sync()?;
         }
         Self::maybe_rotate(inner)
@@ -821,8 +770,8 @@ impl LogStructuredStore {
     /// Logical size of the log on disk: sealed segment bytes plus the active
     /// segment (including appends still buffered in memory, which have a
     /// reserved place in the file). Appends acknowledged into the pending
-    /// group-commit batch are *not* counted until the batch commits — they
-    /// have no reserved place yet.
+    /// batch are *not* counted until the batch commits — they have no
+    /// reserved place yet.
     pub fn bytes_on_disk(&self) -> u64 {
         let inner = self.inner.lock();
         inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active.len()
@@ -847,7 +796,7 @@ impl LogStructuredStore {
     /// segment rotations and compactions emit structured trace events
     /// through it. Without an observer those paths run exactly the
     /// unobserved code.
-    pub fn set_observer(&self, obs: StoreObs) {
+    pub(crate) fn set_observer(&self, obs: StoreObs) {
         self.inner.lock().obs = Some(obs);
     }
 
@@ -876,35 +825,10 @@ impl Drop for LogStructuredStore {
     }
 }
 
-impl PersistentStore for LogStructuredStore {
-    fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
-        LogStructuredStore::append(self, user, payload)
-    }
-
-    fn fetch(&self, user: UserId) -> Result<View> {
-        Ok(LogStructuredStore::fetch(self, user))
-    }
-
-    fn flush(&self) -> Result<()> {
-        LogStructuredStore::flush(self)
-    }
-
-    fn sync(&self) -> Result<()> {
-        LogStructuredStore::sync(self)
-    }
-
-    fn write_count(&self) -> u64 {
-        LogStructuredStore::write_count(self)
-    }
-
-    fn read_count(&self) -> u64 {
-        LogStructuredStore::read_count(self)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynasore_types::MAX_RECORD_BYTES;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dynasore-log-{tag}-{}", std::process::id()));
@@ -912,19 +836,19 @@ mod tests {
         dir
     }
 
+    /// Rotation is checked at each commit, so the batches are small too.
     fn tiny_segments() -> LogConfig {
         LogConfig {
             segment_max_bytes: 256,
+            max_batch_records: 4,
             ..LogConfig::default()
         }
     }
 
-    fn group_commit(max_batch_records: u32) -> LogConfig {
+    fn batches_of(max_batch_records: u32) -> LogConfig {
         LogConfig {
-            group_commit: Some(GroupCommitConfig {
-                max_batch_records,
-                ..GroupCommitConfig::default()
-            }),
+            max_batch_records,
+            sync_on_commit: true,
             ..LogConfig::default()
         }
     }
@@ -951,7 +875,10 @@ mod tests {
             "recovered view must be identical, version included"
         );
         let stats = reopened.recovery_stats();
-        assert_eq!(stats.records_replayed, 2);
+        assert_eq!(
+            stats.records_replayed, 1,
+            "both appends were committed by one sync, as one batch frame"
+        );
         assert_eq!(stats.torn_bytes, 0);
         assert!(stats.bytes_replayed > 0);
         // The recovered clock keeps timestamps monotonic.
@@ -1039,8 +966,12 @@ mod tests {
             store.append(UserId::new(i % 7), vec![i as u8; 64]).unwrap();
         }
         let stats = store.reread().unwrap();
-        assert_eq!(stats.records_replayed, 50);
+        assert_eq!(
+            stats.records_replayed, 1,
+            "reread commits the 50 pending appends as one batch frame"
+        );
         assert_eq!(stats.bytes_replayed, store.bytes_on_disk());
+        assert_eq!(store.fetch(UserId::new(0)).len(), 8);
         assert_eq!(store.user_count(), 7);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -1089,7 +1020,7 @@ mod tests {
     #[test]
     fn group_commit_acknowledges_immediately_and_commits_on_fill() {
         let dir = temp_dir("group-fill");
-        let store = LogStructuredStore::open(&dir, group_commit(8)).unwrap();
+        let store = LogStructuredStore::open(&dir, batches_of(8)).unwrap();
         let u = UserId::new(1);
         for i in 0..11u32 {
             let version = store.append_version(u, vec![i as u8; 10]).unwrap();
@@ -1109,7 +1040,7 @@ mod tests {
         store.sync().unwrap();
         assert_eq!(store.pending_records(), 0);
         drop(store);
-        let reopened = LogStructuredStore::open(&dir, group_commit(8)).unwrap();
+        let reopened = LogStructuredStore::open(&dir, batches_of(8)).unwrap();
         let view = reopened.fetch(u);
         assert_eq!(view.len(), 11);
         assert_eq!(view.version(), 11);
@@ -1119,7 +1050,7 @@ mod tests {
     #[test]
     fn group_commit_batches_span_users_and_interleave_with_deletes() {
         let dir = temp_dir("group-mixed");
-        let store = LogStructuredStore::open(&dir, group_commit(64)).unwrap();
+        let store = LogStructuredStore::open(&dir, batches_of(64)).unwrap();
         for i in 0..10u32 {
             store
                 .append_version(UserId::new(i % 3), vec![i as u8; 6])
@@ -1133,7 +1064,7 @@ mod tests {
             .unwrap();
         store.sync().unwrap();
         drop(store);
-        let reopened = LogStructuredStore::open(&dir, group_commit(64)).unwrap();
+        let reopened = LogStructuredStore::open(&dir, batches_of(64)).unwrap();
         let v0 = reopened.fetch(UserId::new(0));
         assert_eq!(v0.len(), 1, "delete dropped the pre-tombstone appends");
         assert_eq!(v0.latest().unwrap().payload(), b"reborn");
@@ -1145,90 +1076,126 @@ mod tests {
     #[test]
     fn group_commit_config_is_validated() {
         let dir = temp_dir("group-validate");
-        let both = LogStructuredStore::open(
-            &dir,
-            LogConfig {
-                sync_on_append: true,
-                group_commit: Some(GroupCommitConfig::default()),
-                ..LogConfig::default()
-            },
-        );
-        assert!(matches!(both, Err(Error::InvalidConfig(_))), "{both:?}");
-        let zero = LogStructuredStore::open(&dir, group_commit(0));
+        let zero = LogStructuredStore::open(&dir, batches_of(0));
         assert!(matches!(zero, Err(Error::InvalidConfig(_))), "{zero:?}");
-        let oversized = LogStructuredStore::open(
-            &dir,
-            LogConfig {
-                group_commit: Some(GroupCommitConfig {
-                    max_batch_bytes: MAX_RECORD_BYTES + 1,
-                    ..GroupCommitConfig::default()
-                }),
-                ..LogConfig::default()
-            },
-        );
-        assert!(
-            matches!(oversized, Err(Error::InvalidConfig(_))),
-            "{oversized:?}"
-        );
         // A rejected config must not leave a stray LOCK behind.
-        let ok = LogStructuredStore::open(&dir, group_commit(4));
+        let ok = LogStructuredStore::open(&dir, batches_of(4));
         assert!(ok.is_ok(), "{ok:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
+    fn a_batch_of_one_with_sync_on_commit_is_on_disk_when_append_returns() {
+        // Fsync-per-append as a batch of one: no flush, no sync — a reader
+        // of the directory sees each record as soon as it is acknowledged,
+        // tombstones included.
+        let dir = temp_dir("batch-of-one");
+        let store = LogStructuredStore::open(&dir, batches_of(1)).unwrap();
+        let u = UserId::new(4);
+        for i in 0..5u8 {
+            let version = store.append_version(u, vec![i; 12]).unwrap();
+            assert_eq!(store.pending_records(), 0, "nothing waits for a commit");
+            let (index, stats) = LogStructuredStore::read_back(&dir).unwrap();
+            let on_disk = index.get(&u).expect("the record just acknowledged");
+            assert_eq!(on_disk.version(), version);
+            assert_eq!(on_disk.latest().unwrap().payload(), &[i; 12]);
+            assert_eq!(stats.records_replayed, u64::from(i) + 1, "one frame each");
+            assert_eq!(stats.torn_bytes, 0);
+        }
+        store.delete(u).unwrap();
+        let (index, _) = LogStructuredStore::read_back(&dir).unwrap();
+        assert!(!index.contains_key(&u), "the tombstone is on disk too");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn event_frames_written_before_group_commit_still_replay() {
+        // A directory as an older build left it: per-append `Event` frames
+        // and a tombstone, no batch frame anywhere. It must open, replay and
+        // keep accepting (batch-framed) appends after the old records.
+        let dir = temp_dir("legacy-frames");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut bytes = crate::segment::SEGMENT_MAGIC.to_vec();
+        for (user, secs, payload) in [(1u32, 0u64, "a"), (2, 1, "b"), (1, 2, "c"), (3, 3, "d")] {
+            DurableRecord::Event {
+                user: UserId::new(user),
+                timestamp: SimTime::from_secs(secs),
+                payload: payload.as_bytes().to_vec(),
+            }
+            .encode_into(&mut bytes)
+            .unwrap();
+        }
+        DurableRecord::Tombstone {
+            user: UserId::new(2),
+        }
+        .encode_into(&mut bytes)
+        .unwrap();
+        std::fs::write(dir.join(crate::segment::segment_file_name(1)), &bytes).unwrap();
+
+        let store = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
+        let stats = store.recovery_stats();
+        assert_eq!(stats.records_replayed, 5);
+        assert_eq!(stats.bytes_replayed, bytes.len() as u64);
+        assert_eq!(stats.torn_bytes, 0);
+        let v1 = store.fetch(UserId::new(1));
+        assert_eq!(v1.len(), 2);
+        assert_eq!(v1.latest().unwrap().payload(), b"c");
+        assert!(store.fetch(UserId::new(2)).is_empty());
+        assert_eq!(store.fetch(UserId::new(3)).len(), 1);
+        // New appends land after the old frames, with later timestamps.
+        let v1 = store.append(UserId::new(1), b"new".to_vec()).unwrap();
+        let times: Vec<u64> = v1.iter().map(|e| e.timestamp().as_secs()).collect();
+        assert_eq!(times, [0, 2, 4]);
+        store.sync().unwrap();
+        drop(store);
+        let reopened = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
+        assert_eq!(reopened.fetch(UserId::new(1)), v1);
+        assert_eq!(reopened.recovery_stats().records_replayed, 6);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn byte_budget_commits_batches_and_the_frame_cap_forces_a_retry() {
         let dir = temp_dir("group-overflow");
-        // Tiny byte budget: the batch commits every time the body crosses
-        // 64 bytes — with 56-byte entries, after every second append.
-        let store = LogStructuredStore::open(
-            &dir,
-            LogConfig {
-                group_commit: Some(GroupCommitConfig {
-                    max_batch_records: 1024,
-                    max_batch_bytes: 64,
-                    sync_on_commit: false,
-                }),
-                ..LogConfig::default()
-            },
-        )
-        .unwrap();
+        // The byte budget: with 300 KiB payloads the batch body crosses
+        // MAX_BATCH_BYTES (1 MiB) on every fourth append, long before the
+        // 4096-record trigger.
+        let store = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
         let u = UserId::new(7);
-        for i in 0..5u32 {
-            store.append_version(u, vec![i as u8; 40]).unwrap();
+        let entry = 300 << 10;
+        assert!(3 * entry < MAX_BATCH_BYTES && 4 * entry >= MAX_BATCH_BYTES);
+        for i in 0..9u32 {
+            store.append_version(u, vec![i as u8; entry]).unwrap();
+            assert_eq!(store.pending_records(), u64::from((i + 1) % 4));
         }
         store.sync().unwrap();
         let (index, stats) = LogStructuredStore::read_back(&dir).unwrap();
-        assert_eq!(index.get(&u).unwrap().len(), 5);
+        assert_eq!(index.get(&u).unwrap().len(), 9);
         assert_eq!(
             stats.records_replayed, 3,
-            "five appends against a 64-byte budget must commit as 2+2+1: {stats:?}"
+            "nine appends against the 1 MiB budget must commit as 4+4+1: {stats:?}"
         );
         drop(store);
 
         // The hard frame cap: an entry that cannot share the open batch
-        // commits it and retries in a fresh frame, losing nothing. The byte
-        // budget is set to the cap itself so only the cap can intervene.
+        // commits it and retries in a fresh frame, losing nothing. The
+        // first entry stays below the byte budget, so only the cap can
+        // intervene when the second — just under the cap itself — arrives.
         let dir2 = temp_dir("group-cap-retry");
-        let store = LogStructuredStore::open(
-            &dir2,
-            LogConfig {
-                group_commit: Some(GroupCommitConfig {
-                    max_batch_records: 1024,
-                    max_batch_bytes: MAX_RECORD_BYTES,
-                    sync_on_commit: true,
-                }),
-                ..LogConfig::default()
-            },
-        )
-        .unwrap();
-        let big = MAX_RECORD_BYTES / 2;
-        store.append_version(u, vec![1u8; big]).unwrap();
+        let store = LogStructuredStore::open(&dir2, batches_of(1024)).unwrap();
+        store.append_version(u, vec![1u8; entry]).unwrap();
         assert_eq!(store.pending_records(), 1, "first entry stays pending");
-        store.append_version(u, vec![2u8; big]).unwrap();
-        store.sync().unwrap();
+        let near_cap = MAX_RECORD_BYTES - 64;
+        store.append_version(u, vec![2u8; near_cap]).unwrap();
+        assert_eq!(
+            store.pending_records(),
+            0,
+            "the retried entry crossed the byte budget on its own"
+        );
         let (index, stats) = LogStructuredStore::read_back(&dir2).unwrap();
-        assert_eq!(index.get(&u).unwrap().len(), 2);
+        let view = index.get(&u).unwrap();
+        assert_eq!(view.len(), 2);
+        assert_eq!(view.latest().unwrap().payload().len(), near_cap);
         assert_eq!(stats.records_replayed, 2, "one batch frame each: {stats:?}");
         std::fs::remove_dir_all(&dir).unwrap();
         std::fs::remove_dir_all(&dir2).unwrap();

@@ -3,8 +3,8 @@
 //!
 //! Where the simulator's observer (`dynasore_sim::SimObs`) stamps events
 //! with simulated seconds and is owned by one thread, a [`StoreObs`] is
-//! shared — cloned into the [`LogStructuredStore`](crate::LogStructuredStore)
-//! shards, the background flusher and the [`Cluster`](crate::Cluster) — so
+//! shared — cloned into the [`ShardedLogStore`](crate::ShardedLogStore)'s
+//! shards, its background flusher and the [`Cluster`](crate::Cluster) — so
 //! it wraps the recorder and registry in one mutex and stamps every event
 //! with nanoseconds elapsed since the observer was created. Both observers
 //! fold events through the same [`MetricsRegistry::apply`] mapping, so a

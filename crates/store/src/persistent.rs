@@ -5,11 +5,10 @@
 //! guarantee that they can be recovered in the presence of faulty DynaSoRe
 //! servers" (§2.2). The [`PersistentStore`] trait is that store's interface
 //! as the cluster consumes it: writes land here first, cache misses and
-//! recovery reads are served from here. Three implementations ship —
+//! recovery reads are served from here. Two implementations ship —
 //! [`MockPersistentStore`] (an in-memory map, the default for pure
-//! simulations), [`crate::LogStructuredStore`] (the file-backed tier whose
-//! recovery reads real bytes) and [`crate::ShardedLogStore`] (that log
-//! sharded by user, group-committed).
+//! simulations) and [`crate::ShardedLogStore`] (the file-backed tier whose
+//! recovery reads real bytes: one or more group-committed log shards).
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -1,14 +1,15 @@
-//! A sharded, group-committed durable tier: N independent
-//! [`LogStructuredStore`] shards under one root directory.
+//! The file-backed durable tier: N independent [`LogStructuredStore`]
+//! shards under one root directory, each writing by group commit.
 //!
-//! One [`Mutex`]-guarded log serialises every append behind a single active
-//! segment file; that lock (and its fsync) is the scaling ceiling of the
-//! durable tier. [`ShardedLogStore`] splits the key space across `N`
-//! [`LogStructuredStore`] shards — each with its own subdirectory, `LOCK`
-//! file, segment chain and group-commit batch — selected by a stable hash of
-//! the [`UserId`], so unrelated users never contend on the same lock, batch
-//! or fsync, and recovery can replay shards concurrently (reopen wall-clock
-//! is the *max* shard replay time, not the sum).
+//! [`ShardedLogStore`] is the one [`PersistentStore`] over files; "a single
+//! log" is `shards: 1`. One [`Mutex`]-guarded log serialises every append
+//! behind a single active segment file; that lock (and its fsync) is the
+//! scaling ceiling of a shard. With `shards: N` the key space is split
+//! across `N` [`LogStructuredStore`] shards — each with its own
+//! subdirectory, `LOCK` file, segment chain and pending batch — selected by
+//! a stable hash of the [`UserId`], so unrelated users never contend on the
+//! same lock, batch or fsync, and recovery can replay shards concurrently
+//! (reopen wall-clock is the *max* shard replay time, not the sum).
 //!
 //! # On-disk layout
 //!
@@ -31,12 +32,12 @@
 //!
 //! # Group commit and the background flusher
 //!
-//! Every shard runs group commit (see [`crate::log`]): appends are
-//! acknowledged into the shard's in-memory batch and written as one frame
-//! when the batch fills. In the default configuration the fill-triggered
-//! commit only *writes* the frame (`sync_on_commit: false`); the fsync that
-//! makes it machine-durable is pipelined onto the background flusher
-//! thread, which syncs each shard through a duplicated file handle
+//! Every shard writes by group commit (see the module docs of `log.rs`):
+//! appends are acknowledged into the shard's in-memory batch and written as
+//! one frame when the batch fills. In the default configuration the
+//! fill-triggered commit only *writes* the frame (`sync_on_commit: false`);
+//! the fsync that makes it machine-durable is pipelined onto the background
+//! flusher thread, which syncs each shard through a duplicated file handle
 //! ([`LogStructuredStore::sync_detached`]) *without* holding the shard
 //! lock — so the write path never waits on the disk, and on a single core
 //! appends overlap the flush that makes them durable.
@@ -45,19 +46,16 @@
 //! the flusher (a) commits the open batch of any shard that has gone a full
 //! interval without committing on its own — busy shards, whose fill trigger
 //! commits faster than that, never get their batch split — and (b) fsyncs a
-//! shard once it has accumulated [`sync_bytes_threshold`] unsynced bytes or
-//! has carried *any* unsynced bytes for [`sync_wake_bound`] wakes. An
-//! acknowledged append is therefore machine-durable within a small constant
-//! number of intervals (at most `2 + sync_wake_bound`, ~90 ms at the
-//! defaults) — or sooner, whenever an explicit
+//! shard once it has accumulated `SYNC_BYTES_THRESHOLD` (1 MiB) unsynced
+//! bytes or has carried *any* unsynced bytes for `SYNC_WAKE_BOUND` (16)
+//! wakes. An acknowledged append is therefore machine-durable within a
+//! small constant number of intervals (at most `2 + SYNC_WAKE_BOUND`, ~90 ms
+//! at the default interval) — or sooner, whenever an explicit
 //! [`sync`](ShardedLogStore::sync) intervenes. Under a fast write load the
 //! byte threshold fires first, so the fsync count stays proportional to
 //! data volume — every fsync forces a journal commit, and a wake bound
 //! tight enough to dominate under load would turn the pipelined flusher
 //! into hundreds of tiny journal commits per second.
-//!
-//! [`sync_bytes_threshold`]: ShardedConfig::sync_bytes_threshold
-//! [`sync_wake_bound`]: ShardedConfig::sync_wake_bound
 //!
 //! [`Mutex`]: parking_lot::Mutex
 //! [`flush_interval`]: ShardedConfig::flush_interval
@@ -73,9 +71,7 @@ use std::time::Duration;
 
 use dynasore_types::{Error, Result, TraceEventKind, UserId, View};
 
-use crate::log::{
-    CompactionStats, GroupCommitConfig, LogConfig, LogStructuredStore, RecoveryStats,
-};
+use crate::log::{CompactionStats, LogConfig, LogStructuredStore, RecoveryStats};
 use crate::obs::StoreObs;
 use crate::persistent::PersistentStore;
 
@@ -84,20 +80,31 @@ const MANIFEST_FILE: &str = "MANIFEST";
 /// First line of the manifest; bumped only on incompatible layout changes.
 const MANIFEST_MAGIC: &str = "DYNASHARD1";
 
+/// Unsynced bytes at which the flusher fsyncs a shard without waiting out
+/// [`SYNC_WAKE_BOUND`]: batching the disk flush into ~megabyte chunks keeps
+/// the fsync count proportional to data volume, not wake frequency.
+const SYNC_BYTES_THRESHOLD: u64 = 1 << 20;
+/// Maximum consecutive flusher wakes a shard may carry unsynced bytes before
+/// it is fsynced regardless of volume — the time half of the ack-to-durable
+/// bound, `(2 + SYNC_WAKE_BOUND) × flush_interval`. Loose enough (16 wakes ≈
+/// 90 ms at the 5 ms default interval) that a busy shard reaches the byte
+/// threshold first; a smaller durability window is a smaller
+/// [`flush_interval`](ShardedConfig::flush_interval).
+const SYNC_WAKE_BOUND: u32 = 16;
+
 /// Configuration of a [`ShardedLogStore`].
 #[derive(Debug, Clone, Copy)]
 pub struct ShardedConfig {
     /// Number of independent shards. Fixed at creation (persisted in the
     /// manifest); reopening with a different count is refused. Default 8.
     pub shards: usize,
-    /// Per-shard log configuration. The default enables group commit with
-    /// `sync_on_commit: false`: fill-triggered commits write the frame to
-    /// the OS and leave the fsync to the flusher thread's pipelined
-    /// [`sync_detached`] cadence, so the write path never blocks on the
-    /// disk. Set `sync_on_commit: true` to fsync inline at every fill
-    /// instead (stronger per-commit durability, at the write path's
-    /// expense); plain per-append writes work too but forfeit the batching
-    /// win.
+    /// Per-shard log configuration. The default has `sync_on_commit:
+    /// false`: fill-triggered commits write the frame to the OS and leave
+    /// the fsync to the flusher thread's pipelined [`sync_detached`]
+    /// cadence, so the write path never blocks on the disk. Set
+    /// `sync_on_commit: true` to fsync inline at every commit instead
+    /// (stronger per-commit durability, at the write path's expense) — with
+    /// `max_batch_records: 1`, at every append.
     ///
     /// [`sync_detached`]: LogStructuredStore::sync_detached
     pub log: LogConfig,
@@ -106,8 +113,8 @@ pub struct ShardedConfig {
     /// that has gone a full interval without committing on its own (busy
     /// shards, whose fill trigger commits faster, never get their batch
     /// split) and fsyncs shards on the pipelined cadence described in the
-    /// module documentation of `sharded.rs` — at most `2 + sync_wake_bound`
-    /// intervals from acknowledgement to machine durability. `None`
+    /// module documentation of `sharded.rs` — at most `2 + SYNC_WAKE_BOUND`
+    /// (18) intervals from acknowledgement to machine durability. `None`
     /// disables the flusher: batches then commit only when they fill or on
     /// an explicit [`flush`]/[`sync`]/[`commit_pending`], and nothing
     /// fsyncs behind the caller's back — the right mode for deterministic
@@ -117,35 +124,14 @@ pub struct ShardedConfig {
     /// [`sync`]: ShardedLogStore::sync
     /// [`commit_pending`]: ShardedLogStore::commit_pending
     pub flush_interval: Option<Duration>,
-    /// Unsynced bytes at which the flusher fsyncs a shard without waiting
-    /// out [`sync_wake_bound`](Self::sync_wake_bound): batching the disk
-    /// flush into ~megabyte chunks keeps the fsync count proportional to
-    /// data volume, not wake frequency. Default 1 MiB.
-    pub sync_bytes_threshold: u64,
-    /// Maximum consecutive flusher wakes a shard may carry unsynced bytes
-    /// before it is fsynced regardless of volume — the time half of the
-    /// ack-to-durable bound, `(2 + sync_wake_bound) × flush_interval`.
-    /// Loose enough by default (16 wakes ≈ 90 ms at the 5 ms interval) that
-    /// a busy shard reaches the byte threshold first; tighten it for a
-    /// smaller durability window at the cost of more, smaller fsyncs.
-    /// Default 16.
-    pub sync_wake_bound: u32,
 }
 
 impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 8,
-            log: LogConfig {
-                group_commit: Some(GroupCommitConfig {
-                    sync_on_commit: false,
-                    ..GroupCommitConfig::default()
-                }),
-                ..LogConfig::default()
-            },
+            log: LogConfig::default(),
             flush_interval: Some(Duration::from_millis(5)),
-            sync_bytes_threshold: 1 << 20,
-            sync_wake_bound: 16,
         }
     }
 }
@@ -207,8 +193,6 @@ impl Flusher {
     fn start(
         shards: Arc<Vec<LogStructuredStore>>,
         interval: Duration,
-        sync_bytes_threshold: u64,
-        sync_wake_bound: u32,
         obs: Option<StoreObs>,
     ) -> Result<Flusher> {
         let (stop, wakeup) = mpsc::channel::<()>();
@@ -234,14 +218,7 @@ impl Flusher {
                         Err(mpsc::RecvTimeoutError::Timeout) => {
                             for (i, (shard, c)) in shards.iter().zip(cadence.iter_mut()).enumerate()
                             {
-                                Self::tend(
-                                    shard,
-                                    c,
-                                    i,
-                                    sync_bytes_threshold,
-                                    sync_wake_bound,
-                                    obs.as_ref(),
-                                );
+                                Self::tend(shard, c, i, obs.as_ref());
                             }
                         }
                     }
@@ -261,8 +238,6 @@ impl Flusher {
         shard: &LogStructuredStore,
         c: &mut ShardCadence,
         shard_index: usize,
-        sync_bytes_threshold: u64,
-        sync_wake_bound: u32,
         obs: Option<&StoreObs>,
     ) {
         // A shard whose byte count moved since the last wake committed on
@@ -288,7 +263,7 @@ impl Flusher {
             return;
         }
         c.unsynced_wakes += 1;
-        if unsynced >= sync_bytes_threshold || c.unsynced_wakes > sync_wake_bound {
+        if unsynced >= SYNC_BYTES_THRESHOLD || c.unsynced_wakes > SYNC_WAKE_BOUND {
             // The handle is duplicated after the byte count was read, so
             // the fsync covers at least `bytes_at_last_wake` bytes.
             if shard.sync_detached().is_ok() {
@@ -314,9 +289,10 @@ impl Drop for Flusher {
     }
 }
 
-/// A sharded, group-committed file-backed durable tier: `N` independent
-/// [`LogStructuredStore`] shards routed by a stable hash of the [`UserId`].
-/// See the module documentation of `sharded.rs` for the layout and semantics.
+/// The file-backed durable tier: `N` independent, group-committed
+/// [`LogStructuredStore`] shards routed by a stable hash of the [`UserId`]
+/// (`shards: 1` is one log over files). See the module documentation of
+/// `sharded.rs` for the layout and semantics.
 ///
 /// Implements [`PersistentStore`], so [`crate::Cluster::spawn_with_store`]
 /// accepts it unchanged.
@@ -471,13 +447,7 @@ impl ShardedLogStore {
         }
         let shards = Arc::new(shards);
         let flusher = match config.flush_interval {
-            Some(interval) => Some(Flusher::start(
-                Arc::clone(&shards),
-                interval,
-                config.sync_bytes_threshold,
-                config.sync_wake_bound,
-                obs,
-            )?),
+            Some(interval) => Some(Flusher::start(Arc::clone(&shards), interval, obs)?),
             None => None,
         };
         Ok(ShardedLogStore {
@@ -917,6 +887,35 @@ mod tests {
         let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
         assert_eq!(index.len(), 8);
         assert_eq!(stats.total.torn_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn one_shard_of_single_synced_records_is_on_disk_when_append_returns() {
+        // Fsync-per-append through the tier: a one-shard store whose batches
+        // hold one record and fsync at commit. No flusher, no flush, no
+        // sync — `read_back` sees every record its `append` acknowledged.
+        let dir = temp_dir("single-sync");
+        let config = ShardedConfig {
+            shards: 1,
+            log: LogConfig {
+                max_batch_records: 1,
+                sync_on_commit: true,
+                ..LogConfig::default()
+            },
+            flush_interval: None,
+        };
+        let store = ShardedLogStore::open(&dir, config).unwrap();
+        for i in 0..6u32 {
+            let user = UserId::new(i % 3);
+            let view = PersistentStore::append(&store, user, vec![i as u8; 9]).unwrap();
+            assert_eq!(store.pending_records(), 0);
+            let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
+            assert_eq!(index.get(&user), Some(&view), "append {i}");
+            assert_eq!(stats.total.records_replayed, u64::from(i) + 1);
+            assert_eq!(stats.total.torn_bytes, 0);
+        }
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -14,13 +14,15 @@
 //! body = [kind: u8][kind-specific fields, little-endian]
 //! ```
 //!
-//! Four record kinds exist: [`DurableRecord::Event`] (one appended event,
-//! the normal write path), [`DurableRecord::Batch`] (many events committed
-//! as one frame — the group-commit unit: its single checksum covers every
-//! entry, so a crash mid-write tears the *whole* batch, never a prefix of
-//! it), [`DurableRecord::Snapshot`] (a full view, written by compaction to
-//! supersede every earlier record of that user) and
-//! [`DurableRecord::Tombstone`] (the user's view was deleted).
+//! Four record kinds exist: [`DurableRecord::Batch`] (one or more events
+//! committed as one frame — the unit every append is written in: its single
+//! checksum covers every entry, so a crash mid-write tears the *whole*
+//! batch, never a prefix of it), [`DurableRecord::Event`] (one appended
+//! event; no writer emits it any more, replay accepts it so logs written
+//! per append by older builds still open), [`DurableRecord::Snapshot`] (a
+//! full view, written by compaction to supersede every earlier record of
+//! that user) and [`DurableRecord::Tombstone`] (the user's view was
+//! deleted).
 //!
 //! Batch frames are built *incrementally* with [`DurableRecord::batch_begin`]
 //! / [`batch_push`](DurableRecord::batch_push) /
@@ -109,7 +111,9 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// One record of the durable tier's append-only log.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DurableRecord {
-    /// A single event appended to `user`'s view — the normal write path.
+    /// A single event appended to `user`'s view. Read-only: the store writes
+    /// every append inside a [`Batch`](DurableRecord::Batch); this frame is
+    /// what older builds wrote per append, and replay still applies it.
     Event {
         /// The view the event belongs to.
         user: UserId,
@@ -118,7 +122,8 @@ pub enum DurableRecord {
         /// The opaque application payload.
         payload: Vec<u8>,
     },
-    /// Many events committed as one frame — the group-commit unit. The
+    /// One or more events committed as one frame — the group-commit unit,
+    /// and the frame every append is written in. The
     /// frame's single checksum covers every entry, so a crash mid-write
     /// tears the whole batch at once: replay either applies all of its
     /// events or none of them, never a prefix.
@@ -361,43 +366,6 @@ impl DurableRecord {
         };
         cursor.finish()?;
         Ok(Some((record, RECORD_HEADER_BYTES + len)))
-    }
-
-    /// Appends the framed encoding of one [`DurableRecord::Event`] directly
-    /// from a borrowed payload — the write hot path. Skips constructing the
-    /// record value entirely, so the caller keeps ownership of the payload
-    /// (typically to move it into the in-memory index afterwards) and the
-    /// bytes are copied exactly once, into `buf`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`DurableRecord::encode_into`]: [`Error::InvalidConfig`] when
-    /// the body would exceed [`MAX_RECORD_BYTES`]; `buf` is restored.
-    pub fn encode_event_into(
-        buf: &mut Vec<u8>,
-        user: UserId,
-        timestamp: SimTime,
-        payload: &[u8],
-    ) -> Result<usize> {
-        let frame_start = buf.len();
-        let body_len = 17 + payload.len(); // kind + user + timestamp + len + payload
-        if body_len > MAX_RECORD_BYTES {
-            return Err(Error::invalid_config(format!(
-                "durable record body of {body_len} bytes exceeds the {MAX_RECORD_BYTES}-byte \
-                 frame cap"
-            )));
-        }
-        buf.reserve(RECORD_HEADER_BYTES + body_len);
-        put_u32(buf, body_len as u32);
-        put_u32(buf, 0); // crc placeholder
-        buf.push(KIND_EVENT);
-        put_u32(buf, user.index());
-        put_u64(buf, timestamp.as_secs());
-        put_u32(buf, payload.len() as u32);
-        buf.extend_from_slice(payload);
-        let crc = crc32(&buf[frame_start + RECORD_HEADER_BYTES..]);
-        buf[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
-        Ok(buf.len() - frame_start)
     }
 
     /// Starts an incremental [`DurableRecord::Batch`] frame in `buf`
@@ -688,24 +656,6 @@ mod tests {
             .encode_into(&mut whole)
             .unwrap();
         assert_eq!(incremental, whole);
-    }
-
-    #[test]
-    fn direct_event_encoding_matches_the_record_encoding() {
-        let (user, ts) = (UserId::new(5), SimTime::from_secs(77));
-        let payload = b"tweet-sized".to_vec();
-        let mut direct = Vec::new();
-        let n = DurableRecord::encode_event_into(&mut direct, user, ts, &payload).unwrap();
-        assert_eq!(n, direct.len());
-        let mut whole = Vec::new();
-        DurableRecord::Event {
-            user,
-            timestamp: ts,
-            payload,
-        }
-        .encode_into(&mut whole)
-        .unwrap();
-        assert_eq!(direct, whole);
     }
 
     #[test]

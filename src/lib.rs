@@ -81,8 +81,8 @@ pub mod prelude {
         ScenarioRunner, ScenarioScript, SimReport, Simulation, SimulationConfig, TierReplay,
     };
     pub use dynasore_store::{
-        Cluster, ClusterChangeReport, GroupCommitConfig, LogConfig, LogStructuredStore,
-        PersistentStore, ShardedConfig, ShardedLogStore, SimDurableTier, StoreConfig,
+        Cluster, ClusterChangeReport, LogConfig, PersistentStore, ShardedConfig, ShardedLogStore,
+        SimDurableTier, StoreConfig,
     };
     pub use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
     pub use dynasore_types::{

@@ -177,7 +177,7 @@ fn decommission_under_load_survives_a_cold_sharded_reopen() {
         shards: 4,
         ..ShardedConfig::default()
     };
-    let tier = SimDurableTier::open_sharded(&dir, shards).unwrap();
+    let tier = SimDurableTier::open(&dir, shards).unwrap();
 
     let quiet = runner
         .quiet_baseline(topology.clone(), &graph, dynasore(&graph, &topology))

@@ -178,10 +178,10 @@ fn rolling_drain_then_crash() {
 }
 
 /// The optional file-backed recovery path: the same rack-outage simulation,
-/// with a log-structured durable tier attached. Every write is mirrored to
-/// disk and each recovery replays the log from real bytes, so the report
-/// measures actual recovery I/O next to the message counts — and stays
-/// deterministic across runs.
+/// with a one-shard file-backed durable tier attached. Every write is
+/// mirrored to disk and each recovery replays the log from real bytes, so the
+/// report measures actual recovery I/O next to the message counts — and
+/// stays deterministic across runs.
 #[test]
 fn simulated_outage_replays_real_bytes_with_a_file_backed_tier() {
     let graph = graph();
@@ -191,7 +191,14 @@ fn simulated_outage_replays_real_bytes_with_a_file_backed_tier() {
         let dir =
             std::env::temp_dir().join(format!("dynasore-faults-tier-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tier = SimDurableTier::open(&dir, LogConfig::default()).unwrap();
+        let tier = SimDurableTier::open(
+            &dir,
+            ShardedConfig {
+                shards: 1,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap();
         let engine = dynasore(&graph, &topology);
         let trace = SyntheticTraceGenerator::paper_defaults(&graph, 1, SEED).unwrap();
         let mut sim = Simulation::new(topology.clone(), engine, &graph)
@@ -233,7 +240,7 @@ fn simulated_outage_replays_real_bytes_with_a_file_backed_tier() {
 /// replays all shards, the report carries the parallel-recovery critical
 /// path (the slowest shard's bytes), and the whole thing stays
 /// byte-deterministic — the wall-clock flusher is forced off inside
-/// `SimDurableTier::open_sharded`, so batch boundaries depend only on the
+/// `SimDurableTier::open`, so batch boundaries depend only on the
 /// trace.
 #[test]
 fn simulated_outage_over_a_sharded_tier_reports_the_critical_path() {
@@ -246,7 +253,7 @@ fn simulated_outage_over_a_sharded_tier_reports_the_critical_path() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let tier = SimDurableTier::open_sharded(
+        let tier = SimDurableTier::open(
             &dir,
             ShardedConfig {
                 shards: 4,

@@ -11,9 +11,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dynasore::store::{
-    GroupCommitConfig, LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore,
-};
+use dynasore::store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore};
 use dynasore::types::{Error, UserId};
 use proptest::prelude::*;
 
@@ -31,11 +29,12 @@ fn unique_dir(tag: &str) -> PathBuf {
 }
 
 /// One segment only, so a global byte offset addresses the whole log.
+/// Nothing fsyncs behind the test's back and the fill trigger is far above
+/// any op count here: a frame ends exactly where the test flushes.
 fn single_segment() -> LogConfig {
     LogConfig {
         segment_max_bytes: u64::MAX,
-        sync_on_append: false,
-        group_commit: None,
+        ..LogConfig::default()
     }
 }
 
@@ -72,8 +71,9 @@ proptest! {
         let store = LogStructuredStore::open(&dir, single_segment()).unwrap();
 
         // Drive the store, remembering each op and the log length (= the
-        // record boundary) after it. Flushing after every op makes the
-        // logical length physical, so truncation offsets are meaningful.
+        // record boundary) after it. Flushing after every op commits it as
+        // a frame of its own and makes the logical length physical, so
+        // truncation offsets are meaningful.
         let mut ops: Vec<(Op, u64)> = Vec::new();
         for (i, &(selector, user)) in raw_ops.iter().enumerate() {
             let u = UserId::new(user);
@@ -159,21 +159,13 @@ proptest! {
     }
 }
 
-/// One huge segment per shard, group commit on, no wall-clock flusher —
-/// every on-disk boundary is driven (and recorded) by the test itself.
+/// One huge segment per shard, no wall-clock flusher — every on-disk
+/// boundary is driven (and recorded) by the test itself.
 fn sharded_single_segment(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
         flush_interval: None,
-        log: LogConfig {
-            segment_max_bytes: u64::MAX,
-            sync_on_append: false,
-            group_commit: Some(GroupCommitConfig {
-                sync_on_commit: false,
-                ..GroupCommitConfig::default()
-            }),
-        },
-        ..ShardedConfig::default()
+        log: single_segment(),
     }
 }
 
@@ -328,15 +320,7 @@ proptest! {
 #[test]
 fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
     let dir = unique_dir("batch-unit");
-    let config = LogConfig {
-        segment_max_bytes: u64::MAX,
-        sync_on_append: false,
-        group_commit: Some(GroupCommitConfig {
-            sync_on_commit: false,
-            ..GroupCommitConfig::default()
-        }),
-    };
-    let store = LogStructuredStore::open(&dir, config).unwrap();
+    let store = LogStructuredStore::open(&dir, single_segment()).unwrap();
     let a = UserId::new(1);
     let b = UserId::new(2);
 
@@ -408,10 +392,12 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
 fn compaction_is_content_identical_and_strictly_shrinks() {
     for seed in 0u64..4 {
         let dir = unique_dir("compact");
+        // Exercise rotation and multi-segment compaction: rotation is
+        // checked at each commit, so the batches are small too.
         let config = LogConfig {
-            segment_max_bytes: 512, // Exercise rotation and multi-segment compaction.
-            sync_on_append: false,
-            group_commit: None,
+            segment_max_bytes: 512,
+            max_batch_records: 4,
+            ..LogConfig::default()
         };
         let store = LogStructuredStore::open(&dir, config).unwrap();
         let users = 6u32;

@@ -1,6 +1,6 @@
 //! End-to-end tests of the runnable store: correctness of the social-feed
 //! semantics on top of dynamic replica placement, with both the in-memory
-//! mock tier and the file-backed log-structured tier.
+//! mock tier and the file-backed tier (one shard and several).
 
 use std::sync::Arc;
 
@@ -12,6 +12,17 @@ fn temp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!("dynasore-e2e-{tag}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
+}
+
+/// One log over files: a one-shard tier with no flusher thread, so nothing
+/// reaches the disk before a batch fills or the owner flushes.
+fn open_one_log(dir: &std::path::Path) -> Arc<ShardedLogStore> {
+    let config = ShardedConfig {
+        shards: 1,
+        flush_interval: None,
+        ..ShardedConfig::default()
+    };
+    Arc::new(ShardedLogStore::open(dir, config).unwrap())
 }
 
 fn spawn_cluster(users: usize, seed: u64) -> (Cluster, SocialGraph) {
@@ -245,13 +256,13 @@ fn concurrent_clients_read_their_own_latest_write() {
 /// `tests/fault_tolerance.rs`: a cache server is killed mid-traffic and
 /// restarted against the on-disk tier. Reads keep returning the pre-crash
 /// values throughout (availability stays 100%), served by demand-filling the
-/// restarted cache from the log-structured store.
+/// restarted cache from a one-shard file-backed tier.
 #[test]
 fn file_backed_cluster_survives_kill_and_restart_mid_traffic() {
     let dir = temp_dir("kill-restart");
     let graph = SocialGraph::generate(GraphPreset::TwitterLike, 300, 3).unwrap();
     let topology = Topology::tree(2, 2, 4, 1).unwrap();
-    let store = Arc::new(LogStructuredStore::open(&dir, LogConfig::default()).unwrap());
+    let store = open_one_log(&dir);
     let mut cluster = Cluster::spawn_with_store(
         &graph,
         topology,
@@ -468,19 +479,9 @@ fn shutdown_makes_every_acknowledged_write_visible_to_a_reopen() {
     let dir = temp_dir("shutdown-sync");
     let graph = SocialGraph::generate(GraphPreset::TwitterLike, 200, 7).unwrap();
     let topology = Topology::tree(2, 2, 4, 1).unwrap();
-    // Buffered config: without the explicit flush+sync in shutdown, these
-    // appends would still sit in the writer's buffer.
-    let store = Arc::new(
-        LogStructuredStore::open(
-            &dir,
-            LogConfig {
-                segment_max_bytes: 4 << 20,
-                sync_on_append: false,
-                group_commit: None,
-            },
-        )
-        .unwrap(),
-    );
+    // Without the explicit flush+sync in shutdown, these appends would
+    // still sit in the log's pending batch.
+    let store = open_one_log(&dir);
     let mut cluster =
         Cluster::spawn_with_store(&graph, topology, StoreConfig::default(), store.clone()).unwrap();
     let authors: Vec<UserId> = graph.users().take(10).collect();
@@ -489,12 +490,13 @@ fn shutdown_makes_every_acknowledged_write_visible_to_a_reopen() {
             .write(author, format!("durable {i}").into_bytes())
             .unwrap();
     }
+    assert_eq!(store.pending_records(), authors.len() as u64);
     cluster.shutdown().unwrap();
 
     // Read the directory back while `store` (and its buffers) are still
     // alive — `read_back` replays the segment files non-destructively, so
     // only what shutdown flushed to disk is visible.
-    let (index, stats) = LogStructuredStore::read_back(&dir).unwrap();
+    let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
     for (i, &author) in authors.iter().enumerate() {
         let view = index.get(&author).expect("author view on disk");
         assert_eq!(
@@ -504,7 +506,7 @@ fn shutdown_makes_every_acknowledged_write_visible_to_a_reopen() {
         );
     }
     assert_eq!(index.len(), authors.len());
-    assert_eq!(stats.torn_bytes, 0);
+    assert_eq!(stats.total.torn_bytes, 0);
     drop(cluster);
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -524,20 +526,24 @@ fn file_backed_cluster_restarts_from_real_bytes() {
     let reader = graph.followers(author)[0];
 
     {
-        let store = Arc::new(LogStructuredStore::open(&dir, LogConfig::default()).unwrap());
-        let mut cluster =
-            Cluster::spawn_with_store(&graph, topology.clone(), StoreConfig::default(), store)
-                .unwrap();
+        let mut cluster = Cluster::spawn_with_store(
+            &graph,
+            topology.clone(),
+            StoreConfig::default(),
+            open_one_log(&dir),
+        )
+        .unwrap();
         cluster.write(author, b"before restart".to_vec()).unwrap();
         cluster.shutdown().unwrap();
     }
 
-    let store = Arc::new(LogStructuredStore::open(&dir, LogConfig::default()).unwrap());
+    let store = open_one_log(&dir);
+    let recovered = store.recovery_stats().total;
     assert!(
-        store.recovery_stats().bytes_replayed > 0,
+        recovered.bytes_replayed > 0,
         "restart must replay real bytes"
     );
-    assert_eq!(store.recovery_stats().torn_bytes, 0);
+    assert_eq!(recovered.torn_bytes, 0);
     let mut cluster =
         Cluster::spawn_with_store(&graph, topology, StoreConfig::default(), store).unwrap();
     let views = cluster.read(reader, &[author]).unwrap();
