@@ -19,7 +19,7 @@ use dynasore_types::{
 
 use crate::obs::StoreObs;
 use crate::persistent::{MockPersistentStore, PersistentStore};
-use crate::server::CacheWorker;
+use crate::server::{CacheWorker, Lookup};
 
 /// Configuration of a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -208,9 +208,9 @@ impl Cluster {
     pub fn write(&self, user: UserId, payload: Vec<u8>) -> Result<()> {
         self.check_user(user)?;
         // 1. The persistent store generates the new version of the view.
-        let view = self.persistent.append(user, payload)?;
+        let view = Arc::new(self.persistent.append(user, payload)?);
         // 2. The write proxy updates the placement statistics and pushes the
-        //    new version to every replica (§3.3).
+        //    new version — one allocation, shared — to every replica (§3.3).
         let replicas = {
             let mut engine = self.engine.lock();
             engine.handle_write(user, self.now(), &mut CountingSink::default());
@@ -242,10 +242,20 @@ impl Cluster {
     /// (unknown *targets* are skipped, mirroring a cache that simply has
     /// nothing for them).
     pub fn read(&self, user: UserId, targets: &[UserId]) -> Result<Vec<View>> {
+        // Hits come detached: only a demand-filled view, which its shard now
+        // shares, is cloned here.
+        let owned = |view| Arc::try_unwrap(view).unwrap_or_else(|shared| View::clone(&shared));
+        let views = self.lookup(user, targets, true)?;
+        Ok(views.into_iter().map(owned).collect())
+    }
+
+    /// The one read path: the views of `targets` as the shards (on a miss,
+    /// the persistent store) hold them, or with `detached` a copy per hit.
+    fn lookup(&self, user: UserId, targets: &[UserId], detached: bool) -> Result<Vec<Arc<View>>> {
         self.check_user(user)?;
         // Update statistics and (possibly) placement, then capture routing
         // decisions while holding the engine lock.
-        let routed: Vec<(usize, UserId)> = {
+        let routed: Vec<Lookup> = {
             let mut engine = self.engine.lock();
             engine.handle_read(user, targets, self.now(), &mut CountingSink::default());
             // Route from where the read left the proxy and the replicas.
@@ -258,28 +268,30 @@ impl Cluster {
                 .filter(|t| self.graph.contains_user(**t))
                 .filter_map(|&t| {
                     let machine = engine.closest_replica(t, proxy)?;
-                    Some((self.topology.server_ordinal(machine)?, t))
+                    Some((self.topology.server_ordinal(machine)?, t, None))
                 })
                 .collect()
         };
+        // No followees or only unknown targets: nothing to hand off.
+        if routed.is_empty() {
+            return Ok(Vec::new());
+        }
 
-        // One hand-off for the whole read; every key yields one view.
-        let cached = self.cache.get_many(&routed);
-        let mut views: Vec<View> = Vec::with_capacity(routed.len());
+        // One hand-off for the whole read; every lookup yields one view.
+        let mut views: Vec<Arc<View>> = Vec::with_capacity(routed.len());
         let mut misses = 0;
-        for (i, cached) in cached.into_iter().enumerate() {
+        for (shard, target, cached) in self.cache.get_many(routed, detached) {
             let view = match cached {
                 Some(view) => view,
-                // A key repeated inside one batch misses at every position:
-                // the first one fills, the others are served its copy and
+                // A target repeated inside one batch misses at every
+                // position: the first one fills, the others share its view and
                 // count as hits, so hits + misses is the views returned.
-                None => match routed[..i].iter().position(|key| *key == routed[i]) {
-                    Some(first) => views[first].clone(),
+                None => match views.iter().find(|view| view.owner() == target) {
+                    Some(first) => first.clone(),
                     None => {
                         // Cache miss: demand-fill from the persistent store.
                         misses += 1;
-                        let (shard, target) = routed[i];
-                        let view = self.persistent.fetch(target)?;
+                        let view = Arc::new(self.persistent.fetch(target)?);
                         self.cache.put(shard, target, view.clone());
                         view
                     }
@@ -302,9 +314,11 @@ impl Cluster {
     /// graph.
     pub fn read_feed(&self, user: UserId) -> Result<Vec<Event>> {
         self.check_user(user)?;
-        let targets = self.graph.followees(user).to_vec();
-        let views = self.read(user, &targets)?;
-        let mut events: Vec<Event> = views.iter().flat_map(|v| v.iter().cloned()).collect();
+        let views = self.lookup(user, self.graph.followees(user), false)?;
+        let mut events = Vec::with_capacity(views.iter().map(|view| view.len()).sum());
+        for view in &views {
+            events.extend(view.iter().cloned());
+        }
         events.sort_by_key(|e| std::cmp::Reverse(e.timestamp()));
         Ok(events)
     }
@@ -436,6 +450,27 @@ mod tests {
         let topology = Topology::tree(2, 2, 4, 1).unwrap();
         let cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
         (cluster, graph)
+    }
+
+    /// Knuth's multiplicative hash: scatters a seeded step counter.
+    fn scatter(n: u32) -> u32 {
+        n.wrapping_mul(2_654_435_761) >> 8
+    }
+
+    /// One of the seven cluster events, aimed somewhere in (or just past)
+    /// the 24 machines and 6 racks of [`cluster`]'s tree.
+    fn scattered_event(pick: u32) -> ClusterEvent {
+        let machine = MachineId::new(pick % 24);
+        let rack = RackId::new(pick % 6);
+        match pick / 24 % 7 {
+            0 => ClusterEvent::MachineDown { machine },
+            1 => ClusterEvent::MachineUp { machine },
+            2 => ClusterEvent::DrainMachine { machine },
+            3 => ClusterEvent::RackDown { rack },
+            4 => ClusterEvent::RackUp { rack },
+            5 => ClusterEvent::AddRack,
+            _ => ClusterEvent::RemoveRack { rack },
+        }
     }
 
     /// A durable tier whose `sync` fails once — to pin the shutdown retry
@@ -599,6 +634,25 @@ mod tests {
     }
 
     #[test]
+    fn a_read_that_routes_nothing_returns_empty_and_counts_nothing() {
+        // User 2 follows nobody; user 0 follows user 1.
+        let mut graph = SocialGraph::new(3);
+        graph.add_edge(UserId::new(0), UserId::new(1));
+        let topology = Topology::tree(2, 2, 3, 1).unwrap();
+        let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
+        let (reader, loner, ghost) = (UserId::new(0), UserId::new(2), UserId::new(9_999));
+        cluster.write(loner, b"unread".to_vec()).unwrap();
+        let before = cluster.stats();
+        assert!(cluster.read_feed(loner).unwrap().is_empty());
+        assert!(cluster.read(reader, &[]).unwrap().is_empty());
+        assert!(cluster.read(reader, &[ghost, ghost]).unwrap().is_empty());
+        assert_eq!(cluster.stats(), before);
+        // The same calls still answer once there is something to route.
+        assert_eq!(cluster.read(reader, &[ghost, loner]).unwrap().len(), 1);
+        cluster.shutdown().unwrap();
+    }
+
+    #[test]
     fn writes_reach_every_replica() {
         let (mut cluster, graph) = cluster();
         let author = graph
@@ -758,13 +812,17 @@ mod tests {
         // While the machine is down its shard ignores `Put`s; `MachineUp`
         // brings it back empty and caching again.
         let user = pairs[0].1;
-        cluster.cache.put(victim_shard, user, View::new(user));
+        cluster
+            .cache
+            .put(victim_shard, user, Arc::new(View::new(user)));
         assert!(cluster.cache.get(victim_shard, user).is_none());
         cluster
             .apply_event(ClusterEvent::MachineUp { machine: victim })
             .unwrap();
         assert_eq!(cluster.cache.lens()[victim_shard], 0);
-        cluster.cache.put(victim_shard, user, View::new(user));
+        cluster
+            .cache
+            .put(victim_shard, user, Arc::new(View::new(user)));
         assert!(cluster.cache.get(victim_shard, user).is_some());
         // A second `MachineUp` must not wipe the running shard.
         cluster
@@ -834,7 +892,9 @@ mod tests {
         for machine in rack_machines {
             assert!(!cluster.topology().is_live(machine));
             if let Some(shard) = cluster.topology.server_ordinal(machine) {
-                cluster.cache.put(shard, author, View::new(author));
+                cluster
+                    .cache
+                    .put(shard, author, Arc::new(View::new(author)));
                 assert!(cluster.cache.get(shard, author).is_none());
             }
         }
@@ -863,25 +923,13 @@ mod tests {
         for seed in 0..6u32 {
             let (mut cluster, _) = cluster();
             for step in 0..20 {
-                // Knuth's multiplicative hash scatters the picks.
-                let pick = (seed * 20 + step).wrapping_mul(2_654_435_761) >> 8;
-                let machine = MachineId::new(pick % 24);
-                let rack = RackId::new(pick % 6);
-                let event = match pick / 24 % 7 {
-                    0 => ClusterEvent::MachineDown { machine },
-                    1 => ClusterEvent::MachineUp { machine },
-                    2 => ClusterEvent::DrainMachine { machine },
-                    3 => ClusterEvent::RackDown { rack },
-                    4 => ClusterEvent::RackUp { rack },
-                    5 => ClusterEvent::AddRack,
-                    _ => ClusterEvent::RemoveRack { rack },
-                };
+                let event = scattered_event(scatter(seed * 20 + step));
                 let before = cluster.topology.clone();
                 if cluster.apply_event(event).is_err() {
                     assert_eq!(cluster.topology, before, "refused {event}");
                 }
                 for (shard, server) in cluster.topology.servers().iter().enumerate() {
-                    cluster.cache.put(shard, user, View::new(user));
+                    cluster.cache.put(shard, user, Arc::new(View::new(user)));
                     assert_eq!(
                         cluster.cache.get(shard, user).is_some(),
                         cluster.topology.is_live(server.machine()),
@@ -889,6 +937,80 @@ mod tests {
                     );
                 }
             }
+            cluster.shutdown().unwrap();
+        }
+    }
+
+    /// The *version* half of "cache contents == placement at quiescence"
+    /// (ROADMAP 6(a)): after any single-threaded interleaving of reads,
+    /// feed reads, writes and cluster events, whatever a shard holds for a
+    /// server the engine lists as a replica is the persistent tier's current
+    /// version, and every answer on the way was the persistent tier's. The
+    /// *key-set* half — a shard holds a view exactly when the engine lists a
+    /// replica there — is not asserted because it does not hold yet: a
+    /// replica the engine drops while serving a read keeps its bytes in the
+    /// shard until the owner's next write probes them away, and a new
+    /// replica is only filled by the first read routed to it. Memory is
+    /// ample (200 % extra), so that no run of failures here leaves a view
+    /// without a live server — a read skips such a target.
+    #[test]
+    fn every_answer_and_every_replica_copy_is_the_persistent_tiers_version() {
+        const STEPS: u32 = 300;
+        let graph = SocialGraph::generate(GraphPreset::TwitterLike, 60, 3).unwrap();
+        let users = graph.user_count() as u32;
+        let config = StoreConfig {
+            extra_memory_percent: 200,
+            ..StoreConfig::default()
+        };
+        for seed in 0..4u32 {
+            let topology = Topology::tree(2, 2, 4, 1).unwrap();
+            let mut cluster = Cluster::spawn(&graph, topology, config.clone()).unwrap();
+            let current = |cluster: &Cluster, user| cluster.persistent.fetch(user).unwrap();
+            let (mut events, mut feeds) = (0, 0);
+            for step in 0..STEPS {
+                let pick = scatter(seed * STEPS + step);
+                let user = UserId::new(pick % users);
+                let followees = graph.followees(user);
+                match pick / users % 16 {
+                    0 => events += cluster.apply_event(scattered_event(pick / 16)).is_ok() as u32,
+                    1..=4 => cluster.write(user, pick.to_le_bytes().to_vec()).unwrap(),
+                    5..=8 => {
+                        // Two followees, one of them twice, and a stranger.
+                        let mut targets: Vec<UserId> = followees.iter().take(2).copied().collect();
+                        targets.extend(followees.first());
+                        targets.push(UserId::new(9_999));
+                        let expected: Vec<View> = targets[..targets.len() - 1]
+                            .iter()
+                            .map(|&t| current(&cluster, t))
+                            .collect();
+                        assert_eq!(cluster.read(user, &targets).unwrap(), expected);
+                    }
+                    _ => {
+                        let mut expected: Vec<Event> = Vec::new();
+                        for &followee in followees {
+                            expected.extend(current(&cluster, followee).iter().cloned());
+                        }
+                        expected.sort_by_key(|e| std::cmp::Reverse(e.timestamp()));
+                        assert_eq!(cluster.read_feed(user).unwrap(), expected, "seed {seed}");
+                        feeds += !expected.is_empty() as u32;
+                    }
+                }
+            }
+            assert!(events > 0 && feeds > 0, "seed {seed}: nothing exercised");
+
+            let mut copies = 0;
+            for user in graph.users() {
+                let version = current(&cluster, user).version();
+                let replicas = cluster.engine.lock().replica_servers(user);
+                for &machine in replicas.iter() {
+                    let shard = cluster.topology.server_ordinal(machine).unwrap();
+                    if let Some(copy) = cluster.cache.get(shard, user) {
+                        assert_eq!(copy.version(), version, "seed {seed}: {user} at {machine}");
+                        copies += 1;
+                    }
+                }
+            }
+            assert!(copies > 0, "seed {seed}: no replica holds a copy");
             cluster.shutdown().unwrap();
         }
     }

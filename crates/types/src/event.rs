@@ -22,8 +22,8 @@ pub const DEFAULT_VIEW_CAPACITY: usize = 128;
 ///
 /// The format of the payload is application specific; DynaSoRe treats it as
 /// an opaque array of bytes. Events are immutable and their copies share
-/// the payload: cloning an event — or a [`View`], once per cache read,
-/// replica update and durable append — copies no payload bytes.
+/// the payload: cloning an event — into a feed, or with its [`View`] for a
+/// by-value read or a durable append — copies no payload bytes.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Event {
     author: UserId,
@@ -114,7 +114,7 @@ impl View {
     /// Reconstructs a view from its saved parts — the durable-log replay
     /// path: a [`crate::DurableRecord::Snapshot`] carries the events *and*
     /// the version counter, which must survive a round trip through disk so
-    /// that replica freshness comparisons ([`View::replace_from`]) behave
+    /// that replica freshness comparisons ([`View::version`]) behave
     /// identically after recovery. Events beyond `capacity` are truncated
     /// from the oldest end, mirroring [`View::push`].
     ///
@@ -156,7 +156,7 @@ impl View {
     }
 
     /// The current version of the view. Starts at 0 and increases by one on
-    /// every [`push`](View::push) or [`replace_from`](View::replace_from).
+    /// every [`push`](View::push); of two copies, a replica keeps the newer.
     pub fn version(&self) -> u64 {
         self.version
     }
@@ -168,17 +168,6 @@ impl View {
         }
         self.events.push(event);
         self.version += 1;
-    }
-
-    /// Replaces the content of this view with the content of `other`,
-    /// adopting its version if newer. This is the replica-update path: the
-    /// write proxy fetches the new version from the persistent store and
-    /// pushes it to every replica.
-    pub fn replace_from(&mut self, other: &View) {
-        if other.version > self.version {
-            self.events = other.events.clone();
-            self.version = other.version;
-        }
     }
 
     /// The most recent event, if any.
@@ -251,22 +240,6 @@ mod tests {
             .map(|e| e.timestamp().as_secs())
             .collect();
         assert_eq!(latest, vec![3, 2]);
-    }
-
-    #[test]
-    fn replace_from_adopts_newer_versions_only() {
-        let mut primary = View::new(UserId::new(3));
-        let mut replica = View::new(UserId::new(3));
-        primary.push(ev(3, 1));
-        primary.push(ev(3, 2));
-        replica.replace_from(&primary);
-        assert_eq!(replica.len(), 2);
-        assert_eq!(replica.version(), primary.version());
-
-        // An older view never overwrites a newer replica.
-        let stale = View::new(UserId::new(3));
-        replica.replace_from(&stale);
-        assert_eq!(replica.len(), 2);
     }
 
     #[test]
