@@ -81,8 +81,9 @@ impl SparEngine {
     ///
     /// # Errors
     ///
-    /// Returns an error if the graph is empty, the budget does not cover the
-    /// user count, or the cluster cannot hold one copy of every view.
+    /// Returns an error if the graph is empty or the budget does not cover
+    /// the user count. The budget's per-server capacity is rounded up, so
+    /// the cluster always holds one copy of every view.
     pub fn new(
         graph: &SocialGraph,
         topology: &Topology,
@@ -101,15 +102,7 @@ impl SparEngine {
                 graph.user_count()
             )));
         }
-        let server_count = topology.server_count();
-        let capacity = budget.slots_per_server(server_count)?;
-        if capacity * server_count < graph.user_count() {
-            return Err(Error::InsufficientCapacity {
-                required: graph.user_count(),
-                available: capacity * server_count,
-            });
-        }
-
+        let capacity = budget.slots_per_server(topology.server_count())?;
         let mut servers: Vec<SparServer> = topology
             .servers()
             .iter()

@@ -7,7 +7,7 @@
 
 use dynasore_bench::{dataset, print_row, ExperimentScale};
 use dynasore_graph::GraphPreset;
-use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator};
+use dynasore_workload::DiurnalTraceGenerator;
 
 fn main() -> Result<(), dynasore_types::Error> {
     let scale = ExperimentScale::from_args(ExperimentScale {
@@ -16,11 +16,7 @@ fn main() -> Result<(), dynasore_types::Error> {
         ..ExperimentScale::default()
     });
     let graph = dataset(GraphPreset::FacebookLike, &scale)?;
-    let config = DiurnalConfig {
-        days: scale.days,
-        ..DiurnalConfig::default()
-    };
-    let trace = DiurnalTraceGenerator::new(&graph, config, scale.seed)?;
+    let trace = DiurnalTraceGenerator::new(&graph, scale.days, scale.seed)?;
 
     let mut reads_per_day = vec![0u64; scale.days as usize];
     let mut writes_per_day = vec![0u64; scale.days as usize];

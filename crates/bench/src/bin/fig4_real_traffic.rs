@@ -20,7 +20,7 @@ use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_sim::{SimReport, Simulation};
 use dynasore_topology::Topology;
 use dynasore_types::{MemoryBudget, PlacementEngine};
-use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator};
+use dynasore_workload::DiurnalTraceGenerator;
 
 fn run_diurnal<E: PlacementEngine>(
     engine: E,
@@ -29,11 +29,7 @@ fn run_diurnal<E: PlacementEngine>(
     days: u64,
     seed: u64,
 ) -> Result<SimReport, dynasore_types::Error> {
-    let config = DiurnalConfig {
-        days,
-        ..DiurnalConfig::default()
-    };
-    let trace = DiurnalTraceGenerator::new(graph, config, seed)?;
+    let trace = DiurnalTraceGenerator::new(graph, days, seed)?;
     Simulation::new(topology.clone(), engine, graph).run(trace)
 }
 

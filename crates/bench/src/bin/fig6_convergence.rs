@@ -18,7 +18,7 @@ use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_sim::{SimReport, Simulation};
 use dynasore_topology::{TierTraffic, Topology};
 use dynasore_types::PlacementEngine;
-use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator, Request, SyntheticTraceGenerator};
+use dynasore_workload::{DiurnalTraceGenerator, Request, SyntheticTraceGenerator};
 
 /// Parses the command line (program name excluded), strictly: `--trace`
 /// next to the [`ExperimentScale`] flags. Without `--days`, the diurnal
@@ -51,15 +51,7 @@ fn build_trace(
     seed: u64,
 ) -> Result<Vec<Request>, dynasore_types::Error> {
     Ok(match kind {
-        "diurnal" => DiurnalTraceGenerator::new(
-            graph,
-            DiurnalConfig {
-                days,
-                ..DiurnalConfig::default()
-            },
-            seed,
-        )?
-        .collect(),
+        "diurnal" => DiurnalTraceGenerator::new(graph, days, seed)?.collect(),
         _ => SyntheticTraceGenerator::paper_defaults(graph, days, seed)?.collect(),
     })
 }

@@ -365,7 +365,7 @@ fn main() {
     // comparable to the plain read phase.
     let mut accounted = AccountedSink {
         topology: &topology,
-        account: TrafficAccount::with_model(HOUR_SECS, NetworkModel::datacenter()),
+        account: TrafficAccount::new(NetworkModel::datacenter()),
         messages: 0,
         evictions: 0,
     };

@@ -33,9 +33,7 @@ use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{
-    DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs, SimulationConfig,
-};
+use dynasore_sim::{DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs};
 use dynasore_store::{ShardedConfig, SimDurableTier};
 use dynasore_topology::Topology;
 use dynasore_types::{MemoryBudget, MetricsRegistry, NetworkModel, PlacementEngine};
@@ -138,12 +136,8 @@ fn main() {
             // 30% memory slack, so some lost masters cannot be re-created
             // until the repair — the availability columns get real teeth.
             regional_racks: 4,
-            ..ScenarioConfig::default()
         },
-        SimulationConfig {
-            network: NetworkModel::datacenter(),
-            ..SimulationConfig::default()
-        },
+        NetworkModel::datacenter(),
     );
 
     // Per-run durable tiers live in a throwaway directory, removed on exit;

@@ -15,7 +15,7 @@ use dynasore_types::{
 };
 use dynasore_workload::GraphMutation;
 
-use crate::config::{DynaSoReConfig, InitialPlacement};
+use crate::config::InitialPlacement;
 use crate::evaluation::{OriginCosts, PathTable};
 use crate::placement::initial_assignment;
 use crate::routing::{optimal_proxy_broker, TransferTally};
@@ -27,6 +27,19 @@ mod load;
 
 use eviction::ThresholdCache;
 use load::LoadCache;
+
+/// Periods in every replica's rotating access-statistics window: the paper
+/// keeps 24 one-hour slots (§4.3). At most
+/// [`MAX_WINDOW_SLOTS`](crate::MAX_WINDOW_SLOTS).
+const COUNTER_SLOTS: usize = 24;
+
+/// Congestion-aware placement (reproduction choice): the profit units —
+/// switch crossings saved per statistics window — that one second of
+/// queueing delay at a candidate rack's switch costs. Replica creation and
+/// migration subtract `delay_secs × this` from a candidate's profit, so
+/// replicas steer away from congested racks; unit-count sinks report zero
+/// delay and leave every decision untouched.
+const CONGESTION_PENALTY_PER_SEC: f64 = 500.0;
 
 /// Per-user routing state: the brokers hosting the user's proxies and the
 /// servers holding replicas of her view.
@@ -64,7 +77,6 @@ struct UserState {
 pub struct DynaSoReEngine {
     name: String,
     topology: Topology,
-    config: DynaSoReConfig,
     servers: Vec<ServerState>,
     users: Vec<UserState>,
     /// Every machine's and origin's position in the tree: the distances of
@@ -134,10 +146,6 @@ pub struct DynaSoReEngineBuilder {
     topology: Option<Topology>,
     budget: Option<MemoryBudget>,
     initial_placement: InitialPlacement,
-    /// The paper's defaults ([`DynaSoReConfig::new`]) with the overrides so
-    /// far; `build` fills in the budget and validates the result.
-    config: DynaSoReConfig,
-    name: Option<String>,
 }
 
 impl Default for DynaSoReEngineBuilder {
@@ -146,8 +154,6 @@ impl Default for DynaSoReEngineBuilder {
             topology: None,
             budget: None,
             initial_placement: InitialPlacement::Random { seed: 0 },
-            config: DynaSoReConfig::new(MemoryBudget::exact(0)),
-            name: None,
         }
     }
 }
@@ -171,53 +177,14 @@ impl DynaSoReEngineBuilder {
         self
     }
 
-    /// Number of periods in the rotating statistics window (default 24).
-    pub fn counter_slots(mut self, slots: usize) -> Self {
-        self.config.counter_slots = slots;
-        self
-    }
-
-    /// Fraction of memory protected by the admission threshold (default
-    /// 0.9).
-    pub fn admission_fill_target(mut self, target: f64) -> Self {
-        self.config.admission_fill_target = target;
-        self
-    }
-
-    /// Occupancy that triggers the background eviction sweep (default 0.95).
-    pub fn eviction_threshold(mut self, threshold: f64) -> Self {
-        self.config.eviction_threshold = threshold;
-        self
-    }
-
-    /// Occupancy the eviction sweep aims for (default 0.90).
-    pub fn eviction_target(mut self, target: f64) -> Self {
-        self.config.eviction_target = target;
-        self
-    }
-
-    /// Profit units one second of queueing delay at a candidate rack's
-    /// switch costs in replica-placement decisions (default 500; 0 disables
-    /// congestion-aware placement). Only effective when the driving sink
-    /// reports real congestion, i.e. under a time-aware network model.
-    pub fn congestion_penalty_per_sec(mut self, per_sec: f64) -> Self {
-        self.config.congestion_penalty_per_sec = per_sec;
-        self
-    }
-
-    /// Overrides the engine name used in reports.
-    pub fn name(mut self, name: impl Into<String>) -> Self {
-        self.name = Some(name.into());
-        self
-    }
-
-    /// Builds the engine over `graph`.
+    /// Builds the engine over `graph`. The budget's per-server capacity is
+    /// rounded up, so the cluster always holds one copy of every view.
     ///
     /// # Errors
     ///
-    /// Returns an error if the topology or budget is missing/inconsistent,
-    /// the cluster cannot hold one copy of every view, or the initial
-    /// placement cannot be computed.
+    /// Returns an error if the topology is missing, the budget does not
+    /// cover the graph's users, or the initial placement cannot be
+    /// computed.
     pub fn build(self, graph: &SocialGraph) -> Result<DynaSoReEngine> {
         let topology = self
             .topology
@@ -232,22 +199,7 @@ impl DynaSoReEngineBuilder {
                 graph.user_count()
             )));
         }
-        let config = DynaSoReConfig {
-            budget,
-            ..self.config
-        };
-        config.validate()?;
-
-        let server_count = topology.server_count();
-        let capacity = config.budget.slots_per_server(server_count)?;
-        let total_capacity = capacity * server_count;
-        if total_capacity < graph.user_count() {
-            return Err(Error::InsufficientCapacity {
-                required: graph.user_count(),
-                available: total_capacity,
-            });
-        }
-
+        let capacity = budget.slots_per_server(topology.server_count())?;
         let assignment = initial_assignment(&self.initial_placement, graph, &topology)?;
 
         // `servers[i]` mirrors `topology.servers()[i]`, so a machine's dense
@@ -255,7 +207,7 @@ impl DynaSoReEngineBuilder {
         let mut servers: Vec<ServerState> = topology
             .servers()
             .iter()
-            .map(|s| ServerState::new(s.machine(), capacity, config.counter_slots))
+            .map(|s| ServerState::new(s.machine(), capacity, COUNTER_SLOTS))
             .collect();
 
         let mut users = Vec::with_capacity(graph.user_count());
@@ -278,10 +230,7 @@ impl DynaSoReEngineBuilder {
             });
         }
 
-        let name = self
-            .name
-            .unwrap_or_else(|| format!("dynasore-from-{}", self.initial_placement.label()));
-
+        let name = format!("dynasore-from-{}", self.initial_placement.label());
         let paths = PathTable::new(&topology);
         let scratch = Scratch {
             tally: TransferTally::new(&topology),
@@ -294,7 +243,6 @@ impl DynaSoReEngineBuilder {
         let mut engine = DynaSoReEngine {
             name,
             topology,
-            config,
             servers,
             users,
             paths,
@@ -316,11 +264,6 @@ impl DynaSoReEngine {
     /// Starts building an engine.
     pub fn builder() -> DynaSoReEngineBuilder {
         DynaSoReEngineBuilder::default()
-    }
-
-    /// The engine configuration in effect.
-    pub fn config(&self) -> &DynaSoReConfig {
-        &self.config
     }
 
     /// The topology (including its liveness mask) as this engine sees it.
@@ -627,13 +570,10 @@ impl DynaSoReEngine {
 
     /// Profit penalty for placing a replica on `machine`, derived from the
     /// sink's live congestion signal for the machine's rack switch: seconds
-    /// of pending queueing delay × the configured penalty rate. Unit-count
+    /// of pending queueing delay × [`CONGESTION_PENALTY_PER_SEC`]. Unit-count
     /// sinks report zero delay, so decisions are untouched outside a
     /// time-aware run. Allocation-free.
     fn rack_congestion_penalty(&self, out: &dyn TrafficSink, machine: MachineId) -> i64 {
-        if self.config.congestion_penalty_per_sec <= 0.0 {
-            return 0;
-        }
         let Ok(rack) = self.topology.rack_of(machine) else {
             return 0;
         };
@@ -641,7 +581,7 @@ impl DynaSoReEngine {
         if delay == Latency::ZERO {
             return 0;
         }
-        (delay.as_secs_f64() * self.config.congestion_penalty_per_sec) as i64
+        (delay.as_secs_f64() * CONGESTION_PENALTY_PER_SEC) as i64
     }
 
     /// Gathers everything Algorithms 2 and 3 need to know about the replica

@@ -12,7 +12,7 @@ use dynasore_types::{
     VIEW_TRANSFER_PROTOCOL_MESSAGES,
 };
 
-use super::DynaSoReEngine;
+use super::{DynaSoReEngine, COUNTER_SLOTS};
 use crate::evaluation::{OriginCosts, PathTable};
 use crate::routing::TransferTally;
 use crate::server::ServerState;
@@ -247,11 +247,8 @@ impl DynaSoReEngine {
     pub(super) fn absorb_new_rack(&mut self, added: &[MachineId], out: &mut dyn TrafficSink) {
         let capacity = self.capacity_per_server();
         for server in &self.topology.servers()[self.servers.len()..] {
-            self.servers.push(ServerState::new(
-                server.machine(),
-                capacity,
-                self.config.counter_slots,
-            ));
+            self.servers
+                .push(ServerState::new(server.machine(), capacity, COUNTER_SLOTS));
         }
         self.scratch.tally = TransferTally::new(&self.topology);
         // The tree grew: a new position table, and utilities computed from

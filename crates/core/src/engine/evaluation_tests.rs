@@ -461,6 +461,6 @@ fn statistics_heap_is_proportional_to_the_traffic_in_the_window() {
     assert!(engine.stats_heap_bytes() <= bound);
     // A ring of period counters for the writes and for each origin of every
     // replica would not pass.
-    let dense = 8 * engine.config.counter_slots * (replicas + origins);
+    let dense = 8 * COUNTER_SLOTS * (replicas + origins);
     assert!(bound < dense, "{bound} bounds nothing: rings cost {dense}");
 }

@@ -29,6 +29,20 @@ use super::DynaSoReEngine;
 use crate::server::admission_threshold_from_utilities;
 use crate::stats::ReplicaStats;
 
+/// Fraction of a server's memory the admission threshold protects: only
+/// replicas more useful than what fills 90 % of it are admitted (§3.2,
+/// *Replication of views*).
+const ADMISSION_FILL_TARGET: f64 = 0.90;
+
+/// Occupancy above which the background sweep evicts the least useful
+/// replicas: servers keep 5 % of their memory free (§3.2, *Eviction of
+/// views*).
+const EVICTION_THRESHOLD: f64 = 0.95;
+
+/// Occupancy the eviction sweep brings a server back to (reproduction
+/// choice: the paper names only the trigger).
+const EVICTION_TARGET: f64 = 0.90;
+
 /// Cached per-subtree minima of the servers' admission thresholds (all zero
 /// until the first tick, like the thresholds themselves).
 ///
@@ -146,11 +160,11 @@ impl DynaSoReEngine {
         negative.clear();
         self.scratch.views = negative;
 
-        if self.servers[sidx].occupancy() <= self.config.eviction_threshold {
+        if self.servers[sidx].occupancy() <= EVICTION_THRESHOLD {
             return;
         }
         // Evict lowest-utility replicas until the target occupancy.
-        while self.servers[sidx].occupancy() > self.config.eviction_target {
+        while self.servers[sidx].occupancy() > EVICTION_TARGET {
             let Some(view) = self.eviction_victim(sidx) else {
                 break;
             };
@@ -168,7 +182,6 @@ impl DynaSoReEngine {
     /// evictions reached into it.
     /// Dead servers are empty and excluded from the threshold caches.
     pub(super) fn run_memory_policy(&mut self, out: &mut dyn TrafficSink) {
-        let fill_target = self.config.admission_fill_target;
         let mut utilities = std::mem::take(&mut self.scratch.utilities);
         for sidx in 0..self.servers.len() {
             if !self.topology.is_live(self.servers[sidx].machine()) {
@@ -178,8 +191,11 @@ impl DynaSoReEngine {
             let server = &mut self.servers[sidx];
             utilities.clear();
             utilities.extend(server.cached_utilities().map(|(_, utility)| utility));
-            let threshold =
-                admission_threshold_from_utilities(&mut utilities, server.capacity(), fill_target);
+            let threshold = admission_threshold_from_utilities(
+                &mut utilities,
+                server.capacity(),
+                ADMISSION_FILL_TARGET,
+            );
             server.set_admission_threshold(threshold);
         }
         self.scratch.utilities = utilities;

@@ -126,7 +126,11 @@ fn apply_step(
             return format!("write by {user}");
         }
         58..=65 => {
-            engine.on_tick(time, out);
+            // Half the statistics window per step, so the ticks of a run
+            // expire counters: traffic leaves the window two steps later.
+            for _ in 0..COUNTER_SLOTS / 2 {
+                engine.on_tick(time, out);
+            }
             return "tick".to_string();
         }
         66..=75 => {
@@ -162,20 +166,17 @@ proptest! {
     #[test]
     fn cached_utilities_are_equivalent_to_rescan_under_churn(
         shape in (proptest::bool::ANY, 5u32..150),
-        pacing in (1usize..4, 2usize..6),
+        check_every in 1usize..4,
         steps in proptest::collection::vec((0u32..100, (0u32..10_000, 0u32..10_000)), 40..140),
     ) {
         // Little extra memory makes admissions evict; a lot lets views grow
-        // third replicas, whose nearest other replica a creation moves. A
-        // short statistics window makes the ticks of a run expire counters.
+        // third replicas, whose nearest other replica a creation moves.
         let (flat, extra) = shape;
-        let (check_every, counter_slots) = pacing;
         let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
         let mut engine = DynaSoReEngine::builder()
             .topology(test_topology(flat))
             .budget(MemoryBudget::with_extra_percent(USERS, extra))
             .initial_placement(InitialPlacement::Random { seed: 5 })
-            .counter_slots(counter_slots)
             .build(&graph)
             .unwrap();
         let mut out = RecordingSink::default();

@@ -33,20 +33,17 @@ fn builder_validates_inputs() {
         .budget(MemoryBudget::exact(10))
         .build(&graph)
         .is_err());
-    // Degenerate tuning parameter.
-    assert!(DynaSoReEngine::builder()
-        .topology(topology.clone())
-        .eviction_threshold(0.0)
-        .build(&graph)
-        .is_err());
-    // Cluster too small to hold one copy of every view.
+    // No cluster is too small: the per-server capacity rounds up, so a
+    // single server holds every view.
     let tiny = Topology::tree(1, 1, 2, 1).unwrap(); // a single server
     let big_graph = SocialGraph::generate(GraphPreset::TwitterLike, 400, 1).unwrap();
-    let result = DynaSoReEngine::builder()
+    let engine = DynaSoReEngine::builder()
         .topology(tiny)
         .budget(MemoryBudget::exact(400))
-        .build(&big_graph);
-    assert!(result.is_ok() || result.is_err());
+        .build(&big_graph)
+        .unwrap();
+    assert_eq!(engine.servers.len(), 1);
+    assert_eq!(engine.servers[0].len(), 400);
 }
 
 #[test]

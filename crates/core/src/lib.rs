@@ -72,7 +72,7 @@ mod server;
 mod stats;
 mod utility;
 
-pub use config::{DynaSoReConfig, InitialPlacement};
+pub use config::InitialPlacement;
 pub use counters::RotatingCounter;
 pub use engine::{DynaSoReEngine, DynaSoReEngineBuilder};
 pub use server::{admission_threshold_from_utilities, ServerState};

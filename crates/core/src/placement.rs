@@ -20,9 +20,8 @@ use crate::config::InitialPlacement;
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] if the graph is empty, an explicit
-/// placement has the wrong length or references a non-existent server, or
-/// the partitioner cannot split the graph (fewer users than servers).
+/// Returns [`Error::InvalidConfig`] if the graph is empty or the
+/// partitioner cannot split the graph (fewer users than servers).
 pub fn initial_assignment(
     placement: &InitialPlacement,
     graph: &SocialGraph,
@@ -87,20 +86,6 @@ pub fn initial_assignment(
                 Ok(leaves.assignment().to_vec())
             }
         },
-        InitialPlacement::Explicit(assignment) => {
-            if assignment.len() != users {
-                return Err(Error::invalid_config(format!(
-                    "explicit placement has {} entries but the graph has {users} users",
-                    assignment.len()
-                )));
-            }
-            if let Some(&bad) = assignment.iter().find(|&&s| s as usize >= servers) {
-                return Err(Error::invalid_config(format!(
-                    "explicit placement references server {bad} but only {servers} servers exist"
-                )));
-            }
-            Ok(assignment.clone())
-        }
     }
 }
 
@@ -191,21 +176,6 @@ mod tests {
         .unwrap();
         let b = initial_assignment(&InitialPlacement::Metis { seed: 2 }, &graph, &flat).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn explicit_assignment_is_validated() {
-        let (graph, topology) = setup();
-        let ok = vec![0u32; graph.user_count()];
-        assert!(initial_assignment(&InitialPlacement::Explicit(ok), &graph, &topology).is_ok());
-        let wrong_len = vec![0u32; 5];
-        assert!(
-            initial_assignment(&InitialPlacement::Explicit(wrong_len), &graph, &topology).is_err()
-        );
-        let bad_server = vec![99u32; graph.user_count()];
-        assert!(
-            initial_assignment(&InitialPlacement::Explicit(bad_server), &graph, &topology).is_err()
-        );
     }
 
     #[test]

@@ -2,16 +2,16 @@
 //!
 //! Explicit [`TimedClusterEvent`] schedules are great for pinning one
 //! scenario, but long soak runs need the scenario space explored
-//! automatically. This module turns a [`Topology`] plus a handful of
-//! reliability parameters into a deterministic failure schedule: every
-//! machine fails as an independent exponential (MTBF) process, repairs take
-//! exponential (MTTR) time, and each failure escalates to its whole rack
-//! with a configurable probability — the correlated failure mode (shared
-//! switch or power domain) that rack-aware placement exists for.
+//! automatically. This module turns a [`Topology`], a seed and a horizon
+//! into a deterministic failure schedule: every machine fails as an
+//! independent exponential process (30-day MTBF), repairs take exponential
+//! time (2-hour MTTR), and 5 % of failures escalate to the whole rack — the
+//! correlated failure mode (shared switch or power domain) that rack-aware
+//! placement exists for.
 //!
 //! The generator is a discrete-event loop over a priority queue of pending
 //! per-machine failure times, so the produced stream is fully determined by
-//! the seed: the same `(topology, config)` pair always yields byte-identical
+//! the seed: the same `(topology, seed, horizon)` always yields byte-identical
 //! schedules, which keeps soak runs reproducible and lets the determinism
 //! tests compare entire simulation reports.
 //!
@@ -29,66 +29,23 @@ use rand::{Rng, SeedableRng};
 
 use dynasore_topology::Topology;
 use dynasore_types::{
-    ClusterEvent, Error, MachineId, Result, SimTime, SubtreeId, TimedClusterEvent,
+    ClusterEvent, Error, MachineId, Result, SimTime, SubtreeId, TimedClusterEvent, DAY_SECS,
+    HOUR_SECS,
 };
 
-/// Parameters of the seeded failure process.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultInjectionConfig {
-    /// Seed of the schedule; the stream is fully determined by it.
-    pub seed: u64,
-    /// Mean time between failures of one machine, in seconds (the failure
-    /// inter-arrival is exponential with this mean).
-    pub machine_mtbf_secs: u64,
-    /// Mean time to repair, in seconds (exponential).
-    pub machine_mttr_secs: u64,
-    /// Probability that a machine failure escalates to its whole rack — the
-    /// correlated-failure factor (shared top-of-rack switch or power
-    /// domain).
-    pub rack_failure_fraction: f64,
-    /// Failures are generated up to (excluding) this instant; matching
-    /// repairs may land after it so every outage ends.
-    pub horizon_secs: u64,
-}
+/// Mean time between failures of one machine (reproduction choice: the
+/// paper models no failures). Failure inter-arrivals are exponential with
+/// this mean.
+const MACHINE_MTBF_SECS: u64 = 30 * DAY_SECS;
 
-impl Default for FaultInjectionConfig {
-    /// Thirty-day machine MTBF, two-hour MTTR, 5% rack escalation, over a
-    /// one-week horizon.
-    fn default() -> Self {
-        FaultInjectionConfig {
-            seed: 0,
-            machine_mtbf_secs: 30 * dynasore_types::DAY_SECS,
-            machine_mttr_secs: 2 * dynasore_types::HOUR_SECS,
-            rack_failure_fraction: 0.05,
-            horizon_secs: 7 * dynasore_types::DAY_SECS,
-        }
-    }
-}
+/// Mean time to repair a machine or rack (reproduction choice;
+/// exponential).
+const MACHINE_MTTR_SECS: u64 = 2 * HOUR_SECS;
 
-impl FaultInjectionConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if a mean time or the horizon is
-    /// zero, or the rack fraction is outside `[0, 1]`.
-    pub fn validate(&self) -> Result<()> {
-        if self.machine_mtbf_secs == 0 || self.machine_mttr_secs == 0 {
-            return Err(Error::invalid_config(
-                "MTBF and MTTR must be positive durations",
-            ));
-        }
-        if self.horizon_secs == 0 {
-            return Err(Error::invalid_config("failure horizon must be positive"));
-        }
-        if !(0.0..=1.0).contains(&self.rack_failure_fraction) {
-            return Err(Error::invalid_config(
-                "rack_failure_fraction must be in [0, 1]",
-            ));
-        }
-        Ok(())
-    }
-}
+/// Probability that a machine failure escalates to its whole rack — the
+/// correlated-failure factor of a shared top-of-rack switch or power domain
+/// (reproduction choice).
+const RACK_FAILURE_FRACTION: f64 = 0.05;
 
 /// Draws an exponential duration with the given mean, clamped to ≥ 1 s.
 fn exponential_secs(rng: &mut StdRng, mean_secs: u64) -> u64 {
@@ -96,19 +53,24 @@ fn exponential_secs(rng: &mut StdRng, mean_secs: u64) -> u64 {
     ((-(1.0 - u).ln()) * mean_secs as f64).max(1.0) as u64
 }
 
-/// Generates a deterministic failure schedule for `topology` under
-/// `config`: a time-sorted stream of machine/rack outages and their
-/// repairs, ready for [`crate::Simulation::with_cluster_events`].
+/// Generates a deterministic failure schedule for `topology`: a time-sorted
+/// stream of machine/rack outages and their repairs, ready for
+/// [`crate::Simulation::with_cluster_events`]. The stream is fully
+/// determined by `seed`. Failures are generated up to (excluding)
+/// `horizon_secs`; matching repairs may land after it so every outage ends.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InvalidConfig`] when the configuration is invalid.
+/// Returns [`Error::InvalidConfig`] when the horizon is zero.
 pub fn generate_failure_schedule(
     topology: &Topology,
-    config: &FaultInjectionConfig,
+    seed: u64,
+    horizon_secs: u64,
 ) -> Result<Vec<TimedClusterEvent>> {
-    config.validate()?;
-    let mut rng = StdRng::seed_from_u64(config.seed);
+    if horizon_secs == 0 {
+        return Err(Error::invalid_config("failure horizon must be positive"));
+    }
+    let mut rng = StdRng::seed_from_u64(seed);
     let machines = topology.machine_count() as u32;
 
     // Pending next-failure instant per machine; the heap may hold stale
@@ -117,7 +79,7 @@ pub fn generate_failure_schedule(
     let mut next_failure: Vec<u64> = Vec::with_capacity(machines as usize);
     let mut heap: BinaryHeap<Reverse<(u64, u32)>> = BinaryHeap::with_capacity(machines as usize);
     for m in 0..machines {
-        let t = exponential_secs(&mut rng, config.machine_mtbf_secs);
+        let t = exponential_secs(&mut rng, MACHINE_MTBF_SECS);
         next_failure.push(t);
         heap.push(Reverse((t, m)));
     }
@@ -127,16 +89,14 @@ pub fn generate_failure_schedule(
         if next_failure[m as usize] != t {
             continue; // Stale entry superseded by a rack escalation.
         }
-        if t >= config.horizon_secs {
+        if t >= horizon_secs {
             break; // Heap pops in time order: everything left is beyond.
         }
         let machine = MachineId::new(m);
         let down_at = SimTime::from_secs(t);
-        let repair = exponential_secs(&mut rng, config.machine_mttr_secs);
+        let repair = exponential_secs(&mut rng, MACHINE_MTTR_SECS);
         let up_at = SimTime::from_secs(t + repair);
-        let escalates =
-            config.rack_failure_fraction > 0.0 && rng.gen_bool(config.rack_failure_fraction);
-        if escalates {
+        if rng.gen_bool(RACK_FAILURE_FRACTION) {
             let rack = topology.rack_of(machine)?;
             events.push(TimedClusterEvent {
                 time: down_at,
@@ -150,7 +110,7 @@ pub fn generate_failure_schedule(
             // the rack repair (machine-id order keeps the rng stream
             // deterministic).
             for member in topology.machines_in_subtree(SubtreeId::Rack(rack.index())) {
-                let next = t + repair + exponential_secs(&mut rng, config.machine_mtbf_secs);
+                let next = t + repair + exponential_secs(&mut rng, MACHINE_MTBF_SECS);
                 next_failure[member.as_usize()] = next;
                 heap.push(Reverse((next, member.index())));
             }
@@ -163,7 +123,7 @@ pub fn generate_failure_schedule(
                 time: up_at,
                 event: ClusterEvent::MachineUp { machine },
             });
-            let next = t + repair + exponential_secs(&mut rng, config.machine_mtbf_secs);
+            let next = t + repair + exponential_secs(&mut rng, MACHINE_MTBF_SECS);
             next_failure[m as usize] = next;
             heap.push(Reverse((next, m)));
         }
@@ -175,65 +135,37 @@ pub fn generate_failure_schedule(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dynasore_types::{DAY_SECS, HOUR_SECS};
 
-    fn soak_config() -> FaultInjectionConfig {
-        // Aggressive rates so a small topology produces a dense schedule.
-        FaultInjectionConfig {
-            seed: 7,
-            machine_mtbf_secs: DAY_SECS,
-            machine_mttr_secs: HOUR_SECS,
-            rack_failure_fraction: 0.2,
-            horizon_secs: 14 * DAY_SECS,
-        }
+    const SOAK_SEED: u64 = 7;
+    /// A year of a 16-machine tree: ≈ 195 machine failures at the 30-day
+    /// MTBF, so the 5 % rack escalation shows up too.
+    const SOAK_HORIZON_SECS: u64 = 365 * DAY_SECS;
+
+    fn soak_topology() -> Topology {
+        Topology::tree(2, 2, 4, 1).unwrap()
     }
 
     #[test]
     fn validation_rejects_degenerate_configs() {
-        assert!(FaultInjectionConfig::default().validate().is_ok());
-        for broken in [
-            FaultInjectionConfig {
-                machine_mtbf_secs: 0,
-                ..soak_config()
-            },
-            FaultInjectionConfig {
-                machine_mttr_secs: 0,
-                ..soak_config()
-            },
-            FaultInjectionConfig {
-                horizon_secs: 0,
-                ..soak_config()
-            },
-            FaultInjectionConfig {
-                rack_failure_fraction: 1.5,
-                ..soak_config()
-            },
-        ] {
-            assert!(broken.validate().is_err(), "{broken:?}");
-            assert!(
-                generate_failure_schedule(&Topology::tree(2, 2, 3, 1).unwrap(), &broken).is_err()
-            );
-        }
+        assert!(generate_failure_schedule(&soak_topology(), SOAK_SEED, 0).is_err());
+        assert!(generate_failure_schedule(&soak_topology(), SOAK_SEED, 1).is_ok());
     }
 
     #[test]
     fn schedules_are_deterministic_per_seed() {
-        let topology = Topology::tree(2, 2, 4, 1).unwrap();
-        let config = soak_config();
-        let a = generate_failure_schedule(&topology, &config).unwrap();
-        let b = generate_failure_schedule(&topology, &config).unwrap();
+        let topology = soak_topology();
+        let a = generate_failure_schedule(&topology, SOAK_SEED, SOAK_HORIZON_SECS).unwrap();
+        let b = generate_failure_schedule(&topology, SOAK_SEED, SOAK_HORIZON_SECS).unwrap();
         assert_eq!(a, b, "same seed must reproduce the schedule exactly");
-        assert!(!a.is_empty(), "aggressive rates must produce failures");
-        let other =
-            generate_failure_schedule(&topology, &FaultInjectionConfig { seed: 8, ..config })
-                .unwrap();
+        assert!(!a.is_empty(), "a year of outages must produce failures");
+        let other = generate_failure_schedule(&topology, SOAK_SEED + 1, SOAK_HORIZON_SECS).unwrap();
         assert_ne!(a, other, "different seeds must explore different runs");
     }
 
     #[test]
     fn schedules_are_sorted_valid_and_paired() {
-        let topology = Topology::tree(2, 2, 4, 1).unwrap();
-        let events = generate_failure_schedule(&topology, &soak_config()).unwrap();
+        let topology = soak_topology();
+        let events = generate_failure_schedule(&topology, SOAK_SEED, SOAK_HORIZON_SECS).unwrap();
         let mut last = SimTime::ZERO;
         let mut downs = 0usize;
         let mut ups = 0usize;
@@ -244,7 +176,7 @@ mod tests {
                 ClusterEvent::MachineDown { machine } | ClusterEvent::MachineUp { machine } => {
                     assert!(topology.contains(machine));
                     if matches!(e.event, ClusterEvent::MachineDown { .. }) {
-                        assert!(e.time.as_secs() < soak_config().horizon_secs);
+                        assert!(e.time.as_secs() < SOAK_HORIZON_SECS);
                         downs += 1;
                     } else {
                         ups += 1;
@@ -253,7 +185,7 @@ mod tests {
                 ClusterEvent::RackDown { rack } | ClusterEvent::RackUp { rack } => {
                     assert!(rack.as_usize() < topology.rack_count());
                     if matches!(e.event, ClusterEvent::RackDown { .. }) {
-                        assert!(e.time.as_secs() < soak_config().horizon_secs);
+                        assert!(e.time.as_secs() < SOAK_HORIZON_SECS);
                         downs += 1;
                     } else {
                         ups += 1;
@@ -267,31 +199,13 @@ mod tests {
             }
         }
         assert_eq!(downs, ups, "every outage must come with a repair");
-        // With a 20% escalation factor a two-week soak of 16 machines sees
-        // both failure modes.
+        // A year of 16 machines sees both failure modes.
         assert!(events
             .iter()
             .any(|e| matches!(e.event, ClusterEvent::RackDown { .. })));
         assert!(events
             .iter()
             .any(|e| matches!(e.event, ClusterEvent::MachineDown { .. })));
-    }
-
-    #[test]
-    fn zero_rack_fraction_never_escalates() {
-        let topology = Topology::tree(2, 2, 4, 1).unwrap();
-        let events = generate_failure_schedule(
-            &topology,
-            &FaultInjectionConfig {
-                rack_failure_fraction: 0.0,
-                ..soak_config()
-            },
-        )
-        .unwrap();
-        assert!(events.iter().all(|e| matches!(
-            e.event,
-            ClusterEvent::MachineDown { .. } | ClusterEvent::MachineUp { .. }
-        )));
     }
 
     #[test]
@@ -304,15 +218,9 @@ mod tests {
 
         let users = 200usize;
         let graph = SocialGraph::generate(GraphPreset::FacebookLike, users, 3).unwrap();
-        let topology = Topology::tree(2, 2, 4, 1).unwrap();
-        let config = FaultInjectionConfig {
-            seed: 11,
-            machine_mtbf_secs: 6 * HOUR_SECS,
-            machine_mttr_secs: HOUR_SECS,
-            rack_failure_fraction: 0.1,
-            horizon_secs: 2 * DAY_SECS,
-        };
-        let schedule = generate_failure_schedule(&topology, &config).unwrap();
+        let topology = soak_topology();
+        // Two days of 16 machines at a 30-day MTBF: seed 11 downs a server.
+        let schedule = generate_failure_schedule(&topology, 11, 2 * DAY_SECS).unwrap();
         assert!(!schedule.is_empty());
         let run = || {
             let engine = DynaSoReEngine::builder()

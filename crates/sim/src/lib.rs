@@ -87,10 +87,10 @@ pub mod scenario;
 mod simulation;
 
 pub use durable::{DurableIoStats, DurableTier, TierReplay};
-pub use faults::{generate_failure_schedule, FaultInjectionConfig};
-pub use obs::{SimObs, DEFAULT_RECORDER_CAPACITY};
+pub use faults::generate_failure_schedule;
+pub use obs::SimObs;
 pub use report::{LatencyStats, ReliabilityStats, SimReport};
 pub use scenario::{
     DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, ScenarioScript,
 };
-pub use simulation::{switch_counts, Simulation, SimulationConfig};
+pub use simulation::{switch_counts, Simulation};

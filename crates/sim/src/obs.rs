@@ -18,9 +18,10 @@ use dynasore_types::{
 
 use crate::durable::{DurableIoStats, DurableTier};
 
-/// Default flight-recorder capacity for simulation runs: enough to keep a
-/// full adversarial scenario's decision timeline without rewinding.
-pub const DEFAULT_RECORDER_CAPACITY: usize = 65_536;
+/// Flight-recorder capacity of a simulation observer (reproduction choice):
+/// enough to keep a full adversarial scenario's decision timeline without
+/// rewinding.
+const RECORDER_CAPACITY: usize = 65_536;
 
 /// Simulation observer: flight recorder + metrics registry, both updated
 /// from the accounting sink's [`dynasore_types::TrafficSink::trace`] hook
@@ -34,23 +35,19 @@ pub struct SimObs {
 }
 
 impl Default for SimObs {
+    /// An observer whose flight recorder keeps the newest 65,536 events.
+    /// All storage is allocated here, up front.
     fn default() -> Self {
-        SimObs::new(DEFAULT_RECORDER_CAPACITY)
-    }
-}
-
-impl SimObs {
-    /// Creates an observer whose flight recorder keeps the newest
-    /// `capacity` events. All storage is allocated here, up front.
-    pub fn new(capacity: usize) -> Self {
         SimObs {
-            recorder: FlightRecorder::new(capacity),
+            recorder: FlightRecorder::new(RECORDER_CAPACITY),
             registry: MetricsRegistry::new(),
             shard_lag_scratch: Vec::new(),
             collapse_onset_seen: false,
         }
     }
+}
 
+impl SimObs {
     /// The recorded event timeline.
     pub fn recorder(&self) -> &FlightRecorder {
         &self.recorder

@@ -283,10 +283,10 @@ impl SimReport {
 mod tests {
     use super::*;
     use dynasore_topology::Switch;
-    use dynasore_types::MessageClass;
+    use dynasore_types::{MessageClass, NetworkModel};
 
     fn report_with_top_units(units_messages: u64) -> SimReport {
-        let mut traffic = TrafficAccount::hourly();
+        let mut traffic = TrafficAccount::new(NetworkModel::infinite());
         for _ in 0..units_messages {
             traffic.record(
                 &[Switch::Rack(0), Switch::Intermediate(0), Switch::Top],

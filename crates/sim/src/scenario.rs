@@ -24,21 +24,29 @@ use rand::{Rng, SeedableRng};
 use dynasore_graph::SocialGraph;
 use dynasore_topology::{Topology, TopologyKind};
 use dynasore_types::{
-    ClusterEvent, Error, Latency, PlacementEngine, RackId, Result, SimTime, TimedClusterEvent,
-    UserId, DAY_SECS, HOUR_SECS,
+    ClusterEvent, Error, Latency, NetworkModel, PlacementEngine, RackId, Result, SimTime,
+    TimedClusterEvent, UserId, DAY_SECS, HOUR_SECS,
 };
 use dynasore_workload::{
     FlashEventPlan, Request, SyntheticConfig, SyntheticTraceGenerator, TimedMutation,
 };
 
 use crate::durable::DurableTier;
-use crate::faults::{generate_failure_schedule, FaultInjectionConfig};
+use crate::faults::generate_failure_schedule;
 use crate::obs::SimObs;
 use crate::report::SimReport;
-use crate::simulation::{Simulation, SimulationConfig};
+use crate::simulation::{Simulation, TICK_SECS};
 
-/// Tuning knobs shared by every scenario. The seed fully determines each
-/// script: same `(graph, topology, config)` → byte-identical scenario.
+/// Attack intensity (reproduction choice): reads issued per attacker per
+/// hour while an attack window is open (hot-key flood, flash crowd).
+const FLOOD_FACTOR: f64 = 8.0;
+
+/// Fraction of the user base recruited as colluding attackers by the
+/// hot-key flood (reproduction choice).
+const ATTACKER_FRACTION: f64 = 0.02;
+
+/// Knobs shared by every scenario. The seed fully determines each script:
+/// same `(graph, topology, config)` → byte-identical scenario.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ScenarioConfig {
     /// Seed of every random choice a script makes (attacker selection,
@@ -46,25 +54,17 @@ pub struct ScenarioConfig {
     pub seed: u64,
     /// Length of each scenario in days of simulated time.
     pub days: u64,
-    /// Attack intensity: reads issued per attacker per hour while an attack
-    /// window is open (hot-key flood, flash crowd).
-    pub flood_factor: f64,
-    /// Fraction of the user base recruited as colluding attackers.
-    pub attacker_fraction: f64,
     /// Number of racks taken down together by the regional-failure
     /// scenario (clamped so at least one rack stays up).
     pub regional_racks: usize,
 }
 
 impl Default for ScenarioConfig {
-    /// Two simulated days, 2% of users colluding, 8 reads per attacker per
-    /// hour, two racks per regional outage.
+    /// Two simulated days, two racks per regional outage.
     fn default() -> Self {
         ScenarioConfig {
             seed: 0,
             days: 2,
-            flood_factor: 8.0,
-            attacker_fraction: 0.02,
             regional_racks: 2,
         }
     }
@@ -79,12 +79,6 @@ impl ScenarioConfig {
     pub fn validate(&self) -> Result<()> {
         if self.days == 0 {
             return Err(Error::invalid_config("scenarios must last at least a day"));
-        }
-        if self.flood_factor < 1.0 {
-            return Err(Error::invalid_config("flood_factor must be at least 1"));
-        }
-        if !(0.0..=1.0).contains(&self.attacker_fraction) || self.attacker_fraction == 0.0 {
-            return Err(Error::invalid_config("attacker_fraction must be in (0, 1]"));
         }
         if self.regional_racks == 0 {
             return Err(Error::invalid_config(
@@ -232,22 +226,19 @@ pub struct DegradationReport {
 }
 
 /// Expands scenarios and drives engines through them.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct ScenarioRunner {
-    /// Scenario knobs (seed, duration, intensities).
+    /// Scenario knobs (seed, duration, regional outage size).
     pub scenario: ScenarioConfig,
-    /// Simulation timing and network model shared by quiet and disrupted
-    /// runs.
-    pub simulation: SimulationConfig,
+    /// The network model shared by quiet and disrupted runs
+    /// ([`Simulation::with_network`]).
+    pub network: NetworkModel,
 }
 
 impl ScenarioRunner {
-    /// Creates a runner from scenario and simulation configuration.
-    pub fn new(scenario: ScenarioConfig, simulation: SimulationConfig) -> Self {
-        ScenarioRunner {
-            scenario,
-            simulation,
-        }
+    /// Creates a runner from the scenario knobs and the network model.
+    pub fn new(scenario: ScenarioConfig, network: NetworkModel) -> Self {
+        ScenarioRunner { scenario, network }
     }
 
     /// Runs `engine` over the undisturbed base trace — the baseline every
@@ -267,7 +258,7 @@ impl ScenarioRunner {
         let trace =
             SyntheticTraceGenerator::paper_defaults(graph, self.scenario.days, self.scenario.seed)?;
         Simulation::new(topology, engine, graph)
-            .with_config(self.simulation)
+            .with_network(self.network)
             .run(trace)
     }
 
@@ -333,7 +324,7 @@ impl ScenarioRunner {
     ) -> Result<(DegradationReport, Option<SimObs>)> {
         let script = kind.script(graph, &topology, &self.scenario)?;
         let mut sim = Simulation::new(topology, engine, graph)
-            .with_config(self.simulation)
+            .with_network(self.network)
             .with_mutations(script.mutations)
             .with_cluster_events(script.events);
         if let Some(tier) = durable {
@@ -347,8 +338,7 @@ impl ScenarioRunner {
         // one tick.
         let mut last_unreachable = 0u64;
         let mut last_increase = SimTime::ZERO;
-        let probe_secs = self.simulation.tick_secs;
-        let report = sim.run_with_probe(script.trace, probe_secs, |time, engine, _| {
+        let report = sim.run_with_probe(script.trace, TICK_SECS, |time, engine, _| {
             let unreachable = engine.unreachable_reads();
             if unreachable > last_unreachable {
                 last_unreachable = unreachable;
@@ -471,7 +461,7 @@ fn hot_key_flood(graph: &SocialGraph, config: &ScenarioConfig) -> Result<Scenari
     // recruitment order-independent and the script deterministic.
     let users = graph.user_count();
     let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(0xA77AC4)); // attacker stream
-    let wanted = ((users as f64 * config.attacker_fraction).round() as usize).max(1);
+    let wanted = ((users as f64 * ATTACKER_FRACTION).round() as usize).max(1);
     let mut attackers: BTreeSet<UserId> = BTreeSet::new();
     let mut draws = 0usize;
     while attackers.len() < wanted && draws < users * 20 {
@@ -508,7 +498,7 @@ fn hot_key_flood(graph: &SocialGraph, config: &ScenarioConfig) -> Result<Scenari
         },
     }));
 
-    let flood = read_storm(&attackers, start, end, config.flood_factor);
+    let flood = read_storm(&attackers, start, end, FLOOD_FACTOR);
     Ok(ScenarioScript {
         name: ScenarioKind::HotKeyFlood.name(),
         trace: merge_traces(base_trace(graph, config)?, flood),
@@ -546,7 +536,7 @@ fn flash_crowd_neighbor_down(
         end,
         config.seed.wrapping_add(0xF1A54),
     )?;
-    let storm = read_storm(plan.new_followers(), start, end, config.flood_factor);
+    let storm = read_storm(plan.new_followers(), start, end, FLOOD_FACTOR);
 
     // Meanwhile the adjacent rack is down for the whole crowd window, so
     // the capacity the spike would spill into is missing.
@@ -583,7 +573,6 @@ fn ratio_inversion(graph: &SocialGraph, config: &ScenarioConfig) -> Result<Scena
         SyntheticConfig {
             days: config.days,
             read_write_ratio: 4.0,
-            ..SyntheticConfig::default()
         },
         config.seed,
     )?;
@@ -592,7 +581,6 @@ fn ratio_inversion(graph: &SocialGraph, config: &ScenarioConfig) -> Result<Scena
         SyntheticConfig {
             days: config.days,
             read_write_ratio: 0.25,
-            ..SyntheticConfig::default()
         },
         config.seed.wrapping_add(1),
     )?;
@@ -619,14 +607,7 @@ fn regional_failure(
 
     // Background noise: the seeded MTBF/MTTR failure process, so the
     // regional outage lands on a cluster that is already imperfect.
-    let mut events = generate_failure_schedule(
-        topology,
-        &FaultInjectionConfig {
-            seed: config.seed,
-            horizon_secs: duration,
-            ..FaultInjectionConfig::default()
-        },
-    )?;
+    let mut events = generate_failure_schedule(topology, config.seed, duration)?;
 
     // The region: the first `regional_racks` racks fail together, leaving
     // at least one rack standing.
@@ -681,6 +662,7 @@ mod tests {
     use super::*;
     use dynasore_graph::GraphPreset;
     use dynasore_types::Operation;
+    use dynasore_workload::GraphMutation;
 
     fn setup() -> (SocialGraph, Topology) {
         let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 11).unwrap();
@@ -702,18 +684,6 @@ mod tests {
         for broken in [
             ScenarioConfig {
                 days: 0,
-                ..config()
-            },
-            ScenarioConfig {
-                flood_factor: 0.5,
-                ..config()
-            },
-            ScenarioConfig {
-                attacker_fraction: 0.0,
-                ..config()
-            },
-            ScenarioConfig {
-                attacker_fraction: 1.5,
                 ..config()
             },
             ScenarioConfig {
@@ -760,43 +730,39 @@ mod tests {
     #[test]
     fn hot_key_flood_recruits_attackers_and_floods_the_window() {
         let (graph, topology) = setup();
-        // A tenth of the users colluding makes the flood unmistakable.
         let script = ScenarioKind::HotKeyFlood
-            .script(
-                &graph,
-                &topology,
-                &ScenarioConfig {
-                    attacker_fraction: 0.1,
-                    ..config()
-                },
-            )
+            .script(&graph, &topology, &config())
             .unwrap();
-        // The follow/unfollow mutations pair up.
-        assert!(!script.mutations.is_empty());
-        assert_eq!(script.mutations.len() % 2, 0);
-        // The attack window holds more reads than the same span before it.
+        // 2 % of the users follow the victim for the window, then unfollow.
+        let attackers: BTreeSet<UserId> = script
+            .mutations
+            .iter()
+            .map(|m| match m.mutation {
+                GraphMutation::AddEdge { follower, .. }
+                | GraphMutation::RemoveEdge { follower, .. } => follower,
+            })
+            .collect();
+        let wanted = (graph.user_count() as f64 * ATTACKER_FRACTION).round() as usize;
+        assert_eq!(attackers.len(), wanted);
+        assert_eq!(script.mutations.len(), 2 * wanted);
+        // Each attacker reads the flood factor per hour of the window, which
+        // dwarfs their organic reads of the same span before it.
         let window = script.disruption_end.as_secs() - script.disruption_start.as_secs();
-        let in_window = script
-            .trace
-            .iter()
-            .filter(|r| {
-                r.op == Operation::Read
-                    && r.time >= script.disruption_start
-                    && r.time < script.disruption_end
-            })
-            .count();
-        let before = script
-            .trace
-            .iter()
-            .filter(|r| {
-                r.op == Operation::Read
-                    && r.time.as_secs() >= script.disruption_start.as_secs() - window
-                    && r.time < script.disruption_start
-            })
-            .count();
+        let attacker_reads = |lo: u64, hi: u64| {
+            script
+                .trace
+                .iter()
+                .filter(|r| r.op == Operation::Read && attackers.contains(&r.user))
+                .filter(|r| (lo..hi).contains(&r.time.as_secs()))
+                .count() as f64
+        };
+        let start = script.disruption_start.as_secs();
+        let in_window = attacker_reads(start, start + window);
+        let before = attacker_reads(start - window, start);
+        let flood = FLOOD_FACTOR * wanted as f64 * window as f64 / HOUR_SECS as f64;
         assert!(
-            in_window > before * 2,
-            "flood window: {in_window} reads vs {before} quiet"
+            in_window >= flood && in_window > 4.0 * before,
+            "flood window: {in_window} attacker reads vs {before} quiet"
         );
     }
 

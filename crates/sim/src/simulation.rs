@@ -110,28 +110,9 @@ impl TrafficSink for AccountingSink<'_> {
     }
 }
 
-/// Simulation timing parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SimulationConfig {
-    /// Interval between engine maintenance ticks (counter rotation,
-    /// threshold refresh, eviction sweeps). The paper rotates statistics
-    /// hourly (§4.3), which is the default.
-    pub tick_secs: u64,
-    /// The time model the run charges switch queues under. The default is
-    /// the degenerate [`NetworkModel::infinite`] model: no queueing, zero
-    /// latency samples, and traffic accounting byte-identical to the
-    /// historical unit-count behaviour.
-    pub network: NetworkModel,
-}
-
-impl Default for SimulationConfig {
-    fn default() -> Self {
-        SimulationConfig {
-            tick_secs: HOUR_SECS,
-            network: NetworkModel::infinite(),
-        }
-    }
-}
+/// Interval between engine maintenance ticks (counter rotation, threshold
+/// refresh, eviction sweeps): the paper rotates statistics hourly (§4.3).
+pub(crate) const TICK_SECS: u64 = HOUR_SECS;
 
 /// Drives a request trace through a [`PlacementEngine`] over a [`Topology`]
 /// and measures the traffic of every switch.
@@ -146,7 +127,11 @@ pub struct Simulation<E> {
     graph: SocialGraph,
     mutations: Vec<TimedMutation>,
     cluster_events: Vec<TimedClusterEvent>,
-    config: SimulationConfig,
+    /// The time model the run charges switch queues under; without
+    /// [`Simulation::with_network`], the degenerate
+    /// [`NetworkModel::infinite`]: no queueing, zero latency samples, unit
+    /// counts only.
+    network: NetworkModel,
     durable: Option<Box<dyn DurableTier>>,
     obs: Option<SimObs>,
 }
@@ -161,7 +146,7 @@ impl<E: PlacementEngine> Simulation<E> {
             graph: graph.clone(),
             mutations: Vec::new(),
             cluster_events: Vec::new(),
-            config: SimulationConfig::default(),
+            network: NetworkModel::infinite(),
             durable: None,
             obs: None,
         }
@@ -187,17 +172,11 @@ impl<E: PlacementEngine> Simulation<E> {
         self
     }
 
-    /// Overrides the timing configuration.
-    pub fn with_config(mut self, config: SimulationConfig) -> Self {
-        self.config = config;
-        self
-    }
-
     /// Runs the simulation under a time-aware [`NetworkModel`]: switch
     /// queues fill and drain, every read samples a latency, and the report
     /// gains meaningful percentiles and congestion-collapse detection.
     pub fn with_network(mut self, network: NetworkModel) -> Self {
-        self.config.network = network;
+        self.network = network;
         self
     }
 
@@ -288,9 +267,8 @@ impl<E: PlacementEngine> Simulation<E> {
         I: IntoIterator<Item = Request>,
         F: FnMut(SimTime, &E, &SocialGraph),
     {
-        // The traffic time series is bucketed by the hour.
         let mut counters = RunCounters {
-            traffic: TrafficAccount::with_model(HOUR_SECS, self.config.network),
+            traffic: TrafficAccount::new(self.network),
             app_messages: 0,
             proto_messages: 0,
             recovery_messages: 0,
@@ -310,7 +288,7 @@ impl<E: PlacementEngine> Simulation<E> {
 
         let mut mutation_idx = 0usize;
         let mut event_idx = 0usize;
-        let mut next_tick = self.config.tick_secs;
+        let mut next_tick = TICK_SECS;
         let mut next_probe = if probe_secs == u64::MAX {
             u64::MAX
         } else {
@@ -405,10 +383,10 @@ impl<E: PlacementEngine> Simulation<E> {
                         &self.topology,
                         &counters.traffic,
                         self.durable.as_deref(),
-                        &self.config.network,
+                        &self.network,
                     );
                 }
-                next_tick += self.config.tick_secs;
+                next_tick += TICK_SECS;
                 window_snaps.push((self.engine.unreachable_reads(), read_targets));
             }
 
@@ -486,8 +464,8 @@ impl<E: PlacementEngine> Simulation<E> {
         }
 
         let latency = LatencyStats {
-            collapsed: !self.config.network.is_infinite()
-                && counters.traffic.max_queue_delay() >= self.config.network.collapse_threshold,
+            collapsed: !self.network.is_infinite()
+                && counters.traffic.max_queue_delay() >= self.network.collapse_threshold,
             max_queue_delay: counters.traffic.max_queue_delay(),
             max_switch_backlog: counters.traffic.max_switch_backlog(),
             read: read_latency,

@@ -6,7 +6,7 @@
 use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs, SimulationConfig};
+use dynasore_sim::{ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs};
 use dynasore_topology::Topology;
 use dynasore_types::{
     ClusterEvent, MemoryBudget, MetricId, NetworkModel, PlacementEngine, ReplicaChangeReason,
@@ -32,10 +32,7 @@ fn runner() -> ScenarioRunner {
             days: 1,
             ..ScenarioConfig::default()
         },
-        SimulationConfig {
-            network: NetworkModel::datacenter(),
-            ..SimulationConfig::default()
-        },
+        NetworkModel::datacenter(),
     )
 }
 

@@ -12,6 +12,10 @@ use dynasore_types::{
 
 use crate::layout::{Switch, Tier};
 
+/// Width of a time-series bucket: the hour, the finest grain the paper
+/// plots (Figures 4 and 6) and the engines' maintenance period (§4.3).
+const BUCKET_SECS: u64 = HOUR_SECS;
+
 /// Traffic accumulated at one tier, split by message class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierTraffic {
@@ -35,15 +39,16 @@ impl TierTraffic {
     }
 }
 
-/// Records the traffic of every switch of a topology over time.
+/// Records the traffic of every switch of a topology over time, in hourly
+/// buckets.
 ///
 /// # Example
 ///
 /// ```
 /// use dynasore_topology::{Switch, Tier, TrafficAccount};
-/// use dynasore_types::{MessageClass, SimTime};
+/// use dynasore_types::{MessageClass, NetworkModel, SimTime};
 ///
-/// let mut account = TrafficAccount::new(3_600);
+/// let mut account = TrafficAccount::new(NetworkModel::infinite());
 /// account.record(
 ///     &[Switch::Rack(0), Switch::Intermediate(0), Switch::Top],
 ///     MessageClass::Application,
@@ -54,7 +59,6 @@ impl TierTraffic {
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficAccount {
-    bucket_secs: u64,
     tier_totals: [TierTraffic; 3],
     /// Per-switch totals in dense, index-addressed tables (grown on
     /// demand), so charging a message is pure array arithmetic — no hashing
@@ -65,8 +69,8 @@ pub struct TrafficAccount {
     /// `series[bucket][tier]`, grown on demand.
     series: Vec<[TierTraffic; 3]>,
     messages: u64,
-    /// The time model. With the default [`NetworkModel::infinite`] the queue
-    /// state below is never touched and accounting is byte-identical to the
+    /// The time model. With [`NetworkModel::infinite`] the queue state
+    /// below is never touched and accounting is byte-identical to the
     /// historical unit-count behaviour.
     model: NetworkModel,
     /// Per-switch deterministic queues: the absolute instant (ns) until
@@ -85,30 +89,13 @@ pub struct TrafficAccount {
 }
 
 impl TrafficAccount {
-    /// Creates an account whose time series uses buckets of `bucket_secs`
-    /// seconds (the paper plots hourly to daily curves; the default
-    /// constructor [`TrafficAccount::hourly`] uses one hour).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_secs` is zero.
-    pub fn new(bucket_secs: u64) -> Self {
-        TrafficAccount::with_model(bucket_secs, NetworkModel::infinite())
-    }
-
-    /// Creates an account that additionally tracks per-switch queueing under
-    /// the given time model: [`TrafficAccount::record_timed`] then returns a
+    /// Creates an empty account charging queues under the given time model.
+    /// Under a finite model [`TrafficAccount::record_timed`] returns a
     /// nonzero latency sample per message and the account accumulates the
-    /// maximum queueing delay and backlog any switch reached. With
-    /// [`NetworkModel::infinite`] this is exactly [`TrafficAccount::new`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_secs` is zero.
-    pub fn with_model(bucket_secs: u64, model: NetworkModel) -> Self {
-        assert!(bucket_secs > 0, "bucket width must be positive");
+    /// maximum queueing delay and backlog any switch reached; under
+    /// [`NetworkModel::infinite`] it counts units only.
+    pub fn new(model: NetworkModel) -> Self {
         TrafficAccount {
-            bucket_secs,
             tier_totals: [TierTraffic::default(); 3],
             top_total: 0,
             intermediate_totals: Vec::new(),
@@ -149,16 +136,6 @@ impl TrafficAccount {
         }
     }
 
-    /// Creates an account with one-hour buckets.
-    pub fn hourly() -> Self {
-        TrafficAccount::new(HOUR_SECS)
-    }
-
-    /// The width of a time-series bucket, in seconds.
-    pub fn bucket_secs(&self) -> u64 {
-        self.bucket_secs
-    }
-
     /// Records one message of `class` traversing the given switches at time
     /// `time`. A message with an empty path (local delivery) costs nothing.
     pub fn record(&mut self, path: &[Switch], class: MessageClass, time: SimTime) {
@@ -181,7 +158,7 @@ impl TrafficAccount {
         }
         self.messages += 1;
         let units = class.units();
-        let bucket = time.bucket(self.bucket_secs) as usize;
+        let bucket = time.bucket(BUCKET_SECS) as usize;
         if bucket >= self.series.len() {
             self.series.resize(bucket + 1, [TierTraffic::default(); 3]);
         }
@@ -320,15 +297,13 @@ impl TrafficAccount {
     }
 }
 
-impl Default for TrafficAccount {
-    fn default() -> Self {
-        TrafficAccount::hourly()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn unit_account() -> TrafficAccount {
+        TrafficAccount::new(NetworkModel::infinite())
+    }
 
     fn cross_cluster_path() -> Vec<Switch> {
         vec![
@@ -342,7 +317,7 @@ mod tests {
 
     #[test]
     fn record_accumulates_per_tier_and_switch() {
-        let mut acc = TrafficAccount::hourly();
+        let mut acc = unit_account();
         acc.record(
             &cross_cluster_path(),
             MessageClass::Application,
@@ -365,7 +340,7 @@ mod tests {
 
     #[test]
     fn local_messages_cost_nothing() {
-        let mut acc = TrafficAccount::hourly();
+        let mut acc = unit_account();
         acc.record(&[], MessageClass::Application, SimTime::ZERO);
         assert_eq!(acc.message_count(), 0);
         assert_eq!(acc.grand_total(), 0);
@@ -373,33 +348,27 @@ mod tests {
 
     #[test]
     fn series_is_bucketed_by_time() {
-        let mut acc = TrafficAccount::new(60);
-        acc.record(
-            &[Switch::Top],
-            MessageClass::Application,
-            SimTime::from_secs(30),
-        );
-        acc.record(
-            &[Switch::Top],
-            MessageClass::Application,
-            SimTime::from_secs(90),
-        );
-        acc.record(
-            &[Switch::Top],
-            MessageClass::Protocol,
-            SimTime::from_secs(95),
-        );
+        let mut acc = unit_account();
+        for (secs, class) in [
+            (1_800, MessageClass::Application),
+            (HOUR_SECS, MessageClass::Application),
+            (5_700, MessageClass::Protocol),
+            (3 * HOUR_SECS - 1, MessageClass::Protocol),
+        ] {
+            acc.record(&[Switch::Top], class, SimTime::from_secs(secs));
+        }
+        // One bucket per hour, quiet hours included.
         let series = acc.top_switch_series();
-        assert_eq!(series.len(), 2);
+        assert_eq!(series.len(), 3);
         assert_eq!(series[0].application, 10);
         assert_eq!(series[1].application, 10);
         assert_eq!(series[1].protocol, 1);
-        assert_eq!(acc.bucket_secs(), 60);
+        assert_eq!(series[2].protocol, 1);
     }
 
     #[test]
     fn tier_average_divides_by_switch_count() {
-        let mut acc = TrafficAccount::hourly();
+        let mut acc = unit_account();
         acc.record(
             &cross_cluster_path(),
             MessageClass::Application,
@@ -413,8 +382,8 @@ mod tests {
 
     #[test]
     fn infinite_model_keeps_unit_accounting_byte_identical() {
-        let mut plain = TrafficAccount::hourly();
-        let mut modelled = TrafficAccount::with_model(HOUR_SECS, NetworkModel::infinite());
+        let mut plain = unit_account();
+        let mut modelled = unit_account();
         for t in [0u64, 30, 4_000] {
             plain.record(
                 &cross_cluster_path(),
@@ -447,7 +416,7 @@ mod tests {
             hop_latency: Latency::from_micros(1),
             collapse_threshold: Latency::from_secs(1),
         };
-        let mut acc = TrafficAccount::with_model(HOUR_SECS, model);
+        let mut acc = TrafficAccount::new(model);
         // First protocol message through an idle top switch: 1 hop latency
         // plus 1 unit × 1 ms service, no wait.
         let first = acc.record_timed(&[Switch::Top], MessageClass::Protocol, SimTime::ZERO);
@@ -469,7 +438,7 @@ mod tests {
         assert_eq!(acc.tier_total(Tier::Top).protocol, 2);
         assert_eq!(acc.message_count(), 2);
         // Determinism: an identical replay produces an identical account.
-        let mut replay = TrafficAccount::with_model(HOUR_SECS, model);
+        let mut replay = TrafficAccount::new(model);
         replay.record_timed(&[Switch::Top], MessageClass::Protocol, SimTime::ZERO);
         replay.record_timed(&[Switch::Top], MessageClass::Protocol, SimTime::ZERO);
         assert_eq!(acc, replay);
@@ -488,7 +457,7 @@ mod tests {
             hop_latency: Latency::ZERO,
             collapse_threshold: Latency::from_secs(1),
         };
-        let mut acc = TrafficAccount::with_model(HOUR_SECS, model);
+        let mut acc = TrafficAccount::new(model);
         let path = [Switch::Rack(0), Switch::Top];
         let first = acc.record_timed(&path, MessageClass::Protocol, SimTime::ZERO);
         // 1 s rack service + 1 µs top service.

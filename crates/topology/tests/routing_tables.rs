@@ -192,20 +192,20 @@ proptest! {
         b_pick in 0usize..10_000,
     ) {
         use dynasore_topology::TrafficAccount;
-        use dynasore_types::{MessageClass, SimTime};
+        use dynasore_types::{MessageClass, NetworkModel, SimTime};
 
         let topo = Topology::tree(inter, racks, machines, 1).unwrap();
         let n = topo.machine_count();
         let a = MachineId::new((a_pick % n) as u32);
         let b = MachineId::new((b_pick % n) as u32);
 
-        let mut by_path = TrafficAccount::hourly();
+        let mut by_path = TrafficAccount::new(NetworkModel::infinite());
         by_path.record(
             &topo.path_switches(a, b),
             MessageClass::Application,
             SimTime::ZERO,
         );
-        let mut by_record = TrafficAccount::hourly();
+        let mut by_record = TrafficAccount::new(NetworkModel::infinite());
         topo.record_path_timed(a, b, MessageClass::Application, SimTime::ZERO, &mut by_record);
         prop_assert_eq!(&by_path, &by_record);
         prop_assert_eq!(

@@ -138,6 +138,24 @@ mod tests {
         assert!(b.slots_per_server(7).unwrap() * 7 >= b.total_slots());
     }
 
+    /// Why no engine can be built over a cluster too small for its views:
+    /// rounding up gives every cluster room for one copy of each.
+    #[test]
+    fn per_server_slots_always_hold_every_view() {
+        for views in [1, 2, 7, 100, 399, 400, 401, 10_007] {
+            for extra in [0, 1, 30, 99, 100, 200] {
+                for servers in [1, 2, 3, 16, 27, 225, 401, 20_000] {
+                    let b = MemoryBudget::with_extra_percent(views, extra);
+                    let per_server = b.slots_per_server(servers).unwrap();
+                    assert!(
+                        per_server * servers >= b.view_count(),
+                        "{views} views, {extra}% extra, {servers} servers: {per_server} each"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn per_server_slots_reject_bad_configs() {
         let b = MemoryBudget::exact(10);

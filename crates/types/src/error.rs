@@ -23,14 +23,6 @@ pub enum Error {
     /// A machine id does not exist in the topology, or has the wrong role
     /// (e.g. a broker where a server was expected).
     UnknownMachine(MachineId),
-    /// The cluster does not have enough memory to store one copy of every
-    /// view; the paper explicitly excludes this trivial case (§2.3).
-    InsufficientCapacity {
-        /// Slots required to hold one copy of every view.
-        required: usize,
-        /// Slots actually available in the cluster.
-        available: usize,
-    },
     /// A server was asked to hold more views than its capacity.
     ServerFull(MachineId),
     /// A view that must exist (every view has at least one replica) could
@@ -67,13 +59,6 @@ impl fmt::Display for Error {
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::UnknownUser(u) => write!(f, "unknown user {u}"),
             Error::UnknownMachine(m) => write!(f, "unknown machine {m}"),
-            Error::InsufficientCapacity {
-                required,
-                available,
-            } => write!(
-                f,
-                "insufficient cluster capacity: {required} view slots required, {available} available"
-            ),
             Error::ServerFull(m) => write!(f, "server {m} is full"),
             Error::ClusterShutdown => {
                 write!(f, "cluster is shut down and accepts no further requests")
@@ -105,13 +90,6 @@ mod tests {
             (
                 Error::UnknownMachine(MachineId::new(4)),
                 "unknown machine m4",
-            ),
-            (
-                Error::InsufficientCapacity {
-                    required: 10,
-                    available: 5,
-                },
-                "insufficient cluster capacity: 10 view slots required, 5 available",
             ),
             (Error::ServerFull(MachineId::new(2)), "server m2 is full"),
             (

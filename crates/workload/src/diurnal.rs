@@ -16,63 +16,25 @@ use dynasore_types::{Error, Result, SimTime, DAY_SECS};
 use crate::request::Request;
 use crate::sampler::WeightedSampler;
 
-/// Parameters of the diurnal trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DiurnalConfig {
-    /// Duration in days (the paper's sample covers 14 days).
-    pub days: u64,
-    /// Average number of requests (reads + writes) per user per day.
-    /// The paper's sample has (17 M + 9.8 M) / 2.5 M / 14 ≈ 0.77.
-    pub events_per_user_per_day: f64,
-    /// Fraction of requests that are reads (9.8 / 26.8 ≈ 0.37 in the
-    /// paper's sample — writes dominate).
-    pub read_fraction: f64,
-    /// Ratio between the busiest and the quietest moment of a day. The
-    /// activity rate follows a raised cosine with this peak-to-trough ratio.
-    pub peak_to_trough: f64,
-    /// Relative day-to-day jitter of the total volume (0.1 = ±10%).
-    pub daily_jitter: f64,
-}
+/// Length of the paper's trace sample, in days (§4.2).
+const PAPER_DAYS: u64 = 14;
 
-impl Default for DiurnalConfig {
-    fn default() -> Self {
-        DiurnalConfig {
-            days: 14,
-            events_per_user_per_day: 0.77,
-            read_fraction: 9.8 / 26.8,
-            peak_to_trough: 3.0,
-            daily_jitter: 0.15,
-        }
-    }
-}
+/// Average number of requests (reads + writes) per user per day: the
+/// paper's sample has (17 M + 9.8 M) / 2.5 M / 14 ≈ 0.77 (§4.2).
+const EVENTS_PER_USER_PER_DAY: f64 = 0.77;
 
-impl DiurnalConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] if any parameter is out of range.
-    pub fn validate(&self) -> Result<()> {
-        if self.days == 0 {
-            return Err(Error::invalid_config("trace must last at least one day"));
-        }
-        if self.events_per_user_per_day <= 0.0 {
-            return Err(Error::invalid_config(
-                "events_per_user_per_day must be positive",
-            ));
-        }
-        if !(0.0..=1.0).contains(&self.read_fraction) {
-            return Err(Error::invalid_config("read_fraction must be in [0, 1]"));
-        }
-        if self.peak_to_trough < 1.0 {
-            return Err(Error::invalid_config("peak_to_trough must be >= 1"));
-        }
-        if !(0.0..1.0).contains(&self.daily_jitter) {
-            return Err(Error::invalid_config("daily_jitter must be in [0, 1)"));
-        }
-        Ok(())
-    }
-}
+/// Fraction of requests that are reads: 9.8 M of 26.8 M in the paper's
+/// sample, so writes dominate (§4.2).
+const READ_FRACTION: f64 = 9.8 / 26.8;
+
+/// Ratio between the busiest and the quietest moment of a day: the
+/// activity rate follows a raised cosine with this peak-to-trough ratio
+/// (reproduction choice, read off the shape of Figure 2).
+const PEAK_TO_TROUGH: f64 = 3.0;
+
+/// Relative day-to-day jitter of the total volume, ±15 % (reproduction
+/// choice).
+const DAILY_JITTER: f64 = 0.15;
 
 /// Streaming generator of a diurnal, write-heavy trace standing in for the
 /// Yahoo! News Activity log.
@@ -85,11 +47,10 @@ impl DiurnalConfig {
 ///
 /// ```
 /// use dynasore_graph::{GraphPreset, SocialGraph};
-/// use dynasore_workload::{DiurnalConfig, DiurnalTraceGenerator};
+/// use dynasore_workload::DiurnalTraceGenerator;
 ///
 /// let g = SocialGraph::generate(GraphPreset::FacebookLike, 300, 2).unwrap();
-/// let config = DiurnalConfig { days: 2, ..DiurnalConfig::default() };
-/// let trace = DiurnalTraceGenerator::new(&g, config, 5).unwrap();
+/// let trace = DiurnalTraceGenerator::new(&g, 2, 5).unwrap();
 /// let requests: Vec<_> = trace.collect();
 /// assert!(!requests.is_empty());
 /// // Writes dominate, as in the Yahoo! News Activity sample.
@@ -100,7 +61,6 @@ impl DiurnalConfig {
 pub struct DiurnalTraceGenerator {
     rng: StdRng,
     sampler: WeightedSampler,
-    config: DiurnalConfig,
     /// Precomputed per-day total request counts (jittered).
     daily_requests: Vec<u64>,
     day: usize,
@@ -109,7 +69,7 @@ pub struct DiurnalTraceGenerator {
 }
 
 impl DiurnalTraceGenerator {
-    /// Creates a generator over `graph` with the given configuration.
+    /// Creates a generator of `days` days over `graph`.
     ///
     /// Per-user activity is proportional to `ln(1 + degree)`, mirroring the
     /// paper's mapping of trace users to graph users by degree rank: the
@@ -118,10 +78,12 @@ impl DiurnalTraceGenerator {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::InvalidConfig`] if the configuration is invalid or
-    /// the graph is empty.
-    pub fn new(graph: &SocialGraph, config: DiurnalConfig, seed: u64) -> Result<Self> {
-        config.validate()?;
+    /// Returns [`Error::InvalidConfig`] if `days` is zero or the graph is
+    /// empty.
+    pub fn new(graph: &SocialGraph, days: u64, seed: u64) -> Result<Self> {
+        if days == 0 {
+            return Err(Error::invalid_config("trace must last at least one day"));
+        }
         if graph.user_count() == 0 {
             return Err(Error::invalid_config(
                 "cannot generate traffic for an empty graph",
@@ -135,10 +97,10 @@ impl DiurnalTraceGenerator {
             .ok_or_else(|| Error::invalid_config("degenerate activity weights"))?;
 
         let mut rng = StdRng::seed_from_u64(seed);
-        let base = config.events_per_user_per_day * graph.user_count() as f64;
-        let daily_requests: Vec<u64> = (0..config.days)
+        let base = EVENTS_PER_USER_PER_DAY * graph.user_count() as f64;
+        let daily_requests: Vec<u64> = (0..days)
             .map(|_| {
-                let jitter = 1.0 + rng.gen_range(-config.daily_jitter..=config.daily_jitter);
+                let jitter = 1.0 + rng.gen_range(-DAILY_JITTER..=DAILY_JITTER);
                 (base * jitter).round().max(1.0) as u64
             })
             .collect();
@@ -146,22 +108,20 @@ impl DiurnalTraceGenerator {
         Ok(DiurnalTraceGenerator {
             rng,
             sampler,
-            config,
             daily_requests,
             day: 0,
             emitted_today: 0,
-            duration_secs: config.days * DAY_SECS,
+            duration_secs: days * DAY_SECS,
         })
     }
 
-    /// Creates a generator with the paper-like defaults (14 days,
-    /// write-heavy, diurnal).
+    /// Creates a generator as long as the paper's sample (14 days).
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] if the graph is empty.
     pub fn paper_defaults(graph: &SocialGraph, seed: u64) -> Result<Self> {
-        DiurnalTraceGenerator::new(graph, DiurnalConfig::default(), seed)
+        DiurnalTraceGenerator::new(graph, PAPER_DAYS, seed)
     }
 
     /// Total number of requests across the whole trace.
@@ -173,32 +133,32 @@ impl DiurnalTraceGenerator {
     pub fn duration_secs(&self) -> u64 {
         self.duration_secs
     }
+}
 
-    /// Maps a uniform position `q ∈ [0, 1)` within a day to a second of the
-    /// day, following the diurnal intensity profile (inverse-CDF of a raised
-    /// cosine). Busier hours receive proportionally more requests.
-    fn diurnal_second(&mut self, q: f64) -> u64 {
-        // Intensity λ(x) ∝ 1 + a·cos(2π(x - peak)), with `a` derived from the
-        // requested peak-to-trough ratio and the peak in the evening (x=0.8).
-        let p = self.config.peak_to_trough;
-        let a = (p - 1.0) / (p + 1.0);
-        // Invert the CDF numerically with a small fixed-point iteration; the
-        // CDF is F(x) = x + (a / 2π)·(sin(2π(x - peak)) + sin(2π·peak)).
-        let peak = 0.8;
-        let two_pi = std::f64::consts::TAU;
-        let cdf = |x: f64| x + a / two_pi * ((two_pi * (x - peak)).sin() + (two_pi * peak).sin());
-        let mut lo = 0.0f64;
-        let mut hi = 1.0f64;
-        for _ in 0..30 {
-            let mid = (lo + hi) / 2.0;
-            if cdf(mid) < q {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
+/// Maps a uniform position `q ∈ [0, 1)` within a day to a second of the
+/// day, following the diurnal intensity profile (inverse-CDF of a raised
+/// cosine). Busier hours receive proportionally more requests.
+fn diurnal_second(q: f64) -> u64 {
+    // Intensity λ(x) ∝ 1 + a·cos(2π(x - peak)), with `a` derived from the
+    // peak-to-trough ratio and the peak in the evening (x=0.8).
+    let p = PEAK_TO_TROUGH;
+    let a = (p - 1.0) / (p + 1.0);
+    // Invert the CDF numerically with a small fixed-point iteration; the
+    // CDF is F(x) = x + (a / 2π)·(sin(2π(x - peak)) + sin(2π·peak)).
+    let peak = 0.8;
+    let two_pi = std::f64::consts::TAU;
+    let cdf = |x: f64| x + a / two_pi * ((two_pi * (x - peak)).sin() + (two_pi * peak).sin());
+    let mut lo = 0.0f64;
+    let mut hi = 1.0f64;
+    for _ in 0..30 {
+        let mid = (lo + hi) / 2.0;
+        if cdf(mid) < q {
+            lo = mid;
+        } else {
+            hi = mid;
         }
-        ((lo + hi) / 2.0 * DAY_SECS as f64) as u64
     }
+    ((lo + hi) / 2.0 * DAY_SECS as f64) as u64
 }
 
 impl Iterator for DiurnalTraceGenerator {
@@ -218,12 +178,12 @@ impl Iterator for DiurnalTraceGenerator {
         // Position within the day, mapped through the diurnal profile. Using
         // the sequential index keeps output time-ordered.
         let q = (self.emitted_today as f64 + 0.5) / today_total as f64;
-        let second_of_day = self.diurnal_second(q);
+        let second_of_day = diurnal_second(q);
         let time = SimTime::from_secs(self.day as u64 * DAY_SECS + second_of_day);
         self.emitted_today += 1;
 
         let user = self.sampler.sample(&mut self.rng);
-        let request = if self.rng.gen_bool(self.config.read_fraction) {
+        let request = if self.rng.gen_bool(READ_FRACTION) {
             Request::read(time, user)
         } else {
             Request::write(time, user)
@@ -236,74 +196,57 @@ impl Iterator for DiurnalTraceGenerator {
 mod tests {
     use super::*;
     use dynasore_graph::GraphPreset;
-    use dynasore_types::HOUR_SECS;
+    use dynasore_types::{UserId, HOUR_SECS};
 
     fn graph() -> SocialGraph {
         SocialGraph::generate(GraphPreset::FacebookLike, 200, 3).unwrap()
     }
 
-    fn short_config(days: u64) -> DiurnalConfig {
-        DiurnalConfig {
-            days,
-            events_per_user_per_day: 2.0,
-            ..DiurnalConfig::default()
-        }
+    /// The Yahoo!-like stand-in pinned: counts, first and last request,
+    /// recorded while its rates were still options.
+    #[test]
+    fn paper_defaults_are_golden() {
+        let g = SocialGraph::generate(GraphPreset::FacebookLike, 300, 7).unwrap();
+        let requests: Vec<_> = DiurnalTraceGenerator::paper_defaults(&g, 42)
+            .unwrap()
+            .collect();
+        assert_eq!(requests.len(), 3_318);
+        assert_eq!(requests.iter().filter(|r| r.is_read()).count(), 1_242);
+        assert_eq!(
+            requests[0],
+            Request::write(SimTime::from_secs(148), UserId::new(121))
+        );
+        assert_eq!(
+            requests[requests.len() - 1],
+            Request::write(SimTime::from_secs(1_209_414), UserId::new(147))
+        );
     }
 
     #[test]
     fn config_validation() {
-        assert!(DiurnalConfig::default().validate().is_ok());
-        assert!(DiurnalConfig {
-            days: 0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DiurnalConfig {
-            events_per_user_per_day: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DiurnalConfig {
-            read_fraction: 1.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DiurnalConfig {
-            peak_to_trough: 0.5,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(DiurnalConfig {
-            daily_jitter: 1.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
+        assert!(DiurnalTraceGenerator::new(&graph(), 0, 1).is_err());
         assert!(DiurnalTraceGenerator::paper_defaults(&SocialGraph::new(0), 1).is_err());
     }
 
     #[test]
     fn volume_and_duration_match_config() {
         let g = graph();
-        let gen = DiurnalTraceGenerator::new(&g, short_config(3), 1).unwrap();
+        let gen = DiurnalTraceGenerator::new(&g, 3, 1).unwrap();
         let expected = gen.request_count();
         assert_eq!(gen.duration_secs(), 3 * DAY_SECS);
         let requests: Vec<_> = gen.collect();
         assert_eq!(requests.len() as u64, expected);
-        // Roughly 200 users × 2 events × 3 days = 1200 (±15% jitter/day).
-        assert!(requests.len() > 900 && requests.len() < 1_500);
+        // 200 users × 0.77 events × 3 days ≈ 462 (±15% jitter/day).
+        assert!(requests.len() > 390 && requests.len() < 535);
         assert!(requests.iter().all(|r| r.time.as_secs() < 3 * DAY_SECS));
     }
 
     #[test]
     fn writes_dominate() {
         let g = graph();
-        let gen = DiurnalTraceGenerator::new(&g, short_config(2), 2).unwrap();
-        let requests: Vec<_> = gen.collect();
+        let requests: Vec<_> = DiurnalTraceGenerator::paper_defaults(&g, 2)
+            .unwrap()
+            .collect();
         let writes = requests.iter().filter(|r| !r.is_read()).count();
         let fraction = writes as f64 / requests.len() as f64;
         assert!(
@@ -315,7 +258,7 @@ mod tests {
     #[test]
     fn requests_are_time_ordered() {
         let g = graph();
-        let gen = DiurnalTraceGenerator::new(&g, short_config(2), 3).unwrap();
+        let gen = DiurnalTraceGenerator::new(&g, 2, 3).unwrap();
         let mut last = SimTime::ZERO;
         for r in gen {
             assert!(r.time >= last, "time went backwards");
@@ -325,16 +268,11 @@ mod tests {
 
     #[test]
     fn traffic_has_a_daily_cycle() {
-        let g = graph();
-        let config = DiurnalConfig {
-            days: 2,
-            events_per_user_per_day: 20.0,
-            ..DiurnalConfig::default()
-        };
-        let gen = DiurnalTraceGenerator::new(&g, config, 4).unwrap();
-        let mut hourly = vec![0u64; 48];
+        // Fourteen days folded onto one: ≈ 90 requests per hour of the day.
+        let gen = DiurnalTraceGenerator::paper_defaults(&graph(), 4).unwrap();
+        let mut hourly = [0u64; 24];
         for r in gen {
-            hourly[(r.time.as_secs() / HOUR_SECS) as usize] += 1;
+            hourly[(r.time.as_secs() % DAY_SECS / HOUR_SECS) as usize] += 1;
         }
         let max = *hourly.iter().max().unwrap();
         let min = *hourly.iter().filter(|&&h| h > 0).min().unwrap();
@@ -347,12 +285,8 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = graph();
-        let a: Vec<_> = DiurnalTraceGenerator::new(&g, short_config(1), 5)
-            .unwrap()
-            .collect();
-        let b: Vec<_> = DiurnalTraceGenerator::new(&g, short_config(1), 5)
-            .unwrap()
-            .collect();
+        let a: Vec<_> = DiurnalTraceGenerator::new(&g, 1, 5).unwrap().collect();
+        let b: Vec<_> = DiurnalTraceGenerator::new(&g, 1, 5).unwrap().collect();
         assert_eq!(a, b);
     }
 }

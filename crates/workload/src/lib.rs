@@ -29,7 +29,7 @@ mod request;
 mod sampler;
 mod synthetic;
 
-pub use diurnal::{DiurnalConfig, DiurnalTraceGenerator};
+pub use diurnal::DiurnalTraceGenerator;
 pub use flash::{FlashEventPlan, GraphMutation, TimedMutation};
 pub use request::Request;
 pub use sampler::WeightedSampler;

@@ -9,14 +9,15 @@ use dynasore_types::{Error, Result, SimTime, DAY_SECS};
 use crate::request::Request;
 use crate::sampler::WeightedSampler;
 
+/// Average number of writes each user issues per day: the paper assumes one
+/// (§4.2).
+const WRITES_PER_USER_PER_DAY: f64 = 1.0;
+
 /// Parameters of the synthetic trace.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SyntheticConfig {
     /// Duration of the trace in days.
     pub days: u64,
-    /// Average number of writes issued per user per day (the paper assumes
-    /// 1).
-    pub writes_per_user_per_day: f64,
     /// Global ratio of reads to writes (the paper assumes 4).
     pub read_write_ratio: f64,
 }
@@ -25,7 +26,6 @@ impl Default for SyntheticConfig {
     fn default() -> Self {
         SyntheticConfig {
             days: 1,
-            writes_per_user_per_day: 1.0,
             read_write_ratio: 4.0,
         }
     }
@@ -40,11 +40,6 @@ impl SyntheticConfig {
     pub fn validate(&self) -> Result<()> {
         if self.days == 0 {
             return Err(Error::invalid_config("trace must last at least one day"));
-        }
-        if self.writes_per_user_per_day <= 0.0 {
-            return Err(Error::invalid_config(
-                "writes_per_user_per_day must be positive",
-            ));
         }
         if self.read_write_ratio <= 0.0 {
             return Err(Error::invalid_config("read_write_ratio must be positive"));
@@ -114,7 +109,7 @@ impl SyntheticTraceGenerator {
         let read_sampler = WeightedSampler::new(read_weights)
             .ok_or_else(|| Error::invalid_config("degenerate read weights"))?;
 
-        let writes_total = config.writes_per_user_per_day * n as f64 * config.days as f64;
+        let writes_total = WRITES_PER_USER_PER_DAY * n as f64 * config.days as f64;
         let total_requests = (writes_total * (1.0 + config.read_write_ratio)).round() as u64;
         let write_probability = 1.0 / (1.0 + config.read_write_ratio);
 
@@ -206,18 +201,30 @@ mod tests {
         .validate()
         .is_err());
         assert!(SyntheticConfig {
-            writes_per_user_per_day: 0.0,
-            ..Default::default()
-        }
-        .validate()
-        .is_err());
-        assert!(SyntheticConfig {
             read_write_ratio: -1.0,
             ..Default::default()
         }
         .validate()
         .is_err());
         assert!(SyntheticTraceGenerator::paper_defaults(&SocialGraph::new(0), 1, 1).is_err());
+    }
+
+    /// The paper's §4.2 log (one write per user per day, four reads per
+    /// write) pinned: counts, first and last request, recorded while the
+    /// write rate was still an option.
+    #[test]
+    fn paper_defaults_are_golden() {
+        let g = SocialGraph::generate(GraphPreset::FacebookLike, 300, 7).unwrap();
+        let requests: Vec<_> = SyntheticTraceGenerator::paper_defaults(&g, 2, 42)
+            .unwrap()
+            .collect();
+        assert_eq!(requests.len(), 3_000);
+        assert_eq!(requests.iter().filter(|r| r.is_read()).count(), 2_428);
+        assert_eq!(requests[0], Request::read(SimTime::ZERO, UserId::new(97)));
+        assert_eq!(
+            requests[requests.len() - 1],
+            Request::read(SimTime::from_secs(172_742), UserId::new(203))
+        );
     }
 
     #[test]
@@ -283,8 +290,7 @@ mod tests {
         let gen = SyntheticTraceGenerator::new(
             &g,
             SyntheticConfig {
-                days: 2,
-                writes_per_user_per_day: 2.0,
+                days: 4,
                 read_write_ratio: 4.0,
             },
             4,

@@ -68,7 +68,7 @@ pub use dynasore_workload as workload;
 /// Commonly used items, re-exported for convenience.
 pub mod prelude {
     pub use dynasore_baselines::{SparEngine, StaticPlacement};
-    pub use dynasore_core::{DynaSoReConfig, DynaSoReEngine, InitialPlacement};
+    pub use dynasore_core::{DynaSoReEngine, InitialPlacement};
     pub use dynasore_graph::{GraphPreset, SocialGraph};
     pub use dynasore_partition::{Partitioner, Partitioning, TreeShape};
     pub use dynasore_serve::{
@@ -76,9 +76,9 @@ pub mod prelude {
         ServeConfig,
     };
     pub use dynasore_sim::{
-        generate_failure_schedule, DegradationReport, DurableIoStats, DurableTier,
-        FaultInjectionConfig, LatencyStats, ReliabilityStats, ScenarioConfig, ScenarioKind,
-        ScenarioRunner, ScenarioScript, SimReport, Simulation, SimulationConfig, TierReplay,
+        generate_failure_schedule, DegradationReport, DurableIoStats, DurableTier, LatencyStats,
+        ReliabilityStats, ScenarioConfig, ScenarioKind, ScenarioRunner, ScenarioScript, SimReport,
+        Simulation, TierReplay,
     };
     pub use dynasore_store::{
         Cluster, ClusterChangeReport, LogConfig, PersistentStore, ShardedConfig, ShardedLogStore,
@@ -91,7 +91,6 @@ pub mod prelude {
         TimedClusterEvent, UserId, View,
     };
     pub use dynasore_workload::{
-        DiurnalConfig, DiurnalTraceGenerator, FlashEventPlan, Request, SyntheticConfig,
-        SyntheticTraceGenerator,
+        DiurnalTraceGenerator, FlashEventPlan, Request, SyntheticConfig, SyntheticTraceGenerator,
     };
 }

@@ -37,7 +37,7 @@ fn runner() -> ScenarioRunner {
             days: 1,
             ..ScenarioConfig::default()
         },
-        SimulationConfig::default(),
+        NetworkModel::infinite(),
     )
 }
 

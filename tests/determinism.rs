@@ -247,7 +247,7 @@ fn inline_accounting_matches_buffered_replay() {
 
     // Manual replay with the Vec<Message> protocol.
     let mut engine = dynasore(&graph, &topology);
-    let mut account = dynasore_topology::TrafficAccount::hourly();
+    let mut account = dynasore_topology::TrafficAccount::new(NetworkModel::infinite());
     let mut app = 0u64;
     let mut proto = 0u64;
     let mut sink: Vec<Message> = Vec::new();

@@ -189,9 +189,8 @@ proptest! {
         prop_assert!(a.windows(2).all(|w| w[0].time <= w[1].time));
 
         // Diurnal: same contract despite the non-homogeneous clock.
-        let config = DiurnalConfig { days, ..DiurnalConfig::default() };
-        let a: Vec<_> = DiurnalTraceGenerator::new(&graph, config, seed).unwrap().collect();
-        let b: Vec<_> = DiurnalTraceGenerator::new(&graph, config, seed).unwrap().collect();
+        let a: Vec<_> = DiurnalTraceGenerator::new(&graph, days, seed).unwrap().collect();
+        let b: Vec<_> = DiurnalTraceGenerator::new(&graph, days, seed).unwrap().collect();
         prop_assert_eq!(&a, &b);
         prop_assert!(a.windows(2).all(|w| w[0].time <= w[1].time));
         prop_assert!(a.iter().all(|r| graph.contains_user(r.user)));
