@@ -252,15 +252,6 @@ impl SocialGraph {
         }
     }
 
-    /// Adds a new isolated user and returns its id. Used when new users join
-    /// the system (§3.3, *Managing the social network*).
-    pub fn add_user(&mut self) -> UserId {
-        let id = UserId::new(self.out.len() as u32);
-        self.out.push(Vec::new());
-        self.inc.push(Vec::new());
-        id
-    }
-
     /// Returns the undirected neighbourhood of `user`: the union of followers
     /// and followees. Used by partitioning, which operates on the undirected
     /// structure.
@@ -415,16 +406,6 @@ mod tests {
         let mut expected = edges;
         expected.sort();
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn add_user_grows_graph() {
-        let mut g = SocialGraph::new(2);
-        let id = g.add_user();
-        assert_eq!(id, u(2));
-        assert_eq!(g.user_count(), 3);
-        g.add_edge(u(2), u(0));
-        assert_eq!(g.followers(u(0)), &[u(2)]);
     }
 
     #[test]

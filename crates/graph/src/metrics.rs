@@ -78,28 +78,6 @@ pub fn reciprocity(graph: &SocialGraph) -> f64 {
     reciprocated as f64 / graph.edge_count() as f64
 }
 
-/// Histogram of a degree sequence: `histogram[d]` = number of users with
-/// degree exactly `d` (clamped to `max_bucket`, with the last bucket
-/// collecting the tail).
-pub fn degree_histogram(degrees: impl Iterator<Item = usize>, max_bucket: usize) -> Vec<usize> {
-    let mut hist = vec![0usize; max_bucket + 1];
-    for d in degrees {
-        let bucket = d.min(max_bucket);
-        hist[bucket] += 1;
-    }
-    hist
-}
-
-/// In-degree histogram of a graph (see [`degree_histogram`]).
-pub fn in_degree_histogram(graph: &SocialGraph, max_bucket: usize) -> Vec<usize> {
-    degree_histogram(graph.users().map(|u| graph.in_degree(u)), max_bucket)
-}
-
-/// Out-degree histogram of a graph (see [`degree_histogram`]).
-pub fn out_degree_histogram(graph: &SocialGraph, max_bucket: usize) -> Vec<usize> {
-    degree_histogram(graph.users().map(|u| graph.out_degree(u)), max_bucket)
-}
-
 /// Estimates the global clustering tendency by sampling `samples` wedges
 /// (paths u → v → w) and reporting the fraction that close into a triangle
 /// (u → w exists). Deterministic given the sampling stride.
@@ -190,19 +168,6 @@ mod tests {
         g2.add_edge(u(2), u(0));
         assert!((reciprocity(&g2) - 1.0).abs() < 1e-9);
         assert_eq!(reciprocity(&SocialGraph::new(4)), 0.0);
-    }
-
-    #[test]
-    fn histograms_count_users() {
-        let g = triangle();
-        let hist = out_degree_histogram(&g, 4);
-        assert_eq!(hist.iter().sum::<usize>(), 3);
-        assert_eq!(hist[2], 1); // user 0 has out-degree 2
-        assert_eq!(hist[0], 1); // user 2 has out-degree 0
-        let ih = in_degree_histogram(&g, 1);
-        // tail bucket collects degree-2 user
-        assert_eq!(ih.iter().sum::<usize>(), 3);
-        assert_eq!(ih[1], 2);
     }
 
     #[test]

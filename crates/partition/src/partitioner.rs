@@ -231,16 +231,6 @@ impl Partitioning {
         self.max_part_size() as f64 / ideal
     }
 
-    /// Users assigned to `part`.
-    pub fn users_in_part(&self, part: usize) -> Vec<UserId> {
-        self.assignment
-            .iter()
-            .enumerate()
-            .filter(|&(_, &p)| p as usize == part)
-            .map(|(u, _)| UserId::new(u as u32))
-            .collect()
-    }
-
     /// Number of directed edges of `graph` whose endpoints lie in different
     /// parts — the quantity partitioning minimises.
     pub fn edge_cut(&self, graph: &SocialGraph) -> usize {
@@ -341,19 +331,5 @@ mod tests {
     fn from_assignment_validates_parts() {
         assert!(Partitioning::from_assignment(vec![0, 1, 2], 3).is_ok());
         assert!(Partitioning::from_assignment(vec![0, 3], 3).is_err());
-    }
-
-    #[test]
-    fn users_in_part_round_trips() {
-        let g = ring_of_cliques(3, 4);
-        let p = Partitioner::new(3).seed(11).partition(&g).unwrap();
-        let mut total = 0;
-        for part in 0..3 {
-            for u in p.users_in_part(part) {
-                assert_eq!(p.part_of(u), part);
-                total += 1;
-            }
-        }
-        assert_eq!(total, 12);
     }
 }

@@ -221,11 +221,6 @@ impl<E: PlacementEngine> Simulation<E> {
         &self.engine
     }
 
-    /// Mutable access to the engine (useful between staged runs).
-    pub fn engine_mut(&mut self) -> &mut E {
-        &mut self.engine
-    }
-
     /// The simulation's current view of the social graph.
     pub fn graph(&self) -> &SocialGraph {
         &self.graph

@@ -120,8 +120,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if the engine cannot be built (empty graph,
-    /// insufficient capacity, invalid placement).
+    /// [`Error::InvalidConfig`] when the engine cannot be built: an empty
+    /// graph, a topology without view servers, or a partitioning initial
+    /// placement (METIS, hierarchical METIS) asked to split fewer users than
+    /// there are view servers.
     pub fn spawn(graph: &SocialGraph, topology: Topology, config: StoreConfig) -> Result<Self> {
         Cluster::spawn_with_store(
             graph,
@@ -140,8 +142,10 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// Returns an error if the engine cannot be built (empty graph,
-    /// insufficient capacity, invalid placement).
+    /// [`Error::InvalidConfig`] when the engine cannot be built: an empty
+    /// graph, a topology without view servers, or a partitioning initial
+    /// placement (METIS, hierarchical METIS) asked to split fewer users than
+    /// there are view servers.
     pub fn spawn_with_store(
         graph: &SocialGraph,
         topology: Topology,

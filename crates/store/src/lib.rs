@@ -15,8 +15,8 @@
 //! * [`ShardedLogStore`] — the file-backed tier
 //!   ([`Cluster::spawn_with_store`]): N independent shards routed by a
 //!   stable hash of the user id (`shards: 1` is one log), each a
-//!   [`LogStructuredStore`] — an append-only segment log with checksummed
-//!   records, replay-on-open recovery, rotation and compaction — writing by
+//!   [`LogStructuredStore`] — an append-only segment log of checksummed
+//!   batch frames with replay-on-open recovery and rotation — writing by
 //!   group commit, so killed-and-restarted servers recover views from real
 //!   bytes, the tier keeps pace with the hot path (one fsync covers a whole
 //!   batch) and shards recover concurrently on reopen.
@@ -70,7 +70,7 @@ mod sharded;
 
 pub use cluster::{Cluster, ClusterChangeReport, StoreConfig, StoreStats};
 pub use durable_tier::{SimDurableTier, SIM_EVENT_BYTES};
-pub use log::{CompactionStats, LogConfig, LogStructuredStore, RecoveryStats};
-pub use obs::{StoreObs, DEFAULT_STORE_RECORDER_CAPACITY};
+pub use log::{LogConfig, LogStructuredStore, RecoveryStats};
+pub use obs::StoreObs;
 pub use persistent::{MockPersistentStore, PersistentStore};
 pub use sharded::{ShardedConfig, ShardedLogStore, ShardedRecoveryStats};

@@ -5,11 +5,10 @@
 //! files"); it is public for [`ShardedLogStore::shard`], for the lock-free
 //! inspection of a directory through [`LogStructuredStore::read_back`], and
 //! for the crash-recovery harness, which truncates one shard's segment file
-//! at a time. Every write is a framed, checksummed [`DurableRecord`] in the
-//! active segment file, an in-memory index of full views is rebuilt by
-//! *replaying the segments from disk* on open, the active segment rotates at
-//! a size threshold, and a compaction pass rewrites the live state as
-//! snapshot records, dropping superseded history. `flush` pushes buffered
+//! at a time. Every write is a framed, checksummed batch frame
+//! ([`DurableRecord`]) in the active segment file, an in-memory index of
+//! full views is rebuilt by *replaying the segments from disk* on open, and
+//! the active segment rotates at a size threshold. `flush` pushes buffered
 //! bytes to the operating system; `sync` additionally fsyncs, making
 //! everything appended so far crash-durable.
 //!
@@ -20,16 +19,11 @@
 //! whole record. Only the *last* segment may be torn — an earlier torn
 //! segment means the files were tampered with and opening fails loudly.
 //!
-//! Compaction is crash-safe without renames: snapshot segments are written
-//! (and fsynced) under *higher* sequence numbers before the superseded
-//! segments are deleted, and replay applies segments in sequence order, so
-//! a crash at any point between those steps replays to the same state.
-//!
 //! # Group commit — the one write path
 //!
 //! An append is *acknowledged* into a bounded in-memory batch: the event is
-//! encoded straight into a reusable [`DurableRecord::Batch`] frame (one
-//! copy, no intermediate record value) and the in-memory index is updated
+//! encoded straight into a reusable batch frame (one copy, no intermediate
+//! record value) and the in-memory index is updated
 //! immediately, so `fetch` sees the new version at once. The frame is
 //! written — and, with [`LogConfig::sync_on_commit`], fsynced — as **one**
 //! record when the batch holds [`LogConfig::max_batch_records`] events or
@@ -44,10 +38,9 @@
 //! `max_batch_records: 1, sync_on_commit: true` writes and fsyncs each
 //! record before its `append` returns.
 //!
-//! A writer emits `Batch`, `Tombstone` and (from compaction) `Snapshot`
-//! frames. Replay also accepts the single-event [`DurableRecord::Event`]
-//! frame that builds before group commit became the only path wrote per
-//! append, so their directories still open.
+//! The log holds batch frames and nothing else: the history is never
+//! rewritten and no view is ever removed, so replay is "apply every event of
+//! every whole frame, in file order".
 //!
 //! [`ShardedLogStore`]: crate::ShardedLogStore
 //! [`ShardedLogStore::shard`]: crate::ShardedLogStore::shard
@@ -121,43 +114,28 @@ pub struct RecoveryStats {
     pub segments: usize,
 }
 
-/// What one compaction pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CompactionStats {
-    /// Total segment bytes before the pass.
-    pub bytes_before: u64,
-    /// Total segment bytes after the pass.
-    pub bytes_after: u64,
-    /// Segment files before the pass (including the active one).
-    pub segments_before: usize,
-    /// Segment files after the pass (including the fresh active one).
-    pub segments_after: usize,
-}
-
-#[derive(Debug)]
-struct SealedSegment {
-    path: PathBuf,
-    bytes: u64,
-}
-
 #[derive(Debug)]
 struct LogInner {
     dir: PathBuf,
     config: LogConfig,
     /// The materialized state of the log: every live view, rebuilt by
-    /// replaying segments on open. `BTreeMap` so compaction and equality
-    /// checks iterate in a deterministic order.
+    /// replaying segments on open. `BTreeMap` so the index [`read_back`]
+    /// hands out iterates in a deterministic order.
+    ///
+    /// [`read_back`]: LogStructuredStore::read_back
     index: BTreeMap<UserId, View>,
     /// Logical clock for event timestamps; recovered as one past the newest
     /// replayed timestamp so post-recovery appends keep timestamps monotonic.
     clock: u64,
     active: Segment,
-    sealed: Vec<SealedSegment>,
+    /// Bytes of the sealed (rotated-out, fsynced) segments.
+    sealed_bytes: u64,
+    /// Number of sealed segments.
+    sealed_segments: usize,
     next_seq: u64,
     recovery: RecoveryStats,
-    scratch: Vec<u8>,
-    /// The reusable commit frame: an open [`DurableRecord::Batch`]
-    /// holding every acknowledged-but-uncommitted append. Empty whenever
+    /// The reusable commit frame: an open batch frame holding every
+    /// acknowledged-but-uncommitted append. Empty whenever
     /// `pending_records` is 0; its capacity is retained across commits so
     /// the steady state allocates nothing.
     pending: Vec<u8>,
@@ -165,8 +143,8 @@ struct LogInner {
     pending_records: u32,
     lock_path: PathBuf,
     /// Optional flight-recorder observer. `None` (the default) keeps every
-    /// write path exactly the unobserved code; when set, batch commits,
-    /// segment rotations and compactions emit structured trace events.
+    /// write path exactly the unobserved code; when set, batch commits and
+    /// segment rotations emit structured trace events.
     obs: Option<StoreObs>,
 }
 
@@ -247,52 +225,12 @@ fn acquire_dir_lock(dir: &Path) -> Result<PathBuf> {
     )))
 }
 
-fn apply_record(index: &mut BTreeMap<UserId, View>, clock: &mut u64, record: DurableRecord) {
-    match record {
-        DurableRecord::Event {
-            user,
-            timestamp,
-            payload,
-        } => {
-            *clock = (*clock).max(timestamp.as_secs() + 1);
-            index
-                .entry(user)
-                .or_insert_with(|| View::new(user))
-                .push(Event::new(user, timestamp, payload));
-        }
-        DurableRecord::Batch { events } => {
-            for event in events {
-                *clock = (*clock).max(event.timestamp().as_secs() + 1);
-                index
-                    .entry(event.author())
-                    .or_insert_with(|| View::new(event.author()))
-                    .push(event);
-            }
-        }
-        DurableRecord::Snapshot { view } => {
-            for event in view.iter() {
-                *clock = (*clock).max(event.timestamp().as_secs() + 1);
-            }
-            index.insert(view.owner(), view);
-        }
-        DurableRecord::Tombstone { user } => {
-            index.remove(&user);
-        }
-    }
-}
-
 /// Replays every segment of `dir` in sequence order into a fresh index.
-/// Returns the index, the recovered clock, per-segment valid lengths and the
-/// aggregate stats. Only the last segment may carry a torn tail.
+/// Returns the index, the recovered clock, each segment's sequence number
+/// and valid length, and the aggregate stats. Only the last segment may
+/// carry a torn tail.
 #[allow(clippy::type_complexity)]
-fn replay_dir(
-    dir: &Path,
-) -> Result<(
-    BTreeMap<UserId, View>,
-    u64,
-    Vec<(u64, PathBuf, u64)>,
-    RecoveryStats,
-)> {
+fn replay_dir(dir: &Path) -> Result<(BTreeMap<UserId, View>, u64, Vec<(u64, u64)>, RecoveryStats)> {
     let segments = list_segments(dir)?;
     let mut index = BTreeMap::new();
     let mut clock = 0u64;
@@ -300,7 +238,15 @@ fn replay_dir(
     let mut valid = Vec::with_capacity(segments.len());
     let last = segments.len().saturating_sub(1);
     for (i, (seq, path)) in segments.into_iter().enumerate() {
-        let replay = replay_segment(&path, |record| apply_record(&mut index, &mut clock, record))?;
+        let replay = replay_segment(&path, |events| {
+            for event in events {
+                clock = clock.max(event.timestamp().as_secs() + 1);
+                index
+                    .entry(event.author())
+                    .or_insert_with(|| View::new(event.author()))
+                    .push(event);
+            }
+        })?;
         if replay.torn_bytes > 0 && i != last {
             return Err(Error::CorruptRecord(format!(
                 "{} is torn but is not the last segment; a crash only tears the tail of the log",
@@ -311,7 +257,7 @@ fn replay_dir(
         stats.records_replayed += replay.records;
         stats.torn_bytes += replay.torn_bytes;
         stats.segments += 1;
-        valid.push((seq, path, replay.valid_bytes));
+        valid.push((seq, replay.valid_bytes));
     }
     Ok((index, clock, valid, stats))
 }
@@ -349,27 +295,11 @@ impl LogStructuredStore {
         let lock_path = acquire_dir_lock(&dir)?;
         let opened = (|| {
             let (index, clock, segments, recovery) = replay_dir(&dir)?;
-            let mut sealed = Vec::new();
-            let mut next_seq = 1;
-            let mut active = None;
-            for (i, (seq, path, valid_bytes)) in segments.iter().enumerate() {
-                next_seq = seq + 1;
-                if i + 1 == segments.len() {
-                    active = Some(Segment::reopen(&dir, *seq, *valid_bytes)?);
-                } else {
-                    sealed.push(SealedSegment {
-                        path: path.clone(),
-                        bytes: *valid_bytes,
-                    });
+            let (active, next_seq, sealed) = match segments.split_last() {
+                Some((&(seq, valid_bytes), sealed)) => {
+                    (Segment::reopen(&dir, seq, valid_bytes)?, seq + 1, sealed)
                 }
-            }
-            let active = match active {
-                Some(segment) => segment,
-                None => {
-                    let segment = Segment::create(&dir, next_seq)?;
-                    next_seq += 1;
-                    segment
-                }
+                None => (Segment::create(&dir, 1)?, 2, &[][..]),
             };
             Ok(LogStructuredStore {
                 inner: Mutex::new(LogInner {
@@ -378,10 +308,10 @@ impl LogStructuredStore {
                     index,
                     clock,
                     active,
-                    sealed,
+                    sealed_bytes: sealed.iter().map(|&(_, bytes)| bytes).sum(),
+                    sealed_segments: sealed.len(),
                     next_seq,
                     recovery,
-                    scratch: Vec::new(),
                     pending: Vec::new(),
                     pending_records: 0,
                     lock_path: lock_path.clone(),
@@ -449,8 +379,7 @@ impl LogStructuredStore {
         Ok(version)
     }
 
-    /// Writes the pending batch — if any — as one [`DurableRecord::Batch`]
-    /// frame and makes it as durable as the configuration promises (fsynced
+    /// Writes the pending batch — if any — as one batch frame and makes it as durable as the configuration promises (fsynced
     /// under [`LogConfig::sync_on_commit`], OS-buffered otherwise). The
     /// frame buffer keeps its capacity for the next batch.
     fn commit_pending_locked(inner: &mut LogInner) -> Result<()> {
@@ -535,7 +464,7 @@ impl LogStructuredStore {
     }
 
     /// Fetches the current view of `user`, or an empty view if the user has
-    /// never written (or was deleted).
+    /// never written.
     pub fn fetch(&self, user: UserId) -> View {
         self.reads.fetch_add(1, Ordering::Relaxed);
         let inner = self.inner.lock();
@@ -544,31 +473,6 @@ impl LogStructuredStore {
             .get(&user)
             .cloned()
             .unwrap_or_else(|| View::new(user))
-    }
-
-    /// Deletes `user`'s view, appending a tombstone record so the deletion
-    /// survives recovery. Deleting an absent view is a no-op.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the segment write.
-    pub fn delete(&self, user: UserId) -> Result<()> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        if inner.index.remove(&user).is_none() {
-            return Ok(());
-        }
-        // Replay applies records in file order, so the batch holding this
-        // user's earlier (acknowledged) appends must land before the
-        // tombstone — otherwise a reopen would resurrect them.
-        Self::commit_pending_locked(inner)?;
-        inner.scratch.clear();
-        DurableRecord::Tombstone { user }.encode_into(&mut inner.scratch)?;
-        inner.active.append(&inner.scratch)?;
-        if inner.config.sync_on_commit {
-            inner.active.sync()?;
-        }
-        Self::maybe_rotate(inner)
     }
 
     fn maybe_rotate(inner: &mut LogInner) -> Result<()> {
@@ -582,10 +486,8 @@ impl LogStructuredStore {
         let fresh = Segment::create(&inner.dir, fresh_seq)?;
         inner.next_seq += 1;
         let sealed = std::mem::replace(&mut inner.active, fresh);
-        inner.sealed.push(SealedSegment {
-            path: sealed.path().to_path_buf(),
-            bytes: sealed.len(),
-        });
+        inner.sealed_bytes += sealed.len();
+        inner.sealed_segments += 1;
         if let Some(obs) = &inner.obs {
             obs.trace(TraceEventKind::SegmentRotated { segment: fresh_seq });
         }
@@ -642,105 +544,6 @@ impl LogStructuredStore {
         Ok(())
     }
 
-    /// Rewrites the live state as snapshot records and drops the superseded
-    /// history: every live view becomes one [`DurableRecord::Snapshot`] in
-    /// fresh segments (written and fsynced under higher sequence numbers
-    /// *before* the old segments are deleted, so a crash at any point
-    /// replays to the same state), then a new empty active segment is
-    /// started.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from writing the snapshot segments or deleting old ones.
-    pub fn compact(&self) -> Result<CompactionStats> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        Self::commit_pending_locked(inner)?;
-        inner.active.sync()?;
-        let bytes_before = inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active.len();
-        let segments_before = inner.sealed.len() + 1;
-        let old_paths: Vec<PathBuf> = inner
-            .sealed
-            .iter()
-            .map(|s| s.path.clone())
-            .chain(std::iter::once(inner.active.path().to_path_buf()))
-            .collect();
-
-        // Write the live views, in deterministic user order, into fresh
-        // snapshot segments, then a fresh active segment after them. If any
-        // of it fails, every file created so far must be deleted before
-        // returning: the store keeps appending to the *old* active segment,
-        // whose sequence number is lower, so a durable orphan snapshot would
-        // replay last on the next open and silently revert those appends.
-        let mut compacted: Vec<SealedSegment> = Vec::new();
-        let first_new_seq = inner.next_seq;
-        let written = (|| -> Result<Segment> {
-            let mut current = Segment::create(&inner.dir, inner.next_seq)?;
-            inner.next_seq += 1;
-            for view in inner.index.values() {
-                inner.scratch.clear();
-                DurableRecord::Snapshot { view: view.clone() }.encode_into(&mut inner.scratch)?;
-                if current.len() + inner.scratch.len() as u64 > inner.config.segment_max_bytes
-                    && current.len() > crate::segment::SEGMENT_MAGIC.len() as u64
-                {
-                    current.sync()?;
-                    let fresh = Segment::create(&inner.dir, inner.next_seq)?;
-                    inner.next_seq += 1;
-                    let full = std::mem::replace(&mut current, fresh);
-                    compacted.push(SealedSegment {
-                        path: full.path().to_path_buf(),
-                        bytes: full.len(),
-                    });
-                }
-                current.append(&inner.scratch)?;
-            }
-            current.sync()?;
-            compacted.push(SealedSegment {
-                path: current.path().to_path_buf(),
-                bytes: current.len(),
-            });
-            Segment::create(&inner.dir, inner.next_seq)
-        })();
-        let fresh_active = match written {
-            Ok(segment) => segment,
-            Err(e) => {
-                // Undo: every segment this pass created has seq >=
-                // first_new_seq; delete them all (best-effort) so nothing
-                // with a higher sequence number than the still-active old
-                // segment survives.
-                for (seq, path) in list_segments(&inner.dir).unwrap_or_default() {
-                    if seq >= first_new_seq {
-                        let _ = std::fs::remove_file(&path);
-                    }
-                }
-                return Err(e);
-            }
-        };
-        inner.next_seq += 1;
-
-        // Snapshots are durable; the history is now superseded. Swap the
-        // in-memory state first, then delete the old files (replay stays
-        // correct even if a deletion fails: old segments have lower seqs).
-        inner.active = fresh_active;
-        inner.sealed = compacted;
-        for path in old_paths {
-            std::fs::remove_file(&path)?;
-        }
-        let stats = CompactionStats {
-            bytes_before,
-            bytes_after: inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active.len(),
-            segments_before,
-            segments_after: inner.sealed.len() + 1,
-        };
-        if let Some(obs) = &inner.obs {
-            obs.trace(TraceEventKind::CompactionRun {
-                bytes_before: stats.bytes_before,
-                bytes_after: stats.bytes_after,
-            });
-        }
-        Ok(stats)
-    }
-
     /// Re-reads the entire log from disk — exactly what crash recovery does
     /// — replacing the in-memory index with the replayed one, and returns
     /// what the replay measured. Dividing [`RecoveryStats::bytes_replayed`]
@@ -774,12 +577,12 @@ impl LogStructuredStore {
     /// reserved place yet.
     pub fn bytes_on_disk(&self) -> u64 {
         let inner = self.inner.lock();
-        inner.sealed.iter().map(|s| s.bytes).sum::<u64>() + inner.active.len()
+        inner.sealed_bytes + inner.active.len()
     }
 
     /// Number of segment files (sealed plus active).
     pub fn segment_count(&self) -> usize {
-        self.inner.lock().sealed.len() + 1
+        self.inner.lock().sealed_segments + 1
     }
 
     /// Number of live views.
@@ -787,14 +590,8 @@ impl LogStructuredStore {
         self.inner.lock().index.len()
     }
 
-    /// Directory holding the segment files.
-    pub fn dir(&self) -> PathBuf {
-        self.inner.lock().dir.clone()
-    }
-
-    /// Installs a flight-recorder observer: from now on batch commits,
-    /// segment rotations and compactions emit structured trace events
-    /// through it. Without an observer those paths run exactly the
+    /// Installs a flight-recorder observer: from now on batch commits and
+    /// segment rotations emit structured trace events through it. Without an observer those paths run exactly the
     /// unobserved code.
     pub(crate) fn set_observer(&self, obs: StoreObs) {
         self.inner.lock().obs = Some(obs);
@@ -911,54 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn delete_is_durable_and_absent_delete_is_a_noop() {
-        let dir = temp_dir("delete");
-        let store = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
-        let u = UserId::new(1);
-        store.append(u, b"x".to_vec()).unwrap();
-        store.delete(u).unwrap();
-        store.delete(UserId::new(99)).unwrap();
-        assert!(store.fetch(u).is_empty());
-        store.sync().unwrap();
-        drop(store);
-        let reopened = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
-        assert!(reopened.fetch(u).is_empty());
-        assert_eq!(reopened.user_count(), 0);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn compaction_preserves_state_and_shrinks_superseded_history() {
-        let dir = temp_dir("compact");
-        let store = LogStructuredStore::open(&dir, tiny_segments()).unwrap();
-        for round in 0..30u32 {
-            for user in 0..4u32 {
-                store
-                    .append(UserId::new(user), vec![round as u8; 16])
-                    .unwrap();
-            }
-        }
-        store.delete(UserId::new(3)).unwrap();
-        let before: Vec<View> = (0..4).map(|u| store.fetch(UserId::new(u))).collect();
-        let bytes_before = store.bytes_on_disk();
-        let stats = store.compact().unwrap();
-        assert_eq!(stats.bytes_before, bytes_before);
-        assert!(
-            stats.bytes_after < stats.bytes_before,
-            "superseded records must shrink the log: {stats:?}"
-        );
-        let after: Vec<View> = (0..4).map(|u| store.fetch(UserId::new(u))).collect();
-        assert_eq!(before, after);
-        // The compacted state is what recovery sees.
-        drop(store);
-        let reopened = LogStructuredStore::open(&dir, tiny_segments()).unwrap();
-        let replayed: Vec<View> = (0..4).map(|u| reopened.fetch(UserId::new(u))).collect();
-        assert_eq!(before, replayed);
-        assert_eq!(reopened.user_count(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn reread_reads_real_bytes() {
         let dir = temp_dir("reread");
         let store = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
@@ -1048,7 +797,7 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_batches_span_users_and_interleave_with_deletes() {
+    fn group_commit_batches_span_users() {
         let dir = temp_dir("group-mixed");
         let store = LogStructuredStore::open(&dir, batches_of(64)).unwrap();
         for i in 0..10u32 {
@@ -1056,18 +805,15 @@ mod tests {
                 .append_version(UserId::new(i % 3), vec![i as u8; 6])
                 .unwrap();
         }
-        // The tombstone must land *after* the acknowledged appends, so the
-        // delete forces the pending batch out first.
-        store.delete(UserId::new(0)).unwrap();
-        store
-            .append_version(UserId::new(0), b"reborn".to_vec())
-            .unwrap();
         store.sync().unwrap();
         drop(store);
+        // One frame carries the appends of all three users, each replayed
+        // into its own view in acknowledgement order.
         let reopened = LogStructuredStore::open(&dir, batches_of(64)).unwrap();
+        assert_eq!(reopened.recovery_stats().records_replayed, 1);
         let v0 = reopened.fetch(UserId::new(0));
-        assert_eq!(v0.len(), 1, "delete dropped the pre-tombstone appends");
-        assert_eq!(v0.latest().unwrap().payload(), b"reborn");
+        let payloads: Vec<u8> = v0.iter().map(|e| e.payload()[0]).collect();
+        assert_eq!(payloads, [0, 3, 6, 9]);
         assert_eq!(reopened.fetch(UserId::new(1)).len(), 3);
         assert_eq!(reopened.fetch(UserId::new(2)).len(), 3);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1087,8 +833,7 @@ mod tests {
     #[test]
     fn a_batch_of_one_with_sync_on_commit_is_on_disk_when_append_returns() {
         // Fsync-per-append as a batch of one: no flush, no sync — a reader
-        // of the directory sees each record as soon as it is acknowledged,
-        // tombstones included.
+        // of the directory sees each record as soon as it is acknowledged.
         let dir = temp_dir("batch-of-one");
         let store = LogStructuredStore::open(&dir, batches_of(1)).unwrap();
         let u = UserId::new(4);
@@ -1102,55 +847,7 @@ mod tests {
             assert_eq!(stats.records_replayed, u64::from(i) + 1, "one frame each");
             assert_eq!(stats.torn_bytes, 0);
         }
-        store.delete(u).unwrap();
-        let (index, _) = LogStructuredStore::read_back(&dir).unwrap();
-        assert!(!index.contains_key(&u), "the tombstone is on disk too");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn event_frames_written_before_group_commit_still_replay() {
-        // A directory as an older build left it: per-append `Event` frames
-        // and a tombstone, no batch frame anywhere. It must open, replay and
-        // keep accepting (batch-framed) appends after the old records.
-        let dir = temp_dir("legacy-frames");
-        std::fs::create_dir_all(&dir).unwrap();
-        let mut bytes = crate::segment::SEGMENT_MAGIC.to_vec();
-        for (user, secs, payload) in [(1u32, 0u64, "a"), (2, 1, "b"), (1, 2, "c"), (3, 3, "d")] {
-            DurableRecord::Event {
-                user: UserId::new(user),
-                timestamp: SimTime::from_secs(secs),
-                payload: payload.as_bytes().to_vec(),
-            }
-            .encode_into(&mut bytes)
-            .unwrap();
-        }
-        DurableRecord::Tombstone {
-            user: UserId::new(2),
-        }
-        .encode_into(&mut bytes)
-        .unwrap();
-        std::fs::write(dir.join(crate::segment::segment_file_name(1)), &bytes).unwrap();
-
-        let store = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
-        let stats = store.recovery_stats();
-        assert_eq!(stats.records_replayed, 5);
-        assert_eq!(stats.bytes_replayed, bytes.len() as u64);
-        assert_eq!(stats.torn_bytes, 0);
-        let v1 = store.fetch(UserId::new(1));
-        assert_eq!(v1.len(), 2);
-        assert_eq!(v1.latest().unwrap().payload(), b"c");
-        assert!(store.fetch(UserId::new(2)).is_empty());
-        assert_eq!(store.fetch(UserId::new(3)).len(), 1);
-        // New appends land after the old frames, with later timestamps.
-        let v1 = store.append(UserId::new(1), b"new".to_vec()).unwrap();
-        let times: Vec<u64> = v1.iter().map(|e| e.timestamp().as_secs()).collect();
-        assert_eq!(times, [0, 2, 4]);
-        store.sync().unwrap();
         drop(store);
-        let reopened = LogStructuredStore::open(&dir, LogConfig::default()).unwrap();
-        assert_eq!(reopened.fetch(UserId::new(1)), v1);
-        assert_eq!(reopened.recovery_stats().records_replayed, 6);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -21,8 +21,9 @@ use parking_lot::Mutex;
 
 use dynasore_types::{FlightRecorder, MetricsRegistry, TraceEventKind};
 
-/// Default flight-recorder capacity for live-store observers.
-pub const DEFAULT_STORE_RECORDER_CAPACITY: usize = 16_384;
+/// Flight-recorder capacity of every live-store observer: the newest
+/// 16,384 events (reproduction choice).
+const RECORDER_CAPACITY: usize = 16_384;
 
 #[derive(Debug)]
 struct ObsInner {
@@ -39,25 +40,21 @@ pub struct StoreObs {
 }
 
 impl Default for StoreObs {
+    /// Creates an observer whose flight recorder keeps the newest 16,384
+    /// events. The ring is allocated here, up front; recording an event
+    /// later allocates nothing.
     fn default() -> Self {
-        StoreObs::new(DEFAULT_STORE_RECORDER_CAPACITY)
-    }
-}
-
-impl StoreObs {
-    /// Creates an observer whose flight recorder keeps the newest
-    /// `capacity` events. The ring is allocated here, up front; recording
-    /// an event later allocates nothing.
-    pub fn new(capacity: usize) -> Self {
         StoreObs {
             origin: Instant::now(),
             inner: Arc::new(Mutex::new(ObsInner {
-                recorder: FlightRecorder::new(capacity),
+                recorder: FlightRecorder::new(RECORDER_CAPACITY),
                 registry: MetricsRegistry::new(),
             })),
         }
     }
+}
 
+impl StoreObs {
     /// Records one event, stamped with nanoseconds of monotonic time since
     /// this observer was created, and folds it into the registry.
     pub fn trace(&self, kind: TraceEventKind) {
@@ -102,17 +99,17 @@ mod tests {
 
     #[test]
     fn clones_share_one_recorder_and_registry() {
-        let obs = StoreObs::new(64);
+        let obs = StoreObs::default();
         let clone = obs.clone();
         clone.trace(TraceEventKind::SegmentRotated { segment: 3 });
-        obs.trace(TraceEventKind::CompactionRun {
-            bytes_before: 100,
-            bytes_after: 40,
+        obs.trace(TraceEventKind::GroupCommitFill {
+            records: 40,
+            fill_percent: 1,
         });
         assert_eq!(obs.event_count(), 2);
         let registry = obs.registry_snapshot();
         assert_eq!(registry.get(MetricId::SegmentRotations), 1);
-        assert_eq!(registry.get(MetricId::Compactions), 1);
+        assert_eq!(registry.get(MetricId::GroupCommitRecords), 40);
         let jsonl = obs.to_jsonl();
         assert_eq!(validate_jsonl(&jsonl).unwrap(), 2);
         assert!(jsonl.contains("\"kind\":\"segment-rotated\""));
@@ -121,7 +118,7 @@ mod tests {
 
     #[test]
     fn timestamps_are_monotonic() {
-        let obs = StoreObs::new(8);
+        let obs = StoreObs::default();
         obs.trace(TraceEventKind::CacheRebuilt);
         obs.trace(TraceEventKind::CacheRebuilt);
         let events: Vec<_> = obs.inner.lock().recorder.iter().cloned().collect();

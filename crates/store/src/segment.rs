@@ -1,17 +1,16 @@
 //! Segment files of the log-structured persistent store.
 //!
 //! A segment is one append-only file: an 8-byte magic header followed by
-//! framed [`DurableRecord`]s (see `dynasore_types::durable` for the frame
-//! layout). Segments are named `seg-<seq>.log` with a zero-padded,
-//! monotonically increasing sequence number; replay order is sequence order,
-//! so a record in a later segment supersedes earlier ones where the record
-//! semantics say so (snapshots, tombstones).
+//! batch frames (see `dynasore_types::durable` for the frame layout).
+//! Segments are named `seg-<seq>.log` with a zero-padded, monotonically
+//! increasing sequence number; replay order is sequence order, so a view's
+//! events replay in the order they were acknowledged.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use dynasore_types::{DurableRecord, Error, Result};
+use dynasore_types::{DurableRecord, Error, Event, Result};
 
 /// Magic bytes opening every segment file.
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"DYNASEG1";
@@ -46,21 +45,21 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
 /// What replaying one segment found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SegmentReplay {
-    /// Bytes read and validated (magic header plus whole records).
+    /// Bytes read and validated (magic header plus whole frames).
     pub valid_bytes: u64,
-    /// Records decoded.
+    /// Frames decoded.
     pub records: u64,
     /// Trailing bytes discarded as a torn tail (0 for a clean segment).
     pub torn_bytes: u64,
 }
 
-/// Reads every valid record of the segment at `path` in order, invoking
-/// `apply` for each, and reports how far the valid prefix reached. A torn
-/// tail (crash truncation) ends the replay silently; a structurally corrupt
-/// record (valid checksum, malformed body) is an error.
+/// Reads every valid frame of the segment at `path` in order, invoking
+/// `apply` with each frame's events, and reports how far the valid prefix
+/// reached. A torn tail (crash truncation) ends the replay silently; a
+/// structurally corrupt frame (valid checksum, malformed body) is an error.
 pub(crate) fn replay_segment(
     path: &Path,
-    mut apply: impl FnMut(DurableRecord),
+    mut apply: impl FnMut(Vec<Event>),
 ) -> Result<SegmentReplay> {
     let bytes = std::fs::read(path)?;
     let mut replay = SegmentReplay::default();
@@ -90,8 +89,8 @@ pub(crate) fn replay_segment(
             }
             other => other,
         })? {
-            Some((record, consumed)) => {
-                apply(record);
+            Some((events, consumed)) => {
+                apply(events);
                 replay.records += 1;
                 offset += consumed;
             }
@@ -106,7 +105,6 @@ pub(crate) fn replay_segment(
 /// The writable side of one segment file.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    path: PathBuf,
     writer: BufWriter<File>,
     /// Logical length: every byte handed to the writer, flushed or not.
     len: u64,
@@ -123,7 +121,6 @@ impl Segment {
         let mut writer = BufWriter::new(file);
         writer.write_all(SEGMENT_MAGIC)?;
         Ok(Segment {
-            path,
             writer,
             len: SEGMENT_MAGIC.len() as u64,
         })
@@ -149,15 +146,9 @@ impl Segment {
             valid_len
         };
         Ok(Segment {
-            path,
             writer: BufWriter::new(file),
             len,
         })
-    }
-
-    /// Path of the backing file.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// Logical length in bytes (including buffered, not-yet-flushed data).
@@ -210,12 +201,22 @@ mod tests {
         dir
     }
 
-    fn event(user: u32, t: u64) -> DurableRecord {
-        DurableRecord::Event {
-            user: UserId::new(user),
-            timestamp: SimTime::from_secs(t),
-            payload: vec![user as u8; 5],
-        }
+    fn event(user: u32, t: u64) -> Event {
+        Event::new(
+            UserId::new(user),
+            SimTime::from_secs(t),
+            vec![user as u8; 5],
+        )
+    }
+
+    /// A one-event batch frame, built by the store's own encoder.
+    fn frame(user: u32, t: u64) -> Vec<u8> {
+        let e = event(user, t);
+        let mut buf = Vec::new();
+        DurableRecord::batch_begin(&mut buf);
+        DurableRecord::batch_push(&mut buf, e.author(), e.timestamp(), e.payload()).unwrap();
+        DurableRecord::batch_finish(&mut buf, 1).unwrap();
+        buf
     }
 
     #[test]
@@ -231,37 +232,34 @@ mod tests {
     fn append_flush_replay_round_trip() {
         let dir = temp_dir("roundtrip");
         let mut seg = Segment::create(&dir, 1).unwrap();
-        let mut buf = Vec::new();
         for t in 0..10u64 {
-            buf.clear();
-            event(t as u32, t).encode_into(&mut buf).unwrap();
-            seg.append(&buf).unwrap();
+            seg.append(&frame(t as u32, t)).unwrap();
         }
         seg.sync().unwrap();
         let mut replayed = Vec::new();
-        let stats = replay_segment(seg.path(), |r| replayed.push(r)).unwrap();
+        let stats = replay_segment(&dir.join(segment_file_name(1)), |events| {
+            replayed.push(events)
+        })
+        .unwrap();
         assert_eq!(stats.records, 10);
         assert_eq!(stats.torn_bytes, 0);
         assert_eq!(stats.valid_bytes, seg.len());
-        assert_eq!(replayed[3], event(3, 3));
+        assert_eq!(replayed[3], vec![event(3, 3)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
     fn torn_tail_is_detected_and_repaired_on_reopen() {
         let dir = temp_dir("torn");
+        let path = dir.join(segment_file_name(1));
         let mut seg = Segment::create(&dir, 1).unwrap();
-        let mut buf = Vec::new();
-        event(1, 1).encode_into(&mut buf).unwrap();
-        let first_end = SEGMENT_MAGIC.len() as u64 + buf.len() as u64;
-        seg.append(&buf).unwrap();
-        buf.clear();
-        event(2, 2).encode_into(&mut buf).unwrap();
-        seg.append(&buf).unwrap();
+        let first = frame(1, 1);
+        let first_end = SEGMENT_MAGIC.len() as u64 + first.len() as u64;
+        seg.append(&first).unwrap();
+        seg.append(&frame(2, 2)).unwrap();
         seg.sync().unwrap();
-        let path = seg.path().to_path_buf();
         drop(seg);
-        // Crash: the second record loses its last byte.
+        // Crash: the second frame loses its last byte.
         let full = std::fs::metadata(&path).unwrap().len();
         OpenOptions::new()
             .write(true)
@@ -269,19 +267,17 @@ mod tests {
             .unwrap()
             .set_len(full - 1)
             .unwrap();
-        let mut records = 0;
-        let stats = replay_segment(&path, |_| records += 1).unwrap();
-        assert_eq!(records, 1);
+        let mut frames = 0;
+        let stats = replay_segment(&path, |_| frames += 1).unwrap();
+        assert_eq!(frames, 1);
         assert_eq!(stats.valid_bytes, first_end);
         assert!(stats.torn_bytes > 0);
         // Reopen truncates the tail and appends cleanly after it.
         let mut seg = Segment::reopen(&dir, 1, stats.valid_bytes).unwrap();
-        buf.clear();
-        event(3, 3).encode_into(&mut buf).unwrap();
-        seg.append(&buf).unwrap();
+        seg.append(&frame(3, 3)).unwrap();
         seg.sync().unwrap();
         let mut replayed = Vec::new();
-        let stats = replay_segment(seg.path(), |r| replayed.push(r)).unwrap();
+        let stats = replay_segment(&path, |events| replayed.extend(events)).unwrap();
         assert_eq!(stats.torn_bytes, 0);
         assert_eq!(replayed, vec![event(1, 1), event(3, 3)]);
         std::fs::remove_dir_all(&dir).unwrap();

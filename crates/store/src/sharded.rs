@@ -18,7 +18,7 @@
 //!   MANIFEST          "DYNASHARD1\nshards N\n" — written once, atomically
 //!   shard-0000/       a complete LogStructuredStore directory
 //!     LOCK
-//!     seg-00000000000000000001.log
+//!     seg-0000000001.log
 //!     …
 //!   shard-0001/
 //!   …
@@ -71,7 +71,7 @@ use std::time::Duration;
 
 use dynasore_types::{Error, Result, TraceEventKind, UserId, View};
 
-use crate::log::{CompactionStats, LogConfig, LogStructuredStore, RecoveryStats};
+use crate::log::{LogConfig, LogStructuredStore, RecoveryStats};
 use crate::obs::StoreObs;
 use crate::persistent::PersistentStore;
 
@@ -298,8 +298,6 @@ impl Drop for Flusher {
 /// accepts it unchanged.
 #[derive(Debug)]
 pub struct ShardedLogStore {
-    dir: PathBuf,
-    config: ShardedConfig,
     // Held only for its Drop. Declared before `shards`: the flusher thread
     // borrows the shards through the Arc and must be joined before the last
     // strong reference can drop (field drop order is declaration order).
@@ -386,8 +384,8 @@ impl ShardedLogStore {
     }
 
     /// [`open`](ShardedLogStore::open) with a flight-recorder observer
-    /// attached: every shard's batch commits, rotations and compactions —
-    /// and the background flusher's pipelined fsyncs, with their
+    /// attached: every shard's batch commits and rotations — and the
+    /// background flusher's pipelined fsyncs, with their
     /// lag-in-bytes — emit structured trace events into `obs`. The
     /// observer's per-shard metric families are sized here, so later
     /// updates from the flusher thread never allocate.
@@ -451,8 +449,6 @@ impl ShardedLogStore {
             None => None,
         };
         Ok(ShardedLogStore {
-            dir,
-            config,
             _flusher: flusher,
             shards,
         })
@@ -526,15 +522,6 @@ impl ShardedLogStore {
         self.shard_of(user).fetch(user)
     }
 
-    /// Deletes `user`'s view from its shard (durably: a tombstone record).
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the tombstone write.
-    pub fn delete(&self, user: UserId) -> Result<()> {
-        self.shard_of(user).delete(user)
-    }
-
     /// Commits every shard's pending batch and flushes every shard to the
     /// OS. Fails fast on the first shard error, matching
     /// [`LogStructuredStore::flush`].
@@ -574,25 +561,6 @@ impl ShardedLogStore {
             any |= shard.commit_pending()?;
         }
         Ok(any)
-    }
-
-    /// Compacts every shard (see [`LogStructuredStore::compact`]) and sums
-    /// the per-shard measurements.
-    ///
-    /// # Errors
-    ///
-    /// The first shard failure; earlier shards stay compacted (each shard's
-    /// pass is independently crash-safe).
-    pub fn compact(&self) -> Result<CompactionStats> {
-        let mut total = CompactionStats::default();
-        for shard in self.shards.iter() {
-            let s = shard.compact()?;
-            total.bytes_before += s.bytes_before;
-            total.bytes_after += s.bytes_after;
-            total.segments_before += s.segments_before;
-            total.segments_after += s.segments_after;
-        }
-        Ok(total)
     }
 
     /// Re-replays every shard from disk concurrently (committing pending
@@ -658,16 +626,6 @@ impl ShardedLogStore {
     /// Acknowledged-but-uncommitted appends across shards.
     pub fn pending_records(&self) -> u64 {
         self.shards.iter().map(|s| s.pending_records()).sum()
-    }
-
-    /// The root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configuration the store was opened with.
-    pub fn config(&self) -> ShardedConfig {
-        self.config
     }
 
     /// Events appended across shards.
@@ -920,8 +878,8 @@ mod tests {
     }
 
     #[test]
-    fn delete_and_compaction_fan_out() {
-        let dir = temp_dir("compact");
+    fn reread_fans_out_across_shards() {
+        let dir = temp_dir("reread");
         let store = ShardedLogStore::open(&dir, no_flusher(4)).unwrap();
         for u in 0..32u32 {
             for _ in 0..4 {
@@ -930,21 +888,18 @@ mod tests {
                     .unwrap();
             }
         }
-        for u in 0..8u32 {
-            store.delete(UserId::new(u)).unwrap();
-        }
-        assert_eq!(store.user_count(), 24);
-        assert!(store.fetch(UserId::new(3)).is_empty());
-        let stats = store.compact().unwrap();
-        assert!(
-            stats.bytes_after < stats.bytes_before,
-            "superseded records must shrink the shards, got {stats:?}"
-        );
-        assert_eq!(store.user_count(), 24);
+        // Reread commits every shard's pending batch, then replays each
+        // shard from disk: the same views come back, one frame per shard.
+        let before: Vec<View> = (0..32).map(|u| store.fetch(UserId::new(u))).collect();
         let reread = store.reread().unwrap();
         assert_eq!(reread.per_shard.len(), 4);
+        assert!(reread.per_shard.iter().all(|s| s.records_replayed == 1));
         assert_eq!(reread.total.torn_bytes, 0);
-        assert_eq!(store.user_count(), 24);
+        assert_eq!(reread.total.bytes_replayed, store.bytes_on_disk());
+        assert_eq!(store.recovery_stats(), reread);
+        let after: Vec<View> = (0..32).map(|u| store.fetch(UserId::new(u))).collect();
+        assert_eq!(before, after);
+        assert_eq!(store.user_count(), 32);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

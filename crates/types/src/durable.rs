@@ -1,37 +1,36 @@
-//! On-disk encoding of the durable tier's log records.
+//! On-disk encoding of the durable tier's log: batch frames.
 //!
 //! The file-backed persistent store (`dynasore-store`) writes an append-only
-//! log of these records. Each record is *framed*: a little-endian `u32`
-//! length, a CRC-32 checksum of the body, then the body itself. A crash can
-//! truncate the log at any byte offset; on replay the frame makes the torn
-//! tail detectable — a short frame, an impossible length or a checksum
-//! mismatch all mean "the log ends here", never a half-applied record.
+//! log of frames. Each is a little-endian `u32` length, a CRC-32 checksum of
+//! the body, then the body itself. A crash can truncate the log at any byte
+//! offset; on replay the frame makes the torn tail detectable — a short
+//! frame, an impossible length or a checksum mismatch all mean "the log ends
+//! here", never a half-applied frame.
 //!
 //! ```text
 //! ┌──────────┬──────────┬────────────────────────────────┐
 //! │ len: u32 │ crc: u32 │ body (len bytes)               │
 //! └──────────┴──────────┴────────────────────────────────┘
-//! body = [kind: u8][kind-specific fields, little-endian]
+//! body  = [kind: u8 = 4][count: u32][entry; count]
+//! entry = [user: u32][timestamp: u64][payload len: u32][payload]
 //! ```
 //!
-//! Four record kinds exist: [`DurableRecord::Batch`] (one or more events
-//! committed as one frame — the unit every append is written in: its single
-//! checksum covers every entry, so a crash mid-write tears the *whole*
-//! batch, never a prefix of it), [`DurableRecord::Event`] (one appended
-//! event; no writer emits it any more, replay accepts it so logs written
-//! per append by older builds still open), [`DurableRecord::Snapshot`] (a
-//! full view, written by compaction to supersede every earlier record of
-//! that user) and [`DurableRecord::Tombstone`] (the user's view was
-//! deleted).
+//! There is one frame kind, the batch ([`DurableRecord`]): one or more
+//! events committed together, the unit every append is written in. Its
+//! single checksum covers every entry, so a crash mid-write tears the
+//! *whole* batch, never a prefix of it. The kind byte stays 4 so every log
+//! an older build wrote still opens; kinds 1–3 (single event, snapshot,
+//! tombstone) are retired, and a checksummed frame of one is
+//! [`Error::CorruptRecord`] like any other unknown kind.
 //!
-//! Batch frames are built *incrementally* with [`DurableRecord::batch_begin`]
-//! / [`batch_push`](DurableRecord::batch_push) /
+//! Frames are built *incrementally* with [`DurableRecord::batch_begin`] /
+//! [`batch_push`](DurableRecord::batch_push) /
 //! [`batch_finish`](DurableRecord::batch_finish) so a writer can accumulate
 //! acknowledged events straight into one reusable buffer and patch the
 //! length, checksum and count in place at commit time — no per-commit
 //! re-encoding, no intermediate allocations.
 
-use crate::{Error, Event, Result, SimTime, UserId, View};
+use crate::{Error, Event, Result, SimTime, UserId};
 
 /// Upper bound on a record body. Frames announcing more than this are treated
 /// as torn tails (a partially written length prefix can decode to garbage).
@@ -40,9 +39,7 @@ pub const MAX_RECORD_BYTES: usize = 1 << 24;
 /// Bytes of the frame header (length prefix + checksum).
 pub const RECORD_HEADER_BYTES: usize = 8;
 
-const KIND_EVENT: u8 = 1;
-const KIND_SNAPSHOT: u8 = 2;
-const KIND_TOMBSTONE: u8 = 3;
+/// The batch frame's kind byte.
 const KIND_BATCH: u8 = 4;
 
 /// Bytes a batch body spends before the first entry: the kind byte plus the
@@ -108,42 +105,17 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// One record of the durable tier's append-only log.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DurableRecord {
-    /// A single event appended to `user`'s view. Read-only: the store writes
-    /// every append inside a [`Batch`](DurableRecord::Batch); this frame is
-    /// what older builds wrote per append, and replay still applies it.
-    Event {
-        /// The view the event belongs to.
-        user: UserId,
-        /// The event's timestamp.
-        timestamp: SimTime,
-        /// The opaque application payload.
-        payload: Vec<u8>,
-    },
-    /// One or more events committed as one frame — the group-commit unit,
-    /// and the frame every append is written in. The
-    /// frame's single checksum covers every entry, so a crash mid-write
-    /// tears the whole batch at once: replay either applies all of its
-    /// events or none of them, never a prefix.
-    Batch {
-        /// The batched events, in acknowledgement order (entries may belong
-        /// to different users).
-        events: Vec<Event>,
-    },
-    /// A full view, superseding every earlier record of the same user.
-    /// Written by compaction so replay can drop the superseded history.
-    Snapshot {
-        /// The complete view, including its version counter.
-        view: View,
-    },
-    /// The user's view was deleted; replay forgets everything before this.
-    Tombstone {
-        /// The deleted view's owner.
-        user: UserId,
-    },
-}
+/// The batch frame, the durable log's only record kind: one or more events
+/// committed together under a single checksum, so a crash mid-write tears
+/// the whole batch and replay applies all of its events or none of them.
+///
+/// Never constructed: the type names the frame's codec — the incremental
+/// encoder [`batch_begin`](DurableRecord::batch_begin) /
+/// [`batch_push`](DurableRecord::batch_push) /
+/// [`batch_finish`](DurableRecord::batch_finish) and the decoder
+/// [`decode`](DurableRecord::decode).
+#[derive(Debug)]
+pub enum DurableRecord {}
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -203,93 +175,21 @@ impl<'a> Cursor<'a> {
 }
 
 impl DurableRecord {
-    /// Appends the framed encoding of this record to `buf` and returns the
-    /// number of bytes written. On error, `buf` is restored to its previous
-    /// length (no partial frame is left behind).
+    /// Attempts to decode one batch frame from the start of `bytes`.
     ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InvalidConfig`] when the record body would exceed
-    /// [`MAX_RECORD_BYTES`] — a frame that large could never be replayed, so
-    /// it is rejected before any byte reaches the log.
-    pub fn encode_into(&self, buf: &mut Vec<u8>) -> Result<usize> {
-        let frame_start = buf.len();
-        put_u32(buf, 0); // length placeholder
-        put_u32(buf, 0); // crc placeholder
-        let body_start = buf.len();
-        match self {
-            DurableRecord::Event {
-                user,
-                timestamp,
-                payload,
-            } => {
-                buf.push(KIND_EVENT);
-                put_u32(buf, user.index());
-                put_u64(buf, timestamp.as_secs());
-                put_u32(buf, payload.len() as u32);
-                buf.extend_from_slice(payload);
-            }
-            DurableRecord::Batch { events } => {
-                if events.is_empty() {
-                    buf.truncate(frame_start);
-                    return Err(Error::invalid_config(
-                        "a batch record must hold at least one event",
-                    ));
-                }
-                buf.push(KIND_BATCH);
-                put_u32(buf, events.len() as u32);
-                for event in events {
-                    put_u32(buf, event.author().index());
-                    put_u64(buf, event.timestamp().as_secs());
-                    put_u32(buf, event.payload().len() as u32);
-                    buf.extend_from_slice(event.payload());
-                }
-            }
-            DurableRecord::Snapshot { view } => {
-                buf.push(KIND_SNAPSHOT);
-                put_u32(buf, view.owner().index());
-                put_u64(buf, view.version());
-                put_u32(buf, view.capacity() as u32);
-                put_u32(buf, view.len() as u32);
-                for event in view.iter() {
-                    put_u32(buf, event.author().index());
-                    put_u64(buf, event.timestamp().as_secs());
-                    put_u32(buf, event.payload().len() as u32);
-                    buf.extend_from_slice(event.payload());
-                }
-            }
-            DurableRecord::Tombstone { user } => {
-                buf.push(KIND_TOMBSTONE);
-                put_u32(buf, user.index());
-            }
-        }
-        let body_len = buf.len() - body_start;
-        if body_len > MAX_RECORD_BYTES {
-            buf.truncate(frame_start);
-            return Err(Error::invalid_config(format!(
-                "durable record body of {body_len} bytes exceeds the {MAX_RECORD_BYTES}-byte \
-                 frame cap"
-            )));
-        }
-        let crc = crc32(&buf[body_start..]);
-        buf[frame_start..frame_start + 4].copy_from_slice(&(body_len as u32).to_le_bytes());
-        buf[frame_start + 4..frame_start + 8].copy_from_slice(&crc.to_le_bytes());
-        Ok(buf.len() - frame_start)
-    }
-
-    /// Attempts to decode one framed record from the start of `bytes`.
-    ///
-    /// Returns `Ok(Some((record, consumed)))` for a valid frame,
-    /// `Ok(None)` for a *torn tail* — too few bytes for a frame, an
-    /// impossible length, or a checksum mismatch, all of which a crash mid-
-    /// write legitimately produces and replay treats as the end of the log.
+    /// Returns `Ok(Some((events, consumed)))` for a valid frame — its events
+    /// in acknowledgement order — and `Ok(None)` for a *torn tail*: too few
+    /// bytes for a frame, an impossible length, or a checksum mismatch, all
+    /// of which a crash mid-write legitimately produces and replay treats as
+    /// the end of the log.
     ///
     /// # Errors
     ///
     /// Returns [`Error::CorruptRecord`] when the checksum is valid but the
-    /// body is malformed (unknown kind, inconsistent inner lengths): the
-    /// record was written whole, so this is writer corruption, not a crash.
-    pub fn decode(bytes: &[u8]) -> Result<Option<(DurableRecord, usize)>> {
+    /// body is malformed (a kind other than the batch, a zero or wrong entry
+    /// count, inconsistent inner lengths): the frame was written whole, so
+    /// this is writer corruption, not a crash.
+    pub fn decode(bytes: &[u8]) -> Result<Option<(Vec<Event>, usize)>> {
         if bytes.len() < RECORD_HEADER_BYTES {
             return Ok(None);
         }
@@ -308,69 +208,30 @@ impl DurableRecord {
             bytes: body,
             pos: 0,
         };
-        let record = match cursor.u8()? {
-            KIND_EVENT => {
-                let user = UserId::new(cursor.u32()?);
-                let timestamp = SimTime::from_secs(cursor.u64()?);
-                let payload_len = cursor.u32()? as usize;
-                let payload = cursor.take(payload_len)?.to_vec();
-                DurableRecord::Event {
-                    user,
-                    timestamp,
-                    payload,
-                }
-            }
-            KIND_BATCH => {
-                let count = cursor.u32()?;
-                if count == 0 {
-                    return Err(Error::CorruptRecord(
-                        "batch record with zero entries".into(),
-                    ));
-                }
-                let mut events = Vec::with_capacity((count as usize).min(1024));
-                for _ in 0..count {
-                    let author = UserId::new(cursor.u32()?);
-                    let timestamp = SimTime::from_secs(cursor.u64()?);
-                    let payload_len = cursor.u32()? as usize;
-                    let payload = cursor.take(payload_len)?.to_vec();
-                    events.push(Event::new(author, timestamp, payload));
-                }
-                DurableRecord::Batch { events }
-            }
-            KIND_SNAPSHOT => {
-                let owner = UserId::new(cursor.u32()?);
-                let version = cursor.u64()?;
-                let capacity = cursor.u32()? as usize;
-                if capacity == 0 {
-                    return Err(Error::CorruptRecord(
-                        "snapshot with zero view capacity".into(),
-                    ));
-                }
-                let count = cursor.u32()? as usize;
-                let mut events = Vec::with_capacity(count.min(1024));
-                for _ in 0..count {
-                    let author = UserId::new(cursor.u32()?);
-                    let timestamp = SimTime::from_secs(cursor.u64()?);
-                    let payload_len = cursor.u32()? as usize;
-                    let payload = cursor.take(payload_len)?.to_vec();
-                    events.push(Event::new(author, timestamp, payload));
-                }
-                DurableRecord::Snapshot {
-                    view: View::from_saved(owner, capacity, version, events),
-                }
-            }
-            KIND_TOMBSTONE => DurableRecord::Tombstone {
-                user: UserId::new(cursor.u32()?),
-            },
-            kind => return Err(Error::CorruptRecord(format!("unknown record kind {kind}"))),
-        };
+        let kind = cursor.u8()?;
+        if kind != KIND_BATCH {
+            return Err(Error::CorruptRecord(format!("unknown record kind {kind}")));
+        }
+        let count = cursor.u32()?;
+        if count == 0 {
+            return Err(Error::CorruptRecord(
+                "batch record with zero entries".into(),
+            ));
+        }
+        let mut events = Vec::with_capacity((count as usize).min(1024));
+        for _ in 0..count {
+            let author = UserId::new(cursor.u32()?);
+            let timestamp = SimTime::from_secs(cursor.u64()?);
+            let payload_len = cursor.u32()? as usize;
+            let payload = cursor.take(payload_len)?.to_vec();
+            events.push(Event::new(author, timestamp, payload));
+        }
         cursor.finish()?;
-        Ok(Some((record, RECORD_HEADER_BYTES + len)))
+        Ok(Some((events, RECORD_HEADER_BYTES + len)))
     }
 
-    /// Starts an incremental [`DurableRecord::Batch`] frame in `buf`
-    /// (clearing it first): the frame header, the kind byte and the entry
-    /// count are laid down as placeholders that
+    /// Starts a batch frame in `buf` (clearing it first): the frame header,
+    /// the kind byte and the entry count are laid down as placeholders that
     /// [`batch_finish`](DurableRecord::batch_finish) patches in place.
     pub fn batch_begin(buf: &mut Vec<u8>) {
         buf.clear();
@@ -415,8 +276,8 @@ impl DurableRecord {
 
     /// Seals an open batch frame: patches the entry count, the body length
     /// and the checksum in place, and returns the total frame size. After
-    /// this, `buf` holds one complete [`DurableRecord::Batch`] frame ready
-    /// to be appended to the log.
+    /// this, `buf` holds one complete batch frame ready to be appended to
+    /// the log.
     ///
     /// # Errors
     ///
@@ -447,31 +308,37 @@ impl DurableRecord {
 mod tests {
     use super::*;
 
-    fn sample_records() -> Vec<DurableRecord> {
-        let u = UserId::new(7);
-        let mut view = View::with_capacity(u, 4);
-        view.push(Event::new(u, SimTime::from_secs(1), b"a".to_vec()));
-        view.push(Event::new(u, SimTime::from_secs(2), b"bb".to_vec()));
+    /// One batch frame holding `events`, built by the store's own encoder.
+    fn frame(events: &[(u32, u64, &[u8])]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        DurableRecord::batch_begin(&mut buf);
+        for &(user, secs, payload) in events {
+            DurableRecord::batch_push(
+                &mut buf,
+                UserId::new(user),
+                SimTime::from_secs(secs),
+                payload,
+            )
+            .unwrap();
+        }
+        DurableRecord::batch_finish(&mut buf, events.len() as u32).unwrap();
+        buf
+    }
+
+    /// A frame around a hand-built `body`, with a valid checksum.
+    fn checksummed(body: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(body).to_le_bytes());
+        frame.extend_from_slice(body);
+        frame
+    }
+
+    fn sample_batches() -> Vec<Vec<(u32, u64, &'static [u8])>> {
         vec![
-            DurableRecord::Event {
-                user: u,
-                timestamp: SimTime::from_secs(3),
-                payload: b"hello".to_vec(),
-            },
-            DurableRecord::Snapshot { view },
-            DurableRecord::Tombstone { user: u },
-            DurableRecord::Batch {
-                events: vec![
-                    Event::new(UserId::new(1), SimTime::from_secs(4), b"x".to_vec()),
-                    Event::new(UserId::new(2), SimTime::from_secs(5), Vec::new()),
-                    Event::new(UserId::new(1), SimTime::from_secs(6), b"yz".to_vec()),
-                ],
-            },
-            DurableRecord::Event {
-                user: UserId::new(0),
-                timestamp: SimTime::ZERO,
-                payload: Vec::new(),
-            },
+            vec![(7, 3, b"hello")],
+            vec![(1, 4, b"x"), (2, 5, b""), (1, 6, b"yz")],
+            vec![(0, 0, b"")],
         ]
     }
 
@@ -511,61 +378,43 @@ mod tests {
 
     #[test]
     fn records_round_trip() {
+        let batches = sample_batches();
         let mut buf = Vec::new();
-        let records = sample_records();
-        let mut sizes = Vec::new();
-        for r in &records {
-            sizes.push(r.encode_into(&mut buf).unwrap());
+        for batch in &batches {
+            buf.extend_from_slice(&frame(batch));
         }
         let mut decoded = Vec::new();
         let mut offset = 0usize;
         while offset < buf.len() {
-            let (record, consumed) = DurableRecord::decode(&buf[offset..])
+            let (events, consumed) = DurableRecord::decode(&buf[offset..])
                 .unwrap()
-                .expect("valid record");
-            decoded.push(record);
+                .expect("valid frame");
+            let entries: Vec<(u32, u64, Vec<u8>)> = events
+                .iter()
+                .map(|e| {
+                    (
+                        e.author().index(),
+                        e.timestamp().as_secs(),
+                        e.payload().to_vec(),
+                    )
+                })
+                .collect();
+            decoded.push(entries);
             offset += consumed;
         }
-        assert_eq!(decoded, records);
-        assert_eq!(sizes.iter().sum::<usize>(), buf.len());
-    }
-
-    #[test]
-    fn snapshot_preserves_version_and_capacity() {
-        let u = UserId::new(3);
-        let mut view = View::with_capacity(u, 2);
-        for t in 0..5 {
-            view.push(Event::new(u, SimTime::from_secs(t), vec![t as u8]));
-        }
-        let mut buf = Vec::new();
-        DurableRecord::Snapshot { view: view.clone() }
-            .encode_into(&mut buf)
-            .unwrap();
-        let (record, _) = DurableRecord::decode(&buf).unwrap().unwrap();
-        let DurableRecord::Snapshot { view: decoded } = record else {
-            panic!("expected snapshot");
-        };
-        assert_eq!(decoded, view);
-        assert_eq!(decoded.version(), 5);
-        assert_eq!(decoded.capacity(), 2);
+        let expected: Vec<Vec<(u32, u64, Vec<u8>)>> = batches
+            .iter()
+            .map(|b| b.iter().map(|&(u, t, p)| (u, t, p.to_vec())).collect())
+            .collect();
+        assert_eq!(decoded, expected);
+        assert_eq!(offset, buf.len());
     }
 
     #[test]
     fn every_truncation_is_a_torn_tail() {
-        let mut buf = Vec::new();
-        for r in sample_records() {
-            r.encode_into(&mut buf).unwrap();
-        }
-        // Whatever prefix of a single record survives, decode must answer
-        // "torn", never a record and never corruption.
-        let mut one = Vec::new();
-        DurableRecord::Event {
-            user: UserId::new(9),
-            timestamp: SimTime::from_secs(9),
-            payload: b"payload".to_vec(),
-        }
-        .encode_into(&mut one)
-        .unwrap();
+        // Whatever prefix of a frame survives, decode must answer "torn",
+        // never events and never corruption.
+        let one = frame(&[(9, 9, b"payload")]);
         for cut in 0..one.len() {
             assert!(
                 DurableRecord::decode(&one[..cut]).unwrap().is_none(),
@@ -577,14 +426,7 @@ mod tests {
 
     #[test]
     fn bit_flips_fail_the_checksum() {
-        let mut buf = Vec::new();
-        DurableRecord::Event {
-            user: UserId::new(1),
-            timestamp: SimTime::from_secs(1),
-            payload: b"abcdef".to_vec(),
-        }
-        .encode_into(&mut buf)
-        .unwrap();
+        let buf = frame(&[(1, 1, b"abcdef"), (2, 2, b"gh")]);
         for i in RECORD_HEADER_BYTES..buf.len() {
             let mut copy = buf.clone();
             copy[i] ^= 0x40;
@@ -597,65 +439,69 @@ mod tests {
 
     #[test]
     fn valid_checksum_with_malformed_body_is_corruption() {
-        // Hand-build a frame whose checksum is correct but whose kind is
-        // unknown: that cannot come from a crash, only a buggy writer.
-        let body = [42u8, 0, 0, 0, 0];
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        assert!(matches!(
-            DurableRecord::decode(&frame),
-            Err(Error::CorruptRecord(_))
-        ));
+        // Each body below has a correct checksum, so none can come from a
+        // crash — only from a buggy writer.
+        let corrupt = |body: &[u8]| {
+            matches!(
+                DurableRecord::decode(&checksummed(body)),
+                Err(Error::CorruptRecord(_))
+            )
+        };
+        let whole = frame(&[(1, 1, b"ab"), (2, 2, b"c")]);
+        let body = &whole[RECORD_HEADER_BYTES..];
 
-        // Trailing garbage inside a checksummed body is equally corrupt.
-        let mut event = Vec::new();
-        DurableRecord::Tombstone {
-            user: UserId::new(1),
+        // A kind other than the batch: unknown, or one of the retired kinds
+        // (1 event, 2 snapshot, 3 tombstone) no writer emits.
+        for kind in [0u8, 1, 2, 3, 5, 42] {
+            let mut other = body.to_vec();
+            other[0] = kind;
+            assert!(corrupt(&other), "kind {kind}");
         }
-        .encode_into(&mut event)
-        .unwrap();
-        let len = u32::from_le_bytes(event[0..4].try_into().unwrap()) as usize;
-        let mut body = event[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + len].to_vec();
-        body.push(0xAA);
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
-        assert!(matches!(
-            DurableRecord::decode(&frame),
-            Err(Error::CorruptRecord(_))
-        ));
+        // The count promises more entries than the body holds…
+        let mut short = body.to_vec();
+        short[1..5].copy_from_slice(&3u32.to_le_bytes());
+        assert!(corrupt(&short), "count above the entries");
+        // …or fewer, leaving the last entry as trailing bytes.
+        let mut long = body.to_vec();
+        long[1..5].copy_from_slice(&1u32.to_le_bytes());
+        assert!(corrupt(&long), "count below the entries");
+        // Trailing garbage after the last entry.
+        let mut trailing = body.to_vec();
+        trailing.push(0xAA);
+        assert!(corrupt(&trailing), "trailing bytes");
+        // A payload length reaching past the body.
+        let mut overlong = body.to_vec();
+        overlong[5 + 12..5 + 16].copy_from_slice(&100u32.to_le_bytes());
+        assert!(corrupt(&overlong), "payload past the body");
     }
 
     #[test]
     fn incremental_batch_matches_the_record_encoding() {
-        // The begin/push/finish path must produce byte-identical frames to
-        // encoding a `DurableRecord::Batch` value, so replay cannot tell the
-        // two writers apart.
-        let events = vec![
-            Event::new(UserId::new(3), SimTime::from_secs(10), b"aaa".to_vec()),
-            Event::new(UserId::new(9), SimTime::from_secs(11), b"b".to_vec()),
-        ];
+        // The begin/push/finish encoder lays down exactly the documented
+        // frame: [len][crc][kind 4][count][user, timestamp, len, payload]*.
         let mut incremental = vec![0xEE; 7]; // batch_begin must clear stale content
         DurableRecord::batch_begin(&mut incremental);
-        for event in &events {
+        for (user, secs, payload) in [(3u32, 10u64, &b"aaa"[..]), (9, 11, b"b")] {
             DurableRecord::batch_push(
                 &mut incremental,
-                event.author(),
-                event.timestamp(),
-                event.payload(),
+                UserId::new(user),
+                SimTime::from_secs(secs),
+                payload,
             )
             .unwrap();
         }
-        let frame_len = DurableRecord::batch_finish(&mut incremental, events.len() as u32).unwrap();
+        let frame_len = DurableRecord::batch_finish(&mut incremental, 2).unwrap();
         assert_eq!(frame_len, incremental.len());
-        let mut whole = Vec::new();
-        DurableRecord::Batch { events }
-            .encode_into(&mut whole)
-            .unwrap();
-        assert_eq!(incremental, whole);
+
+        let mut body = vec![4u8];
+        body.extend_from_slice(&2u32.to_le_bytes());
+        for (user, secs, payload) in [(3u32, 10u64, &b"aaa"[..]), (9, 11, b"b")] {
+            body.extend_from_slice(&user.to_le_bytes());
+            body.extend_from_slice(&secs.to_le_bytes());
+            body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            body.extend_from_slice(payload);
+        }
+        assert_eq!(incremental, checksummed(&body));
     }
 
     #[test]
@@ -681,11 +527,8 @@ mod tests {
                 "a batch truncated to {cut} bytes must decode as torn, not partially"
             );
         }
-        let (record, consumed) = DurableRecord::decode(&buf).unwrap().unwrap();
+        let (events, consumed) = DurableRecord::decode(&buf).unwrap().unwrap();
         assert_eq!(consumed, buf.len());
-        let DurableRecord::Batch { events } = record else {
-            panic!("expected batch");
-        };
         assert_eq!(events.len(), 4);
     }
 
@@ -716,21 +559,10 @@ mod tests {
             DurableRecord::batch_finish(&mut buf, 0),
             Err(Error::InvalidConfig(_))
         ));
-        let mut whole = Vec::new();
-        assert!(matches!(
-            DurableRecord::Batch { events: Vec::new() }.encode_into(&mut whole),
-            Err(Error::InvalidConfig(_))
-        ));
-        assert!(whole.is_empty(), "rejected record must restore the buffer");
         // A hand-built zero-count batch with a valid checksum is writer
         // corruption, not a torn tail.
-        let body = [4u8, 0, 0, 0, 0];
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&body).to_le_bytes());
-        frame.extend_from_slice(&body);
         assert!(matches!(
-            DurableRecord::decode(&frame),
+            DurableRecord::decode(&checksummed(&[4u8, 0, 0, 0, 0])),
             Err(Error::CorruptRecord(_))
         ));
     }

@@ -111,30 +111,6 @@ impl View {
         }
     }
 
-    /// Reconstructs a view from its saved parts — the durable-log replay
-    /// path: a [`crate::DurableRecord::Snapshot`] carries the events *and*
-    /// the version counter, which must survive a round trip through disk so
-    /// that replica freshness comparisons ([`View::version`]) behave
-    /// identically after recovery. Events beyond `capacity` are truncated
-    /// from the oldest end, mirroring [`View::push`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn from_saved(owner: UserId, capacity: usize, version: u64, events: Vec<Event>) -> Self {
-        assert!(capacity > 0, "view capacity must be positive");
-        let mut events = events;
-        if events.len() > capacity {
-            events.drain(..events.len() - capacity);
-        }
-        View {
-            owner,
-            capacity,
-            events,
-            version,
-        }
-    }
-
     /// The user this view belongs to.
     pub fn owner(&self) -> UserId {
         self.owner
@@ -179,11 +155,6 @@ impl View {
     pub fn iter(&self) -> std::slice::Iter<'_, Event> {
         self.events.iter()
     }
-
-    /// Returns the `n` most recent events, newest first.
-    pub fn latest_n(&self, n: usize) -> Vec<&Event> {
-        self.events.iter().rev().take(n).collect()
-    }
 }
 
 #[cfg(test)]
@@ -226,20 +197,6 @@ mod tests {
         assert_eq!(ts, vec![2, 3, 4]);
         assert_eq!(v.latest().unwrap().timestamp().as_secs(), 4);
         assert_eq!(v.version(), 5);
-    }
-
-    #[test]
-    fn view_latest_n_is_newest_first() {
-        let mut v = View::new(UserId::new(2));
-        for t in 0..4 {
-            v.push(ev(2, t));
-        }
-        let latest: Vec<u64> = v
-            .latest_n(2)
-            .iter()
-            .map(|e| e.timestamp().as_secs())
-            .collect();
-        assert_eq!(latest, vec![3, 2]);
     }
 
     #[test]

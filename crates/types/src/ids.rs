@@ -237,18 +237,6 @@ pub enum SubtreeId {
     Machine(u32),
 }
 
-impl SubtreeId {
-    /// Returns `true` if this sub-tree is a single machine.
-    pub fn is_machine(self) -> bool {
-        matches!(self, SubtreeId::Machine(_))
-    }
-
-    /// Returns `true` if this sub-tree is the whole cluster.
-    pub fn is_root(self) -> bool {
-        matches!(self, SubtreeId::Root)
-    }
-}
-
 impl fmt::Display for SubtreeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -303,14 +291,6 @@ mod tests {
         assert_eq!(SubtreeId::Intermediate(1).to_string(), "inter1");
         assert_eq!(SubtreeId::Rack(9).to_string(), "rack9");
         assert_eq!(SubtreeId::Machine(8).to_string(), "machine8");
-    }
-
-    #[test]
-    fn subtree_kind_predicates() {
-        assert!(SubtreeId::Root.is_root());
-        assert!(!SubtreeId::Root.is_machine());
-        assert!(SubtreeId::Machine(1).is_machine());
-        assert!(!SubtreeId::Rack(1).is_machine());
     }
 
     #[test]

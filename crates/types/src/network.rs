@@ -73,11 +73,6 @@ impl Latency {
         self.0 as f64 / NANOS_PER_SEC as f64
     }
 
-    /// This latency in (fractional) milliseconds, for human-facing reports.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1_000_000.0
-    }
-
     /// Saturating difference of two latencies.
     pub fn saturating_sub(self, other: Latency) -> Latency {
         Latency(self.0.saturating_sub(other.0))
@@ -407,7 +402,6 @@ mod tests {
             Latency::ZERO
         );
         assert!((Latency::from_millis(1).as_secs_f64() - 0.001).abs() < 1e-12);
-        assert!((Latency::from_micros(1_500).as_millis_f64() - 1.5).abs() < 1e-12);
     }
 
     #[test]

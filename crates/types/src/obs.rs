@@ -124,8 +124,6 @@ metric_ids! {
         "Largest observed batch fill ratio, percent of max_batch_records."),
     SegmentRotations = ("dynasore_segment_rotations_total", Counter,
         "Log segment rotations."),
-    Compactions = ("dynasore_compactions_total", Counter,
-        "Log compactions run."),
     FlusherSyncs = ("dynasore_flusher_syncs_total", Counter,
         "Background flusher fsync passes across all shards."),
     FlusherMaxLagBytes = ("dynasore_flusher_max_lag_bytes", Gauge,
@@ -316,9 +314,6 @@ impl MetricsRegistry {
             }
             TraceEventKind::SegmentRotated { .. } => {
                 self.inc(MetricId::SegmentRotations);
-            }
-            TraceEventKind::CompactionRun { .. } => {
-                self.inc(MetricId::Compactions);
             }
             TraceEventKind::FlusherSync { shard, lag_bytes } => {
                 self.inc(MetricId::FlusherSyncs);
@@ -569,13 +564,6 @@ pub enum TraceEventKind {
         /// Index of the newly opened segment.
         segment: u64,
     },
-    /// A log compaction completed.
-    CompactionRun {
-        /// Live bytes before compaction.
-        bytes_before: u64,
-        /// Live bytes after compaction.
-        bytes_after: u64,
-    },
     /// The background flusher fsynced one shard.
     FlusherSync {
         /// The shard index.
@@ -616,7 +604,6 @@ impl TraceEventKind {
             TraceEventKind::CollapseOnset { .. } => "collapse-onset",
             TraceEventKind::GroupCommitFill { .. } => "group-commit-fill",
             TraceEventKind::SegmentRotated { .. } => "segment-rotated",
-            TraceEventKind::CompactionRun { .. } => "compaction-run",
             TraceEventKind::FlusherSync { .. } => "flusher-sync",
             TraceEventKind::ReplayCompleted { .. } => "replay-completed",
             TraceEventKind::EnvelopeServed { .. } => "envelope-served",
@@ -718,15 +705,6 @@ impl TraceEvent {
             }
             TraceEventKind::SegmentRotated { segment } => {
                 let _ = write!(out, ",\"segment\":{segment}");
-            }
-            TraceEventKind::CompactionRun {
-                bytes_before,
-                bytes_after,
-            } => {
-                let _ = write!(
-                    out,
-                    ",\"bytes_before\":{bytes_before},\"bytes_after\":{bytes_after}"
-                );
             }
             TraceEventKind::FlusherSync { shard, lag_bytes } => {
                 let _ = write!(out, ",\"shard\":{shard},\"lag_bytes\":{lag_bytes}");

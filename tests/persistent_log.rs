@@ -1,18 +1,20 @@
-//! Crash-recovery and compaction properties of the file-backed persistent
-//! tier.
+//! Crash-recovery properties and the on-disk format of the file-backed
+//! persistent tier.
 //!
-//! The central guarantee: for *any* sequence of writes/overwrites/deletes
-//! and *any* byte offset a crash truncates the log at, reopening recovers
-//! exactly the acknowledged prefix — every record wholly below the cut, and
-//! nothing of the torn tail, which the checksummed framing detects and never
-//! serves.
+//! The central guarantee: for *any* sequence of writes and overwrites (new
+//! events appended to views that already hold some) and *any* byte offset a
+//! crash truncates the log at, reopening recovers exactly the acknowledged
+//! prefix — every batch frame wholly below the cut, and nothing of the torn
+//! tail, which the checksummed framing detects and never serves. The format
+//! itself is pinned byte for byte, and the retired record kinds are refused
+//! as corruption.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dynasore::store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore};
-use dynasore::types::{Error, UserId};
+use dynasore::types::{crc32, DurableRecord, Error, UserId};
 use proptest::prelude::*;
 
 /// A fresh directory per test case, unique across parallel tests and
@@ -38,33 +40,25 @@ fn single_segment() -> LogConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Op {
-    Append(u32, Vec<u8>),
-    Delete(u32),
-}
+/// One acknowledged append: the user and the payload.
+type Op = (u32, Vec<u8>);
 
 /// Applies one op to the reference model (user → payload list; a view's
 /// version equals the list length because capacity is never hit here).
-fn apply_to_model(model: &mut BTreeMap<u32, Vec<Vec<u8>>>, op: &Op) {
-    match op {
-        Op::Append(user, payload) => model.entry(*user).or_default().push(payload.clone()),
-        Op::Delete(user) => {
-            model.remove(user);
-        }
-    }
+fn apply_to_model(model: &mut BTreeMap<u32, Vec<Vec<u8>>>, (user, payload): &Op) {
+    model.entry(*user).or_default().push(payload.clone());
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random write/overwrite/delete sequences, crash (truncate) at an
-    /// arbitrary byte offset, reopen: the recovered index equals the model
-    /// map of the acknowledged prefix — the torn tail record is detected by
-    /// the checksum and never served.
+    /// Random write/overwrite sequences, crash (truncate) at an arbitrary
+    /// byte offset, reopen: the recovered index equals the model map of the
+    /// acknowledged prefix — the torn tail frame is detected by the checksum
+    /// and never served.
     #[test]
     fn crash_at_any_offset_recovers_exactly_the_acknowledged_prefix(
-        raw_ops in proptest::collection::vec((0u32..100, 0u32..8), 1..120),
+        raw_ops in proptest::collection::vec((1usize..25, 0u32..8), 1..120),
         cut_permille in 0u64..1_001,
     ) {
         let dir = unique_dir("crash");
@@ -75,18 +69,11 @@ proptest! {
         // a frame of its own and makes the logical length physical, so
         // truncation offsets are meaningful.
         let mut ops: Vec<(Op, u64)> = Vec::new();
-        for (i, &(selector, user)) in raw_ops.iter().enumerate() {
-            let u = UserId::new(user);
-            let op = if selector < 75 {
-                let payload = vec![(i as u8) ^ (user as u8); (selector as usize % 24) + 1];
-                store.append(u, payload.clone()).unwrap();
-                Op::Append(user, payload)
-            } else {
-                store.delete(u).unwrap();
-                Op::Delete(user)
-            };
+        for (i, &(len, user)) in raw_ops.iter().enumerate() {
+            let payload = vec![(i as u8) ^ (user as u8); len];
+            store.append(UserId::new(user), payload.clone()).unwrap();
             store.flush().unwrap();
-            ops.push((op, store.bytes_on_disk()));
+            ops.push(((user, payload), store.bytes_on_disk()));
         }
         let total = store.bytes_on_disk();
         drop(store);
@@ -182,7 +169,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The sharded analogue of the crash proptest above, with group commit
-    /// in play: random writes/deletes fan out over 4 shards, each shard's
+    /// in play: random writes fan out over 4 shards, each shard's
     /// log is independently truncated at an arbitrary byte offset (four
     /// independent crashes of one machine), and the reopened store must
     /// equal the union of each shard's *acknowledged-and-committed* prefix.
@@ -192,7 +179,7 @@ proptest! {
     /// earlier frame.
     #[test]
     fn sharded_crash_recovers_each_shards_committed_prefix(
-        raw_ops in proptest::collection::vec((0u32..100, 0u32..16), 1..100),
+        raw_ops in proptest::collection::vec((1usize..25, 0u32..16), 1..100),
         cut_permille in proptest::collection::vec(0u64..1_001, 4..5),
     ) {
         const SHARDS: usize = 4;
@@ -211,24 +198,14 @@ proptest! {
                 units[s].push((group, store.shard(s).bytes_on_disk()));
             }
         };
-        for (i, &(selector, user)) in raw_ops.iter().enumerate() {
+        for (i, &(len, user)) in raw_ops.iter().enumerate() {
             let u = UserId::new(user);
             let s = store.shard_index_of(u);
-            if selector < 75 {
-                let payload = vec![(i as u8) ^ (user as u8); (selector as usize % 24) + 1];
-                store.append_version(u, payload.clone()).unwrap();
-                open[s].push(Op::Append(user, payload));
-                // Close the frame now and then so frames carry 1..n ops.
-                if selector % 5 == 0 {
-                    close(&store, s, &mut open, &mut units);
-                }
-            } else {
-                // A delete commits the open batch before its tombstone, so
-                // give the batch its own unit first: the tombstone must be
-                // able to tear off alone, leaving the appends applied.
-                close(&store, s, &mut open, &mut units);
-                store.delete(u).unwrap();
-                open[s].push(Op::Delete(user));
+            let payload = vec![(i as u8) ^ (user as u8); len];
+            store.append_version(u, payload.clone()).unwrap();
+            open[s].push((user, payload));
+            // Close the frame now and then so frames carry 1..n ops.
+            if len % 4 == 0 {
                 close(&store, s, &mut open, &mut units);
             }
         }
@@ -384,16 +361,14 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Deterministic multi-seed compaction check: content (index + values,
-/// versions included) is identical before and after compaction — and after
-/// a reopen that replays only the compacted segments — while total segment
-/// bytes strictly shrink whenever superseded records exist.
+/// Deterministic multi-seed rotation check: random appends over small,
+/// rotating segments and small batches; a reopen that replays every segment
+/// recovers the same content, versions included.
 #[test]
-fn compaction_is_content_identical_and_strictly_shrinks() {
+fn rotated_segments_replay_to_the_same_state() {
     for seed in 0u64..4 {
-        let dir = unique_dir("compact");
-        // Exercise rotation and multi-segment compaction: rotation is
-        // checked at each commit, so the batches are small too.
+        let dir = unique_dir("rotate");
+        // Rotation is checked at each commit, so the batches are small too.
         let config = LogConfig {
             segment_max_bytes: 512,
             max_batch_records: 4,
@@ -411,93 +386,143 @@ fn compaction_is_content_identical_and_strictly_shrinks() {
         for _ in 0..150 {
             let r = step();
             let user = UserId::new((r % users as u64) as u32);
-            if r % 10 == 9 {
-                store.delete(user).unwrap();
-            } else {
-                store
-                    .append(user, vec![(r >> 8) as u8; (r % 20) as usize + 1])
-                    .unwrap();
-            }
+            store
+                .append(user, vec![(r >> 8) as u8; (r % 20) as usize + 1])
+                .unwrap();
         }
+        store.sync().unwrap();
+        assert!(store.segment_count() > 1, "seed {seed}: nothing rotated");
 
         let before: Vec<_> = (0..users).map(|u| store.fetch(UserId::new(u))).collect();
-        let stats = store.compact().unwrap();
-        assert!(
-            stats.bytes_after < stats.bytes_before,
-            "seed {seed}: superseded records must shrink the log, got {stats:?}"
-        );
-        let after: Vec<_> = (0..users).map(|u| store.fetch(UserId::new(u))).collect();
-        assert_eq!(before, after, "seed {seed}: compaction changed the state");
-
-        // What recovery replays from the compacted segments is the same
-        // state again — versions included.
         drop(store);
         let reopened = LogStructuredStore::open(&dir, config).unwrap();
         let replayed: Vec<_> = (0..users).map(|u| reopened.fetch(UserId::new(u))).collect();
-        assert_eq!(
-            before, replayed,
-            "seed {seed}: reopen after compaction diverged"
-        );
+        assert_eq!(before, replayed, "seed {seed}: reopen diverged");
+        assert_eq!(reopened.recovery_stats().torn_bytes, 0);
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
-/// A compaction pass that fails mid-way must leave no orphan snapshot
-/// segments behind: they carry higher sequence numbers than the still-active
-/// segment, so a surviving orphan would replay *after* post-failure appends
-/// on the next open and silently revert them.
+/// The on-disk format, byte for byte: a fixed sequence of appends on a
+/// two-shard store whose tiny segments rotate, then a `sync`, must leave
+/// exactly these segment files — name, length and CRC-32 of the contents.
+/// Pinned from the build before the retired record kinds were deleted, so
+/// any directory an older build wrote is still the format this one writes.
 #[test]
-fn failed_compaction_leaves_no_orphans_and_post_failure_appends_survive() {
-    let dir = unique_dir("failed-compaction");
-    let store = LogStructuredStore::open(&dir, single_segment()).unwrap();
-    // Small views that compaction snapshots successfully…
-    for u in 0..4u32 {
-        store.append(UserId::new(u), vec![u as u8; 32]).unwrap();
-        store.append(UserId::new(u), vec![u as u8; 32]).unwrap();
+fn segment_files_keep_their_exact_bytes() {
+    const GOLDEN: &[(&str, u64, u32)] = &[
+        ("shard-0000/seg-0000000001.log", 261, 0x984A8E3D),
+        ("shard-0000/seg-0000000002.log", 266, 0xBCCF2547),
+        ("shard-0000/seg-0000000003.log", 208, 0xB1EEFFB0),
+        ("shard-0000/seg-0000000004.log", 8, 0x6F769360),
+        ("shard-0001/seg-0000000001.log", 261, 0xC531CD96),
+        ("shard-0001/seg-0000000002.log", 266, 0xBBB06F70),
+        ("shard-0001/seg-0000000003.log", 79, 0x64226A0C),
+    ];
+    let dir = unique_dir("golden");
+    let store = ShardedLogStore::open(
+        &dir,
+        ShardedConfig {
+            shards: 2,
+            flush_interval: None,
+            log: LogConfig {
+                segment_max_bytes: 160,
+                max_batch_records: 4,
+                ..LogConfig::default()
+            },
+        },
+    )
+    .unwrap();
+    for i in 0..40u32 {
+        let user = i % 7;
+        store
+            .append_version(
+                UserId::new(user),
+                format!("event {i} of {user}").into_bytes(),
+            )
+            .unwrap();
     }
-    // …and one whose snapshot exceeds the record frame cap (every single
-    // event fits, their 128-event sum does not), failing the pass mid-way.
-    let big = UserId::new(5);
-    for i in 0..128u32 {
-        store.append(big, vec![i as u8; 200 * 1024]).unwrap();
-    }
-    let err = store.compact();
-    assert!(matches!(err, Err(Error::InvalidConfig(_))), "{err:?}");
-
-    // The store keeps serving, and appends made after the failure are what
-    // a reopen sees — the orphan snapshots, had they survived, would have
-    // reverted them.
-    store
-        .append(UserId::new(0), b"after-failure".to_vec())
-        .unwrap();
     store.sync().unwrap();
     drop(store);
-    let reopened = LogStructuredStore::open(&dir, single_segment()).unwrap();
-    let v0 = reopened.fetch(UserId::new(0));
-    assert_eq!(v0.len(), 3);
-    assert_eq!(v0.latest().unwrap().payload(), b"after-failure");
-    assert_eq!(reopened.fetch(big).len(), 128);
-    assert_eq!(reopened.recovery_stats().torn_bytes, 0);
+
+    let mut files = Vec::new();
+    for shard in 0..2 {
+        let shard_dir = dir.join(format!("shard-{shard:04}"));
+        let mut names: Vec<String> = std::fs::read_dir(&shard_dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".log"))
+            .collect();
+        names.sort();
+        for name in names {
+            let bytes = std::fs::read(shard_dir.join(&name)).unwrap();
+            files.push((
+                format!("shard-{shard:04}/{name}"),
+                bytes.len() as u64,
+                crc32(&bytes),
+            ));
+        }
+    }
+    let golden: Vec<(String, u64, u32)> = GOLDEN
+        .iter()
+        .map(|&(name, len, crc)| (name.to_string(), len, crc))
+        .collect();
+    assert_eq!(files, golden, "segment files (name, length, crc32)");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Compacting twice in a row is stable: the second pass has no superseded
-/// records to drop, and the state still round-trips.
+/// Kinds 1–3 (single event, snapshot, tombstone) are retired: no writer
+/// emits them, so a whole, checksummed frame of one is writer corruption,
+/// exactly like any other unknown kind — never a torn tail that replay would
+/// silently truncate away. A directory holding one refuses to open and
+/// leaves no `LOCK` behind.
 #[test]
-fn recompaction_is_stable() {
-    let dir = unique_dir("recompact");
-    let store = LogStructuredStore::open(&dir, single_segment()).unwrap();
-    for i in 0..40u32 {
-        store.append(UserId::new(i % 3), vec![i as u8; 10]).unwrap();
+fn retired_record_kinds_are_corrupt_not_torn() {
+    // Well-formed bodies in the layouts the retired kinds had.
+    let entry = |body: &mut Vec<u8>| {
+        body.extend_from_slice(&7u32.to_le_bytes()); // user
+        body.extend_from_slice(&3u64.to_le_bytes()); // timestamp
+        body.extend_from_slice(&2u32.to_le_bytes()); // payload length
+        body.extend_from_slice(b"hi");
+    };
+    let mut event = vec![1u8];
+    entry(&mut event);
+    let mut snapshot = vec![2u8];
+    snapshot.extend_from_slice(&7u32.to_le_bytes()); // owner
+    snapshot.extend_from_slice(&1u64.to_le_bytes()); // version
+    snapshot.extend_from_slice(&128u32.to_le_bytes()); // capacity
+    snapshot.extend_from_slice(&1u32.to_le_bytes()); // event count
+    entry(&mut snapshot);
+    let mut tombstone = vec![3u8];
+    tombstone.extend_from_slice(&7u32.to_le_bytes());
+
+    for body in [event, snapshot, tombstone] {
+        let kind = body[0];
+        let mut frame = Vec::new();
+        frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&crc32(&body).to_le_bytes());
+        frame.extend_from_slice(&body);
+        let decoded = DurableRecord::decode(&frame);
+        assert!(
+            matches!(decoded, Err(Error::CorruptRecord(_))),
+            "kind {kind}: {decoded:?}"
+        );
+
+        let dir = unique_dir("retired");
+        std::fs::create_dir_all(&dir).unwrap();
+        let mut segment = b"DYNASEG1".to_vec();
+        segment.extend_from_slice(&frame);
+        std::fs::write(dir.join("seg-0000000001.log"), &segment).unwrap();
+        let opened = LogStructuredStore::open(&dir, LogConfig::default());
+        assert!(
+            matches!(opened, Err(Error::CorruptRecord(_))),
+            "kind {kind}: {opened:?}"
+        );
+        assert!(
+            !dir.join("LOCK").exists(),
+            "kind {kind}: a refused open left its LOCK behind"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
-    store.compact().unwrap();
-    let once: Vec<_> = (0..3).map(|u| store.fetch(UserId::new(u))).collect();
-    let second = store.compact().unwrap();
-    let twice: Vec<_> = (0..3).map(|u| store.fetch(UserId::new(u))).collect();
-    assert_eq!(once, twice);
-    // Nothing was superseded, so the log cannot shrink meaningfully — but it
-    // must not grow either (the old snapshots are dropped with their
-    // segments).
-    assert!(second.bytes_after <= second.bytes_before);
-    std::fs::remove_dir_all(&dir).unwrap();
 }

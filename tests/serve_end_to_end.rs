@@ -2,10 +2,12 @@
 //! reads and writes through the full auth → admission → flow-budget
 //! pipeline against a live cluster; a spammy user is throttled with
 //! `Throttled` *before* the engine while everyone else proceeds; the
-//! `/metrics` scrape is lint-clean; and a graceful shutdown followed by a
-//! cold reopen of the durable tier serves every acknowledged write.
+//! `/metrics` scrape is lint-clean; a graceful shutdown followed by a cold
+//! reopen of the durable tier serves every acknowledged write; and a crash
+//! that skips shutdown still leaves every acknowledged write in the files.
 
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use dynasore::prelude::*;
 use dynasore::serve::{RequestEnvelope, ResponseBody};
@@ -193,4 +195,79 @@ fn acknowledged_writes_survive_shutdown_and_cold_reopen() {
     }
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// Crash injection through the front-end: writes acknowledged by a server
+/// over a sharded store with the default background flusher reach the
+/// segment files with no shutdown, no `Drop` and no explicit sync — the
+/// flusher alone writes each idle shard's batch out within a few intervals
+/// (README, *fsync / crash semantics*). The server is leaked with
+/// `mem::forget`, as a killed process would leave it, and the directory is
+/// polled through `ShardedLogStore::read_back`, which takes no lock.
+#[test]
+fn acknowledged_writes_reach_the_files_without_a_shutdown() {
+    let dir = temp_dir("crash-injection");
+    let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 17).unwrap();
+    let topology = Topology::tree(2, 2, 3, 1).unwrap();
+    let store = Arc::new(
+        ShardedLogStore::open(
+            &dir,
+            ShardedConfig {
+                shards: 2,
+                ..ShardedConfig::default()
+            },
+        )
+        .unwrap(),
+    );
+    let server = LoopbackServer::spawn_with_store(
+        &graph,
+        topology,
+        StoreConfig::default(),
+        ServeConfig::default(),
+        store,
+    )
+    .unwrap();
+    let writes: Vec<(UserId, Vec<u8>)> = graph
+        .users()
+        .take(8)
+        .enumerate()
+        .map(|(i, user)| (user, format!("crash {i}").into_bytes()))
+        .collect();
+    for (user, payload) in &writes {
+        let resp = server.handle(RequestEnvelope::write(*user, payload.clone()));
+        assert!(
+            resp.is_success(),
+            "write for {user} not acknowledged: {resp:?}"
+        );
+    }
+    let acknowledged = Instant::now();
+    // The crash: neither `shutdown` nor `Drop` ever runs.
+    std::mem::forget(server);
+
+    // Seconds, not milliseconds: the bound is a few 5 ms flusher intervals,
+    // and the slack only keeps a loaded CI machine from flaking the test.
+    const DEADLINE: Duration = Duration::from_secs(10);
+    loop {
+        let (index, _) = ShardedLogStore::read_back(&dir).unwrap();
+        let missing: Vec<UserId> = writes
+            .iter()
+            .filter(|(user, payload)| {
+                !index
+                    .get(user)
+                    .is_some_and(|view| view.iter().any(|e| e.payload() == payload.as_slice()))
+            })
+            .map(|&(user, _)| user)
+            .collect();
+        if missing.is_empty() {
+            break;
+        }
+        let waited = acknowledged.elapsed();
+        assert!(
+            waited < DEADLINE,
+            "{waited:?} after acknowledgement the writes of {missing:?} are still not in the \
+             segment files"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
