@@ -56,11 +56,6 @@ impl RotatingCounter {
         }
     }
 
-    /// Number of periods in the window.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Adds `count` accesses to the current period.
     pub fn record(&mut self, count: u64) {
         self.slots[self.current] += count;
@@ -79,11 +74,6 @@ impl RotatingCounter {
         self.total
     }
 
-    /// Accesses recorded in the current (not yet rotated) period.
-    pub fn current_period(&self) -> u64 {
-        self.slots[self.current]
-    }
-
     /// Whether the whole window is zero.
     pub fn is_idle(&self) -> bool {
         self.total == 0
@@ -99,10 +89,9 @@ mod tests {
         let mut c = RotatingCounter::new(4);
         c.record(3);
         c.record(2);
-        assert_eq!(c.current_period(), 5);
+        assert_eq!(c.slots, [5, 0, 0, 0]);
         assert_eq!(c.total(), 5);
         assert!(!c.is_idle());
-        assert_eq!(c.slot_count(), 4);
     }
 
     #[test]

@@ -28,11 +28,6 @@ mod load;
 use eviction::ThresholdCache;
 use load::LoadCache;
 
-/// Periods in every replica's rotating access-statistics window: the paper
-/// keeps 24 one-hour slots (§4.3). At most
-/// [`MAX_WINDOW_SLOTS`](crate::MAX_WINDOW_SLOTS).
-const COUNTER_SLOTS: usize = 24;
-
 /// Congestion-aware placement (reproduction choice): the profit units —
 /// switch crossings saved per statistics window — that one second of
 /// queueing delay at a candidate rack's switch costs. Replica creation and
@@ -207,7 +202,7 @@ impl DynaSoReEngineBuilder {
         let mut servers: Vec<ServerState> = topology
             .servers()
             .iter()
-            .map(|s| ServerState::new(s.machine(), capacity, COUNTER_SLOTS))
+            .map(|s| ServerState::new(s.machine(), capacity))
             .collect();
 
         let mut users = Vec::with_capacity(graph.user_count());

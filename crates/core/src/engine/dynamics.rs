@@ -12,7 +12,7 @@ use dynasore_types::{
     VIEW_TRANSFER_PROTOCOL_MESSAGES,
 };
 
-use super::{DynaSoReEngine, COUNTER_SLOTS};
+use super::DynaSoReEngine;
 use crate::evaluation::{OriginCosts, PathTable};
 use crate::routing::TransferTally;
 use crate::server::ServerState;
@@ -248,7 +248,7 @@ impl DynaSoReEngine {
         let capacity = self.capacity_per_server();
         for server in &self.topology.servers()[self.servers.len()..] {
             self.servers
-                .push(ServerState::new(server.machine(), capacity, COUNTER_SLOTS));
+                .push(ServerState::new(server.machine(), capacity));
         }
         self.scratch.tally = TransferTally::new(&self.topology);
         // The tree grew: a new position table, and utilities computed from

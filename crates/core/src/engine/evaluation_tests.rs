@@ -4,6 +4,7 @@
 
 use super::*;
 use crate::evaluation::tests::origin_from_pick;
+use crate::stats::COUNTER_SLOTS;
 use crate::utility::{estimate_creation_profit, estimate_profit};
 use dynasore_graph::GraphPreset;
 use dynasore_types::RackId;

@@ -3,7 +3,7 @@
 
 use super::evaluation_tests::{test_topology, RecordingSink, USERS};
 use super::*;
-use crate::stats::ReplicaStats;
+use crate::stats::{ReplicaStats, COUNTER_SLOTS};
 use crate::utility::replica_utility;
 use dynasore_graph::GraphPreset;
 use dynasore_types::RackId;

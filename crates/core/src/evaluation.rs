@@ -244,7 +244,7 @@ pub(crate) mod tests {
     }
 
     fn random_stats(topology: &Topology, picks: &[(u32, u32)], writes: u32) -> ReplicaStats {
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         for &(pick, reads) in picks {
             stats.record_reads(origin_from_pick(topology, pick), reads as u64);
         }

@@ -76,5 +76,5 @@ pub use config::InitialPlacement;
 pub use counters::RotatingCounter;
 pub use engine::{DynaSoReEngine, DynaSoReEngineBuilder};
 pub use server::{admission_threshold_from_utilities, ServerState};
-pub use stats::{ReplicaStats, MAX_WINDOW_SLOTS};
+pub use stats::ReplicaStats;
 pub use utility::{estimate_creation_profit, estimate_profit, replica_utility};

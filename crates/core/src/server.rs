@@ -173,7 +173,6 @@ fn group_shift(slots: usize) -> u32 {
 pub struct ServerState {
     machine: MachineId,
     capacity: usize,
-    window_slots: usize,
     slots: Vec<Option<SlotEntry>>,
     /// The cached utility of the replica in each slot; `INFINITY` (never a
     /// victim) for free slots.
@@ -189,13 +188,11 @@ pub struct ServerState {
 }
 
 impl ServerState {
-    /// Creates an empty server with room for `capacity` views, using
-    /// rotating statistics windows of `window_slots` periods.
-    pub fn new(machine: MachineId, capacity: usize, window_slots: usize) -> Self {
+    /// Creates an empty server with room for `capacity` views.
+    pub fn new(machine: MachineId, capacity: usize) -> Self {
         ServerState {
             machine,
             capacity,
-            window_slots,
             slots: (0..capacity).map(|_| None).collect(),
             utilities: vec![f64::INFINITY; capacity],
             stale_groups: 0,
@@ -282,7 +279,7 @@ impl ServerState {
         self.slots[slot] = Some(SlotEntry {
             view,
             stale: true,
-            stats: ReplicaStats::new(self.window_slots),
+            stats: ReplicaStats::new(),
         });
         self.stale_groups |= self.group_bit(slot);
         self.user_slot.insert(view.index(), slot as u32);
@@ -424,17 +421,6 @@ impl ServerState {
             .filter_map(|entry| entry.as_ref().map(|e| (e.view, &e.stats)))
     }
 
-    /// Number of slab slots (occupied or free); the valid range for
-    /// [`ServerState::view_at`].
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// The view stored in slab slot `slot`, if occupied.
-    pub fn view_at(&self, slot: usize) -> Option<UserId> {
-        self.slots.get(slot)?.as_ref().map(|e| e.view)
-    }
-
     /// The ids of the stored views, in slot order.
     pub fn view_ids(&self) -> Vec<UserId> {
         self.views().map(|(view, _)| view).collect()
@@ -509,10 +495,11 @@ pub fn admission_threshold_from_utilities(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stats::COUNTER_SLOTS;
     use dynasore_types::SubtreeId;
 
     fn server(cap: usize) -> ServerState {
-        ServerState::new(MachineId::new(7), cap, 4)
+        ServerState::new(MachineId::new(7), cap)
     }
 
     /// Model test: the slot index agrees with `HashMap` under random
@@ -589,18 +576,15 @@ mod tests {
         let mut s = server(2);
         s.insert(UserId::new(1));
         s.insert(UserId::new(2));
-        assert_eq!(s.slot_count(), 2);
+        assert_eq!(s.slots.len(), 2);
         s.remove(UserId::new(1));
         // The freed slot is reused; the slab does not grow.
         assert!(s.insert(UserId::new(3)));
-        assert_eq!(s.slot_count(), 2);
+        assert_eq!(s.slots.len(), 2);
         assert_eq!(s.len(), 2);
         assert!(s.contains(UserId::new(3)));
         // Slot-order iteration: user 3 took user 1's old slot 0.
         assert_eq!(s.view_ids(), vec![UserId::new(3), UserId::new(2)]);
-        assert_eq!(s.view_at(0), Some(UserId::new(3)));
-        assert_eq!(s.view_at(1), Some(UserId::new(2)));
-        assert_eq!(s.view_at(9), None);
     }
 
     #[test]
@@ -628,7 +612,7 @@ mod tests {
         assert_eq!(s.stats(UserId::new(1)).unwrap().total_reads(), 1);
         assert_eq!(s.stats(UserId::new(2)).unwrap().total_writes(), 1);
         assert!(s.stats(UserId::new(3)).is_none());
-        for _ in 0..4 {
+        for _ in 0..COUNTER_SLOTS {
             s.rotate_counters();
         }
         assert!(s.stats(UserId::new(1)).unwrap().is_idle());
@@ -651,7 +635,7 @@ mod tests {
         assert!(!s.contains(UserId::new(1)));
         assert!(s.stats(UserId::new(1)).is_none());
         assert_eq!(s.admission_threshold(), 0.0);
-        assert_eq!(s.slot_count(), 3);
+        assert_eq!(s.slots.len(), 3);
         // The slab is fully reusable after the wipe.
         assert!(s.insert(UserId::new(5)));
         assert_eq!(s.len(), 1);
@@ -739,9 +723,9 @@ mod tests {
         s.insert(id(8));
         assert_eq!(refresh(&mut s, |_| 0.5), vec![id(8)]);
         // A rotation reaches the replicas that lose traffic with it (view
-        // 6's writes leave the 4-period window on the fourth), the engine's
+        // 6's writes leave the 24-period window on the 24th), the engine's
         // wholesale mark every replica.
-        for _ in 0..3 {
+        for _ in 1..COUNTER_SLOTS {
             s.rotate_counters();
             assert!(!s.has_stale_utilities());
         }

@@ -9,9 +9,12 @@
 
 use dynasore_types::SubtreeId;
 
-/// The longest statistics window, in periods, that a replica can keep apart:
-/// every `Cell` labels its period in one byte.
-pub const MAX_WINDOW_SLOTS: usize = 1 << u8::BITS;
+/// Periods in every replica's rotating access-statistics window: the paper
+/// keeps 24 one-hour slots (§4.3).
+pub(crate) const COUNTER_SLOTS: usize = 24;
+
+// Every `Cell` labels its period in one byte.
+const _: () = assert!(COUNTER_SLOTS >= 1 && COUNTER_SLOTS <= 1 << u8::BITS);
 
 /// The `kind` of a cell that counts writes; read cells carry the kind of
 /// their origin (see [`source_of`]).
@@ -54,7 +57,7 @@ fn release_slack<T>(list: &mut Vec<T>) {
 }
 
 /// Access statistics of one replica of one view on one server: the writes
-/// and the reads of each origin over a rotating window of periods, every
+/// and the reads of each origin over a rotating window of 24 periods, every
 /// count behaving like its own [`RotatingCounter`](crate::RotatingCounter)
 /// (the specification of a single ring), quiet origins forgotten.
 ///
@@ -76,37 +79,20 @@ fn release_slack<T>(list: &mut Vec<T>) {
 /// existing memory only; the first read of an origin in a period appends a
 /// cell, a *new* origin also inserts its 16-byte key, and statistics
 /// without traffic own no heap at all.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     origins: Vec<(SubtreeId, u64)>,
     cells: Vec<Cell>,
     write_total: u64,
     current_writes: u64,
-    window_slots: u16,
-    /// The label of the current period, in `0..window_slots`.
+    /// The label of the current period, in `0..COUNTER_SLOTS`.
     current: u8,
 }
 
 impl ReplicaStats {
-    /// Creates empty statistics using a rotating window of `window_slots`
-    /// periods. Allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `window_slots` is zero or exceeds [`MAX_WINDOW_SLOTS`].
-    pub fn new(window_slots: usize) -> Self {
-        assert!(
-            (1..=MAX_WINDOW_SLOTS).contains(&window_slots),
-            "a statistics window has 1 to {MAX_WINDOW_SLOTS} periods, not {window_slots}"
-        );
-        ReplicaStats {
-            origins: Vec::new(),
-            cells: Vec::new(),
-            write_total: 0,
-            current_writes: 0,
-            window_slots: window_slots as u16,
-            current: 0,
-        }
+    /// Creates empty statistics. Allocates nothing.
+    pub fn new() -> Self {
+        ReplicaStats::default()
     }
 
     fn origin_index(&self, origin: SubtreeId) -> Result<usize, usize> {
@@ -193,7 +179,7 @@ impl ReplicaStats {
     pub fn rotate(&mut self) -> bool {
         let writes = std::mem::take(&mut self.current_writes);
         self.push_cells((WRITES, 0), writes);
-        self.current = ((usize::from(self.current) + 1) % usize::from(self.window_slots)) as u8;
+        self.current = ((usize::from(self.current) + 1) % COUNTER_SLOTS) as u8;
         // The new period reuses the label of the window's oldest one.
         let current = self.current;
         let expired = self
@@ -274,7 +260,7 @@ impl ReplicaStats {
     /// cell, cells ordered oldest period first, each total the sum of its
     /// cells, and no capacity beyond what [`release_slack`] leaves.
     fn assert_well_formed(&self) {
-        let window = usize::from(self.window_slots);
+        let window = COUNTER_SLOTS;
         let age =
             |cell: &Cell| (usize::from(self.current) + window - usize::from(cell.period)) % window;
         assert!(self.cells.iter().all(|cell| cell.count > 0));
@@ -307,7 +293,7 @@ mod tests {
 
     #[test]
     fn reads_are_grouped_by_origin() {
-        let mut s = ReplicaStats::new(4);
+        let mut s = ReplicaStats::new();
         s.record_read(SubtreeId::Rack(0));
         s.record_read(SubtreeId::Rack(0));
         s.record_read(SubtreeId::Intermediate(2));
@@ -328,17 +314,16 @@ mod tests {
 
     #[test]
     fn rotation_forgets_old_activity() {
-        let mut s = ReplicaStats::new(2);
+        let mut s = ReplicaStats::new();
         s.record_read(SubtreeId::Rack(1));
         s.record_write();
-        s.rotate();
-        // Still within the window.
-        assert_eq!(s.total_reads(), 1);
-        assert_eq!(s.total_writes(), 1);
-        s.rotate();
-        // Both slots cleared now.
-        assert_eq!(s.total_reads(), 0);
-        assert_eq!(s.total_writes(), 0);
+        // Every period of the window has a label of its own.
+        for _ in 1..COUNTER_SLOTS {
+            assert!(!s.rotate());
+            assert_eq!((s.total_reads(), s.total_writes()), (1, 1));
+        }
+        // The period left the window.
+        assert!(s.rotate());
         assert!(s.is_idle());
         // Idle origins are pruned from the map.
         assert_eq!(s.reads().count(), 0);
@@ -346,7 +331,7 @@ mod tests {
 
     #[test]
     fn take_origin_moves_history() {
-        let mut s = ReplicaStats::new(4);
+        let mut s = ReplicaStats::new();
         s.record_reads(SubtreeId::Rack(3), 5);
         s.record_read(SubtreeId::Intermediate(1));
         assert_eq!(s.take_origin(SubtreeId::Rack(3)), 5);
@@ -359,7 +344,8 @@ mod tests {
 
     /// The sparse window must behave exactly like the representation it
     /// stands for: one independent [`RotatingCounter`] for the writes and
-    /// one per origin, idle origins pruned on rotation.
+    /// one per origin, idle origins pruned on rotation. One rotation in five
+    /// steps wraps the window over a hundred times.
     #[test]
     fn sparse_window_matches_one_rotating_counter_per_origin() {
         use crate::counters::RotatingCounter;
@@ -375,56 +361,54 @@ mod tests {
         // A fixed seed, so the op sequence repeats exactly.
         let mut rng = proptest::TestRng::new(0x5EED);
         let mut next = move || rng.next_u64();
-        for window in [1, 2, 5, 24] {
-            let mut stats = ReplicaStats::new(window);
-            let mut reads: BTreeMap<SubtreeId, RotatingCounter> = BTreeMap::new();
-            let mut writes = RotatingCounter::new(window);
-            for step in 0..4_000 {
-                let origin = origins[(next() % origins.len() as u64) as usize];
-                match next() % 10 {
-                    0..=4 => {
-                        // Mostly single digits; now and then more than one
-                        // cell holds.
-                        let count = match next() % 8 {
-                            0 => next() % (3 * u64::from(u16::MAX)),
-                            _ => next() % 4,
-                        };
-                        stats.record_reads(origin, count);
-                        if count > 0 {
-                            reads
-                                .entry(origin)
-                                .or_insert_with(|| RotatingCounter::new(window))
-                                .record(count);
-                        }
-                    }
-                    5 | 6 => {
-                        stats.record_write();
-                        writes.record(1);
-                    }
-                    7 => {
-                        let expected = reads.remove(&origin).map_or(0, |c| c.total());
-                        assert_eq!(stats.take_origin(origin), expected, "step {step}");
-                    }
-                    _ => {
-                        let before = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
-                        let changed = stats.rotate();
-                        let after = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
-                        assert_eq!(changed, before != after, "step {step}");
-                        writes.rotate();
-                        reads.values_mut().for_each(RotatingCounter::rotate);
-                        reads.retain(|_, c| !c.is_idle());
+        let mut stats = ReplicaStats::new();
+        let mut reads: BTreeMap<SubtreeId, RotatingCounter> = BTreeMap::new();
+        let mut writes = RotatingCounter::new(COUNTER_SLOTS);
+        for step in 0..16_000 {
+            let origin = origins[(next() % origins.len() as u64) as usize];
+            match next() % 10 {
+                0..=4 => {
+                    // Mostly single digits; now and then more than one
+                    // cell holds.
+                    let count = match next() % 8 {
+                        0 => next() % (3 * u64::from(u16::MAX)),
+                        _ => next() % 4,
+                    };
+                    stats.record_reads(origin, count);
+                    if count > 0 {
+                        reads
+                            .entry(origin)
+                            .or_insert_with(|| RotatingCounter::new(COUNTER_SLOTS))
+                            .record(count);
                     }
                 }
-                let expected: Vec<(SubtreeId, u64)> =
-                    reads.iter().map(|(&o, c)| (o, c.total())).collect();
-                assert_eq!(stats.reads().collect::<Vec<_>>(), expected, "step {step}");
-                assert_eq!(stats.total_writes(), writes.total(), "step {step}");
-                assert_eq!(
-                    stats.reads_from(origin),
-                    reads.get(&origin).map_or(0, |c| c.total())
-                );
-                stats.assert_well_formed();
+                5 | 6 => {
+                    stats.record_write();
+                    writes.record(1);
+                }
+                7 => {
+                    let expected = reads.remove(&origin).map_or(0, |c| c.total());
+                    assert_eq!(stats.take_origin(origin), expected, "step {step}");
+                }
+                _ => {
+                    let before = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
+                    let changed = stats.rotate();
+                    let after = (stats.total_writes(), stats.reads().collect::<Vec<_>>());
+                    assert_eq!(changed, before != after, "step {step}");
+                    writes.rotate();
+                    reads.values_mut().for_each(RotatingCounter::rotate);
+                    reads.retain(|_, c| !c.is_idle());
+                }
             }
+            let expected: Vec<(SubtreeId, u64)> =
+                reads.iter().map(|(&o, c)| (o, c.total())).collect();
+            assert_eq!(stats.reads().collect::<Vec<_>>(), expected, "step {step}");
+            assert_eq!(stats.total_writes(), writes.total(), "step {step}");
+            assert_eq!(
+                stats.reads_from(origin),
+                reads.get(&origin).map_or(0, |c| c.total())
+            );
+            stats.assert_well_formed();
         }
     }
 
@@ -434,7 +418,7 @@ mod tests {
     fn counts_beyond_a_cell_spill_instead_of_wrapping() {
         let cell_max = u64::from(u16::MAX);
         let (near, far) = (SubtreeId::Rack(0), SubtreeId::Intermediate(1));
-        let mut s = ReplicaStats::new(2);
+        let mut s = ReplicaStats::new();
         s.record_reads(near, 3 * cell_max + 5);
         s.record_read(far);
         assert_eq!(s.cell_count(), 5);
@@ -445,6 +429,9 @@ mod tests {
         assert_eq!(s.reads_from(near), 4 * cell_max + 6);
         assert_eq!(s.total_reads(), 4 * cell_max + 7);
         s.assert_well_formed();
+        for _ in 2..COUNTER_SLOTS {
+            assert!(!s.rotate());
+        }
         assert!(s.rotate());
         assert_eq!(s.reads().collect::<Vec<_>>(), vec![(near, cell_max + 1)]);
         assert_eq!(s.cell_count(), 2);
@@ -455,26 +442,11 @@ mod tests {
 
     #[test]
     fn new_stats_are_idle_and_own_no_heap() {
-        let s = ReplicaStats::new(24);
+        let s = ReplicaStats::new();
         assert!(s.is_idle());
         assert_eq!(s.total_reads(), 0);
         assert_eq!(s.total_writes(), 0);
         assert_eq!(s.heap_bytes(), 0);
         assert_eq!(std::mem::size_of::<Cell>(), 8);
-        // The longest window still labels every period.
-        let mut s = ReplicaStats::new(MAX_WINDOW_SLOTS);
-        s.record_write();
-        for _ in 1..MAX_WINDOW_SLOTS {
-            assert!(!s.rotate());
-        }
-        assert_eq!(s.total_writes(), 1);
-        assert!(s.rotate());
-        assert!(s.is_idle());
-    }
-
-    #[test]
-    #[should_panic(expected = "1 to 256 periods")]
-    fn a_window_the_cells_cannot_label_is_refused() {
-        ReplicaStats::new(MAX_WINDOW_SLOTS + 1);
     }
 }

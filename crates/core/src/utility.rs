@@ -102,7 +102,7 @@ mod tests {
     #[test]
     fn profit_rewards_moving_close_to_readers() {
         let topo = topo();
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         // 10 reads from intermediate 1 (racks 5..10), currently served from
         // rack 0 (intermediate 0) at distance 5 per read.
         stats.record_reads(SubtreeId::Intermediate(1), 10);
@@ -122,7 +122,7 @@ mod tests {
     #[test]
     fn profit_charges_write_traffic() {
         let topo = topo();
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         stats.record_reads(SubtreeId::Intermediate(1), 4);
         for _ in 0..10 {
             stats.record_write();
@@ -138,7 +138,7 @@ mod tests {
     #[test]
     fn creation_profit_only_counts_redirected_origins() {
         let topo = topo();
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         // Readers spread over the local rack (well served already) and a
         // remote intermediate (badly served).
         stats.record_reads(SubtreeId::Rack(0), 50);
@@ -165,7 +165,7 @@ mod tests {
     #[test]
     fn creation_profit_still_charges_writes() {
         let topo = topo();
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         stats.record_reads(SubtreeId::Intermediate(1), 4);
         for _ in 0..10 {
             stats.record_write();
@@ -178,7 +178,7 @@ mod tests {
     #[test]
     fn sole_replicas_have_infinite_utility() {
         let topo = topo();
-        let stats = ReplicaStats::new(4);
+        let stats = ReplicaStats::new();
         let u = replica_utility(&topo, &stats, m(1), None, m(0));
         assert!(u.is_infinite() && u > 0.0);
     }
@@ -186,7 +186,7 @@ mod tests {
     #[test]
     fn utility_is_profit_against_the_nearest_other_replica() {
         let topo = topo();
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         // 6 reads from the local rack: served here at cost 1 each, or from a
         // replica in another intermediate at cost 5 each.
         stats.record_reads(SubtreeId::Rack(0), 6);
@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn idle_replicas_have_non_positive_utility_against_alternatives() {
         let topo = topo();
-        let mut stats = ReplicaStats::new(4);
+        let mut stats = ReplicaStats::new();
         for _ in 0..3 {
             stats.record_write();
         }

@@ -27,16 +27,6 @@ pub enum RequestOp {
 }
 
 impl RequestOp {
-    /// Stable kebab-case name for traces and diagnostics.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            RequestOp::Read { .. } => "read",
-            RequestOp::ReadFeed => "read-feed",
-            RequestOp::Write { .. } => "write",
-        }
-    }
-
     /// Flow-budget cost of the operation: one unit per view touched, so a
     /// wide fan-out read spends proportionally more budget than a write.
     #[must_use]
@@ -169,15 +159,18 @@ mod tests {
         let req = RequestEnvelope::write(UserId::new(3), b"hi".to_vec()).with_token("secret");
         assert_eq!(req.user, UserId::new(3));
         assert_eq!(req.token.as_deref(), Some("secret"));
-        assert_eq!(req.op.name(), "write");
         assert_eq!(
-            RequestEnvelope::read_feed(UserId::new(0)).op.name(),
-            "read-feed"
+            req.op,
+            RequestOp::Write {
+                payload: b"hi".to_vec()
+            }
         );
         assert_eq!(
-            RequestEnvelope::read(UserId::new(0), vec![]).op.name(),
-            "read"
+            RequestEnvelope::read_feed(UserId::new(0)).op,
+            RequestOp::ReadFeed
         );
+        let read = RequestEnvelope::read(UserId::new(0), vec![]);
+        assert_eq!(read.op, RequestOp::Read { targets: vec![] });
     }
 
     #[test]

@@ -34,6 +34,10 @@
 //!   [`dynasore_types::StatusCode::Throttled`] and generates **zero** engine
 //!   messages.
 //!
+//! Stages and backend take `&self` and are `Sync`, so one executor serves
+//! every thread with no lock of its own; a stage with state (the flow budget
+//! is the only one) synchronises it itself.
+//!
 //! The in-process transport is [`LoopbackServer`]: spawn, serve from any
 //! thread, probe `/healthz`, scrape `/metrics`, and shut down gracefully —
 //! draining in-flight envelopes, then flushing and syncing the durable tier

@@ -20,6 +20,7 @@ use std::sync::Arc;
 
 use dynasore_store::StoreObs;
 use dynasore_types::{FlowBudget, StatusCode, TraceEventKind, UserId};
+use parking_lot::Mutex;
 
 use crate::envelope::{RequestEnvelope, ResponseEnvelope};
 
@@ -81,20 +82,26 @@ impl StageError {
     }
 }
 
-/// One composable pipeline stage.
-pub trait Middleware: Send {
+/// One composable pipeline stage. Its hooks take `&self` and run on many
+/// threads at once with no lock around them: a stage with state
+/// synchronises it itself.
+pub trait Middleware: Send + Sync {
     /// Stage name for diagnostics.
     fn name(&self) -> &'static str;
 
-    /// Inspects (and may rewrite) the request on the way in. Returning an
-    /// error short-circuits the pipeline: the backend is never reached and
-    /// the error's [`StageError::status`] becomes the response status.
-    fn on_request(&mut self, req: &mut RequestEnvelope) -> Result<(), StageError>;
+    /// Inspects (and may rewrite) the request on the way in; accepts it by
+    /// default. Returning an error short-circuits the pipeline: the backend
+    /// is never reached and the error's [`StageError::status`] becomes the
+    /// response status.
+    fn on_request(&self, req: &mut RequestEnvelope) -> Result<(), StageError> {
+        let _ = req;
+        Ok(())
+    }
 
     /// Observes (and may rewrite) the response on the way out. Runs in
     /// reverse stage order, for every stage whose `on_request` was reached —
     /// including the rejecting stage itself.
-    fn on_response(&mut self, req: &RequestEnvelope, resp: &mut ResponseEnvelope) {
+    fn on_response(&self, req: &RequestEnvelope, resp: &mut ResponseEnvelope) {
         let _ = (req, resp);
     }
 }
@@ -127,7 +134,7 @@ impl Middleware for TokenAuth {
         "token-auth"
     }
 
-    fn on_request(&mut self, req: &mut RequestEnvelope) -> Result<(), StageError> {
+    fn on_request(&self, req: &mut RequestEnvelope) -> Result<(), StageError> {
         let token = req
             .token
             .as_deref()
@@ -143,8 +150,8 @@ impl Middleware for TokenAuth {
     }
 }
 
-/// A live load reading for the admission stage.
-pub trait LoadProbe: Send {
+/// A live load reading for the admission stage, read by many threads at once.
+pub trait LoadProbe: Send + Sync {
     /// Current load in the probe's own units (the loopback server reports
     /// in-flight envelopes).
     fn current_load(&self) -> u64;
@@ -187,7 +194,7 @@ impl Middleware for AdmissionControl {
         "admission-control"
     }
 
-    fn on_request(&mut self, _req: &mut RequestEnvelope) -> Result<(), StageError> {
+    fn on_request(&self, _req: &mut RequestEnvelope) -> Result<(), StageError> {
         let load = self.probe.current_load();
         if load > self.ceiling {
             return Err(StageError::Overloaded {
@@ -207,10 +214,13 @@ impl Middleware for AdmissionControl {
 /// Ledgers are monotone (`spent` only grows, `limit` only shrinks) and the
 /// map is ordered, so replaying the same request sequence lands in the same
 /// state.
+///
+/// The one stage with state: its own mutex, held for the charge, keeps
+/// concurrent envelopes from over-admitting.
 #[derive(Debug)]
 pub struct FlowBudgetStage {
     default_limit: u64,
-    ledgers: BTreeMap<UserId, FlowBudget>,
+    ledgers: Mutex<BTreeMap<UserId, FlowBudget>>,
 }
 
 impl FlowBudgetStage {
@@ -219,28 +229,26 @@ impl FlowBudgetStage {
     pub fn new(default_limit: u64) -> Self {
         FlowBudgetStage {
             default_limit,
-            ledgers: BTreeMap::new(),
+            ledgers: Mutex::new(BTreeMap::new()),
         }
     }
 
     /// Tightens one user's limit to at most `limit` (limits never loosen).
+    /// Called while the stage is built, before it serves.
     pub fn restrict(&mut self, user: UserId, limit: u64) {
-        self.ledger_mut(user).restrict(limit);
+        let default = FlowBudget::new(self.default_limit);
+        let ledgers = self.ledgers.get_mut();
+        ledgers.entry(user).or_insert(default).restrict(limit);
     }
 
     /// The user's current ledger (the untouched default if never charged).
     #[must_use]
     pub fn budget(&self, user: UserId) -> FlowBudget {
         self.ledgers
+            .lock()
             .get(&user)
             .copied()
             .unwrap_or(FlowBudget::new(self.default_limit))
-    }
-
-    fn ledger_mut(&mut self, user: UserId) -> &mut FlowBudget {
-        self.ledgers
-            .entry(user)
-            .or_insert(FlowBudget::new(self.default_limit))
     }
 }
 
@@ -249,9 +257,11 @@ impl Middleware for FlowBudgetStage {
         "flow-budget"
     }
 
-    fn on_request(&mut self, req: &mut RequestEnvelope) -> Result<(), StageError> {
+    fn on_request(&self, req: &mut RequestEnvelope) -> Result<(), StageError> {
         let cost = req.op.flow_cost();
-        let ledger = self.ledger_mut(req.user);
+        let default = FlowBudget::new(self.default_limit);
+        let mut ledgers = self.ledgers.lock();
+        let ledger = ledgers.entry(req.user).or_insert(default);
         if ledger.charge(cost) {
             Ok(())
         } else {
@@ -287,11 +297,7 @@ impl Middleware for TracingStage {
         "tracing"
     }
 
-    fn on_request(&mut self, _req: &mut RequestEnvelope) -> Result<(), StageError> {
-        Ok(())
-    }
-
-    fn on_response(&mut self, req: &RequestEnvelope, resp: &mut ResponseEnvelope) {
+    fn on_response(&self, req: &RequestEnvelope, resp: &mut ResponseEnvelope) {
         self.obs.trace(TraceEventKind::EnvelopeServed {
             user: req.user,
             status: resp.status,
@@ -356,7 +362,7 @@ mod tests {
 
     #[test]
     fn token_auth_accepts_only_the_bound_user() {
-        let mut auth = TokenAuth::new([
+        let auth = TokenAuth::new([
             ("alice-token".to_string(), u(1)),
             ("bob-token".to_string(), u(2)),
         ]);
@@ -392,7 +398,7 @@ mod tests {
     #[test]
     fn admission_control_rejects_above_ceiling() {
         let gauge = Arc::new(AtomicU64::new(0));
-        let mut stage = AdmissionControl::new(Box::new(Arc::clone(&gauge)), 2);
+        let stage = AdmissionControl::new(Box::new(Arc::clone(&gauge)), 2);
         let mut req = RequestEnvelope::read_feed(u(0));
         for load in 0..=2 {
             gauge.store(load, Ordering::SeqCst);
@@ -405,7 +411,7 @@ mod tests {
 
     #[test]
     fn flow_budget_stage_throttles_at_the_limit() {
-        let mut stage = FlowBudgetStage::new(3);
+        let stage = FlowBudgetStage::new(3);
         let mut write = RequestEnvelope::write(u(5), vec![]);
         for _ in 0..3 {
             assert!(stage.on_request(&mut write).is_ok());

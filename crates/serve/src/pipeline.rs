@@ -8,12 +8,15 @@ use crate::middleware::Middleware;
 /// What the pipeline fronts: anything that turns an accepted request into a
 /// response. The loopback transport implements this over
 /// [`dynasore_store::Cluster`]; tests implement it with counting mocks.
-pub trait Backend: Send {
+/// Many envelopes may be inside [`Backend::handle`] at once: a backend with
+/// state synchronises it itself.
+pub trait Backend: Send + Sync {
     /// Serves one request that every middleware stage accepted.
     fn handle(&self, req: &RequestEnvelope) -> ResponseEnvelope;
 }
 
-/// Runs requests through the middleware chain and the backend.
+/// Runs requests through the middleware chain and the backend, for many
+/// threads at once: it holds no lock.
 ///
 /// Incoming order is installation order; outgoing order is the reverse,
 /// over exactly the stages whose `on_request` ran (so an early-rejecting
@@ -34,29 +37,18 @@ impl<B: Backend> PipelineExecutor<B> {
         }
     }
 
-    /// Appends a stage (builder form).
+    /// Appends a stage.
     #[must_use]
     pub fn with_stage(mut self, stage: Box<dyn Middleware>) -> Self {
         self.stages.push(stage);
         self
     }
 
-    /// Appends a stage.
-    pub fn push_stage(&mut self, stage: Box<dyn Middleware>) {
-        self.stages.push(stage);
-    }
-
-    /// The backend behind the stages.
-    #[must_use]
-    pub fn backend(&self) -> &B {
-        &self.backend
-    }
-
     /// Executes one envelope end to end.
-    pub fn execute(&mut self, mut req: RequestEnvelope) -> ResponseEnvelope {
+    pub fn execute(&self, mut req: RequestEnvelope) -> ResponseEnvelope {
         let mut entered = 0usize;
         let mut rejection = None;
-        for stage in self.stages.iter_mut() {
+        for stage in &self.stages {
             entered += 1;
             if let Err(err) = stage.on_request(&mut req) {
                 rejection = Some(ResponseEnvelope::rejected(err.status(), err.detail()));
@@ -67,7 +59,7 @@ impl<B: Backend> PipelineExecutor<B> {
             Some(resp) => resp,
             None => self.backend.handle(&req),
         };
-        for stage in self.stages[..entered].iter_mut().rev() {
+        for stage in self.stages[..entered].iter().rev() {
             stage.on_response(&req, &mut resp);
         }
         resp
@@ -107,6 +99,7 @@ mod tests {
     use dynasore_types::{Error, UserId};
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     struct CountingBackend {
         calls: Arc<AtomicU64>,
@@ -127,7 +120,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "broken"
         }
-        fn on_request(&mut self, _req: &mut RequestEnvelope) -> Result<(), StageError> {
+        fn on_request(&self, _req: &mut RequestEnvelope) -> Result<(), StageError> {
             Err(StageError::Internal("stage misconfigured".into()))
         }
     }
@@ -141,10 +134,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "status-recorder"
         }
-        fn on_request(&mut self, _req: &mut RequestEnvelope) -> Result<(), StageError> {
-            Ok(())
-        }
-        fn on_response(&mut self, _req: &RequestEnvelope, _resp: &mut ResponseEnvelope) {
+        fn on_response(&self, _req: &RequestEnvelope, _resp: &mut ResponseEnvelope) {
             self.seen.fetch_add(1, Ordering::SeqCst);
         }
     }
@@ -153,7 +143,7 @@ mod tests {
     fn rejection_short_circuits_the_backend() {
         let calls = Arc::new(AtomicU64::new(0));
         let seen = Arc::new(AtomicU64::new(0));
-        let mut pipeline = PipelineExecutor::new(CountingBackend {
+        let pipeline = PipelineExecutor::new(CountingBackend {
             calls: Arc::clone(&calls),
         })
         .with_stage(Box::new(StatusRecorder {
@@ -173,7 +163,7 @@ mod tests {
     #[test]
     fn internal_stage_failure_is_internal_not_unauthorized() {
         let calls = Arc::new(AtomicU64::new(0));
-        let mut pipeline = PipelineExecutor::new(CountingBackend {
+        let pipeline = PipelineExecutor::new(CountingBackend {
             calls: Arc::clone(&calls),
         })
         .with_stage(Box::new(BrokenStage));
@@ -185,13 +175,55 @@ mod tests {
     #[test]
     fn accepted_requests_reach_the_backend_once() {
         let calls = Arc::new(AtomicU64::new(0));
-        let mut pipeline = PipelineExecutor::new(CountingBackend {
+        let pipeline = PipelineExecutor::new(CountingBackend {
             calls: Arc::clone(&calls),
         })
         .with_stage(Box::new(FlowBudgetStage::new(10)));
         let resp = pipeline.execute(RequestEnvelope::write(UserId::new(1), vec![]));
         assert!(resp.is_success());
         assert_eq!(calls.load(Ordering::SeqCst), 1);
+    }
+
+    /// One executor is shared by every client thread, whatever its backend.
+    const _: fn() = {
+        fn every_executor_is_sync<B: Backend>() {
+            fn sync<T: Sync>() {}
+            sync::<PipelineExecutor<B>>();
+        }
+        every_executor_is_sync::<CountingBackend>
+    };
+
+    /// Holds each envelope, for at most 10 s, until a second one arrived.
+    #[derive(Default)]
+    struct RendezvousBackend(AtomicU64);
+
+    impl Backend for RendezvousBackend {
+        fn handle(&self, _req: &RequestEnvelope) -> ResponseEnvelope {
+            self.0.fetch_add(1, Ordering::SeqCst);
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while self.0.load(Ordering::SeqCst) < 2 && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+            match self.0.load(Ordering::SeqCst) {
+                1 => ResponseEnvelope::rejected(StatusCode::Internal, "alone in the backend"),
+                _ => ResponseEnvelope::ok(ResponseBody::Empty),
+            }
+        }
+    }
+
+    /// The executor serialises nothing: envelopes executed from two threads
+    /// are inside the backend at the same time. (Behind one lock around
+    /// `execute`, the first waits out its deadline alone.)
+    #[test]
+    fn two_envelopes_are_inside_the_backend_at_once() {
+        let pipeline = PipelineExecutor::new(RendezvousBackend::default())
+            .with_stage(Box::new(FlowBudgetStage::new(10)));
+        let execute = |i| pipeline.execute(RequestEnvelope::write(UserId::new(i), vec![]));
+        std::thread::scope(|scope| {
+            for client in [0, 1].map(|i| scope.spawn(move || execute(i).status)) {
+                assert_eq!(client.join().unwrap(), StatusCode::Ok);
+            }
+        });
     }
 
     /// Satellite: the backend error → status table.

@@ -1,8 +1,8 @@
 //! Property tests for flow-budget semantics: `spent` is monotone
 //! non-decreasing and `limit` monotone non-increasing under arbitrary
 //! interleavings of charges, restrictions and merges; merges converge
-//! regardless of order; and a throttled user's requests generate zero
-//! engine messages.
+//! regardless of order; a throttled user's requests generate zero engine
+//! messages; and a ledger shared by concurrent clients never over-admits.
 
 use dynasore_serve::{
     Backend, FlowBudgetStage, PipelineExecutor, RequestEnvelope, ResponseBody, ResponseEnvelope,
@@ -10,7 +10,7 @@ use dynasore_serve::{
 use dynasore_types::{FlowBudget, StatusCode, UserId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 /// One ledger operation, decoded from a `(selector, (a, b))` tuple.
 fn apply(ledger: &mut FlowBudget, op: (u8, (u64, u64))) {
@@ -116,7 +116,7 @@ proptest! {
         extra in 1u64..30,
     ) {
         let calls = Arc::new(AtomicU64::new(0));
-        let mut pipeline = PipelineExecutor::new(CountingBackend {
+        let pipeline = PipelineExecutor::new(CountingBackend {
             calls: Arc::clone(&calls),
         })
         .with_stage(Box::new(FlowBudgetStage::new(limit)));
@@ -131,5 +131,52 @@ proptest! {
         }
         prop_assert_eq!(calls.load(Ordering::SeqCst), limit);
         prop_assert_eq!(throttled, extra);
+    }
+}
+
+/// The concurrent counterpart of `throttled_requests_generate_zero_engine_messages`:
+/// four clients share one pipeline and race 50 unit-cost writes each against
+/// one user's ledger. Exactly `min(limit, 200)` reach the backend, every
+/// other response is `Throttled`, and a bystander served from another
+/// thread meanwhile (with an unlimited ledger) is never throttled.
+#[test]
+fn a_shared_ledger_never_over_admits() {
+    const BYSTANDER_WRITES: u64 = 100;
+    let (spender, bystander) = (UserId::new(1), UserId::new(2));
+    for limit in [0, 1, 37, 200] {
+        let calls = Arc::new(AtomicU64::new(0));
+        let mut budgets = FlowBudgetStage::new(u64::MAX);
+        budgets.restrict(spender, limit);
+        let backend = CountingBackend {
+            calls: Arc::clone(&calls),
+        };
+        let pipeline = PipelineExecutor::new(backend).with_stage(Box::new(budgets));
+        let write = |user| {
+            pipeline
+                .execute(RequestEnvelope::write(user, vec![]))
+                .status
+        };
+        let start = Barrier::new(5);
+        let client = || {
+            start.wait();
+            [(); 50].map(|()| write(spender))
+        };
+        let spent: Vec<StatusCode> = std::thread::scope(|scope| {
+            let clients: Vec<_> = (0..4).map(|_| scope.spawn(client)).collect();
+            start.wait();
+            for _ in 0..BYSTANDER_WRITES {
+                assert_eq!(write(bystander), StatusCode::Ok, "limit {limit}");
+            }
+            clients
+                .into_iter()
+                .flat_map(|c| c.join().unwrap())
+                .collect()
+        });
+        let admitted = spent.iter().filter(|s| s.is_success()).count() as u64;
+        assert_eq!(admitted, limit.min(200), "limit {limit}");
+        assert!(spent
+            .iter()
+            .all(|&s| s.is_success() || s == StatusCode::Throttled));
+        assert_eq!(calls.load(Ordering::SeqCst), admitted + BYSTANDER_WRITES);
     }
 }

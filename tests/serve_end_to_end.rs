@@ -3,9 +3,12 @@
 //! pipeline against a live cluster; a spammy user is throttled with
 //! `Throttled` *before* the engine while everyone else proceeds; the
 //! `/metrics` scrape is lint-clean; a graceful shutdown followed by a cold
-//! reopen of the durable tier serves every acknowledged write; and a crash
-//! that skips shutdown still leaves every acknowledged write in the files.
+//! reopen of the durable tier serves every acknowledged write, as one that
+//! drains concurrent writers keeps theirs; and a crash that skips shutdown
+//! still leaves every acknowledged write in the files.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -107,11 +110,43 @@ fn spammy_user_is_throttled_before_the_engine_while_others_proceed() {
         metrics.contains("dynasore_auth_failures_total 1"),
         "auth-failure counter missing: {metrics}"
     );
-    // The trace timeline is a valid flight-recorder export.
-    validate_jsonl(&server.trace_jsonl()).expect("trace timeline validates");
+    assert!(
+        metrics.contains("dynasore_envelopes_served_total 14"),
+        "envelope counter missing: {metrics}"
+    );
+    // A valid flight-recorder export, with one event per envelope.
+    assert_eq!(validate_jsonl(&server.trace_jsonl()), Ok(14));
 
     server.shutdown().unwrap();
     assert!(!server.healthz().ready);
+}
+
+/// A server over a 2-shard `ShardedLogStore` in `dir`.
+fn sharded_server(dir: &Path, graph: &SocialGraph) -> LoopbackServer {
+    let config = ShardedConfig {
+        shards: 2,
+        ..ShardedConfig::default()
+    };
+    let store = Arc::new(ShardedLogStore::open(dir, config).unwrap());
+    let topology = Topology::tree(2, 2, 3, 1).unwrap();
+    let (store_config, serve_config) = (StoreConfig::default(), ServeConfig::default());
+    LoopbackServer::spawn_with_store(graph, topology, store_config, serve_config, store).unwrap()
+}
+
+/// The users whose acknowledged payload is not in the segment files in
+/// `dir`, read through `ShardedLogStore::read_back`, which takes no lock.
+fn missing_from_files(dir: &Path, writes: &[(UserId, Vec<u8>)]) -> Vec<UserId> {
+    let (index, _) = ShardedLogStore::read_back(dir).unwrap();
+    let on_disk = |user, payload: &[u8]| {
+        index
+            .get(user)
+            .is_some_and(|view| view.iter().any(|e| e.payload() == payload))
+    };
+    writes
+        .iter()
+        .filter(|(user, payload)| !on_disk(user, payload))
+        .map(|&(user, _)| user)
+        .collect()
 }
 
 /// Graceful shutdown drains and syncs the durable tier: a cold reopen of
@@ -121,30 +156,12 @@ fn spammy_user_is_throttled_before_the_engine_while_others_proceed() {
 fn acknowledged_writes_survive_shutdown_and_cold_reopen() {
     let dir = temp_dir("cold-reopen");
     let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 17).unwrap();
-    let topology = Topology::tree(2, 2, 3, 1).unwrap();
     let authors: Vec<UserId> = graph.users().take(8).collect();
 
     // First life: acknowledged writes through the pipeline, then a graceful
     // shutdown (drain + flush + sync).
     {
-        let store = Arc::new(
-            ShardedLogStore::open(
-                &dir,
-                ShardedConfig {
-                    shards: 2,
-                    ..ShardedConfig::default()
-                },
-            )
-            .unwrap(),
-        );
-        let server = LoopbackServer::spawn_with_store(
-            &graph,
-            topology.clone(),
-            StoreConfig::default(),
-            ServeConfig::default(),
-            store,
-        )
-        .unwrap();
+        let server = sharded_server(&dir, &graph);
         for (i, &author) in authors.iter().enumerate() {
             let resp = server.handle(RequestEnvelope::write(
                 author,
@@ -160,25 +177,8 @@ fn acknowledged_writes_survive_shutdown_and_cold_reopen() {
     // Second life: a cold reopen over the same directory (the shard count is
     // pinned by the manifest). Every acknowledged write must be served back
     // through the read path.
-    let store = Arc::new(
-        ShardedLogStore::open(
-            &dir,
-            ShardedConfig {
-                shards: 2,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap(),
-    );
-    let server = LoopbackServer::spawn_with_store(
-        &graph,
-        topology,
-        StoreConfig::default(),
-        ServeConfig::default(),
-        store,
-    )
-    .unwrap();
-    assert!(server.healthz().ready);
+    let server = sharded_server(&dir, &graph);
+    assert!(server.healthz().live && server.healthz().ready);
     for (i, &author) in authors.iter().enumerate() {
         let resp = server.handle(RequestEnvelope::read(author, vec![author]));
         assert_eq!(resp.status, StatusCode::Ok);
@@ -197,36 +197,80 @@ fn acknowledged_writes_survive_shutdown_and_cold_reopen() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// Graceful shutdown under concurrent clients. The pipeline does not
+/// serialise envelopes, so the drain alone keeps shutdown safe: four clients
+/// write distinct payloads until they are refused while the main thread
+/// shuts the server down. Every response is `Ok` or `Unavailable`; nothing
+/// is in flight afterwards, the server is down, every envelope was counted
+/// once, and the files hold every acknowledged payload.
+#[test]
+fn graceful_shutdown_under_concurrent_clients_keeps_every_acknowledged_write() {
+    const CLIENTS: usize = 4;
+    let dir = temp_dir("shutdown-under-load");
+    let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 17).unwrap();
+    let server = sharded_server(&dir, &graph);
+    let responses = AtomicU64::new(0);
+    // Each client writes until it is refused and returns what was acknowledged.
+    let client = |c: usize| {
+        let mut acknowledged = Vec::new();
+        for i in 0.. {
+            let user = UserId::new(((c + CLIENTS * i) % graph.user_count()) as u32);
+            let payload = format!("client {c} write {i}").into_bytes();
+            let resp = server.handle(RequestEnvelope::write(user, payload.clone()));
+            responses.fetch_add(1, Ordering::SeqCst);
+            match resp.status {
+                StatusCode::Ok => acknowledged.push((user, payload)),
+                StatusCode::Unavailable => break,
+                other => panic!("client {c} write {i} got {other}: {resp:?}"),
+            }
+        }
+        acknowledged
+    };
+    let acknowledged: Vec<(UserId, Vec<u8>)> = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|c| scope.spawn(move || client(c)))
+            .collect();
+        // Shut down once the clients are well under way.
+        let start = Instant::now();
+        while responses.load(Ordering::SeqCst) < 40 {
+            assert!(start.elapsed() < Duration::from_secs(10), "no progress");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        server.shutdown().unwrap();
+        clients
+            .into_iter()
+            .flat_map(|c| c.join().unwrap())
+            .collect()
+    });
+
+    assert_eq!(server.inflight(), 0);
+    let health = server.healthz();
+    assert!(!health.live && !health.ready, "{health:?}");
+    let responses = responses.into_inner();
+    let served = format!("dynasore_envelopes_served_total {responses}\n");
+    assert!(server.metrics().contains(&served), "expected {served}");
+    // Latecomers bounce without touching the cluster; shutdown is idempotent.
+    let late = server.handle(RequestEnvelope::write(UserId::new(0), vec![]));
+    assert_eq!(late.status, StatusCode::Unavailable);
+    server.shutdown().unwrap();
+    drop(server);
+    assert_eq!(missing_from_files(&dir, &acknowledged), []);
+    std::fs::remove_dir_all(&dir).unwrap();
+    assert!(!dir.exists());
+}
+
 /// Crash injection through the front-end: writes acknowledged by a server
 /// over a sharded store with the default background flusher reach the
 /// segment files with no shutdown, no `Drop` and no explicit sync — the
 /// flusher alone writes each idle shard's batch out within a few intervals
 /// (README, *fsync / crash semantics*). The server is leaked with
 /// `mem::forget`, as a killed process would leave it, and the directory is
-/// polled through `ShardedLogStore::read_back`, which takes no lock.
+/// polled.
 #[test]
 fn acknowledged_writes_reach_the_files_without_a_shutdown() {
     let dir = temp_dir("crash-injection");
     let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 17).unwrap();
-    let topology = Topology::tree(2, 2, 3, 1).unwrap();
-    let store = Arc::new(
-        ShardedLogStore::open(
-            &dir,
-            ShardedConfig {
-                shards: 2,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap(),
-    );
-    let server = LoopbackServer::spawn_with_store(
-        &graph,
-        topology,
-        StoreConfig::default(),
-        ServeConfig::default(),
-        store,
-    )
-    .unwrap();
+    let server = sharded_server(&dir, &graph);
     let writes: Vec<(UserId, Vec<u8>)> = graph
         .users()
         .take(8)
@@ -248,16 +292,7 @@ fn acknowledged_writes_reach_the_files_without_a_shutdown() {
     // and the slack only keeps a loaded CI machine from flaking the test.
     const DEADLINE: Duration = Duration::from_secs(10);
     loop {
-        let (index, _) = ShardedLogStore::read_back(&dir).unwrap();
-        let missing: Vec<UserId> = writes
-            .iter()
-            .filter(|(user, payload)| {
-                !index
-                    .get(user)
-                    .is_some_and(|view| view.iter().any(|e| e.payload() == payload.as_slice()))
-            })
-            .map(|&(user, _)| user)
-            .collect();
+        let missing = missing_from_files(&dir, &writes);
         if missing.is_empty() {
             break;
         }
