@@ -38,9 +38,15 @@
 //! nonzero if `read.reqs_per_sec`, `write.reqs_per_sec` or
 //! `read_accounted.reqs_per_sec` dropped more than `--tolerance` (default
 //! 0.30, i.e. 30%) below it, or if `stats_bytes_per_replica` rose more than
-//! that above it. CI runs `--quick --check-against
-//! BENCH_hotpath_quick.json` (the quick-scale snapshot, so the comparison
-//! is same-scale) so hot-path regressions fail the pipeline.
+//! that above it. When the run has the snapshot's scale (same `users`,
+//! `seed` and `iters`, the synthetic graph and an uncapped warm-up) it also
+//! exits nonzero if any exact engine count differs from the snapshot at
+//! all: `read.messages`, `write.messages`, `read_accounted.messages`,
+//! `read.evictions` and `read_accounted.evictions` are the same on every
+//! run of one build, so a change to one is a changed placement decision.
+//! CI runs `--quick --check-against BENCH_hotpath_quick.json` (the
+//! quick-scale snapshot, so the comparison is same-scale) so hot-path
+//! regressions fail the pipeline.
 //!
 //! The `read_accounted` phase drives the same reads through a sink that
 //! charges a queue-tracking [`TrafficAccount`] under the datacenter
@@ -289,6 +295,7 @@ fn main() {
     // measured phases see.
     let warmup_start = Instant::now();
     let warmup_iters = (2 * users).min(opts.iters.max(users));
+    let mut warmup_capped = false;
     for k in 0..warmup_iters {
         // `--warmup-secs` caps convergence by wall time for dev iteration;
         // the coarse check keeps the cap off the per-request path.
@@ -299,6 +306,7 @@ fn main() {
                         "# hotpath_throughput: warmup capped at {budget}s \
                          ({k} of {warmup_iters} iters)"
                     );
+                    warmup_capped = true;
                     break;
                 }
             }
@@ -604,87 +612,143 @@ fn main() {
     print!("{json}");
 
     if let Some(path) = &opts.check_against {
-        check_against_snapshot(
-            path,
+        let run = GuardedRun {
+            users: opts.users,
+            seed: opts.seed,
+            iters: opts.iters,
+            exact_counts: opts.graph.is_none() && !warmup_capped,
             reads_per_sec,
             writes_per_sec,
             accounted_reads_per_sec,
             durable_per_sec,
-            stats_bytes,
-            opts.tolerance,
-        );
+            stats_bytes_per_replica: stats_bytes,
+            counts: [
+                ("read", "messages", read_messages),
+                ("write", "messages", write_messages),
+                ("read_accounted", "messages", accounted_messages),
+                ("read", "evictions", read_evictions),
+                ("read_accounted", "evictions", accounted_evictions),
+            ],
+        };
+        check_against_snapshot(path, &run, opts.tolerance);
     }
 }
 
-/// The regression guard: fails the process when any measured rate drops
-/// more than `tolerance` below the committed snapshot, or the statistics'
-/// heap per replica rises more than `tolerance` above it. A check is
-/// skipped for snapshots predating its field.
-#[allow(clippy::too_many_arguments)]
-fn check_against_snapshot(
-    path: &str,
+/// What the regression guard compares with a snapshot.
+struct GuardedRun {
+    users: usize,
+    seed: u64,
+    iters: u64,
+    /// The run replayed the synthetic graph through the full warm-up, so
+    /// its engine counts are exact for its `(users, seed, iters)`.
+    exact_counts: bool,
     reads_per_sec: f64,
     writes_per_sec: f64,
     accounted_reads_per_sec: f64,
     durable_per_sec: f64,
     stats_bytes_per_replica: f64,
-    tolerance: f64,
-) {
+    /// `(section, key, value)` of the engine counts that must equal the
+    /// snapshot's exactly.
+    counts: [(&'static str, &'static str, u64); 5],
+}
+
+/// The regression guard: prints every comparison of [`guard_verdicts`] and
+/// fails the process if one failed.
+fn check_against_snapshot(path: &str, run: &GuardedRun, tolerance: f64) {
     let snapshot = read_snapshot_or_exit(path);
-    let rate = |section| snapshot_field(&snapshot, Some(section), "reqs_per_sec");
-    let (Some(snap_read), Some(snap_write)) = (rate("read"), rate("write")) else {
-        eprintln!("# regression guard: snapshot {path} has no reqs_per_sec fields");
+    let verdicts = guard_verdicts(&snapshot, run, tolerance).unwrap_or_else(|err| {
+        eprintln!("# regression guard: snapshot {path} {err}");
         std::process::exit(2);
+    });
+    let mut failed = false;
+    for (ok, line) in verdicts {
+        failed |= !ok;
+        let verdict = if ok { "ok" } else { "FAIL" };
+        eprintln!("# regression guard [{verdict}]: {line}");
+    }
+    if failed {
+        eprintln!("# regression guard: the hot path regressed against {path}");
+        std::process::exit(1);
+    }
+}
+
+/// Compares `run` with the snapshot text: a measured rate may not drop more
+/// than `tolerance` below its snapshot, the statistics' heap per replica
+/// not rise more than that above it, and — when the run has the snapshot's
+/// scale — an engine count not differ at all. One `(passed, description)`
+/// per comparison; a comparison is skipped (with a line saying so) for a
+/// snapshot predating its field. `Err` if the snapshot has no rates.
+fn guard_verdicts(
+    snapshot: &str,
+    run: &GuardedRun,
+    tolerance: f64,
+) -> Result<Vec<(bool, String)>, String> {
+    let rate = |section| snapshot_field(snapshot, Some(section), "reqs_per_sec");
+    let (Some(snap_read), Some(snap_write)) = (rate("read"), rate("write")) else {
+        return Err("has no reqs_per_sec fields".to_string());
     };
     // `(name, measured, snapshot, what may not be crossed)`: a rate has a
     // floor below its snapshot, the statistics' memory a ceiling above it.
     let (floor, ceiling) = (1.0 - tolerance, 1.0 + tolerance);
     let mut checks = vec![
-        ("read/s", reads_per_sec, snap_read, floor),
-        ("write/s", writes_per_sec, snap_write, floor),
+        ("read/s", run.reads_per_sec, Some(snap_read), floor),
+        ("write/s", run.writes_per_sec, Some(snap_write), floor),
+        (
+            "read_accounted/s",
+            run.accounted_reads_per_sec,
+            rate("read_accounted"),
+            floor,
+        ),
+        // `find` matches the quoted key, so "durable" cannot hit the
+        // "durable_single_sync" section. The single-sync phase itself is not
+        // guarded: a few thousand fsyncs is too noisy a sample.
+        ("durable/s", run.durable_per_sec, rate("durable"), floor),
     ];
-    if let Some(snap_accounted) = rate("read_accounted") {
-        let measured = accounted_reads_per_sec;
-        checks.push(("read_accounted/s", measured, snap_accounted, floor));
-    } else {
-        eprintln!("# regression guard: snapshot {path} predates read_accounted; skipping it");
-    }
-    // `find` matches the quoted key, so "durable" cannot hit the
-    // "durable_single_sync" section. The single-sync phase itself is not
-    // guarded: a few thousand fsyncs is too noisy a sample.
-    if let Some(snap_durable) = rate("durable") {
-        checks.push(("durable/s", durable_per_sec, snap_durable, floor));
-    } else {
-        eprintln!("# regression guard: snapshot {path} predates durable; skipping it");
-    }
     let name = "stats_bytes_per_replica";
-    if let Some(snap) = snapshot_field(&snapshot, None, name) {
-        checks.push((name, stats_bytes_per_replica, snap, ceiling));
-    } else {
-        eprintln!("# regression guard: snapshot {path} predates {name}; skipping it");
-    }
-    let mut failed = false;
+    let snap_stats = snapshot_field(snapshot, None, name);
+    checks.push((name, run.stats_bytes_per_replica, snap_stats, ceiling));
+
+    let mut verdicts = Vec::new();
     for (name, measured, snap, limit) in checks {
+        let Some(snap) = snap else {
+            verdicts.push((true, format!("snapshot predates {name}; skipped")));
+            continue;
+        };
         let ratio = if snap > 0.0 { measured / snap } else { 1.0 };
         let crossed = if limit < 1.0 {
             ratio < limit
         } else {
             ratio > limit
         };
-        failed |= crossed;
-        let verdict = if crossed { "FAIL" } else { "ok" };
-        eprintln!(
-            "# regression guard [{verdict}]: {name} {measured:.0} vs snapshot {snap:.0} \
-             (ratio {ratio:.2}, limit {limit:.2})"
-        );
+        verdicts.push((
+            !crossed,
+            format!(
+                "{name} {measured:.0} vs snapshot {snap:.0} (ratio {ratio:.2}, limit {limit:.2})"
+            ),
+        ));
     }
-    if failed {
-        eprintln!(
-            "# regression guard: the hot path regressed more than {:.0}% against {path}",
-            tolerance * 100.0
-        );
-        std::process::exit(1);
+
+    let field = |key| snapshot_field(snapshot, None, key);
+    let same_scale = run.exact_counts
+        && field("users") == Some(run.users as f64)
+        && field("seed") == Some(run.seed as f64)
+        && field("iters") == Some(run.iters as f64);
+    if !same_scale {
+        let why = "not the snapshot's users, seed, iters, graph or full warm-up";
+        verdicts.push((true, format!("exact counts skipped: {why}")));
+        return Ok(verdicts);
     }
+    for (section, key, measured) in run.counts {
+        let name = format!("{section}.{key}");
+        match snapshot_field(snapshot, Some(section), key) {
+            None => verdicts.push((true, format!("snapshot predates {name}; skipped"))),
+            Some(snap) => verdicts.push((
+                measured as f64 == snap,
+                format!("{name} {measured} vs snapshot {snap:.0} (must be equal)"),
+            )),
+        }
+    }
+    Ok(verdicts)
 }
 
 #[cfg(test)]
@@ -705,6 +769,101 @@ mod tests {
         assert_eq!(rate("write"), Some(20.0));
         assert_eq!(rate("durable"), None);
         assert_eq!(snapshot_field(json, None, "peak_rss_mb"), None);
+    }
+
+    /// A run equal to the snapshot `guard_snapshot` describes.
+    fn guarded_run() -> GuardedRun {
+        GuardedRun {
+            users: 2_000,
+            seed: 42,
+            iters: 20_000,
+            exact_counts: true,
+            reads_per_sec: 100.0,
+            writes_per_sec: 200.0,
+            accounted_reads_per_sec: 50.0,
+            durable_per_sec: 400.0,
+            stats_bytes_per_replica: 150.0,
+            counts: [
+                ("read", "messages", 1_551_638),
+                ("write", "messages", 1_350_320),
+                ("read_accounted", "messages", 1_551_638),
+                ("read", "evictions", 65_144),
+                ("read_accounted", "evictions", 65_144),
+            ],
+        }
+    }
+
+    fn guard_snapshot() -> &'static str {
+        "{\n  \"users\": 2000,\n  \"seed\": 42,\n  \"iters\": 20000,\n  \
+         \"stats_bytes_per_replica\": 150.0,\n  \"read\": {\n    \"reqs_per_sec\": 100,\n    \
+         \"evictions\": 65144,\n    \"messages\": 1551638\n  },\n  \"write\": {\n    \
+         \"reqs_per_sec\": 200,\n    \"iters\": 1000000,\n    \"messages\": 1350320\n  },\n  \
+         \"read_accounted\": {\n    \"reqs_per_sec\": 50,\n    \"evictions\": 65144,\n    \
+         \"messages\": 1551638\n  },\n  \"durable\": {\n    \"reqs_per_sec\": 400\n  }\n}\n"
+    }
+
+    /// The descriptions of the failed comparisons.
+    fn failures(run: &GuardedRun, tolerance: f64) -> Vec<String> {
+        let verdicts = guard_verdicts(guard_snapshot(), run, tolerance).unwrap();
+        verdicts
+            .into_iter()
+            .filter(|(ok, _)| !ok)
+            .map(|(_, line)| line)
+            .collect()
+    }
+
+    #[test]
+    fn the_guard_holds_rates_within_tolerance_and_counts_exactly() {
+        let verdicts = guard_verdicts(guard_snapshot(), &guarded_run(), 0.30).unwrap();
+        // Four rates, the statistics' heap and five exact counts.
+        assert_eq!(verdicts.len(), 10);
+        assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
+
+        // Rates may drift inside the tolerance; one eviction more may not.
+        let mut run = guarded_run();
+        run.reads_per_sec = 75.0;
+        run.stats_bytes_per_replica = 190.0;
+        run.counts[4].2 += 1;
+        assert_eq!(
+            failures(&run, 0.30),
+            ["read_accounted.evictions 65145 vs snapshot 65144 (must be equal)"]
+        );
+        // Every count is guarded, in either direction.
+        for i in 0..5 {
+            let mut run = guarded_run();
+            run.counts[i].2 -= 1;
+            assert_eq!(failures(&run, 0.30).len(), 1, "count {i}");
+        }
+        // A rate below its floor and statistics above their ceiling fail.
+        let mut run = guarded_run();
+        run.writes_per_sec = 130.0;
+        run.stats_bytes_per_replica = 200.0;
+        assert_eq!(failures(&run, 0.30).len(), 2);
+    }
+
+    #[test]
+    fn exact_counts_are_compared_only_at_the_snapshots_scale() {
+        let mut other_scale = guarded_run();
+        other_scale.users = 5_000;
+        let mut capped = guarded_run();
+        capped.exact_counts = false;
+        for mut run in [other_scale, capped] {
+            run.counts[0].2 = 7;
+            let verdicts = guard_verdicts(guard_snapshot(), &run, 0.30).unwrap();
+            assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
+            assert!(verdicts
+                .last()
+                .unwrap()
+                .1
+                .starts_with("exact counts skipped"));
+        }
+        // A snapshot predating the counts skips them; one without rates is
+        // refused.
+        let old = "{\"users\": 2000, \"seed\": 42, \"iters\": 20000,\n\
+                   \"read\": {\"reqs_per_sec\": 100},\n\"write\": {\"reqs_per_sec\": 200}}";
+        let verdicts = guard_verdicts(old, &guarded_run(), 0.30).unwrap();
+        assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
+        assert!(guard_verdicts("{}", &guarded_run(), 0.30).is_err());
     }
 
     fn parse(args: &[&str]) -> Result<Options, String> {

@@ -132,10 +132,6 @@ fn main() {
         ScenarioConfig {
             seed: opts.seed,
             days: opts.days,
-            // Four of nine racks: the regional outage exceeds the engines'
-            // 30% memory slack, so some lost masters cannot be re-created
-            // until the repair — the availability columns get real teeth.
-            regional_racks: 4,
         },
         NetworkModel::datacenter(),
     );

@@ -42,9 +42,31 @@ const CONGESTION_PENALTY_PER_SEC: f64 = 500.0;
 struct UserState {
     read_proxy: BrokerId,
     write_proxy: BrokerId,
-    /// Dense server indices (positions in `DynaSoReEngine::servers`) holding
-    /// a replica of this user's view. Always non-empty.
-    replicas: Vec<usize>,
+    /// Where this user's view is stored, sorted by server, at most one entry
+    /// per server. Non-empty except while a lost view awaits recovery.
+    /// Changed only by `link_replica` and `unlink_replica`.
+    replicas: Vec<Replica>,
+}
+
+/// One replica of a view: the server holding it and the slab slot it
+/// occupies there, so the replica's statistics are found by indexing, not
+/// by a per-server lookup. 8 bytes, like the bare server index it replaced.
+#[derive(Debug, Clone, Copy)]
+struct Replica {
+    /// Dense server index (a position in `DynaSoReEngine::servers`).
+    server: u32,
+    /// Slot in that server's slab ([`ServerState::insert`]).
+    slot: u32,
+}
+
+impl Replica {
+    fn server(self) -> usize {
+        self.server as usize
+    }
+
+    fn slot(self) -> usize {
+        self.slot as usize
+    }
 }
 
 /// The DynaSoRe engine. Create one with [`DynaSoReEngine::builder`].
@@ -216,12 +238,15 @@ impl DynaSoReEngineBuilder {
                     .min_by_key(|&i| servers[i].len())
                     .expect("at least one server");
             }
-            servers[sidx].insert(user);
+            let slot = servers[sidx].insert(user);
             let broker = topology.local_broker(servers[sidx].machine())?;
             users.push(UserState {
                 read_proxy: broker,
                 write_proxy: broker,
-                replicas: vec![sidx],
+                replicas: vec![Replica {
+                    server: sidx as u32,
+                    slot: slot as u32,
+                }],
             });
         }
 
@@ -279,7 +304,7 @@ impl DynaSoReEngine {
             .map(|u| {
                 u.replicas
                     .iter()
-                    .map(|&i| self.servers[i].machine())
+                    .map(|r| self.servers[r.server()].machine())
                     .collect()
             })
             .unwrap_or_default()
@@ -327,8 +352,7 @@ impl DynaSoReEngine {
             .map(|u| {
                 u.replicas
                     .iter()
-                    .filter_map(|&i| self.servers[i].stats(user))
-                    .map(|s| s.total_reads())
+                    .map(|r| self.servers[r.server()].stats(r.slot()).total_reads())
                     .sum()
             })
             .unwrap_or(0)
@@ -347,40 +371,46 @@ impl DynaSoReEngine {
         self.closest_of(from, replicas).map(|(_, machine)| machine)
     }
 
-    /// The server among `replicas` closest to `from` (LCA routing policy,
-    /// ties by machine id), as `(engine index, machine)`. Allocation-free.
+    /// The replica among `replicas` closest to `from` (LCA routing policy,
+    /// ties by machine id), with its machine. Allocation-free.
     #[inline]
     fn closest_of(
         &self,
         from: MachineId,
-        replicas: impl Iterator<Item = usize>,
-    ) -> Option<(usize, MachineId)> {
+        replicas: impl Iterator<Item = Replica>,
+    ) -> Option<(Replica, MachineId)> {
         let from = self.paths.machine_path(from);
-        let mut best: Option<(i64, u32, usize)> = None;
-        for i in replicas {
-            let machine = self.servers[i].machine();
+        let mut best: Option<(i64, u32, Replica)> = None;
+        for replica in replicas {
+            let machine = self.servers[replica.server()].machine();
             let path = self.paths.machine_path(machine);
-            let key = (self.paths.distance(&from, &path), machine.index(), i);
+            let key = (self.paths.distance(&from, &path), machine.index(), replica);
             if best.map_or(true, |b| (key.0, key.1) < (b.0, b.1)) {
                 best = Some(key);
             }
         }
-        best.map(|(_, machine, i)| (i, MachineId::new(machine)))
+        best.map(|(_, machine, replica)| (replica, MachineId::new(machine)))
     }
 
     /// The closest other replica of `view` as seen from `sidx`, if any.
     fn nearest_other_replica(&self, view: UserId, sidx: usize) -> Option<MachineId> {
         let replicas = self.users[view.as_usize()].replicas.iter().copied();
-        let others = replicas.filter(|&i| i != sidx);
+        let others = replicas.filter(|r| r.server() != sidx);
         let nearest = self.closest_of(self.servers[sidx].machine(), others);
         nearest.map(|(_, machine)| machine)
+    }
+
+    /// The replica of `view` on server `sidx`, if it has one there.
+    fn replica_on(&self, view: UserId, sidx: usize) -> Option<Replica> {
+        let replicas = &self.users[view.as_usize()].replicas;
+        replicas.iter().copied().find(|r| r.server() == sidx)
     }
 
     /// Stores a replica of `view` on server `target`, first evicting the
     /// server's least useful replica if it is full. Returns `false`, with
     /// nothing changed, if the view is already there or no room can be made.
     fn admit(&mut self, view: UserId, target: usize, out: &mut dyn TrafficSink) -> bool {
-        if self.servers[target].contains(view) {
+        if self.replica_on(view, target).is_some() {
             return false;
         }
         // Admitting to a full server swaps one view for another: its load,
@@ -391,9 +421,8 @@ impl DynaSoReEngine {
         if !self.ensure_space(target, out) {
             return false;
         }
-        self.servers[target].insert(view);
-        self.update_load_cache(target, old_len);
         self.link_replica(view, target);
+        self.update_load_cache(target, old_len);
         true
     }
 
@@ -433,11 +462,14 @@ impl DynaSoReEngine {
         // Hand over the read history of the origins the new replica is now
         // closest to, so the source stops proposing replicas for readers it
         // no longer serves.
+        let [from, to] = [source, target].map(|sidx| {
+            self.replica_on(view, sidx)
+                .expect("source and target hold the view")
+        });
         let mut origins = std::mem::take(&mut self.scratch.origins);
         origins.clear();
-        if let Some(stats) = self.servers[source].stats(view) {
-            origins.extend(stats.reads().map(|(origin, _)| origin));
-        }
+        let from_stats = self.servers[source].stats(from.slot());
+        origins.extend(from_stats.reads().map(|(origin, _)| origin));
         let source_path = self.paths.machine_path(source_machine);
         let target_path = self.paths.machine_path(target_machine);
         for origin in origins.drain(..) {
@@ -446,12 +478,11 @@ impl DynaSoReEngine {
                 < self.paths.distance(&source_path, &origin_path)
             {
                 let moved = self.servers[source]
-                    .stats_mut(view)
-                    .map(|s| s.take_origin(origin))
-                    .unwrap_or(0);
-                if let Some(stats) = self.servers[target].stats_mut(view) {
-                    stats.record_reads(origin, moved);
-                }
+                    .stats_mut(from.slot())
+                    .take_origin(origin);
+                self.servers[target]
+                    .stats_mut(to.slot())
+                    .record_reads(origin, moved);
             }
         }
         self.scratch.origins = origins;
@@ -473,10 +504,8 @@ impl DynaSoReEngine {
     /// a caller that changes the server's load again before anything reads
     /// the candidate sets, and then reports the net change itself.
     fn detach_replica(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) -> bool {
-        if self.users[view.as_usize()].replicas.len() <= 1 {
-            return false;
-        }
-        if !self.servers[sidx].contains(view) {
+        if self.users[view.as_usize()].replicas.len() <= 1 || self.replica_on(view, sidx).is_none()
+        {
             return false;
         }
         let server_machine = self.servers[sidx].machine();
@@ -490,7 +519,6 @@ impl DynaSoReEngine {
                 out.record(Message::protocol(write_proxy, broker.machine()));
             }
         }
-        self.servers[sidx].remove(view);
         self.unlink_replica(view, sidx);
         true
     }
@@ -534,18 +562,36 @@ impl DynaSoReEngine {
         moved
     }
 
-    /// Records that server `sidx` now holds a replica of `view`. Every
-    /// replica's nearest other replica may have moved.
+    /// Stores a replica of `view` in server `sidx`'s slab, which must not
+    /// hold one, and records where. Every replica's nearest other replica
+    /// may have moved.
     fn link_replica(&mut self, view: UserId, sidx: usize) {
+        let slot = self.servers[sidx].insert(view);
         let replicas = &mut self.users[view.as_usize()].replicas;
-        replicas.push(sidx);
-        replicas.sort_unstable();
+        let at = replicas.partition_point(|r| r.server() < sidx);
+        debug_assert!(replicas.get(at).map_or(true, |r| r.server() != sidx));
+        let replica = Replica {
+            server: sidx as u32,
+            slot: slot as u32,
+        };
+        replicas.insert(at, replica);
         self.invalidate_view(view);
     }
 
-    /// Records that server `sidx` no longer holds a replica of `view`.
+    /// Removes the replica of `view` from server `sidx`'s slab and forgets
+    /// it. Every other replica's nearest other replica may have moved.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the server holds no replica of `view`.
     fn unlink_replica(&mut self, view: UserId, sidx: usize) {
-        self.users[view.as_usize()].replicas.retain(|&i| i != sidx);
+        let replicas = &mut self.users[view.as_usize()].replicas;
+        let at = replicas
+            .iter()
+            .position(|r| r.server() == sidx)
+            .expect("unlinking a replica the view does not have");
+        let replica = replicas.remove(at);
+        self.servers[sidx].remove(replica.slot());
         self.invalidate_view(view);
     }
 
@@ -555,10 +601,10 @@ impl DynaSoReEngine {
     fn set_write_proxy(&mut self, user: UserId, broker: BrokerId, out: &mut dyn TrafficSink) {
         self.users[user.as_usize()].write_proxy = broker;
         self.invalidate_view(user);
-        for &ridx in &self.users[user.as_usize()].replicas {
+        for r in &self.users[user.as_usize()].replicas {
             out.record(Message::protocol(
                 broker.machine(),
-                self.servers[ridx].machine(),
+                self.servers[r.server()].machine(),
             ));
         }
     }
@@ -579,24 +625,25 @@ impl DynaSoReEngine {
         (delay.as_secs_f64() * CONGESTION_PENALTY_PER_SEC) as i64
     }
 
-    /// Gathers everything Algorithms 2 and 3 need to know about the replica
-    /// of `view` on server `sidx`, in time linear in its `k` read origins:
-    /// the per-origin sums into `costs`, then one [`Candidate`] per origin
-    /// that has an eligible server into `candidates` (origin order), each
-    /// priced in `O(1)` from the sums. Returns the profit of keeping the
-    /// replica where it is (against the nearest other replica, or against
-    /// itself for a sole replica), or `None` if the replica is not stored
-    /// here. Mutates nothing but the two scratch buffers, which a failed
-    /// `create_replica` leaves valid: both algorithms share one gather.
+    /// Gathers everything Algorithms 2 and 3 need to know about `replica`
+    /// of `view`, in time linear in its `k` read origins: the per-origin
+    /// sums into `costs`, then one [`Candidate`] per origin that has an
+    /// eligible server into `candidates` (origin order), each priced in
+    /// `O(1)` from the sums. Returns the profit of keeping the replica where
+    /// it is (against the nearest other replica, or against itself for a
+    /// sole replica). Mutates nothing but the two scratch buffers, which a
+    /// failed `create_replica` leaves valid: both algorithms share one
+    /// gather.
     fn gather_candidates(
         &self,
         view: UserId,
-        sidx: usize,
+        replica: Replica,
         out: &dyn TrafficSink,
         costs: &mut OriginCosts,
         candidates: &mut Vec<Candidate>,
-    ) -> Option<i64> {
-        let stats = self.servers[sidx].stats(view)?;
+    ) -> i64 {
+        let sidx = replica.server();
+        let stats = self.servers[sidx].stats(replica.slot());
         let paths = &self.paths;
         let server_machine = self.servers[sidx].machine();
         let write_proxy = paths.machine_path(self.users[view.as_usize()].write_proxy.machine());
@@ -630,16 +677,15 @@ impl DynaSoReEngine {
             });
         }
         let server_path = paths.machine_path(server_machine);
-        Some(
-            nearest_read_cost
-                - costs.read_cost(&server_path)
-                - writes * paths.distance(&write_proxy, &server_path),
-        )
+        nearest_read_cost
+            - costs.read_cost(&server_path)
+            - writes * paths.distance(&write_proxy, &server_path)
     }
 
     /// Algorithm 2 (*Evaluate Creation of Replica*) followed, when no
     /// replica is created, by Algorithm 3 (*Compute Optimal Position of
-    /// Replica*), run by server `sidx` after serving a read of `view`.
+    /// Replica*), run by the server holding `replica` after serving a read
+    /// of `view`.
     ///
     /// Both algorithms are congestion-aware: a candidate position's profit
     /// is reduced by [`DynaSoReEngine::rack_congestion_penalty`], so under a
@@ -648,14 +694,11 @@ impl DynaSoReEngine {
     ///
     /// Linear in the number of read origins and allocation-free: see
     /// [`DynaSoReEngine::gather_candidates`].
-    fn evaluate_replica(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) {
+    fn evaluate_replica(&mut self, view: UserId, replica: Replica, out: &mut dyn TrafficSink) {
         let mut costs = std::mem::take(&mut self.scratch.costs);
         let mut candidates = std::mem::take(&mut self.scratch.candidates);
-        if let Some(keep_profit) =
-            self.gather_candidates(view, sidx, out, &mut costs, &mut candidates)
-        {
-            self.decide_replica(view, sidx, keep_profit, &candidates, out);
-        }
+        let keep_profit = self.gather_candidates(view, replica, out, &mut costs, &mut candidates);
+        self.decide_replica(view, replica.server(), keep_profit, &candidates, out);
         costs.clear();
         candidates.clear();
         self.scratch.costs = costs;
@@ -766,7 +809,7 @@ impl PlacementEngine for DynaSoReEngine {
                 continue;
             }
             let replicas = self.users[target.as_usize()].replicas.iter().copied();
-            let Some((sidx, server_machine)) = self.closest_of(broker, replicas) else {
+            let Some((replica, server_machine)) = self.closest_of(broker, replicas) else {
                 // Only possible while a lost master awaits recovery capacity.
                 self.unreachable_reads += 1;
                 continue;
@@ -777,18 +820,18 @@ impl PlacementEngine for DynaSoReEngine {
             self.scratch.tally.add(server_machine, 1);
 
             let origin = self.topology.access_origin(server_machine, broker);
-            if let Some(stats) = self.servers[sidx].stats_mut(target) {
-                stats.record_read(origin);
-            }
+            self.servers[replica.server()]
+                .stats_mut(replica.slot())
+                .record_read(origin);
             // "Upon receiving a request for a view, a server updates its
             // access statistics and evaluates the possibility of replicating
             // it" (§3.2).
             #[cfg(test)]
             if self.reference_evaluation {
-                self.evaluate_replica_reference(target, sidx, out);
+                self.evaluate_replica_reference(target, replica, out);
                 continue;
             }
-            self.evaluate_replica(target, sidx, out);
+            self.evaluate_replica(target, replica, out);
         }
 
         self.maybe_migrate_proxy(user, false, out);
@@ -802,13 +845,12 @@ impl PlacementEngine for DynaSoReEngine {
         }
         let write_proxy = self.users[user.as_usize()].write_proxy.machine();
         self.scratch.tally.clear();
-        for &ridx in &self.users[user.as_usize()].replicas {
-            let machine = self.servers[ridx].machine();
+        for r in &self.users[user.as_usize()].replicas {
+            let server = &mut self.servers[r.server()];
+            let machine = server.machine();
             out.record(Message::application(write_proxy, machine));
             self.scratch.tally.add(machine, 1);
-            if let Some(stats) = self.servers[ridx].stats_mut(user) {
-                stats.record_write();
-            }
+            server.stats_mut(r.slot()).record_write();
         }
         self.maybe_migrate_proxy(user, true, out);
     }

@@ -132,13 +132,15 @@ impl DynaSoReEngine {
                 continue;
             };
             // The machine is dead: its replicas vanish without eviction
-            // protocol traffic.
+            // protocol traffic. Unlinking empties the slab; the clear resets
+            // its free list and threshold to the freshly built state.
             for view in self.servers[sidx].view_ids() {
                 self.unlink_replica(view, sidx);
                 if self.users[view.as_usize()].replicas.is_empty() {
                     lost.push(view);
                 }
             }
+            debug_assert!(self.servers[sidx].is_empty());
             self.servers[sidx].clear();
         }
         self.rebuild_subtree_caches(out);
@@ -228,13 +230,13 @@ impl DynaSoReEngine {
                 // Genuinely no live capacity anywhere: lose the replica as a
                 // crash would (a later MachineUp/RackUp recovers it from the
                 // persistent tier).
-                self.servers[sidx].remove(view);
                 self.unlink_replica(view, sidx);
                 self.trace_dropped(view, sidx, ReplicaChangeReason::Evacuation, out);
             }
         }
         // The machine is already dead (and thus absent from every candidate
         // set), so clearing its slab needs no cache update.
+        debug_assert!(self.servers[sidx].is_empty());
         self.servers[sidx].clear();
     }
 

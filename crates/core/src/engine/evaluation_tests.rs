@@ -18,9 +18,10 @@ impl DynaSoReEngine {
     pub(super) fn evaluate_replica_reference(
         &mut self,
         view: UserId,
-        sidx: usize,
+        replica: Replica,
         out: &mut dyn TrafficSink,
     ) {
+        let (sidx, slot) = (replica.server(), replica.slot());
         let server_machine = self.servers[sidx].machine();
         let write_proxy = self.users[view.as_usize()].write_proxy.machine();
 
@@ -30,9 +31,7 @@ impl DynaSoReEngine {
         // Decisions are computed over borrowed state (no statistics clone);
         // mutations are deferred until the borrows end.
         let new_replica = {
-            let Some(stats) = self.servers[sidx].stats(view) else {
-                return;
-            };
+            let stats = self.servers[sidx].stats(slot);
             let replicas = &self.users[view.as_usize()].replicas;
             let mut best_profit = 0i64;
             let mut new_replica: Option<usize> = None;
@@ -80,9 +79,7 @@ impl DynaSoReEngine {
             Migrate(usize),
         }
         let decision = {
-            let Some(stats) = self.servers[sidx].stats(view) else {
-                return;
-            };
+            let stats = self.servers[sidx].stats(slot);
             let replicas = &self.users[view.as_usize()].replicas;
             let nearest = self
                 .nearest_other_replica(view, sidx)
@@ -205,10 +202,11 @@ impl DynaSoReEngine {
     fn expected_candidates(
         &self,
         view: UserId,
-        sidx: usize,
+        replica: Replica,
         out: &dyn TrafficSink,
-    ) -> Option<(i64, Vec<Candidate>)> {
-        let stats = self.servers[sidx].stats(view)?;
+    ) -> (i64, Vec<Candidate>) {
+        let sidx = replica.server();
+        let stats = self.servers[sidx].stats(replica.slot());
         let topology = &self.topology;
         let server = self.servers[sidx].machine();
         let write_proxy = self.users[view.as_usize()].write_proxy.machine();
@@ -217,9 +215,9 @@ impl DynaSoReEngine {
         let mut candidates = Vec::new();
         for (origin, _) in stats.reads() {
             let candidate = match origin {
-                SubtreeId::Machine(m) => topology
-                    .server_ordinal(MachineId::new(m))
-                    .filter(|i| topology.is_live(MachineId::new(m)) && !replicas.contains(i)),
+                SubtreeId::Machine(m) => topology.server_ordinal(MachineId::new(m)).filter(|&i| {
+                    topology.is_live(MachineId::new(m)) && self.replica_on(view, i).is_none()
+                }),
                 _ => self.least_loaded_scan(origin, replicas),
             };
             let Some(candidate) = candidate else { continue };
@@ -240,7 +238,7 @@ impl DynaSoReEngine {
             });
         }
         let keep = estimate_profit(topology, stats, server, nearest, write_proxy);
-        Some((keep, candidates))
+        (keep, candidates)
     }
 }
 
@@ -280,11 +278,11 @@ proptest! {
             .take(rack_servers.saturating_sub(fill.1))
         {
             let target = topology.server_ordinal(server.machine()).unwrap();
-            let source = engine.users[0].replicas[0];
+            let source = engine.users[0].replicas[0].server();
             engine.create_replica(UserId::new(0), source, target, &mut out);
         }
         for &(view, target) in &replica_picks {
-            let source = engine.users[hot(view).as_usize()].replicas[0];
+            let source = engine.users[hot(view).as_usize()].replicas[0].server();
             engine.create_replica(hot(view), source, target as usize % servers, &mut out);
         }
         for &pick in &dead_picks {
@@ -297,9 +295,9 @@ proptest! {
             if replicas.is_empty() {
                 continue; // Lost to the failures and not recoverable.
             }
-            let sidx = replicas[pick as usize % replicas.len()];
+            let replica = replicas[pick as usize % replicas.len()];
             let origin = origin_from_pick(&topology, pick);
-            let stats = engine.servers[sidx].stats_mut(view).unwrap();
+            let stats = engine.servers[replica.server()].stats_mut(replica.slot());
             stats.record_reads(origin, reads as u64);
             if pick % 3 == 0 {
                 stats.record_write();
@@ -314,13 +312,13 @@ proptest! {
         let mut candidates = Vec::new();
         let mut compared = 0;
         for view in (0..6).map(UserId::new) {
-            for sidx in engine.users[view.as_usize()].replicas.clone() {
-                let keep = engine.gather_candidates(view, sidx, &out, &mut costs, &mut candidates);
-                let expected = engine.expected_candidates(view, sidx, &out);
+            for replica in engine.users[view.as_usize()].replicas.clone() {
+                let keep = engine.gather_candidates(view, replica, &out, &mut costs, &mut candidates);
+                let expected = engine.expected_candidates(view, replica, &out);
                 prop_assert_eq!(
-                    keep.map(|keep| (keep, candidates.clone())),
+                    (keep, candidates.clone()),
                     expected,
-                    "view {} on server {}", view, sidx
+                    "view {} on server {}", view, replica.server()
                 );
                 compared += candidates.len();
                 costs.clear();

@@ -81,8 +81,8 @@ impl DynaSoReEngine {
     /// `unlink_replica` and `set_write_proxy` are the only places that make
     /// one, and they call this.
     pub(super) fn invalidate_view(&mut self, view: UserId) {
-        for &sidx in &self.users[view.as_usize()].replicas {
-            self.servers[sidx].mark_stale(view);
+        for r in &self.users[view.as_usize()].replicas {
+            self.servers[r.server()].mark_stale(r.slot());
         }
     }
 

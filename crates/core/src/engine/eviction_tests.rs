@@ -17,8 +17,8 @@ impl DynaSoReEngine {
         self.users[view.as_usize()]
             .replicas
             .iter()
-            .filter(|&&i| i != sidx)
-            .map(|&i| self.servers[i].machine())
+            .filter(|r| r.server() != sidx)
+            .map(|r| self.servers[r.server()].machine())
             .min_by_key(|&other| (self.topology.distance(machine, other), other.index()))
     }
 
@@ -79,8 +79,8 @@ fn assert_cache_matches_rescan(
     for sidx in 0..engine.servers.len() {
         engine.refresh_utilities(sidx);
         let server = &engine.servers[sidx];
-        for (view, cached) in server.cached_utilities() {
-            let stats = server.stats(view).expect("listed views are stored");
+        // Both iterate the occupied slots in slot order.
+        for ((view, stats), (_, cached)) in server.views().zip(server.cached_utilities()) {
             let expected = engine.rescan_utility(view, stats, sidx);
             prop_assert!(
                 cached == expected,
@@ -103,8 +103,9 @@ fn assert_cache_matches_rescan(
     Ok(())
 }
 
-/// Applies step `(kind, (a, b))` of a random run to `engine`.
-fn apply_step(
+/// Applies step `(kind, (a, b))` of a random run to `engine`: a read, a
+/// write, half a window of ticks, a write burst or a [`ClusterEvent`].
+pub(super) fn apply_step(
     engine: &mut DynaSoReEngine,
     graph: &SocialGraph,
     out: &mut RecordingSink,

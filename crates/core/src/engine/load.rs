@@ -17,7 +17,7 @@
 use dynasore_topology::{Topology, TopologyKind};
 use dynasore_types::{MachineId, SubtreeId};
 
-use super::DynaSoReEngine;
+use super::{DynaSoReEngine, Replica};
 
 /// One `T` per rack, per intermediate switch and for the whole cluster.
 #[derive(Debug, Clone, Default)]
@@ -180,14 +180,19 @@ impl CandidateSet {
     /// ascending, never an excluded server); `None` when the exclusions
     /// exhaust a truncated list and the caller must fall back to the exact
     /// scan.
-    fn query(&self, exclude: &[usize]) -> Option<Option<usize>> {
+    fn query(&self, exclude: &[Replica]) -> Option<Option<usize>> {
         let mut listed = self.listed().iter().map(|&(_, ord)| ord as usize);
-        match listed.find(|ord| !exclude.contains(ord)) {
+        match listed.find(|&ord| !holds(exclude, ord)) {
             Some(ord) => Some(Some(ord)),
             None if self.seen > LOAD_TOP_K as u32 => None,
             None => Some(None),
         }
     }
+}
+
+/// Whether one of `replicas` is on server `sidx`.
+fn holds(replicas: &[Replica], sidx: usize) -> bool {
+    replicas.iter().any(|r| r.server() == sidx)
 }
 
 /// Per-subtree [`CandidateSet`]s: one per rack, one per intermediate
@@ -196,12 +201,12 @@ pub(super) type LoadCache = PerSubtree<CandidateSet>;
 
 impl DynaSoReEngine {
     /// The least-loaded live server under `origin` that does not already
-    /// hold a replica of the view (`exclude`). A full server is returned
+    /// hold one of the view's replicas (`exclude`). A full server is returned
     /// only when no eligible server has room (the caller then evicts).
     pub(super) fn least_loaded_server_in(
         &self,
         origin: SubtreeId,
-        exclude: &[usize],
+        exclude: &[Replica],
     ) -> Option<usize> {
         // A single machine keeps no set: it is its own exact scan.
         match self.loads.get(origin).and_then(|set| set.query(exclude)) {
@@ -226,9 +231,13 @@ impl DynaSoReEngine {
     /// The exact form of [`DynaSoReEngine::least_loaded_server_in`]: a scan
     /// over the origin's servers. Used as the fallback when the view's
     /// exclusions swallow a whole (truncated) candidate set.
-    pub(super) fn least_loaded_scan(&self, origin: SubtreeId, exclude: &[usize]) -> Option<usize> {
+    pub(super) fn least_loaded_scan(
+        &self,
+        origin: SubtreeId,
+        exclude: &[Replica],
+    ) -> Option<usize> {
         self.live_loads(origin)
-            .filter(|&(_, i)| !exclude.contains(&(i as usize)))
+            .filter(|&(_, i)| !holds(exclude, i as usize))
             .min()
             .map(|(_, i)| i as usize)
     }

@@ -8,6 +8,16 @@ use super::tests::engine_with_extra;
 use super::*;
 use proptest::prelude::*;
 
+/// An exclusion list naming `servers`: only the server half of a replica
+/// takes part in a least-loaded query.
+fn on_servers(servers: impl IntoIterator<Item = usize>) -> Vec<Replica> {
+    let replica = |server: usize| Replica {
+        server: server as u32,
+        slot: 0,
+    };
+    servers.into_iter().map(replica).collect()
+}
+
 impl DynaSoReEngine {
     /// The specification of [`DynaSoReEngine::least_loaded_server_in`] for
     /// a rack, intermediate or root `origin`: the least `(len, ordinal)`
@@ -15,7 +25,7 @@ impl DynaSoReEngine {
     /// servers, never an excluded one. Written as the two separate minima
     /// the candidate sets used to keep, so it does not assume what the
     /// single list relies on (every server has the same capacity).
-    fn least_loaded_two_list_rule(&self, origin: SubtreeId, exclude: &[usize]) -> Option<usize> {
+    fn least_loaded_two_list_rule(&self, origin: SubtreeId, exclude: &[Replica]) -> Option<usize> {
         let mut best_any: Option<(usize, usize)> = None; // (len, index)
         let mut best_with_room: Option<(usize, usize)> = None;
         for server in self.topology.servers_in_subtree_slice(origin) {
@@ -25,7 +35,7 @@ impl DynaSoReEngine {
             let Some(i) = self.topology.server_ordinal(server.machine()) else {
                 continue;
             };
-            if exclude.contains(&i) {
+            if exclude.iter().any(|r| r.server() == i) {
                 continue;
             }
             let key = (self.servers[i].len(), i);
@@ -57,9 +67,9 @@ fn load_cache_matches_exact_scan_after_heavy_churn() {
         out.clear();
     }
     let origins: Vec<SubtreeId> = every_subtree(&topology).collect();
-    let exclusions: Vec<Vec<usize>> = (0..40)
+    let exclusions: Vec<Vec<Replica>> = (0..40)
         .map(|u| engine.users[u].replicas.clone())
-        .chain([vec![], vec![0, 1, 2, 3, 4, 5]])
+        .chain([vec![], on_servers(0..6)])
         .collect();
     for &origin in &origins {
         for exclude in &exclusions {
@@ -131,7 +141,7 @@ fn incremental_load_cache_is_equivalent_to_rescan_under_churn() {
 /// The cached answer and the exact scan both follow the two-list rule, for
 /// every rack, intermediate switch and the root and every exclusion list,
 /// and the incremental updates kept the sets equal to a rescan.
-fn assert_answers_follow_the_rule(engine: &DynaSoReEngine, exclusions: &[Vec<usize>]) {
+fn assert_answers_follow_the_rule(engine: &DynaSoReEngine, exclusions: &[Vec<Replica>]) {
     assert_cache_equals_rescan(engine, "after churn step");
     for exclude in exclusions {
         for origin in every_subtree(&engine.topology) {
@@ -152,15 +162,16 @@ fn assert_answers_follow_the_rule(engine: &DynaSoReEngine, exclusions: &[Vec<usi
 
 impl DynaSoReEngine {
     /// Stores a replica of `view` on `sidx` whether or not the server has
-    /// room (`ServerState::insert` does not enforce capacity).
+    /// room (`ServerState::insert` does not enforce capacity). `false` if
+    /// the server already holds one.
     fn force_replica(&mut self, view: UserId, sidx: usize) -> bool {
-        let old_len = self.servers[sidx].len();
-        let inserted = self.servers[sidx].insert(view);
-        if inserted {
-            self.link_replica(view, sidx);
-            self.update_load_cache(sidx, old_len);
+        if self.replica_on(view, sidx).is_some() {
+            return false;
         }
-        inserted
+        let old_len = self.servers[sidx].len();
+        self.link_replica(view, sidx);
+        self.update_load_cache(sidx, old_len);
+        true
     }
 }
 
@@ -185,9 +196,9 @@ proptest! {
             let live = engine.topology.is_live(engine.servers[sidx].machine());
             let machine = MachineId::new(a % engine.topology.machine_count() as u32);
             let user = UserId::new(b % graph.user_count() as u32);
-            let mut exclusions: Vec<Vec<usize>> = excluded
+            let mut exclusions: Vec<Vec<Replica>> = excluded
                 .iter()
-                .map(|picks| picks.iter().map(|&p| p as usize % engine.servers.len()).collect())
+                .map(|picks| on_servers(picks.iter().map(|&p| p as usize % engine.servers.len())))
                 .collect();
             exclusions.push(Vec::new());
             match kind {

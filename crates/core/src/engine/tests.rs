@@ -2,8 +2,11 @@
 //! the public interface, and the reactions of `engine/dynamics.rs` to every
 //! cluster event.
 
+use super::evaluation_tests::{test_topology, RecordingSink, USERS};
+use super::eviction_tests::apply_step;
 use super::*;
 use dynasore_graph::GraphPreset;
+use proptest::prelude::*;
 
 pub(super) fn small_world() -> (SocialGraph, Topology) {
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, 400, 11).unwrap();
@@ -638,4 +641,63 @@ fn flat_topology_is_supported() {
     engine.on_tick(SimTime::from_hours(1), &mut out);
     let usage = engine.memory_usage();
     assert!(usage.used_slots >= 200);
+}
+
+impl DynaSoReEngine {
+    /// Panics unless every user's replica list and the server slabs agree:
+    /// each `(server, slot)` pair names an occupied slot holding that user,
+    /// each server stores exactly the replicas that name it, and no user
+    /// lists a server twice (the list is sorted by server).
+    pub(super) fn check_replica_links(&self) {
+        let mut named = vec![0usize; self.servers.len()];
+        for (uidx, user) in self.users.iter().enumerate() {
+            let view = UserId::new(uidx as u32);
+            assert!(
+                user.replicas.windows(2).all(|w| w[0].server < w[1].server),
+                "{view} lists a server twice or out of order: {:?}",
+                user.replicas
+            );
+            for r in &user.replicas {
+                assert_eq!(
+                    self.servers[r.server()].view_at(r.slot()),
+                    Some(view),
+                    "{view}'s replica {r:?} names a slot that does not hold it"
+                );
+                named[r.server()] += 1;
+            }
+        }
+        for (sidx, server) in self.servers.iter().enumerate() {
+            assert_eq!(server.len(), named[sidx], "server {sidx}: stored vs linked");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// The replica lists and the slabs never drift apart: after every read,
+    /// write, tick and cluster event (machine and rack down and up, drain,
+    /// added and removed racks), on a tree and on a flat cluster, with
+    /// memory tight enough that admissions evict.
+    #[test]
+    fn replica_links_name_the_slots_that_hold_them(
+        flat in proptest::bool::ANY,
+        extra in 5u32..60,
+        steps in proptest::collection::vec((0u32..100, (0u32..10_000, 0u32..10_000)), 300..301),
+    ) {
+        let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+        let mut engine = DynaSoReEngine::builder()
+            .topology(test_topology(flat))
+            .budget(MemoryBudget::with_extra_percent(USERS, extra))
+            .initial_placement(InitialPlacement::Random { seed: 5 })
+            .build(&graph)
+            .unwrap();
+        let mut out = RecordingSink::default();
+        engine.check_replica_links();
+        for (n, &step) in steps.iter().enumerate() {
+            let time = SimTime::from_secs(n as u64 * 600);
+            apply_step(&mut engine, &graph, &mut out, time, step);
+            engine.check_replica_links();
+        }
+    }
 }

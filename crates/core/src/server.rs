@@ -10,123 +10,6 @@ use dynasore_types::{MachineId, UserId};
 
 use crate::stats::ReplicaStats;
 
-/// Marks an empty bucket of a [`SlotIndex`]. No view can use it as its id:
-/// user ids are dense indices into per-user tables.
-const EMPTY: u32 = u32::MAX;
-
-/// The user → slab-slot index of one server: a deterministic open-addressing
-/// `u32 → u32` hash map (multiplicative hashing, linear probing,
-/// backward-shift deletion — so no tombstones and no rehash-on-delete).
-///
-/// Sized from the server's capacity, not from the user population: a server
-/// holds a few dozen views out of millions of users, so a dense per-user
-/// array per server would dominate the engine's memory. The table keeps its
-/// load at or below one half and doubles when an insert would exceed that
-/// (servers over capacity, see [`ServerState::insert`]). Nothing iterates
-/// the table, so its bucket order never reaches a decision or a report.
-#[derive(Debug, Clone)]
-struct SlotIndex {
-    /// `(key, value)` buckets; the length is a power of two.
-    buckets: Vec<(u32, u32)>,
-    len: usize,
-}
-
-impl SlotIndex {
-    /// An empty index that holds `entries` keys without growing.
-    fn with_capacity(entries: usize) -> Self {
-        let buckets = (entries.max(1) * 2).next_power_of_two().max(8);
-        SlotIndex {
-            buckets: vec![(EMPTY, 0); buckets],
-            len: 0,
-        }
-    }
-
-    fn mask(&self) -> usize {
-        self.buckets.len() - 1
-    }
-
-    /// The bucket `key` hashes to (Fibonacci hashing: the high bits of the
-    /// product are well mixed even for the sequential ids users have).
-    fn home(&self, key: u32) -> usize {
-        let bits = self.buckets.len().trailing_zeros();
-        (key.wrapping_mul(0x9E37_79B9) >> (32 - bits)) as usize
-    }
-
-    /// The bucket holding `key`, if present.
-    fn find(&self, key: u32) -> Option<usize> {
-        let mask = self.mask();
-        let mut i = self.home(key);
-        loop {
-            match self.buckets[i].0 {
-                EMPTY => return None,
-                k if k == key => return Some(i),
-                _ => i = (i + 1) & mask,
-            }
-        }
-    }
-
-    fn get(&self, key: u32) -> Option<u32> {
-        self.find(key).map(|i| self.buckets[i].1)
-    }
-
-    /// Maps `key`, which must be absent, to `value`.
-    fn insert(&mut self, key: u32, value: u32) {
-        assert_ne!(key, EMPTY, "u32::MAX is not a valid view id");
-        debug_assert!(self.find(key).is_none(), "key already present");
-        if (self.len + 1) * 2 > self.buckets.len() {
-            let doubled = vec![(EMPTY, 0); self.buckets.len() * 2];
-            let old = std::mem::replace(&mut self.buckets, doubled);
-            for (k, v) in old.into_iter().filter(|&(k, _)| k != EMPTY) {
-                self.place(k, v);
-            }
-        }
-        self.place(key, value);
-        self.len += 1;
-    }
-
-    /// Stores an absent key in the first free bucket of its probe sequence.
-    fn place(&mut self, key: u32, value: u32) {
-        let mask = self.mask();
-        let mut i = self.home(key);
-        while self.buckets[i].0 != EMPTY {
-            i = (i + 1) & mask;
-        }
-        self.buckets[i] = (key, value);
-    }
-
-    /// Removes `key`, returning its value. Entries that probed past the
-    /// freed bucket are shifted back so every probe sequence stays gap-free.
-    fn remove(&mut self, key: u32) -> Option<u32> {
-        let mut hole = self.find(key)?;
-        let value = self.buckets[hole].1;
-        let mask = self.mask();
-        let mut i = hole;
-        loop {
-            i = (i + 1) & mask;
-            let (k, v) = self.buckets[i];
-            if k == EMPTY {
-                break;
-            }
-            // `k` may move into the hole only if the hole lies on its probe
-            // path, i.e. cyclically within [home(k), i).
-            let home = self.home(k);
-            if (i.wrapping_sub(home) & mask) >= (i.wrapping_sub(hole) & mask) {
-                self.buckets[hole] = (k, v);
-                hole = i;
-            }
-        }
-        self.buckets[hole] = (EMPTY, 0);
-        self.len -= 1;
-        Some(value)
-    }
-
-    /// Forgets every key, keeping the table size.
-    fn clear(&mut self) {
-        self.buckets.fill((EMPTY, 0));
-        self.len = 0;
-    }
-}
-
 #[derive(Debug, Clone)]
 struct SlotEntry {
     view: UserId,
@@ -145,9 +28,11 @@ fn group_shift(slots: usize) -> u32 {
 
 /// The storage state of one view server.
 ///
-/// Views live in a dense slab: `slots` is indexed by a stable slot number,
-/// freed slots are recycled through a free list, and a compact user → slot
-/// hash index sized from the capacity makes `contains`/`stats` O(1) lookups.
+/// Views live in a dense slab: `slots` is indexed by a stable slot number
+/// and freed slots are recycled through a free list. The server keeps no
+/// view → slot index: [`ServerState::insert`] returns the slot it used, the
+/// caller remembers it (the engine stores it beside the server in the
+/// view's replica list), and every other access to one replica is by slot.
 /// Iteration is by slot order, which is fully determined by the (seeded,
 /// deterministic) sequence of inserts and removes — so every decision
 /// derived from a scan of the stored views is reproducible across runs,
@@ -155,8 +40,8 @@ fn group_shift(slots: usize) -> u32 {
 /// Scans that pick a victim additionally tie-break by [`UserId`] so the
 /// chosen view is independent of slot layout.
 ///
-/// Steady-state operations (`contains`, `stats`, `stats_mut`, `insert` into
-/// a recycled slot, `remove`) perform no heap allocation.
+/// Steady-state operations (`stats`, `stats_mut`, `insert` into a recycled
+/// slot, `remove`) are array indexing and perform no heap allocation.
 ///
 /// Next to each slot the slab keeps the replica's utility as the engine
 /// last computed it, and each entry a mark saying that value is out of date.
@@ -182,7 +67,6 @@ pub struct ServerState {
     stale_groups: u64,
     stale_shift: u32,
     free: Vec<u32>,
-    user_slot: SlotIndex,
     len: usize,
     admission_threshold: f64,
 }
@@ -198,7 +82,6 @@ impl ServerState {
             stale_groups: 0,
             stale_shift: group_shift(capacity),
             free: (0..capacity as u32).rev().collect(),
-            user_slot: SlotIndex::with_capacity(capacity),
             len: 0,
             admission_threshold: 0.0,
         }
@@ -243,25 +126,15 @@ impl ServerState {
         1 << (slot >> self.stale_shift)
     }
 
-    fn slot_of(&self, view: UserId) -> Option<usize> {
-        self.user_slot.get(view.index()).map(|slot| slot as usize)
-    }
-
-    /// Whether a replica of `view` is stored here.
-    pub fn contains(&self, view: UserId) -> bool {
-        self.slot_of(view).is_some()
-    }
-
-    /// Stores a new (empty-statistics) replica of `view`. Returns `false` if
-    /// the view was already present.
+    /// Stores a new (empty-statistics) replica of `view` and returns the
+    /// slab slot it occupies until [`ServerState::remove`]. The caller must
+    /// not store a view twice on one server, and keeps the slot: it is how
+    /// every other method finds the replica.
     ///
     /// Capacity is *not* enforced here: the engine decides whether to evict
     /// first or to refuse the replica, because only it knows which views are
     /// safe to evict. Inserts beyond capacity grow the slab.
-    pub fn insert(&mut self, view: UserId) -> bool {
-        if self.contains(view) {
-            return false;
-        }
+    pub fn insert(&mut self, view: UserId) -> usize {
         let slot = match self.free.pop() {
             Some(slot) => slot as usize,
             None => {
@@ -282,47 +155,50 @@ impl ServerState {
             stats: ReplicaStats::new(),
         });
         self.stale_groups |= self.group_bit(slot);
-        self.user_slot.insert(view.index(), slot as u32);
         self.len += 1;
-        true
+        slot
     }
 
-    /// Removes the replica of `view`. Returns `false` if it was not stored.
-    pub fn remove(&mut self, view: UserId) -> bool {
-        let Some(slot) = self.user_slot.remove(view.index()) else {
-            return false;
-        };
-        let slot = slot as usize;
-        self.slots[slot] = None;
+    /// Removes the replica in slab slot `slot`, freeing the slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free.
+    pub fn remove(&mut self, slot: usize) {
+        assert!(self.slots[slot].take().is_some(), "removing a free slot");
         self.utilities[slot] = f64::INFINITY;
         self.free.push(slot as u32);
         self.len -= 1;
-        true
     }
 
-    /// The statistics of the replica of `view`, if stored here.
-    pub fn stats(&self, view: UserId) -> Option<&ReplicaStats> {
-        self.slot_of(view)
-            .and_then(|slot| self.slots[slot].as_ref())
-            .map(|entry| &entry.stats)
+    /// The statistics of the replica in slab slot `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free.
+    pub fn stats(&self, slot: usize) -> &ReplicaStats {
+        self.replica_at(slot).1
     }
 
-    /// Mutable statistics of the replica of `view`, if stored here. The
-    /// replica's cached utility goes stale: the caller is about to change
-    /// what it was computed from.
-    pub fn stats_mut(&mut self, view: UserId) -> Option<&mut ReplicaStats> {
-        let slot = self.slot_of(view)?;
+    /// Mutable statistics of the replica in slab slot `slot`. The replica's
+    /// cached utility goes stale: the caller is about to change what it was
+    /// computed from.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is free.
+    pub fn stats_mut(&mut self, slot: usize) -> &mut ReplicaStats {
         self.stale_groups |= self.group_bit(slot);
-        let entry = self.slots[slot].as_mut()?;
+        let entry = self.slots[slot].as_mut().expect("an occupied slot");
         entry.stale = true;
-        Some(&mut entry.stats)
+        &mut entry.stats
     }
 
-    /// Marks the cached utility of the replica of `view` (if stored here)
-    /// out of date: something outside this server that it depends on moved —
-    /// the view's replica set or its write proxy.
-    pub(crate) fn mark_stale(&mut self, view: UserId) {
-        self.stats_mut(view);
+    /// Marks the cached utility of the replica in slab slot `slot` out of
+    /// date: something outside this server that it depends on moved — the
+    /// view's replica set or its write proxy.
+    pub(crate) fn mark_stale(&mut self, slot: usize) {
+        self.stats_mut(slot);
     }
 
     /// Marks every cached utility out of date.
@@ -357,6 +233,12 @@ impl ServerState {
     pub(crate) fn replica_at(&self, slot: usize) -> (UserId, &ReplicaStats) {
         let entry = self.slots[slot].as_ref().expect("an occupied slot");
         (entry.view, &entry.stats)
+    }
+
+    /// The view stored in slab slot `slot`, or `None` for a free slot.
+    #[cfg(test)]
+    pub(crate) fn view_at(&self, slot: usize) -> Option<UserId> {
+        self.slots.get(slot)?.as_ref().map(|entry| entry.view)
     }
 
     /// Stores the freshly computed utility of the replica in `slot`.
@@ -463,7 +345,6 @@ impl ServerState {
         self.stale_groups = 0;
         self.stale_shift = group_shift(capacity);
         self.free = (0..capacity as u32).rev().collect();
-        self.user_slot.clear();
         self.len = 0;
         self.admission_threshold = 0.0;
     }
@@ -502,69 +383,19 @@ mod tests {
         ServerState::new(MachineId::new(7), cap)
     }
 
-    /// Model test: the slot index agrees with `HashMap` under random
-    /// insert / re-insert / remove / clear sequences, across growth, with
-    /// keys drawn both densely (sequential ids, long probe runs) and from
-    /// the whole `u32` range.
-    #[test]
-    fn slot_index_matches_hash_map_model() {
-        use std::collections::HashMap;
-
-        // A fixed seed, so the op sequence repeats exactly.
-        let mut rng = proptest::TestRng::new(0xD15A_50F3);
-        let mut next = move || rng.next_u64();
-        for (capacity, key_space) in [(0usize, 40u64), (3, 64), (58, 300), (58, u32::MAX as u64)] {
-            let mut index = SlotIndex::with_capacity(capacity);
-            let mut model: HashMap<u32, u32> = HashMap::new();
-            let initial_buckets = index.buckets.len();
-            for step in 0..20_000 {
-                let key = (next() % key_space) as u32;
-                match next() % 100 {
-                    0..=49 => {
-                        let value = next() as u32;
-                        if model.insert(key, value).is_some() {
-                            index.remove(key);
-                        }
-                        index.insert(key, value);
-                    }
-                    50..=94 => {
-                        assert_eq!(index.remove(key), model.remove(&key), "step {step}");
-                    }
-                    95..=98 => assert_eq!(index.get(key), model.get(&key).copied()),
-                    _ => {
-                        index.clear();
-                        model.clear();
-                    }
-                }
-                assert_eq!(index.len, model.len(), "step {step}");
-                assert!(index.len * 2 <= index.buckets.len(), "load above one half");
-            }
-            for (&key, &value) in &model {
-                assert_eq!(index.get(key), Some(value));
-            }
-            let stored = index.buckets.iter().filter(|b| b.0 != EMPTY).count();
-            assert_eq!(stored, model.len());
-            assert_eq!(index.get(EMPTY), None);
-            // The small tables cannot hold their key space without growing.
-            if capacity < 4 {
-                assert!(index.buckets.len() > initial_buckets);
-            }
-        }
-    }
-
     #[test]
     fn insert_remove_contains() {
         let mut s = server(2);
         assert!(s.is_empty());
-        assert!(s.insert(UserId::new(1)));
-        assert!(!s.insert(UserId::new(1)));
-        assert!(s.insert(UserId::new(2)));
+        let one = s.insert(UserId::new(1));
+        let two = s.insert(UserId::new(2));
+        assert_ne!(one, two);
         assert!(s.is_full());
         assert_eq!(s.len(), 2);
-        assert!(s.contains(UserId::new(1)));
+        assert_eq!(s.view_at(one), Some(UserId::new(1)));
         assert!((s.occupancy() - 1.0).abs() < 1e-12);
-        assert!(s.remove(UserId::new(1)));
-        assert!(!s.remove(UserId::new(1)));
+        s.remove(one);
+        assert_eq!(s.view_at(one), None);
         assert_eq!(s.len(), 1);
         assert_eq!(s.machine(), MachineId::new(7));
         assert_eq!(s.capacity(), 2);
@@ -572,72 +403,75 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "removing a free slot")]
+    fn removing_a_free_slot_panics() {
+        let mut s = server(2);
+        let slot = s.insert(UserId::new(1));
+        s.remove(slot);
+        s.remove(slot);
+    }
+
+    #[test]
     fn slots_are_recycled_without_growing_the_slab() {
         let mut s = server(2);
-        s.insert(UserId::new(1));
+        let one = s.insert(UserId::new(1));
         s.insert(UserId::new(2));
         assert_eq!(s.slots.len(), 2);
-        s.remove(UserId::new(1));
+        s.remove(one);
         // The freed slot is reused; the slab does not grow.
-        assert!(s.insert(UserId::new(3)));
+        assert_eq!(s.insert(UserId::new(3)), one);
         assert_eq!(s.slots.len(), 2);
         assert_eq!(s.len(), 2);
-        assert!(s.contains(UserId::new(3)));
         // Slot-order iteration: user 3 took user 1's old slot 0.
         assert_eq!(s.view_ids(), vec![UserId::new(3), UserId::new(2)]);
     }
 
     #[test]
-    fn inserts_beyond_capacity_grow_the_slab_and_the_index() {
+    fn inserts_beyond_capacity_grow_the_slab() {
         let mut s = server(1);
-        assert!(s.insert(UserId::new(0)));
+        s.insert(UserId::new(0));
         assert!(s.is_full());
         // Over-capacity insert is allowed (the engine polices capacity).
-        assert!(s.insert(UserId::new(99)));
+        let extra = s.insert(UserId::new(99));
+        assert_eq!(extra, 1);
         assert_eq!(s.len(), 2);
-        assert!(s.contains(UserId::new(99)));
-        assert!(s.remove(UserId::new(99)));
-        assert!(!s.contains(UserId::new(99)));
+        assert_eq!(s.view_at(extra), Some(UserId::new(99)));
+        s.remove(extra);
+        assert_eq!(s.view_ids(), vec![UserId::new(0)]);
     }
 
     #[test]
     fn stats_are_per_view_and_rotate_together() {
         let mut s = server(4);
-        s.insert(UserId::new(1));
-        s.insert(UserId::new(2));
-        s.stats_mut(UserId::new(1))
-            .unwrap()
-            .record_read(SubtreeId::Rack(0));
-        s.stats_mut(UserId::new(2)).unwrap().record_write();
-        assert_eq!(s.stats(UserId::new(1)).unwrap().total_reads(), 1);
-        assert_eq!(s.stats(UserId::new(2)).unwrap().total_writes(), 1);
-        assert!(s.stats(UserId::new(3)).is_none());
+        let one = s.insert(UserId::new(1));
+        let two = s.insert(UserId::new(2));
+        s.stats_mut(one).record_read(SubtreeId::Rack(0));
+        s.stats_mut(two).record_write();
+        assert_eq!(s.stats(one).total_reads(), 1);
+        assert_eq!(s.stats(two).total_writes(), 1);
         for _ in 0..COUNTER_SLOTS {
             s.rotate_counters();
         }
-        assert!(s.stats(UserId::new(1)).unwrap().is_idle());
-        assert!(s.stats(UserId::new(2)).unwrap().is_idle());
+        assert!(s.stats(one).is_idle());
+        assert!(s.stats(two).is_idle());
         assert_eq!(s.views().count(), 2);
     }
 
     #[test]
     fn clear_resets_to_the_freshly_built_state() {
         let mut s = server(3);
-        s.insert(UserId::new(1));
+        let one = s.insert(UserId::new(1));
         s.insert(UserId::new(2));
-        s.stats_mut(UserId::new(1))
-            .unwrap()
-            .record_read(SubtreeId::Rack(0));
+        s.stats_mut(one).record_read(SubtreeId::Rack(0));
         s.set_admission_threshold(4.0);
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert!(!s.contains(UserId::new(1)));
-        assert!(s.stats(UserId::new(1)).is_none());
+        assert_eq!(s.view_at(one), None);
         assert_eq!(s.admission_threshold(), 0.0);
         assert_eq!(s.slots.len(), 3);
-        // The slab is fully reusable after the wipe.
-        assert!(s.insert(UserId::new(5)));
+        // The slab is fully reusable after the wipe, from the first slot.
+        assert_eq!(s.insert(UserId::new(5)), 0);
         assert_eq!(s.len(), 1);
     }
 
@@ -693,9 +527,8 @@ mod tests {
     fn cached_utilities_go_stale_exactly_when_their_inputs_move() {
         let id = UserId::new;
         let mut s = server(4);
-        for v in [5, 6, 7] {
-            s.insert(id(v));
-        }
+        let slot: Vec<usize> = [5, 6, 7].map(|v| s.insert(id(v))).to_vec();
+        let (five, six, seven) = (slot[0], slot[1], slot[2]);
         // New replicas start stale.
         assert!(s.has_stale_utilities());
         assert_eq!(
@@ -707,17 +540,16 @@ mod tests {
             vec![(id(5), 5.0), (id(6), 6.0), (id(7), 7.0)]
         );
         // Reading statistics keeps the cache; touching them does not.
-        assert!(s.stats(id(6)).is_some());
+        assert_eq!(s.stats(six).total_writes(), 0);
         assert!(!s.has_stale_utilities());
-        s.stats_mut(id(6)).unwrap().record_write();
-        s.stats_mut(id(6)).unwrap().record_write();
-        s.mark_stale(id(7));
-        s.mark_stale(id(99));
+        s.stats_mut(six).record_write();
+        s.stats_mut(six).record_write();
+        s.mark_stale(seven);
         assert_eq!(refresh(&mut s, |_| 1.5), vec![id(6), id(7)]);
         // Removing a stale replica takes its mark along; the freed slot is
         // never a victim and its next tenant starts stale.
-        s.mark_stale(id(5));
-        s.remove(id(5));
+        s.mark_stale(five);
+        s.remove(five);
         assert!(!s.has_stale_utilities());
         assert_eq!(s.cached_utilities().count(), 2);
         s.insert(id(8));
@@ -735,9 +567,9 @@ mod tests {
         assert_eq!(refresh(&mut s, |_| 2.0).len(), 3);
         // Slab growth and a crash keep the cache in step with the slots.
         s.insert(id(1));
-        s.insert(id(2));
+        let two = s.insert(id(2));
         assert_eq!(refresh(&mut s, |_| 3.0), vec![id(1), id(2)]);
-        s.mark_stale(id(2));
+        s.mark_stale(two);
         s.clear();
         assert!(!s.has_stale_utilities());
         assert_eq!(s.lowest_utility_view(), None);
@@ -750,17 +582,15 @@ mod tests {
         for capacity in [1usize, 64, 65, 130, 1000] {
             let mut s = server(capacity);
             let views = capacity + 70;
-            for v in 0..views {
-                s.insert(id(v));
-            }
+            let slots: Vec<usize> = (0..views).map(|v| s.insert(id(v))).collect();
             assert_eq!(refresh(&mut s, |_| 1.0).len(), views);
-            let marked: Vec<UserId> = (0..views).step_by(7).map(id).collect();
+            let marked: Vec<usize> = (0..views).step_by(7).collect();
             for &v in &marked {
-                s.mark_stale(v);
+                s.mark_stale(slots[v]);
             }
             // A marked replica that leaves takes its mark along.
-            s.remove(marked[1]);
-            let mut expected = marked.clone();
+            s.remove(slots[marked[1]]);
+            let mut expected: Vec<UserId> = marked.iter().map(|&v| id(v)).collect();
             expected.remove(1);
             let mut found = refresh(&mut s, |_| 2.0);
             found.sort_unstable();
@@ -773,10 +603,8 @@ mod tests {
     fn lowest_utility_view_skips_infinite_and_breaks_ties_by_id() {
         let id = UserId::new;
         let mut s = server(6);
-        for v in [40, 10, 30, 20, 50] {
-            s.insert(id(v));
-        }
-        s.remove(id(50));
+        let slot: Vec<usize> = [40, 10, 30, 20, 50].map(|v| s.insert(id(v))).to_vec();
+        s.remove(slot[4]);
         refresh(&mut s, |v| match v.index() {
             40 => -2.0,
             10 => f64::INFINITY,
@@ -785,11 +613,11 @@ mod tests {
         });
         // 40 sits in the earlier slot; the tie goes to the smaller id.
         assert_eq!(s.lowest_utility_view(), Some(id(30)));
-        s.remove(id(30));
+        s.remove(slot[2]);
         assert_eq!(s.lowest_utility_view(), Some(id(40)));
-        s.remove(id(40));
+        s.remove(slot[0]);
         assert_eq!(s.lowest_utility_view(), Some(id(20)));
-        s.remove(id(20));
+        s.remove(slot[3]);
         // Only a sole replica is left: nothing to evict.
         assert_eq!(s.lowest_utility_view(), None);
     }

@@ -30,7 +30,6 @@ fn runner() -> ScenarioRunner {
         ScenarioConfig {
             seed: SEED,
             days: 1,
-            ..ScenarioConfig::default()
         },
         NetworkModel::datacenter(),
     )

@@ -35,7 +35,6 @@ fn runner() -> ScenarioRunner {
         ScenarioConfig {
             seed: SEED,
             days: 1,
-            ..ScenarioConfig::default()
         },
         NetworkModel::infinite(),
     )
