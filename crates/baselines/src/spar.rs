@@ -184,48 +184,12 @@ impl SparEngine {
         Some(target)
     }
 
-    /// The machine holding `user`'s primary replica.
-    pub fn primary_server(&self, user: UserId) -> Option<MachineId> {
-        self.primary
-            .get(user.as_usize())
-            .map(|&s| self.servers[s].machine)
-    }
-
     /// The machines holding any replica of `user`'s view.
     pub fn replica_servers(&self, user: UserId) -> Vec<MachineId> {
         self.replicas
             .get(user.as_usize())
             .map(|r| r.iter().map(|&i| self.servers[i].machine).collect())
             .unwrap_or_default()
-    }
-
-    /// Average number of replicas per view.
-    pub fn average_replication(&self) -> f64 {
-        if self.replicas.is_empty() {
-            return 0.0;
-        }
-        let total: usize = self.replicas.iter().map(Vec::len).sum();
-        total as f64 / self.replicas.len() as f64
-    }
-
-    /// Fraction of follower→followee pairs whose followee view is stored on
-    /// the follower's primary server (perfect SPAR = 1.0; lower when memory
-    /// runs out).
-    pub fn colocation_ratio(&self, graph: &SocialGraph) -> f64 {
-        let mut colocated = 0usize;
-        let mut total = 0usize;
-        for (follower, followee) in graph.edges() {
-            total += 1;
-            let target = self.primary[follower.as_usize()];
-            if self.replicas[followee.as_usize()].contains(&target) {
-                colocated += 1;
-            }
-        }
-        if total == 0 {
-            1.0
-        } else {
-            colocated as f64 / total as f64
-        }
     }
 
     // --- Cluster dynamics --------------------------------------------------
@@ -515,6 +479,11 @@ mod tests {
         (graph, topology)
     }
 
+    /// The machine holding `user`'s primary replica.
+    fn primary(spar: &SparEngine, user: UserId) -> MachineId {
+        spar.servers[spar.primary[user.as_usize()]].machine
+    }
+
     #[test]
     fn construction_validates_inputs() {
         let (graph, topology) = setup();
@@ -532,9 +501,7 @@ mod tests {
         let spar = SparEngine::new(&graph, &topology, budget, 2).unwrap();
         for user in graph.users() {
             assert!(spar.replica_count(user) >= 1);
-            assert!(spar
-                .replica_servers(user)
-                .contains(&spar.primary_server(user).unwrap()));
+            assert!(spar.replica_servers(user).contains(&primary(&spar, user)));
         }
         let capacity = budget.slots_per_server(topology.server_count()).unwrap();
         for server in &spar.servers {
@@ -559,12 +526,19 @@ mod tests {
             3,
         )
         .unwrap();
-        let tight_ratio = tight.colocation_ratio(&graph);
-        let roomy_ratio = roomy.colocation_ratio(&graph);
-        assert!(roomy_ratio > tight_ratio);
-        assert!(roomy.average_replication() > tight.average_replication());
+        // Follower→followee pairs whose followee view is stored on the
+        // follower's primary server, and replicas over all views.
+        let colocated = |spar: &SparEngine| {
+            let on_primary = |(u, v): (UserId, UserId)| {
+                spar.replicas[v.as_usize()].contains(&spar.primary[u.as_usize()])
+            };
+            graph.edges().filter(|&edge| on_primary(edge)).count()
+        };
+        let replicas = |spar: &SparEngine| spar.replicas.iter().map(Vec::len).sum::<usize>();
+        assert!(colocated(&roomy) > colocated(&tight));
+        assert!(replicas(&roomy) > replicas(&tight));
         // With 0% extra memory there is essentially no room to replicate.
-        assert!(tight.average_replication() < 1.1);
+        assert!(replicas(&tight) < 440);
     }
 
     #[test]
@@ -577,10 +551,10 @@ mod tests {
             .users()
             .find(|&u| {
                 !graph.followees(u).is_empty()
-                    && graph.followees(u).iter().any(|&v| {
-                        spar.replica_servers(v)
-                            .contains(&spar.primary_server(u).unwrap())
-                    })
+                    && graph
+                        .followees(u)
+                        .iter()
+                        .any(|&v| spar.replica_servers(v).contains(&primary(&spar, u)))
             })
             .expect("co-located pair exists");
         let targets = graph.followees(user).to_vec();
@@ -621,9 +595,7 @@ mod tests {
             .find(|&(u, v)| {
                 u != v
                     && !graph.contains_edge(u, v)
-                    && !spar
-                        .replica_servers(v)
-                        .contains(&spar.primary_server(u).unwrap())
+                    && !spar.replica_servers(v).contains(&primary(&spar, u))
                     && !spar.servers[spar.primary[u.as_usize()]].is_full()
             })
             .expect("some non-colocated pair with spare capacity");
@@ -667,7 +639,7 @@ mod tests {
         for user in graph.users() {
             assert!(spar.replica_count(user) >= 1, "view of {user} lost");
             assert!(!spar.replica_servers(user).contains(&victim));
-            let primary = spar.primary_server(user).unwrap();
+            let primary = primary(&spar, user);
             assert_ne!(primary, victim);
             assert!(spar.replica_servers(user).contains(&primary));
             let proxy = spar.proxies[user.as_usize()];

@@ -7,7 +7,7 @@
 //! for themselves, all within a fixed cluster-wide memory budget.
 
 use dynasore_graph::SocialGraph;
-use dynasore_topology::Topology;
+use dynasore_topology::{MembershipChange, Topology};
 use dynasore_types::{
     BrokerId, ClusterEvent, Error, Latency, MachineId, MemoryBudget, MemoryUsage, Message,
     PlacementEngine, ReplicaChangeReason, Result, SimTime, SubtreeId, TraceEventKind, TrafficSink,
@@ -780,6 +780,53 @@ impl DynaSoReEngine {
             self.set_write_proxy(user, best, out);
         }
     }
+
+    /// Threads one [`ClusterEvent`] through the engine. The topology alone
+    /// decides what the event changes
+    /// ([`Topology::apply_cluster_event`]); the engine reacts to the
+    /// machines it reports: crash-failed machines lose their replicas
+    /// (masters are re-filled from the persistent tier, charged to `out`),
+    /// returning machines rejoin empty, drained and decommissioned machines
+    /// migrate their state away, and a new rack is mirrored with empty
+    /// server slabs. The per-subtree candidate and threshold caches are
+    /// rebuilt against the updated liveness mask. Returns what the topology
+    /// reported, so a driver that runs machines of its own (the live store's
+    /// cache shards) stops and starts exactly those.
+    ///
+    /// # Errors
+    ///
+    /// The topology's error when it refuses the event (an unknown machine or
+    /// rack, growth of a flat layout, removing a retired or the last rack);
+    /// nothing has changed then.
+    pub fn apply_cluster_event(
+        &mut self,
+        event: ClusterEvent,
+        out: &mut dyn TrafficSink,
+    ) -> Result<MembershipChange> {
+        out.trace(TraceEventKind::ClusterChange { event });
+        let change = self.topology.apply_cluster_event(event)?;
+        // A stale event moved nothing and needs no reaction — except that a
+        // removed rack whose machines had all died earlier may still host
+        // stranded proxies on its dead brokers.
+        let stale = change.down.is_empty() && change.up.is_empty();
+        if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
+            return Ok(change);
+        }
+        match event {
+            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
+                self.take_down(&change.down, out)
+            }
+            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
+            ClusterEvent::DrainMachine { machine } => {
+                self.evacuate(SubtreeId::Machine(machine.index()), &change.down, out)
+            }
+            ClusterEvent::RemoveRack { rack } => {
+                self.evacuate(SubtreeId::Rack(rack.index()), &change.down, out)
+            }
+            ClusterEvent::AddRack => self.absorb_new_rack(&change.up, out),
+        }
+        Ok(change)
+    }
 }
 
 impl PlacementEngine for DynaSoReEngine {
@@ -814,6 +861,7 @@ impl PlacementEngine for DynaSoReEngine {
                 self.unreachable_reads += 1;
                 continue;
             };
+            out.served(target, server_machine);
             // Request and answer.
             out.record(Message::application(broker, server_machine));
             out.record(Message::application(server_machine, broker));
@@ -848,6 +896,7 @@ impl PlacementEngine for DynaSoReEngine {
         for r in &self.users[user.as_usize()].replicas {
             let server = &mut self.servers[r.server()];
             let machine = server.machine();
+            out.served(user, machine);
             out.record(Message::application(write_proxy, machine));
             self.scratch.tally.add(machine, 1);
             server.stats_mut(r.slot()).record_write();
@@ -875,45 +924,15 @@ impl PlacementEngine for DynaSoReEngine {
         // new read targets simply start showing up in the access statistics.
     }
 
-    /// Threads one [`ClusterEvent`] through the engine. The topology alone
-    /// decides what the event changes
-    /// ([`Topology::apply_cluster_event`]); the engine reacts to the
-    /// machines it reports: crash-failed machines lose their replicas
-    /// (masters are re-filled from the persistent tier, charged to `out`),
-    /// returning machines rejoin empty, drained and decommissioned machines
-    /// migrate their state away, and a new rack is mirrored with empty
-    /// server slabs. The per-subtree candidate and threshold caches are
-    /// rebuilt against the updated liveness mask.
+    /// [`DynaSoReEngine::apply_cluster_event`], with a refused event
+    /// ignored.
     fn on_cluster_change(
         &mut self,
         event: ClusterEvent,
         _time: SimTime,
         out: &mut dyn TrafficSink,
     ) {
-        out.trace(TraceEventKind::ClusterChange { event });
-        let Ok(change) = self.topology.apply_cluster_event(event) else {
-            return; // Refused by the topology: nothing moved.
-        };
-        // A stale event moved nothing and needs no reaction — except that a
-        // removed rack whose machines had all died earlier may still host
-        // stranded proxies on its dead brokers.
-        let stale = change.down.is_empty() && change.up.is_empty();
-        if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
-            return;
-        }
-        match event {
-            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
-                self.take_down(&change.down, out)
-            }
-            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
-            ClusterEvent::DrainMachine { machine } => {
-                self.evacuate(SubtreeId::Machine(machine.index()), &change.down, out)
-            }
-            ClusterEvent::RemoveRack { rack } => {
-                self.evacuate(SubtreeId::Rack(rack.index()), &change.down, out)
-            }
-            ClusterEvent::AddRack => self.absorb_new_rack(&change.up, out),
-        }
+        let _ = self.apply_cluster_event(event, out);
     }
 
     fn unreachable_reads(&self) -> u64 {

@@ -5,7 +5,8 @@
 //! ([`bring_up`](DynaSoReEngine::bring_up)), graceful drains and rack
 //! removals ([`evacuate`](DynaSoReEngine::evacuate)) and elastic growth
 //! ([`absorb_new_rack`](DynaSoReEngine::absorb_new_rack)).
-//! `on_cluster_change` dispatches here.
+//! [`apply_cluster_event`](DynaSoReEngine::apply_cluster_event) dispatches
+//! here.
 
 use dynasore_types::{
     MachineId, Message, ReplicaChangeReason, SubtreeId, TraceEventKind, TrafficSink, UserId,

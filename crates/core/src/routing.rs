@@ -80,15 +80,10 @@ impl TransferTally {
     pub fn is_empty(&self) -> bool {
         self.touched.is_empty()
     }
-
-    /// Units transferred from `machine`.
-    pub fn units_from(&self, machine: MachineId) -> u64 {
-        self.units.get(machine.as_usize()).copied().unwrap_or(0)
-    }
 }
 
 /// Computes the broker that minimises network transfers for a proxy whose
-/// requests fetched `tally.units_from(server)` views from each server, by
+/// requests fetched the views `tally` recorded from each server, by
 /// walking down the tree from the root along the heaviest branch (§3.2,
 /// *Proxy placement*). Returns `None` if nothing was transferred. Ties are
 /// broken towards the lowest-indexed branch, and in a flat cluster the
@@ -231,13 +226,12 @@ mod tests {
     fn tally_clear_resets_counts() {
         let topo = Topology::paper_tree().unwrap();
         let mut tally = tally_of(&topo, &[(3, 5), (7, 2)]);
-        assert_eq!(tally.units_from(m(3)), 5);
-        assert_eq!(tally.units_from(m(7)), 2);
+        assert_eq!((tally.units[3], tally.units[7]), (5, 2));
         tally.clear();
         assert!(tally.is_empty());
-        assert_eq!(tally.units_from(m(3)), 0);
+        assert_eq!(tally.units[3], 0);
         tally.add(m(3), 1);
-        assert_eq!(tally.units_from(m(3)), 1);
+        assert_eq!(tally.units[3], 1);
     }
 
     #[test]

@@ -219,14 +219,6 @@ impl ReplicaStats {
         self.origins.iter().copied().filter(|&(_, reads)| reads > 0)
     }
 
-    /// Reads in the window coming from one specific origin.
-    pub fn reads_from(&self, origin: SubtreeId) -> u64 {
-        match self.origin_index(origin) {
-            Ok(i) => self.origins[i].1,
-            Err(_) => 0,
-        }
-    }
-
     /// Total reads in the window, over all origins.
     pub fn total_reads(&self) -> u64 {
         self.origins.iter().map(|&(_, reads)| reads).sum()
@@ -254,6 +246,11 @@ impl ReplicaStats {
     /// Number of stored period counters.
     pub(crate) fn cell_count(&self) -> usize {
         self.cells.len()
+    }
+
+    /// Reads in the window coming from one specific origin.
+    fn reads_from(&self, origin: SubtreeId) -> u64 {
+        self.origin_index(origin).map_or(0, |i| self.origins[i].1)
     }
 
     /// Panics unless the layout is what every method relies on: no empty

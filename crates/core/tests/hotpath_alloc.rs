@@ -10,7 +10,10 @@
 //! The sink also carries a pre-allocated [`FlightRecorder`] and a
 //! [`MetricsRegistry`] and folds every engine trace into both, so the
 //! measurement covers observability-enabled mode: recording a trace event
-//! must be as alloc-free as the read/write paths it rides on.
+//! must be as alloc-free as the read/write paths it rides on. It counts the
+//! engine's [`TrafficSink::served`] reports too — the live store builds its
+//! lookups and pushes from them — and the armed window checks there is one
+//! per read target and one per written replica.
 #![allow(unsafe_code)] // the GlobalAlloc trait is unsafe by construction
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -20,7 +23,7 @@ use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_topology::Topology;
 use dynasore_types::{
-    FlightRecorder, MemoryBudget, Message, MetricsRegistry, PlacementEngine, SimTime,
+    FlightRecorder, MachineId, MemoryBudget, Message, MetricsRegistry, PlacementEngine, SimTime,
     TraceEventKind, TrafficSink, UserId,
 };
 
@@ -56,6 +59,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 struct CountingSink {
     messages: u64,
     traces: u64,
+    served: u64,
     recorder: FlightRecorder,
     registry: MetricsRegistry,
 }
@@ -69,6 +73,10 @@ impl TrafficSink for CountingSink {
         self.traces += 1;
         self.registry.apply(kind);
         self.recorder.record(self.traces, kind);
+    }
+
+    fn served(&mut self, _view: UserId, _server: MachineId) {
+        self.served += 1;
     }
 }
 
@@ -89,6 +97,7 @@ fn steady_state_reads_and_writes_do_not_allocate() {
     let mut sink = CountingSink {
         messages: 0,
         traces: 0,
+        served: 0,
         recorder: FlightRecorder::new(4096),
         registry: MetricsRegistry::new(),
     };
@@ -120,11 +129,16 @@ fn steady_state_reads_and_writes_do_not_allocate() {
     // recording path is exercised explicitly inside the armed window: a
     // full ring's worth of events through the same sink, wrapping the ring
     // at least once.
+    let (mut read_reports, mut write_reports) = (0, 0);
     let before = ALLOCATIONS.load(Ordering::SeqCst);
     for _ in 0..3 {
         for (user, targets) in &workload {
+            let served = sink.served;
             engine.handle_read(*user, targets, SimTime::from_secs(6), &mut sink);
+            read_reports += sink.served - served;
+            let served = sink.served;
             engine.handle_write(*user, SimTime::from_secs(6), &mut sink);
+            write_reports += sink.served - served;
         }
     }
     for tick_secs in 0..8192u64 {
@@ -146,5 +160,18 @@ fn steady_state_reads_and_writes_do_not_allocate() {
     assert_eq!(
         allocations, 0,
         "steady-state handle_read/handle_write/trace allocated {allocations} times"
+    );
+    // The placement is at its fixed point, so every pass wrote the same
+    // replicas.
+    let targets: usize = workload.iter().map(|(_, targets)| targets.len()).sum();
+    let replicas: usize = workload
+        .iter()
+        .map(|&(user, _)| engine.replica_count(user))
+        .sum();
+    assert_eq!(read_reports, 3 * targets as u64, "one per read target");
+    assert_eq!(
+        write_reports,
+        3 * replicas as u64,
+        "one per written replica"
     );
 }

@@ -1,58 +1,25 @@
-//! Plain-text edge-list input/output.
+//! Plain-text edge-list input.
 //!
 //! The format is one directed edge per line, `follower followee`, with `#`
 //! comments and blank lines ignored — the same format distributed with the
 //! SNAP versions of the datasets the paper uses, so externally obtained
 //! copies of the Twitter/Facebook/LiveJournal crawls can be loaded directly.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read};
 
 use dynasore_types::{Error, Result, UserId};
 
 use crate::graph::SocialGraph;
 
-/// Writes `graph` as an edge list to `writer`.
+/// Reads a SNAP-style `src dst` edge list: `#` comment headers and blank
+/// lines are skipped, fields may be tab- or space-separated, and self-loops
+/// and duplicate edges — both present in the public
+/// Twitter/Flickr/LiveJournal snapshots — are tolerated and dropped.
 ///
-/// # Errors
-///
-/// Returns [`Error::Io`] if the underlying writer fails.
-///
-/// # Example
-///
-/// ```
-/// use dynasore_graph::{io, SocialGraph};
-/// use dynasore_types::UserId;
-///
-/// # fn main() -> Result<(), dynasore_types::Error> {
-/// let mut g = SocialGraph::new(2);
-/// g.add_edge(UserId::new(0), UserId::new(1));
-/// let mut buf = Vec::new();
-/// io::write_edge_list(&g, &mut buf)?;
-/// let parsed = io::read_edge_list(&buf[..])?;
-/// assert_eq!(parsed, g);
-/// # Ok(())
-/// # }
-/// ```
-pub fn write_edge_list<W: Write>(graph: &SocialGraph, writer: W) -> Result<()> {
-    let mut out = BufWriter::new(writer);
-    writeln!(out, "# dynasore edge list: {} users", graph.user_count())?;
-    for (u, v) in graph.edges() {
-        writeln!(out, "{} {}", u.index(), v.index())?;
-    }
-    out.flush()?;
-    Ok(())
-}
-
-/// Reads an edge list produced by [`write_edge_list`] or any SNAP-style
-/// `src dst` file: `#` comment headers and blank lines are skipped, fields
-/// may be tab- or space-separated, and self-loops and duplicate edges —
-/// both present in the public Twitter/Flickr/LiveJournal snapshots — are
-/// tolerated and dropped.
-///
-/// The number of users comes from the `# dynasore edge list: N users`
-/// header when present, so a round trip through [`write_edge_list`]
-/// preserves trailing isolated users and edgeless graphs exactly; for
-/// foreign SNAP files without the header it falls back to `max id + 1`.
+/// The number of users comes from a `# dynasore edge list: N users` header
+/// when present, so trailing isolated users and edgeless graphs keep their
+/// exact size; for foreign SNAP files without the header it falls back to
+/// `max id + 1`.
 ///
 /// Construction is bulk (one sort over the whole edge vector rather than a
 /// per-edge sorted insert), so multi-million-edge snapshots load in
@@ -62,6 +29,21 @@ pub fn write_edge_list<W: Write>(graph: &SocialGraph, writer: W) -> Result<()> {
 ///
 /// Returns [`Error::Io`] on malformed lines, a dynasore header whose user
 /// count an edge endpoint exceeds, or reader failures.
+///
+/// # Example
+///
+/// ```
+/// use dynasore_graph::io;
+/// use dynasore_types::UserId;
+///
+/// # fn main() -> Result<(), dynasore_types::Error> {
+/// let text = "# dynasore edge list: 3 users\n0\t1\n";
+/// let graph = io::read_edge_list(text.as_bytes())?;
+/// assert_eq!(graph.user_count(), 3);
+/// assert!(graph.contains_edge(UserId::new(0), UserId::new(1)));
+/// # Ok(())
+/// # }
+/// ```
 pub fn read_edge_list<R: Read>(reader: R) -> Result<SocialGraph> {
     let buf = BufReader::new(reader);
     let mut edges: Vec<(UserId, UserId)> = Vec::new();
@@ -112,9 +94,9 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<SocialGraph> {
     SocialGraph::from_edges_bulk(users, edges)
 }
 
-/// Parses the `# dynasore edge list: N users` header [`write_edge_list`]
-/// emits. Returns `None` for every other comment line (SNAP headers and the
-/// like), leaving the user count to be inferred from the edges.
+/// Parses the `# dynasore edge list: N users` header. Returns `None` for
+/// every other comment line (SNAP headers and the like), leaving the user
+/// count to be inferred from the edges.
 fn parse_user_count_header(comment: &str) -> Option<usize> {
     let rest = comment.strip_prefix("# dynasore edge list:")?;
     let count = rest.trim().strip_suffix("users")?;
@@ -129,15 +111,22 @@ mod tests {
         UserId::new(i)
     }
 
+    /// `graph` as an edge list with the user-count header.
+    fn edge_list(graph: &SocialGraph) -> String {
+        let mut text = format!("# dynasore edge list: {} users\n", graph.user_count());
+        for (a, b) in graph.edges() {
+            text += &format!("{} {}\n", a.index(), b.index());
+        }
+        text
+    }
+
     #[test]
     fn round_trip_preserves_graph() {
         let mut g = SocialGraph::new(5);
         g.add_edge(u(0), u(1));
         g.add_edge(u(3), u(4));
         g.add_edge(u(4), u(0));
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let parsed = read_edge_list(&buf[..]).unwrap();
+        let parsed = read_edge_list(edge_list(&g).as_bytes()).unwrap();
         assert_eq!(parsed.edge_count(), g.edge_count());
         for (a, b) in g.edges() {
             assert!(parsed.contains_edge(a, b));
@@ -151,9 +140,7 @@ mod tests {
         // header must restore the exact count.
         let mut g = SocialGraph::new(5);
         g.add_edge(u(0), u(1));
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let parsed = read_edge_list(&buf[..]).unwrap();
+        let parsed = read_edge_list(edge_list(&g).as_bytes()).unwrap();
         assert_eq!(parsed, g);
         assert_eq!(parsed.user_count(), 5);
     }
@@ -161,18 +148,14 @@ mod tests {
     #[test]
     fn round_trip_preserves_edgeless_graph() {
         let g = SocialGraph::new(7);
-        let mut buf = Vec::new();
-        write_edge_list(&g, &mut buf).unwrap();
-        let parsed = read_edge_list(&buf[..]).unwrap();
+        let parsed = read_edge_list(edge_list(&g).as_bytes()).unwrap();
         assert_eq!(parsed, g);
         assert_eq!(parsed.user_count(), 7);
         assert_eq!(parsed.edge_count(), 0);
 
         // The empty graph also survives.
         let empty = SocialGraph::new(0);
-        let mut buf = Vec::new();
-        write_edge_list(&empty, &mut buf).unwrap();
-        assert_eq!(read_edge_list(&buf[..]).unwrap(), empty);
+        assert_eq!(read_edge_list(edge_list(&empty).as_bytes()).unwrap(), empty);
     }
 
     #[test]

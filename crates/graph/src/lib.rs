@@ -14,7 +14,7 @@
 //! * [degree and structure metrics](metrics) used to sanity-check the
 //!   generators and to drive the workload generators (read/write activity is
 //!   proportional to the logarithm of a user's degree, §4.2);
-//! * plain-text edge-list [I/O](io) so externally obtained datasets can be
+//! * plain-text edge-list [input](io) so externally obtained datasets can be
 //!   plugged in unchanged.
 //!
 //! # Example

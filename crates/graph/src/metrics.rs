@@ -5,8 +5,6 @@
 //! generators, which scale each user's activity with the logarithm of her
 //! degree (§4.2, citing Huberman et al.).
 
-use dynasore_types::UserId;
-
 use crate::graph::SocialGraph;
 
 /// Summary statistics of a graph's degree distributions.
@@ -78,43 +76,6 @@ pub fn reciprocity(graph: &SocialGraph) -> f64 {
     reciprocated as f64 / graph.edge_count() as f64
 }
 
-/// Estimates the global clustering tendency by sampling `samples` wedges
-/// (paths u → v → w) and reporting the fraction that close into a triangle
-/// (u → w exists). Deterministic given the sampling stride.
-pub fn sampled_closure(graph: &SocialGraph, samples: usize) -> f64 {
-    if graph.edge_count() == 0 || samples == 0 {
-        return 0.0;
-    }
-    let n = graph.user_count();
-    let mut wedges = 0usize;
-    let mut closed = 0usize;
-    let mut i = 0usize;
-    'outer: for step in 0..n {
-        let u = UserId::new(((step * 7919) % n) as u32);
-        let vs = graph.followees(u);
-        for &v in vs {
-            for &w in graph.followees(v) {
-                if w == u {
-                    continue;
-                }
-                wedges += 1;
-                if graph.contains_edge(u, w) {
-                    closed += 1;
-                }
-                i += 1;
-                if i >= samples {
-                    break 'outer;
-                }
-            }
-        }
-    }
-    if wedges == 0 {
-        0.0
-    } else {
-        closed as f64 / wedges as f64
-    }
-}
-
 /// The per-user activity weight used by the synthetic workload generator:
 /// `ln(1 + degree)`, following Huberman et al. as adopted in §4.2.
 pub fn log_activity_weight(degree: usize) -> f64 {
@@ -124,6 +85,7 @@ pub fn log_activity_weight(degree: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dynasore_types::UserId;
 
     fn u(i: u32) -> UserId {
         UserId::new(i)
@@ -168,20 +130,6 @@ mod tests {
         g2.add_edge(u(2), u(0));
         assert!((reciprocity(&g2) - 1.0).abs() < 1e-9);
         assert_eq!(reciprocity(&SocialGraph::new(4)), 0.0);
-    }
-
-    #[test]
-    fn sampled_closure_detects_triangles() {
-        // u0 -> u1 -> u2 and u0 -> u2 closes the wedge.
-        let g = triangle();
-        let c = sampled_closure(&g, 100);
-        assert!(c > 0.0);
-        // A pure chain has no closed wedges.
-        let mut chain = SocialGraph::new(3);
-        chain.add_edge(u(0), u(1));
-        chain.add_edge(u(1), u(2));
-        assert_eq!(sampled_closure(&chain, 100), 0.0);
-        assert_eq!(sampled_closure(&SocialGraph::new(2), 10), 0.0);
     }
 
     #[test]

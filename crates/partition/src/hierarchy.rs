@@ -8,7 +8,7 @@
 //! share a rack or an intermediate switch.
 
 use dynasore_graph::SocialGraph;
-use dynasore_types::{Error, Result, UserId};
+use dynasore_types::{Error, Result};
 
 use crate::multilevel::WeightedGraph;
 use crate::partitioner::{Partitioner, Partitioning};
@@ -74,15 +74,6 @@ impl HierarchicalPartitioning {
     /// The tree shape that was partitioned against.
     pub fn shape(&self) -> &TreeShape {
         &self.shape
-    }
-
-    /// The group of `user` at tree level `level` (0 = children of the root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `level` or `user` is out of range.
-    pub fn group_at_level(&self, level: usize, user: UserId) -> usize {
-        self.levels[level][user.as_usize()] as usize
     }
 
     /// The leaf-level partitioning (user → server slot index).
@@ -249,9 +240,7 @@ mod tests {
         let h = hierarchical(&g, &shape, 0.1, 5).unwrap();
         let leaves = h.leaves().unwrap();
         for u in g.users() {
-            let top = h.group_at_level(0, u);
-            let mid = h.group_at_level(1, u);
-            let leaf = h.group_at_level(2, u);
+            let [top, mid, leaf] = [0, 1, 2].map(|level| h.levels[level][u.as_usize()] as usize);
             assert_eq!(mid / 2, top, "rack group must refine the switch group");
             assert_eq!(leaf / 2, mid, "server group must refine the rack group");
             assert_eq!(leaves.part_of(u), leaf);

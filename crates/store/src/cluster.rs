@@ -9,12 +9,10 @@ use parking_lot::Mutex;
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
-// `PlacementEngine` lives in `dynasore-types` (layer 0); import it from
-// there, not through the `dynasore_sim` re-export two layers up — the store
-// needs the trait, not the simulator.
+// `PlacementEngine` comes from `dynasore-types` (layer 0), not the simulator.
 use dynasore_types::{
-    ClusterEvent, CountingSink, Error, Event, MemoryBudget, PlacementEngine, Result, SimTime,
-    TraceEventKind, UserId, View,
+    ClusterEvent, CountingSink, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine,
+    Result, SimTime, TraceEventKind, TrafficSink, UserId, View,
 };
 
 use crate::obs::StoreObs;
@@ -74,12 +72,38 @@ pub struct ClusterChangeReport {
     pub recovery_messages: u64,
 }
 
+/// The replicas the engine served one request from, in the order it
+/// reported them ([`TrafficSink::served`]); the messages are dropped.
+#[derive(Debug, Default)]
+struct Served(Vec<(UserId, MachineId)>);
+
+impl TrafficSink for Served {
+    fn record(&mut self, _message: Message) {}
+
+    fn served(&mut self, view: UserId, server: MachineId) {
+        self.0.push((view, server));
+    }
+}
+
+impl Served {
+    /// Each report as a lookup of its server's shard.
+    fn lookups(self, engine: &DynaSoReEngine) -> Vec<Lookup> {
+        let shard = |server| engine.topology().server_ordinal(server).expect("a server");
+        let lookup = |(view, server)| (shard(server), view, None);
+        self.0.into_iter().map(lookup).collect()
+    }
+}
+
 /// A running in-memory view store: every cache server is a shard of one
-/// cache worker thread, routed by a DynaSoRe placement engine, backed by a
-/// durable tier — the in-memory [`MockPersistentStore`] by default
-/// ([`Cluster::spawn`]), or any [`PersistentStore`] such as the file-backed
+/// cache worker thread, backed by a durable tier — the in-memory
+/// [`MockPersistentStore`] by default ([`Cluster::spawn`]), or any
+/// [`PersistentStore`] such as the file-backed
 /// [`ShardedLogStore`](crate::ShardedLogStore)
 /// ([`Cluster::spawn_with_store`]).
+///
+/// The DynaSoRe placement engine makes every routing decision and holds
+/// the only topology: a read is served from, and a write pushed to, exactly
+/// the replicas the engine reports ([`TrafficSink::served`]).
 ///
 /// Clients talk to the worker over one FIFO channel, and a read ships all
 /// its lookups as one message. The channel orders each client's own
@@ -92,11 +116,10 @@ pub struct ClusterChangeReport {
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Cluster {
-    topology: Topology,
     graph: SocialGraph,
     engine: Mutex<DynaSoReEngine>,
     /// The cached views: shard `i` is the server at
-    /// `Topology::server_ordinal` `i`.
+    /// `Topology::server_ordinal` `i` of the engine's topology.
     cache: CacheWorker,
     persistent: Arc<dyn PersistentStore>,
     clock: AtomicU64,
@@ -120,10 +143,7 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`Error::InvalidConfig`] when the engine cannot be built: an empty
-    /// graph, a topology without view servers, or a partitioning initial
-    /// placement (METIS, hierarchical METIS) asked to split fewer users than
-    /// there are view servers.
+    /// As [`Cluster::spawn_with_store`].
     pub fn spawn(graph: &SocialGraph, topology: Topology, config: StoreConfig) -> Result<Self> {
         Cluster::spawn_with_store(
             graph,
@@ -152,8 +172,9 @@ impl Cluster {
         config: StoreConfig,
         persistent: Arc<dyn PersistentStore>,
     ) -> Result<Self> {
+        let shards = topology.server_count();
         let engine = DynaSoReEngine::builder()
-            .topology(topology.clone())
+            .topology(topology)
             .budget(MemoryBudget::with_extra_percent(
                 graph.user_count(),
                 config.extra_memory_percent,
@@ -162,8 +183,7 @@ impl Cluster {
             .build(graph)?;
 
         Ok(Cluster {
-            cache: CacheWorker::spawn(topology.server_count()),
-            topology,
+            cache: CacheWorker::spawn(shards),
             graph: graph.clone(),
             engine: Mutex::new(engine),
             persistent,
@@ -214,22 +234,21 @@ impl Cluster {
         // 1. The persistent store generates the new version of the view.
         let view = Arc::new(self.persistent.append(user, payload)?);
         // 2. The write proxy updates the placement statistics and pushes the
-        //    new version — one allocation, shared — to every replica (§3.3).
-        let replicas = {
+        //    new version — one allocation, shared — to each replica it wrote (§3.3).
+        let (written, shards) = {
             let mut engine = self.engine.lock();
-            engine.handle_write(user, self.now(), &mut CountingSink::default());
-            engine.replica_servers(user)
+            let mut served = Served::default();
+            engine.handle_write(user, self.now(), &mut served);
+            (served.lookups(&engine), engine.topology().server_count())
         };
-        for &machine in replicas.iter() {
-            if let Some(shard) = self.topology.server_ordinal(machine) {
-                self.cache.put(shard, user, view.clone());
-            }
+        for &(shard, ..) in &written {
+            self.cache.put(shard, user, view.clone());
         }
-        // Cached copies on servers the placement engine no longer lists as
-        // replicas are stale replicas that were evicted or migrated away;
-        // drop them so the cache mirrors the placement.
-        for (shard, server) in self.topology.servers().iter().enumerate() {
-            if !replicas.contains(&server.machine()) && self.cache.get(shard, user).is_some() {
+        // Cached copies on servers the engine did not write are stale
+        // replicas that were evicted or migrated away; drop them so the
+        // cache mirrors the placement.
+        for shard in (0..shards).filter(|&shard| !written.iter().any(|&(s, ..)| s == shard)) {
+            if self.cache.get(shard, user).is_some() {
                 self.cache.evict(shard, user);
             }
         }
@@ -255,26 +274,14 @@ impl Cluster {
 
     /// The one read path: the views of `targets` as the shards (on a miss,
     /// the persistent store) hold them, or with `detached` a copy per hit.
+    /// Each view is looked up where the engine read (and counted) it.
     fn lookup(&self, user: UserId, targets: &[UserId], detached: bool) -> Result<Vec<Arc<View>>> {
         self.check_user(user)?;
-        // Update statistics and (possibly) placement, then capture routing
-        // decisions while holding the engine lock.
-        let routed: Vec<Lookup> = {
+        let routed = {
             let mut engine = self.engine.lock();
-            engine.handle_read(user, targets, self.now(), &mut CountingSink::default());
-            // Route from where the read left the proxy and the replicas.
-            let proxy = engine
-                .read_proxy(user)
-                .map(|b| b.machine())
-                .unwrap_or_else(|| self.topology.brokers()[0].machine());
-            targets
-                .iter()
-                .filter(|t| self.graph.contains_user(**t))
-                .filter_map(|&t| {
-                    let machine = engine.closest_replica(t, proxy)?;
-                    Some((self.topology.server_ordinal(machine)?, t, None))
-                })
-                .collect()
+            let mut served = Served::default();
+            engine.handle_read(user, targets, self.now(), &mut served);
+            served.lookups(&engine)
         };
         // No followees or only unknown targets: nothing to hand off.
         if routed.is_empty() {
@@ -288,8 +295,10 @@ impl Cluster {
             let view = match cached {
                 Some(view) => view,
                 // A target repeated inside one batch misses at every
-                // position: the first one fills, the others share its view and
-                // count as hits, so hits + misses is the views returned.
+                // position (a later one may be served by a replica the read
+                // just created): the first one fills, the others share its
+                // view and count as hits, so hits + misses is the views
+                // returned.
                 None => match views.iter().find(|view| view.owner() == target) {
                     Some(first) => first.clone(),
                     None => {
@@ -338,11 +347,6 @@ impl Cluster {
         &self.graph
     }
 
-    /// The topology the cluster runs on.
-    pub fn topology(&self) -> &Topology {
-        &self.topology
-    }
-
     /// Runtime counters.
     pub fn stats(&self) -> StoreStats {
         StoreStats {
@@ -358,10 +362,11 @@ impl Cluster {
     /// Applies a [`ClusterEvent`] to the *live* store: machine/rack failures
     /// stop the servers' cache shards (their cached views die with them),
     /// recoveries and added racks start empty ones, and drains migrate state
-    /// first. The placement engine reacts through its cluster-change hook —
-    /// re-filling lost masters from the persistent tier — and subsequent
-    /// reads transparently demand-fill the restarted caches from the
-    /// persistent tier the cluster was spawned with.
+    /// first. The engine applies the event
+    /// ([`DynaSoReEngine::apply_cluster_event`]), re-filling lost masters
+    /// from the persistent tier, and only the shards of the machines its
+    /// topology reports moved stop or start; subsequent reads transparently
+    /// demand-fill restarted caches from the persistent tier.
     ///
     /// Takes `&mut self`: cluster reconfiguration is an administrative
     /// operation that excludes concurrent clients for its (short) duration.
@@ -369,38 +374,29 @@ impl Cluster {
     /// # Errors
     ///
     /// Returns [`Error::ClusterShutdown`] after [`Cluster::shutdown`], and
-    /// propagates topology errors (unknown machines, growth on a flat
-    /// layout).
+    /// the topology's error, unchanged, for an event it refuses (unknown
+    /// machines, growth on a flat layout); nothing changes then.
     pub fn apply_event(&mut self, event: ClusterEvent) -> Result<ClusterChangeReport> {
         if self.shut_down.load(Ordering::Acquire) {
             return Err(Error::ClusterShutdown);
         }
-        let time = self.now();
-        // The store's own topology copy validates the event and says which
-        // machines it moved; the engine then absorbs the same event into its
-        // copy, so the two stay identical.
-        let change = self.topology.apply_cluster_event(event)?;
+        let engine = self.engine.get_mut();
+        let mut out = CountingSink::default();
+        let change = engine.apply_cluster_event(event, &mut out)?;
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
         }
-        let mut out = CountingSink::default();
-        self.engine
-            .get_mut()
-            .on_cluster_change(event, time, &mut out);
         // Crashed, drained and retired servers lose their shard — the engine
         // has already rerouted around (or evacuated) their views — and
         // revived and added ones start empty. Machines the event did not
         // move are left alone: a stale repair must not restart the shards
         // of a decommissioned rack.
-        for &machine in &change.down {
-            if let Some(shard) = self.topology.server_ordinal(machine) {
-                self.cache.stop(shard);
-            }
+        let shard = |machine: &MachineId| engine.topology().server_ordinal(*machine);
+        for shard in change.down.iter().filter_map(shard) {
+            self.cache.stop(shard);
         }
-        for &machine in &change.up {
-            if let Some(shard) = self.topology.server_ordinal(machine) {
-                self.cache.start(shard);
-            }
+        for shard in change.up.iter().filter_map(shard) {
+            self.cache.start(shard);
         }
         self.recovery_messages
             .fetch_add(out.persistent_messages, Ordering::Relaxed);
@@ -454,6 +450,11 @@ mod tests {
         let topology = Topology::tree(2, 2, 4, 1).unwrap();
         let cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
         (cluster, graph)
+    }
+
+    /// The engine's topology, which numbers the shards.
+    fn topology(cluster: &Cluster) -> Topology {
+        cluster.engine.lock().topology().clone()
     }
 
     /// Knuth's multiplicative hash: scatters a seeded step counter.
@@ -594,7 +595,7 @@ mod tests {
         let reader = graph.followers(author)[0];
         cluster.write(author, b"once".to_vec()).unwrap();
         // The write cached the view on its replicas; start from a miss.
-        for shard in 0..cluster.topology.server_count() {
+        for shard in 0..topology(&cluster).server_count() {
             cluster.cache.evict(shard, author);
         }
         let before = cluster.stats();
@@ -763,7 +764,7 @@ mod tests {
     #[test]
     fn machine_down_empties_exactly_one_shard() {
         let (mut cluster, graph) = cluster();
-        // Where a read of `author` on behalf of `reader` was just routed.
+        // Where the next read of `author` on behalf of `reader` is served.
         let route = |cluster: &Cluster, reader, author| {
             let engine = cluster.engine.lock();
             let proxy = engine.read_proxy(reader).unwrap().machine();
@@ -776,14 +777,14 @@ mod tests {
             .collect();
         let mut routed = Vec::new();
         for &(reader, author) in &pairs {
-            cluster.read(reader, &[author]).unwrap();
             routed.push(route(&cluster, reader, author));
+            cluster.read(reader, &[author]).unwrap();
         }
 
         let before = cluster.cache.lens();
         let victim_shard = (0..before.len()).max_by_key(|&s| before[s]).unwrap();
         assert!(before[victim_shard] > 0);
-        let victim = cluster.topology.servers()[victim_shard].machine();
+        let victim = topology(&cluster).servers()[victim_shard].machine();
         cluster
             .apply_event(ClusterEvent::MachineDown { machine: victim })
             .unwrap();
@@ -801,8 +802,8 @@ mod tests {
         let (mut still_hit, mut rerouted_off_victim) = (0, 0);
         for (&(reader, author), &was) in pairs.iter().zip(&routed) {
             let misses = cluster.stats().cache_misses;
-            cluster.read(reader, &[author]).unwrap();
             let now = route(&cluster, reader, author);
+            cluster.read(reader, &[author]).unwrap();
             assert_ne!(now, victim);
             if was == victim {
                 rerouted_off_victim += 1;
@@ -862,7 +863,7 @@ mod tests {
         cluster.apply_event(ClusterEvent::AddRack).unwrap();
         assert!(cluster.cache.lens().len() > shards_before);
         assert_eq!(
-            cluster.topology().server_count(),
+            topology(&cluster).server_count(),
             cluster.cache.lens().len()
         );
         cluster.write(author, b"after resize".to_vec()).unwrap();
@@ -884,18 +885,19 @@ mod tests {
         // Decommission rack 0 while the store runs: the engine evacuates,
         // the rack's shards stop for good.
         let rack = RackId::new(0);
-        let rack_machines = cluster.topology.machines_in_subtree(SubtreeId::Rack(0));
+        let rack_machines = topology(&cluster).machines_in_subtree(SubtreeId::Rack(0));
         cluster
             .apply_event(ClusterEvent::RemoveRack { rack })
             .unwrap();
-        assert!(cluster.topology().is_rack_retired(rack));
+        assert!(topology(&cluster).is_rack_retired(rack));
 
         // A stale repair event for the retired rack is a harmless no-op: no
         // machine revives and no shard starts — a `Put` to one is dropped.
         cluster.apply_event(ClusterEvent::RackUp { rack }).unwrap();
+        let topology = topology(&cluster);
         for machine in rack_machines {
-            assert!(!cluster.topology().is_live(machine));
-            if let Some(shard) = cluster.topology.server_ordinal(machine) {
+            assert!(!topology.is_live(machine));
+            if let Some(shard) = topology.server_ordinal(machine) {
                 cluster
                     .cache
                     .put(shard, author, Arc::new(View::new(author)));
@@ -928,15 +930,16 @@ mod tests {
             let (mut cluster, _) = cluster();
             for step in 0..20 {
                 let event = scattered_event(scatter(seed * 20 + step));
-                let before = cluster.topology.clone();
+                let before = topology(&cluster);
                 if cluster.apply_event(event).is_err() {
-                    assert_eq!(cluster.topology, before, "refused {event}");
+                    assert_eq!(topology(&cluster), before, "refused {event}");
                 }
-                for (shard, server) in cluster.topology.servers().iter().enumerate() {
+                let topology = topology(&cluster);
+                for (shard, server) in topology.servers().iter().enumerate() {
                     cluster.cache.put(shard, user, Arc::new(View::new(user)));
                     assert_eq!(
                         cluster.cache.get(shard, user).is_some(),
-                        cluster.topology.is_live(server.machine()),
+                        topology.is_live(server.machine()),
                         "seed {seed}: {server} after {event}"
                     );
                 }
@@ -967,8 +970,8 @@ mod tests {
             ..StoreConfig::default()
         };
         for seed in 0..4u32 {
-            let topology = Topology::tree(2, 2, 4, 1).unwrap();
-            let mut cluster = Cluster::spawn(&graph, topology, config.clone()).unwrap();
+            let tree = Topology::tree(2, 2, 4, 1).unwrap();
+            let mut cluster = Cluster::spawn(&graph, tree, config.clone()).unwrap();
             let current = |cluster: &Cluster, user| cluster.persistent.fetch(user).unwrap();
             let (mut events, mut feeds) = (0, 0);
             for step in 0..STEPS {
@@ -1003,11 +1006,12 @@ mod tests {
             assert!(events > 0 && feeds > 0, "seed {seed}: nothing exercised");
 
             let mut copies = 0;
+            let topology = topology(&cluster);
             for user in graph.users() {
                 let version = current(&cluster, user).version();
                 let replicas = cluster.engine.lock().replica_servers(user);
                 for &machine in replicas.iter() {
-                    let shard = cluster.topology.server_ordinal(machine).unwrap();
+                    let shard = topology.server_ordinal(machine).unwrap();
                     if let Some(copy) = cluster.cache.get(shard, user) {
                         assert_eq!(copy.version(), version, "seed {seed}: {user} at {machine}");
                         copies += 1;
@@ -1015,6 +1019,85 @@ mod tests {
                 }
             }
             assert!(copies > 0, "seed {seed}: no replica holds a copy");
+            cluster.shutdown().unwrap();
+        }
+    }
+
+    /// The routing policy (§3.2) decides which replica serves a read, and
+    /// that server counts it: the store must serve each view from the
+    /// replica the broker read *before* the engine reacted, not from
+    /// wherever the reaction left the proxy and the replicas. Every target
+    /// is evicted before the read, so the one shard the read fills is the
+    /// one it was served from.
+    #[test]
+    fn each_view_is_served_from_the_replica_the_engine_read() {
+        const STEPS: u32 = 300;
+        let graph = SocialGraph::generate(GraphPreset::TwitterLike, 60, 3).unwrap();
+        let users = graph.user_count() as u32;
+        let config = StoreConfig {
+            extra_memory_percent: 200,
+            ..StoreConfig::default()
+        };
+        for seed in 0..4u32 {
+            let topology = Topology::tree(2, 2, 4, 1).unwrap();
+            let mut cluster = Cluster::spawn(&graph, topology, config.clone()).unwrap();
+            let mut checked = 0;
+            for step in 0..STEPS {
+                let pick = scatter(seed * STEPS + step);
+                let user = UserId::new(pick % users);
+                let followees = graph.followees(user);
+                let feed = match pick / users % 16 {
+                    0 => {
+                        let _ = cluster.apply_event(scattered_event(pick / 16));
+                        continue;
+                    }
+                    1..=4 => {
+                        cluster.write(user, pick.to_le_bytes().to_vec()).unwrap();
+                        continue;
+                    }
+                    5..=8 => false,
+                    _ => true,
+                };
+                // Two followees, one of them twice, and a stranger; or the feed.
+                let mut targets: Vec<UserId> = followees.iter().take(2).copied().collect();
+                targets.extend(followees.first());
+                targets.push(UserId::new(9_999));
+                let targets = if feed { followees } else { &targets[..] };
+
+                let (shards, expected) = {
+                    let engine = cluster.engine.lock();
+                    let proxy = engine.read_proxy(user).unwrap().machine();
+                    let mut expected: Vec<(UserId, usize)> = Vec::new();
+                    for &target in targets {
+                        let Some(machine) = engine.closest_replica(target, proxy) else {
+                            continue;
+                        };
+                        if expected.iter().all(|&(t, _)| t != target) {
+                            let shard = engine.topology().server_ordinal(machine).unwrap();
+                            expected.push((target, shard));
+                        }
+                    }
+                    (engine.topology().server_count(), expected)
+                };
+                for &(target, _) in &expected {
+                    for shard in 0..shards {
+                        cluster.cache.evict(shard, target);
+                    }
+                }
+                if feed {
+                    cluster.read_feed(user).unwrap();
+                } else {
+                    cluster.read(user, targets).unwrap();
+                }
+                for &(target, shard) in &expected {
+                    let holders: Vec<usize> = (0..shards)
+                        .filter(|&s| cluster.cache.get(s, target).is_some())
+                        .collect();
+                    assert_eq!(holders, [shard], "seed {seed} step {step}: {target}");
+                    checked += 1;
+                }
+            }
+            assert!(checked > 0, "seed {seed}: nothing read");
             cluster.shutdown().unwrap();
         }
     }

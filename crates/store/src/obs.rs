@@ -76,11 +76,6 @@ impl StoreObs {
         self.inner.lock().recorder.len()
     }
 
-    /// A snapshot of the current registry.
-    pub fn registry_snapshot(&self) -> MetricsRegistry {
-        self.inner.lock().registry.clone()
-    }
-
     /// Renders the timeline as JSON Lines (oldest event first).
     pub fn to_jsonl(&self) -> String {
         self.inner.lock().recorder.to_jsonl()
@@ -107,7 +102,7 @@ mod tests {
             fill_percent: 1,
         });
         assert_eq!(obs.event_count(), 2);
-        let registry = obs.registry_snapshot();
+        let registry = obs.inner.lock().registry.clone();
         assert_eq!(registry.get(MetricId::SegmentRotations), 1);
         assert_eq!(registry.get(MetricId::GroupCommitRecords), 40);
         let jsonl = obs.to_jsonl();

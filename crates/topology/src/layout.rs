@@ -234,7 +234,6 @@ pub struct Topology {
     /// machines); placement-decision paths consult [`Topology::is_live`] in
     /// O(1).
     live: Vec<bool>,
-    live_machines: usize,
     /// rack → its first *live* broker, kept in sync by `set_live` so the
     /// per-request proxy-placement walk stays an O(1) table lookup
     /// even while machines are down. `None` when every broker of the rack is
@@ -321,7 +320,6 @@ impl Topology {
             intermediate_count,
         );
         let live = vec![true; machines.len()];
-        let live_machines = machines.len();
         let rack_first_live_broker = tables.rack_first_broker.iter().copied().map(Some).collect();
         let retired_racks = vec![false; rack_count];
         Ok(Topology {
@@ -336,7 +334,6 @@ impl Topology {
             brokers,
             tables,
             live,
-            live_machines,
             rack_first_live_broker,
             retired_racks,
         })
@@ -367,7 +364,6 @@ impl Topology {
         }
         let tables = RoutingTables::build(&machines, &servers, &brokers, 1, 1, 1);
         let live = vec![true; machines.len()];
-        let live_machines = machines.len();
         let rack_first_live_broker = tables.rack_first_broker.iter().copied().map(Some).collect();
         let retired_racks = vec![false];
         Ok(Topology {
@@ -382,7 +378,6 @@ impl Topology {
             brokers,
             tables,
             live,
-            live_machines,
             rack_first_live_broker,
             retired_racks,
         })
@@ -401,11 +396,6 @@ impl Topology {
     /// Number of view servers.
     pub fn server_count(&self) -> usize {
         self.servers.len()
-    }
-
-    /// Number of brokers.
-    pub fn broker_count(&self) -> usize {
-        self.brokers.len()
     }
 
     /// Number of racks.
@@ -877,8 +867,8 @@ impl Topology {
         self.live.get(machine.as_usize()).copied().unwrap_or(false)
     }
 
-    /// Flips `machine` (which must exist) to `live`, keeping the live count
-    /// and the rack's first-live-broker entry in step. Returns whether the
+    /// Flips `machine` (which must exist) to `live`, keeping the rack's
+    /// first-live-broker entry in step. Returns whether the
     /// state changed; callers refuse revivals of retired racks beforehand.
     fn set_live(&mut self, machine: MachineId, live: bool) -> bool {
         let idx = machine.as_usize();
@@ -886,11 +876,6 @@ impl Topology {
             return false;
         }
         self.live[idx] = live;
-        if live {
-            self.live_machines += 1;
-        } else {
-            self.live_machines -= 1;
-        }
         if self.machines[idx].is_broker {
             let rack = self.machines[idx].rack;
             self.rack_first_live_broker[rack as usize] = self
@@ -908,11 +893,6 @@ impl Topology {
         let mut machines = self.machines_in_subtree(SubtreeId::Rack(rack.index()));
         machines.retain(|&m| self.set_live(m, live));
         machines
-    }
-
-    /// Number of machines currently live.
-    pub fn live_machine_count(&self) -> usize {
-        self.live_machines
     }
 
     /// Whether `rack` has been permanently decommissioned by
@@ -1012,7 +992,6 @@ impl Topology {
                 self.servers.push(ServerId::new(id));
             }
             self.live.push(true);
-            self.live_machines += 1;
         }
         self.retired_racks.push(false);
         self.rack_count += 1;
@@ -1139,13 +1118,18 @@ mod tests {
         MachineId::new(i)
     }
 
+    /// Number of machines currently live.
+    fn live_count(t: &Topology) -> usize {
+        t.live.iter().filter(|&&live| live).count()
+    }
+
     #[test]
     fn paper_tree_dimensions() {
         let t = Topology::paper_tree().unwrap();
         assert_eq!(t.kind(), TopologyKind::Tree);
         assert_eq!(t.machine_count(), 250);
         assert_eq!(t.server_count(), 225);
-        assert_eq!(t.broker_count(), 25);
+        assert_eq!(t.brokers().len(), 25);
         assert_eq!(t.rack_count(), 25);
         assert_eq!(t.intermediate_count(), 5);
         assert_eq!(t.racks_per_intermediate(), 5);
@@ -1220,7 +1204,7 @@ mod tests {
         assert_eq!(t.machine_count(), 250);
         // Everyone is both server and broker.
         assert_eq!(t.server_count(), 250);
-        assert_eq!(t.broker_count(), 250);
+        assert_eq!(t.brokers().len(), 250);
         assert_eq!(t.distance(m(0), m(249)), 1);
         assert_eq!(t.distance(m(3), m(3)), 0);
         assert_eq!(t.path_switches(m(0), m(1)), vec![Switch::Top]);
@@ -1336,13 +1320,13 @@ mod tests {
     #[test]
     fn liveness_mask_tracks_machines_and_brokers() {
         let mut t = Topology::tree(2, 2, 3, 1).unwrap();
-        assert_eq!(t.live_machine_count(), 12);
+        assert_eq!(live_count(&t), 12);
         assert!(t.is_live(m(0)));
         assert!(!t.is_live(MachineId::PERSISTENT));
         // Killing a server changes nothing broker-wise.
         t.apply_cluster_event(machine_down(1)).unwrap();
         assert!(!t.is_live(m(1)));
-        assert_eq!(t.live_machine_count(), 11);
+        assert_eq!(live_count(&t), 11);
         assert_eq!(
             t.first_live_broker_in_rack(RackId::new(0)),
             Some(BrokerId::new(m(0)))
@@ -1354,7 +1338,7 @@ mod tests {
         assert_eq!(t.closest_live_broker(m(2)), Some(BrokerId::new(m(3))));
         // Idempotent sets do not corrupt the counters.
         t.apply_cluster_event(machine_down(0)).unwrap();
-        assert_eq!(t.live_machine_count(), 10);
+        assert_eq!(live_count(&t), 10);
         t.apply_cluster_event(machine_up(0)).unwrap();
         assert_eq!(
             t.first_live_broker_in_rack(RackId::new(0)),
@@ -1417,7 +1401,7 @@ mod tests {
         assert_eq!(t.rack_count(), 5);
         assert_eq!(t.intermediate_count(), 3);
         assert_eq!(t.machine_count(), 15);
-        assert_eq!(t.live_machine_count(), 14);
+        assert_eq!(live_count(&t), 14);
         // Growth leaves the other racks' liveness as it was.
         assert_eq!(t.first_live_broker_in_rack(RackId::new(0)), None);
         // Existing ids and ordinals are untouched; new machines append.
@@ -1510,8 +1494,8 @@ mod tests {
             assert!(change.down.iter().all(|&id| !t.is_live(id)));
             assert!(change.up.iter().all(|&id| t.is_live(id)));
             assert_eq!(
-                t.live_machine_count() + change.down.len(),
-                before.live_machine_count() + change.up.len()
+                live_count(&t) + change.down.len(),
+                live_count(&before) + change.up.len()
             );
             assert_eq!(
                 t == before,
@@ -1545,7 +1529,7 @@ mod tests {
         // All of rack 1's machines are dead and flagged retired.
         assert!((3..6).all(|i| !t.is_live(m(i)) && t.is_retired(m(i))));
         assert!(!t.is_retired(m(0)));
-        assert_eq!(t.live_machine_count(), 9);
+        assert_eq!(live_count(&t), 9);
         assert_eq!(t.first_live_broker_in_rack(RackId::new(1)), None);
         // Retired capacity never comes back.
         t.apply_cluster_event(machine_up(4)).unwrap();

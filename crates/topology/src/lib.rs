@@ -28,7 +28,7 @@
 //! let topo = Topology::paper_tree().unwrap();
 //! assert_eq!(topo.machine_count(), 250);
 //! assert_eq!(topo.server_count(), 225);
-//! assert_eq!(topo.broker_count(), 25);
+//! assert_eq!(topo.brokers().len(), 25);
 //!
 //! let a = topo.servers()[0].machine();
 //! let b = topo.servers()[224].machine();

@@ -39,8 +39,8 @@ impl TierTraffic {
     }
 }
 
-/// Records the traffic of every switch of a topology over time, in hourly
-/// buckets.
+/// Records the traffic of every tier of a topology over time, in hourly
+/// buckets, and queues each switch's work under the network model.
 ///
 /// # Example
 ///
@@ -55,17 +55,11 @@ impl TierTraffic {
 ///     SimTime::from_secs(10),
 /// );
 /// assert_eq!(account.tier_total(Tier::Top).application, 10);
-/// assert_eq!(account.switch_total(Switch::Rack(0)), 10);
+/// assert_eq!(account.grand_total(), 30);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrafficAccount {
     tier_totals: [TierTraffic; 3],
-    /// Per-switch totals in dense, index-addressed tables (grown on
-    /// demand), so charging a message is pure array arithmetic — no hashing
-    /// on the per-request accounting path.
-    top_total: TrafficUnits,
-    intermediate_totals: Vec<TrafficUnits>,
-    rack_totals: Vec<TrafficUnits>,
     /// `series[bucket][tier]`, grown on demand.
     series: Vec<[TierTraffic; 3]>,
     messages: u64,
@@ -77,7 +71,8 @@ pub struct TrafficAccount {
     /// which each switch is busy transmitting already-accepted work. A
     /// message arriving earlier waits for the difference (M/D/1-style:
     /// deterministic service, drain happens implicitly as simulated time
-    /// advances). Dense and grown on demand, like the totals above.
+    /// advances). Dense, index-addressed and grown on demand, so charging a
+    /// message does no hashing.
     top_busy_until: u64,
     inter_busy_until: Vec<u64>,
     rack_busy_until: Vec<u64>,
@@ -97,9 +92,6 @@ impl TrafficAccount {
     pub fn new(model: NetworkModel) -> Self {
         TrafficAccount {
             tier_totals: [TierTraffic::default(); 3],
-            top_total: 0,
-            intermediate_totals: Vec::new(),
-            rack_totals: Vec::new(),
             series: Vec::new(),
             messages: 0,
             model,
@@ -114,26 +106,6 @@ impl TrafficAccount {
     /// The time model this account charges queues under.
     pub fn model(&self) -> NetworkModel {
         self.model
-    }
-
-    fn add_switch(&mut self, switch: Switch, units: TrafficUnits) {
-        match switch {
-            Switch::Top => self.top_total += units,
-            Switch::Intermediate(i) => {
-                let i = i as usize;
-                if i >= self.intermediate_totals.len() {
-                    self.intermediate_totals.resize(i + 1, 0);
-                }
-                self.intermediate_totals[i] += units;
-            }
-            Switch::Rack(r) => {
-                let r = r as usize;
-                if r >= self.rack_totals.len() {
-                    self.rack_totals.resize(r + 1, 0);
-                }
-                self.rack_totals[r] += units;
-            }
-        }
     }
 
     /// Records one message of `class` traversing the given switches at time
@@ -170,7 +142,6 @@ impl TrafficAccount {
             let tier = switch.tier().index();
             self.tier_totals[tier].add(class, units);
             self.series[bucket][tier].add(class, units);
-            self.add_switch(switch, units);
             if infinite {
                 continue;
             }
@@ -257,19 +228,6 @@ impl TrafficAccount {
         self.tier_totals[tier.index()]
     }
 
-    /// Total traffic through one specific switch.
-    pub fn switch_total(&self, switch: Switch) -> TrafficUnits {
-        match switch {
-            Switch::Top => self.top_total,
-            Switch::Intermediate(i) => self
-                .intermediate_totals
-                .get(i as usize)
-                .copied()
-                .unwrap_or(0),
-            Switch::Rack(r) => self.rack_totals.get(r as usize).copied().unwrap_or(0),
-        }
-    }
-
     /// Average per-switch traffic of a tier, given how many switches that
     /// tier has in the topology (Tables 2 and 3 report this quantity).
     pub fn tier_average(&self, tier: Tier, switch_count: usize) -> f64 {
@@ -332,9 +290,6 @@ mod tests {
         assert_eq!(acc.tier_total(Tier::Intermediate).application, 20);
         assert_eq!(acc.tier_total(Tier::Rack).application, 20);
         assert_eq!(acc.tier_total(Tier::Rack).protocol, 1);
-        assert_eq!(acc.switch_total(Switch::Rack(0)), 11);
-        assert_eq!(acc.switch_total(Switch::Rack(5)), 10);
-        assert_eq!(acc.switch_total(Switch::Rack(9)), 0);
         assert_eq!(acc.grand_total(), 51);
     }
 

@@ -217,6 +217,17 @@ pub trait TrafficSink {
     /// every unit-count sink, `Vec<Message>` included — discards the event,
     /// which keeps the disabled-observability path zero-cost.
     fn trace(&mut self, _event: TraceEventKind) {}
+
+    /// Reports that the replica of `view` on `server` served the request.
+    /// An engine that reports (DynaSoRe's does; the baselines do not) calls
+    /// it once per read target it routed, naming the replica its routing
+    /// policy picked *before* it reacted to the read — the server that
+    /// counted the read — and once per replica a write updated, in request
+    /// order. A target it could not route (unknown user, no live replica)
+    /// is not reported. A driver that moves the data itself — the live
+    /// store — serves and pushes to exactly these replicas instead of
+    /// routing a second time. The default discards the report.
+    fn served(&mut self, _view: UserId, _server: MachineId) {}
 }
 
 impl TrafficSink for Vec<Message> {

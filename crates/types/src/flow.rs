@@ -66,19 +66,6 @@ impl StatusCode {
             StatusCode::Internal => "internal",
         }
     }
-
-    /// The closest HTTP status equivalent, for transports that speak HTTP.
-    #[must_use]
-    pub fn http_equivalent(self) -> u16 {
-        match self {
-            StatusCode::Ok => 200,
-            StatusCode::Unauthorized => 401,
-            StatusCode::NotFound => 404,
-            StatusCode::Throttled => 429,
-            StatusCode::Overloaded | StatusCode::Unavailable => 503,
-            StatusCode::Internal => 500,
-        }
-    }
 }
 
 impl std::fmt::Display for StatusCode {
@@ -167,20 +154,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn status_code_names_and_http() {
+    fn status_code_names() {
         let all = [
-            (StatusCode::Ok, "ok", 200),
-            (StatusCode::Unauthorized, "unauthorized", 401),
-            (StatusCode::NotFound, "not-found", 404),
-            (StatusCode::Throttled, "throttled", 429),
-            (StatusCode::Overloaded, "overloaded", 503),
-            (StatusCode::Unavailable, "unavailable", 503),
-            (StatusCode::Internal, "internal", 500),
+            (StatusCode::Ok, "ok"),
+            (StatusCode::Unauthorized, "unauthorized"),
+            (StatusCode::NotFound, "not-found"),
+            (StatusCode::Throttled, "throttled"),
+            (StatusCode::Overloaded, "overloaded"),
+            (StatusCode::Unavailable, "unavailable"),
+            (StatusCode::Internal, "internal"),
         ];
-        for (code, name, http) in all {
+        for (code, name) in all {
             assert_eq!(code.as_str(), name);
             assert_eq!(code.to_string(), name);
-            assert_eq!(code.http_equivalent(), http);
             assert_eq!(code.is_success(), code == StatusCode::Ok);
         }
     }

@@ -176,9 +176,10 @@ fn assert_reads_mirror_the_tier(cluster: &Cluster, tier: &MockPersistentStore) {
 fn batched_reads_mirror_the_persistent_tier_across_failures_and_growth() {
     let graph = SocialGraph::generate(GraphPreset::TwitterLike, 200, 17).unwrap();
     let tier = Arc::new(MockPersistentStore::new());
+    let topology = Topology::tree(2, 2, 4, 1).unwrap();
     let mut cluster = Cluster::spawn_with_store(
         &graph,
-        Topology::tree(2, 2, 4, 1).unwrap(),
+        topology.clone(),
         // Room for every view on the 8 of 12 servers that survive below.
         StoreConfig {
             extra_memory_percent: 100,
@@ -197,7 +198,7 @@ fn batched_reads_mirror_the_persistent_tier_across_failures_and_growth() {
     write_round(&cluster, 0);
     assert_reads_mirror_the_tier(&cluster, &tier);
 
-    let machine = cluster.topology().servers()[1].machine();
+    let machine = topology.servers()[1].machine();
     cluster
         .apply_event(ClusterEvent::MachineDown { machine })
         .unwrap();
@@ -265,7 +266,7 @@ fn file_backed_cluster_survives_kill_and_restart_mid_traffic() {
     let store = open_one_log(&dir);
     let mut cluster = Cluster::spawn_with_store(
         &graph,
-        topology,
+        topology.clone(),
         StoreConfig {
             extra_memory_percent: 50,
             placement: InitialPlacement::Metis { seed: 3 },
@@ -288,14 +289,14 @@ fn file_backed_cluster_survives_kill_and_restart_mid_traffic() {
 
     // Kill server machines mid-traffic, rotating through the racks.
     cluster.read(reader, &[author]).unwrap(); // warm the routing
-    let victim = cluster.topology().servers()[0].machine();
+    let victim = topology.servers()[0].machine();
     let mut killed_and_restarted = 0;
     let mut latest_payload = b"pre-crash 19".to_vec();
     for round in 0..3u32 {
         let machine = if round == 0 {
             victim
         } else {
-            cluster.topology().servers()[round as usize * 3].machine()
+            topology.servers()[round as usize * 3].machine()
         };
         cluster
             .apply_event(ClusterEvent::MachineDown { machine })
@@ -356,7 +357,7 @@ fn sharded_cluster_survives_kill_and_restart_mid_traffic() {
     assert_eq!(store.shard_count(), 4);
     let mut cluster = Cluster::spawn_with_store(
         &graph,
-        topology,
+        topology.clone(),
         StoreConfig {
             extra_memory_percent: 50,
             placement: InitialPlacement::Metis { seed: 5 },
@@ -382,7 +383,7 @@ fn sharded_cluster_survives_kill_and_restart_mid_traffic() {
     cluster.read(reader, &[author]).unwrap(); // warm the routing
     let mut latest_payload = b"pre-crash".to_vec();
     for round in 0..3u32 {
-        let machine = cluster.topology().servers()[round as usize * 3].machine();
+        let machine = topology.servers()[round as usize * 3].machine();
         cluster
             .apply_event(ClusterEvent::MachineDown { machine })
             .unwrap();
