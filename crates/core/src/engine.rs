@@ -7,7 +7,7 @@
 //! for themselves, all within a fixed cluster-wide memory budget.
 
 use dynasore_graph::SocialGraph;
-use dynasore_topology::{MembershipChange, Topology};
+use dynasore_topology::Topology;
 use dynasore_types::{
     BrokerId, ClusterEvent, Error, Latency, MachineId, MemoryBudget, MemoryUsage, Message,
     PlacementEngine, ReplicaChangeReason, Result, SimTime, SubtreeId, TraceEventKind, TrafficSink,
@@ -519,7 +519,7 @@ impl DynaSoReEngine {
                 out.record(Message::protocol(write_proxy, broker.machine()));
             }
         }
-        self.unlink_replica(view, sidx);
+        self.unlink_replica(view, sidx, out);
         true
     }
 
@@ -578,13 +578,14 @@ impl DynaSoReEngine {
         self.invalidate_view(view);
     }
 
-    /// Removes the replica of `view` from server `sidx`'s slab and forgets
-    /// it. Every other replica's nearest other replica may have moved.
+    /// Removes the replica of `view` from server `sidx`'s slab, forgets it
+    /// and reports it to `out` ([`TrafficSink::unlinked`]). Every other
+    /// replica's nearest other replica may have moved.
     ///
     /// # Panics
     ///
     /// Panics if the server holds no replica of `view`.
-    fn unlink_replica(&mut self, view: UserId, sidx: usize) {
+    fn unlink_replica(&mut self, view: UserId, sidx: usize, out: &mut dyn TrafficSink) {
         let replicas = &mut self.users[view.as_usize()].replicas;
         let at = replicas
             .iter()
@@ -593,6 +594,7 @@ impl DynaSoReEngine {
         let replica = replicas.remove(at);
         self.servers[sidx].remove(replica.slot());
         self.invalidate_view(view);
+        out.unlinked(view, self.servers[sidx].machine());
     }
 
     /// Moves `user`'s write proxy to `broker` and announces the move to
@@ -789,9 +791,13 @@ impl DynaSoReEngine {
     /// returning machines rejoin empty, drained and decommissioned machines
     /// migrate their state away, and a new rack is mirrored with empty
     /// server slabs. The per-subtree candidate and threshold caches are
-    /// rebuilt against the updated liveness mask. Returns what the topology
-    /// reported, so a driver that runs machines of its own (the live store's
-    /// cache shards) stops and starts exactly those.
+    /// rebuilt against the updated liveness mask. Every replica a machine
+    /// loses — with its crash, its evacuation, or to make room for a
+    /// recovered master — is reported to `out` ([`TrafficSink::unlinked`]),
+    /// so a driver that holds the data itself (the live store's cache
+    /// shards) evicts exactly those copies and needs nothing else from the
+    /// event: a returning or added machine holds no replica until the
+    /// engine places one there.
     ///
     /// # Errors
     ///
@@ -802,7 +808,7 @@ impl DynaSoReEngine {
         &mut self,
         event: ClusterEvent,
         out: &mut dyn TrafficSink,
-    ) -> Result<MembershipChange> {
+    ) -> Result<()> {
         out.trace(TraceEventKind::ClusterChange { event });
         let change = self.topology.apply_cluster_event(event)?;
         // A stale event moved nothing and needs no reaction — except that a
@@ -810,7 +816,7 @@ impl DynaSoReEngine {
         // stranded proxies on its dead brokers.
         let stale = change.down.is_empty() && change.up.is_empty();
         if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
-            return Ok(change);
+            return Ok(());
         }
         match event {
             ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
@@ -825,7 +831,7 @@ impl DynaSoReEngine {
             }
             ClusterEvent::AddRack => self.absorb_new_rack(&change.up, out),
         }
-        Ok(change)
+        Ok(())
     }
 }
 

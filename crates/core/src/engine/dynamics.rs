@@ -136,7 +136,7 @@ impl DynaSoReEngine {
             // protocol traffic. Unlinking empties the slab; the clear resets
             // its free list and threshold to the freshly built state.
             for view in self.servers[sidx].view_ids() {
-                self.unlink_replica(view, sidx);
+                self.unlink_replica(view, sidx, out);
                 if self.users[view.as_usize()].replicas.is_empty() {
                     lost.push(view);
                 }
@@ -231,7 +231,7 @@ impl DynaSoReEngine {
                 // Genuinely no live capacity anywhere: lose the replica as a
                 // crash would (a later MachineUp/RackUp recovers it from the
                 // persistent tier).
-                self.unlink_replica(view, sidx);
+                self.unlink_replica(view, sidx, out);
                 self.trace_dropped(view, sidx, ReplicaChangeReason::Evacuation, out);
             }
         }

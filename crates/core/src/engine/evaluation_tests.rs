@@ -146,13 +146,14 @@ impl DynaSoReEngine {
     }
 }
 
-/// Buffers messages and traces, and (when `congested`) reports a queueing
-/// delay that differs by rack, so congestion penalties are non-zero and
-/// unequal across candidates.
+/// Buffers messages, traces and unlinked replicas, and (when `congested`)
+/// reports a queueing delay that differs by rack, so congestion penalties
+/// are non-zero and unequal across candidates.
 #[derive(Default)]
 pub(super) struct RecordingSink {
     messages: Vec<Message>,
     traces: Vec<TraceEventKind>,
+    pub(super) unlinked: Vec<(UserId, MachineId)>,
     congested: bool,
 }
 
@@ -171,6 +172,10 @@ impl TrafficSink for RecordingSink {
     fn trace(&mut self, event: TraceEventKind) {
         self.traces.push(event);
     }
+
+    fn unlinked(&mut self, view: UserId, server: MachineId) {
+        self.unlinked.push((view, server));
+    }
 }
 
 pub(super) const USERS: usize = 160;
@@ -186,7 +191,7 @@ pub(super) fn test_topology(flat: bool) -> Topology {
     }
 }
 
-fn test_engine(graph: &SocialGraph, topology: &Topology, extra: u32) -> DynaSoReEngine {
+pub(super) fn test_engine(graph: &SocialGraph, topology: &Topology, extra: u32) -> DynaSoReEngine {
     DynaSoReEngine::builder()
         .topology(topology.clone())
         .budget(MemoryBudget::with_extra_percent(graph.user_count(), extra))
@@ -421,6 +426,10 @@ fn linear_evaluation_replays_the_reference_run_exactly() {
         assert!(
             out.traces == ref_out.traces,
             "{context}: trace streams differ"
+        );
+        assert!(
+            out.unlinked == ref_out.unlinked,
+            "{context}: unlink streams differ"
         );
         assert_eq!(placement, ref_placement, "{context}");
         assert_eq!(proxies, ref_proxies, "{context}");

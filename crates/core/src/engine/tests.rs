@@ -2,11 +2,12 @@
 //! the public interface, and the reactions of `engine/dynamics.rs` to every
 //! cluster event.
 
-use super::evaluation_tests::{test_topology, RecordingSink, USERS};
+use super::evaluation_tests::{test_engine, test_topology, RecordingSink, USERS};
 use super::eviction_tests::apply_step;
 use super::*;
 use dynasore_graph::GraphPreset;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 pub(super) fn small_world() -> (SocialGraph, Topology) {
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, 400, 11).unwrap();
@@ -670,6 +671,13 @@ impl DynaSoReEngine {
             assert_eq!(server.len(), named[sidx], "server {sidx}: stored vs linked");
         }
     }
+
+    /// Every `(view, server)` pair of the placement.
+    fn placement_pairs(&self) -> BTreeSet<(UserId, MachineId)> {
+        let users = (0..self.users.len() as u32).map(UserId::new);
+        let pairs = users.flat_map(|u| self.replica_servers(u).into_iter().map(move |m| (u, m)));
+        pairs.collect()
+    }
 }
 
 proptest! {
@@ -686,12 +694,7 @@ proptest! {
         steps in proptest::collection::vec((0u32..100, (0u32..10_000, 0u32..10_000)), 300..301),
     ) {
         let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
-        let mut engine = DynaSoReEngine::builder()
-            .topology(test_topology(flat))
-            .budget(MemoryBudget::with_extra_percent(USERS, extra))
-            .initial_placement(InitialPlacement::Random { seed: 5 })
-            .build(&graph)
-            .unwrap();
+        let mut engine = test_engine(&graph, &test_topology(flat), extra);
         let mut out = RecordingSink::default();
         engine.check_replica_links();
         for (n, &step) in steps.iter().enumerate() {
@@ -699,5 +702,34 @@ proptest! {
             apply_step(&mut engine, &graph, &mut out, time, step);
             engine.check_replica_links();
         }
+    }
+
+    /// No replica leaves the placement silently: over the same churn, every
+    /// `(view, server)` pair held before a step and gone after it was
+    /// reported through [`TrafficSink::unlinked`] during the step — evicted,
+    /// dropped, moved, evacuated or lost with its machine — so a driver that
+    /// evicts what is reported (the live store) holds no copy the engine
+    /// does not list.
+    #[test]
+    fn every_replica_that_leaves_the_placement_is_reported(
+        flat in proptest::bool::ANY,
+        extra in 5u32..60,
+        steps in proptest::collection::vec((0u32..100, (0u32..10_000, 0u32..10_000)), 300..301),
+    ) {
+        let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+        let mut engine = test_engine(&graph, &test_topology(flat), extra);
+        let mut out = RecordingSink::default();
+        let mut reported = 0;
+        for (n, &step) in steps.iter().enumerate() {
+            let before = engine.placement_pairs();
+            out.unlinked.clear();
+            let time = SimTime::from_secs(n as u64 * 600);
+            let what = apply_step(&mut engine, &graph, &mut out, time, step);
+            for pair in before.difference(&engine.placement_pairs()) {
+                prop_assert!(out.unlinked.contains(pair), "step {}, {}: {:?} unreported", n, what, pair);
+            }
+            reported += out.unlinked.len();
+        }
+        prop_assert!(reported > 0, "nothing was unlinked");
     }
 }

@@ -11,9 +11,10 @@
 //! [`MetricsRegistry`] and folds every engine trace into both, so the
 //! measurement covers observability-enabled mode: recording a trace event
 //! must be as alloc-free as the read/write paths it rides on. It counts the
-//! engine's [`TrafficSink::served`] reports too — the live store builds its
-//! lookups and pushes from them — and the armed window checks there is one
-//! per read target and one per written replica.
+//! engine's [`TrafficSink::served`] and [`TrafficSink::unlinked`] reports
+//! too — the live store builds its lookups, pushes and evictions from them —
+//! the warm-up checks that replicas were unlinked, and the armed window that
+//! there is one `served` per read target and one per written replica.
 #![allow(unsafe_code)] // the GlobalAlloc trait is unsafe by construction
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -23,8 +24,8 @@ use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_topology::Topology;
 use dynasore_types::{
-    FlightRecorder, MachineId, MemoryBudget, Message, MetricsRegistry, PlacementEngine, SimTime,
-    TraceEventKind, TrafficSink, UserId,
+    ClusterEvent, FlightRecorder, MachineId, MemoryBudget, Message, MetricsRegistry,
+    PlacementEngine, SimTime, TraceEventKind, TrafficSink, UserId,
 };
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -60,6 +61,7 @@ struct CountingSink {
     messages: u64,
     traces: u64,
     served: u64,
+    unlinked: u64,
     recorder: FlightRecorder,
     registry: MetricsRegistry,
 }
@@ -77,6 +79,10 @@ impl TrafficSink for CountingSink {
 
     fn served(&mut self, _view: UserId, _server: MachineId) {
         self.served += 1;
+    }
+
+    fn unlinked(&mut self, _view: UserId, _server: MachineId) {
+        self.unlinked += 1;
     }
 }
 
@@ -98,6 +104,7 @@ fn steady_state_reads_and_writes_do_not_allocate() {
         messages: 0,
         traces: 0,
         served: 0,
+        unlinked: 0,
         recorder: FlightRecorder::new(4096),
         registry: MetricsRegistry::new(),
     };
@@ -114,8 +121,18 @@ fn steady_state_reads_and_writes_do_not_allocate() {
 
     // Warm up until the placement reaches its fixed point: replicas get
     // created and migrated while the engine adapts, after which repeating
-    // the identical workload changes nothing.
-    for _ in 0..30 {
+    // the identical workload changes nothing. A server crashes and returns
+    // early on, so the warm-up also unlinks replicas and recovers masters.
+    let crashed = engine.topology().servers()[0].machine();
+    for round in 0..30 {
+        if round == 5 {
+            for event in [
+                ClusterEvent::MachineDown { machine: crashed },
+                ClusterEvent::MachineUp { machine: crashed },
+            ] {
+                engine.apply_cluster_event(event, &mut sink).unwrap();
+            }
+        }
         for (user, targets) in &workload {
             engine.handle_read(*user, targets, SimTime::from_secs(5), &mut sink);
             engine.handle_write(*user, SimTime::from_secs(5), &mut sink);
@@ -123,6 +140,7 @@ fn steady_state_reads_and_writes_do_not_allocate() {
     }
 
     let warmup_traces = sink.traces;
+    assert!(sink.unlinked > 0, "the warm-up moved or evicted no replica");
 
     // Measure the same workload with the counter armed. Steady state emits
     // no organic trace events (nothing changes placement any more), so the

@@ -11,8 +11,8 @@ use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 // `PlacementEngine` comes from `dynasore-types` (layer 0), not the simulator.
 use dynasore_types::{
-    ClusterEvent, CountingSink, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine,
-    Result, SimTime, TraceEventKind, TrafficSink, UserId, View,
+    ClusterEvent, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine, Result, SimTime,
+    TraceEventKind, TrafficSink, UserId, View,
 };
 
 use crate::obs::StoreObs;
@@ -72,25 +72,29 @@ pub struct ClusterChangeReport {
     pub recovery_messages: u64,
 }
 
-/// The replicas the engine served one request from, in the order it
-/// reported them ([`TrafficSink::served`]); the messages are dropped.
+/// What the engine reported while handling one request or cluster event:
+/// the replicas it served, in order ([`TrafficSink::served`]), as lookups,
+/// those it unlinked ([`TrafficSink::unlinked`]) as evictions, and its
+/// messages, counted. A machine's shard is its index.
 #[derive(Debug, Default)]
-struct Served(Vec<(UserId, MachineId)>);
-
-impl TrafficSink for Served {
-    fn record(&mut self, _message: Message) {}
-
-    fn served(&mut self, view: UserId, server: MachineId) {
-        self.0.push((view, server));
-    }
+struct Served {
+    lookups: Vec<Lookup>,
+    evicts: Vec<(usize, UserId)>,
+    counts: ClusterChangeReport,
 }
 
-impl Served {
-    /// Each report as a lookup of its server's shard.
-    fn lookups(self, engine: &DynaSoReEngine) -> Vec<Lookup> {
-        let shard = |server| engine.topology().server_ordinal(server).expect("a server");
-        let lookup = |(view, server)| (shard(server), view, None);
-        self.0.into_iter().map(lookup).collect()
+impl TrafficSink for Served {
+    fn record(&mut self, message: Message) {
+        self.counts.messages += 1;
+        self.counts.recovery_messages += u64::from(message.involves_persistent());
+    }
+
+    fn served(&mut self, view: UserId, server: MachineId) {
+        self.lookups.push((server.as_usize(), view, None));
+    }
+
+    fn unlinked(&mut self, view: UserId, server: MachineId) {
+        self.evicts.push((server.as_usize(), view));
     }
 }
 
@@ -101,25 +105,27 @@ impl Served {
 /// [`ShardedLogStore`](crate::ShardedLogStore)
 /// ([`Cluster::spawn_with_store`]).
 ///
-/// The DynaSoRe placement engine makes every routing decision and holds
-/// the only topology: a read is served from, and a write pushed to, exactly
-/// the replicas the engine reports ([`TrafficSink::served`]).
+/// The DynaSoRe placement engine holds the only topology and makes every
+/// routing and placement decision: a read is served from, and a write pushed
+/// to, exactly the replicas it reports ([`TrafficSink::served`]), and the
+/// copies of those it unlinks ([`TrafficSink::unlinked`]) are evicted.
 ///
 /// Clients talk to the worker over one FIFO channel, and a read ships all
-/// its lookups as one message. The channel orders each client's own
-/// commands across *all* shards: the `Put`s and `Evict`s of a write are
-/// applied before that client's next read looks anything up, so a client
-/// reads its own writes, and a stale `Put` (a demand-fill racing a write)
-/// never replaces a newer version. Commands of different clients interleave
-/// in arrival order; [`Cluster::apply_event`] excludes clients altogether.
+/// its lookups and evictions as one message. The channel orders each
+/// client's own commands across *all* shards: the `Put`s and `Evict`s of a
+/// write are applied before that client's next read looks anything up, so a
+/// client reads its own writes, and a stale `Put` (a demand-fill racing a
+/// write) never replaces a newer version. Commands of different clients
+/// interleave in arrival order (a fill can land after another client's
+/// eviction: see [`Cluster::write`]); [`Cluster::apply_event`] excludes
+/// clients altogether.
 ///
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Cluster {
     graph: SocialGraph,
     engine: Mutex<DynaSoReEngine>,
-    /// The cached views: shard `i` is the server at
-    /// `Topology::server_ordinal` `i` of the engine's topology.
+    /// The cached views: shard `i` is the server with `MachineId` `i`.
     cache: CacheWorker,
     persistent: Arc<dyn PersistentStore>,
     clock: AtomicU64,
@@ -139,7 +145,7 @@ pub struct Cluster {
 
 impl Cluster {
     /// Spawns the cluster: builds the placement engine for `graph` over
-    /// `topology` and starts the cache worker with one shard per view server.
+    /// `topology` and starts the cache worker, every shard empty.
     ///
     /// # Errors
     ///
@@ -172,7 +178,6 @@ impl Cluster {
         config: StoreConfig,
         persistent: Arc<dyn PersistentStore>,
     ) -> Result<Self> {
-        let shards = topology.server_count();
         let engine = DynaSoReEngine::builder()
             .topology(topology)
             .budget(MemoryBudget::with_extra_percent(
@@ -183,7 +188,7 @@ impl Cluster {
             .build(graph)?;
 
         Ok(Cluster {
-            cache: CacheWorker::spawn(shards),
+            cache: CacheWorker::spawn(),
             graph: graph.clone(),
             engine: Mutex::new(engine),
             persistent,
@@ -223,7 +228,7 @@ impl Cluster {
     }
 
     /// The paper's `Write(u)` operation: persists a new event for `user` and
-    /// updates every cached replica of her view.
+    /// updates every replica of her view the engine wrote.
     ///
     /// # Errors
     ///
@@ -235,19 +240,26 @@ impl Cluster {
         let view = Arc::new(self.persistent.append(user, payload)?);
         // 2. The write proxy updates the placement statistics and pushes the
         //    new version — one allocation, shared — to each replica it wrote (§3.3).
-        let (written, shards) = {
+        let (served, unwritten) = {
             let mut engine = self.engine.lock();
             let mut served = Served::default();
             engine.handle_write(user, self.now(), &mut served);
-            (served.lookups(&engine), engine.topology().server_count())
+            let written = |shard: &usize| served.lookups.iter().any(|&(s, ..)| s == *shard);
+            let servers = engine.topology().servers().iter();
+            let shards = servers.map(|server| server.machine().as_usize());
+            let unwritten: Vec<usize> = shards.filter(|shard| !written(shard)).collect();
+            (served, unwritten)
         };
-        for &(shard, ..) in &written {
+        for &(shard, ..) in &served.lookups {
             self.cache.put(shard, user, view.clone());
         }
-        // Cached copies on servers the engine did not write are stale
-        // replicas that were evicted or migrated away; drop them so the
-        // cache mirrors the placement.
-        for shard in (0..shards).filter(|&shard| !written.iter().any(|&(s, ..)| s == shard)) {
+        for &(shard, owner) in &served.evicts {
+            self.cache.evict(shard, owner);
+        }
+        // The probe: a copy on a server the engine did not write is a fill
+        // that landed after another client's eviction. Deleting it (≈ 20× on
+        // `write_durable`) waits for fixed-work memory (ROADMAP items 1, 2(b)).
+        for shard in unwritten {
             if self.cache.get(shard, user).is_some() {
                 self.cache.evict(shard, user);
             }
@@ -274,24 +286,30 @@ impl Cluster {
 
     /// The one read path: the views of `targets` as the shards (on a miss,
     /// the persistent store) hold them, or with `detached` a copy per hit.
-    /// Each view is looked up where the engine read (and counted) it.
+    /// Each view is looked up where the engine read (and counted) it, and
+    /// the replicas the read unlinked are evicted in the same hand-off; a
+    /// miss on one of those is served but not cached.
     fn lookup(&self, user: UserId, targets: &[UserId], detached: bool) -> Result<Vec<Arc<View>>> {
         self.check_user(user)?;
-        let routed = {
+        let served = {
             let mut engine = self.engine.lock();
             let mut served = Served::default();
+            served.lookups.reserve(targets.len());
             engine.handle_read(user, targets, self.now(), &mut served);
-            served.lookups(&engine)
+            served
         };
-        // No followees or only unknown targets: nothing to hand off.
-        if routed.is_empty() {
+        // No followees or only unknown targets: nothing served or unlinked.
+        if served.lookups.is_empty() {
             return Ok(Vec::new());
         }
 
         // One hand-off for the whole read; every lookup yields one view.
-        let mut views: Vec<Arc<View>> = Vec::with_capacity(routed.len());
+        let mut views: Vec<Arc<View>> = Vec::with_capacity(served.lookups.len());
         let mut misses = 0;
-        for (shard, target, cached) in self.cache.get_many(routed, detached) {
+        let (found, evicts) = self
+            .cache
+            .get_many((served.lookups, served.evicts), detached);
+        for (shard, target, cached) in found {
             let view = match cached {
                 Some(view) => view,
                 // A target repeated inside one batch misses at every
@@ -305,7 +323,9 @@ impl Cluster {
                         // Cache miss: demand-fill from the persistent store.
                         misses += 1;
                         let view = Arc::new(self.persistent.fetch(target)?);
-                        self.cache.put(shard, target, view.clone());
+                        if !evicts.contains(&(shard, target)) {
+                            self.cache.put(shard, target, view.clone());
+                        }
                         view
                     }
                 },
@@ -359,14 +379,12 @@ impl Cluster {
         }
     }
 
-    /// Applies a [`ClusterEvent`] to the *live* store: machine/rack failures
-    /// stop the servers' cache shards (their cached views die with them),
-    /// recoveries and added racks start empty ones, and drains migrate state
-    /// first. The engine applies the event
-    /// ([`DynaSoReEngine::apply_cluster_event`]), re-filling lost masters
-    /// from the persistent tier, and only the shards of the machines its
-    /// topology reports moved stop or start; subsequent reads transparently
-    /// demand-fill restarted caches from the persistent tier.
+    /// Applies a [`ClusterEvent`] to the *live* store: the engine applies it
+    /// ([`DynaSoReEngine::apply_cluster_event`]) — crashed machines lose
+    /// their replicas, lost masters are re-filled from the persistent tier,
+    /// drained and retired machines migrate theirs first, revived and added
+    /// ones join empty — and the store evicts the copies of exactly the
+    /// replicas it unlinked. Reads then demand-fill the new replicas.
     ///
     /// Takes `&mut self`: cluster reconfiguration is an administrative
     /// operation that excludes concurrent clients for its (short) duration.
@@ -380,30 +398,17 @@ impl Cluster {
         if self.shut_down.load(Ordering::Acquire) {
             return Err(Error::ClusterShutdown);
         }
-        let engine = self.engine.get_mut();
-        let mut out = CountingSink::default();
-        let change = engine.apply_cluster_event(event, &mut out)?;
+        let mut out = Served::default();
+        self.engine.get_mut().apply_cluster_event(event, &mut out)?;
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
         }
-        // Crashed, drained and retired servers lose their shard — the engine
-        // has already rerouted around (or evacuated) their views — and
-        // revived and added ones start empty. Machines the event did not
-        // move are left alone: a stale repair must not restart the shards
-        // of a decommissioned rack.
-        let shard = |machine: &MachineId| engine.topology().server_ordinal(*machine);
-        for shard in change.down.iter().filter_map(shard) {
-            self.cache.stop(shard);
-        }
-        for shard in change.up.iter().filter_map(shard) {
-            self.cache.start(shard);
+        for (shard, owner) in out.evicts {
+            self.cache.evict(shard, owner);
         }
         self.recovery_messages
-            .fetch_add(out.persistent_messages, Ordering::Relaxed);
-        Ok(ClusterChangeReport {
-            messages: out.messages,
-            recovery_messages: out.persistent_messages,
-        })
+            .fetch_add(out.counts.recovery_messages, Ordering::Relaxed);
+        Ok(out.counts)
     }
 
     /// Stops the cache worker and rejects all further requests with
@@ -455,6 +460,35 @@ mod tests {
     /// The engine's topology, which numbers the shards.
     fn topology(cluster: &Cluster) -> Topology {
         cluster.engine.lock().topology().clone()
+    }
+
+    /// The key-set half of "cache contents == placement at quiescence":
+    /// panics unless every copy a shard holds is of a replica
+    /// `replica_servers` lists on that shard's machine. Returns the copies.
+    fn replica_copies(cluster: &Cluster, context: &str) -> Vec<Arc<View>> {
+        let mut batch = Vec::new();
+        {
+            let engine = cluster.engine.lock();
+            for user in cluster.graph.users() {
+                for machine in engine.replica_servers(user) {
+                    batch.push((machine.as_usize(), user, None));
+                }
+            }
+        }
+        let held = cluster.cache.lens();
+        let mut of_replicas = vec![0; held.len()];
+        let mut copies = Vec::new();
+        for (shard, _, copy) in cluster.cache.get_many((batch, Vec::new()), false).0 {
+            if let Some(copy) = copy {
+                of_replicas[shard] += 1;
+                copies.push(copy);
+            }
+        }
+        assert_eq!(
+            held, of_replicas,
+            "{context}: views held vs replica copies per shard"
+        );
+        copies
     }
 
     /// Knuth's multiplicative hash: scatters a seeded step counter.
@@ -595,7 +629,7 @@ mod tests {
         let reader = graph.followers(author)[0];
         cluster.write(author, b"once".to_vec()).unwrap();
         // The write cached the view on its replicas; start from a miss.
-        for shard in 0..topology(&cluster).server_count() {
+        for shard in 0..topology(&cluster).machine_count() {
             cluster.cache.evict(shard, author);
         }
         let before = cluster.stats();
@@ -784,56 +818,52 @@ mod tests {
         let before = cluster.cache.lens();
         let victim_shard = (0..before.len()).max_by_key(|&s| before[s]).unwrap();
         assert!(before[victim_shard] > 0);
-        let victim = topology(&cluster).servers()[victim_shard].machine();
+        let victim = MachineId::new(victim_shard as u32);
         cluster
             .apply_event(ClusterEvent::MachineDown { machine: victim })
             .unwrap();
-        let mut expected = before.clone();
-        expected[victim_shard] = 0;
-        assert_eq!(cluster.cache.lens(), expected, "only the victim's shard");
-        assert_eq!(
-            cluster.stats().cached_views,
-            expected.iter().sum::<usize>(),
-            "a stopped shard counts nothing"
-        );
+        // The victim's shard empties; another loses at most the replicas
+        // evicted to make room for the victim's recovered masters.
+        let after = cluster.cache.lens();
+        assert_eq!(after[victim_shard], 0, "the victim's shard");
+        assert!(after.iter().zip(&before).all(|(now, was)| now <= was));
+        assert_eq!(cluster.stats().cached_views, after.iter().sum::<usize>());
+        replica_copies(&cluster, "after the crash");
 
-        // Nothing was written, so whatever another machine had cached is
-        // still there: a read routed where it went before must hit.
+        // Reads route around the victim, and one served by a shard that
+        // still holds the view hits.
         let (mut still_hit, mut rerouted_off_victim) = (0, 0);
         for (&(reader, author), &was) in pairs.iter().zip(&routed) {
             let misses = cluster.stats().cache_misses;
             let now = route(&cluster, reader, author);
+            let held = cluster.cache.get(now.as_usize(), author).is_some();
             cluster.read(reader, &[author]).unwrap();
             assert_ne!(now, victim);
             if was == victim {
                 rerouted_off_victim += 1;
-            } else if now == was {
-                assert_eq!(cluster.stats().cache_misses, misses, "{author} at {was}");
+            } else if held {
+                assert_eq!(cluster.stats().cache_misses, misses, "{author} at {now}");
                 still_hit += 1;
             }
         }
         assert!(still_hit > 0 && rerouted_off_victim > 0);
 
-        // While the machine is down its shard ignores `Put`s; `MachineUp`
-        // brings it back empty and caching again.
-        let user = pairs[0].1;
-        cluster
-            .cache
-            .put(victim_shard, user, Arc::new(View::new(user)));
-        assert!(cluster.cache.get(victim_shard, user).is_none());
+        // `MachineUp` brings the machine back empty; what the reads then
+        // cache is of replicas the engine placed, and a stale second
+        // `MachineUp` evicts nothing.
         cluster
             .apply_event(ClusterEvent::MachineUp { machine: victim })
             .unwrap();
         assert_eq!(cluster.cache.lens()[victim_shard], 0);
-        cluster
-            .cache
-            .put(victim_shard, user, Arc::new(View::new(user)));
-        assert!(cluster.cache.get(victim_shard, user).is_some());
-        // A second `MachineUp` must not wipe the running shard.
+        for &(reader, author) in &pairs {
+            cluster.read(reader, &[author]).unwrap();
+        }
+        let warm = cluster.cache.lens();
         cluster
             .apply_event(ClusterEvent::MachineUp { machine: victim })
             .unwrap();
-        assert_eq!(cluster.cache.lens()[victim_shard], 1);
+        assert_eq!(cluster.cache.lens(), warm);
+        replica_copies(&cluster, "after the repair");
         cluster.shutdown().unwrap();
     }
 
@@ -857,18 +887,15 @@ mod tests {
         assert_eq!(views.len(), 1);
         assert_eq!(views[0].latest().unwrap().payload(), b"survives the rack");
 
-        // Grow the cluster while it runs: shards start for the new servers
-        // and the store keeps serving.
-        let shards_before = cluster.cache.lens().len();
+        // Grow the cluster while it runs: the new servers join empty and
+        // the store keeps serving.
+        let cached = cluster.cache.lens();
         cluster.apply_event(ClusterEvent::AddRack).unwrap();
-        assert!(cluster.cache.lens().len() > shards_before);
-        assert_eq!(
-            topology(&cluster).server_count(),
-            cluster.cache.lens().len()
-        );
+        assert_eq!(cluster.cache.lens(), cached);
         cluster.write(author, b"after resize".to_vec()).unwrap();
         let feed = cluster.read_feed(reader).unwrap();
         assert!(feed.iter().any(|e| e.payload() == b"after resize"));
+        replica_copies(&cluster, "after the resize");
         cluster.shutdown().unwrap();
     }
 
@@ -883,7 +910,7 @@ mod tests {
         cluster.write(author, b"before shrink".to_vec()).unwrap();
 
         // Decommission rack 0 while the store runs: the engine evacuates,
-        // the rack's shards stop for good.
+        // and the rack's shards empty for good.
         let rack = RackId::new(0);
         let rack_machines = topology(&cluster).machines_in_subtree(SubtreeId::Rack(0));
         cluster
@@ -892,18 +919,8 @@ mod tests {
         assert!(topology(&cluster).is_rack_retired(rack));
 
         // A stale repair event for the retired rack is a harmless no-op: no
-        // machine revives and no shard starts — a `Put` to one is dropped.
+        // machine revives, so none is placed a replica or caches a view.
         cluster.apply_event(ClusterEvent::RackUp { rack }).unwrap();
-        let topology = topology(&cluster);
-        for machine in rack_machines {
-            assert!(!topology.is_live(machine));
-            if let Some(shard) = topology.server_ordinal(machine) {
-                cluster
-                    .cache
-                    .put(shard, author, Arc::new(View::new(author)));
-                assert!(cluster.cache.get(shard, author).is_none());
-            }
-        }
 
         // The acknowledged write survives the shrink and new writes land.
         let views = cluster.read(reader, &[author]).unwrap();
@@ -912,6 +929,17 @@ mod tests {
         cluster.write(author, b"after shrink".to_vec()).unwrap();
         let feed = cluster.read_feed(reader).unwrap();
         assert!(feed.iter().any(|e| e.payload() == b"after shrink"));
+        let topology = topology(&cluster);
+        let lens = cluster.cache.lens();
+        for machine in rack_machines {
+            assert!(!topology.is_live(machine));
+            assert_eq!(
+                lens.get(machine.as_usize()).copied().unwrap_or(0),
+                0,
+                "{machine}"
+            );
+        }
+        replica_copies(&cluster, "after the shrink");
 
         // Removing an already-retired rack is rejected.
         assert!(cluster
@@ -920,46 +948,17 @@ mod tests {
         cluster.shutdown().unwrap();
     }
 
-    /// The cache/membership half of "cache contents == placement at
-    /// quiescence": whatever events arrive — stale, refused and past-the-end
-    /// ones included — a shard caches exactly when its machine is live.
-    #[test]
-    fn shards_run_exactly_on_the_live_servers() {
-        let user = UserId::new(0);
-        for seed in 0..6u32 {
-            let (mut cluster, _) = cluster();
-            for step in 0..20 {
-                let event = scattered_event(scatter(seed * 20 + step));
-                let before = topology(&cluster);
-                if cluster.apply_event(event).is_err() {
-                    assert_eq!(topology(&cluster), before, "refused {event}");
-                }
-                let topology = topology(&cluster);
-                for (shard, server) in topology.servers().iter().enumerate() {
-                    cluster.cache.put(shard, user, Arc::new(View::new(user)));
-                    assert_eq!(
-                        cluster.cache.get(shard, user).is_some(),
-                        topology.is_live(server.machine()),
-                        "seed {seed}: {server} after {event}"
-                    );
-                }
-            }
-            cluster.shutdown().unwrap();
-        }
-    }
-
-    /// The *version* half of "cache contents == placement at quiescence"
-    /// (ROADMAP 6(a)): after any single-threaded interleaving of reads,
-    /// feed reads, writes and cluster events, whatever a shard holds for a
-    /// server the engine lists as a replica is the persistent tier's current
-    /// version, and every answer on the way was the persistent tier's. The
-    /// *key-set* half — a shard holds a view exactly when the engine lists a
-    /// replica there — is not asserted because it does not hold yet: a
-    /// replica the engine drops while serving a read keeps its bytes in the
-    /// shard until the owner's next write probes them away, and a new
-    /// replica is only filled by the first read routed to it. Memory is
-    /// ample (200 % extra), so that no run of failures here leaves a view
-    /// without a live server — a read skips such a target.
+    /// "Cache contents == placement at quiescence", both halves: after any
+    /// single-threaded interleaving of reads, feed reads, writes and
+    /// cluster events — stale, refused and past-the-end ones included —
+    /// every copy a shard holds is of a replica the engine lists on that
+    /// shard's machine (checked after every step: a dead or retired machine
+    /// holds no replica, so its shard holds nothing), and at the end every
+    /// such copy is the persistent tier's current version, as was every
+    /// answer on the way. The key sets need not be equal: a new replica is
+    /// filled by the first read served from it. Memory is ample (200 %
+    /// extra), so that no run of failures here leaves a view without a live
+    /// server — a read skips such a target.
     #[test]
     fn every_answer_and_every_replica_copy_is_the_persistent_tiers_version() {
         const STEPS: u32 = 300;
@@ -979,7 +978,14 @@ mod tests {
                 let user = UserId::new(pick % users);
                 let followees = graph.followees(user);
                 match pick / users % 16 {
-                    0 => events += cluster.apply_event(scattered_event(pick / 16)).is_ok() as u32,
+                    0 => {
+                        let event = scattered_event(pick / 16);
+                        let before = topology(&cluster);
+                        match cluster.apply_event(event) {
+                            Ok(_) => events += 1,
+                            Err(_) => assert_eq!(topology(&cluster), before, "refused {event}"),
+                        }
+                    }
                     1..=4 => cluster.write(user, pick.to_le_bytes().to_vec()).unwrap(),
                     5..=8 => {
                         // Two followees, one of them twice, and a stranger.
@@ -1002,23 +1008,16 @@ mod tests {
                         feeds += !expected.is_empty() as u32;
                     }
                 }
+                replica_copies(&cluster, &format!("seed {seed} step {step}"));
             }
             assert!(events > 0 && feeds > 0, "seed {seed}: nothing exercised");
 
-            let mut copies = 0;
-            let topology = topology(&cluster);
-            for user in graph.users() {
-                let version = current(&cluster, user).version();
-                let replicas = cluster.engine.lock().replica_servers(user);
-                for &machine in replicas.iter() {
-                    let shard = topology.server_ordinal(machine).unwrap();
-                    if let Some(copy) = cluster.cache.get(shard, user) {
-                        assert_eq!(copy.version(), version, "seed {seed}: {user} at {machine}");
-                        copies += 1;
-                    }
-                }
+            let copies = replica_copies(&cluster, &format!("seed {seed}"));
+            for copy in &copies {
+                let version = current(&cluster, copy.owner()).version();
+                assert_eq!(copy.version(), version, "seed {seed}: {}", copy.owner());
             }
-            assert!(copies > 0, "seed {seed}: no replica holds a copy");
+            assert!(!copies.is_empty(), "seed {seed}: no replica holds a copy");
             cluster.shutdown().unwrap();
         }
     }
@@ -1028,7 +1027,8 @@ mod tests {
     /// replica the broker read *before* the engine reacted, not from
     /// wherever the reaction left the proxy and the replicas. Every target
     /// is evicted before the read, so the one shard the read fills is the
-    /// one it was served from.
+    /// one it was served from — unless the reaction unlinked that replica,
+    /// and then the read fills none.
     #[test]
     fn each_view_is_served_from_the_replica_the_engine_read() {
         const STEPS: u32 = 300;
@@ -1038,10 +1038,11 @@ mod tests {
             extra_memory_percent: 200,
             ..StoreConfig::default()
         };
+        let mut unlinked = 0;
         for seed in 0..4u32 {
             let topology = Topology::tree(2, 2, 4, 1).unwrap();
             let mut cluster = Cluster::spawn(&graph, topology, config.clone()).unwrap();
-            let mut checked = 0;
+            let mut filled = 0;
             for step in 0..STEPS {
                 let pick = scatter(seed * STEPS + step);
                 let user = UserId::new(pick % users);
@@ -1073,11 +1074,10 @@ mod tests {
                             continue;
                         };
                         if expected.iter().all(|&(t, _)| t != target) {
-                            let shard = engine.topology().server_ordinal(machine).unwrap();
-                            expected.push((target, shard));
+                            expected.push((target, machine.as_usize()));
                         }
                     }
-                    (engine.topology().server_count(), expected)
+                    (engine.topology().machine_count(), expected)
                 };
                 for &(target, _) in &expected {
                     for shard in 0..shards {
@@ -1093,13 +1093,22 @@ mod tests {
                     let holders: Vec<usize> = (0..shards)
                         .filter(|&s| cluster.cache.get(s, target).is_some())
                         .collect();
-                    assert_eq!(holders, [shard], "seed {seed} step {step}: {target}");
-                    checked += 1;
+                    // Empty exactly when the read itself unlinked the replica.
+                    let replicas = cluster.engine.lock().replica_servers(target);
+                    let kept = replicas.contains(&MachineId::new(shard as u32));
+                    let want: &[usize] = if kept { &[shard] } else { &[] };
+                    assert_eq!(holders, want, "seed {seed} step {step}: {target}");
+                    filled += holders.len();
+                    unlinked += !kept as u32;
                 }
             }
-            assert!(checked > 0, "seed {seed}: nothing read");
+            assert!(filled > 0, "seed {seed}: nothing filled");
             cluster.shutdown().unwrap();
         }
+        assert!(
+            unlinked > 0,
+            "no read unlinked the replica it was served from"
+        );
     }
 
     #[test]

@@ -3,14 +3,16 @@
 //! Every view server of the topology is one *shard* — a plain
 //! `HashMap<UserId, Arc<View>>`: a cached view is immutable, a write swaps
 //! the pointer and a hit hands out one more reference — and a single worker
-//! thread owns them all, indexed by `Topology::server_ordinal`. Brokers
-//! (which in the paper only orchestrate requests) are folded into the client
-//! call path; a read ships all its lookups to the worker as one
-//! [`Command::GetMany`], so it pays one hand-off per request, not per view.
+//! thread owns them all, indexed by `MachineId::as_usize`. A shard holds
+//! what clients `Put` until they `Evict` it; a `Put` past the end of the table
+//! grows it (an added rack). Brokers (which in the paper only orchestrate
+//! requests) are folded into the client call path; a read ships its lookups
+//! and evictions to the worker as one [`Command::GetMany`], so it pays one
+//! hand-off per request, not per view.
 //!
 //! Commands travel over one FIFO channel, so whatever a client sent before —
-//! a `Put`, an `Evict`, a `Stop` — has been applied to *every* shard by the
-//! time the worker answers that client's next lookup.
+//! a `Put`, an `Evict` — has been applied to *every* shard by the time the
+//! worker answers that client's next lookup.
 
 use std::collections::HashMap;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
@@ -23,43 +25,50 @@ use dynasore_types::{UserId, View};
 /// worker fills with the cached view.
 pub(crate) type Lookup = (usize, UserId, Option<Arc<View>>);
 
+/// One read's hand-off: its lookups, and the `(shard, user)` copies to
+/// evict once they are answered.
+pub(crate) type Batch = (Vec<Lookup>, Vec<(usize, UserId)>);
+
 /// Commands understood by the cache worker. `usize` fields are shard indices.
 #[derive(Debug)]
 enum Command {
     /// Return the cached view of a user, if present.
     Get(usize, UserId, SyncSender<Option<Arc<View>>>),
-    /// Fill every slot of the batch and send it back. With `true` a hit is
-    /// a private copy, made here because a by-value read that clones on the
-    /// *calling* thread is 6 % slower (README, *Measured and parked*).
-    GetMany(Vec<Lookup>, bool, SyncSender<Vec<Lookup>>),
+    /// Fill the batch's slots, apply its evictions, send it back. With `true`
+    /// a hit is a private copy: a by-value read that clones on the *calling*
+    /// thread is 6 % slower (README, *Measured and parked*).
+    GetMany(Batch, bool, SyncSender<Batch>),
     /// Insert or refresh the cached view of a user (newer versions win).
     Put(usize, UserId, Arc<View>),
     /// Drop the cached view of a user (replica eviction).
     Evict(usize, UserId),
-    /// Return the number of cached views of every shard (0 when stopped).
+    /// Return the number of cached views of every shard.
     Lens(SyncSender<Vec<usize>>),
-    /// The shard's machine died: drop its views and ignore its `Put`s.
-    Stop(usize),
-    /// Bring a stopped (or newly added) shard up, empty.
-    Start(usize),
     /// Stop the thread.
     Shutdown,
 }
 
-/// The shards as the worker holds them; `None` is a stopped shard.
-type Shards = Vec<Option<HashMap<UserId, Arc<View>>>>;
+/// The shards as the worker holds them.
+type Shards = Vec<HashMap<UserId, Arc<View>>>;
 
 fn lookup(shards: &Shards, shard: usize, user: UserId) -> Option<&Arc<View>> {
-    shards.get(shard)?.as_ref()?.get(&user)
+    shards.get(shard)?.get(&user)
 }
 
-fn run(mut shards: Shards, commands: Receiver<Command>) {
+fn evict(shards: &mut Shards, shard: usize, user: UserId) {
+    if let Some(views) = shards.get_mut(shard) {
+        views.remove(&user);
+    }
+}
+
+fn run(commands: Receiver<Command>) {
+    let mut shards = Shards::new();
     while let Ok(command) = commands.recv() {
         match command {
             Command::Get(shard, user, reply) => {
                 let _ = reply.send(lookup(&shards, shard, user).cloned());
             }
-            Command::GetMany(mut batch, detached, reply) => {
+            Command::GetMany((mut batch, evicts), detached, reply) => {
                 for (shard, user, slot) in &mut batch {
                     let hit = lookup(&shards, *shard, *user);
                     *slot = if detached {
@@ -68,36 +77,23 @@ fn run(mut shards: Shards, commands: Receiver<Command>) {
                         hit.cloned()
                     };
                 }
-                let _ = reply.send(batch);
+                for &(shard, user) in &evicts {
+                    evict(&mut shards, shard, user);
+                }
+                let _ = reply.send((batch, evicts));
             }
             Command::Put(shard, user, view) => {
-                if let Some(Some(views)) = shards.get_mut(shard) {
-                    let stale = |held: &Arc<View>| held.version() >= view.version();
-                    if !views.get(&user).is_some_and(stale) {
-                        views.insert(user, view);
-                    }
-                }
-            }
-            Command::Evict(shard, user) => {
-                if let Some(Some(views)) = shards.get_mut(shard) {
-                    views.remove(&user);
-                }
-            }
-            Command::Lens(reply) => {
-                let lens = shards.iter().map(|s| s.as_ref().map_or(0, HashMap::len));
-                let _ = reply.send(lens.collect());
-            }
-            Command::Stop(shard) => {
-                if let Some(slot) = shards.get_mut(shard) {
-                    *slot = None;
-                }
-            }
-            Command::Start(shard) => {
                 if shard >= shards.len() {
-                    shards.resize_with(shard + 1, || None);
+                    shards.resize_with(shard + 1, HashMap::new);
                 }
-                // A running shard keeps its views: the engine counts it warm.
-                shards[shard].get_or_insert_with(HashMap::new);
+                let stale = |held: &Arc<View>| held.version() >= view.version();
+                if !shards[shard].get(&user).is_some_and(stale) {
+                    shards[shard].insert(user, view);
+                }
+            }
+            Command::Evict(shard, user) => evict(&mut shards, shard, user),
+            Command::Lens(reply) => {
+                let _ = reply.send(shards.iter().map(HashMap::len).collect());
             }
             Command::Shutdown => break,
         }
@@ -112,13 +108,12 @@ pub(crate) struct CacheWorker {
 }
 
 impl CacheWorker {
-    /// Spawns the worker with `shards` running, empty shards.
-    pub fn spawn(shards: usize) -> CacheWorker {
+    /// Spawns the worker; every shard starts empty.
+    pub fn spawn() -> CacheWorker {
         let (sender, commands) = channel();
-        let shards: Shards = (0..shards).map(|_| Some(HashMap::new())).collect();
         let join = std::thread::Builder::new()
             .name("dynasore-cache".into())
-            .spawn(move || run(shards, commands))
+            .spawn(move || run(commands))
             .expect("failed to spawn the cache worker thread");
         CacheWorker {
             sender,
@@ -139,10 +134,10 @@ impl CacheWorker {
         self.ask(|reply| Command::Get(shard, user, reply)).flatten()
     }
 
-    /// Looks a whole batch up in one hand-off: it comes back in order with
-    /// every slot filled — the shard's own allocation, or when `detached` a
-    /// private copy of it — and empty once the worker is gone.
-    pub fn get_many(&self, batch: Vec<Lookup>, detached: bool) -> Vec<Lookup> {
+    /// Looks the batch up and applies its evictions in one hand-off: it comes
+    /// back in order, every slot filled — the shard's own allocation, or when
+    /// `detached` a private copy — and empty once the worker is gone.
+    pub fn get_many(&self, batch: Batch, detached: bool) -> Batch {
         self.ask(|reply| Command::GetMany(batch, detached, reply))
             .unwrap_or_default()
     }
@@ -157,19 +152,9 @@ impl CacheWorker {
         let _ = self.sender.send(Command::Evict(shard, user));
     }
 
-    /// Number of views cached on every shard, stopped ones counting 0.
+    /// Number of views cached on every shard a `Put` has reached.
     pub fn lens(&self) -> Vec<usize> {
         self.ask(Command::Lens).unwrap_or_default()
-    }
-
-    /// Stops a shard: its views are gone and `Put`s to it are ignored.
-    pub fn stop(&self, shard: usize) {
-        let _ = self.sender.send(Command::Stop(shard));
-    }
-
-    /// Starts a stopped or new shard, empty; no-op on a running one.
-    pub fn start(&self, shard: usize) {
-        let _ = self.sender.send(Command::Start(shard));
     }
 
     /// Asks the thread to stop and waits for it. Idempotent.
@@ -208,9 +193,11 @@ mod tests {
 
     #[test]
     fn get_put_evict_round_trip() {
-        let mut worker = CacheWorker::spawn(2);
+        let mut worker = CacheWorker::spawn();
         let u = UserId::new(5);
         assert!(worker.get(1, u).is_none());
+        assert!(worker.lens().is_empty());
+        // A `Put` past the end grows the table.
         worker.put(1, u, view_with(u, b"x", 1));
         let cached = worker.get(1, u).expect("cached view");
         assert_eq!(cached.len(), 1);
@@ -224,7 +211,7 @@ mod tests {
 
     #[test]
     fn stale_puts_do_not_overwrite_newer_views() {
-        let mut worker = CacheWorker::spawn(1);
+        let mut worker = CacheWorker::spawn();
         let u = UserId::new(1);
         worker.put(0, u, view_with(u, b"new", 3));
         worker.put(0, u, view_with(u, b"old", 1));
@@ -235,7 +222,7 @@ mod tests {
 
     #[test]
     fn hits_share_the_shards_allocation_and_a_stale_put_leaves_it_alone() {
-        let worker = CacheWorker::spawn(2);
+        let worker = CacheWorker::spawn();
         let u = UserId::new(4);
         let pushed = view_with(u, b"v2", 2);
         worker.put(1, u, pushed.clone());
@@ -245,11 +232,11 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &pushed));
         assert!(Arc::ptr_eq(&first, &worker.get(1, u).unwrap()));
         let twice = || vec![(1, u, None), (1, u, None)];
-        for (_, _, hit) in worker.get_many(twice(), false) {
+        for (_, _, hit) in worker.get_many((twice(), Vec::new()), false).0 {
             assert!(Arc::ptr_eq(&first, &hit.unwrap()));
         }
         // Detached hits are equal copies nobody else holds.
-        for (_, _, hit) in worker.get_many(twice(), true) {
+        for (_, _, hit) in worker.get_many((twice(), Vec::new()), true).0 {
             let copy = hit.unwrap();
             assert_eq!((&*copy, Arc::strong_count(&copy)), (&*first, 1));
         }
@@ -268,15 +255,19 @@ mod tests {
 
     #[test]
     fn get_many_answers_every_key_in_order() {
-        let worker = CacheWorker::spawn(3);
+        let worker = CacheWorker::spawn();
         let (a, b) = (UserId::new(1), UserId::new(2));
         worker.put(0, a, view_with(a, b"a", 1));
         worker.put(2, b, view_with(b, b"b", 2));
-        // Hits, a miss, a repeated key and a shard that does not exist.
+        // Hits, a miss, a repeated key and a shard that does not exist; the
+        // evictions, one of them past the end, apply after the lookups.
         let keys = [(2, b), (0, b), (0, a), (2, b), (7, a)];
-        let batch = worker.get_many(keys.iter().map(|&(s, u)| (s, u, None)).collect(), false);
+        let evicts = vec![(2, b), (9, a)];
+        let lookups = keys.iter().map(|&(s, u)| (s, u, None)).collect();
+        let (batch, evicted) = worker.get_many((lookups, evicts.clone()), false);
         let asked: Vec<(usize, UserId)> = batch.iter().map(|&(s, u, _)| (s, u)).collect();
         assert_eq!(asked, keys, "the batch comes back in order");
+        assert_eq!(evicted, evicts, "the evictions come back unchanged");
         let owners: Vec<Option<(UserId, usize)>> = batch
             .iter()
             .map(|(_, _, v)| v.as_ref().map(|v| (v.owner(), v.len())))
@@ -285,42 +276,22 @@ mod tests {
             owners,
             [Some((b, 2)), None, Some((a, 1)), Some((b, 2)), None]
         );
-        assert!(worker.get_many(Vec::new(), false).is_empty());
-    }
-
-    #[test]
-    fn a_stopped_shard_drops_its_views_and_ignores_puts_until_started() {
-        let worker = CacheWorker::spawn(2);
-        let u = UserId::new(9);
-        worker.put(0, u, view_with(u, b"x", 1));
-        worker.put(1, u, view_with(u, b"x", 1));
-        worker.stop(0);
-        assert!(worker.get(0, u).is_none());
-        worker.put(0, u, view_with(u, b"late", 2));
-        worker.evict(0, u);
-        assert_eq!(worker.lens(), [0, 1], "the other shard is untouched");
-        // It comes back empty; starting a running shard keeps its views.
-        worker.start(0);
-        worker.start(1);
-        assert_eq!(worker.lens(), [0, 1]);
-        worker.put(0, u, view_with(u, b"again", 1));
-        // A shard past the end (an added rack) grows the table.
-        worker.start(3);
-        worker.put(3, u, view_with(u, b"new rack", 1));
-        worker.put(2, u, view_with(u, b"never started", 1));
-        assert_eq!(worker.lens(), [1, 1, 0, 1]);
+        assert_eq!(worker.lens(), [1, 0, 0]);
+        assert_eq!(
+            worker.get_many((Vec::new(), Vec::new()), false),
+            (vec![], vec![])
+        );
     }
 
     #[test]
     fn shutdown_is_idempotent() {
-        let mut worker = CacheWorker::spawn(1);
+        let mut worker = CacheWorker::spawn();
         worker.shutdown();
         worker.shutdown();
         assert!(worker.join.is_none());
         assert!(worker.get(0, UserId::new(1)).is_none());
-        assert!(worker
-            .get_many(vec![(0, UserId::new(1), None)], true)
-            .is_empty());
+        let (batch, evicts) = worker.get_many((vec![(0, UserId::new(1), None)], vec![]), true);
+        assert!(batch.is_empty() && evicts.is_empty());
         assert!(worker.lens().is_empty());
     }
 }

@@ -228,6 +228,17 @@ pub trait TrafficSink {
     /// store — serves and pushes to exactly these replicas instead of
     /// routing a second time. The default discards the report.
     fn served(&mut self, _view: UserId, _server: MachineId) {}
+
+    /// Reports that `server` no longer holds a replica of `view`. An engine
+    /// that reports (DynaSoRe's does; the baselines do not) calls it every
+    /// time a replica leaves a server — evicted, dropped, moved away,
+    /// evacuated or lost with a crashed machine — while handling the request
+    /// or cluster event it is reporting to. A replica created again on the
+    /// same server later in the same call is reported as unlinked all the
+    /// same. A driver that holds the data itself — the live store — evicts
+    /// exactly these copies, so its cache holds no replica the engine does
+    /// not list. The default discards the report.
+    fn unlinked(&mut self, _view: UserId, _server: MachineId) {}
 }
 
 impl TrafficSink for Vec<Message> {
