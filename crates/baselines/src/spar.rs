@@ -254,12 +254,11 @@ impl SparEngine {
         self.replicas[user].push(target);
         self.primary[user] = target;
         self.proxies[user] = self.proxy_near(target);
-        for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-            out.record(match source {
-                Some(source) => Message::protocol(source, target_machine),
-                None => Message::persistent_fetch(target_machine),
-            });
-        }
+        let transfer = match source {
+            Some(source) => Message::protocol(source, target_machine),
+            None => Message::persistent_fetch(target_machine),
+        };
+        out.record_n(transfer, VIEW_TRANSFER_PROTOCOL_MESSAGES);
     }
 
     /// Re-homes every proxy hosted on a machine that is no longer live to
@@ -401,9 +400,10 @@ impl PlacementEngine for SparEngine {
                 let source = self.servers[self.primary[followee.as_usize()]].machine;
                 let target_machine = self.servers[target].machine;
                 out.record(Message::protocol(source, target_machine));
-                for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-                    out.record(Message::protocol(source, target_machine));
-                }
+                out.record_n(
+                    Message::protocol(source, target_machine),
+                    VIEW_TRANSFER_PROTOCOL_MESSAGES,
+                );
             }
         }
         // SPAR never reclaims replicas on edge removal.

@@ -191,13 +191,12 @@ impl StaticPlacement {
                 .closest_live_broker(new_machine)
                 .map(|b| b.machine())
                 .unwrap_or(new_machine);
-            for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-                if from_persistent {
-                    out.record(Message::persistent_fetch(new_machine));
-                } else {
-                    out.record(Message::protocol(old_machine, new_machine));
-                }
-            }
+            let transfer = if from_persistent {
+                Message::persistent_fetch(new_machine)
+            } else {
+                Message::protocol(old_machine, new_machine)
+            };
+            out.record_n(transfer, VIEW_TRANSFER_PROTOCOL_MESSAGES);
         }
         // Proxies hosted on dead brokers re-home even if their view stayed
         // put.

@@ -448,9 +448,10 @@ impl DynaSoReEngine {
         // the view data is then transferred from the source replica.
         out.record(Message::protocol(source_machine, write_proxy));
         out.record(Message::protocol(write_proxy, target_machine));
-        for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-            out.record(Message::protocol(source_machine, target_machine));
-        }
+        out.record_n(
+            Message::protocol(source_machine, target_machine),
+            VIEW_TRANSFER_PROTOCOL_MESSAGES,
+        );
         // Routing-table updates for the brokers that will now read the new
         // replica (the brokers of the target's rack).
         if let Ok(rack) = self.topology.rack_of(target_machine) {

@@ -103,9 +103,10 @@ impl DynaSoReEngine {
         // The write proxy orchestrates the refill; the view data streams
         // from the persistent tier across the core switch.
         out.record(Message::protocol(write_proxy, target_machine));
-        for _ in 0..VIEW_TRANSFER_PROTOCOL_MESSAGES {
-            out.record(Message::persistent_fetch(target_machine));
-        }
+        out.record_n(
+            Message::persistent_fetch(target_machine),
+            VIEW_TRANSFER_PROTOCOL_MESSAGES,
+        );
         self.recovered_views += 1;
         out.trace(TraceEventKind::ReplicaCreated {
             user: view,

@@ -733,3 +733,50 @@ proptest! {
         prop_assert!(reported > 0, "nothing was unlinked");
     }
 }
+
+/// The message stream a `Vec<Message>` sink receives — every
+/// [`TrafficSink::record_n`] arriving as its copies — over a seeded run of
+/// un-ticked feed reads (every admission evicts), writes, a crash with its
+/// recovery and then hourly ticks, pinned by length, recovery share and an
+/// FNV-1a digest of every message's endpoints and class in order: how a
+/// view transfer is handed to a sink does not change which messages it is.
+#[test]
+fn the_message_stream_of_a_seeded_run_is_pinned() {
+    let (mut engine, graph, _) = engine_with_extra(30);
+    let crashed = engine.servers[3].machine();
+    let users = graph.user_count() as u32;
+    let mut out: Vec<Message> = Vec::new();
+    for step in 0..3_000u32 {
+        let user = UserId::new(step.wrapping_mul(7_919) % users);
+        let time = SimTime::from_secs(u64::from(step) * 30);
+        if step % 5 == 4 {
+            engine.handle_write(user, time, &mut out);
+        } else {
+            engine.handle_read(user, graph.followees(user), time, &mut out);
+        }
+        if step >= 2_000 && step % 120 == 119 {
+            engine.on_tick(time, &mut out);
+        }
+        let event = match step {
+            1_000 => ClusterEvent::MachineDown { machine: crashed },
+            1_500 => ClusterEvent::MachineUp { machine: crashed },
+            _ => continue,
+        };
+        engine.apply_cluster_event(event, &mut out).unwrap();
+    }
+    let digest = out.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, m| {
+        let words = [
+            m.from.index(),
+            m.to.index(),
+            m.class.is_application() as u32,
+        ];
+        words.iter().fold(hash, |hash, &word| {
+            (hash ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3)
+        })
+    });
+    let recovery = out.iter().filter(|m| m.involves_persistent()).count();
+    assert_eq!(
+        (out.len(), recovery, digest),
+        (245_678, 180, 0x2e7c_3266_f67e_9b01)
+    );
+}

@@ -12,10 +12,9 @@ use crate::stats::ReplicaStats;
 
 #[derive(Debug, Clone)]
 struct SlotEntry {
-    view: UserId,
-    /// The utility cached for this slot is out of date. (Fits the padding
-    /// after `view`: the entry is 80 bytes, 72 of them the statistics'
-    /// header; period counters live on the heap, only where traffic is.)
+    /// The utility cached for this slot is out of date. (The entry is 80
+    /// bytes, 72 of them the statistics' header; period counters live on
+    /// the heap, only where traffic is.)
     stale: bool,
     stats: ReplicaStats,
 }
@@ -41,10 +40,16 @@ fn group_shift(slots: usize) -> u32 {
 /// chosen view is independent of slot layout.
 ///
 /// Steady-state operations (`stats`, `stats_mut`, `insert` into a recycled
-/// slot, `remove`) are array indexing and perform no heap allocation.
+/// slot, `remove`) are array indexing and perform no heap allocation. A
+/// removed replica's statistics, emptied, are kept for the next insert
+/// when their heap is small: with every server full, that is the replica
+/// that evicted it, which so records its first traffic in the victim's
+/// heap instead of allocating its own.
 ///
-/// Next to each slot the slab keeps the replica's utility as the engine
-/// last computed it, and each entry a mark saying that value is out of date.
+/// Next to each slot the slab keeps the replica's view id and its utility
+/// as the engine last computed it, in two contiguous arrays that a victim
+/// scan reads without touching an entry, and each entry a mark saying that
+/// the utility is out of date.
 /// The server knows when its own statistics move (`stats_mut`,
 /// `rotate_counters`, `insert`); the engine marks the rest (the view's
 /// replica set or write proxy changed) through `ServerState::mark_stale`
@@ -59,6 +64,8 @@ pub struct ServerState {
     machine: MachineId,
     capacity: usize,
     slots: Vec<Option<SlotEntry>>,
+    /// The view stored in each slot (its last tenant's for a free slot).
+    views: Vec<UserId>,
     /// The cached utility of the replica in each slot; `INFINITY` (never a
     /// victim) for free slots.
     utilities: Vec<f64>,
@@ -68,6 +75,8 @@ pub struct ServerState {
     stale_shift: u32,
     free: Vec<u32>,
     len: usize,
+    /// The emptied statistics of a removed replica, for the next insert.
+    spare: Option<ReplicaStats>,
     admission_threshold: f64,
 }
 
@@ -78,11 +87,13 @@ impl ServerState {
             machine,
             capacity,
             slots: (0..capacity).map(|_| None).collect(),
+            views: vec![UserId::default(); capacity],
             utilities: vec![f64::INFINITY; capacity],
             stale_groups: 0,
             stale_shift: group_shift(capacity),
             free: (0..capacity as u32).rev().collect(),
             len: 0,
+            spare: None,
             admission_threshold: 0.0,
         }
     }
@@ -139,6 +150,7 @@ impl ServerState {
             Some(slot) => slot as usize,
             None => {
                 self.slots.push(None);
+                self.views.push(view);
                 self.utilities.push(f64::INFINITY);
                 let shift = group_shift(self.slots.len());
                 if shift != self.stale_shift {
@@ -150,22 +162,28 @@ impl ServerState {
             }
         };
         self.slots[slot] = Some(SlotEntry {
-            view,
             stale: true,
-            stats: ReplicaStats::new(),
+            stats: self.spare.take().unwrap_or_default(),
         });
+        self.views[slot] = view;
         self.stale_groups |= self.group_bit(slot);
         self.len += 1;
         slot
     }
 
-    /// Removes the replica in slab slot `slot`, freeing the slot.
+    /// Removes the replica in slab slot `slot`, freeing the slot and
+    /// keeping its statistics' heap for the next insert if it is small.
     ///
     /// # Panics
     ///
     /// Panics if the slot is free.
     pub fn remove(&mut self, slot: usize) {
-        assert!(self.slots[slot].take().is_some(), "removing a free slot");
+        let Some(entry) = self.slots[slot].take() else {
+            panic!("removing a free slot");
+        };
+        if let Some(stats) = entry.stats.recycled() {
+            self.spare = Some(stats);
+        }
         self.utilities[slot] = f64::INFINITY;
         self.free.push(slot as u32);
         self.len -= 1;
@@ -232,13 +250,13 @@ impl ServerState {
     /// cache an infinite utility, so no scan of the cache leads to one).
     pub(crate) fn replica_at(&self, slot: usize) -> (UserId, &ReplicaStats) {
         let entry = self.slots[slot].as_ref().expect("an occupied slot");
-        (entry.view, &entry.stats)
+        (self.views[slot], &entry.stats)
     }
 
     /// The view stored in slab slot `slot`, or `None` for a free slot.
     #[cfg(test)]
     pub(crate) fn view_at(&self, slot: usize) -> Option<UserId> {
-        self.slots.get(slot)?.as_ref().map(|entry| entry.view)
+        self.slots.get(slot)?.as_ref().map(|_| self.views[slot])
     }
 
     /// Stores the freshly computed utility of the replica in `slot`.
@@ -255,52 +273,47 @@ impl ServerState {
     /// utility must have been refreshed.
     pub(crate) fn cached_utilities(&self) -> impl Iterator<Item = (UserId, f64)> + '_ {
         debug_assert!(!self.has_stale_utilities(), "stale utilities read");
+        let keys = self.views.iter().zip(&self.utilities);
         self.slots
             .iter()
-            .zip(&self.utilities)
-            .filter_map(|(entry, &utility)| entry.as_ref().map(|e| (e.view, utility)))
+            .zip(keys)
+            .filter_map(|(entry, (&view, &utility))| entry.as_ref().map(|_| (view, utility)))
     }
 
     /// The stored views whose cached utility is below `limit`, in slot
     /// order. Every utility must have been refreshed.
     pub(crate) fn views_with_utility_below(&self, limit: f64) -> impl Iterator<Item = UserId> + '_ {
         debug_assert!(!self.has_stale_utilities(), "stale utilities read");
-        // Only the (contiguous) utilities are scanned; a slot's entry is
-        // touched when it matches. Free slots are infinitely useful.
+        // Free slots cache an infinite utility: the keys alone answer.
         self.utilities
             .iter()
-            .enumerate()
-            .filter(move |&(_, &utility)| utility < limit)
-            .map(|(slot, _)| self.replica_at(slot).0)
+            .zip(&self.views)
+            .filter(move |&(&utility, _)| utility < limit)
+            .map(|(_, &view)| view)
     }
 
     /// The stored view of the lowest finite cached utility (sole replicas
-    /// are infinitely useful), ties broken by [`UserId`] so the choice is
-    /// independent of slot layout. Every utility must have been refreshed.
+    /// and free slots are infinitely useful), ties broken by [`UserId`] so
+    /// the choice is independent of slot layout: one pass over the
+    /// contiguous `(utility, view)` keys. Every utility must have been
+    /// refreshed.
     pub(crate) fn lowest_utility_view(&self) -> Option<UserId> {
         debug_assert!(!self.has_stale_utilities(), "stale utilities read");
-        let mut lowest = f64::INFINITY;
-        for &utility in &self.utilities {
-            if utility < lowest {
-                lowest = utility;
+        let mut lowest = (f64::INFINITY, UserId::default());
+        for (&utility, &view) in self.utilities.iter().zip(&self.views) {
+            if utility < lowest.0 || (utility == lowest.0 && view < lowest.1) {
+                lowest = (utility, view);
             }
         }
-        if lowest == f64::INFINITY {
-            return None;
-        }
-        self.utilities
-            .iter()
-            .enumerate()
-            .filter(|&(_, &utility)| utility == lowest)
-            .map(|(slot, _)| self.replica_at(slot).0)
-            .min()
+        (lowest.0 < f64::INFINITY).then_some(lowest.1)
     }
 
     /// Iterates over the stored views and their statistics, in slot order.
     pub fn views(&self) -> impl Iterator<Item = (UserId, &ReplicaStats)> {
         self.slots
             .iter()
-            .filter_map(|entry| entry.as_ref().map(|e| (e.view, &e.stats)))
+            .zip(&self.views)
+            .filter_map(|(entry, &view)| entry.as_ref().map(|e| (view, &e.stats)))
     }
 
     /// The ids of the stored views, in slot order.
@@ -339,14 +352,7 @@ impl ServerState {
     /// in-memory cache content is lost wholesale, while the server object
     /// survives so it can rejoin empty later.
     pub fn clear(&mut self) {
-        let capacity = self.capacity;
-        self.slots = (0..capacity).map(|_| None).collect();
-        self.utilities = vec![f64::INFINITY; capacity];
-        self.stale_groups = 0;
-        self.stale_shift = group_shift(capacity);
-        self.free = (0..capacity as u32).rev().collect();
-        self.len = 0;
-        self.admission_threshold = 0.0;
+        *self = ServerState::new(self.machine, self.capacity);
     }
 }
 
@@ -620,5 +626,93 @@ mod tests {
         s.remove(slot[3]);
         // Only a sole replica is left: nothing to evict.
         assert_eq!(s.lowest_utility_view(), None);
+    }
+
+    #[test]
+    fn the_smallest_id_wins_a_tie_whatever_the_slot_order() {
+        let id = UserId::new;
+        let mut s = server(8);
+        // Inserted high to low, so slot order runs against id order.
+        let slot: Vec<usize> = [90, 80, 70, 60, 50, 40].map(|v| s.insert(id(v))).to_vec();
+        // Two slots freed, one of them reused by a smaller id: the free
+        // ones keep their last tenant's id beside an infinite utility.
+        s.remove(slot[1]);
+        s.remove(slot[4]);
+        assert_eq!(s.insert(id(10)), slot[4]);
+        refresh(&mut s, |v| match v.index() {
+            90 | 60 | 40 | 10 => -1.5,
+            _ => 3.0,
+        });
+        assert_eq!(s.lowest_utility_view(), Some(id(10)));
+        // Its freed slot still holds id 10, and is never the victim.
+        s.remove(slot[4]);
+        assert_eq!(s.lowest_utility_view(), Some(id(40)));
+        s.remove(slot[5]);
+        assert_eq!(s.lowest_utility_view(), Some(id(60)));
+        // Every utility infinite: sole replicas and free slots only.
+        s.mark_all_stale();
+        refresh(&mut s, |_| f64::INFINITY);
+        assert_eq!(s.lowest_utility_view(), None);
+    }
+
+    /// The one pass against the definition — the smallest `(utility, id)`
+    /// among the occupied slots of finite utility — over a seeded run of
+    /// inserts, removes and refreshes whose utilities tie often.
+    #[test]
+    fn the_one_pass_victim_is_the_lowest_key_among_the_stored_views() {
+        let mut rng = proptest::TestRng::new(0x51AB);
+        let mut next = move |n: u64| rng.next_u64() % n;
+        let mut s = server(24);
+        let mut stored: Vec<(UserId, usize)> = Vec::new();
+        for step in 0..4_000 {
+            match next(4) {
+                0 | 1 if stored.len() < 30 => {
+                    let view = UserId::new(next(1_000) as u32);
+                    if stored.iter().all(|&(v, _)| v != view) {
+                        stored.push((view, s.insert(view)));
+                    }
+                }
+                0..=2 if !stored.is_empty() => {
+                    let (_, slot) = stored.swap_remove(next(stored.len() as u64) as usize);
+                    s.remove(slot);
+                }
+                _ => {
+                    for &(_, slot) in &stored {
+                        if next(3) == 0 {
+                            s.mark_stale(slot);
+                        }
+                    }
+                }
+            }
+            let salt = next(1 << 20);
+            refresh(&mut s, |v| match (u64::from(v.index()) ^ salt) % 5 {
+                0 => f64::INFINITY,
+                k => k as f64 - 3.0,
+            });
+            let expected = s
+                .cached_utilities()
+                .filter(|&(_, utility)| utility.is_finite())
+                .map(|(view, utility)| (utility, view))
+                .min_by(|a, b| a.partial_cmp(b).unwrap())
+                .map(|(_, view)| view);
+            assert_eq!(s.lowest_utility_view(), expected, "step {step}");
+        }
+    }
+
+    #[test]
+    fn an_insert_takes_over_the_heap_of_the_replica_removed_before_it() {
+        let mut s = server(2);
+        let old = s.insert(UserId::new(1));
+        s.stats_mut(old).record_read(SubtreeId::Rack(0));
+        s.stats_mut(old).record_write();
+        let heap = s.stats(old).heap_bytes();
+        assert!(heap > 0);
+        s.remove(old);
+        let new = s.insert(UserId::new(2));
+        assert_eq!(s.stats(new), &ReplicaStats::new());
+        assert_eq!(s.stats(new).heap_bytes(), heap);
+        // There was one to take over.
+        let next = s.insert(UserId::new(3));
+        assert_eq!(s.stats(next).heap_bytes(), 0);
     }
 }

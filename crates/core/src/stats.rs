@@ -49,7 +49,8 @@ impl Cell {
 
 /// Gives back the capacity a burst left behind, so that the heap of a
 /// replica follows the traffic in its window: at most four times its
-/// length (or the four elements a `Vec` starts with), nothing once empty.
+/// length (or the four elements a `Vec` starts with, or that
+/// [`ReplicaStats::recycled`] keeps), nothing once emptied here.
 fn release_slack<T>(list: &mut Vec<T>) {
     if list.capacity() > 4 * list.len() {
         list.shrink_to(2 * list.len());
@@ -77,8 +78,10 @@ fn release_slack<T>(list: &mut Vec<T>) {
 ///
 /// Recording traffic that the current period has already seen touches
 /// existing memory only; the first read of an origin in a period appends a
-/// cell, a *new* origin also inserts its 16-byte key, and statistics
-/// without traffic own no heap at all.
+/// cell, a *new* origin also inserts its 16-byte key, and new statistics
+/// own no heap at all (the emptied statistics of a removed replica, which
+/// a server hands to the next one it stores, at most four elements per
+/// list).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ReplicaStats {
     origins: Vec<(SubtreeId, u64)>,
@@ -238,6 +241,24 @@ impl ReplicaStats {
     pub fn heap_bytes(&self) -> usize {
         self.origins.capacity() * std::mem::size_of::<(SubtreeId, u64)>()
             + self.cells.capacity() * std::mem::size_of::<Cell>()
+    }
+
+    /// These statistics emptied for another replica, equal to
+    /// [`ReplicaStats::new`] but keeping their heap, or `None` when a list
+    /// holds more than the four elements [`release_slack`] leaves an empty
+    /// one: a replica admitted into a full server takes over the victim's
+    /// allocations instead of making its own.
+    pub(crate) fn recycled(mut self) -> Option<ReplicaStats> {
+        if self.origins.capacity() > 4 || self.cells.capacity() > 4 {
+            return None;
+        }
+        self.origins.clear();
+        self.cells.clear();
+        Some(ReplicaStats {
+            origins: self.origins,
+            cells: self.cells,
+            ..ReplicaStats::default()
+        })
     }
 }
 
@@ -435,6 +456,27 @@ mod tests {
         assert!(s.rotate());
         assert!(s.is_idle());
         assert_eq!(s.heap_bytes(), 0);
+    }
+
+    #[test]
+    fn recycled_stats_are_new_ones_that_keep_a_small_heap() {
+        let mut s = ReplicaStats::new();
+        s.record_reads(SubtreeId::Rack(2), 3);
+        s.record_write();
+        s.rotate();
+        s.record_read(SubtreeId::Intermediate(1));
+        let heap = s.heap_bytes();
+        assert!(heap > 0);
+        let recycled = s.recycled().expect("four elements per list at most");
+        assert_eq!(recycled, ReplicaStats::new());
+        assert_eq!(recycled.heap_bytes(), heap);
+        recycled.assert_well_formed();
+        // A list past four elements is not kept.
+        let mut busy = ReplicaStats::new();
+        for rack in 0..5 {
+            busy.record_read(SubtreeId::Rack(rack));
+        }
+        assert_eq!(busy.recycled(), None);
     }
 
     #[test]

@@ -85,8 +85,13 @@ struct Served {
 
 impl TrafficSink for Served {
     fn record(&mut self, message: Message) {
-        self.counts.messages += 1;
-        self.counts.recovery_messages += u64::from(message.involves_persistent());
+        self.record_n(message, 1);
+    }
+
+    fn record_n(&mut self, message: Message, count: usize) {
+        let count = count as u64;
+        self.counts.messages += count;
+        self.counts.recovery_messages += count * u64::from(message.involves_persistent());
     }
 
     fn served(&mut self, view: UserId, server: MachineId) {
@@ -294,7 +299,10 @@ impl Cluster {
         let served = {
             let mut engine = self.engine.lock();
             let mut served = Served::default();
+            // A view read evicts about one replica to admit another (in the
+            // never-ticked serving regime), so one reservation each.
             served.lookups.reserve(targets.len());
+            served.evicts.reserve(targets.len());
             engine.handle_read(user, targets, self.now(), &mut served);
             served
         };
@@ -308,7 +316,8 @@ impl Cluster {
         let mut misses = 0;
         let (found, evicts) = self
             .cache
-            .get_many((served.lookups, served.evicts), detached);
+            .get_many((served.lookups, served.evicts), detached)
+            .ok_or(Error::ClusterShutdown)?;
         for (shard, target, cached) in found {
             let view = match cached {
                 Some(view) => view,
@@ -478,7 +487,8 @@ mod tests {
         let held = cluster.cache.lens();
         let mut of_replicas = vec![0; held.len()];
         let mut copies = Vec::new();
-        for (shard, _, copy) in cluster.cache.get_many((batch, Vec::new()), false).0 {
+        let (found, _) = cluster.cache.get_many((batch, Vec::new()), false).unwrap();
+        for (shard, _, copy) in found {
             if let Some(copy) = copy {
                 of_replicas[shard] += 1;
                 copies.push(copy);
@@ -731,6 +741,60 @@ mod tests {
         ));
         let message = Error::ClusterShutdown.to_string();
         assert!(message.contains("shut down"), "undescriptive: {message}");
+    }
+
+    /// A cache worker that is gone answers no lookup: a read that has views
+    /// to serve fails instead of answering `Ok` with nothing, and counts
+    /// neither a hit nor a miss.
+    #[test]
+    fn reads_fail_once_the_cache_worker_is_gone() {
+        let (mut cluster, graph) = cluster();
+        let reader = graph
+            .users()
+            .find(|&u| !graph.followees(u).is_empty())
+            .unwrap();
+        let author = graph.followees(reader)[0];
+        cluster.write(author, b"cached".to_vec()).unwrap();
+        assert_eq!(cluster.read(reader, &[author]).unwrap().len(), 1);
+        let before = cluster.stats();
+        cluster.cache.shutdown();
+        assert!(matches!(
+            cluster.read(reader, &[author]),
+            Err(Error::ClusterShutdown)
+        ));
+        assert!(matches!(
+            cluster.read_feed(reader),
+            Err(Error::ClusterShutdown)
+        ));
+        let after = cluster.stats();
+        assert_eq!(
+            (after.cache_hits, after.cache_misses),
+            (before.cache_hits, before.cache_misses)
+        );
+        cluster.shutdown().unwrap();
+    }
+
+    /// `record_n(m, n)` counts what `n` calls to `record(m)` count: all
+    /// messages, and the persistent tier's as recovery traffic.
+    #[test]
+    fn served_counts_a_bulk_record_as_its_copies() {
+        let (a, b) = (MachineId::new(1), MachineId::new(2));
+        for message in [
+            Message::application(a, b),
+            Message::protocol(b, a),
+            Message::persistent_fetch(b),
+        ] {
+            for n in [0, 1, dynasore_types::VIEW_TRANSFER_PROTOCOL_MESSAGES] {
+                let (mut bulk, mut one_by_one) = (Served::default(), Served::default());
+                bulk.record_n(message, n);
+                for _ in 0..n {
+                    one_by_one.record(message);
+                }
+                assert_eq!(bulk.counts, one_by_one.counts, "{message:?} x{n}");
+                let recovery = n as u64 * u64::from(message.involves_persistent());
+                assert_eq!(bulk.counts.recovery_messages, recovery);
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The cache worker thread.
 //!
-//! Every view server of the topology is one *shard* — a plain
-//! `HashMap<UserId, Arc<View>>`: a cached view is immutable, a write swaps
-//! the pointer and a hit hands out one more reference — and a single worker
+//! Every view server of the topology is one *shard* — a `HashMap<UserId,
+//! Arc<View>>` hashing the id with one multiplication: a cached view is
+//! immutable, a write swaps the pointer and a hit hands out one more
+//! reference — and a single worker
 //! thread owns them all, indexed by `MachineId::as_usize`. A shard holds
 //! what clients `Put` until they `Evict` it; a `Put` past the end of the table
 //! grows it (an added rack). Brokers (which in the paper only orchestrate
@@ -15,6 +16,7 @@
 //! worker answers that client's next lookup.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -48,8 +50,40 @@ enum Command {
     Shutdown,
 }
 
+/// Hashes a shard's key with one multiplication (Knuth's multiplicative
+/// hash, 64-bit). SipHash defends a map against keys picked to collide;
+/// here every key is a replica the engine placed on the shard's server, so
+/// a shard holds at most that server's capacity, whatever clients ask for.
+/// The odd factor maps distinct low bits to distinct low bits, and the high
+/// bits mix all of the id.
+#[derive(Default)]
+struct UserIdHasher(u64);
+
+/// 2⁶⁴ divided by the golden ratio, rounded to odd.
+const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for UserIdHasher {
+    /// A `UserId` hashes through `write_u32`; other keys fold their bytes.
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(byte)).wrapping_mul(GOLDEN);
+        }
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = u64::from(id).wrapping_mul(GOLDEN);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// One shard: the views a server caches.
+type Shard = HashMap<UserId, Arc<View>, BuildHasherDefault<UserIdHasher>>;
+
 /// The shards as the worker holds them.
-type Shards = Vec<HashMap<UserId, Arc<View>>>;
+type Shards = Vec<Shard>;
 
 fn lookup(shards: &Shards, shard: usize, user: UserId) -> Option<&Arc<View>> {
     shards.get(shard)?.get(&user)
@@ -84,7 +118,7 @@ fn run(commands: Receiver<Command>) {
             }
             Command::Put(shard, user, view) => {
                 if shard >= shards.len() {
-                    shards.resize_with(shard + 1, HashMap::new);
+                    shards.resize_with(shard + 1, Shard::default);
                 }
                 let stale = |held: &Arc<View>| held.version() >= view.version();
                 if !shards[shard].get(&user).is_some_and(stale) {
@@ -136,10 +170,9 @@ impl CacheWorker {
 
     /// Looks the batch up and applies its evictions in one hand-off: it comes
     /// back in order, every slot filled — the shard's own allocation, or when
-    /// `detached` a private copy — and empty once the worker is gone.
-    pub fn get_many(&self, batch: Batch, detached: bool) -> Batch {
+    /// `detached` a private copy — or `None` once the worker is gone.
+    pub fn get_many(&self, batch: Batch, detached: bool) -> Option<Batch> {
         self.ask(|reply| Command::GetMany(batch, detached, reply))
-            .unwrap_or_default()
     }
 
     /// Pushes a view into a shard.
@@ -232,11 +265,11 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &pushed));
         assert!(Arc::ptr_eq(&first, &worker.get(1, u).unwrap()));
         let twice = || vec![(1, u, None), (1, u, None)];
-        for (_, _, hit) in worker.get_many((twice(), Vec::new()), false).0 {
+        for (_, _, hit) in worker.get_many((twice(), Vec::new()), false).unwrap().0 {
             assert!(Arc::ptr_eq(&first, &hit.unwrap()));
         }
         // Detached hits are equal copies nobody else holds.
-        for (_, _, hit) in worker.get_many((twice(), Vec::new()), true).0 {
+        for (_, _, hit) in worker.get_many((twice(), Vec::new()), true).unwrap().0 {
             let copy = hit.unwrap();
             assert_eq!((&*copy, Arc::strong_count(&copy)), (&*first, 1));
         }
@@ -264,7 +297,7 @@ mod tests {
         let keys = [(2, b), (0, b), (0, a), (2, b), (7, a)];
         let evicts = vec![(2, b), (9, a)];
         let lookups = keys.iter().map(|&(s, u)| (s, u, None)).collect();
-        let (batch, evicted) = worker.get_many((lookups, evicts.clone()), false);
+        let (batch, evicted) = worker.get_many((lookups, evicts.clone()), false).unwrap();
         let asked: Vec<(usize, UserId)> = batch.iter().map(|&(s, u, _)| (s, u)).collect();
         assert_eq!(asked, keys, "the batch comes back in order");
         assert_eq!(evicted, evicts, "the evictions come back unchanged");
@@ -279,7 +312,7 @@ mod tests {
         assert_eq!(worker.lens(), [1, 0, 0]);
         assert_eq!(
             worker.get_many((Vec::new(), Vec::new()), false),
-            (vec![], vec![])
+            Some((vec![], vec![]))
         );
     }
 
@@ -290,8 +323,8 @@ mod tests {
         worker.shutdown();
         assert!(worker.join.is_none());
         assert!(worker.get(0, UserId::new(1)).is_none());
-        let (batch, evicts) = worker.get_many((vec![(0, UserId::new(1), None)], vec![]), true);
-        assert!(batch.is_empty() && evicts.is_empty());
+        let batch = (vec![(0, UserId::new(1), None)], vec![]);
+        assert_eq!(worker.get_many(batch, true), None);
         assert!(worker.lens().is_empty());
     }
 }

@@ -196,6 +196,17 @@ pub trait TrafficSink {
     /// Accepts one message.
     fn record(&mut self, message: Message);
 
+    /// Accepts `count` copies of `message` — a view transfer is
+    /// [`VIEW_TRANSFER_PROTOCOL_MESSAGES`](crate::VIEW_TRANSFER_PROTOCOL_MESSAGES)
+    /// of them — exactly as `count` calls to [`TrafficSink::record`] would.
+    /// The default makes those calls; a sink that only counts adds `count`
+    /// in one step.
+    fn record_n(&mut self, message: Message, count: usize) {
+        for _ in 0..count {
+            self.record(message);
+        }
+    }
+
     /// Congestion feedback for the engine's placement decisions: the
     /// queueing delay currently pending at the switch that fronts `subtree`
     /// (its rack switch, intermediate switch, or the core for the whole
@@ -264,8 +275,14 @@ pub struct CountingSink {
 impl TrafficSink for CountingSink {
     #[inline]
     fn record(&mut self, message: Message) {
-        self.messages += 1;
-        self.persistent_messages += u64::from(message.involves_persistent());
+        self.record_n(message, 1);
+    }
+
+    #[inline]
+    fn record_n(&mut self, message: Message, count: usize) {
+        let count = count as u64;
+        self.messages += count;
+        self.persistent_messages += count * u64::from(message.involves_persistent());
     }
 }
 
@@ -396,6 +413,7 @@ impl<T: PlacementEngine + ?Sized> PlacementEngine for Box<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::VIEW_TRANSFER_PROTOCOL_MESSAGES;
 
     #[test]
     fn message_constructors() {
@@ -432,6 +450,33 @@ mod tests {
         sink.record(Message::protocol(b, a));
         assert_eq!(sink.messages, 3);
         assert_eq!(sink.persistent_messages, 1);
+    }
+
+    /// `record_n(m, n)` is `n` calls to `record(m)`, for the sink that
+    /// counts in one step and for the default, which makes the calls.
+    #[test]
+    fn record_n_is_n_records() {
+        let (a, b) = (MachineId::new(1), MachineId::new(2));
+        let messages = [
+            Message::application(a, b),
+            Message::protocol(b, a),
+            Message::persistent_fetch(b),
+        ];
+        for n in [0, 1, 3, VIEW_TRANSFER_PROTOCOL_MESSAGES] {
+            let (mut bulk, mut one_by_one) = (CountingSink::default(), CountingSink::default());
+            let (mut pushed, mut expected): (Vec<Message>, Vec<Message>) = (Vec::new(), Vec::new());
+            for message in messages {
+                bulk.record_n(message, n);
+                pushed.record_n(message, n);
+                for _ in 0..n {
+                    one_by_one.record(message);
+                    expected.record(message);
+                }
+            }
+            assert_eq!(bulk, one_by_one, "{n} copies");
+            assert_eq!(bulk.persistent_messages, n as u64);
+            assert_eq!(pushed, expected, "{n} copies");
+        }
     }
 
     #[test]
