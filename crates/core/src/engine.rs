@@ -16,7 +16,7 @@ use dynasore_types::{
 use dynasore_workload::GraphMutation;
 
 use crate::config::InitialPlacement;
-use crate::evaluation::{OriginCosts, PathTable};
+use crate::evaluation::OriginCosts;
 use crate::placement::initial_assignment;
 use crate::routing::{optimal_proxy_broker, TransferTally};
 use crate::server::ServerState;
@@ -96,9 +96,6 @@ pub struct DynaSoReEngine {
     topology: Topology,
     servers: Vec<ServerState>,
     users: Vec<UserState>,
-    /// Every machine's and origin's position in the tree: the distances of
-    /// routing, evaluation and utilities come from here.
-    paths: PathTable,
     scratch: Scratch,
     thresholds: ThresholdCache,
     loads: LoadCache,
@@ -251,13 +248,12 @@ impl DynaSoReEngineBuilder {
         }
 
         let name = format!("dynasore-from-{}", self.initial_placement.label());
-        let paths = PathTable::new(&topology);
         let scratch = Scratch {
             tally: TransferTally::new(&topology),
             utilities: Vec::new(),
             views: Vec::new(),
             origins: Vec::new(),
-            costs: OriginCosts::new(&paths),
+            costs: OriginCosts::new(&topology),
             candidates: Vec::new(),
         };
         let mut engine = DynaSoReEngine {
@@ -265,7 +261,6 @@ impl DynaSoReEngineBuilder {
             topology,
             servers,
             users,
-            paths,
             scratch,
             thresholds: ThresholdCache::default(),
             loads: LoadCache::default(),
@@ -379,12 +374,16 @@ impl DynaSoReEngine {
         from: MachineId,
         replicas: impl Iterator<Item = Replica>,
     ) -> Option<(Replica, MachineId)> {
-        let from = self.paths.machine_path(from);
-        let mut best: Option<(i64, u32, Replica)> = None;
+        let from = self.topology.machine_path(from);
+        let mut best: Option<(u32, u32, Replica)> = None;
         for replica in replicas {
             let machine = self.servers[replica.server()].machine();
-            let path = self.paths.machine_path(machine);
-            let key = (self.paths.distance(&from, &path), machine.index(), replica);
+            let path = self.topology.machine_path(machine);
+            let key = (
+                self.topology.path_distance(from, path),
+                machine.index(),
+                replica,
+            );
             if best.map_or(true, |b| (key.0, key.1) < (b.0, b.1)) {
                 best = Some(key);
             }
@@ -471,12 +470,13 @@ impl DynaSoReEngine {
         origins.clear();
         let from_stats = self.servers[source].stats(from.slot());
         origins.extend(from_stats.reads().map(|(origin, _)| origin));
-        let source_path = self.paths.machine_path(source_machine);
-        let target_path = self.paths.machine_path(target_machine);
+        let topology = &self.topology;
+        let source_path = topology.machine_path(source_machine);
+        let target_path = topology.machine_path(target_machine);
         for origin in origins.drain(..) {
-            let origin_path = self.paths.origin_path(origin);
-            if self.paths.distance(&target_path, &origin_path)
-                < self.paths.distance(&source_path, &origin_path)
+            let origin_path = topology.origin_path(origin);
+            if topology.path_distance(target_path, origin_path)
+                < topology.path_distance(source_path, origin_path)
             {
                 let moved = self.servers[source]
                     .stats_mut(from.slot())
@@ -647,19 +647,20 @@ impl DynaSoReEngine {
     ) -> i64 {
         let sidx = replica.server();
         let stats = self.servers[sidx].stats(replica.slot());
-        let paths = &self.paths;
+        let topology = &self.topology;
         let server_machine = self.servers[sidx].machine();
-        let write_proxy = paths.machine_path(self.users[view.as_usize()].write_proxy.machine());
+        let write_proxy = topology.machine_path(self.users[view.as_usize()].write_proxy.machine());
         let writes = stats.total_writes() as i64;
+        let write_distance = |path| i64::from(topology.path_distance(write_proxy, path));
 
-        costs.begin(paths, server_machine);
+        costs.begin(topology, server_machine);
         for (origin, reads) in stats.reads() {
-            costs.push(paths, origin, reads);
+            costs.push(topology, origin, reads);
         }
         let nearest = self
             .nearest_other_replica(view, sidx)
             .unwrap_or(server_machine);
-        let nearest_read_cost = costs.read_cost(&paths.machine_path(nearest));
+        let nearest_read_cost = costs.read_cost(topology.machine_path(nearest));
 
         let replicas = &self.users[view.as_usize()].replicas;
         for (origin, _reads) in stats.reads() {
@@ -667,22 +668,20 @@ impl DynaSoReEngine {
                 continue;
             };
             let machine = self.servers[candidate].machine();
-            let path = paths.machine_path(machine);
+            let path = topology.machine_path(machine);
             // What the position costs whichever algorithm picks it: keeping
             // it up to date on writes, and queueing at a congested rack.
-            let overhead = writes * paths.distance(&write_proxy, &path)
-                + self.rack_congestion_penalty(out, machine);
+            let overhead =
+                writes * write_distance(path) + self.rack_congestion_penalty(out, machine);
             candidates.push(Candidate {
                 server: candidate,
                 threshold: self.admission_threshold_of(origin),
-                creation_profit: costs.creation_gain(&path) - overhead,
-                position_profit: nearest_read_cost - costs.read_cost(&path) - overhead,
+                creation_profit: costs.creation_gain(path) - overhead,
+                position_profit: nearest_read_cost - costs.read_cost(path) - overhead,
             });
         }
-        let server_path = paths.machine_path(server_machine);
-        nearest_read_cost
-            - costs.read_cost(&server_path)
-            - writes * paths.distance(&write_proxy, &server_path)
+        let server_path = topology.machine_path(server_machine);
+        nearest_read_cost - costs.read_cost(server_path) - writes * write_distance(server_path)
     }
 
     /// Algorithm 2 (*Evaluate Creation of Replica*) followed, when no
@@ -791,8 +790,11 @@ impl DynaSoReEngine {
     /// (masters are re-filled from the persistent tier, charged to `out`),
     /// returning machines rejoin empty, drained and decommissioned machines
     /// migrate their state away, and a new rack is mirrored with empty
-    /// server slabs. The per-subtree candidate and threshold caches are
-    /// rebuilt against the updated liveness mask. Every replica a machine
+    /// server slabs. Every distance the engine computes comes from the
+    /// topology's path table, which grows with the tree, so nothing is
+    /// re-derived for it beyond re-sized evaluation sums and stale utilities.
+    /// The per-subtree candidate and threshold caches are rebuilt against the
+    /// updated liveness mask. Every replica a machine
     /// loses — with its crash, its evacuation, or to make room for a
     /// recovered master — is reported to `out` ([`TrafficSink::unlinked`]),
     /// so a driver that holds the data itself (the live store's cache

@@ -14,7 +14,7 @@ use dynasore_types::{
 };
 
 use super::DynaSoReEngine;
-use crate::evaluation::{OriginCosts, PathTable};
+use crate::evaluation::OriginCosts;
 use crate::routing::TransferTally;
 use crate::server::ServerState;
 
@@ -255,11 +255,10 @@ impl DynaSoReEngine {
                 .push(ServerState::new(server.machine(), capacity));
         }
         self.scratch.tally = TransferTally::new(&self.topology);
-        // The tree grew: a new position table, and utilities computed from
-        // the old one are not trusted (an origin id past the old table's end
+        // The tree grew: sums for its new nodes, and utilities computed
+        // before are not trusted (an origin id past the old end of the tree
         // was far from everything and may now name a real subtree).
-        self.paths = PathTable::new(&self.topology);
-        self.scratch.costs = OriginCosts::new(&self.paths);
+        self.scratch.costs = OriginCosts::new(&self.topology);
         self.servers
             .iter_mut()
             .for_each(ServerState::mark_all_stale);

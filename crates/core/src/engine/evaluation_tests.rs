@@ -313,7 +313,7 @@ proptest! {
             engine.on_tick(SimTime::from_hours(1), &mut out);
         }
 
-        let mut costs = OriginCosts::new(&engine.paths);
+        let mut costs = OriginCosts::new(&engine.topology);
         let mut candidates = Vec::new();
         let mut compared = 0;
         for view in (0..6).map(UserId::new) {

@@ -19,8 +19,9 @@
 //! | the nearest other replica | any change of the view's replica set | `link_replica`, `unlink_replica` → [`DynaSoReEngine::invalidate_view`] |
 //! | the view's write proxy | proxy migration, broker failure | `set_write_proxy` → [`DynaSoReEngine::invalidate_view`] |
 //!
-//! Distances between machines never change (a grown cluster gets a new
-//! [`PathTable`](crate::evaluation::PathTable) and a wholesale mark).
+//! Distances between machines never change. A grown cluster marks every
+//! utility stale at once: an origin id past the old end of the tree was far
+//! from everything and may now name a real sub-tree.
 
 use dynasore_types::{MachineId, ReplicaChangeReason, SubtreeId, TrafficSink, UserId};
 
@@ -57,20 +58,20 @@ impl DynaSoReEngine {
     /// Utility of the replica of `view` stored on server `sidx`, whose
     /// statistics are `stats` (infinite for sole replicas):
     /// [`replica_utility`](crate::replica_utility), with every distance read
-    /// from the path table.
+    /// from the topology's paths.
     fn utility_of(&self, view: UserId, stats: &ReplicaStats, sidx: usize) -> f64 {
         let Some(nearest) = self.nearest_other_replica(view, sidx) else {
             return f64::INFINITY;
         };
-        let paths = &self.paths;
-        let server = paths.machine_path(self.servers[sidx].machine());
-        let nearest = paths.machine_path(nearest);
-        let write_proxy = paths.machine_path(self.users[view.as_usize()].write_proxy.machine());
-        let mut profit = -(stats.total_writes() as i64) * paths.distance(&write_proxy, &server);
+        let topology = &self.topology;
+        let distance = |a, b| i64::from(topology.path_distance(a, b));
+        let server = topology.machine_path(self.servers[sidx].machine());
+        let nearest = topology.machine_path(nearest);
+        let write_proxy = topology.machine_path(self.users[view.as_usize()].write_proxy.machine());
+        let mut profit = -(stats.total_writes() as i64) * distance(write_proxy, server);
         for (origin, reads) in stats.reads() {
-            let origin = paths.origin_path(origin);
-            profit += reads as i64
-                * (paths.distance(&nearest, &origin) - paths.distance(&server, &origin));
+            let origin = topology.origin_path(origin);
+            profit += reads as i64 * (distance(nearest, origin) - distance(server, origin));
         }
         profit as f64
     }

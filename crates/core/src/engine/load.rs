@@ -70,9 +70,11 @@ pub(super) fn subtrees_above(
     machine: MachineId,
 ) -> impl Iterator<Item = SubtreeId> {
     let rack = topology.rack_of(machine).ok();
-    let inter = rack
+    let inter = topology
+        .intermediate_of(machine)
+        .ok()
         .filter(|_| topology.kind() == TopologyKind::Tree)
-        .map(|rack| SubtreeId::Intermediate(topology.intermediate_of_rack(rack)));
+        .map(SubtreeId::Intermediate);
     let rack = rack.map(|rack| SubtreeId::Rack(rack.index()));
     [rack, inter, Some(SubtreeId::Root)].into_iter().flatten()
 }

@@ -119,7 +119,7 @@ pub fn optimal_proxy_broker(topology: &Topology, tally: &mut TransferTally) -> O
                 let rack = topology
                     .rack_of(machine)
                     .expect("tally only holds topology machines");
-                let inter = topology.intermediate_of_rack(rack);
+                let inter = topology.intermediate_of(machine).expect("checked above");
                 tally.rack_units[rack.as_usize()] += units;
                 tally.inter_units[inter as usize] += units;
             }
@@ -149,7 +149,7 @@ pub fn optimal_proxy_broker(topology: &Topology, tally: &mut TransferTally) -> O
             for &m in &tally.touched {
                 let machine = MachineId::new(m);
                 let rack = topology.rack_of(machine).expect("checked above");
-                let inter = topology.intermediate_of_rack(rack);
+                let inter = topology.intermediate_of(machine).expect("checked above");
                 tally.rack_units[rack.as_usize()] = 0;
                 tally.inter_units[inter as usize] = 0;
             }

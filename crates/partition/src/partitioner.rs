@@ -32,8 +32,6 @@ pub struct Partitioner {
     parts: usize,
     imbalance: f64,
     seed: u64,
-    coarsen_until: usize,
-    refinement_passes: usize,
 }
 
 impl Partitioner {
@@ -43,8 +41,6 @@ impl Partitioner {
             parts,
             imbalance: DEFAULT_IMBALANCE,
             seed: 0,
-            coarsen_until: 0, // derived from parts unless overridden
-            refinement_passes: 3,
         }
     }
 
@@ -58,19 +54,6 @@ impl Partitioner {
     /// Sets the random seed controlling matching and tie-breaking.
     pub fn seed(mut self, seed: u64) -> Self {
         self.seed = seed;
-        self
-    }
-
-    /// Stops coarsening once the graph has at most this many vertices
-    /// (defaults to `max(20 × parts, 200)`).
-    pub fn coarsen_until(mut self, vertices: usize) -> Self {
-        self.coarsen_until = vertices;
-        self
-    }
-
-    /// Number of boundary-refinement sweeps per level (default 3).
-    pub fn refinement_passes(mut self, passes: usize) -> Self {
-        self.refinement_passes = passes;
         self
     }
 
@@ -110,16 +93,19 @@ impl Partitioner {
     /// Multilevel partition of an already-built working graph. Also used by
     /// the hierarchical partitioner on induced subgraphs.
     pub(crate) fn partition_weighted(&self, working: &WeightedGraph) -> Vec<u32> {
+        /// Coarsening stops once the graph has at most this many vertices
+        /// per part, or `MIN_COARSE_VERTICES`, whichever is more.
+        const COARSEN_VERTICES_PER_PART: usize = 20;
+        const MIN_COARSE_VERTICES: usize = 200;
+        /// Boundary-refinement sweeps per level.
+        const REFINEMENT_PASSES: usize = 3;
+
         let mut rng = StdRng::seed_from_u64(self.seed);
         let total = working.total_weight();
         let max_part_weight = (((total as f64) / self.parts as f64) * (1.0 + self.imbalance))
             .ceil()
             .max(1.0) as u64;
-        let coarsen_until = if self.coarsen_until == 0 {
-            (20 * self.parts).max(200)
-        } else {
-            self.coarsen_until
-        };
+        let coarsen_until = (COARSEN_VERTICES_PER_PART * self.parts).max(MIN_COARSE_VERTICES);
 
         // Coarsening phase.
         let mut levels: Vec<(WeightedGraph, Vec<u32>)> = Vec::new(); // (fine graph, fine_to_coarse)
@@ -141,7 +127,7 @@ impl Partitioner {
             &mut assignment,
             self.parts,
             max_part_weight,
-            self.refinement_passes,
+            REFINEMENT_PASSES,
             &mut rng,
         );
 
@@ -153,7 +139,7 @@ impl Partitioner {
                 &mut assignment,
                 self.parts,
                 max_part_weight,
-                self.refinement_passes,
+                REFINEMENT_PASSES,
                 &mut rng,
             );
         }

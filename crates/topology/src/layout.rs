@@ -1,10 +1,13 @@
 //! Cluster layout: machines, racks, switches, distances and sub-trees.
 //!
-//! All per-request queries (`distance`, `access_origin`,
-//! `lowest_common_ancestor`, `local_broker`, the `*_in_subtree_slice`
-//! families and [`Topology::record_path_timed`]) are answered from dense routing
-//! tables precomputed at construction, so the request hot path performs only
-//! table lookups — no tree walks and no heap allocation.
+//! The tree is one table of [`Path`]s, one per intermediate switch, rack and
+//! machine, built at construction and when a rack is added. Every distance
+//! (`distance`, `origin_distance`, `path_distance`), every switch walk
+//! ([`Topology::record_path_timed`]), every access origin and every rack or
+//! intermediate membership is derived from those paths and the one
+//! [`Topology::metric`]; the `*_in_subtree_slice` families and `local_broker`
+//! read dense range tables. The request hot path performs only table
+//! lookups — no tree walks and no heap allocation.
 
 use dynasore_types::{
     BrokerId, ClusterEvent, Error, MachineId, MessageClass, RackId, Result, ServerId, SimTime,
@@ -96,13 +99,47 @@ pub enum TopologyKind {
 
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct MachineInfo {
-    rack: u32,
     is_server: bool,
     is_broker: bool,
 }
 
-/// Dense per-machine routing tables, precomputed once at topology
-/// construction so every hot-path query is an array lookup.
+/// "This path has no node at this level."
+const NO_NODE: u32 = u32::MAX;
+
+/// A position in the tree: the nodes on the way down from the root to it —
+/// intermediate switch, rack, machine — as indices into the topology's node
+/// table, which lists the intermediate switches, then the racks, then the
+/// machines. A position above a level (an origin wider than a machine, the
+/// root, the persistent tier) has no node there.
+///
+/// [`ClusterEvent::AddRack`] renumbers the racks and machines when it opens
+/// an intermediate switch, so a path is only good until the next one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Path([u32; 3]);
+
+impl Path {
+    /// The root's path, which shares no node with any other.
+    const ROOT: Path = Path([NO_NODE; 3]);
+
+    /// The path's nodes, top first, each with its level (0 intermediate,
+    /// 1 rack, 2 machine) and its index in the node table.
+    #[inline]
+    pub fn nodes(self) -> impl Iterator<Item = (usize, usize)> {
+        (0..3).filter_map(move |level| {
+            let node = self.0[level];
+            (node != NO_NODE).then_some((level, node as usize))
+        })
+    }
+}
+
+impl Default for Path {
+    fn default() -> Self {
+        Path::ROOT
+    }
+}
+
+/// Dense routing tables, precomputed at topology construction (and when a
+/// rack is added) so every hot-path query is an array lookup.
 ///
 /// Machines are numbered rack by rack, so the machine-ordered `servers` and
 /// `brokers` vectors are contiguous per rack and per intermediate switch;
@@ -110,14 +147,10 @@ struct MachineInfo {
 /// "servers/brokers under this sub-tree" query into a slice borrow.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct RoutingTables {
-    /// machine → rack index.
-    machine_rack: Vec<u32>,
-    /// machine → intermediate-switch index (the LCA-tier table: two
-    /// machines share a rack, an intermediate, or only the root, which is
-    /// exactly the 0/1/3/5 hop-class of the paper's tree).
-    machine_intermediate: Vec<u32>,
-    /// rack → intermediate-switch index (no division on the hot path).
-    rack_intermediate: Vec<u32>,
+    /// node → the path from the root to it, itself included: every
+    /// distance, origin, switch walk and rack or intermediate membership
+    /// is read from here.
+    paths: Vec<Path>,
     /// machine → position in `Topology::servers` (`u32::MAX` for brokers).
     server_ordinal: Vec<u32>,
     /// machine → position in `Topology::brokers` (`u32::MAX` for servers).
@@ -136,26 +169,29 @@ struct RoutingTables {
 
 impl RoutingTables {
     fn build(
-        machines: &[MachineInfo],
+        machine_count: usize,
         servers: &[ServerId],
         brokers: &[BrokerId],
-        rack_count: usize,
+        machines_per_rack: usize,
         racks_per_intermediate: usize,
+        rack_count: usize,
         intermediate_count: usize,
     ) -> Self {
-        let machine_rack: Vec<u32> = machines.iter().map(|m| m.rack).collect();
-        let machine_intermediate: Vec<u32> = machines
-            .iter()
-            .map(|m| m.rack / racks_per_intermediate as u32)
-            .collect();
-        let rack_intermediate: Vec<u32> = (0..rack_count)
-            .map(|r| (r / racks_per_intermediate) as u32)
-            .collect();
-        let mut server_ordinal = vec![u32::MAX; machines.len()];
+        let (inters, racks) = (intermediate_count as u32, rack_count as u32);
+        let rack_of = |m: MachineId| m.index() / machines_per_rack as u32;
+        let inter_of = |rack: u32| rack / racks_per_intermediate as u32;
+        let mut paths = Vec::with_capacity(intermediate_count + rack_count + machine_count);
+        paths.extend((0..inters).map(|i| Path([i, NO_NODE, NO_NODE])));
+        paths.extend((0..racks).map(|r| Path([inter_of(r), inters + r, NO_NODE])));
+        paths.extend((0..machine_count as u32).map(|m| {
+            let rack = rack_of(MachineId::new(m));
+            Path([inter_of(rack), inters + rack, inters + racks + m])
+        }));
+        let mut server_ordinal = vec![u32::MAX; machine_count];
         for (i, s) in servers.iter().enumerate() {
             server_ordinal[s.machine().as_usize()] = i as u32;
         }
-        let mut broker_ordinal = vec![u32::MAX; machines.len()];
+        let mut broker_ordinal = vec![u32::MAX; machine_count];
         for (i, b) in brokers.iter().enumerate() {
             broker_ordinal[b.machine().as_usize()] = i as u32;
         }
@@ -166,7 +202,7 @@ impl RoutingTables {
             let mut pos = 0usize;
             for (rack, range) in ranges.iter_mut().enumerate() {
                 let start = pos;
-                while pos < ids.len() && machine_rack[ids[pos].as_usize()] == rack as u32 {
+                while pos < ids.len() && rack_of(ids[pos]) == rack as u32 {
                     pos += 1;
                 }
                 *range = (start as u32, pos as u32);
@@ -196,9 +232,7 @@ impl RoutingTables {
             })
             .collect();
         RoutingTables {
-            machine_rack,
-            machine_intermediate,
-            rack_intermediate,
+            paths,
             server_ordinal,
             broker_ordinal,
             rack_servers,
@@ -295,12 +329,11 @@ impl Topology {
         let mut machines = Vec::with_capacity(rack_count * machines_per_rack);
         let mut servers = Vec::new();
         let mut brokers = Vec::new();
-        for rack in 0..rack_count {
+        for _ in 0..rack_count {
             for slot in 0..machines_per_rack {
                 let id = MachineId::new(machines.len() as u32);
                 let is_broker = slot < brokers_per_rack;
                 machines.push(MachineInfo {
-                    rack: rack as u32,
                     is_server: !is_broker,
                     is_broker,
                 });
@@ -312,11 +345,12 @@ impl Topology {
             }
         }
         let tables = RoutingTables::build(
-            &machines,
+            machines.len(),
             &servers,
             &brokers,
-            rack_count,
+            machines_per_rack,
             racks_per_intermediate,
+            rack_count,
             intermediate_count,
         );
         let live = vec![true; machines.len()];
@@ -355,14 +389,14 @@ impl Topology {
         for i in 0..machine_count {
             let id = MachineId::new(i as u32);
             machines.push(MachineInfo {
-                rack: 0,
                 is_server: true,
                 is_broker: true,
             });
             servers.push(ServerId::new(id));
             brokers.push(BrokerId::new(id));
         }
-        let tables = RoutingTables::build(&machines, &servers, &brokers, 1, 1, 1);
+        let tables =
+            RoutingTables::build(machine_count, &servers, &brokers, machine_count, 1, 1, 1);
         let live = vec![true; machines.len()];
         let rack_first_live_broker = tables.rack_first_broker.iter().copied().map(Some).collect();
         let retired_racks = vec![false];
@@ -428,6 +462,7 @@ impl Topology {
         machine.as_usize() < self.machines.len()
     }
 
+    #[inline]
     fn info(&self, machine: MachineId) -> Result<&MachineInfo> {
         self.machines
             .get(machine.as_usize())
@@ -455,17 +490,10 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`Error::UnknownMachine`] for out-of-range ids.
+    #[inline]
     pub fn rack_of(&self, machine: MachineId) -> Result<RackId> {
-        Ok(RackId::new(self.info(machine)?.rack))
-    }
-
-    /// The intermediate switch above a rack.
-    pub fn intermediate_of_rack(&self, rack: RackId) -> u32 {
-        self.tables
-            .rack_intermediate
-            .get(rack.as_usize())
-            .copied()
-            .unwrap_or_else(|| rack.index() / self.racks_per_intermediate as u32)
+        self.info(machine)?;
+        Ok(RackId::new(self.rack_index(machine)))
     }
 
     /// The intermediate switch above a machine.
@@ -473,9 +501,10 @@ impl Topology {
     /// # Errors
     ///
     /// Returns [`Error::UnknownMachine`] for out-of-range ids.
+    #[inline]
     pub fn intermediate_of(&self, machine: MachineId) -> Result<u32> {
         self.info(machine)?;
-        Ok(self.tables.machine_intermediate[machine.as_usize()])
+        Ok(self.machine_path(machine).0[0])
     }
 
     /// The brokers located in `rack`, as a borrowed slice (machine order).
@@ -514,35 +543,89 @@ impl Topology {
         }
     }
 
-    /// Network distance between two machines: the number of switches on the
-    /// path connecting them (§2.2, *Locality*). Zero when `a == b`.
+    /// Index of the first rack and of the first machine in the node table.
+    #[inline]
+    fn first_rack(&self) -> usize {
+        self.intermediate_count
+    }
+
+    #[inline]
+    fn first_machine(&self) -> usize {
+        self.intermediate_count + self.rack_count
+    }
+
+    /// The rack of a machine of this topology.
+    #[inline]
+    fn rack_index(&self, machine: MachineId) -> u32 {
+        self.machine_path(machine).0[1] - self.first_rack() as u32
+    }
+
+    /// The tree's metric, as `(far, savings)`: two positions are `far`
+    /// switches apart, less `savings[level]` for every level at which their
+    /// paths share a node (§2.2, *Locality*).
+    #[inline]
+    pub fn metric(&self) -> (u32, [u32; 3]) {
+        match self.kind {
+            // Rack, intermediate, top, intermediate, rack. Sharing an
+            // intermediate switch or a rack saves the two switches above
+            // it; sharing the machine saves the last one.
+            TopologyKind::Tree => (5, [2, 2, 1]),
+            // The one switch: only the machine tells positions apart.
+            TopologyKind::Flat => (1, [0, 0, 1]),
+        }
+    }
+
+    /// The path of a machine.
     ///
-    /// This is the pairwise *hop class* of the tree — 0 (same machine),
-    /// 1 (same rack), 3 (same intermediate) or 5 (across the core) — read
-    /// from the per-machine rack/intermediate tables.
+    /// # Panics
+    ///
+    /// Panics if the machine is out of range.
+    #[inline]
+    pub fn machine_path(&self, machine: MachineId) -> Path {
+        self.tables.paths[self.first_machine() + machine.as_usize()]
+    }
+
+    /// The path of a sub-tree, as a read origin. Sub-trees the topology
+    /// does not have are far from everything, like the root.
+    #[inline]
+    pub fn origin_path(&self, origin: SubtreeId) -> Path {
+        let (nodes, index) = match origin {
+            SubtreeId::Root => return Path::ROOT,
+            SubtreeId::Intermediate(i) => (0..self.first_rack(), i),
+            SubtreeId::Rack(r) => (self.first_rack()..self.first_machine(), r),
+            SubtreeId::Machine(m) => (self.first_machine()..self.tables.paths.len(), m),
+        };
+        let paths = &self.tables.paths[nodes];
+        paths.get(index as usize).copied().unwrap_or(Path::ROOT)
+    }
+
+    /// Number of switches between the positions at two paths, by
+    /// [`Topology::metric`]: every distance the topology answers.
+    #[inline]
+    pub fn path_distance(&self, a: Path, b: Path) -> u32 {
+        let (far, savings) = self.metric();
+        let shared = (0..3).filter(|&level| a.0[level] != NO_NODE && a.0[level] == b.0[level]);
+        far - shared.map(|level| savings[level]).sum::<u32>()
+    }
+
+    /// Number of nodes in the tree below the root — intermediate switches,
+    /// racks and machines — and so one past the highest node index a
+    /// [`Path`] holds.
+    pub fn node_count(&self) -> usize {
+        self.tables.paths.len()
+    }
+
+    /// Network distance between two machines: the number of switches on the
+    /// path connecting them (§2.2, *Locality*) — 0 (same machine), 1 (same
+    /// rack), 3 (same intermediate) or 5 (across the core) on a tree. Zero
+    /// when `a == b`.
     ///
     /// # Panics
     ///
     /// Panics if either machine is out of range.
+    #[inline]
     pub fn distance(&self, a: MachineId, b: MachineId) -> u32 {
-        if a == b {
-            return 0;
-        }
-        match self.kind {
-            TopologyKind::Flat => 1,
-            TopologyKind::Tree => {
-                if self.tables.machine_rack[a.as_usize()] == self.tables.machine_rack[b.as_usize()]
-                {
-                    1
-                } else if self.tables.machine_intermediate[a.as_usize()]
-                    == self.tables.machine_intermediate[b.as_usize()]
-                {
-                    3
-                } else {
-                    5
-                }
-            }
-        }
+        self.path_distance(self.machine_path(a), self.machine_path(b))
     }
 
     /// Writes the switches a message from `a` to `b` traverses into `buf`
@@ -556,60 +639,42 @@ impl Topology {
         if a == b {
             return 0;
         }
-        if a.is_persistent() || b.is_persistent() {
-            let machine = if a.is_persistent() { b } else { a };
-            if machine.is_persistent() {
-                return 0;
-            }
-            match self.kind {
-                TopologyKind::Flat => {
-                    buf[0] = Switch::Top;
-                    return 1;
-                }
-                TopologyKind::Tree => {
-                    let rack = self.tables.machine_rack[machine.as_usize()];
-                    let inter = self.tables.machine_intermediate[machine.as_usize()];
-                    if a.is_persistent() {
-                        buf[0] = Switch::Top;
-                        buf[1] = Switch::Intermediate(inter);
-                        buf[2] = Switch::Rack(rack);
-                    } else {
-                        buf[0] = Switch::Rack(rack);
-                        buf[1] = Switch::Intermediate(inter);
-                        buf[2] = Switch::Top;
-                    }
-                    return 3;
-                }
-            }
+        // A flat layout's racks and intermediate switch are not switches.
+        if self.kind == TopologyKind::Flat {
+            buf[0] = Switch::Top;
+            return 1;
         }
-        match self.kind {
-            TopologyKind::Flat => {
-                buf[0] = Switch::Top;
-                1
+        let endpoint = |m: MachineId| {
+            if m.is_persistent() {
+                Path::ROOT
+            } else {
+                self.machine_path(m)
             }
-            TopologyKind::Tree => {
-                let ra = self.tables.machine_rack[a.as_usize()];
-                let rb = self.tables.machine_rack[b.as_usize()];
-                let ia = self.tables.machine_intermediate[a.as_usize()];
-                let ib = self.tables.machine_intermediate[b.as_usize()];
-                if ra == rb {
-                    buf[0] = Switch::Rack(ra);
-                    1
-                } else if ia == ib {
-                    buf[0] = Switch::Rack(ra);
-                    buf[1] = Switch::Intermediate(ia);
-                    buf[2] = Switch::Rack(rb);
-                    3
-                } else {
-                    buf[0] = Switch::Rack(ra);
-                    buf[1] = Switch::Intermediate(ia);
-                    buf[2] = Switch::Top;
-                    buf[3] = Switch::Intermediate(ib);
-                    buf[4] = Switch::Rack(rb);
-                    5
-                }
-            }
+        };
+        let ([ia, ra, _], [ib, rb, _]) = (endpoint(a).0, endpoint(b).0);
+        let rack = |node: u32| Switch::Rack(node - self.first_rack() as u32);
+        // The lowest switch both paths hold, else the top switch between
+        // the legs of the endpoints that are machines.
+        if ra == rb && ra != NO_NODE {
+            buf[0] = rack(ra);
+            return 1;
         }
+        if ia == ib && ia != NO_NODE {
+            buf[..3].copy_from_slice(&[rack(ra), Switch::Intermediate(ia), rack(rb)]);
+            return 3;
+        }
+        let mut len = 0;
+        if ra != NO_NODE {
+            buf[..2].copy_from_slice(&[rack(ra), Switch::Intermediate(ia)]);
+            len = 2;
+        }
+        buf[len] = Switch::Top;
+        len += 1;
+        if rb != NO_NODE {
+            buf[len..len + 2].copy_from_slice(&[Switch::Intermediate(ib), rack(rb)]);
+            len += 2;
+        }
+        len
     }
 
     /// The switches a message from `a` to `b` traverses, in path order.
@@ -651,35 +716,6 @@ impl Topology {
         account.record_timed(&buf[..len], class, time)
     }
 
-    /// Lowest common ancestor of two machines in the switch tree, expressed
-    /// as a [`SubtreeId`]. Used by the routing policy: among the servers
-    /// storing a view, a broker picks the one with which it shares the
-    /// lowest common ancestor (§3.2, *Routing policy*). A table lookup: the
-    /// LCA tier follows directly from whether the machines share a rack or
-    /// an intermediate switch.
-    pub fn lowest_common_ancestor(&self, a: MachineId, b: MachineId) -> SubtreeId {
-        if a == b {
-            return SubtreeId::Machine(a.index());
-        }
-        match self.kind {
-            TopologyKind::Flat => SubtreeId::Root,
-            TopologyKind::Tree => {
-                let ra = self.tables.machine_rack[a.as_usize()];
-                let rb = self.tables.machine_rack[b.as_usize()];
-                if ra == rb {
-                    return SubtreeId::Rack(ra);
-                }
-                let ia = self.tables.machine_intermediate[a.as_usize()];
-                let ib = self.tables.machine_intermediate[b.as_usize()];
-                if ia == ib {
-                    SubtreeId::Intermediate(ia)
-                } else {
-                    SubtreeId::Root
-                }
-            }
-        }
-    }
-
     /// Whether `machine` lies under `subtree`.
     pub fn subtree_contains(&self, subtree: SubtreeId, machine: MachineId) -> bool {
         if !self.contains(machine) {
@@ -688,29 +724,10 @@ impl Topology {
         match subtree {
             SubtreeId::Root => true,
             SubtreeId::Intermediate(i) => {
-                self.kind == TopologyKind::Tree
-                    && self.tables.machine_intermediate[machine.as_usize()] == i
+                self.kind == TopologyKind::Tree && self.machine_path(machine).0[0] == i
             }
-            SubtreeId::Rack(r) => self.tables.machine_rack[machine.as_usize()] == r,
+            SubtreeId::Rack(r) => self.rack_index(machine) == r,
             SubtreeId::Machine(m) => machine.index() == m,
-        }
-    }
-
-    /// The parent of a sub-tree (the root's parent is the root itself).
-    pub fn parent(&self, subtree: SubtreeId) -> SubtreeId {
-        match subtree {
-            SubtreeId::Root => SubtreeId::Root,
-            SubtreeId::Intermediate(_) => SubtreeId::Root,
-            SubtreeId::Rack(r) => match self.kind {
-                TopologyKind::Flat => SubtreeId::Root,
-                TopologyKind::Tree => {
-                    SubtreeId::Intermediate(r / self.racks_per_intermediate as u32)
-                }
-            },
-            SubtreeId::Machine(m) => {
-                let rack = self.machines[m as usize].rack;
-                SubtreeId::Rack(rack)
-            }
         }
     }
 
@@ -774,16 +791,16 @@ impl Topology {
     /// switch (including its own rack) and one counter per sibling
     /// intermediate switch — `m − 1 + n` origins instead of `m × n`. In a
     /// flat topology the origin is the requesting machine itself.
+    #[inline]
     pub fn access_origin(&self, server: MachineId, requester: MachineId) -> SubtreeId {
         match self.kind {
             TopologyKind::Flat => SubtreeId::Machine(requester.index()),
             TopologyKind::Tree => {
-                let is_ = self.tables.machine_intermediate[server.as_usize()];
-                let ir = self.tables.machine_intermediate[requester.as_usize()];
-                if is_ == ir {
-                    SubtreeId::Rack(self.tables.machine_rack[requester.as_usize()])
+                let [inter, rack, _] = self.machine_path(requester).0;
+                if self.machine_path(server).0[0] == inter {
+                    SubtreeId::Rack(rack - self.first_rack() as u32)
                 } else {
-                    SubtreeId::Intermediate(ir)
+                    SubtreeId::Intermediate(inter)
                 }
             }
         }
@@ -792,37 +809,12 @@ impl Topology {
     /// Number of switches a message crosses between `machine` and a
     /// representative machine of `origin`. Used when estimating the network
     /// cost of serving an origin's reads from a given server (Algorithm 1).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine is out of range.
     pub fn origin_distance(&self, machine: MachineId, origin: SubtreeId) -> u32 {
-        match self.kind {
-            TopologyKind::Flat => match origin {
-                SubtreeId::Machine(m) if m == machine.index() => 0,
-                _ => 1,
-            },
-            TopologyKind::Tree => {
-                let rm = self.tables.machine_rack[machine.as_usize()];
-                let im = self.tables.machine_intermediate[machine.as_usize()];
-                match origin {
-                    SubtreeId::Machine(m) => self.distance(machine, MachineId::new(m)),
-                    SubtreeId::Rack(r) => {
-                        if r == rm {
-                            1
-                        } else if self.tables.rack_intermediate.get(r as usize) == Some(&im) {
-                            3
-                        } else {
-                            5
-                        }
-                    }
-                    SubtreeId::Intermediate(i) => {
-                        if i == im {
-                            3
-                        } else {
-                            5
-                        }
-                    }
-                    SubtreeId::Root => 5,
-                }
-            }
-        }
+        self.path_distance(self.machine_path(machine), self.origin_path(origin))
     }
 
     /// The first broker in the same rack as `machine` — the default place to
@@ -842,14 +834,6 @@ impl Topology {
             .get(rack.as_usize())
             .copied()
             .ok_or(Error::UnknownMachine(machine))
-    }
-
-    /// The first broker of `rack` (the broker a rack's proxies deploy on),
-    /// if the rack exists. Ignores liveness — use
-    /// [`Topology::first_live_broker_in_rack`] on paths that must route
-    /// around failures.
-    pub fn first_broker_in_rack(&self, rack: RackId) -> Option<BrokerId> {
-        self.tables.rack_first_broker.get(rack.as_usize()).copied()
     }
 
     // --- Liveness and elasticity -------------------------------------------
@@ -877,7 +861,7 @@ impl Topology {
         }
         self.live[idx] = live;
         if self.machines[idx].is_broker {
-            let rack = self.machines[idx].rack;
+            let rack = self.rack_index(machine);
             self.rack_first_live_broker[rack as usize] = self
                 .brokers_in_rack_slice(RackId::new(rack))
                 .iter()
@@ -909,9 +893,7 @@ impl Topology {
     /// come back). Unknown machines report `false`.
     #[inline]
     pub fn is_retired(&self, machine: MachineId) -> bool {
-        self.machines
-            .get(machine.as_usize())
-            .is_some_and(|info| self.retired_racks[info.rack as usize])
+        self.contains(machine) && self.retired_racks[self.rack_index(machine) as usize]
     }
 
     /// Number of racks still in service (total minus retired).
@@ -936,7 +918,9 @@ impl Topology {
     /// broker failure. `None` only when every broker in the cluster is dead
     /// or `machine` is unknown.
     pub fn closest_live_broker(&self, machine: MachineId) -> Option<BrokerId> {
-        let info = self.machines.get(machine.as_usize())?;
+        if !self.contains(machine) {
+            return None;
+        }
         if self.kind == TopologyKind::Flat {
             if self.is_live(machine) {
                 return Some(BrokerId::new(machine));
@@ -947,11 +931,11 @@ impl Topology {
                 .copied()
                 .find(|b| self.is_live(b.machine()));
         }
-        let rack = info.rack as usize;
-        if let Some(broker) = self.first_live_broker_in_rack(RackId::new(info.rack)) {
+        if let Some(broker) = self.first_live_broker_in_rack(RackId::new(self.rack_index(machine)))
+        {
             return Some(broker);
         }
-        let inter = self.tables.rack_intermediate[rack] as usize;
+        let inter = self.machine_path(machine).0[0] as usize;
         let first = inter * self.racks_per_intermediate;
         let last = (first + self.racks_per_intermediate).min(self.rack_count);
         for r in first..last {
@@ -969,20 +953,19 @@ impl Topology {
     /// intermediate switch if it has room, otherwise a new intermediate
     /// switch is created. New machines start live and get the highest
     /// machine ids, so existing ids, server ordinals and rack indices are
-    /// unchanged.
+    /// unchanged; a new intermediate switch renumbers the racks' and
+    /// machines' nodes in the path table.
     fn add_rack(&mut self) -> Result<Vec<MachineId>> {
         if self.kind != TopologyKind::Tree {
             return Err(Error::invalid_config(
                 "only tree topologies can grow by racks",
             ));
         }
-        let rack = self.rack_count as u32;
         let first = self.machines.len() as u32;
         for slot in 0..self.machines_per_rack {
             let id = MachineId::new(self.machines.len() as u32);
             let is_broker = slot < self.brokers_per_rack;
             self.machines.push(MachineInfo {
-                rack,
                 is_server: !is_broker,
                 is_broker,
             });
@@ -997,11 +980,12 @@ impl Topology {
         self.rack_count += 1;
         self.intermediate_count = self.rack_count.div_ceil(self.racks_per_intermediate);
         self.tables = RoutingTables::build(
-            &self.machines,
+            self.machines.len(),
             &self.servers,
             &self.brokers,
-            self.rack_count,
+            self.machines_per_rack,
             self.racks_per_intermediate,
+            self.rack_count,
             self.intermediate_count,
         );
         // The new rack's brokers are all live; no other rack's changed.
@@ -1047,8 +1031,8 @@ impl Topology {
     }
 
     /// Applies a [`ClusterEvent`] to the liveness mask, the retired flags
-    /// and (for [`ClusterEvent::AddRack`]) the shape, and reports what it
-    /// moved. This is the only code that flips liveness, retires or grows:
+    /// and (for [`ClusterEvent::AddRack`]) the shape and its path table,
+    /// and reports what it moved. This is the only code that flips liveness, retires or grows:
     /// a dead machine does not die twice, retired capacity never returns
     /// (repairs scheduled before a decommission are stale, not errors) and
     /// the last rack in service stays. Engines and drivers each own a
@@ -1208,20 +1192,7 @@ mod tests {
         assert_eq!(t.distance(m(0), m(249)), 1);
         assert_eq!(t.distance(m(3), m(3)), 0);
         assert_eq!(t.path_switches(m(0), m(1)), vec![Switch::Top]);
-        assert_eq!(t.lowest_common_ancestor(m(0), m(1)), SubtreeId::Root);
         assert_eq!(t.local_broker(m(7)).unwrap(), BrokerId::new(m(7)));
-    }
-
-    #[test]
-    fn lowest_common_ancestor_levels() {
-        let t = Topology::paper_tree().unwrap();
-        assert_eq!(t.lowest_common_ancestor(m(1), m(1)), SubtreeId::Machine(1));
-        assert_eq!(t.lowest_common_ancestor(m(1), m(2)), SubtreeId::Rack(0));
-        assert_eq!(
-            t.lowest_common_ancestor(m(1), m(11)),
-            SubtreeId::Intermediate(0)
-        );
-        assert_eq!(t.lowest_common_ancestor(m(1), m(51)), SubtreeId::Root);
     }
 
     #[test]
@@ -1238,15 +1209,6 @@ mod tests {
         assert_eq!(t.machines_in_subtree(SubtreeId::Intermediate(0)).len(), 6);
         assert_eq!(t.servers_in_subtree_slice(SubtreeId::Rack(0)).len(), 2);
         assert_eq!(t.brokers_in_subtree_slice(SubtreeId::Root).len(), 4);
-    }
-
-    #[test]
-    fn parents_walk_up_the_tree() {
-        let t = Topology::tree(2, 2, 3, 1).unwrap();
-        assert_eq!(t.parent(SubtreeId::Machine(4)), SubtreeId::Rack(1));
-        assert_eq!(t.parent(SubtreeId::Rack(3)), SubtreeId::Intermediate(1));
-        assert_eq!(t.parent(SubtreeId::Intermediate(1)), SubtreeId::Root);
-        assert_eq!(t.parent(SubtreeId::Root), SubtreeId::Root);
     }
 
     #[test]

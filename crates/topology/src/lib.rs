@@ -10,10 +10,10 @@
 //!
 //! This crate provides:
 //!
-//! * [`Topology`] — the cluster layout (tree or flat), machine roles,
-//!   network distances, switch paths, lowest common ancestors, sub-tree
-//!   enumeration and the coarse *access origins* used by DynaSoRe's
-//!   statistics (§3.2);
+//! * [`Topology`] — the cluster layout (tree or flat), machine roles, the
+//!   [`Path`] from the root to every machine and sub-tree, and what follows
+//!   from it: network distances, switch paths, sub-tree enumeration and the
+//!   coarse *access origins* used by DynaSoRe's statistics (§3.2);
 //! * [`TrafficAccount`] — per-switch, per-tier, per-message-class traffic
 //!   counters with a time series, which is what every figure and table of
 //!   the evaluation reports.
@@ -43,5 +43,5 @@
 mod layout;
 mod traffic;
 
-pub use layout::{MembershipChange, Switch, Tier, Topology, TopologyKind};
+pub use layout::{MembershipChange, Path, Switch, Tier, Topology, TopologyKind};
 pub use traffic::{TierTraffic, TrafficAccount};
