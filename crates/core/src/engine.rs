@@ -354,9 +354,9 @@ impl DynaSoReEngine {
     }
 
     /// The machine holding the replica of `user`'s view that a broker on
-    /// `from` reads (LCA routing policy, ties by machine id — the policy of
-    /// [`routing::closest_replica`](crate::routing::closest_replica)), or
-    /// `None` for unknown users and views without a live replica.
+    /// `from` reads — the routing policy (§3.2): the replica with which it
+    /// shares the lowest common ancestor, ties by machine id — or `None`
+    /// for unknown users and views without a live replica.
     /// Allocation-free, unlike [`DynaSoReEngine::replica_servers`].
     pub fn closest_replica(&self, user: UserId, from: MachineId) -> Option<MachineId> {
         if user.as_usize() >= self.users.len() || !self.topology.contains(from) {
@@ -454,7 +454,8 @@ impl DynaSoReEngine {
         // Routing-table updates for the brokers that will now read the new
         // replica (the brokers of the target's rack).
         if let Ok(rack) = self.topology.rack_of(target_machine) {
-            for broker in self.topology.brokers_in_rack_slice(rack) {
+            let rack = SubtreeId::Rack(rack.index());
+            for broker in self.topology.brokers_in_subtree_slice(rack) {
                 out.record(Message::protocol(write_proxy, broker.machine()));
             }
         }
@@ -516,7 +517,8 @@ impl DynaSoReEngine {
         // tables.
         out.record(Message::protocol(server_machine, write_proxy));
         if let Ok(rack) = self.topology.rack_of(server_machine) {
-            for broker in self.topology.brokers_in_rack_slice(rack) {
+            let rack = SubtreeId::Rack(rack.index());
+            for broker in self.topology.brokers_in_subtree_slice(rack) {
                 out.record(Message::protocol(write_proxy, broker.machine()));
             }
         }

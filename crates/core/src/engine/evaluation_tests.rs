@@ -7,7 +7,6 @@ use crate::evaluation::tests::origin_from_pick;
 use crate::stats::COUNTER_SLOTS;
 use crate::utility::{estimate_creation_profit, estimate_profit};
 use dynasore_graph::GraphPreset;
-use dynasore_types::RackId;
 use proptest::prelude::*;
 
 impl DynaSoReEngine {
@@ -276,9 +275,9 @@ proptest! {
         // View 0 covers rack `fill.0` except its last `fill.1` servers: the
         // rack's candidate set is exhausted (nothing eligible) or its
         // truncated top-K list is (exact-scan fallback).
-        let rack_servers = topology.servers_in_rack_slice(RackId::new(fill.0)).len();
+        let rack_servers = topology.servers_in_subtree_slice(SubtreeId::Rack(fill.0)).len();
         for server in topology
-            .servers_in_rack_slice(RackId::new(fill.0))
+            .servers_in_subtree_slice(SubtreeId::Rack(fill.0))
             .iter()
             .take(rack_servers.saturating_sub(fill.1))
         {

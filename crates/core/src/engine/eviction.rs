@@ -220,7 +220,7 @@ impl DynaSoReEngine {
                     .filter(|_| self.topology.is_live(machine))
                     .map(|i| self.servers[i].admission_threshold())
             }
-            _ => self.thresholds.get(origin).copied(),
+            _ => self.thresholds.get(&self.topology, origin).copied(),
         };
         threshold.unwrap_or(f64::INFINITY)
     }
@@ -235,8 +235,8 @@ impl DynaSoReEngine {
             if !self.topology.is_live(server.machine()) {
                 continue;
             }
-            for subtree in subtrees_above(&self.topology, server.machine()) {
-                let min = self.thresholds.entry(subtree);
+            for slot in subtrees_above(&self.topology, server.machine()) {
+                let min = self.thresholds.entry(slot);
                 *min = min.min(server.admission_threshold());
             }
         }

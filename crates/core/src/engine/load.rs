@@ -1,8 +1,9 @@
 //! Per-subtree bookkeeping: the table shape both of the engine's subtree
-//! caches share ([`PerSubtree`]) and the least-loaded candidate sets
-//! ([`LoadCache`]) that tell Algorithms 2 and 3, recovery and evacuation
-//! which server under a rack, an intermediate switch or the root should
-//! take a new replica.
+//! caches share ([`PerSubtree`]: one array over the topology's nodes above
+//! the machine level, then the root, so a machine's entries are the nodes
+//! on its path) and the least-loaded candidate sets ([`LoadCache`]) that
+//! tell Algorithms 2 and 3, recovery and evacuation which server under a
+//! rack, an intermediate switch or the root should take a new replica.
 //!
 //! Every server has the same capacity (§3.2: "a fixed memory capacity,
 //! expressed as the number of views"; the builder and `absorb_new_rack`
@@ -14,76 +15,67 @@
 //! least-loaded full one" (`engine/load_tests.rs` keeps that two-list rule
 //! as the specification).
 
-use dynasore_topology::{Topology, TopologyKind};
-use dynasore_types::{MachineId, SubtreeId};
+use dynasore_topology::Topology;
+use dynasore_types::{MachineId, ServerId, SubtreeId};
 
 use super::{DynaSoReEngine, Replica};
 
-/// One `T` per rack, per intermediate switch and for the whole cluster.
+/// One `T` per subtree above the machine level: each intermediate switch
+/// and rack at its node in the topology's node table (which lists them
+/// first), then the whole cluster. A subtree's position in the table is its
+/// *slot*.
 #[derive(Debug, Clone, Default)]
-pub(super) struct PerSubtree<T> {
-    rack: Vec<T>,
-    inter: Vec<T>,
-    root: T,
+pub(super) struct PerSubtree<T>(Vec<T>);
+
+/// The root's slot: one past the nodes above the machine level.
+fn root_slot(topology: &Topology) -> usize {
+    topology.first_machine_node()
 }
 
 impl<T: Clone> PerSubtree<T> {
     /// Sets the entry of every subtree of `topology` to `fill`, growing the
     /// table if the tree grew.
     pub(super) fn reset(&mut self, topology: &Topology, fill: T) {
-        self.rack.clear();
-        self.rack.resize(topology.rack_count(), fill.clone());
-        self.inter.clear();
-        self.inter
-            .resize(topology.intermediate_count(), fill.clone());
-        self.root = fill;
+        self.0.clear();
+        self.0.resize(root_slot(topology) + 1, fill);
     }
 
     /// The entry of `subtree`; `None` for a single machine (which has none)
     /// and for an id past the end of the tree.
-    pub(super) fn get(&self, subtree: SubtreeId) -> Option<&T> {
-        match subtree {
-            SubtreeId::Root => Some(&self.root),
-            SubtreeId::Intermediate(i) => self.inter.get(i as usize),
-            SubtreeId::Rack(r) => self.rack.get(r as usize),
-            SubtreeId::Machine(_) => None,
+    pub(super) fn get(&self, topology: &Topology, subtree: SubtreeId) -> Option<&T> {
+        let root = self.0.len() - 1;
+        match topology.subtree_node(subtree) {
+            Some(node) if node < root => self.0.get(node),
+            None if subtree == SubtreeId::Root => self.0.get(root),
+            _ => None,
         }
     }
 
-    /// Mutable access to an entry [`subtrees_above`] or
-    /// [`every_subtree`] named.
-    pub(super) fn entry(&mut self, subtree: SubtreeId) -> &mut T {
-        match subtree {
-            SubtreeId::Root => &mut self.root,
-            SubtreeId::Intermediate(i) => &mut self.inter[i as usize],
-            SubtreeId::Rack(r) => &mut self.rack[r as usize],
-            SubtreeId::Machine(_) => unreachable!("machines have no per-subtree entry"),
-        }
+    /// Mutable access to the entry at a slot [`subtrees_above`] named.
+    pub(super) fn entry(&mut self, slot: usize) -> &mut T {
+        &mut self.0[slot]
     }
 }
 
-/// The subtrees whose entry covers `machine`, bottom-up: its rack, the
-/// intermediate switch above it (trees only — no server sits under a flat
-/// topology's) and the root.
+/// The slots whose entry covers `machine`: the nodes above it on its path,
+/// then the root.
 pub(super) fn subtrees_above(
     topology: &Topology,
     machine: MachineId,
-) -> impl Iterator<Item = SubtreeId> {
-    let rack = topology.rack_of(machine).ok();
-    let inter = topology
-        .intermediate_of(machine)
-        .ok()
-        .filter(|_| topology.kind() == TopologyKind::Tree)
-        .map(SubtreeId::Intermediate);
-    let rack = rack.map(|rack| SubtreeId::Rack(rack.index()));
-    [rack, inter, Some(SubtreeId::Root)].into_iter().flatten()
+) -> impl Iterator<Item = usize> {
+    let root = root_slot(topology);
+    let nodes = topology.machine_path(machine).nodes();
+    let above = nodes.map(|(_, node)| node).filter(move |&node| node < root);
+    above.chain([root])
 }
 
-/// Every subtree of `topology` that has an entry.
-pub(super) fn every_subtree(topology: &Topology) -> impl Iterator<Item = SubtreeId> {
-    let racks = (0..topology.rack_count() as u32).map(SubtreeId::Rack);
-    let inters = (0..topology.intermediate_count() as u32).map(SubtreeId::Intermediate);
-    racks.chain(inters).chain([SubtreeId::Root])
+/// The servers under the subtree at `slot`.
+fn servers_at(topology: &Topology, slot: usize) -> &[ServerId] {
+    if slot == root_slot(topology) {
+        topology.servers()
+    } else {
+        topology.servers_under(slot)
+    }
 }
 
 /// How many least-loaded servers each subtree candidate set remembers.
@@ -197,8 +189,8 @@ fn holds(replicas: &[Replica], sidx: usize) -> bool {
     replicas.iter().any(|r| r.server() == sidx)
 }
 
-/// Per-subtree [`CandidateSet`]s: one per rack, one per intermediate
-/// switch, one for the whole cluster.
+/// Per-subtree [`CandidateSet`]s: one per intermediate switch and rack
+/// node, one for the whole cluster.
 pub(super) type LoadCache = PerSubtree<CandidateSet>;
 
 impl DynaSoReEngine {
@@ -211,17 +203,17 @@ impl DynaSoReEngine {
         exclude: &[Replica],
     ) -> Option<usize> {
         // A single machine keeps no set: it is its own exact scan.
-        match self.loads.get(origin).and_then(|set| set.query(exclude)) {
+        let set = self.loads.get(&self.topology, origin);
+        match set.and_then(|set| set.query(exclude)) {
             Some(answer) => answer,
             None => self.least_loaded_scan(origin, exclude),
         }
     }
 
-    /// The `(len, ordinal)` keys of the live servers under `subtree`, in
+    /// The `(len, ordinal)` keys of the live ones among `servers`, in
     /// ordinal order. Dead servers never receive replicas: filtering them
     /// here keeps the per-request query path mask-free.
-    fn live_loads(&self, subtree: SubtreeId) -> impl Iterator<Item = (u32, u32)> + '_ {
-        let servers = self.topology.servers_in_subtree_slice(subtree);
+    fn live_loads<'a>(&'a self, servers: &'a [ServerId]) -> impl Iterator<Item = (u32, u32)> + 'a {
         servers.iter().filter_map(|server| {
             let machine = server.machine();
             let i = self.topology.server_ordinal(machine)?;
@@ -238,17 +230,17 @@ impl DynaSoReEngine {
         origin: SubtreeId,
         exclude: &[Replica],
     ) -> Option<usize> {
-        self.live_loads(origin)
+        self.live_loads(self.topology.servers_in_subtree_slice(origin))
             .filter(|&(_, i)| !holds(exclude, i as usize))
             .min()
             .map(|(_, i)| i as usize)
     }
 
-    /// Builds the candidate set of one subtree from the current server
-    /// loads.
-    pub(super) fn build_candidate_set(&self, subtree: SubtreeId) -> CandidateSet {
+    /// Builds the candidate set of the subtree holding `servers` from the
+    /// current server loads.
+    pub(super) fn build_candidate_set(&self, servers: &[ServerId]) -> CandidateSet {
         let mut set = CandidateSet::default();
-        for key in self.live_loads(subtree) {
+        for key in self.live_loads(servers) {
             set.seen += 1;
             set.insert(key);
         }
@@ -263,10 +255,9 @@ impl DynaSoReEngine {
             self.servers.iter().all(|s| s.capacity() == capacity),
             "candidate sets keep one list per subtree because every server has the same capacity"
         );
-        self.loads.reset(&self.topology, CandidateSet::default());
-        for subtree in every_subtree(&self.topology) {
-            *self.loads.entry(subtree) = self.build_candidate_set(subtree);
-        }
+        let slots = 0..=root_slot(&self.topology);
+        let sets = slots.map(|slot| self.build_candidate_set(servers_at(&self.topology, slot)));
+        self.loads = PerSubtree(sets.collect());
     }
 
     /// Refreshes the candidate sets containing server `sidx` after its load
@@ -289,9 +280,10 @@ impl DynaSoReEngine {
             return;
         }
         let (old, new) = ((old_len as u32, sidx as u32), (new_len as u32, sidx as u32));
-        for subtree in subtrees_above(&self.topology, machine) {
-            if !self.loads.entry(subtree).update(old, new) {
-                *self.loads.entry(subtree) = self.build_candidate_set(subtree);
+        for slot in subtrees_above(&self.topology, machine) {
+            if !self.loads.entry(slot).update(old, new) {
+                let servers = servers_at(&self.topology, slot);
+                *self.loads.entry(slot) = self.build_candidate_set(servers);
             }
         }
     }

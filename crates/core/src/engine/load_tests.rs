@@ -3,10 +3,17 @@
 //! the checks that the cached answers, the exact scan and the incremental
 //! updates all agree with it.
 
-use super::load::every_subtree;
 use super::tests::engine_with_extra;
 use super::*;
 use proptest::prelude::*;
+
+/// Every subtree of `topology` that keeps a candidate set: each rack, each
+/// intermediate switch and the root.
+fn subtrees_with_sets(topology: &Topology) -> impl Iterator<Item = SubtreeId> {
+    let racks = (0..topology.rack_count() as u32).map(SubtreeId::Rack);
+    let inters = (0..topology.intermediate_count() as u32).map(SubtreeId::Intermediate);
+    racks.chain(inters).chain([SubtreeId::Root])
+}
 
 /// An exclusion list naming `servers`: only the server half of a replica
 /// takes part in a least-loaded query.
@@ -66,7 +73,7 @@ fn load_cache_matches_exact_scan_after_heavy_churn() {
         engine.on_tick(SimTime::from_hours(round + 1), &mut out);
         out.clear();
     }
-    let origins: Vec<SubtreeId> = every_subtree(&topology).collect();
+    let origins: Vec<SubtreeId> = subtrees_with_sets(&topology).collect();
     let exclusions: Vec<Vec<Replica>> = (0..40)
         .map(|u| engine.users[u].replicas.clone())
         .chain([vec![], on_servers(0..6)])
@@ -85,10 +92,10 @@ fn load_cache_matches_exact_scan_after_heavy_churn() {
 /// The incremental top-K update must leave every candidate set exactly
 /// as an exact rescan would build it.
 fn assert_cache_equals_rescan(engine: &DynaSoReEngine, context: &str) {
-    for subtree in every_subtree(&engine.topology) {
+    for subtree in subtrees_with_sets(&engine.topology) {
         assert_eq!(
-            engine.loads.get(subtree),
-            Some(&engine.build_candidate_set(subtree)),
+            engine.loads.get(&engine.topology, subtree),
+            Some(&engine.build_candidate_set(engine.topology.servers_in_subtree_slice(subtree))),
             "{context}: {subtree} candidate set diverged from rescan"
         );
     }
@@ -144,7 +151,7 @@ fn incremental_load_cache_is_equivalent_to_rescan_under_churn() {
 fn assert_answers_follow_the_rule(engine: &DynaSoReEngine, exclusions: &[Vec<Replica>]) {
     assert_cache_equals_rescan(engine, "after churn step");
     for exclude in exclusions {
-        for origin in every_subtree(&engine.topology) {
+        for origin in subtrees_with_sets(&engine.topology) {
             let rule = engine.least_loaded_two_list_rule(origin, exclude);
             assert_eq!(
                 engine.least_loaded_server_in(origin, exclude),

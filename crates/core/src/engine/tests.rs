@@ -736,47 +736,86 @@ proptest! {
 
 /// The message stream a `Vec<Message>` sink receives — every
 /// [`TrafficSink::record_n`] arriving as its copies — over a seeded run of
-/// un-ticked feed reads (every admission evicts), writes, a crash with its
-/// recovery and then hourly ticks, pinned by length, recovery share and an
-/// FNV-1a digest of every message's endpoints and class in order: how a
-/// view transfer is handed to a sink does not change which messages it is.
+/// un-ticked feed reads (every admission evicts), writes, cluster events
+/// and then hourly ticks, pinned by length, recovery share and an FNV-1a
+/// digest of every message's endpoints and class in order: how a view
+/// transfer is handed to a sink does not change which messages it is. Three
+/// layouts: the small tree with a server crash and its recovery; the flat
+/// layout, where every machine is a server and a broker, with the same; and
+/// a two-broker-per-rack tree grown by two racks (the first opens an
+/// intermediate switch, which renumbers the path table's nodes) whose rack-0
+/// broker crashes and returns (its proxies re-home, and a walk ending in
+/// rack 0 meanwhile lands on the rack's other, live broker).
 #[test]
 fn the_message_stream_of_a_seeded_run_is_pinned() {
-    let (mut engine, graph, _) = engine_with_extra(30);
-    let crashed = engine.servers[3].machine();
+    let down = |m| ClusterEvent::MachineDown {
+        machine: MachineId::new(m),
+    };
+    let up = |m| ClusterEvent::MachineUp {
+        machine: MachineId::new(m),
+    };
+    // (layout, the cluster events and the step each follows, the pin)
+    let cases = [
+        (
+            "tree",
+            Topology::tree(2, 2, 5, 1),
+            vec![(1_000, down(4)), (1_500, up(4))],
+            (245_678, 180, 0x2e7c_3266_f67e_9b01),
+        ),
+        (
+            "flat",
+            Topology::flat(16),
+            vec![(1_000, down(3)), (1_500, up(3))],
+            (837_643, 210, 0x9366_a4ac_321b_e7d8),
+        ),
+        (
+            "grown tree",
+            Topology::tree(2, 2, 6, 2),
+            vec![
+                (600, ClusterEvent::AddRack),
+                (900, ClusterEvent::AddRack),
+                (1_200, down(0)),
+                (1_800, up(0)),
+            ],
+            (239_532, 0, 0x969b_603a_c3cb_e1ba),
+        ),
+    ];
+    let (graph, _) = small_world();
     let users = graph.user_count() as u32;
-    let mut out: Vec<Message> = Vec::new();
-    for step in 0..3_000u32 {
-        let user = UserId::new(step.wrapping_mul(7_919) % users);
-        let time = SimTime::from_secs(u64::from(step) * 30);
-        if step % 5 == 4 {
-            engine.handle_write(user, time, &mut out);
-        } else {
-            engine.handle_read(user, graph.followees(user), time, &mut out);
+    for (layout, topology, events, pinned) in cases {
+        let mut engine = DynaSoReEngine::builder()
+            .topology(topology.unwrap())
+            .budget(MemoryBudget::with_extra_percent(graph.user_count(), 30))
+            .initial_placement(InitialPlacement::Random { seed: 1 })
+            .build(&graph)
+            .unwrap();
+        let mut out: Vec<Message> = Vec::new();
+        for step in 0..3_000u32 {
+            let user = UserId::new(step.wrapping_mul(7_919) % users);
+            let time = SimTime::from_secs(u64::from(step) * 30);
+            if step % 5 == 4 {
+                engine.handle_write(user, time, &mut out);
+            } else {
+                engine.handle_read(user, graph.followees(user), time, &mut out);
+            }
+            if step >= 2_000 && step % 120 == 119 {
+                engine.on_tick(time, &mut out);
+            }
+            for &(_, event) in events.iter().filter(|&&(at, _)| at == step) {
+                engine.apply_cluster_event(event, &mut out).unwrap();
+            }
         }
-        if step >= 2_000 && step % 120 == 119 {
-            engine.on_tick(time, &mut out);
-        }
-        let event = match step {
-            1_000 => ClusterEvent::MachineDown { machine: crashed },
-            1_500 => ClusterEvent::MachineUp { machine: crashed },
-            _ => continue,
-        };
-        engine.apply_cluster_event(event, &mut out).unwrap();
+        let digest = out.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, m| {
+            let words = [
+                m.from.index(),
+                m.to.index(),
+                m.class.is_application() as u32,
+            ];
+            words.iter().fold(hash, |hash, &word| {
+                (hash ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3)
+            })
+        });
+        let recovery = out.iter().filter(|m| m.involves_persistent()).count();
+        assert_eq!((out.len(), recovery, digest), pinned, "{layout}");
     }
-    let digest = out.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, m| {
-        let words = [
-            m.from.index(),
-            m.to.index(),
-            m.class.is_application() as u32,
-        ];
-        words.iter().fold(hash, |hash, &word| {
-            (hash ^ u64::from(word)).wrapping_mul(0x0100_0000_01b3)
-        })
-    });
-    let recovery = out.iter().filter(|m| m.involves_persistent()).count();
-    assert_eq!(
-        (out.len(), recovery, digest),
-        (245_678, 180, 0x2e7c_3266_f67e_9b01)
-    );
 }

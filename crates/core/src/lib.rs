@@ -22,9 +22,9 @@
 //! * **Eviction** — servers keep ~5% of their memory free by evicting the
 //!   least useful replicas; views with a single replica are never evicted.
 //! * **Proxies and routing** — each user has a read proxy and a write proxy
-//!   hosted on brokers; proxies migrate towards the data they access, and
-//!   reads are routed to the closest replica
-//!   ([`routing`]).
+//!   hosted on brokers; proxies migrate towards the data they access
+//!   ([`routing`]), and reads are routed to the closest replica
+//!   ([`DynaSoReEngine::closest_replica`]).
 //!
 //! The engine implements
 //! [`PlacementEngine`](dynasore_types::PlacementEngine), so it can be driven

@@ -1,64 +1,47 @@
-//! Routing policy and proxy placement.
+//! Proxy placement (§3.2, *Proxy placement*): after executing a request,
+//! the proxy walks down from the root of the tree, at every step following
+//! the branch from which most view data was transferred, until it reaches a
+//! broker. If that broker differs from the current one, the proxy migrates.
 //!
-//! * **Routing policy** (§3.2, *Routing policy*): when several servers store
-//!   a view, a broker reads the one with which it shares the lowest common
-//!   ancestor, i.e. the replica reached through the fewest switches; ties
-//!   are broken by server identifier.
-//! * **Proxy placement** (§3.2, *Proxy placement*): after executing a
-//!   request, the proxy walks down from the root of the tree, at every step
-//!   following the branch from which most view data was transferred, until
-//!   it reaches a broker. If that broker differs from the current one, the
-//!   proxy migrates.
+//! The routing policy (§3.2, *Routing policy*: a broker reads the replica
+//! with which it shares the lowest common ancestor, ties by server id) is
+//! [`DynaSoReEngine::closest_replica`](crate::DynaSoReEngine::closest_replica).
 //!
 //! The per-request transfer bookkeeping uses [`TransferTally`], a dense
-//! counter array with a touched-list that the engine reuses across requests,
-//! so the steady-state read/write path neither hashes nor allocates.
+//! counter array over the topology's node table with a touched list that the
+//! engine reuses across requests, so the steady-state read/write path
+//! neither hashes nor allocates.
 
-use dynasore_topology::{Topology, TopologyKind};
-use dynasore_types::{BrokerId, MachineId, RackId};
+use dynasore_topology::Topology;
+use dynasore_types::{BrokerId, MachineId};
 
-/// Selects the replica a broker should read, following the lowest-common-
-/// ancestor policy with server-id tie-breaking. Returns `None` when
-/// `replicas` is empty.
-pub fn closest_replica(
-    topology: &Topology,
-    broker: MachineId,
-    replicas: &[MachineId],
-) -> Option<MachineId> {
-    replicas
-        .iter()
-        .copied()
-        .min_by_key(|&server| (topology.distance(broker, server), server.index()))
-}
-
-/// Reusable per-request tally of how many views were transferred from each
-/// machine: a dense `units` array indexed by machine plus the list of
-/// touched machines, so clearing costs O(touched) and recording costs O(1)
-/// with no hashing or allocation. Two scratch arrays (per rack and per
-/// intermediate switch) support the proxy-placement tree walk.
+/// Reusable per-request tally of how many views were transferred from
+/// under each node of the topology's node table, plus the list of touched
+/// machines, so clearing costs O(touched) and recording costs O(1) with no
+/// hashing or allocation. [`TransferTally::add`] counts at the machine's
+/// node; the proxy walk sums the switches' nodes from the machines'.
 #[derive(Debug, Clone)]
 pub struct TransferTally {
     units: Vec<u64>,
+    /// [`Topology::first_machine_node`].
+    first_machine: usize,
     touched: Vec<u32>,
-    rack_units: Vec<u64>,
-    inter_units: Vec<u64>,
 }
 
 impl TransferTally {
     /// Creates a tally sized for `topology`.
     pub fn new(topology: &Topology) -> Self {
         TransferTally {
-            units: vec![0; topology.machine_count()],
+            units: vec![0; topology.node_count()],
+            first_machine: topology.first_machine_node(),
             touched: Vec::with_capacity(32),
-            rack_units: vec![0; topology.rack_count()],
-            inter_units: vec![0; topology.intermediate_count()],
         }
     }
 
     /// Forgets every recorded transfer (O(touched), keeps capacity).
     pub fn clear(&mut self) {
         for &m in &self.touched {
-            self.units[m as usize] = 0;
+            self.units[self.first_machine + m as usize] = 0;
         }
         self.touched.clear();
     }
@@ -69,11 +52,11 @@ impl TransferTally {
         if units == 0 {
             return;
         }
-        let m = machine.as_usize();
-        if self.units[m] == 0 {
-            self.touched.push(m as u32);
+        let node = self.first_machine + machine.as_usize();
+        if self.units[node] == 0 {
+            self.touched.push(machine.index());
         }
-        self.units[m] += units;
+        self.units[node] += units;
     }
 
     /// Whether nothing was transferred.
@@ -85,79 +68,66 @@ impl TransferTally {
 /// Computes the broker that minimises network transfers for a proxy whose
 /// requests fetched the views `tally` recorded from each server, by
 /// walking down the tree from the root along the heaviest branch (§3.2,
-/// *Proxy placement*). Returns `None` if nothing was transferred. Ties are
-/// broken towards the lowest-indexed branch, and in a flat cluster the
-/// proxy co-locates with the heaviest server (ties by machine id).
+/// *Proxy placement*): the heaviest intermediate node, the heaviest rack
+/// node under it, then the heaviest touched broker in that rack or, if none
+/// was touched, the rack's first live broker. Ties go to the lowest node.
+/// On a tree no server is a broker, so the walk ends at the rack's first
+/// live broker; on a flat layout every machine is one, so the proxy
+/// co-locates with the heaviest server. Returns `None` if nothing was
+/// transferred (or the chosen rack has no live broker).
 ///
-/// Takes the tally mutably only to use its internal per-rack/per-
-/// intermediate scratch arrays; the recorded transfers are unchanged.
+/// Takes the tally mutably only to sum the switches' nodes, which it leaves
+/// at zero again; the recorded transfers are unchanged.
 pub fn optimal_proxy_broker(topology: &Topology, tally: &mut TransferTally) -> Option<BrokerId> {
-    if tally.is_empty() {
-        return None;
+    let TransferTally {
+        units,
+        first_machine,
+        touched,
+    } = tally;
+    let first_machine = *first_machine;
+    let switches = |m: u32| {
+        let path = topology.machine_path(MachineId::new(m));
+        let node = |level| path.node(level).expect("a machine is under a rack");
+        (node(0), node(1))
+    };
+    // Weight each switch node by the views transferred from under it.
+    for &m in touched.iter() {
+        let transferred = units[first_machine + m as usize];
+        let (inter, rack) = switches(m);
+        units[inter] += transferred;
+        units[rack] += transferred;
     }
-    match topology.kind() {
-        TopologyKind::Flat => {
-            // In a flat cluster every machine is a broker: co-locate the
-            // proxy with the heaviest server (ties by machine id).
-            let mut best_machine = u32::MAX;
-            let mut best_units = 0u64;
-            for &m in &tally.touched {
-                let units = tally.units[m as usize];
-                if units > best_units || (units == best_units && m < best_machine) {
-                    best_units = units;
-                    best_machine = m;
-                }
-            }
-            Some(BrokerId::new(MachineId::new(best_machine)))
-        }
-        TopologyKind::Tree => {
-            // Weight each rack and intermediate switch by the views
-            // transferred from the servers under it.
-            for &m in &tally.touched {
-                let machine = MachineId::new(m);
-                let units = tally.units[m as usize];
-                let rack = topology
-                    .rack_of(machine)
-                    .expect("tally only holds topology machines");
-                let inter = topology.intermediate_of(machine).expect("checked above");
-                tally.rack_units[rack.as_usize()] += units;
-                tally.inter_units[inter as usize] += units;
-            }
-            // Walk root → heaviest intermediate → heaviest rack; a strict
-            // `>` scan in index order matches the old walk's tie-breaking
-            // (lowest-indexed branch wins).
-            let mut best_inter = 0usize;
-            let mut best_units = 0u64;
-            for (i, &units) in tally.inter_units.iter().enumerate() {
-                if units > best_units {
-                    best_units = units;
-                    best_inter = i;
-                }
-            }
-            let first_rack = best_inter * topology.racks_per_intermediate();
-            let mut best_rack = first_rack;
-            let mut best_rack_units = 0u64;
-            for r in first_rack
-                ..(first_rack + topology.racks_per_intermediate()).min(tally.rack_units.len())
-            {
-                if tally.rack_units[r] > best_rack_units {
-                    best_rack_units = tally.rack_units[r];
-                    best_rack = r;
-                }
-            }
-            // Reset the scratch accumulators for the next request.
-            for &m in &tally.touched {
-                let machine = MachineId::new(m);
-                let rack = topology.rack_of(machine).expect("checked above");
-                let inter = topology.intermediate_of(machine).expect("checked above");
-                tally.rack_units[rack.as_usize()] = 0;
-                tally.inter_units[inter as usize] = 0;
-            }
-            // O(1) liveness-table lookup: never migrate a proxy onto a dead
-            // broker (the heaviest rack's servers can outlive its brokers).
-            topology.first_live_broker_in_rack(RackId::new(best_rack as u32))
+    // The walk ends at the touched machine first in this order: heaviest
+    // intermediate node, heaviest rack node, brokers before servers, then
+    // its own weight — each weight's ties to the lower node.
+    let heavier = |a: usize, b: usize| units[a].cmp(&units[b]).then(b.cmp(&a));
+    let is_broker = |m: u32| topology.is_broker(MachineId::new(m));
+    let mut end: Option<(u32, usize, usize)> = None;
+    for &m in touched.iter() {
+        let (inter, rack) = switches(m);
+        let first = end.map_or(true, |(e, e_inter, e_rack)| {
+            heavier(inter, e_inter)
+                .then_with(|| heavier(rack, e_rack))
+                .then_with(|| is_broker(m).cmp(&is_broker(e)))
+                .then_with(|| heavier(first_machine + m as usize, first_machine + e as usize))
+                .is_gt()
+        });
+        if first {
+            end = Some((m, inter, rack));
         }
     }
+    for &m in touched.iter() {
+        let (inter, rack) = switches(m);
+        units[inter] = 0;
+        units[rack] = 0;
+    }
+    let machine = MachineId::new(end?.0);
+    if topology.is_broker(machine) {
+        return Some(BrokerId::new(machine));
+    }
+    // O(1) liveness-table lookup: never migrate a proxy onto a dead
+    // broker (the heaviest rack's servers can outlive its brokers).
+    topology.first_live_broker_in_rack(topology.rack_of(machine).ok()?)
 }
 
 #[cfg(test)]
@@ -174,26 +144,6 @@ mod tests {
             tally.add(m(machine), units);
         }
         tally
-    }
-
-    #[test]
-    fn closest_replica_prefers_lower_common_ancestor() {
-        let topo = Topology::paper_tree().unwrap();
-        let broker = m(0); // rack 0
-                           // Candidate replicas: same rack (1), same intermediate (11), remote (51).
-        let replicas = vec![m(51), m(11), m(1)];
-        assert_eq!(closest_replica(&topo, broker, &replicas), Some(m(1)));
-        let replicas = vec![m(51), m(11)];
-        assert_eq!(closest_replica(&topo, broker, &replicas), Some(m(11)));
-        assert_eq!(closest_replica(&topo, broker, &[]), None);
-    }
-
-    #[test]
-    fn closest_replica_breaks_ties_by_server_id() {
-        let topo = Topology::paper_tree().unwrap();
-        let broker = m(0);
-        // Machines 1 and 2 are both in rack 0 at distance 1.
-        assert_eq!(closest_replica(&topo, broker, &[m(2), m(1)]), Some(m(1)));
     }
 
     #[test]
@@ -226,12 +176,14 @@ mod tests {
     fn tally_clear_resets_counts() {
         let topo = Topology::paper_tree().unwrap();
         let mut tally = tally_of(&topo, &[(3, 5), (7, 2)]);
-        assert_eq!((tally.units[3], tally.units[7]), (5, 2));
+        let units =
+            |tally: &TransferTally, machine: usize| tally.units[tally.first_machine + machine];
+        assert_eq!((units(&tally, 3), units(&tally, 7)), (5, 2));
         tally.clear();
         assert!(tally.is_empty());
-        assert_eq!(tally.units[3], 0);
+        assert_eq!(units(&tally, 3), 0);
         tally.add(m(3), 1);
-        assert_eq!(tally.units[3], 1);
+        assert_eq!(units(&tally, 3), 1);
     }
 
     #[test]

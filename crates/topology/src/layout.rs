@@ -1,13 +1,18 @@
 //! Cluster layout: machines, racks, switches, distances and sub-trees.
 //!
-//! The tree is one table of [`Path`]s, one per intermediate switch, rack and
-//! machine, built at construction and when a rack is added. Every distance
-//! (`distance`, `origin_distance`, `path_distance`), every switch walk
-//! ([`Topology::record_path_timed`]), every access origin and every rack or
-//! intermediate membership is derived from those paths and the one
-//! [`Topology::metric`]; the `*_in_subtree_slice` families and `local_broker`
-//! read dense range tables. The request hot path performs only table
-//! lookups — no tree walks and no heap allocation.
+//! The tree is one table of nodes — every intermediate switch, rack and
+//! machine — built at construction and when a rack is added. Each node has
+//! its [`Path`] from the root and the ranges of the servers and brokers
+//! under it, and every sub-tree but the root is one node
+//! ([`Topology::subtree_node`]). Every distance (`distance`,
+//! `origin_distance`, `path_distance`), every switch walk
+//! ([`Topology::record_path_timed`]) and every access origin is derived from
+//! the paths and the one [`Topology::metric`]; every membership
+//! (`subtree_contains`, the `*_in_subtree_slice` families, the server and
+//! broker ordinals, `local_broker`) from the ranges. The request hot path
+//! performs only table lookups — no tree walks and no heap allocation.
+
+use std::ops::Range;
 
 use dynasore_types::{
     BrokerId, ClusterEvent, Error, MachineId, MessageClass, RackId, Result, ServerId, SimTime,
@@ -97,12 +102,6 @@ pub enum TopologyKind {
     Flat,
 }
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct MachineInfo {
-    is_server: bool,
-    is_broker: bool,
-}
-
 /// "This path has no node at this level."
 const NO_NODE: u32 = u32::MAX;
 
@@ -125,10 +124,19 @@ impl Path {
     /// 1 rack, 2 machine) and its index in the node table.
     #[inline]
     pub fn nodes(self) -> impl Iterator<Item = (usize, usize)> {
-        (0..3).filter_map(move |level| {
-            let node = self.0[level];
-            (node != NO_NODE).then_some((level, node as usize))
-        })
+        (0..3).filter_map(move |level| Some((level, self.node(level)?)))
+    }
+
+    /// The path's node at `level` (0 intermediate, 1 rack, 2 machine), if
+    /// it has one there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `level` is past the machine level.
+    #[inline]
+    pub fn node(self, level: usize) -> Option<usize> {
+        let node = self.0[level];
+        (node != NO_NODE).then_some(node as usize)
     }
 }
 
@@ -138,110 +146,75 @@ impl Default for Path {
     }
 }
 
-/// Dense routing tables, precomputed at topology construction (and when a
-/// rack is added) so every hot-path query is an array lookup.
+/// Dense routing tables, rebuilt whenever a rack is added, so every
+/// hot-path query is an array lookup.
 ///
-/// Machines are numbered rack by rack, so the machine-ordered `servers` and
-/// `brokers` vectors are contiguous per rack and per intermediate switch;
-/// the `*_range` tables store those contiguous index ranges and turn every
-/// "servers/brokers under this sub-tree" query into a slice borrow.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Every sub-tree but the root is a node of the path table. Machines are
+/// numbered rack by rack, so the servers under any node are contiguous in
+/// the machine-ordered `Topology::servers`, and its brokers in
+/// `Topology::brokers`: the `*_under` tables store those ranges and turn
+/// every membership query — a machine's server or broker ordinal included —
+/// into a range lookup or a slice borrow.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 struct RoutingTables {
     /// node → the path from the root to it, itself included: every
-    /// distance, origin, switch walk and rack or intermediate membership
-    /// is read from here.
+    /// distance, origin, switch walk and membership is read from here.
     paths: Vec<Path>,
-    /// machine → position in `Topology::servers` (`u32::MAX` for brokers).
-    server_ordinal: Vec<u32>,
-    /// machine → position in `Topology::brokers` (`u32::MAX` for servers).
-    broker_ordinal: Vec<u32>,
-    /// rack → `(start, end)` range in `Topology::servers`.
-    rack_servers: Vec<(u32, u32)>,
-    /// rack → `(start, end)` range in `Topology::brokers`.
-    rack_brokers: Vec<(u32, u32)>,
-    /// intermediate → `(start, end)` range in `Topology::servers`.
-    inter_servers: Vec<(u32, u32)>,
-    /// intermediate → `(start, end)` range in `Topology::brokers`.
-    inter_brokers: Vec<(u32, u32)>,
-    /// rack → its first broker (the default proxy deployment site).
-    rack_first_broker: Vec<BrokerId>,
+    /// node → `(start, end)` range in `Topology::servers` of the servers
+    /// under it.
+    servers_under: Vec<(u32, u32)>,
+    /// node → `(start, end)` range in `Topology::brokers` of the brokers
+    /// under it.
+    brokers_under: Vec<(u32, u32)>,
 }
 
 impl RoutingTables {
-    fn build(
-        machine_count: usize,
-        servers: &[ServerId],
-        brokers: &[BrokerId],
-        machines_per_rack: usize,
-        racks_per_intermediate: usize,
-        rack_count: usize,
-        intermediate_count: usize,
-    ) -> Self {
-        let (inters, racks) = (intermediate_count as u32, rack_count as u32);
-        let rack_of = |m: MachineId| m.index() / machines_per_rack as u32;
-        let inter_of = |rack: u32| rack / racks_per_intermediate as u32;
-        let mut paths = Vec::with_capacity(intermediate_count + rack_count + machine_count);
+    fn build(topology: &Topology) -> Self {
+        let (inters, racks) = (
+            topology.intermediate_count as u32,
+            topology.rack_count as u32,
+        );
+        let rack_of = |m: u32| m / topology.machines_per_rack as u32;
+        let inter_of = |rack: u32| rack / topology.racks_per_intermediate as u32;
+        let machines = topology.machine_count() as u32;
+        let mut paths = Vec::with_capacity((inters + racks + machines) as usize);
         paths.extend((0..inters).map(|i| Path([i, NO_NODE, NO_NODE])));
         paths.extend((0..racks).map(|r| Path([inter_of(r), inters + r, NO_NODE])));
-        paths.extend((0..machine_count as u32).map(|m| {
-            let rack = rack_of(MachineId::new(m));
+        paths.extend((0..machines).map(|m| {
+            let rack = rack_of(m);
             Path([inter_of(rack), inters + rack, inters + racks + m])
         }));
-        let mut server_ordinal = vec![u32::MAX; machine_count];
-        for (i, s) in servers.iter().enumerate() {
-            server_ordinal[s.machine().as_usize()] = i as u32;
-        }
-        let mut broker_ordinal = vec![u32::MAX; machine_count];
-        for (i, b) in brokers.iter().enumerate() {
-            broker_ordinal[b.machine().as_usize()] = i as u32;
-        }
-        // Machine-ordered role vectors are rack-contiguous; sweep once to
-        // extract the per-rack ranges, then fold racks into intermediates.
-        let rack_ranges = |ids: &[MachineId]| -> Vec<(u32, u32)> {
-            let mut ranges = vec![(0u32, 0u32); rack_count];
-            let mut pos = 0usize;
-            for (rack, range) in ranges.iter_mut().enumerate() {
-                let start = pos;
-                while pos < ids.len() && rack_of(ids[pos]) == rack as u32 {
-                    pos += 1;
-                }
-                *range = (start as u32, pos as u32);
-            }
-            ranges
-        };
-        let server_machines: Vec<MachineId> = servers.iter().map(|s| s.machine()).collect();
-        let broker_machines: Vec<MachineId> = brokers.iter().map(|b| b.machine()).collect();
-        let rack_servers = rack_ranges(&server_machines);
-        let rack_brokers = rack_ranges(&broker_machines);
-        let fold = |per_rack: &[(u32, u32)]| -> Vec<(u32, u32)> {
-            (0..intermediate_count)
-                .map(|i| {
-                    let first = i * racks_per_intermediate;
-                    let last = (first + racks_per_intermediate).min(per_rack.len()) - 1;
-                    (per_rack[first].0, per_rack[last].1)
-                })
-                .collect()
-        };
-        let inter_servers = fold(&rack_servers);
-        let inter_brokers = fold(&rack_brokers);
-        let rack_first_broker = rack_brokers
-            .iter()
-            .map(|&(start, end)| {
-                debug_assert!(start < end, "every rack holds at least one broker");
-                brokers[start as usize]
-            })
-            .collect();
+        let first_machine = topology.first_machine_node();
+        let servers = topology.servers.iter().map(|s| s.machine());
+        let brokers = topology.brokers.iter().map(|b| b.machine());
         RoutingTables {
+            servers_under: members_under(&paths, first_machine, servers),
+            brokers_under: members_under(&paths, first_machine, brokers),
             paths,
-            server_ordinal,
-            broker_ordinal,
-            rack_servers,
-            rack_brokers,
-            inter_servers,
-            inter_brokers,
-            rack_first_broker,
         }
     }
+}
+
+/// node → the `(start, end)` range, in the machine-ordered `members`, of
+/// the members under it: each member extends the range of every node on
+/// its path, and numbering machines rack by rack keeps every range
+/// contiguous.
+fn members_under(
+    paths: &[Path],
+    first_machine: usize,
+    members: impl Iterator<Item = MachineId>,
+) -> Vec<(u32, u32)> {
+    let mut ranges = vec![(0, 0); paths.len()];
+    for (i, member) in (0u32..).zip(members) {
+        for (_, node) in paths[first_machine + member.as_usize()].nodes() {
+            let range: &mut (u32, u32) = &mut ranges[node];
+            if range.0 == range.1 {
+                range.0 = i;
+            }
+            range.1 = i + 1;
+        }
+    }
+    ranges
 }
 
 /// The cluster layout.
@@ -257,16 +230,15 @@ pub struct Topology {
     machines_per_rack: usize,
     brokers_per_rack: usize,
     rack_count: usize,
-    machines: Vec<MachineInfo>,
     servers: Vec<ServerId>,
     brokers: Vec<BrokerId>,
     tables: RoutingTables,
-    /// Liveness mask over the dense machine table. All machines start live;
+    /// Liveness mask, one entry per machine. All machines start live;
     /// [`Topology::apply_cluster_event`] flips entries when the
-    /// cluster-dynamics layer kills or revives machines. Hot-path queries stay mask-free (engines
-    /// maintain the invariant that replica lists only reference live
-    /// machines); placement-decision paths consult [`Topology::is_live`] in
-    /// O(1).
+    /// cluster-dynamics layer kills or revives machines. Hot-path queries
+    /// stay mask-free (engines maintain the invariant that replica lists
+    /// only reference live machines); placement-decision paths consult
+    /// [`Topology::is_live`] in O(1).
     live: Vec<bool>,
     /// rack → its first *live* broker, kept in sync by `set_live` so the
     /// per-request proxy-placement walk stays an O(1) table lookup
@@ -325,52 +297,14 @@ impl Topology {
                 "each rack needs at least one server (brokers_per_rack < machines_per_rack)",
             ));
         }
-        let rack_count = intermediate_count * racks_per_intermediate;
-        let mut machines = Vec::with_capacity(rack_count * machines_per_rack);
-        let mut servers = Vec::new();
-        let mut brokers = Vec::new();
-        for _ in 0..rack_count {
-            for slot in 0..machines_per_rack {
-                let id = MachineId::new(machines.len() as u32);
-                let is_broker = slot < brokers_per_rack;
-                machines.push(MachineInfo {
-                    is_server: !is_broker,
-                    is_broker,
-                });
-                if is_broker {
-                    brokers.push(BrokerId::new(id));
-                } else {
-                    servers.push(ServerId::new(id));
-                }
-            }
-        }
-        let tables = RoutingTables::build(
-            machines.len(),
-            &servers,
-            &brokers,
-            machines_per_rack,
-            racks_per_intermediate,
-            rack_count,
-            intermediate_count,
-        );
-        let live = vec![true; machines.len()];
-        let rack_first_live_broker = tables.rack_first_broker.iter().copied().map(Some).collect();
-        let retired_racks = vec![false; rack_count];
-        Ok(Topology {
-            kind: TopologyKind::Tree,
-            intermediate_count,
+        let mut topology = Topology::empty(
+            TopologyKind::Tree,
             racks_per_intermediate,
             machines_per_rack,
             brokers_per_rack,
-            rack_count,
-            machines,
-            servers,
-            brokers,
-            tables,
-            live,
-            rack_first_live_broker,
-            retired_racks,
-        })
+        );
+        topology.push_racks(intermediate_count * racks_per_intermediate);
+        Ok(topology)
     }
 
     /// Builds a flat topology: `machine_count` machines behind one switch,
@@ -383,38 +317,68 @@ impl Topology {
         if machine_count == 0 {
             return Err(Error::invalid_config("flat topology needs machines"));
         }
-        let mut machines = Vec::with_capacity(machine_count);
-        let mut servers = Vec::with_capacity(machine_count);
-        let mut brokers = Vec::with_capacity(machine_count);
-        for i in 0..machine_count {
-            let id = MachineId::new(i as u32);
-            machines.push(MachineInfo {
-                is_server: true,
-                is_broker: true,
-            });
-            servers.push(ServerId::new(id));
-            brokers.push(BrokerId::new(id));
+        // One rack of brokers under one intermediate node.
+        let mut topology = Topology::empty(TopologyKind::Flat, 1, machine_count, machine_count);
+        topology.push_racks(1);
+        Ok(topology)
+    }
+
+    /// A layout of `kind` with racks of the given shape, but no racks yet.
+    fn empty(
+        kind: TopologyKind,
+        racks_per_intermediate: usize,
+        machines_per_rack: usize,
+        brokers_per_rack: usize,
+    ) -> Self {
+        Topology {
+            kind,
+            intermediate_count: 0,
+            racks_per_intermediate,
+            machines_per_rack,
+            brokers_per_rack,
+            rack_count: 0,
+            servers: Vec::new(),
+            brokers: Vec::new(),
+            tables: RoutingTables::default(),
+            live: Vec::new(),
+            rack_first_live_broker: Vec::new(),
+            retired_racks: Vec::new(),
         }
-        let tables =
-            RoutingTables::build(machine_count, &servers, &brokers, machine_count, 1, 1, 1);
-        let live = vec![true; machines.len()];
-        let rack_first_live_broker = tables.rack_first_broker.iter().copied().map(Some).collect();
-        let retired_racks = vec![false];
-        Ok(Topology {
-            kind: TopologyKind::Flat,
-            intermediate_count: 1,
-            racks_per_intermediate: 1,
-            machines_per_rack: machine_count,
-            brokers_per_rack: machine_count,
-            rack_count: 1,
-            machines,
-            servers,
-            brokers,
-            tables,
-            live,
-            rack_first_live_broker,
-            retired_racks,
-        })
+    }
+
+    /// Appends `count` live racks — each of `machines_per_rack` machines,
+    /// the first `brokers_per_rack` of them brokers and the rest servers (on
+    /// a flat layout every machine is both) — filling the last intermediate
+    /// switch before opening a new one, rebuilds the routing tables and
+    /// returns the new machines. They get the highest machine ids, so
+    /// existing ids, server ordinals and rack indices are unchanged; a new
+    /// intermediate switch renumbers the racks' and machines' nodes in the
+    /// path table.
+    fn push_racks(&mut self, count: usize) -> Vec<MachineId> {
+        let (first_machine, first_rack) = (self.machine_count() as u32, self.rack_count as u32);
+        for slot in (0..count).flat_map(|_| 0..self.machines_per_rack) {
+            let id = MachineId::new(self.machine_count() as u32);
+            let is_broker = slot < self.brokers_per_rack;
+            if is_broker {
+                self.brokers.push(BrokerId::new(id));
+            }
+            if !is_broker || self.kind == TopologyKind::Flat {
+                self.servers.push(ServerId::new(id));
+            }
+            self.live.push(true);
+        }
+        self.retired_racks.resize(self.rack_count + count, false);
+        self.rack_count += count;
+        self.intermediate_count = self.rack_count.div_ceil(self.racks_per_intermediate);
+        self.tables = RoutingTables::build(self);
+        // The new racks' brokers are all live; no other rack's changed.
+        for rack in first_rack..self.rack_count as u32 {
+            let broker = self.first_live_broker_under(rack);
+            self.rack_first_live_broker.push(broker);
+        }
+        (first_machine..self.machine_count() as u32)
+            .map(MachineId::new)
+            .collect()
     }
 
     /// Whether this is a tree or flat layout.
@@ -423,8 +387,9 @@ impl Topology {
     }
 
     /// Total number of machines (servers + brokers).
+    #[inline]
     pub fn machine_count(&self) -> usize {
-        self.machines.len()
+        self.live.len()
     }
 
     /// Number of view servers.
@@ -458,31 +423,29 @@ impl Topology {
     }
 
     /// Whether `machine` exists in this topology.
+    #[inline]
     pub fn contains(&self, machine: MachineId) -> bool {
-        machine.as_usize() < self.machines.len()
+        machine.as_usize() < self.machine_count()
     }
 
     #[inline]
-    fn info(&self, machine: MachineId) -> Result<&MachineInfo> {
-        self.machines
-            .get(machine.as_usize())
-            .ok_or(Error::UnknownMachine(machine))
+    fn check_machine(&self, machine: MachineId) -> Result<()> {
+        if self.contains(machine) {
+            Ok(())
+        } else {
+            Err(Error::UnknownMachine(machine))
+        }
     }
 
     /// Whether `machine` stores views.
     pub fn is_server(&self, machine: MachineId) -> bool {
-        self.machines
-            .get(machine.as_usize())
-            .map(|m| m.is_server)
-            .unwrap_or(false)
+        self.server_ordinal(machine).is_some()
     }
 
     /// Whether `machine` executes requests.
+    #[inline]
     pub fn is_broker(&self, machine: MachineId) -> bool {
-        self.machines
-            .get(machine.as_usize())
-            .map(|m| m.is_broker)
-            .unwrap_or(false)
+        self.broker_ordinal(machine).is_some()
     }
 
     /// The rack a machine belongs to.
@@ -492,7 +455,7 @@ impl Topology {
     /// Returns [`Error::UnknownMachine`] for out-of-range ids.
     #[inline]
     pub fn rack_of(&self, machine: MachineId) -> Result<RackId> {
-        self.info(machine)?;
+        self.check_machine(machine)?;
         Ok(RackId::new(self.rack_index(machine)))
     }
 
@@ -503,54 +466,46 @@ impl Topology {
     /// Returns [`Error::UnknownMachine`] for out-of-range ids.
     #[inline]
     pub fn intermediate_of(&self, machine: MachineId) -> Result<u32> {
-        self.info(machine)?;
+        self.check_machine(machine)?;
         Ok(self.machine_path(machine).0[0])
-    }
-
-    /// The brokers located in `rack`, as a borrowed slice (machine order).
-    pub fn brokers_in_rack_slice(&self, rack: RackId) -> &[BrokerId] {
-        match self.tables.rack_brokers.get(rack.as_usize()) {
-            Some(&(start, end)) => &self.brokers[start as usize..end as usize],
-            None => &[],
-        }
-    }
-
-    /// The servers located in `rack`, as a borrowed slice (machine order).
-    pub fn servers_in_rack_slice(&self, rack: RackId) -> &[ServerId] {
-        match self.tables.rack_servers.get(rack.as_usize()) {
-            Some(&(start, end)) => &self.servers[start as usize..end as usize],
-            None => &[],
-        }
     }
 
     /// The position of `machine` in [`Topology::servers`], if it is a
     /// server. Engines that mirror the server list (one state entry per
     /// server, in the same order) use this to map machines to their dense
     /// state index without a hash lookup.
+    #[inline]
     pub fn server_ordinal(&self, machine: MachineId) -> Option<usize> {
-        match self.tables.server_ordinal.get(machine.as_usize()) {
-            Some(&ord) if ord != u32::MAX => Some(ord as usize),
-            _ => None,
-        }
+        self.ordinal(machine, &self.tables.servers_under)
     }
 
     /// The position of `machine` in [`Topology::brokers`], if it is a
     /// broker.
+    #[inline]
     pub fn broker_ordinal(&self, machine: MachineId) -> Option<usize> {
-        match self.tables.broker_ordinal.get(machine.as_usize()) {
-            Some(&ord) if ord != u32::MAX => Some(ord as usize),
+        self.ordinal(machine, &self.tables.brokers_under)
+    }
+
+    /// The start of `machine`'s own range in a `*_under` table, if the
+    /// machine is one of that table's members.
+    #[inline]
+    fn ordinal(&self, machine: MachineId, under: &[(u32, u32)]) -> Option<usize> {
+        match under.get(self.first_machine_node() + machine.as_usize()) {
+            Some(&(start, end)) if start < end => Some(start as usize),
             _ => None,
         }
     }
 
-    /// Index of the first rack and of the first machine in the node table.
+    /// Index of the first rack in the node table.
     #[inline]
     fn first_rack(&self) -> usize {
         self.intermediate_count
     }
 
+    /// Index of machine 0 in the node table, and so the number of nodes
+    /// above the machine level, which come first.
     #[inline]
-    fn first_machine(&self) -> usize {
+    pub fn first_machine_node(&self) -> usize {
         self.intermediate_count + self.rack_count
     }
 
@@ -582,21 +537,29 @@ impl Topology {
     /// Panics if the machine is out of range.
     #[inline]
     pub fn machine_path(&self, machine: MachineId) -> Path {
-        self.tables.paths[self.first_machine() + machine.as_usize()]
+        self.tables.paths[self.first_machine_node() + machine.as_usize()]
+    }
+
+    /// The node of `subtree` in the node table: `None` for the root, which
+    /// has none, and for sub-trees the topology does not have.
+    #[inline]
+    pub fn subtree_node(&self, subtree: SubtreeId) -> Option<usize> {
+        let (nodes, index) = match subtree {
+            SubtreeId::Root => return None,
+            SubtreeId::Intermediate(i) => (0..self.first_rack(), i),
+            SubtreeId::Rack(r) => (self.first_rack()..self.first_machine_node(), r),
+            SubtreeId::Machine(m) => (self.first_machine_node()..self.node_count(), m),
+        };
+        let node = nodes.start + index as usize;
+        (node < nodes.end).then_some(node)
     }
 
     /// The path of a sub-tree, as a read origin. Sub-trees the topology
     /// does not have are far from everything, like the root.
     #[inline]
     pub fn origin_path(&self, origin: SubtreeId) -> Path {
-        let (nodes, index) = match origin {
-            SubtreeId::Root => return Path::ROOT,
-            SubtreeId::Intermediate(i) => (0..self.first_rack(), i),
-            SubtreeId::Rack(r) => (self.first_rack()..self.first_machine(), r),
-            SubtreeId::Machine(m) => (self.first_machine()..self.tables.paths.len(), m),
-        };
-        let paths = &self.tables.paths[nodes];
-        paths.get(index as usize).copied().unwrap_or(Path::ROOT)
+        self.subtree_node(origin)
+            .map_or(Path::ROOT, |node| self.tables.paths[node])
     }
 
     /// Number of switches between the positions at two paths, by
@@ -611,6 +574,7 @@ impl Topology {
     /// Number of nodes in the tree below the root — intermediate switches,
     /// racks and machines — and so one past the highest node index a
     /// [`Path`] holds.
+    #[inline]
     pub fn node_count(&self) -> usize {
         self.tables.paths.len()
     }
@@ -716,27 +680,48 @@ impl Topology {
         account.record_timed(&buf[..len], class, time)
     }
 
-    /// Whether `machine` lies under `subtree`.
+    /// Whether `machine` lies under `subtree`: whether the sub-tree is the
+    /// root or its node lies on the machine's path.
     pub fn subtree_contains(&self, subtree: SubtreeId, machine: MachineId) -> bool {
         if !self.contains(machine) {
             return false;
         }
-        match subtree {
-            SubtreeId::Root => true,
-            SubtreeId::Intermediate(i) => {
-                self.kind == TopologyKind::Tree && self.machine_path(machine).0[0] == i
-            }
-            SubtreeId::Rack(r) => self.rack_index(machine) == r,
-            SubtreeId::Machine(m) => machine.index() == m,
+        match self.subtree_node(subtree) {
+            Some(node) => self.machine_path(machine).0.contains(&(node as u32)),
+            None => subtree == SubtreeId::Root,
         }
     }
 
     /// All machines under a sub-tree.
     pub fn machines_in_subtree(&self, subtree: SubtreeId) -> Vec<MachineId> {
-        (0..self.machines.len() as u32)
+        (0..self.machine_count() as u32)
             .map(MachineId::new)
             .filter(|&m| self.subtree_contains(subtree, m))
             .collect()
+    }
+
+    /// The range, in a role list of `len` members, of the members under
+    /// `subtree` by its `*_under` table: all of them under the root, none
+    /// under a sub-tree the topology does not have.
+    #[inline]
+    fn members(&self, subtree: SubtreeId, under: &[(u32, u32)], len: usize) -> Range<usize> {
+        match self.subtree_node(subtree) {
+            Some(node) => under[node].0 as usize..under[node].1 as usize,
+            None if subtree == SubtreeId::Root => 0..len,
+            None => 0..0,
+        }
+    }
+
+    /// The view servers under node `node` of the node table, as a borrowed
+    /// slice in machine order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the node is out of range.
+    #[inline]
+    pub fn servers_under(&self, node: usize) -> &[ServerId] {
+        let (start, end) = self.tables.servers_under[node];
+        &self.servers[start as usize..end as usize]
     }
 
     /// The view servers under a sub-tree, as a borrowed slice in machine
@@ -744,44 +729,14 @@ impl Topology {
     /// servers are contiguous in [`Topology::servers`], so this is a range
     /// lookup with no allocation — the form the request hot path uses.
     pub fn servers_in_subtree_slice(&self, subtree: SubtreeId) -> &[ServerId] {
-        match subtree {
-            SubtreeId::Root => &self.servers,
-            SubtreeId::Intermediate(i) => {
-                if self.kind != TopologyKind::Tree {
-                    return &[];
-                }
-                match self.tables.inter_servers.get(i as usize) {
-                    Some(&(start, end)) => &self.servers[start as usize..end as usize],
-                    None => &[],
-                }
-            }
-            SubtreeId::Rack(r) => self.servers_in_rack_slice(RackId::new(r)),
-            SubtreeId::Machine(m) => match self.server_ordinal(MachineId::new(m)) {
-                Some(ord) => &self.servers[ord..ord + 1],
-                None => &[],
-            },
-        }
+        let under = &self.tables.servers_under;
+        &self.servers[self.members(subtree, under, self.servers.len())]
     }
 
     /// The brokers under a sub-tree, as a borrowed slice in machine order.
     pub fn brokers_in_subtree_slice(&self, subtree: SubtreeId) -> &[BrokerId] {
-        match subtree {
-            SubtreeId::Root => &self.brokers,
-            SubtreeId::Intermediate(i) => {
-                if self.kind != TopologyKind::Tree {
-                    return &[];
-                }
-                match self.tables.inter_brokers.get(i as usize) {
-                    Some(&(start, end)) => &self.brokers[start as usize..end as usize],
-                    None => &[],
-                }
-            }
-            SubtreeId::Rack(r) => self.brokers_in_rack_slice(RackId::new(r)),
-            SubtreeId::Machine(m) => match self.broker_ordinal(MachineId::new(m)) {
-                Some(ord) => &self.brokers[ord..ord + 1],
-                None => &[],
-            },
-        }
+        let under = &self.tables.brokers_under;
+        &self.brokers[self.members(subtree, under, self.brokers.len())]
     }
 
     /// The coarse *origin* a server records for an access coming from
@@ -829,11 +784,8 @@ impl Topology {
             // In a flat topology every machine is its own broker.
             return Ok(BrokerId::new(machine));
         }
-        self.tables
-            .rack_first_broker
-            .get(rack.as_usize())
-            .copied()
-            .ok_or(Error::UnknownMachine(machine))
+        let brokers = self.brokers_in_subtree_slice(SubtreeId::Rack(rack.index()));
+        Ok(brokers[0])
     }
 
     // --- Liveness and elasticity -------------------------------------------
@@ -860,15 +812,17 @@ impl Topology {
             return false;
         }
         self.live[idx] = live;
-        if self.machines[idx].is_broker {
+        if self.is_broker(machine) {
             let rack = self.rack_index(machine);
-            self.rack_first_live_broker[rack as usize] = self
-                .brokers_in_rack_slice(RackId::new(rack))
-                .iter()
-                .copied()
-                .find(|b| self.live[b.machine().as_usize()]);
+            self.rack_first_live_broker[rack as usize] = self.first_live_broker_under(rack);
         }
         true
+    }
+
+    /// The first live broker of `rack`, by a scan of its brokers.
+    fn first_live_broker_under(&self, rack: u32) -> Option<BrokerId> {
+        let brokers = self.brokers_in_subtree_slice(SubtreeId::Rack(rack));
+        brokers.iter().copied().find(|b| self.is_live(b.machine()))
     }
 
     /// Flips every machine of `rack` to `live` and returns, in machine
@@ -946,54 +900,15 @@ impl Topology {
         (0..self.rack_count).find_map(|r| self.first_live_broker_in_rack(RackId::new(r as u32)))
     }
 
-    /// Appends one rack of machines — same shape as the existing racks
-    /// (`machines_per_rack` machines of which `brokers_per_rack` are
-    /// brokers) — to the tree, rebuilding the dense routing tables, and
-    /// returns the new machines. The new rack lands under the last
-    /// intermediate switch if it has room, otherwise a new intermediate
-    /// switch is created. New machines start live and get the highest
-    /// machine ids, so existing ids, server ordinals and rack indices are
-    /// unchanged; a new intermediate switch renumbers the racks' and
-    /// machines' nodes in the path table.
+    /// Appends one rack of machines of the same shape as the existing
+    /// ones (`push_racks`); flat layouts cannot grow.
     fn add_rack(&mut self) -> Result<Vec<MachineId>> {
         if self.kind != TopologyKind::Tree {
             return Err(Error::invalid_config(
                 "only tree topologies can grow by racks",
             ));
         }
-        let first = self.machines.len() as u32;
-        for slot in 0..self.machines_per_rack {
-            let id = MachineId::new(self.machines.len() as u32);
-            let is_broker = slot < self.brokers_per_rack;
-            self.machines.push(MachineInfo {
-                is_server: !is_broker,
-                is_broker,
-            });
-            if is_broker {
-                self.brokers.push(BrokerId::new(id));
-            } else {
-                self.servers.push(ServerId::new(id));
-            }
-            self.live.push(true);
-        }
-        self.retired_racks.push(false);
-        self.rack_count += 1;
-        self.intermediate_count = self.rack_count.div_ceil(self.racks_per_intermediate);
-        self.tables = RoutingTables::build(
-            self.machines.len(),
-            &self.servers,
-            &self.brokers,
-            self.machines_per_rack,
-            self.racks_per_intermediate,
-            self.rack_count,
-            self.intermediate_count,
-        );
-        // The new rack's brokers are all live; no other rack's changed.
-        self.rack_first_live_broker
-            .push(self.tables.rack_first_broker.last().copied());
-        Ok((first..self.machines.len() as u32)
-            .map(MachineId::new)
-            .collect())
+        Ok(self.push_racks(1))
     }
 
     /// Permanently decommissions `rack` — the reverse of `add_rack` — and
@@ -1050,13 +965,13 @@ impl Topology {
         let mut change = MembershipChange::default();
         match event {
             ClusterEvent::MachineDown { machine } | ClusterEvent::DrainMachine { machine } => {
-                self.info(machine)?;
+                self.check_machine(machine)?;
                 if self.set_live(machine, false) {
                     change.down.push(machine);
                 }
             }
             ClusterEvent::MachineUp { machine } => {
-                self.info(machine)?;
+                self.check_machine(machine)?;
                 if !self.is_retired(machine) && self.set_live(machine, true) {
                     change.up.push(machine);
                 }
@@ -1139,10 +1054,10 @@ mod tests {
         assert!(t.is_server(m(2)));
         assert_eq!(t.rack_of(m(4)).unwrap(), RackId::new(1));
         assert_eq!(
-            t.brokers_in_rack_slice(RackId::new(1)),
+            t.brokers_in_subtree_slice(SubtreeId::Rack(1)),
             [BrokerId::new(m(3))]
         );
-        assert_eq!(t.servers_in_rack_slice(RackId::new(0)).len(), 2);
+        assert_eq!(t.servers_in_subtree_slice(SubtreeId::Rack(0)).len(), 2);
         assert!(t.rack_of(m(99)).is_err());
     }
 
@@ -1372,7 +1287,7 @@ mod tests {
         assert!(t.is_broker(m(12)));
         assert!(t.is_server(m(13)));
         assert_eq!(t.intermediate_of(m(13)).unwrap(), 2);
-        assert_eq!(t.servers_in_rack_slice(RackId::new(4)).len(), 2);
+        assert_eq!(t.servers_in_subtree_slice(SubtreeId::Rack(4)).len(), 2);
         assert_eq!(
             t.first_live_broker_in_rack(RackId::new(4)),
             Some(BrokerId::new(m(12)))
@@ -1380,7 +1295,7 @@ mod tests {
         // Partial intermediate 2 holds only the new rack.
         assert_eq!(
             t.servers_in_subtree_slice(SubtreeId::Intermediate(2)),
-            t.servers_in_rack_slice(RackId::new(4))
+            t.servers_in_subtree_slice(SubtreeId::Rack(4))
         );
         // Distances to the new rack cross the core.
         assert_eq!(t.distance(m(1), m(13)), 5);

@@ -39,9 +39,11 @@ impl Shape {
         rack / self.racks_per_intermediate
     }
 
-    /// The nodes from the root down to `subtree`, both included. A node the
-    /// topology does not have is nowhere below the root, and a flat layout
-    /// has one switch, so only its machines are below its root.
+    /// The switches and machine from the root down to `subtree`, both
+    /// included. A node the topology does not have is nowhere below the
+    /// root, and a flat layout has one switch, so only its machines are
+    /// below its root (its intermediate and rack nodes, which hold every
+    /// machine, are no switches).
     fn ancestors(self, subtree: SubtreeId) -> Vec<SubtreeId> {
         let mut chain = vec![SubtreeId::Root];
         match (self.kind, subtree) {
@@ -185,6 +187,62 @@ fn assert_origin_distances(topo: &Topology, shape: Shape) -> Result<(), TestCase
     Ok(())
 }
 
+/// Membership follows the paths: `subtree_contains(s, m)` holds exactly
+/// when `s` is the root or `s`'s node lies on `m`'s path, and the sub-tree
+/// slices hold exactly the servers and brokers that membership selects, in
+/// machine order — for every origin, the ids past the end included.
+fn assert_membership_follows_paths(topo: &Topology, shape: Shape) -> Result<(), TestCaseError> {
+    for subtree in shape.origins() {
+        // The sub-tree's own node is the last on its path; the root and ids
+        // the topology does not have have none.
+        let node = topo
+            .origin_path(subtree)
+            .nodes()
+            .last()
+            .map(|(_, node)| node);
+        prop_assert_eq!(topo.subtree_node(subtree), node, "node of {}", subtree);
+        let under = |m: MachineId| {
+            subtree == SubtreeId::Root
+                || node.is_some_and(|node| topo.machine_path(m).nodes().any(|(_, n)| n == node))
+        };
+        for m in (0..shape.machines()).map(MachineId::new) {
+            prop_assert_eq!(
+                topo.subtree_contains(subtree, m),
+                under(m),
+                "{} under {} in {:?}",
+                m,
+                subtree,
+                shape
+            );
+        }
+        let servers: Vec<_> = topo
+            .servers()
+            .iter()
+            .copied()
+            .filter(|s| under(s.machine()))
+            .collect();
+        prop_assert_eq!(
+            topo.servers_in_subtree_slice(subtree),
+            &servers[..],
+            "servers under {}",
+            subtree
+        );
+        let brokers: Vec<_> = topo
+            .brokers()
+            .iter()
+            .copied()
+            .filter(|b| under(b.machine()))
+            .collect();
+        prop_assert_eq!(
+            topo.brokers_in_subtree_slice(subtree),
+            &brokers[..],
+            "brokers under {}",
+            subtree
+        );
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -238,47 +296,26 @@ proptest! {
         assert_origin_distances(&topo, shape)?;
     }
 
-    /// The contiguous-range subtree slices contain exactly the servers and
-    /// brokers a naive membership filter selects, in the same order, and
-    /// `subtree_contains` is that membership.
+    /// `subtree_contains` is the naive membership on random trees, grown or
+    /// not, with one or two brokers per rack, and membership and the
+    /// contiguous-range sub-tree slices follow the paths.
     #[test]
     fn subtree_slices_match_membership_filter(
         inter in 1usize..5,
         racks in 1usize..5,
         machines in 2usize..7,
+        brokers in 1usize..3,
         grow in 0usize..4,
     ) {
-        let (topo, shape) = grown_tree(inter, racks, machines, 1, grow);
-        let under = |subtree: SubtreeId, m: MachineId| {
-            shape.ancestors(SubtreeId::Machine(m.index())).contains(&subtree)
-        };
+        let brokers = brokers.min(machines - 1);
+        let (topo, shape) = grown_tree(inter, racks, machines, brokers, grow);
         for subtree in shape.origins() {
             for m in (0..shape.machines()).map(MachineId::new) {
-                prop_assert_eq!(topo.subtree_contains(subtree, m), under(subtree, m));
+                let under = shape.ancestors(SubtreeId::Machine(m.index())).contains(&subtree);
+                prop_assert_eq!(topo.subtree_contains(subtree, m), under);
             }
-            let servers: Vec<_> = topo
-                .servers()
-                .iter()
-                .copied()
-                .filter(|s| under(subtree, s.machine()))
-                .collect();
-            prop_assert_eq!(
-                topo.servers_in_subtree_slice(subtree),
-                &servers[..],
-                "servers under {}", subtree
-            );
-            let brokers: Vec<_> = topo
-                .brokers()
-                .iter()
-                .copied()
-                .filter(|b| under(subtree, b.machine()))
-                .collect();
-            prop_assert_eq!(
-                topo.brokers_in_subtree_slice(subtree),
-                &brokers[..],
-                "brokers under {}", subtree
-            );
         }
+        assert_membership_follows_paths(&topo, shape)?;
     }
 
     /// `path_switches` lists the switches of the naive walk between two
@@ -320,8 +357,8 @@ proptest! {
 }
 
 /// The flat topology routes everything through the single switch, reports
-/// machine-granular origins, and agrees with the naive walk on every
-/// distance, origin distance and path.
+/// machine-granular origins, agrees with the naive walk on every distance,
+/// origin distance and path, and its membership follows its paths.
 #[test]
 fn flat_topology_tables() {
     for n in [1u32, 2, 12] {
@@ -334,6 +371,7 @@ fn flat_topology_tables() {
             racks: 1,
         };
         assert_origin_distances(&topo, shape).unwrap();
+        assert_membership_follows_paths(&topo, shape).unwrap();
         for a in (0..n).map(MachineId::new) {
             assert_eq!(topo.rack_of(a).unwrap().index(), 0);
             assert_eq!(topo.local_broker(a).unwrap().machine(), a);
@@ -354,8 +392,11 @@ fn flat_topology_tables() {
             topo.servers_in_subtree_slice(SubtreeId::Rack(0)).len(),
             n as usize
         );
-        assert!(topo
-            .servers_in_subtree_slice(SubtreeId::Intermediate(0))
-            .is_empty());
+        // The one intermediate node holds every machine, as their paths say.
+        assert_eq!(
+            topo.servers_in_subtree_slice(SubtreeId::Intermediate(0))
+                .len(),
+            n as usize
+        );
     }
 }
