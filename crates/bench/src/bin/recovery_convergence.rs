@@ -141,7 +141,7 @@ fn measure_recovery(
     // Event size shared with the simulator's durable tier (tweet-sized, as
     // the paper assumes), so the bench and `Simulation::with_durable_tier`
     // measure the same bytes-per-write calibration.
-    use dynasore_store::{LogStructuredStore, ShardedConfig, ShardedLogStore, SIM_EVENT_BYTES};
+    use dynasore_store::{ShardedConfig, ShardedLogStore, SIM_EVENT_BYTES};
 
     const EVENTS_PER_USER: u64 = 2;
 
@@ -182,9 +182,7 @@ fn measure_recovery(
         // single-threaded recovery pays regardless of layout.
         let serial_replay_secs = if shards > 1 {
             let start = Instant::now();
-            for i in 0..shards {
-                LogStructuredStore::read_back(dir.join(format!("shard-{i:04}")))?;
-            }
+            ShardedLogStore::read_back(dir)?;
             Some(start.elapsed().as_secs_f64())
         } else {
             None

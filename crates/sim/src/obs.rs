@@ -10,10 +10,9 @@
 //! identical pre-observability path (an `Option` that stays `None`), which
 //! keeps disabled-mode runs byte-identical and zero-cost.
 
-use dynasore_topology::{Switch, Topology, TrafficAccount};
+use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
 use dynasore_types::{
-    FlightRecorder, MetricId, MetricsRegistry, NetworkModel, SimTime, SwitchTier, TraceEventKind,
-    NANOS_PER_SEC,
+    FlightRecorder, MetricId, MetricsRegistry, NetworkModel, SimTime, TraceEventKind, NANOS_PER_SEC,
 };
 
 use crate::durable::{DurableIoStats, DurableTier};
@@ -99,7 +98,7 @@ impl SimObs {
         self.trace(
             t_ns,
             TraceEventKind::SwitchQueueDepth {
-                tier: SwitchTier::Top,
+                tier: Tier::Top,
                 max_delay_ns: traffic.queued_delay(Switch::Top, time).as_nanos(),
             },
         );
@@ -112,7 +111,7 @@ impl SimObs {
             self.trace(
                 t_ns,
                 TraceEventKind::SwitchQueueDepth {
-                    tier: SwitchTier::Intermediate,
+                    tier: Tier::Intermediate,
                     max_delay_ns: worst,
                 },
             );
@@ -126,7 +125,7 @@ impl SimObs {
             self.trace(
                 t_ns,
                 TraceEventKind::SwitchQueueDepth {
-                    tier: SwitchTier::Rack,
+                    tier: Tier::Rack,
                     max_delay_ns: worst,
                 },
             );

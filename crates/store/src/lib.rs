@@ -12,14 +12,14 @@
 //!
 //! * [`MockPersistentStore`] — an in-memory map, the default
 //!   ([`Cluster::spawn`]), right for pure simulations;
-//! * [`ShardedLogStore`] — the file-backed tier
-//!   ([`Cluster::spawn_with_store`]): N independent shards routed by a
-//!   stable hash of the user id (`shards: 1` is one log), each a
-//!   [`LogStructuredStore`] — an append-only segment log of checksummed
-//!   batch frames with replay-on-open recovery and rotation — writing by
-//!   group commit, so killed-and-restarted servers recover views from real
-//!   bytes, the tier keeps pace with the hot path (one fsync covers a whole
-//!   batch) and shards recover concurrently on reopen.
+//! * [`ShardedLogStore`] — the file-backed tier, and the one public store
+//!   over files ([`Cluster::spawn_with_store`]): N independent shards
+//!   routed by a stable hash of the user id (`shards: 1` is one log), each
+//!   a crate-private append-only segment log of checksummed batch frames
+//!   with replay-on-open recovery and rotation, writing by group commit —
+//!   so killed-and-restarted servers recover views from real bytes, the
+//!   tier keeps pace with the hot path (one fsync covers a whole batch)
+//!   and shards recover concurrently on reopen.
 //!
 //! The API mirrors the paper's memcache-compatible interface:
 //!
@@ -70,7 +70,7 @@ mod sharded;
 
 pub use cluster::{Cluster, ClusterChangeReport, StoreConfig, StoreStats};
 pub use durable_tier::{SimDurableTier, SIM_EVENT_BYTES};
-pub use log::{LogConfig, LogStructuredStore, RecoveryStats};
+pub use log::{LogConfig, RecoveryStats};
 pub use obs::StoreObs;
 pub use persistent::{MockPersistentStore, PersistentStore};
 pub use sharded::{ShardedConfig, ShardedLogStore, ShardedRecoveryStats};

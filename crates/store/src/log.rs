@@ -1,11 +1,9 @@
 //! One shard of the file-backed durable tier: a log of segment files.
 //!
-//! [`LogStructuredStore`] is what a [`ShardedLogStore`] is made of (a
-//! one-shard store is how the rest of the workspace runs "one log over
-//! files"); it is public for [`ShardedLogStore::shard`], for the lock-free
-//! inspection of a directory through [`LogStructuredStore::read_back`], and
-//! for the crash-recovery harness, which truncates one shard's segment file
-//! at a time. Every write is a framed, checksummed batch frame
+//! [`LogStructuredStore`] is private to this crate: a
+//! [`ShardedLogStore`] is made of them (a one-shard store is how the rest
+//! of the workspace runs "one log over files") and is the one public store
+//! over files. Every write is a framed, checksummed batch frame
 //! ([`DurableRecord`]) in the active segment file, an in-memory index of
 //! full views is rebuilt by *replaying the segments from disk* on open, and
 //! the active segment rotates at a size threshold. `flush` pushes buffered
@@ -43,7 +41,6 @@
 //! every whole frame, in file order".
 //!
 //! [`ShardedLogStore`]: crate::ShardedLogStore
-//! [`ShardedLogStore::shard`]: crate::ShardedLogStore::shard
 //! [`flush`]: LogStructuredStore::flush
 //! [`sync`]: LogStructuredStore::sync
 //! [`commit_pending`]: LogStructuredStore::commit_pending
@@ -67,8 +64,8 @@ use crate::segment::{list_segments, replay_segment, Segment};
 /// longer be replayed.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
-/// Configuration of a [`LogStructuredStore`] (one shard of a
-/// [`ShardedLogStore`](crate::ShardedLogStore)).
+/// Configuration of one shard of a
+/// [`ShardedLogStore`](crate::ShardedLogStore).
 #[derive(Debug, Clone, Copy)]
 pub struct LogConfig {
     /// Size threshold (bytes) at which the active segment is sealed and a
@@ -81,9 +78,10 @@ pub struct LogConfig {
     pub max_batch_records: u32,
     /// Whether every commit fsyncs — the group durability point: one fsync
     /// covers the whole batch. When `false` (the default), commits only
-    /// reach the OS page cache and [`sync`](LogStructuredStore::sync) — or
-    /// the sharded store's flusher thread — is the machine-crash boundary
-    /// (segment rotation always syncs the sealed file).
+    /// reach the OS page cache and
+    /// [`sync`](crate::ShardedLogStore::sync) — or the sharded store's
+    /// flusher thread — is the machine-crash boundary (segment rotation
+    /// always syncs the sealed file).
     pub sync_on_commit: bool,
 }
 
@@ -97,10 +95,10 @@ impl Default for LogConfig {
     }
 }
 
-/// What rebuilding the index from disk (on open or [`reread`]) measured —
-/// the numerator of real recovery bandwidth.
+/// What rebuilding one shard's index from disk (on open or [`reread`])
+/// measured — the numerator of real recovery bandwidth.
 ///
-/// [`reread`]: LogStructuredStore::reread
+/// [`reread`]: crate::ShardedLogStore::reread
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Bytes read and validated (segment headers plus whole records).
@@ -153,7 +151,7 @@ struct LogInner {
 /// [`PersistentStore`](crate::PersistentStore) to hand a cluster. See the
 /// module documentation of `log.rs` for the format and crash semantics.
 #[derive(Debug)]
-pub struct LogStructuredStore {
+pub(crate) struct LogStructuredStore {
     inner: Mutex<LogInner>,
     writes: AtomicU64,
     reads: AtomicU64,
@@ -200,7 +198,7 @@ fn acquire_dir_lock(dir: &Path) -> Result<PathBuf> {
                 if !stale {
                     return Err(Error::invalid_config(format!(
                         "store directory {} is locked by pid {}; two owners would corrupt \
-                         the log — use LogStructuredStore::read_back for inspection, or \
+                         the log — use ShardedLogStore::read_back for inspection, or \
                          delete the LOCK file if the owner is known to be gone",
                         dir.display(),
                         holder.map_or_else(|| "unknown".into(), |p| p.to_string()),
@@ -342,46 +340,10 @@ impl LogStructuredStore {
         Ok((index, stats))
     }
 
-    /// Acknowledges one event into the pending batch frame — the step every
-    /// public write path shares — and commits the frame once it is full. The
-    /// payload is encoded directly from a borrow — exactly one copy, into the
-    /// frame buffer — and then *moved* into the in-memory index, so the
-    /// durable write path never duplicates the caller's bytes. Returns the
-    /// view's new version.
-    fn append_one(inner: &mut LogInner, user: UserId, payload: Vec<u8>) -> Result<u64> {
-        let timestamp = SimTime::from_secs(inner.clock);
-        inner.clock += 1;
-        if inner.pending_records == 0 {
-            DurableRecord::batch_begin(&mut inner.pending);
-        }
-        if let Err(first) = DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)
-        {
-            // The open batch has no room left for this entry: commit it
-            // and retry in a fresh frame. A second failure means the
-            // entry alone can never fit and is rejected like any
-            // oversized record — with the frame (and index) untouched.
-            if inner.pending_records == 0 {
-                return Err(first);
-            }
-            Self::commit_pending_locked(inner)?;
-            DurableRecord::batch_begin(&mut inner.pending);
-            DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)?;
-        }
-        inner.pending_records += 1;
-        let view = inner.index.entry(user).or_insert_with(|| View::new(user));
-        view.push(Event::new(user, timestamp, payload));
-        let version = view.version();
-        if inner.pending_records >= inner.config.max_batch_records
-            || inner.pending.len() - RECORD_HEADER_BYTES >= MAX_BATCH_BYTES
-        {
-            Self::commit_pending_locked(inner)?;
-        }
-        Ok(version)
-    }
-
-    /// Writes the pending batch — if any — as one batch frame and makes it as durable as the configuration promises (fsynced
-    /// under [`LogConfig::sync_on_commit`], OS-buffered otherwise). The
-    /// frame buffer keeps its capacity for the next batch.
+    /// Writes the pending batch — if any — as one batch frame and makes it
+    /// as durable as the configuration promises (fsynced under
+    /// [`LogConfig::sync_on_commit`], OS-buffered otherwise). The frame
+    /// buffer keeps its capacity for the next batch.
     fn commit_pending_locked(inner: &mut LogInner) -> Result<()> {
         if inner.pending_records == 0 {
             return Ok(());
@@ -406,9 +368,14 @@ impl LogStructuredStore {
         Self::maybe_rotate(inner)
     }
 
-    /// Appends an event with `payload` to `user`'s view and returns the new
-    /// version of the view. The event is *acknowledged* into the pending
-    /// batch — immediately visible to [`fetch`], durable at the next commit.
+    /// Appends an event with `payload` to `user`'s view under one lock and
+    /// returns what `ack` reads off the updated view — the body every write
+    /// path shares. The event is *acknowledged* into the pending batch frame
+    /// — immediately visible to [`fetch`], durable at the next commit — and
+    /// the frame is committed once it is full. The payload is encoded
+    /// directly from a borrow — exactly one copy, into the frame buffer —
+    /// and then *moved* into the in-memory index, so the durable write path
+    /// never duplicates the caller's bytes.
     ///
     /// [`fetch`]: LogStructuredStore::fetch
     ///
@@ -416,45 +383,76 @@ impl LogStructuredStore {
     ///
     /// I/O errors from a commit the append forces, and
     /// [`Error::InvalidConfig`] for a payload over the frame cap.
-    pub fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
+    fn append_with<T>(
+        &self,
+        user: UserId,
+        payload: Vec<u8>,
+        ack: impl FnOnce(&View) -> T,
+    ) -> Result<T> {
         let mut inner = self.inner.lock();
         let inner = &mut *inner;
-        Self::append_one(inner, user, payload)?;
+        let timestamp = SimTime::from_secs(inner.clock);
+        inner.clock += 1;
+        if inner.pending_records == 0 {
+            DurableRecord::batch_begin(&mut inner.pending);
+        }
+        if let Err(first) = DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)
+        {
+            // The open batch has no room left for this entry: commit it
+            // and retry in a fresh frame. A second failure means the
+            // entry alone can never fit and is rejected like any
+            // oversized record — with the frame (and index) untouched.
+            if inner.pending_records == 0 {
+                return Err(first);
+            }
+            Self::commit_pending_locked(inner)?;
+            DurableRecord::batch_begin(&mut inner.pending);
+            DurableRecord::batch_push(&mut inner.pending, user, timestamp, &payload)?;
+        }
+        inner.pending_records += 1;
+        let view = inner.index.entry(user).or_insert_with(|| View::new(user));
+        view.push(Event::new(user, timestamp, payload));
+        let acked = ack(view);
+        if inner.pending_records >= inner.config.max_batch_records
+            || inner.pending.len() - RECORD_HEADER_BYTES >= MAX_BATCH_BYTES
+        {
+            Self::commit_pending_locked(inner)?;
+        }
         self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(inner.index.get(&user).expect("view just appended").clone())
+        Ok(acked)
     }
 
-    /// [`append`](LogStructuredStore::append) minus the returned [`View`]
-    /// clone: callers that only need the acknowledgement (the new version
-    /// counter) skip copying the whole event list on every write — the
-    /// difference between ~100k and >1M durable appends per second once the
-    /// view fills up.
+    /// [`append_with`](LogStructuredStore::append_with) returning a clone
+    /// of the updated view.
     ///
     /// # Errors
     ///
-    /// Same conditions as [`append`](LogStructuredStore::append).
+    /// Same conditions as [`append_with`](LogStructuredStore::append_with).
+    pub fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
+        self.append_with(user, payload, View::clone)
+    }
+
+    /// [`append_with`](LogStructuredStore::append_with) returning only the
+    /// new version: callers that need just the acknowledgement skip copying
+    /// the whole event list on every write — the difference between ~100k
+    /// and >1M durable appends per second once the view fills up.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`append_with`](LogStructuredStore::append_with).
     pub fn append_version(&self, user: UserId, payload: Vec<u8>) -> Result<u64> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let version = Self::append_one(inner, user, payload)?;
-        self.writes.fetch_add(1, Ordering::Relaxed);
-        Ok(version)
+        self.append_with(user, payload, View::version)
     }
 
     /// Commits the pending batch, if any — the hook the sharded store's
     /// flush-interval thread drives so an acknowledged append never waits
-    /// longer than the interval for durability. Returns whether a batch was
-    /// written.
+    /// longer than the interval for durability.
     ///
     /// # Errors
     ///
     /// I/O errors from the segment write or fsync.
-    pub fn commit_pending(&self) -> Result<bool> {
-        let mut inner = self.inner.lock();
-        let inner = &mut *inner;
-        let had = inner.pending_records > 0;
-        Self::commit_pending_locked(inner)?;
-        Ok(had)
+    pub fn commit_pending(&self) -> Result<()> {
+        Self::commit_pending_locked(&mut self.inner.lock())
     }
 
     /// Events acknowledged into the pending batch and not yet committed to

@@ -1,22 +1,25 @@
-//! The file-backed durable tier: N independent [`LogStructuredStore`]
-//! shards under one root directory, each writing by group commit.
+//! The file-backed durable tier: N independent log shards under one root
+//! directory, each writing by group commit.
 //!
-//! [`ShardedLogStore`] is the one [`PersistentStore`] over files; "a single
-//! log" is `shards: 1`. One [`Mutex`]-guarded log serialises every append
-//! behind a single active segment file; that lock (and its fsync) is the
-//! scaling ceiling of a shard. With `shards: N` the key space is split
-//! across `N` [`LogStructuredStore`] shards — each with its own
-//! subdirectory, `LOCK` file, segment chain and pending batch — selected by
-//! a stable hash of the [`UserId`], so unrelated users never contend on the
-//! same lock, batch or fsync, and recovery can replay shards concurrently
-//! (reopen wall-clock is the *max* shard replay time, not the sum).
+//! [`ShardedLogStore`] is the one store over files — the one
+//! [`PersistentStore`] that writes to disk, and the only type that knows
+//! the directory layout below; "a single log" is `shards: 1`. A shard is a
+//! crate-private `LogStructuredStore` (see the module docs of `log.rs`):
+//! one [`Mutex`]-guarded log that serialises every append behind a single
+//! active segment file; that lock (and its fsync) is the scaling ceiling of
+//! a shard. With `shards: N` the key space is split across `N` shards —
+//! each with its own subdirectory, `LOCK` file, segment chain and pending
+//! batch — selected by a stable hash of the [`UserId`], so unrelated users
+//! never contend on the same lock, batch or fsync, and recovery can replay
+//! shards concurrently (reopen wall-clock is the *max* shard replay time,
+//! not the sum).
 //!
 //! # On-disk layout
 //!
 //! ```text
 //! <root>/
 //!   MANIFEST          "DYNASHARD1\nshards N\n" — written once, atomically
-//!   shard-0000/       a complete LogStructuredStore directory
+//!   shard-0000/       one shard's log
 //!     LOCK
 //!     seg-0000000001.log
 //!     …
@@ -38,9 +41,9 @@
 //! fill-triggered commit only *writes* the frame (`sync_on_commit: false`);
 //! the fsync that makes it machine-durable is pipelined onto the background
 //! flusher thread, which syncs each shard through a duplicated file handle
-//! ([`LogStructuredStore::sync_detached`]) *without* holding the shard
-//! lock — so the write path never waits on the disk, and on a single core
-//! appends overlap the flush that makes them durable.
+//! *without* holding the shard lock — so the write path never waits on the
+//! disk, and on a single core appends overlap the flush that makes them
+//! durable.
 //!
 //! The bounded [`flush_interval`] caps the ack-to-durable window. Each wake
 //! the flusher (a) commits the open batch of any shard that has gone a full
@@ -100,13 +103,11 @@ pub struct ShardedConfig {
     pub shards: usize,
     /// Per-shard log configuration. The default has `sync_on_commit:
     /// false`: fill-triggered commits write the frame to the OS and leave
-    /// the fsync to the flusher thread's pipelined [`sync_detached`]
-    /// cadence, so the write path never blocks on the disk. Set
-    /// `sync_on_commit: true` to fsync inline at every commit instead
-    /// (stronger per-commit durability, at the write path's expense) — with
-    /// `max_batch_records: 1`, at every append.
-    ///
-    /// [`sync_detached`]: LogStructuredStore::sync_detached
+    /// the fsync to the flusher thread's pipelined cadence, so the write
+    /// path never blocks on the disk. Set `sync_on_commit: true` to fsync
+    /// inline at every commit instead (stronger per-commit durability, at
+    /// the write path's expense) — with `max_batch_records: 1`, at every
+    /// append.
     pub log: LogConfig,
     /// Wake period of the background flusher, which bounds the
     /// ack-to-durable window: each wake commits the open batch of any shard
@@ -116,13 +117,13 @@ pub struct ShardedConfig {
     /// module documentation of `sharded.rs` — at most `2 + SYNC_WAKE_BOUND`
     /// (18) intervals from acknowledgement to machine durability. `None`
     /// disables the flusher: batches then commit only when they fill or on
-    /// an explicit [`flush`]/[`sync`]/[`commit_pending`], and nothing
-    /// fsyncs behind the caller's back — the right mode for deterministic
-    /// tests and simulations. Default 5 ms.
+    /// an explicit [`flush`]/[`sync`]/[`reread`], and nothing fsyncs behind
+    /// the caller's back — the right mode for deterministic tests and
+    /// simulations. Default 5 ms.
     ///
     /// [`flush`]: ShardedLogStore::flush
     /// [`sync`]: ShardedLogStore::sync
-    /// [`commit_pending`]: ShardedLogStore::commit_pending
+    /// [`reread`]: ShardedLogStore::reread
     pub flush_interval: Option<Duration>,
 }
 
@@ -289,10 +290,10 @@ impl Drop for Flusher {
     }
 }
 
-/// The file-backed durable tier: `N` independent, group-committed
-/// [`LogStructuredStore`] shards routed by a stable hash of the [`UserId`]
-/// (`shards: 1` is one log over files). See the module documentation of
-/// `sharded.rs` for the layout and semantics.
+/// The file-backed durable tier: `N` independent, group-committed log
+/// shards routed by a stable hash of the [`UserId`] (`shards: 1` is one log
+/// over files). See the module documentation of `sharded.rs` for the layout
+/// and semantics.
 ///
 /// Implements [`PersistentStore`], so [`crate::Cluster::spawn_with_store`]
 /// accepts it unchanged.
@@ -370,8 +371,11 @@ impl ShardedLogStore {
     /// A fresh directory gets a manifest pinning `config.shards`; an
     /// existing one is validated against it. The shards are opened
     /// concurrently — one replay thread each — so reopen wall-clock tracks
-    /// the largest shard, not the sum. Each shard takes its own `LOCK`
-    /// (see [`LogStructuredStore::open`]).
+    /// the largest shard, not the sum. Each shard takes its own `LOCK`:
+    /// torn-tail repair truncates segment files, so two live owners would
+    /// corrupt each other. A lock left by a dead process (a crash) is broken
+    /// automatically; use [`read_back`](ShardedLogStore::read_back) to
+    /// inspect a directory another instance owns.
     ///
     /// # Errors
     ///
@@ -454,15 +458,20 @@ impl ShardedLogStore {
         })
     }
 
-    /// Non-destructively replays every shard of `dir` into one merged index
-    /// — no locks taken, no repairs made — the sharded analogue of
-    /// [`LogStructuredStore::read_back`]. The shard count comes from the
+    /// Non-destructively replays every shard of `dir`, one after another,
+    /// into one merged index — no locks taken, no torn tail repaired,
+    /// nothing created — and returns it with what the replay measured. This
+    /// is the safe way to inspect a directory another instance may own
+    /// (e.g. to verify after [`crate::Cluster::shutdown`] that every
+    /// acknowledged write reached disk). The shard count comes from the
     /// manifest, so no configuration is needed.
     ///
     /// # Errors
     ///
-    /// [`Error::CorruptRecord`] for a missing or malformed manifest, plus
-    /// the per-shard conditions of [`LogStructuredStore::read_back`].
+    /// [`Error::CorruptRecord`] for a missing or malformed manifest and for
+    /// damage in a shard a crash cannot produce (checksummed-but-malformed
+    /// records, torn non-final segments, files that are not segments); I/O
+    /// errors.
     pub fn read_back(
         dir: impl AsRef<Path>,
     ) -> Result<(BTreeMap<UserId, View>, ShardedRecoveryStats)> {
@@ -491,10 +500,11 @@ impl ShardedLogStore {
         &self.shards[self.shard_index_of(user)]
     }
 
-    /// Appends one event to `user`'s shard and returns the updated view.
-    /// The append is *acknowledged* (visible to [`fetch`]) immediately;
-    /// durability follows the shard's group-commit contract (see
-    /// the module docs of `log.rs`).
+    /// Appends one event to `user`'s shard and returns the view's new
+    /// version — the write that does not clone the view (the
+    /// [`PersistentStore::append`] of this store returns it). The append is
+    /// *acknowledged* (visible to [`fetch`]) immediately; durability follows
+    /// the shard's group-commit contract (see the module docs of `log.rs`).
     ///
     /// [`fetch`]: ShardedLogStore::fetch
     ///
@@ -502,16 +512,6 @@ impl ShardedLogStore {
     ///
     /// I/O errors from a forced batch commit, and
     /// [`Error::InvalidConfig`] for an oversized payload.
-    pub fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
-        self.shard_of(user).append(user, payload)
-    }
-
-    /// [`append`](ShardedLogStore::append) without cloning the view —
-    /// returns only the new version. The hot write path.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`append`](ShardedLogStore::append).
     pub fn append_version(&self, user: UserId, payload: Vec<u8>) -> Result<u64> {
         self.shard_of(user).append_version(user, payload)
     }
@@ -522,9 +522,9 @@ impl ShardedLogStore {
         self.shard_of(user).fetch(user)
     }
 
-    /// Commits every shard's pending batch and flushes every shard to the
-    /// OS. Fails fast on the first shard error, matching
-    /// [`LogStructuredStore::flush`].
+    /// Commits every shard's pending batch and pushes it to the operating
+    /// system: it now survives a process crash, but not a machine crash.
+    /// Fails fast on the first shard error.
     ///
     /// # Errors
     ///
@@ -547,20 +547,6 @@ impl ShardedLogStore {
             shard.sync()?;
         }
         Ok(())
-    }
-
-    /// Commits every shard's pending batch (what the background flusher
-    /// runs). Returns whether any shard had one.
-    ///
-    /// # Errors
-    ///
-    /// The first I/O error.
-    pub fn commit_pending(&self) -> Result<bool> {
-        let mut any = false;
-        for shard in self.shards.iter() {
-            any |= shard.commit_pending()?;
-        }
-        Ok(any)
     }
 
     /// Re-replays every shard from disk concurrently (committing pending
@@ -594,16 +580,6 @@ impl ShardedLogStore {
     /// Number of shards (as pinned in the manifest).
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Direct access to shard `i`, for tests and benchmarks that need
-    /// per-shard visibility (e.g. per-shard `bytes_on_disk` boundaries).
-    ///
-    /// # Panics
-    ///
-    /// If `i >= shard_count()`.
-    pub fn shard(&self, i: usize) -> &LogStructuredStore {
-        &self.shards[i]
     }
 
     /// Total segment bytes on disk across shards (committed frames only;
@@ -641,7 +617,7 @@ impl ShardedLogStore {
 
 impl PersistentStore for ShardedLogStore {
     fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
-        ShardedLogStore::append(self, user, payload)
+        self.shard_of(user).append(user, payload)
     }
 
     fn fetch(&self, user: UserId) -> Result<View> {

@@ -16,7 +16,7 @@ use std::ops::Range;
 
 use dynasore_types::{
     BrokerId, ClusterEvent, Error, MachineId, MessageClass, RackId, Result, ServerId, SimTime,
-    SubtreeId,
+    SubtreeId, Tier,
 };
 
 use crate::traffic::TrafficAccount;
@@ -50,43 +50,6 @@ impl std::fmt::Display for Switch {
             Switch::Top => write!(f, "ST"),
             Switch::Intermediate(i) => write!(f, "SI{i}"),
             Switch::Rack(r) => write!(f, "SR{r}"),
-        }
-    }
-}
-
-/// The three switch tiers of the network tree (§2.1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum Tier {
-    /// The core tier (top switch).
-    Top,
-    /// The intermediate tier.
-    Intermediate,
-    /// The edge tier (rack switches).
-    Rack,
-}
-
-impl Tier {
-    /// All tiers, top first.
-    pub fn all() -> [Tier; 3] {
-        [Tier::Top, Tier::Intermediate, Tier::Rack]
-    }
-
-    /// Dense index used by traffic accounting tables.
-    pub fn index(self) -> usize {
-        match self {
-            Tier::Top => 0,
-            Tier::Intermediate => 1,
-            Tier::Rack => 2,
-        }
-    }
-}
-
-impl std::fmt::Display for Tier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Tier::Top => write!(f, "top"),
-            Tier::Intermediate => write!(f, "intermediate"),
-            Tier::Rack => write!(f, "rack"),
         }
     }
 }

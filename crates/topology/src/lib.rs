@@ -43,5 +43,6 @@
 mod layout;
 mod traffic;
 
-pub use layout::{MembershipChange, Path, Switch, Tier, Topology, TopologyKind};
+pub use dynasore_types::Tier;
+pub use layout::{MembershipChange, Path, Switch, Topology, TopologyKind};
 pub use traffic::{TierTraffic, TrafficAccount};

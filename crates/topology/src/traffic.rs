@@ -7,10 +7,10 @@
 //! [`TrafficAccount`] accumulates exactly those quantities.
 
 use dynasore_types::{
-    Latency, MessageClass, NetworkModel, SimTime, TrafficUnits, HOUR_SECS, NANOS_PER_SEC,
+    Latency, MessageClass, NetworkModel, SimTime, Tier, TrafficUnits, HOUR_SECS, NANOS_PER_SEC,
 };
 
-use crate::layout::{Switch, Tier};
+use crate::layout::Switch;
 
 /// Width of a time-series bucket: the hour, the finest grain the paper
 /// plots (Figures 4 and 6) and the engines' maintenance period (§4.3).

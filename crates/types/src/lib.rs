@@ -61,7 +61,7 @@ pub use ids::{BrokerId, MachineId, MachineKind, RackId, ServerId, SubtreeId, Use
 pub use network::{Bandwidth, Latency, LatencyHistogram, NetworkModel, NANOS_PER_SEC};
 pub use obs::{
     lint_prometheus, validate_jsonl, FlightRecorder, MetricId, MetricKind, MetricsRegistry,
-    ReplicaChangeReason, SwitchTier, TraceEvent, TraceEventKind,
+    ReplicaChangeReason, Tier, TraceEvent, TraceEventKind,
 };
 pub use time::{SimTime, DAY_SECS, HOUR_SECS, MINUTE_SECS};
 pub use traffic::{

@@ -292,9 +292,9 @@ impl MetricsRegistry {
             }
             TraceEventKind::SwitchQueueDepth { tier, max_delay_ns } => {
                 let id = match tier {
-                    SwitchTier::Top => MetricId::TopQueueDelayNs,
-                    SwitchTier::Intermediate => MetricId::InterQueueDelayNs,
-                    SwitchTier::Rack => MetricId::RackQueueDelayNs,
+                    Tier::Top => MetricId::TopQueueDelayNs,
+                    Tier::Intermediate => MetricId::InterQueueDelayNs,
+                    Tier::Rack => MetricId::RackQueueDelayNs,
                 };
                 self.observe_max(id, max_delay_ns);
             }
@@ -464,25 +464,43 @@ impl ReplicaChangeReason {
     }
 }
 
-/// The switch tier a queue-depth gauge sample refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SwitchTier {
-    /// The single core switch at the top of the tree.
+/// The three switch tiers of the network tree (§2.1). A queue-depth gauge
+/// sample names the tier it refers to; its [`Display`](std::fmt::Display)
+/// form (`top`, `intermediate`, `rack`) is the string used in the JSONL
+/// timeline.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub enum Tier {
+    /// The core tier (top switch).
     Top,
-    /// The intermediate (aggregation) switch layer.
+    /// The intermediate (aggregation) tier.
     Intermediate,
-    /// The rack (edge) switch layer.
+    /// The edge tier (rack switches).
     Rack,
 }
 
-impl SwitchTier {
-    /// Kebab-case string used in the JSONL timeline.
-    pub fn as_str(self) -> &'static str {
+impl Tier {
+    /// All tiers, top first.
+    pub fn all() -> [Tier; 3] {
+        [Tier::Top, Tier::Intermediate, Tier::Rack]
+    }
+
+    /// Dense index used by traffic accounting tables.
+    pub fn index(self) -> usize {
         match self {
-            SwitchTier::Top => "top",
-            SwitchTier::Intermediate => "intermediate",
-            SwitchTier::Rack => "rack",
+            Tier::Top => 0,
+            Tier::Intermediate => 1,
+            Tier::Rack => 2,
         }
+    }
+}
+
+impl std::fmt::Display for Tier {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Tier::Top => "top",
+            Tier::Intermediate => "intermediate",
+            Tier::Rack => "rack",
+        })
     }
 }
 
@@ -536,7 +554,7 @@ pub enum TraceEventKind {
     /// Worst queueing delay currently pending across one switch tier.
     SwitchQueueDepth {
         /// Which switch tier was sampled.
-        tier: SwitchTier,
+        tier: Tier,
         /// Worst per-switch queueing delay in nanoseconds.
         max_delay_ns: u64,
     },
@@ -682,11 +700,7 @@ impl TraceEvent {
                 );
             }
             TraceEventKind::SwitchQueueDepth { tier, max_delay_ns } => {
-                let _ = write!(
-                    out,
-                    ",\"tier\":\"{}\",\"max_delay_ns\":{max_delay_ns}",
-                    tier.as_str()
-                );
+                let _ = write!(out, ",\"tier\":\"{tier}\",\"max_delay_ns\":{max_delay_ns}");
             }
             TraceEventKind::ShardLag { shard, lag_bytes } => {
                 let _ = write!(out, ",\"shard\":{shard},\"lag_bytes\":{lag_bytes}");
@@ -976,7 +990,7 @@ mod tests {
         rec.record(
             4_000,
             TraceEventKind::SwitchQueueDepth {
-                tier: SwitchTier::Rack,
+                tier: Tier::Rack,
                 max_delay_ns: 123,
             },
         );

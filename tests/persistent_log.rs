@@ -1,19 +1,21 @@
 //! Crash-recovery properties and the on-disk format of the file-backed
 //! persistent tier.
 //!
-//! The central guarantee: for *any* sequence of writes and overwrites (new
-//! events appended to views that already hold some) and *any* byte offset a
-//! crash truncates the log at, reopening recovers exactly the acknowledged
-//! prefix — every batch frame wholly below the cut, and nothing of the torn
-//! tail, which the checksummed framing detects and never serves. The format
-//! itself is pinned byte for byte, and the retired record kinds are refused
-//! as corruption.
+//! Every test drives `ShardedLogStore`, the one public store over files; a
+//! one-shard store is one log. The central guarantee: for *any* sequence of
+//! writes and overwrites (new events appended to views that already hold
+//! some) and *any* byte offset a crash tears a shard's log at — truncating
+//! it there or leaving garbage after it — reopening recovers exactly the
+//! committed prefix — every batch frame wholly below the cut, and nothing of
+//! the torn tail, which the length-and-checksum framing detects and never
+//! serves. The format itself is pinned byte for byte, and the retired record
+//! kinds are refused as corruption.
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dynasore::store::{LogConfig, LogStructuredStore, ShardedConfig, ShardedLogStore};
+use dynasore::store::{LogConfig, ShardedConfig, ShardedLogStore};
 use dynasore::types::{crc32, DurableRecord, Error, UserId};
 use proptest::prelude::*;
 
@@ -30,13 +32,53 @@ fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One segment only, so a global byte offset addresses the whole log.
-/// Nothing fsyncs behind the test's back and the fill trigger is far above
-/// any op count here: a frame ends exactly where the test flushes.
-fn single_segment() -> LogConfig {
-    LogConfig {
-        segment_max_bytes: u64::MAX,
-        ..LogConfig::default()
+/// One segment per shard, so a byte offset addresses a shard's whole log.
+/// No wall-clock flusher and a fill trigger far above any op count here:
+/// nothing commits or fsyncs behind the test's back, so a frame ends exactly
+/// where the test flushes.
+fn single_segment(shards: usize) -> ShardedConfig {
+    ShardedConfig {
+        shards,
+        flush_interval: None,
+        log: LogConfig {
+            segment_max_bytes: u64::MAX,
+            ..LogConfig::default()
+        },
+    }
+}
+
+/// The single `.log` segment file of shard `i` under a store's root.
+fn shard_segment(dir: &Path, i: usize) -> PathBuf {
+    std::fs::read_dir(dir.join(format!("shard-{i:04}")))
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "log"))
+        .expect("shard segment file")
+}
+
+/// The length of a file on disk.
+fn file_len(path: &Path) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// A crash that tore the log at `path` at byte `cut`: the file ends there,
+/// or (`garbage`) it keeps its length but every byte from the cut on never
+/// reached the disk and reads back as something else — here its complement,
+/// so no torn byte can match what was written by chance.
+fn crash(path: &Path, cut: u64, garbage: bool) {
+    if garbage {
+        let mut bytes = std::fs::read(path).unwrap();
+        for b in &mut bytes[cut as usize..] {
+            *b = !*b;
+        }
+        std::fs::write(path, bytes).unwrap();
+    } else {
+        std::fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_len(cut)
+            .unwrap();
     }
 }
 
@@ -49,244 +91,162 @@ fn apply_to_model(model: &mut BTreeMap<u32, Vec<Vec<u8>>>, (user, payload): &Op)
     model.entry(*user).or_default().push(payload.clone());
 }
 
+/// Random writes fan out over `shards` shards, each shard's log is
+/// independently torn at an arbitrary byte offset (`shards` independent
+/// crashes of one machine, each truncating its log or leaving garbage after
+/// the tear, see [`crash`]), and the reopened store must equal the union of
+/// each shard's *acknowledged-and-committed* prefix. Ops are grouped into
+/// batch frames (one frame per flush), so the model is unit-at-a-time: a cut
+/// inside a frame loses that whole frame's ops — group commit's
+/// all-or-nothing promise — and never any earlier frame.
+fn crash_recovers_each_shards_committed_prefix(
+    shards: usize,
+    raw_ops: &[(usize, u32)],
+    cut_permille: &[u64],
+    garbage: &[bool],
+) -> Result<(), TestCaseError> {
+    let dir = unique_dir("sharded-crash");
+    let store = ShardedLogStore::open(&dir, single_segment(shards)).unwrap();
+    let segments: Vec<PathBuf> = (0..shards).map(|s| shard_segment(&dir, s)).collect();
+
+    // Per shard: completed units (ops + the frame boundary that made them
+    // safe from truncation) and the group still open. A flush commits every
+    // shard's open group as one frame and makes its length physical.
+    let mut units: Vec<Vec<(Vec<Op>, u64)>> = vec![Vec::new(); shards];
+    let mut open: Vec<Vec<Op>> = vec![Vec::new(); shards];
+    let close = |open: &mut Vec<Vec<Op>>, units: &mut Vec<Vec<(Vec<Op>, u64)>>| {
+        store.flush().unwrap();
+        for s in 0..shards {
+            let group = std::mem::take(&mut open[s]);
+            if !group.is_empty() {
+                units[s].push((group, file_len(&segments[s])));
+            }
+        }
+    };
+    for (i, &(len, user)) in raw_ops.iter().enumerate() {
+        let u = UserId::new(user);
+        let payload = vec![(i as u8) ^ (user as u8); len];
+        store.append_version(u, payload.clone()).unwrap();
+        open[store.shard_index_of(u)].push((user, payload));
+        // Close the frames now and then so frames carry 1..n ops.
+        if len % 4 == 0 {
+            close(&mut open, &mut units);
+        }
+    }
+    close(&mut open, &mut units);
+    let totals: Vec<u64> = segments.iter().map(|p| file_len(p)).collect();
+    prop_assert_eq!(totals.iter().sum::<u64>(), store.bytes_on_disk());
+    drop(store);
+
+    // Independent crashes: tear every shard's segment. A garbage tail
+    // starts past the segment magic, which the segment's creation wrote.
+    let cuts: Vec<u64> = (0..shards)
+        .map(|s| {
+            let cut = totals[s] * cut_permille[s] / 1_000;
+            if garbage[s] {
+                cut.max(8)
+            } else {
+                cut
+            }
+        })
+        .collect();
+    for s in 0..shards {
+        crash(&segments[s], cuts[s], garbage[s]);
+    }
+
+    // Model: per shard, exactly the units whose frame ends at or below the
+    // cut — all of a surviving frame, none of a torn one.
+    let recovered = ShardedLogStore::open(&dir, single_segment(shards)).unwrap();
+    let mut model: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
+    let mut last_boundary = vec![0u64; shards];
+    for s in 0..shards {
+        for (group, boundary) in &units[s] {
+            if *boundary <= cuts[s] {
+                for op in group {
+                    apply_to_model(&mut model, op);
+                }
+                last_boundary[s] = *boundary;
+            }
+        }
+    }
+    for user in 0u32..16 {
+        let view = recovered.fetch(UserId::new(user));
+        match model.get(&user) {
+            None => prop_assert!(view.is_empty(), "user {user} must be empty"),
+            Some(payloads) => {
+                let got: Vec<&[u8]> = view.iter().map(|e| e.payload()).collect();
+                let want: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
+                prop_assert_eq!(got, want, "user {}", user);
+                prop_assert_eq!(view.version(), payloads.len() as u64);
+            }
+        }
+    }
+    prop_assert_eq!(recovered.user_count(), model.len());
+
+    // Per-shard replay accounting: each shard replayed exactly up to its
+    // last whole frame below its own cut; the rest of the file was a
+    // detected torn tail. (A cut inside the 8-byte segment magic leaves
+    // nothing replayable.)
+    let stats = recovered.recovery_stats();
+    for s in 0..shards {
+        let end = if garbage[s] { totals[s] } else { cuts[s] };
+        let (expected_replayed, expected_torn) = if end < 8 {
+            (0, end)
+        } else {
+            let replayed = last_boundary[s].max(8);
+            (replayed, end - replayed)
+        };
+        prop_assert_eq!(
+            stats.per_shard[s].bytes_replayed,
+            expected_replayed,
+            "shard {} replayed bytes (cut {}/{})",
+            s,
+            cuts[s],
+            totals[s]
+        );
+        prop_assert_eq!(
+            stats.per_shard[s].torn_bytes,
+            expected_torn,
+            "shard {} torn bytes",
+            s
+        );
+    }
+
+    // The repaired shards accept and serve new appends.
+    let u = UserId::new(3);
+    let before = recovered.fetch(u).len();
+    recovered.append_version(u, b"post-crash".to_vec()).unwrap();
+    let after = recovered.fetch(u);
+    prop_assert_eq!(after.len(), before + 1);
+    prop_assert_eq!(after.latest().unwrap().payload(), b"post-crash");
+
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).unwrap();
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Random write/overwrite sequences, crash (truncate) at an arbitrary
-    /// byte offset, reopen: the recovered index equals the model map of the
-    /// acknowledged prefix — the torn tail frame is detected by the checksum
-    /// and never served.
-    #[test]
-    fn crash_at_any_offset_recovers_exactly_the_acknowledged_prefix(
-        raw_ops in proptest::collection::vec((1usize..25, 0u32..8), 1..120),
-        cut_permille in 0u64..1_001,
-    ) {
-        let dir = unique_dir("crash");
-        let store = LogStructuredStore::open(&dir, single_segment()).unwrap();
-
-        // Drive the store, remembering each op and the log length (= the
-        // record boundary) after it. Flushing after every op commits it as
-        // a frame of its own and makes the logical length physical, so
-        // truncation offsets are meaningful.
-        let mut ops: Vec<(Op, u64)> = Vec::new();
-        for (i, &(len, user)) in raw_ops.iter().enumerate() {
-            let payload = vec![(i as u8) ^ (user as u8); len];
-            store.append(UserId::new(user), payload.clone()).unwrap();
-            store.flush().unwrap();
-            ops.push(((user, payload), store.bytes_on_disk()));
-        }
-        let total = store.bytes_on_disk();
-        drop(store);
-
-        // Crash: truncate the single segment at an arbitrary byte offset.
-        let segment = std::fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().path())
-            .find(|p| p.extension().is_some_and(|e| e == "log"))
-            .expect("segment file");
-        prop_assert_eq!(std::fs::metadata(&segment).unwrap().len(), total);
-        let cut = total * cut_permille / 1_000;
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&segment)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-
-        // Reopen and compare against the model of the acknowledged prefix:
-        // exactly the ops whose record ends at or before the cut.
-        let recovered = LogStructuredStore::open(&dir, single_segment()).unwrap();
-        let mut model: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
-        let mut last_boundary = 0u64;
-        for (op, boundary) in &ops {
-            if *boundary <= cut {
-                apply_to_model(&mut model, op);
-                last_boundary = *boundary;
-            }
-        }
-        for user in 0u32..8 {
-            let view = recovered.fetch(UserId::new(user));
-            match model.get(&user) {
-                None => prop_assert!(
-                    view.is_empty(),
-                    "user {user} must be empty after cut {cut}/{total}"
-                ),
-                Some(payloads) => {
-                    let got: Vec<&[u8]> = view.iter().map(|e| e.payload()).collect();
-                    let want: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-                    prop_assert_eq!(got, want, "user {} after cut {}/{}", user, cut, total);
-                    prop_assert_eq!(view.version(), payloads.len() as u64);
-                }
-            }
-        }
-        prop_assert_eq!(recovered.user_count(), model.len());
-
-        // The replay accounting agrees byte for byte: everything up to the
-        // last whole record was replayed, the rest was a detected torn tail.
-        // (A cut inside the 8-byte segment magic leaves nothing replayable.)
-        let stats = recovered.recovery_stats();
-        let (expected_replayed, expected_torn) = if cut < 8 {
-            (0, cut)
-        } else {
-            let replayed = last_boundary.max(8);
-            (replayed, cut - replayed)
-        };
-        prop_assert_eq!(stats.bytes_replayed, expected_replayed);
-        prop_assert_eq!(stats.torn_bytes, expected_torn);
-
-        // The repaired log accepts new appends and reads them back.
-        let u = UserId::new(0);
-        let before = recovered.fetch(u).len();
-        recovered.append(u, b"post-crash".to_vec()).unwrap();
-        let after = recovered.fetch(u);
-        prop_assert_eq!(after.len(), before + 1);
-        prop_assert_eq!(after.latest().unwrap().payload(), b"post-crash");
-
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-}
-
-/// One huge segment per shard, no wall-clock flusher — every on-disk
-/// boundary is driven (and recorded) by the test itself.
-fn sharded_single_segment(shards: usize) -> ShardedConfig {
-    ShardedConfig {
-        shards,
-        flush_interval: None,
-        log: single_segment(),
-    }
-}
-
-/// The single `.log` segment file of shard `i` under a sharded root.
-fn shard_segment(dir: &std::path::Path, i: usize) -> PathBuf {
-    std::fs::read_dir(dir.join(format!("shard-{i:04}")))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "log"))
-        .expect("shard segment file")
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// The sharded analogue of the crash proptest above, with group commit
-    /// in play: random writes fan out over 4 shards, each shard's
-    /// log is independently truncated at an arbitrary byte offset (four
-    /// independent crashes of one machine), and the reopened store must
-    /// equal the union of each shard's *acknowledged-and-committed* prefix.
-    /// Ops are grouped into batch frames (one frame per flush), so the
-    /// model is unit-at-a-time: a cut inside a frame loses that whole
-    /// frame's ops — group commit's all-or-nothing promise — and never any
-    /// earlier frame.
+    /// Random write/overwrite sequences, a crash that tears every shard's
+    /// log at an arbitrary byte offset, reopen: one log over files (one
+    /// shard) and four shards each recover exactly their committed prefix —
+    /// the torn tail frame is detected by its length or checksum and never
+    /// served.
     #[test]
     fn sharded_crash_recovers_each_shards_committed_prefix(
         raw_ops in proptest::collection::vec((1usize..25, 0u32..16), 1..100),
         cut_permille in proptest::collection::vec(0u64..1_001, 4..5),
+        garbage in proptest::collection::vec(proptest::bool::ANY, 4..5),
     ) {
-        const SHARDS: usize = 4;
-        let dir = unique_dir("sharded-crash");
-        let store = ShardedLogStore::open(&dir, sharded_single_segment(SHARDS)).unwrap();
-
-        // Per shard: completed units (ops + the frame boundary that made
-        // them durable-on-truncation-safe) and the group still open.
-        let mut units: Vec<Vec<(Vec<Op>, u64)>> = vec![Vec::new(); SHARDS];
-        let mut open: Vec<Vec<Op>> = vec![Vec::new(); SHARDS];
-        let close = |store: &ShardedLogStore, s: usize, open: &mut Vec<Vec<Op>>,
-                         units: &mut Vec<Vec<(Vec<Op>, u64)>>| {
-            store.shard(s).flush().unwrap();
-            let group = std::mem::take(&mut open[s]);
-            if !group.is_empty() {
-                units[s].push((group, store.shard(s).bytes_on_disk()));
-            }
-        };
-        for (i, &(len, user)) in raw_ops.iter().enumerate() {
-            let u = UserId::new(user);
-            let s = store.shard_index_of(u);
-            let payload = vec![(i as u8) ^ (user as u8); len];
-            store.append_version(u, payload.clone()).unwrap();
-            open[s].push((user, payload));
-            // Close the frame now and then so frames carry 1..n ops.
-            if len % 4 == 0 {
-                close(&store, s, &mut open, &mut units);
-            }
+        for shards in [1, 4] {
+            crash_recovers_each_shards_committed_prefix(
+                shards,
+                &raw_ops,
+                &cut_permille,
+                &garbage,
+            )?;
         }
-        for s in 0..SHARDS {
-            close(&store, s, &mut open, &mut units);
-        }
-        let totals: Vec<u64> = (0..SHARDS).map(|s| store.shard(s).bytes_on_disk()).collect();
-        drop(store);
-
-        // Four independent crashes: truncate every shard's segment.
-        let mut cuts = Vec::with_capacity(SHARDS);
-        for s in 0..SHARDS {
-            let segment = shard_segment(&dir, s);
-            prop_assert_eq!(std::fs::metadata(&segment).unwrap().len(), totals[s]);
-            let cut = totals[s] * cut_permille[s] / 1_000;
-            std::fs::OpenOptions::new()
-                .write(true)
-                .open(&segment)
-                .unwrap()
-                .set_len(cut)
-                .unwrap();
-            cuts.push(cut);
-        }
-
-        // Model: per shard, exactly the units whose frame ends at or below
-        // the cut — all of a surviving frame, none of a torn one.
-        let recovered = ShardedLogStore::open(&dir, sharded_single_segment(SHARDS)).unwrap();
-        let mut model: BTreeMap<u32, Vec<Vec<u8>>> = BTreeMap::new();
-        let mut last_boundary = [0u64; SHARDS];
-        for s in 0..SHARDS {
-            for (group, boundary) in &units[s] {
-                if *boundary <= cuts[s] {
-                    for op in group {
-                        apply_to_model(&mut model, op);
-                    }
-                    last_boundary[s] = *boundary;
-                }
-            }
-        }
-        for user in 0u32..16 {
-            let view = recovered.fetch(UserId::new(user));
-            match model.get(&user) {
-                None => prop_assert!(view.is_empty(), "user {user} must be empty"),
-                Some(payloads) => {
-                    let got: Vec<&[u8]> = view.iter().map(|e| e.payload()).collect();
-                    let want: Vec<&[u8]> = payloads.iter().map(|p| p.as_slice()).collect();
-                    prop_assert_eq!(got, want, "user {}", user);
-                    prop_assert_eq!(view.version(), payloads.len() as u64);
-                }
-            }
-        }
-        prop_assert_eq!(recovered.user_count(), model.len());
-
-        // Per-shard replay accounting: each shard replayed exactly up to
-        // its last whole frame below its own cut.
-        let stats = recovered.recovery_stats();
-        for s in 0..SHARDS {
-            let (expected_replayed, expected_torn) = if cuts[s] < 8 {
-                (0, cuts[s])
-            } else {
-                let replayed = last_boundary[s].max(8);
-                (replayed, cuts[s] - replayed)
-            };
-            prop_assert_eq!(
-                stats.per_shard[s].bytes_replayed, expected_replayed,
-                "shard {} replayed bytes (cut {}/{})", s, cuts[s], totals[s]
-            );
-            prop_assert_eq!(
-                stats.per_shard[s].torn_bytes, expected_torn,
-                "shard {} torn bytes", s
-            );
-        }
-
-        // The repaired shards accept and serve new appends.
-        let u = UserId::new(3);
-        let before = recovered.fetch(u).len();
-        recovered.append_version(u, b"post-crash".to_vec()).unwrap();
-        prop_assert_eq!(recovered.fetch(u).len(), before + 1);
-
-        drop(recovered);
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }
 
@@ -297,7 +257,7 @@ proptest! {
 #[test]
 fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
     let dir = unique_dir("batch-unit");
-    let store = LogStructuredStore::open(&dir, single_segment()).unwrap();
+    let store = ShardedLogStore::open(&dir, single_segment(1)).unwrap();
     let a = UserId::new(1);
     let b = UserId::new(2);
 
@@ -317,46 +277,40 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
 
     // On disk, the pending batch does not exist at all — a crash here
     // loses all three acknowledged appends together, and nothing else.
-    let (disk_index, _) = LogStructuredStore::read_back(&dir).unwrap();
+    let (disk_index, _) = ShardedLogStore::read_back(&dir).unwrap();
     assert_eq!(disk_index.get(&a).map(|v| v.len()), Some(5));
     assert!(!disk_index.contains_key(&b), "pending batch leaked to disk");
 
     // Commit batch 2, then crash inside its frame: header, middle, last
-    // byte — wherever the tear lands, the whole batch vanishes and batch 1
-    // is untouched.
+    // byte, truncated or followed by garbage — wherever and however the
+    // tear lands, the whole batch vanishes and batch 1 is untouched.
     store.flush().unwrap();
     let after_second = store.bytes_on_disk();
     assert!(after_second > after_first);
     drop(store);
-    let segment = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "log"))
-        .expect("segment file");
+    let segment = shard_segment(&dir, 0);
     let backup = std::fs::read(&segment).unwrap();
     for cut in [
         after_first + 1,
         (after_first + after_second) / 2,
         after_second - 1,
     ] {
-        std::fs::write(&segment, &backup).unwrap();
-        std::fs::OpenOptions::new()
-            .write(true)
-            .open(&segment)
-            .unwrap()
-            .set_len(cut)
-            .unwrap();
-        let (index, stats) = LogStructuredStore::read_back(&dir).unwrap();
-        assert_eq!(
-            index.get(&a).map(|v| v.len()),
-            Some(5),
-            "cut {cut}: the committed batch must survive"
-        );
-        assert!(
-            !index.contains_key(&b),
-            "cut {cut}: a torn batch must be lost as a unit, not served partially"
-        );
-        assert_eq!(stats.bytes_replayed, after_first);
+        for garbage in [false, true] {
+            std::fs::write(&segment, &backup).unwrap();
+            crash(&segment, cut, garbage);
+            let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
+            assert_eq!(
+                index.get(&a).map(|v| v.len()),
+                Some(5),
+                "cut {cut} (garbage: {garbage}): the committed batch must survive"
+            );
+            assert!(
+                !index.contains_key(&b),
+                "cut {cut} (garbage: {garbage}): a torn batch must be lost as a unit, \
+                 not served partially"
+            );
+            assert_eq!(stats.total.bytes_replayed, after_first);
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
@@ -369,12 +323,16 @@ fn rotated_segments_replay_to_the_same_state() {
     for seed in 0u64..4 {
         let dir = unique_dir("rotate");
         // Rotation is checked at each commit, so the batches are small too.
-        let config = LogConfig {
-            segment_max_bytes: 512,
-            max_batch_records: 4,
-            ..LogConfig::default()
+        let config = ShardedConfig {
+            shards: 1,
+            flush_interval: None,
+            log: LogConfig {
+                segment_max_bytes: 512,
+                max_batch_records: 4,
+                ..LogConfig::default()
+            },
         };
-        let store = LogStructuredStore::open(&dir, config).unwrap();
+        let store = ShardedLogStore::open(&dir, config).unwrap();
         let users = 6u32;
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
         let mut step = move || {
@@ -387,7 +345,7 @@ fn rotated_segments_replay_to_the_same_state() {
             let r = step();
             let user = UserId::new((r % users as u64) as u32);
             store
-                .append(user, vec![(r >> 8) as u8; (r % 20) as usize + 1])
+                .append_version(user, vec![(r >> 8) as u8; (r % 20) as usize + 1])
                 .unwrap();
         }
         store.sync().unwrap();
@@ -395,10 +353,10 @@ fn rotated_segments_replay_to_the_same_state() {
 
         let before: Vec<_> = (0..users).map(|u| store.fetch(UserId::new(u))).collect();
         drop(store);
-        let reopened = LogStructuredStore::open(&dir, config).unwrap();
+        let reopened = ShardedLogStore::open(&dir, config).unwrap();
         let replayed: Vec<_> = (0..users).map(|u| reopened.fetch(UserId::new(u))).collect();
         assert_eq!(before, replayed, "seed {seed}: reopen diverged");
-        assert_eq!(reopened.recovery_stats().torn_bytes, 0);
+        assert_eq!(reopened.recovery_stats().total.torn_bytes, 0);
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -510,17 +468,18 @@ fn retired_record_kinds_are_corrupt_not_torn() {
         );
 
         let dir = unique_dir("retired");
-        std::fs::create_dir_all(&dir).unwrap();
+        let shard_dir = dir.join("shard-0000");
+        std::fs::create_dir_all(&shard_dir).unwrap();
         let mut segment = b"DYNASEG1".to_vec();
         segment.extend_from_slice(&frame);
-        std::fs::write(dir.join("seg-0000000001.log"), &segment).unwrap();
-        let opened = LogStructuredStore::open(&dir, LogConfig::default());
+        std::fs::write(shard_dir.join("seg-0000000001.log"), &segment).unwrap();
+        let opened = ShardedLogStore::open(&dir, single_segment(1));
         assert!(
             matches!(opened, Err(Error::CorruptRecord(_))),
             "kind {kind}: {opened:?}"
         );
         assert!(
-            !dir.join("LOCK").exists(),
+            !shard_dir.join("LOCK").exists(),
             "kind {kind}: a refused open left its LOCK behind"
         );
         std::fs::remove_dir_all(&dir).unwrap();
