@@ -141,7 +141,8 @@ fn measure_recovery(
     // Event size shared with the simulator's durable tier (tweet-sized, as
     // the paper assumes), so the bench and `Simulation::with_durable_tier`
     // measure the same bytes-per-write calibration.
-    use dynasore_store::{ShardedConfig, ShardedLogStore, SIM_EVENT_BYTES};
+    use dynasore_sim::SIM_EVENT_BYTES;
+    use dynasore_store::{ShardedConfig, ShardedLogStore};
 
     const EVENTS_PER_USER: u64 = 2;
 

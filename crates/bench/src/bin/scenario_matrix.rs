@@ -33,8 +33,9 @@ use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs};
-use dynasore_store::{ShardedConfig, SimDurableTier};
+use dynasore_sim::{
+    DegradationReport, ScenarioConfig, ScenarioKind, ScenarioRunner, SimDurableTier, SimObs,
+};
 use dynasore_topology::Topology;
 use dynasore_types::{MemoryBudget, MetricsRegistry, NetworkModel, PlacementEngine};
 
@@ -164,48 +165,28 @@ fn main() {
             .expect("quiet baseline");
         for kind in ScenarioKind::ALL {
             let tier_dir = data_root.join(format!("{engine_name}-{}", kind.name()));
-            // Four shards (flush interval forced off inside open, for
-            // determinism) so the observer's per-tick samples include
+            // Four shards so the observer's per-tick samples include
             // per-shard durable lag, not one aggregate number.
-            let tier = SimDurableTier::open(
-                &tier_dir,
-                ShardedConfig {
-                    shards: 4,
-                    ..ShardedConfig::default()
-                },
-            )
-            .expect("open durable tier");
+            let tier = SimDurableTier::open(&tier_dir, 4).expect("open durable tier");
             let engine = build_engine(engine_name, &graph, &topology, opts.users, opts.seed);
-            let cell = if observing {
-                let (cell, obs) = runner
-                    .run_observed(
-                        kind,
-                        topology.clone(),
-                        &graph,
-                        engine,
-                        &quiet,
-                        Some(Box::new(tier)),
-                        SimObs::default(),
-                    )
-                    .expect("scenario run");
+            let (cell, obs) = runner
+                .run(
+                    kind,
+                    topology.clone(),
+                    &graph,
+                    engine,
+                    &quiet,
+                    Some(tier),
+                    observing.then(SimObs::default),
+                )
+                .expect("scenario run");
+            if let Some(obs) = obs {
                 if let Some(dir) = &opts.trace_out {
                     let path = format!("{dir}/{engine_name}-{}.jsonl", kind.name());
                     std::fs::write(&path, obs.to_jsonl()).expect("write trace JSONL");
                 }
                 merged_metrics.merge(obs.registry());
-                cell
-            } else {
-                runner
-                    .run(
-                        kind,
-                        topology.clone(),
-                        &graph,
-                        engine,
-                        &quiet,
-                        Some(Box::new(tier)),
-                    )
-                    .expect("scenario run")
-            };
+            }
             eprintln!(
                 "# {:>13} x {:<26} avail {:.4}  worst-window {:.4}  \
                  p99 {}ns (quiet {}ns, x{:.2})  recovery {} msgs / {} bytes  steady {}s",

@@ -1,5 +1,5 @@
 //! The serving front-end: a protocol-agnostic envelope pipeline over the
-//! live store (layer 6).
+//! live store (layer 5).
 //!
 //! `store::Cluster` is a library; this crate makes it a service. A
 //! [`RequestEnvelope`] enters the [`PipelineExecutor`], flows through the

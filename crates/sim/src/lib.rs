@@ -17,6 +17,10 @@
 //!   engine for maintenance (counter rotation, eviction sweeps), charges
 //!   every message to the switches it traverses and produces a
 //!   [`SimReport`].
+//! * [`SimDurableTier`] — an optional file-backed tier, a
+//!   `dynasore_store::ShardedLogStore` underneath, that a simulation
+//!   mirrors its writes into and replays on recovery, so the report
+//!   measures recovery I/O in real bytes.
 //!
 //! # Example
 //!
@@ -79,14 +83,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod durable;
+mod durable_tier;
 pub mod faults;
 mod obs;
 mod report;
 pub mod scenario;
 mod simulation;
 
-pub use durable::{DurableIoStats, DurableTier, TierReplay};
+pub use durable_tier::{DurableIoStats, SimDurableTier, SIM_EVENT_BYTES};
 pub use faults::generate_failure_schedule;
 pub use obs::SimObs;
 pub use report::{LatencyStats, ReliabilityStats, SimReport};

@@ -15,7 +15,7 @@ use dynasore_types::{
     FlightRecorder, MetricId, MetricsRegistry, NetworkModel, SimTime, TraceEventKind, NANOS_PER_SEC,
 };
 
-use crate::durable::{DurableIoStats, DurableTier};
+use crate::durable_tier::{DurableIoStats, SimDurableTier};
 
 /// Flight-recorder capacity of a simulation observer (reproduction choice):
 /// enough to keep a full adversarial scenario's decision timeline without
@@ -29,7 +29,6 @@ const RECORDER_CAPACITY: usize = 65_536;
 pub struct SimObs {
     recorder: FlightRecorder,
     registry: MetricsRegistry,
-    shard_lag_scratch: Vec<u64>,
     collapse_onset_seen: bool,
 }
 
@@ -40,7 +39,6 @@ impl Default for SimObs {
         SimObs {
             recorder: FlightRecorder::new(RECORDER_CAPACITY),
             registry: MetricsRegistry::new(),
-            shard_lag_scratch: Vec::new(),
             collapse_onset_seen: false,
         }
     }
@@ -83,7 +81,7 @@ impl SimObs {
         unreachable_reads: u64,
         topology: &Topology,
         traffic: &TrafficAccount,
-        durable: Option<&dyn DurableTier>,
+        durable: Option<&SimDurableTier>,
         network: &NetworkModel,
     ) {
         let t_ns = tick_secs.saturating_mul(NANOS_PER_SEC);
@@ -131,10 +129,9 @@ impl SimObs {
             );
         }
         if let Some(tier) = durable {
-            let mut lags = std::mem::take(&mut self.shard_lag_scratch);
-            tier.shard_lags(&mut lags);
+            let lags = tier.shard_lags();
             self.registry.ensure_shards(lags.len());
-            for (shard, &lag_bytes) in lags.iter().enumerate() {
+            for (shard, lag_bytes) in lags.enumerate() {
                 self.trace(
                     t_ns,
                     TraceEventKind::ShardLag {
@@ -143,7 +140,6 @@ impl SimObs {
                     },
                 );
             }
-            self.shard_lag_scratch = lags;
         }
         if !self.collapse_onset_seen && !network.is_infinite() {
             let queue_delay = traffic.max_queue_delay();

@@ -3,7 +3,7 @@
 use dynasore_topology::{Tier, TierTraffic, TrafficAccount};
 use dynasore_types::{Latency, LatencyHistogram, MemoryUsage, SimTime, TrafficUnits};
 
-use crate::durable::DurableIoStats;
+use crate::durable_tier::DurableIoStats;
 
 /// Latency measurements of one run under the configured
 /// [`dynasore_types::NetworkModel`].
@@ -78,7 +78,7 @@ pub struct SimReport {
     reliability: ReliabilityStats,
     latency: LatencyStats,
     /// Durable-tier I/O; `Some` only when the run attached a
-    /// [`crate::DurableTier`].
+    /// [`crate::SimDurableTier`].
     durable: Option<DurableIoStats>,
 }
 
@@ -167,7 +167,7 @@ impl SimReport {
     }
 
     /// Durable-tier I/O of the run: `Some` only when a
-    /// [`crate::DurableTier`] was attached via
+    /// [`crate::SimDurableTier`] was attached via
     /// [`crate::Simulation::with_durable_tier`], so default runs stay
     /// byte-identical to tier-less ones.
     pub fn durable_io(&self) -> Option<DurableIoStats> {

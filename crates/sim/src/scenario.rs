@@ -31,7 +31,7 @@ use dynasore_workload::{
     FlashEventPlan, Request, SyntheticConfig, SyntheticTraceGenerator, TimedMutation,
 };
 
-use crate::durable::DurableTier;
+use crate::durable_tier::SimDurableTier;
 use crate::faults::generate_failure_schedule;
 use crate::obs::SimObs;
 use crate::report::SimReport;
@@ -259,11 +259,15 @@ impl ScenarioRunner {
     /// Drives a freshly built `engine` through `kind` and scores the
     /// damage against `quiet` (that same engine's [`Self::quiet_baseline`]
     /// report). Attach a durable tier to measure recovery bytes instead of
-    /// message counts alone.
+    /// message counts alone, and an observer to get the scenario's
+    /// decision timeline and metrics registry back next to the scorecard.
+    /// Observation is passive: the [`DegradationReport`] is identical to an
+    /// unobserved run of the same inputs.
     ///
     /// # Errors
     ///
     /// Propagates script-expansion, configuration and engine errors.
+    #[allow(clippy::too_many_arguments)]
     pub fn run<E: PlacementEngine>(
         &self,
         kind: ScenarioKind,
@@ -271,49 +275,7 @@ impl ScenarioRunner {
         graph: &SocialGraph,
         engine: E,
         quiet: &SimReport,
-        durable: Option<Box<dyn DurableTier>>,
-    ) -> Result<DegradationReport> {
-        let (report, _) = self.run_inner(kind, topology, graph, engine, quiet, durable, None)?;
-        Ok(report)
-    }
-
-    /// [`run`](ScenarioRunner::run) with a flight-recorder observer
-    /// attached: the returned [`SimObs`] holds the scenario's decision
-    /// timeline and metrics registry alongside the scorecard. Observation
-    /// is passive — the [`DegradationReport`] is byte-identical to an
-    /// unobserved run of the same inputs.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`run`](ScenarioRunner::run).
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_observed<E: PlacementEngine>(
-        &self,
-        kind: ScenarioKind,
-        topology: Topology,
-        graph: &SocialGraph,
-        engine: E,
-        quiet: &SimReport,
-        durable: Option<Box<dyn DurableTier>>,
-        obs: SimObs,
-    ) -> Result<(DegradationReport, SimObs)> {
-        let (report, obs) =
-            self.run_inner(kind, topology, graph, engine, quiet, durable, Some(obs))?;
-        Ok((
-            report,
-            obs.expect("observer round-trips through the simulation"),
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn run_inner<E: PlacementEngine>(
-        &self,
-        kind: ScenarioKind,
-        topology: Topology,
-        graph: &SocialGraph,
-        engine: E,
-        quiet: &SimReport,
-        durable: Option<Box<dyn DurableTier>>,
+        durable: Option<SimDurableTier>,
         obs: Option<SimObs>,
     ) -> Result<(DegradationReport, Option<SimObs>)> {
         let script = kind.script(graph, &topology, &self.scenario)?;

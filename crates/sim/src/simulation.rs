@@ -9,7 +9,7 @@ use dynasore_types::{
 };
 use dynasore_workload::{GraphMutation, Request, TimedMutation};
 
-use crate::durable::{DurableIoStats, DurableTier};
+use crate::durable_tier::{DurableIoStats, SimDurableTier};
 use crate::obs::SimObs;
 use crate::report::{LatencyStats, ReliabilityStats, SimReport};
 
@@ -132,7 +132,7 @@ pub struct Simulation<E> {
     /// [`NetworkModel::infinite`]: no queueing, zero latency samples, unit
     /// counts only.
     network: NetworkModel,
-    durable: Option<Box<dyn DurableTier>>,
+    durable: Option<SimDurableTier>,
     obs: Option<SimObs>,
 }
 
@@ -187,7 +187,7 @@ impl<E: PlacementEngine> Simulation<E> {
     /// [`DurableIoStats`] measure recovery from real bytes instead of
     /// message counts alone. Without this call, runs are byte-identical to
     /// the historical tier-less behaviour.
-    pub fn with_durable_tier(mut self, tier: Box<dyn DurableTier>) -> Self {
+    pub fn with_durable_tier(mut self, tier: SimDurableTier) -> Self {
         self.durable = Some(tier);
         self
     }
@@ -345,16 +345,16 @@ impl<E: PlacementEngine> Simulation<E> {
                         if let Some(tier) = self.durable.as_mut() {
                             tier.sync()?;
                             let replay = tier.replay()?;
-                            durable_io.bytes_replayed += replay.bytes_replayed;
-                            durable_io.critical_path_bytes += replay.max_shard_bytes;
-                            durable_io.tier_shards = replay.shards;
+                            durable_io.bytes_replayed += replay.total.bytes_replayed;
+                            durable_io.critical_path_bytes += replay.max_shard_bytes_replayed();
+                            durable_io.tier_shards = replay.per_shard.len();
                             durable_io.replays += 1;
                             if let Some(obs) = self.obs.as_mut() {
                                 obs.trace(
                                     e.time.as_secs().saturating_mul(NANOS_PER_SEC),
                                     TraceEventKind::ReplayCompleted {
-                                        bytes: replay.bytes_replayed,
-                                        shards: replay.shards as u32,
+                                        bytes: replay.total.bytes_replayed,
+                                        shards: replay.per_shard.len() as u32,
                                     },
                                 );
                             }
@@ -377,7 +377,7 @@ impl<E: PlacementEngine> Simulation<E> {
                         self.engine.unreachable_reads(),
                         &self.topology,
                         &counters.traffic,
-                        self.durable.as_deref(),
+                        self.durable.as_ref(),
                         &self.network,
                     );
                 }

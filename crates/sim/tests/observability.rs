@@ -6,11 +6,13 @@
 use dynasore_baselines::{SparEngine, StaticPlacement};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_sim::{ScenarioConfig, ScenarioKind, ScenarioRunner, SimObs};
+use dynasore_sim::{
+    ScenarioConfig, ScenarioKind, ScenarioRunner, SimDurableTier, SimObs, SIM_EVENT_BYTES,
+};
 use dynasore_topology::Topology;
 use dynasore_types::{
     ClusterEvent, MemoryBudget, MetricId, NetworkModel, PlacementEngine, ReplicaChangeReason,
-    TraceEventKind,
+    SimTime, TraceEventKind, NANOS_PER_SEC,
 };
 
 const ENGINES: [&str; 3] = ["dynasore", "spar", "static-random"];
@@ -71,7 +73,7 @@ fn observed_reports_equal_unobserved_for_every_engine_and_scenario() {
             )
             .expect("quiet baseline");
         for kind in ScenarioKind::ALL {
-            let plain = runner
+            let (plain, none) = runner
                 .run(
                     kind,
                     topology.clone(),
@@ -79,19 +81,22 @@ fn observed_reports_equal_unobserved_for_every_engine_and_scenario() {
                     build_engine(engine_name, &graph, &topology),
                     &quiet,
                     None,
+                    None,
                 )
                 .expect("unobserved run");
+            assert!(none.is_none(), "an unobserved run returns no observer");
             let (observed, obs) = runner
-                .run_observed(
+                .run(
                     kind,
                     topology.clone(),
                     &graph,
                     build_engine(engine_name, &graph, &topology),
                     &quiet,
                     None,
-                    SimObs::default(),
+                    Some(SimObs::default()),
                 )
                 .expect("observed run");
+            let obs = obs.expect("observer round-trips");
             assert_eq!(
                 plain,
                 observed,
@@ -129,17 +134,17 @@ fn same_seed_runs_record_identical_timelines() {
             )
             .expect("quiet baseline");
         let (_, obs) = runner
-            .run_observed(
+            .run(
                 ScenarioKind::RegionalFailure,
                 topology.clone(),
                 &graph,
                 build_engine("dynasore", &graph, &topology),
                 &quiet,
                 None,
-                SimObs::default(),
+                Some(SimObs::default()),
             )
             .expect("observed run");
-        obs
+        obs.expect("observer round-trips")
     };
     let a = run_once();
     let b = run_once();
@@ -168,16 +173,17 @@ fn decommission_traces_the_full_evacuation_sequence() {
         )
         .expect("quiet baseline");
     let (_, obs) = runner
-        .run_observed(
+        .run(
             ScenarioKind::DecommissionUnderLoad,
             topology.clone(),
             &graph,
             build_engine("dynasore", &graph, &topology),
             &quiet,
             None,
-            SimObs::default(),
+            Some(SimObs::default()),
         )
         .expect("observed run");
+    let obs = obs.expect("observer round-trips");
 
     let events: Vec<_> = obs.recorder().iter().cloned().collect();
     let remove_idx = events
@@ -228,4 +234,117 @@ fn decommission_traces_the_full_evacuation_sequence() {
     );
     assert!(jsonl.contains("\"event\":\"remove-rack"));
     assert!(jsonl.contains("\"reason\":\"evacuation\""));
+}
+
+/// With a 4-shard durable tier attached, observation stays passive and every
+/// tick samples each shard's lag exactly once: summed over the shards, the
+/// lag is the bytes of every write mirrored since the last recovery replay
+/// (which syncs the tier), so a tick can be read off the trace alone. The
+/// decommission is graceful and never replays; the regional failure loses
+/// masters, so its replays reset the lag mid-run.
+#[test]
+fn observed_durable_tier_samples_every_shards_lag_at_every_tick() {
+    const SHARDS: usize = 4;
+    let graph = graph();
+    let topology = topology();
+    let runner = runner();
+    let quiet = runner
+        .quiet_baseline(
+            topology.clone(),
+            &graph,
+            build_engine("dynasore", &graph, &topology),
+        )
+        .expect("quiet baseline");
+    let base = std::env::temp_dir().join(format!("dynasore-obs-lag-{}", std::process::id()));
+    let run = |kind: ScenarioKind, obs: Option<SimObs>| {
+        let dir = base.join(if obs.is_some() { "observed" } else { "plain" });
+        let tier = SimDurableTier::open(&dir, SHARDS).expect("open durable tier");
+        let result = runner
+            .run(
+                kind,
+                topology.clone(),
+                &graph,
+                build_engine("dynasore", &graph, &topology),
+                &quiet,
+                Some(tier),
+                obs,
+            )
+            .expect("scenario run");
+        std::fs::remove_dir_all(&dir).expect("remove tier directory");
+        result
+    };
+    let mut replays = [0; 2];
+    for (kind, replays) in [
+        ScenarioKind::DecommissionUnderLoad,
+        ScenarioKind::RegionalFailure,
+    ]
+    .into_iter()
+    .zip(&mut replays)
+    {
+        let (plain, _) = run(kind, None);
+        let (observed, obs) = run(kind, Some(SimObs::default()));
+        assert_eq!(
+            plain,
+            observed,
+            "{}: lag sampling changed the run",
+            kind.name()
+        );
+        let obs = obs.expect("observer round-trips");
+        assert_eq!(obs.recorder().dropped(), 0, "the timeline must be whole");
+
+        // Writes strictly before `t_ns`: an event or tick due at `t` is
+        // handled before the first request at or after `t`, so these are
+        // exactly the writes the tier had mirrored when it fired.
+        let script = kind
+            .script(&graph, &topology, &runner.scenario)
+            .expect("script");
+        let writes_before = |t_ns: u64| {
+            let t = SimTime::from_secs(t_ns / NANOS_PER_SEC);
+            script
+                .trace
+                .iter()
+                .filter(|r| !r.is_read() && r.time < t)
+                .count() as u64
+        };
+
+        // Walk the timeline in recording order, one group of lag samples
+        // per tick; a replay syncs the tier, so the expected lag restarts.
+        let mut synced_writes = 0u64;
+        let mut ticks: Vec<(u64, Vec<(u32, u64)>)> = Vec::new();
+        for event in obs.recorder().iter() {
+            match event.kind {
+                TraceEventKind::ReplayCompleted { .. } => {
+                    *replays += 1;
+                    synced_writes = writes_before(event.t_ns);
+                }
+                TraceEventKind::TickSample { .. } => {
+                    let unsynced = writes_before(event.t_ns) - synced_writes;
+                    ticks.push((unsynced * SIM_EVENT_BYTES as u64, Vec::new()));
+                }
+                TraceEventKind::ShardLag { shard, lag_bytes } => ticks
+                    .last_mut()
+                    .expect("shard lag sampled outside a tick")
+                    .1
+                    .push((shard, lag_bytes)),
+                _ => {}
+            }
+        }
+        assert!(
+            ticks.iter().any(|(lag, _)| *lag > 0),
+            "{}: no tick saw an unsynced write",
+            kind.name()
+        );
+        for (tick, (expected, lags)) in ticks.iter().enumerate() {
+            let shards: Vec<u32> = lags.iter().map(|&(shard, _)| shard).collect();
+            assert_eq!(shards, [0, 1, 2, 3], "tick {tick}: one sample per shard");
+            let total: u64 = lags.iter().map(|&(_, lag)| lag).sum();
+            assert_eq!(
+                total, *expected,
+                "tick {tick}: lag is not the unsynced writes"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&base).expect("remove tier root");
+    assert_eq!(replays[0], 0, "a graceful decommission replays nothing");
+    assert!(replays[1] > 0, "the regional failure triggered no replay");
 }

@@ -9,7 +9,6 @@ use parking_lot::Mutex;
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::SocialGraph;
 use dynasore_topology::Topology;
-// `PlacementEngine` comes from `dynasore-types` (layer 0), not the simulator.
 use dynasore_types::{
     ClusterEvent, CountingSink, Error, Event, MachineId, MemoryBudget, Message, PlacementEngine,
     Result, SimTime, TraceEventKind, TrafficSink, UserId, View,

@@ -60,7 +60,6 @@
 #![warn(missing_docs)]
 
 mod cluster;
-mod durable_tier;
 mod log;
 mod obs;
 mod persistent;
@@ -69,7 +68,6 @@ mod server;
 mod sharded;
 
 pub use cluster::{Cluster, ClusterChangeReport, StoreConfig, StoreStats};
-pub use durable_tier::{SimDurableTier, SIM_EVENT_BYTES};
 pub use log::{LogConfig, RecoveryStats};
 pub use obs::StoreObs;
 pub use persistent::{MockPersistentStore, PersistentStore};

@@ -1,12 +1,13 @@
 //! The live-store observer: a thread-safe [`FlightRecorder`] +
 //! [`MetricsRegistry`] stamped with monotonic wall-clock time.
 //!
-//! Where the simulator's observer (`dynasore_sim::SimObs`) stamps events
-//! with simulated seconds and is owned by one thread, a [`StoreObs`] is
-//! shared — cloned into the [`ShardedLogStore`](crate::ShardedLogStore)'s
-//! shards, its background flusher and the [`Cluster`](crate::Cluster) — so
-//! it wraps the recorder and registry in one mutex and stamps every event
-//! with nanoseconds elapsed since the observer was created. Both observers
+//! Where the simulator's observer (`SimObs`, in `dynasore-sim`, the layer
+//! above this crate) stamps events with simulated seconds and is owned by
+//! one thread, a [`StoreObs`] is shared — cloned into the
+//! [`ShardedLogStore`](crate::ShardedLogStore)'s shards, its background
+//! flusher and the [`Cluster`](crate::Cluster) — so it wraps the recorder
+//! and registry in one mutex and stamps every event with nanoseconds
+//! elapsed since the observer was created. Both observers
 //! fold events through the same [`MetricsRegistry::apply`] mapping, so a
 //! metric means the same thing whichever side recorded it.
 //!

@@ -76,13 +76,13 @@ pub mod prelude {
         ServeConfig,
     };
     pub use dynasore_sim::{
-        generate_failure_schedule, DegradationReport, DurableIoStats, DurableTier, LatencyStats,
-        ReliabilityStats, ScenarioConfig, ScenarioKind, ScenarioRunner, ScenarioScript, SimReport,
-        Simulation, TierReplay,
+        generate_failure_schedule, DegradationReport, DurableIoStats, LatencyStats,
+        ReliabilityStats, ScenarioConfig, ScenarioKind, ScenarioRunner, ScenarioScript,
+        SimDurableTier, SimReport, Simulation,
     };
     pub use dynasore_store::{
         Cluster, ClusterChangeReport, LogConfig, PersistentStore, ShardedConfig, ShardedLogStore,
-        SimDurableTier, StoreConfig,
+        StoreConfig,
     };
     pub use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
     pub use dynasore_types::{

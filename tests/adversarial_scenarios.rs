@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use dynasore::prelude::*;
-use dynasore::store::SIM_EVENT_BYTES;
+use dynasore::sim::SIM_EVENT_BYTES;
 use dynasore::types::{MachineId, RackId};
 
 const USERS: usize = 500;
@@ -65,8 +65,10 @@ fn scenario_runs_are_seed_deterministic() {
                     dynasore(&graph, &topology),
                     &quiet,
                     None,
+                    None,
                 )
                 .unwrap()
+                .0
         };
         let a = run();
         let b = run();
@@ -176,19 +178,20 @@ fn decommission_under_load_survives_a_cold_sharded_reopen() {
         shards: 4,
         ..ShardedConfig::default()
     };
-    let tier = SimDurableTier::open(&dir, shards).unwrap();
+    let tier = SimDurableTier::open(&dir, shards.shards).unwrap();
 
     let quiet = runner
         .quiet_baseline(topology.clone(), &graph, dynasore(&graph, &topology))
         .unwrap();
-    let cell = runner
+    let (cell, _) = runner
         .run(
             ScenarioKind::DecommissionUnderLoad,
             topology.clone(),
             &graph,
             dynasore(&graph, &topology),
             &quiet,
-            Some(Box::new(tier)),
+            Some(tier),
+            None,
         )
         .unwrap();
     assert_eq!(

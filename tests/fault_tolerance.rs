@@ -191,19 +191,12 @@ fn simulated_outage_replays_real_bytes_with_a_file_backed_tier() {
         let dir =
             std::env::temp_dir().join(format!("dynasore-faults-tier-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let tier = SimDurableTier::open(
-            &dir,
-            ShardedConfig {
-                shards: 1,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
+        let tier = SimDurableTier::open(&dir, 1).unwrap();
         let engine = dynasore(&graph, &topology);
         let trace = SyntheticTraceGenerator::paper_defaults(&graph, 1, SEED).unwrap();
         let mut sim = Simulation::new(topology.clone(), engine, &graph)
             .with_cluster_events(outage_schedule())
-            .with_durable_tier(Box::new(tier));
+            .with_durable_tier(tier);
         let report = sim.run(trace).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         report
@@ -253,19 +246,12 @@ fn simulated_outage_over_a_sharded_tier_reports_the_critical_path() {
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
-        let tier = SimDurableTier::open(
-            &dir,
-            ShardedConfig {
-                shards: 4,
-                ..ShardedConfig::default()
-            },
-        )
-        .unwrap();
+        let tier = SimDurableTier::open(&dir, 4).unwrap();
         let engine = dynasore(&graph, &topology);
         let trace = SyntheticTraceGenerator::paper_defaults(&graph, 1, SEED).unwrap();
         let mut sim = Simulation::new(topology.clone(), engine, &graph)
             .with_cluster_events(outage_schedule())
-            .with_durable_tier(Box::new(tier));
+            .with_durable_tier(tier);
         let report = sim.run(trace).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
         report
