@@ -85,7 +85,7 @@ use std::time::Instant;
 use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_store::{LogConfig, ShardedConfig, ShardedLogStore, StoreObs};
+use dynasore_store::{ShardedConfig, ShardedLogStore, StoreObs};
 use dynasore_topology::{Topology, TrafficAccount};
 use dynasore_types::{
     CountingSink, MemoryBudget, Message, NetworkModel, PlacementEngine, ReplicaChangeReason,
@@ -480,12 +480,10 @@ fn main() {
         &single_dir,
         ShardedConfig {
             shards: 1,
-            log: LogConfig {
-                max_batch_records: 1,
-                sync_on_commit: true,
-                ..LogConfig::default()
-            },
+            max_batch_records: 1,
+            sync_on_commit: true,
             flush_interval: None,
+            ..ShardedConfig::default()
         },
     )
     .expect("open single-sync store");

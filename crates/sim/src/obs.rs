@@ -155,23 +155,23 @@ impl SimObs {
         }
     }
 
-    /// End-of-run bookkeeping: folds the run's message totals and durable
-    /// I/O stats into the registry (counters the hot path deliberately does
-    /// not touch per message).
+    /// End-of-run bookkeeping: folds the run's message totals, durable I/O
+    /// stats and the number of tier syncs the run issued into the registry
+    /// (counters the hot path deliberately does not touch per message).
     pub(crate) fn finish_run(
         &mut self,
         app_messages: u64,
         proto_messages: u64,
         recovery_messages: u64,
-        durable_io: Option<&DurableIoStats>,
+        durable_io: Option<(&DurableIoStats, u64)>,
     ) {
         self.registry.add(MetricId::AppMessages, app_messages);
         self.registry.add(MetricId::ProtoMessages, proto_messages);
         self.registry
             .add(MetricId::RecoveryMessages, recovery_messages);
-        if let Some(io) = durable_io {
+        if let Some((io, syncs)) = durable_io {
             self.registry.add(MetricId::DurableAppends, io.appends);
-            self.registry.add(MetricId::DurableSyncs, io.replays);
+            self.registry.add(MetricId::DurableSyncs, syncs);
         }
     }
 }

@@ -274,6 +274,7 @@ impl<E: PlacementEngine> Simulation<E> {
         let mut read_latency = LatencyHistogram::new();
         let mut write_latency = LatencyHistogram::new();
         let mut durable_io = DurableIoStats::default();
+        let mut durable_syncs = 0u64;
 
         // Cumulative (unreachable, read_targets) at each tick boundary; the
         // worst adjacent pair of these snapshots — the worst single tick —
@@ -344,6 +345,7 @@ impl<E: PlacementEngine> Simulation<E> {
                     if counters.recovery_messages > recovery_before {
                         if let Some(tier) = self.durable.as_mut() {
                             tier.sync()?;
+                            durable_syncs += 1;
                             let replay = tier.replay()?;
                             durable_io.bytes_replayed += replay.total.bytes_replayed;
                             durable_io.critical_path_bytes += replay.max_shard_bytes_replayed();
@@ -418,9 +420,11 @@ impl<E: PlacementEngine> Simulation<E> {
 
         // Graceful shutdown: commit and fsync any batched durable appends,
         // so every write the run acknowledged survives a cold reopen of the
-        // tier's files (counters are unaffected — syncs are not replays).
+        // tier's files (the report's counters are unaffected — syncs are not
+        // replays — but the observer's sync counter counts it).
         if let Some(tier) = self.durable.as_mut() {
             tier.sync()?;
+            durable_syncs += 1;
         }
 
         // Final probe at the end of the trace.
@@ -435,7 +439,7 @@ impl<E: PlacementEngine> Simulation<E> {
                 counters.app_messages,
                 counters.proto_messages,
                 counters.recovery_messages,
-                self.durable.as_ref().map(|_| &durable_io),
+                self.durable.as_ref().map(|_| (&durable_io, durable_syncs)),
             );
         }
 

@@ -329,6 +329,14 @@ fn observed_durable_tier_samples_every_shards_lag_at_every_tick() {
                 _ => {}
             }
         }
+        // Every replay syncs the tier first, and the run's shutdown syncs
+        // it once more.
+        assert_eq!(
+            obs.registry().get(MetricId::DurableSyncs),
+            *replays + 1,
+            "{}: durable syncs are not the replays plus the shutdown sync",
+            kind.name()
+        );
         assert!(
             ticks.iter().any(|(lag, _)| *lag > 0),
             "{}: no tick saw an unsynced write",

@@ -14,9 +14,10 @@
 //!   ([`Cluster::spawn`]), right for pure simulations;
 //! * [`ShardedLogStore`] — the file-backed tier, and the one public store
 //!   over files ([`Cluster::spawn_with_store`]): N independent shards
-//!   routed by a stable hash of the user id (`shards: 1` is one log), each
-//!   a crate-private append-only segment log of checksummed batch frames
-//!   with replay-on-open recovery and rotation, writing by group commit —
+//!   routed by a stable hash of the user id (`shards: 1` is one log) under
+//!   one root lock, each an append-only segment log of checksummed batch
+//!   frames with replay-on-open recovery and rotation, writing by group
+//!   commit —
 //!   so killed-and-restarted servers recover views from real bytes, the
 //!   tier keeps pace with the hot path (one fsync covers a whole batch)
 //!   and shards recover concurrently on reopen.
@@ -68,7 +69,7 @@ mod server;
 mod sharded;
 
 pub use cluster::{Cluster, ClusterChangeReport, StoreConfig, StoreStats};
-pub use log::{LogConfig, RecoveryStats};
+pub use log::RecoveryStats;
 pub use obs::StoreObs;
 pub use persistent::{MockPersistentStore, PersistentStore};
 pub use sharded::{ShardedConfig, ShardedLogStore, ShardedRecoveryStats};

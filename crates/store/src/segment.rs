@@ -42,6 +42,14 @@ pub(crate) fn list_segments(dir: &Path) -> Result<Vec<(u64, PathBuf)>> {
     Ok(segments)
 }
 
+/// Fsyncs the directory `dir`, making the entries created in it (files,
+/// subdirectories, renames) survive a machine crash: fsyncing a new file
+/// does not persist its name.
+pub(crate) fn sync_dir(dir: &Path) -> Result<()> {
+    File::open(dir)?.sync_all()?;
+    Ok(())
+}
+
 /// What replaying one segment found.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SegmentReplay {
@@ -111,13 +119,15 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    /// Creates a fresh segment `seq` in `dir` and writes its magic header.
+    /// Creates a fresh segment `seq` in `dir`, fsyncs `dir` so the new
+    /// file's entry is durable, and writes its magic header.
     pub fn create(dir: &Path, seq: u64) -> Result<Segment> {
         let path = dir.join(segment_file_name(seq));
         let file = OpenOptions::new()
             .create_new(true)
             .write(true)
             .open(&path)?;
+        sync_dir(dir)?;
         let mut writer = BufWriter::new(file);
         writer.write_all(SEGMENT_MAGIC)?;
         Ok(Segment {

@@ -81,8 +81,7 @@ pub mod prelude {
         SimDurableTier, SimReport, Simulation,
     };
     pub use dynasore_store::{
-        Cluster, ClusterChangeReport, LogConfig, PersistentStore, ShardedConfig, ShardedLogStore,
-        StoreConfig,
+        Cluster, ClusterChangeReport, PersistentStore, ShardedConfig, ShardedLogStore, StoreConfig,
     };
     pub use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
     pub use dynasore_types::{

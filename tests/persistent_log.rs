@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dynasore::store::{LogConfig, ShardedConfig, ShardedLogStore};
+use dynasore::store::{ShardedConfig, ShardedLogStore};
 use dynasore::types::{crc32, DurableRecord, Error, UserId};
 use proptest::prelude::*;
 
@@ -40,10 +40,8 @@ fn single_segment(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
         flush_interval: None,
-        log: LogConfig {
-            segment_max_bytes: u64::MAX,
-            ..LogConfig::default()
-        },
+        segment_max_bytes: u64::MAX,
+        ..ShardedConfig::default()
     }
 }
 
@@ -326,11 +324,9 @@ fn rotated_segments_replay_to_the_same_state() {
         let config = ShardedConfig {
             shards: 1,
             flush_interval: None,
-            log: LogConfig {
-                segment_max_bytes: 512,
-                max_batch_records: 4,
-                ..LogConfig::default()
-            },
+            segment_max_bytes: 512,
+            max_batch_records: 4,
+            ..ShardedConfig::default()
         };
         let store = ShardedLogStore::open(&dir, config).unwrap();
         let users = 6u32;
@@ -384,11 +380,9 @@ fn segment_files_keep_their_exact_bytes() {
         ShardedConfig {
             shards: 2,
             flush_interval: None,
-            log: LogConfig {
-                segment_max_bytes: 160,
-                max_batch_records: 4,
-                ..LogConfig::default()
-            },
+            segment_max_bytes: 160,
+            max_batch_records: 4,
+            ..ShardedConfig::default()
         },
     )
     .unwrap();
@@ -479,8 +473,8 @@ fn retired_record_kinds_are_corrupt_not_torn() {
             "kind {kind}: {opened:?}"
         );
         assert!(
-            !shard_dir.join("LOCK").exists(),
-            "kind {kind}: a refused open left its LOCK behind"
+            !dir.join("LOCK").exists(),
+            "kind {kind}: a refused open left its root LOCK behind"
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
