@@ -76,16 +76,16 @@
 //! the system temp dir) and times them *including the final sync*, so the
 //! number is a true durable rate.
 //! A short `durable_single_sync` phase then measures the same store type at
-//! one shard with `max_batch_records: 1, sync_on_commit: true` and no
-//! flusher — one fsync per append, the pre-sharding durability baseline —
-//! and the JSON records the speedup between the two.
+//! one shard with `max_batch_records: 1`, no flusher and a `sync()` after
+//! each append — one fsync per append, the pre-sharding durability
+//! baseline — and the JSON records the speedup between the two.
 
 use std::time::Instant;
 
 use dynasore_bench::{parse_args_or_exit, read_snapshot_or_exit, snapshot_field, Args};
 use dynasore_core::{DynaSoReEngine, InitialPlacement};
 use dynasore_graph::{GraphPreset, SocialGraph};
-use dynasore_store::{ShardedConfig, ShardedLogStore, StoreObs};
+use dynasore_store::{PersistentStore, ShardedConfig, ShardedLogStore, StoreObs};
 use dynasore_topology::{Topology, TrafficAccount};
 use dynasore_types::{
     CountingSink, MemoryBudget, Message, NetworkModel, PlacementEngine, ReplicaChangeReason,
@@ -471,9 +471,9 @@ fn main() {
     }
 
     // The pre-sharding durability baseline: one shard, batches of one
-    // record, one fsync per commit — i.e. per append. At ~4k appends/s this
-    // phase is time-boxed by a small iteration count rather than matched to
-    // the phase above.
+    // record, and a sync after each — one fsync per append. At ~4k
+    // appends/s this phase is time-boxed by a small iteration count rather
+    // than matched to the phase above.
     let single_iters = if opts.quick { 300 } else { 2_000 };
     let single_dir = data_dir.join("single-sync");
     let single = ShardedLogStore::open(
@@ -481,7 +481,6 @@ fn main() {
         ShardedConfig {
             shards: 1,
             max_batch_records: 1,
-            sync_on_commit: true,
             flush_interval: None,
             ..ShardedConfig::default()
         },
@@ -492,6 +491,7 @@ fn main() {
         single
             .append_version(user_at(k), payload_at(k))
             .expect("single-sync append");
+        single.sync().expect("single-sync sync");
     }
     let single_secs = single_start.elapsed().as_secs_f64();
     drop(single);

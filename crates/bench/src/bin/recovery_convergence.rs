@@ -142,7 +142,7 @@ fn measure_recovery(
     // the paper assumes), so the bench and `Simulation::with_durable_tier`
     // measure the same bytes-per-write calibration.
     use dynasore_sim::SIM_EVENT_BYTES;
-    use dynasore_store::{ShardedConfig, ShardedLogStore};
+    use dynasore_store::{PersistentStore, ShardedConfig, ShardedLogStore};
 
     const EVENTS_PER_USER: u64 = 2;
 

@@ -9,7 +9,7 @@
 //! replayed end to end — so the run's [`DurableIoStats`] report the actual
 //! I/O volume a recovery would move, next to the message-count estimate.
 
-use dynasore_store::{ShardedConfig, ShardedLogStore, ShardedRecoveryStats};
+use dynasore_store::{PersistentStore, ShardedConfig, ShardedLogStore, ShardedRecoveryStats};
 use dynasore_types::{Result, SimTime, UserId};
 
 /// The payload size mirrored per simulated write: the paper's events are

@@ -534,10 +534,10 @@ mod tests {
 
     impl PersistentStore for FlakySyncStore {
         fn append(&self, user: UserId, payload: Vec<u8>) -> Result<View> {
-            Ok(self.inner.append(user, payload))
+            self.inner.append(user, payload)
         }
         fn fetch(&self, user: UserId) -> Result<View> {
-            Ok(self.inner.fetch(user))
+            self.inner.fetch(user)
         }
         fn sync(&self) -> Result<()> {
             self.syncs.fetch_add(1, Ordering::Relaxed);
@@ -1151,6 +1151,47 @@ mod tests {
             unlinked > 0,
             "no read unlinked the replica it was served from"
         );
+    }
+
+    /// The key-set invariant under two clients. Each races its demand
+    /// fills against the unlinks of the other's reads and writes, so a fill
+    /// can land on a shard after the engine unlinked that replica. Once
+    /// both have joined and every user has written once more, no shard may
+    /// hold a copy of a replica the engine does not list: today the write
+    /// probe in [`Cluster::write`] sweeps such late fills, and this test is
+    /// the net for closing the race by construction instead.
+    #[test]
+    fn racing_clients_leave_only_listed_replicas_once_every_user_writes() {
+        const STEPS: u32 = 600;
+        let graph = SocialGraph::generate(GraphPreset::TwitterLike, 60, 3).unwrap();
+        let users = graph.user_count() as u32;
+        for seed in 0..8u32 {
+            let topology = Topology::tree(2, 2, 4, 1).unwrap();
+            let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                for client in 0..2u32 {
+                    let (cluster, graph, start) = (&cluster, &graph, &start);
+                    scope.spawn(move || {
+                        start.wait();
+                        for step in 0..STEPS {
+                            let pick = scatter((seed * 2 + client) * STEPS + step);
+                            let user = UserId::new(pick % users);
+                            match pick / users % 8 {
+                                0 | 1 => cluster.write(user, pick.to_le_bytes().to_vec()).unwrap(),
+                                2..=4 => drop(cluster.read(user, graph.followees(user)).unwrap()),
+                                _ => drop(cluster.read_feed(user).unwrap()),
+                            }
+                        }
+                    });
+                }
+            });
+            for user in graph.users() {
+                cluster.write(user, b"settle".to_vec()).unwrap();
+            }
+            replica_copies(&cluster, &format!("seed {seed}"));
+            cluster.shutdown().unwrap();
+        }
     }
 
     #[test]

@@ -24,28 +24,25 @@
 //! encoded straight into a reusable batch frame (one copy, no intermediate
 //! record value) and the in-memory index is updated
 //! immediately, so `fetch` sees the new version at once. The frame is
-//! written — and, with [`ShardedConfig::sync_on_commit`], fsynced — as
-//! **one** record when the batch holds [`ShardedConfig::max_batch_records`]
-//! events or `MAX_BATCH_BYTES` (1 MiB) of body, when the owner calls
-//! [`flush`]/[`sync`]/[`reread`], or when the [`ShardedLogStore`] flush
-//! interval elapses. K writers therefore pay one fsync instead of K. An
-//! acknowledged-but-uncommitted append can be lost by a crash, and because
-//! the batch frame carries a single checksum it is lost *as a unit* —
-//! replay never serves a prefix of a batch.
-//!
-//! Fsync-per-append is the same path with a batch of one:
-//! `max_batch_records: 1, sync_on_commit: true` writes and fsyncs each
-//! record before its `append` returns.
+//! written as **one** record when the batch holds
+//! [`ShardedConfig::max_batch_records`] events or `MAX_BATCH_BYTES` (1 MiB)
+//! of body, when the owner calls [`flush`]/[`sync`]/[`reread`], or when the
+//! [`ShardedLogStore`] flush interval elapses. A commit only writes; a
+//! write becomes machine-durable through [`sync`], the fsync that seals a
+//! rotated segment, or the flusher's cadence (see `sharded.rs`), and one
+//! fsync covers every batch written before it, so K writers pay one fsync
+//! instead of K. An acknowledged-but-uncommitted append can be lost by a
+//! crash, and because the batch frame carries a single checksum it is lost
+//! *as a unit* — replay never serves a prefix of a batch.
 //!
 //! The log holds batch frames and nothing else: the history is never
 //! rewritten and no view is ever removed, so replay is "apply every event of
 //! every whole frame, in file order".
 //!
 //! [`ShardedLogStore`]: crate::ShardedLogStore
-//! [`ShardedConfig::sync_on_commit`]: crate::ShardedConfig::sync_on_commit
 //! [`ShardedConfig::max_batch_records`]: crate::ShardedConfig::max_batch_records
-//! [`flush`]: crate::ShardedLogStore::flush
-//! [`sync`]: crate::ShardedLogStore::sync
+//! [`flush`]: crate::PersistentStore::flush
+//! [`sync`]: crate::PersistentStore::sync
 //! [`reread`]: crate::ShardedLogStore::reread
 
 use std::collections::BTreeMap;
@@ -197,9 +194,8 @@ impl Shard {
         })
     }
 
-    /// Writes the pending batch — if any — as one batch frame and makes it
-    /// as durable as the configuration promises (fsynced under
-    /// `sync_on_commit`, OS-buffered otherwise). The frame buffer keeps its
+    /// Writes the pending batch — if any — as one batch frame into the
+    /// active segment, without fsyncing it. The frame buffer keeps its
     /// capacity for the next batch.
     pub(crate) fn commit_pending(&mut self) -> Result<()> {
         if self.pending_records == 0 {
@@ -210,9 +206,6 @@ impl Shard {
         let records = u64::from(self.pending_records);
         self.pending_records = 0;
         self.pending.clear();
-        if self.config.sync_on_commit {
-            self.active.sync()?;
-        }
         if let Some(obs) = &self.obs {
             // Fill ratio against the configured fill trigger.
             let fill_percent =
@@ -361,6 +354,7 @@ mod tests {
     //! without the background flusher.
 
     use super::*;
+    use crate::segment::SEGMENT_MAGIC;
     use crate::{PersistentStore, ShardedLogStore};
     use dynasore_types::MAX_RECORD_BYTES;
 
@@ -391,7 +385,6 @@ mod tests {
     fn batches_of(max_batch_records: u32) -> ShardedConfig {
         ShardedConfig {
             max_batch_records,
-            sync_on_commit: true,
             ..one_shard()
         }
     }
@@ -401,7 +394,7 @@ mod tests {
         let dir = temp_dir("reopen");
         let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
         let u = UserId::new(3);
-        assert!(store.fetch(u).is_empty());
+        assert!(store.fetch(u).unwrap().is_empty());
         let v1 = store.append(u, b"a".to_vec()).unwrap();
         let v2 = store.append(u, b"b".to_vec()).unwrap();
         assert_eq!(v1.len(), 1);
@@ -412,7 +405,7 @@ mod tests {
         drop(store);
 
         let reopened = ShardedLogStore::open(&dir, one_shard()).unwrap();
-        let fetched = reopened.fetch(u);
+        let fetched = reopened.fetch(u).unwrap();
         assert_eq!(
             fetched, v2,
             "recovered view must be identical, version included"
@@ -449,7 +442,7 @@ mod tests {
         let reopened = ShardedLogStore::open(&dir, tiny_segments()).unwrap();
         assert_eq!(reopened.user_count(), 5);
         for i in 0..5u32 {
-            assert_eq!(reopened.fetch(UserId::new(i)).len(), 8);
+            assert_eq!(reopened.fetch(UserId::new(i)).unwrap().len(), 8);
         }
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -468,7 +461,7 @@ mod tests {
             "reread commits the 50 pending appends as one batch frame"
         );
         assert_eq!(stats.bytes_replayed, store.bytes_on_disk());
-        assert_eq!(store.fetch(UserId::new(0)).len(), 8);
+        assert_eq!(store.fetch(UserId::new(0)).unwrap().len(), 8);
         assert_eq!(store.user_count(), 7);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -530,22 +523,28 @@ mod tests {
             let version = store.append_version(u, vec![i as u8; 10]).unwrap();
             assert_eq!(version, u64::from(i) + 1, "acks are immediate");
         }
-        // 8 appends filled one batch (committed + fsynced); 3 are pending.
+        // 8 appends filled one batch (committed, and holding its place in
+        // the segment); 3 are pending.
         assert_eq!(store.pending_records(), 3);
-        assert_eq!(store.fetch(u).len(), 11, "fetch sees acknowledged appends");
-        let (index, _) = ShardedLogStore::read_back(&dir).unwrap();
+        assert!(store.bytes_on_disk() > SEGMENT_MAGIC.len() as u64);
         assert_eq!(
-            index.get(&u).unwrap().len(),
-            8,
-            "only the committed batch is on disk"
+            store.fetch(u).unwrap().len(),
+            11,
+            "fetch sees acknowledged appends"
         );
-        // sync commits the stragglers; a reopen replays all 11 with the
-        // version counter intact.
+        // sync commits the stragglers as a second frame; a reopen replays
+        // all 11 with the version counter intact.
         store.sync().unwrap();
         assert_eq!(store.pending_records(), 0);
+        let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
+        assert_eq!(index.get(&u).unwrap().len(), 11);
+        assert_eq!(
+            stats.total.records_replayed, 2,
+            "the filled batch, then the stragglers"
+        );
         drop(store);
         let reopened = ShardedLogStore::open(&dir, batches_of(8)).unwrap();
-        let view = reopened.fetch(u);
+        let view = reopened.fetch(u).unwrap();
         assert_eq!(view.len(), 11);
         assert_eq!(view.version(), 11);
         drop(reopened);
@@ -567,11 +566,11 @@ mod tests {
         // into its own view in acknowledgement order.
         let reopened = ShardedLogStore::open(&dir, batches_of(64)).unwrap();
         assert_eq!(reopened.recovery_stats().total.records_replayed, 1);
-        let v0 = reopened.fetch(UserId::new(0));
+        let v0 = reopened.fetch(UserId::new(0)).unwrap();
         let payloads: Vec<u8> = v0.iter().map(|e| e.payload()[0]).collect();
         assert_eq!(payloads, [0, 3, 6, 9]);
-        assert_eq!(reopened.fetch(UserId::new(1)).len(), 3);
-        assert_eq!(reopened.fetch(UserId::new(2)).len(), 3);
+        assert_eq!(reopened.fetch(UserId::new(1)).unwrap().len(), 3);
+        assert_eq!(reopened.fetch(UserId::new(2)).unwrap().len(), 3);
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -589,17 +588,19 @@ mod tests {
     }
 
     #[test]
-    fn a_batch_of_one_with_sync_on_commit_is_on_disk_when_append_returns() {
-        // Fsync-per-append as a batch of one: no flush, no sync — a reader
-        // of the directory sees each record as soon as it is acknowledged.
+    fn a_batch_of_one_plus_sync_is_on_disk() {
+        // Fsync-per-append as a batch of one: every append commits its own
+        // frame, and the sync after it makes the frame durable — a reader
+        // of the directory sees each record as soon as its sync returns.
         let dir = temp_dir("batch-of-one");
         let store = ShardedLogStore::open(&dir, batches_of(1)).unwrap();
         let u = UserId::new(4);
         for i in 0..5u8 {
             let version = store.append_version(u, vec![i; 12]).unwrap();
             assert_eq!(store.pending_records(), 0, "nothing waits for a commit");
+            store.sync().unwrap();
             let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
-            let on_disk = index.get(&u).expect("the record just acknowledged");
+            let on_disk = index.get(&u).expect("the record just synced");
             assert_eq!(on_disk.version(), version);
             assert_eq!(on_disk.latest().unwrap().payload(), &[i; 12]);
             assert_eq!(
@@ -651,6 +652,7 @@ mod tests {
             0,
             "the retried entry crossed the byte budget on its own"
         );
+        store.flush().unwrap();
         let (index, stats) = ShardedLogStore::read_back(&dir2).unwrap();
         let view = index.get(&u).unwrap();
         assert_eq!(view.len(), 2);
@@ -678,7 +680,7 @@ mod tests {
         assert_eq!(stats.total.torn_bytes, 0);
         assert_eq!(index.get(&u).unwrap().len(), 1);
         store.append(u, b"after".to_vec()).unwrap();
-        assert_eq!(store.fetch(u).len(), 2);
+        assert_eq!(store.fetch(u).unwrap().len(), 2);
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }

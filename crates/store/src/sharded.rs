@@ -44,13 +44,14 @@
 //!
 //! Every shard writes by group commit (see the module docs of `log.rs`):
 //! appends are acknowledged into the shard's in-memory batch and written as
-//! one frame when the batch fills. In the default configuration the
-//! fill-triggered commit only *writes* the frame (`sync_on_commit: false`);
-//! the fsync that makes it machine-durable is pipelined onto the background
-//! flusher thread, which syncs each shard through a duplicated file handle
-//! *without* holding the shard lock — so the write path never waits on the
-//! disk, and on a single core appends overlap the flush that makes them
-//! durable.
+//! one frame when the batch fills. A commit only *writes* the frame; no
+//! commit fsyncs. A write becomes machine-durable at exactly one of three
+//! points: an explicit [`sync`], the fsync that seals a rotated segment, or
+//! the background flusher, which syncs each shard through a duplicated file
+//! handle *without* holding the shard lock — so the write path never waits
+//! on the disk, and on a single core appends overlap the flush that makes
+//! them durable. Fsync-per-append is a one-shard store with
+//! `max_batch_records: 1`, no flusher, and a [`sync`] after every append.
 //!
 //! The bounded [`flush_interval`] caps the ack-to-durable window. Each wake
 //! the flusher (a) commits the open batch of any shard that has gone a full
@@ -60,8 +61,8 @@
 //! bytes or has carried *any* unsynced bytes for `SYNC_WAKE_BOUND` (16)
 //! wakes. An acknowledged append is therefore machine-durable within a
 //! small constant number of intervals (at most `2 + SYNC_WAKE_BOUND`, ~90 ms
-//! at the default interval) — or sooner, whenever an explicit
-//! [`sync`](ShardedLogStore::sync) intervenes. Under a fast write load the
+//! at the default interval) — or sooner, whenever an explicit [`sync`]
+//! intervenes. Under a fast write load the
 //! byte threshold fires first, so the fsync count stays proportional to
 //! data volume — every fsync forces a journal commit, and a wake bound
 //! tight enough to dominate under load would turn the pipelined flusher
@@ -69,6 +70,7 @@
 //!
 //! [`Mutex`]: parking_lot::Mutex
 //! [`flush_interval`]: ShardedConfig::flush_interval
+//! [`sync`]: PersistentStore::sync
 
 use std::collections::BTreeMap;
 use std::fs::File;
@@ -119,20 +121,9 @@ pub struct ShardedConfig {
     /// is 4 MiB.
     pub segment_max_bytes: u64,
     /// Acknowledged appends that force a shard to commit once its pending
-    /// batch holds this many (see the module docs of `log.rs`). `1` writes
+    /// batch holds this many (see the module docs of `log.rs`). `1` commits
     /// every record before its append returns. Default 4096.
     pub max_batch_records: u32,
-    /// Whether every commit fsyncs — the group durability point: one fsync
-    /// covers the whole batch. The default, `false`, writes fill-triggered
-    /// commits to the OS and leaves the fsync to the flusher thread's
-    /// pipelined cadence (or an explicit [`sync`]), so the write path never
-    /// blocks on the disk; segment rotation always syncs the sealed file.
-    /// `true` fsyncs inline at every commit instead (stronger per-commit
-    /// durability, at the write path's expense) — with `max_batch_records:
-    /// 1`, at every append.
-    ///
-    /// [`sync`]: ShardedLogStore::sync
-    pub sync_on_commit: bool,
     /// Wake period of the background flusher, which bounds the
     /// ack-to-durable window: each wake commits the open batch of any shard
     /// that has gone a full interval without committing on its own (busy
@@ -145,8 +136,8 @@ pub struct ShardedConfig {
     /// the caller's back — the right mode for deterministic tests and
     /// simulations. Default 5 ms.
     ///
-    /// [`flush`]: ShardedLogStore::flush
-    /// [`sync`]: ShardedLogStore::sync
+    /// [`flush`]: PersistentStore::flush
+    /// [`sync`]: PersistentStore::sync
     /// [`reread`]: ShardedLogStore::reread
     pub flush_interval: Option<Duration>,
 }
@@ -157,7 +148,6 @@ impl Default for ShardedConfig {
             shards: 8,
             segment_max_bytes: 4 << 20,
             max_batch_records: 4096,
-            sync_on_commit: false,
             flush_interval: Some(Duration::from_millis(5)),
         }
     }
@@ -417,16 +407,24 @@ fn shard_dir_name(i: usize) -> String {
     format!("shard-{i:04}")
 }
 
-/// Creates `dir` (and any missing ancestors) if it does not exist yet, then
-/// fsyncs the directory that holds it, so the new entry survives a machine
-/// crash.
+/// Creates `dir` and any missing ancestors, then fsyncs the parent of each
+/// directory it created, deepest first, up to the first one that already
+/// existed — so a machine crash cannot lose any entry on the new path.
 fn create_dir(dir: &Path) -> Result<()> {
-    if dir.is_dir() {
-        return Ok(());
+    let mut created = Vec::new();
+    let mut level = Some(dir).filter(|d| !d.is_dir());
+    while let Some(missing) = level {
+        created.push(missing);
+        level = missing
+            .parent()
+            .filter(|d| !d.as_os_str().is_empty() && !d.is_dir());
     }
     std::fs::create_dir_all(dir)?;
-    let parent = dir.parent().filter(|p| !p.as_os_str().is_empty());
-    sync_dir(parent.unwrap_or(Path::new(".")))
+    for missing in created {
+        let parent = missing.parent().filter(|p| !p.as_os_str().is_empty());
+        sync_dir(parent.unwrap_or(Path::new(".")))?;
+    }
+    Ok(())
 }
 
 /// Reads the manifest, returning the pinned shard count, or `None` when the
@@ -644,7 +642,7 @@ impl ShardedLogStore {
     /// [`fetch`]) immediately; durability follows the shard's group-commit
     /// contract (see the module docs of `log.rs`).
     ///
-    /// [`fetch`]: ShardedLogStore::fetch
+    /// [`fetch`]: PersistentStore::fetch
     ///
     /// # Errors
     ///
@@ -653,45 +651,6 @@ impl ShardedLogStore {
     pub fn append_version(&self, user: UserId, payload: Vec<u8>) -> Result<u64> {
         self.shard_of(user)
             .append_with(user, payload, View::version)
-    }
-
-    /// Fetches the current view of `user` from its shard (empty if never
-    /// written).
-    pub fn fetch(&self, user: UserId) -> View {
-        let mut shard = self.shard_of(user);
-        shard.reads += 1;
-        shard
-            .index
-            .get(&user)
-            .cloned()
-            .unwrap_or_else(|| View::new(user))
-    }
-
-    /// Commits every shard's pending batch and pushes it to the operating
-    /// system: it now survives a process crash, but not a machine crash.
-    /// Fails fast on the first shard error.
-    ///
-    /// # Errors
-    ///
-    /// The first I/O error.
-    pub fn flush(&self) -> Result<()> {
-        for shard in self.shards.iter() {
-            shard.lock().flush()?;
-        }
-        Ok(())
-    }
-
-    /// Commits every shard's pending batch, flushes and fsyncs: after this
-    /// returns, every acknowledged write on every shard is crash-durable.
-    ///
-    /// # Errors
-    ///
-    /// The first I/O error.
-    pub fn sync(&self) -> Result<()> {
-        for shard in self.shards.iter() {
-            shard.lock().sync()?;
-        }
-        Ok(())
     }
 
     /// Re-replays every shard from disk concurrently (committing pending
@@ -750,17 +709,6 @@ impl ShardedLogStore {
     pub fn pending_records(&self) -> u64 {
         self.sum(|s| u64::from(s.pending_records))
     }
-
-    /// Events appended across shards (this process; replayed history is not
-    /// counted).
-    pub fn write_count(&self) -> u64 {
-        self.sum(|s| s.writes)
-    }
-
-    /// Fetches served across shards.
-    pub fn read_count(&self) -> u64 {
-        self.sum(|s| s.reads)
-    }
 }
 
 impl PersistentStore for ShardedLogStore {
@@ -769,23 +717,36 @@ impl PersistentStore for ShardedLogStore {
     }
 
     fn fetch(&self, user: UserId) -> Result<View> {
-        Ok(ShardedLogStore::fetch(self, user))
+        let mut shard = self.shard_of(user);
+        shard.reads += 1;
+        let view = shard.index.get(&user).cloned();
+        Ok(view.unwrap_or_else(|| View::new(user)))
     }
 
+    /// Commits every shard's pending batch and pushes it to the operating
+    /// system: it now survives a process crash, but not a machine crash.
+    /// Fails fast on the first shard error.
     fn flush(&self) -> Result<()> {
-        ShardedLogStore::flush(self)
+        self.shards
+            .iter()
+            .try_for_each(|shard| shard.lock().flush())
     }
 
+    /// Commits every shard's pending batch, flushes and fsyncs: after this
+    /// returns, every acknowledged write on every shard is crash-durable.
+    /// Fails fast on the first shard error.
     fn sync(&self) -> Result<()> {
-        ShardedLogStore::sync(self)
+        self.shards.iter().try_for_each(|shard| shard.lock().sync())
     }
 
+    /// Events appended across shards (this process; replayed history is not
+    /// counted).
     fn write_count(&self) -> u64 {
-        ShardedLogStore::write_count(self)
+        self.sum(|s| s.writes)
     }
 
     fn read_count(&self) -> u64 {
-        ShardedLogStore::read_count(self)
+        self.sum(|s| s.reads)
     }
 }
 
@@ -852,7 +813,7 @@ mod tests {
         assert_eq!(store.write_count(), 192);
         assert_eq!(store.user_count(), 64);
         // Acknowledged writes are visible before any commit.
-        let v = store.fetch(UserId::new(9));
+        let v = store.fetch(UserId::new(9)).unwrap();
         assert_eq!(v.len(), 3);
         assert_eq!(v.latest().unwrap().payload(), b"u9-r2");
         store.sync().unwrap();
@@ -865,7 +826,7 @@ mod tests {
         assert!(stats.total.bytes_replayed > 0);
         assert!(stats.max_shard_bytes_replayed() <= stats.total.bytes_replayed);
         for u in 0..64u32 {
-            let view = reopened.fetch(UserId::new(u));
+            let view = reopened.fetch(UserId::new(u)).unwrap();
             assert_eq!(view.len(), 3, "user {u}");
             assert_eq!(view.version(), 3);
         }
@@ -884,6 +845,18 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// Every missing level of the root is created (and its parent
+    /// fsynced, which no test can observe short of a machine crash).
+    #[test]
+    fn open_creates_every_missing_level_of_the_root() {
+        let base = temp_dir("nested");
+        let root = base.join("a").join("b");
+        let store = ShardedLogStore::open(&root, no_flusher(2)).unwrap();
+        assert!(root.join(shard_dir_name(1)).is_dir());
+        drop(store);
+        std::fs::remove_dir_all(&base).unwrap();
+    }
+
     #[test]
     fn manifest_pins_the_shard_count() {
         let dir = temp_dir("manifest");
@@ -899,7 +872,7 @@ mod tests {
         // The original count still opens.
         let again = ShardedLogStore::open(&dir, no_flusher(4)).unwrap();
         assert_eq!(again.shard_count(), 4);
-        assert_eq!(again.fetch(UserId::new(1)).len(), 1);
+        assert_eq!(again.fetch(UserId::new(1)).unwrap().len(), 1);
         drop(again);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -957,7 +930,7 @@ mod tests {
                 match ShardedLogStore::open(&dir, no_flusher(shards)) {
                     Ok(reopened) => {
                         for u in 0..8u32 {
-                            let view = reopened.fetch(UserId::new(u));
+                            let view = reopened.fetch(UserId::new(u)).unwrap();
                             if view.latest().map(|e| e.payload()) != Some(&[shards as u8][..]) {
                                 failures.push(format!(
                                     "round {round}: {shards}-shard reopen lost user {u}"
@@ -1066,23 +1039,23 @@ mod tests {
     }
 
     #[test]
-    fn one_shard_of_single_synced_records_is_on_disk_when_append_returns() {
+    fn one_shard_of_single_synced_records_is_on_disk_when_sync_returns() {
         // Fsync-per-append through the tier: a one-shard store whose batches
-        // hold one record and fsync at commit. No flusher, no flush, no
-        // sync — `read_back` sees every record its `append` acknowledged.
+        // hold one record, no flusher, and a sync after every append —
+        // `read_back` sees every record as soon as its sync returns.
         let dir = temp_dir("single-sync");
         let config = ShardedConfig {
             shards: 1,
             max_batch_records: 1,
-            sync_on_commit: true,
             flush_interval: None,
             ..ShardedConfig::default()
         };
         let store = ShardedLogStore::open(&dir, config).unwrap();
         for i in 0..6u32 {
             let user = UserId::new(i % 3);
-            let view = PersistentStore::append(&store, user, vec![i as u8; 9]).unwrap();
+            let view = store.append(user, vec![i as u8; 9]).unwrap();
             assert_eq!(store.pending_records(), 0);
+            store.sync().unwrap();
             let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
             assert_eq!(index.get(&user), Some(&view), "append {i}");
             assert_eq!(stats.total.records_replayed, u64::from(i) + 1);
@@ -1105,14 +1078,18 @@ mod tests {
         }
         // Reread commits every shard's pending batch, then replays each
         // shard from disk: the same views come back, one frame per shard.
-        let before: Vec<View> = (0..32).map(|u| store.fetch(UserId::new(u))).collect();
+        let before: Vec<View> = (0..32)
+            .map(|u| store.fetch(UserId::new(u)).unwrap())
+            .collect();
         let reread = store.reread().unwrap();
         assert_eq!(reread.per_shard.len(), 4);
         assert!(reread.per_shard.iter().all(|s| s.records_replayed == 1));
         assert_eq!(reread.total.torn_bytes, 0);
         assert_eq!(reread.total.bytes_replayed, store.bytes_on_disk());
         assert_eq!(store.recovery_stats(), reread);
-        let after: Vec<View> = (0..32).map(|u| store.fetch(UserId::new(u))).collect();
+        let after: Vec<View> = (0..32)
+            .map(|u| store.fetch(UserId::new(u)).unwrap())
+            .collect();
         assert_eq!(before, after);
         assert_eq!(store.user_count(), 32);
         drop(store);

@@ -10,12 +10,12 @@ use std::sync::Arc;
 
 use crate::{SimTime, UserId};
 
-/// Default maximum number of events retained per view.
+/// Maximum number of events retained per view.
 ///
 /// Social feeds only ever display the most recent items, so views are
 /// truncated to a bounded number of events, mirroring how production caches
 /// cap per-key value sizes.
-pub const DEFAULT_VIEW_CAPACITY: usize = 128;
+pub const VIEW_CAPACITY: usize = 128;
 
 /// A single piece of content produced by a user (status update, micro-blog,
 /// picture reference, …).
@@ -63,7 +63,7 @@ impl Event {
 }
 
 /// A producer-pivoted view: the list of events produced by one user, newest
-/// last, truncated to a bounded capacity.
+/// last, truncated to the 128 most recent.
 ///
 /// # Example
 ///
@@ -71,17 +71,23 @@ impl Event {
 /// use dynasore_types::{Event, SimTime, UserId, View};
 ///
 /// let u = UserId::new(9);
-/// let mut view = View::with_capacity(u, 2);
-/// for i in 0..3 {
+/// let mut view = View::new(u);
+/// for i in 0..130 {
 ///     view.push(Event::new(u, SimTime::from_secs(i), vec![i as u8]));
 /// }
-/// // Oldest event was truncated.
-/// assert_eq!(view.len(), 2);
-/// assert_eq!(view.latest().unwrap().timestamp(), SimTime::from_secs(2));
+/// // The two oldest events were truncated.
+/// assert_eq!(view.len(), 128);
+/// assert_eq!(view.iter().next().unwrap().timestamp(), SimTime::from_secs(2));
+/// assert_eq!(view.latest().unwrap().timestamp(), SimTime::from_secs(129));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct View {
     owner: UserId,
+    /// Always [`VIEW_CAPACITY`]. The field stays although every view has
+    /// the same capacity: without it a `View` is 40 bytes, not 48, and the
+    /// smaller size measurably raised the peak resident memory of
+    /// write-heavy serving through allocator fragmentation (README,
+    /// *Measured and parked*).
     capacity: usize,
     events: Vec<Event>,
     /// Monotonically increasing version, bumped on every update. Mirrors the
@@ -91,21 +97,11 @@ pub struct View {
 }
 
 impl View {
-    /// Creates an empty view with the default capacity.
+    /// Creates an empty view.
     pub fn new(owner: UserId) -> Self {
-        View::with_capacity(owner, DEFAULT_VIEW_CAPACITY)
-    }
-
-    /// Creates an empty view retaining at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_capacity(owner: UserId, capacity: usize) -> Self {
-        assert!(capacity > 0, "view capacity must be positive");
         View {
             owner,
-            capacity,
+            capacity: VIEW_CAPACITY,
             events: Vec::new(),
             version: 0,
         }
@@ -126,7 +122,7 @@ impl View {
         self.events.is_empty()
     }
 
-    /// The maximum number of events retained.
+    /// The maximum number of events retained: 128, for every view.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -186,28 +182,22 @@ mod tests {
 
     #[test]
     fn view_push_and_truncate() {
-        let mut v = View::with_capacity(UserId::new(1), 3);
+        let mut v = View::new(UserId::new(1));
         assert!(v.is_empty());
-        for t in 0..5 {
+        for t in 0..130 {
             v.push(ev(1, t));
         }
-        assert_eq!(v.len(), 3);
-        assert_eq!(v.capacity(), 3);
+        assert_eq!(v.len(), 128);
+        assert_eq!(v.capacity(), 128);
         let ts: Vec<u64> = v.iter().map(|e| e.timestamp().as_secs()).collect();
-        assert_eq!(ts, vec![2, 3, 4]);
-        assert_eq!(v.latest().unwrap().timestamp().as_secs(), 4);
-        assert_eq!(v.version(), 5);
+        assert_eq!(ts, (2..130).collect::<Vec<_>>());
+        assert_eq!(v.latest().unwrap().timestamp().as_secs(), 129);
+        assert_eq!(v.version(), 130);
     }
 
     #[test]
     fn default_capacity_applies() {
         let v = View::new(UserId::new(4));
-        assert_eq!(v.capacity(), DEFAULT_VIEW_CAPACITY);
-    }
-
-    #[test]
-    #[should_panic(expected = "view capacity must be positive")]
-    fn zero_capacity_panics() {
-        View::with_capacity(UserId::new(1), 0);
+        assert_eq!(v.capacity(), VIEW_CAPACITY);
     }
 }

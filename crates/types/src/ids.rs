@@ -118,26 +118,8 @@ impl fmt::Display for MachineId {
     }
 }
 
-/// The role a machine plays in the cluster (§2.1 of the paper).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MachineKind {
-    /// Stores user views; has a bounded capacity in views.
-    Server,
-    /// Executes read/write requests and hosts per-user proxies.
-    Broker,
-}
-
-impl fmt::Display for MachineKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            MachineKind::Server => write!(f, "server"),
-            MachineKind::Broker => write!(f, "broker"),
-        }
-    }
-}
-
 /// Identifier of a view server. A thin wrapper over [`MachineId`] that is
-/// only handed out for machines whose kind is [`MachineKind::Server`].
+/// only handed out for machines that store views.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ServerId(MachineId);
 
@@ -165,7 +147,7 @@ impl fmt::Display for ServerId {
 }
 
 /// Identifier of a broker. A thin wrapper over [`MachineId`] that is only
-/// handed out for machines whose kind is [`MachineKind::Broker`].
+/// handed out for machines that execute requests and host proxies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BrokerId(MachineId);
 

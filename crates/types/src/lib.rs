@@ -57,7 +57,7 @@ pub use engine::{
 pub use error::{Error, Result};
 pub use event::{Event, View};
 pub use flow::{FlowBudget, StatusCode};
-pub use ids::{BrokerId, MachineId, MachineKind, RackId, ServerId, SubtreeId, UserId};
+pub use ids::{BrokerId, MachineId, RackId, ServerId, SubtreeId, UserId};
 pub use network::{Bandwidth, Latency, LatencyHistogram, NetworkModel, NANOS_PER_SEC};
 pub use obs::{
     lint_prometheus, validate_jsonl, FlightRecorder, MetricId, MetricKind, MetricsRegistry,

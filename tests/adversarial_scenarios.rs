@@ -222,7 +222,7 @@ fn decommission_under_load_survives_a_cold_sharded_reopen() {
     let reopened = ShardedLogStore::open(&dir, shards).unwrap();
     assert_eq!(reopened.user_count(), last_write.len());
     for (&user, &time) in &last_write {
-        let view = reopened.fetch(user);
+        let view = reopened.fetch(user).unwrap();
         let latest = view
             .latest()
             .unwrap_or_else(|| panic!("user {user} lost across the shrink"));

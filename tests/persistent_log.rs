@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use dynasore::store::{ShardedConfig, ShardedLogStore};
+use dynasore::store::{PersistentStore, ShardedConfig, ShardedLogStore};
 use dynasore::types::{crc32, DurableRecord, Error, UserId};
 use proptest::prelude::*;
 
@@ -168,7 +168,7 @@ fn crash_recovers_each_shards_committed_prefix(
         }
     }
     for user in 0u32..16 {
-        let view = recovered.fetch(UserId::new(user));
+        let view = recovered.fetch(UserId::new(user)).unwrap();
         match model.get(&user) {
             None => prop_assert!(view.is_empty(), "user {user} must be empty"),
             Some(payloads) => {
@@ -212,9 +212,9 @@ fn crash_recovers_each_shards_committed_prefix(
 
     // The repaired shards accept and serve new appends.
     let u = UserId::new(3);
-    let before = recovered.fetch(u).len();
+    let before = recovered.fetch(u).unwrap().len();
     recovered.append_version(u, b"post-crash".to_vec()).unwrap();
-    let after = recovered.fetch(u);
+    let after = recovered.fetch(u).unwrap();
     prop_assert_eq!(after.len(), before + 1);
     prop_assert_eq!(after.latest().unwrap().payload(), b"post-crash");
 
@@ -271,7 +271,11 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
         store.append_version(b, vec![0x40 | i; 10]).unwrap();
     }
     assert_eq!(store.pending_records(), 3);
-    assert_eq!(store.fetch(b).len(), 3, "acks are visible immediately");
+    assert_eq!(
+        store.fetch(b).unwrap().len(),
+        3,
+        "acks are visible immediately"
+    );
 
     // On disk, the pending batch does not exist at all — a crash here
     // loses all three acknowledged appends together, and nothing else.
@@ -326,7 +330,6 @@ fn rotated_segments_replay_to_the_same_state() {
             flush_interval: None,
             segment_max_bytes: 512,
             max_batch_records: 4,
-            ..ShardedConfig::default()
         };
         let store = ShardedLogStore::open(&dir, config).unwrap();
         let users = 6u32;
@@ -347,10 +350,14 @@ fn rotated_segments_replay_to_the_same_state() {
         store.sync().unwrap();
         assert!(store.segment_count() > 1, "seed {seed}: nothing rotated");
 
-        let before: Vec<_> = (0..users).map(|u| store.fetch(UserId::new(u))).collect();
+        let before: Vec<_> = (0..users)
+            .map(|u| store.fetch(UserId::new(u)).unwrap())
+            .collect();
         drop(store);
         let reopened = ShardedLogStore::open(&dir, config).unwrap();
-        let replayed: Vec<_> = (0..users).map(|u| reopened.fetch(UserId::new(u))).collect();
+        let replayed: Vec<_> = (0..users)
+            .map(|u| reopened.fetch(UserId::new(u)).unwrap())
+            .collect();
         assert_eq!(before, replayed, "seed {seed}: reopen diverged");
         assert_eq!(reopened.recovery_stats().total.torn_bytes, 0);
         drop(reopened);
@@ -382,7 +389,6 @@ fn segment_files_keep_their_exact_bytes() {
             flush_interval: None,
             segment_max_bytes: 160,
             max_batch_records: 4,
-            ..ShardedConfig::default()
         },
     )
     .unwrap();

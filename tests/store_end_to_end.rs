@@ -161,7 +161,7 @@ fn assert_reads_mirror_the_tier(cluster: &Cluster, tier: &MockPersistentStore) {
             views.len() as u64
         );
         for (view, &target) in views.iter().zip(targets) {
-            let durable = tier.fetch(target);
+            let durable = tier.fetch(target).unwrap();
             assert_eq!(view.owner(), target, "views come back in target order");
             assert_eq!(view.version(), durable.version(), "{target} is stale");
             assert_eq!(
