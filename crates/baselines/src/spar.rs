@@ -380,12 +380,7 @@ impl PlacementEngine for SparEngine {
         }
     }
 
-    fn on_graph_change(
-        &mut self,
-        mutation: GraphMutation,
-        _time: SimTime,
-        out: &mut dyn TrafficSink,
-    ) {
+    fn on_graph_change(&mut self, mutation: GraphMutation, out: &mut dyn TrafficSink) {
         if let GraphMutation::AddEdge { follower, followee } = mutation {
             // SPAR reacts to the evolution of the social network by
             // co-locating the new friend's view, if memory allows.
@@ -409,21 +404,14 @@ impl PlacementEngine for SparEngine {
         // SPAR never reclaims replicas on edge removal.
     }
 
-    fn on_cluster_change(
-        &mut self,
-        event: ClusterEvent,
-        _time: SimTime,
-        out: &mut dyn TrafficSink,
-    ) {
-        let Ok(change) = self.topology.apply_cluster_event(event) else {
-            return; // Refused by the topology: nothing moved.
-        };
+    fn on_cluster_change(&mut self, event: ClusterEvent, out: &mut dyn TrafficSink) -> Result<()> {
+        let change = self.topology.apply_cluster_event(event)?;
         // A stale event moved nothing and needs no reaction — except that a
         // removed rack whose machines had all died earlier may still host
         // stranded proxies.
         let stale = change.down.is_empty() && change.up.is_empty();
         if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
-            return;
+            return Ok(());
         }
         match event {
             ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
@@ -435,6 +423,7 @@ impl PlacementEngine for SparEngine {
             ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
             ClusterEvent::AddRack => self.absorb_new_rack(),
         }
+        Ok(())
     }
 
     fn unreachable_reads(&self) -> u64 {
@@ -606,7 +595,6 @@ mod tests {
                 follower: pair.0,
                 followee: pair.1,
             },
-            SimTime::ZERO,
             &mut out,
         );
         assert_eq!(spar.replica_count(pair.1), before + 1);
@@ -618,7 +606,6 @@ mod tests {
                 follower: pair.0,
                 followee: pair.1,
             },
-            SimTime::ZERO,
             &mut out,
         );
         assert_eq!(spar.replica_count(pair.1), before + 1);
@@ -631,11 +618,8 @@ mod tests {
         let mut spar = SparEngine::new(&graph, &topology, budget, 9).unwrap();
         let victim = topology.servers()[0].machine();
         let mut out = Vec::new();
-        spar.on_cluster_change(
-            ClusterEvent::MachineDown { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
+        spar.on_cluster_change(ClusterEvent::MachineDown { machine: victim }, &mut out)
+            .unwrap();
         for user in graph.users() {
             assert!(spar.replica_count(user) >= 1, "view of {user} lost");
             assert!(!spar.replica_servers(user).contains(&victim));
@@ -656,11 +640,8 @@ mod tests {
         spar.handle_read(reader, &targets, SimTime::ZERO, &mut out);
         assert_eq!(spar.unreachable_reads(), 0);
         // The machine rejoins empty.
-        spar.on_cluster_change(
-            ClusterEvent::MachineUp { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
+        spar.on_cluster_change(ClusterEvent::MachineUp { machine: victim }, &mut out)
+            .unwrap();
         assert_eq!(spar.servers[0].views.len(), 0);
     }
 
@@ -671,18 +652,16 @@ mod tests {
         let mut spar = SparEngine::new(&graph, &topology, budget, 4).unwrap();
         let victim = topology.servers()[3].machine();
         let mut out = Vec::new();
-        spar.on_cluster_change(
-            ClusterEvent::DrainMachine { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
+        spar.on_cluster_change(ClusterEvent::DrainMachine { machine: victim }, &mut out)
+            .unwrap();
         assert!(out.iter().all(|m| !m.involves_persistent()));
         for user in graph.users() {
             assert!(spar.replica_count(user) >= 1);
             assert!(!spar.replica_servers(user).contains(&victim));
         }
         let before_capacity = spar.memory_usage().capacity_slots;
-        spar.on_cluster_change(ClusterEvent::AddRack, SimTime::ZERO, &mut out);
+        spar.on_cluster_change(ClusterEvent::AddRack, &mut out)
+            .unwrap();
         assert!(spar.memory_usage().capacity_slots > before_capacity);
         assert_eq!(spar.servers.len(), spar.topology.server_count());
     }

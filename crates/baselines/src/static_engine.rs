@@ -275,17 +275,10 @@ impl PlacementEngine for StaticPlacement {
         out.record(Message::application(broker, server));
     }
 
-    fn on_cluster_change(
-        &mut self,
-        event: ClusterEvent,
-        _time: SimTime,
-        out: &mut dyn TrafficSink,
-    ) {
-        let Ok(change) = self.topology.apply_cluster_event(event) else {
-            return; // Refused by the topology: nothing moved.
-        };
+    fn on_cluster_change(&mut self, event: ClusterEvent, out: &mut dyn TrafficSink) -> Result<()> {
+        let change = self.topology.apply_cluster_event(event)?;
         if change.down.is_empty() && change.up.is_empty() {
-            return; // A stale event: nothing moved.
+            return Ok(()); // A stale event: nothing moved.
         }
         match event {
             ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
@@ -306,6 +299,7 @@ impl PlacementEngine for StaticPlacement {
                     .collect();
             }
         }
+        Ok(())
     }
 
     fn unreachable_reads(&self) -> u64 {
@@ -413,11 +407,9 @@ mod tests {
             .collect();
         assert!(!displaced.is_empty());
         let mut out = Vec::new();
-        engine.on_cluster_change(
-            ClusterEvent::MachineDown { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
+        engine
+            .on_cluster_change(ClusterEvent::MachineDown { machine: victim }, &mut out)
+            .unwrap();
         for &user in &displaced {
             let server = engine.server_of(user).unwrap();
             assert_ne!(server, victim);
@@ -429,25 +421,23 @@ mod tests {
         // Drains transfer machine-to-machine instead.
         let drained = topology.servers()[1].machine();
         out.clear();
-        engine.on_cluster_change(
-            ClusterEvent::DrainMachine { machine: drained },
-            SimTime::ZERO,
-            &mut out,
-        );
+        engine
+            .on_cluster_change(ClusterEvent::DrainMachine { machine: drained }, &mut out)
+            .unwrap();
         assert!(out.iter().all(|m| !m.involves_persistent()));
         for user in graph.users() {
             assert_ne!(engine.server_of(user), Some(drained));
         }
         // Recovery makes the machine a valid future target again; AddRack
         // extends the server table.
-        engine.on_cluster_change(
-            ClusterEvent::MachineUp { machine: victim },
-            SimTime::ZERO,
-            &mut out,
-        );
+        engine
+            .on_cluster_change(ClusterEvent::MachineUp { machine: victim }, &mut out)
+            .unwrap();
         assert!(engine.topology.is_live(victim));
         let before = engine.servers.len();
-        engine.on_cluster_change(ClusterEvent::AddRack, SimTime::ZERO, &mut out);
+        engine
+            .on_cluster_change(ClusterEvent::AddRack, &mut out)
+            .unwrap();
         assert!(engine.servers.len() > before);
         assert_eq!(engine.unreachable_reads(), 0);
     }
@@ -459,13 +449,14 @@ mod tests {
         let mut out = Vec::new();
         // Kill every rack: no live target exists, views stay stranded.
         for rack in 0..topology.rack_count() as u32 {
-            engine.on_cluster_change(
-                ClusterEvent::RackDown {
-                    rack: dynasore_types::RackId::new(rack),
-                },
-                SimTime::ZERO,
-                &mut out,
-            );
+            engine
+                .on_cluster_change(
+                    ClusterEvent::RackDown {
+                        rack: dynasore_types::RackId::new(rack),
+                    },
+                    &mut out,
+                )
+                .unwrap();
         }
         let reader = UserId::new(0);
         let targets: Vec<UserId> = graph.followees(reader).to_vec();
@@ -476,11 +467,9 @@ mod tests {
         // persistent tier onto it and reads work again.
         let survivor = topology.servers()[0].machine();
         out.clear();
-        engine.on_cluster_change(
-            ClusterEvent::MachineUp { machine: survivor },
-            SimTime::ZERO,
-            &mut out,
-        );
+        engine
+            .on_cluster_change(ClusterEvent::MachineUp { machine: survivor }, &mut out)
+            .unwrap();
         assert!(out.iter().any(|m| m.involves_persistent()));
         for user in graph.users() {
             assert_eq!(engine.server_of(user), Some(survivor));

@@ -25,7 +25,7 @@
 //! `--trace-out PATH` / `--metrics-out PATH` attach a flight-recorder
 //! observer to the durable phase's sharded store and dump its event
 //! timeline (JSONL) and metrics registry (Prometheus text exposition):
-//! group-commit fills, segment rotations and the background flusher's
+//! group-commit fills and the background flusher's
 //! fsyncs with their lag-in-bytes. Without the flags the stores run the
 //! unobserved code.
 //!
@@ -482,7 +482,6 @@ fn main() {
             shards: 1,
             max_batch_records: 1,
             flush_interval: None,
-            ..ShardedConfig::default()
         },
     )
     .expect("open single-sync store");

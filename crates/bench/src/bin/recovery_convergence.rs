@@ -45,8 +45,8 @@
 //!
 //! `--trace-out PATH` / `--metrics-out PATH` attach a
 //! [`StoreObs`] to the measured stores and dump
-//! the flight-recorder timeline (JSON Lines: group-commit fills, segment
-//! rotations, replay completions stamped with monotonic nanoseconds) and
+//! the flight-recorder timeline (JSON Lines: group-commit fills and replay
+//! completions, stamped with monotonic nanoseconds) and
 //! the metrics registry (Prometheus text format). Observation is passive:
 //! the JSON report is unchanged by either flag.
 //!
@@ -308,13 +308,14 @@ fn main() {
     // Kill rack 0 and measure the recovery burst.
     let event_start = Instant::now();
     out.clear();
-    engine.on_cluster_change(
-        ClusterEvent::RackDown {
-            rack: RackId::new(0),
-        },
-        SimTime::from_secs(2),
-        &mut out,
-    );
+    engine
+        .on_cluster_change(
+            ClusterEvent::RackDown {
+                rack: RackId::new(0),
+            },
+            &mut out,
+        )
+        .unwrap();
     let failover_secs = event_start.elapsed().as_secs_f64();
     let recovery_messages = out.iter().filter(|m| m.involves_persistent()).count();
     let recovered_views = engine.recovered_views();
@@ -327,13 +328,14 @@ fn main() {
 
     // Bring the rack back and measure re-absorption of the capacity.
     out.clear();
-    engine.on_cluster_change(
-        ClusterEvent::RackUp {
-            rack: RackId::new(0),
-        },
-        SimTime::from_secs(3),
-        &mut out,
-    );
+    engine
+        .on_cluster_change(
+            ClusterEvent::RackUp {
+                rack: RackId::new(0),
+            },
+            &mut out,
+        )
+        .unwrap();
     let (windows_to_reabsorb, _, restored_steady) = run_until_plateau(
         &mut engine,
         &graph,

@@ -784,60 +784,6 @@ impl DynaSoReEngine {
             self.set_write_proxy(user, best, out);
         }
     }
-
-    /// Threads one [`ClusterEvent`] through the engine. The topology alone
-    /// decides what the event changes
-    /// ([`Topology::apply_cluster_event`]); the engine reacts to the
-    /// machines it reports: crash-failed machines lose their replicas
-    /// (masters are re-filled from the persistent tier, charged to `out`),
-    /// returning machines rejoin empty, drained and decommissioned machines
-    /// migrate their state away, and a new rack is mirrored with empty
-    /// server slabs. Every distance the engine computes comes from the
-    /// topology's path table, which grows with the tree, so nothing is
-    /// re-derived for it beyond re-sized evaluation sums and stale utilities.
-    /// The per-subtree candidate and threshold caches are rebuilt against the
-    /// updated liveness mask. Every replica a machine
-    /// loses — with its crash, its evacuation, or to make room for a
-    /// recovered master — is reported to `out` ([`TrafficSink::unlinked`]),
-    /// so a driver that holds the data itself (the live store's cache
-    /// shards) evicts exactly those copies and needs nothing else from the
-    /// event: a returning or added machine holds no replica until the
-    /// engine places one there.
-    ///
-    /// # Errors
-    ///
-    /// The topology's error when it refuses the event (an unknown machine or
-    /// rack, growth of a flat layout, removing a retired or the last rack);
-    /// nothing has changed then.
-    pub fn apply_cluster_event(
-        &mut self,
-        event: ClusterEvent,
-        out: &mut dyn TrafficSink,
-    ) -> Result<()> {
-        out.trace(TraceEventKind::ClusterChange { event });
-        let change = self.topology.apply_cluster_event(event)?;
-        // A stale event moved nothing and needs no reaction — except that a
-        // removed rack whose machines had all died earlier may still host
-        // stranded proxies on its dead brokers.
-        let stale = change.down.is_empty() && change.up.is_empty();
-        if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
-            return Ok(());
-        }
-        match event {
-            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
-                self.take_down(&change.down, out)
-            }
-            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
-            ClusterEvent::DrainMachine { machine } => {
-                self.evacuate(SubtreeId::Machine(machine.index()), &change.down, out)
-            }
-            ClusterEvent::RemoveRack { rack } => {
-                self.evacuate(SubtreeId::Rack(rack.index()), &change.down, out)
-            }
-            ClusterEvent::AddRack => self.absorb_new_rack(&change.up, out),
-        }
-        Ok(())
-    }
 }
 
 impl PlacementEngine for DynaSoReEngine {
@@ -924,26 +870,60 @@ impl PlacementEngine for DynaSoReEngine {
         self.run_memory_policy(out);
     }
 
-    fn on_graph_change(
-        &mut self,
-        _mutation: GraphMutation,
-        _time: SimTime,
-        _out: &mut dyn TrafficSink,
-    ) {
+    fn on_graph_change(&mut self, _mutation: GraphMutation, _out: &mut dyn TrafficSink) {
         // "DynaSoRe adapts to the modifications to the social network
         // transparently, without requiring any specific action" (§3.3): the
         // new read targets simply start showing up in the access statistics.
     }
 
-    /// [`DynaSoReEngine::apply_cluster_event`], with a refused event
-    /// ignored.
-    fn on_cluster_change(
-        &mut self,
-        event: ClusterEvent,
-        _time: SimTime,
-        out: &mut dyn TrafficSink,
-    ) {
-        let _ = self.apply_cluster_event(event, out);
+    /// Threads one [`ClusterEvent`] through the engine. The topology alone
+    /// decides what the event changes
+    /// ([`Topology::apply_cluster_event`]); the engine reacts to the
+    /// machines it reports: crash-failed machines lose their replicas
+    /// (masters are re-filled from the persistent tier, charged to `out`),
+    /// returning machines rejoin empty, drained and decommissioned machines
+    /// migrate their state away, and a new rack is mirrored with empty
+    /// server slabs. Every distance the engine computes comes from the
+    /// topology's path table, which grows with the tree, so nothing is
+    /// re-derived for it beyond re-sized evaluation sums and stale utilities.
+    /// The per-subtree candidate and threshold caches are rebuilt against the
+    /// updated liveness mask. Every replica a machine
+    /// loses — with its crash, its evacuation, or to make room for a
+    /// recovered master — is reported to `out` ([`TrafficSink::unlinked`]),
+    /// so a driver that holds the data itself (the live store's cache
+    /// shards) evicts exactly those copies and needs nothing else from the
+    /// event: a returning or added machine holds no replica until the
+    /// engine places one there.
+    ///
+    /// # Errors
+    ///
+    /// The topology's error when it refuses the event (an unknown machine or
+    /// rack, growth of a flat layout, removing a retired or the last rack);
+    /// nothing has changed then.
+    fn on_cluster_change(&mut self, event: ClusterEvent, out: &mut dyn TrafficSink) -> Result<()> {
+        out.trace(TraceEventKind::ClusterChange { event });
+        let change = self.topology.apply_cluster_event(event)?;
+        // A stale event moved nothing and needs no reaction — except that a
+        // removed rack whose machines had all died earlier may still host
+        // stranded proxies on its dead brokers.
+        let stale = change.down.is_empty() && change.up.is_empty();
+        if stale && !matches!(event, ClusterEvent::RemoveRack { .. }) {
+            return Ok(());
+        }
+        match event {
+            ClusterEvent::MachineDown { .. } | ClusterEvent::RackDown { .. } => {
+                self.take_down(&change.down, out)
+            }
+            ClusterEvent::MachineUp { .. } | ClusterEvent::RackUp { .. } => self.bring_up(out),
+            ClusterEvent::DrainMachine { machine } => {
+                self.evacuate(SubtreeId::Machine(machine.index()), &change.down, out)
+            }
+            ClusterEvent::RemoveRack { rack } => {
+                self.evacuate(SubtreeId::Rack(rack.index()), &change.down, out)
+            }
+            ClusterEvent::AddRack => self.absorb_new_rack(&change.up, out),
+        }
+        Ok(())
     }
 
     fn unreachable_reads(&self) -> u64 {

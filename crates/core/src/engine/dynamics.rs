@@ -5,8 +5,9 @@
 //! ([`bring_up`](DynaSoReEngine::bring_up)), graceful drains and rack
 //! removals ([`evacuate`](DynaSoReEngine::evacuate)) and elastic growth
 //! ([`absorb_new_rack`](DynaSoReEngine::absorb_new_rack)).
-//! [`apply_cluster_event`](DynaSoReEngine::apply_cluster_event) dispatches
-//! here.
+//! The engine's
+//! [`on_cluster_change`](dynasore_types::PlacementEngine::on_cluster_change)
+//! dispatches here.
 
 use dynasore_types::{
     MachineId, Message, ReplicaChangeReason, SubtreeId, TraceEventKind, TrafficSink, UserId,

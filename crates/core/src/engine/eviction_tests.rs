@@ -151,8 +151,12 @@ pub(super) fn apply_step(
         96..=97 => ClusterEvent::RackDown { rack },
         _ => ClusterEvent::RackUp { rack },
     };
-    engine.on_cluster_change(event, time, out);
-    format!("{event:?}")
+    // Random picks include events the topology refuses (a retired rack,
+    // say); a refusal changes nothing.
+    match engine.on_cluster_change(event, out) {
+        Ok(()) => format!("{event:?}"),
+        Err(e) => format!("{event:?}, refused: {e}"),
+    }
 }
 
 proptest! {

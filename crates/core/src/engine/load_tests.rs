@@ -125,11 +125,9 @@ fn incremental_load_cache_is_equivalent_to_rescan_under_churn() {
     // Failures and recoveries interleave bulk rebuilds with incremental
     // recovery placements; the invariant must survive the mix.
     let victim = engine.replica_servers(UserId::new(0))[0];
-    engine.on_cluster_change(
-        ClusterEvent::MachineDown { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::MachineDown { machine: victim }, &mut out)
+        .unwrap();
     assert_cache_equals_rescan(&engine, "after machine-down");
     for u in (0..400u32).step_by(17) {
         let user = UserId::new(u);
@@ -137,11 +135,9 @@ fn incremental_load_cache_is_equivalent_to_rescan_under_churn() {
         engine.handle_read(user, &targets, SimTime::from_secs(9_000), &mut out);
         assert_cache_equals_rescan(&engine, "degraded read");
     }
-    engine.on_cluster_change(
-        ClusterEvent::MachineUp { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::MachineUp { machine: victim }, &mut out)
+        .unwrap();
     assert_cache_equals_rescan(&engine, "after machine-up");
 }
 
@@ -244,19 +240,15 @@ proptest! {
                 // The engine's own churn: creations, migrations, evictions.
                 5..=6 => engine.handle_read(user, graph.followees(user), SimTime::ZERO, &mut out),
                 7 => engine.on_tick(SimTime::from_hours(1), &mut out),
-                8..=9 => engine.on_cluster_change(
-                    ClusterEvent::MachineDown { machine },
-                    SimTime::ZERO,
-                    &mut out,
-                ),
-                10 => engine.on_cluster_change(
-                    ClusterEvent::MachineUp { machine },
-                    SimTime::ZERO,
-                    &mut out,
-                ),
-                _ if engine.topology.rack_count() < 6 => {
-                    engine.on_cluster_change(ClusterEvent::AddRack, SimTime::ZERO, &mut out)
-                }
+                8..=9 => engine
+                    .on_cluster_change(ClusterEvent::MachineDown { machine }, &mut out)
+                    .unwrap(),
+                10 => engine
+                    .on_cluster_change(ClusterEvent::MachineUp { machine }, &mut out)
+                    .unwrap(),
+                _ if engine.topology.rack_count() < 6 => engine
+                    .on_cluster_change(ClusterEvent::AddRack, &mut out)
+                    .unwrap(),
                 _ => {}
             }
             out.clear();

@@ -380,11 +380,9 @@ fn machine_failure_recovers_lost_masters_from_the_persistent_tier() {
     let (mut engine, graph, _topology) = engine_with_extra(30);
     let mut out = Vec::new();
     let victim = engine.replica_servers(UserId::new(0))[0];
-    engine.on_cluster_change(
-        ClusterEvent::MachineDown { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::MachineDown { machine: victim }, &mut out)
+        .unwrap();
     assert!(!engine.topology().is_live(victim));
     for user in graph.users() {
         assert!(engine.replica_count(user) >= 1, "view of {user} lost");
@@ -413,11 +411,9 @@ fn machine_failure_recovers_lost_masters_from_the_persistent_tier() {
 
     // The machine rejoins empty and becomes a replication target again.
     out.clear();
-    engine.on_cluster_change(
-        ClusterEvent::MachineUp { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::MachineUp { machine: victim }, &mut out)
+        .unwrap();
     assert!(engine.topology().is_live(victim));
     let usage = engine.memory_usage();
     assert!(usage.used_slots >= graph.user_count());
@@ -435,11 +431,9 @@ fn broker_failure_rehomes_proxies() {
         .filter(|&u| engine.read_proxy(u).unwrap().machine() == broker)
         .collect();
     assert!(!affected.is_empty());
-    engine.on_cluster_change(
-        ClusterEvent::MachineDown { machine: broker },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::MachineDown { machine: broker }, &mut out)
+        .unwrap();
     for &user in &affected {
         let new_proxy = engine.read_proxy(user).unwrap().machine();
         assert_ne!(new_proxy, broker);
@@ -459,7 +453,9 @@ fn rack_failure_is_survived_as_a_batch() {
     let (mut engine, graph, _topology) = engine_with_extra(50);
     let mut out = Vec::new();
     let rack = dynasore_types::RackId::new(0);
-    engine.on_cluster_change(ClusterEvent::RackDown { rack }, SimTime::ZERO, &mut out);
+    engine
+        .on_cluster_change(ClusterEvent::RackDown { rack }, &mut out)
+        .unwrap();
     for user in graph.users() {
         assert!(engine.replica_count(user) >= 1, "view of {user} lost");
         for machine in engine.replica_servers(user) {
@@ -469,7 +465,9 @@ fn rack_failure_is_survived_as_a_batch() {
     }
     assert!(out.iter().any(|m| m.involves_persistent()));
     out.clear();
-    engine.on_cluster_change(ClusterEvent::RackUp { rack }, SimTime::ZERO, &mut out);
+    engine
+        .on_cluster_change(ClusterEvent::RackUp { rack }, &mut out)
+        .unwrap();
     assert!(engine.topology().is_live(dynasore_types::MachineId::new(0)));
 }
 
@@ -478,11 +476,9 @@ fn drain_migrates_without_touching_the_persistent_tier() {
     let (mut engine, graph, _topology) = engine_with_extra(50);
     let mut out = Vec::new();
     let victim = engine.replica_servers(UserId::new(0))[0];
-    engine.on_cluster_change(
-        ClusterEvent::DrainMachine { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::DrainMachine { machine: victim }, &mut out)
+        .unwrap();
     assert!(!engine.topology().is_live(victim));
     assert!(
         out.iter().all(|m| !m.involves_persistent()),
@@ -511,11 +507,9 @@ fn drain_spreads_sole_replicas_across_destination_racks() {
         .collect();
     assert!(sole.len() > 4, "victim must hold enough sole replicas");
     let mut out = Vec::new();
-    engine.on_cluster_change(
-        ClusterEvent::DrainMachine { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::DrainMachine { machine: victim }, &mut out)
+        .unwrap();
     // The evacuated sole replicas land on several racks, not on one
     // least-loaded dumping ground.
     let mut dest_racks: Vec<_> = sole
@@ -552,7 +546,9 @@ fn remove_rack_evacuates_and_retires_under_the_engine() {
     let (mut engine, graph, _topology) = engine_with_extra(50);
     let mut out = Vec::new();
     let rack = dynasore_types::RackId::new(0);
-    engine.on_cluster_change(ClusterEvent::RemoveRack { rack }, SimTime::ZERO, &mut out);
+    engine
+        .on_cluster_change(ClusterEvent::RemoveRack { rack }, &mut out)
+        .unwrap();
     assert!(engine.topology().is_rack_retired(rack));
     assert!(
         out.iter().all(|m| !m.involves_persistent()),
@@ -570,7 +566,9 @@ fn remove_rack_evacuates_and_retires_under_the_engine() {
     }
     // The retired rack never comes back, even through a RackUp.
     out.clear();
-    engine.on_cluster_change(ClusterEvent::RackUp { rack }, SimTime::ZERO, &mut out);
+    engine
+        .on_cluster_change(ClusterEvent::RackUp { rack }, &mut out)
+        .unwrap();
     assert!(!engine.topology().is_live(dynasore_types::MachineId::new(0)));
     // Traffic keeps flowing on the shrunken cluster.
     for i in 0..20u32 {
@@ -588,7 +586,9 @@ fn added_rack_grows_capacity_and_absorbs_replicas() {
     let mut out = Vec::new();
     let before = engine.memory_usage();
     let old_rack_count = engine.topology().rack_count();
-    engine.on_cluster_change(ClusterEvent::AddRack, SimTime::ZERO, &mut out);
+    engine
+        .on_cluster_change(ClusterEvent::AddRack, &mut out)
+        .unwrap();
     assert_eq!(engine.topology().rack_count(), old_rack_count + 1);
     let after = engine.memory_usage();
     assert!(after.capacity_slots > before.capacity_slots);
@@ -802,7 +802,7 @@ fn the_message_stream_of_a_seeded_run_is_pinned() {
                 engine.on_tick(time, &mut out);
             }
             for &(_, event) in events.iter().filter(|&&(at, _)| at == step) {
-                engine.apply_cluster_event(event, &mut out).unwrap();
+                engine.on_cluster_change(event, &mut out).unwrap();
             }
         }
         let digest = out.iter().fold(0xcbf2_9ce4_8422_2325_u64, |hash, m| {

@@ -144,7 +144,7 @@ fn steady_state_reads_and_writes_do_not_allocate() {
                 ClusterEvent::MachineDown { machine: crashed },
                 ClusterEvent::MachineUp { machine: crashed },
             ] {
-                engine.apply_cluster_event(event, &mut sink).unwrap();
+                engine.on_cluster_change(event, &mut sink).unwrap();
             }
         }
         for (user, targets) in &workload {

@@ -331,14 +331,14 @@ impl<E: PlacementEngine> Simulation<E> {
                         }
                     }
                     let mut sink = counters.sink(&self.topology, self.obs.as_mut(), m.time);
-                    self.engine.on_graph_change(m.mutation, m.time, &mut sink);
+                    self.engine.on_graph_change(m.mutation, &mut sink);
                     mutation_idx += 1;
                 } else {
                     let e = self.cluster_events[event_idx];
                     self.topology.apply_cluster_event(e.event)?;
                     let recovery_before = counters.recovery_messages;
                     let mut sink = counters.sink(&self.topology, self.obs.as_mut(), e.time);
-                    self.engine.on_cluster_change(e.event, e.time, &mut sink);
+                    self.engine.on_cluster_change(e.event, &mut sink)?;
                     // The engine fetched lost views from the persistent
                     // tier: with a durable tier attached, that recovery
                     // re-reads real bytes.
@@ -579,12 +579,7 @@ mod tests {
             ));
         }
 
-        fn on_graph_change(
-            &mut self,
-            _mutation: GraphMutation,
-            _time: SimTime,
-            out: &mut dyn TrafficSink,
-        ) {
+        fn on_graph_change(&mut self, _mutation: GraphMutation, out: &mut dyn TrafficSink) {
             self.graph_changes += 1;
             let brokers = self.topology.brokers();
             out.record(Message::protocol(
@@ -596,15 +591,15 @@ mod tests {
         fn on_cluster_change(
             &mut self,
             _event: dynasore_types::ClusterEvent,
-            _time: SimTime,
             out: &mut dyn TrafficSink,
-        ) {
+        ) -> Result<()> {
             self.cluster_changes += 1;
             // One recovery fetch per event so the accounting can be
             // asserted.
             out.record(Message::persistent_fetch(
                 self.topology.servers()[0].machine(),
             ));
+            Ok(())
         }
 
         fn unreachable_reads(&self) -> u64 {
@@ -804,7 +799,7 @@ mod tests {
     /// Records the order in which schedule callbacks fire, to pin the
     /// merged mutation/event interleaving.
     struct OrderRecorder {
-        log: std::cell::RefCell<Vec<(&'static str, u64)>>,
+        log: std::cell::RefCell<Vec<&'static str>>,
     }
 
     impl PlacementEngine for OrderRecorder {
@@ -820,21 +815,23 @@ mod tests {
         ) {
         }
         fn handle_write(&mut self, _user: UserId, _time: SimTime, _out: &mut dyn TrafficSink) {}
-        fn on_graph_change(
-            &mut self,
-            _mutation: GraphMutation,
-            time: SimTime,
-            _out: &mut dyn TrafficSink,
-        ) {
-            self.log.borrow_mut().push(("mutation", time.as_secs()));
+        fn on_graph_change(&mut self, mutation: GraphMutation, _out: &mut dyn TrafficSink) {
+            self.log.borrow_mut().push(match mutation {
+                GraphMutation::AddEdge { .. } => "add-edge",
+                GraphMutation::RemoveEdge { .. } => "remove-edge",
+            });
         }
         fn on_cluster_change(
             &mut self,
-            _event: dynasore_types::ClusterEvent,
-            time: SimTime,
+            event: dynasore_types::ClusterEvent,
             _out: &mut dyn TrafficSink,
-        ) {
-            self.log.borrow_mut().push(("event", time.as_secs()));
+        ) -> Result<()> {
+            self.log.borrow_mut().push(match event {
+                dynasore_types::ClusterEvent::MachineDown { .. } => "machine-down",
+                dynasore_types::ClusterEvent::MachineUp { .. } => "machine-up",
+                _ => "other",
+            });
+            Ok(())
         }
         fn replica_count(&self, _user: UserId) -> usize {
             1
@@ -848,9 +845,10 @@ mod tests {
     fn mutations_and_cluster_events_merge_by_timestamp() {
         let (graph, topology) = small_setup();
         let victim = topology.servers()[0].machine();
-        // Event at t=50 predates the mutation at t=60; both are pending at
-        // the t=100 request and must apply in simulated-time order. The
-        // t=70 mutation/event tie applies mutation-first.
+        // Event at t=50 (machine-down) predates the mutation at t=60
+        // (add-edge); both are pending at the t=100 request and must apply
+        // in simulated-time order. The t=70 mutation/event tie (remove-edge,
+        // machine-up) applies mutation-first.
         let mutations = vec![
             TimedMutation {
                 time: SimTime::from_secs(60),
@@ -887,12 +885,7 @@ mod tests {
         sim.run(trace).unwrap();
         assert_eq!(
             *sim.engine().log.borrow(),
-            vec![
-                ("event", 50),
-                ("mutation", 60),
-                ("mutation", 70),
-                ("event", 70),
-            ]
+            vec!["machine-down", "add-edge", "remove-edge", "machine-up"]
         );
     }
 

@@ -208,8 +208,8 @@ impl Cluster {
     /// ([`Cluster::apply_event`]) are traced through it from now on. Share
     /// the same [`StoreObs`] with
     /// [`ShardedLogStore::open_observed`](crate::ShardedLogStore::open_observed)
-    /// to interleave membership changes with the durable tier's commit,
-    /// rotation and flusher events on one timeline.
+    /// to interleave membership changes with the durable tier's commit and
+    /// flusher events on one timeline.
     pub fn set_observer(&mut self, obs: StoreObs) {
         self.obs = Some(obs);
     }
@@ -386,7 +386,7 @@ impl Cluster {
     }
 
     /// Applies a [`ClusterEvent`] to the *live* store: the engine applies it
-    /// ([`DynaSoReEngine::apply_cluster_event`]) — crashed machines lose
+    /// ([`PlacementEngine::on_cluster_change`]) — crashed machines lose
     /// their replicas, lost masters are re-filled from the persistent tier,
     /// drained and retired machines migrate theirs first, revived and added
     /// ones join empty — and the store evicts the copies of exactly the
@@ -405,7 +405,7 @@ impl Cluster {
             return Err(Error::ClusterShutdown);
         }
         let mut out = Served::default();
-        self.engine.get_mut().apply_cluster_event(event, &mut out)?;
+        self.engine.get_mut().on_cluster_change(event, &mut out)?;
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
         }

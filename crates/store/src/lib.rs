@@ -15,9 +15,8 @@
 //! * [`ShardedLogStore`] — the file-backed tier, and the one public store
 //!   over files ([`Cluster::spawn_with_store`]): N independent shards
 //!   routed by a stable hash of the user id (`shards: 1` is one log) under
-//!   one root lock, each an append-only segment log of checksummed batch
-//!   frames with replay-on-open recovery and rotation, writing by group
-//!   commit —
+//!   one root lock, each an append-only log file of checksummed batch
+//!   frames with replay-on-open recovery, writing by group commit —
 //!   so killed-and-restarted servers recover views from real bytes, the
 //!   tier keeps pace with the hot path (one fsync covers a whole batch)
 //!   and shards recover concurrently on reopen.

@@ -1,15 +1,16 @@
-//! One shard of the file-backed durable tier: a log of segment files.
+//! One shard of the file-backed durable tier: a log in one segment file.
 //!
 //! A [`Shard`] is plain state — no lock of its own, no say over the
 //! directory it lives in: a [`ShardedLogStore`] keeps one per shard behind
 //! one mutex each, owns the directory tree and its `LOCK`, and is the one
 //! public store over files (a one-shard store is how the rest of the
 //! workspace runs "one log over files"). Every write is a framed,
-//! checksummed batch frame ([`DurableRecord`]) in the active segment file,
-//! an in-memory index of full views is rebuilt by *replaying the segments
-//! from disk* on open, and the active segment rotates at a size threshold.
-//! `flush` pushes buffered bytes to the operating system; `sync`
-//! additionally fsyncs, making everything appended so far crash-durable.
+//! checksummed batch frame ([`DurableRecord`]) in the shard's one segment
+//! file (an older build's several files replay back to back, and appends
+//! continue in the last), and an in-memory index of full views is rebuilt
+//! by *replaying the log from disk* on open. `flush` pushes buffered bytes
+//! to the operating system; `sync` additionally fsyncs, making everything
+//! appended so far crash-durable.
 //!
 //! Crash semantics: a crash may truncate the log at any byte offset. On
 //! open, replay accepts every whole record and stops at the first torn
@@ -28,12 +29,12 @@
 //! [`ShardedConfig::max_batch_records`] events or `MAX_BATCH_BYTES` (1 MiB)
 //! of body, when the owner calls [`flush`]/[`sync`]/[`reread`], or when the
 //! [`ShardedLogStore`] flush interval elapses. A commit only writes; a
-//! write becomes machine-durable through [`sync`], the fsync that seals a
-//! rotated segment, or the flusher's cadence (see `sharded.rs`), and one
-//! fsync covers every batch written before it, so K writers pay one fsync
-//! instead of K. An acknowledged-but-uncommitted append can be lost by a
-//! crash, and because the batch frame carries a single checksum it is lost
-//! *as a unit* — replay never serves a prefix of a batch.
+//! write becomes machine-durable through [`sync`] or the flusher's cadence
+//! (see `sharded.rs`), and one fsync covers every batch written before it,
+//! so K writers pay one fsync instead of K. An acknowledged-but-uncommitted
+//! append can be lost by a crash, and because the batch frame carries a
+//! single checksum it is lost *as a unit* — replay never serves a prefix of
+//! a batch.
 //!
 //! The log holds batch frames and nothing else: the history is never
 //! rewritten and no view is ever removed, so replay is "apply every event of
@@ -75,8 +76,6 @@ pub struct RecoveryStats {
     /// Trailing bytes discarded as a torn tail (nonzero only after a crash
     /// mid-append).
     pub torn_bytes: u64,
-    /// Segment files replayed.
-    pub segments: usize,
 }
 
 /// The state of one shard's log. The owning store guards each shard with a
@@ -92,12 +91,13 @@ pub(crate) struct Shard {
     /// Logical clock for event timestamps; recovered as one past the newest
     /// replayed timestamp so post-recovery appends keep timestamps monotonic.
     clock: u64,
+    /// The segment appends go to: the shard's only file, or the last of
+    /// the files an older build wrote.
     pub(crate) active: Segment,
-    /// Bytes of the sealed (rotated-out, fsynced) segments.
+    /// Bytes of the segments before the active one (older builds only).
     sealed_bytes: u64,
-    /// Number of sealed segments.
+    /// Number of segments before the active one (older builds only).
     pub(crate) sealed_segments: usize,
-    next_seq: u64,
     /// What the last open or [`reread`](Shard::reread) replayed.
     pub(crate) recovery: RecoveryStats,
     /// The reusable commit frame: an open batch frame holding every
@@ -112,8 +112,8 @@ pub(crate) struct Shard {
     /// Fetches served.
     pub(crate) reads: u64,
     /// Optional flight-recorder observer. `None` keeps every write path
-    /// exactly the unobserved code; when set, batch commits and segment
-    /// rotations emit structured trace events.
+    /// exactly the unobserved code; when set, batch commits emit
+    /// structured trace events.
     obs: Option<StoreObs>,
 }
 
@@ -150,7 +150,6 @@ pub(crate) fn replay_dir(
         stats.bytes_replayed += replay.valid_bytes;
         stats.records_replayed += replay.records;
         stats.torn_bytes += replay.torn_bytes;
-        stats.segments += 1;
         valid.push((seq, replay.valid_bytes));
     }
     Ok((index, clock, valid, stats))
@@ -170,11 +169,11 @@ impl Shard {
     /// files that are not segments).
     pub(crate) fn open(dir: PathBuf, config: ShardedConfig, obs: Option<StoreObs>) -> Result<Self> {
         let (index, clock, segments, recovery) = replay_dir(&dir)?;
-        let (active, next_seq, sealed) = match segments.split_last() {
+        let (active, sealed) = match segments.split_last() {
             Some((&(seq, valid_bytes), sealed)) => {
-                (Segment::reopen(&dir, seq, valid_bytes)?, seq + 1, sealed)
+                (Segment::reopen(&dir, seq, valid_bytes)?, sealed)
             }
-            None => (Segment::create(&dir, 1)?, 2, &[][..]),
+            None => (Segment::create(&dir)?, &[][..]),
         };
         Ok(Shard {
             sealed_bytes: sealed.iter().map(|&(_, bytes)| bytes).sum(),
@@ -184,7 +183,6 @@ impl Shard {
             index,
             clock,
             active,
-            next_seq,
             recovery,
             pending: Vec::new(),
             pending_records: 0,
@@ -215,7 +213,7 @@ impl Shard {
                 fill_percent,
             });
         }
-        self.maybe_rotate()
+        Ok(())
     }
 
     /// Appends an event with `payload` to `user`'s view and returns what
@@ -268,25 +266,6 @@ impl Shard {
         Ok(acked)
     }
 
-    fn maybe_rotate(&mut self) -> Result<()> {
-        if self.active.len() < self.config.segment_max_bytes {
-            return Ok(());
-        }
-        // Seal the full segment — synced, so sealed segments are always
-        // crash-clean — and start a fresh one.
-        self.active.sync()?;
-        let fresh_seq = self.next_seq;
-        let fresh = Segment::create(&self.dir, fresh_seq)?;
-        self.next_seq += 1;
-        let sealed = std::mem::replace(&mut self.active, fresh);
-        self.sealed_bytes += sealed.len();
-        self.sealed_segments += 1;
-        if let Some(obs) = &self.obs {
-            obs.trace(TraceEventKind::SegmentRotated { segment: fresh_seq });
-        }
-        Ok(())
-    }
-
     /// Commits the pending batch and pushes buffered appends to the
     /// operating system (they now survive a process crash, but not a
     /// machine crash).
@@ -300,8 +279,7 @@ impl Shard {
     }
 
     /// Commits the pending batch, flushes and fsyncs the active segment:
-    /// everything *acknowledged* so far survives a machine crash (sealed
-    /// segments were fsynced at rotation).
+    /// everything *acknowledged* so far survives a machine crash.
     ///
     /// # Errors
     ///
@@ -327,9 +305,9 @@ impl Shard {
         Ok(stats)
     }
 
-    /// Logical size of the log on disk: sealed segment bytes plus the active
-    /// segment (including appends still buffered in memory, which have a
-    /// reserved place in the file). Appends acknowledged into the pending
+    /// Logical size of the log on disk: the bytes of any segments before the
+    /// active one plus the active segment (including appends still buffered
+    /// in memory, which have a reserved place in the file). Appends acknowledged into the pending
     /// batch are *not* counted until the batch commits — they have no
     /// reserved place yet.
     pub(crate) fn bytes_on_disk(&self) -> u64 {
@@ -349,7 +327,7 @@ impl Drop for Shard {
 
 #[cfg(test)]
 mod tests {
-    //! The shard's log mechanics — group commit, rotation, replay, the
+    //! The shard's log mechanics — group commit, replay, the
     //! directory lock — driven through a one-shard [`ShardedLogStore`]
     //! without the background flusher.
 
@@ -370,15 +348,6 @@ mod tests {
             shards: 1,
             flush_interval: None,
             ..ShardedConfig::default()
-        }
-    }
-
-    /// Rotation is checked at each commit, so the batches are small too.
-    fn tiny_segments() -> ShardedConfig {
-        ShardedConfig {
-            segment_max_bytes: 256,
-            max_batch_records: 4,
-            ..one_shard()
         }
     }
 
@@ -421,29 +390,6 @@ mod tests {
         let v3 = reopened.append(u, b"c".to_vec()).unwrap();
         let times: Vec<u64> = v3.iter().map(|e| e.timestamp().as_secs()).collect();
         assert!(times.windows(2).all(|w| w[0] < w[1]), "times: {times:?}");
-        drop(reopened);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn segments_rotate_at_the_size_threshold() {
-        let dir = temp_dir("rotate");
-        let store = ShardedLogStore::open(&dir, tiny_segments()).unwrap();
-        for i in 0..40u32 {
-            store.append(UserId::new(i % 5), vec![i as u8; 20]).unwrap();
-        }
-        assert!(
-            store.segment_count() > 1,
-            "{} segments",
-            store.segment_count()
-        );
-        store.sync().unwrap();
-        drop(store);
-        let reopened = ShardedLogStore::open(&dir, tiny_segments()).unwrap();
-        assert_eq!(reopened.user_count(), 5);
-        for i in 0..5u32 {
-            assert_eq!(reopened.fetch(UserId::new(i)).unwrap().len(), 8);
-        }
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }

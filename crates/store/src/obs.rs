@@ -97,18 +97,21 @@ mod tests {
     fn clones_share_one_recorder_and_registry() {
         let obs = StoreObs::default();
         let clone = obs.clone();
-        clone.trace(TraceEventKind::SegmentRotated { segment: 3 });
+        clone.trace(TraceEventKind::FlusherSync {
+            shard: 3,
+            lag_bytes: 512,
+        });
         obs.trace(TraceEventKind::GroupCommitFill {
             records: 40,
             fill_percent: 1,
         });
         assert_eq!(obs.event_count(), 2);
         let registry = obs.inner.lock().registry.clone();
-        assert_eq!(registry.get(MetricId::SegmentRotations), 1);
+        assert_eq!(registry.get(MetricId::FlusherSyncs), 1);
         assert_eq!(registry.get(MetricId::GroupCommitRecords), 40);
         let jsonl = obs.to_jsonl();
         assert_eq!(validate_jsonl(&jsonl).unwrap(), 2);
-        assert!(jsonl.contains("\"kind\":\"segment-rotated\""));
+        assert!(jsonl.contains("\"kind\":\"flusher-sync\""));
         lint_prometheus(&obs.render_prometheus()).unwrap();
     }
 

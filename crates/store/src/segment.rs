@@ -1,16 +1,17 @@
 //! Segment files of the log-structured persistent store.
 //!
 //! A segment is one append-only file: an 8-byte magic header followed by
-//! batch frames (see `dynasore_types::durable` for the frame layout).
-//! Segments are named `seg-<seq>.log` with a zero-padded, monotonically
-//! increasing sequence number; replay order is sequence order, so a view's
-//! events replay in the order they were acknowledged.
+//! batch frames (see `dynasore_types::durable` for the frame layout). A
+//! shard this build creates writes one, `seg-0000000001.log`, for its whole
+//! life; older builds cut the log into several `seg-<seq>.log` files, which
+//! replay in sequence order, so a view's events replay in the order they
+//! were acknowledged.
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use dynasore_types::{DurableRecord, Error, Event, Result};
+use dynasore_types::{DurableRecord, Error, Event, Result, MAX_RECORD_BYTES, RECORD_HEADER_BYTES};
 
 /// Magic bytes opening every segment file.
 pub(crate) const SEGMENT_MAGIC: &[u8; 8] = b"DYNASEG1";
@@ -65,48 +66,56 @@ pub(crate) struct SegmentReplay {
 /// `apply` with each frame's events, and reports how far the valid prefix
 /// reached. A torn tail (crash truncation) ends the replay silently; a
 /// structurally corrupt frame (valid checksum, malformed body) is an error.
+/// Frames stream through one reusable buffer, so replay holds one at most.
 pub(crate) fn replay_segment(
     path: &Path,
     mut apply: impl FnMut(Vec<Event>),
 ) -> Result<SegmentReplay> {
-    let bytes = std::fs::read(path)?;
+    let file = File::open(path)?;
+    // Bytes appended while the replay runs are not part of it.
+    let len = file.metadata()?.len();
+    let mut reader = BufReader::new(file.take(len));
+    let mut frame = Vec::new();
     let mut replay = SegmentReplay::default();
     // A header shorter than the magic is itself a torn tail (a crash can
     // truncate a freshly created segment); wrong bytes are corruption.
-    if bytes.len() < SEGMENT_MAGIC.len() {
-        if !SEGMENT_MAGIC.starts_with(&bytes) {
-            return Err(Error::CorruptRecord(format!(
-                "{} does not start with the segment magic",
-                path.display()
-            )));
-        }
-        replay.torn_bytes = bytes.len() as u64;
-        return Ok(replay);
-    }
-    if &bytes[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
+    let magic = SEGMENT_MAGIC.len();
+    reader.by_ref().take(magic as u64).read_to_end(&mut frame)?;
+    if !SEGMENT_MAGIC.starts_with(&frame) {
         return Err(Error::CorruptRecord(format!(
             "{} does not start with the segment magic",
             path.display()
         )));
     }
-    let mut offset = SEGMENT_MAGIC.len();
-    while offset < bytes.len() {
-        match DurableRecord::decode(&bytes[offset..]).map_err(|e| match e {
-            Error::CorruptRecord(detail) => {
-                Error::CorruptRecord(format!("{} at offset {offset}: {detail}", path.display()))
+    if frame.len() == magic {
+        replay.valid_bytes = magic as u64;
+        loop {
+            frame.clear();
+            let header = RECORD_HEADER_BYTES as u64;
+            reader.by_ref().take(header).read_to_end(&mut frame)?;
+            if frame.len() == RECORD_HEADER_BYTES {
+                let body = u32::from_le_bytes(frame[..4].try_into().unwrap());
+                // A length over the cap is a torn tail: decode says so.
+                if body as usize <= MAX_RECORD_BYTES {
+                    reader.by_ref().take(body.into()).read_to_end(&mut frame)?;
+                }
             }
-            other => other,
-        })? {
-            Some((events, consumed)) => {
-                apply(events);
-                replay.records += 1;
-                offset += consumed;
-            }
-            None => break, // Torn tail: the log ends here.
+            let offset = replay.valid_bytes;
+            let decoded = DurableRecord::decode(&frame).map_err(|e| match e {
+                Error::CorruptRecord(detail) => {
+                    Error::CorruptRecord(format!("{} at offset {offset}: {detail}", path.display()))
+                }
+                other => other,
+            })?;
+            let Some((events, consumed)) = decoded else {
+                break; // The end of the log, or a torn tail.
+            };
+            apply(events);
+            replay.records += 1;
+            replay.valid_bytes += consumed as u64;
         }
     }
-    replay.valid_bytes = offset as u64;
-    replay.torn_bytes = (bytes.len() - offset) as u64;
+    replay.torn_bytes = len - replay.valid_bytes;
     Ok(replay)
 }
 
@@ -119,10 +128,10 @@ pub(crate) struct Segment {
 }
 
 impl Segment {
-    /// Creates a fresh segment `seq` in `dir`, fsyncs `dir` so the new
-    /// file's entry is durable, and writes its magic header.
-    pub fn create(dir: &Path, seq: u64) -> Result<Segment> {
-        let path = dir.join(segment_file_name(seq));
+    /// Creates segment 1, a fresh shard's one file, in `dir`, fsyncs `dir`
+    /// so the new file's entry is durable, and writes its magic header.
+    pub fn create(dir: &Path) -> Result<Segment> {
+        let path = dir.join(segment_file_name(1));
         let file = OpenOptions::new()
             .create_new(true)
             .write(true)
@@ -191,7 +200,7 @@ impl Segment {
     /// the backing file. Fsyncing the duplicate covers every byte flushed
     /// here (the kernel syncs the *file*, not the descriptor), so a caller
     /// can make the segment durable without holding whatever lock guards
-    /// it — the handle stays valid even if the segment is sealed meanwhile.
+    /// it.
     pub fn detached_handle(&mut self) -> Result<File> {
         self.writer.flush()?;
         Ok(self.writer.get_ref().try_clone()?)
@@ -241,7 +250,7 @@ mod tests {
     #[test]
     fn append_flush_replay_round_trip() {
         let dir = temp_dir("roundtrip");
-        let mut seg = Segment::create(&dir, 1).unwrap();
+        let mut seg = Segment::create(&dir).unwrap();
         for t in 0..10u64 {
             seg.append(&frame(t as u32, t)).unwrap();
         }
@@ -262,7 +271,7 @@ mod tests {
     fn torn_tail_is_detected_and_repaired_on_reopen() {
         let dir = temp_dir("torn");
         let path = dir.join(segment_file_name(1));
-        let mut seg = Segment::create(&dir, 1).unwrap();
+        let mut seg = Segment::create(&dir).unwrap();
         let first = frame(1, 1);
         let first_end = SEGMENT_MAGIC.len() as u64 + first.len() as u64;
         seg.append(&first).unwrap();
@@ -293,6 +302,31 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
+    /// A header announcing more than the frame cap is a torn tail, and
+    /// so is one whose body runs past the end of the file: replay stops
+    /// before either and counts every byte after the last whole frame.
+    #[test]
+    fn impossible_and_overrunning_lengths_are_torn() {
+        let dir = temp_dir("lengths");
+        let path = dir.join(segment_file_name(1));
+        let whole = frame(1, 1);
+        for announced in [MAX_RECORD_BYTES as u32 + 1, 1_000] {
+            let mut bytes = [&SEGMENT_MAGIC[..], &whole].concat();
+            bytes.extend_from_slice(&announced.to_le_bytes());
+            bytes.extend_from_slice(&[0xAB; 20]);
+            std::fs::write(&path, &bytes).unwrap();
+            let mut frames = 0;
+            let stats = replay_segment(&path, |_| frames += 1).unwrap();
+            assert_eq!(frames, 1, "length {announced}");
+            assert_eq!(
+                stats.valid_bytes,
+                (SEGMENT_MAGIC.len() + whole.len()) as u64
+            );
+            assert_eq!(stats.torn_bytes, 24, "length {announced}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn foreign_files_are_rejected_and_short_magic_is_torn() {
         let dir = temp_dir("magic");
@@ -313,8 +347,8 @@ mod tests {
     #[test]
     fn listing_ignores_unrelated_files() {
         let dir = temp_dir("list");
-        drop(Segment::create(&dir, 3).unwrap());
-        drop(Segment::create(&dir, 1).unwrap());
+        std::fs::write(dir.join(segment_file_name(3)), SEGMENT_MAGIC).unwrap();
+        drop(Segment::create(&dir).unwrap());
         std::fs::write(dir.join("notes.txt"), b"x").unwrap();
         let segments = list_segments(&dir).unwrap();
         let seqs: Vec<u64> = segments.iter().map(|&(s, _)| s).collect();

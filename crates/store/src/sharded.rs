@@ -5,10 +5,10 @@
 //! [`PersistentStore`] that writes to disk, and the one owner of the
 //! directory tree below; "a single log" is `shards: 1`. A shard is the
 //! plain state of one log (see the module docs of `log.rs`) behind its own
-//! [`Mutex`], which serialises every append behind a single active segment
+//! [`Mutex`], which serialises every append behind the shard's one segment
 //! file; that lock (and its fsync) is the scaling ceiling of a shard. With
 //! `shards: N` the key space is split across `N` shards — each with its own
-//! subdirectory, segment chain and pending batch — selected by a stable
+//! subdirectory, segment file and pending batch — selected by a stable
 //! hash of the [`UserId`], so unrelated users never contend on the same
 //! lock, batch or fsync, and recovery can replay shards concurrently
 //! (reopen wall-clock is the *max* shard replay time, not the sum).
@@ -20,8 +20,7 @@
 //!   LOCK              owner's pid — taken before MANIFEST is read
 //!   MANIFEST          "DYNASHARD1\nshards N\n" — written once, atomically
 //!   shard-0000/       one shard's log
-//!     seg-0000000001.log
-//!     …
+//!     seg-0000000001.log   its one file (older builds: also seg-…02.log, …)
 //!   shard-0001/
 //!   …
 //! ```
@@ -31,8 +30,9 @@
 //! and a fresh directory's manifest is written by whoever opens it first,
 //! so two live owners would corrupt each other. A lock left by a process
 //! that is provably dead (a crash) is broken; the lock is released on drop.
-//! Every new directory and segment file is followed by an fsync of the
-//! directory that holds it, so a machine crash cannot lose the entry.
+//! Every new directory and a shard's one segment file are each followed by
+//! an fsync of the directory that holds them, so a machine crash cannot
+//! lose the entry.
 //!
 //! The shard count is fixed at creation and persisted in `MANIFEST`;
 //! reopening with a different count is refused, because the routing hash
@@ -45,12 +45,11 @@
 //! Every shard writes by group commit (see the module docs of `log.rs`):
 //! appends are acknowledged into the shard's in-memory batch and written as
 //! one frame when the batch fills. A commit only *writes* the frame; no
-//! commit fsyncs. A write becomes machine-durable at exactly one of three
-//! points: an explicit [`sync`], the fsync that seals a rotated segment, or
-//! the background flusher, which syncs each shard through a duplicated file
-//! handle *without* holding the shard lock — so the write path never waits
-//! on the disk, and on a single core appends overlap the flush that makes
-//! them durable. Fsync-per-append is a one-shard store with
+//! commit fsyncs. A write becomes machine-durable at exactly one of two
+//! points: an explicit [`sync`], or the background flusher, which syncs
+//! each shard through a duplicated file handle *without* holding the shard
+//! lock — so the write path never waits on the disk, and on a single core
+//! appends overlap the flush that makes them durable. Fsync-per-append is a one-shard store with
 //! `max_batch_records: 1`, no flusher, and a [`sync`] after every append.
 //!
 //! The bounded [`flush_interval`] caps the ack-to-durable window. Each wake
@@ -116,10 +115,6 @@ pub struct ShardedConfig {
     /// Number of independent shards. Fixed at creation (persisted in the
     /// manifest); reopening with a different count is refused. Default 8.
     pub shards: usize,
-    /// Size threshold (bytes) at which a shard's active segment is sealed
-    /// and a fresh one started. Small values exercise rotation; the default
-    /// is 4 MiB.
-    pub segment_max_bytes: u64,
     /// Acknowledged appends that force a shard to commit once its pending
     /// batch holds this many (see the module docs of `log.rs`). `1` commits
     /// every record before its append returns. Default 4096.
@@ -146,7 +141,6 @@ impl Default for ShardedConfig {
     fn default() -> Self {
         ShardedConfig {
             shards: 8,
-            segment_max_bytes: 4 << 20,
             max_batch_records: 4096,
             flush_interval: Some(Duration::from_millis(5)),
         }
@@ -170,7 +164,6 @@ impl ShardedRecoveryStats {
             total.bytes_replayed += s.bytes_replayed;
             total.records_replayed += s.records_replayed;
             total.torn_bytes += s.torn_bytes;
-            total.segments += s.segments;
         }
         ShardedRecoveryStats { total, per_shard }
     }
@@ -274,10 +267,10 @@ impl Flusher {
         // Pipelined durability: fsync through a detached handle — the shard
         // lock is held only to flush to the OS and duplicate the active
         // segment's handle, not while the disk flushes, so appends keep
-        // flowing. Sealed segments were fsynced at rotation, so the active
-        // one suffices. Sync once the byte threshold accumulates (batching
-        // the flush) or once any unsynced bytes have waited out the wake
-        // bound (bounding the ack-to-durable window in time).
+        // flowing. The active segment is the only file a store writes to.
+        // Sync once the byte threshold accumulates (batching the flush) or
+        // once any unsynced bytes have waited out the wake bound (bounding
+        // the ack-to-durable window in time).
         let unsynced = c.bytes_at_last_wake.saturating_sub(c.synced_bytes);
         if unsynced == 0 {
             c.unsynced_wakes = 0;
@@ -507,7 +500,7 @@ impl ShardedLogStore {
     }
 
     /// [`open`](ShardedLogStore::open) with a flight-recorder observer
-    /// attached: every shard's batch commits and rotations — and the
+    /// attached: every shard's batch commits — and the
     /// background flusher's pipelined fsyncs, with their
     /// lag-in-bytes — emit structured trace events into `obs`. The
     /// observer's per-shard metric families are sized here, so later
@@ -694,7 +687,8 @@ impl ShardedLogStore {
         self.sum(Shard::bytes_on_disk)
     }
 
-    /// Total segment files (sealed plus active) across shards.
+    /// Total segment files across shards: one per shard, plus any earlier
+    /// segments of a directory an older build wrote.
     pub fn segment_count(&self) -> usize {
         self.sum(|s| s.sealed_segments as u64 + 1) as usize
     }
@@ -1048,7 +1042,6 @@ mod tests {
             shards: 1,
             max_batch_records: 1,
             flush_interval: None,
-            ..ShardedConfig::default()
         };
         let store = ShardedLogStore::open(&dir, config).unwrap();
         for i in 0..6u32 {

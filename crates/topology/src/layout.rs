@@ -74,8 +74,10 @@ const NO_NODE: u32 = u32::MAX;
 /// machines. A position above a level (an origin wider than a machine, the
 /// root, the persistent tier) has no node there.
 ///
-/// [`ClusterEvent::AddRack`] renumbers the racks and machines when it opens
-/// an intermediate switch, so a path is only good until the next one.
+/// Every [`ClusterEvent::AddRack`] renumbers nodes: it shifts every
+/// machine's node, because the table lists the machines after all racks,
+/// and one that opens an intermediate switch shifts every rack's node too.
+/// So a path is only good until the next `AddRack`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Path([u32; 3]);
 
@@ -314,9 +316,10 @@ impl Topology {
     /// a flat layout every machine is both) — filling the last intermediate
     /// switch before opening a new one, rebuilds the routing tables and
     /// returns the new machines. They get the highest machine ids, so
-    /// existing ids, server ordinals and rack indices are unchanged; a new
-    /// intermediate switch renumbers the racks' and machines' nodes in the
-    /// path table.
+    /// existing ids, server ordinals and rack indices are unchanged. Their
+    /// nodes in the path table are not: every new rack shifts every
+    /// machine's node (the table lists the machines after all racks), and a
+    /// new intermediate switch shifts every rack's node too.
     fn push_racks(&mut self, count: usize) -> Vec<MachineId> {
         let (first_machine, first_rack) = (self.machine_count() as u32, self.rack_count as u32);
         for slot in (0..count).flat_map(|_| 0..self.machines_per_rack) {
@@ -1267,6 +1270,23 @@ mod tests {
             .unwrap()
             .apply_cluster_event(ClusterEvent::AddRack)
             .is_err());
+    }
+
+    /// Ids survive `AddRack`, node indices do not: every new rack shifts
+    /// every machine's node, and one that opens an intermediate switch
+    /// shifts the racks' nodes too.
+    #[test]
+    fn add_rack_shifts_machine_nodes() {
+        let mut t = Topology::tree(2, 2, 3, 1).unwrap();
+        let node = |t: &Topology, subtree| t.subtree_node(subtree).unwrap();
+        let (machine, rack) = (SubtreeId::Machine(0), SubtreeId::Rack(1));
+        assert_eq!((node(&t, machine), node(&t, rack)), (6, 3));
+        // Opens intermediate 2: racks and machines shift.
+        t.apply_cluster_event(ClusterEvent::AddRack).unwrap();
+        assert_eq!((node(&t, machine), node(&t, rack)), (8, 4));
+        // Fills intermediate 2: only the machines shift.
+        t.apply_cluster_event(ClusterEvent::AddRack).unwrap();
+        assert_eq!((node(&t, machine), node(&t, rack)), (9, 4));
     }
 
     /// All seven events, each fresh (it moves something), stale (repeated,

@@ -6,7 +6,9 @@
 //! must live below both to keep the dependency DAG acyclic and strictly
 //! layered.
 
-use crate::{Latency, MachineId, MessageClass, RackId, SimTime, SubtreeId, TraceEventKind, UserId};
+use crate::{
+    Latency, MachineId, MessageClass, RackId, Result, SimTime, SubtreeId, TraceEventKind, UserId,
+};
 
 /// A change of the cluster itself: machines failing, recovering, being
 /// drained for maintenance, or capacity being added while the system runs.
@@ -321,13 +323,7 @@ pub trait PlacementEngine {
     /// Notification that the social graph changed (an edge was added or
     /// removed), e.g. during a flash event. Engines that place views based
     /// on the graph structure (SPAR) react here.
-    fn on_graph_change(
-        &mut self,
-        _mutation: GraphMutation,
-        _time: SimTime,
-        _out: &mut dyn TrafficSink,
-    ) {
-    }
+    fn on_graph_change(&mut self, _mutation: GraphMutation, _out: &mut dyn TrafficSink) {}
 
     /// Notification that the cluster itself changed: a machine or rack
     /// failed or recovered, a machine is being drained, or capacity was
@@ -337,12 +333,18 @@ pub trait PlacementEngine {
     ///
     /// The default is a no-op so custom engines keep compiling; such engines
     /// simply behave as if the cluster were static.
+    ///
+    /// # Errors
+    ///
+    /// The topology's error when it refuses the event (an unknown machine or
+    /// rack, growth of a flat layout, removing a retired or the last rack);
+    /// the engine has changed nothing then.
     fn on_cluster_change(
         &mut self,
         _event: ClusterEvent,
-        _time: SimTime,
         _out: &mut dyn TrafficSink,
-    ) {
+    ) -> Result<()> {
+        Ok(())
     }
 
     /// Number of read targets the engine could not serve because the view
@@ -384,17 +386,12 @@ impl<T: PlacementEngine + ?Sized> PlacementEngine for Box<T> {
         (**self).on_tick(time, out);
     }
 
-    fn on_graph_change(
-        &mut self,
-        mutation: GraphMutation,
-        time: SimTime,
-        out: &mut dyn TrafficSink,
-    ) {
-        (**self).on_graph_change(mutation, time, out);
+    fn on_graph_change(&mut self, mutation: GraphMutation, out: &mut dyn TrafficSink) {
+        (**self).on_graph_change(mutation, out);
     }
 
-    fn on_cluster_change(&mut self, event: ClusterEvent, time: SimTime, out: &mut dyn TrafficSink) {
-        (**self).on_cluster_change(event, time, out);
+    fn on_cluster_change(&mut self, event: ClusterEvent, out: &mut dyn TrafficSink) -> Result<()> {
+        (**self).on_cluster_change(event, out)
     }
 
     fn unreachable_reads(&self) -> u64 {

@@ -122,8 +122,6 @@ metric_ids! {
         "Records flushed through group commit."),
     GroupCommitMaxFillPercent = ("dynasore_group_commit_max_fill_percent", Gauge,
         "Largest observed batch fill ratio, percent of max_batch_records."),
-    SegmentRotations = ("dynasore_segment_rotations_total", Counter,
-        "Log segment rotations."),
     FlusherSyncs = ("dynasore_flusher_syncs_total", Counter,
         "Background flusher fsync passes across all shards."),
     FlusherMaxLagBytes = ("dynasore_flusher_max_lag_bytes", Gauge,
@@ -311,9 +309,6 @@ impl MetricsRegistry {
                 self.inc(MetricId::GroupCommitBatches);
                 self.add(MetricId::GroupCommitRecords, records);
                 self.observe_max(MetricId::GroupCommitMaxFillPercent, u64::from(fill_percent));
-            }
-            TraceEventKind::SegmentRotated { .. } => {
-                self.inc(MetricId::SegmentRotations);
             }
             TraceEventKind::FlusherSync { shard, lag_bytes } => {
                 self.inc(MetricId::FlusherSyncs);
@@ -577,11 +572,6 @@ pub enum TraceEventKind {
         /// Batch fill as a percentage of `max_batch_records`.
         fill_percent: u8,
     },
-    /// The active log segment rotated.
-    SegmentRotated {
-        /// Index of the newly opened segment.
-        segment: u64,
-    },
     /// The background flusher fsynced one shard.
     FlusherSync {
         /// The shard index.
@@ -621,7 +611,6 @@ impl TraceEventKind {
             TraceEventKind::ShardLag { .. } => "shard-lag",
             TraceEventKind::CollapseOnset { .. } => "collapse-onset",
             TraceEventKind::GroupCommitFill { .. } => "group-commit-fill",
-            TraceEventKind::SegmentRotated { .. } => "segment-rotated",
             TraceEventKind::FlusherSync { .. } => "flusher-sync",
             TraceEventKind::ReplayCompleted { .. } => "replay-completed",
             TraceEventKind::EnvelopeServed { .. } => "envelope-served",
@@ -716,9 +705,6 @@ impl TraceEvent {
                     out,
                     ",\"records\":{records},\"fill_percent\":{fill_percent}"
                 );
-            }
-            TraceEventKind::SegmentRotated { segment } => {
-                let _ = write!(out, ",\"segment\":{segment}");
             }
             TraceEventKind::FlusherSync { shard, lag_bytes } => {
                 let _ = write!(out, ",\"shard\":{shard},\"lag_bytes\":{lag_bytes}");
@@ -942,7 +928,10 @@ mod tests {
     fn recorder_keeps_newest_events_on_wraparound() {
         let mut rec = FlightRecorder::new(4);
         for i in 0..10u64 {
-            rec.record(i * 100, ev(TraceEventKind::SegmentRotated { segment: i }));
+            rec.record(
+                i * 100,
+                ev(TraceEventKind::CollapseOnset { queue_delay_ns: i }),
+            );
         }
         assert_eq!(rec.len(), 4);
         assert_eq!(rec.recorded(), 10);

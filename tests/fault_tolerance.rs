@@ -144,11 +144,9 @@ fn rolling_drain_then_crash() {
         .filter(|&m| topology.rack_of(m).unwrap() == RackId::new(0))
         .collect();
     for &machine in &rack0 {
-        engine.on_cluster_change(
-            ClusterEvent::DrainMachine { machine },
-            SimTime::ZERO,
-            &mut out,
-        );
+        engine
+            .on_cluster_change(ClusterEvent::DrainMachine { machine }, &mut out)
+            .unwrap();
     }
     assert!(
         out.iter().all(|m| !m.involves_persistent()),
@@ -160,17 +158,17 @@ fn rolling_drain_then_crash() {
     }
 
     for &machine in &rack0 {
-        engine.on_cluster_change(ClusterEvent::MachineUp { machine }, SimTime::ZERO, &mut out);
+        engine
+            .on_cluster_change(ClusterEvent::MachineUp { machine }, &mut out)
+            .unwrap();
     }
     assert_eq!(engine.memory_usage().capacity_slots, healthy_capacity);
 
     out.clear();
     let victim = topology.servers()[20].machine(); // a rack-5 server
-    engine.on_cluster_change(
-        ClusterEvent::MachineDown { machine: victim },
-        SimTime::ZERO,
-        &mut out,
-    );
+    engine
+        .on_cluster_change(ClusterEvent::MachineDown { machine: victim }, &mut out)
+        .unwrap();
     for user in graph.users() {
         assert!(engine.replica_count(user) >= 1);
     }

@@ -32,15 +32,14 @@ fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// One segment per shard, so a byte offset addresses a shard's whole log.
-/// No wall-clock flusher and a fill trigger far above any op count here:
-/// nothing commits or fsyncs behind the test's back, so a frame ends exactly
-/// where the test flushes.
+/// A shard's log is one segment file, so a byte offset addresses its whole
+/// log. No wall-clock flusher and a fill trigger far above any op count
+/// here: nothing commits or fsyncs behind the test's back, so a frame ends
+/// exactly where the test flushes.
 fn single_segment(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
         flush_interval: None,
-        segment_max_bytes: u64::MAX,
         ..ShardedConfig::default()
     }
 }
@@ -317,18 +316,16 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// Deterministic multi-seed rotation check: random appends over small,
-/// rotating segments and small batches; a reopen that replays every segment
+/// Deterministic multi-seed reopen check: random appends in small batches
+/// stay in each shard's one segment file, and a reopen that replays it
 /// recovers the same content, versions included.
 #[test]
-fn rotated_segments_replay_to_the_same_state() {
+fn random_appends_replay_to_the_same_state() {
     for seed in 0u64..4 {
-        let dir = unique_dir("rotate");
-        // Rotation is checked at each commit, so the batches are small too.
+        let dir = unique_dir("reopen");
         let config = ShardedConfig {
             shards: 1,
             flush_interval: None,
-            segment_max_bytes: 512,
             max_batch_records: 4,
         };
         let store = ShardedLogStore::open(&dir, config).unwrap();
@@ -348,7 +345,7 @@ fn rotated_segments_replay_to_the_same_state() {
                 .unwrap();
         }
         store.sync().unwrap();
-        assert!(store.segment_count() > 1, "seed {seed}: nothing rotated");
+        assert_eq!(store.segment_count(), 1, "seed {seed}: a second file");
 
         let before: Vec<_> = (0..users)
             .map(|u| store.fetch(UserId::new(u)).unwrap())
@@ -365,14 +362,48 @@ fn rotated_segments_replay_to_the_same_state() {
     }
 }
 
+/// The `.log` files under a store root: (name relative to the root, length,
+/// CRC-32 of the contents), in shard and then sequence order.
+fn segment_files(root: &Path) -> Vec<(String, u64, u32)> {
+    let mut files = Vec::new();
+    let mut shards: Vec<String> = std::fs::read_dir(root)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|name| name.starts_with("shard-"))
+        .collect();
+    shards.sort();
+    for shard in shards {
+        let mut names: Vec<String> = std::fs::read_dir(root.join(&shard))
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .filter(|name| name.ends_with(".log"))
+            .collect();
+        names.sort();
+        for name in names {
+            let bytes = std::fs::read(root.join(&shard).join(&name)).unwrap();
+            files.push((format!("{shard}/{name}"), bytes.len() as u64, crc32(&bytes)));
+        }
+    }
+    files
+}
+
 /// The on-disk format, byte for byte: a fixed sequence of appends on a
-/// two-shard store whose tiny segments rotate, then a `sync`, must leave
-/// exactly these segment files — name, length and CRC-32 of the contents.
-/// Pinned from the build before the retired record kinds were deleted, so
-/// any directory an older build wrote is still the format this one writes.
+/// two-shard store, then a `sync`, must leave exactly one segment file per
+/// shard with these lengths and CRC-32s. Older builds cut the same log into
+/// several files at a size threshold; `OLDER_LAYOUT` pins what they wrote
+/// for this script (from the build before the retired record kinds were
+/// deleted). Split back at those files' lengths — each piece the magic
+/// followed by its frames — the log reproduces every pinned row, so the
+/// frames are byte-identical to what older builds wrote, and the split
+/// directory still opens: to the same views, appending in its last segment.
+/// A torn segment that is not the last one is refused.
 #[test]
 fn segment_files_keep_their_exact_bytes() {
     const GOLDEN: &[(&str, u64, u32)] = &[
+        ("shard-0000/seg-0000000001.log", 719, 0x5AD31097),
+        ("shard-0001/seg-0000000001.log", 590, 0xFC10D98C),
+    ];
+    const OLDER_LAYOUT: &[(&str, u64, u32)] = &[
         ("shard-0000/seg-0000000001.log", 261, 0x984A8E3D),
         ("shard-0000/seg-0000000002.log", 266, 0xBCCF2547),
         ("shard-0000/seg-0000000003.log", 208, 0xB1EEFFB0),
@@ -381,17 +412,20 @@ fn segment_files_keep_their_exact_bytes() {
         ("shard-0001/seg-0000000002.log", 266, 0xBBB06F70),
         ("shard-0001/seg-0000000003.log", 79, 0x64226A0C),
     ];
-    let dir = unique_dir("golden");
-    let store = ShardedLogStore::open(
-        &dir,
-        ShardedConfig {
-            shards: 2,
-            flush_interval: None,
-            segment_max_bytes: 160,
-            max_batch_records: 4,
-        },
-    )
-    .unwrap();
+    const MAGIC: &[u8] = b"DYNASEG1";
+    let config = ShardedConfig {
+        shards: 2,
+        flush_interval: None,
+        max_batch_records: 4,
+    };
+    let pinned = |rows: &[(&str, u64, u32)]| -> Vec<(String, u64, u32)> {
+        rows.iter()
+            .map(|&(name, len, crc)| (name.to_string(), len, crc))
+            .collect()
+    };
+    let root = unique_dir("golden");
+    let dir = root.join("single");
+    let store = ShardedLogStore::open(&dir, config).unwrap();
     for i in 0..40u32 {
         let user = i % 7;
         store
@@ -403,31 +437,96 @@ fn segment_files_keep_their_exact_bytes() {
     }
     store.sync().unwrap();
     drop(store);
+    assert_eq!(
+        segment_files(&dir),
+        pinned(GOLDEN),
+        "segment files (name, length, crc32)"
+    );
 
-    let mut files = Vec::new();
-    for shard in 0..2 {
-        let shard_dir = dir.join(format!("shard-{shard:04}"));
-        let mut names: Vec<String> = std::fs::read_dir(&shard_dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| name.ends_with(".log"))
-            .collect();
-        names.sort();
-        for name in names {
-            let bytes = std::fs::read(shard_dir.join(&name)).unwrap();
-            files.push((
-                format!("shard-{shard:04}/{name}"),
-                bytes.len() as u64,
-                crc32(&bytes),
-            ));
+    // Split each shard's file back at the older layout's lengths.
+    let split = root.join("split");
+    std::fs::create_dir_all(&split).unwrap();
+    std::fs::copy(dir.join("MANIFEST"), split.join("MANIFEST")).unwrap();
+    for &(single, _, _) in GOLDEN {
+        let (shard, _) = single.split_once('/').unwrap();
+        std::fs::create_dir_all(split.join(shard)).unwrap();
+        let bytes = std::fs::read(dir.join(single)).unwrap();
+        let mut offset = MAGIC.len();
+        for &(name, len, _) in OLDER_LAYOUT.iter().filter(|r| r.0.starts_with(shard)) {
+            let end = offset + len as usize - MAGIC.len();
+            let piece = [MAGIC, &bytes[offset..end]].concat();
+            std::fs::write(split.join(name), piece).unwrap();
+            offset = end;
+        }
+        assert_eq!(offset, bytes.len(), "{shard}: the pieces cover the file");
+    }
+    assert_eq!(
+        segment_files(&split),
+        pinned(OLDER_LAYOUT),
+        "split segment files (name, length, crc32)"
+    );
+
+    // The split directory opens to the same views, and an append lands in
+    // its owner shard's last segment without creating a file.
+    let single = ShardedLogStore::open(&dir, config).unwrap();
+    let older = ShardedLogStore::open(&split, config).unwrap();
+    for user in 0..7u32 {
+        let u = UserId::new(user);
+        assert_eq!(
+            older.fetch(u).unwrap(),
+            single.fetch(u).unwrap(),
+            "user {user}"
+        );
+    }
+    assert_eq!(older.segment_count(), OLDER_LAYOUT.len());
+    assert_eq!(
+        older.bytes_on_disk(),
+        OLDER_LAYOUT.iter().map(|r| r.1).sum::<u64>()
+    );
+    let u = UserId::new(3);
+    let shard = format!("shard-{:04}", older.shard_index_of(u));
+    let &(last, last_len, _) = OLDER_LAYOUT
+        .iter()
+        .rfind(|r| r.0.starts_with(&shard))
+        .unwrap();
+    older
+        .append_version(u, b"after the split".to_vec())
+        .unwrap();
+    older.sync().unwrap();
+    drop((single, older));
+    let after = segment_files(&split);
+    let names = |files: &[(String, u64, u32)]| -> Vec<String> {
+        files.iter().map(|f| f.0.clone()).collect()
+    };
+    assert_eq!(names(&after), names(&pinned(OLDER_LAYOUT)), "no new file");
+    for ((name, len, _), &(_, pinned_len, _)) in after.iter().zip(OLDER_LAYOUT) {
+        if name == last {
+            assert!(*len > last_len, "{name}: the append is not in it");
+        } else {
+            assert_eq!(*len, pinned_len, "{name} changed");
         }
     }
-    let golden: Vec<(String, u64, u32)> = GOLDEN
-        .iter()
-        .map(|&(name, len, crc)| (name.to_string(), len, crc))
-        .collect();
-    assert_eq!(files, golden, "segment files (name, length, crc32)");
-    std::fs::remove_dir_all(&dir).unwrap();
+    let (index, _) = ShardedLogStore::read_back(&split).unwrap();
+    assert_eq!(index[&u].latest().unwrap().payload(), b"after the split");
+
+    // A torn segment that is not its shard's last cannot come from a crash.
+    let (torn, torn_len, _) = OLDER_LAYOUT[1];
+    std::fs::OpenOptions::new()
+        .write(true)
+        .open(split.join(torn))
+        .unwrap()
+        .set_len(torn_len - 1)
+        .unwrap();
+    let refused = ShardedLogStore::open(&split, config);
+    assert!(
+        matches!(refused, Err(Error::CorruptRecord(_))),
+        "{refused:?}"
+    );
+    assert!(
+        !split.join("LOCK").exists(),
+        "a refused open left its root LOCK behind"
+    );
+    std::fs::remove_dir_all(&root).unwrap();
 }
 
 /// Kinds 1–3 (single event, snapshot, tombstone) are retired: no writer

@@ -46,10 +46,12 @@ fn survive<E: PlacementEngine>(
     let mut out = Vec::new();
     let mut time = 0u64;
     let mut apply = |engine: &mut E, event: ClusterEvent, time: u64| {
-        engine.on_cluster_change(event, SimTime::from_secs(time), &mut out);
+        let engine_result = engine.on_cluster_change(event, &mut out);
         out.clear();
-        // A refusal must leave both untouched, so its `Err` is not one here.
-        let _ = mirror.apply_cluster_event(event);
+        // A refusal must leave both untouched, so its `Err` is not one
+        // here; the engine refuses exactly what its topology refuses.
+        let mirror_result = mirror.apply_cluster_event(event);
+        prop_assert_eq!(engine_result.is_ok(), mirror_result.is_ok(), "{}", event);
         prop_assert_eq!(topology_of(engine), &mirror, "after {}", event);
         // Interleave some traffic.
         let user = UserId::new((time % graph.user_count() as u64) as u32);
