@@ -39,7 +39,7 @@
 //! N ≥ 2 the same directory is first replayed serially (`read_back`, shard
 //! after shard — the single-threaded bound) and both timings are reported;
 //! at one shard the two coincide and are reported once. `--data-dir PATH`
-//! chooses where the throwaway segment files live (default: a per-process
+//! chooses where the throwaway shard files live (default: a per-process
 //! directory under the system temp dir); the directory is removed before
 //! the bench exits.
 //!
@@ -115,7 +115,6 @@ struct MeasuredRecovery {
     views: usize,
     events: u64,
     log_bytes: u64,
-    segments: usize,
     replayed_bytes: u64,
     max_shard_bytes: u64,
     per_shard_bytes: Vec<u64>,
@@ -128,7 +127,7 @@ struct MeasuredRecovery {
 
 /// Writes every user's view into a file-backed tier of `shards` shards under
 /// `dir`, syncs, then times a cold reopen — the real recovery path: the
-/// index is rebuilt by reading the segment bytes back off disk. The
+/// index is rebuilt by reading the log bytes back off disk. The
 /// directory is removed before returning. Because the bench deletes the
 /// directory when done, it refuses to run in one that already has contents:
 /// only files this run created are ever removed.
@@ -176,7 +175,6 @@ fn measure_recovery(
         store.sync()?;
         let events = store.write_count();
         let log_bytes = store.bytes_on_disk();
-        let segments = store.segment_count();
         drop(store);
 
         // Serial: replay one shard after another — the lower bound a
@@ -205,7 +203,6 @@ fn measure_recovery(
             views: recovered.user_count(),
             events,
             log_bytes,
-            segments,
             replayed_bytes: stats.total.bytes_replayed,
             max_shard_bytes: stats.max_shard_bytes_replayed(),
             per_shard_bytes: stats.per_shard.iter().map(|s| s.bytes_replayed).collect(),
@@ -417,7 +414,6 @@ fn main() {
             "    \"views_persisted\": {pt_views},\n",
             "    \"events_persisted\": {pt_events},\n",
             "    \"log_bytes\": {pt_log_bytes},\n",
-            "    \"segments\": {pt_segments},\n",
             "    \"replayed_bytes\": {pt_replayed},\n",
             "    \"max_shard_bytes\": {pt_max_shard},\n",
             "    \"per_shard_replayed_bytes\": [{pt_per_shard}],\n",
@@ -452,7 +448,6 @@ fn main() {
         pt_views = measured.views,
         pt_events = measured.events,
         pt_log_bytes = measured.log_bytes,
-        pt_segments = measured.segments,
         pt_replayed = measured.replayed_bytes,
         pt_max_shard = measured.max_shard_bytes,
         pt_per_shard = per_shard_bytes,

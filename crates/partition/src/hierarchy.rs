@@ -1,9 +1,9 @@
 //! Hierarchical partitioning (the paper's *hMETIS* baseline).
 //!
 //! Standard partitioning assigns users directly to servers and ignores the
-//! data-centre tree. The hierarchical variant "first generate[s] one
+//! data-centre tree. The hierarchical variant "first generate\[s\] one
 //! partition for each intermediate switch, and then recursively
-//! re-partition[s] them to assign views to rack switches and then servers"
+//! re-partition\[s\] them to assign views to rack switches and then servers"
 //! (§4.1), so that friends who end up on different servers still tend to
 //! share a rack or an intermediate switch.
 

@@ -1,13 +1,12 @@
-//! One shard of the file-backed durable tier: a log in one segment file.
+//! One shard of the file-backed durable tier: a log in one file.
 //!
 //! A [`Shard`] is plain state — no lock of its own, no say over the
 //! directory it lives in: a [`ShardedLogStore`] keeps one per shard behind
-//! one mutex each, owns the directory tree and its `LOCK`, and is the one
+//! one mutex each, owns the root directory and its `LOCK`, and is the one
 //! public store over files (a one-shard store is how the rest of the
 //! workspace runs "one log over files"). Every write is a framed,
-//! checksummed batch frame ([`DurableRecord`]) in the shard's one segment
-//! file (an older build's several files replay back to back, and appends
-//! continue in the last), and an in-memory index of full views is rebuilt
+//! checksummed batch frame ([`DurableRecord`]) in the shard's one file,
+//! `<root>/shard-NNNN.log`, and an in-memory index of full views is rebuilt
 //! by *replaying the log from disk* on open. `flush` pushes buffered bytes
 //! to the operating system; `sync` additionally fsyncs, making everything
 //! appended so far crash-durable.
@@ -16,8 +15,7 @@
 //! open, replay accepts every whole record and stops at the first torn
 //! frame (short frame, impossible length, or checksum mismatch); the torn
 //! tail is physically truncated away so appends continue after the last
-//! whole record. Only the *last* segment may be torn — an earlier torn
-//! segment means the files were tampered with and opening fails loudly.
+//! whole record.
 //!
 //! # Group commit — the one write path
 //!
@@ -50,11 +48,11 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
 use dynasore_types::{
-    DurableRecord, Error, Event, Result, SimTime, TraceEventKind, UserId, View, RECORD_HEADER_BYTES,
+    DurableRecord, Event, Result, SimTime, TraceEventKind, UserId, View, RECORD_HEADER_BYTES,
 };
 
 use crate::obs::StoreObs;
-use crate::segment::{list_segments, replay_segment, Segment};
+use crate::segment::{replay_segment, Segment};
 use crate::ShardedConfig;
 
 /// Encoded batch-body bytes that force a commit, whatever the record count:
@@ -69,7 +67,8 @@ const MAX_BATCH_BYTES: usize = 1 << 20;
 /// [`reread`]: crate::ShardedLogStore::reread
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
-    /// Bytes read and validated (segment headers plus whole records).
+    /// Bytes read and validated (the magic header plus whole records): the
+    /// valid length of the log, to which a reopen truncates it.
     pub bytes_replayed: u64,
     /// Records applied to the index.
     pub records_replayed: u64,
@@ -82,22 +81,18 @@ pub struct RecoveryStats {
 /// mutex and reads the public-to-the-crate fields under it.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    dir: PathBuf,
+    /// The shard's log file.
+    path: PathBuf,
     config: ShardedConfig,
     /// The materialized state of the log: every live view, rebuilt by
-    /// replaying segments on open. `BTreeMap` so the index iterates in a
+    /// replaying the log on open. `BTreeMap` so the index iterates in a
     /// deterministic order.
     pub(crate) index: BTreeMap<UserId, View>,
     /// Logical clock for event timestamps; recovered as one past the newest
     /// replayed timestamp so post-recovery appends keep timestamps monotonic.
     clock: u64,
-    /// The segment appends go to: the shard's only file, or the last of
-    /// the files an older build wrote.
+    /// The shard's log file, open for appending.
     pub(crate) active: Segment,
-    /// Bytes of the segments before the active one (older builds only).
-    sealed_bytes: u64,
-    /// Number of segments before the active one (older builds only).
-    pub(crate) sealed_segments: usize,
     /// What the last open or [`reread`](Shard::reread) replayed.
     pub(crate) recovery: RecoveryStats,
     /// The reusable commit frame: an open batch frame holding every
@@ -117,68 +112,49 @@ pub(crate) struct Shard {
     obs: Option<StoreObs>,
 }
 
-/// Replays every segment of `dir` in sequence order into a fresh index.
-/// Returns the index, the recovered clock, each segment's sequence number
-/// and valid length, and the aggregate stats. Only the last segment may
-/// carry a torn tail. Reads only: nothing is locked, repaired or created.
-#[allow(clippy::type_complexity)]
-pub(crate) fn replay_dir(
-    dir: &Path,
-) -> Result<(BTreeMap<UserId, View>, u64, Vec<(u64, u64)>, RecoveryStats)> {
-    let segments = list_segments(dir)?;
+/// Replays the log file at `path` into a fresh index. Returns the index,
+/// the recovered clock and what the replay measured. A missing file is an
+/// empty log. Reads only: nothing is locked, repaired or created.
+pub(crate) fn replay_log(path: &Path) -> Result<(BTreeMap<UserId, View>, u64, RecoveryStats)> {
     let mut index = BTreeMap::new();
     let mut clock = 0u64;
-    let mut stats = RecoveryStats::default();
-    let mut valid = Vec::with_capacity(segments.len());
-    let last = segments.len().saturating_sub(1);
-    for (i, (seq, path)) in segments.into_iter().enumerate() {
-        let replay = replay_segment(&path, |events| {
-            for event in events {
-                clock = clock.max(event.timestamp().as_secs() + 1);
-                index
-                    .entry(event.author())
-                    .or_insert_with(|| View::new(event.author()))
-                    .push(event);
-            }
-        })?;
-        if replay.torn_bytes > 0 && i != last {
-            return Err(Error::CorruptRecord(format!(
-                "{} is torn but is not the last segment; a crash only tears the tail of the log",
-                path.display()
-            )));
+    let stats = replay_segment(path, |events| {
+        for event in events {
+            clock = clock.max(event.timestamp().as_secs() + 1);
+            index
+                .entry(event.author())
+                .or_insert_with(|| View::new(event.author()))
+                .push(event);
         }
-        stats.bytes_replayed += replay.valid_bytes;
-        stats.records_replayed += replay.records;
-        stats.torn_bytes += replay.torn_bytes;
-        valid.push((seq, replay.valid_bytes));
-    }
-    Ok((index, clock, valid, stats))
+    })?;
+    Ok((index, clock, stats))
 }
 
 impl Shard {
-    /// Opens the log in `dir`, which the caller has created and owns,
-    /// rebuilding the in-memory index by replaying every segment from disk.
-    /// A torn tail in the last segment — the signature of a crash
-    /// mid-append — is truncated away; `recovery` reports how many bytes
-    /// were replayed and how many were discarded.
+    /// Opens the log file at `path`, in a directory the caller owns,
+    /// creating it if it is missing and otherwise rebuilding the in-memory
+    /// index by replaying it from disk. A torn tail — the signature of a
+    /// crash mid-append — is truncated away; `recovery` reports how many
+    /// bytes were replayed and how many were discarded.
     ///
     /// # Errors
     ///
-    /// I/O errors and [`Error::CorruptRecord`] for damage a crash cannot
-    /// produce (checksummed-but-malformed records, torn non-final segments,
-    /// files that are not segments).
-    pub(crate) fn open(dir: PathBuf, config: ShardedConfig, obs: Option<StoreObs>) -> Result<Self> {
-        let (index, clock, segments, recovery) = replay_dir(&dir)?;
-        let (active, sealed) = match segments.split_last() {
-            Some((&(seq, valid_bytes), sealed)) => {
-                (Segment::reopen(&dir, seq, valid_bytes)?, sealed)
-            }
-            None => (Segment::create(&dir)?, &[][..]),
+    /// I/O errors and [`CorruptRecord`](dynasore_types::Error::CorruptRecord)
+    /// for damage a crash cannot produce (checksummed-but-malformed records,
+    /// a file that is not a shard log).
+    pub(crate) fn open(
+        path: PathBuf,
+        config: ShardedConfig,
+        obs: Option<StoreObs>,
+    ) -> Result<Self> {
+        let (index, clock, recovery) = replay_log(&path)?;
+        let active = if path.exists() {
+            Segment::reopen(&path, recovery.bytes_replayed)?
+        } else {
+            Segment::create(&path)?
         };
         Ok(Shard {
-            sealed_bytes: sealed.iter().map(|&(_, bytes)| bytes).sum(),
-            sealed_segments: sealed.len(),
-            dir,
+            path,
             config,
             index,
             clock,
@@ -193,7 +169,7 @@ impl Shard {
     }
 
     /// Writes the pending batch — if any — as one batch frame into the
-    /// active segment, without fsyncing it. The frame buffer keeps its
+    /// log file, without fsyncing it. The frame buffer keeps its
     /// capacity for the next batch.
     pub(crate) fn commit_pending(&mut self) -> Result<()> {
         if self.pending_records == 0 {
@@ -228,7 +204,8 @@ impl Shard {
     /// # Errors
     ///
     /// I/O errors from a commit the append forces, and
-    /// [`Error::InvalidConfig`] for a payload over the frame cap.
+    /// [`InvalidConfig`](dynasore_types::Error::InvalidConfig) for a payload
+    /// over the frame cap.
     pub(crate) fn append_with<T>(
         &mut self,
         user: UserId,
@@ -278,7 +255,7 @@ impl Shard {
         self.active.flush()
     }
 
-    /// Commits the pending batch, flushes and fsyncs the active segment:
+    /// Commits the pending batch, flushes and fsyncs the log file:
     /// everything *acknowledged* so far survives a machine crash.
     ///
     /// # Errors
@@ -298,20 +275,19 @@ impl Shard {
     /// Same conditions as [`Shard::open`].
     pub(crate) fn reread(&mut self) -> Result<RecoveryStats> {
         self.sync()?;
-        let (index, clock, _, stats) = replay_dir(&self.dir)?;
+        let (index, clock, stats) = replay_log(&self.path)?;
         self.index = index;
         self.clock = self.clock.max(clock);
         self.recovery = stats;
         Ok(stats)
     }
 
-    /// Logical size of the log on disk: the bytes of any segments before the
-    /// active one plus the active segment (including appends still buffered
-    /// in memory, which have a reserved place in the file). Appends acknowledged into the pending
-    /// batch are *not* counted until the batch commits — they have no
-    /// reserved place yet.
+    /// Logical size of the log on disk, including appends still buffered
+    /// in memory, which have a reserved place in the file. Appends
+    /// acknowledged into the pending batch are *not* counted until the
+    /// batch commits — they have no reserved place yet.
     pub(crate) fn bytes_on_disk(&self) -> u64 {
-        self.sealed_bytes + self.active.len()
+        self.active.len()
     }
 }
 
@@ -334,7 +310,7 @@ mod tests {
     use super::*;
     use crate::segment::SEGMENT_MAGIC;
     use crate::{PersistentStore, ShardedLogStore};
-    use dynasore_types::MAX_RECORD_BYTES;
+    use dynasore_types::{Error, MAX_RECORD_BYTES};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dynasore-log-{tag}-{}", std::process::id()));
@@ -439,9 +415,8 @@ mod tests {
     fn directory_ownership_is_exclusive_and_crash_locks_are_broken() {
         let dir = temp_dir("lock");
         let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
-        // One LOCK, at the root: the shard directory holds none.
+        // One LOCK, at the root.
         assert!(dir.join("LOCK").exists());
-        assert!(!dir.join("shard-0000").join("LOCK").exists());
         // A second live owner is refused: its repairs would corrupt ours.
         let second = ShardedLogStore::open(&dir, one_shard());
         assert!(matches!(second, Err(Error::InvalidConfig(_))), "{second:?}");

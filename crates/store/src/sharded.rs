@@ -3,12 +3,12 @@
 //!
 //! [`ShardedLogStore`] is the one store over files — the one
 //! [`PersistentStore`] that writes to disk, and the one owner of the
-//! directory tree below; "a single log" is `shards: 1`. A shard is the
+//! root directory below; "a single log" is `shards: 1`. A shard is the
 //! plain state of one log (see the module docs of `log.rs`) behind its own
-//! [`Mutex`], which serialises every append behind the shard's one segment
+//! [`Mutex`], which serialises every append behind the shard's one log
 //! file; that lock (and its fsync) is the scaling ceiling of a shard. With
 //! `shards: N` the key space is split across `N` shards — each with its own
-//! subdirectory, segment file and pending batch — selected by a stable
+//! log file and pending batch — selected by a stable
 //! hash of the [`UserId`], so unrelated users never contend on the same
 //! lock, batch or fsync, and recovery can replay shards concurrently
 //! (reopen wall-clock is the *max* shard replay time, not the sum).
@@ -18,21 +18,26 @@
 //! ```text
 //! <root>/
 //!   LOCK              owner's pid — taken before MANIFEST is read
-//!   MANIFEST          "DYNASHARD1\nshards N\n" — written once, atomically
-//!   shard-0000/       one shard's log
-//!     seg-0000000001.log   its one file (older builds: also seg-…02.log, …)
-//!   shard-0001/
+//!   MANIFEST          "DYNASHARD2\nshards N\n" — written once, atomically
+//!   shard-0000.log    shard 0's log, the one file it ever writes
+//!   shard-0001.log
 //!   …
 //! ```
 //!
-//! Opening claims the whole tree through the one root `LOCK`, before the
-//! manifest is read or written: torn-tail repair truncates segment files
-//! and a fresh directory's manifest is written by whoever opens it first,
-//! so two live owners would corrupt each other. A lock left by a process
-//! that is provably dead (a crash) is broken; the lock is released on drop.
-//! Every new directory and a shard's one segment file are each followed by
-//! an fsync of the directory that holds them, so a machine crash cannot
-//! lose the entry.
+//! Opening claims the whole root through the one `LOCK`, before the
+//! manifest is read or written: torn-tail repair truncates shard files and
+//! a fresh directory's manifest is written by whoever opens it first, so
+//! two live owners would corrupt each other. A lock left by a process that
+//! is provably dead (a crash) is broken; the lock is released on drop. Each
+//! directory the open creates on the way to the root, the manifest's rename
+//! and each new shard file is followed by an fsync of the directory that
+//! holds it, so a machine crash cannot lose the entry. A root whose manifest has been written but
+//! not yet all its shard files reads those shards as empty, and opening it
+//! creates them.
+//!
+//! A root an older build wrote — `DYNASHARD1`, a subdirectory per shard —
+//! fails the manifest's magic check and is refused as corrupt; nothing in
+//! it is changed.
 //!
 //! The shard count is fixed at creation and persisted in `MANIFEST`;
 //! reopening with a different count is refused, because the routing hash
@@ -84,17 +89,17 @@ use parking_lot::{Mutex, MutexGuard};
 
 use dynasore_types::{Error, Result, TraceEventKind, UserId, View};
 
-use crate::log::{replay_dir, RecoveryStats, Shard};
+use crate::log::{replay_log, RecoveryStats, Shard};
 use crate::obs::StoreObs;
 use crate::persistent::PersistentStore;
-use crate::segment::sync_dir;
+use crate::segment::sync_parent;
 
 /// The lock file that claims a store directory for one owner.
 const LOCK_FILE: &str = "LOCK";
 /// The manifest file that pins the shard count of a directory.
 const MANIFEST_FILE: &str = "MANIFEST";
 /// First line of the manifest; bumped only on incompatible layout changes.
-const MANIFEST_MAGIC: &str = "DYNASHARD1";
+const MANIFEST_MAGIC: &str = "DYNASHARD2";
 
 /// Unsynced bytes at which the flusher fsyncs a shard without waiting out
 /// [`SYNC_WAKE_BOUND`]: batching the disk flush into ~megabyte chunks keeps
@@ -265,12 +270,11 @@ impl Flusher {
         }
 
         // Pipelined durability: fsync through a detached handle — the shard
-        // lock is held only to flush to the OS and duplicate the active
-        // segment's handle, not while the disk flushes, so appends keep
-        // flowing. The active segment is the only file a store writes to.
-        // Sync once the byte threshold accumulates (batching the flush) or
-        // once any unsynced bytes have waited out the wake bound (bounding
-        // the ack-to-durable window in time).
+        // lock is held only to flush to the OS and duplicate the log file's
+        // handle, not while the disk flushes, so appends keep flowing. Sync
+        // once the byte threshold accumulates (batching the flush) or once
+        // any unsynced bytes have waited out the wake bound (bounding the
+        // ack-to-durable window in time).
         let unsynced = c.bytes_at_last_wake.saturating_sub(c.synced_bytes);
         if unsynced == 0 {
             c.unsynced_wakes = 0;
@@ -395,9 +399,9 @@ pub struct ShardedLogStore {
     _lock: DirLock,
 }
 
-/// Subdirectory name of shard `i`.
-fn shard_dir_name(i: usize) -> String {
-    format!("shard-{i:04}")
+/// The log file of shard `i` under the root `dir`.
+fn shard_path(dir: &Path, i: usize) -> PathBuf {
+    dir.join(format!("shard-{i:04}.log"))
 }
 
 /// Creates `dir` and any missing ancestors, then fsyncs the parent of each
@@ -414,8 +418,7 @@ fn create_dir(dir: &Path) -> Result<()> {
     }
     std::fs::create_dir_all(dir)?;
     for missing in created {
-        let parent = missing.parent().filter(|p| !p.as_os_str().is_empty());
-        sync_dir(parent.unwrap_or(Path::new(".")))?;
+        sync_parent(missing)?;
     }
     Ok(())
 }
@@ -459,8 +462,9 @@ fn write_manifest(dir: &Path, shards: usize) -> Result<()> {
     write!(file, "{MANIFEST_MAGIC}\nshards {shards}\n")?;
     file.sync_all()?;
     drop(file);
-    std::fs::rename(&tmp, dir.join(MANIFEST_FILE))?;
-    sync_dir(dir)
+    let path = dir.join(MANIFEST_FILE);
+    std::fs::rename(&tmp, &path)?;
+    sync_parent(&path)
 }
 
 /// The splitmix64 finalizer: a strong 64-bit mix routing users to shards.
@@ -483,7 +487,7 @@ impl ShardedLogStore {
     /// pinning `config.shards`; an existing one is validated against it.
     /// The shards are opened concurrently — one replay thread each — so
     /// reopen wall-clock tracks the largest shard, not the sum. A torn tail
-    /// in a shard's last segment — the signature of a crash mid-append — is
+    /// in a shard's log — the signature of a crash mid-append — is
     /// truncated away; [`recovery_stats`](ShardedLogStore::recovery_stats)
     /// reports how many bytes were replayed and how many were discarded.
     ///
@@ -491,10 +495,10 @@ impl ShardedLogStore {
     ///
     /// [`Error::InvalidConfig`] for a zero shard count, batch size or flush
     /// interval, a shard-count/manifest mismatch, or a directory locked by
-    /// a live instance; [`Error::CorruptRecord`] for a malformed manifest or
-    /// damage in a shard a crash cannot produce (checksummed-but-malformed
-    /// records, torn non-final segments, files that are not segments); I/O
-    /// errors.
+    /// a live instance; [`Error::CorruptRecord`] for a malformed manifest
+    /// (an older build's root included) or damage in a shard a crash cannot
+    /// produce (checksummed-but-malformed records, a file that is not a
+    /// shard log); I/O errors.
     pub fn open(dir: impl Into<PathBuf>, config: ShardedConfig) -> Result<Self> {
         Self::open_inner(dir.into(), config, None)
     }
@@ -552,13 +556,9 @@ impl ShardedLogStore {
         let mut slots: Vec<Option<Result<Shard>>> = (0..config.shards).map(|_| None).collect();
         std::thread::scope(|scope| {
             for (i, slot) in slots.iter_mut().enumerate() {
-                let shard_dir = dir.join(shard_dir_name(i));
+                let path = shard_path(&dir, i);
                 let obs = obs.clone();
-                scope.spawn(move || {
-                    *slot = Some(
-                        create_dir(&shard_dir).and_then(|()| Shard::open(shard_dir, config, obs)),
-                    );
-                });
+                scope.spawn(move || *slot = Some(Shard::open(path, config, obs)));
             }
         });
         let shards: Arc<[Mutex<Shard>]> = slots
@@ -585,14 +585,14 @@ impl ShardedLogStore {
     /// is the safe way to inspect a directory another instance may own
     /// (e.g. to verify after [`crate::Cluster::shutdown`] that every
     /// acknowledged write reached disk). The shard count comes from the
-    /// manifest, so no configuration is needed.
+    /// manifest, so no configuration is needed. A shard file that does not
+    /// exist yet reads as an empty shard.
     ///
     /// # Errors
     ///
     /// [`Error::CorruptRecord`] for a missing or malformed manifest and for
     /// damage in a shard a crash cannot produce (checksummed-but-malformed
-    /// records, torn non-final segments, files that are not segments); I/O
-    /// errors.
+    /// records, a file that is not a shard log); I/O errors.
     pub fn read_back(
         dir: impl AsRef<Path>,
     ) -> Result<(BTreeMap<UserId, View>, ShardedRecoveryStats)> {
@@ -603,7 +603,7 @@ impl ShardedLogStore {
         let mut index = BTreeMap::new();
         let mut per_shard = Vec::with_capacity(shards);
         for i in 0..shards {
-            let (shard_index, _, _, stats) = replay_dir(&dir.join(shard_dir_name(i)))?;
+            let (shard_index, _, stats) = replay_log(&shard_path(dir, i))?;
             // Shards partition the user space: the merge is disjoint.
             index.extend(shard_index);
             per_shard.push(stats);
@@ -681,16 +681,15 @@ impl ShardedLogStore {
         self.shards.len()
     }
 
-    /// Total segment bytes on disk across shards (committed frames only;
+    /// Total log bytes on disk across shards (committed frames only;
     /// pending batches are not on disk yet).
     pub fn bytes_on_disk(&self) -> u64 {
         self.sum(Shard::bytes_on_disk)
     }
 
-    /// Total segment files across shards: one per shard, plus any earlier
-    /// segments of a directory an older build wrote.
+    /// Log files across shards: one per shard, so the shard count.
     pub fn segment_count(&self) -> usize {
-        self.sum(|s| s.sealed_segments as u64 + 1) as usize
+        self.shards.len()
     }
 
     /// Live views across shards (shards partition users, so the sum is
@@ -826,7 +825,7 @@ mod tests {
         }
         // Every shard holds only the users the router sends to it.
         for i in 0..4 {
-            let (index, ..) = replay_dir(&dir.join(shard_dir_name(i))).unwrap();
+            let (index, ..) = replay_log(&shard_path(&dir, i)).unwrap();
             for user in index.keys() {
                 assert_eq!(
                     reopened.shard_index_of(*user),
@@ -846,9 +845,37 @@ mod tests {
         let base = temp_dir("nested");
         let root = base.join("a").join("b");
         let store = ShardedLogStore::open(&root, no_flusher(2)).unwrap();
-        assert!(root.join(shard_dir_name(1)).is_dir());
+        assert!(shard_path(&root, 1).is_file());
         drop(store);
         std::fs::remove_dir_all(&base).unwrap();
+    }
+
+    /// `open` renames the manifest into place before it creates any shard
+    /// file, so a crash in between leaves a root whose manifest names
+    /// shards that have no file: `read_back` reads those as empty, and the
+    /// next `open` creates them.
+    #[test]
+    fn a_missing_shard_file_reads_as_an_empty_shard() {
+        let dir = temp_dir("missing-shard");
+        let store = ShardedLogStore::open(&dir, no_flusher(2)).unwrap();
+        for u in 0..16u32 {
+            store.append_version(UserId::new(u), vec![u as u8]).unwrap();
+        }
+        store.sync().unwrap();
+        let kept: Vec<UserId> = (0..16)
+            .map(UserId::new)
+            .filter(|&u| store.shard_index_of(u) == 0)
+            .collect();
+        drop(store);
+        std::fs::remove_file(shard_path(&dir, 1)).unwrap();
+        let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
+        assert_eq!(index.keys().copied().collect::<Vec<_>>(), kept);
+        assert_eq!(stats.per_shard[1], RecoveryStats::default());
+        let reopened = ShardedLogStore::open(&dir, no_flusher(2)).unwrap();
+        assert!(shard_path(&dir, 1).is_file());
+        assert_eq!(reopened.user_count(), kept.len());
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -974,9 +1001,6 @@ mod tests {
         let dir = temp_dir("double-open");
         let store = ShardedLogStore::open(&dir, no_flusher(2)).unwrap();
         assert!(dir.join(LOCK_FILE).exists());
-        for i in 0..2 {
-            assert!(!dir.join(shard_dir_name(i)).join(LOCK_FILE).exists());
-        }
         for shards in [2, 3] {
             let second = ShardedLogStore::open(&dir, no_flusher(shards));
             assert!(

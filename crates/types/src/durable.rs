@@ -18,9 +18,9 @@
 //! There is one frame kind, the batch ([`DurableRecord`]): one or more
 //! events committed together, the unit every append is written in. Its
 //! single checksum covers every entry, so a crash mid-write tears the
-//! *whole* batch, never a prefix of it. The kind byte stays 4 so every log
-//! an older build wrote still opens; kinds 1–3 (single event, snapshot,
-//! tombstone) are retired, and a checksummed frame of one is
+//! *whole* batch, never a prefix of it. The kind byte stays 4, so frames
+//! are byte-identical to those older builds wrote; kinds 1–3 (single event,
+//! snapshot, tombstone) are retired, and a checksummed frame of one is
 //! [`Error::CorruptRecord`] like any other unknown kind.
 //!
 //! Frames are built *incrementally* with [`DurableRecord::batch_begin`] /

@@ -8,11 +8,15 @@
 //! it there or leaving garbage after it — reopening recovers exactly the
 //! committed prefix — every batch frame wholly below the cut, and nothing of
 //! the torn tail, which the length-and-checksum framing detects and never
-//! serves. The format itself is pinned byte for byte, and the retired record
-//! kinds are refused as corruption.
+//! serves. The same holds for a writer process killed mid-run: every write
+//! acknowledged before its last `sync` returned is recovered. The format
+//! itself is pinned byte for byte, and the retired record kinds and the
+//! roots older builds wrote are refused as corruption.
 
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
 use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dynasore::store::{PersistentStore, ShardedConfig, ShardedLogStore};
@@ -32,8 +36,7 @@ fn unique_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// A shard's log is one segment file, so a byte offset addresses its whole
-/// log. No wall-clock flusher and a fill trigger far above any op count
+/// A shard's log is one file, so a byte offset addresses its whole log. No wall-clock flusher and a fill trigger far above any op count
 /// here: nothing commits or fsyncs behind the test's back, so a frame ends
 /// exactly where the test flushes.
 fn single_segment(shards: usize) -> ShardedConfig {
@@ -44,13 +47,9 @@ fn single_segment(shards: usize) -> ShardedConfig {
     }
 }
 
-/// The single `.log` segment file of shard `i` under a store's root.
+/// The log file of shard `i` under a store's root.
 fn shard_segment(dir: &Path, i: usize) -> PathBuf {
-    std::fs::read_dir(dir.join(format!("shard-{i:04}")))
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .find(|p| p.extension().is_some_and(|e| e == "log"))
-        .expect("shard segment file")
+    dir.join(format!("shard-{i:04}.log"))
 }
 
 /// The length of a file on disk.
@@ -317,7 +316,7 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
 }
 
 /// Deterministic multi-seed reopen check: random appends in small batches
-/// stay in each shard's one segment file, and a reopen that replays it
+/// stay in each shard's one log file, and a reopen that replays it
 /// recovers the same content, versions included.
 #[test]
 fn random_appends_replay_to_the_same_state() {
@@ -362,70 +361,50 @@ fn random_appends_replay_to_the_same_state() {
     }
 }
 
-/// The `.log` files under a store root: (name relative to the root, length,
-/// CRC-32 of the contents), in shard and then sequence order.
+/// The `.log` files under a store root: (name, length, CRC-32 of the
+/// contents), in name order.
 fn segment_files(root: &Path) -> Vec<(String, u64, u32)> {
-    let mut files = Vec::new();
-    let mut shards: Vec<String> = std::fs::read_dir(root)
+    let mut names: Vec<String> = std::fs::read_dir(root)
         .unwrap()
         .map(|e| e.unwrap().file_name().into_string().unwrap())
-        .filter(|name| name.starts_with("shard-"))
+        .filter(|name| name.ends_with(".log"))
         .collect();
-    shards.sort();
-    for shard in shards {
-        let mut names: Vec<String> = std::fs::read_dir(root.join(&shard))
-            .unwrap()
-            .map(|e| e.unwrap().file_name().into_string().unwrap())
-            .filter(|name| name.ends_with(".log"))
-            .collect();
-        names.sort();
-        for name in names {
-            let bytes = std::fs::read(root.join(&shard).join(&name)).unwrap();
-            files.push((format!("{shard}/{name}"), bytes.len() as u64, crc32(&bytes)));
-        }
-    }
-    files
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let bytes = std::fs::read(root.join(&name)).unwrap();
+            (name, bytes.len() as u64, crc32(&bytes))
+        })
+        .collect()
 }
 
-/// The on-disk format, byte for byte: a fixed sequence of appends on a
-/// two-shard store, then a `sync`, must leave exactly one segment file per
-/// shard with these lengths and CRC-32s. Older builds cut the same log into
-/// several files at a size threshold; `OLDER_LAYOUT` pins what they wrote
-/// for this script (from the build before the retired record kinds were
-/// deleted). Split back at those files' lengths — each piece the magic
-/// followed by its frames — the log reproduces every pinned row, so the
-/// frames are byte-identical to what older builds wrote, and the split
-/// directory still opens: to the same views, appending in its last segment.
-/// A torn segment that is not the last one is refused.
-#[test]
-fn segment_files_keep_their_exact_bytes() {
-    const GOLDEN: &[(&str, u64, u32)] = &[
-        ("shard-0000/seg-0000000001.log", 719, 0x5AD31097),
-        ("shard-0001/seg-0000000001.log", 590, 0xFC10D98C),
-    ];
-    const OLDER_LAYOUT: &[(&str, u64, u32)] = &[
-        ("shard-0000/seg-0000000001.log", 261, 0x984A8E3D),
-        ("shard-0000/seg-0000000002.log", 266, 0xBCCF2547),
-        ("shard-0000/seg-0000000003.log", 208, 0xB1EEFFB0),
-        ("shard-0000/seg-0000000004.log", 8, 0x6F769360),
-        ("shard-0001/seg-0000000001.log", 261, 0xC531CD96),
-        ("shard-0001/seg-0000000002.log", 266, 0xBBB06F70),
-        ("shard-0001/seg-0000000003.log", 79, 0x64226A0C),
-    ];
-    const MAGIC: &[u8] = b"DYNASEG1";
+/// Every entry under `dir`, recursively: its path and, for a file, its
+/// contents.
+fn tree(dir: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
+    let mut entries = BTreeMap::new();
+    for entry in std::fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            entries.extend(tree(&path));
+            entries.insert(path, None);
+        } else {
+            let bytes = std::fs::read(&path).unwrap();
+            entries.insert(path, Some(bytes));
+        }
+    }
+    entries
+}
+
+/// Appends the 40-event script the format pin is taken on to a fresh
+/// two-shard store at `dir` and syncs it.
+fn write_golden_script(dir: &Path) {
     let config = ShardedConfig {
         shards: 2,
         flush_interval: None,
         max_batch_records: 4,
     };
-    let pinned = |rows: &[(&str, u64, u32)]| -> Vec<(String, u64, u32)> {
-        rows.iter()
-            .map(|&(name, len, crc)| (name.to_string(), len, crc))
-            .collect()
-    };
-    let root = unique_dir("golden");
-    let dir = root.join("single");
-    let store = ShardedLogStore::open(&dir, config).unwrap();
+    let store = ShardedLogStore::open(dir, config).unwrap();
     for i in 0..40u32 {
         let user = i % 7;
         store
@@ -436,97 +415,80 @@ fn segment_files_keep_their_exact_bytes() {
             .unwrap();
     }
     store.sync().unwrap();
-    drop(store);
+}
+
+/// The on-disk format, byte for byte: a fixed sequence of appends on a
+/// two-shard store, then a `sync`, must leave exactly one log file per
+/// shard, directly under the root, with these lengths and CRC-32s — the
+/// frames older builds wrote for the same script, byte for byte.
+#[test]
+fn segment_files_keep_their_exact_bytes() {
+    const GOLDEN: &[(&str, u64, u32)] = &[
+        ("shard-0000.log", 719, 0x5AD31097),
+        ("shard-0001.log", 590, 0xFC10D98C),
+    ];
+    let dir = unique_dir("golden");
+    write_golden_script(&dir);
+    let golden: Vec<(String, u64, u32)> = GOLDEN
+        .iter()
+        .map(|&(name, len, crc)| (name.to_string(), len, crc))
+        .collect();
     assert_eq!(
         segment_files(&dir),
-        pinned(GOLDEN),
+        golden,
         "segment files (name, length, crc32)"
     );
-
-    // Split each shard's file back at the older layout's lengths.
-    let split = root.join("split");
-    std::fs::create_dir_all(&split).unwrap();
-    std::fs::copy(dir.join("MANIFEST"), split.join("MANIFEST")).unwrap();
-    for &(single, _, _) in GOLDEN {
-        let (shard, _) = single.split_once('/').unwrap();
-        std::fs::create_dir_all(split.join(shard)).unwrap();
-        let bytes = std::fs::read(dir.join(single)).unwrap();
-        let mut offset = MAGIC.len();
-        for &(name, len, _) in OLDER_LAYOUT.iter().filter(|r| r.0.starts_with(shard)) {
-            let end = offset + len as usize - MAGIC.len();
-            let piece = [MAGIC, &bytes[offset..end]].concat();
-            std::fs::write(split.join(name), piece).unwrap();
-            offset = end;
-        }
-        assert_eq!(offset, bytes.len(), "{shard}: the pieces cover the file");
-    }
-    assert_eq!(
-        segment_files(&split),
-        pinned(OLDER_LAYOUT),
-        "split segment files (name, length, crc32)"
-    );
-
-    // The split directory opens to the same views, and an append lands in
-    // its owner shard's last segment without creating a file.
-    let single = ShardedLogStore::open(&dir, config).unwrap();
-    let older = ShardedLogStore::open(&split, config).unwrap();
-    for user in 0..7u32 {
-        let u = UserId::new(user);
-        assert_eq!(
-            older.fetch(u).unwrap(),
-            single.fetch(u).unwrap(),
-            "user {user}"
-        );
-    }
-    assert_eq!(older.segment_count(), OLDER_LAYOUT.len());
-    assert_eq!(
-        older.bytes_on_disk(),
-        OLDER_LAYOUT.iter().map(|r| r.1).sum::<u64>()
-    );
-    let u = UserId::new(3);
-    let shard = format!("shard-{:04}", older.shard_index_of(u));
-    let &(last, last_len, _) = OLDER_LAYOUT
-        .iter()
-        .rfind(|r| r.0.starts_with(&shard))
-        .unwrap();
-    older
-        .append_version(u, b"after the split".to_vec())
-        .unwrap();
-    older.sync().unwrap();
-    drop((single, older));
-    let after = segment_files(&split);
-    let names = |files: &[(String, u64, u32)]| -> Vec<String> {
-        files.iter().map(|f| f.0.clone()).collect()
-    };
-    assert_eq!(names(&after), names(&pinned(OLDER_LAYOUT)), "no new file");
-    for ((name, len, _), &(_, pinned_len, _)) in after.iter().zip(OLDER_LAYOUT) {
-        if name == last {
-            assert!(*len > last_len, "{name}: the append is not in it");
-        } else {
-            assert_eq!(*len, pinned_len, "{name} changed");
-        }
-    }
-    let (index, _) = ShardedLogStore::read_back(&split).unwrap();
-    assert_eq!(index[&u].latest().unwrap().payload(), b"after the split");
-
-    // A torn segment that is not its shard's last cannot come from a crash.
-    let (torn, torn_len, _) = OLDER_LAYOUT[1];
-    std::fs::OpenOptions::new()
-        .write(true)
-        .open(split.join(torn))
+    let mut names: Vec<String> = std::fs::read_dir(&dir)
         .unwrap()
-        .set_len(torn_len - 1)
-        .unwrap();
-    let refused = ShardedLogStore::open(&split, config);
-    assert!(
-        matches!(refused, Err(Error::CorruptRecord(_))),
-        "{refused:?}"
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    names.sort();
+    assert_eq!(
+        names,
+        ["MANIFEST", "shard-0000.log", "shard-0001.log"],
+        "a closed root holds the manifest and one file per shard"
     );
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// A root an older build wrote — a `DYNASHARD1` manifest and a directory
+/// per shard holding `seg-<seq>.log` files — is refused as corrupt by the
+/// manifest's magic check, before any shard is opened: the refused open
+/// leaves no `LOCK` behind and no file changed, so the root is still what
+/// the older build left.
+#[test]
+fn older_build_roots_are_refused_untouched() {
+    let current = unique_dir("older-source");
+    write_golden_script(&current);
+    let dir = unique_dir("older");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("MANIFEST"), "DYNASHARD1\nshards 2\n").unwrap();
+    for shard in 0..2 {
+        let shard_dir = dir.join(format!("shard-{shard:04}"));
+        std::fs::create_dir(&shard_dir).unwrap();
+        std::fs::copy(
+            shard_segment(&current, shard),
+            shard_dir.join("seg-0000000001.log"),
+        )
+        .unwrap();
+    }
+    let before = tree(&dir);
+    let config = ShardedConfig {
+        shards: 2,
+        flush_interval: None,
+        max_batch_records: 4,
+    };
+    let opened = ShardedLogStore::open(&dir, config);
+    assert!(matches!(opened, Err(Error::CorruptRecord(_))), "{opened:?}");
+    let read = ShardedLogStore::read_back(&dir);
+    assert!(matches!(read, Err(Error::CorruptRecord(_))), "{read:?}");
     assert!(
-        !split.join("LOCK").exists(),
+        !dir.join("LOCK").exists(),
         "a refused open left its root LOCK behind"
     );
-    std::fs::remove_dir_all(&root).unwrap();
+    assert_eq!(tree(&dir), before, "a refused open changed the root");
+    std::fs::remove_dir_all(&current).unwrap();
+    std::fs::remove_dir_all(&dir).unwrap();
 }
 
 /// Kinds 1–3 (single event, snapshot, tombstone) are retired: no writer
@@ -567,11 +529,10 @@ fn retired_record_kinds_are_corrupt_not_torn() {
         );
 
         let dir = unique_dir("retired");
-        let shard_dir = dir.join("shard-0000");
-        std::fs::create_dir_all(&shard_dir).unwrap();
+        std::fs::create_dir_all(&dir).unwrap();
         let mut segment = b"DYNASEG1".to_vec();
         segment.extend_from_slice(&frame);
-        std::fs::write(shard_dir.join("seg-0000000001.log"), &segment).unwrap();
+        std::fs::write(shard_segment(&dir, 0), &segment).unwrap();
         let opened = ShardedLogStore::open(&dir, single_segment(1));
         assert!(
             matches!(opened, Err(Error::CorruptRecord(_))),
@@ -583,4 +544,115 @@ fn retired_record_kinds_are_corrupt_not_torn() {
         );
         std::fs::remove_dir_all(&dir).unwrap();
     }
+}
+
+/// Names the store root when this test binary runs as the child of
+/// [`a_killed_writer_loses_no_synced_write`].
+const CRASH_CHILD_ROOT: &str = "DYNASORE_CRASH_CHILD_ROOT";
+/// Users the crash child writes to, round robin.
+const CRASH_USERS: u64 = 16;
+/// Appends the crash child makes between two syncs.
+const CRASH_APPENDS_PER_SYNC: u64 = 5;
+
+/// The crash child's `i`-th append: user `i mod CRASH_USERS`, and `i` as the
+/// payload.
+fn crash_op(i: u64) -> (UserId, Vec<u8>) {
+    (
+        UserId::new((i % CRASH_USERS) as u32),
+        i.to_le_bytes().to_vec(),
+    )
+}
+
+/// The crash child: a four-shard store with the default background
+/// flusher, appending `crash_op(0)`, `crash_op(1)`, … and printing
+/// `synced N` after each `sync()` that covered the first `N` appends. It
+/// runs until it is killed; a closed stdout (the parent gone) ends it.
+fn crash_child(root: &Path) {
+    let config = ShardedConfig {
+        shards: 4,
+        ..ShardedConfig::default()
+    };
+    let store = ShardedLogStore::open(root, config).unwrap();
+    let mut out = std::io::stdout().lock();
+    for appended in (CRASH_APPENDS_PER_SYNC..).step_by(CRASH_APPENDS_PER_SYNC as usize) {
+        for i in appended - CRASH_APPENDS_PER_SYNC..appended {
+            let (user, payload) = crash_op(i);
+            store.append_version(user, payload).unwrap();
+        }
+        store.sync().unwrap();
+        writeln!(out, "synced {appended}").unwrap();
+        out.flush().unwrap();
+    }
+}
+
+/// A real process crash: this test binary re-runs itself as a writer
+/// process (see [`crash_child`]), reads some of its `synced N` lines, and
+/// kills it with SIGKILL — no destructor, no final flush. The reopen must
+/// break the dead writer's `LOCK`, recover every append acknowledged before
+/// the last sync the parent saw, and give every view back as a prefix of
+/// its append order: whatever the flusher made durable after that sync,
+/// nothing is reordered and no gap opens.
+#[test]
+fn a_killed_writer_loses_no_synced_write() {
+    if let Some(root) = std::env::var_os(CRASH_CHILD_ROOT) {
+        return crash_child(Path::new(&root));
+    }
+    let root = unique_dir("killed");
+    let mut child = Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "a_killed_writer_loses_no_synced_write",
+            "--nocapture",
+            "--test-threads",
+            "1",
+        ])
+        .env(CRASH_CHILD_ROOT, &root)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .unwrap();
+    let mut lines = BufReader::new(child.stdout.take().unwrap()).lines();
+    let (mut syncs, mut synced) = (0, 0u64);
+    while syncs < 40 {
+        let line = lines.next().expect("the child ended on its own").unwrap();
+        // The harness may print on the same line before the first report.
+        if let Some((_, n)) = line.split_once("synced ") {
+            synced = n.parse().unwrap();
+            syncs += 1;
+        }
+    }
+    child.kill().unwrap();
+    child.wait().unwrap();
+    assert_eq!(
+        std::fs::read_to_string(root.join("LOCK")).unwrap(),
+        child.id().to_string(),
+        "the killed writer's LOCK is left behind"
+    );
+
+    let store = ShardedLogStore::open(&root, single_segment(4)).unwrap();
+    assert_eq!(
+        std::fs::read_to_string(root.join("LOCK")).unwrap(),
+        std::process::id().to_string(),
+        "the reopen broke the dead writer's LOCK"
+    );
+    for user in 0..CRASH_USERS {
+        let view = store.fetch(UserId::new(user as u32)).unwrap();
+        let got: Vec<u64> = view
+            .iter()
+            .map(|e| u64::from_le_bytes(e.payload().try_into().unwrap()))
+            .collect();
+        let order: Vec<u64> = (user..)
+            .step_by(CRASH_USERS as usize)
+            .take(got.len())
+            .collect();
+        assert_eq!(got, order, "user {user}: not a prefix of its append order");
+        let acknowledged = (user..synced).step_by(CRASH_USERS as usize).count();
+        assert!(
+            got.len() >= acknowledged,
+            "user {user}: {} of the {acknowledged} appends synced before the kill",
+            got.len()
+        );
+    }
+    drop(store);
+    std::fs::remove_dir_all(&root).unwrap();
 }
