@@ -5,9 +5,12 @@
 //! the recovery path read real bytes: every write request appends a
 //! fixed-size, deterministically filled payload to a
 //! [`ShardedLogStore`], and whenever a cluster event makes the engine
-//! fetch lost views from the persistent store, the tier is synced and
-//! replayed end to end — so the run's [`DurableIoStats`] report the actual
-//! I/O volume a recovery would move, next to the message-count estimate.
+//! fetch lost views from the persistent store, the tier is synced once and
+//! its files are read back end to end with [`ShardedLogStore::read_back`] —
+//! so the run's [`DurableIoStats`] report the actual I/O volume a recovery
+//! would move, next to the message-count estimate.
+
+use std::path::PathBuf;
 
 use dynasore_store::{PersistentStore, ShardedConfig, ShardedLogStore, ShardedRecoveryStats};
 use dynasore_types::{Result, SimTime, UserId};
@@ -23,6 +26,8 @@ pub const SIM_EVENT_BYTES: usize = 140;
 #[derive(Debug)]
 pub struct SimDurableTier {
     store: ShardedLogStore,
+    /// The store's root, which [`replay`](Self::replay) reads back.
+    dir: PathBuf,
     /// Bytes appended per shard since open — tracked here, not read back
     /// from the store, so the per-tick lag samples the observer takes stay
     /// deterministic across runs.
@@ -42,14 +47,16 @@ impl SimDurableTier {
     /// # Errors
     ///
     /// Same conditions as [`ShardedLogStore::open`].
-    pub fn open(dir: impl Into<std::path::PathBuf>, shards: usize) -> Result<Self> {
+    pub fn open(dir: impl Into<PathBuf>, shards: usize) -> Result<Self> {
+        let dir = dir.into();
         let config = ShardedConfig {
             shards,
             flush_interval: None,
             ..ShardedConfig::default()
         };
         Ok(SimDurableTier {
-            store: ShardedLogStore::open(dir, config)?,
+            store: ShardedLogStore::open(&dir, config)?,
+            dir,
             appended_bytes: vec![0; shards],
             synced_bytes: vec![0; shards],
         })
@@ -71,14 +78,12 @@ impl SimDurableTier {
         Ok(())
     }
 
-    /// Re-reads every shard, exactly as crash recovery would. The shards
-    /// replay independently, so the recovery critical path is the largest
-    /// shard, not the total.
-    pub(crate) fn replay(&mut self) -> Result<ShardedRecoveryStats> {
-        // reread() commits and syncs before replaying, so afterwards no
-        // appended byte is unsynced.
-        self.synced_bytes.copy_from_slice(&self.appended_bytes);
-        self.store.reread()
+    /// Reads every shard file back, exactly as crash recovery would,
+    /// without syncing: the caller syncs first, so the files hold every
+    /// append. The shards replay independently, so the recovery critical
+    /// path is the largest shard, not the total.
+    pub(crate) fn replay(&self) -> Result<ShardedRecoveryStats> {
+        Ok(ShardedLogStore::read_back(&self.dir)?.1)
     }
 
     /// Per-shard flusher lag — bytes appended but not yet made durable —
@@ -167,5 +172,27 @@ mod tests {
     #[test]
     fn sharded_tier_is_deterministic_and_reports_the_critical_path() {
         check_deterministic_replay(4);
+    }
+
+    /// A replay reads the files as the last sync left them and commits or
+    /// fsyncs nothing itself, so a recovery costs the simulator one sync.
+    #[test]
+    fn replay_neither_commits_nor_syncs() {
+        let dir =
+            std::env::temp_dir().join(format!("dynasore-simtier-nosync-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tier = SimDurableTier::open(&dir, 2).unwrap();
+        tier.append(UserId::new(1), SimTime::ZERO).unwrap();
+        tier.sync().unwrap();
+        tier.append(UserId::new(2), SimTime::from_secs(1)).unwrap();
+        let replay = tier.replay().unwrap();
+        assert_eq!(
+            replay.total.records_replayed, 1,
+            "the unsynced append stays pending"
+        );
+        assert_eq!(tier.store.pending_records(), 1);
+        assert_eq!(tier.shard_lags().sum::<u64>(), SIM_EVENT_BYTES as u64);
+        drop(tier);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

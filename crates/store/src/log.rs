@@ -5,7 +5,7 @@
 //! one mutex each, owns the root directory and its `LOCK`, and is the one
 //! public store over files (a one-shard store is how the rest of the
 //! workspace runs "one log over files"). Every write is a framed,
-//! checksummed batch frame ([`DurableRecord`]) in the shard's one file,
+//! checksummed batch frame (see `segment.rs`) in the shard's one file,
 //! `<root>/shard-NNNN.log`, and an in-memory index of full views is rebuilt
 //! by *replaying the log from disk* on open. `flush` pushes buffered bytes
 //! to the operating system; `sync` additionally fsyncs, making everything
@@ -25,7 +25,7 @@
 //! immediately, so `fetch` sees the new version at once. The frame is
 //! written as **one** record when the batch holds
 //! [`ShardedConfig::max_batch_records`] events or `MAX_BATCH_BYTES` (1 MiB)
-//! of body, when the owner calls [`flush`]/[`sync`]/[`reread`], or when the
+//! of body, when the owner calls [`flush`]/[`sync`], or when the
 //! [`ShardedLogStore`] flush interval elapses. A commit only writes; a
 //! write becomes machine-durable through [`sync`] or the flusher's cadence
 //! (see `sharded.rs`), and one fsync covers every batch written before it,
@@ -42,29 +42,24 @@
 //! [`ShardedConfig::max_batch_records`]: crate::ShardedConfig::max_batch_records
 //! [`flush`]: crate::PersistentStore::flush
 //! [`sync`]: crate::PersistentStore::sync
-//! [`reread`]: crate::ShardedLogStore::reread
 
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use dynasore_types::{
-    DurableRecord, Event, Result, SimTime, TraceEventKind, UserId, View, RECORD_HEADER_BYTES,
-};
+use dynasore_types::{Event, Result, SimTime, TraceEventKind, UserId, View};
 
 use crate::obs::StoreObs;
-use crate::segment::{replay_segment, Segment};
+use crate::segment::{replay_segment, Batch, Segment};
 use crate::ShardedConfig;
 
 /// Encoded batch-body bytes that force a commit, whatever the record count:
 /// a batch of large payloads is written out in ~megabyte frames, far below
-/// the [`dynasore_types::MAX_RECORD_BYTES`] cap at which a frame could no
-/// longer be replayed.
+/// the cap at which a frame could no longer be replayed.
 const MAX_BATCH_BYTES: usize = 1 << 20;
 
-/// What rebuilding one shard's index from disk (on open or [`reread`])
-/// measured — the numerator of real recovery bandwidth.
-///
-/// [`reread`]: crate::ShardedLogStore::reread
+/// What rebuilding one shard's index from disk (on open or
+/// [`read_back`](crate::ShardedLogStore::read_back)) measured — the
+/// numerator of real recovery bandwidth.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecoveryStats {
     /// Bytes read and validated (the magic header plus whole records): the
@@ -81,8 +76,6 @@ pub struct RecoveryStats {
 /// mutex and reads the public-to-the-crate fields under it.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    /// The shard's log file.
-    path: PathBuf,
     config: ShardedConfig,
     /// The materialized state of the log: every live view, rebuilt by
     /// replaying the log on open. `BTreeMap` so the index iterates in a
@@ -93,15 +86,11 @@ pub(crate) struct Shard {
     clock: u64,
     /// The shard's log file, open for appending.
     pub(crate) active: Segment,
-    /// What the last open or [`reread`](Shard::reread) replayed.
+    /// What the open replayed.
     pub(crate) recovery: RecoveryStats,
-    /// The reusable commit frame: an open batch frame holding every
-    /// acknowledged-but-uncommitted append. Empty whenever
-    /// `pending_records` is 0; its capacity is retained across commits so
-    /// the steady state allocates nothing.
-    pending: Vec<u8>,
-    /// Events acknowledged into `pending` and not yet committed.
-    pub(crate) pending_records: u32,
+    /// The reusable commit frame: every acknowledged-but-uncommitted
+    /// append.
+    pub(crate) pending: Batch,
     /// Events appended by this process (replayed history is not counted).
     pub(crate) writes: u64,
     /// Fetches served.
@@ -142,26 +131,20 @@ impl Shard {
     /// I/O errors and [`CorruptRecord`](dynasore_types::Error::CorruptRecord)
     /// for damage a crash cannot produce (checksummed-but-malformed records,
     /// a file that is not a shard log).
-    pub(crate) fn open(
-        path: PathBuf,
-        config: ShardedConfig,
-        obs: Option<StoreObs>,
-    ) -> Result<Self> {
-        let (index, clock, recovery) = replay_log(&path)?;
+    pub(crate) fn open(path: &Path, config: ShardedConfig, obs: Option<StoreObs>) -> Result<Self> {
+        let (index, clock, recovery) = replay_log(path)?;
         let active = if path.exists() {
-            Segment::reopen(&path, recovery.bytes_replayed)?
+            Segment::reopen(path, recovery.bytes_replayed)?
         } else {
-            Segment::create(&path)?
+            Segment::create(path)?
         };
         Ok(Shard {
-            path,
             config,
             index,
             clock,
             active,
             recovery,
-            pending: Vec::new(),
-            pending_records: 0,
+            pending: Batch::default(),
             writes: 0,
             reads: 0,
             obs,
@@ -172,13 +155,11 @@ impl Shard {
     /// log file, without fsyncing it. The frame buffer keeps its
     /// capacity for the next batch.
     pub(crate) fn commit_pending(&mut self) -> Result<()> {
-        if self.pending_records == 0 {
+        let records = u64::from(self.pending.records());
+        if records == 0 {
             return Ok(());
         }
-        DurableRecord::batch_finish(&mut self.pending, self.pending_records)?;
-        self.active.append(&self.pending)?;
-        let records = u64::from(self.pending_records);
-        self.pending_records = 0;
+        self.active.append(self.pending.seal()?)?;
         self.pending.clear();
         if let Some(obs) = &self.obs {
             // Fill ratio against the configured fill trigger.
@@ -214,28 +195,22 @@ impl Shard {
     ) -> Result<T> {
         let timestamp = SimTime::from_secs(self.clock);
         self.clock += 1;
-        if self.pending_records == 0 {
-            DurableRecord::batch_begin(&mut self.pending);
-        }
-        if let Err(first) = DurableRecord::batch_push(&mut self.pending, user, timestamp, &payload)
-        {
+        if let Err(first) = self.pending.push(user, timestamp, &payload) {
             // The open batch has no room left for this entry: commit it
             // and retry in a fresh frame. A second failure means the
             // entry alone can never fit and is rejected like any
             // oversized record — with the frame (and index) untouched.
-            if self.pending_records == 0 {
+            if self.pending.records() == 0 {
                 return Err(first);
             }
             self.commit_pending()?;
-            DurableRecord::batch_begin(&mut self.pending);
-            DurableRecord::batch_push(&mut self.pending, user, timestamp, &payload)?;
+            self.pending.push(user, timestamp, &payload)?;
         }
-        self.pending_records += 1;
         let view = self.index.entry(user).or_insert_with(|| View::new(user));
         view.push(Event::new(user, timestamp, payload));
         let acked = ack(view);
-        if self.pending_records >= self.config.max_batch_records
-            || self.pending.len() - RECORD_HEADER_BYTES >= MAX_BATCH_BYTES
+        if self.pending.records() >= self.config.max_batch_records
+            || self.pending.body_len() >= MAX_BATCH_BYTES
         {
             self.commit_pending()?;
         }
@@ -266,22 +241,6 @@ impl Shard {
         self.active.sync()
     }
 
-    /// Re-reads the entire log from disk — exactly what crash recovery does
-    /// — replacing the in-memory index with the replayed one, and returns
-    /// what the replay measured.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Shard::open`].
-    pub(crate) fn reread(&mut self) -> Result<RecoveryStats> {
-        self.sync()?;
-        let (index, clock, stats) = replay_log(&self.path)?;
-        self.index = index;
-        self.clock = self.clock.max(clock);
-        self.recovery = stats;
-        Ok(stats)
-    }
-
     /// Logical size of the log on disk, including appends still buffered
     /// in memory, which have a reserved place in the file. Appends
     /// acknowledged into the pending batch are *not* counted until the
@@ -308,9 +267,10 @@ mod tests {
     //! without the background flusher.
 
     use super::*;
-    use crate::segment::SEGMENT_MAGIC;
+    use crate::segment::{MAX_RECORD_BYTES, SEGMENT_MAGIC};
     use crate::{PersistentStore, ShardedLogStore};
-    use dynasore_types::{Error, MAX_RECORD_BYTES};
+    use dynasore_types::Error;
+    use std::path::PathBuf;
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dynasore-log-{tag}-{}", std::process::id()));
@@ -377,15 +337,19 @@ mod tests {
         for i in 0..50u32 {
             store.append(UserId::new(i % 7), vec![i as u8; 64]).unwrap();
         }
-        let stats = store.reread().unwrap().total;
+        store.sync().unwrap();
+        let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
         assert_eq!(
-            stats.records_replayed, 1,
-            "reread commits the 50 pending appends as one batch frame"
+            stats.total.records_replayed, 1,
+            "sync commits the 50 pending appends as one batch frame"
         );
-        assert_eq!(stats.bytes_replayed, store.bytes_on_disk());
-        assert_eq!(store.fetch(UserId::new(0)).unwrap().len(), 8);
-        assert_eq!(store.user_count(), 7);
+        assert_eq!(stats.total.bytes_replayed, store.bytes_on_disk());
+        assert_eq!(index[&UserId::new(0)].len(), 8);
+        assert_eq!(index.len(), 7);
         drop(store);
+        let reopened = ShardedLogStore::open(&dir, one_shard()).unwrap();
+        assert_eq!(reopened.recovery_stats(), stats);
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -593,7 +557,7 @@ mod tests {
         let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
         let u = UserId::new(1);
         store.append(u, b"small".to_vec()).unwrap();
-        let err = store.append(u, vec![0u8; dynasore_types::MAX_RECORD_BYTES + 1]);
+        let err = store.append(u, vec![0u8; MAX_RECORD_BYTES + 1]);
         assert!(matches!(err, Err(Error::InvalidConfig(_))), "{err:?}");
         // The rejected record left no bytes behind and the store still works.
         store.sync().unwrap();

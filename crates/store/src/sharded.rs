@@ -39,6 +39,12 @@
 //! fails the manifest's magic check and is refused as corrupt; nothing in
 //! it is changed.
 //!
+//! This module knows the layout of the root and nothing of the bytes inside
+//! a shard file, which are `segment.rs`'s alone. A shard file is replayed
+//! in two places: when its shard opens, and by
+//! [`read_back`](ShardedLogStore::read_back), which reads a root without
+//! opening it.
+//!
 //! The shard count is fixed at creation and persisted in `MANIFEST`;
 //! reopening with a different count is refused, because the routing hash
 //! would send users to shards that do not hold their records. The routing
@@ -132,13 +138,12 @@ pub struct ShardedConfig {
     /// module documentation of `sharded.rs` — at most `2 + SYNC_WAKE_BOUND`
     /// (18) intervals from acknowledgement to machine durability. `None`
     /// disables the flusher: batches then commit only when they fill or on
-    /// an explicit [`flush`]/[`sync`]/[`reread`], and nothing fsyncs behind
+    /// an explicit [`flush`]/[`sync`], and nothing fsyncs behind
     /// the caller's back — the right mode for deterministic tests and
     /// simulations. Default 5 ms.
     ///
     /// [`flush`]: PersistentStore::flush
     /// [`sync`]: PersistentStore::sync
-    /// [`reread`]: ShardedLogStore::reread
     pub flush_interval: Option<Duration>,
 }
 
@@ -153,7 +158,7 @@ impl Default for ShardedConfig {
 }
 
 /// Per-shard and aggregate recovery measurements of a sharded open (or
-/// [`reread`](ShardedLogStore::reread)).
+/// [`read_back`](ShardedLogStore::read_back)).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardedRecoveryStats {
     /// Sums across every shard.
@@ -263,7 +268,7 @@ impl Flusher {
         // whole interval is idle and gets its batch written here.
         {
             let mut shard = shard.lock();
-            if shard.bytes_on_disk() == c.bytes_at_last_wake && shard.pending_records > 0 {
+            if shard.bytes_on_disk() == c.bytes_at_last_wake && shard.pending.records() > 0 {
                 let _ = shard.commit_pending();
             }
             c.bytes_at_last_wake = shard.bytes_on_disk();
@@ -558,7 +563,7 @@ impl ShardedLogStore {
             for (i, slot) in slots.iter_mut().enumerate() {
                 let path = shard_path(&dir, i);
                 let obs = obs.clone();
-                scope.spawn(move || *slot = Some(Shard::open(path, config, obs)));
+                scope.spawn(move || *slot = Some(Shard::open(&path, config, obs)));
             }
         });
         let shards: Arc<[Mutex<Shard>]> = slots
@@ -646,32 +651,7 @@ impl ShardedLogStore {
             .append_with(user, payload, View::version)
     }
 
-    /// Re-replays every shard from disk concurrently (committing pending
-    /// batches first) and returns the per-shard measurements — exactly what
-    /// crash recovery does, so dividing the bytes replayed by the
-    /// wall-clock this call takes gives real recovery bandwidth without a
-    /// restart.
-    ///
-    /// # Errors
-    ///
-    /// The first shard failure.
-    pub fn reread(&self) -> Result<ShardedRecoveryStats> {
-        let mut slots: Vec<Option<Result<RecoveryStats>>> =
-            (0..self.shards.len()).map(|_| None).collect();
-        std::thread::scope(|scope| {
-            for (shard, slot) in self.shards.iter().zip(slots.iter_mut()) {
-                scope.spawn(move || *slot = Some(shard.lock().reread()));
-            }
-        });
-        let mut per_shard = Vec::with_capacity(self.shards.len());
-        for slot in slots {
-            per_shard.push(slot.expect("scoped reread thread fills its slot")?);
-        }
-        Ok(ShardedRecoveryStats::from_shards(per_shard))
-    }
-
-    /// What the open (or last [`reread`](ShardedLogStore::reread)) replay
-    /// measured, per shard and in aggregate.
+    /// What the open replay measured, per shard and in aggregate.
     pub fn recovery_stats(&self) -> ShardedRecoveryStats {
         ShardedRecoveryStats::from_shards(self.shards.iter().map(|s| s.lock().recovery).collect())
     }
@@ -700,7 +680,7 @@ impl ShardedLogStore {
 
     /// Acknowledged-but-uncommitted appends across shards.
     pub fn pending_records(&self) -> u64 {
-        self.sum(|s| u64::from(s.pending_records))
+        self.sum(|s| u64::from(s.pending.records()))
     }
 }
 
@@ -1093,23 +1073,24 @@ mod tests {
                     .unwrap();
             }
         }
-        // Reread commits every shard's pending batch, then replays each
-        // shard from disk: the same views come back, one frame per shard.
+        // Sync commits every shard's pending batch; reading the files back
+        // gives the same views, one frame per shard.
         let before: Vec<View> = (0..32)
             .map(|u| store.fetch(UserId::new(u)).unwrap())
             .collect();
-        let reread = store.reread().unwrap();
-        assert_eq!(reread.per_shard.len(), 4);
-        assert!(reread.per_shard.iter().all(|s| s.records_replayed == 1));
-        assert_eq!(reread.total.torn_bytes, 0);
-        assert_eq!(reread.total.bytes_replayed, store.bytes_on_disk());
-        assert_eq!(store.recovery_stats(), reread);
-        let after: Vec<View> = (0..32)
-            .map(|u| store.fetch(UserId::new(u)).unwrap())
-            .collect();
+        store.sync().unwrap();
+        let (index, read) = ShardedLogStore::read_back(&dir).unwrap();
+        assert_eq!(read.per_shard.len(), 4);
+        assert!(read.per_shard.iter().all(|s| s.records_replayed == 1));
+        assert_eq!(read.total.torn_bytes, 0);
+        assert_eq!(read.total.bytes_replayed, store.bytes_on_disk());
+        let after: Vec<View> = (0..32).map(|u| index[&UserId::new(u)].clone()).collect();
         assert_eq!(before, after);
-        assert_eq!(store.user_count(), 32);
+        assert_eq!(index.len(), 32);
         drop(store);
+        let reopened = ShardedLogStore::open(&dir, no_flusher(4)).unwrap();
+        assert_eq!(reopened.recovery_stats(), read);
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

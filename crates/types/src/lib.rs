@@ -37,7 +37,6 @@
 #![warn(missing_docs)]
 
 mod budget;
-mod durable;
 mod engine;
 mod error;
 mod event;
@@ -49,7 +48,6 @@ mod time;
 mod traffic;
 
 pub use budget::MemoryBudget;
-pub use durable::{crc32, DurableRecord, MAX_RECORD_BYTES, RECORD_HEADER_BYTES};
 pub use engine::{
     ClusterEvent, CountingSink, GraphMutation, MemoryUsage, Message, PlacementEngine,
     TimedClusterEvent, TrafficSink,

@@ -20,7 +20,7 @@ use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use dynasore::store::{PersistentStore, ShardedConfig, ShardedLogStore};
-use dynasore::types::{crc32, DurableRecord, Error, UserId};
+use dynasore::types::{Error, UserId};
 use proptest::prelude::*;
 
 /// A fresh directory per test case, unique across parallel tests and
@@ -361,6 +361,20 @@ fn random_appends_replay_to_the_same_state() {
     }
 }
 
+/// CRC-32 (IEEE 802.3, reflected), bit at a time: an independent reference
+/// for the checksum the store writes, so the format pin below does not take
+/// the store's word for it.
+fn crc32(bytes: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
 /// The `.log` files under a store root: (name, length, CRC-32 of the
 /// contents), in name order.
 fn segment_files(root: &Path) -> Vec<(String, u64, u32)> {
@@ -495,7 +509,8 @@ fn older_build_roots_are_refused_untouched() {
 /// emits them, so a whole, checksummed frame of one is writer corruption,
 /// exactly like any other unknown kind — never a torn tail that replay would
 /// silently truncate away. A directory holding one refuses to open and
-/// leaves no `LOCK` behind.
+/// leaves no `LOCK` behind. (`store::segment`'s unit tests check the same
+/// frames at the decoder.)
 #[test]
 fn retired_record_kinds_are_corrupt_not_torn() {
     // Well-formed bodies in the layouts the retired kinds had.
@@ -522,12 +537,6 @@ fn retired_record_kinds_are_corrupt_not_torn() {
         frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
         frame.extend_from_slice(&crc32(&body).to_le_bytes());
         frame.extend_from_slice(&body);
-        let decoded = DurableRecord::decode(&frame);
-        assert!(
-            matches!(decoded, Err(Error::CorruptRecord(_))),
-            "kind {kind}: {decoded:?}"
-        );
-
         let dir = unique_dir("retired");
         std::fs::create_dir_all(&dir).unwrap();
         let mut segment = b"DYNASEG1".to_vec();
