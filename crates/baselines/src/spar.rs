@@ -212,10 +212,10 @@ impl SparEngine {
                 continue;
             }
             let key = (server.views.len(), i);
-            if best_any.map_or(true, |b| key < b) {
+            if best_any.is_none_or(|b| key < b) {
                 best_any = Some(key);
             }
-            if !server.is_full() && best_free.map_or(true, |b| key < b) {
+            if !server.is_full() && best_free.is_none_or(|b| key < b) {
                 best_free = Some(key);
             }
         }

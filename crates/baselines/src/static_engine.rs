@@ -156,7 +156,7 @@ impl StaticPlacement {
             if Some(i) == exclude || !self.topology.is_live(self.servers[i]) {
                 continue;
             }
-            if best.map_or(true, |b| (load, i) < b) {
+            if best.is_none_or(|b| (load, i) < b) {
                 best = Some((load, i));
             }
         }

@@ -384,7 +384,7 @@ impl DynaSoReEngine {
                 machine.index(),
                 replica,
             );
-            if best.map_or(true, |b| (key.0, key.1) < (b.0, b.1)) {
+            if best.is_none_or(|b| (key.0, key.1) < (b.0, b.1)) {
                 best = Some(key);
             }
         }
@@ -572,7 +572,7 @@ impl DynaSoReEngine {
         let slot = self.servers[sidx].insert(view);
         let replicas = &mut self.users[view.as_usize()].replicas;
         let at = replicas.partition_point(|r| r.server() < sidx);
-        debug_assert!(replicas.get(at).map_or(true, |r| r.server() != sidx));
+        debug_assert!(replicas.get(at).is_none_or(|r| r.server() != sidx));
         let replica = Replica {
             server: sidx as u32,
             slot: slot as u32,

@@ -46,10 +46,10 @@ impl DynaSoReEngine {
                 continue;
             }
             let key = (self.servers[i].len(), i);
-            if best_any.map_or(true, |b| key < b) {
+            if best_any.is_none_or(|b| key < b) {
                 best_any = Some(key);
             }
-            if !self.servers[i].is_full() && best_with_room.map_or(true, |b| key < b) {
+            if !self.servers[i].is_full() && best_with_room.is_none_or(|b| key < b) {
                 best_with_room = Some(key);
             }
         }

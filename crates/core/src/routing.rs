@@ -105,7 +105,7 @@ pub fn optimal_proxy_broker(topology: &Topology, tally: &mut TransferTally) -> O
     let mut end: Option<(u32, usize, usize)> = None;
     for &m in touched.iter() {
         let (inter, rack) = switches(m);
-        let first = end.map_or(true, |(e, e_inter, e_rack)| {
+        let first = end.is_none_or(|(e, e_inter, e_rack)| {
             heavier(inter, e_inter)
                 .then_with(|| heavier(rack, e_rack))
                 .then_with(|| is_broker(m).cmp(&is_broker(e)))

@@ -9,7 +9,6 @@ use dynasore_graph::SocialGraph;
 use dynasore_store::{Cluster, PersistentStore, StoreConfig, StoreObs, StoreStats};
 use dynasore_topology::Topology;
 use dynasore_types::{Result, StatusCode, TraceEventKind, UserId};
-use parking_lot::RwLock;
 
 use crate::envelope::{RequestEnvelope, RequestOp, ResponseBody, ResponseEnvelope};
 use crate::middleware::{AdmissionControl, FlowBudgetStage, TokenAuth, TracingStage};
@@ -59,16 +58,15 @@ const STATE_DRAINING: u8 = 1;
 const STATE_DOWN: u8 = 2;
 
 /// The [`Backend`] adapter: serves accepted envelopes from the cluster.
-///
-/// Holds the cluster behind a read lock so many envelopes proceed
-/// concurrently while graceful shutdown's write lock waits for all of them.
+/// Every method it calls takes `&self`, so many envelopes proceed at once;
+/// graceful shutdown's drain orders [`Cluster::shutdown`] after the last.
 struct ClusterBackend {
-    cluster: Arc<RwLock<Cluster>>,
+    cluster: Arc<Cluster>,
 }
 
 impl Backend for ClusterBackend {
     fn handle(&self, req: &RequestEnvelope) -> ResponseEnvelope {
-        let cluster = self.cluster.read();
+        let cluster = &self.cluster;
         let result = match &req.op {
             RequestOp::Write { payload } => cluster
                 .write(req.user, payload.clone())
@@ -88,7 +86,7 @@ impl Backend for ClusterBackend {
 /// thread; every envelope runs the tracing → auth → admission → flow-budget
 /// pipeline before it may touch the engine.
 pub struct LoopbackServer {
-    cluster: Arc<RwLock<Cluster>>,
+    cluster: Arc<Cluster>,
     pipeline: PipelineExecutor<ClusterBackend>,
     state: AtomicU8,
     inflight: Arc<AtomicU64>,
@@ -126,7 +124,7 @@ impl LoopbackServer {
     pub fn over_cluster(mut cluster: Cluster, config: ServeConfig) -> Self {
         let obs = StoreObs::default();
         cluster.set_observer(obs.clone());
-        let cluster = Arc::new(RwLock::new(cluster));
+        let cluster = Arc::new(cluster);
         let inflight = Arc::new(AtomicU64::new(0));
 
         let mut budgets = FlowBudgetStage::new(config.default_flow_limit);
@@ -213,7 +211,7 @@ impl LoopbackServer {
     /// Runtime counters of the backing cluster.
     #[must_use]
     pub fn store_stats(&self) -> StoreStats {
-        self.cluster.read().stats()
+        self.cluster.stats()
     }
 
     /// Graceful shutdown: stop admitting (`/healthz` ready flips false),
@@ -230,7 +228,7 @@ impl LoopbackServer {
         while self.inflight.load(Ordering::SeqCst) > 0 {
             std::thread::yield_now();
         }
-        self.cluster.write().shutdown()?;
+        self.cluster.shutdown()?;
         self.state.store(STATE_DOWN, Ordering::SeqCst);
         Ok(())
     }

@@ -260,7 +260,8 @@ impl Cluster {
         }
         // The probe: a copy on a server the engine did not write is a fill
         // that landed after another client's eviction. Deleting it (≈ 20× on
-        // `write_durable`) waits for fixed-work memory (ROADMAP items 1, 2(b)).
+        // `write_durable`) waits for fixed-work memory and the cache as the
+        // placement's slab (ROADMAP items 1 and 6).
         for shard in unwritten {
             if self.cache.get(shard, user).is_some() {
                 self.cache.evict(shard, user);
@@ -436,7 +437,7 @@ impl Cluster {
     ///
     /// Propagates I/O errors from flushing or syncing the persistent tier
     /// (the worker is still joined in that case).
-    pub fn shutdown(&mut self) -> Result<()> {
+    pub fn shutdown(&self) -> Result<()> {
         self.shut_down.store(true, Ordering::Release);
         // Durability first: acknowledged writes must hit disk even if the
         // worker refuses to join promptly. Retried on every call until it
@@ -564,7 +565,7 @@ mod tests {
             fail_next_sync: AtomicBool::new(true),
             syncs: AtomicU64::new(0),
         });
-        let mut cluster =
+        let cluster =
             Cluster::spawn_with_store(&graph, topology, StoreConfig::default(), store.clone())
                 .unwrap();
         let user = graph.users().next().unwrap();
@@ -572,9 +573,9 @@ mod tests {
 
         // First shutdown: sync fails, the error is surfaced, requests are
         // rejected from now on — and the worker is joined all the same.
-        assert!(cluster.cache.join.is_some());
+        assert!(cluster.cache.join.lock().is_some());
         assert!(cluster.shutdown().is_err());
-        assert!(cluster.cache.join.is_none());
+        assert!(cluster.cache.join.lock().is_none());
         assert!(matches!(
             cluster.write(user, vec![]),
             Err(Error::ClusterShutdown)
@@ -592,7 +593,7 @@ mod tests {
 
     #[test]
     fn read_your_writes_through_a_follower() {
-        let (mut cluster, graph) = cluster();
+        let (cluster, graph) = cluster();
         // Find an author who has at least one follower.
         let author = graph
             .users()
@@ -611,7 +612,7 @@ mod tests {
 
     #[test]
     fn misses_fill_the_cache_and_turn_into_hits() {
-        let (mut cluster, graph) = cluster();
+        let (cluster, graph) = cluster();
         let author = graph
             .users()
             .find(|&u| !graph.followers(u).is_empty())
@@ -632,7 +633,7 @@ mod tests {
 
     #[test]
     fn a_target_repeated_in_one_read_is_filled_once() {
-        let (mut cluster, graph) = cluster();
+        let (cluster, graph) = cluster();
         let author = graph
             .users()
             .find(|&u| !graph.followers(u).is_empty())
@@ -662,7 +663,7 @@ mod tests {
 
     #[test]
     fn unknown_users_are_rejected() {
-        let (mut cluster, _) = cluster();
+        let (cluster, _) = cluster();
         let ghost = UserId::new(9_999);
         assert!(matches!(
             cluster.write(ghost, vec![]),
@@ -689,7 +690,7 @@ mod tests {
         let mut graph = SocialGraph::new(3);
         graph.add_edge(UserId::new(0), UserId::new(1));
         let topology = Topology::tree(2, 2, 3, 1).unwrap();
-        let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
+        let cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
         let (reader, loner, ghost) = (UserId::new(0), UserId::new(2), UserId::new(9_999));
         cluster.write(loner, b"unread".to_vec()).unwrap();
         let before = cluster.stats();
@@ -704,7 +705,7 @@ mod tests {
 
     #[test]
     fn writes_reach_every_replica() {
-        let (mut cluster, graph) = cluster();
+        let (cluster, graph) = cluster();
         let author = graph
             .users()
             .find(|&u| !graph.followers(u).is_empty())
@@ -749,7 +750,7 @@ mod tests {
     /// neither a hit nor a miss.
     #[test]
     fn reads_fail_once_the_cache_worker_is_gone() {
-        let (mut cluster, graph) = cluster();
+        let (cluster, graph) = cluster();
         let reader = graph
             .users()
             .find(|&u| !graph.followees(u).is_empty())
@@ -1167,7 +1168,7 @@ mod tests {
         let users = graph.user_count() as u32;
         for seed in 0..8u32 {
             let topology = Topology::tree(2, 2, 4, 1).unwrap();
-            let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
+            let cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
             let start = std::sync::Barrier::new(2);
             std::thread::scope(|scope| {
                 for client in 0..2u32 {
@@ -1198,7 +1199,7 @@ mod tests {
     fn concurrent_clients_make_progress() {
         let graph = SocialGraph::generate(GraphPreset::TwitterLike, 100, 9).unwrap();
         let topology = Topology::tree(2, 2, 4, 1).unwrap();
-        let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
+        let cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
         std::thread::scope(|scope| {
             for t in 0..4u32 {
                 let cluster = &cluster;

@@ -42,7 +42,7 @@
 //! # fn main() -> Result<(), dynasore_types::Error> {
 //! let graph = SocialGraph::generate(GraphPreset::TwitterLike, 200, 7)?;
 //! let topology = Topology::tree(2, 2, 4, 1)?;
-//! let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default())?;
+//! let cluster = Cluster::spawn(&graph, topology, StoreConfig::default())?;
 //!
 //! let alice = UserId::new(0);
 //! let follower = graph.followers(alice).first().copied();

@@ -7,9 +7,9 @@
 //! workspace runs "one log over files"). Every write is a framed,
 //! checksummed batch frame (see `segment.rs`) in the shard's one file,
 //! `<root>/shard-NNNN.log`, and an in-memory index of full views is rebuilt
-//! by *replaying the log from disk* on open. `flush` pushes buffered bytes
-//! to the operating system; `sync` additionally fsyncs, making everything
-//! appended so far crash-durable.
+//! by *replaying the log from disk* on open. A commit hands its frame to
+//! the operating system in one write; `sync` additionally fsyncs, making
+//! everything acknowledged so far crash-durable.
 //!
 //! Crash semantics: a crash may truncate the log at any byte offset. On
 //! open, replay accepts every whole record and stops at the first torn
@@ -26,10 +26,12 @@
 //! written as **one** record when the batch holds
 //! [`ShardedConfig::max_batch_records`] events or `MAX_BATCH_BYTES` (1 MiB)
 //! of body, when the owner calls [`flush`]/[`sync`], or when the
-//! [`ShardedLogStore`] flush interval elapses. A commit only writes; a
-//! write becomes machine-durable through [`sync`] or the flusher's cadence
-//! (see `sharded.rs`), and one fsync covers every batch written before it,
-//! so K writers pay one fsync instead of K. An acknowledged-but-uncommitted
+//! [`ShardedLogStore`] flush interval elapses. A write therefore has three
+//! states: *acknowledged* (in the batch), *on the OS* (its frame committed
+//! by one positioned write, so it survives a process crash) and *synced*
+//! (machine-durable, through [`sync`] or the flusher's cadence — see
+//! `sharded.rs`). One fsync covers every batch written before it, so K
+//! writers pay one fsync instead of K. An acknowledged-but-uncommitted
 //! append can be lost by a crash, and because the batch frame carries a
 //! single checksum it is lost *as a unit* — replay never serves a prefix of
 //! a batch.
@@ -133,16 +135,11 @@ impl Shard {
     /// a file that is not a shard log).
     pub(crate) fn open(path: &Path, config: ShardedConfig, obs: Option<StoreObs>) -> Result<Self> {
         let (index, clock, recovery) = replay_log(path)?;
-        let active = if path.exists() {
-            Segment::reopen(path, recovery.bytes_replayed)?
-        } else {
-            Segment::create(path)?
-        };
         Ok(Shard {
             config,
             index,
             clock,
-            active,
+            active: Segment::open(path, recovery.bytes_replayed)?,
             recovery,
             pending: Batch::default(),
             writes: 0,
@@ -152,8 +149,10 @@ impl Shard {
     }
 
     /// Writes the pending batch — if any — as one batch frame into the
-    /// log file, without fsyncing it. The frame buffer keeps its
-    /// capacity for the next batch.
+    /// log file, without fsyncing it: on success the frame is on the OS and
+    /// survives a process crash. On failure the batch stays pending, and
+    /// the next commit rewrites it at the same offset. The frame buffer
+    /// keeps its capacity for the next batch.
     pub(crate) fn commit_pending(&mut self) -> Result<()> {
         let records = u64::from(self.pending.records());
         if records == 0 {
@@ -218,33 +217,20 @@ impl Shard {
         Ok(acked)
     }
 
-    /// Commits the pending batch and pushes buffered appends to the
-    /// operating system (they now survive a process crash, but not a
-    /// machine crash).
+    /// Commits the pending batch and fsyncs the log file: everything
+    /// *acknowledged* so far survives a machine crash.
     ///
     /// # Errors
     ///
-    /// I/O errors from the commit or flush.
-    pub(crate) fn flush(&mut self) -> Result<()> {
-        self.commit_pending()?;
-        self.active.flush()
-    }
-
-    /// Commits the pending batch, flushes and fsyncs the log file:
-    /// everything *acknowledged* so far survives a machine crash.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors from the commit, flush or fsync.
+    /// I/O errors from the commit or fsync.
     pub(crate) fn sync(&mut self) -> Result<()> {
         self.commit_pending()?;
         self.active.sync()
     }
 
-    /// Logical size of the log on disk, including appends still buffered
-    /// in memory, which have a reserved place in the file. Appends
-    /// acknowledged into the pending batch are *not* counted until the
-    /// batch commits — they have no reserved place yet.
+    /// Size of the log file: the magic header and every committed frame.
+    /// Appends acknowledged into the pending batch are *not* counted until
+    /// the batch commits.
     pub(crate) fn bytes_on_disk(&self) -> u64 {
         self.active.len()
     }
@@ -252,11 +238,9 @@ impl Shard {
 
 impl Drop for Shard {
     fn drop(&mut self) {
-        // Best-effort teardown: commit the pending batch and push buffered
-        // appends to the OS (the durability guarantee still belongs to
-        // sync()).
+        // Best-effort teardown: commit the pending batch to the OS (the
+        // durability guarantee still belongs to sync()).
         let _ = self.commit_pending();
-        let _ = self.active.flush();
     }
 }
 
@@ -391,7 +375,7 @@ mod tests {
         assert!(!dir.join("LOCK").exists());
         let reopened = ShardedLogStore::open(&dir, one_shard()).unwrap();
         drop(reopened);
-        // A stale lock from a crashed (dead-pid) owner is broken on open.
+        // A LOCK file a crashed (dead-pid) owner left holds no lock.
         std::fs::write(dir.join("LOCK"), "999999999").unwrap();
         let recovered = ShardedLogStore::open(&dir, one_shard());
         assert!(recovered.is_ok(), "{recovered:?}");
@@ -433,6 +417,28 @@ mod tests {
         assert_eq!(view.len(), 11);
         assert_eq!(view.version(), 11);
         drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A commit is the write: the frame a full batch commits is in the file
+    /// when the append that filled it returns, with no flush or sync, and
+    /// the file is exactly as long as `bytes_on_disk` says.
+    #[test]
+    fn a_commit_reaches_the_file_when_it_commits() {
+        let dir = temp_dir("commit-reaches-file");
+        let store = ShardedLogStore::open(&dir, batches_of(8)).unwrap();
+        for i in 0..8u8 {
+            store.append_version(UserId::new(2), vec![i; 10]).unwrap();
+        }
+        assert_eq!(store.pending_records(), 0, "the eighth append committed");
+        let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
+        assert_eq!(stats.total.records_replayed, 1);
+        assert_eq!(index[&UserId::new(2)].len(), 8);
+        // Magic 8 + frame header 8 + kind and count 5 + 8 entries of 26.
+        assert_eq!(store.bytes_on_disk(), 229);
+        let file_len = std::fs::metadata(dir.join("shard-0000.log")).unwrap().len();
+        assert_eq!(file_len, store.bytes_on_disk());
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

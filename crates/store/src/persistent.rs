@@ -43,7 +43,8 @@ pub trait PersistentStore: Send + Sync + std::fmt::Debug {
     /// I/O errors from durable implementations; infallible for the mock.
     fn fetch(&self, user: UserId) -> Result<View>;
 
-    /// Pushes buffered writes towards the operating system. A no-op for
+    /// Hands every acknowledged write to the operating system: it then
+    /// survives a process crash, but not a machine crash. A no-op for
     /// in-memory implementations.
     ///
     /// # Errors

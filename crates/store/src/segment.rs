@@ -25,10 +25,12 @@
 //!
 //! A writer accumulates acknowledged events straight into one reusable
 //! [`Batch`] and seals its length, checksum and count in place at commit
-//! time: no per-commit re-encoding, no intermediate allocations.
+//! time: no per-commit re-encoding, no intermediate allocations. The sealed
+//! frame goes to the file in one positioned write ([`Segment::append`]).
 
 use std::fs::{File, OpenOptions};
-use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufReader, Read};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 use dynasore_types::{Error, Event, Result, SimTime, UserId};
@@ -332,86 +334,72 @@ pub(crate) fn replay_segment(
     Ok(replay)
 }
 
-/// The writable side of one segment file.
+/// The writable side of one segment file. A commit is one positioned write
+/// of a sealed frame at [`len`](Segment::len): there is no buffer between a
+/// commit and the operating system, and `len` moves only once the write has
+/// succeeded, so a commit retried after a failed or short write overwrites
+/// its partial bytes instead of landing after them.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    writer: BufWriter<File>,
-    /// Logical length: every byte handed to the writer, flushed or not.
+    file: File,
+    /// Bytes in the file: the magic header and every committed frame.
     len: u64,
 }
 
 impl Segment {
-    /// Creates the segment file at `path`, fsyncs the directory that holds
-    /// it so the new file's entry is durable, and writes its magic header.
-    pub fn create(path: &Path) -> Result<Segment> {
-        let file = OpenOptions::new().create_new(true).write(true).open(path)?;
-        sync_parent(path)?;
-        let mut writer = BufWriter::new(file);
-        writer.write_all(SEGMENT_MAGIC)?;
-        Ok(Segment {
-            writer,
-            len: SEGMENT_MAGIC.len() as u64,
-        })
-    }
-
-    /// Reopens the existing segment file at `path` for appending, truncating
-    /// it to `valid_len` first (crash repair: the torn tail is physically
-    /// removed so new records append after the last whole one). A crash can
-    /// even tear the magic header of a freshly created segment; in that case
-    /// the header is rewritten so the file stays a valid, empty segment.
-    pub fn reopen(path: &Path, valid_len: u64) -> Result<Segment> {
-        let magic_len = SEGMENT_MAGIC.len() as u64;
-        let mut file = OpenOptions::new().write(true).open(path)?;
-        let len = if valid_len < magic_len {
-            file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(SEGMENT_MAGIC)?;
-            magic_len
+    /// Opens the segment file at `path` for appending after its first
+    /// `valid_len` bytes, truncating the rest (crash repair: the torn tail
+    /// is physically removed so new frames follow the last whole one). A
+    /// missing file is created and the directory that holds it fsynced, so
+    /// the new entry is durable. A file shorter than the magic header — a
+    /// new one, or one whose header a crash tore — gets the header, so it
+    /// stays a valid, empty segment.
+    pub fn open(path: &Path, valid_len: u64) -> Result<Segment> {
+        let mut options = OpenOptions::new();
+        options.write(true);
+        let file = if path.exists() {
+            options.open(path)?
         } else {
-            file.set_len(valid_len)?;
-            file.seek(SeekFrom::End(0))?;
-            valid_len
+            let file = options.create_new(true).open(path)?;
+            sync_parent(path)?;
+            file
         };
+        file.set_len(valid_len)?;
+        let magic_len = SEGMENT_MAGIC.len() as u64;
+        if valid_len < magic_len {
+            file.write_all_at(SEGMENT_MAGIC, 0)?;
+        }
         Ok(Segment {
-            writer: BufWriter::new(file),
-            len,
+            file,
+            len: valid_len.max(magic_len),
         })
     }
 
-    /// Logical length in bytes (including buffered, not-yet-flushed data).
+    /// Length in bytes: the magic header and every committed frame.
     pub fn len(&self) -> u64 {
         self.len
     }
 
-    /// Appends pre-encoded record bytes.
+    /// Writes a sealed frame at the end of the log, in one positioned write.
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.writer.write_all(bytes)?;
+        self.file.write_all_at(bytes, self.len)?;
         self.len += bytes.len() as u64;
         Ok(())
     }
 
-    /// Pushes buffered bytes to the operating system.
-    pub fn flush(&mut self) -> Result<()> {
-        self.writer.flush()?;
+    /// Fsyncs the file: after this returns, every appended frame survives a
+    /// machine crash.
+    pub fn sync(&self) -> Result<()> {
+        self.file.sync_all()?;
         Ok(())
     }
 
-    /// Flushes and then fsyncs the file: after this returns, every appended
-    /// record survives a machine crash.
-    pub fn sync(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.get_ref().sync_all()?;
-        Ok(())
-    }
-
-    /// Flushes buffered bytes to the OS and returns a duplicated handle to
-    /// the backing file. Fsyncing the duplicate covers every byte flushed
-    /// here (the kernel syncs the *file*, not the descriptor), so a caller
-    /// can make the segment durable without holding whatever lock guards
-    /// it.
-    pub fn detached_handle(&mut self) -> Result<File> {
-        self.writer.flush()?;
-        Ok(self.writer.get_ref().try_clone()?)
+    /// A duplicated handle to the backing file. Fsyncing the duplicate
+    /// covers every frame appended here (the kernel syncs the *file*, not
+    /// the descriptor), so a caller can make the segment durable without
+    /// holding whatever lock guards it.
+    pub fn detached_handle(&self) -> Result<File> {
+        Ok(self.file.try_clone()?)
     }
 }
 
@@ -730,7 +718,7 @@ mod tests {
     fn append_flush_replay_round_trip() {
         let dir = temp_dir("roundtrip");
         let path = dir.join("shard-0000.log");
-        let mut seg = Segment::create(&path).unwrap();
+        let mut seg = Segment::open(&path, 0).unwrap();
         for t in 0..10u64 {
             seg.append(&event_frame(t as u32, t)).unwrap();
         }
@@ -751,7 +739,7 @@ mod tests {
     fn torn_tail_is_detected_and_repaired_on_reopen() {
         let dir = temp_dir("torn");
         let path = dir.join("shard-0000.log");
-        let mut seg = Segment::create(&path).unwrap();
+        let mut seg = Segment::open(&path, 0).unwrap();
         let first = event_frame(1, 1);
         let first_end = SEGMENT_MAGIC.len() as u64 + first.len() as u64;
         seg.append(&first).unwrap();
@@ -772,7 +760,7 @@ mod tests {
         assert_eq!(stats.bytes_replayed, first_end);
         assert!(stats.torn_bytes > 0);
         // Reopen truncates the tail and appends cleanly after it.
-        let mut seg = Segment::reopen(&path, stats.bytes_replayed).unwrap();
+        let mut seg = Segment::open(&path, stats.bytes_replayed).unwrap();
         seg.append(&event_frame(3, 3)).unwrap();
         seg.sync().unwrap();
         let mut replayed = Vec::new();

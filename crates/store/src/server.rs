@@ -21,6 +21,8 @@ use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
+use parking_lot::Mutex;
+
 use dynasore_types::{UserId, View};
 
 /// One lookup of a batch: the shard and user asked for, and the slot the
@@ -138,7 +140,9 @@ fn run(commands: Receiver<Command>) {
 #[derive(Debug)]
 pub(crate) struct CacheWorker {
     sender: Sender<Command>,
-    pub join: Option<JoinHandle<()>>,
+    /// The worker thread, until [`shutdown`](CacheWorker::shutdown) joins
+    /// it.
+    pub join: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl CacheWorker {
@@ -151,7 +155,7 @@ impl CacheWorker {
             .expect("failed to spawn the cache worker thread");
         CacheWorker {
             sender,
-            join: Some(join),
+            join: Mutex::new(Some(join)),
         }
     }
 
@@ -191,9 +195,9 @@ impl CacheWorker {
     }
 
     /// Asks the thread to stop and waits for it. Idempotent.
-    pub fn shutdown(&mut self) {
+    pub fn shutdown(&self) {
         let _ = self.sender.send(Command::Shutdown);
-        if let Some(join) = self.join.take() {
+        if let Some(join) = self.join.lock().take() {
             let _ = join.join();
         }
     }
@@ -226,7 +230,7 @@ mod tests {
 
     #[test]
     fn get_put_evict_round_trip() {
-        let mut worker = CacheWorker::spawn();
+        let worker = CacheWorker::spawn();
         let u = UserId::new(5);
         assert!(worker.get(1, u).is_none());
         assert!(worker.lens().is_empty());
@@ -244,7 +248,7 @@ mod tests {
 
     #[test]
     fn stale_puts_do_not_overwrite_newer_views() {
-        let mut worker = CacheWorker::spawn();
+        let worker = CacheWorker::spawn();
         let u = UserId::new(1);
         worker.put(0, u, view_with(u, b"new", 3));
         worker.put(0, u, view_with(u, b"old", 1));
@@ -318,10 +322,10 @@ mod tests {
 
     #[test]
     fn shutdown_is_idempotent() {
-        let mut worker = CacheWorker::spawn();
+        let worker = CacheWorker::spawn();
         worker.shutdown();
         worker.shutdown();
-        assert!(worker.join.is_none());
+        assert!(worker.join.lock().is_none());
         assert!(worker.get(0, UserId::new(1)).is_none());
         let batch = (vec![(0, UserId::new(1), None)], vec![]);
         assert_eq!(worker.get_many(batch, true), None);

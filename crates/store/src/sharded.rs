@@ -17,22 +17,24 @@
 //!
 //! ```text
 //! <root>/
-//!   LOCK              owner's pid — taken before MANIFEST is read
+//!   LOCK              kernel-locked (flock); names the owner's pid
 //!   MANIFEST          "DYNASHARD2\nshards N\n" — written once, atomically
 //!   shard-0000.log    shard 0's log, the one file it ever writes
 //!   shard-0001.log
 //!   …
 //! ```
 //!
-//! Opening claims the whole root through the one `LOCK`, before the
-//! manifest is read or written: torn-tail repair truncates shard files and
-//! a fresh directory's manifest is written by whoever opens it first, so
-//! two live owners would corrupt each other. A lock left by a process that
-//! is provably dead (a crash) is broken; the lock is released on drop. Each
-//! directory the open creates on the way to the root, the manifest's rename
-//! and each new shard file is followed by an fsync of the directory that
-//! holds it, so a machine crash cannot lose the entry. A root whose manifest has been written but
-//! not yet all its shard files reads those shards as empty, and opening it
+//! Opening claims the whole root by taking the kernel's `flock` on the one
+//! `LOCK` file, before the manifest is read or written: torn-tail repair
+//! truncates shard files and a fresh directory's manifest is written by
+//! whoever opens it first, so two live owners would corrupt each other. The
+//! kernel drops the lock when its owner exits, however it exits, so a
+//! `LOCK` file a crash left behind — whatever pid it names, or none — never
+//! blocks a reopen; drop removes the file. Each directory the open creates
+//! on the way to the root, the manifest's rename and each new shard file is
+//! followed by an fsync of the directory that holds it, so a machine crash
+//! cannot lose the entry. A root whose manifest has been written but not
+//! yet all its shard files reads those shards as empty, and opening it
 //! creates them.
 //!
 //! A root an older build wrote — `DYNASHARD1`, a subdirectory per shard —
@@ -55,9 +57,10 @@
 //!
 //! Every shard writes by group commit (see the module docs of `log.rs`):
 //! appends are acknowledged into the shard's in-memory batch and written as
-//! one frame when the batch fills. A commit only *writes* the frame; no
-//! commit fsyncs. A write becomes machine-durable at exactly one of two
-//! points: an explicit [`sync`], or the background flusher, which syncs
+//! one frame when the batch fills. A commit only *writes* the frame, in one
+//! positioned write that puts it on the operating system; no commit fsyncs.
+//! A write becomes machine-durable at exactly one of two points: an
+//! explicit [`sync`], or the background flusher, which syncs
 //! each shard through a duplicated file handle *without* holding the shard
 //! lock — so the write path never waits on the disk, and on a single core
 //! appends overlap the flush that makes them durable. Fsync-per-append is a one-shard store with
@@ -83,8 +86,9 @@
 //! [`sync`]: PersistentStore::sync
 
 use std::collections::BTreeMap;
-use std::fs::File;
+use std::fs::{File, OpenOptions, TryLockError};
 use std::io::Write as _;
+use std::os::unix::fs::MetadataExt;
 use std::path::{Path, PathBuf};
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -251,9 +255,14 @@ impl Flusher {
     }
 
     /// One wake's work on one shard. Background errors have no caller to
-    /// report to and are swallowed; nothing is lost — unsynced bytes stay
-    /// counted and pending records stay pending, so the next wake retries
-    /// and the next explicit flush/sync surfaces the failure.
+    /// report to and are swallowed. A failed commit loses nothing: the
+    /// batch stays pending, so the next wake retries it and the next
+    /// explicit flush/sync surfaces a lasting failure. A failed fsync is
+    /// different: the duplicated handle shares the log file's open file
+    /// description, and Linux (≥ 4.13) reports a writeback error once, to
+    /// whichever caller fsyncs first — here, this thread. A later explicit
+    /// sync can then return `Ok` although the pages were lost. Fail-stop on
+    /// I/O errors (ROADMAP item 3(i)) is the fix.
     fn tend(
         shard: &Mutex<Shard>,
         c: &mut ShardCadence,
@@ -275,11 +284,11 @@ impl Flusher {
         }
 
         // Pipelined durability: fsync through a detached handle — the shard
-        // lock is held only to flush to the OS and duplicate the log file's
-        // handle, not while the disk flushes, so appends keep flowing. Sync
-        // once the byte threshold accumulates (batching the flush) or once
-        // any unsynced bytes have waited out the wake bound (bounding the
-        // ack-to-durable window in time).
+        // lock is held only to duplicate the log file's handle, not while
+        // the disk flushes, so appends keep flowing. Sync once the byte
+        // threshold accumulates (batching the flush) or once any unsynced
+        // bytes have waited out the wake bound (bounding the ack-to-durable
+        // window in time).
         let unsynced = c.bytes_at_last_wake.saturating_sub(c.synced_bytes);
         if unsynced == 0 {
             c.unsynced_wakes = 0;
@@ -313,77 +322,61 @@ impl Drop for Flusher {
     }
 }
 
-/// The root `LOCK` file: this process's claim on a store directory,
-/// removed on drop.
+/// The root `LOCK` file, held under the kernel's `flock` for the life of
+/// the store. The kernel releases the lock when its owner exits, however it
+/// exits, so a lock a crash left behind never blocks a reopen. The file
+/// names the owner's pid, for the refusal message; drop removes it.
 #[derive(Debug)]
-struct DirLock(PathBuf);
+struct DirLock {
+    path: PathBuf,
+    _file: File,
+}
 
 impl DirLock {
-    /// Claims exclusive ownership of `dir` by creating its `LOCK` file with
-    /// this process's pid inside. A lock left by a process that is
-    /// *provably* no longer alive (a real crash — exactly the scenario
-    /// recovery exists for) is broken and re-claimed; a lock held by a live
-    /// process, or one whose liveness cannot be checked, is an error.
+    /// Claims exclusive ownership of `dir`: opens or creates its `LOCK`
+    /// file, takes the kernel lock on it without waiting, and writes this
+    /// process's pid into it. A lock held by a live owner is an error.
     fn acquire(dir: &Path) -> Result<DirLock> {
         let path = dir.join(LOCK_FILE);
-        for attempt in 0..2 {
-            match std::fs::OpenOptions::new()
+        loop {
+            let file = OpenOptions::new()
                 .write(true)
-                .create_new(true)
-                .open(&path)
-            {
-                Ok(mut file) => {
-                    let _ = write!(file, "{}", std::process::id());
-                    return Ok(DirLock(path));
+                .create(true)
+                .truncate(false)
+                .open(&path)?;
+            match file.try_lock() {
+                Ok(()) => {}
+                Err(TryLockError::WouldBlock) => {
+                    let holder = std::fs::read_to_string(&path).unwrap_or_default();
+                    return Err(Error::invalid_config(format!(
+                        "store directory {} is locked by pid {}; two owners would corrupt \
+                         the log — use ShardedLogStore::read_back for inspection",
+                        dir.display(),
+                        Some(holder.trim())
+                            .filter(|h| !h.is_empty())
+                            .unwrap_or("unknown"),
+                    )));
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists && attempt == 0 => {
-                    let holder: Option<u32> = std::fs::read_to_string(&path)
-                        .ok()
-                        .and_then(|s| s.trim().parse().ok());
-                    // Only a pid we can *prove* dead is stale. The proof
-                    // needs a /proc filesystem; where there is none, refuse
-                    // rather than break a possibly-live lock.
-                    let stale = match holder {
-                        Some(pid) => {
-                            pid != std::process::id()
-                                && Path::new("/proc/self").exists()
-                                && !Path::new(&format!("/proc/{pid}")).exists()
-                        }
-                        None => false,
-                    };
-                    if !stale {
-                        return Err(Error::invalid_config(format!(
-                            "store directory {} is locked by pid {}; two owners would corrupt \
-                             the log — use ShardedLogStore::read_back for inspection, or \
-                             delete the LOCK file if the owner is known to be gone",
-                            dir.display(),
-                            holder.map_or_else(|| "unknown".into(), |p| p.to_string()),
-                        )));
-                    }
-                    // Break the dead owner's lock via rename: of several
-                    // racing openers, only one rename succeeds, so nobody
-                    // can delete a lock that a faster racer has already
-                    // replaced.
-                    let takeover = dir.join(format!("LOCK.stale.{}", std::process::id()));
-                    if std::fs::rename(&path, &takeover).is_ok() {
-                        let _ = std::fs::remove_file(&takeover);
-                    }
-                }
-                Err(e) => return Err(e.into()),
+                Err(TryLockError::Error(e)) => return Err(e.into()),
+            }
+            // An owner's drop unlinks `LOCK` before the kernel releases it,
+            // so the file locked here may no longer be the one at `path`:
+            // then another opener may already hold the new one, and the
+            // claim starts over.
+            let locked = file.metadata()?.ino();
+            if std::fs::metadata(&path).is_ok_and(|at_path| at_path.ino() == locked) {
+                file.set_len(0)?;
+                write!(&file, "{}", std::process::id())?;
+                return Ok(DirLock { path, _file: file });
             }
         }
-        // Second create_new also lost: another opener claimed the broken
-        // lock first.
-        Err(Error::invalid_config(format!(
-            "store directory {} is locked by another instance that claimed it concurrently",
-            dir.display()
-        )))
     }
 }
 
 impl Drop for DirLock {
     fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.0);
+        // Unlinked while still locked; the kernel lock goes with the file.
+        let _ = std::fs::remove_file(&self.path);
     }
 }
 
@@ -397,8 +390,8 @@ impl Drop for DirLock {
 #[derive(Debug)]
 pub struct ShardedLogStore {
     // Fields drop in declaration order. The flusher thread borrows the
-    // shards through the Arc and is joined first; each shard commits and
-    // flushes its batch as it drops; the root lock is released last.
+    // shards through the Arc and is joined first; each shard commits its
+    // batch as it drops; the root lock is released last.
     _flusher: Option<Flusher>,
     shards: Arc<[Mutex<Shard>]>,
     _lock: DirLock,
@@ -696,18 +689,18 @@ impl PersistentStore for ShardedLogStore {
         Ok(view.unwrap_or_else(|| View::new(user)))
     }
 
-    /// Commits every shard's pending batch and pushes it to the operating
+    /// Commits every shard's pending batch, which puts it on the operating
     /// system: it now survives a process crash, but not a machine crash.
     /// Fails fast on the first shard error.
     fn flush(&self) -> Result<()> {
         self.shards
             .iter()
-            .try_for_each(|shard| shard.lock().flush())
+            .try_for_each(|shard| shard.lock().commit_pending())
     }
 
-    /// Commits every shard's pending batch, flushes and fsyncs: after this
-    /// returns, every acknowledged write on every shard is crash-durable.
-    /// Fails fast on the first shard error.
+    /// Commits every shard's pending batch and fsyncs: after this returns,
+    /// every acknowledged write on every shard is crash-durable. Fails fast
+    /// on the first shard error.
     fn sync(&self) -> Result<()> {
         self.shards.iter().try_for_each(|shard| shard.lock().sync())
     }
@@ -975,7 +968,7 @@ mod tests {
 
     /// One `LOCK`, at the root, guards the manifest and every shard: a
     /// live owner refuses a second one whatever shard count it asks for, a
-    /// dead owner's lock is broken, and drop releases it.
+    /// `LOCK` file a dead owner left does not block, and drop releases it.
     #[test]
     fn double_open_conflicts_on_shard_locks() {
         let dir = temp_dir("double-open");
@@ -993,12 +986,35 @@ mod tests {
         assert!(!dir.join(LOCK_FILE).exists());
         let third = ShardedLogStore::open(&dir, no_flusher(2)).unwrap();
         drop(third);
-        // A crashed owner's lock names a dead pid and is broken on open.
+        // A crashed owner's LOCK file names a dead pid and holds no lock.
         std::fs::write(dir.join(LOCK_FILE), "999999999").unwrap();
         let recovered = ShardedLogStore::open(&dir, no_flusher(2));
         assert!(recovered.is_ok(), "{recovered:?}");
         drop(recovered);
         assert!(!dir.join(LOCK_FILE).exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Only the kernel lock claims a root, never the `LOCK` file's contents:
+    /// a file a crash left behind — empty (its pid never reached the disk),
+    /// naming a live pid (in any pid namespace, pid 1 is live), or naming
+    /// this very process (a restarted container can get its old pid back)
+    /// — is reclaimed by the next open, which writes its own pid into it.
+    #[test]
+    fn an_ownerless_lock_never_blocks_a_reopen() {
+        let dir = temp_dir("ownerless-lock");
+        drop(ShardedLogStore::open(&dir, no_flusher(2)).unwrap());
+        let me = std::process::id().to_string();
+        for leftover in ["", "1", me.as_str()] {
+            std::fs::write(dir.join(LOCK_FILE), leftover).unwrap();
+            let reopened = ShardedLogStore::open(&dir, no_flusher(2));
+            assert!(reopened.is_ok(), "LOCK {leftover:?}: {reopened:?}");
+            assert_eq!(
+                std::fs::read_to_string(dir.join(LOCK_FILE)).unwrap(),
+                me,
+                "LOCK {leftover:?}: the reopen must name its owner"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

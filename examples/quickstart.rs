@@ -22,7 +22,7 @@ fn main() -> Result<(), Error> {
 
     // ── 2. The live store: cache worker, channel, persistent backing ──────
     let topology = Topology::tree(2, 2, 5, 1)?;
-    let mut cluster = Cluster::spawn(&graph, topology.clone(), StoreConfig::default())?;
+    let cluster = Cluster::spawn(&graph, topology.clone(), StoreConfig::default())?;
 
     let author = UserId::new(0);
     cluster.write(author, b"hello, social world!".to_vec())?;

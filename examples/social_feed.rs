@@ -16,7 +16,7 @@ fn main() -> Result<(), Error> {
     let users = 1_500;
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, users, 11)?;
     let topology = Topology::tree(2, 3, 4, 1)?;
-    let mut cluster = Cluster::spawn(
+    let cluster = Cluster::spawn(
         &graph,
         topology,
         StoreConfig {

@@ -291,7 +291,7 @@ proptest! {
             } else {
                 engine.handle_write(user, SimTime::from_secs(time), &mut out);
             }
-            if time % 3_600 == 0 {
+            if time.is_multiple_of(3_600) {
                 engine.on_tick(SimTime::from_secs(time), &mut out);
             }
         }

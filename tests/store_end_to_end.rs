@@ -43,7 +43,7 @@ fn spawn_cluster(users: usize, seed: u64) -> (Cluster, SocialGraph) {
 
 #[test]
 fn feeds_contain_exactly_the_followees_events_in_order() {
-    let (mut cluster, graph) = spawn_cluster(300, 3);
+    let (cluster, graph) = spawn_cluster(300, 3);
     let reader = graph
         .users()
         .find(|&u| graph.followees(u).len() >= 2)
@@ -75,7 +75,7 @@ fn feeds_contain_exactly_the_followees_events_in_order() {
 
 #[test]
 fn repeated_reads_are_served_from_cache() {
-    let (mut cluster, graph) = spawn_cluster(300, 9);
+    let (cluster, graph) = spawn_cluster(300, 9);
     let reader = graph
         .users()
         .find(|&u| !graph.followees(u).is_empty())
@@ -93,7 +93,7 @@ fn repeated_reads_are_served_from_cache() {
 
 #[test]
 fn hot_views_gain_replicas_in_the_live_store() {
-    let (mut cluster, graph) = spawn_cluster(400, 13);
+    let (cluster, graph) = spawn_cluster(400, 13);
     // The most-followed user becomes hot: every follower refreshes her feed
     // repeatedly.
     let celebrity = graph
@@ -122,7 +122,7 @@ fn hot_views_gain_replicas_in_the_live_store() {
 
 #[test]
 fn writes_remain_visible_after_heavy_mixed_traffic() {
-    let (mut cluster, graph) = spawn_cluster(300, 21);
+    let (cluster, graph) = spawn_cluster(300, 21);
     let author = graph
         .users()
         .find(|&u| !graph.followers(u).is_empty())
@@ -225,7 +225,7 @@ fn batched_reads_mirror_the_persistent_tier_across_failures_and_growth() {
 /// looks anything up, whatever the other clients are doing.
 #[test]
 fn concurrent_clients_read_their_own_latest_write() {
-    let (mut cluster, graph) = spawn_cluster(200, 5);
+    let (cluster, graph) = spawn_cluster(200, 5);
     let authors: Vec<UserId> = graph
         .users()
         .filter(|&u| !graph.followers(u).is_empty())
@@ -440,7 +440,7 @@ fn shutdown_flushes_every_shards_pending_batch() {
         )
         .unwrap(),
     );
-    let mut cluster =
+    let cluster =
         Cluster::spawn_with_store(&graph, topology, StoreConfig::default(), store.clone()).unwrap();
     let authors: Vec<UserId> = graph.users().take(12).collect();
     for (i, &author) in authors.iter().enumerate() {
@@ -483,7 +483,7 @@ fn shutdown_makes_every_acknowledged_write_visible_to_a_reopen() {
     // Without the explicit flush+sync in shutdown, these appends would
     // still sit in the log's pending batch.
     let store = open_one_log(&dir);
-    let mut cluster =
+    let cluster =
         Cluster::spawn_with_store(&graph, topology, StoreConfig::default(), store.clone()).unwrap();
     let authors: Vec<UserId> = graph.users().take(10).collect();
     for (i, &author) in authors.iter().enumerate() {
@@ -527,7 +527,7 @@ fn file_backed_cluster_restarts_from_real_bytes() {
     let reader = graph.followers(author)[0];
 
     {
-        let mut cluster = Cluster::spawn_with_store(
+        let cluster = Cluster::spawn_with_store(
             &graph,
             topology.clone(),
             StoreConfig::default(),
@@ -545,7 +545,7 @@ fn file_backed_cluster_restarts_from_real_bytes() {
         "restart must replay real bytes"
     );
     assert_eq!(recovered.torn_bytes, 0);
-    let mut cluster =
+    let cluster =
         Cluster::spawn_with_store(&graph, topology, StoreConfig::default(), store).unwrap();
     let views = cluster.read(reader, &[author]).unwrap();
     assert_eq!(views.len(), 1);
