@@ -494,7 +494,7 @@ fn main() {
     }
     let single_secs = single_start.elapsed().as_secs_f64();
     drop(single);
-    let _ = std::fs::remove_dir_all(&data_dir);
+    std::fs::remove_dir_all(&data_dir).expect("remove the durable phases' data directory");
 
     let durable_per_sec = durable_iters as f64 / durable_secs;
     let single_sync_per_sec = single_iters as f64 / single_secs;

@@ -40,7 +40,7 @@
 //!
 //! The in-process transport is [`LoopbackServer`]: spawn, serve from any
 //! thread, probe `/healthz`, scrape `/metrics`, and shut down gracefully —
-//! draining in-flight envelopes, then flushing and syncing the durable tier
+//! draining in-flight envelopes, then syncing the durable tier
 //! through [`dynasore_store::Cluster::shutdown`].
 //!
 //! # Example

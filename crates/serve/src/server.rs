@@ -215,7 +215,7 @@ impl LoopbackServer {
     }
 
     /// Graceful shutdown: stop admitting (`/healthz` ready flips false),
-    /// wait for in-flight envelopes to finish, then flush/sync the durable
+    /// wait for in-flight envelopes to finish, then sync the durable
     /// tier and join the cluster's threads via [`Cluster::shutdown`].
     /// Idempotent once it has succeeded.
     pub fn shutdown(&self) -> Result<()> {

@@ -135,7 +135,7 @@ pub struct Cluster {
     misses: AtomicU64,
     recovery_messages: AtomicU64,
     shut_down: AtomicBool,
-    /// Whether the persistent tier was successfully flushed and synced
+    /// Whether the persistent tier was successfully synced
     /// during shutdown — tracked separately from `shut_down` so a retry
     /// after a failed sync actually syncs instead of returning early.
     synced: AtomicBool,
@@ -423,20 +423,22 @@ impl Cluster {
     }
 
     /// Stops the cache worker and rejects all further requests with
-    /// [`Error::ClusterShutdown`]. The persistent tier is flushed and synced
-    /// *before* the worker is joined, so every write acknowledged before
-    /// this call is crash-durable once it returns `Ok` — a reopen of a
-    /// file-backed tier's directory sees all of them. Idempotent once it
-    /// has succeeded: further calls are no-ops. After an `Err`, calling it
-    /// again retries the flush and sync (the worker is only joined once).
+    /// [`Error::ClusterShutdown`]. The persistent tier is synced — which
+    /// covers its flush — *before* the worker is joined, so every write
+    /// acknowledged before this call is crash-durable once it returns `Ok` —
+    /// a reopen of a file-backed tier's directory sees all of them.
+    /// Idempotent once it has succeeded: further calls are no-ops. After an
+    /// `Err`, calling it again retries the sync (the worker is only joined
+    /// once); a file-backed tier that has failed once keeps returning its
+    /// first I/O error until it is reopened.
     /// Dropping the cluster without calling this joins the worker just the
     /// same; only a `shutdown` that returned `Ok` guarantees the durable
     /// sync.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors from flushing or syncing the persistent tier
-    /// (the worker is still joined in that case).
+    /// Propagates I/O errors from syncing the persistent tier (the worker is
+    /// still joined in that case).
     pub fn shutdown(&self) -> Result<()> {
         self.shut_down.store(true, Ordering::Release);
         // Durability first: acknowledged writes must hit disk even if the
@@ -446,8 +448,7 @@ impl Cluster {
             Ok(())
         } else {
             self.persistent
-                .flush()
-                .and_then(|()| self.persistent.sync())
+                .sync()
                 .map(|()| self.synced.store(true, Ordering::Release))
         };
         self.cache.shutdown();

@@ -21,12 +21,12 @@
 //!
 //! An append is *acknowledged* into a bounded in-memory batch: the event is
 //! encoded straight into a reusable batch frame (one copy, no intermediate
-//! record value) and the in-memory index is updated
-//! immediately, so `fetch` sees the new version at once. The frame is
+//! record value) and the in-memory index is updated before the append
+//! returns `Ok`, so `fetch` sees the new version at once. The frame is
 //! written as **one** record when the batch holds
 //! [`ShardedConfig::max_batch_records`] events or `MAX_BATCH_BYTES` (1 MiB)
-//! of body, when the owner calls [`flush`]/[`sync`], or when the
-//! [`ShardedLogStore`] flush interval elapses. A write therefore has three
+//! of body, when the owner calls [`flush`]/[`sync`], or at the
+//! [`ShardedLogStore`] flusher's next wake. A write therefore has three
 //! states: *acknowledged* (in the batch), *on the OS* (its frame committed
 //! by one positioned write, so it survives a process crash) and *synced*
 //! (machine-durable, through [`sync`] or the flusher's cadence — see
@@ -35,6 +35,13 @@
 //! append can be lost by a crash, and because the batch frame carries a
 //! single checksum it is lost *as a unit* — replay never serves a prefix of
 //! a batch.
+//!
+//! Fail-stop: the shard keeps its first I/O error, from a commit or an
+//! fsync, and from then on every append, commit and sync returns it until
+//! the store is reopened, whose replay repairs the file from what is on
+//! disk. A write or fsync that failed once is never retried into an `Ok`:
+//! the kernel may already have dropped the pages it could not write, and it
+//! reports that only once.
 //!
 //! The log holds batch frames and nothing else: the history is never
 //! rewritten and no view is ever removed, so replay is "apply every event of
@@ -48,7 +55,7 @@
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use dynasore_types::{Event, Result, SimTime, TraceEventKind, UserId, View};
+use dynasore_types::{Error, Event, Result, SimTime, TraceEventKind, UserId, View};
 
 use crate::obs::StoreObs;
 use crate::segment::{replay_segment, Batch, Segment};
@@ -88,6 +95,17 @@ pub(crate) struct Shard {
     clock: u64,
     /// The shard's log file, open for appending.
     pub(crate) active: Segment,
+    /// Bytes of the file the last successful fsync covered — by [`sync`] or
+    /// by the flusher, whichever ran last — from the length the open
+    /// replayed (or the magic header of a new file). The one record of what
+    /// is durable.
+    ///
+    /// [`sync`]: Shard::sync
+    pub(crate) synced_len: u64,
+    /// The shard's first I/O error, from a commit or an fsync. From then on
+    /// every append, commit and sync returns it, until the store is
+    /// reopened (fail-stop).
+    failed: Option<Error>,
     /// What the open replayed.
     pub(crate) recovery: RecoveryStats,
     /// The reusable commit frame: every acknowledged-but-uncommitted
@@ -135,11 +153,14 @@ impl Shard {
     /// a file that is not a shard log).
     pub(crate) fn open(path: &Path, config: ShardedConfig, obs: Option<StoreObs>) -> Result<Self> {
         let (index, clock, recovery) = replay_log(path)?;
+        let active = Segment::open(path, recovery.bytes_replayed)?;
         Ok(Shard {
             config,
             index,
             clock,
-            active: Segment::open(path, recovery.bytes_replayed)?,
+            synced_len: active.len(),
+            failed: None,
+            active,
             recovery,
             pending: Batch::default(),
             writes: 0,
@@ -150,15 +171,16 @@ impl Shard {
 
     /// Writes the pending batch — if any — as one batch frame into the
     /// log file, without fsyncing it: on success the frame is on the OS and
-    /// survives a process crash. On failure the batch stays pending, and
-    /// the next commit rewrites it at the same offset. The frame buffer
-    /// keeps its capacity for the next batch.
+    /// survives a process crash. A failed write fail-stops the shard. The
+    /// frame buffer keeps its capacity for the next batch.
     pub(crate) fn commit_pending(&mut self) -> Result<()> {
+        self.healthy()?;
         let records = u64::from(self.pending.records());
         if records == 0 {
             return Ok(());
         }
-        self.active.append(self.pending.seal()?)?;
+        let written = self.active.append(self.pending.seal()?);
+        self.fail_stop(written)?;
         self.pending.clear();
         if let Some(obs) = &self.obs {
             // Fill ratio against the configured fill trigger.
@@ -175,15 +197,17 @@ impl Shard {
     /// Appends an event with `payload` to `user`'s view and returns what
     /// `ack` reads off the updated view — the body every write path
     /// shares. The event is *acknowledged* into the pending batch frame —
-    /// immediately visible in the index, durable at the next commit — and
-    /// the frame is committed once it is full. The payload is encoded
-    /// directly from a borrow — exactly one copy, into the frame buffer —
-    /// and then *moved* into the in-memory index, so the durable write path
-    /// never duplicates the caller's bytes.
+    /// visible in the index once the append returns `Ok`, on the OS at the
+    /// next commit — and the frame is committed once it is full. The
+    /// payload is encoded directly from a borrow — exactly one copy, into
+    /// the frame buffer — and then *moved* into the in-memory index, so the
+    /// durable write path never duplicates the caller's bytes.
     ///
     /// # Errors
     ///
-    /// I/O errors from a commit the append forces, and
+    /// The shard's first I/O error, once it has one (see [`Shard::failed`]);
+    /// I/O errors from a commit the append forces, which leave the event out
+    /// of the index; and
     /// [`InvalidConfig`](dynasore_types::Error::InvalidConfig) for a payload
     /// over the frame cap.
     pub(crate) fn append_with<T>(
@@ -192,6 +216,7 @@ impl Shard {
         payload: Vec<u8>,
         ack: impl FnOnce(&View) -> T,
     ) -> Result<T> {
+        self.healthy()?;
         let timestamp = SimTime::from_secs(self.clock);
         self.clock += 1;
         if let Err(first) = self.pending.push(user, timestamp, &payload) {
@@ -205,16 +230,15 @@ impl Shard {
             self.commit_pending()?;
             self.pending.push(user, timestamp, &payload)?;
         }
-        let view = self.index.entry(user).or_insert_with(|| View::new(user));
-        view.push(Event::new(user, timestamp, payload));
-        let acked = ack(view);
         if self.pending.records() >= self.config.max_batch_records
             || self.pending.body_len() >= MAX_BATCH_BYTES
         {
             self.commit_pending()?;
         }
+        let view = self.index.entry(user).or_insert_with(|| View::new(user));
+        view.push(Event::new(user, timestamp, payload));
         self.writes += 1;
-        Ok(acked)
+        Ok(ack(view))
     }
 
     /// Commits the pending batch and fsyncs the log file: everything
@@ -222,10 +246,34 @@ impl Shard {
     ///
     /// # Errors
     ///
-    /// I/O errors from the commit or fsync.
+    /// The shard's first I/O error, from this commit or fsync or an earlier
+    /// one.
     pub(crate) fn sync(&mut self) -> Result<()> {
         self.commit_pending()?;
-        self.active.sync()
+        let outcome = self.active.sync();
+        self.synced(self.active.len(), outcome)
+    }
+
+    /// Records the outcome of an fsync that covered the first `len` bytes of
+    /// the file: a success advances [`synced_len`](Shard::synced_len), a
+    /// failure fail-stops the shard.
+    pub(crate) fn synced(&mut self, len: u64, outcome: Result<()>) -> Result<()> {
+        self.fail_stop(outcome)?;
+        self.synced_len = self.synced_len.max(len);
+        Ok(())
+    }
+
+    /// `Ok` until the shard's first I/O error, then that error.
+    fn healthy(&self) -> Result<()> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Passes `outcome` through, keeping it if it is the shard's first error.
+    fn fail_stop<T>(&mut self, outcome: Result<T>) -> Result<T> {
+        if let Err(e) = &outcome {
+            self.failed.get_or_insert_with(|| e.clone());
+        }
+        outcome
     }
 
     /// Size of the log file: the magic header and every committed frame.
@@ -239,7 +287,8 @@ impl Shard {
 impl Drop for Shard {
     fn drop(&mut self) {
         // Best-effort teardown: commit the pending batch to the OS (the
-        // durability guarantee still belongs to sync()).
+        // durability guarantee still belongs to sync()); a failed shard
+        // writes nothing more.
         let _ = self.commit_pending();
     }
 }

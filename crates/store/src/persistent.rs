@@ -21,7 +21,7 @@ use dynasore_types::{Event, Result, SimTime, UserId, View};
 /// system of record): every write is persisted here before the caches are
 /// told, misses and recovery demand-fill from here, and
 /// [`flush`](PersistentStore::flush)/[`sync`](PersistentStore::sync) are the
-/// explicit durability points the cluster drives at shutdown.
+/// explicit durability points; the cluster's shutdown drives `sync`.
 ///
 /// Implementations must be shareable across the cluster's client threads
 /// (`Send + Sync`).
@@ -54,8 +54,9 @@ pub trait PersistentStore: Send + Sync + std::fmt::Debug {
         Ok(())
     }
 
-    /// Makes every acknowledged write crash-durable (fsync). A no-op for
-    /// in-memory implementations.
+    /// Makes every acknowledged write crash-durable (fsync); this covers
+    /// [`flush`](PersistentStore::flush). A no-op for in-memory
+    /// implementations.
     ///
     /// # Errors
     ///

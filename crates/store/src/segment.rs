@@ -344,6 +344,8 @@ pub(crate) struct Segment {
     file: File,
     /// Bytes in the file: the magic header and every committed frame.
     len: u64,
+    #[cfg(test)]
+    next_handle: Option<File>,
 }
 
 impl Segment {
@@ -372,6 +374,8 @@ impl Segment {
         Ok(Segment {
             file,
             len: valid_len.max(magic_len),
+            #[cfg(test)]
+            next_handle: None,
         })
     }
 
@@ -398,8 +402,41 @@ impl Segment {
     /// covers every frame appended here (the kernel syncs the *file*, not
     /// the descriptor), so a caller can make the segment durable without
     /// holding whatever lock guards it.
-    pub fn detached_handle(&self) -> Result<File> {
+    pub fn detached_handle(&mut self) -> Result<File> {
+        #[cfg(test)]
+        if let Some(file) = self.next_handle.take() {
+            return Ok(file);
+        }
         Ok(self.file.try_clone()?)
+    }
+}
+
+#[cfg(test)]
+impl Segment {
+    /// `/dev/full`: every write to it fails with `ENOSPC` and every fsync
+    /// with `EINVAL`.
+    fn dev_full() -> File {
+        OpenOptions::new().write(true).open("/dev/full").unwrap()
+    }
+
+    /// Every later write and fsync of this segment fails.
+    pub(crate) fn fail_from_now_on(&mut self) {
+        self.file = Self::dev_full();
+    }
+
+    /// The next [`detached_handle`](Segment::detached_handle) fails its
+    /// fsync while the segment's own handle keeps working: the kernel
+    /// reports a writeback error once per open file, so only the caller
+    /// that fsyncs first sees it.
+    pub(crate) fn fail_next_detached_sync(&mut self) {
+        self.next_handle = Some(Self::dev_full());
+    }
+
+    /// Whether the handle set by
+    /// [`fail_next_detached_sync`](Segment::fail_next_detached_sync) is still
+    /// waiting for a caller.
+    pub(crate) fn detached_fault_pending(&self) -> bool {
+        self.next_handle.is_some()
     }
 }
 

@@ -60,26 +60,19 @@
 //! one frame when the batch fills. A commit only *writes* the frame, in one
 //! positioned write that puts it on the operating system; no commit fsyncs.
 //! A write becomes machine-durable at exactly one of two points: an
-//! explicit [`sync`], or the background flusher, which syncs
-//! each shard through a duplicated file handle *without* holding the shard
-//! lock — so the write path never waits on the disk, and on a single core
-//! appends overlap the flush that makes them durable. Fsync-per-append is a one-shard store with
-//! `max_batch_records: 1`, no flusher, and a [`sync`] after every append.
+//! explicit [`sync`], or the background flusher, which fsyncs each shard
+//! through a duplicated file handle *without* holding the shard lock — so
+//! the write path never waits on the disk. Both advance the shard's one
+//! record of what is synced, so neither fsyncs bytes the other has covered.
+//! Fsync-per-append is a one-shard store with `max_batch_records: 1`, no
+//! flusher, and a [`sync`] after every append.
 //!
-//! The bounded [`flush_interval`] caps the ack-to-durable window. Each wake
-//! the flusher (a) commits the open batch of any shard that has gone a full
-//! interval without committing on its own — busy shards, whose fill trigger
-//! commits faster than that, never get their batch split — and (b) fsyncs a
-//! shard once it has accumulated `SYNC_BYTES_THRESHOLD` (1 MiB) unsynced
-//! bytes or has carried *any* unsynced bytes for `SYNC_WAKE_BOUND` (16)
-//! wakes. An acknowledged append is therefore machine-durable within a
-//! small constant number of intervals (at most `2 + SYNC_WAKE_BOUND`, ~90 ms
-//! at the default interval) — or sooner, whenever an explicit [`sync`]
-//! intervenes. Under a fast write load the
-//! byte threshold fires first, so the fsync count stays proportional to
-//! data volume — every fsync forces a journal commit, and a wake bound
-//! tight enough to dominate under load would turn the pipelined flusher
-//! into hundreds of tiny journal commits per second.
+//! The flusher is a timed [`sync`]. Every [`flush_interval`] it commits
+//! each shard's pending batch, so an acknowledged append is on the OS
+//! within one interval; every `FSYNC_EVERY_WAKES` (16) wakes it fsyncs each
+//! shard that has unsynced bytes, so it is machine-durable within 16
+//! intervals (~80 ms at the default). A failed commit or fsync fail-stops
+//! its shard, exactly as if a caller's [`sync`] had failed.
 //!
 //! [`Mutex`]: parking_lot::Mutex
 //! [`flush_interval`]: ShardedConfig::flush_interval
@@ -111,17 +104,10 @@ const MANIFEST_FILE: &str = "MANIFEST";
 /// First line of the manifest; bumped only on incompatible layout changes.
 const MANIFEST_MAGIC: &str = "DYNASHARD2";
 
-/// Unsynced bytes at which the flusher fsyncs a shard without waiting out
-/// [`SYNC_WAKE_BOUND`]: batching the disk flush into ~megabyte chunks keeps
-/// the fsync count proportional to data volume, not wake frequency.
-const SYNC_BYTES_THRESHOLD: u64 = 1 << 20;
-/// Maximum consecutive flusher wakes a shard may carry unsynced bytes before
-/// it is fsynced regardless of volume — the time half of the ack-to-durable
-/// bound, `(2 + SYNC_WAKE_BOUND) × flush_interval`. Loose enough (16 wakes ≈
-/// 90 ms at the 5 ms default interval) that a busy shard reaches the byte
-/// threshold first; a smaller durability window is a smaller
-/// [`flush_interval`](ShardedConfig::flush_interval).
-const SYNC_WAKE_BOUND: u32 = 16;
+/// The flusher fsyncs every this many wakes: the ack-to-synced bound in
+/// [`flush_interval`](ShardedConfig::flush_interval)s. A smaller durability
+/// window is a smaller interval.
+const FSYNC_EVERY_WAKES: u32 = 16;
 
 /// Configuration of a [`ShardedLogStore`]. Every shard runs with the same
 /// values.
@@ -134,13 +120,9 @@ pub struct ShardedConfig {
     /// batch holds this many (see the module docs of `log.rs`). `1` commits
     /// every record before its append returns. Default 4096.
     pub max_batch_records: u32,
-    /// Wake period of the background flusher, which bounds the
-    /// ack-to-durable window: each wake commits the open batch of any shard
-    /// that has gone a full interval without committing on its own (busy
-    /// shards, whose fill trigger commits faster, never get their batch
-    /// split) and fsyncs shards on the pipelined cadence described in the
-    /// module documentation of `sharded.rs` — at most `2 + SYNC_WAKE_BOUND`
-    /// (18) intervals from acknowledgement to machine durability. `None`
+    /// Wake period of the background flusher: each wake commits every
+    /// shard's pending batch, and every 16th fsyncs every shard with
+    /// unsynced bytes (see the module documentation of `sharded.rs`). `None`
     /// disables the flusher: batches then commit only when they fill or on
     /// an explicit [`flush`]/[`sync`], and nothing fsyncs behind
     /// the caller's back — the right mode for deterministic tests and
@@ -193,24 +175,13 @@ impl ShardedRecoveryStats {
     }
 }
 
-/// The background flusher: commits idle shards' pending batches and fsyncs
-/// accumulated writes on a bounded interval. Stopped (and joined) on drop,
-/// before the shards it borrows through the [`Arc`] can be dropped.
+/// The background flusher: a timed sync of every shard. Stopped (and
+/// joined) on drop, before the shards it borrows through the [`Arc`] can be
+/// dropped.
 #[derive(Debug)]
 struct Flusher {
     stop: mpsc::Sender<()>,
     handle: Option<JoinHandle<()>>,
-}
-
-/// What the flusher remembers about one shard between wakes.
-struct ShardCadence {
-    /// Disk bytes at the previous wake; detects shards whose fill trigger
-    /// is committing on its own.
-    bytes_at_last_wake: u64,
-    /// Disk bytes covered by the last fsync this thread issued.
-    synced_bytes: u64,
-    /// Consecutive wakes this shard has carried unsynced bytes.
-    unsynced_wakes: u32,
 }
 
 impl Flusher {
@@ -223,28 +194,11 @@ impl Flusher {
         let handle = std::thread::Builder::new()
             .name("dynasore-flusher".into())
             .spawn(move || {
-                let mut cadence: Vec<ShardCadence> = shards
-                    .iter()
-                    .map(|s| {
-                        let bytes = s.lock().bytes_on_disk();
-                        ShardCadence {
-                            bytes_at_last_wake: bytes,
-                            // Whatever was on disk before this instance is
-                            // not ours to fsync.
-                            synced_bytes: bytes,
-                            unsynced_wakes: 0,
-                        }
-                    })
-                    .collect();
-                loop {
-                    match wakeup.recv_timeout(interval) {
-                        Ok(()) | Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                        Err(mpsc::RecvTimeoutError::Timeout) => {
-                            for (i, (shard, c)) in shards.iter().zip(cadence.iter_mut()).enumerate()
-                            {
-                                Self::tend(shard, c, i, obs.as_ref());
-                            }
-                        }
+                let mut wakes = 0;
+                while let Err(mpsc::RecvTimeoutError::Timeout) = wakeup.recv_timeout(interval) {
+                    wakes = (wakes + 1) % FSYNC_EVERY_WAKES;
+                    for (i, shard) in shards.iter().enumerate() {
+                        Self::tend(shard, i, wakes == 0, obs.as_ref());
                     }
                 }
             })?;
@@ -254,60 +208,31 @@ impl Flusher {
         })
     }
 
-    /// One wake's work on one shard. Background errors have no caller to
-    /// report to and are swallowed. A failed commit loses nothing: the
-    /// batch stays pending, so the next wake retries it and the next
-    /// explicit flush/sync surfaces a lasting failure. A failed fsync is
-    /// different: the duplicated handle shares the log file's open file
-    /// description, and Linux (≥ 4.13) reports a writeback error once, to
-    /// whichever caller fsyncs first — here, this thread. A later explicit
-    /// sync can then return `Ok` although the pages were lost. Fail-stop on
-    /// I/O errors (ROADMAP item 3(i)) is the fix.
-    fn tend(
-        shard: &Mutex<Shard>,
-        c: &mut ShardCadence,
-        shard_index: usize,
-        obs: Option<&StoreObs>,
-    ) {
-        // A shard whose byte count moved since the last wake committed on
-        // its own within the interval (the fill trigger is doing its job):
-        // its open batch is younger than one interval and is left to fill —
-        // forcing it out would split a busy shard's batches for no
-        // durability gain. A shard that is pending *and* byte-stable for a
-        // whole interval is idle and gets its batch written here.
-        {
+    /// One wake's work on one shard: commit its pending batch and, on an
+    /// `fsync` wake, fsync the bytes past its `synced_len`. The shard lock
+    /// is held to commit and to duplicate the file's handle, not while the
+    /// disk flushes, so appends keep flowing. Errors have no caller here:
+    /// each is kept on the shard, whose next append, flush or sync returns
+    /// it.
+    fn tend(shard: &Mutex<Shard>, index: usize, fsync: bool, obs: Option<&StoreObs>) {
+        let (handle, len, lag_bytes) = {
             let mut shard = shard.lock();
-            if shard.bytes_on_disk() == c.bytes_at_last_wake && shard.pending.records() > 0 {
-                let _ = shard.commit_pending();
+            if shard.commit_pending().is_err()
+                || !fsync
+                || shard.bytes_on_disk() == shard.synced_len
+            {
+                return;
             }
-            c.bytes_at_last_wake = shard.bytes_on_disk();
-        }
-
-        // Pipelined durability: fsync through a detached handle — the shard
-        // lock is held only to duplicate the log file's handle, not while
-        // the disk flushes, so appends keep flowing. Sync once the byte
-        // threshold accumulates (batching the flush) or once any unsynced
-        // bytes have waited out the wake bound (bounding the ack-to-durable
-        // window in time).
-        let unsynced = c.bytes_at_last_wake.saturating_sub(c.synced_bytes);
-        if unsynced == 0 {
-            c.unsynced_wakes = 0;
-            return;
-        }
-        c.unsynced_wakes += 1;
-        if unsynced >= SYNC_BYTES_THRESHOLD || c.unsynced_wakes > SYNC_WAKE_BOUND {
-            // The handle is duplicated after the byte count was read, so
-            // the fsync covers at least `bytes_at_last_wake` bytes.
-            let handle = shard.lock().active.detached_handle();
-            if handle.is_ok_and(|file| file.sync_all().is_ok()) {
-                c.synced_bytes = c.bytes_at_last_wake;
-                c.unsynced_wakes = 0;
-                if let Some(obs) = obs {
-                    obs.trace(TraceEventKind::FlusherSync {
-                        shard: shard_index as u32,
-                        lag_bytes: unsynced,
-                    });
-                }
+            let len = shard.bytes_on_disk();
+            (shard.active.detached_handle(), len, len - shard.synced_len)
+        };
+        let outcome = handle.and_then(|file| Ok(file.sync_all()?));
+        if shard.lock().synced(len, outcome).is_ok() {
+            if let Some(obs) = obs {
+                obs.trace(TraceEventKind::FlusherSync {
+                    shard: index as u32,
+                    lag_bytes,
+                });
             }
         }
     }
@@ -637,6 +562,7 @@ impl ShardedLogStore {
     ///
     /// # Errors
     ///
+    /// The shard's first I/O error (see [`sync`](PersistentStore::sync)),
     /// I/O errors from a forced batch commit, and
     /// [`Error::InvalidConfig`] for an oversized payload.
     pub fn append_version(&self, user: UserId, payload: Vec<u8>) -> Result<u64> {
@@ -691,7 +617,8 @@ impl PersistentStore for ShardedLogStore {
 
     /// Commits every shard's pending batch, which puts it on the operating
     /// system: it now survives a process crash, but not a machine crash.
-    /// Fails fast on the first shard error.
+    /// Fails fast on the first shard error; a shard that has failed once
+    /// returns its first I/O error until the store is reopened.
     fn flush(&self) -> Result<()> {
         self.shards
             .iter()
@@ -700,7 +627,9 @@ impl PersistentStore for ShardedLogStore {
 
     /// Commits every shard's pending batch and fsyncs: after this returns,
     /// every acknowledged write on every shard is crash-durable. Fails fast
-    /// on the first shard error.
+    /// on the first shard error; a shard that has failed once — here, in
+    /// the flusher or in an append — returns its first I/O error until the
+    /// store is reopened, so no `Ok` follows a failed write or fsync.
     fn sync(&self) -> Result<()> {
         self.shards.iter().try_for_each(|shard| shard.lock().sync())
     }
@@ -737,6 +666,26 @@ mod tests {
             flush_interval: None,
             ..ShardedConfig::default()
         }
+    }
+
+    /// A flusher that wakes every millisecond.
+    fn fast_flusher(shards: usize) -> ShardedConfig {
+        ShardedConfig {
+            shards,
+            flush_interval: Some(Duration::from_millis(1)),
+            ..ShardedConfig::default()
+        }
+    }
+
+    /// Polls `done` every millisecond, for at most ten seconds.
+    fn wait_until(what: &str, done: impl Fn() -> bool) {
+        for _ in 0..10_000 {
+            if done() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        panic!("timed out waiting until {what}");
     }
 
     #[test]
@@ -1049,6 +998,112 @@ mod tests {
         let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
         assert_eq!(index.len(), 8);
         assert_eq!(stats.total.torn_bytes, 0);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `synced_len` is the one record of what is durable: the flusher does
+    /// not fsync again what an explicit sync covered, but does fsync what
+    /// no sync did.
+    #[test]
+    fn the_flusher_never_refsyncs_what_a_sync_covered() {
+        let dir = temp_dir("one-record");
+        let obs = StoreObs::default();
+        let store = ShardedLogStore::open_observed(&dir, fast_flusher(1), obs.clone()).unwrap();
+        let flusher_syncs = || obs.to_jsonl().matches("\"kind\":\"flusher-sync\"").count();
+        // The sync lands while the flusher runs, well before its first
+        // fsync wake.
+        std::thread::sleep(Duration::from_millis(2));
+        store
+            .append_version(UserId::new(1), b"synced".to_vec())
+            .unwrap();
+        store.sync().unwrap();
+        // Five times the flusher's fsync period and the commit before it.
+        std::thread::sleep(Duration::from_millis(5 * u64::from(FSYNC_EVERY_WAKES + 2)));
+        assert_eq!(flusher_syncs(), 0, "the flusher re-fsynced synced bytes");
+        store
+            .append_version(UserId::new(1), b"left to the flusher".to_vec())
+            .unwrap();
+        wait_until("the flusher fsyncs the unsynced append", || {
+            flusher_syncs() == 1
+        });
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The flusher's fsync fails through its duplicated handle — a
+    /// writeback error the kernel reports once, to whoever fsyncs first —
+    /// and the shard keeps it: every later sync, flush and append of the
+    /// shard returns it. A reopen replays what is on disk and works again.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_failed_flusher_fsync_fails_every_later_sync() {
+        let dir = temp_dir("flusher-fsync-error");
+        let store = ShardedLogStore::open(&dir, fast_flusher(2)).unwrap();
+        let user_on = |shard| {
+            (0..)
+                .map(UserId::new)
+                .find(|&u| store.shard_index_of(u) == shard)
+                .unwrap()
+        };
+        let (hit, bystander) = (user_on(0), user_on(1));
+        store.append_version(hit, b"on the OS".to_vec()).unwrap();
+        store.shards[0].lock().active.fail_next_detached_sync();
+        wait_until("the flusher fsyncs shard 0", || {
+            !store.shards[0].lock().active.detached_fault_pending()
+        });
+        // The flusher tends the shards in order, so once it has committed a
+        // write to shard 1 made after it took shard 0's handle, it has also
+        // recorded that fsync's outcome.
+        store.append_version(bystander, b"later".to_vec()).unwrap();
+        wait_until("the flusher commits shard 1", || {
+            store.pending_records() == 0
+        });
+        let err = store.sync().unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        assert_eq!(store.flush().unwrap_err(), err);
+        assert_eq!(store.append_version(hit, vec![1]).unwrap_err(), err);
+        assert_eq!(
+            store.sync().unwrap_err(),
+            err,
+            "a retried sync stays failed"
+        );
+        drop(store);
+        let reopened = ShardedLogStore::open(&dir, no_flusher(2)).unwrap();
+        assert_eq!(reopened.fetch(hit).unwrap().len(), 1);
+        assert_eq!(reopened.fetch(bystander).unwrap().len(), 1);
+        reopened.append_version(hit, vec![2]).unwrap();
+        reopened.sync().unwrap();
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An append whose forced commit fails returns `Err`, and no `fetch`
+    /// serves its event — then or after a reopen. The shard fails every
+    /// later append, flush and sync with that first error.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn an_append_whose_commit_fails_is_never_visible() {
+        let dir = temp_dir("failed-append");
+        let config = ShardedConfig {
+            shards: 1,
+            max_batch_records: 1,
+            flush_interval: None,
+        };
+        let store = ShardedLogStore::open(&dir, config).unwrap();
+        let u = UserId::new(5);
+        let kept = store.append(u, b"kept".to_vec()).unwrap();
+        store.shards[0].lock().active.fail_from_now_on();
+        let err = store.append(u, b"failed".to_vec()).unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        assert_eq!(store.fetch(u).unwrap(), kept, "a failed append is visible");
+        assert_eq!(store.append(UserId::new(6), vec![]).unwrap_err(), err);
+        assert_eq!(store.flush().unwrap_err(), err);
+        assert_eq!(store.sync().unwrap_err(), err);
+        drop(store);
+        let reopened = ShardedLogStore::open(&dir, config).unwrap();
+        assert_eq!(reopened.fetch(u).unwrap(), kept);
+        reopened.sync().unwrap();
+        drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
