@@ -74,11 +74,13 @@
 //! [`ShardedLogStore`] (group commit plus the pipelined background flusher,
 //! default shard count) in a scratch directory (`--data-dir`, default under
 //! the system temp dir) and times them *including the final sync*, so the
-//! number is a true durable rate.
+//! number is a true durable rate. It appends at least 1,000,000 events,
+//! `--quick` included, so the flusher reaches its fsync wakes under load.
 //! A short `durable_single_sync` phase then measures the same store type at
-//! one shard with `max_batch_records: 1`, no flusher and a `sync()` after
-//! each append — one fsync per append, the pre-sharding durability
-//! baseline — and the JSON records the speedup between the two.
+//! one shard with no flusher and a `sync()` after each append — which
+//! commits that append's frame and fsyncs it: one fsync per append, the
+//! pre-sharding durability baseline — and the JSON records the speedup
+//! between the two.
 
 use std::time::Instant;
 
@@ -438,7 +440,7 @@ fn main() {
         );
         std::process::exit(2);
     }
-    let durable_iters = opts.iters.max(if opts.quick { 200_000 } else { 1_000_000 });
+    let durable_iters = opts.iters.max(1_000_000);
     let sharded_config = ShardedConfig::default();
     let durable_shards = sharded_config.shards;
     let payload_at = |k: u64| vec![(k as u8) ^ 0x5A; DURABLE_EVENT_BYTES];
@@ -470,8 +472,8 @@ fn main() {
         }
     }
 
-    // The pre-sharding durability baseline: one shard, batches of one
-    // record, and a sync after each — one fsync per append. At ~4k
+    // The pre-sharding durability baseline: one shard and a sync after
+    // each append, which commits its frame — one fsync per append. At ~4k
     // appends/s this phase is time-boxed by a small iteration count rather
     // than matched to the phase above.
     let single_iters = if opts.quick { 300 } else { 2_000 };
@@ -480,8 +482,8 @@ fn main() {
         &single_dir,
         ShardedConfig {
             shards: 1,
-            max_batch_records: 1,
             flush_interval: None,
+            ..ShardedConfig::default()
         },
     )
     .expect("open single-sync store");

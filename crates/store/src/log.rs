@@ -1,15 +1,13 @@
 //! One shard of the file-backed durable tier: a log in one file.
 //!
-//! A [`Shard`] is plain state — no lock of its own, no say over the
-//! directory it lives in: a [`ShardedLogStore`] keeps one per shard behind
-//! one mutex each, owns the root directory and its `LOCK`, and is the one
-//! public store over files (a one-shard store is how the rest of the
-//! workspace runs "one log over files"). Every write is a framed,
-//! checksummed batch frame (see `segment.rs`) in the shard's one file,
-//! `<root>/shard-NNNN.log`, and an in-memory index of full views is rebuilt
-//! by *replaying the log from disk* on open. A commit hands its frame to
-//! the operating system in one write; `sync` additionally fsyncs, making
-//! everything acknowledged so far crash-durable.
+//! A [`Shard`] is plain state — no lock, no fsync and no say over its
+//! directory: a [`ShardedLogStore`] keeps one per shard behind one mutex
+//! each, owns the root and its `LOCK`, and fsyncs a shard's file outside
+//! that mutex, reporting the outcome back through `Shard::synced` (see
+//! `sharded.rs`). Every write is a checksummed batch frame (see
+//! `segment.rs`) in the shard's one file, `<root>/shard-NNNN.log`, and an
+//! in-memory index of full views is rebuilt by *replaying the log from
+//! disk* on open.
 //!
 //! Crash semantics: a crash may truncate the log at any byte offset. On
 //! open, replay accepts every whole record and stops at the first torn
@@ -29,12 +27,11 @@
 //! [`ShardedLogStore`] flusher's next wake. A write therefore has three
 //! states: *acknowledged* (in the batch), *on the OS* (its frame committed
 //! by one positioned write, so it survives a process crash) and *synced*
-//! (machine-durable, through [`sync`] or the flusher's cadence — see
-//! `sharded.rs`). One fsync covers every batch written before it, so K
-//! writers pay one fsync instead of K. An acknowledged-but-uncommitted
-//! append can be lost by a crash, and because the batch frame carries a
-//! single checksum it is lost *as a unit* — replay never serves a prefix of
-//! a batch.
+//! (machine-durable, through [`sync`] or the flusher). One fsync covers
+//! every batch written before it, so K writers pay one fsync instead of K.
+//! An acknowledged-but-uncommitted append can be lost by a crash, and
+//! because the batch frame carries a single checksum it is lost *as a
+//! unit* — replay never serves a prefix of a batch.
 //!
 //! Fail-stop: the shard keeps its first I/O error, from a commit or an
 //! fsync, and from then on every append, commit and sync returns it until
@@ -95,12 +92,11 @@ pub(crate) struct Shard {
     clock: u64,
     /// The shard's log file, open for appending.
     pub(crate) active: Segment,
-    /// Bytes of the file the last successful fsync covered — by [`sync`] or
-    /// by the flusher, whichever ran last — from the length the open
-    /// replayed (or the magic header of a new file). The one record of what
-    /// is durable.
-    ///
-    /// [`sync`]: Shard::sync
+    /// Bytes of the file the last successful fsync covered, from the length
+    /// the open replayed (or the magic header of a new file). The one
+    /// record of what is durable, advanced only by the store's one fsync
+    /// routine (`sync_shard` in `sharded.rs`), whether an explicit sync or
+    /// the flusher ran it.
     pub(crate) synced_len: u64,
     /// The shard's first I/O error, from a commit or an fsync. From then on
     /// every append, commit and sync returns it, until the store is
@@ -241,25 +237,13 @@ impl Shard {
         Ok(ack(view))
     }
 
-    /// Commits the pending batch and fsyncs the log file: everything
-    /// *acknowledged* so far survives a machine crash.
-    ///
-    /// # Errors
-    ///
-    /// The shard's first I/O error, from this commit or fsync or an earlier
-    /// one.
-    pub(crate) fn sync(&mut self) -> Result<()> {
-        self.commit_pending()?;
-        let outcome = self.active.sync();
-        self.synced(self.active.len(), outcome)
-    }
-
     /// Records the outcome of an fsync that covered the first `len` bytes of
-    /// the file: a success advances [`synced_len`](Shard::synced_len), a
+    /// the file: a success advances [`synced_len`](Shard::synced_len) to
+    /// `len` (the store orders its fsyncs, so outcomes arrive in order), a
     /// failure fail-stops the shard.
     pub(crate) fn synced(&mut self, len: u64, outcome: Result<()>) -> Result<()> {
         self.fail_stop(outcome)?;
-        self.synced_len = self.synced_len.max(len);
+        self.synced_len = len;
         Ok(())
     }
 

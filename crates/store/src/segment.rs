@@ -26,12 +26,14 @@
 //! A writer accumulates acknowledged events straight into one reusable
 //! [`Batch`] and seals its length, checksum and count in place at commit
 //! time: no per-commit re-encoding, no intermediate allocations. The sealed
-//! frame goes to the file in one positioned write ([`Segment::append`]).
+//! frame goes to the file in one positioned write ([`Segment::append`]);
+//! the fsync is `sync_shard`'s in `sharded.rs`, on [`Segment::handle`].
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read};
 use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::Arc;
 
 use dynasore_types::{Error, Event, Result, SimTime, UserId};
 
@@ -341,11 +343,13 @@ pub(crate) fn replay_segment(
 /// its partial bytes instead of landing after them.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    file: File,
+    file: Arc<File>,
     /// Bytes in the file: the magic header and every committed frame.
     len: u64,
     #[cfg(test)]
-    next_handle: Option<File>,
+    next_handle: Option<Arc<File>>,
+    #[cfg(test)]
+    pub(crate) park: Option<Park>,
 }
 
 impl Segment {
@@ -372,10 +376,12 @@ impl Segment {
             file.write_all_at(SEGMENT_MAGIC, 0)?;
         }
         Ok(Segment {
-            file,
+            file: Arc::new(file),
             len: valid_len.max(magic_len),
             #[cfg(test)]
             next_handle: None,
+            #[cfg(test)]
+            park: None,
         })
     }
 
@@ -391,23 +397,36 @@ impl Segment {
         Ok(())
     }
 
-    /// Fsyncs the file: after this returns, every appended frame survives a
-    /// machine crash.
-    pub fn sync(&self) -> Result<()> {
-        self.file.sync_all()?;
-        Ok(())
-    }
-
-    /// A duplicated handle to the backing file. Fsyncing the duplicate
-    /// covers every frame appended here (the kernel syncs the *file*, not
-    /// the descriptor), so a caller can make the segment durable without
+    /// The open file itself, shared. Fsyncing it covers every frame
+    /// appended so far, so a caller can make the segment durable without
     /// holding whatever lock guards it.
-    pub fn detached_handle(&mut self) -> Result<File> {
+    pub fn handle(&mut self) -> Arc<File> {
         #[cfg(test)]
         if let Some(file) = self.next_handle.take() {
-            return Ok(file);
+            return file;
         }
-        Ok(self.file.try_clone()?)
+        Arc::clone(&self.file)
+    }
+}
+
+/// A test's hold on one fsync: the fsync that takes it reports that it has
+/// started, then waits until the test releases it.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct Park {
+    parked: std::sync::mpsc::Sender<()>,
+    release: std::sync::mpsc::Receiver<()>,
+}
+
+#[cfg(test)]
+impl Park {
+    /// If a park is set, reports that the fsync is parked and waits for
+    /// the release (or for the test to drop its sender).
+    pub(crate) fn wait(park: Option<Park>) {
+        if let Some(park) = park {
+            let _ = park.parked.send(());
+            let _ = park.release.recv();
+        }
     }
 }
 
@@ -415,8 +434,8 @@ impl Segment {
 impl Segment {
     /// `/dev/full`: every write to it fails with `ENOSPC` and every fsync
     /// with `EINVAL`.
-    fn dev_full() -> File {
-        OpenOptions::new().write(true).open("/dev/full").unwrap()
+    fn dev_full() -> Arc<File> {
+        Arc::new(OpenOptions::new().write(true).open("/dev/full").unwrap())
     }
 
     /// Every later write and fsync of this segment fails.
@@ -424,10 +443,10 @@ impl Segment {
         self.file = Self::dev_full();
     }
 
-    /// The next [`detached_handle`](Segment::detached_handle) fails its
-    /// fsync while the segment's own handle keeps working: the kernel
-    /// reports a writeback error once per open file, so only the caller
-    /// that fsyncs first sees it.
+    /// The next [`handle`](Segment::handle) fails its fsync while the
+    /// segment's own writes keep working: the kernel reports a writeback
+    /// error once per open file, so only the caller that fsyncs first sees
+    /// it.
     pub(crate) fn fail_next_detached_sync(&mut self) {
         self.next_handle = Some(Self::dev_full());
     }
@@ -437,6 +456,21 @@ impl Segment {
     /// waiting for a caller.
     pub(crate) fn detached_fault_pending(&self) -> bool {
         self.next_handle.is_some()
+    }
+
+    /// The next fsync of this segment parks until the test releases it.
+    /// Returns a receiver that gets a message once that fsync is parked,
+    /// and the sender whose message (or drop) releases it.
+    pub(crate) fn park_next_sync(
+        &mut self,
+    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
+        let (parked, on_parked) = std::sync::mpsc::channel();
+        let (release, on_release) = std::sync::mpsc::channel();
+        self.park = Some(Park {
+            parked,
+            release: on_release,
+        });
+        (on_parked, release)
     }
 }
 
@@ -759,7 +793,6 @@ mod tests {
         for t in 0..10u64 {
             seg.append(&event_frame(t as u32, t)).unwrap();
         }
-        seg.sync().unwrap();
         let mut replayed = Vec::new();
         let stats = replay_segment(&path, |events| replayed.push(events)).unwrap();
         assert_eq!(stats.records_replayed, 10);
@@ -781,7 +814,6 @@ mod tests {
         let first_end = SEGMENT_MAGIC.len() as u64 + first.len() as u64;
         seg.append(&first).unwrap();
         seg.append(&event_frame(2, 2)).unwrap();
-        seg.sync().unwrap();
         drop(seg);
         // Crash: the second frame loses its last byte.
         let full = std::fs::metadata(&path).unwrap().len();
@@ -799,7 +831,6 @@ mod tests {
         // Reopen truncates the tail and appends cleanly after it.
         let mut seg = Segment::open(&path, stats.bytes_replayed).unwrap();
         seg.append(&event_frame(3, 3)).unwrap();
-        seg.sync().unwrap();
         let mut replayed = Vec::new();
         let stats = replay_segment(&path, |events| replayed.extend(events)).unwrap();
         assert_eq!(stats.torn_bytes, 0);

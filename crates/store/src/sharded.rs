@@ -1,17 +1,14 @@
 //! The file-backed durable tier: N independent log shards under one root
 //! directory, each writing by group commit.
 //!
-//! [`ShardedLogStore`] is the one store over files — the one
-//! [`PersistentStore`] that writes to disk, and the one owner of the
-//! root directory below; "a single log" is `shards: 1`. A shard is the
-//! plain state of one log (see the module docs of `log.rs`) behind its own
-//! [`Mutex`], which serialises every append behind the shard's one log
-//! file; that lock (and its fsync) is the scaling ceiling of a shard. With
-//! `shards: N` the key space is split across `N` shards — each with its own
-//! log file and pending batch — selected by a stable
-//! hash of the [`UserId`], so unrelated users never contend on the same
-//! lock, batch or fsync, and recovery can replay shards concurrently
-//! (reopen wall-clock is the *max* shard replay time, not the sum).
+//! [`ShardedLogStore`] is the one [`PersistentStore`] over files and the one
+//! owner of the root directory below; "a single log" is `shards: 1`. A
+//! shard is the plain state of one log (see the module docs of `log.rs`)
+//! behind its own [`Mutex`], which serialises its appends: that lock is a
+//! shard's scaling ceiling, and no fsync runs under it. A stable hash of the
+//! [`UserId`] picks the shard, so unrelated users never contend on one lock,
+//! batch or fsync, and a reopen replays shards concurrently (wall-clock is
+//! the *max* shard replay time, not the sum).
 //!
 //! # On-disk layout
 //!
@@ -53,26 +50,25 @@
 //! function itself ([`ShardedLogStore::shard_index_of`]) is part of the
 //! on-disk format and must never change.
 //!
-//! # Group commit and the background flusher
+//! # Group commit and the one fsync routine
 //!
-//! Every shard writes by group commit (see the module docs of `log.rs`):
-//! appends are acknowledged into the shard's in-memory batch and written as
-//! one frame when the batch fills. A commit only *writes* the frame, in one
-//! positioned write that puts it on the operating system; no commit fsyncs.
-//! A write becomes machine-durable at exactly one of two points: an
-//! explicit [`sync`], or the background flusher, which fsyncs each shard
-//! through a duplicated file handle *without* holding the shard lock — so
-//! the write path never waits on the disk. Both advance the shard's one
-//! record of what is synced, so neither fsyncs bytes the other has covered.
-//! Fsync-per-append is a one-shard store with `max_batch_records: 1`, no
-//! flusher, and a [`sync`] after every append.
+//! A shard acknowledges appends into its in-memory batch and commits the
+//! batch as one frame, in one positioned write that puts it on the OS (see
+//! `log.rs`); no commit fsyncs. A write becomes machine-durable through one
+//! routine, `sync_shard`, which [`sync`] and the background flusher both
+//! run: under the shard lock it commits the pending batch and, if the file
+//! has grown past the shard's record of what is synced, takes the file's
+//! shared handle; it fsyncs with the lock released, so appends never wait
+//! on the disk; then it writes the outcome back — the record advances, or
+//! the shard fail-stops. One store-wide mutex orders these fsyncs, held by
+//! [`sync`] for its whole pass and by the flusher for each fsync wake: no
+//! fsync starts before the previous one's outcome is on its shard.
+//! Fsync-per-append is no flusher and a [`sync`] after every append.
 //!
-//! The flusher is a timed [`sync`]. Every [`flush_interval`] it commits
-//! each shard's pending batch, so an acknowledged append is on the OS
-//! within one interval; every `FSYNC_EVERY_WAKES` (16) wakes it fsyncs each
-//! shard that has unsynced bytes, so it is machine-durable within 16
-//! intervals (~80 ms at the default). A failed commit or fsync fail-stops
-//! its shard, exactly as if a caller's [`sync`] had failed.
+//! The flusher is a timed [`sync`]: every [`flush_interval`] it commits
+//! each shard's batch (on the OS within one interval), and every
+//! `FSYNC_EVERY_WAKES` (16) wakes it runs `sync_shard` on every shard
+//! instead (synced within 16 intervals, ~80 ms at the default).
 //!
 //! [`Mutex`]: parking_lot::Mutex
 //! [`flush_interval`]: ShardedConfig::flush_interval
@@ -120,13 +116,11 @@ pub struct ShardedConfig {
     /// batch holds this many (see the module docs of `log.rs`). `1` commits
     /// every record before its append returns. Default 4096.
     pub max_batch_records: u32,
-    /// Wake period of the background flusher: each wake commits every
-    /// shard's pending batch, and every 16th fsyncs every shard with
-    /// unsynced bytes (see the module documentation of `sharded.rs`). `None`
-    /// disables the flusher: batches then commit only when they fill or on
-    /// an explicit [`flush`]/[`sync`], and nothing fsyncs behind
-    /// the caller's back — the right mode for deterministic tests and
-    /// simulations. Default 5 ms.
+    /// Wake period of the background flusher, a timed sync (see the module
+    /// docs of `sharded.rs`). `None` disables it: batches then commit only
+    /// when they fill or on an explicit [`flush`]/[`sync`], and nothing
+    /// fsyncs behind the caller's back — the mode for deterministic tests
+    /// and simulations. Default 5 ms.
     ///
     /// [`flush`]: PersistentStore::flush
     /// [`sync`]: PersistentStore::sync
@@ -175,9 +169,34 @@ impl ShardedRecoveryStats {
     }
 }
 
-/// The background flusher: a timed sync of every shard. Stopped (and
-/// joined) on drop, before the shards it borrows through the [`Arc`] can be
-/// dropped.
+/// The one way to make a shard durable (see the module docs): commit under
+/// the shard lock, fsync the shared handle outside it, and write the
+/// outcome back through [`Shard::synced`]. The caller holds the store's
+/// fsync order, `_ordered`. Returns the bytes the fsync covered that no
+/// earlier one had: `0` when nothing needed an fsync.
+fn sync_shard(shard: &Mutex<Shard>, _ordered: &MutexGuard<'_, ()>) -> Result<u64> {
+    let (file, len, lag_bytes) = {
+        let mut shard = shard.lock();
+        shard.commit_pending()?;
+        let len = shard.bytes_on_disk();
+        if len == shard.synced_len {
+            return Ok(0);
+        }
+        (shard.active.handle(), len, len - shard.synced_len)
+    };
+    #[cfg(test)]
+    let park = shard.lock().active.park.take();
+    #[cfg(test)]
+    crate::segment::Park::wait(park);
+    let outcome = file.sync_all().map_err(Error::from);
+    shard.lock().synced(len, outcome)?;
+    Ok(lag_bytes)
+}
+
+/// The background flusher: a timed sync of every shard. Its errors have no
+/// caller: each is kept on its shard, whose next append, flush or sync
+/// returns it. Stopped (and joined) on drop, before the shards it borrows
+/// through the [`Arc`] can be dropped.
 #[derive(Debug)]
 struct Flusher {
     stop: mpsc::Sender<()>,
@@ -186,10 +205,12 @@ struct Flusher {
 
 impl Flusher {
     fn start(
-        shards: Arc<[Mutex<Shard>]>,
+        shards: &Arc<[Mutex<Shard>]>,
+        fsync_order: &Arc<Mutex<()>>,
         interval: Duration,
         obs: Option<StoreObs>,
     ) -> Result<Flusher> {
+        let (shards, fsync_order) = (Arc::clone(shards), Arc::clone(fsync_order));
         let (stop, wakeup) = mpsc::channel::<()>();
         let handle = std::thread::Builder::new()
             .name("dynasore-flusher".into())
@@ -197,8 +218,21 @@ impl Flusher {
                 let mut wakes = 0;
                 while let Err(mpsc::RecvTimeoutError::Timeout) = wakeup.recv_timeout(interval) {
                     wakes = (wakes + 1) % FSYNC_EVERY_WAKES;
+                    if wakes != 0 {
+                        for shard in shards.iter() {
+                            let _ = shard.lock().commit_pending();
+                        }
+                        continue;
+                    }
+                    let ordered = fsync_order.lock();
                     for (i, shard) in shards.iter().enumerate() {
-                        Self::tend(shard, i, wakes == 0, obs.as_ref());
+                        let synced = sync_shard(shard, &ordered);
+                        if let (Ok(lag_bytes @ 1..), Some(obs)) = (synced, &obs) {
+                            obs.trace(TraceEventKind::FlusherSync {
+                                shard: i as u32,
+                                lag_bytes,
+                            });
+                        }
                     }
                 }
             })?;
@@ -206,35 +240,6 @@ impl Flusher {
             stop,
             handle: Some(handle),
         })
-    }
-
-    /// One wake's work on one shard: commit its pending batch and, on an
-    /// `fsync` wake, fsync the bytes past its `synced_len`. The shard lock
-    /// is held to commit and to duplicate the file's handle, not while the
-    /// disk flushes, so appends keep flowing. Errors have no caller here:
-    /// each is kept on the shard, whose next append, flush or sync returns
-    /// it.
-    fn tend(shard: &Mutex<Shard>, index: usize, fsync: bool, obs: Option<&StoreObs>) {
-        let (handle, len, lag_bytes) = {
-            let mut shard = shard.lock();
-            if shard.commit_pending().is_err()
-                || !fsync
-                || shard.bytes_on_disk() == shard.synced_len
-            {
-                return;
-            }
-            let len = shard.bytes_on_disk();
-            (shard.active.detached_handle(), len, len - shard.synced_len)
-        };
-        let outcome = handle.and_then(|file| Ok(file.sync_all()?));
-        if shard.lock().synced(len, outcome).is_ok() {
-            if let Some(obs) = obs {
-                obs.trace(TraceEventKind::FlusherSync {
-                    shard: index as u32,
-                    lag_bytes,
-                });
-            }
-        }
     }
 }
 
@@ -319,6 +324,8 @@ pub struct ShardedLogStore {
     // batch as it drops; the root lock is released last.
     _flusher: Option<Flusher>,
     shards: Arc<[Mutex<Shard>]>,
+    /// The fsync order, held across every [`sync_shard`].
+    fsync_order: Arc<Mutex<()>>,
     _lock: DirLock,
 }
 
@@ -491,13 +498,15 @@ impl ShardedLogStore {
                     .map(Mutex::new)
             })
             .collect::<Result<_>>()?;
+        let fsync_order = Arc::new(Mutex::new(()));
         let flusher = match config.flush_interval {
-            Some(interval) => Some(Flusher::start(Arc::clone(&shards), interval, obs)?),
+            Some(interval) => Some(Flusher::start(&shards, &fsync_order, interval, obs)?),
             None => None,
         };
         Ok(ShardedLogStore {
             _flusher: flusher,
             shards,
+            fsync_order,
             _lock: lock,
         })
     }
@@ -617,21 +626,26 @@ impl PersistentStore for ShardedLogStore {
 
     /// Commits every shard's pending batch, which puts it on the operating
     /// system: it now survives a process crash, but not a machine crash.
-    /// Fails fast on the first shard error; a shard that has failed once
-    /// returns its first I/O error until the store is reopened.
+    /// Every shard is tended, failed or not; the first error is returned (a
+    /// failed shard returns its first I/O error until the store is reopened).
     fn flush(&self) -> Result<()> {
-        self.shards
-            .iter()
-            .try_for_each(|shard| shard.lock().commit_pending())
+        let commits = self.shards.iter().map(|s| s.lock().commit_pending());
+        commits.fold(Ok(()), Result::and)
     }
 
-    /// Commits every shard's pending batch and fsyncs: after this returns,
-    /// every acknowledged write on every shard is crash-durable. Fails fast
-    /// on the first shard error; a shard that has failed once — here, in
+    /// Runs the one fsync routine on every shard, failed or not, holding
+    /// the fsync order for the whole pass and no shard lock while the disk
+    /// flushes: after an `Ok`, every acknowledged write is crash-durable.
+    /// Returns the first error; a shard that has failed once — here, in
     /// the flusher or in an append — returns its first I/O error until the
     /// store is reopened, so no `Ok` follows a failed write or fsync.
     fn sync(&self) -> Result<()> {
-        self.shards.iter().try_for_each(|shard| shard.lock().sync())
+        let ordered = self.fsync_order.lock();
+        let syncs = self
+            .shards
+            .iter()
+            .map(|s| sync_shard(s, &ordered).map(drop));
+        syncs.fold(Ok(()), Result::and)
     }
 
     /// Events appended across shards (this process; replayed history is not
@@ -1104,6 +1118,119 @@ mod tests {
         assert_eq!(reopened.fetch(u).unwrap(), kept);
         reopened.sync().unwrap();
         drop(reopened);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `sync` and `flush` tend every shard and return the first error: a
+    /// fail-stopped shard does not strand the acknowledged writes of the
+    /// shards after it, which with the flusher off nothing else commits.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn sync_and_flush_tend_every_shard_past_a_failed_one() {
+        let dir = temp_dir("tend-every-shard");
+        let store = ShardedLogStore::open(&dir, no_flusher(2)).unwrap();
+        let user_on = |shard| {
+            (0..)
+                .map(UserId::new)
+                .find(|&u| store.shard_index_of(u) == shard)
+                .unwrap()
+        };
+        let (hit, bystander) = (user_on(0), user_on(1));
+        let on_disk = |user| {
+            let (index, _) = ShardedLogStore::read_back(&dir).unwrap();
+            index.get(&user).map_or(0, View::len)
+        };
+        // Shard 0 has a batch to commit, so the sync hits its fault.
+        store
+            .append_version(hit, b"never written".to_vec())
+            .unwrap();
+        store.shards[0].lock().active.fail_from_now_on();
+        store.append_version(bystander, b"synced".to_vec()).unwrap();
+        let err = store.sync().unwrap_err();
+        assert!(matches!(err, Error::Io(_)), "{err}");
+        assert_eq!(on_disk(bystander), 1, "sync stopped at the failed shard");
+        store
+            .append_version(bystander, b"flushed".to_vec())
+            .unwrap();
+        assert_eq!(store.flush().unwrap_err(), err);
+        assert_eq!(on_disk(bystander), 2, "flush stopped at the failed shard");
+        assert_eq!(on_disk(hit), 0);
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Whether `thread` finishes within `bound`, polled every millisecond.
+    fn finishes_within<T>(thread: &std::thread::ScopedJoinHandle<'_, T>, bound: Duration) -> bool {
+        let start = std::time::Instant::now();
+        while !thread.is_finished() {
+            if start.elapsed() > bound {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    /// An explicit sync that starts while the flusher's fsync of the same
+    /// shard is failing returns that failure: the store's fsyncs are
+    /// ordered, so the sync's own fsync — which the kernel, reporting a
+    /// writeback error once per open file, would let succeed — cannot
+    /// start before the flusher's outcome is on the shard.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn a_sync_during_a_failing_flusher_fsync_returns_its_error() {
+        let dir = temp_dir("ordered-fsyncs");
+        let store = ShardedLogStore::open(&dir, fast_flusher(1)).unwrap();
+        let (parked, release) = {
+            let mut shard = store.shards[0].lock();
+            shard.active.fail_next_detached_sync();
+            shard.active.park_next_sync()
+        };
+        store
+            .append_version(UserId::new(1), b"on the OS".to_vec())
+            .unwrap();
+        parked
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the flusher parks in its fsync");
+        let outcome = std::thread::scope(|scope| {
+            let sync = scope.spawn(|| store.sync());
+            // Room for the sync to overtake the parked fsync, if it can.
+            finishes_within(&sync, Duration::from_millis(200));
+            release.send(()).unwrap();
+            sync.join().unwrap()
+        });
+        assert!(matches!(outcome, Err(Error::Io(_))), "{outcome:?}");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An explicit sync holds no shard lock while the disk flushes: an
+    /// append to the shard it is fsyncing returns meanwhile.
+    #[test]
+    fn an_append_returns_while_a_sync_of_its_shard_fsyncs() {
+        let dir = temp_dir("append-during-fsync");
+        let store = ShardedLogStore::open(&dir, no_flusher(1)).unwrap();
+        let u = UserId::new(2);
+        store.append_version(u, b"synced".to_vec()).unwrap();
+        let (parked, release) = store.shards[0].lock().active.park_next_sync();
+        std::thread::scope(|scope| {
+            let sync = scope.spawn(|| store.sync());
+            parked
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the sync parks in its fsync");
+            let append = scope.spawn(|| store.append_version(u, b"meanwhile".to_vec()));
+            let returned = finishes_within(&append, Duration::from_secs(10));
+            release.send(()).unwrap();
+            assert!(returned, "the append waited for the sync's fsync");
+            assert_eq!(append.join().unwrap().unwrap(), 2);
+            sync.join().unwrap().unwrap();
+        });
+        assert_eq!(
+            store.pending_records(),
+            1,
+            "the sync committed only its own"
+        );
+        drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -262,7 +262,7 @@ fn graceful_shutdown_under_concurrent_clients_keeps_every_acknowledged_write() {
 /// Crash injection through the front-end: writes acknowledged by a server
 /// over a sharded store with the default background flusher reach the
 /// segment files with no shutdown, no `Drop` and no explicit sync — the
-/// flusher alone writes each idle shard's batch out within a few intervals
+/// flusher alone commits every shard's batch within one interval
 /// (README, *fsync / crash semantics*). The server is leaked with
 /// `mem::forget`, as a killed process would leave it, and the directory is
 /// polled.
