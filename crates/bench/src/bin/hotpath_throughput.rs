@@ -35,10 +35,11 @@
 //!
 //! `--check-against PATH` turns the run into a regression guard: after
 //! measuring, the binary reads the committed snapshot at `PATH` and exits
-//! nonzero if `read.reqs_per_sec`, `write.reqs_per_sec` or
-//! `read_accounted.reqs_per_sec` dropped more than `--tolerance` (default
-//! 0.30, i.e. 30%) below it, or if `stats_bytes_per_replica` rose more than
-//! that above it. When the run has the snapshot's scale (same `users`,
+//! nonzero if `read.reqs_per_sec`, `write.reqs_per_sec`,
+//! `read_accounted.reqs_per_sec` or `durable.reqs_per_sec` dropped more than
+//! `--tolerance` (default 0.30, i.e. 30%) below it, or if
+//! `stats_bytes_per_replica` or `durable.peak_rss_mb` rose more than that
+//! above it. When the run has the snapshot's scale (same `users`,
 //! `seed` and `iters`, the synthetic graph and an uncapped warm-up) it also
 //! exits nonzero if any exact engine count differs from the snapshot at
 //! all: `read.messages`, `write.messages`, `read_accounted.messages`,
@@ -68,7 +69,9 @@
 //! of one build), `peak_rss_mb` the process's peak resident set (`VmHWM`)
 //! after the engine phases — up to three engines at that point: the measured
 //! one, the copy the accounted phase starts from and the copy a tick is
-//! timed on.
+//! timed on — and `durable.peak_rss_mb` the same high-water mark after the
+//! durable phase, which adds what the store holds while it appends (its
+//! index and batch buffers) to whatever the engine phases left.
 //!
 //! The `durable` phase writes small fixed-size payloads through a
 //! [`ShardedLogStore`] (group commit plus the pipelined background flusher,
@@ -461,6 +464,7 @@ fn main() {
     let durable_secs = durable_start.elapsed().as_secs_f64();
     let durable_bytes = store.bytes_on_disk();
     drop(store);
+    let durable_peak_rss = peak_rss_mb();
     if let Some(obs) = &obs {
         if let Some(path) = &opts.trace_out {
             std::fs::write(path, obs.to_jsonl()).expect("write trace JSONL");
@@ -483,7 +487,6 @@ fn main() {
         ShardedConfig {
             shards: 1,
             flush_interval: None,
-            ..ShardedConfig::default()
         },
     )
     .expect("open single-sync store");
@@ -545,7 +548,8 @@ fn main() {
             "    \"iters\": {diters},\n",
             "    \"elapsed_secs\": {dsecs:.3},\n",
             "    \"shards\": {dshards},\n",
-            "    \"bytes_on_disk\": {dbytes}\n",
+            "    \"bytes_on_disk\": {dbytes},\n",
+            "    \"peak_rss_mb\": {dpeak:.1}\n",
             "  }},\n",
             "  \"durable_single_sync\": {{\n",
             "    \"reqs_per_sec\": {sps:.0},\n",
@@ -588,6 +592,7 @@ fn main() {
         dsecs = durable_secs,
         dshards = durable_shards,
         dbytes = durable_bytes,
+        dpeak = durable_peak_rss,
         sps = single_sync_per_sec,
         siters = single_iters,
         ssecs = single_secs,
@@ -621,6 +626,7 @@ fn main() {
             accounted_reads_per_sec,
             durable_per_sec,
             stats_bytes_per_replica: stats_bytes,
+            durable_peak_rss_mb: durable_peak_rss,
             counts: [
                 ("read", "messages", read_messages),
                 ("write", "messages", write_messages),
@@ -646,6 +652,7 @@ struct GuardedRun {
     accounted_reads_per_sec: f64,
     durable_per_sec: f64,
     stats_bytes_per_replica: f64,
+    durable_peak_rss_mb: f64,
     /// `(section, key, value)` of the engine counts that must equal the
     /// snapshot's exactly.
     counts: [(&'static str, &'static str, u64); 5],
@@ -673,7 +680,8 @@ fn check_against_snapshot(path: &str, run: &GuardedRun, tolerance: f64) {
 
 /// Compares `run` with the snapshot text: a measured rate may not drop more
 /// than `tolerance` below its snapshot, the statistics' heap per replica
-/// not rise more than that above it, and — when the run has the snapshot's
+/// and the durable phase's peak resident set not rise more than that above
+/// it, and — when the run has the snapshot's
 /// scale — an engine count not differ at all. One `(passed, description)`
 /// per comparison; a comparison is skipped (with a line saying so) for a
 /// snapshot predating its field. `Err` if the snapshot has no rates.
@@ -687,7 +695,7 @@ fn guard_verdicts(
         return Err("has no reqs_per_sec fields".to_string());
     };
     // `(name, measured, snapshot, what may not be crossed)`: a rate has a
-    // floor below its snapshot, the statistics' memory a ceiling above it.
+    // floor below its snapshot, a memory figure a ceiling above it.
     let (floor, ceiling) = (1.0 - tolerance, 1.0 + tolerance);
     let mut checks = vec![
         ("read/s", run.reads_per_sec, Some(snap_read), floor),
@@ -706,6 +714,13 @@ fn guard_verdicts(
     let name = "stats_bytes_per_replica";
     let snap_stats = snapshot_field(snapshot, None, name);
     checks.push((name, run.stats_bytes_per_replica, snap_stats, ceiling));
+    let snap_durable_rss = snapshot_field(snapshot, Some("durable"), "peak_rss_mb");
+    checks.push((
+        "durable.peak_rss_mb",
+        run.durable_peak_rss_mb,
+        snap_durable_rss,
+        ceiling,
+    ));
 
     let mut verdicts = Vec::new();
     for (name, measured, snap, limit) in checks {
@@ -782,6 +797,7 @@ mod tests {
             accounted_reads_per_sec: 50.0,
             durable_per_sec: 400.0,
             stats_bytes_per_replica: 150.0,
+            durable_peak_rss_mb: 30.0,
             counts: [
                 ("read", "messages", 1_551_638),
                 ("write", "messages", 1_350_320),
@@ -798,7 +814,8 @@ mod tests {
          \"evictions\": 65144,\n    \"messages\": 1551638\n  },\n  \"write\": {\n    \
          \"reqs_per_sec\": 200,\n    \"iters\": 1000000,\n    \"messages\": 1350320\n  },\n  \
          \"read_accounted\": {\n    \"reqs_per_sec\": 50,\n    \"evictions\": 65144,\n    \
-         \"messages\": 1551638\n  },\n  \"durable\": {\n    \"reqs_per_sec\": 400\n  }\n}\n"
+         \"messages\": 1551638\n  },\n  \"durable\": {\n    \"reqs_per_sec\": 400,\n    \
+         \"peak_rss_mb\": 30.0\n  }\n}\n"
     }
 
     /// The descriptions of the failed comparisons.
@@ -814,8 +831,8 @@ mod tests {
     #[test]
     fn the_guard_holds_rates_within_tolerance_and_counts_exactly() {
         let verdicts = guard_verdicts(guard_snapshot(), &guarded_run(), 0.30).unwrap();
-        // Four rates, the statistics' heap and five exact counts.
-        assert_eq!(verdicts.len(), 10);
+        // Four rates, two memory figures and five exact counts.
+        assert_eq!(verdicts.len(), 11);
         assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
 
         // Rates may drift inside the tolerance; one eviction more may not.
@@ -833,11 +850,12 @@ mod tests {
             run.counts[i].2 -= 1;
             assert_eq!(failures(&run, 0.30).len(), 1, "count {i}");
         }
-        // A rate below its floor and statistics above their ceiling fail.
+        // A rate below its floor and memory above its ceiling fail.
         let mut run = guarded_run();
         run.writes_per_sec = 130.0;
         run.stats_bytes_per_replica = 200.0;
-        assert_eq!(failures(&run, 0.30).len(), 2);
+        run.durable_peak_rss_mb = 39.5;
+        assert_eq!(failures(&run, 0.30).len(), 3);
     }
 
     #[test]

@@ -160,7 +160,6 @@ fn measure_recovery(
         let config = ShardedConfig {
             shards,
             flush_interval: None,
-            ..ShardedConfig::default()
         };
         let store = match obs {
             Some(obs) => ShardedLogStore::open_observed(dir, config, obs.clone())?,

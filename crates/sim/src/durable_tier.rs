@@ -52,7 +52,6 @@ impl SimDurableTier {
         let config = ShardedConfig {
             shards,
             flush_interval: None,
-            ..ShardedConfig::default()
         };
         Ok(SimDurableTier {
             store: ShardedLogStore::open(&dir, config)?,

@@ -19,7 +19,9 @@
 //!   frames with replay-on-open recovery, writing by group commit —
 //!   so killed-and-restarted servers recover views from real bytes, the
 //!   tier keeps pace with the hot path (one fsync covers a whole batch)
-//!   and shards recover concurrently on reopen.
+//!   and shards recover concurrently on reopen. It holds no view in
+//!   memory: only where each view's entries lie in its log, from which a
+//!   fetch reads the view back.
 //!
 //! The API mirrors the paper's memcache-compatible interface:
 //!

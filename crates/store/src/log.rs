@@ -6,8 +6,15 @@
 //! that mutex, reporting the outcome back through `Shard::synced` (see
 //! `sharded.rs`). Every write is a checksummed batch frame (see
 //! `segment.rs`) in the shard's one file, `<root>/shard-NNNN.log`, and an
-//! in-memory index of full views is rebuilt by *replaying the log from
-//! disk* on open.
+//! in-memory index of *positions* is rebuilt by replaying the log from disk
+//! on open: for each user, the view's version (every event ever appended)
+//! and where its newest [`VIEW_CAPACITY`] entries lie in the file. The
+//! index holds no event and no payload. A view is read back from the log
+//! when it is asked for, the way a log-structured store with an in-memory
+//! directory of offsets reads a value (Bitcask): an entry still in the
+//! pending batch is decoded from the batch's buffer, a committed one by a
+//! positioned read of the file, and a run of adjacent entries — a user's
+//! events appended back to back — by one read.
 //!
 //! Crash semantics: a crash may truncate the log at any byte offset. On
 //! open, replay accepts every whole record and stops at the first torn
@@ -19,49 +26,51 @@
 //!
 //! An append is *acknowledged* into a bounded in-memory batch: the event is
 //! encoded straight into a reusable batch frame (one copy, no intermediate
-//! record value) and the in-memory index is updated before the append
-//! returns `Ok`, so `fetch` sees the new version at once. The frame is
-//! written as **one** record when the batch holds
-//! [`ShardedConfig::max_batch_records`] events or `MAX_BATCH_BYTES` (1 MiB)
-//! of body, when the owner calls [`flush`]/[`sync`], or at the
-//! [`ShardedLogStore`] flusher's next wake. A write therefore has three
-//! states: *acknowledged* (in the batch), *on the OS* (its frame committed
-//! by one positioned write, so it survives a process crash) and *synced*
-//! (machine-durable, through [`sync`] or the flusher). One fsync covers
-//! every batch written before it, so K writers pay one fsync instead of K.
-//! An acknowledged-but-uncommitted append can be lost by a crash, and
-//! because the batch frame carries a single checksum it is lost *as a
-//! unit* — replay never serves a prefix of a batch.
+//! record value) and its position is recorded before the append returns
+//! `Ok`, so `fetch` sees the new version at once. The frame is written as
+//! **one** record when the batch holds `MAX_BATCH_RECORDS` (4096) events or
+//! `MAX_BATCH_BYTES` (1 MiB) of body, when the owner calls
+//! [`flush`]/[`sync`], or at the [`ShardedLogStore`] flusher's next wake. A
+//! write therefore has three states: *acknowledged* (in the batch), *on the
+//! OS* (its frame committed by one positioned write, so it survives a
+//! process crash) and *synced* (machine-durable, through [`sync`] or the
+//! flusher). One fsync covers every batch written before it, so K writers
+//! pay one fsync instead of K. An acknowledged-but-uncommitted append can be
+//! lost by a crash, and because the batch frame carries a single checksum it
+//! is lost *as a unit* — replay never serves a prefix of a batch.
 //!
 //! Fail-stop: the shard keeps its first I/O error, from a commit or an
 //! fsync, and from then on every append, commit and sync returns it until
 //! the store is reopened, whose replay repairs the file from what is on
 //! disk. A write or fsync that failed once is never retried into an `Ok`:
 //! the kernel may already have dropped the pages it could not write, and it
-//! reports that only once.
+//! reports that only once. A position is recorded only once every commit
+//! its append forced has succeeded, so no read serves a failed append.
 //!
 //! The log holds batch frames and nothing else: the history is never
 //! rewritten and no view is ever removed, so replay is "apply every event of
 //! every whole frame, in file order".
 //!
 //! [`ShardedLogStore`]: crate::ShardedLogStore
-//! [`ShardedConfig::max_batch_records`]: crate::ShardedConfig::max_batch_records
 //! [`flush`]: crate::PersistentStore::flush
 //! [`sync`]: crate::PersistentStore::sync
 
 use std::collections::BTreeMap;
 use std::path::Path;
 
-use dynasore_types::{Error, Event, Result, SimTime, TraceEventKind, UserId, View};
+use dynasore_types::{Error, Result, SimTime, TraceEventKind, UserId, View, VIEW_CAPACITY};
 
 use crate::obs::StoreObs;
-use crate::segment::{replay_segment, Batch, Segment};
-use crate::ShardedConfig;
+use crate::segment::{decode_entry, entry_len, replay_segment, Batch, Segment};
+
+/// Acknowledged appends that force a shard to commit once its pending
+/// batch holds this many.
+pub(crate) const MAX_BATCH_RECORDS: u32 = 4096;
 
 /// Encoded batch-body bytes that force a commit, whatever the record count:
 /// a batch of large payloads is written out in ~megabyte frames, far below
 /// the cap at which a frame could no longer be replayed.
-const MAX_BATCH_BYTES: usize = 1 << 20;
+pub(crate) const MAX_BATCH_BYTES: usize = 1 << 20;
 
 /// What rebuilding one shard's index from disk (on open or
 /// [`read_back`](crate::ShardedLogStore::read_back)) measured — the
@@ -78,15 +87,39 @@ pub struct RecoveryStats {
     pub torn_bytes: u64,
 }
 
+/// Where one entry lies in the shard's log file.
+#[derive(Debug, Clone, Copy)]
+struct Position {
+    offset: u64,
+    payload_len: u32,
+}
+
+/// One user's view as the log holds it: its version and where its newest
+/// [`VIEW_CAPACITY`] entries lie, oldest first.
+#[derive(Debug, Default)]
+pub(crate) struct Positions {
+    version: u64,
+    entries: Vec<Position>,
+}
+
+impl Positions {
+    /// Records one more event, forgetting the oldest once the view is full.
+    fn push(&mut self, position: Position) {
+        if self.entries.len() == VIEW_CAPACITY {
+            self.entries.remove(0);
+        }
+        self.entries.push(position);
+        self.version += 1;
+    }
+}
+
 /// The state of one shard's log. The owning store guards each shard with a
 /// mutex and reads the public-to-the-crate fields under it.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    config: ShardedConfig,
-    /// The materialized state of the log: every live view, rebuilt by
-    /// replaying the log on open. `BTreeMap` so the index iterates in a
-    /// deterministic order.
-    pub(crate) index: BTreeMap<UserId, View>,
+    /// Where every user's view lies in the log, rebuilt by replaying it on
+    /// open. `BTreeMap` so the index iterates in a deterministic order.
+    pub(crate) positions: BTreeMap<UserId, Positions>,
     /// Logical clock for event timestamps; recovered as one past the newest
     /// replayed timestamp so post-recovery appends keep timestamps monotonic.
     clock: u64,
@@ -117,42 +150,46 @@ pub(crate) struct Shard {
     obs: Option<StoreObs>,
 }
 
-/// Replays the log file at `path` into a fresh index. Returns the index,
-/// the recovered clock and what the replay measured. A missing file is an
-/// empty log. Reads only: nothing is locked, repaired or created.
-pub(crate) fn replay_log(path: &Path) -> Result<(BTreeMap<UserId, View>, u64, RecoveryStats)> {
-    let mut index = BTreeMap::new();
-    let mut clock = 0u64;
-    let stats = replay_segment(path, |events| {
-        for event in events {
-            clock = clock.max(event.timestamp().as_secs() + 1);
-            index
-                .entry(event.author())
-                .or_insert_with(|| View::new(event.author()))
-                .push(event);
-        }
+/// Replays the log file at `path` into full views, as
+/// [`read_back`](crate::ShardedLogStore::read_back) returns them, with what
+/// the replay measured. A missing file is an empty log. Reads only:
+/// nothing is locked, repaired or created.
+pub(crate) fn replay_log(path: &Path) -> Result<(BTreeMap<UserId, View>, RecoveryStats)> {
+    let mut views = BTreeMap::new();
+    let stats = replay_segment(path, |entry| {
+        views
+            .entry(entry.user)
+            .or_insert_with(|| View::new(entry.user))
+            .push(entry.to_event());
     })?;
-    Ok((index, clock, stats))
+    Ok((views, stats))
 }
 
 impl Shard {
     /// Opens the log file at `path`, in a directory the caller owns,
     /// creating it if it is missing and otherwise rebuilding the in-memory
-    /// index by replaying it from disk. A torn tail — the signature of a
-    /// crash mid-append — is truncated away; `recovery` reports how many
-    /// bytes were replayed and how many were discarded.
+    /// index of positions by replaying it from disk. A torn tail — the
+    /// signature of a crash mid-append — is truncated away; `recovery`
+    /// reports how many bytes were replayed and how many were discarded.
     ///
     /// # Errors
     ///
     /// I/O errors and [`CorruptRecord`](dynasore_types::Error::CorruptRecord)
     /// for damage a crash cannot produce (checksummed-but-malformed records,
     /// a file that is not a shard log).
-    pub(crate) fn open(path: &Path, config: ShardedConfig, obs: Option<StoreObs>) -> Result<Self> {
-        let (index, clock, recovery) = replay_log(path)?;
+    pub(crate) fn open(path: &Path, obs: Option<StoreObs>) -> Result<Self> {
+        let mut positions = BTreeMap::<UserId, Positions>::new();
+        let mut clock = 0u64;
+        let recovery = replay_segment(path, |entry| {
+            clock = clock.max(entry.timestamp.as_secs() + 1);
+            positions.entry(entry.user).or_default().push(Position {
+                offset: entry.offset,
+                payload_len: entry.payload.len() as u32,
+            });
+        })?;
         let active = Segment::open(path, recovery.bytes_replayed)?;
         Ok(Shard {
-            config,
-            index,
+            positions,
             clock,
             synced_len: active.len(),
             failed: None,
@@ -179,9 +216,8 @@ impl Shard {
         self.fail_stop(written)?;
         self.pending.clear();
         if let Some(obs) = &self.obs {
-            // Fill ratio against the configured fill trigger.
-            let fill_percent =
-                ((records * 100) / u64::from(self.config.max_batch_records)).min(100) as u8;
+            // Fill ratio against the fill trigger.
+            let fill_percent = ((records * 100) / u64::from(MAX_BATCH_RECORDS)).min(100) as u8;
             obs.trace(TraceEventKind::GroupCommitFill {
                 records,
                 fill_percent,
@@ -190,14 +226,12 @@ impl Shard {
         Ok(())
     }
 
-    /// Appends an event with `payload` to `user`'s view and returns what
-    /// `ack` reads off the updated view — the body every write path
-    /// shares. The event is *acknowledged* into the pending batch frame —
-    /// visible in the index once the append returns `Ok`, on the OS at the
-    /// next commit — and the frame is committed once it is full. The
-    /// payload is encoded directly from a borrow — exactly one copy, into
-    /// the frame buffer — and then *moved* into the in-memory index, so the
-    /// durable write path never duplicates the caller's bytes.
+    /// Appends an event with `payload` to `user`'s view and returns the
+    /// view's new version. The event is *acknowledged* into the pending
+    /// batch frame — its position recorded once the append returns `Ok`, on
+    /// the OS at the next commit — and the frame is committed once it is
+    /// full. The payload is copied exactly once, into the frame buffer, and
+    /// nothing of it stays in the index.
     ///
     /// # Errors
     ///
@@ -206,35 +240,86 @@ impl Shard {
     /// of the index; and
     /// [`InvalidConfig`](dynasore_types::Error::InvalidConfig) for a payload
     /// over the frame cap.
-    pub(crate) fn append_with<T>(
-        &mut self,
-        user: UserId,
-        payload: Vec<u8>,
-        ack: impl FnOnce(&View) -> T,
-    ) -> Result<T> {
+    pub(crate) fn append(&mut self, user: UserId, payload: &[u8]) -> Result<u64> {
         self.healthy()?;
         let timestamp = SimTime::from_secs(self.clock);
         self.clock += 1;
-        if let Err(first) = self.pending.push(user, timestamp, &payload) {
+        let at = match self.pending.push(user, timestamp, payload) {
+            Ok(at) => at,
             // The open batch has no room left for this entry: commit it
             // and retry in a fresh frame. A second failure means the
             // entry alone can never fit and is rejected like any
             // oversized record — with the frame (and index) untouched.
-            if self.pending.records() == 0 {
-                return Err(first);
+            Err(first) if self.pending.records() == 0 => return Err(first),
+            Err(_) => {
+                self.commit_pending()?;
+                self.pending.push(user, timestamp, payload)?
             }
-            self.commit_pending()?;
-            self.pending.push(user, timestamp, &payload)?;
-        }
-        if self.pending.records() >= self.config.max_batch_records
-            || self.pending.body_len() >= MAX_BATCH_BYTES
+        };
+        // Where the pending frame will be written, whether this append
+        // commits it or a later one does.
+        let position = Position {
+            offset: self.active.len() + at as u64,
+            payload_len: payload.len() as u32,
+        };
+        if self.pending.records() >= MAX_BATCH_RECORDS || self.pending.body_len() >= MAX_BATCH_BYTES
         {
             self.commit_pending()?;
         }
-        let view = self.index.entry(user).or_insert_with(|| View::new(user));
-        view.push(Event::new(user, timestamp, payload));
+        let positions = self.positions.entry(user).or_default();
+        positions.push(position);
         self.writes += 1;
-        Ok(ack(view))
+        Ok(positions.version)
+    }
+
+    /// `user`'s view, read back from the log: each run of adjacent entries
+    /// in one read, from the pending batch's buffer past the committed
+    /// length and from the file before it. An empty view for a user with no
+    /// events.
+    ///
+    /// # Errors
+    ///
+    /// [`CorruptRecord`](dynasore_types::Error::CorruptRecord) when the
+    /// bytes at a recorded position are not the entry recorded there (see
+    /// `segment::decode_entry`); I/O errors from the read.
+    pub(crate) fn view(&self, user: UserId) -> Result<View> {
+        let Some(positions) = self.positions.get(&user) else {
+            return Ok(View::new(user));
+        };
+        let committed = self.active.len();
+        let mut events = Vec::with_capacity(positions.entries.len());
+        let mut buf = Vec::new();
+        let mut rest = &positions.entries[..];
+        while let Some(first) = rest.first() {
+            // A run: entries that follow each other byte for byte, so in one
+            // frame, so wholly committed or wholly pending.
+            let mut end = first.offset + entry_len(first.payload_len);
+            let mut run = 1;
+            while let Some(next) = rest.get(run).filter(|next| next.offset == end) {
+                end += entry_len(next.payload_len);
+                run += 1;
+            }
+            let len = (end - first.offset) as usize;
+            let mut bytes = if first.offset >= committed {
+                let at = (first.offset - committed) as usize;
+                self.pending.bytes(at, len).ok_or_else(|| {
+                    Error::CorruptRecord(format!(
+                        "user {user}'s entry at offset {} is past the pending batch",
+                        first.offset
+                    ))
+                })?
+            } else {
+                buf.resize(len, 0);
+                self.active.read_at(&mut buf, first.offset)?;
+                &buf[..]
+            };
+            for entry in &rest[..run] {
+                let event = decode_entry(&mut bytes, entry.offset, user, entry.payload_len)?;
+                events.push(event);
+            }
+            rest = &rest[run..];
+        }
+        Ok(View::with_version(user, events, positions.version))
     }
 
     /// Records the outcome of an fsync that covered the first `len` bytes of
@@ -285,9 +370,9 @@ mod tests {
 
     use super::*;
     use crate::segment::{MAX_RECORD_BYTES, SEGMENT_MAGIC};
-    use crate::{PersistentStore, ShardedLogStore};
+    use crate::{PersistentStore, ShardedConfig, ShardedLogStore};
     use dynasore_types::Error;
-    use std::path::PathBuf;
+    use std::path::{Path, PathBuf};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("dynasore-log-{tag}-{}", std::process::id()));
@@ -300,14 +385,6 @@ mod tests {
         ShardedConfig {
             shards: 1,
             flush_interval: None,
-            ..ShardedConfig::default()
-        }
-    }
-
-    fn batches_of(max_batch_records: u32) -> ShardedConfig {
-        ShardedConfig {
-            max_batch_records,
-            ..one_shard()
         }
     }
 
@@ -419,36 +496,33 @@ mod tests {
     #[test]
     fn group_commit_acknowledges_immediately_and_commits_on_fill() {
         let dir = temp_dir("group-fill");
-        let store = ShardedLogStore::open(&dir, batches_of(8)).unwrap();
+        let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
         let u = UserId::new(1);
-        for i in 0..11u32 {
+        let appends = MAX_BATCH_RECORDS + 3;
+        for i in 0..appends {
             let version = store.append_version(u, vec![i as u8; 10]).unwrap();
             assert_eq!(version, u64::from(i) + 1, "acks are immediate");
         }
-        // 8 appends filled one batch (committed, and holding its place in
-        // the segment); 3 are pending.
+        // 4096 appends filled one batch (committed, and holding its place
+        // in the segment); 3 are pending.
         assert_eq!(store.pending_records(), 3);
         assert!(store.bytes_on_disk() > SEGMENT_MAGIC.len() as u64);
-        assert_eq!(
-            store.fetch(u).unwrap().len(),
-            11,
-            "fetch sees acknowledged appends"
-        );
+        let view = store.fetch(u).unwrap();
+        assert_eq!(view.version(), u64::from(appends), "fetch sees every ack");
+        assert_eq!(view.latest().unwrap().payload(), &[(appends - 1) as u8; 10]);
         // sync commits the stragglers as a second frame; a reopen replays
-        // all 11 with the version counter intact.
+        // all of them with the version counter intact.
         store.sync().unwrap();
         assert_eq!(store.pending_records(), 0);
         let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
-        assert_eq!(index.get(&u).unwrap().len(), 11);
+        assert_eq!(index[&u], view);
         assert_eq!(
             stats.total.records_replayed, 2,
             "the filled batch, then the stragglers"
         );
         drop(store);
-        let reopened = ShardedLogStore::open(&dir, batches_of(8)).unwrap();
-        let view = reopened.fetch(u).unwrap();
-        assert_eq!(view.len(), 11);
-        assert_eq!(view.version(), 11);
+        let reopened = ShardedLogStore::open(&dir, one_shard()).unwrap();
+        assert_eq!(reopened.fetch(u).unwrap(), view);
         drop(reopened);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -459,18 +533,95 @@ mod tests {
     #[test]
     fn a_commit_reaches_the_file_when_it_commits() {
         let dir = temp_dir("commit-reaches-file");
-        let store = ShardedLogStore::open(&dir, batches_of(8)).unwrap();
-        for i in 0..8u8 {
-            store.append_version(UserId::new(2), vec![i; 10]).unwrap();
+        let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
+        for i in 0..MAX_BATCH_RECORDS {
+            store
+                .append_version(UserId::new(2), vec![i as u8; 10])
+                .unwrap();
         }
-        assert_eq!(store.pending_records(), 0, "the eighth append committed");
+        assert_eq!(store.pending_records(), 0, "the last append committed");
         let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
         assert_eq!(stats.total.records_replayed, 1);
-        assert_eq!(index[&UserId::new(2)].len(), 8);
-        // Magic 8 + frame header 8 + kind and count 5 + 8 entries of 26.
-        assert_eq!(store.bytes_on_disk(), 229);
+        assert_eq!(
+            index[&UserId::new(2)].version(),
+            u64::from(MAX_BATCH_RECORDS)
+        );
+        // Magic 8 + frame header 8 + kind and count 5 + 4096 entries of 26.
+        assert_eq!(store.bytes_on_disk(), 106_517);
         let file_len = std::fs::metadata(dir.join("shard-0000.log")).unwrap().len();
         assert_eq!(file_len, store.bytes_on_disk());
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Overwrites the bytes at `offset` of the one shard's log under
+    /// `dir`, behind the store's back.
+    fn overwrite(dir: &Path, offset: u64, bytes: &[u8]) {
+        use std::os::unix::fs::FileExt;
+        let log = std::fs::OpenOptions::new()
+            .write(true)
+            .open(dir.join("shard-0000.log"));
+        log.unwrap().write_all_at(bytes, offset).unwrap();
+    }
+
+    /// A fetch reads an entry from wherever it is: from the pending batch
+    /// while the file does not hold it yet, and from the file once its
+    /// frame is committed — without re-verifying the frame's checksum, so
+    /// bytes changed behind the store's back are what it serves.
+    #[test]
+    fn a_fetch_reads_only_what_the_os_holds_from_the_file() {
+        let dir = temp_dir("fetch-source");
+        let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
+        let u = UserId::new(3);
+        store.append(u, b"first".to_vec()).unwrap();
+        store.flush().unwrap();
+        let on_disk = store.bytes_on_disk();
+        store.append(u, b"second".to_vec()).unwrap();
+        let view = store.fetch(u).unwrap();
+        assert_eq!(view.latest().unwrap().payload(), b"second");
+        assert_eq!(view.version(), 2);
+        assert_eq!(
+            store.bytes_on_disk(),
+            on_disk,
+            "the fetch committed nothing"
+        );
+        let file_len = std::fs::metadata(dir.join("shard-0000.log")).unwrap().len();
+        assert_eq!(file_len, on_disk, "the second entry is only in the batch");
+
+        store.flush().unwrap();
+        assert_eq!(store.fetch(u).unwrap(), view);
+        // The committed payload is the file's last six bytes.
+        overwrite(&dir, store.bytes_on_disk() - 6, b"SECOND");
+        let reread = store.fetch(u).unwrap();
+        assert_eq!(reread.latest().unwrap().payload(), b"SECOND");
+        assert_eq!(reread.iter().next().unwrap().payload(), b"first");
+        drop(store);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The bytes at a recorded position must be the entry recorded there:
+    /// an entry whose user id does not match is corruption, not someone
+    /// else's event served as this user's.
+    #[test]
+    fn an_entry_of_another_user_is_corrupt_not_a_wrong_view() {
+        let dir = temp_dir("fetch-corrupt");
+        let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
+        let u = UserId::new(3);
+        store.append(u, b"mine".to_vec()).unwrap();
+        store.flush().unwrap();
+        // Magic 8, frame header 8, kind and count 5: the entry's user id.
+        overwrite(&dir, 21, &4u32.to_le_bytes());
+        let fetched = store.fetch(u);
+        assert!(
+            matches!(fetched, Err(Error::CorruptRecord(_))),
+            "{fetched:?}"
+        );
+        let appended = store.append(u, b"more".to_vec());
+        assert!(
+            matches!(appended, Err(Error::CorruptRecord(_))),
+            "{appended:?}"
+        );
+        assert!(store.fetch(UserId::new(4)).unwrap().is_empty());
         drop(store);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -478,7 +629,7 @@ mod tests {
     #[test]
     fn group_commit_batches_span_users() {
         let dir = temp_dir("group-mixed");
-        let store = ShardedLogStore::open(&dir, batches_of(64)).unwrap();
+        let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
         for i in 0..10u32 {
             store
                 .append_version(UserId::new(i % 3), vec![i as u8; 6])
@@ -488,7 +639,7 @@ mod tests {
         drop(store);
         // One frame carries the appends of all three users, each replayed
         // into its own view in acknowledgement order.
-        let reopened = ShardedLogStore::open(&dir, batches_of(64)).unwrap();
+        let reopened = ShardedLogStore::open(&dir, one_shard()).unwrap();
         assert_eq!(reopened.recovery_stats().total.records_replayed, 1);
         let v0 = reopened.fetch(UserId::new(0)).unwrap();
         let payloads: Vec<u8> = v0.iter().map(|e| e.payload()[0]).collect();
@@ -500,28 +651,17 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_config_is_validated() {
-        let dir = temp_dir("group-validate");
-        let zero = ShardedLogStore::open(&dir, batches_of(0));
-        assert!(matches!(zero, Err(Error::InvalidConfig(_))), "{zero:?}");
-        // A rejected config must not leave a stray LOCK behind.
-        let ok = ShardedLogStore::open(&dir, batches_of(4));
-        assert!(ok.is_ok(), "{ok:?}");
-        drop(ok);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn a_batch_of_one_plus_sync_is_on_disk() {
-        // Fsync-per-append as a batch of one: every append commits its own
-        // frame, and the sync after it makes the frame durable — a reader
-        // of the directory sees each record as soon as its sync returns.
+        // Fsync-per-append as a batch of one: the sync after every append
+        // commits it as its own frame and makes the frame durable — a
+        // reader of the directory sees each record as soon as its sync
+        // returns.
         let dir = temp_dir("batch-of-one");
-        let store = ShardedLogStore::open(&dir, batches_of(1)).unwrap();
+        let store = ShardedLogStore::open(&dir, one_shard()).unwrap();
         let u = UserId::new(4);
         for i in 0..5u8 {
             let version = store.append_version(u, vec![i; 12]).unwrap();
-            assert_eq!(store.pending_records(), 0, "nothing waits for a commit");
+            assert_eq!(store.pending_records(), 1, "the append waits for a commit");
             store.sync().unwrap();
             let (index, stats) = ShardedLogStore::read_back(&dir).unwrap();
             let on_disk = index.get(&u).expect("the record just synced");
@@ -566,7 +706,7 @@ mod tests {
         // first entry stays below the byte budget, so only the cap can
         // intervene when the second — just under the cap itself — arrives.
         let dir2 = temp_dir("group-cap-retry");
-        let store = ShardedLogStore::open(&dir2, batches_of(1024)).unwrap();
+        let store = ShardedLogStore::open(&dir2, one_shard()).unwrap();
         store.append_version(u, vec![1u8; entry]).unwrap();
         assert_eq!(store.pending_records(), 1, "first entry stays pending");
         let near_cap = MAX_RECORD_BYTES - 64;

@@ -282,7 +282,6 @@ mod tests {
         let config = ShardedConfig {
             shards: 4,
             flush_interval: None,
-            ..ShardedConfig::default()
         };
         let file_backed = Arc::new(ShardedLogStore::open(&dir, config).unwrap());
         let breaches = [

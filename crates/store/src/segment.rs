@@ -28,6 +28,13 @@
 //! time: no per-commit re-encoding, no intermediate allocations. The sealed
 //! frame goes to the file in one positioned write ([`Segment::append`]);
 //! the fsync is `sync_shard`'s in `sharded.rs`, on [`Segment::handle`].
+//!
+//! An entry's file offset is fixed when it is encoded — the segment's length
+//! plus its offset in the open frame, where the frame will be written — so a
+//! reader can come back for one entry: [`decode_entry`] decodes it from the
+//! open frame or from a positioned read ([`Segment::read_at`]). Such a read
+//! does not re-verify the frame's checksum, which replay or the commit
+//! already did; it checks the entry's user and length instead.
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufReader, Read};
@@ -49,6 +56,9 @@ pub(crate) const MAX_RECORD_BYTES: usize = 1 << 24;
 
 /// Bytes of the frame header (length prefix + checksum).
 const HEADER_BYTES: usize = 8;
+
+/// Bytes of an entry before its payload: user, timestamp, payload length.
+const ENTRY_HEADER_BYTES: u64 = 16;
 
 /// The batch frame's kind byte.
 const KIND_BATCH: u8 = 4;
@@ -151,22 +161,30 @@ impl Batch {
         self.frame.len() - HEADER_BYTES
     }
 
-    /// Appends one event entry, copying the payload exactly once. On error
-    /// the batch is untouched, so the caller can commit the batch built so
-    /// far and retry in a fresh one.
+    /// Appends one event entry, copying the payload exactly once, and
+    /// returns the entry's offset in the frame: where the frame is written,
+    /// plus this, is where the entry lies in the file. On error the batch is
+    /// untouched, so the caller can commit the batch built so far and retry
+    /// in a fresh one.
     ///
     /// # Errors
     ///
     /// [`Error::InvalidConfig`] when the entry would push the body past
     /// [`MAX_RECORD_BYTES`]: an unreplayable frame must never be started.
-    pub(crate) fn push(&mut self, user: UserId, timestamp: SimTime, payload: &[u8]) -> Result<()> {
-        let body_len = self.body_len() + 16 + payload.len(); // user, timestamp, len
+    pub(crate) fn push(
+        &mut self,
+        user: UserId,
+        timestamp: SimTime,
+        payload: &[u8],
+    ) -> Result<usize> {
+        let body_len = self.body_len() + ENTRY_HEADER_BYTES as usize + payload.len();
         if body_len > MAX_RECORD_BYTES {
             return Err(Error::invalid_config(format!(
                 "batch body of {body_len} bytes would exceed the {MAX_RECORD_BYTES}-byte \
                  frame cap"
             )));
         }
+        let at = self.frame.len();
         self.frame.extend_from_slice(&user.index().to_le_bytes());
         self.frame
             .extend_from_slice(&timestamp.as_secs().to_le_bytes());
@@ -174,7 +192,12 @@ impl Batch {
             .extend_from_slice(&(payload.len() as u32).to_le_bytes());
         self.frame.extend_from_slice(payload);
         self.records += 1;
-        Ok(())
+        Ok(at)
+    }
+
+    /// The `len` bytes at offset `at` of the frame, or `None` past its end.
+    pub(crate) fn bytes(&self, at: usize, len: usize) -> Option<&[u8]> {
+        self.frame.get(at..at.checked_add(len)?)
     }
 
     /// Patches the entry count, the body length and the checksum in place
@@ -216,19 +239,91 @@ fn take_u32(body: &mut &[u8]) -> Result<u32> {
     Ok(u32::from_le_bytes(take(body, 4)?.try_into().unwrap()))
 }
 
-/// Reads the next batch frame off `reader`, through `buf`, and decodes it.
+/// One event entry, decoded in place: the payload borrows the bytes it was
+/// read from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Entry<'a> {
+    /// Where the entry starts in the log file.
+    pub offset: u64,
+    pub user: UserId,
+    pub timestamp: SimTime,
+    pub payload: &'a [u8],
+}
+
+impl Entry<'_> {
+    /// The entry as an event that owns its payload.
+    pub(crate) fn to_event(self) -> Event {
+        Event::new(self.user, self.timestamp, self.payload.to_vec())
+    }
+}
+
+/// Bytes an entry with a `payload_len`-byte payload takes in the log.
+pub(crate) fn entry_len(payload_len: u32) -> u64 {
+    ENTRY_HEADER_BYTES + u64::from(payload_len)
+}
+
+/// Reads the entry at the front of `body`, which lies at `offset` in the
+/// file, and advances `body` past it.
+fn take_entry<'a>(body: &mut &'a [u8], offset: u64) -> Result<Entry<'a>> {
+    let user = UserId::new(take_u32(body)?);
+    let secs = u64::from_le_bytes(take(body, 8)?.try_into().unwrap());
+    let payload_len = take_u32(body)? as usize;
+    let payload = take(body, payload_len)?;
+    Ok(Entry {
+        offset,
+        user,
+        timestamp: SimTime::from_secs(secs),
+        payload,
+    })
+}
+
+/// Decodes the entry at the front of `bytes`, read back from `offset`
+/// where an index put `user`'s entry of `payload_len` payload bytes, and
+/// advances `bytes` past it.
 ///
-/// Returns `Ok(Some((events, frame_len)))` for a whole frame — its events in
-/// acknowledgement order — and `Ok(None)` for a torn tail: too few bytes
-/// for a frame, an impossible length, or a checksum mismatch, all of which
-/// a crash mid-write produces and replay treats as the end of the log.
+/// # Errors
+///
+/// [`Error::CorruptRecord`] when the bytes there are not that entry: its
+/// user or payload length differ, or it runs past `bytes`.
+pub(crate) fn decode_entry(
+    bytes: &mut &[u8],
+    offset: u64,
+    user: UserId,
+    payload_len: u32,
+) -> Result<Event> {
+    let entry = take_entry(bytes, offset).map_err(|e| {
+        Error::CorruptRecord(format!("entry of user {user} at offset {offset}: {e}"))
+    })?;
+    if entry.user != user || entry.payload.len() != payload_len as usize {
+        return Err(Error::CorruptRecord(format!(
+            "offset {offset} holds an entry of user {} with {} payload bytes, \
+             not user {user}'s entry of {payload_len}",
+            entry.user,
+            entry.payload.len()
+        )));
+    }
+    Ok(entry.to_event())
+}
+
+/// Reads the next batch frame off `reader`, which is at `offset` in the
+/// file, through `buf`, and decodes it.
+///
+/// Returns `Ok(Some((entries, frame_len)))` for a whole frame — its entries
+/// in acknowledgement order, borrowing `buf` — and `Ok(None)` for a torn
+/// tail: too few bytes for a frame, an impossible length, or a checksum
+/// mismatch, all of which a crash mid-write produces and replay treats as
+/// the end of the log.
 ///
 /// # Errors
 ///
 /// I/O errors, and [`Error::CorruptRecord`] when the checksum is valid but
 /// the body is malformed: the frame was written whole, so this is writer
 /// corruption, not a crash.
-fn read_frame(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<Option<(Vec<Event>, u64)>> {
+fn read_frame<'b>(
+    reader: &mut impl Read,
+    buf: &'b mut Vec<u8>,
+    offset: u64,
+) -> Result<Option<(Vec<Entry<'b>>, u64)>> {
     buf.clear();
     reader.by_ref().take(HEADER_BYTES as u64).read_to_end(buf)?;
     if buf.len() < HEADER_BYTES {
@@ -255,13 +350,11 @@ fn read_frame(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<Option<(Vec<E
             "batch record with zero entries".into(),
         ));
     }
-    let mut events = Vec::with_capacity((count as usize).min(1024));
+    let body_end = offset + (HEADER_BYTES + len) as u64;
+    let mut entries = Vec::with_capacity((count as usize).min(1024));
     for _ in 0..count {
-        let author = UserId::new(take_u32(&mut body)?);
-        let secs = u64::from_le_bytes(take(&mut body, 8)?.try_into().unwrap());
-        let payload_len = take_u32(&mut body)? as usize;
-        let payload = take(&mut body, payload_len)?.to_vec();
-        events.push(Event::new(author, SimTime::from_secs(secs), payload));
+        let at = body_end - body.len() as u64;
+        entries.push(take_entry(&mut body, at)?);
     }
     if !body.is_empty() {
         return Err(Error::CorruptRecord(format!(
@@ -269,7 +362,7 @@ fn read_frame(reader: &mut impl Read, buf: &mut Vec<u8>) -> Result<Option<(Vec<E
             body.len()
         )));
     }
-    Ok(Some((events, (HEADER_BYTES + len) as u64)))
+    Ok(Some((entries, (HEADER_BYTES + len) as u64)))
 }
 
 /// Fsyncs the directory that holds `path`, making a new entry there (a
@@ -282,17 +375,17 @@ pub(crate) fn sync_parent(path: &Path) -> Result<()> {
 }
 
 /// Reads every valid frame of the segment at `path` in order, invoking
-/// `apply` with each frame's events, and reports what the replay measured:
-/// `bytes_replayed` is the valid prefix (magic header plus whole frames), the
-/// length a reopen truncates the file to. A torn tail (crash truncation)
-/// ends the replay silently; a structurally corrupt frame (valid checksum,
-/// malformed body) is an error. A missing file — a shard whose root crashed
-/// after its manifest was written but before the shard file was created —
-/// replays as an empty log. Frames stream through one reusable buffer, so
-/// replay holds one at most.
+/// `apply` with each entry of each frame, and reports what the replay
+/// measured: `bytes_replayed` is the valid prefix (magic header plus whole
+/// frames), the length a reopen truncates the file to. A torn tail (crash
+/// truncation) ends the replay silently; a structurally corrupt frame (valid
+/// checksum, malformed body) is an error. A missing file — a shard whose root
+/// crashed after its manifest was written but before the shard file was
+/// created — replays as an empty log. Frames stream through one reusable
+/// buffer, so replay holds one at most.
 pub(crate) fn replay_segment(
     path: &Path,
-    mut apply: impl FnMut(Vec<Event>),
+    mut apply: impl FnMut(Entry<'_>),
 ) -> Result<RecoveryStats> {
     let file = match File::open(path) {
         Ok(file) => file,
@@ -318,16 +411,16 @@ pub(crate) fn replay_segment(
         replay.bytes_replayed = magic as u64;
         loop {
             let offset = replay.bytes_replayed;
-            let decoded = read_frame(&mut reader, &mut frame).map_err(|e| match e {
+            let decoded = read_frame(&mut reader, &mut frame, offset).map_err(|e| match e {
                 Error::CorruptRecord(detail) => {
                     Error::CorruptRecord(format!("{} at offset {offset}: {detail}", path.display()))
                 }
                 other => other,
             })?;
-            let Some((events, frame_len)) = decoded else {
+            let Some((entries, frame_len)) = decoded else {
                 break; // The end of the log, or a torn tail.
             };
-            apply(events);
+            entries.into_iter().for_each(&mut apply);
             replay.records_replayed += 1;
             replay.bytes_replayed += frame_len;
         }
@@ -346,6 +439,10 @@ pub(crate) struct Segment {
     file: Arc<File>,
     /// Bytes in the file: the magic header and every committed frame.
     len: u64,
+    /// A test's stand-in for the file's writes and fsyncs; reads still go
+    /// to the file.
+    #[cfg(test)]
+    failing: Option<Arc<File>>,
     #[cfg(test)]
     next_handle: Option<Arc<File>>,
     #[cfg(test)]
@@ -362,7 +459,7 @@ impl Segment {
     /// stays a valid, empty segment.
     pub fn open(path: &Path, valid_len: u64) -> Result<Segment> {
         let mut options = OpenOptions::new();
-        options.write(true);
+        options.read(true).write(true);
         let file = if path.exists() {
             options.open(path)?
         } else {
@@ -379,6 +476,8 @@ impl Segment {
             file: Arc::new(file),
             len: valid_len.max(magic_len),
             #[cfg(test)]
+            failing: None,
+            #[cfg(test)]
             next_handle: None,
             #[cfg(test)]
             park: None,
@@ -392,8 +491,27 @@ impl Segment {
 
     /// Writes a sealed frame at the end of the log, in one positioned write.
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.file.write_all_at(bytes, self.len)?;
+        self.writer().write_all_at(bytes, self.len)?;
         self.len += bytes.len() as u64;
+        Ok(())
+    }
+
+    /// Fills `buf` from the committed bytes at `offset`, in one positioned
+    /// read.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::CorruptRecord`] for a range that reaches past the committed
+    /// frames; I/O errors.
+    pub fn read_at(&self, buf: &mut [u8], offset: u64) -> Result<()> {
+        if offset.saturating_add(buf.len() as u64) > self.len {
+            return Err(Error::CorruptRecord(format!(
+                "{} bytes at offset {offset} reach past the {} committed",
+                buf.len(),
+                self.len
+            )));
+        }
+        self.file.read_exact_at(buf, offset)?;
         Ok(())
     }
 
@@ -405,7 +523,16 @@ impl Segment {
         if let Some(file) = self.next_handle.take() {
             return file;
         }
-        Arc::clone(&self.file)
+        Arc::clone(self.writer())
+    }
+
+    /// The file that writes and fsyncs go to.
+    fn writer(&self) -> &Arc<File> {
+        #[cfg(test)]
+        if let Some(failing) = &self.failing {
+            return failing;
+        }
+        &self.file
     }
 }
 
@@ -438,9 +565,10 @@ impl Segment {
         Arc::new(OpenOptions::new().write(true).open("/dev/full").unwrap())
     }
 
-    /// Every later write and fsync of this segment fails.
+    /// Every later write and fsync of this segment fails; reads of what
+    /// it committed before still succeed.
     pub(crate) fn fail_from_now_on(&mut self) {
-        self.file = Self::dev_full();
+        self.failing = Some(Self::dev_full());
     }
 
     /// The next [`handle`](Segment::handle) fails its fsync while the
@@ -522,7 +650,9 @@ mod tests {
 
     /// Decodes the frame at the start of `bytes`.
     fn decode(bytes: &[u8]) -> Result<Option<(Vec<Event>, u64)>> {
-        read_frame(&mut &bytes[..], &mut Vec::new())
+        let mut buf = Vec::new();
+        let decoded = read_frame(&mut &bytes[..], &mut buf, 0)?;
+        Ok(decoded.map(|(entries, len)| (entries.into_iter().map(Entry::to_event).collect(), len)))
     }
 
     fn sample_batches() -> Vec<Vec<(u32, u64, &'static [u8])>> {
@@ -794,14 +924,61 @@ mod tests {
             seg.append(&event_frame(t as u32, t)).unwrap();
         }
         let mut replayed = Vec::new();
-        let stats = replay_segment(&path, |events| replayed.push(events)).unwrap();
+        let stats = replay_segment(&path, |entry| replayed.push(entry.to_event())).unwrap();
         assert_eq!(stats.records_replayed, 10);
         assert_eq!(stats.torn_bytes, 0);
         assert_eq!(stats.bytes_replayed, seg.len());
-        assert_eq!(replayed[3], vec![event(3, 3)]);
+        assert_eq!(replayed[3], event(3, 3));
         // A file that was never created replays as an empty log.
         let missing = replay_segment(&dir.join("shard-0001.log"), |_| panic!("no records"));
         assert_eq!(missing.unwrap(), RecoveryStats::default());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The offset an entry is encoded at, the offset replay reports for it
+    /// and the offset a positioned read decodes it from are one number.
+    #[test]
+    fn entries_are_read_back_where_they_were_encoded() {
+        let dir = temp_dir("entry-offsets");
+        let path = dir.join("shard-0000.log");
+        let mut seg = Segment::open(&path, 0).unwrap();
+        let mut encoded = Vec::new();
+        for (secs, payloads) in [(1u64, &[&b"ab"[..], b""][..]), (3, &[b"cdef"])] {
+            let mut batch = Batch::default();
+            for (i, payload) in payloads.iter().enumerate() {
+                let user = UserId::new(i as u32 + 1);
+                let at = batch.push(user, SimTime::from_secs(secs), payload).unwrap();
+                let offset = seg.len() + at as u64;
+                let entry_bytes = batch.bytes(at, entry_len(payload.len() as u32) as usize);
+                let mut open = entry_bytes.unwrap();
+                let from_batch = decode_entry(&mut open, offset, user, payload.len() as u32);
+                assert_eq!(from_batch.unwrap().payload(), *payload);
+                encoded.push((offset, user, payload.len() as u32));
+            }
+            seg.append(batch.seal().unwrap()).unwrap();
+        }
+        let mut replayed = Vec::new();
+        replay_segment(&path, |e| {
+            replayed.push((e.offset, e.user, e.payload.len() as u32))
+        })
+        .unwrap();
+        assert_eq!(replayed, encoded);
+        for (offset, user, payload_len) in encoded {
+            let mut buf = vec![0; entry_len(payload_len) as usize];
+            seg.read_at(&mut buf, offset).unwrap();
+            let event = decode_entry(&mut &buf[..], offset, user, payload_len).unwrap();
+            assert_eq!(event.author(), user);
+            // The same bytes, expected for another user or of another
+            // length, are not that entry.
+            let other = UserId::new(user.index() + 1);
+            let wrong_user = decode_entry(&mut &buf[..], offset, other, payload_len);
+            assert!(matches!(wrong_user, Err(Error::CorruptRecord(_))));
+            let wrong_len = decode_entry(&mut &buf[..], offset, user, payload_len + 1);
+            assert!(matches!(wrong_len, Err(Error::CorruptRecord(_))));
+        }
+        // Nothing past the committed frames is read.
+        let past = seg.read_at(&mut [0; 4], seg.len() - 2);
+        assert!(matches!(past, Err(Error::CorruptRecord(_))), "{past:?}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -832,7 +1009,7 @@ mod tests {
         let mut seg = Segment::open(&path, stats.bytes_replayed).unwrap();
         seg.append(&event_frame(3, 3)).unwrap();
         let mut replayed = Vec::new();
-        let stats = replay_segment(&path, |events| replayed.extend(events)).unwrap();
+        let stats = replay_segment(&path, |entry| replayed.push(entry.to_event())).unwrap();
         assert_eq!(stats.torn_bytes, 0);
         assert_eq!(replayed, vec![event(1, 1), event(3, 3)]);
         std::fs::remove_dir_all(&dir).unwrap();

@@ -107,6 +107,31 @@ impl View {
         }
     }
 
+    /// A view rebuilt from stored history: `events`, oldest first, of which
+    /// the newest [`VIEW_CAPACITY`] are kept, after `version` pushes in all.
+    /// The version counts every event ever pushed, so a view that has
+    /// pushed more than it holds has a version above its length.
+    ///
+    /// # Panics
+    ///
+    /// If `version` is below `events.len()`: a view cannot hold more
+    /// events than were pushed to it.
+    pub fn with_version(owner: UserId, mut events: Vec<Event>, version: u64) -> Self {
+        assert!(
+            version >= events.len() as u64,
+            "a view of version {version} cannot hold {} events",
+            events.len()
+        );
+        let excess = events.len().saturating_sub(VIEW_CAPACITY);
+        events.drain(..excess);
+        View {
+            owner,
+            capacity: VIEW_CAPACITY,
+            events,
+            version,
+        }
+    }
+
     /// The user this view belongs to.
     pub fn owner(&self) -> UserId {
         self.owner
@@ -193,6 +218,27 @@ mod tests {
         assert_eq!(ts, (2..130).collect::<Vec<_>>());
         assert_eq!(v.latest().unwrap().timestamp().as_secs(), 129);
         assert_eq!(v.version(), 130);
+    }
+
+    #[test]
+    fn a_view_rebuilt_with_its_version_equals_the_pushed_one() {
+        let mut pushed = View::new(UserId::new(1));
+        for t in 0..130 {
+            pushed.push(ev(1, t));
+        }
+        let events: Vec<Event> = (0..130).map(|t| ev(1, t)).collect();
+        let rebuilt = View::with_version(UserId::new(1), events, 130);
+        assert_eq!(rebuilt, pushed);
+        assert_eq!(
+            View::with_version(UserId::new(1), vec![], 0),
+            View::new(UserId::new(1))
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot hold")]
+    fn a_view_cannot_hold_more_events_than_were_pushed() {
+        View::with_version(UserId::new(1), vec![ev(1, 0), ev(1, 1)], 1);
     }
 
     #[test]

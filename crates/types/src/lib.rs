@@ -53,7 +53,7 @@ pub use engine::{
     TimedClusterEvent, TrafficSink,
 };
 pub use error::{Error, Result};
-pub use event::{Event, View};
+pub use event::{Event, View, VIEW_CAPACITY};
 pub use flow::{FlowBudget, StatusCode};
 pub use ids::{BrokerId, MachineId, RackId, ServerId, SubtreeId, UserId};
 pub use network::{Bandwidth, Latency, LatencyHistogram, NetworkModel, NANOS_PER_SEC};

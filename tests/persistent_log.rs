@@ -43,7 +43,6 @@ fn single_segment(shards: usize) -> ShardedConfig {
     ShardedConfig {
         shards,
         flush_interval: None,
-        ..ShardedConfig::default()
     }
 }
 
@@ -316,17 +315,13 @@ fn unflushed_batch_is_invisible_on_disk_and_a_torn_batch_is_lost_whole() {
 }
 
 /// Deterministic multi-seed reopen check: random appends in small batches
-/// stay in each shard's one log file, and a reopen that replays it
-/// recovers the same content, versions included.
+/// (a flush after every fourth) stay in each shard's one log file, and a
+/// reopen that replays it recovers the same content, versions included.
 #[test]
 fn random_appends_replay_to_the_same_state() {
     for seed in 0u64..4 {
         let dir = unique_dir("reopen");
-        let config = ShardedConfig {
-            shards: 1,
-            flush_interval: None,
-            max_batch_records: 4,
-        };
+        let config = single_segment(1);
         let store = ShardedLogStore::open(&dir, config).unwrap();
         let users = 6u32;
         let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
@@ -336,12 +331,15 @@ fn random_appends_replay_to_the_same_state() {
             rng ^= rng << 17;
             rng
         };
-        for _ in 0..150 {
+        for i in 1..=150 {
             let r = step();
             let user = UserId::new((r % users as u64) as u32);
             store
                 .append_version(user, vec![(r >> 8) as u8; (r % 20) as usize + 1])
                 .unwrap();
+            if i % 4 == 0 {
+                store.flush().unwrap();
+            }
         }
         store.sync().unwrap();
         assert_eq!(store.segment_count(), 1, "seed {seed}: a second file");
@@ -411,22 +409,29 @@ fn tree(dir: &Path) -> BTreeMap<PathBuf, Option<Vec<u8>>> {
 }
 
 /// Appends the 40-event script the format pin is taken on to a fresh
-/// two-shard store at `dir` and syncs it.
+/// two-shard store at `dir`, in frames of four events per shard, and syncs
+/// it. A shard's bytes depend only on its own appends — each shard stamps
+/// its events from its own clock — so the script runs shard by shard: a
+/// `flush` after each shard's fourth pending append then commits that
+/// shard's frame of four, and at most the finished shard's last frame
+/// besides, which no later append could have grown.
 fn write_golden_script(dir: &Path) {
-    let config = ShardedConfig {
-        shards: 2,
-        flush_interval: None,
-        max_batch_records: 4,
-    };
-    let store = ShardedLogStore::open(dir, config).unwrap();
-    for i in 0..40u32 {
-        let user = i % 7;
-        store
-            .append_version(
-                UserId::new(user),
-                format!("event {i} of {user}").into_bytes(),
-            )
-            .unwrap();
+    let store = ShardedLogStore::open(dir, single_segment(2)).unwrap();
+    for shard in 0..2 {
+        let mut pending = 0;
+        for i in 0..40u32 {
+            let user = UserId::new(i % 7);
+            if store.shard_index_of(user) != shard {
+                continue;
+            }
+            let payload = format!("event {i} of {}", i % 7).into_bytes();
+            store.append_version(user, payload).unwrap();
+            pending += 1;
+            if pending == 4 {
+                store.flush().unwrap();
+                pending = 0;
+            }
+        }
     }
     store.sync().unwrap();
 }
@@ -487,12 +492,7 @@ fn older_build_roots_are_refused_untouched() {
         .unwrap();
     }
     let before = tree(&dir);
-    let config = ShardedConfig {
-        shards: 2,
-        flush_interval: None,
-        max_batch_records: 4,
-    };
-    let opened = ShardedLogStore::open(&dir, config);
+    let opened = ShardedLogStore::open(&dir, single_segment(2));
     assert!(matches!(opened, Err(Error::CorruptRecord(_))), "{opened:?}");
     let read = ShardedLogStore::read_back(&dir);
     assert!(matches!(read, Err(Error::CorruptRecord(_))), "{read:?}");

@@ -20,7 +20,6 @@ fn open_one_log(dir: &std::path::Path) -> Arc<ShardedLogStore> {
     let config = ShardedConfig {
         shards: 1,
         flush_interval: None,
-        ..ShardedConfig::default()
     };
     Arc::new(ShardedLogStore::open(dir, config).unwrap())
 }
@@ -435,7 +434,6 @@ fn shutdown_flushes_every_shards_pending_batch() {
             ShardedConfig {
                 shards: 4,
                 flush_interval: None,
-                ..ShardedConfig::default()
             },
         )
         .unwrap(),
