@@ -463,9 +463,10 @@ fn statistics_heap_is_proportional_to_the_traffic_in_the_window() {
         cells += stats.cell_count();
     }
     assert!(origins > 0 && cells > origins, "the run left no statistics");
-    // `slack` is the capacity the vectors may hold beyond their length.
+    // `slack` is the capacity the list may hold beyond its length: 8 bytes
+    // per origin, 4 per cell.
     let slack = 4;
-    let bound = slack * (16 * origins + 8 * cells);
+    let bound = slack * (8 * origins + 4 * cells);
     assert!(engine.stats_heap_bytes() <= bound);
     // A ring of period counters for the writes and for each origin of every
     // replica would not pass.

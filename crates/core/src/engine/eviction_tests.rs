@@ -1,7 +1,7 @@
 //! The rescan the cached utilities replaced, kept as test-only oracle code,
 //! and the property test that pins the cache to it.
 
-use super::evaluation_tests::{test_topology, RecordingSink, USERS};
+use super::evaluation_tests::{test_engine, test_topology, RecordingSink, USERS};
 use super::*;
 use crate::stats::{ReplicaStats, COUNTER_SLOTS};
 use crate::utility::replica_utility;
@@ -195,4 +195,73 @@ proptest! {
         }
         assert_cache_matches_rescan(&mut engine, "final")?;
     }
+}
+
+/// Every replica's view, server, window totals and utility, in server and
+/// slot order.
+type ReplicaRecord = (usize, UserId, Vec<(SubtreeId, u64)>, u64, f64);
+
+fn replica_records(engine: &DynaSoReEngine) -> Vec<ReplicaRecord> {
+    let servers = 0..engine.servers.len();
+    let records = servers.flat_map(|sidx| {
+        engine.servers[sidx].views().map(move |(view, stats)| {
+            let utility = engine.rescan_utility(view, stats, sidx);
+            let reads = stats.reads().collect();
+            (sidx, view, reads, stats.total_writes(), utility)
+        })
+    });
+    records.collect()
+}
+
+/// Statistics are keyed by sub-tree ids, which an `AddRack` does not
+/// shift — it does shift the topology's node indices, of the racks too
+/// when it opens an intermediate switch, as here. Statistics recorded
+/// before it read the same and give the same utilities after it.
+#[test]
+fn statistics_recorded_before_an_added_rack_read_the_same_after_it() {
+    let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
+    let mut engine = test_engine(&graph, &test_topology(false), 30);
+    let mut out = RecordingSink::default();
+    for n in 0..600u64 {
+        let user = UserId::new((n * 7 % USERS as u64) as u32);
+        let time = SimTime::from_secs(n * 600);
+        engine.handle_read(user, graph.followees(user), time, &mut out);
+        if n % 3 == 0 {
+            engine.handle_write(user, time, &mut out);
+        }
+        if n % 6 == 5 {
+            engine.on_tick(time, &mut out);
+        }
+    }
+    let before = replica_records(&engine);
+    let origins: Vec<SubtreeId> = before
+        .iter()
+        .flat_map(|(_, _, reads, _, _)| reads.iter().map(|&(origin, _)| origin))
+        .collect();
+    assert!(origins.iter().any(|o| matches!(o, SubtreeId::Rack(_))));
+    assert!(origins
+        .iter()
+        .any(|o| matches!(o, SubtreeId::Intermediate(_))));
+    let cached = |engine: &mut DynaSoReEngine| -> Vec<Vec<(UserId, f64)>> {
+        let servers = 0..engine.servers.len();
+        servers
+            .map(|sidx| {
+                engine.refresh_utilities(sidx);
+                engine.servers[sidx].cached_utilities().collect()
+            })
+            .collect()
+    };
+    let cached_before = cached(&mut engine);
+
+    let intermediates = engine.topology.intermediate_count();
+    engine
+        .on_cluster_change(ClusterEvent::AddRack, &mut out)
+        .unwrap();
+    assert_eq!(engine.topology.intermediate_count(), intermediates + 1);
+    assert_eq!(replica_records(&engine), before);
+    let mut cached_after = cached(&mut engine);
+    assert!(cached_after
+        .drain(cached_before.len()..)
+        .all(|c| c.is_empty()));
+    assert_eq!(cached_after, cached_before);
 }

@@ -12,12 +12,15 @@ use crate::stats::ReplicaStats;
 
 #[derive(Debug, Clone)]
 struct SlotEntry {
-    /// The utility cached for this slot is out of date. (The entry is 80
-    /// bytes, 72 of them the statistics' header; period counters live on
-    /// the heap, only where traffic is.)
+    /// The utility cached for this slot is out of date. (The entry is 48
+    /// bytes, 40 of them the statistics' header; origins and period
+    /// counters live in one allocation, only where traffic is.)
     stale: bool,
     stats: ReplicaStats,
 }
+
+// A slab slot stays 48 bytes, free or not.
+const _: () = assert!(std::mem::size_of::<Option<SlotEntry>>() <= 48);
 
 /// The smallest shift that folds `slots` slab slots into at most 64 groups
 /// of `1 << shift` consecutive slots.

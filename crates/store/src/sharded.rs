@@ -1044,7 +1044,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The flusher's fsync fails through its duplicated handle — a
+    /// The flusher's fsync fails through the shard's shared handle — a
     /// writeback error the kernel reports once, to whoever fsyncs first —
     /// and the shard keeps it: every later sync, flush and append of the
     /// shard returns it. A reopen replays what is on disk and works again.
