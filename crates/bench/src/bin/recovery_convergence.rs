@@ -36,9 +36,11 @@
 //! rebuilds the durable tier's index from disk, one thread per shard, so its
 //! wall-clock tracks the largest shard (`max_shard_bytes`). `bytes replayed
 //! ÷ wall-clock` is printed next to the message-count estimate above. With
-//! N ≥ 2 the same directory is first replayed serially (`read_back`, shard
-//! after shard — the single-threaded bound) and both timings are reported;
-//! at one shard the two coincide and are reported once. `--data-dir PATH`
+//! N ≥ 2 the same directory is first read back serially and both timings
+//! are reported. They time different work: `read_back` replays shard after
+//! shard and decodes every event into a view, while the reopen records
+//! only where each user's entries lie, so the serial figure is not the
+//! reopen run on one thread. `--data-dir PATH`
 //! chooses where the throwaway shard files live (default: a per-process
 //! directory under the system temp dir); the directory is removed before
 //! the bench exits.
@@ -120,8 +122,8 @@ struct MeasuredRecovery {
     per_shard_bytes: Vec<u64>,
     /// The tier's own reopen: one replay thread per shard.
     replay_secs: f64,
-    /// Shard-after-shard `read_back`; `None` at one shard, where it would
-    /// time the same replay again.
+    /// Shard-after-shard `read_back`, which decodes every event into a
+    /// view; `None` at one shard.
     serial_replay_secs: Option<f64>,
 }
 
@@ -176,8 +178,8 @@ fn measure_recovery(
         let log_bytes = store.bytes_on_disk();
         drop(store);
 
-        // Serial: replay one shard after another — the lower bound a
-        // single-threaded recovery pays regardless of layout.
+        // Serial: `read_back` replays one shard after another and decodes
+        // every event into a view — not the reopen's work on one thread.
         let serial_replay_secs = if shards > 1 {
             let start = Instant::now();
             ShardedLogStore::read_back(dir)?;
@@ -186,8 +188,9 @@ fn measure_recovery(
             None
         };
 
-        // Parallel: the tier's own reopen, one replay thread per shard; the
-        // wall-clock tracks the largest shard, not the sum.
+        // Parallel: the tier's own reopen, one replay thread per shard,
+        // recording positions only; the wall-clock tracks the largest shard,
+        // not the sum.
         let start = Instant::now();
         let recovered = ShardedLogStore::open(dir, config)?;
         let replay_secs = start.elapsed().as_secs_f64();
@@ -474,7 +477,8 @@ fn main() {
     );
     if let Some(serial) = measured.serial_replay_secs {
         eprintln!(
-            "# recovery_convergence: the same shards replayed one after another took {serial:.3}s"
+            "# recovery_convergence: read_back of the same shards, one after another and \
+             decoding every event into a view, took {serial:.3}s"
         );
     }
     if let Some(obs) = &obs {

@@ -429,6 +429,29 @@ pub(crate) fn replay_segment(
     Ok(replay)
 }
 
+/// What a live shard file does, and all that a [`Segment`] asks of it:
+/// positioned writes and reads, and fsync. [`File`] is the one product
+/// implementation; the store's tests put a faulty one in its place.
+pub(crate) trait ShardFile: std::fmt::Debug + Send + Sync {
+    fn write_all_at(&self, bytes: &[u8], offset: u64) -> std::io::Result<()>;
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()>;
+    fn sync_all(&self) -> std::io::Result<()>;
+}
+
+impl ShardFile for File {
+    fn write_all_at(&self, bytes: &[u8], offset: u64) -> std::io::Result<()> {
+        FileExt::write_all_at(self, bytes, offset)
+    }
+
+    fn read_exact_at(&self, buf: &mut [u8], offset: u64) -> std::io::Result<()> {
+        FileExt::read_exact_at(self, buf, offset)
+    }
+
+    fn sync_all(&self) -> std::io::Result<()> {
+        File::sync_all(self)
+    }
+}
+
 /// The writable side of one segment file. A commit is one positioned write
 /// of a sealed frame at [`len`](Segment::len): there is no buffer between a
 /// commit and the operating system, and `len` moves only once the write has
@@ -436,17 +459,10 @@ pub(crate) fn replay_segment(
 /// its partial bytes instead of landing after them.
 #[derive(Debug)]
 pub(crate) struct Segment {
-    file: Arc<File>,
+    /// The open file, shared (see [`handle`](Segment::handle)).
+    pub(crate) file: Arc<dyn ShardFile>,
     /// Bytes in the file: the magic header and every committed frame.
     len: u64,
-    /// A test's stand-in for the file's writes and fsyncs; reads still go
-    /// to the file.
-    #[cfg(test)]
-    failing: Option<Arc<File>>,
-    #[cfg(test)]
-    next_handle: Option<Arc<File>>,
-    #[cfg(test)]
-    pub(crate) park: Option<Park>,
 }
 
 impl Segment {
@@ -470,17 +486,11 @@ impl Segment {
         file.set_len(valid_len)?;
         let magic_len = SEGMENT_MAGIC.len() as u64;
         if valid_len < magic_len {
-            file.write_all_at(SEGMENT_MAGIC, 0)?;
+            FileExt::write_all_at(&file, SEGMENT_MAGIC, 0)?;
         }
         Ok(Segment {
             file: Arc::new(file),
             len: valid_len.max(magic_len),
-            #[cfg(test)]
-            failing: None,
-            #[cfg(test)]
-            next_handle: None,
-            #[cfg(test)]
-            park: None,
         })
     }
 
@@ -491,7 +501,7 @@ impl Segment {
 
     /// Writes a sealed frame at the end of the log, in one positioned write.
     pub fn append(&mut self, bytes: &[u8]) -> Result<()> {
-        self.writer().write_all_at(bytes, self.len)?;
+        self.file.write_all_at(bytes, self.len)?;
         self.len += bytes.len() as u64;
         Ok(())
     }
@@ -518,87 +528,8 @@ impl Segment {
     /// The open file itself, shared. Fsyncing it covers every frame
     /// appended so far, so a caller can make the segment durable without
     /// holding whatever lock guards it.
-    pub fn handle(&mut self) -> Arc<File> {
-        #[cfg(test)]
-        if let Some(file) = self.next_handle.take() {
-            return file;
-        }
-        Arc::clone(self.writer())
-    }
-
-    /// The file that writes and fsyncs go to.
-    fn writer(&self) -> &Arc<File> {
-        #[cfg(test)]
-        if let Some(failing) = &self.failing {
-            return failing;
-        }
-        &self.file
-    }
-}
-
-/// A test's hold on one fsync: the fsync that takes it reports that it has
-/// started, then waits until the test releases it.
-#[cfg(test)]
-#[derive(Debug)]
-pub(crate) struct Park {
-    parked: std::sync::mpsc::Sender<()>,
-    release: std::sync::mpsc::Receiver<()>,
-}
-
-#[cfg(test)]
-impl Park {
-    /// If a park is set, reports that the fsync is parked and waits for
-    /// the release (or for the test to drop its sender).
-    pub(crate) fn wait(park: Option<Park>) {
-        if let Some(park) = park {
-            let _ = park.parked.send(());
-            let _ = park.release.recv();
-        }
-    }
-}
-
-#[cfg(test)]
-impl Segment {
-    /// `/dev/full`: every write to it fails with `ENOSPC` and every fsync
-    /// with `EINVAL`.
-    fn dev_full() -> Arc<File> {
-        Arc::new(OpenOptions::new().write(true).open("/dev/full").unwrap())
-    }
-
-    /// Every later write and fsync of this segment fails; reads of what
-    /// it committed before still succeed.
-    pub(crate) fn fail_from_now_on(&mut self) {
-        self.failing = Some(Self::dev_full());
-    }
-
-    /// The next [`handle`](Segment::handle) fails its fsync while the
-    /// segment's own writes keep working: the kernel reports a writeback
-    /// error once per open file, so only the caller that fsyncs first sees
-    /// it.
-    pub(crate) fn fail_next_detached_sync(&mut self) {
-        self.next_handle = Some(Self::dev_full());
-    }
-
-    /// Whether the handle set by
-    /// [`fail_next_detached_sync`](Segment::fail_next_detached_sync) is still
-    /// waiting for a caller.
-    pub(crate) fn detached_fault_pending(&self) -> bool {
-        self.next_handle.is_some()
-    }
-
-    /// The next fsync of this segment parks until the test releases it.
-    /// Returns a receiver that gets a message once that fsync is parked,
-    /// and the sender whose message (or drop) releases it.
-    pub(crate) fn park_next_sync(
-        &mut self,
-    ) -> (std::sync::mpsc::Receiver<()>, std::sync::mpsc::Sender<()>) {
-        let (parked, on_parked) = std::sync::mpsc::channel();
-        let (release, on_release) = std::sync::mpsc::channel();
-        self.park = Some(Park {
-            parked,
-            release: on_release,
-        });
-        (on_parked, release)
+    pub fn handle(&self) -> Arc<dyn ShardFile> {
+        Arc::clone(&self.file)
     }
 }
 

@@ -183,10 +183,6 @@ fn sync_shard(shard: &Mutex<Shard>, _ordered: &MutexGuard<'_, ()>) -> Result<u64
         }
         (shard.active.handle(), len, len - shard.synced_len)
     };
-    #[cfg(test)]
-    let park = shard.lock().active.park.take();
-    #[cfg(test)]
-    crate::segment::Park::wait(park);
     let outcome = file.sync_all().map_err(Error::from);
     shard.lock().synced(len, outcome)?;
     Ok(lag_bytes)
@@ -664,9 +660,10 @@ impl PersistentStore for ShardedLogStore {
 
 #[cfg(test)]
 mod tests {
+    use super::fault_tests::FaultyFile;
     use super::*;
 
-    fn temp_dir(tag: &str) -> PathBuf {
+    pub(super) fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
             "dynasore-sharded-{tag}-{}-{:?}",
             std::process::id(),
@@ -677,7 +674,7 @@ mod tests {
     }
 
     /// Deterministic config for tests: no background flusher.
-    fn no_flusher(shards: usize) -> ShardedConfig {
+    pub(super) fn no_flusher(shards: usize) -> ShardedConfig {
         ShardedConfig {
             shards,
             flush_interval: None,
@@ -1048,7 +1045,6 @@ mod tests {
     /// writeback error the kernel reports once, to whoever fsyncs first —
     /// and the shard keeps it: every later sync, flush and append of the
     /// shard returns it. A reopen replays what is on disk and works again.
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_failed_flusher_fsync_fails_every_later_sync() {
         let dir = temp_dir("flusher-fsync-error");
@@ -1060,14 +1056,13 @@ mod tests {
                 .unwrap()
         };
         let (hit, bystander) = (user_on(0), user_on(1));
+        let file = FaultyFile::install(&store.shards[0]);
+        file.fail_next_sync();
         store.append_version(hit, b"on the OS".to_vec()).unwrap();
-        store.shards[0].lock().active.fail_next_detached_sync();
-        wait_until("the flusher fsyncs shard 0", || {
-            !store.shards[0].lock().active.detached_fault_pending()
-        });
+        wait_until("the flusher fsyncs shard 0", || !file.sync_fault_pending());
         // The flusher tends the shards in order, so once it has committed a
-        // write to shard 1 made after it took shard 0's handle, it has also
-        // recorded that fsync's outcome.
+        // write to shard 1 made after its fsync of shard 0 failed, it has
+        // also recorded that fsync's outcome.
         store.append_version(bystander, b"later".to_vec()).unwrap();
         wait_until("the flusher commits shard 1", || {
             store.pending_records() == 0
@@ -1094,7 +1089,6 @@ mod tests {
     /// An append whose forced commit fails returns `Err`, and no `fetch`
     /// serves its event — then or after a reopen. The shard fails every
     /// later append, flush and sync with that first error.
-    #[cfg(target_os = "linux")]
     #[test]
     fn an_append_whose_commit_fails_is_never_visible() {
         let dir = temp_dir("failed-append");
@@ -1103,7 +1097,7 @@ mod tests {
         let u = UserId::new(5);
         let kept = store.append(u, b"kept".to_vec()).unwrap();
         store.flush().unwrap();
-        store.shards[0].lock().active.fail_from_now_on();
+        FaultyFile::install(&store.shards[0]).fail_from_now_on();
         // A payload of the byte budget forces its batch to commit.
         let failed = vec![b'f'; crate::log::MAX_BATCH_BYTES];
         let err = store.append(u, failed).unwrap_err();
@@ -1123,7 +1117,6 @@ mod tests {
     /// `sync` and `flush` tend every shard and return the first error: a
     /// fail-stopped shard does not strand the acknowledged writes of the
     /// shards after it, which with the flusher off nothing else commits.
-    #[cfg(target_os = "linux")]
     #[test]
     fn sync_and_flush_tend_every_shard_past_a_failed_one() {
         let dir = temp_dir("tend-every-shard");
@@ -1143,7 +1136,7 @@ mod tests {
         store
             .append_version(hit, b"never written".to_vec())
             .unwrap();
-        store.shards[0].lock().active.fail_from_now_on();
+        FaultyFile::install(&store.shards[0]).fail_from_now_on();
         store.append_version(bystander, b"synced".to_vec()).unwrap();
         let err = store.sync().unwrap_err();
         assert!(matches!(err, Error::Io(_)), "{err}");
@@ -1175,16 +1168,13 @@ mod tests {
     /// ordered, so the sync's own fsync — which the kernel, reporting a
     /// writeback error once per open file, would let succeed — cannot
     /// start before the flusher's outcome is on the shard.
-    #[cfg(target_os = "linux")]
     #[test]
     fn a_sync_during_a_failing_flusher_fsync_returns_its_error() {
         let dir = temp_dir("ordered-fsyncs");
         let store = ShardedLogStore::open(&dir, fast_flusher(1)).unwrap();
-        let (parked, release) = {
-            let mut shard = store.shards[0].lock();
-            shard.active.fail_next_detached_sync();
-            shard.active.park_next_sync()
-        };
+        let file = FaultyFile::install(&store.shards[0]);
+        file.fail_next_sync();
+        let (parked, release) = file.park_next_sync();
         store
             .append_version(UserId::new(1), b"on the OS".to_vec())
             .unwrap();
@@ -1211,7 +1201,7 @@ mod tests {
         let store = ShardedLogStore::open(&dir, no_flusher(1)).unwrap();
         let u = UserId::new(2);
         store.append_version(u, b"synced".to_vec()).unwrap();
-        let (parked, release) = store.shards[0].lock().active.park_next_sync();
+        let (parked, release) = FaultyFile::install(&store.shards[0]).park_next_sync();
         std::thread::scope(|scope| {
             let sync = scope.spawn(|| store.sync());
             parked
@@ -1288,3 +1278,6 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }
+
+#[cfg(test)]
+mod fault_tests;
