@@ -53,20 +53,6 @@ impl WeightedGraph {
             adj,
         }
     }
-
-    /// Sum of the weights of edges crossing between different parts.
-    #[cfg(test)]
-    pub fn edge_cut(&self, assignment: &[u32]) -> u64 {
-        let mut cut = 0u64;
-        for (v, neigh) in self.adj.iter().enumerate() {
-            for &(w, weight) in neigh {
-                if (w as usize) > v && assignment[v] != assignment[w as usize] {
-                    cut += weight;
-                }
-            }
-        }
-        cut
-    }
 }
 
 /// Result of one coarsening step.
@@ -313,6 +299,19 @@ mod tests {
         UserId::new(i)
     }
 
+    /// Sum of the weights of edges crossing between different parts.
+    fn edge_cut(graph: &WeightedGraph, assignment: &[u32]) -> u64 {
+        let mut cut = 0u64;
+        for (v, neigh) in graph.adj.iter().enumerate() {
+            for &(w, weight) in neigh {
+                if (w as usize) > v && assignment[v] != assignment[w as usize] {
+                    cut += weight;
+                }
+            }
+        }
+        cut
+    }
+
     /// Two 4-cliques joined by a single edge.
     fn two_cliques() -> SocialGraph {
         let mut g = SocialGraph::new(8);
@@ -380,9 +379,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         // Deliberately bad start: interleaved assignment.
         let mut assignment: Vec<u32> = (0..8).map(|v| (v % 2) as u32).collect();
-        let before = wg.edge_cut(&assignment);
+        let before = edge_cut(&wg, &assignment);
         refine(&wg, &mut assignment, 2, 5, 4, &mut rng);
-        let after = wg.edge_cut(&assignment);
+        let after = edge_cut(&wg, &assignment);
         assert!(after < before, "refinement should reduce the cut");
         // The optimal cut separates the two cliques (cut weight 1).
         assert!(after <= 4, "cut after refinement: {after}");

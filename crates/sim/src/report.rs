@@ -54,6 +54,10 @@ pub struct ReliabilityStats {
     pub worst_window_unreachable: u64,
     /// Read targets attempted inside that same worst tick.
     pub worst_window_read_targets: u64,
+    /// When unreachable reads last grew: the end of the last tick that
+    /// added any (the end of the run for reads after the last tick), so
+    /// one-tick resolution. [`SimTime::ZERO`] when no read was unreachable.
+    pub last_unreachable_growth: SimTime,
 }
 
 /// The measurements produced by one simulation run.
@@ -64,56 +68,25 @@ pub struct ReliabilityStats {
 /// counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
-    engine_name: String,
-    traffic: TrafficAccount,
-    reads: u64,
-    writes: u64,
-    application_messages: u64,
-    protocol_messages: u64,
-    end_time: SimTime,
-    memory: MemoryUsage,
+    pub(crate) engine_name: String,
+    pub(crate) traffic: TrafficAccount,
+    pub(crate) reads: u64,
+    pub(crate) writes: u64,
+    pub(crate) application_messages: u64,
+    pub(crate) protocol_messages: u64,
+    pub(crate) end_time: SimTime,
+    pub(crate) memory: MemoryUsage,
     /// Switch counts per tier `[top, intermediate, rack]`, used to compute
     /// per-switch averages.
-    switch_counts: [usize; 3],
-    reliability: ReliabilityStats,
-    latency: LatencyStats,
+    pub(crate) switch_counts: [usize; 3],
+    pub(crate) reliability: ReliabilityStats,
+    pub(crate) latency: LatencyStats,
     /// Durable-tier I/O; `Some` only when the run attached a
     /// [`crate::SimDurableTier`].
-    durable: Option<DurableIoStats>,
+    pub(crate) durable: Option<DurableIoStats>,
 }
 
 impl SimReport {
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn new(
-        engine_name: String,
-        traffic: TrafficAccount,
-        reads: u64,
-        writes: u64,
-        application_messages: u64,
-        protocol_messages: u64,
-        end_time: SimTime,
-        memory: MemoryUsage,
-        switch_counts: [usize; 3],
-        reliability: ReliabilityStats,
-        latency: LatencyStats,
-        durable: Option<DurableIoStats>,
-    ) -> Self {
-        SimReport {
-            engine_name,
-            traffic,
-            reads,
-            writes,
-            application_messages,
-            protocol_messages,
-            end_time,
-            memory,
-            switch_counts,
-            reliability,
-            latency,
-            durable,
-        }
-    }
-
     /// Name of the engine that produced this report.
     pub fn engine_name(&self) -> &str {
         &self.engine_name
@@ -294,29 +267,30 @@ mod tests {
                 SimTime::ZERO,
             );
         }
-        SimReport::new(
-            "test".into(),
+        SimReport {
+            engine_name: "test".into(),
             traffic,
-            10,
-            5,
-            15,
-            2,
-            SimTime::from_hours(1),
-            MemoryUsage {
+            reads: 10,
+            writes: 5,
+            application_messages: 15,
+            protocol_messages: 2,
+            end_time: SimTime::from_hours(1),
+            memory: MemoryUsage {
                 used_slots: 10,
                 capacity_slots: 20,
             },
-            [1, 5, 25],
-            ReliabilityStats {
+            switch_counts: [1, 5, 25],
+            reliability: ReliabilityStats {
                 recovery_messages: 40,
                 unreachable_reads: 2,
                 read_targets: 50,
                 worst_window_unreachable: 2,
                 worst_window_read_targets: 10,
+                last_unreachable_growth: SimTime::from_hours(1),
             },
-            LatencyStats::default(),
-            None,
-        )
+            latency: LatencyStats::default(),
+            durable: None,
+        }
     }
 
     #[test]

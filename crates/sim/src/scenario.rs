@@ -35,7 +35,7 @@ use crate::durable_tier::SimDurableTier;
 use crate::faults::generate_failure_schedule;
 use crate::obs::SimObs;
 use crate::report::SimReport;
-use crate::simulation::{Simulation, TICK_SECS};
+use crate::simulation::Simulation;
 
 /// Attack intensity (reproduction choice): reads issued per attacker per
 /// hour while an attack window is open (hot-key flood, flash crowd).
@@ -289,23 +289,11 @@ impl ScenarioRunner {
         if let Some(obs) = obs {
             sim = sim.with_observer(obs);
         }
-        // Track when the engine last accrued an unreachable read: the probe
-        // fires every tick, so the resolution of time-to-steady-state is
-        // one tick.
-        let mut last_unreachable = 0u64;
-        let mut last_increase = SimTime::ZERO;
-        let report = sim.run_with_probe(script.trace, TICK_SECS, |time, engine, _| {
-            let unreachable = engine.unreachable_reads();
-            if unreachable > last_unreachable {
-                last_unreachable = unreachable;
-                last_increase = time;
-            }
-        })?;
-        let time_to_steady_secs = if last_unreachable == 0 {
-            0
-        } else {
-            last_increase.saturating_secs_since(script.disruption_start)
-        };
+        let report = sim.run(script.trace)?;
+        let time_to_steady_secs = report
+            .reliability()
+            .last_unreachable_growth
+            .saturating_secs_since(script.disruption_start);
         let read_p99 = report.read_latency_p99();
         let quiet_read_p99 = quiet.read_latency_p99();
         let obs = sim.take_observer();
@@ -355,25 +343,11 @@ fn most_followed(graph: &SocialGraph) -> UserId {
 
 /// Merges two time-sorted traces; `base` requests win ties so attack
 /// traffic lands after the organic request due at the same instant.
-fn merge_traces(base: Vec<Request>, extra: Vec<Request>) -> Vec<Request> {
-    let mut merged = Vec::with_capacity(base.len() + extra.len());
-    let mut base = base.into_iter().peekable();
-    let mut extra = extra.into_iter().peekable();
-    loop {
-        match (base.peek(), extra.peek()) {
-            (Some(b), Some(e)) => {
-                if b.time <= e.time {
-                    merged.push(base.next().expect("peeked"));
-                } else {
-                    merged.push(extra.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => merged.push(base.next().expect("peeked")),
-            (None, Some(_)) => merged.push(extra.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    merged
+fn merge_traces(mut base: Vec<Request>, extra: Vec<Request>) -> Vec<Request> {
+    base.extend(extra);
+    // Stable: equal times keep `base` before `extra`.
+    base.sort_by_key(|r| r.time);
+    base
 }
 
 /// Evenly spread reads from `readers` (round-robin) across `[start, end)`:

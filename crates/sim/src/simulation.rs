@@ -3,9 +3,9 @@
 use dynasore_graph::SocialGraph;
 use dynasore_topology::{Switch, Topology, TopologyKind, TrafficAccount};
 use dynasore_types::{
-    Latency, LatencyHistogram, MachineId, Message, MessageClass, NetworkModel, PlacementEngine,
-    Result, SimTime, SubtreeId, TimedClusterEvent, TraceEventKind, TrafficSink, HOUR_SECS,
-    NANOS_PER_SEC,
+    ClusterEvent, Error, Latency, LatencyHistogram, MachineId, Message, MessageClass, NetworkModel,
+    PlacementEngine, Result, SimTime, SubtreeId, TimedClusterEvent, TraceEventKind, TrafficSink,
+    HOUR_SECS, NANOS_PER_SEC,
 };
 use dynasore_workload::{GraphMutation, Request, TimedMutation};
 
@@ -112,7 +112,14 @@ impl TrafficSink for AccountingSink<'_> {
 
 /// Interval between engine maintenance ticks (counter rotation, threshold
 /// refresh, eviction sweeps): the paper rotates statistics hourly (§4.3).
-pub(crate) const TICK_SECS: u64 = HOUR_SECS;
+const TICK_SECS: u64 = HOUR_SECS;
+
+/// One scheduled change to the simulated world.
+#[derive(Debug, Clone, Copy)]
+enum Change {
+    Graph(GraphMutation),
+    Cluster(ClusterEvent),
+}
 
 /// Drives a request trace through a [`PlacementEngine`] over a [`Topology`]
 /// and measures the traffic of every switch.
@@ -125,8 +132,10 @@ pub struct Simulation<E> {
     topology: Topology,
     engine: E,
     graph: SocialGraph,
-    mutations: Vec<TimedMutation>,
-    cluster_events: Vec<TimedClusterEvent>,
+    /// Graph mutations and cluster events in the order they apply: by
+    /// time, a mutation before an event due at the same instant, and each
+    /// kind in its schedule order.
+    schedule: Vec<(SimTime, Change)>,
     /// The time model the run charges switch queues under; without
     /// [`Simulation::with_network`], the degenerate
     /// [`NetworkModel::infinite`]: no queueing, zero latency samples, unit
@@ -144,8 +153,7 @@ impl<E: PlacementEngine> Simulation<E> {
             topology,
             engine,
             graph: graph.clone(),
-            mutations: Vec::new(),
-            cluster_events: Vec::new(),
+            schedule: Vec::new(),
             network: NetworkModel::infinite(),
             durable: None,
             obs: None,
@@ -153,22 +161,35 @@ impl<E: PlacementEngine> Simulation<E> {
     }
 
     /// Schedules social-graph mutations to be applied during the run
-    /// (unsorted input is accepted and sorted by time).
-    pub fn with_mutations(mut self, mut mutations: Vec<TimedMutation>) -> Self {
-        mutations.sort_by_key(|m| m.time);
-        self.mutations = mutations;
-        self
+    /// (unsorted input is accepted and sorted by time). A second call adds
+    /// to the schedule; it does not replace the first.
+    pub fn with_mutations(self, mutations: Vec<TimedMutation>) -> Self {
+        let changes = mutations
+            .into_iter()
+            .map(|m| (m.time, Change::Graph(m.mutation)));
+        self.schedule(changes)
     }
 
     /// Schedules a failure/elasticity schedule: machine and rack outages,
     /// drains and capacity additions applied at their due times, interleaved
     /// deterministically with the request trace and the graph mutations.
     /// Unsorted input is accepted and sorted by time; events due at the same
-    /// time apply in schedule order. Events dated after the last request do
-    /// not fire (the simulation ends with the trace).
-    pub fn with_cluster_events(mut self, mut events: Vec<TimedClusterEvent>) -> Self {
-        events.sort_by_key(|e| e.time);
-        self.cluster_events = events;
+    /// time apply in schedule order, after any mutation due then. Events
+    /// dated after the last request do not fire (the simulation ends with
+    /// the trace). A second call adds to the schedule; it does not replace
+    /// the first.
+    pub fn with_cluster_events(self, events: Vec<TimedClusterEvent>) -> Self {
+        let changes = events
+            .into_iter()
+            .map(|e| (e.time, Change::Cluster(e.event)));
+        self.schedule(changes)
+    }
+
+    fn schedule(mut self, changes: impl Iterator<Item = (SimTime, Change)>) -> Self {
+        self.schedule.extend(changes);
+        // Stable: equal keys keep the order they were scheduled in.
+        self.schedule
+            .sort_by_key(|&(time, change)| (time, matches!(change, Change::Cluster(_))));
         self
     }
 
@@ -249,9 +270,13 @@ impl<E: PlacementEngine> Simulation<E> {
     /// track engine state over time (e.g. the replica count of a view during
     /// a flash event, Figure 5).
     ///
+    /// Before each request, the scheduled changes due by its time apply in
+    /// schedule order, then the due engine ticks run, then the due probes.
+    ///
     /// # Errors
     ///
-    /// Propagates engine or configuration errors.
+    /// Returns [`Error::InvalidConfig`] before anything runs when
+    /// `probe_secs` is 0, and propagates engine or configuration errors.
     pub fn run_with_probe<I, F>(
         &mut self,
         trace: I,
@@ -262,6 +287,9 @@ impl<E: PlacementEngine> Simulation<E> {
         I: IntoIterator<Item = Request>,
         F: FnMut(SimTime, &E, &SocialGraph),
     {
+        if probe_secs == 0 {
+            return Err(Error::invalid_config("probe_secs must be at least 1"));
+        }
         let mut counters = RunCounters {
             traffic: TrafficAccount::new(self.network),
             app_messages: 0,
@@ -276,93 +304,71 @@ impl<E: PlacementEngine> Simulation<E> {
         let mut durable_io = DurableIoStats::default();
         let mut durable_syncs = 0u64;
 
-        // Cumulative (unreachable, read_targets) at each tick boundary; the
-        // worst adjacent pair of these snapshots — the worst single tick —
-        // feeds `worst_window_availability`. Starts with the implicit t=0
-        // origin.
-        let mut window_snaps: Vec<(u64, u64)> = vec![(0, 0)];
+        // (time, cumulative unreachable, cumulative read_targets) at each
+        // tick boundary from the implicit t=0 origin: adjacent pairs are the
+        // ticks the reliability stats are read from.
+        let mut tick_snaps: Vec<(SimTime, u64, u64)> = vec![(SimTime::ZERO, 0, 0)];
 
-        let mut mutation_idx = 0usize;
-        let mut event_idx = 0usize;
+        let mut next_change = 0usize;
         let mut next_tick = TICK_SECS;
-        let mut next_probe = if probe_secs == u64::MAX {
-            u64::MAX
-        } else {
-            probe_secs
-        };
+        let mut next_probe = probe_secs;
         let mut now = SimTime::ZERO;
 
         for request in trace {
             now = request.time;
 
-            // Apply pending graph mutations and cluster events, merged by
-            // their due times (a mutation and an event due at the same
-            // instant apply mutation-first) so the engine observes both
-            // schedules in true simulated-time order. For cluster events the
-            // driver's own topology copy is updated first so that traffic
+            // The changes due by now, in schedule order. For a cluster event
+            // the driver's own topology copy is updated first so that traffic
             // accounting knows about machines added at runtime; the engine
             // then reacts through its cluster-change hook, reporting any
             // recovery traffic inline.
-            loop {
-                let next_mutation = self
-                    .mutations
-                    .get(mutation_idx)
-                    .map(|m| m.time)
-                    .filter(|&t| t <= request.time);
-                let next_event = self
-                    .cluster_events
-                    .get(event_idx)
-                    .map(|e| e.time)
-                    .filter(|&t| t <= request.time);
-                let mutation_first = match (next_mutation, next_event) {
-                    (None, None) => break,
-                    (Some(_), None) => true,
-                    (None, Some(_)) => false,
-                    (Some(mt), Some(et)) => mt <= et,
-                };
-                if mutation_first {
-                    let m = self.mutations[mutation_idx];
-                    match m.mutation {
-                        GraphMutation::AddEdge { follower, followee } => {
-                            let _ = self.graph.try_add_edge(follower, followee);
+            while let Some(&(time, change)) = self.schedule.get(next_change) {
+                if time > request.time {
+                    break;
+                }
+                next_change += 1;
+                match change {
+                    Change::Graph(mutation) => {
+                        match mutation {
+                            GraphMutation::AddEdge { follower, followee } => {
+                                let _ = self.graph.try_add_edge(follower, followee);
+                            }
+                            GraphMutation::RemoveEdge { follower, followee } => {
+                                self.graph.remove_edge(follower, followee);
+                            }
                         }
-                        GraphMutation::RemoveEdge { follower, followee } => {
-                            self.graph.remove_edge(follower, followee);
-                        }
+                        let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
+                        self.engine.on_graph_change(mutation, &mut sink);
                     }
-                    let mut sink = counters.sink(&self.topology, self.obs.as_mut(), m.time);
-                    self.engine.on_graph_change(m.mutation, &mut sink);
-                    mutation_idx += 1;
-                } else {
-                    let e = self.cluster_events[event_idx];
-                    self.topology.apply_cluster_event(e.event)?;
-                    let recovery_before = counters.recovery_messages;
-                    let mut sink = counters.sink(&self.topology, self.obs.as_mut(), e.time);
-                    self.engine.on_cluster_change(e.event, &mut sink)?;
-                    // The engine fetched lost views from the persistent
-                    // tier: with a durable tier attached, that recovery
-                    // re-reads real bytes.
-                    if counters.recovery_messages > recovery_before {
-                        if let Some(tier) = self.durable.as_mut() {
-                            tier.sync()?;
-                            durable_syncs += 1;
-                            let replay = tier.replay()?;
-                            durable_io.bytes_replayed += replay.total.bytes_replayed;
-                            durable_io.critical_path_bytes += replay.max_shard_bytes_replayed();
-                            durable_io.tier_shards = replay.per_shard.len();
-                            durable_io.replays += 1;
-                            if let Some(obs) = self.obs.as_mut() {
-                                obs.trace(
-                                    e.time.as_secs().saturating_mul(NANOS_PER_SEC),
-                                    TraceEventKind::ReplayCompleted {
-                                        bytes: replay.total.bytes_replayed,
-                                        shards: replay.per_shard.len() as u32,
-                                    },
-                                );
+                    Change::Cluster(event) => {
+                        self.topology.apply_cluster_event(event)?;
+                        let recovery_before = counters.recovery_messages;
+                        let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
+                        self.engine.on_cluster_change(event, &mut sink)?;
+                        // The engine fetched lost views from the persistent
+                        // tier: with a durable tier attached, that recovery
+                        // re-reads real bytes.
+                        if counters.recovery_messages > recovery_before {
+                            if let Some(tier) = self.durable.as_mut() {
+                                tier.sync()?;
+                                durable_syncs += 1;
+                                let replay = tier.replay()?;
+                                durable_io.bytes_replayed += replay.total.bytes_replayed;
+                                durable_io.critical_path_bytes += replay.max_shard_bytes_replayed();
+                                durable_io.tier_shards = replay.per_shard.len();
+                                durable_io.replays += 1;
+                                if let Some(obs) = self.obs.as_mut() {
+                                    obs.trace(
+                                        time.as_secs().saturating_mul(NANOS_PER_SEC),
+                                        TraceEventKind::ReplayCompleted {
+                                            bytes: replay.total.bytes_replayed,
+                                            shards: replay.per_shard.len() as u32,
+                                        },
+                                    );
+                                }
                             }
                         }
                     }
-                    event_idx += 1;
                 }
             }
 
@@ -384,7 +390,7 @@ impl<E: PlacementEngine> Simulation<E> {
                     );
                 }
                 next_tick += TICK_SECS;
-                window_snaps.push((self.engine.unreachable_reads(), read_targets));
+                tick_snaps.push((tick_time, self.engine.unreachable_reads(), read_targets));
             }
 
             // Probes.
@@ -443,16 +449,20 @@ impl<E: PlacementEngine> Simulation<E> {
             );
         }
 
-        // Close the last (partial) tick and find the tick with the highest
-        // unserved fraction. Ratios are compared by u128
+        // Close the last (partial) tick at the end of the run, then find
+        // the tick with the highest unserved fraction and the last tick
+        // that added unreachable reads. Ratios are compared by u128
         // cross-multiplication: no floats touch the report's integers.
-        let final_snap = (self.engine.unreachable_reads(), read_targets);
-        if window_snaps.last() != Some(&final_snap) {
-            window_snaps.push(final_snap);
-        }
+        tick_snaps.push((now, self.engine.unreachable_reads(), read_targets));
         let mut worst: (u64, u64) = (0, 0);
-        for pair in window_snaps.windows(2) {
-            let delta = (pair[1].0 - pair[0].0, pair[1].1 - pair[0].1);
+        let mut last_unreachable_growth = SimTime::ZERO;
+        for pair in tick_snaps.windows(2) {
+            let (_, unreachable_before, targets_before) = pair[0];
+            let (time, unreachable, targets) = pair[1];
+            let delta = (unreachable - unreachable_before, targets - targets_before);
+            if delta.0 > 0 {
+                last_unreachable_growth = time;
+            }
             let is_worse = delta.1 > 0
                 && (worst.1 == 0
                     || u128::from(delta.0) * u128::from(worst.1)
@@ -471,26 +481,27 @@ impl<E: PlacementEngine> Simulation<E> {
             write: write_latency,
         };
 
-        Ok(SimReport::new(
-            self.engine.name().to_string(),
-            counters.traffic,
+        Ok(SimReport {
+            engine_name: self.engine.name().to_string(),
+            traffic: counters.traffic,
             reads,
             writes,
-            counters.app_messages,
-            counters.proto_messages,
-            now,
-            self.engine.memory_usage(),
-            switch_counts(&self.topology),
-            ReliabilityStats {
+            application_messages: counters.app_messages,
+            protocol_messages: counters.proto_messages,
+            end_time: now,
+            memory: self.engine.memory_usage(),
+            switch_counts: switch_counts(&self.topology),
+            reliability: ReliabilityStats {
                 recovery_messages: counters.recovery_messages,
                 unreachable_reads: self.engine.unreachable_reads(),
                 read_targets,
                 worst_window_unreachable: worst.0,
                 worst_window_read_targets: worst.1,
+                last_unreachable_growth,
             },
             latency,
-            self.durable.as_ref().map(|_| durable_io),
-        ))
+            durable: self.durable.as_ref().map(|_| durable_io),
+        })
     }
 }
 
@@ -794,6 +805,66 @@ mod tests {
         assert_eq!(report.reliability().worst_window_read_targets, 4);
         assert!((report.worst_window_availability() - 0.75).abs() < 1e-12);
         assert!(report.worst_window_availability() < report.availability());
+        // No tick closed after the growth: the run's end dates it.
+        assert_eq!(
+            report.reliability().last_unreachable_growth,
+            SimTime::from_secs(6_000)
+        );
+    }
+
+    #[test]
+    fn last_unreachable_growth_is_read_at_tick_resolution() {
+        let (graph, topology) = small_setup();
+        let victim = topology.servers()[0].machine();
+        let trace = vec![
+            Request::read(SimTime::from_secs(100), UserId::new(0)),
+            Request::read(SimTime::from_secs(4_000), UserId::new(0)),
+            Request::read(SimTime::from_secs(6_000), UserId::new(0)),
+            Request::read(SimTime::from_secs(8_000), UserId::new(0)),
+        ];
+        // ModuloEngine counts one unreachable read per cluster event: the
+        // event at t=5000 lands in the tick that closes at t=7200 (the read
+        // at t=4000 closes the one before it).
+        let events = vec![TimedClusterEvent {
+            time: SimTime::from_secs(5_000),
+            event: dynasore_types::ClusterEvent::MachineDown { machine: victim },
+        }];
+        let report = Simulation::new(
+            topology.clone(),
+            ModuloEngine::new(topology.clone()),
+            &graph,
+        )
+        .with_cluster_events(events)
+        .run(trace.clone())
+        .unwrap();
+        assert_eq!(
+            report.reliability().last_unreachable_growth,
+            SimTime::from_secs(2 * TICK_SECS)
+        );
+        let quiet = Simulation::new(topology.clone(), ModuloEngine::new(topology), &graph)
+            .run(trace)
+            .unwrap();
+        assert_eq!(quiet.reliability().last_unreachable_growth, SimTime::ZERO);
+    }
+
+    #[test]
+    fn zero_probe_interval_is_rejected_before_anything_runs() {
+        let (graph, topology) = small_setup();
+        let trace = vec![Request::read(SimTime::from_secs(10), UserId::new(1))];
+        let mut sim = Simulation::new(topology.clone(), ModuloEngine::new(topology), &graph);
+        let mut probes = 0u32;
+        let result = sim.run_with_probe(trace, 0, |_, _, _| {
+            probes += 1;
+            // A zero interval never advances the next probe time: cap the
+            // calls so that bug fails here instead of spinning forever.
+            assert!(probes < 1_000, "the probe loop does not advance");
+        });
+        assert!(matches!(
+            result,
+            Err(dynasore_types::Error::InvalidConfig(_))
+        ));
+        assert_eq!(probes, 0);
+        assert_eq!(sim.engine().ticks + sim.engine().graph_changes, 0);
     }
 
     /// Records the order in which schedule callbacks fire, to pin the
@@ -887,6 +958,92 @@ mod tests {
             *sim.engine().log.borrow(),
             vec!["machine-down", "add-edge", "remove-edge", "machine-up"]
         );
+    }
+
+    #[test]
+    fn builder_order_does_not_change_the_run() {
+        let (graph, topology) = small_setup();
+        let victim = topology.servers()[0].machine();
+        let plan = FlashEventPlan::random(
+            &graph,
+            UserId::new(0),
+            5,
+            SimTime::from_secs(3 * HOUR_SECS),
+            SimTime::from_secs(9 * HOUR_SECS),
+            1,
+        )
+        .unwrap();
+        let events = vec![
+            TimedClusterEvent {
+                time: SimTime::from_secs(3 * HOUR_SECS),
+                event: dynasore_types::ClusterEvent::MachineDown { machine: victim },
+            },
+            TimedClusterEvent {
+                time: SimTime::from_secs(9 * HOUR_SECS),
+                event: dynasore_types::ClusterEvent::MachineUp { machine: victim },
+            },
+        ];
+        let trace: Vec<Request> = SyntheticTraceGenerator::paper_defaults(&graph, 1, 5)
+            .unwrap()
+            .collect();
+        let sim = || {
+            Simulation::new(
+                topology.clone(),
+                ModuloEngine::new(topology.clone()),
+                &graph,
+            )
+        };
+        let mut mutations_first = sim()
+            .with_mutations(plan.mutations())
+            .with_cluster_events(events.clone());
+        let mut events_first = sim()
+            .with_cluster_events(events)
+            .with_mutations(plan.mutations());
+        let report = mutations_first.run(trace.clone()).unwrap();
+        assert_eq!(report, events_first.run(trace).unwrap());
+        for sim in [&mutations_first, &events_first] {
+            assert_eq!(sim.engine().graph_changes, 10);
+            assert_eq!(sim.engine().cluster_changes, 2);
+        }
+    }
+
+    #[test]
+    fn a_second_builder_call_adds_to_the_schedule() {
+        let (graph, topology) = small_setup();
+        let victim = topology.servers()[0].machine();
+        let mutation = |time, follower| TimedMutation {
+            time: SimTime::from_secs(time),
+            mutation: GraphMutation::AddEdge {
+                follower: UserId::new(follower),
+                followee: UserId::new(1),
+            },
+        };
+        let event = |time, event| TimedClusterEvent {
+            time: SimTime::from_secs(time),
+            event,
+        };
+        let engine = OrderRecorder {
+            log: std::cell::RefCell::new(Vec::new()),
+        };
+        let mut sim = Simulation::new(topology, engine, &graph)
+            .with_mutations(vec![mutation(20, 0)])
+            .with_cluster_events(vec![event(
+                10,
+                dynasore_types::ClusterEvent::MachineDown { machine: victim },
+            )])
+            .with_mutations(vec![mutation(5, 2)])
+            .with_cluster_events(vec![event(
+                20,
+                dynasore_types::ClusterEvent::MachineUp { machine: victim },
+            )]);
+        sim.run(vec![Request::read(SimTime::from_secs(30), UserId::new(3))])
+            .unwrap();
+        assert_eq!(
+            *sim.engine().log.borrow(),
+            vec!["add-edge", "machine-down", "add-edge", "machine-up"]
+        );
+        assert!(sim.graph().contains_edge(UserId::new(0), UserId::new(1)));
+        assert!(sim.graph().contains_edge(UserId::new(2), UserId::new(1)));
     }
 
     #[test]
