@@ -38,11 +38,12 @@
 //! nonzero if `read.reqs_per_sec`, `write.reqs_per_sec`,
 //! `read_accounted.reqs_per_sec` or `durable.reqs_per_sec` dropped more than
 //! `--tolerance` (default 0.30, i.e. 30%) below it, or if
-//! `stats_bytes_per_replica` or `durable.peak_rss_mb` rose more than that
-//! above it. When the run has the snapshot's scale (same `users`,
-//! `seed` and `iters`, the synthetic graph and an uncapped warm-up) it also
-//! exits nonzero if any exact engine count differs from the snapshot at
-//! all: `read.messages`, `write.messages`, `read_accounted.messages`,
+//! `stats_bytes_per_replica`, the engine phases' `peak_rss_mb` or
+//! `durable.peak_rss_mb` rose more than that above it. When the run has
+//! the snapshot's scale (same `users`, `seed` and `iters`, the synthetic
+//! graph and an uncapped warm-up) it also exits nonzero if any exact
+//! engine count differs from the snapshot at all: `read.messages`,
+//! `write.messages`, `read_accounted.messages`,
 //! `read.evictions` and `read_accounted.evictions` are the same on every
 //! run of one build, so a change to one is a changed placement decision.
 //! At that scale `stats_bytes_per_replica`, the same on every run of one
@@ -71,10 +72,10 @@
 //! of one build), `peak_rss_mb` the process's peak resident set (`VmHWM`)
 //! after the engine phases — up to three engines at that point: the measured
 //! one, the copy the accounted phase starts from and the copy a tick is
-//! timed on — and `durable.peak_rss_mb` the same high-water mark of the
-//! child process that runs the durable phases: what the store holds while
-//! it appends (its positions and batch buffers), and nothing of the
-//! engines'.
+//! timed on, besides the graph — and `durable.peak_rss_mb` the same
+//! high-water mark of the child process that runs the durable phases:
+//! what the store holds while it appends (its positions and batch
+//! buffers), and nothing of the engines'.
 //!
 //! The durable phases run in a child process, this binary started again
 //! with the same flags. The `durable` phase writes small fixed-size
@@ -569,6 +570,7 @@ fn main() {
             accounted_reads_per_sec,
             durable_per_sec,
             stats_bytes_per_replica: stats_bytes,
+            peak_rss_mb: peak_rss,
             durable_peak_rss_mb: durable_peak_rss,
             counts: [
                 ("read", "messages", read_messages),
@@ -764,6 +766,8 @@ struct GuardedRun {
     accounted_reads_per_sec: f64,
     durable_per_sec: f64,
     stats_bytes_per_replica: f64,
+    /// The engine phases' peak resident set, graph included.
+    peak_rss_mb: f64,
     durable_peak_rss_mb: f64,
     /// `(section, key, value)` of the engine counts that must equal the
     /// snapshot's exactly.
@@ -792,8 +796,8 @@ fn check_against_snapshot(path: &str, run: &GuardedRun, tolerance: f64) {
 
 /// Compares `run` with the snapshot text: a measured rate may not drop more
 /// than `tolerance` below its snapshot, the statistics' heap per replica
-/// and the durable phase's peak resident set not rise more than that above
-/// it, and — when the run has the snapshot's
+/// and the engine and durable phases' peak resident sets not rise more than
+/// that above it, and — when the run has the snapshot's
 /// scale — an engine count not differ at all. One `(passed, description)`
 /// per comparison; a comparison is skipped (with a line saying so) for a
 /// snapshot predating its field. `Err` if the snapshot has no rates.
@@ -823,7 +827,10 @@ fn guard_verdicts(
         // guarded: a few thousand fsyncs is too noisy a sample.
         ("durable/s", run.durable_per_sec, rate("durable"), floor),
     ];
-    let field = |key| snapshot_field(snapshot, None, key);
+    // The top-level fields precede the first section, so a section's field
+    // of the same name is never read as one.
+    let top_level = snapshot.split("\"read\"").next().unwrap_or(snapshot);
+    let field = |key| snapshot_field(top_level, None, key);
     let same_scale = run.exact_counts
         && field("users") == Some(run.users as f64)
         && field("seed") == Some(run.seed as f64)
@@ -837,6 +844,8 @@ fn guard_verdicts(
     };
     let name = "stats_bytes_per_replica";
     checks.push((name, stats_bytes, field(name), stats_ceiling));
+    let name = "peak_rss_mb";
+    checks.push((name, run.peak_rss_mb, field(name), ceiling));
     let snap_durable_rss = snapshot_field(snapshot, Some("durable"), "peak_rss_mb");
     checks.push((
         "durable.peak_rss_mb",
@@ -915,6 +924,7 @@ mod tests {
             accounted_reads_per_sec: 50.0,
             durable_per_sec: 400.0,
             stats_bytes_per_replica: 150.0,
+            peak_rss_mb: 20.0,
             durable_peak_rss_mb: 30.0,
             counts: [
                 ("read", "messages", 1_551_638),
@@ -928,7 +938,8 @@ mod tests {
 
     fn guard_snapshot() -> &'static str {
         "{\n  \"users\": 2000,\n  \"seed\": 42,\n  \"iters\": 20000,\n  \
-         \"stats_bytes_per_replica\": 150.0,\n  \"read\": {\n    \"reqs_per_sec\": 100,\n    \
+         \"stats_bytes_per_replica\": 150.0,\n  \"peak_rss_mb\": 20.0,\n  \"read\": {\n    \
+         \"reqs_per_sec\": 100,\n    \
          \"evictions\": 65144,\n    \"messages\": 1551638\n  },\n  \"write\": {\n    \
          \"reqs_per_sec\": 200,\n    \"iters\": 1000000,\n    \"messages\": 1350320\n  },\n  \
          \"read_accounted\": {\n    \"reqs_per_sec\": 50,\n    \"evictions\": 65144,\n    \
@@ -949,8 +960,8 @@ mod tests {
     #[test]
     fn the_guard_holds_rates_within_tolerance_and_counts_exactly() {
         let verdicts = guard_verdicts(guard_snapshot(), &guarded_run(), 0.30).unwrap();
-        // Four rates, two memory figures and five exact counts.
-        assert_eq!(verdicts.len(), 11);
+        // Four rates, three memory figures and five exact counts.
+        assert_eq!(verdicts.len(), 12);
         assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
 
         // Rates may drift inside the tolerance; one eviction more may not.
@@ -971,8 +982,14 @@ mod tests {
         let mut run = guarded_run();
         run.writes_per_sec = 130.0;
         run.stats_bytes_per_replica = 200.0;
+        run.peak_rss_mb = 26.5;
         run.durable_peak_rss_mb = 39.5;
-        assert_eq!(failures(&run, 0.30).len(), 3);
+        assert_eq!(failures(&run, 0.30).len(), 4);
+        // Each peak resident set is read from its own section: the engine
+        // phases' may rise to its ceiling while the durable one holds.
+        let mut run = guarded_run();
+        run.peak_rss_mb = 25.9;
+        assert!(failures(&run, 0.30).is_empty());
     }
 
     #[test]
@@ -1021,6 +1038,18 @@ mod tests {
         let verdicts = guard_verdicts(old, &guarded_run(), 0.30).unwrap();
         assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
         assert!(guard_verdicts("{}", &guarded_run(), 0.30).is_err());
+        // One predating the engine phases' peak resident set skips it rather
+        // than reading the durable section's.
+        let old = "{\"users\": 2000,\n\"read\": {\"reqs_per_sec\": 100},\n\
+                   \"write\": {\"reqs_per_sec\": 200},\n\
+                   \"durable\": {\"reqs_per_sec\": 400, \"peak_rss_mb\": 1.0}}";
+        let mut run = guarded_run();
+        run.durable_peak_rss_mb = 1.0;
+        let verdicts = guard_verdicts(old, &run, 0.30).unwrap();
+        assert!(verdicts.iter().all(|(ok, _)| *ok), "{verdicts:?}");
+        assert!(verdicts
+            .iter()
+            .any(|(_, line)| line == "snapshot predates peak_rss_mb; skipped"));
     }
 
     #[test]

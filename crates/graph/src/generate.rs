@@ -250,6 +250,7 @@ impl GeneratorConfig {
             }
         }
 
+        graph.shrink_to_fit();
         Ok(graph)
     }
 }

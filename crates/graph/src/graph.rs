@@ -1,6 +1,6 @@
 //! The directed social graph.
 
-use std::collections::HashSet;
+use std::sync::Arc;
 
 use dynasore_types::{Error, Result, UserId};
 
@@ -16,6 +16,9 @@ use dynasore_types::{Error, Result, UserId};
 /// The graph is mutable — social networks evolve over time, and both SPAR and
 /// the flash-event experiment (§4.6) add and remove edges while the system is
 /// running.
+///
+/// Cloning is `O(1)`: clones share one adjacency. Mutation is copy-on-write:
+/// the first edge change to a shared graph copies it once, unseen by clones.
 ///
 /// # Example
 ///
@@ -34,6 +37,11 @@ use dynasore_types::{Error, Result, UserId};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SocialGraph {
+    adjacency: Arc<Adjacency>,
+}
+
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Adjacency {
     /// `out[u]` = users that `u` follows (sorted, deduplicated).
     out: Vec<Vec<UserId>>,
     /// `inc[v]` = users that follow `v` (sorted, deduplicated).
@@ -45,10 +53,17 @@ impl SocialGraph {
     /// Creates an empty graph over `user_count` users numbered
     /// `0..user_count`.
     pub fn new(user_count: usize) -> Self {
+        let lists = vec![Vec::new(); user_count];
+        Self::from_lists(lists.clone(), lists, 0)
+    }
+
+    fn from_lists(out: Vec<Vec<UserId>>, inc: Vec<Vec<UserId>>, edge_count: usize) -> Self {
         SocialGraph {
-            out: vec![Vec::new(); user_count],
-            inc: vec![Vec::new(); user_count],
-            edge_count: 0,
+            adjacency: Arc::new(Adjacency {
+                out,
+                inc,
+                edge_count,
+            }),
         }
     }
 
@@ -66,6 +81,7 @@ impl SocialGraph {
         for (u, v) in edges {
             graph.try_add_edge(u, v)?;
         }
+        graph.shrink_to_fit();
         Ok(graph)
     }
 
@@ -94,50 +110,54 @@ impl SocialGraph {
         edges.retain(|&(u, v)| u != v);
         edges.sort_unstable();
         edges.dedup();
-        let mut out: Vec<Vec<UserId>> = vec![Vec::new(); user_count];
+        let mut out_degree = vec![0usize; user_count];
         let mut inc_degree = vec![0usize; user_count];
         for &(u, v) in &edges {
-            // Sorted by (follower, followee): each out list fills in
-            // ascending followee order.
-            out[u.as_usize()].push(v);
+            out_degree[u.as_usize()] += 1;
             inc_degree[v.as_usize()] += 1;
         }
+        let mut out: Vec<Vec<UserId>> = out_degree.into_iter().map(Vec::with_capacity).collect();
         let mut inc: Vec<Vec<UserId>> = inc_degree.into_iter().map(Vec::with_capacity).collect();
         for &(u, v) in &edges {
-            // Followers arrive in ascending order for each followee, so the
-            // inc lists come out sorted too.
+            // Sorted by (follower, followee): every out and inc list fills
+            // in ascending order.
+            out[u.as_usize()].push(v);
             inc[v.as_usize()].push(u);
         }
-        Ok(SocialGraph {
-            out,
-            inc,
-            edge_count: edges.len(),
-        })
+        Ok(Self::from_lists(out, inc, edges.len()))
+    }
+
+    /// Drops every list's spare capacity; builders call it before returning.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        let adjacency = Arc::make_mut(&mut self.adjacency);
+        for list in adjacency.out.iter_mut().chain(&mut adjacency.inc) {
+            list.shrink_to_fit();
+        }
     }
 
     /// Number of users in the graph.
     pub fn user_count(&self) -> usize {
-        self.out.len()
+        self.adjacency.out.len()
     }
 
     /// Number of directed edges currently in the graph.
     pub fn edge_count(&self) -> usize {
-        self.edge_count
+        self.adjacency.edge_count
     }
 
     /// Whether the graph has no edges.
     pub fn is_empty(&self) -> bool {
-        self.edge_count == 0
+        self.edge_count() == 0
     }
 
     /// Returns an iterator over all user ids.
     pub fn users(&self) -> impl Iterator<Item = UserId> + '_ {
-        (0..self.out.len() as u32).map(UserId::new)
+        (0..self.user_count() as u32).map(UserId::new)
     }
 
     /// Returns `true` if `user` is a valid id for this graph.
     pub fn contains_user(&self, user: UserId) -> bool {
-        user.as_usize() < self.out.len()
+        user.as_usize() < self.user_count()
     }
 
     fn check_user(&self, user: UserId) -> Result<()> {
@@ -171,46 +191,36 @@ impl SocialGraph {
         if follower == followee {
             return Ok(false);
         }
-        let out = &mut self.out[follower.as_usize()];
-        match out.binary_search(&followee) {
-            Ok(_) => Ok(false),
-            Err(pos) => {
-                out.insert(pos, followee);
-                let inc = &mut self.inc[followee.as_usize()];
-                let ipos = inc.binary_search(&follower).unwrap_err();
-                inc.insert(ipos, follower);
-                self.edge_count += 1;
-                Ok(true)
-            }
-        }
+        let Err(pos) = self.followees(follower).binary_search(&followee) else {
+            return Ok(false);
+        };
+        let adjacency = Arc::make_mut(&mut self.adjacency);
+        adjacency.out[follower.as_usize()].insert(pos, followee);
+        let inc = &mut adjacency.inc[followee.as_usize()];
+        let ipos = inc.binary_search(&follower).expect_err("inc mirrors out");
+        inc.insert(ipos, follower);
+        adjacency.edge_count += 1;
+        Ok(true)
     }
 
     /// Removes the edge `follower → followee`. Returns `true` if the edge
     /// existed.
     pub fn remove_edge(&mut self, follower: UserId, followee: UserId) -> bool {
-        if !self.contains_user(follower) || !self.contains_user(followee) {
+        if !self.contains_edge(follower, followee) {
             return false;
         }
-        let out = &mut self.out[follower.as_usize()];
-        if let Ok(pos) = out.binary_search(&followee) {
-            out.remove(pos);
-            let inc = &mut self.inc[followee.as_usize()];
-            if let Ok(ipos) = inc.binary_search(&follower) {
-                inc.remove(ipos);
-            }
-            self.edge_count -= 1;
-            true
-        } else {
-            false
-        }
+        let adjacency = Arc::make_mut(&mut self.adjacency);
+        let out = &mut adjacency.out[follower.as_usize()];
+        out.remove(out.binary_search(&followee).expect("the edge exists"));
+        let inc = &mut adjacency.inc[followee.as_usize()];
+        inc.remove(inc.binary_search(&follower).expect("inc mirrors out"));
+        adjacency.edge_count -= 1;
+        true
     }
 
     /// Returns `true` if the edge `follower → followee` exists.
     pub fn contains_edge(&self, follower: UserId, followee: UserId) -> bool {
-        self.contains_user(follower)
-            && self.out[follower.as_usize()]
-                .binary_search(&followee)
-                .is_ok()
+        self.contains_user(follower) && self.followees(follower).binary_search(&followee).is_ok()
     }
 
     /// The users that `user` follows — the views fetched by a read request
@@ -220,7 +230,7 @@ impl SocialGraph {
     ///
     /// Panics if `user` is out of range.
     pub fn followees(&self, user: UserId) -> &[UserId] {
-        &self.out[user.as_usize()]
+        &self.adjacency.out[user.as_usize()]
     }
 
     /// The users that follow `user` — the readers affected by a write from
@@ -230,17 +240,17 @@ impl SocialGraph {
     ///
     /// Panics if `user` is out of range.
     pub fn followers(&self, user: UserId) -> &[UserId] {
-        &self.inc[user.as_usize()]
+        &self.adjacency.inc[user.as_usize()]
     }
 
     /// Out-degree of `user` (number of views her reads fetch).
     pub fn out_degree(&self, user: UserId) -> usize {
-        self.out[user.as_usize()].len()
+        self.followees(user).len()
     }
 
     /// In-degree of `user` (number of users whose reads fetch her view).
     pub fn in_degree(&self, user: UserId) -> usize {
-        self.inc[user.as_usize()].len()
+        self.followers(user).len()
     }
 
     /// Iterates over every directed edge as `(follower, followee)` pairs.
@@ -252,28 +262,17 @@ impl SocialGraph {
         }
     }
 
-    /// Returns the undirected neighbourhood of `user`: the union of followers
-    /// and followees. Used by partitioning, which operates on the undirected
-    /// structure.
-    pub fn neighbours(&self, user: UserId) -> Vec<UserId> {
-        let mut set: HashSet<UserId> = self.out[user.as_usize()].iter().copied().collect();
-        set.extend(self.inc[user.as_usize()].iter().copied());
-        let mut v: Vec<UserId> = set.into_iter().collect();
-        v.sort_unstable();
-        v
-    }
-
     /// Validates internal consistency (forward and reverse indices agree).
     /// Intended for tests and debug assertions; runs in `O(V + E log E)`.
     pub fn validate(&self) -> Result<()> {
         let mut forward = 0usize;
-        for (u, outs) in self.out.iter().enumerate() {
+        for (u, outs) in self.adjacency.out.iter().enumerate() {
             forward += outs.len();
             for &v in outs {
                 if !self.contains_user(v) {
                     return Err(Error::UnknownUser(v));
                 }
-                if self.inc[v.as_usize()]
+                if self.adjacency.inc[v.as_usize()]
                     .binary_search(&UserId::new(u as u32))
                     .is_err()
                 {
@@ -284,11 +283,11 @@ impl SocialGraph {
                 }
             }
         }
-        let reverse: usize = self.inc.iter().map(Vec::len).sum();
-        if forward != reverse || forward != self.edge_count {
+        let reverse: usize = self.adjacency.inc.iter().map(Vec::len).sum();
+        if forward != reverse || forward != self.edge_count() {
             return Err(Error::invalid_config(format!(
                 "edge count mismatch: forward={forward} reverse={reverse} cached={}",
-                self.edge_count
+                self.edge_count()
             )));
         }
         Ok(())
@@ -307,8 +306,8 @@ impl Iterator for EdgeIter<'_> {
     type Item = (UserId, UserId);
 
     fn next(&mut self) -> Option<Self::Item> {
-        while self.user < self.graph.out.len() {
-            let outs = &self.graph.out[self.user];
+        while self.user < self.graph.user_count() {
+            let outs = self.graph.followees(UserId::new(self.user as u32));
             if self.pos < outs.len() {
                 let item = (UserId::new(self.user as u32), outs[self.pos]);
                 self.pos += 1;
@@ -409,13 +408,21 @@ mod tests {
     }
 
     #[test]
-    fn neighbours_are_union_of_directions() {
-        let mut g = SocialGraph::new(4);
-        g.add_edge(u(0), u(1));
-        g.add_edge(u(2), u(0));
-        g.add_edge(u(0), u(2));
-        assert_eq!(g.neighbours(u(0)), vec![u(1), u(2)]);
-        assert_eq!(g.neighbours(u(3)), Vec::<UserId>::new());
+    fn every_builder_leaves_each_list_its_exact_length() {
+        fn exact(g: &SocialGraph) -> bool {
+            let a = &g.adjacency;
+            a.out.iter().chain(&a.inc).all(|l| l.len() == l.capacity())
+        }
+        let generated = SocialGraph::generate(crate::GraphPreset::TwitterLike, 500, 3).unwrap();
+        // Reversed, so that the per-edge inserts grow the lists out of order.
+        let mut edges: Vec<(UserId, UserId)> = generated.edges().collect();
+        edges.reverse();
+        let bulk = SocialGraph::from_edges_bulk(500, edges.clone()).unwrap();
+        let inserted = SocialGraph::from_edges(500, edges).unwrap();
+        assert!(exact(&generated));
+        assert!(exact(&bulk));
+        assert!(exact(&inserted));
+        assert_eq!(bulk, inserted);
     }
 
     #[test]

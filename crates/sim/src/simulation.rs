@@ -124,9 +124,10 @@ enum Change {
 /// Drives a request trace through a [`PlacementEngine`] over a [`Topology`]
 /// and measures the traffic of every switch.
 ///
-/// The simulation owns a copy of the social graph so that scheduled
-/// mutations (flash events, §4.6) can be applied mid-run; read requests look
-/// up the *current* followee list at execution time.
+/// The simulation shares the caller's social graph and copies it only when a
+/// scheduled mutation (flash events, §4.6) first applies mid-run, so the
+/// caller's graph never changes; read requests look up the *current*
+/// followee list at execution time.
 #[derive(Debug)]
 pub struct Simulation<E> {
     topology: Topology,
@@ -146,8 +147,8 @@ pub struct Simulation<E> {
 }
 
 impl<E: PlacementEngine> Simulation<E> {
-    /// Creates a simulation over `topology` driving `engine`, with a private
-    /// copy of `graph`.
+    /// Creates a simulation over `topology` driving `engine`, sharing
+    /// `graph` (see [`SocialGraph`]: a clone is `O(1)` and copy-on-write).
     pub fn new(topology: Topology, engine: E, graph: &SocialGraph) -> Self {
         Simulation {
             topology,

@@ -125,6 +125,8 @@ impl TrafficSink for Served {
 /// See the [crate documentation](crate) for an end-to-end example.
 #[derive(Debug)]
 pub struct Cluster {
+    /// Shares the caller's graph: a [`SocialGraph`] clone is `O(1)`, and
+    /// only a mutation would copy it.
     graph: SocialGraph,
     engine: Mutex<DynaSoReEngine>,
     /// The cached views: shard `i` is the server with `MachineId` `i`.
