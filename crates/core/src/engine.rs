@@ -784,24 +784,9 @@ impl DynaSoReEngine {
             self.set_write_proxy(user, best, out);
         }
     }
-}
 
-impl PlacementEngine for DynaSoReEngine {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// Steady-state reads perform zero heap allocations: replica routing
-    /// scans the (borrowed) replica index list, transfer bookkeeping uses
-    /// the reusable dense tally, statistics updates hit existing counters,
-    /// and messages stream straight into the sink.
-    fn handle_read(
-        &mut self,
-        user: UserId,
-        targets: &[UserId],
-        _time: SimTime,
-        out: &mut dyn TrafficSink,
-    ) {
+    /// [`PlacementEngine::handle_read`] after its warm pass.
+    fn read_targets(&mut self, user: UserId, targets: &[UserId], out: &mut dyn TrafficSink) {
         if user.as_usize() >= self.users.len() {
             return;
         }
@@ -840,6 +825,38 @@ impl PlacementEngine for DynaSoReEngine {
         }
 
         self.maybe_migrate_proxy(user, false, out);
+    }
+}
+
+impl PlacementEngine for DynaSoReEngine {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// Steady-state reads perform zero heap allocations: replica routing
+    /// scans the (borrowed) replica index list, transfer bookkeeping uses
+    /// the reusable dense tally, statistics updates hit existing counters,
+    /// and messages stream straight into the sink.
+    ///
+    /// A read first warms its targets: one pass loads each known target's
+    /// state, replica list, slab entries and first statistics words, so their
+    /// misses overlap and the per-target loop finds them in cache (group
+    /// prefetching). It only reads: it marks nothing stale and decides nothing.
+    fn handle_read(
+        &mut self,
+        user: UserId,
+        targets: &[UserId],
+        _time: SimTime,
+        out: &mut dyn TrafficSink,
+    ) {
+        let mut fold = 0;
+        for state in targets.iter().filter_map(|t| self.users.get(t.as_usize())) {
+            for r in &state.replicas {
+                fold ^= self.servers[r.server()].first_stats_word(r.slot());
+            }
+        }
+        std::hint::black_box(fold);
+        self.read_targets(user, targets, out);
     }
 
     /// Steady-state writes perform zero heap allocations: the replica list

@@ -819,3 +819,50 @@ fn the_message_stream_of_a_seeded_run_is_pinned() {
         assert_eq!((out.len(), recovery, digest), pinned, "{layout}");
     }
 }
+
+/// Records what a read emits: its messages and its `served` reports.
+#[derive(Debug, Default, PartialEq)]
+struct ReadLog {
+    messages: Vec<Message>,
+    served: Vec<(UserId, MachineId)>,
+}
+
+impl TrafficSink for ReadLog {
+    fn record(&mut self, message: Message) {
+        self.messages.push(message);
+    }
+
+    fn served(&mut self, view: UserId, server: MachineId) {
+        self.served.push((view, server));
+    }
+}
+
+/// A read's warm pass changes nothing it reads about: a read whose targets
+/// hold unknown ids, a repeated target and a lost view awaiting recovery
+/// (no replica) emits the same messages and `served` reports, counts the
+/// same unreachable reads and leaves the same engine as the read without
+/// the pass.
+#[test]
+fn the_warm_pass_skips_unknown_repeated_and_lost_targets() {
+    let (mut engine, graph, _) = engine_with_extra(30);
+    let lost = UserId::new(7);
+    let server = engine.users[lost.as_usize()].replicas[0].server();
+    engine.unlink_replica(lost, server, &mut Vec::new());
+    assert!(engine.users[lost.as_usize()].replicas.is_empty());
+
+    let reader = UserId::new(1);
+    let known = graph.followees(reader)[0];
+    let unknown = UserId::new(graph.user_count() as u32);
+    let targets = [unknown, known, lost, known, UserId::new(u32::MAX), known];
+    let mut without = engine.clone();
+    let (mut with_log, mut without_log) = (ReadLog::default(), ReadLog::default());
+    engine.handle_read(reader, &targets, SimTime::ZERO, &mut with_log);
+    without.read_targets(reader, &targets, &mut without_log);
+
+    assert_eq!(with_log, without_log);
+    assert_eq!(with_log.served.len(), 3, "{:?}", with_log.served);
+    assert!(with_log.served.iter().all(|&(view, _)| view == known));
+    assert_eq!(engine.unreachable_reads(), 1);
+    assert_eq!(without.unreachable_reads(), 1);
+    assert_eq!(format!("{engine:?}"), format!("{without:?}"));
+}

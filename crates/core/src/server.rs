@@ -201,6 +201,13 @@ impl ServerState {
         self.replica_at(slot).1
     }
 
+    /// The first word of the statistics in slab slot `slot` (0 for a free
+    /// slot), for a read's warm pass: unlike `stats_mut`, marks nothing stale.
+    pub(crate) fn first_stats_word(&self, slot: usize) -> u32 {
+        let entry = self.slots[slot].as_ref();
+        entry.map_or(0, |entry| entry.stats.first_word())
+    }
+
     /// Mutable statistics of the replica in slab slot `slot`. The replica's
     /// cached utility goes stale: the caller is about to change what it was
     /// computed from.

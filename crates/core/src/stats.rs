@@ -163,6 +163,11 @@ impl ReplicaStats {
         ReplicaStats::default()
     }
 
+    /// The first word of the statistics' heap, 0 if they own none.
+    pub(crate) fn first_word(&self) -> u32 {
+        self.words.first().copied().unwrap_or(0)
+    }
+
     /// Words the origin pairs take at the front of `words`.
     fn origin_words(&self) -> usize {
         2 * usize::from(self.origins)
