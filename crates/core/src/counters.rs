@@ -7,29 +7,16 @@
 //! counters of 1 byte" (§3.2, *Access statistics*). A rotating window makes
 //! the statistics forget old behaviour, which is what lets the system react
 //! to flash events and traffic changes.
+//!
+//! The engine stores every replica's counters packed in one list
+//! (`ReplicaStats`); this ring of one count is the specification the tests
+//! hold each of those counts to, and is compiled for tests only.
 
 /// A fixed-size ring of per-period counters.
 ///
 /// [`record`](RotatingCounter::record) increments the current period;
 /// [`rotate`](RotatingCounter::rotate) moves to the next period, clearing
 /// it. [`total`](RotatingCounter::total) sums the whole window.
-///
-/// # Example
-///
-/// ```
-/// use dynasore_core::RotatingCounter;
-///
-/// let mut counter = RotatingCounter::new(3);
-/// counter.record(2);
-/// counter.rotate();
-/// counter.record(1);
-/// assert_eq!(counter.total(), 3);
-/// // After enough rotations old periods fall out of the window.
-/// counter.rotate();
-/// counter.rotate();
-/// counter.rotate();
-/// assert_eq!(counter.total(), 0);
-/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RotatingCounter {
     slots: Vec<u64>,

@@ -106,13 +106,6 @@ pub struct DynaSoReEngine {
     /// Views whose last replica was lost to a failure and re-created from
     /// the persistent tier.
     recovered_views: u64,
-    /// Evaluate replicas with the per-candidate reference path the linear
-    /// evaluation replaced (`engine/evaluation_tests.rs`) and pick eviction
-    /// victims, sweep and set thresholds by rescanning every stored view
-    /// with `replica_utility` (`engine/eviction_tests.rs`), so tests can
-    /// compare whole runs against the specification.
-    #[cfg(test)]
-    reference_evaluation: bool,
 }
 
 /// Reusable per-request buffers: allocated once at engine construction and
@@ -143,14 +136,13 @@ struct Candidate {
     server: usize,
     /// Admission threshold of the origin that proposed it.
     threshold: f64,
-    /// Algorithm 2: profit of *adding* a replica there
-    /// ([`estimate_creation_profit`](crate::estimate_creation_profit) minus
-    /// the congestion penalty).
+    /// Algorithm 2: profit of *adding* a replica there (the read traffic
+    /// the readers it would attract save, minus its writes and the
+    /// congestion penalty).
     creation_profit: i64,
     /// Algorithm 3: profit of serving the recorded readers from there
-    /// instead of from the nearest other replica
-    /// ([`estimate_profit`](crate::estimate_profit) minus the congestion
-    /// penalty).
+    /// instead of from the nearest other replica (Algorithm 1, minus the
+    /// congestion penalty).
     position_profit: i64,
 }
 
@@ -266,8 +258,6 @@ impl DynaSoReEngineBuilder {
             loads: LoadCache::default(),
             unreachable_reads: 0,
             recovered_views: 0,
-            #[cfg(test)]
-            reference_evaluation: false,
         };
         engine.rebuild_load_cache();
         engine.refresh_threshold_cache();
@@ -816,11 +806,6 @@ impl DynaSoReEngine {
             // "Upon receiving a request for a view, a server updates its
             // access statistics and evaluates the possibility of replicating
             // it" (§3.2).
-            #[cfg(test)]
-            if self.reference_evaluation {
-                self.evaluate_replica_reference(target, replica, out);
-                continue;
-            }
             self.evaluate_replica(target, replica, out);
         }
 

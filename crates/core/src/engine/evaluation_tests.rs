@@ -2,6 +2,7 @@
 //! code, and the tests that pin the linear path to it and to the
 //! specification in `utility.rs`.
 
+use super::eviction_tests::assert_cache_matches_rescan;
 use super::*;
 use crate::evaluation::tests::origin_from_pick;
 use crate::stats::COUNTER_SLOTS;
@@ -10,6 +11,42 @@ use dynasore_graph::GraphPreset;
 use proptest::prelude::*;
 
 impl DynaSoReEngine {
+    /// A read as [`PlacementEngine::handle_read`] serves it, each target
+    /// evaluated by [`evaluate_replica_reference`](Self::evaluate_replica_reference):
+    /// the twin engine the whole-run test replays next to the engine's own.
+    fn read_targets_reference(
+        &mut self,
+        user: UserId,
+        targets: &[UserId],
+        out: &mut dyn TrafficSink,
+    ) {
+        if user.as_usize() >= self.users.len() {
+            return;
+        }
+        let broker = self.users[user.as_usize()].read_proxy.machine();
+        self.scratch.tally.clear();
+        for &target in targets {
+            if target.as_usize() >= self.users.len() {
+                continue;
+            }
+            let replicas = self.users[target.as_usize()].replicas.iter().copied();
+            let Some((replica, server_machine)) = self.closest_of(broker, replicas) else {
+                self.unreachable_reads += 1;
+                continue;
+            };
+            out.served(target, server_machine);
+            out.record(Message::application(broker, server_machine));
+            out.record(Message::application(server_machine, broker));
+            self.scratch.tally.add(server_machine, 1);
+            let origin = self.topology.access_origin(server_machine, broker);
+            self.servers[replica.server()]
+                .stats_mut(replica.slot())
+                .record_read(origin);
+            self.evaluate_replica_reference(target, replica, out);
+        }
+        self.maybe_migrate_proxy(user, false, out);
+    }
+
     /// Algorithms 2 and 3 exactly as they ran before the linear evaluation:
     /// every candidate of every origin priced by a full
     /// `estimate_creation_profit` / `estimate_profit` sum, candidates looked
@@ -333,14 +370,17 @@ proptest! {
     }
 }
 
-/// Drives `engine` through a seeded mix of feed reads, writes, hourly
-/// ticks, a machine failure and repair, (on a tree) elastic growth and a
-/// drain, and returns everything observable: the full message and trace
-/// streams and the final placement.
+/// Drives `engine` through a seeded mix of feed reads (evaluated by the
+/// reference path if `reference`), writes, hourly ticks, a machine failure
+/// and repair, (on a tree) elastic growth and a drain, and returns
+/// everything observable: the full message and trace streams and the final
+/// placement. Every 100 steps every cached utility and eviction victim is
+/// checked against the rescan.
 fn seeded_run(
     engine: &mut DynaSoReEngine,
     graph: &SocialGraph,
     congested: bool,
+    reference: bool,
 ) -> (
     RecordingSink,
     Vec<Vec<MachineId>>,
@@ -358,6 +398,8 @@ fn seeded_run(
         let time = SimTime::from_secs(step as u64 * 30);
         if step % 5 == 4 {
             engine.handle_write(user, time, &mut out);
+        } else if reference {
+            engine.read_targets_reference(user, graph.followees(user), &mut out);
         } else {
             engine.handle_read(user, graph.followees(user), time, &mut out);
         }
@@ -377,6 +419,9 @@ fn seeded_run(
             // A flat layout refuses to grow, which changes nothing.
             let _ = engine.on_cluster_change(event, &mut out);
         }
+        if step % 100 == 0 {
+            assert_cache_matches_rescan(engine, &format!("step {step}")).unwrap();
+        }
     }
     let placement = graph.users().map(|u| engine.replica_servers(u)).collect();
     let proxies = graph
@@ -391,11 +436,11 @@ fn seeded_run(
     (out, placement, proxies)
 }
 
-/// (c) Same seed, same requests: the linear evaluation and the reference
-/// path produce the same message stream, the same trace stream and the same
-/// final placement — on a tree and on a flat cluster, with memory tight
-/// enough that creations fail and fall through to Algorithm 3, with and
-/// without congestion penalties.
+/// (c) Same seed, same requests: the engine and a twin whose reads use the
+/// reference evaluation produce the same message stream, the same trace
+/// stream and the same final placement — on a tree and on a flat cluster,
+/// with memory tight enough that creations fail and fall through to
+/// Algorithm 3, with and without congestion penalties.
 #[test]
 fn linear_evaluation_replays_the_reference_run_exactly() {
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
@@ -408,9 +453,9 @@ fn linear_evaluation_replays_the_reference_run_exactly() {
         let topology = test_topology(flat);
         let mut linear = test_engine(&graph, &topology, extra);
         let mut reference = linear.clone();
-        reference.reference_evaluation = true;
-        let (out, placement, proxies) = seeded_run(&mut linear, &graph, congested);
-        let (ref_out, ref_placement, ref_proxies) = seeded_run(&mut reference, &graph, congested);
+        let (out, placement, proxies) = seeded_run(&mut linear, &graph, congested, false);
+        let (ref_out, ref_placement, ref_proxies) =
+            seeded_run(&mut reference, &graph, congested, true);
         let context = format!("flat={flat} extra={extra} congested={congested}");
         assert!(
             out.traces
@@ -447,7 +492,7 @@ fn linear_evaluation_replays_the_reference_run_exactly() {
 fn statistics_heap_is_proportional_to_the_traffic_in_the_window() {
     let graph = SocialGraph::generate(GraphPreset::FacebookLike, USERS, 3).unwrap();
     let mut engine = test_engine(&graph, &test_topology(false), 40);
-    let mut out = seeded_run(&mut engine, &graph, false).0;
+    let mut out = seeded_run(&mut engine, &graph, false, false).0;
     // Quiet hours: most of the busy run leaves the window, a few reads per
     // period enter it.
     for hour in 0..20u32 {

@@ -7,10 +7,9 @@
 //! Recomputing every stored view's utility for each victim costs
 //! `O(capacity · origins)`; instead each slab slot caches its replica's
 //! utility ([`ServerState`](crate::ServerState)) and only the slots whose
-//! inputs moved are recomputed. A utility
-//! ([`replica_utility`](crate::replica_utility) is the specification)
-//! depends on exactly four things, and each has one place that marks the
-//! cache stale:
+//! inputs moved are recomputed. A utility (the test oracle
+//! `utility::replica_utility` is the specification) depends on exactly four
+//! things, and each has one place that marks the cache stale:
 //!
 //! | input | changes in | marked by |
 //! |---|---|---|
@@ -56,8 +55,8 @@ pub(super) type ThresholdCache = PerSubtree<f64>;
 
 impl DynaSoReEngine {
     /// Utility of the replica of `view` stored on server `sidx`, whose
-    /// statistics are `stats` (infinite for sole replicas):
-    /// [`replica_utility`](crate::replica_utility), with every distance read
+    /// statistics are `stats` (infinite for sole replicas): Algorithm 1's
+    /// profit against the nearest other replica, with every distance read
     /// from the topology's paths.
     fn utility_of(&self, view: UserId, stats: &ReplicaStats, sidx: usize) -> f64 {
         let Some(nearest) = self.nearest_other_replica(view, sidx) else {
@@ -89,10 +88,6 @@ impl DynaSoReEngine {
 
     /// Brings every cached utility of server `sidx` up to date.
     pub(super) fn refresh_utilities(&mut self, sidx: usize) {
-        #[cfg(test)]
-        if self.reference_evaluation {
-            return self.rescan_utilities(sidx);
-        }
         while let Some(slot) = self.servers[sidx].next_stale_slot() {
             let (view, stats) = self.servers[sidx].replica_at(slot);
             let utility = self.utility_of(view, stats, sidx);
@@ -106,10 +101,6 @@ impl DynaSoReEngine {
     /// `BTreeMap` storage, so victim choice is independent of slab slot
     /// layout).
     pub(super) fn eviction_victim(&mut self, sidx: usize) -> Option<UserId> {
-        #[cfg(test)]
-        if self.reference_evaluation {
-            return self.rescan_victim(sidx);
-        }
         self.refresh_utilities(sidx);
         self.servers[sidx].lowest_utility_view()
     }

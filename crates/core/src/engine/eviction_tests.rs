@@ -36,7 +36,7 @@ impl DynaSoReEngine {
     /// Victim selection exactly as it ran before utilities were cached: the
     /// utility of every stored view recomputed, the lowest finite one of a
     /// view with other replicas wins, ties by [`UserId`].
-    pub(super) fn rescan_victim(&self, sidx: usize) -> Option<UserId> {
+    fn rescan_victim(&self, sidx: usize) -> Option<UserId> {
         let mut victim: Option<(f64, UserId)> = None;
         for (view, stats) in self.servers[sidx].views() {
             if self.users[view.as_usize()].replicas.len() <= 1 {
@@ -56,23 +56,12 @@ impl DynaSoReEngine {
         }
         victim.map(|(_, view)| view)
     }
-
-    /// Recomputes every utility of server `sidx` from the specification,
-    /// whatever the stale marks say.
-    pub(super) fn rescan_utilities(&mut self, sidx: usize) {
-        self.servers[sidx].mark_all_stale();
-        while let Some(slot) = self.servers[sidx].next_stale_slot() {
-            let (view, stats) = self.servers[sidx].replica_at(slot);
-            let utility = self.rescan_utility(view, stats, sidx);
-            self.servers[sidx].store_utility(slot, utility);
-        }
-    }
 }
 
 /// After refreshing only the slots marked stale, every cached utility must
 /// equal the specification and the cached victim the rescan victim, on
 /// every server.
-fn assert_cache_matches_rescan(
+pub(super) fn assert_cache_matches_rescan(
     engine: &mut DynaSoReEngine,
     context: &str,
 ) -> Result<(), TestCaseError> {

@@ -1,6 +1,6 @@
 //! The read-side cost model behind Algorithms 2 and 3, in closed form.
 //!
-//! [`utility`](crate::utility) is the executable specification: the cost of
+//! The test oracle `utility.rs` is the executable specification: the cost of
 //! serving a replica's recorded readers from a machine is a sum over the
 //! `k` origins of `reads(origin) · distance(machine, origin)`. Evaluating
 //! one candidate per origin that way costs `O(k²)` distance look-ups per

@@ -10,11 +10,13 @@
 //!
 //! * **Access statistics** — every replica records how often it is read from
 //!   each coarse origin (sibling racks and sibling intermediate switches)
-//!   and how often it is written, in a rotating window
-//!   ([`RotatingCounter`], [`ReplicaStats`]).
+//!   and how often it is written, in a rotating window of 24 hourly periods
+//!   ([`ReplicaStats`]).
 //! * **Utility estimation** (Algorithm 1) — the benefit of a replica is the
 //!   read traffic it saves compared to the next closest replica, minus the
-//!   write traffic needed to keep it fresh ([`estimate_profit`]).
+//!   write traffic needed to keep it fresh. The engine keeps each replica's
+//!   utility cached in its server's slab and evaluates the algorithms'
+//!   candidates in one pass over the replica's statistics.
 //! * **Replication and migration** (Algorithms 2 and 3) — when a replica is
 //!   read from a distant part of the cluster, a new replica is proposed near
 //!   those readers, subject to the target servers' admission thresholds;
@@ -63,18 +65,22 @@
 #![warn(missing_docs)]
 
 mod config;
-mod counters;
 mod engine;
 mod evaluation;
 pub mod placement;
 pub mod routing;
 mod server;
 mod stats;
-mod utility;
 
 pub use config::InitialPlacement;
-pub use counters::RotatingCounter;
 pub use engine::{DynaSoReEngine, DynaSoReEngineBuilder};
 pub use server::{admission_threshold_from_utilities, ServerState};
 pub use stats::ReplicaStats;
-pub use utility::{estimate_creation_profit, estimate_profit, replica_utility};
+
+// The single rotating counter and Algorithm 1 as written in the paper: the
+// specifications the tests hold the engine's packed statistics and
+// incremental evaluation to.
+#[cfg(test)]
+mod counters;
+#[cfg(test)]
+mod utility;

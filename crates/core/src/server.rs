@@ -263,12 +263,6 @@ impl ServerState {
         (self.views[slot], &entry.stats)
     }
 
-    /// The view stored in slab slot `slot`, or `None` for a free slot.
-    #[cfg(test)]
-    pub(crate) fn view_at(&self, slot: usize) -> Option<UserId> {
-        self.slots.get(slot)?.as_ref().map(|_| self.views[slot])
-    }
-
     /// Stores the freshly computed utility of the replica in `slot`.
     pub(crate) fn store_utility(&mut self, slot: usize, utility: f64) {
         self.slots[slot].as_mut().expect("an occupied slot").stale = false;
@@ -394,6 +388,13 @@ mod tests {
     use super::*;
     use crate::stats::COUNTER_SLOTS;
     use dynasore_types::SubtreeId;
+
+    impl ServerState {
+        /// The view stored in slab slot `slot`, or `None` for a free slot.
+        pub(crate) fn view_at(&self, slot: usize) -> Option<UserId> {
+            self.slots.get(slot)?.as_ref().map(|_| self.views[slot])
+        }
+    }
 
     fn server(cap: usize) -> ServerState {
         ServerState::new(MachineId::new(7), cap)

@@ -113,8 +113,8 @@ fn release_slack(words: &mut Vec<u32>) {
 
 /// Access statistics of one replica of one view on one server: the writes
 /// and the reads of each origin over a rotating window of 24 periods, every
-/// count behaving like its own [`RotatingCounter`](crate::RotatingCounter)
-/// (the specification of a single ring), quiet origins forgotten.
+/// count behaving like its own ring of period counters (the test oracle
+/// `counters::RotatingCounter`), quiet origins forgotten.
 ///
 /// The window is stored sparsely, sized by the traffic in it instead of by
 /// periods × origins, in one list of words. It starts with one
@@ -402,59 +402,59 @@ impl ReplicaStats {
 }
 
 #[cfg(test)]
-impl ReplicaStats {
-    /// Number of stored period counters.
-    pub(crate) fn cell_count(&self) -> usize {
-        self.cells().count()
-    }
-
-    /// Reads in the window coming from one specific origin.
-    fn reads_from(&self, origin: SubtreeId) -> u64 {
-        let i = self.origin_index(pack(origin));
-        i.map_or(0, |i| u64::from(self.origin_pairs()[i][1]))
-    }
-
-    /// Panics unless the layout is what every method relies on: no empty
-    /// cell, every cell naming the writes or a listed origin, cells ordered
-    /// oldest period first, each total the sum of its cells (saturated),
-    /// and no capacity beyond what [`release_slack`] leaves.
-    fn assert_well_formed(&self) {
-        let window = COUNTER_SLOTS;
-        let age =
-            |cell: Cell| (usize::from(self.current) + window - usize::from(cell.period())) % window;
-        let cells: Vec<Cell> = self.cells().collect();
-        assert!(cells.iter().all(|cell| cell.count() > 0));
-        assert!(cells.iter().all(|cell| usize::from(cell.period()) < window));
-        assert!(cells
-            .iter()
-            .all(|cell| cell.position() <= u32::from(self.origins)));
-        assert!(cells.windows(2).all(|pair| age(pair[0]) >= age(pair[1])));
-        let sum = |position| -> u64 {
-            let cells = cells.iter().filter(|cell| cell.position() == position);
-            cells.map(|cell| u64::from(cell.count())).sum()
-        };
-        let saturated = |sum: u64| sum.min(u64::from(u32::MAX));
-        assert_eq!(
-            self.total_writes(),
-            saturated(sum(WRITES) + u64::from(self.current_writes))
-        );
-        for (i, &[key, total]) in self.origin_pairs().iter().enumerate() {
-            assert!(total > 0);
-            let origin = unpack(key);
-            assert_eq!(pack(origin), key);
-            assert_eq!(u64::from(total), saturated(sum(i as u32 + 1)), "{origin}");
-        }
-        let pairs = self.origin_pairs();
-        assert!(pairs.windows(2).all(|pair| pair[0][0] < pair[1][0]));
-        let limit = (4 * self.words.len()).max(RECYCLED_WORDS);
-        assert!(self.words.capacity() <= limit);
-    }
-}
-
-#[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl ReplicaStats {
+        /// Number of stored period counters.
+        pub(crate) fn cell_count(&self) -> usize {
+            self.cells().count()
+        }
+
+        /// Reads in the window coming from one specific origin.
+        fn reads_from(&self, origin: SubtreeId) -> u64 {
+            let i = self.origin_index(pack(origin));
+            i.map_or(0, |i| u64::from(self.origin_pairs()[i][1]))
+        }
+
+        /// Panics unless the layout is what every method relies on: no empty
+        /// cell, every cell naming the writes or a listed origin, cells ordered
+        /// oldest period first, each total the sum of its cells (saturated),
+        /// and no capacity beyond what [`release_slack`] leaves.
+        fn assert_well_formed(&self) {
+            let window = COUNTER_SLOTS;
+            let age = |cell: Cell| {
+                (usize::from(self.current) + window - usize::from(cell.period())) % window
+            };
+            let cells: Vec<Cell> = self.cells().collect();
+            assert!(cells.iter().all(|cell| cell.count() > 0));
+            assert!(cells.iter().all(|cell| usize::from(cell.period()) < window));
+            assert!(cells
+                .iter()
+                .all(|cell| cell.position() <= u32::from(self.origins)));
+            assert!(cells.windows(2).all(|pair| age(pair[0]) >= age(pair[1])));
+            let sum = |position| -> u64 {
+                let cells = cells.iter().filter(|cell| cell.position() == position);
+                cells.map(|cell| u64::from(cell.count())).sum()
+            };
+            let saturated = |sum: u64| sum.min(u64::from(u32::MAX));
+            assert_eq!(
+                self.total_writes(),
+                saturated(sum(WRITES) + u64::from(self.current_writes))
+            );
+            for (i, &[key, total]) in self.origin_pairs().iter().enumerate() {
+                assert!(total > 0);
+                let origin = unpack(key);
+                assert_eq!(pack(origin), key);
+                assert_eq!(u64::from(total), saturated(sum(i as u32 + 1)), "{origin}");
+            }
+            let pairs = self.origin_pairs();
+            assert!(pairs.windows(2).all(|pair| pair[0][0] < pair[1][0]));
+            let limit = (4 * self.words.len()).max(RECYCLED_WORDS);
+            assert!(self.words.capacity() <= limit);
+        }
+    }
 
     #[test]
     fn reads_are_grouped_by_origin() {

@@ -13,6 +13,12 @@
 //! ```
 //!
 //! where `cost(a, b)` is the number of switches between the two locations.
+//!
+//! These functions are the algorithm as the paper writes it, one full sum
+//! per question. The engine answers the same questions incrementally
+//! (`evaluation.rs`, and the cached utilities of `engine/eviction.rs`);
+//! this module is the specification the tests compare it with, and is
+//! compiled for tests only.
 
 use dynasore_topology::Topology;
 use dynasore_types::MachineId;

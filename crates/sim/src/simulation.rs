@@ -271,8 +271,9 @@ impl<E: PlacementEngine> Simulation<E> {
     /// track engine state over time (e.g. the replica count of a view during
     /// a flash event, Figure 5).
     ///
-    /// Before each request, the scheduled changes due by its time apply in
-    /// schedule order, then the due engine ticks run, then the due probes.
+    /// Before each request, the scheduled changes and engine ticks due by its
+    /// time run in time order (a change before a tick of the same time, and
+    /// changes of one time in schedule order), then the due probes.
     ///
     /// # Errors
     ///
@@ -318,80 +319,82 @@ impl<E: PlacementEngine> Simulation<E> {
         for request in trace {
             now = request.time;
 
-            // The changes due by now, in schedule order. For a cluster event
-            // the driver's own topology copy is updated first so that traffic
-            // accounting knows about machines added at runtime; the engine
-            // then reacts through its cluster-change hook, reporting any
-            // recovery traffic inline.
-            while let Some(&(time, change)) = self.schedule.get(next_change) {
-                if time > request.time {
-                    break;
-                }
-                next_change += 1;
-                match change {
-                    Change::Graph(mutation) => {
-                        match mutation {
-                            GraphMutation::AddEdge { follower, followee } => {
-                                let _ = self.graph.try_add_edge(follower, followee);
+            // The changes and engine ticks due by now, in time order; a
+            // change applies before a tick of the same time. For a cluster
+            // event the driver's own topology copy is updated first so that
+            // traffic accounting knows about machines added at runtime; the
+            // engine then reacts through its cluster-change hook, reporting
+            // any recovery traffic inline.
+            loop {
+                let due = request.time.min(SimTime::from_secs(next_tick));
+                let next = self.schedule.get(next_change);
+                if let Some(&(time, change)) = next.filter(|&&(time, _)| time <= due) {
+                    next_change += 1;
+                    match change {
+                        Change::Graph(mutation) => {
+                            match mutation {
+                                GraphMutation::AddEdge { follower, followee } => {
+                                    let _ = self.graph.try_add_edge(follower, followee);
+                                }
+                                GraphMutation::RemoveEdge { follower, followee } => {
+                                    self.graph.remove_edge(follower, followee);
+                                }
                             }
-                            GraphMutation::RemoveEdge { follower, followee } => {
-                                self.graph.remove_edge(follower, followee);
-                            }
+                            let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
+                            self.engine.on_graph_change(mutation, &mut sink);
                         }
-                        let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
-                        self.engine.on_graph_change(mutation, &mut sink);
-                    }
-                    Change::Cluster(event) => {
-                        self.topology.apply_cluster_event(event)?;
-                        let recovery_before = counters.recovery_messages;
-                        let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
-                        self.engine.on_cluster_change(event, &mut sink)?;
-                        // The engine fetched lost views from the persistent
-                        // tier: with a durable tier attached, that recovery
-                        // re-reads real bytes.
-                        if counters.recovery_messages > recovery_before {
-                            if let Some(tier) = self.durable.as_mut() {
-                                tier.sync()?;
-                                durable_syncs += 1;
-                                let replay = tier.replay()?;
-                                durable_io.bytes_replayed += replay.total.bytes_replayed;
-                                durable_io.critical_path_bytes += replay.max_shard_bytes_replayed();
-                                durable_io.tier_shards = replay.per_shard.len();
-                                durable_io.replays += 1;
-                                if let Some(obs) = self.obs.as_mut() {
-                                    obs.trace(
-                                        time.as_secs().saturating_mul(NANOS_PER_SEC),
-                                        TraceEventKind::ReplayCompleted {
-                                            bytes: replay.total.bytes_replayed,
-                                            shards: replay.per_shard.len() as u32,
-                                        },
-                                    );
+                        Change::Cluster(event) => {
+                            self.topology.apply_cluster_event(event)?;
+                            let recovery_before = counters.recovery_messages;
+                            let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
+                            self.engine.on_cluster_change(event, &mut sink)?;
+                            // The engine fetched lost views from the persistent
+                            // tier: with a durable tier attached, that recovery
+                            // re-reads real bytes.
+                            if counters.recovery_messages > recovery_before {
+                                if let Some(tier) = self.durable.as_mut() {
+                                    tier.sync()?;
+                                    durable_syncs += 1;
+                                    let replay = tier.replay()?;
+                                    durable_io.bytes_replayed += replay.total.bytes_replayed;
+                                    durable_io.critical_path_bytes +=
+                                        replay.max_shard_bytes_replayed();
+                                    durable_io.tier_shards = replay.per_shard.len();
+                                    durable_io.replays += 1;
+                                    if let Some(obs) = self.obs.as_mut() {
+                                        obs.trace(
+                                            time.as_secs().saturating_mul(NANOS_PER_SEC),
+                                            TraceEventKind::ReplayCompleted {
+                                                bytes: replay.total.bytes_replayed,
+                                                shards: replay.per_shard.len() as u32,
+                                            },
+                                        );
+                                    }
                                 }
                             }
                         }
                     }
+                } else if next_tick <= request.time.as_secs() {
+                    let tick_time = SimTime::from_secs(next_tick);
+                    let mut sink = counters.sink(&self.topology, self.obs.as_mut(), tick_time);
+                    self.engine.on_tick(tick_time, &mut sink);
+                    // The per-tick observability sample rides the tick cadence,
+                    // so its cost scales with simulated hours, not requests.
+                    if let Some(obs) = self.obs.as_mut() {
+                        obs.sample_tick(
+                            next_tick,
+                            self.engine.unreachable_reads(),
+                            &self.topology,
+                            &counters.traffic,
+                            self.durable.as_ref(),
+                            &self.network,
+                        );
+                    }
+                    next_tick += TICK_SECS;
+                    tick_snaps.push((tick_time, self.engine.unreachable_reads(), read_targets));
+                } else {
+                    break;
                 }
-            }
-
-            // Engine maintenance ticks.
-            while next_tick <= request.time.as_secs() {
-                let tick_time = SimTime::from_secs(next_tick);
-                let mut sink = counters.sink(&self.topology, self.obs.as_mut(), tick_time);
-                self.engine.on_tick(tick_time, &mut sink);
-                // The per-tick observability sample rides the tick cadence,
-                // so its cost scales with simulated hours, not requests.
-                if let Some(obs) = self.obs.as_mut() {
-                    obs.sample_tick(
-                        next_tick,
-                        self.engine.unreachable_reads(),
-                        &self.topology,
-                        &counters.traffic,
-                        self.durable.as_ref(),
-                        &self.network,
-                    );
-                }
-                next_tick += TICK_SECS;
-                tick_snaps.push((tick_time, self.engine.unreachable_reads(), read_targets));
             }
 
             // Probes.
@@ -819,13 +822,13 @@ mod tests {
         let victim = topology.servers()[0].machine();
         let trace = vec![
             Request::read(SimTime::from_secs(100), UserId::new(0)),
-            Request::read(SimTime::from_secs(4_000), UserId::new(0)),
             Request::read(SimTime::from_secs(6_000), UserId::new(0)),
             Request::read(SimTime::from_secs(8_000), UserId::new(0)),
         ];
         // ModuloEngine counts one unreachable read per cluster event: the
-        // event at t=5000 lands in the tick that closes at t=7200 (the read
-        // at t=4000 closes the one before it).
+        // event at t=5000 lands in the tick that closes at t=7200, although
+        // the read at t=6000 is the first to see both it and the tick that
+        // closes at t=3600.
         let events = vec![TimedClusterEvent {
             time: SimTime::from_secs(5_000),
             event: dynasore_types::ClusterEvent::MachineDown { machine: victim },
