@@ -63,7 +63,7 @@ use dynasore_graph::{GraphPreset, SocialGraph};
 use dynasore_store::StoreObs;
 use dynasore_topology::Topology;
 use dynasore_types::{
-    ClusterEvent, MemoryBudget, Message, NetworkModel, PlacementEngine, RackId, SimTime,
+    ClusterEvent, CountingSink, MemoryBudget, NetworkModel, PlacementEngine, RackId, SimTime,
     TraceEventKind, UserId, DAY_SECS, PROTOCOL_MESSAGE_UNITS,
 };
 
@@ -223,19 +223,21 @@ fn measure_recovery(
 fn read_window(
     engine: &mut DynaSoReEngine,
     graph: &SocialGraph,
-    out: &mut Vec<Message>,
     start: u64,
     len: u64,
     users: u64,
 ) -> f64 {
-    let mut messages = 0u64;
+    let mut messages = CountingSink::default();
     for k in start..start + len {
         let user = UserId::new(((k.wrapping_mul(7_919)) % users) as u32);
-        out.clear();
-        engine.handle_read(user, graph.followees(user), SimTime::from_secs(2), out);
-        messages += out.len() as u64;
+        engine.handle_read(
+            user,
+            graph.followees(user),
+            SimTime::from_secs(2),
+            &mut messages,
+        );
     }
-    messages as f64 / len as f64
+    messages.total() as f64 / len as f64
 }
 
 /// Replays read windows until two consecutive windows agree within 5%
@@ -244,7 +246,6 @@ fn read_window(
 fn run_until_plateau(
     engine: &mut DynaSoReEngine,
     graph: &SocialGraph,
-    out: &mut Vec<Message>,
     window: u64,
     max_windows: u64,
     window_offset: u64,
@@ -254,14 +255,7 @@ fn run_until_plateau(
     let mut prev: Option<f64> = None;
     let mut last = 0f64;
     for w in 0..max_windows {
-        let avg = read_window(
-            engine,
-            graph,
-            out,
-            (window_offset + w) * window,
-            window,
-            users,
-        );
+        let avg = read_window(engine, graph, (window_offset + w) * window, window, users);
         peak = peak.max(avg);
         last = avg;
         if let Some(prev) = prev {
@@ -289,44 +283,41 @@ fn main() {
     let users = opts.users as u64;
     let window = if opts.quick { 5_000 } else { 20_000 };
     let max_windows = 40u64;
-    let mut out: Vec<Message> = Vec::new();
+    let mut out = CountingSink::default();
 
     // Converge the placement, then take the healthy baseline.
     for k in 0..2 * users {
         let user = UserId::new(((k.wrapping_mul(7_919)) % users) as u32);
-        out.clear();
         engine.handle_read(user, graph.followees(user), SimTime::from_secs(1), &mut out);
-        out.clear();
         engine.handle_write(user, SimTime::from_secs(1), &mut out);
     }
-    let healthy = read_window(&mut engine, &graph, &mut out, 0, window, users);
+    let healthy = read_window(&mut engine, &graph, 0, window, users);
     let healthy_replicas: usize = (0..users)
         .map(|u| engine.replica_count(UserId::new(u as u32)))
         .sum();
 
     // Kill rack 0 and measure the recovery burst.
     let event_start = Instant::now();
-    out.clear();
+    let mut failover = CountingSink::default();
     engine
         .on_cluster_change(
             ClusterEvent::RackDown {
                 rack: RackId::new(0),
             },
-            &mut out,
+            &mut failover,
         )
         .unwrap();
     let failover_secs = event_start.elapsed().as_secs_f64();
-    let recovery_messages = out.iter().filter(|m| m.involves_persistent()).count();
+    let recovery_messages = failover.persistent;
     let recovered_views = engine.recovered_views();
 
     // Replay read windows until per-read traffic plateaus: the placement
     // re-replicates towards the readers the dead rack used to serve, and
     // settles at the degraded cluster's own steady state.
     let (windows_to_converge, degraded_peak, degraded_steady) =
-        run_until_plateau(&mut engine, &graph, &mut out, window, max_windows, 1, users);
+        run_until_plateau(&mut engine, &graph, window, max_windows, 1, users);
 
     // Bring the rack back and measure re-absorption of the capacity.
-    out.clear();
     engine
         .on_cluster_change(
             ClusterEvent::RackUp {
@@ -338,7 +329,6 @@ fn main() {
     let (windows_to_reabsorb, _, restored_steady) = run_until_plateau(
         &mut engine,
         &graph,
-        &mut out,
         window,
         max_windows,
         max_windows + 1,

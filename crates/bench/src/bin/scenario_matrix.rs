@@ -197,7 +197,7 @@ fn main() {
                 cell.read_p99.as_nanos(),
                 cell.quiet_read_p99.as_nanos(),
                 cell.p99_ratio,
-                cell.recovery_messages,
+                cell.report.recovery_messages(),
                 cell.recovery_bytes,
                 cell.time_to_steady_secs,
             );
@@ -233,7 +233,7 @@ fn main() {
                 availability = c.availability,
                 worst = c.worst_window_availability,
                 p99 = c.p99_ratio,
-                recovery_messages = c.recovery_messages,
+                recovery_messages = c.report.recovery_messages(),
                 recovery_bytes = c.recovery_bytes,
                 steady = c.time_to_steady_secs,
                 read_p99_ns = c.read_p99.as_nanos(),

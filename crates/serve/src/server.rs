@@ -188,11 +188,17 @@ impl LoopbackServer {
     }
 
     /// `/metrics`: the shared registry (pipeline and store tiers fold into
-    /// the same [`StoreObs`]) in Prometheus text exposition format. The
+    /// the same [`StoreObs`]) plus the cluster's message tallies as they
+    /// stand ([`StoreStats`]), in Prometheus text exposition format. The
     /// output passes [`dynasore_types::lint_prometheus`].
     #[must_use]
     pub fn metrics(&self) -> String {
-        self.obs.render_prometheus()
+        let mut registry = self.obs.registry();
+        let stats = self.cluster.stats();
+        for tally in [stats.reads, stats.writes, stats.events] {
+            registry.add_messages(&tally);
+        }
+        registry.render_prometheus()
     }
 
     /// The flight-recorder timeline as JSONL (one envelope/store event per
@@ -278,6 +284,48 @@ mod tests {
         // authenticated — the backend mapping, not an auth failure.
         let missing = srv.handle(RequestEnvelope::read_feed(u(10_000)).with_token("tok-ghost"));
         assert_eq!(missing.status, StatusCode::NotFound);
+        srv.shutdown().unwrap();
+    }
+
+    /// `/metrics` renders the cluster's message tallies as they stand when
+    /// it is read: after a machine failure and a mixed batch of envelopes,
+    /// the three message counters are the totals of `store_stats`.
+    #[test]
+    fn metrics_report_the_clusters_message_tallies() {
+        let graph = SocialGraph::generate(GraphPreset::TwitterLike, 120, 11).unwrap();
+        let topology = Topology::tree(2, 2, 3, 1).unwrap();
+        let victim = topology.servers()[0].machine();
+        let mut cluster = Cluster::spawn(&graph, topology, StoreConfig::default()).unwrap();
+        cluster
+            .apply_event(dynasore_types::ClusterEvent::MachineDown { machine: victim })
+            .unwrap();
+        let srv = LoopbackServer::over_cluster(cluster, ServeConfig::default());
+        for i in 0..90 {
+            let user = u(i % 40);
+            let req = match i % 3 {
+                0 => RequestEnvelope::write(user, vec![i as u8]),
+                1 => RequestEnvelope::read_feed(user),
+                _ => RequestEnvelope::read(user, vec![u(i % 7), u(i % 7), u(10_000)]),
+            };
+            assert!(srv.handle(req).is_success());
+        }
+        let metrics = srv.metrics();
+        dynasore_types::lint_prometheus(&metrics).unwrap();
+        let value = |name: &str| -> u64 {
+            let line = metrics.lines().find_map(|line| line.strip_prefix(name));
+            line.and_then(|rest| rest.trim().parse().ok()).unwrap()
+        };
+        let stats = srv.store_stats();
+        let mut messages = stats.reads;
+        messages += stats.writes;
+        messages += stats.events;
+        assert!(messages.application > 0 && messages.protocol > 0 && messages.persistent > 0);
+        assert_eq!(value("dynasore_app_messages_total "), messages.application);
+        assert_eq!(value("dynasore_proto_messages_total "), messages.protocol);
+        assert_eq!(
+            value("dynasore_recovery_messages_total "),
+            messages.persistent
+        );
         srv.shutdown().unwrap();
     }
 }

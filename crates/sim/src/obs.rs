@@ -12,7 +12,8 @@
 
 use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
 use dynasore_types::{
-    FlightRecorder, MetricId, MetricsRegistry, NetworkModel, SimTime, TraceEventKind, NANOS_PER_SEC,
+    CountingSink, FlightRecorder, MetricId, MetricsRegistry, NetworkModel, SimTime, TraceEventKind,
+    NANOS_PER_SEC,
 };
 
 use crate::durable_tier::{DurableIoStats, SimDurableTier};
@@ -158,18 +159,9 @@ impl SimObs {
     /// End-of-run bookkeeping: folds the run's message totals, durable I/O
     /// stats and the number of tier syncs the run issued into the registry
     /// (counters the hot path deliberately does not touch per message).
-    pub(crate) fn finish_run(
-        &mut self,
-        app_messages: u64,
-        proto_messages: u64,
-        recovery_messages: u64,
-        durable_io: Option<(&DurableIoStats, u64)>,
-    ) {
-        self.registry.add(MetricId::AppMessages, app_messages);
-        self.registry.add(MetricId::ProtoMessages, proto_messages);
-        self.registry
-            .add(MetricId::RecoveryMessages, recovery_messages);
-        if let Some((io, syncs)) = durable_io {
+    pub(crate) fn finish_run(&mut self, tally: &CountingSink, io: Option<(&DurableIoStats, u64)>) {
+        self.registry.add_messages(tally);
+        if let Some((io, syncs)) = io {
             self.registry.add(MetricId::DurableAppends, io.appends);
             self.registry.add(MetricId::DurableSyncs, syncs);
         }

@@ -1,7 +1,7 @@
 //! Simulation results.
 
 use dynasore_topology::{Tier, TierTraffic, TrafficAccount};
-use dynasore_types::{Latency, LatencyHistogram, MemoryUsage, SimTime, TrafficUnits};
+use dynasore_types::{CountingSink, Latency, LatencyHistogram, MemoryUsage, SimTime, TrafficUnits};
 
 use crate::durable_tier::DurableIoStats;
 
@@ -32,15 +32,11 @@ pub struct LatencyStats {
     pub collapsed: bool,
 }
 
-/// Availability and recovery measurements of one run — the quantities the
-/// fault-injection experiments read off a simulation: how much traffic the
-/// persistent tier had to serve to re-create lost views, and how many read
-/// targets went unserved while masters awaited recovery capacity.
+/// Availability measurements of one run, which fault-injection experiments
+/// read next to [`SimReport::recovery_messages`]: how many read targets went
+/// unserved while masters awaited recovery capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReliabilityStats {
-    /// Messages exchanged with the persistent tier (view recovery after
-    /// failures; zero in a run without failures).
-    pub recovery_messages: u64,
     /// Read targets the engine could not serve because the view had no live
     /// replica.
     pub unreachable_reads: u64,
@@ -72,8 +68,7 @@ pub struct SimReport {
     pub(crate) traffic: TrafficAccount,
     pub(crate) reads: u64,
     pub(crate) writes: u64,
-    pub(crate) application_messages: u64,
-    pub(crate) protocol_messages: u64,
+    pub(crate) messages: CountingSink,
     pub(crate) end_time: SimTime,
     pub(crate) memory: MemoryUsage,
     /// Switch counts per tier `[top, intermediate, rack]`, used to compute
@@ -110,12 +105,12 @@ impl SimReport {
     /// Number of application messages exchanged (including machine-local
     /// ones, which cross no switch).
     pub fn total_application_messages(&self) -> u64 {
-        self.application_messages
+        self.messages.application
     }
 
     /// Number of protocol messages exchanged.
     pub fn total_protocol_messages(&self) -> u64 {
-        self.protocol_messages
+        self.messages.protocol
     }
 
     /// Simulated time of the last processed event.
@@ -177,7 +172,7 @@ impl SimReport {
     /// Messages exchanged with the persistent tier to re-create views lost
     /// to failures. Zero in a run without failures.
     pub fn recovery_messages(&self) -> u64 {
-        self.reliability.recovery_messages
+        self.messages.persistent
     }
 
     /// Read targets that went unserved because the view had no live replica.
@@ -272,8 +267,11 @@ mod tests {
             traffic,
             reads: 10,
             writes: 5,
-            application_messages: 15,
-            protocol_messages: 2,
+            messages: CountingSink {
+                application: 15,
+                protocol: 2,
+                persistent: 40,
+            },
             end_time: SimTime::from_hours(1),
             memory: MemoryUsage {
                 used_slots: 10,
@@ -281,7 +279,6 @@ mod tests {
             },
             switch_counts: [1, 5, 25],
             reliability: ReliabilityStats {
-                recovery_messages: 40,
                 unreachable_reads: 2,
                 read_targets: 50,
                 worst_window_unreachable: 2,
@@ -346,7 +343,6 @@ mod tests {
         r.reliability = ReliabilityStats::default();
         assert_eq!(r.availability(), 1.0);
         assert_eq!(r.worst_window_availability(), 1.0);
-        assert_eq!(r.recovery_messages(), 0);
     }
 
     #[test]

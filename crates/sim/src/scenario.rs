@@ -206,8 +206,6 @@ pub struct DegradationReport {
     /// +1ns keeps the ratio finite under the zero-latency infinite network
     /// model.
     pub p99_ratio: f64,
-    /// Recovery messages the engine sent fetching lost views.
-    pub recovery_messages: u64,
     /// Bytes replayed from the durable tier during recovery (0 when the
     /// run had no durable tier attached).
     pub recovery_bytes: u64,
@@ -307,7 +305,6 @@ impl ScenarioRunner {
                 quiet_read_p99,
                 p99_ratio: (read_p99.as_nanos() + 1) as f64
                     / (quiet_read_p99.as_nanos() + 1) as f64,
-                recovery_messages: report.recovery_messages(),
                 recovery_bytes: report.durable_io().map(|io| io.bytes_replayed).unwrap_or(0),
                 time_to_steady_secs,
                 report,

@@ -3,7 +3,7 @@
 use dynasore_graph::SocialGraph;
 use dynasore_topology::{Switch, Topology, TopologyKind, TrafficAccount};
 use dynasore_types::{
-    ClusterEvent, Error, Latency, LatencyHistogram, MachineId, Message, MessageClass, NetworkModel,
+    ClusterEvent, CountingSink, Error, Latency, LatencyHistogram, MachineId, Message, NetworkModel,
     PlacementEngine, Result, SimTime, SubtreeId, TimedClusterEvent, TraceEventKind, TrafficSink,
     HOUR_SECS, NANOS_PER_SEC,
 };
@@ -40,12 +40,10 @@ struct AccountingSink<'a> {
 }
 
 /// What the sinks of one run accumulate: the traffic account and the
-/// message tallies of the report.
+/// message tally of the report.
 struct RunCounters {
     traffic: TrafficAccount,
-    app_messages: u64,
-    proto_messages: u64,
-    recovery_messages: u64,
+    messages: CountingSink,
 }
 
 impl RunCounters {
@@ -68,13 +66,7 @@ impl RunCounters {
 
 impl TrafficSink for AccountingSink<'_> {
     fn record(&mut self, message: Message) {
-        match message.class {
-            MessageClass::Application => self.counters.app_messages += 1,
-            MessageClass::Protocol => self.counters.proto_messages += 1,
-        }
-        if message.involves_persistent() {
-            self.counters.recovery_messages += 1;
-        }
+        self.counters.messages.record(message);
         if message.is_local() {
             return;
         }
@@ -294,9 +286,7 @@ impl<E: PlacementEngine> Simulation<E> {
         }
         let mut counters = RunCounters {
             traffic: TrafficAccount::new(self.network),
-            app_messages: 0,
-            proto_messages: 0,
-            recovery_messages: 0,
+            messages: CountingSink::default(),
         };
         let mut reads = 0u64;
         let mut writes = 0u64;
@@ -345,13 +335,13 @@ impl<E: PlacementEngine> Simulation<E> {
                         }
                         Change::Cluster(event) => {
                             self.topology.apply_cluster_event(event)?;
-                            let recovery_before = counters.recovery_messages;
+                            let recovery_before = counters.messages.persistent;
                             let mut sink = counters.sink(&self.topology, self.obs.as_mut(), time);
                             self.engine.on_cluster_change(event, &mut sink)?;
                             // The engine fetched lost views from the persistent
                             // tier: with a durable tier attached, that recovery
                             // re-reads real bytes.
-                            if counters.recovery_messages > recovery_before {
+                            if counters.messages.persistent > recovery_before {
                                 if let Some(tier) = self.durable.as_mut() {
                                     tier.sync()?;
                                     durable_syncs += 1;
@@ -446,9 +436,7 @@ impl<E: PlacementEngine> Simulation<E> {
         // registry (counters the per-message hot path deliberately skips).
         if let Some(obs) = self.obs.as_mut() {
             obs.finish_run(
-                counters.app_messages,
-                counters.proto_messages,
-                counters.recovery_messages,
+                &counters.messages,
                 self.durable.as_ref().map(|_| (&durable_io, durable_syncs)),
             );
         }
@@ -490,13 +478,11 @@ impl<E: PlacementEngine> Simulation<E> {
             traffic: counters.traffic,
             reads,
             writes,
-            application_messages: counters.app_messages,
-            protocol_messages: counters.proto_messages,
+            messages: counters.messages,
             end_time: now,
             memory: self.engine.memory_usage(),
             switch_counts: switch_counts(&self.topology),
             reliability: ReliabilityStats {
-                recovery_messages: counters.recovery_messages,
                 unreachable_reads: self.engine.unreachable_reads(),
                 read_targets,
                 worst_window_unreachable: worst.0,

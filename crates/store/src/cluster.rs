@@ -55,20 +55,21 @@ pub struct StoreStats {
     pub persistent_reads: u64,
     /// Views currently cached across all servers.
     pub cached_views: usize,
-    /// Protocol messages exchanged with the persistent tier to re-create
-    /// views lost to machine failures.
-    pub recovery_messages: u64,
+    /// Messages the placement engine emitted serving reads.
+    pub reads: CountingSink,
+    /// Messages the placement engine emitted serving writes.
+    pub writes: CountingSink,
+    /// Messages the placement engine emitted absorbing cluster events
+    /// ([`Cluster::apply_event`]): its persistent-tier ones are recovery.
+    pub events: CountingSink,
 }
 
-/// What one [`Cluster::apply_event`] call did: how many placement-protocol
-/// messages the engine emitted while reacting, and how many of them were
-/// recovery traffic from the persistent tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ClusterChangeReport {
-    /// All messages the engine emitted while absorbing the event.
-    pub messages: u64,
-    /// The subset exchanged with the persistent tier (lost-master refills).
-    pub recovery_messages: u64,
+/// The placement engine and, under the same lock, its message tallies: the
+/// `reads`, `writes` and `events` of a [`StoreStats`] whose other fields stay 0.
+#[derive(Debug)]
+struct Placement {
+    engine: DynaSoReEngine,
+    messages: StoreStats,
 }
 
 /// What the engine reported while handling one request or cluster event:
@@ -128,14 +129,13 @@ pub struct Cluster {
     /// Shares the caller's graph: a [`SocialGraph`] clone is `O(1)`, and
     /// only a mutation would copy it.
     graph: SocialGraph,
-    engine: Mutex<DynaSoReEngine>,
+    placement: Mutex<Placement>,
     /// The cached views: shard `i` is the server with `MachineId` `i`.
     cache: CacheWorker,
     persistent: Arc<dyn PersistentStore>,
     clock: AtomicU64,
     hits: AtomicU64,
     misses: AtomicU64,
-    recovery_messages: AtomicU64,
     shut_down: AtomicBool,
     /// Whether the persistent tier was successfully synced
     /// during shutdown — tracked separately from `shut_down` so a retry
@@ -194,12 +194,14 @@ impl Cluster {
         Ok(Cluster {
             cache: CacheWorker::spawn(),
             graph: graph.clone(),
-            engine: Mutex::new(engine),
+            placement: Mutex::new(Placement {
+                engine,
+                messages: StoreStats::default(),
+            }),
             persistent,
             clock: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            recovery_messages: AtomicU64::new(0),
             shut_down: AtomicBool::new(false),
             synced: AtomicBool::new(false),
             obs: None,
@@ -245,9 +247,10 @@ impl Cluster {
         // 2. The write proxy updates the placement statistics and pushes the
         //    new version — one allocation, shared — to each replica it wrote (§3.3).
         let (served, unwritten) = {
-            let mut engine = self.engine.lock();
+            let Placement { engine, messages } = &mut *self.placement.lock();
             let mut served = Served::default();
             engine.handle_write(user, self.now(), &mut served);
+            messages.writes += served.counts;
             let written = |shard: &usize| served.lookups.iter().any(|&(s, ..)| s == *shard);
             let servers = engine.topology().servers().iter();
             let shards = servers.map(|server| server.machine().as_usize());
@@ -297,13 +300,14 @@ impl Cluster {
     fn lookup(&self, user: UserId, targets: &[UserId], detached: bool) -> Result<Vec<Arc<View>>> {
         self.check_user(user)?;
         let served = {
-            let mut engine = self.engine.lock();
+            let Placement { engine, messages } = &mut *self.placement.lock();
             let mut served = Served::default();
             // A view read evicts about one replica to admit another (in the
             // never-ticked serving regime), so one reservation each.
             served.lookups.reserve(targets.len());
             served.evicts.reserve(targets.len());
             engine.handle_read(user, targets, self.now(), &mut served);
+            messages.reads += served.counts;
             served
         };
         // No followees or only unknown targets: nothing served or unlinked.
@@ -375,7 +379,7 @@ impl Cluster {
     /// Number of replicas the placement engine currently keeps for `user`'s
     /// view.
     pub fn replica_count(&self, user: UserId) -> usize {
-        self.engine.lock().replica_count(user)
+        self.placement.lock().engine.replica_count(user)
     }
 
     /// The social graph the cluster serves.
@@ -391,7 +395,7 @@ impl Cluster {
             persistent_writes: self.persistent.write_count(),
             persistent_reads: self.persistent.read_count(),
             cached_views: self.cache.lens().iter().sum(),
-            recovery_messages: self.recovery_messages.load(Ordering::Relaxed),
+            ..self.placement.lock().messages
         }
     }
 
@@ -401,6 +405,7 @@ impl Cluster {
     /// drained and retired machines migrate theirs first, revived and added
     /// ones join empty — and the store evicts the copies of exactly the
     /// replicas it unlinked. Reads then demand-fill the new replicas.
+    /// Returns the messages the engine emitted, also added to [`StoreStats::events`].
     ///
     /// Takes `&mut self`: cluster reconfiguration is an administrative
     /// operation that excludes concurrent clients for its (short) duration.
@@ -410,25 +415,21 @@ impl Cluster {
     /// Returns [`Error::ClusterShutdown`] after [`Cluster::shutdown`], and
     /// the topology's error, unchanged, for an event it refuses (unknown
     /// machines, growth on a flat layout); nothing changes then.
-    pub fn apply_event(&mut self, event: ClusterEvent) -> Result<ClusterChangeReport> {
+    pub fn apply_event(&mut self, event: ClusterEvent) -> Result<CountingSink> {
         if self.shut_down.load(Ordering::Acquire) {
             return Err(Error::ClusterShutdown);
         }
         let mut out = Served::default();
-        self.engine.get_mut().on_cluster_change(event, &mut out)?;
+        let Placement { engine, messages } = self.placement.get_mut();
+        engine.on_cluster_change(event, &mut out)?;
+        messages.events += out.counts;
         if let Some(obs) = &self.obs {
             obs.trace(TraceEventKind::ClusterChange { event });
         }
         for (shard, owner) in out.evicts {
             self.cache.evict(shard, owner);
         }
-        let report = ClusterChangeReport {
-            messages: out.counts.messages,
-            recovery_messages: out.counts.persistent_messages,
-        };
-        self.recovery_messages
-            .fetch_add(report.recovery_messages, Ordering::Relaxed);
-        Ok(report)
+        Ok(out.counts)
     }
 
     /// Stops the cache worker and rejects all further requests with
@@ -469,7 +470,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use dynasore_graph::GraphPreset;
-    use dynasore_types::{MachineId, RackId, SubtreeId};
+    use dynasore_types::{MachineId, MessageClass, RackId, SubtreeId};
 
     fn cluster() -> (Cluster, SocialGraph) {
         let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 3).unwrap();
@@ -480,7 +481,7 @@ mod tests {
 
     /// The engine's topology, which numbers the shards.
     fn topology(cluster: &Cluster) -> Topology {
-        cluster.engine.lock().topology().clone()
+        cluster.placement.lock().engine.topology().clone()
     }
 
     /// The key-set half of "cache contents == placement at quiescence":
@@ -489,7 +490,7 @@ mod tests {
     fn replica_copies(cluster: &Cluster, context: &str) -> Vec<Arc<View>> {
         let mut batch = Vec::new();
         {
-            let engine = cluster.engine.lock();
+            let engine = &cluster.placement.lock().engine;
             for user in cluster.graph.users() {
                 for machine in engine.replica_servers(user) {
                     batch.push((machine.as_usize(), user, None));
@@ -810,28 +811,29 @@ mod tests {
         let reader = graph.followers(author)[0];
         cluster.write(author, b"durable".to_vec()).unwrap();
         let victim = {
-            let engine = cluster.engine.lock();
+            let engine = &cluster.placement.lock().engine;
             engine.replica_servers(author)[0]
         };
         let change = cluster
             .apply_event(ClusterEvent::MachineDown { machine: victim })
             .unwrap();
         assert!(
-            change.recovery_messages > 0,
+            change.persistent > 0,
             "losing a master must cost persistent-tier traffic"
         );
-        assert!(change.messages >= change.recovery_messages);
+        assert!(change.protocol >= change.persistent);
         // The data survives the crash: the read is served via the recovered
         // replica, demand-filled from the persistent store.
         let views = cluster.read(reader, &[author]).unwrap();
         assert_eq!(views.len(), 1);
         assert_eq!(views[0].latest().unwrap().payload(), b"durable");
         assert!(!cluster
-            .engine
+            .placement
             .lock()
+            .engine
             .replica_servers(author)
             .contains(&victim));
-        assert!(cluster.stats().recovery_messages > 0);
+        assert_eq!(cluster.stats().events, change);
 
         // Restart the machine: it rejoins empty and serves again.
         cluster
@@ -848,12 +850,102 @@ mod tests {
         cluster.shutdown().unwrap();
     }
 
+    /// The tallies are the engine's messages. A twin engine, built from the
+    /// same inputs and fed the same calls at the cluster's clock (one second
+    /// per read or write), emits into a `Vec<Message>`: the cluster's read,
+    /// write and event tallies must equal the twin's class counts of the
+    /// same calls, each event's returned tally its own, and every user must
+    /// keep as many replicas under either.
+    #[test]
+    fn tallies_equal_a_twin_engines_messages() {
+        const STEPS: u32 = 400;
+        let graph = SocialGraph::generate(GraphPreset::TwitterLike, 150, 3).unwrap();
+        let users = graph.user_count() as u32;
+        let topology = Topology::tree(2, 2, 4, 1).unwrap();
+        let config = StoreConfig::default();
+        let mut twin = DynaSoReEngine::builder()
+            .topology(topology.clone())
+            .budget(MemoryBudget::with_extra_percent(
+                graph.user_count(),
+                config.extra_memory_percent,
+            ))
+            .initial_placement(config.placement.clone())
+            .build(&graph)
+            .unwrap();
+        let mut cluster = Cluster::spawn(&graph, topology, config).unwrap();
+        let count = |messages: &[Message]| {
+            let of = |keep: &dyn Fn(&Message) -> bool| messages.iter().filter(|m| keep(m)).count();
+            CountingSink {
+                application: of(&|m| m.class == MessageClass::Application) as u64,
+                protocol: of(&|m| m.class == MessageClass::Protocol) as u64,
+                persistent: of(&|m| m.involves_persistent()) as u64,
+            }
+        };
+        let (mut reads, mut writes, mut events) = Default::default();
+        let mut clock = 0;
+        for step in 0..STEPS {
+            let pick = scatter(step);
+            let user = UserId::new(pick % users);
+            let followees = graph.followees(user);
+            let mut out: Vec<Message> = Vec::new();
+            let now = SimTime::from_secs(clock);
+            match pick / users % 16 {
+                0 => {
+                    let event = scattered_event(pick / 16);
+                    match cluster.apply_event(event) {
+                        Ok(tally) => {
+                            twin.on_cluster_change(event, &mut out).unwrap();
+                            assert_eq!(tally, count(&out), "step {step}: {event}");
+                            events += count(&out);
+                        }
+                        Err(_) => assert!(twin.on_cluster_change(event, &mut out).is_err()),
+                    }
+                    continue;
+                }
+                1..=4 => {
+                    cluster.write(user, pick.to_le_bytes().to_vec()).unwrap();
+                    twin.handle_write(user, now, &mut out);
+                    writes += count(&out);
+                }
+                5..=8 => {
+                    // Two followees, one of them twice, and a stranger.
+                    let mut targets: Vec<UserId> = followees.iter().take(2).copied().collect();
+                    targets.extend(followees.first());
+                    targets.push(UserId::new(9_999));
+                    cluster.read(user, &targets).unwrap();
+                    twin.handle_read(user, &targets, now, &mut out);
+                    reads += count(&out);
+                }
+                _ => {
+                    cluster.read_feed(user).unwrap();
+                    twin.handle_read(user, followees, now, &mut out);
+                    reads += count(&out);
+                }
+            }
+            clock += 1;
+        }
+        let stats = cluster.stats();
+        assert_eq!(
+            (stats.reads, stats.writes, stats.events),
+            (reads, writes, events)
+        );
+        assert!(reads.application > 0 && writes.application > 0 && events.persistent > 0);
+        for user in graph.users() {
+            assert_eq!(
+                cluster.replica_count(user),
+                twin.replica_count(user),
+                "{user}"
+            );
+        }
+        cluster.shutdown().unwrap();
+    }
+
     #[test]
     fn machine_down_empties_exactly_one_shard() {
         let (mut cluster, graph) = cluster();
         // Where the next read of `author` on behalf of `reader` is served.
         let route = |cluster: &Cluster, reader, author| {
-            let engine = cluster.engine.lock();
+            let engine = &cluster.placement.lock().engine;
             let proxy = engine.read_proxy(reader).unwrap().machine();
             engine.closest_replica(author, proxy).unwrap()
         };
@@ -1119,7 +1211,7 @@ mod tests {
                 let targets = if feed { followees } else { &targets[..] };
 
                 let (shards, expected) = {
-                    let engine = cluster.engine.lock();
+                    let engine = &cluster.placement.lock().engine;
                     let proxy = engine.read_proxy(user).unwrap().machine();
                     let mut expected: Vec<(UserId, usize)> = Vec::new();
                     for &target in targets {
@@ -1147,7 +1239,7 @@ mod tests {
                         .filter(|&s| cluster.cache.get(s, target).is_some())
                         .collect();
                     // Empty exactly when the read itself unlinked the replica.
-                    let replicas = cluster.engine.lock().replica_servers(target);
+                    let replicas = cluster.placement.lock().engine.replica_servers(target);
                     let kept = replicas.contains(&MachineId::new(shard as u32));
                     let want: &[usize] = if kept { &[shard] } else { &[] };
                     assert_eq!(holders, want, "seed {seed} step {step}: {target}");

@@ -69,7 +69,7 @@ mod segment;
 mod server;
 mod sharded;
 
-pub use cluster::{Cluster, ClusterChangeReport, StoreConfig, StoreStats};
+pub use cluster::{Cluster, StoreConfig, StoreStats};
 pub use log::RecoveryStats;
 pub use obs::StoreObs;
 pub use persistent::{MockPersistentStore, PersistentStore};

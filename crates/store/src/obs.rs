@@ -86,6 +86,11 @@ impl StoreObs {
     pub fn render_prometheus(&self) -> String {
         self.inner.lock().registry.render_prometheus()
     }
+
+    /// A copy of the registry as it stands.
+    pub fn registry(&self) -> MetricsRegistry {
+        self.inner.lock().registry.clone()
+    }
 }
 
 #[cfg(test)]

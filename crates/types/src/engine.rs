@@ -261,17 +261,34 @@ impl TrafficSink for Vec<Message> {
     }
 }
 
-/// A sink that only counts: how many messages it was handed, and how many
-/// of them were exchanged with the persistent tier (recovery refills).
-/// Drivers that need the totals but not the messages — the live store, the
-/// throughput benches — use it instead of buffering a `Vec<Message>` per
+/// The one tally of an engine's messages: how many it was handed of each
+/// class, and how many of them were exchanged with the persistent tier
+/// (recovery refills). The simulator, the live store and the throughput
+/// benches count through it instead of buffering a `Vec<Message>` per
 /// request. Owns no references, so it is `Send`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CountingSink {
+    /// Application messages recorded.
+    pub application: u64,
+    /// Protocol messages recorded.
+    pub protocol: u64,
+    /// Messages of either class with the persistent tier as one endpoint.
+    pub persistent: u64,
+}
+
+impl CountingSink {
     /// All messages recorded.
-    pub messages: u64,
-    /// The subset with the persistent tier as one endpoint.
-    pub persistent_messages: u64,
+    pub fn total(&self) -> u64 {
+        self.application + self.protocol
+    }
+}
+
+impl std::ops::AddAssign for CountingSink {
+    fn add_assign(&mut self, other: CountingSink) {
+        self.application += other.application;
+        self.protocol += other.protocol;
+        self.persistent += other.persistent;
+    }
 }
 
 impl TrafficSink for CountingSink {
@@ -283,8 +300,10 @@ impl TrafficSink for CountingSink {
     #[inline]
     fn record_n(&mut self, message: Message, count: usize) {
         let count = count as u64;
-        self.messages += count;
-        self.persistent_messages += count * u64::from(message.involves_persistent());
+        let application = u64::from(message.class.is_application());
+        self.application += count * application;
+        self.protocol += count * (1 - application);
+        self.persistent += count * u64::from(message.involves_persistent());
     }
 }
 
@@ -445,8 +464,18 @@ mod tests {
         sink.record(Message::application(a, b));
         sink.record(Message::persistent_fetch(b));
         sink.record(Message::protocol(b, a));
-        assert_eq!(sink.messages, 3);
-        assert_eq!(sink.persistent_messages, 1);
+        assert_eq!(
+            (sink.application, sink.protocol, sink.persistent),
+            (1, 2, 1)
+        );
+        assert_eq!(sink.total(), 3);
+        let mut thrice = sink;
+        thrice += sink;
+        thrice += sink;
+        assert_eq!(
+            (thrice.application, thrice.protocol, thrice.persistent),
+            (3, 6, 3)
+        );
     }
 
     /// `record_n(m, n)` is `n` calls to `record(m)`, for the sink that
@@ -471,7 +500,7 @@ mod tests {
                 }
             }
             assert_eq!(bulk, one_by_one, "{n} copies");
-            assert_eq!(bulk.persistent_messages, n as u64);
+            assert_eq!(bulk.persistent, n as u64);
             assert_eq!(pushed, expected, "{n} copies");
         }
     }

@@ -21,7 +21,7 @@
 //!   are assigned in call order, so same-seed simulation reruns produce
 //!   identical timelines.
 
-use crate::{ClusterEvent, MachineId, StatusCode, UserId};
+use crate::{ClusterEvent, CountingSink, MachineId, StatusCode, UserId};
 use std::fmt::Write as _;
 
 /// Whether a metric slot accumulates (counter) or tracks a level (gauge).
@@ -97,11 +97,11 @@ metric_ids! {
     CollapseOnsets = ("dynasore_collapse_onsets_total", Counter,
         "Congestion-collapse onsets (first tick past the collapse threshold)."),
     AppMessages = ("dynasore_app_messages_total", Counter,
-        "Application messages recorded by the accounting sink."),
+        "Application messages the placement engine emitted."),
     ProtoMessages = ("dynasore_proto_messages_total", Counter,
-        "Protocol messages recorded by the accounting sink."),
+        "Protocol messages the placement engine emitted."),
     RecoveryMessages = ("dynasore_recovery_messages_total", Counter,
-        "Messages involving the persistent tier (recovery/demand fill)."),
+        "Messages the engine exchanged with the persistent tier (recovery)."),
     UnreachableReads = ("dynasore_unreachable_reads", Gauge,
         "Read targets with no live replica, cumulative engine counter."),
     TopQueueDelayNs = ("dynasore_top_queue_delay_ns", Gauge,
@@ -177,6 +177,13 @@ impl MetricsRegistry {
     #[inline]
     pub fn set(&mut self, id: MetricId, value: u64) {
         self.slots[id as usize] = value;
+    }
+
+    /// Adds a message tally to the application, protocol and recovery counters.
+    pub fn add_messages(&mut self, tally: &CountingSink) {
+        self.add(MetricId::AppMessages, tally.application);
+        self.add(MetricId::ProtoMessages, tally.protocol);
+        self.add(MetricId::RecoveryMessages, tally.persistent);
     }
 
     /// Raises a gauge to `value` if `value` exceeds the current level.

@@ -56,15 +56,6 @@ impl MessageClass {
     }
 }
 
-impl std::fmt::Display for MessageClass {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            MessageClass::Application => write!(f, "application"),
-            MessageClass::Protocol => write!(f, "protocol"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -77,10 +68,8 @@ mod tests {
     }
 
     #[test]
-    fn class_predicates_and_display() {
+    fn class_predicates() {
         assert!(MessageClass::Application.is_application());
         assert!(!MessageClass::Protocol.is_application());
-        assert_eq!(MessageClass::Application.to_string(), "application");
-        assert_eq!(MessageClass::Protocol.to_string(), "protocol");
     }
 }

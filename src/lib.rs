@@ -81,7 +81,7 @@ pub mod prelude {
         SimDurableTier, SimReport, Simulation,
     };
     pub use dynasore_store::{
-        Cluster, ClusterChangeReport, PersistentStore, ShardedConfig, ShardedLogStore, StoreConfig,
+        Cluster, PersistentStore, ShardedConfig, ShardedLogStore, StoreConfig, StoreStats,
     };
     pub use dynasore_topology::{Switch, Tier, Topology, TrafficAccount};
     pub use dynasore_types::{

@@ -1,8 +1,8 @@
 //! One engine, two drivers, the same decisions. The trace-driven
 //! `Simulation` and the serving `Cluster` both drive a `DynaSoReEngine`;
 //! fed the same requests and cluster events in the same order, the engine
-//! must leave every view with the same replicas and fetch the same lost
-//! views from the persistent tier under either driver.
+//! must leave every view with the same replicas and emit the same
+//! application, protocol and persistent-tier messages under either driver.
 //!
 //! `Cluster` never runs the engine's hourly maintenance tick, so the replay
 //! stops before the simulator's first tick: it covers the requests of the
@@ -10,7 +10,7 @@
 //! that hour.
 
 use dynasore::prelude::*;
-use dynasore::types::RackId;
+use dynasore::types::{CountingSink, RackId};
 
 const USERS: usize = 800;
 const EXTRA_MEMORY_PERCENT: u32 = 30;
@@ -69,10 +69,9 @@ fn simulation_and_cluster_make_the_same_placement_decisions() {
         // as the simulator applies it.
         let mut cluster = Cluster::spawn(&graph, topology, config).unwrap();
         let mut pending = events.iter().peekable();
-        let mut recovery_messages = 0;
         for request in &trace {
             while let Some(e) = pending.next_if(|e| e.time <= request.time) {
-                recovery_messages += cluster.apply_event(e.event).unwrap().recovery_messages;
+                cluster.apply_event(e.event).unwrap();
             }
             if request.is_read() {
                 cluster.read_feed(request.user).unwrap();
@@ -89,8 +88,19 @@ fn simulation_and_cluster_make_the_same_placement_decisions() {
                 "seed {seed}: replicas of {user:?}"
             );
         }
-        assert!(recovery_messages > 0, "seed {seed}: no lost master");
-        assert_eq!(recovery_messages, report.recovery_messages(), "seed {seed}");
+        // Every message class, summed over the cluster's read, write and
+        // event tallies, is the simulator's count.
+        let simulated = CountingSink {
+            application: report.total_application_messages(),
+            protocol: report.total_protocol_messages(),
+            persistent: report.recovery_messages(),
+        };
+        assert!(simulated.persistent > 0, "seed {seed}: no lost master");
+        let stats = cluster.stats();
+        let mut messages = stats.reads;
+        messages += stats.writes;
+        messages += stats.events;
+        assert_eq!(messages, simulated, "seed {seed}");
         cluster.shutdown().unwrap();
     }
 }
